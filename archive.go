@@ -1,6 +1,7 @@
 package bgpblackholing
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -19,8 +20,9 @@ import (
 // directory, fsyncs it, and commits with an atomic rename — the same
 // durability discipline as the event store's segments. A crash at any
 // point leaves either the old file or the complete new one, never a
-// torn archive; fsync and close errors surface instead of being
-// dropped.
+// torn archive; flush, fsync and close errors surface instead of being
+// dropped. write sees a buffered writer (archives are written a record
+// at a time), flushed before the fsync.
 func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -33,7 +35,11 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 			os.Remove(f.Name())
 		}
 	}()
-	if err = write(f); err != nil {
+	bw := bufio.NewWriterSize(f, 64<<10)
+	if err = write(bw); err != nil {
+		return err
+	}
+	if err = bw.Flush(); err != nil {
 		return err
 	}
 	if err = f.Sync(); err != nil {

@@ -15,10 +15,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -133,13 +135,31 @@ func run(in string, scale float64, seed int64, format string) error {
 		return fmt.Errorf("replay: %w", err)
 	}
 
+	return writeEvents(os.Stdout, format, res.Events)
+}
+
+// writeEvents renders the events to w through one buffered writer and
+// returns the first write or flush error, so a closed or full stdout
+// fails the run instead of truncating the report.
+func writeEvents(w io.Writer, format string, events []*bgpblackholing.Event) error {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var err error
 	switch format {
 	case "json":
-		return writeJSON(os.Stdout, res.Events)
+		err = writeJSON(bw, events)
 	case "csv":
-		return writeCSV(os.Stdout, res.Events)
+		err = writeCSV(bw, events)
+	default:
+		return fmt.Errorf("unknown format %q", format)
 	}
-	return fmt.Errorf("unknown format %q", format)
+	if err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "bhdetect: %d events\n", len(events))
+	return nil
 }
 
 // eventRecord is the serialised form of one event.
@@ -184,29 +204,32 @@ func toRecord(ev *bgpblackholing.Event) eventRecord {
 	return rec
 }
 
-func writeJSON(w *os.File, events []*bgpblackholing.Event) error {
+func writeJSON(w io.Writer, events []*bgpblackholing.Event) error {
 	enc := json.NewEncoder(w)
 	for _, ev := range events {
 		if err := enc.Encode(toRecord(ev)); err != nil {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "bhdetect: %d events\n", len(events))
 	return nil
 }
 
-func writeCSV(w *os.File, events []*bgpblackholing.Event) error {
-	fmt.Fprintln(w, "prefix,start,end,duration_sec,providers,users,communities,platforms,detections")
+func writeCSV(w io.Writer, events []*bgpblackholing.Event) error {
+	if _, err := fmt.Fprintln(w, "prefix,start,end,duration_sec,providers,users,communities,platforms,detections"); err != nil {
+		return err
+	}
 	for _, ev := range events {
 		rec := toRecord(ev)
-		fmt.Fprintf(w, "%s,%s,%s,%.0f,%s,%s,%s,%s,%d\n",
+		_, err := fmt.Fprintf(w, "%s,%s,%s,%.0f,%s,%s,%s,%s,%d\n",
 			rec.Prefix, rec.Start, rec.End, rec.DurationSec,
 			strings.Join(rec.Providers, ";"),
 			strings.Join(rec.Users, ";"),
 			strings.Join(rec.Communities, ";"),
 			strings.Join(rec.Platforms, ";"),
 			rec.Detections)
+		if err != nil {
+			return err
+		}
 	}
-	fmt.Fprintf(os.Stderr, "bhdetect: %d events\n", len(events))
 	return nil
 }

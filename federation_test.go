@@ -116,6 +116,7 @@ func (f *federationFixture) queryCombos(t *testing.T) []string {
 		"from=" + from + "&to=" + to,
 		"min_duration=10m",
 		"max_duration=2h",
+		"min_duration=999999h", // empty match: "events" must be [] on both sides
 		fmt.Sprintf("enrich=1&limit=50&origin=%d", user),
 		"enrich=1&limit=25",
 	}

@@ -548,6 +548,10 @@ func serveEventsJSON(ctx context.Context, w http.ResponseWriter, be Backend, q Q
 		return
 	}
 	shardsFailedHeader(w, rs.ShardsFailed)
+	if rs.Records == nil {
+		// An empty match is "events": [] from every backend, never null.
+		rs.Records = []*EventRecord{}
+	}
 	writeJSON(w, map[string]any{
 		"total":      rs.Total,
 		"returned":   len(rs.Records),

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // RFC 4271 message framing.
@@ -165,62 +166,70 @@ func MarshalUpdate(u *Update) ([]byte, error) {
 // 4-octet AS_PATH encoding. Collection metadata (Time, PeerIP, PeerAS)
 // is not part of the wire format and is left zero.
 func UnmarshalUpdate(msg []byte) (*Update, error) {
+	u := &Update{}
+	if err := UnmarshalUpdateInto(u, msg); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// UnmarshalUpdateInto is UnmarshalUpdate decoding into caller-owned
+// storage, so an archive reader can carry the update inside a larger
+// per-record allocation. *u is overwritten; every field is copied out of
+// msg, so msg may be reused once the call returns. On error *u holds a
+// partial decode and must be discarded.
+func UnmarshalUpdateInto(u *Update, msg []byte) error {
 	if len(msg) < HeaderLen {
-		return nil, ErrShortMessage
+		return ErrShortMessage
 	}
 	for i := 0; i < 16; i++ {
 		if msg[i] != 0xFF {
-			return nil, ErrBadMarker
+			return ErrBadMarker
 		}
 	}
 	total := int(binary.BigEndian.Uint16(msg[16:18]))
 	if total != len(msg) || total < HeaderLen {
-		return nil, fmt.Errorf("%w: header says %d, have %d", ErrBadLength, total, len(msg))
+		return fmt.Errorf("%w: header says %d, have %d", ErrBadLength, total, len(msg))
 	}
 	if msg[18] != TypeUpdate {
-		return nil, ErrNotUpdate
+		return ErrNotUpdate
 	}
 	body := msg[HeaderLen:]
 
-	u := &Update{}
+	*u = Update{}
 	// Withdrawn routes.
 	if len(body) < 2 {
-		return nil, ErrShortMessage
+		return ErrShortMessage
 	}
 	wlen := int(binary.BigEndian.Uint16(body[:2]))
 	body = body[2:]
 	if len(body) < wlen {
-		return nil, ErrShortMessage
+		return ErrShortMessage
 	}
-	withdrawn, err := parsePrefixes(body[:wlen], false)
-	if err != nil {
-		return nil, err
+	var err error
+	if u.Withdrawn, err = parsePrefixes(nil, body[:wlen], false); err != nil {
+		return err
 	}
-	u.Withdrawn = withdrawn
 	body = body[wlen:]
 
 	// Path attributes.
 	if len(body) < 2 {
-		return nil, ErrShortMessage
+		return ErrShortMessage
 	}
 	alen := int(binary.BigEndian.Uint16(body[:2]))
 	body = body[2:]
 	if len(body) < alen {
-		return nil, ErrShortMessage
+		return ErrShortMessage
 	}
 	attrs := body[:alen]
 	body = body[alen:]
 	if err := parseAttributes(u, attrs); err != nil {
-		return nil, err
+		return err
 	}
 
 	// NLRI.
-	nlri, err := parsePrefixes(body, false)
-	if err != nil {
-		return nil, err
-	}
-	u.Announced = append(u.Announced, nlri...)
-	return u, nil
+	u.Announced, err = parsePrefixes(u.Announced, body, false)
+	return err
 }
 
 // MarshalPathAttributes encodes only the path-attribute section of the
@@ -310,27 +319,40 @@ func marshalASPath(p Path) []byte {
 	return out
 }
 
+// parseASPath validates and sizes the attribute in a first pass, then
+// decodes into one segment slice and one ASN array shared by all
+// segments (each segment's slice is capacity-limited to its own ASNs).
 func parseASPath(b []byte) (Path, error) {
-	var p Path
-	for len(b) > 0 {
-		if len(b) < 2 {
+	nseg, nasn := 0, 0
+	for rest := b; len(rest) > 0; nseg++ {
+		if len(rest) < 2 {
 			return Path{}, ErrBadAttributes
 		}
-		st := SegmentType(b[0])
-		n := int(b[1])
-		b = b[2:]
+		st, n := SegmentType(rest[0]), int(rest[1])
 		if st != SegmentSet && st != SegmentSequence {
 			return Path{}, fmt.Errorf("%w: segment type %d", ErrBadAttributes, st)
 		}
-		if len(b) < 4*n {
+		if len(rest) < 2+4*n {
 			return Path{}, ErrBadAttributes
 		}
-		seg := Segment{Type: st, ASNs: make([]ASN, n)}
-		for i := 0; i < n; i++ {
-			seg.ASNs[i] = ASN(binary.BigEndian.Uint32(b[4*i:]))
+		nasn += n
+		rest = rest[2+4*n:]
+	}
+	if nseg == 0 {
+		return Path{}, nil
+	}
+	p := Path{Segments: make([]Segment, 0, nseg)}
+	asns := make([]ASN, nasn)
+	for len(b) > 0 {
+		st, n := SegmentType(b[0]), int(b[1])
+		b = b[2:]
+		seg := asns[:n:n]
+		asns = asns[n:]
+		for i := range seg {
+			seg[i] = ASN(binary.BigEndian.Uint32(b[4*i:]))
 		}
 		b = b[4*n:]
-		p.Segments = append(p.Segments, seg)
+		p.Segments = append(p.Segments, Segment{Type: st, ASNs: seg})
 	}
 	return p, nil
 }
@@ -379,6 +401,7 @@ func parseAttributes(u *Update, attrs []byte) error {
 			if vlen%4 != 0 {
 				return fmt.Errorf("%w: COMMUNITIES length %d", ErrBadAttributes, vlen)
 			}
+			u.Communities = slices.Grow(u.Communities, vlen/4)
 			for i := 0; i < vlen; i += 4 {
 				u.Communities = append(u.Communities, Community(binary.BigEndian.Uint32(val[i:])))
 			}
@@ -415,7 +438,7 @@ func parseAttributes(u *Update, attrs []byte) error {
 	return nil
 }
 
-func parseMPReach(u *Update, val []byte) error {
+func parseMPReach(u *Update, val []byte) (err error) {
 	if len(val) < 5 {
 		return ErrBadAttributes
 	}
@@ -436,15 +459,11 @@ func parseMPReach(u *Update, val []byte) error {
 	if v6 && nhLen >= 16 {
 		u.NextHop = netip.AddrFrom16([16]byte(nh[:16]))
 	}
-	prefixes, err := parsePrefixes(rest, v6)
-	if err != nil {
-		return err
-	}
-	u.Announced = append(u.Announced, prefixes...)
-	return nil
+	u.Announced, err = parsePrefixes(u.Announced, rest, v6)
+	return err
 }
 
-func parseMPUnreach(u *Update, val []byte) error {
+func parseMPUnreach(u *Update, val []byte) (err error) {
 	if len(val) < 3 {
 		return ErrBadAttributes
 	}
@@ -453,12 +472,8 @@ func parseMPUnreach(u *Update, val []byte) error {
 	if safi != safiUnicast {
 		return nil
 	}
-	prefixes, err := parsePrefixes(val[3:], afi == afiIPv6)
-	if err != nil {
-		return err
-	}
-	u.Withdrawn = append(u.Withdrawn, prefixes...)
-	return nil
+	u.Withdrawn, err = parsePrefixes(u.Withdrawn, val[3:], afi == afiIPv6)
+	return err
 }
 
 // appendPrefixes encodes prefixes in the RFC 4271 NLRI format: one length
@@ -479,40 +494,48 @@ func appendPrefixes(dst []byte, ps []netip.Prefix) []byte {
 	return dst
 }
 
-// parsePrefixes decodes RFC 4271 NLRI-encoded prefixes. v6 selects the
-// address family for fields (MP attributes) where it is not implicit.
-func parsePrefixes(b []byte, v6 bool) ([]netip.Prefix, error) {
-	var out []netip.Prefix
-	for len(b) > 0 {
-		bits := int(b[0])
-		b = b[1:]
-		maxBits := 32
-		if v6 {
-			maxBits = 128
-		}
+// parsePrefixes decodes RFC 4271 NLRI-encoded prefixes and appends them
+// to dst, which grows at most once: the field is validated and counted
+// before anything is allocated. v6 selects the address family for fields
+// (MP attributes) where it is not implicit. An empty field returns dst
+// unchanged, so a list nothing was appended to stays nil.
+func parsePrefixes(dst []netip.Prefix, b []byte, v6 bool) ([]netip.Prefix, error) {
+	maxBits := 32
+	if v6 {
+		maxBits = 128
+	}
+	n := 0
+	for rest := b; len(rest) > 0; n++ {
+		bits := int(rest[0])
 		if bits > maxBits {
 			return nil, fmt.Errorf("%w: prefix length %d", ErrBadNLRI, bits)
 		}
-		nb := (bits + 7) / 8
-		if len(b) < nb {
+		nb := 1 + (bits+7)/8
+		if len(rest) < nb {
 			return nil, ErrBadNLRI
 		}
+		rest = rest[nb:]
+	}
+	dst = slices.Grow(dst, n)
+	for len(b) > 0 {
+		bits := int(b[0])
+		nb := (bits + 7) / 8
 		var addr netip.Addr
 		if v6 {
 			var a [16]byte
-			copy(a[:], b[:nb])
+			copy(a[:], b[1:1+nb])
 			addr = netip.AddrFrom16(a)
 		} else {
 			var a [4]byte
-			copy(a[:], b[:nb])
+			copy(a[:], b[1:1+nb])
 			addr = netip.AddrFrom4(a)
 		}
 		p, err := addr.Prefix(bits)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadNLRI, err)
 		}
-		out = append(out, p)
-		b = b[nb:]
+		dst = append(dst, p)
+		b = b[1+nb:]
 	}
-	return out, nil
+	return dst, nil
 }

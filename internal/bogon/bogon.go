@@ -40,6 +40,16 @@ var ipv6Bogons = []netip.Prefix{
 	netip.MustParsePrefix("ff00::/8"),      // multicast
 }
 
+// ipv4FirstOctet[o] reports whether any ipv4Bogons entry overlaps
+// o.0.0.0/8. Derived from the table, which stays the single source of
+// truth, it lets IsBogon clear ordinary unicast space in O(1).
+var ipv4FirstOctet = func() (t [256]bool) {
+	for o := range t {
+		t[o] = overlapsAny(ipv4Bogons, netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(o)}), 8))
+	}
+	return t
+}()
+
 // IsBogon reports whether the prefix overlaps any entry of the bogon
 // table (so announcing it would leak special-use space into the DFZ).
 //
@@ -47,10 +57,17 @@ var ipv6Bogons = []netip.Prefix{
 // Internet; the synthetic topology therefore numbers its ASes out of
 // ordinary unicast space instead.
 func IsBogon(p netip.Prefix) bool {
-	table := ipv4Bogons
 	if p.Addr().Is6() {
-		table = ipv6Bogons
+		return overlapsAny(ipv6Bogons, p)
 	}
+	// A /8 or longer lies inside one first octet.
+	if p.Bits() >= 8 && !ipv4FirstOctet[p.Addr().As4()[0]] {
+		return false
+	}
+	return overlapsAny(ipv4Bogons, p)
+}
+
+func overlapsAny(table []netip.Prefix, p netip.Prefix) bool {
 	for _, b := range table {
 		if b.Overlaps(p) {
 			return true

@@ -1,6 +1,8 @@
 package bogon
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"net/netip"
 	"testing"
 
@@ -98,4 +100,42 @@ func TestCleanUpdateEmptyPassthrough(t *testing.T) {
 	if got := CleanUpdate(u); got != u {
 		t.Fatal("empty update should pass through unchanged")
 	}
+}
+
+// The first-octet fast path answers exactly like the scan: at every
+// table entry's first and last address and their outside neighbours,
+// for every length /8…/32, and on seeded random prefixes of any length.
+func TestIsBogonFastPathMatchesScan(t *testing.T) {
+	check := func(a netip.Addr, bits int) {
+		t.Helper()
+		p := netip.PrefixFrom(a, bits).Masked()
+		if got, want := IsBogon(p), overlapsAny(ipv4Bogons, p); got != want {
+			t.Fatalf("IsBogon(%v) = %v, linear scan says %v", p, got, want)
+		}
+	}
+	for _, b := range ipv4Bogons {
+		first := b.Addr()
+		last := netip.AddrFrom4(addU32(first, 1<<(32-b.Bits())-1))
+		for _, a := range []netip.Addr{
+			first, last,
+			netip.AddrFrom4(addU32(first, ^uint32(0))), // first-1, wrapping at 0.0.0.0
+			netip.AddrFrom4(addU32(last, 1)),           // last+1, wrapping at 255.255.255.255
+		} {
+			for bits := 8; bits <= 32; bits++ {
+				check(a, bits)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < 10000; i++ {
+		var a [4]byte
+		binary.BigEndian.PutUint32(a[:], r.Uint32())
+		check(netip.AddrFrom4(a), r.Intn(33))
+	}
+}
+
+func addU32(a netip.Addr, d uint32) [4]byte {
+	b := a.As4()
+	binary.BigEndian.PutUint32(b[:], binary.BigEndian.Uint32(b[:])+d)
+	return b
 }

@@ -49,6 +49,12 @@ func FuzzReader(f *testing.F) {
 	mut[7] ^= 0x55
 	f.Add(mut)
 	f.Add([]byte{})
+	// A record larger than the reader's window, then records behind it.
+	var big bytes.Buffer
+	bw := NewWriter(&big)
+	_ = bw.WriteRIB(bigRIB())
+	_ = bw.WriteUpdate(sampleUpdate(0), collectorIP, 65535)
+	f.Add(big.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))

@@ -16,6 +16,7 @@
 package mrt
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,6 +51,14 @@ var (
 // maxRecordLen bounds a single MRT record body, protecting the reader
 // against corrupt length fields.
 const maxRecordLen = 16 << 20
+
+// headerLen is the size of the MRT common header.
+const headerLen = 12
+
+// window is the Reader's read-ahead: records are parsed in place from a
+// buffer this large, so the underlying reader sees one Read per window
+// instead of two per record.
+const window = 64 << 10
 
 // Record is any decoded MRT record.
 type Record interface {
@@ -121,7 +130,8 @@ func appendHeader(dst []byte, t time.Time, typ, subtype uint16, bodyLen int) []b
 	return dst
 }
 
-// Writer emits MRT records to an underlying io.Writer.
+// Writer emits MRT records to an underlying io.Writer, one Write per
+// record, assembling each in a scratch buffer it reuses.
 type Writer struct {
 	w   io.Writer
 	buf []byte
@@ -130,11 +140,16 @@ type Writer struct {
 // NewWriter returns a Writer archiving to w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-func (w *Writer) emit(t time.Time, typ, subtype uint16, body []byte) error {
-	w.buf = w.buf[:0]
-	w.buf = appendHeader(w.buf, t, typ, subtype, len(body))
-	w.buf = append(w.buf, body...)
-	_, err := w.w.Write(w.buf)
+// begin starts a record in the scratch buffer: the common header with a
+// zero length, which emit patches once the body has been appended.
+func (w *Writer) begin(t time.Time, typ, subtype uint16) []byte {
+	return appendHeader(w.buf[:0], t, typ, subtype, 0)
+}
+
+func (w *Writer) emit(rec []byte) error {
+	binary.BigEndian.PutUint32(rec[8:12], uint32(len(rec)-headerLen))
+	w.buf = rec
+	_, err := w.w.Write(rec)
 	return err
 }
 
@@ -146,12 +161,11 @@ func (w *Writer) WriteUpdate(u *bgp.Update, localIP netip.Addr, localAS bgp.ASN)
 	if err != nil {
 		return err
 	}
-	v6 := u.PeerIP.Is6()
-	body := make([]byte, 0, 40+len(msg))
+	body := w.begin(u.Time, TypeBGP4MP, SubtypeBGP4MPMessageAS4)
 	body = binary.BigEndian.AppendUint32(body, uint32(u.PeerAS))
 	body = binary.BigEndian.AppendUint32(body, uint32(localAS))
 	body = binary.BigEndian.AppendUint16(body, 0) // interface index
-	if v6 {
+	if u.PeerIP.Is6() {
 		body = binary.BigEndian.AppendUint16(body, 2) // AFI IPv6
 		p := u.PeerIP.As16()
 		body = append(body, p[:]...)
@@ -164,13 +178,12 @@ func (w *Writer) WriteUpdate(u *bgp.Update, localIP netip.Addr, localAS bgp.ASN)
 		l := addr4(localIP)
 		body = append(body, l[:]...)
 	}
-	body = append(body, msg...)
-	return w.emit(u.Time, TypeBGP4MP, SubtypeBGP4MPMessageAS4, body)
+	return w.emit(append(body, msg...))
 }
 
 // WritePeerIndexTable archives the peer index for subsequent RIB records.
 func (w *Writer) WritePeerIndexTable(p *PeerIndexTable) error {
-	body := make([]byte, 0, 16+32*len(p.Peers))
+	body := w.begin(p.Time, TypeTableDumpV2, SubtypePeerIndexTable)
 	id := addr4(p.CollectorID)
 	body = append(body, id[:]...)
 	body = binary.BigEndian.AppendUint16(body, uint16(len(p.ViewName)))
@@ -194,7 +207,7 @@ func (w *Writer) WritePeerIndexTable(p *PeerIndexTable) error {
 		}
 		body = binary.BigEndian.AppendUint32(body, uint32(peer.AS))
 	}
-	return w.emit(p.Time, TypeTableDumpV2, SubtypePeerIndexTable, body)
+	return w.emit(body)
 }
 
 // WriteRIB archives one RIB record. The subtype follows the prefix
@@ -204,7 +217,7 @@ func (w *Writer) WriteRIB(r *RIB) error {
 	if r.Prefix.Addr().Is6() {
 		subtype = SubtypeRIBIPv6Unicast
 	}
-	body := make([]byte, 0, 64)
+	body := w.begin(r.Time, TypeTableDumpV2, subtype)
 	body = binary.BigEndian.AppendUint32(body, r.Sequence)
 	body = appendNLRIPrefix(body, r.Prefix)
 	body = binary.BigEndian.AppendUint16(body, uint16(len(r.Entries)))
@@ -215,58 +228,95 @@ func (w *Writer) WriteRIB(r *RIB) error {
 		body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
 		body = append(body, attrs...)
 	}
-	return w.emit(r.Time, TypeTableDumpV2, subtype, body)
+	return w.emit(body)
 }
 
 // Reader decodes MRT records from an underlying io.Reader. RIB records
 // are resolved against the most recent PEER_INDEX_TABLE, so that the
 // caller receives fully populated peer metadata.
+//
+// The Reader reads ahead by up to one window and parses each record in
+// place from that buffer; the decoders copy every field out, so no
+// returned record aliases it. A read returns as soon as the next record
+// is complete — it never waits to fill the window — so a Reader can tail
+// a pipe or a growing file.
 type Reader struct {
-	r     io.Reader
+	br    *bufio.Reader
 	peers *PeerIndexTable
-	hdr   [12]byte
+	// big holds a record larger than the window, reused.
+	big []byte
 }
 
 // NewReader returns a Reader decoding from r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReaderSize(r, window)} }
 
 // Next decodes and returns the next record, or io.EOF at end of archive.
 // Unknown record types are skipped transparently.
-func (r *Reader) Next() (Record, error) {
+func (r *Reader) Next() (Record, error) { return r.NextInto(nil, nil) }
+
+// NextInto is Next with caller-owned storage for a BGP4MP record, so
+// the caller can carry the message and its update inside a larger
+// allocation: such a record is decoded into *m and *u (m.Update == u)
+// and m is returned. Any other record leaves them untouched; after an
+// error they may hold a partial decode. With nil m and u the Reader
+// allocates the pair itself.
+func (r *Reader) NextInto(m *BGP4MPMessage, u *bgp.Update) (Record, error) {
 	for {
-		if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) {
+		hdr, err := r.br.Peek(headerLen)
+		if err != nil {
+			if len(hdr) > 0 && err == io.EOF {
 				return nil, ErrTruncated
 			}
 			return nil, err
 		}
-		ts := time.Unix(int64(binary.BigEndian.Uint32(r.hdr[0:4])), 0).UTC()
-		typ := binary.BigEndian.Uint16(r.hdr[4:6])
-		subtype := binary.BigEndian.Uint16(r.hdr[6:8])
-		blen := int(binary.BigEndian.Uint32(r.hdr[8:12]))
+		ts := time.Unix(int64(binary.BigEndian.Uint32(hdr[0:4])), 0).UTC()
+		typ := binary.BigEndian.Uint16(hdr[4:6])
+		subtype := binary.BigEndian.Uint16(hdr[6:8])
+		blen := int(binary.BigEndian.Uint32(hdr[8:12]))
 		if blen > maxRecordLen {
 			return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, blen)
 		}
-		body := make([]byte, blen)
-		if _, err := io.ReadFull(r.r, body); err != nil {
+		// In place from the window, or — larger than it — through big.
+		n := headerLen + blen
+		var raw []byte
+		if n <= window {
+			raw, err = r.br.Peek(n)
+		} else {
+			if cap(r.big) < n {
+				r.big = make([]byte, n)
+			}
+			raw = r.big[:n]
+			_, err = io.ReadFull(r.br, raw)
+		}
+		if err != nil {
 			return nil, ErrTruncated
 		}
+		body := raw[headerLen:]
 
+		var rec Record
 		switch {
 		case typ == TypeBGP4MP && subtype == SubtypeBGP4MPMessageAS4:
-			return parseBGP4MP(ts, body)
+			rec, err = parseBGP4MP(ts, body, m, u)
 		case typ == TypeTableDumpV2 && subtype == SubtypePeerIndexTable:
-			pit, err := parsePeerIndexTable(ts, body)
-			if err != nil {
-				return nil, err
+			var pit *PeerIndexTable
+			if pit, err = parsePeerIndexTable(ts, body); err == nil {
+				r.peers = pit
 			}
-			r.peers = pit
-			return pit, nil
+			rec = pit
 		case typ == TypeTableDumpV2 && (subtype == SubtypeRIBIPv4Unicast || subtype == SubtypeRIBIPv6Unicast):
-			return parseRIB(ts, subtype, body)
+			rec, err = parseRIB(ts, subtype, body)
 		default:
 			// Skip unknown record types, as BGPStream does.
-			continue
+		}
+		if n <= window {
+			// Cannot fail: the record was just peeked.
+			_, _ = r.br.Discard(n)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if rec != nil {
+			return rec, nil
 		}
 	}
 }
@@ -317,11 +367,20 @@ func (r *Reader) ResolveRIB(rib *RIB) ([]bgp.RIBEntry, error) {
 	return out, nil
 }
 
-func parseBGP4MP(ts time.Time, body []byte) (*BGP4MPMessage, error) {
+// parseBGP4MP decodes into *m and *u, or into one allocation holding
+// both when they are nil.
+func parseBGP4MP(ts time.Time, body []byte, m *BGP4MPMessage, u *bgp.Update) (*BGP4MPMessage, error) {
 	if len(body) < 12 {
 		return nil, ErrTruncated
 	}
-	m := &BGP4MPMessage{Time: ts}
+	if m == nil {
+		pair := new(struct {
+			m BGP4MPMessage
+			u bgp.Update
+		})
+		m, u = &pair.m, &pair.u
+	}
+	*m = BGP4MPMessage{Time: ts}
 	m.PeerAS = bgp.ASN(binary.BigEndian.Uint32(body[0:4]))
 	m.LocalAS = bgp.ASN(binary.BigEndian.Uint32(body[4:8]))
 	afi := binary.BigEndian.Uint16(body[10:12])
@@ -344,8 +403,7 @@ func parseBGP4MP(ts time.Time, body []byte) (*BGP4MPMessage, error) {
 	default:
 		return nil, fmt.Errorf("mrt: BGP4MP AFI %d unsupported", afi)
 	}
-	u, err := bgp.UnmarshalUpdate(body)
-	if err != nil {
+	if err := bgp.UnmarshalUpdateInto(u, body); err != nil {
 		return nil, fmt.Errorf("mrt: inner BGP message: %w", err)
 	}
 	u.Time = ts

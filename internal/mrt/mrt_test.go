@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -286,11 +287,19 @@ func TestReaderTruncation(t *testing.T) {
 	}
 }
 
+// An oversize length field is refused from the header alone: the body
+// it claims is never allocated.
 func TestReaderRejectsHugeRecord(t *testing.T) {
 	hdr := appendHeader(nil, t0, TypeBGP4MP, SubtypeBGP4MPMessageAS4, maxRecordLen+1)
-	r := NewReader(bytes.NewReader(hdr))
-	if _, err := r.Next(); !errors.Is(err, ErrRecordTooLarge) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(bytes.NewReader(hdr)).Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("err = %v, want ErrRecordTooLarge", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxRecordLen/2 {
+		t.Fatalf("refusing the record allocated %d bytes", grew)
 	}
 }
 

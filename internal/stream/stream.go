@@ -239,6 +239,18 @@ type mrtStream struct {
 	name     string
 	platform collector.Platform
 	pending  []*Elem
+	// slot is the storage the next BGP4MP record decodes into; it is
+	// handed to the consumer with the element and replaced.
+	slot *mrtElem
+}
+
+// mrtElem carries one archived update in a single allocation: the
+// element, the record's message header and the update it points to. Each
+// is handed out once and never reused, so consumers may retain the Elem.
+type mrtElem struct {
+	elem Elem
+	msg  mrt.BGP4MPMessage
+	upd  bgp.Update
 }
 
 func (m *mrtStream) Next() (*Elem, error) {
@@ -248,13 +260,19 @@ func (m *mrtStream) Next() (*Elem, error) {
 			m.pending = m.pending[1:]
 			return e, nil
 		}
-		rec, err := m.r.Next()
+		if m.slot == nil {
+			m.slot = new(mrtElem)
+		}
+		rec, err := m.r.NextInto(&m.slot.msg, &m.slot.upd)
 		if err != nil {
 			return nil, err
 		}
 		switch rec := rec.(type) {
 		case *mrt.BGP4MPMessage:
-			return &Elem{Collector: m.name, Platform: m.platform, Update: rec.Update}, nil
+			s := m.slot
+			m.slot = nil
+			s.elem = Elem{Collector: m.name, Platform: m.platform, Update: rec.Update}
+			return &s.elem, nil
 		case *mrt.RIB:
 			entries, err := m.r.ResolveRIB(rec)
 			if err != nil {

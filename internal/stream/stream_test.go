@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"net/netip"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -178,5 +179,59 @@ func TestMergeEmptyStreams(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatal("expected empty merge")
+	}
+}
+
+// Every element of an archive replay owns its storage (one allocation
+// carrying Elem, message header and Update), so a consumer may retain
+// elements while reading on, and the replay stays within the per-record
+// allocation ceiling.
+func TestFromMRTElemsAreRetainableAndLean(t *testing.T) {
+	const n = 400
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	for i := 0; i < n; i++ {
+		u := &bgp.Update{
+			Time:        t0.Add(time.Duration(i) * time.Second),
+			PeerIP:      netip.MustParseAddr("22.0.1.1"),
+			PeerAS:      bgp.ASN(100 + i),
+			Announced:   []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{31, 0, byte(i >> 8), byte(i)}), 32)},
+			Path:        bgp.NewPath(bgp.ASN(100+i), 200),
+			NextHop:     netip.MustParseAddr("22.0.1.2"),
+			Communities: []bgp.Community{bgp.MakeCommunity(uint16(i), 666)},
+		}
+		if err := w.WriteUpdate(u, netip.MustParseAddr("22.0.0.1"), 64900); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := buf.Bytes()
+
+	got, err := Collect(FromMRT(mrt.NewReader(bytes.NewReader(data)), "rrc00", collector.PlatformRIS))
+	if err != nil || len(got) != n {
+		t.Fatalf("collected %d elems, err %v", len(got), err)
+	}
+	for i, e := range got {
+		u := e.Update
+		if e.Collector != "rrc00" || u.PeerAS != bgp.ASN(100+i) || !u.Time.Equal(t0.Add(time.Duration(i)*time.Second)) ||
+			u.Announced[0].Addr().As4()[3] != byte(i) || u.Communities[0] != bgp.MakeCommunity(uint16(i), 666) ||
+			u.Path.Segments[0].ASNs[0] != bgp.ASN(100+i) {
+			t.Fatalf("elem %d was overwritten by a later record: %+v", i, u)
+		}
+	}
+
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return // the race detector disables optimisations the ceiling counts on
+		}
+	}
+	s := FromMRT(mrt.NewReader(bytes.NewReader(data)), "rrc00", collector.PlatformRIS)
+	allocs := testing.AllocsPerRun(n-1, func() {
+		if _, err := s.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("FromMRT allocates %.1f times per update, want <= 5", allocs)
 	}
 }
