@@ -189,7 +189,8 @@ type RunResult struct {
 	Metrics Metrics
 	// LastDayResults holds the propagation results of a replayed
 	// window's last week, for data-plane experiments (nil for live and
-	// MRT sources).
+	// MRT sources). There is one entry per ON phase, and an intent's
+	// phases share one *Result: the same pointer repeated.
 	LastDayResults []*collector.Result
 	// LastDayIntents are the intents behind LastDayResults
 	// (index-aligned is not guaranteed; use prefixes to match).

@@ -15,9 +15,11 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"os"
@@ -36,7 +38,7 @@ func main() {
 		csvDir = flag.String("csv", "", "also write plottable CSVs for the figure series into this directory")
 	)
 	flag.Parse()
-	if err := run(*scale, *events, *seed, *full, *csvDir); err != nil {
+	if err := run(os.Stdout, *scale, *events, *seed, *full, *csvDir); err != nil {
 		fmt.Fprintln(os.Stderr, "bhreport:", err)
 		os.Exit(1)
 	}
@@ -87,9 +89,12 @@ func writeCSVs(dir string, res *bgpblackholing.RunResult, full bool) error {
 	})
 }
 
-func section(name string) { fmt.Printf("\n=== %s ===\n", name) }
-
-func run(scale, events float64, seed int64, full bool, csvDir string) error {
+// run renders the whole report through one buffered writer; bufio keeps
+// the first write error and Flush returns it, so a full disk or a closed
+// pipe fails the run instead of passing silently.
+func run(out io.Writer, scale, events float64, seed int64, full bool, csvDir string) error {
+	w := bufio.NewWriterSize(out, 64<<10)
+	section := func(name string) { fmt.Fprintf(w, "\n=== %s ===\n", name) }
 	opts := bgpblackholing.Options{
 		Seed: seed, TopoScale: scale, CollectorScale: scale,
 		EventScale: events, Days: 850,
@@ -98,7 +103,7 @@ func run(scale, events float64, seed int64, full bool, csvDir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("world: %d ASes, %d IXPs, %d blackholing providers (+%d IXPs), dictionary: %d communities\n",
+	fmt.Fprintf(w, "world: %d ASes, %d IXPs, %d blackholing providers (+%d IXPs), dictionary: %d communities\n",
 		len(p.Topo.Order), len(p.Topo.IXPs),
 		len(p.Topo.BlackholingProviders()), len(p.Topo.BlackholingIXPs()),
 		len(p.Dict.Entries()))
@@ -107,24 +112,24 @@ func run(scale, events float64, seed int64, full bool, csvDir string) error {
 	if full {
 		from = 0
 	}
-	fmt.Printf("replaying timeline days [%d,%d)...\n", from, to)
+	fmt.Fprintf(w, "replaying timeline days [%d,%d)...\n", from, to)
 	res, err := p.NewDetector().Run(context.Background(), p.Replay(from, to))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("inferred %d blackholing events\n", len(res.Events))
+	fmt.Fprintf(w, "inferred %d blackholing events\n", len(res.Events))
 
 	section("Table 1: BGP dataset overview (March 2017)")
-	fmt.Print(bgpblackholing.FormatTable1(p.Table1()))
+	fmt.Fprint(w, bgpblackholing.FormatTable1(p.Table1()))
 
 	section("Table 2: blackhole communities dictionary")
-	fmt.Print(bgpblackholing.FormatTable2(p.Table2(res.InferStats)))
+	fmt.Fprint(w, bgpblackholing.FormatTable2(p.Table2(res.InferStats)))
 
 	section("Table 3: blackhole dataset overview")
-	fmt.Print(bgpblackholing.FormatTable3(p.Table3(res.Events)))
+	fmt.Fprint(w, bgpblackholing.FormatTable3(p.Table3(res.Events)))
 
 	section("Table 4: blackhole visibility by provider type")
-	fmt.Print(bgpblackholing.FormatTable4(p.Table4(res.Events)))
+	fmt.Fprint(w, bgpblackholing.FormatTable4(p.Table4(res.Events)))
 
 	section("Figure 2: community prefix-length profile")
 	for _, r := range bgpblackholing.SummarizeFigure2(res.InferStats.Stats, p.Dict) {
@@ -132,23 +137,23 @@ func run(scale, events float64, seed int64, full bool, csvDir string) error {
 		if r.IsBlackhole {
 			label = "blackhole"
 		}
-		fmt.Printf("%-14s communities=%-4d mean frac on /32 = %.2f, on <=/24 = %.2f\n",
+		fmt.Fprintf(w, "%-14s communities=%-4d mean frac on /32 = %.2f, on <=/24 = %.2f\n",
 			label, r.Communities, r.MeanFracAt32, r.MeanFracAtOrPre24)
 	}
-	fmt.Printf("inferred undocumented blackhole communities: %d\n", len(res.InferStats.Inferred))
+	fmt.Fprintf(w, "inferred undocumented blackhole communities: %d\n", len(res.InferStats.Inferred))
 
 	if full {
 		section("Figure 4: longitudinal growth (sampled)")
 		series := bgpblackholing.Figure4(res.Events, bgpblackholing.TimelineStart, 850)
-		fmt.Print(bgpblackholing.FormatFigure4(series, 60))
+		fmt.Fprint(w, bgpblackholing.FormatFigure4(series, 60))
 	}
 
 	section("Figure 5: blackholed prefixes per provider / user type")
 	transit, ixp := bgpblackholing.Figure5a(res.Events, p.Topo)
 	tc, xc := bgpblackholing.NewCDFInts(transit), bgpblackholing.NewCDFInts(ixp)
-	fmt.Printf("transit/access providers: n=%d median=%.0f p90=%.0f max=%.0f\n",
+	fmt.Fprintf(w, "transit/access providers: n=%d median=%.0f p90=%.0f max=%.0f\n",
 		tc.Len(), tc.Quantile(0.5), tc.Quantile(0.9), tc.Quantile(1))
-	fmt.Printf("IXPs:                     n=%d median=%.0f p90=%.0f max=%.0f\n",
+	fmt.Fprintf(w, "IXPs:                     n=%d median=%.0f p90=%.0f max=%.0f\n",
 		xc.Len(), xc.Quantile(0.5), xc.Quantile(0.9), xc.Quantile(1))
 	byKind := bgpblackholing.Figure5b(res.Events, p.Topo)
 	for _, k := range bgpblackholing.Kinds() {
@@ -156,25 +161,25 @@ func run(scale, events float64, seed int64, full bool, csvDir string) error {
 			continue
 		}
 		c := bgpblackholing.NewCDFInts(byKind[k])
-		fmt.Printf("users %-22s n=%-5d median=%.0f p90=%.0f\n", k, c.Len(), c.Quantile(0.5), c.Quantile(0.9))
+		fmt.Fprintf(w, "users %-22s n=%-5d median=%.0f p90=%.0f\n", k, c.Len(), c.Quantile(0.5), c.Quantile(0.9))
 	}
 
 	section("Figure 6: per-country distribution")
 	provs, users := bgpblackholing.Figure6(res.Events, p.Topo)
-	fmt.Print("top provider countries: ")
+	fmt.Fprint(w, "top provider countries: ")
 	for _, c := range bgpblackholing.TopCountries(provs, 6) {
-		fmt.Printf("%s=%d ", c.Country, c.Count)
+		fmt.Fprintf(w, "%s=%d ", c.Country, c.Count)
 	}
-	fmt.Print("\ntop user countries:     ")
+	fmt.Fprint(w, "\ntop user countries:     ")
 	for _, c := range bgpblackholing.TopCountries(users, 6) {
-		fmt.Printf("%s=%d ", c.Country, c.Count)
+		fmt.Fprintf(w, "%s=%d ", c.Country, c.Count)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	section("Figure 7a: services on blackholed prefixes")
 	svcCounts := bgpblackholing.Figure7a(res.Events, seed)
 	for _, svc := range []string{"HTTP", "HTTPS", "SSH", "FTP", "Telnet", "DNS", "NTP", "SMTP", "IMAP", "NONE"} {
-		fmt.Printf("%-7s %d\n", svc, svcCounts[bgpblackholing.Service(svc)])
+		fmt.Fprintf(w, "%-7s %d\n", svc, svcCounts[bgpblackholing.Service(svc)])
 	}
 
 	section("Figure 7b: providers per blackholing event")
@@ -185,7 +190,7 @@ func run(scale, events float64, seed int64, full bool, csvDir string) error {
 			multi += h.Fraction(k)
 		}
 	}
-	fmt.Printf("single-provider: %.0f%%  multi-provider: %.0f%%  max: %d\n",
+	fmt.Fprintf(w, "single-provider: %.0f%%  multi-provider: %.0f%%  max: %d\n",
 		100*h.Fraction(1), 100*multi, h.Keys()[len(h.Keys())-1])
 
 	section("Figure 7c: collector-provider AS distance")
@@ -195,14 +200,14 @@ func run(scale, events float64, seed int64, full bool, csvDir string) error {
 		if k == bgpblackholing.NoPath {
 			label = "no-path"
 		}
-		fmt.Printf("%-8s %.1f%%\n", label, 100*hc.Fraction(k))
+		fmt.Fprintf(w, "%-8s %.1f%%\n", label, 100*hc.Fraction(k))
 	}
 
 	section("Figure 8: blackholing durations")
 	ungrouped, grouped := bgpblackholing.Figure8(res.Events, bgpblackholing.DefaultGroupTimeout)
 	cu, cg := bgpblackholing.NewCDFDurations(ungrouped), bgpblackholing.NewCDFDurations(grouped)
-	fmt.Printf("ungrouped: n=%d  <=1min: %.0f%%\n", cu.Len(), 100*cu.FractionAtOrBelow(60))
-	fmt.Printf("grouped:   n=%d  <=1min: %.0f%%  >16h: %.0f%%\n",
+	fmt.Fprintf(w, "ungrouped: n=%d  <=1min: %.0f%%\n", cu.Len(), 100*cu.FractionAtOrBelow(60))
+	fmt.Fprintf(w, "grouped:   n=%d  <=1min: %.0f%%  >16h: %.0f%%\n",
 		cg.Len(), 100*cg.FractionAtOrBelow(60), 100*(1-cg.FractionAtOrBelow(16*3600)))
 
 	section("Figure 9a/9b: data-plane efficacy (traceroute campaign)")
@@ -227,7 +232,7 @@ func run(scale, events float64, seed int64, full bool, csvDir string) error {
 	sample := bgpblackholing.Figure9ab(ms)
 	ci := bgpblackholing.NewCDFInts(sample.IPDiffs)
 	ca := bgpblackholing.NewCDFInts(sample.ASDiffs)
-	fmt.Printf("paths: n=%d  mean IP shortening=%.1f hops  shorter-during=%.0f%%  mean AS shortening=%.1f\n",
+	fmt.Fprintf(w, "paths: n=%d  mean IP shortening=%.1f hops  shorter-during=%.0f%%  mean AS shortening=%.1f\n",
 		ci.Len(), ci.Mean(), 100*(1-ci.FractionAtOrBelow(0)), ca.Mean())
 
 	section("Figure 9c: IXP traffic to blackholed prefixes (one week)")
@@ -249,11 +254,11 @@ func run(scale, events float64, seed int64, full bool, csvDir string) error {
 		start := time.Date(2017, 3, 20, 0, 0, 0, 0, time.UTC)
 		series := bgpblackholing.SimulateIXPTraffic(x, victims, start, 7*24*time.Hour, bgpblackholing.DefaultIPFIXConfig())
 		for i, s := range series {
-			fmt.Printf("prefix %-18s drop fraction: %.0f%%\n", victims[i].Prefix, 100*bgpblackholing.DropFraction(s))
+			fmt.Fprintf(w, "prefix %-18s drop fraction: %.0f%%\n", victims[i].Prefix, 100*bgpblackholing.DropFraction(s))
 		}
 	}
 	section("RFC 7999 / RFC 5635 compliance scorecard (§11)")
-	fmt.Print(bgpblackholing.AuditCompliance(res.Events).Format())
+	fmt.Fprint(w, bgpblackholing.AuditCompliance(res.Events).Format())
 
 	section("Validation against ground truth (§10 passive validation)")
 	cutoff := res.WindowEnd.AddDate(0, 0, -7)
@@ -264,16 +269,19 @@ func run(scale, events float64, seed int64, full bool, csvDir string) error {
 		}
 	}
 	v := bgpblackholing.Validate(weekEvents, res.LastDayIntents)
-	fmt.Printf("last-week intents: %d  detected: %d (recall %.0f%%)\n",
+	fmt.Fprintf(w, "last-week intents: %d  detected: %d (recall %.0f%%)\n",
 		v.Intents, v.DetectedPrefixOnsets, 100*v.Recall())
-	fmt.Printf("route-server intents: %d  detected: %d (recall %.0f%%; paper confirms 99.5%% RS visibility)\n",
+	fmt.Fprintf(w, "route-server intents: %d  detected: %d (recall %.0f%%; paper confirms 99.5%% RS visibility)\n",
 		v.IXPIntents, v.DetectedIXPIntents, 100*v.IXPRecall())
 
 	if csvDir != "" {
 		if err := writeCSVs(csvDir, res, full); err != nil {
 			return fmt.Errorf("write CSVs: %w", err)
 		}
-		fmt.Printf("\nwrote figure CSVs to %s\n", csvDir)
+		fmt.Fprintf(w, "\nwrote figure CSVs to %s\n", csvDir)
+	}
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("write report: %w", err)
 	}
 	return nil
 }

@@ -77,23 +77,32 @@ type Result struct {
 	// of this propagation (and by the matching withdrawal, which reuses
 	// it as its Withdrawn list). Treated as read-only downstream.
 	announced []netip.Prefix
+	// authKnown/authentic memoise the origin authentication of the
+	// prefix, which every accepting neighbour would otherwise repeat.
+	authKnown, authentic bool
 	// arena block-allocates the observation updates.
 	arena updateArena
 }
 
-// updateArena hands out updates from fixed-size blocks, so a propagation
-// touching hundreds of collector sessions costs a handful of allocations
-// instead of one per observation. Pointers stay valid because blocks are
-// never grown, only consumed front to back.
+// updateArena hands out updates from blocks, so a propagation touching
+// hundreds of collector sessions costs a handful of allocations instead
+// of one per observation. Blocks start small — most propagations reach
+// fewer than eight sessions — and double up to arenaMaxBlock. Pointers
+// stay valid because blocks are never grown, only consumed front to back.
 type updateArena struct {
 	block []bgp.Update
+	size  int // length the current block was allocated with
 }
 
-const arenaBlockSize = 64
+const (
+	arenaMinBlock = 8
+	arenaMaxBlock = 64
+)
 
 func (a *updateArena) next() *bgp.Update {
 	if len(a.block) == 0 {
-		a.block = make([]bgp.Update, arenaBlockSize)
+		a.size = min(max(2*a.size, arenaMinBlock), arenaMaxBlock)
+		a.block = make([]bgp.Update, a.size)
 	}
 	u := &a.block[0]
 	a.block = a.block[1:]
@@ -391,14 +400,19 @@ func (d *Deployment) receive(res *Result, a Announcement, from routeState, to bg
 	if recv.Blackholing != nil && matchesService(recv.Blackholing, from.comms, from.large) {
 		// Authentication: the request must come from the prefix
 		// originator or a network holding it in its customer cone (§2).
-		originAS := topo.OriginOf(a.Prefix)
-		authentic := originAS == a.User || topo.InCustomerCone(a.User, originAS)
+		// The answer is a property of the announcement, not of the
+		// receiver, so the first accepting neighbour settles it.
+		if !res.authKnown {
+			originAS := topo.OriginOf(a.Prefix)
+			res.authentic = originAS == a.User || topo.InCustomerCone(a.User, originAS)
+			res.authKnown = true
+		}
 		irrOK := !recv.Blackholing.RequiresIRRRegistration || topo.AS(a.User).HasIRRRouteObjects
 		rpkiOK := true
 		if recv.Blackholing.RequiresRPKI && d.RPKI != nil {
 			rpkiOK = d.RPKI.ValidOrigin(a.Prefix, a.User)
 		}
-		if authentic && irrOK && rpkiOK && a.Prefix.Bits() <= recv.Blackholing.MaxPrefixLen {
+		if res.authentic && irrOK && rpkiOK && a.Prefix.Bits() <= recv.Blackholing.MaxPrefixLen {
 			res.DroppingASes[to] = true
 			res.dropStates[to] = out
 			return out
@@ -582,41 +596,60 @@ func (d *Deployment) propagateViaRouteServer(res *Result, a Announcement, comms 
 	}
 }
 
-// Withdraw produces the withdrawal observations matching a previous
-// propagation: every session that saw the announcement sees an explicit
-// withdrawal at time t. The withdrawn prefix list is shared across all
-// observers (and with the original announcement) instead of cloned per
-// observer; it is treated as read-only downstream.
-func (d *Deployment) Withdraw(prev *Result, t time.Time) []Observation {
-	out := make([]Observation, 0, len(prev.Observations))
+// Restamp selects how AppendRestamped rewrites a propagation's updates.
+type Restamp uint8
+
+const (
+	// RestampRepeat repeats the announcement unchanged: a later ON phase
+	// of the same intent.
+	RestampRepeat Restamp = iota
+	// RestampWithdraw turns each update into an explicit withdrawal.
+	RestampWithdraw
+	// RestampStripped re-announces the prefix without blackhole
+	// communities, an implicit withdrawal of the blackholing (§4.2).
+	RestampStripped
+)
+
+// AppendRestamped appends to dst one observation per observation of
+// prev — same collector, same session — whose update is stamped t and
+// rewritten per mode. Propagation is a pure function of the route and
+// the topology (Announcement.Time is only copied into Update.Time), so
+// this is how every phase after an intent's first flood is produced.
+// The updates are fresh (one exact-sized allocation) and share prev's
+// prefix, path and community slices, which are read-only downstream.
+func (d *Deployment) AppendRestamped(dst []Observation, prev *Result, t time.Time, mode Restamp) []Observation {
 	ups := make([]bgp.Update, len(prev.Observations))
 	for i, o := range prev.Observations {
 		u := &ups[i]
+		if mode == RestampWithdraw {
+			u.PeerIP = o.Update.PeerIP
+			u.PeerAS = o.Update.PeerAS
+			u.Withdrawn = o.Update.Announced
+		} else {
+			*u = *o.Update
+			if mode == RestampStripped {
+				u.Communities = nil
+				u.LargeCommunities = nil
+			}
+		}
 		u.Time = t
-		u.PeerIP = o.Update.PeerIP
-		u.PeerAS = o.Update.PeerAS
-		u.Withdrawn = o.Update.Announced
-		out = append(out, Observation{Collector: o.Collector, Session: o.Session, Update: u})
+		dst = append(dst, Observation{Collector: o.Collector, Session: o.Session, Update: u})
 	}
-	return out
+	return dst
+}
+
+// Withdraw produces the withdrawal observations matching a previous
+// propagation: every session that saw the announcement sees an explicit
+// withdrawal at time t.
+func (d *Deployment) Withdraw(prev *Result, t time.Time) []Observation {
+	return d.AppendRestamped(make([]Observation, 0, len(prev.Observations)), prev, t, RestampWithdraw)
 }
 
 // ReannounceWithout produces announcement observations for the same
-// prefix without blackhole communities (an implicit withdrawal of the
-// blackholing, §4.2) at every session that saw the original. The
-// updates share the original announcement's prefix and path slices.
+// prefix without blackhole communities at every session that saw the
+// original.
 func (d *Deployment) ReannounceWithout(prev *Result, t time.Time) []Observation {
-	out := make([]Observation, 0, len(prev.Observations))
-	ups := make([]bgp.Update, len(prev.Observations))
-	for i, o := range prev.Observations {
-		u := &ups[i]
-		*u = *o.Update
-		u.Time = t
-		u.Communities = nil
-		u.LargeCommunities = nil
-		out = append(out, Observation{Collector: o.Collector, Session: o.Session, Update: u})
-	}
-	return out
+	return d.AppendRestamped(make([]Observation, 0, len(prev.Observations)), prev, t, RestampStripped)
 }
 
 func memberOf(x *topology.IXP, asn bgp.ASN) bool {

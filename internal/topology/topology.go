@@ -246,12 +246,20 @@ type Topology struct {
 	indexOnce sync.Once
 	indexOf   map[bgp.ASN]int
 	indexed   []bgp.ASN
+	// aggOrigin maps every (masked) aggregate of every AS in Order to
+	// its originator; aggBits4/aggBits6 list the distinct aggregate
+	// lengths per address family, longest first. OriginOf probes them in
+	// place of a scan over every AS × every aggregate.
+	aggOrigin map[netip.Prefix]bgp.ASN
+	aggBits4  []int
+	aggBits6  []int
 }
 
 // buildIndex assigns each AS a dense index in deterministic order:
 // Order first, then any ASes registered outside Order (hand-assembled
-// test topologies sometimes have them) in ascending ASN order. The
-// topology must not gain ASes after the first Index/NumIndexed call.
+// test topologies sometimes have them) in ascending ASN order. It also
+// indexes the aggregates OriginOf falls back to. The topology must not
+// gain ASes or prefixes after the first Index/NumIndexed/OriginOf call.
 func (t *Topology) buildIndex() {
 	t.indexOnce.Do(func() {
 		t.indexOf = make(map[bgp.ASN]int, len(t.ASes))
@@ -278,6 +286,34 @@ func (t *Topology) buildIndex() {
 			}
 		}
 		t.indexed = indexed
+
+		// Two ASes holding the same aggregate: the first in Order (and
+		// the first entry in its Prefixes) wins, as a scan in that order
+		// with a strict longer-than comparison would decide.
+		t.aggOrigin = make(map[netip.Prefix]bgp.ASN, len(t.Order))
+		for _, a := range t.Order {
+			for _, agg := range t.ASes[a].Prefixes {
+				if !agg.IsValid() {
+					continue
+				}
+				agg = agg.Masked()
+				if _, ok := t.aggOrigin[agg]; ok {
+					continue
+				}
+				t.aggOrigin[agg] = a
+				bits := &t.aggBits6
+				if agg.Addr().Is4() {
+					bits = &t.aggBits4
+				}
+				if !slices.Contains(*bits, agg.Bits()) {
+					*bits = append(*bits, agg.Bits())
+				}
+			}
+		}
+		for _, bits := range [][]int{t.aggBits4, t.aggBits6} {
+			slices.Sort(bits)
+			slices.Reverse(bits)
+		}
 	})
 }
 
@@ -323,17 +359,22 @@ func (t *Topology) OriginOf(p netip.Prefix) bgp.ASN {
 		return asn
 	}
 	// Fall back to the covering aggregate (blackholed /32s fall inside
-	// an AS's primary prefix).
-	best := bgp.ASN(0)
-	bestBits := -1
-	for _, asn := range t.Order {
-		for _, agg := range t.ASes[asn].Prefixes {
-			if agg.Addr().Is4() == p.Addr().Is4() && agg.Contains(p.Addr()) && agg.Bits() > bestBits {
-				best, bestBits = asn, agg.Bits()
+	// an AS's primary prefix): the longest aggregate containing p's
+	// address, whatever p's own length.
+	t.buildIndex()
+	addr := p.Addr()
+	lens := t.aggBits6
+	if addr.Is4() {
+		lens = t.aggBits4
+	}
+	for _, bits := range lens {
+		if agg, err := addr.Prefix(bits); err == nil {
+			if asn, ok := t.aggOrigin[agg]; ok {
+				return asn
 			}
 		}
 	}
-	return best
+	return 0
 }
 
 // Neighbors returns all BGP neighbors of a (providers, customers, peers).

@@ -573,11 +573,17 @@ func (s *Scenario) misconfigFullTable(r *rand.Rand, dayStart time.Time) []Intent
 	return out
 }
 
-// Materialize turns intents into collector observations by running each
-// ON phase as an announcement propagation and ending it with an explicit
-// withdrawal (80%) or an implicit one (20%, re-announcement without
-// communities). Observations are returned unsorted; feed them through
-// package stream for time ordering.
+// Materialize turns intents into collector observations. Each intent is
+// propagated once, for its first ON phase; propagation does not depend on
+// time, so later ON phases are the same observations restamped. A phase
+// ends with an explicit withdrawal (80%) or an implicit one (20%,
+// re-announcement without communities). results has one entry per phase,
+// and an intent's phases share one *Result. Observations are returned
+// unsorted; feed them through package stream for time ordering.
+//
+// The withdrawal coin stream is keyed by seed and the intent's index
+// within intents (its day), not by the day: two days draw the same coins
+// for their idx-th intents. The golden outputs pin that stream.
 func Materialize(d *collector.Deployment, topo *topology.Topology, intents []Intent, seed int64) ([]collector.Observation, []*collector.Result) {
 	// Pre-size for the common shape: a few ON phases per intent, each
 	// producing an announcement plus a matching withdrawal batch. The
@@ -588,34 +594,37 @@ func Materialize(d *collector.Deployment, topo *topology.Topology, intents []Int
 	}
 	obs := make([]collector.Observation, 0, 16*nPhases)
 	results := make([]*collector.Result, 0, nPhases)
+	r := rand.New(rand.NewSource(0))
 	for idx, in := range intents {
 		if !in.Prefix.IsValid() {
 			continue
 		}
-		r := rand.New(rand.NewSource(seed ^ int64(idx)*0x5851F42D4C957F2D))
-		comms := in.Communities(topo)
+		r.Seed(seed ^ int64(idx)*0x5851F42D4C957F2D)
 		t := in.Start
-		for _, ph := range in.Pattern {
-			ann := collector.Announcement{
-				Time:            t,
-				User:            in.User,
-				Prefix:          in.Prefix,
-				Communities:     comms,
-				NoExport:        in.NoExport,
-				TargetProviders: in.Providers,
-				TargetIXPs:      in.IXPs,
-				Bundled:         in.Bundled,
-			}
-			res := d.Propagate(ann)
+		res := d.Propagate(collector.Announcement{
+			Time:            t,
+			User:            in.User,
+			Prefix:          in.Prefix,
+			Communities:     in.Communities(topo),
+			NoExport:        in.NoExport,
+			TargetProviders: in.Providers,
+			TargetIXPs:      in.IXPs,
+			Bundled:         in.Bundled,
+		})
+		for i, ph := range in.Pattern {
 			results = append(results, res)
-			obs = append(obs, res.Observations...)
-			endT := t.Add(ph.On)
-			if r.Float64() < 0.8 {
-				obs = append(obs, d.Withdraw(res, endT)...)
+			if i == 0 {
+				obs = append(obs, res.Observations...)
 			} else {
-				obs = append(obs, d.ReannounceWithout(res, endT)...)
+				obs = d.AppendRestamped(obs, res, t, collector.RestampRepeat)
 			}
-			t = endT.Add(ph.Off)
+			end := collector.RestampStripped
+			if r.Float64() < 0.8 {
+				end = collector.RestampWithdraw
+			}
+			t = t.Add(ph.On)
+			obs = d.AppendRestamped(obs, res, t, end)
+			t = t.Add(ph.Off)
 		}
 	}
 	return obs, results
