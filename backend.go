@@ -23,9 +23,10 @@ import (
 //	RemoteBackend   a bhserve/bhroute peer over HTTP (remote.go)
 //	FederatedStore  N backends merged in global event order (federate.go)
 //
-// NewStoreHandlerWith serves whichever Backend it is given, so a
-// single store, a remote store, and a fan-out over shards all expose
-// the identical HTTP contract — federation is invisible to clients.
+// One HTTP handler (newHandler, http.go) serves whichever Backend it is
+// given, so a single store, a remote store, and a fan-out over shards
+// all expose the identical HTTP contract — federation is invisible to
+// clients.
 
 // Figure4Sets is the mergeable wire form of the Figure 4 daily series:
 // per-day distinct-entity lists instead of counts, so a router can
@@ -79,8 +80,9 @@ func KeyOf(rec *EventRecord) RecordKey {
 
 // RecordSet is a materialized query answer in wire form.
 type RecordSet struct {
-	// Records are the matches in global event order, annotated when the
-	// query asked for enrichment. Records are shared, read-only wire
+	// Records are the matches in global event order (empty, never nil,
+	// when nothing matches), annotated when the query asked for
+	// enrichment. Records are shared, read-only wire
 	// values: a StoreBackend hands out its memoized projections, and a
 	// federation re-slices shard answers — callers must not mutate
 	// them.
@@ -277,9 +279,6 @@ func (b *StoreBackend) WithName(name string) *StoreBackend {
 // Name implements Backend.
 func (b *StoreBackend) Name() string { return b.name }
 
-// Store returns the underlying store.
-func (b *StoreBackend) Store() *Store { return b.st }
-
 func (b *StoreBackend) annotator() *Annotator {
 	if b.p != nil {
 		return b.p.Annotator()
@@ -300,24 +299,20 @@ func (b *StoreBackend) record(ev *Event) *EventRecord {
 	return actual.(*EventRecord)
 }
 
-// Records implements Backend over Store.Query, annotating through the
-// shared (cached) annotator exactly as the JSON /events path always
-// has.
+// Records implements Backend over the store's index query, annotating
+// through the shared (cached) annotator exactly as the JSON /events
+// path always has. The observed latency covers select + annotate +
+// project.
 func (b *StoreBackend) Records(ctx context.Context, q Query) (*RecordSet, error) {
 	began := time.Now()
 	ann := b.annotator()
 	if q.Enrich && ann == nil {
 		return nil, errNoAnnotator
 	}
-	// Annotate while building records; clearing Enrich keeps
-	// Store.Query from running a second annotation pass when the store
-	// carries its own annotator.
-	enrich := q.Enrich
-	q.Enrich = false
-	res := b.st.Query(q)
+	res := b.st.s.Query(q.filter())
 	records := make([]*EventRecord, len(res.Events))
 	for i, ev := range res.Events {
-		if enrich {
+		if q.Enrich {
 			r := *b.record(ev) // annotation fields differ per call: copy the base
 			a := ann.Annotate(ev)
 			r.RPKI = a.RPKI
@@ -329,26 +324,28 @@ func (b *StoreBackend) Records(ctx context.Context, q Query) (*RecordSet, error)
 			records[i] = b.record(ev)
 		}
 	}
+	elapsed := time.Since(began)
+	b.st.observeQuery(q.Enrich, elapsed)
 	return &RecordSet{
 		Records: records,
 		Total:   res.Total,
 		Scanned: res.Scanned,
-		Elapsed: time.Since(began),
+		Elapsed: elapsed,
 	}, nil
 }
 
-// RecordLines implements Backend over Store.QuerySeq. Enrichment is
-// uncached (an unbounded stream must not grow the shared annotation
-// cache by one entry per stored event), matching the NDJSON path's
-// historical behavior.
+// RecordLines implements Backend over the store's streaming query.
+// Enrichment is uncached (an unbounded stream must not grow the shared
+// annotation cache by one entry per stored event), matching the NDJSON
+// path's historical behavior.
 func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	ann := b.annotator()
 	if q.Enrich && ann == nil {
 		return nil, errNoAnnotator
 	}
-	enrich := q.Enrich
-	q.Enrich = false
-	next, stop := iter.Pull(b.st.QuerySeq(q))
+	enrich := q.Enrich // the stream's closure must not hold all of q
+	b.st.observeQuery(enrich, streamed)
+	next, stop := iter.Pull(b.st.s.QuerySeq(q.filter()))
 	done := ctx.Done()
 	return &RecordStream{
 		next: func() (RecordLine, error) {
@@ -369,15 +366,7 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 			if err != nil {
 				return RecordLine{}, err
 			}
-			return RecordLine{
-				Key: RecordKey{
-					End:    ev.End.UnixNano(),
-					Seq:    ev.Seq,
-					Start:  ev.Start.UnixNano(),
-					Prefix: ev.Prefix.String(),
-				},
-				Line: line,
-			}, nil
+			return RecordLine{Key: KeyOf(&rec), Line: line}, nil
 		},
 		close: stop,
 	}, nil
@@ -394,7 +383,8 @@ func (b *StoreBackend) Figure4(ctx context.Context, start time.Time, days int) (
 func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
 	p := analysis.NewFigure4Partial(start, days)
 	done := ctx.Done()
-	for ev := range b.st.QuerySeq(Query{}) {
+	b.st.observeQuery(false, streamed)
+	for ev := range b.st.s.All() {
 		select {
 		case <-done:
 			return nil, ctx.Err()
@@ -417,7 +407,8 @@ func (b *StoreBackend) LegitimacySummary(ctx context.Context, q Query) (*Legitim
 	began := time.Now()
 	sum := newLegitimacySummary()
 	done := ctx.Done()
-	for ev := range b.st.QuerySeq(q) {
+	b.st.observeQuery(false, streamed)
+	for ev := range b.st.s.QuerySeq(q.filter()) {
 		select {
 		case <-done:
 			return nil, ctx.Err()
@@ -445,9 +436,11 @@ func (b *StoreBackend) Stats(ctx context.Context) (*BackendStats, error) {
 	return &BackendStats{StoreStats: b.st.Stats()}, nil
 }
 
-// Healthz implements Backend with the same write-path checks the
-// /healthz endpoint runs (minus redial sources, which belong to the
-// serving process, not the store).
+// Healthz implements Backend: readiness degrades when the write path is
+// in a known-bad state — the active segment hit a write error and awaits
+// failover, an async group-commit fsync failed and no caller has seen
+// the error yet, or a cold segment could not be hydrated. (Redial sources belong to the serving
+// process, not the store; the HTTP handler adds those.)
 func (b *StoreBackend) Healthz(ctx context.Context) *ShardHealth {
 	h := &ShardHealth{Name: b.name, Status: "ok", Events: b.st.Len()}
 	sh := b.st.s.Health()
@@ -462,11 +455,13 @@ func (b *StoreBackend) Healthz(ctx context.Context) *ShardHealth {
 		checks["store_hydration"] = "cold segment hydration failed; queries may see partial data: " + sh.HydrationError
 	}
 	if len(checks) > 0 {
-		h.Status = "degraded"
-		h.Checks = checks
+		h.Status, h.Checks = "degraded", checks
 	}
 	return h
 }
+
+// world makes StoreBackend a tableBackend; p is nil without a pipeline.
+func (b *StoreBackend) world() (st *Store, p *Pipeline) { return b.st, b.p }
 
 // Close closes the underlying store.
 func (b *StoreBackend) Close() error { return b.st.Close() }

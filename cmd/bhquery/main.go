@@ -61,56 +61,45 @@ import (
 )
 
 func main() {
-	var (
-		storeDir = flag.String("store", "", "open this store directory (read-only)")
-		server   = flag.String("server", "", "query a running bhserve/bhroute at this base URL instead; a comma-separated list federates the servers client-side, merging answers in global event order")
+	var c config
+	var origin uint
+	flag.StringVar(&c.storeDir, "store", "", "open this store directory (read-only)")
+	flag.StringVar(&c.server, "server", "", "query a running bhserve/bhroute at this base URL instead; a comma-separated list federates the servers client-side, merging answers in global event order")
 
-		from      = flag.String("from", "", "events overlapping at/after this RFC 3339 time")
-		to        = flag.String("to", "", "events overlapping at/before this RFC 3339 time")
-		prefix    = flag.String("prefix", "", "IP prefix or address to match")
-		mode      = flag.String("mode", "exact", "prefix match mode: exact, lpm, covered, covering")
-		origin    = flag.Uint("origin", 0, "blackholing user (origin) ASN")
-		provider  = flag.String("provider", "", "provider (AS3356 or ixp:4)")
-		community = flag.String("community", "", "dictionary community (high:low)")
-		minDur    = flag.Duration("min-duration", 0, "minimum event duration")
-		maxDur    = flag.Duration("max-duration", 0, "maximum event duration")
-		limit     = flag.Int("limit", 0, "cap returned events (0 = all)")
+	flag.StringVar(&c.from, "from", "", "events overlapping at/after this RFC 3339 time")
+	flag.StringVar(&c.to, "to", "", "events overlapping at/before this RFC 3339 time")
+	flag.StringVar(&c.prefix, "prefix", "", "IP prefix or address to match")
+	flag.StringVar(&c.mode, "mode", "exact", "prefix match mode: exact, lpm, covered, covering")
+	flag.UintVar(&origin, "origin", 0, "blackholing user (origin) ASN")
+	flag.StringVar(&c.provider, "provider", "", "provider (AS3356 or ixp:4)")
+	flag.StringVar(&c.community, "community", "", "dictionary community (high:low)")
+	flag.DurationVar(&c.minDur, "min-duration", 0, "minimum event duration")
+	flag.DurationVar(&c.maxDur, "max-duration", 0, "maximum event duration")
+	flag.IntVar(&c.limit, "limit", 0, "cap returned events (0 = all)")
 
-		format  = flag.String("format", "table", "output: table, json, ndjson, csv")
-		stats   = flag.Bool("stats", false, "print store statistics instead of events")
-		figure4 = flag.Bool("figure4", false, "print the daily longitudinal series (Figure 4)")
-		every   = flag.Int("every", 30, "sample the figure4 series every N days")
-		figure8 = flag.Bool("figure8", false, "print the duration distribution summary (Figure 8)")
-		groupTO = flag.Duration("group-timeout", bgpblackholing.DefaultGroupTimeout, "event-grouping timeout for -figure8 (must be positive)")
+	flag.StringVar(&c.format, "format", "table", "output: table, json, ndjson, csv")
+	flag.BoolVar(&c.stats, "stats", false, "print store statistics instead of events")
+	flag.BoolVar(&c.figure4, "figure4", false, "print the daily longitudinal series (Figure 4)")
+	flag.IntVar(&c.every, "every", 30, "sample the figure4 series every N days")
+	flag.BoolVar(&c.figure8, "figure8", false, "print the duration distribution summary (Figure 8)")
+	flag.DurationVar(&c.groupTO, "group-timeout", bgpblackholing.DefaultGroupTimeout, "event-grouping timeout for -figure8 (must be positive)")
 
-		enrichQ = flag.Bool("enrich", false, "annotate events with RPKI validity, community documentation and a legitimacy verdict")
-		scale   = flag.Float64("scale", 0.15, "world scale for -enrich in direct -store mode (must match ingestion)")
-		seed    = flag.Int64("seed", 42, "world seed for -enrich in direct -store mode (must match ingestion)")
+	flag.BoolVar(&c.enrich, "enrich", false, "annotate events with RPKI validity, community documentation and a legitimacy verdict")
+	flag.Float64Var(&c.scale, "scale", 0.15, "world scale for -enrich in direct -store mode (must match ingestion)")
+	flag.Int64Var(&c.seed, "seed", 42, "world seed for -enrich in direct -store mode (must match ingestion)")
 
-		deletePrefix = flag.String("delete-prefix", "", "admin: erase this prefix's history (opens the store read-write)")
-		deleteUpTo   = flag.String("delete-up-to", "", "admin: bound -delete-prefix to events ending at/before this RFC 3339 time")
-		compact      = flag.String("compact", "", "admin: run a compaction pass (merge-all, or tiered[,partition=30d,ratio=4,min-run=4])")
-		replicateTo  = flag.String("replicate-to", "", "admin: one-shot sync the -store directory into this replica directory (sealed segments + sidecars; re-run to catch up)")
+	flag.StringVar(&c.deletePrefix, "delete-prefix", "", "admin: erase this prefix's history (opens the store read-write)")
+	flag.StringVar(&c.deleteUpTo, "delete-up-to", "", "admin: bound -delete-prefix to events ending at/before this RFC 3339 time")
+	flag.StringVar(&c.compact, "compact", "", "admin: run a compaction pass (merge-all, or tiered[,partition=30d,ratio=4,min-run=4])")
+	flag.StringVar(&c.replicateTo, "replicate-to", "", "admin: one-shot sync the -store directory into this replica directory (sealed segments + sidecars; re-run to catch up)")
 
-		watch     = flag.Bool("watch", false, "stream live alerts from the server's /watch SSE endpoint (requires -server)")
-		metrics   = flag.Bool("metrics", false, "scrape the server's /metrics Prometheus exposition to stdout (requires -server)")
-		authToken = flag.String("auth-token", "", "bearer token for -server requests")
-	)
-	var watchRules multiFlag
-	flag.Var(&watchRules, "rule", "filter -watch to this rule (repeatable; default all rules)")
+	flag.BoolVar(&c.watch, "watch", false, "stream live alerts from the server's /watch SSE endpoint (requires -server)")
+	flag.BoolVar(&c.metrics, "metrics", false, "scrape the server's /metrics Prometheus exposition to stdout (requires -server)")
+	flag.StringVar(&c.authToken, "auth-token", "", "bearer token for -server requests")
+	flag.Var(&c.watchRules, "rule", "filter -watch to this rule (repeatable; default all rules)")
 	flag.Parse()
-	if err := run(&config{
-		storeDir: *storeDir, server: *server,
-		from: *from, to: *to, prefix: *prefix, mode: *mode,
-		origin: uint32(*origin), provider: *provider, community: *community,
-		minDur: *minDur, maxDur: *maxDur, limit: *limit,
-		format: *format, stats: *stats, figure4: *figure4, every: *every,
-		figure8: *figure8, groupTO: *groupTO,
-		enrich: *enrichQ, scale: *scale, seed: *seed,
-		deletePrefix: *deletePrefix, deleteUpTo: *deleteUpTo, compact: *compact,
-		replicateTo: *replicateTo,
-		watch:       *watch, watchRules: watchRules, metrics: *metrics, authToken: *authToken,
-	}); err != nil {
+	c.origin = uint32(origin)
+	if err := run(os.Stdout, os.Stderr, &c); err != nil {
 		fmt.Fprintln(os.Stderr, "bhquery:", err)
 		os.Exit(1)
 	}
@@ -151,7 +140,7 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
-func run(c *config) error {
+func run(stdout, stderr io.Writer, c *config) error {
 	if (c.storeDir == "") == (c.server == "") {
 		return fmt.Errorf("exactly one of -store or -server is required")
 	}
@@ -186,15 +175,17 @@ func run(c *config) error {
 		if c.server == "" {
 			return fmt.Errorf("-metrics needs -server")
 		}
-		return pipeGET(c, strings.TrimRight(c.server, "/")+"/metrics")
+		return pipeGET(stdout, c, strings.TrimRight(c.server, "/")+"/metrics")
 	}
-	if c.server != "" {
-		if servers := splitServers(c.server); len(servers) > 1 {
-			return runFederated(c, servers)
-		}
-		return runServer(c)
+	if c.figure8 && !c.stats && !c.figure4 { // -stats and -figure4 win, as they always have
+		return runFigure8(stdout, c)
 	}
-	return runDirect(c)
+	be, err := openBackend(c)
+	if err != nil {
+		return err
+	}
+	defer be.Close()
+	return runQuery(context.Background(), stdout, stderr, c, be)
 }
 
 // splitServers splits the comma-separated -server list.
@@ -294,67 +285,108 @@ func parsePrefixArg(s string) (netip.Prefix, error) {
 }
 
 // ---------------------------------------------------------------------
-// Direct mode: open the store read-only.
+// The read path: flags → Query → Backend → records | lines → bytes.
 
-func runDirect(c *config) error {
-	st, err := bgpblackholing.OpenStoreReadOnly(c.storeDir)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	if c.stats {
-		return printJSON(os.Stdout, st.Stats())
-	}
-	if c.figure4 {
-		s := st.Stats()
-		if s.Events == 0 {
-			fmt.Println("(empty store)")
-			return nil
+// openBackend picks the Backend the flags name: the store directory
+// opened read-only, one server, or a client-side federation of a server
+// list — the same merge core bhroute serves, so per-server answers
+// interleave in global event order, totals sum, and a down server
+// degrades the answer (with a warning) instead of failing it.
+func openBackend(c *config) (bgpblackholing.Backend, error) {
+	if c.storeDir != "" {
+		st, err := bgpblackholing.OpenStoreReadOnly(c.storeDir)
+		if err != nil {
+			return nil, err
 		}
-		start := s.MinStart.UTC().Truncate(24 * time.Hour)
-		days := int(s.MaxEnd.Sub(start).Hours()/24) + 1
-		series := st.Figure4(start, days)
-		fmt.Print(bgpblackholing.FormatFigure4(series, max(1, c.every)))
-		return nil
+		// -enrich needs the world's registry and dictionary; rebuild them
+		// deterministically the way bhserve does at startup.
+		var p *bgpblackholing.Pipeline
+		if c.enrich {
+			p, err = bgpblackholing.NewPipeline(bgpblackholing.Options{
+				Seed: c.seed, TopoScale: c.scale, CollectorScale: c.scale, EventScale: c.scale, Days: 850,
+			})
+			if err != nil {
+				st.Close()
+				return nil, fmt.Errorf("-enrich: building the world: %w", err)
+			}
+		}
+		return bgpblackholing.NewStoreBackend(st, p), nil
 	}
-	if c.figure8 {
-		ungrouped, grouped := st.Figure8(c.groupTO)
-		fmt.Printf("figure8: %d events group into %d periods at timeout %v\n",
-			len(ungrouped), len(grouped), c.groupTO)
-		return nil
-	}
-
-	// -enrich needs the world's registry and dictionary; rebuild them
-	// deterministically the way bhserve does at startup.
-	if c.enrich {
-		p, err := bgpblackholing.NewPipeline(bgpblackholing.Options{
-			Seed: c.seed, TopoScale: c.scale, CollectorScale: c.scale, EventScale: c.scale, Days: 850,
+	var backends []bgpblackholing.Backend
+	for _, base := range splitServers(c.server) {
+		b, err := bgpblackholing.NewRemoteBackend([]string{base}, bgpblackholing.RemoteOptions{
+			AuthToken: c.authToken,
 		})
 		if err != nil {
-			return fmt.Errorf("-enrich: building the world: %w", err)
+			return nil, err
 		}
-		st.SetAnnotator(p.Annotator())
+		backends = append(backends, b)
+	}
+	switch len(backends) {
+	case 0:
+		return nil, fmt.Errorf("-server: no server in %q", c.server)
+	case 1:
+		return backends[0], nil
+	}
+	return bgpblackholing.NewFederatedStore(backends...), nil
+}
+
+// runQuery answers -stats, -figure4 or an events query from be and
+// renders it. The answer's bytes do not depend on which Backend be is.
+func runQuery(ctx context.Context, stdout, stderr io.Writer, c *config, be bgpblackholing.Backend) error {
+	if c.stats || c.figure4 {
+		stats, err := be.Stats(ctx)
+		if err != nil {
+			return err
+		}
+		if c.stats {
+			return printJSON(stdout, stats)
+		}
+		if stats.Events == 0 {
+			fmt.Fprintln(stdout, "(empty store)")
+			return nil
+		}
+		start := stats.MinStart.UTC().Truncate(24 * time.Hour)
+		days := int(stats.MaxEnd.Sub(start).Hours()/24) + 1
+		res, err := be.Figure4(ctx, start, days)
+		if err != nil {
+			return err
+		}
+		warnShardsFailed(stderr, res.ShardsFailed)
+		_, err = fmt.Fprint(stdout, bgpblackholing.FormatFigure4(res.Series, max(1, c.every)))
+		return err
 	}
 
 	q, err := buildQuery(c)
 	if err != nil {
 		return err
 	}
-	res := st.Query(q)
-	records := make([]*bgpblackholing.EventRecord, len(res.Events))
-	for i, ev := range res.Events {
-		var r bgpblackholing.EventRecord
-		if res.Annotations != nil {
-			r = bgpblackholing.NewEventRecordEnriched(ev, res.Annotations[i])
-		} else {
-			r = bgpblackholing.NewEventRecord(ev)
+	if c.format == "ndjson" {
+		stream, err := be.RecordLines(ctx, q)
+		if err != nil {
+			return err
 		}
-		records[i] = &r
+		defer stream.Close()
+		warnShardsFailed(stderr, stream.ShardsFailed)
+		w := bufio.NewWriter(stdout)
+		for {
+			rl, err := stream.Next()
+			if err != nil {
+				break
+			}
+			w.Write(rl.Line)
+			w.WriteByte('\n')
+		}
+		return w.Flush()
 	}
-	fmt.Fprintf(os.Stderr, "bhquery: %d matches (%d returned), %d candidates scanned, %s\n",
-		res.Total, len(records), res.Scanned, res.Elapsed)
-	return render(os.Stdout, c.format, c.enrich, records)
+	rs, err := be.Records(ctx, q)
+	if err != nil {
+		return err
+	}
+	warnShardsFailed(stderr, rs.ShardsFailed)
+	fmt.Fprintf(stderr, "bhquery: %d matches (%d returned), %d candidates scanned, %s\n",
+		rs.Total, len(rs.Records), rs.Scanned, rs.Elapsed)
+	return render(stdout, c.format, c.enrich, rs.Records)
 }
 
 func buildQuery(c *config) (bgpblackholing.Query, error) {
@@ -398,167 +430,31 @@ func buildQuery(c *config) (bgpblackholing.Query, error) {
 	return q, nil
 }
 
-// ---------------------------------------------------------------------
-// Server mode: talk to bhserve's HTTP API.
-
-func runServer(c *config) error {
-	base := strings.TrimSuffix(c.server, "/")
-	if c.stats {
-		return pipeGET(c, base+"/stats")
-	}
-	if c.figure4 {
-		return pipeGET(c, fmt.Sprintf("%s/figure4?every=%d", base, max(1, c.every)))
-	}
-	if c.figure8 {
-		return pipeGET(c, fmt.Sprintf("%s/figure8?timeout=%s", base, url.QueryEscape(c.groupTO.String())))
-	}
-
-	params := url.Values{}
-	set := func(k, v string) {
-		if v != "" {
-			params.Set(k, v)
+// runFigure8 prints the duration distribution summary. Durations
+// cannot merge from counted answers, so it needs the store itself or
+// the one server holding it.
+func runFigure8(stdout io.Writer, c *config) error {
+	if c.server != "" {
+		servers := splitServers(c.server)
+		if len(servers) != 1 {
+			return fmt.Errorf("-figure8 needs a single -server; durations cannot merge from counted answers")
 		}
+		return pipeGET(stdout, c, fmt.Sprintf("%s/figure8?timeout=%s", servers[0], url.QueryEscape(c.groupTO.String())))
 	}
-	set("from", c.from)
-	set("to", c.to)
-	set("prefix", c.prefix)
-	if c.prefix != "" {
-		set("mode", c.mode)
-	}
-	if c.origin != 0 {
-		set("origin", fmt.Sprint(c.origin))
-	}
-	set("provider", c.provider)
-	set("community", c.community)
-	if c.minDur > 0 {
-		set("min_duration", c.minDur.String())
-	}
-	if c.maxDur > 0 {
-		set("max_duration", c.maxDur.String())
-	}
-	if c.limit > 0 {
-		set("limit", fmt.Sprint(c.limit))
-	}
-	if c.enrich {
-		set("enrich", "1")
-	}
-	if c.format == "ndjson" {
-		set("format", "ndjson")
-		return pipeGET(c, base+"/events?"+params.Encode())
-	}
-
-	resp, err := serverGET(c, base+"/events?"+params.Encode(), nil)
+	st, err := bgpblackholing.OpenStoreReadOnly(c.storeDir)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("server: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	var payload struct {
-		Total     int                           `json:"total"`
-		Returned  int                           `json:"returned"`
-		Scanned   int                           `json:"scanned"`
-		ElapsedUS int64                         `json:"elapsed_us"`
-		Events    []*bgpblackholing.EventRecord `json:"events"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bhquery: %d matches (%d returned), %d candidates scanned, %dµs server-side\n",
-		payload.Total, payload.Returned, payload.Scanned, payload.ElapsedUS)
-	return render(os.Stdout, c.format, c.enrich, payload.Events)
+	defer st.Close()
+	ungrouped, grouped := st.Figure8(c.groupTO)
+	_, err = fmt.Fprintf(stdout, "figure8: %d events group into %d periods at timeout %v\n",
+		len(ungrouped), len(grouped), c.groupTO)
+	return err
 }
 
-// ---------------------------------------------------------------------
-// Federated mode: several servers behind -server, merged client-side.
-
-// runFederated answers from a comma-separated server list: one
-// RemoteBackend per base URL, federated through the same merge core
-// bhroute serves — per-server answers interleave in global event
-// order, totals sum, and a down server degrades the answer (with a
-// warning) instead of failing it.
-func runFederated(c *config, servers []string) error {
-	ctx := context.Background()
-	backends := make([]bgpblackholing.Backend, 0, len(servers))
-	for _, base := range servers {
-		b, err := bgpblackholing.NewRemoteBackend([]string{base}, bgpblackholing.RemoteOptions{
-			AuthToken: c.authToken,
-		})
-		if err != nil {
-			return err
-		}
-		backends = append(backends, b)
-	}
-	fed := bgpblackholing.NewFederatedStore(backends...)
-	defer fed.Close()
-
-	if c.stats {
-		stats, err := fed.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		return printJSON(os.Stdout, stats)
-	}
-	if c.figure4 {
-		stats, err := fed.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		if stats.Events == 0 {
-			fmt.Println("(no events)")
-			return nil
-		}
-		start := stats.MinStart.UTC().Truncate(24 * time.Hour)
-		days := int(stats.MaxEnd.Sub(start).Hours()/24) + 1
-		res, err := fed.Figure4(ctx, start, days)
-		if err != nil {
-			return err
-		}
-		warnShardsFailed(res.ShardsFailed)
-		fmt.Print(bgpblackholing.FormatFigure4(res.Series, max(1, c.every)))
-		return nil
-	}
-	if c.figure8 {
-		return fmt.Errorf("-figure8 needs a single -server; durations cannot merge from counted answers")
-	}
-
-	q, err := buildQuery(c)
-	if err != nil {
-		return err
-	}
-	if c.format == "ndjson" {
-		stream, err := fed.RecordLines(ctx, q)
-		if err != nil {
-			return err
-		}
-		defer stream.Close()
-		warnShardsFailed(stream.ShardsFailed)
-		w := bufio.NewWriter(os.Stdout)
-		for {
-			rl, err := stream.Next()
-			if err != nil {
-				break
-			}
-			w.Write(rl.Line)
-			w.WriteByte('\n')
-		}
-		return w.Flush()
-	}
-	rs, err := fed.Records(ctx, q)
-	if err != nil {
-		return err
-	}
-	warnShardsFailed(rs.ShardsFailed)
-	fmt.Fprintf(os.Stderr, "bhquery: %d matches (%d returned), %d candidates scanned across %d servers, %s\n",
-		rs.Total, len(rs.Records), rs.Scanned, len(servers), rs.Elapsed)
-	return render(os.Stdout, c.format, c.enrich, rs.Records)
-}
-
-func warnShardsFailed(failed int) {
+func warnShardsFailed(stderr io.Writer, failed int) {
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "bhquery: warning: %d server(s) failed to answer; results are partial\n", failed)
+		fmt.Fprintf(stderr, "bhquery: warning: %d server(s) failed to answer; results are partial\n", failed)
 	}
 }
 
@@ -589,13 +485,13 @@ func serverGET(c *config, u string, headers map[string]string) (*http.Response, 
 }
 
 // pipeGET streams a response body straight through.
-func pipeGET(c *config, u string) error {
+func pipeGET(stdout io.Writer, c *config, u string) error {
 	resp, err := serverGET(c, u, nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	_, err = io.Copy(os.Stdout, resp.Body)
+	_, err = io.Copy(stdout, resp.Body)
 	return err
 }
 
@@ -606,14 +502,6 @@ func render(w io.Writer, format string, enriched bool, records []*bgpblackholing
 	switch format {
 	case "json":
 		return printJSON(w, records)
-	case "ndjson":
-		enc := json.NewEncoder(w)
-		for _, r := range records {
-			if err := enc.Encode(r); err != nil {
-				return err
-			}
-		}
-		return nil
 	case "csv":
 		header := "prefix,start,end,duration_seconds,providers,users,communities,platforms,detections"
 		if enriched {

@@ -1,0 +1,348 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"bgpblackholing"
+)
+
+// update rewrites testdata/golden.sha256 from the -store answers. The
+// committed digests were generated by the code at bbeabf9 (the commit
+// before bhquery became a Backend client), so they pin the rewrite to
+// the bytes the three hand-written modes printed; regenerate them only
+// for a deliberate change of output.
+var update = flag.Bool("update", false, "rewrite testdata/golden.sha256")
+
+const goldenPath = "testdata/golden.sha256"
+
+// runCLI runs one bhquery invocation in-process.
+func runCLI(c config) (stdout, stderr string, err error) {
+	var out, errb bytes.Buffer
+	err = run(&out, &errb, &c)
+	return out.String(), errb.String(), err
+}
+
+// cliFixture is one detector run (SmallOptions, seed 42, days 800–810)
+// persisted twice: one store holding everything, and the same events
+// split over two shards. The three ways of reaching it — the directory,
+// one server, a list of servers — are bhquery's three modes.
+type cliFixture struct {
+	storeDir string
+	one      string // base URL of a server over the whole store
+	list     string // "a,b": base URLs of the two shard servers
+	partial  string // "a,<closed server>"
+	shardA   string
+	sample   *bgpblackholing.EventRecord
+}
+
+func newCLIFixture(t *testing.T) *cliFixture {
+	t.Helper()
+	p, err := bgpblackholing.NewPipeline(bgpblackholing.SmallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() (*bgpblackholing.Store, string) {
+		dir := t.TempDir()
+		st, err := bgpblackholing.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, dir
+	}
+	single, dir := open()
+	shardA, dirA := open()
+	shardB, dirB := open()
+	det := p.NewDetector()
+	waitSingle := det.SinkToStore(single)
+	waitShards := det.SinkToShards(bgpblackholing.TimeShardPlan{Width: 24 * time.Hour, N: 2},
+		[]*bgpblackholing.Store{shardA, shardB})
+	if _, err := det.Run(context.Background(), p.Replay(800, 810)); err != nil {
+		t.Fatal(err)
+	}
+	for _, wait := range []func() error{waitSingle, waitShards} {
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close the writers: every mode below reads what is on disk.
+	for _, st := range []*bgpblackholing.Store{single, shardA, shardB} {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve := func(dir string) string {
+		st, err := bgpblackholing.OpenStoreReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(bgpblackholing.NewStoreHandler(st, p))
+		t.Cleanup(func() { srv.Close(); st.Close() })
+		return srv.URL
+	}
+	f := &cliFixture{storeDir: dir, one: serve(dir), shardA: serve(dirA)}
+	f.list = f.shardA + "," + serve(dirB)
+	down := httptest.NewServer(nil)
+	down.Close()
+	f.partial = f.shardA + "," + down.URL
+
+	// The filters come from a real event, so each has matches.
+	out, _, err := runCLI(f.config(config{storeDir: dir, format: "json"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []*bgpblackholing.EventRecord
+	if err := json.Unmarshal([]byte(out), &all); err != nil {
+		t.Fatal(err)
+	}
+	if len(all) < 100 {
+		t.Fatalf("fixture holds only %d events", len(all))
+	}
+	for _, rec := range all[len(all)/2:] {
+		if len(rec.Users) > 0 {
+			f.sample = rec
+			break
+		}
+	}
+	if f.sample == nil {
+		t.Fatal("no event with an inferred user in the fixture's second half")
+	}
+	return f
+}
+
+// config fills the flag defaults main() would.
+func (f *cliFixture) config(c config) config {
+	if c.mode == "" {
+		c.mode = "exact"
+	}
+	if c.format == "" {
+		c.format = "table"
+	}
+	c.every = 30
+	c.groupTO = bgpblackholing.DefaultGroupTimeout
+	c.scale, c.seed = 0.15, 42
+	return c
+}
+
+// modes returns c aimed at the store directory, one server, and the
+// server list.
+func (f *cliFixture) modes(c config) map[string]config {
+	c = f.config(c)
+	st, one, list := c, c, c
+	st.storeDir = f.storeDir
+	one.server = f.one
+	list.server = f.list
+	return map[string]config{"store": st, "server": one, "servers": list}
+}
+
+type goldens struct {
+	t    *testing.T
+	want map[string]string
+	got  map[string]string
+}
+
+func loadGoldens(t *testing.T) *goldens {
+	g := &goldens{t: t, want: map[string]string{}, got: map[string]string{}}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if name, sum, ok := strings.Cut(line, " "); ok {
+			g.want[name] = sum
+		}
+	}
+	return g
+}
+
+// check compares one case's stdout against its recorded digest.
+func (g *goldens) check(name, stdout string) {
+	g.t.Helper()
+	sum := fmt.Sprintf("%x %d", sha256.Sum256([]byte(stdout)), len(stdout))
+	g.got[name] = sum
+	if *update {
+		return
+	}
+	if want, ok := g.want[name]; !ok {
+		g.t.Errorf("%s: no golden recorded", name)
+	} else if want != sum {
+		g.t.Errorf("%s: stdout digest %s, golden %s; output starts:\n%.400s", name, sum, want, stdout)
+	}
+}
+
+func (g *goldens) write() {
+	names := make([]string, 0, len(g.got))
+	for name := range g.got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s %s\n", name, g.got[name])
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		g.t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		g.t.Fatal(err)
+	}
+}
+
+// differ reports a stdout divergence between two modes. When the
+// goldens are being regenerated a divergence is logged, not failed: it
+// is a fact about the code the goldens come from.
+func differ(t *testing.T, name, a, b, outA, outB string) {
+	t.Helper()
+	if outA == outB {
+		return
+	}
+	la, lb := strings.Split(outA, "\n"), strings.Split(outB, "\n")
+	i := 0
+	for i < len(la) && i < len(lb) && la[i] == lb[i] {
+		i++
+	}
+	var da, db string
+	if i < len(la) {
+		da = la[i]
+	}
+	if i < len(lb) {
+		db = lb[i]
+	}
+	msg := fmt.Sprintf("%s: -%s and -%s stdout diverge at line %d:\n  %s: %.200s\n  %s: %.200s", name, a, b, i+1, a, da, b, db)
+	if *update {
+		t.Log(msg)
+	} else {
+		t.Error(msg)
+	}
+}
+
+// TestThreeModesByteIdentical pins bhquery's stdout: for every format ×
+// filter the store directory, one server and a two-server list print
+// the same bytes, and those bytes are the ones bbeabf9 printed.
+func TestThreeModesByteIdentical(t *testing.T) {
+	f := newCLIFixture(t)
+	g := loadGoldens(t)
+	addr, _, _ := strings.Cut(f.sample.Prefix, "/")
+	filters := []struct {
+		name string
+		c    config
+	}{
+		{"all", config{}},
+		{"lpm", config{prefix: addr, mode: "lpm"}},
+		{"origin", config{origin: f.sample.Users[0]}},
+		{"limit5", config{limit: 5}},
+		{"empty", config{minDur: 999999 * time.Hour}},
+	}
+	for _, format := range []string{"table", "json", "csv", "ndjson"} {
+		for _, flt := range filters {
+			name := flt.name + "." + format
+			c := flt.c
+			c.format = format
+			outs := map[string]string{}
+			for mode, mc := range f.modes(c) {
+				out, _, err := runCLI(mc)
+				if err != nil {
+					t.Fatalf("%s -%s: %v", name, mode, err)
+				}
+				outs[mode] = out
+			}
+			if flt.name != "empty" && strings.Count(outs["store"], "\n") < 2 {
+				t.Errorf("%s: filter matched nothing:\n%s", name, outs["store"])
+			}
+			differ(t, name, "store", "server", outs["store"], outs["server"])
+			differ(t, name, "store", "servers", outs["store"], outs["servers"])
+			g.check(name, outs["store"])
+		}
+	}
+
+	// -enrich over HTTP: the servers annotate from their own world.
+	for _, format := range []string{"table", "json", "csv", "ndjson"} {
+		name := "enrich." + format
+		modes := f.modes(config{format: format, enrich: true, limit: 25})
+		one, _, err := runCLI(modes["server"])
+		if err != nil {
+			t.Fatalf("%s -server: %v", name, err)
+		}
+		list, _, err := runCLI(modes["servers"])
+		if err != nil {
+			t.Fatalf("%s -servers: %v", name, err)
+		}
+		if !strings.Contains(one, "legitim") && !strings.Contains(one, "LEGITIM") {
+			t.Errorf("%s: no legitimacy column or field:\n%.300s", name, one)
+		}
+		differ(t, name, "server", "servers", one, list)
+		g.check(name, one)
+	}
+
+	// -figure4 is the same series whichever way the store is reached.
+	fig := f.modes(config{figure4: true})
+	figStore, _, err := runCLI(fig["store"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"server", "servers"} {
+		out, _, err := runCLI(fig[mode])
+		if err != nil {
+			t.Fatalf("figure4 -%s: %v", mode, err)
+		}
+		differ(t, "figure4", "store", mode, figStore, out)
+	}
+	g.check("figure4", figStore)
+
+	// -stats agrees on the event count.
+	var counts []int
+	for mode, mc := range f.modes(config{stats: true}) {
+		out, _, err := runCLI(mc)
+		if err != nil {
+			t.Fatalf("stats -%s: %v", mode, err)
+		}
+		var s struct{ Events int }
+		if err := json.Unmarshal([]byte(out), &s); err != nil {
+			t.Fatalf("stats -%s: %v\n%s", mode, err, out)
+		}
+		counts = append(counts, s.Events)
+	}
+	if counts[0] == 0 || counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Errorf("-stats event counts disagree across modes: %v", counts)
+	}
+
+	if *update {
+		g.write()
+	}
+}
+
+// TestDownServerYieldsPartialAnswer: a dead server in the list degrades
+// the answer to the surviving shard's events, warns on stderr, and
+// still exits 0.
+func TestDownServerYieldsPartialAnswer(t *testing.T) {
+	f := newCLIFixture(t)
+	for _, format := range []string{"table", "ndjson"} {
+		alone := f.config(config{server: f.shardA, format: format})
+		want, _, err := runCLI(alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partial := alone
+		partial.server = f.partial
+		got, stderr, err := runCLI(partial)
+		if err != nil {
+			t.Fatalf("%s: a down server failed the run: %v", format, err)
+		}
+		if got != want {
+			t.Errorf("%s: partial answer is not the surviving shard's answer", format)
+		}
+		if !strings.Contains(stderr, "warning: 1 server(s) failed to answer; results are partial") {
+			t.Errorf("%s: no partial-result warning on stderr: %q", format, stderr)
+		}
+	}
+}

@@ -113,7 +113,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: handler}
+	srv := newServer(handler)
 	slog.Info("federated query API listening", "addr", "http://"+ln.Addr().String(),
 		"shards", len(backends), "auth", cfg.authToken != "",
 		"timeout", cfg.timeout, "hedge", cfg.hedge)
@@ -129,6 +129,19 @@ func run(cfg config) error {
 		slog.Info("shutting down")
 		return srv.Close()
 	}
+}
+
+// Slow-client bounds on the query API: the time a peer has to send its
+// request headers, and how long an idle keep-alive connection is kept.
+// There is deliberately no WriteTimeout: /events NDJSON is an unbounded
+// stream, and a write deadline would cut a long answer mid-body.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // shardSpec is one parsed shard line: a name and its target list

@@ -260,14 +260,14 @@ func run(cfg config) error {
 		// answer "was this blackholing legitimate" per event. Attach it
 		// to the store too, for programmatic Query.Enrich callers.
 		st.SetAnnotator(p.Annotator())
-		srv = &http.Server{Handler: bgpblackholing.NewStoreHandlerWith(st, p, bgpblackholing.HandlerOptions{
+		srv = newServer(bgpblackholing.NewStoreHandlerWith(st, p, bgpblackholing.HandlerOptions{
 			AuthToken: cfg.authToken,
 			RateLimit: cfg.rateLimit,
 			Detector:  det,
 			Hub:       hub,
 			Telemetry: tel,
 			Pprof:     cfg.pprof,
-		})}
+		}))
 		go srv.Serve(hln)
 		// Backstop for error paths; the normal exit drains gracefully
 		// below before the deferred store close runs.
@@ -389,6 +389,19 @@ func run(cfg config) error {
 	case <-time.After(time.Second):
 	}
 	return nil
+}
+
+// Slow-client bounds on the query API: the time a peer has to send its
+// request headers, and how long an idle keep-alive connection is kept.
+// There is deliberately no WriteTimeout: /events NDJSON and the /watch
+// SSE stream are unbounded, and a write deadline would cut them mid-body.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // loadRules reads a rules file: one rule per line in the compact

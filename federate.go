@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,11 +50,20 @@ type FederatedStore struct {
 }
 
 // shardCounters are the router's lifetime per-shard counters, exposed
-// via /stats and Telemetry.ObserveFederation.
+// via /stats and Telemetry.ObserveFederation. The third per-shard
+// counter, hedges, is kept by the RemoteBackend that launches them.
 type shardCounters struct {
 	requests atomic.Uint64
 	failures atomic.Uint64
-	hedges   atomic.Uint64
+}
+
+// hedges is the shard's lifetime hedged-attempt count: only a remote
+// shard with replicas and a hedge delay ever launches one.
+func hedges(b Backend) uint64 {
+	if rb, ok := b.(*RemoteBackend); ok {
+		return rb.hedges.Load()
+	}
+	return 0
 }
 
 // NewFederatedStore federates backends. The shard order is
@@ -67,9 +78,6 @@ func NewFederatedStore(backends ...Backend) *FederatedStore {
 // Name implements Backend.
 func (f *FederatedStore) Name() string { return "federation" }
 
-// Backends returns the shard backends in presentation order.
-func (f *FederatedStore) Backends() []Backend { return f.backends }
-
 // Close closes every shard backend, joining errors.
 func (f *FederatedStore) Close() error {
 	var errs []error
@@ -81,11 +89,12 @@ func (f *FederatedStore) Close() error {
 	return errors.Join(errs...)
 }
 
-// fanOut runs fn against every shard concurrently and returns the
-// per-shard errors (nil for successes), counting requests and
-// failures.
-func (f *FederatedStore) fanOut(fn func(i int, b Backend) error) []error {
-	errs := make([]error, len(f.backends))
+// fanOut runs fn against every shard concurrently, counting requests
+// and failures. It returns the per-shard errors (nil for successes) and
+// how many shards failed; err is non-nil only when every shard did —
+// anything less is a partial answer, not an error.
+func (f *FederatedStore) fanOut(fn func(i int, b Backend) error) (errs []error, failed int, err error) {
+	errs = make([]error, len(f.backends))
 	call := func(i int, b Backend) {
 		f.counters[i].requests.Add(1)
 		if err := fn(i, b); err != nil {
@@ -114,7 +123,19 @@ func (f *FederatedStore) fanOut(fn func(i int, b Backend) error) []error {
 		}
 	}
 	wg.Wait()
-	return errs
+	var first error
+	for _, e := range errs {
+		if e != nil {
+			failed++
+			if first == nil {
+				first = e
+			}
+		}
+	}
+	if failed == len(f.backends) {
+		err = fmt.Errorf("all %d shards failed: %w", failed, first)
+	}
+	return errs, failed, err
 }
 
 // inProcess reports whether a backend answers from this process's
@@ -124,20 +145,6 @@ func inProcess(b Backend) bool {
 	return ok
 }
 
-// failureCount folds a fan-out's outcome: how many shards failed, and
-// the first error (for the all-failed case).
-func failureCount(errs []error) (failed int, first error) {
-	for _, err := range errs {
-		if err != nil {
-			failed++
-			if first == nil {
-				first = err
-			}
-		}
-	}
-	return failed, first
-}
-
 // Records implements Backend: fan out with the limit pushed down,
 // sort each shard's answer on RecordKey, k-way merge, cut to the
 // limit, and sum the accounting (shards partition the events, so
@@ -145,17 +152,16 @@ func failureCount(errs []error) (failed int, first error) {
 func (f *FederatedStore) Records(ctx context.Context, q Query) (*RecordSet, error) {
 	began := time.Now()
 	sets := make([]*RecordSet, len(f.backends))
-	errs := f.fanOut(func(i int, b Backend) error {
+	_, failed, err := f.fanOut(func(i int, b Backend) error {
 		rs, err := b.Records(ctx, q)
 		sets[i] = rs
 		return err
 	})
-	failed, first := failureCount(errs)
-	if failed == len(f.backends) {
-		return nil, fmt.Errorf("all %d shards failed: %w", failed, first)
+	if err != nil {
+		return nil, err
 	}
 
-	out := &RecordSet{ShardsFailed: failed}
+	out := &RecordSet{Records: []*EventRecord{}, ShardsFailed: failed} // an empty match is [], never null
 	var cursors []recordsCursor
 	for _, rs := range sets {
 		if rs == nil {
@@ -236,14 +242,13 @@ type lineCursor struct {
 // merge continues over the rest.
 func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	streams := make([]*RecordStream, len(f.backends))
-	errs := f.fanOut(func(i int, b Backend) error {
+	_, failed, err := f.fanOut(func(i int, b Backend) error {
 		s, err := b.RecordLines(ctx, q)
 		streams[i] = s
 		return err
 	})
-	failed, first := failureCount(errs)
-	if failed == len(f.backends) {
-		return nil, fmt.Errorf("all %d shards failed: %w", failed, first)
+	if err != nil {
+		return nil, err
 	}
 	closeAll := func() {
 		for _, s := range streams {
@@ -338,14 +343,13 @@ func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days 
 
 func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int) (*analysis.Figure4Partial, int, error) {
 	shardSets := make([]*Figure4Sets, len(f.backends))
-	errs := f.fanOut(func(i int, b Backend) error {
+	_, failed, err := f.fanOut(func(i int, b Backend) error {
 		s, err := b.Figure4Sets(ctx, start, days)
 		shardSets[i] = s
 		return err
 	})
-	failed, first := failureCount(errs)
-	if failed == len(f.backends) {
-		return nil, failed, fmt.Errorf("all %d shards failed: %w", failed, first)
+	if err != nil {
+		return nil, failed, err
 	}
 	merged := analysis.NewFigure4Partial(start, days)
 	for _, s := range shardSets {
@@ -363,14 +367,13 @@ func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days
 func (f *FederatedStore) LegitimacySummary(ctx context.Context, q Query) (*LegitimacySummary, error) {
 	began := time.Now()
 	sums := make([]*LegitimacySummary, len(f.backends))
-	errs := f.fanOut(func(i int, b Backend) error {
+	_, failed, err := f.fanOut(func(i int, b Backend) error {
 		s, err := b.LegitimacySummary(ctx, q)
 		sums[i] = s
 		return err
 	})
-	failed, first := failureCount(errs)
-	if failed == len(f.backends) {
-		return nil, fmt.Errorf("all %d shards failed: %w", failed, first)
+	if err != nil {
+		return nil, err
 	}
 	out := newLegitimacySummary()
 	out.ShardsFailed = failed
@@ -404,14 +407,13 @@ func (f *FederatedStore) LegitimacySummary(ctx context.Context, q Query) (*Legit
 // several shards).
 func (f *FederatedStore) Stats(ctx context.Context) (*BackendStats, error) {
 	stats := make([]*BackendStats, len(f.backends))
-	errs := f.fanOut(func(i int, b Backend) error {
+	errs, failed, err := f.fanOut(func(i int, b Backend) error {
 		s, err := b.Stats(ctx)
 		stats[i] = s
 		return err
 	})
-	failed, first := failureCount(errs)
-	if failed == len(f.backends) {
-		return nil, fmt.Errorf("all %d shards failed: %w", failed, first)
+	if err != nil {
+		return nil, err
 	}
 	out := &BackendStats{Shards: &ShardsInfo{Version: ShardsInfoVersion, Failed: failed}}
 	for i, b := range f.backends {
@@ -419,7 +421,7 @@ func (f *FederatedStore) Stats(ctx context.Context) (*BackendStats, error) {
 			Name:     b.Name(),
 			Requests: f.counters[i].requests.Load(),
 			Failures: f.counters[i].failures.Load(),
-			Hedges:   f.counters[i].hedges.Load(),
+			Hedges:   hedges(b),
 		}
 		if rb, ok := b.(*RemoteBackend); ok {
 			row.URL = rb.URL()
@@ -460,8 +462,9 @@ func (f *FederatedStore) Stats(ctx context.Context) (*BackendStats, error) {
 	return out, nil
 }
 
-// ShardHealths probes every shard concurrently (the /healthz fan-out).
-func (f *FederatedStore) ShardHealths(ctx context.Context) []*ShardHealth {
+// Healthz implements Backend: every shard is probed concurrently, and
+// the federation is ok only when every shard is.
+func (f *FederatedStore) Healthz(ctx context.Context) *ShardHealth {
 	healths := make([]*ShardHealth, len(f.backends))
 	f.fanOut(func(i int, b Backend) error {
 		healths[i] = b.Healthz(ctx)
@@ -470,15 +473,9 @@ func (f *FederatedStore) ShardHealths(ctx context.Context) []*ShardHealth {
 		}
 		return nil
 	})
-	return healths
-}
-
-// Healthz implements Backend: the federation is ok only when every
-// shard is.
-func (f *FederatedStore) Healthz(ctx context.Context) *ShardHealth {
 	out := &ShardHealth{Name: f.Name(), Status: "ok"}
 	checks := map[string]string{}
-	for _, h := range f.ShardHealths(ctx) {
+	for _, h := range healths {
 		out.Events += h.Events
 		if h.Status != "ok" {
 			msg := h.Status
@@ -609,11 +606,11 @@ func (p PrefixShardPlan) String() string {
 //	time:<width>:<n>    e.g. time:168h:3  (weekly windows over 3 shards)
 //	prefix:<bit>:<n>    e.g. prefix:8:4   (top octet over 4 shards)
 func ParseShardPlan(s string) (ShardPlan, error) {
-	parts := splitN(s, ':', 3)
+	parts := strings.SplitN(s, ":", 3)
 	if len(parts) != 3 {
 		return nil, fmt.Errorf("bad shard plan %q (want time:<width>:<n> or prefix:<bit>:<n>)", s)
 	}
-	n, err := parsePositiveInt(parts[2])
+	n, err := parseCount(parts[2])
 	if err != nil {
 		return nil, fmt.Errorf("bad shard count in %q: %v", s, err)
 	}
@@ -625,7 +622,7 @@ func ParseShardPlan(s string) (ShardPlan, error) {
 		}
 		return TimeShardPlan{Width: w, N: n}, nil
 	case "prefix":
-		bit, err := parsePositiveInt(parts[1])
+		bit, err := parseCount(parts[1])
 		if err != nil || bit > 32 {
 			return nil, fmt.Errorf("bad split bit in %q (want 1..32)", s)
 		}
@@ -634,44 +631,15 @@ func ParseShardPlan(s string) (ShardPlan, error) {
 	return nil, fmt.Errorf("bad shard plan kind %q (want time or prefix)", parts[0])
 }
 
-func splitN(s string, sep byte, n int) []string {
-	var out []string
-	for len(out) < n-1 {
-		i := indexByte(s, sep)
-		if i < 0 {
-			break
-		}
-		out = append(out, s[:i])
-		s = s[i+1:]
+// parseCount parses a plan's shard count or split bit: plain decimal
+// digits (ParseUint takes no sign), 1 to 1<<20.
+func parseCount(s string) (int, error) {
+	n, err := strconv.ParseUint(s, 10, 32)
+	if err != nil {
+		return 0, fmt.Errorf("bad number %q", s)
 	}
-	return append(out, s)
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
+	if n == 0 || n > 1<<20 {
+		return 0, fmt.Errorf("number %q out of range (want 1..%d)", s, 1<<20)
 	}
-	return -1
-}
-
-func parsePositiveInt(s string) (int, error) {
-	n := 0
-	if s == "" {
-		return 0, fmt.Errorf("empty number")
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return 0, fmt.Errorf("bad number %q", s)
-		}
-		n = n*10 + int(s[i]-'0')
-		if n > 1<<20 {
-			return 0, fmt.Errorf("number %q too large", s)
-		}
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("number must be positive")
-	}
-	return n, nil
+	return int(n), nil
 }

@@ -565,3 +565,95 @@ func TestFederationMergeOrderIsGlobalCloseOrder(t *testing.T) {
 }
 
 func mustPrefix(s string) netip.Prefix { return netip.MustParsePrefix(s) }
+
+// TestParseShardPlan covers the CLI plan syntax: both accepted forms,
+// and every spelling the parser must refuse.
+func TestParseShardPlan(t *testing.T) {
+	accepted := map[string]ShardPlan{
+		"time:168h:3":         TimeShardPlan{Width: 168 * time.Hour, N: 3},
+		"time:90m:1":          TimeShardPlan{Width: 90 * time.Minute, N: 1},
+		"time:24h:007":        TimeShardPlan{Width: 24 * time.Hour, N: 7},
+		"prefix:8:4":          PrefixShardPlan{Bit: 8, N: 4},
+		"prefix:32:1048576":   PrefixShardPlan{Bit: 32, N: 1 << 20},
+		"prefix:1:0000000002": PrefixShardPlan{Bit: 1, N: 2},
+	}
+	for spec, want := range accepted {
+		got, err := ParseShardPlan(spec)
+		if err != nil {
+			t.Errorf("ParseShardPlan(%q): %v", spec, err)
+		} else if got != want {
+			t.Errorf("ParseShardPlan(%q) = %#v, want %#v", spec, got, want)
+		}
+	}
+	for _, spec := range []string{
+		"", "time", "time:24h", "prefix:8", // a missing field
+		"time:24h:", "prefix:8:", // empty count
+		"time:24h:+3", "time:24h:-3", "prefix:+8:3", "prefix:-8:3", // signs
+		"time:24h:0", "prefix:0:3", // zero
+		"time:24h:1048577", "time:24h:99999999999999999999", // past the 1<<20 bound
+		"prefix:33:2", // bit 33
+		"time:24h:3x", "time:24h: 3", "time:24h:3:4", "time:24h:1_0", "time:24h:0x3",
+		"time::3", "time:0s:3", "time:-1h:3", "time:soon:3", "prefix::3", "prefix:a:3",
+		"hash:8:3", ":8:3",
+	} {
+		if plan, err := ParseShardPlan(spec); err == nil {
+			t.Errorf("ParseShardPlan(%q) = %v, want an error", spec, plan)
+		}
+	}
+}
+
+// TestFederationHedgeCounter: a hedged attempt launched against a
+// shard's replica shows up in the shard's hedge counter, in /stats and
+// in /metrics alike; without a hedge delay the counter stays at zero.
+func TestFederationHedgeCounter(t *testing.T) {
+	shard := NewStoreHandler(storeFixture(t), nil)
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(150 * time.Millisecond):
+			shard.ServeHTTP(w, r)
+		case <-r.Context().Done(): // the hedge won; the router hung up
+		}
+	}))
+	defer slow.Close()
+	fast := httptest.NewServer(shard)
+	defer fast.Close()
+
+	for _, tc := range []struct {
+		name  string
+		hedge time.Duration
+		moved bool
+	}{
+		{"hedged", 10 * time.Millisecond, true},
+		{"sequential", 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rb, err := NewRemoteBackend([]string{slow.URL, fast.URL}, RemoteOptions{Name: "edge-a", HedgeDelay: tc.hedge})
+			if err != nil {
+				t.Fatal(err)
+			}
+			router := httptest.NewServer(NewRouterHandler(NewFederatedStore(rb), RouterOptions{Telemetry: NewTelemetry()}))
+			defer router.Close()
+
+			var events struct {
+				Total int `json:"total"`
+			}
+			getJSON(t, router.URL+"/events", &events)
+			if events.Total != 3 {
+				t.Fatalf("/events through the router: total %d, want 3", events.Total)
+			}
+			var stats BackendStats
+			getJSON(t, router.URL+"/stats", &stats)
+			if stats.Shards == nil || len(stats.Shards.Shards) != 1 {
+				t.Fatalf("/stats shards block: %+v", stats.Shards)
+			}
+			inStats := stats.Shards.Shards[0].Hedges
+			inMetrics := scrape(t, router).get(t, `bh_federation_shard_hedges_total{shard="edge-a"}`)
+			if tc.moved && (inStats < 1 || inMetrics < 1) {
+				t.Errorf("hedges after a hedged request: /stats %d, /metrics %v; want >= 1 in both", inStats, inMetrics)
+			}
+			if !tc.moved && (inStats != 0 || inMetrics != 0) {
+				t.Errorf("hedges with no hedge delay: /stats %d, /metrics %v; want 0 in both", inStats, inMetrics)
+			}
+		})
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,14 +120,25 @@ type HandlerOptions struct {
 // NewStoreHandlerWith is NewStoreHandler plus live-exposure hardening:
 // optional bearer-token auth and a per-client token-bucket rate limit.
 func NewStoreHandlerWith(st *Store, p *Pipeline, opts HandlerOptions) http.Handler {
-	h := &storeHandler{st: st, p: p, be: NewStoreBackend(st, p),
-		det: opts.Detector, hub: opts.Hub,
+	return newHandler(NewStoreBackend(st, p), opts)
+}
+
+// tableBackend is the optional Backend capability behind /figure8,
+// /table3 and /table4, which walk whole events and the pipeline's world
+// rather than wire records. A StoreBackend holds both in process; a
+// FederatedStore does not, so a router answers 404 there.
+type tableBackend interface {
+	world() (*Store, *Pipeline)
+}
+
+// newHandler is the one HTTP read surface: every route is answered from
+// the Backend alone, so bhserve (a StoreBackend) and bhroute (a
+// FederatedStore) differ only in which optional routes get mounted.
+func newHandler(be Backend, opts HandlerOptions) http.Handler {
+	h := &handler{be: be, det: opts.Detector, hub: opts.Hub,
 		redials: opts.RedialSources, heartbeat: opts.WatchHeartbeat}
 	if h.heartbeat <= 0 {
 		h.heartbeat = 15 * time.Second
-	}
-	if p != nil {
-		h.ann = p.Annotator()
 	}
 	mux := http.NewServeMux()
 	// handle wraps each route in the telemetry middleware at
@@ -146,9 +156,12 @@ func NewStoreHandlerWith(st *Store, p *Pipeline, opts HandlerOptions) http.Handl
 	handle("GET /events", http.HandlerFunc(h.events))
 	handle("GET /legitimacy", http.HandlerFunc(h.legitimacy))
 	handle("GET /figure4", http.HandlerFunc(h.figure4))
-	handle("GET /figure8", http.HandlerFunc(h.figure8))
-	handle("GET /table3", http.HandlerFunc(h.table3))
-	handle("GET /table4", http.HandlerFunc(h.table4))
+	if tb, ok := be.(tableBackend); ok {
+		h.tables = tb
+		handle("GET /figure8", http.HandlerFunc(h.figure8))
+		handle("GET /table3", http.HandlerFunc(h.table3))
+		handle("GET /table4", http.HandlerFunc(h.table4))
+	}
 	if opts.Hub != nil {
 		handle("GET /watch", http.HandlerFunc(h.watch))
 		handle("GET /rules", http.HandlerFunc(h.rulesList))
@@ -270,28 +283,14 @@ func rateLimitMiddleware(next http.Handler, rate float64, burst int) http.Handle
 	})
 }
 
-type storeHandler struct {
-	st *Store
-	p  *Pipeline
-	be Backend // the store behind the Backend query surface
+type handler struct {
+	be     Backend
+	tables tableBackend // be's table capability, nil when it has none
 
 	det       *Detector       // optional: fan-out counters on /stats
 	hub       *AlertHub       // optional: /watch, /rules, hub counters
 	redials   []*RedialSource // optional: session counters on /stats, readiness on /healthz
 	heartbeat time.Duration
-	// ann is the pipeline's annotator when the handler was built with a
-	// world; otherwise annotator() falls back to the store's — resolved
-	// per request, so Store.SetAnnotator works before or after
-	// NewStoreHandler.
-	ann *Annotator
-}
-
-// annotator resolves the enrichment annotator for a request, or nil.
-func (h *storeHandler) annotator() *Annotator {
-	if h.ann != nil {
-		return h.ann
-	}
-	return h.st.Annotator()
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -309,38 +308,27 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // healthz is liveness + readiness in one probe. Liveness is implicit
 // (the handler answered); readiness degrades — and the status code
-// becomes 503 — when the write path is in a known-bad state: a wounded
-// active segment awaiting failover, a parked async group-commit fsync
-// error no caller has seen yet, or a redial source whose retry budget
-// is exhausted. The historical keys ("status", "events") survive so
-// existing probes keep parsing.
-func (h *storeHandler) healthz(w http.ResponseWriter, r *http.Request) {
-	checks := map[string]string{}
-	sh := h.st.s.Health()
-	if sh.WoundedSegment {
-		checks["store_segment"] = "wounded active segment pending failover"
-	}
-	if sh.AsyncSyncError != "" {
-		checks["store_fsync"] = "parked async fsync error: " + sh.AsyncSyncError
-	}
-	if sh.HydrationError != "" {
-		checks["store_hydration"] = "cold segment hydration failed; queries may see partial data: " + sh.HydrationError
-	}
+// becomes 503 — when the backend reports a check (a store's write path
+// in a known-bad state, a federation's shard down or degraded) or a
+// redial source has exhausted its retry budget. The historical keys
+// ("status", "events") survive so existing probes keep parsing.
+func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
+	sh := h.be.Healthz(r.Context())
+	status, checks := sh.Status, sh.Checks
 	for _, src := range h.redials {
 		if src.Stats().GaveUp != 0 {
+			if checks == nil {
+				checks = map[string]string{}
+			}
 			checks["redial:"+src.Addr()] = "retry budget exhausted; feed ended"
+			status = "degraded"
 		}
 	}
-	body := map[string]any{"status": "ok", "events": h.st.Len()}
-	if len(checks) > 0 {
-		body["status"] = "degraded"
+	body := map[string]any{"status": status, "events": sh.Events}
+	if status != "ok" {
 		body["checks"] = checks
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(body)
-		return
 	}
 	writeJSON(w, body)
 }
@@ -364,9 +352,14 @@ type detectorStats struct {
 	Redial []RedialStats `json:"redial,omitempty"`
 }
 
-func (h *storeHandler) stats(w http.ResponseWriter, r *http.Request) {
+func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
+	stats, err := h.be.Stats(r.Context())
+	if err != nil {
+		backendError(w, err)
+		return
+	}
 	if h.det == nil && h.hub == nil && len(h.redials) == 0 {
-		writeJSON(w, h.st.Stats())
+		writeJSON(w, stats)
 		return
 	}
 	ds := detectorStats{}
@@ -387,104 +380,9 @@ func (h *storeHandler) stats(w http.ResponseWriter, r *http.Request) {
 	// Embedding flattens the store fields so clients decoding into
 	// StoreStats keep working.
 	writeJSON(w, struct {
-		StoreStats
+		*BackendStats
 		Detector detectorStats `json:"detector"`
-	}{StoreStats: h.st.Stats(), Detector: ds})
-}
-
-// parseQuery builds a Query from request parameters.
-func parseQuery(r *http.Request) (Query, error) {
-	var q Query
-	get := r.URL.Query().Get
-	if s := get("from"); s != "" {
-		t, err := time.Parse(time.RFC3339, s)
-		if err != nil {
-			return q, fmt.Errorf("from: %v", err)
-		}
-		q.From = t
-	}
-	if s := get("to"); s != "" {
-		t, err := time.Parse(time.RFC3339, s)
-		if err != nil {
-			return q, fmt.Errorf("to: %v", err)
-		}
-		q.To = t
-	}
-	if s := get("prefix"); s != "" {
-		p, err := netip.ParsePrefix(s)
-		if err != nil {
-			// A bare address means its host prefix — the point-lookup shape.
-			a, aerr := netip.ParseAddr(s)
-			if aerr != nil {
-				return q, fmt.Errorf("prefix: %v", err)
-			}
-			p = netip.PrefixFrom(a, a.BitLen())
-		}
-		q.Prefix = p
-	}
-	if s := get("mode"); s != "" {
-		m, err := ParsePrefixMode(s)
-		if err != nil {
-			return q, err
-		}
-		q.Mode = m
-	}
-	if s := get("origin"); s != "" {
-		asn, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			return q, fmt.Errorf("origin: %v", err)
-		}
-		q.OriginASN = ASN(asn)
-	}
-	if s := get("provider"); s != "" {
-		pr, err := ParseProviderRef(s)
-		if err != nil {
-			return q, err
-		}
-		q.Provider = &pr
-	}
-	if s := get("community"); s != "" {
-		c, err := ParseCommunity(s)
-		if err != nil {
-			return q, err
-		}
-		q.Community = c
-	}
-	if s := get("min_duration"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return q, fmt.Errorf("min_duration: %v", err)
-		}
-		if d < 0 {
-			return q, fmt.Errorf("min_duration: negative duration %q", s)
-		}
-		q.MinDuration = d
-	}
-	if s := get("max_duration"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return q, fmt.Errorf("max_duration: %v", err)
-		}
-		if d < 0 {
-			return q, fmt.Errorf("max_duration: negative duration %q", s)
-		}
-		q.MaxDuration = d
-	}
-	if s := get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return q, fmt.Errorf("limit: bad value %q", s)
-		}
-		q.Limit = n
-	}
-	if s := get("enrich"); s != "" {
-		on, err := strconv.ParseBool(s)
-		if err != nil {
-			return q, fmt.Errorf("enrich: bad value %q", s)
-		}
-		q.Enrich = on
-	}
-	return q, nil
+	}{stats, ds})
 }
 
 // defaultJSONLimit caps an /events JSON response when the client sets
@@ -494,27 +392,36 @@ func parseQuery(r *http.Request) (Query, error) {
 // pass an explicit limit to raise the JSON cap.
 const defaultJSONLimit = 10000
 
-func (h *storeHandler) events(w http.ResponseWriter, r *http.Request) {
+// events answers /events in either shape: NDJSON (by parameter or
+// Accept header) streams Backend.RecordLines uncapped; JSON wraps
+// Backend.Records in the envelope.
+func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 	q, err := parseQuery(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ann := h.annotator()
-	if q.Enrich && ann == nil {
-		httpError(w, http.StatusServiceUnavailable, "enrichment needs the pipeline's registry and dictionary; run the server with a world")
-		return
-	}
-	ndjson := r.URL.Query().Get("format") == "ndjson" ||
-		strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-	if ndjson {
-		streamRecordLines(r.Context(), w, h.be, q)
+	if r.URL.Query().Get("format") == "ndjson" ||
+		strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
+		h.streamRecordLines(r.Context(), w, q)
 		return
 	}
 	if q.Limit <= 0 {
 		q.Limit = defaultJSONLimit
 	}
-	serveEventsJSON(r.Context(), w, h.be, q)
+	rs, err := h.be.Records(r.Context(), q)
+	if err != nil {
+		backendError(w, err)
+		return
+	}
+	shardsFailedHeader(w, rs.ShardsFailed)
+	writeJSON(w, map[string]any{
+		"total":      rs.Total,
+		"returned":   len(rs.Records),
+		"scanned":    rs.Scanned,
+		"elapsed_us": rs.Elapsed.Microseconds(),
+		"events":     rs.Records,
+	})
 }
 
 // backendError maps a Backend failure onto an HTTP response: the
@@ -538,29 +445,6 @@ func shardsFailedHeader(w http.ResponseWriter, failed int) {
 	}
 }
 
-// serveEventsJSON answers the JSON /events shape from any Backend.
-// The envelope (and its byte layout) is unchanged from the pre-Backend
-// handler.
-func serveEventsJSON(ctx context.Context, w http.ResponseWriter, be Backend, q Query) {
-	rs, err := be.Records(ctx, q)
-	if err != nil {
-		backendError(w, err)
-		return
-	}
-	shardsFailedHeader(w, rs.ShardsFailed)
-	if rs.Records == nil {
-		// An empty match is "events": [] from every backend, never null.
-		rs.Records = []*EventRecord{}
-	}
-	writeJSON(w, map[string]any{
-		"total":      rs.Total,
-		"returned":   len(rs.Records),
-		"scanned":    rs.Scanned,
-		"elapsed_us": rs.Elapsed.Microseconds(),
-		"events":     rs.Records,
-	})
-}
-
 // streamRecordLines writes one event record per line, flushing
 // periodically. The lines drain Backend.RecordLines incrementally —
 // "streaming, uncapped" is literal: nothing is materialized ahead of
@@ -568,8 +452,8 @@ func serveEventsJSON(ctx context.Context, w http.ResponseWriter, be Backend, q Q
 // a federation, every shard primed) before the first byte, so the
 // X-Shards-Failed header can still be set; a shard dying mid-stream
 // after that shows up in counters, not in this response.
-func streamRecordLines(ctx context.Context, w http.ResponseWriter, be Backend, q Query) {
-	rs, err := be.RecordLines(ctx, q)
+func (h *handler) streamRecordLines(ctx context.Context, w http.ResponseWriter, q Query) {
+	rs, err := h.be.RecordLines(ctx, q)
 	if err != nil {
 		backendError(w, err)
 		return
@@ -604,26 +488,16 @@ var nl = []byte{'\n'}
 
 // legitimacy aggregates the legitimacy view over every event matching
 // the filter params: verdict, folded RPKI-state and community-doc
-// histograms. The store streams through the annotator — no result set
-// is materialized.
-func (h *storeHandler) legitimacy(w http.ResponseWriter, r *http.Request) {
-	ann := h.annotator()
-	if ann == nil {
-		httpError(w, http.StatusServiceUnavailable, "legitimacy needs the pipeline's registry and dictionary; run the server with a world")
-		return
-	}
+// histograms. A store streams through the annotator — no result set is
+// materialized; a federation sums its shards' histograms.
+func (h *handler) legitimacy(w http.ResponseWriter, r *http.Request) {
 	q, err := parseQuery(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	serveLegitimacy(r.Context(), w, h.be, q)
-}
-
-// serveLegitimacy answers /legitimacy from any Backend (same JSON keys
-// as the historical inline aggregation).
-func serveLegitimacy(ctx context.Context, w http.ResponseWriter, be Backend, q Query) {
-	sum, err := be.LegitimacySummary(ctx, q)
+	ctx := r.Context()
+	sum, err := h.be.LegitimacySummary(ctx, q)
 	if err != nil {
 		if ctx.Err() != nil {
 			return // client went away; nothing to write
@@ -635,16 +509,12 @@ func serveLegitimacy(ctx context.Context, w http.ResponseWriter, be Backend, q Q
 	writeJSON(w, sum)
 }
 
-func (h *storeHandler) figure4(w http.ResponseWriter, r *http.Request) {
-	serveFigure4(w, r, h.be)
-}
-
-// serveFigure4 answers /figure4 from any Backend. shape=sets serves
-// the mergeable per-day entity sets instead of the counted series —
-// the form one federation tier ships to the next so distinct-entity
-// counts stay exact across shards.
-func serveFigure4(w http.ResponseWriter, r *http.Request, be Backend) {
-	ctx := r.Context()
+// figure4 answers /figure4. shape=sets serves the mergeable per-day
+// entity sets instead of the counted series — the form one federation
+// tier ships to the next so distinct-entity counts stay exact across
+// shards.
+func (h *handler) figure4(w http.ResponseWriter, r *http.Request) {
+	be, ctx := h.be, r.Context()
 	get := r.URL.Query().Get
 	sets := get("shape") == "sets"
 	stats, err := be.Stats(ctx)
@@ -725,7 +595,7 @@ func serveFigure4(w http.ResponseWriter, r *http.Request, be Backend) {
 	writeJSON(w, series)
 }
 
-func (h *storeHandler) figure8(w http.ResponseWriter, r *http.Request) {
+func (h *handler) figure8(w http.ResponseWriter, r *http.Request) {
 	timeout := DefaultGroupTimeout
 	if s := r.URL.Query().Get("timeout"); s != "" {
 		d, err := time.ParseDuration(s)
@@ -739,7 +609,8 @@ func (h *storeHandler) figure8(w http.ResponseWriter, r *http.Request) {
 		}
 		timeout = d
 	}
-	ungrouped, grouped := h.st.Figure8(timeout)
+	st, _ := h.tables.world()
+	ungrouped, grouped := st.Figure8(timeout)
 	toSecs := func(ds []time.Duration) []float64 {
 		out := make([]float64, len(ds))
 		for i, d := range ds {
@@ -756,20 +627,22 @@ func (h *storeHandler) figure8(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (h *storeHandler) table3(w http.ResponseWriter, r *http.Request) {
-	if h.p == nil {
+func (h *handler) table3(w http.ResponseWriter, r *http.Request) {
+	st, p := h.tables.world()
+	if p == nil {
 		httpError(w, http.StatusServiceUnavailable, "table3 needs the pipeline's deployment; run the server with a world")
 		return
 	}
-	writeJSON(w, h.p.Table3FromStore(h.st))
+	writeJSON(w, p.Table3FromStore(st))
 }
 
-func (h *storeHandler) table4(w http.ResponseWriter, r *http.Request) {
-	if h.p == nil {
+func (h *handler) table4(w http.ResponseWriter, r *http.Request) {
+	st, p := h.tables.world()
+	if p == nil {
 		httpError(w, http.StatusServiceUnavailable, "table4 needs the pipeline's topology; run the server with a world")
 		return
 	}
-	writeJSON(w, h.p.Table4FromStore(h.st))
+	writeJSON(w, p.Table4FromStore(st))
 }
 
 // watch serves the SSE alert stream: one "alert" event per matched
@@ -779,7 +652,7 @@ func (h *storeHandler) table4(w http.ResponseWriter, r *http.Request) {
 // query param, for curl) resumes from the hub's replay ring. The
 // watcher rides a bounded drop-oldest queue, so a stalled client
 // loses old alerts rather than stalling the hub.
-func (h *storeHandler) watch(w http.ResponseWriter, r *http.Request) {
+func (h *handler) watch(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -845,7 +718,7 @@ func (h *storeHandler) watch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (h *storeHandler) rulesList(w http.ResponseWriter, r *http.Request) {
+func (h *handler) rulesList(w http.ResponseWriter, r *http.Request) {
 	rules := h.hub.Rules()
 	// Render the compact syntax alongside the structured form, so
 	// clients can round-trip either. The rule is a named field, not
@@ -868,7 +741,7 @@ const maxRuleBody = 64 << 10
 
 // rulesUpsert adds or replaces one rule. The body is either a JSON
 // rule object or the compact "name=x prefix=... " syntax.
-func (h *storeHandler) rulesUpsert(w http.ResponseWriter, r *http.Request) {
+func (h *handler) rulesUpsert(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxRuleBody+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
@@ -899,7 +772,7 @@ func (h *storeHandler) rulesUpsert(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"rule": rule, "syntax": rule.String(), "rules": len(h.hub.Rules())})
 }
 
-func (h *storeHandler) rulesDelete(w http.ResponseWriter, r *http.Request) {
+func (h *handler) rulesDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !h.hub.DeleteRule(name) {
 		httpError(w, http.StatusNotFound, "no rule named %q", name)

@@ -328,6 +328,28 @@ func TestMetricsExposition(t *testing.T) {
 		exp2.get(t, `bh_http_requests_total{route="GET /metrics",class="2xx"}`); after <= before {
 		t.Errorf("/metrics request counter not monotonic: %v -> %v", before, after)
 	}
+
+	// One plain and one enriched /events request each move their own
+	// counter — and latency histogram — by exactly one: enrichment is
+	// observed where it happens, in the backend call.
+	st.SetAnnotator(fixtureAnnotator())
+	for _, path := range []string{"/events", "/events?enrich=1"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
+	}
+	exp3 := scrape(t, srv)
+	for _, c := range []string{"bh_query_total", "bh_query_enriched_total", "bh_query_seconds_count", "bh_query_enriched_seconds_count"} {
+		if d := exp3.get(t, c) - exp2.get(t, c); d != 1 {
+			t.Errorf("%s moved by %v over one plain and one enriched request, want 1", c, d)
+		}
+	}
 }
 
 func TestMetricsPprofMounted(t *testing.T) {

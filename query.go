@@ -3,7 +3,9 @@ package bgpblackholing
 import (
 	"fmt"
 	"iter"
+	"net/http"
 	"net/netip"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -218,11 +220,9 @@ type QueryResult struct {
 	Elapsed time.Duration
 }
 
-// Query answers a longitudinal query from the in-memory indexes; no
-// raw update data is touched and nothing is replayed.
-func (st *Store) Query(q Query) *QueryResult {
-	began := time.Now()
-	res := st.s.Query(store.Filter{
+// filter is the Query → internal/store translation.
+func (q Query) filter() store.Filter {
+	return store.Filter{
 		From:        q.From,
 		To:          q.To,
 		Prefix:      q.Prefix,
@@ -233,55 +233,56 @@ func (st *Store) Query(q Query) *QueryResult {
 		MinDuration: q.MinDuration,
 		MaxDuration: q.MaxDuration,
 		Limit:       q.Limit,
-	})
-	out := &QueryResult{
-		Events:  res.Events,
-		Total:   res.Total,
-		Scanned: res.Scanned,
 	}
-	if ann := st.ann.Load(); q.Enrich && ann != nil {
+}
+
+// streamed is the elapsed a streamed query passes to observeQuery: it
+// counts, but the consumer paces the iteration, so it has no whole-call
+// latency to observe.
+const streamed time.Duration = -1
+
+// observeQuery reports one answered query to the telemetry ObserveStore
+// installed, if any.
+func (st *Store) observeQuery(enriched bool, elapsed time.Duration) {
+	qo := st.qobs.Load()
+	if qo == nil {
+		return
+	}
+	total, seconds := qo.total, qo.seconds
+	if enriched {
+		total, seconds = qo.enrichedTotal, qo.enrichedSeconds
+	}
+	total.Inc()
+	if elapsed != streamed {
+		seconds.Observe(elapsed.Seconds())
+	}
+}
+
+// Query answers a longitudinal query from the in-memory indexes; no
+// raw update data is touched and nothing is replayed.
+func (st *Store) Query(q Query) *QueryResult {
+	began := time.Now()
+	res := st.s.Query(q.filter())
+	out := &QueryResult{Events: res.Events, Total: res.Total, Scanned: res.Scanned}
+	ann := st.ann.Load()
+	if q.Enrich && ann != nil {
 		out.Annotations = make([]Annotation, len(res.Events))
 		for i, ev := range res.Events {
 			out.Annotations[i] = ann.Annotate(ev)
 		}
 	}
 	out.Elapsed = time.Since(began)
-	if qo := st.qobs.Load(); qo != nil {
-		sec := out.Elapsed.Seconds()
-		if q.Enrich && st.ann.Load() != nil {
-			qo.enrichedTotal.Inc()
-			qo.enrichedSeconds.Observe(sec)
-		} else {
-			qo.total.Inc()
-			qo.seconds.Observe(sec)
-		}
-	}
+	st.observeQuery(q.Enrich && ann != nil, out.Elapsed)
 	return out
 }
 
 // QuerySeq answers the same query as Query, but as an iterator: events
 // stream one at a time in append (closing) order without materializing
-// the result set — the NDJSON HTTP path and other uncapped consumers
-// drain it incrementally. Enrichment is the consumer's concern here:
-// annotate yielded events with Annotator.Annotate as they stream.
+// the result set. Enrichment is the consumer's concern here: annotate
+// yielded events with Annotator.Annotate as they stream.
 func (st *Store) QuerySeq(q Query) iter.Seq[*Event] {
-	if qo := st.qobs.Load(); qo != nil {
-		// Streaming queries count but have no meaningful whole-call
-		// latency: the consumer paces the iteration.
-		qo.total.Inc()
-	}
-	return st.s.QuerySeq(store.Filter{
-		From:        q.From,
-		To:          q.To,
-		Prefix:      q.Prefix,
-		Mode:        q.Mode,
-		User:        q.OriginASN,
-		Provider:    q.Provider,
-		Community:   q.Community,
-		MinDuration: q.MinDuration,
-		MaxDuration: q.MaxDuration,
-		Limit:       q.Limit,
-	})
+	st.observeQuery(false, streamed)
+	return st.s.QuerySeq(q.filter())
 }
 
 // ---------------------------------------------------------------------
@@ -551,10 +552,9 @@ func parseDaysOrDuration(s string) (time.Duration, error) {
 	return time.ParseDuration(s)
 }
 
-// FormatPrefixMode renders a prefix match mode as its parameter name —
-// the inverse of ParsePrefixMode, used when forwarding a Query to a
-// remote shard.
-func FormatPrefixMode(m PrefixMode) string {
+// formatPrefixMode renders a prefix match mode as its parameter name —
+// the inverse of ParsePrefixMode.
+func formatPrefixMode(m PrefixMode) string {
 	switch m {
 	case PrefixLPM:
 		return "lpm"
@@ -580,4 +580,150 @@ func ParsePrefixMode(s string) (PrefixMode, error) {
 		return PrefixCovering, nil
 	}
 	return PrefixExact, fmt.Errorf("bad prefix mode %q (want exact, lpm, covered or covering)", s)
+}
+
+// ---------------------------------------------------------------------
+// The Query ⇄ URL codec: parseQuery reads the /events parameter set,
+// queryParams writes it, and parseQuery(queryParams(q)) == q — a router
+// forwards exactly the query it was asked.
+
+// parseQuery builds a Query from request parameters.
+func parseQuery(r *http.Request) (Query, error) {
+	var q Query
+	v := r.URL.Query()
+	timeParam := func(name string, dst *time.Time) error {
+		s := v.Get(name)
+		if s == "" {
+			return nil
+		}
+		t, err := time.Parse(time.RFC3339, s)
+		if err != nil {
+			return fmt.Errorf("%s: %v", name, err)
+		}
+		*dst = t
+		return nil
+	}
+	if err := timeParam("from", &q.From); err != nil {
+		return q, err
+	}
+	if err := timeParam("to", &q.To); err != nil {
+		return q, err
+	}
+	if s := v.Get("prefix"); s != "" {
+		p, err := netip.ParsePrefix(s)
+		if err != nil {
+			// A bare address means its host prefix — the point-lookup shape.
+			a, aerr := netip.ParseAddr(s)
+			if aerr != nil {
+				return q, fmt.Errorf("prefix: %v", err)
+			}
+			p = netip.PrefixFrom(a, a.BitLen())
+		}
+		q.Prefix = p
+	}
+	if s := v.Get("mode"); s != "" {
+		m, err := ParsePrefixMode(s)
+		if err != nil {
+			return q, err
+		}
+		q.Mode = m
+	}
+	if s := v.Get("origin"); s != "" {
+		asn, err := strconv.ParseUint(s, 10, 32)
+		if err != nil {
+			return q, fmt.Errorf("origin: %v", err)
+		}
+		q.OriginASN = ASN(asn)
+	}
+	if s := v.Get("provider"); s != "" {
+		pr, err := ParseProviderRef(s)
+		if err != nil {
+			return q, err
+		}
+		q.Provider = &pr
+	}
+	if s := v.Get("community"); s != "" {
+		c, err := ParseCommunity(s)
+		if err != nil {
+			return q, err
+		}
+		q.Community = c
+	}
+	durationParam := func(name string, dst *time.Duration) error {
+		s := v.Get(name)
+		if s == "" {
+			return nil
+		}
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			return fmt.Errorf("%s: %v", name, err)
+		}
+		if d < 0 {
+			return fmt.Errorf("%s: negative duration %q", name, s)
+		}
+		*dst = d
+		return nil
+	}
+	if err := durationParam("min_duration", &q.MinDuration); err != nil {
+		return q, err
+	}
+	if err := durationParam("max_duration", &q.MaxDuration); err != nil {
+		return q, err
+	}
+	if s := v.Get("limit"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 0 {
+			return q, fmt.Errorf("limit: bad value %q", s)
+		}
+		q.Limit = n
+	}
+	if s := v.Get("enrich"); s != "" {
+		on, err := strconv.ParseBool(s)
+		if err != nil {
+			return q, fmt.Errorf("enrich: bad value %q", s)
+		}
+		q.Enrich = on
+	}
+	return q, nil
+}
+
+// queryParams renders a Query as the /events parameter set. Times keep
+// their sub-second part: a filter boundary must not move on its way to
+// a remote shard.
+func queryParams(q Query) url.Values {
+	params := url.Values{}
+	if !q.From.IsZero() {
+		params.Set("from", q.From.Format(time.RFC3339Nano))
+	}
+	if !q.To.IsZero() {
+		params.Set("to", q.To.Format(time.RFC3339Nano))
+	}
+	if q.Prefix.IsValid() {
+		params.Set("prefix", q.Prefix.String())
+	}
+	if q.Mode != PrefixExact {
+		params.Set("mode", formatPrefixMode(q.Mode))
+	}
+	if q.OriginASN != 0 {
+		params.Set("origin", strconv.FormatUint(uint64(q.OriginASN), 10))
+	}
+	if q.Provider != nil {
+		params.Set("provider", q.Provider.String())
+	}
+	if q.Community != 0 {
+		params.Set("community", q.Community.String())
+	}
+	if q.MinDuration > 0 {
+		params.Set("min_duration", q.MinDuration.String())
+	}
+	if q.MaxDuration > 0 {
+		params.Set("max_duration", q.MaxDuration.String())
+	}
+	if q.Limit > 0 {
+		params.Set("limit", strconv.Itoa(q.Limit))
+	}
+	if q.Enrich {
+		params.Set("enrich", "1")
+	}
+	return params
 }

@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -34,6 +35,9 @@ type RemoteBackend struct {
 	timeout time.Duration
 	hedge   time.Duration
 	client  *http.Client
+	// hedges counts hedged attempts launched; a federation reports it
+	// as the shard's hedge counter (/stats, bh_federation_shard_hedges_total).
+	hedges atomic.Uint64
 }
 
 // RemoteOptions configures NewRemoteBackend.
@@ -145,34 +149,41 @@ func (b *RemoteBackend) attempt(ctx context.Context, base, path string, params u
 	return resp, nil
 }
 
+// failover walks the URL set in order and returns the first answer. A
+// 4xx ends the walk: it is the caller's error, and every replica would
+// answer the same.
+func (b *RemoteBackend) failover(ctx context.Context, path string, params url.Values) (*http.Response, error) {
+	var resp *http.Response
+	var err error
+	for _, u := range b.urls {
+		if resp, err = b.attempt(ctx, u, path, params); err == nil {
+			return resp, nil
+		}
+		var re *RemoteError
+		if errors.As(err, &re) && re.Status/100 == 4 {
+			break
+		}
+	}
+	return nil, err
+}
+
 // hedged races the URL set for a buffered request: the primary starts
 // immediately; every HedgeDelay without an answer the next replica
-// joins. The first success wins and the losers are cancelled. With no
-// hedge delay (or a single URL) it degrades to sequential failover.
-// hedgedLaunches reports how many extra attempts were started.
-func (b *RemoteBackend) hedged(ctx context.Context, path string, params url.Values) (resp *http.Response, hedges int, err error) {
+// joins (counted in b.hedges). The first success wins and the losers
+// are cancelled. With no hedge delay (or a single URL) it degrades to
+// sequential failover.
+func (b *RemoteBackend) hedged(ctx context.Context, path string, params url.Values) (*http.Response, error) {
 	ctx, cancel := context.WithTimeout(ctx, b.timeout)
 	if len(b.urls) == 1 || b.hedge <= 0 {
-		defer func() {
-			if err != nil {
-				cancel()
-			}
-		}()
-		var lastErr error
-		for i, u := range b.urls {
-			resp, lastErr = b.attempt(ctx, u, path, params)
-			if lastErr == nil {
-				// The response body must outlive this call; cancel only
-				// when the caller is done reading it.
-				resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-				return resp, i, nil
-			}
-			var re *RemoteError
-			if errors.As(lastErr, &re) && re.Status/100 == 4 {
-				break // caller error: every replica would answer the same
-			}
+		resp, err := b.failover(ctx, path, params)
+		if err != nil {
+			cancel()
+			return nil, err
 		}
-		return nil, len(b.urls) - 1, lastErr
+		// The response body must outlive this call; cancel only when
+		// the caller is done reading it.
+		resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
+		return resp, nil
 	}
 
 	type outcome struct {
@@ -181,18 +192,19 @@ func (b *RemoteBackend) hedged(ctx context.Context, path string, params url.Valu
 	}
 	results := make(chan outcome, len(b.urls))
 	launched := 0
-	launch := func(u string) {
+	launch := func() {
+		u := b.urls[launched]
 		launched++
 		go func() {
 			r, err := b.attempt(ctx, u, path, params)
 			results <- outcome{r, err}
 		}()
 	}
-	launch(b.urls[0])
+	launch()
 	timer := time.NewTimer(b.hedge)
 	defer timer.Stop()
 	var lastErr error
-	for pending := launched; pending > 0 || launched < len(b.urls); {
+	for pending := 1; pending > 0 || launched < len(b.urls); {
 		select {
 		case out := <-results:
 			pending--
@@ -206,26 +218,27 @@ func (b *RemoteBackend) hedged(ctx context.Context, path string, params url.Valu
 						}
 					}
 				}(pending)
-				return out.resp, launched - 1, nil
+				return out.resp, nil
 			}
 			lastErr = out.err
 			if pending == 0 && launched < len(b.urls) {
-				launch(b.urls[launched])
+				launch()
 				pending++
 			}
 		case <-timer.C:
 			if launched < len(b.urls) {
-				launch(b.urls[launched])
+				b.hedges.Add(1)
+				launch()
 				pending++
 				timer.Reset(b.hedge)
 			}
 		case <-ctx.Done():
 			cancel()
-			return nil, launched - 1, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	cancel()
-	return nil, launched - 1, lastErr
+	return nil, lastErr
 }
 
 // cancelOnClose ties a context cancel to the response body's lifetime.
@@ -242,51 +255,12 @@ func (c *cancelOnClose) Close() error {
 
 // getJSON runs a hedged GET and decodes the answer.
 func (b *RemoteBackend) getJSON(ctx context.Context, path string, params url.Values, v any) error {
-	resp, _, err := b.hedged(ctx, path, params)
+	resp, err := b.hedged(ctx, path, params)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// queryParams renders a Query as the /events parameter set.
-func queryParams(q Query) url.Values {
-	params := url.Values{}
-	if !q.From.IsZero() {
-		params.Set("from", q.From.Format(time.RFC3339))
-	}
-	if !q.To.IsZero() {
-		params.Set("to", q.To.Format(time.RFC3339))
-	}
-	if q.Prefix.IsValid() {
-		params.Set("prefix", q.Prefix.String())
-	}
-	if q.Mode != PrefixExact {
-		params.Set("mode", FormatPrefixMode(q.Mode))
-	}
-	if q.OriginASN != 0 {
-		params.Set("origin", strconv.FormatUint(uint64(q.OriginASN), 10))
-	}
-	if q.Provider != nil {
-		params.Set("provider", q.Provider.String())
-	}
-	if q.Community != 0 {
-		params.Set("community", q.Community.String())
-	}
-	if q.MinDuration > 0 {
-		params.Set("min_duration", q.MinDuration.String())
-	}
-	if q.MaxDuration > 0 {
-		params.Set("max_duration", q.MaxDuration.String())
-	}
-	if q.Limit > 0 {
-		params.Set("limit", strconv.Itoa(q.Limit))
-	}
-	if q.Enrich {
-		params.Set("enrich", "1")
-	}
-	return params
 }
 
 // maxRemoteLimit is the explicit limit a remote Records call sends
@@ -333,20 +307,9 @@ type recordLineKey struct {
 func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	params := queryParams(q)
 	params.Set("format", "ndjson")
-	var resp *http.Response
-	var lastErr error
-	for _, u := range b.urls {
-		resp, lastErr = b.attempt(ctx, u, "/events", params)
-		if lastErr == nil {
-			break
-		}
-		var re *RemoteError
-		if errors.As(lastErr, &re) && re.Status/100 == 4 {
-			break
-		}
-	}
-	if lastErr != nil {
-		return nil, lastErr
+	resp, err := b.failover(ctx, "/events", params)
+	if err != nil {
+		return nil, err
 	}
 	rd := bufio.NewReaderSize(resp.Body, 64<<10)
 	return &RecordStream{
@@ -384,13 +347,15 @@ func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream
 	}, nil
 }
 
+// figure4Params renders a Figure 4 window as the /figure4 parameter set.
+func figure4Params(start time.Time, days int) url.Values {
+	return url.Values{"start": {start.UTC().Format(time.RFC3339)}, "days": {strconv.Itoa(days)}}
+}
+
 // Figure4 implements Backend over GET /figure4.
 func (b *RemoteBackend) Figure4(ctx context.Context, start time.Time, days int) (*Figure4Result, error) {
-	params := url.Values{}
-	params.Set("start", start.UTC().Format(time.RFC3339))
-	params.Set("days", strconv.Itoa(days))
 	var series []DailyPoint
-	if err := b.getJSON(ctx, "/figure4", params, &series); err != nil {
+	if err := b.getJSON(ctx, "/figure4", figure4Params(start, days), &series); err != nil {
 		return nil, err
 	}
 	return &Figure4Result{Series: series}, nil
@@ -398,10 +363,8 @@ func (b *RemoteBackend) Figure4(ctx context.Context, start time.Time, days int) 
 
 // Figure4Sets implements Backend over GET /figure4?shape=sets.
 func (b *RemoteBackend) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
-	params := url.Values{}
+	params := figure4Params(start, days)
 	params.Set("shape", "sets")
-	params.Set("start", start.UTC().Format(time.RFC3339))
-	params.Set("days", strconv.Itoa(days))
 	var sets Figure4Sets
 	if err := b.getJSON(ctx, "/figure4", params, &sets); err != nil {
 		return nil, err
@@ -433,7 +396,6 @@ func (b *RemoteBackend) Stats(ctx context.Context) (*BackendStats, error) {
 // degraded shard answers 503 with a JSON body; both that and a plain
 // 200 parse here. An unreachable shard is "down".
 func (b *RemoteBackend) Healthz(ctx context.Context) *ShardHealth {
-	h := &ShardHealth{Name: b.name, Status: "down"}
 	ctx, cancel := context.WithTimeout(ctx, b.timeout)
 	defer cancel()
 	var lastErr error
@@ -448,25 +410,20 @@ func (b *RemoteBackend) Healthz(ctx context.Context) *ShardHealth {
 			lastErr = err
 			continue
 		}
-		var body struct {
-			Status string            `json:"status"`
-			Events int               `json:"events"`
-			Checks map[string]string `json:"checks"`
-		}
-		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body)
+		h := &ShardHealth{} // the /healthz body is a ShardHealth's status, events and checks
+		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(h)
 		resp.Body.Close()
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		h.Status = body.Status
-		h.Events = body.Events
-		h.Checks = body.Checks
+		h.Name = b.name
 		if h.Status == "" {
 			h.Status = "degraded"
 		}
 		return h
 	}
+	h := &ShardHealth{Name: b.name, Status: "down"}
 	if lastErr != nil {
 		h.Err = lastErr.Error()
 	}

@@ -1,26 +1,12 @@
 package bgpblackholing
 
-import (
-	"encoding/json"
-	"net/http"
-	"strings"
-)
+import "net/http"
 
-// RouterOptions configures NewRouterHandler, mirroring the subset of
-// HandlerOptions that makes sense for a stateless query router.
-type RouterOptions struct {
-	// AuthToken, when non-empty, requires "Authorization: Bearer
-	// <token>" on every route except /healthz.
-	AuthToken string
-	// RateLimit caps per-client requests/second (0 = unlimited);
-	// RateBurst is the bucket size (default max(10, ceil(RateLimit))).
-	RateLimit float64
-	RateBurst int
-	// Telemetry wires the router's routes through the request
-	// middleware and serves GET /metrics, including the per-shard
-	// federation counters (ObserveFederation is called for you).
-	Telemetry *Telemetry
-}
+// RouterOptions configures NewRouterHandler. A router is the same
+// handler as a store server, so it takes the same options; bhroute sets
+// AuthToken, RateLimit and Telemetry (which also gets the per-shard
+// federation counters — ObserveFederation is called for you).
+type RouterOptions = HandlerOptions
 
 // NewRouterHandler serves a federated query tier over HTTP: the same
 // read surface as NewStoreHandler, answered by fanning out to the
@@ -49,81 +35,15 @@ type RouterOptions struct {
 // /stats marks the shard "down" in the shards block. Only when every
 // shard fails does a route answer 502.
 //
-// The aggregation endpoints that need the pipeline's world (/figure8,
-// /table3, /table4) and the alerting surface are deliberately absent:
-// they belong to the shard servers, not the router.
+// The aggregation endpoints that walk whole events (/figure8, /table3,
+// /table4) are absent — a FederatedStore has no table capability — and
+// so is the alerting surface unless a Hub is passed: both belong to the
+// shard servers, not the router.
 func NewRouterHandler(fed *FederatedStore, opts RouterOptions) http.Handler {
-	mux := http.NewServeMux()
-	handle := func(pattern string, fn http.Handler) {
-		if opts.Telemetry != nil {
-			fn = opts.Telemetry.instrument(pattern, fn)
-		}
-		mux.Handle(pattern, fn)
-	}
-	handle("GET /healthz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h := fed.Healthz(r.Context())
-		body := map[string]any{"status": h.Status, "events": h.Events}
-		if h.Status != "ok" {
-			body["checks"] = h.Checks
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(body)
-			return
-		}
-		writeJSON(w, body)
-	}))
-	handle("GET /stats", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		stats, err := fed.Stats(r.Context())
-		if err != nil {
-			backendError(w, err)
-			return
-		}
-		writeJSON(w, stats)
-	}))
-	handle("GET /events", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q, err := parseQuery(r)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if wantsNDJSON(r) {
-			streamRecordLines(r.Context(), w, fed, q)
-			return
-		}
-		if q.Limit <= 0 {
-			q.Limit = defaultJSONLimit
-		}
-		serveEventsJSON(r.Context(), w, fed, q)
-	}))
-	handle("GET /legitimacy", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q, err := parseQuery(r)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		serveLegitimacy(r.Context(), w, fed, q)
-	}))
-	handle("GET /figure4", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serveFigure4(w, r, fed)
-	}))
 	if opts.Telemetry != nil {
 		opts.Telemetry.ObserveFederation(fed)
-		handle("GET /metrics", opts.Telemetry.MetricsHandler())
 	}
-	var handler http.Handler = mux
-	if opts.RateLimit > 0 {
-		burst := opts.RateBurst
-		if burst <= 0 {
-			burst = max(10, int(opts.RateLimit+0.999))
-		}
-		handler = rateLimitMiddleware(handler, opts.RateLimit, burst)
-	}
-	if opts.AuthToken != "" {
-		handler = authMiddleware(handler, opts.AuthToken)
-	}
-	return handler
+	return newHandler(fed, opts)
 }
 
 // ObserveFederation registers per-shard federation gauges and
@@ -137,17 +57,9 @@ func (t *Telemetry) ObserveFederation(fed *FederatedStore) {
 		values := []string{b.Name()}
 		r.CounterFuncLabeled("bh_federation_shard_requests_total", "Fan-out requests sent to the shard.", names, values, c.requests.Load)
 		r.CounterFuncLabeled("bh_federation_shard_failures_total", "Fan-out requests the shard failed to answer.", names, values, c.failures.Load)
-		r.CounterFuncLabeled("bh_federation_shard_hedges_total", "Hedged retries raced against the shard's replicas.", names, values, c.hedges.Load)
+		r.CounterFuncLabeled("bh_federation_shard_hedges_total", "Hedged retries raced against the shard's replicas.", names, values, func() uint64 { return hedges(b) })
 	}
 	r.GaugeFunc("bh_federation_shards", "Number of shards behind this router.", func() float64 {
 		return float64(len(fed.backends))
 	})
-}
-
-// wantsNDJSON reports whether the request asked for the streaming
-// NDJSON shape, by parameter or Accept header — the same test the
-// store handler applies.
-func wantsNDJSON(r *http.Request) bool {
-	return r.URL.Query().Get("format") == "ndjson" ||
-		strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 }
