@@ -2,7 +2,6 @@ package bgpblackholing
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"iter"
@@ -102,6 +101,11 @@ type RecordSet struct {
 // exact serialized bytes (no trailing newline) — the federation layer
 // passes shard bytes through verbatim, so a federated NDJSON response
 // is byte-identical to a single store's.
+//
+// Line is borrowed: it points into the stream's own buffer and is valid
+// only until that stream's next Next or Close. Write it out (the HTTP
+// handler and bhquery do) or copy it before advancing. Key is owned and
+// may be kept.
 type RecordLine struct {
 	Key  RecordKey
 	Line []byte
@@ -120,7 +124,9 @@ type RecordStream struct {
 	close func()
 }
 
-// Next returns the next record line, or io.EOF at the end.
+// Next returns the next record line, or io.EOF at the end. It
+// invalidates the Line of every RecordLine the stream returned before:
+// each stream encodes into, or reads through, one reused buffer.
 func (s *RecordStream) Next() (RecordLine, error) { return s.next() }
 
 // Close releases the stream's resources. Safe to call more than once.
@@ -220,7 +226,8 @@ type Backend interface {
 	Records(ctx context.Context, q Query) (*RecordSet, error)
 	// RecordLines answers a query as an incremental NDJSON stream in
 	// global event order, opened eagerly so failure accounting is known
-	// before the first byte. The caller must Close the stream.
+	// before the first byte. The caller must Close the stream, and may
+	// use each RecordLine.Line only until it asks for the next.
 	RecordLines(ctx context.Context, q Query) (*RecordStream, error)
 	// Figure4 computes the daily longitudinal series over [start,
 	// start+days).
@@ -314,11 +321,7 @@ func (b *StoreBackend) Records(ctx context.Context, q Query) (*RecordSet, error)
 	for i, ev := range res.Events {
 		if q.Enrich {
 			r := *b.record(ev) // annotation fields differ per call: copy the base
-			a := ann.Annotate(ev)
-			r.RPKI = a.RPKI
-			r.CommunityDoc = a.Communities
-			r.Legitimacy = a.Legitimacy
-			r.LegitimacyReasons = a.Reasons
+			r.annotate(ann.Annotate(ev))
 			records[i] = &r
 		} else {
 			records[i] = b.record(ev)
@@ -334,10 +337,11 @@ func (b *StoreBackend) Records(ctx context.Context, q Query) (*RecordSet, error)
 	}, nil
 }
 
-// RecordLines implements Backend over the store's streaming query.
-// Enrichment is uncached (an unbounded stream must not grow the shared
-// annotation cache by one entry per stored event), matching the NDJSON
-// path's historical behavior.
+// RecordLines implements Backend over the store's streaming query:
+// each event is projected once and encoded into the stream's one
+// buffer. Enrichment is uncached (an unbounded stream must not grow the
+// shared annotation cache by one entry per stored event), matching the
+// NDJSON path's historical behavior.
 func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	ann := b.annotator()
 	if q.Enrich && ann == nil {
@@ -347,6 +351,7 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 	b.st.observeQuery(enrich, streamed)
 	next, stop := iter.Pull(b.st.s.QuerySeq(q.filter()))
 	done := ctx.Done()
+	var buf []byte
 	return &RecordStream{
 		next: func() (RecordLine, error) {
 			select {
@@ -360,13 +365,13 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 			}
 			rec := NewEventRecord(ev)
 			if enrich {
-				rec = NewEventRecordEnriched(ev, ann.AnnotateUncached(ev))
+				rec.annotate(ann.AnnotateUncached(ev))
 			}
-			line, err := json.Marshal(rec)
-			if err != nil {
+			var err error
+			if buf, err = appendRecordLine(buf[:0], &rec); err != nil {
 				return RecordLine{}, err
 			}
-			return RecordLine{Key: KeyOf(&rec), Line: line}, nil
+			return RecordLine{Key: KeyOf(&rec), Line: buf}, nil
 		},
 		close: stop,
 	}, nil
@@ -378,12 +383,19 @@ func (b *StoreBackend) Figure4(ctx context.Context, start time.Time, days int) (
 	return &Figure4Result{Series: b.st.Figure4(start, days)}, nil
 }
 
-// Figure4Sets implements Backend with a one-pass scan into the
-// mergeable partial.
+// Figure4Sets implements Backend the way Store.Figure4 answers the
+// counted series: from the store's per-day view when start is aligned
+// to a UTC midnight (always, over HTTP — the handler truncates), else
+// with a one-pass scan into the mergeable partial. Both produce the same
+// sets.
 func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
+	b.st.observeQuery(false, streamed)
+	if sets, ok := b.st.s.DailySets(start, days); ok {
+		return &Figure4Sets{Start: start, Days: days,
+			Providers: sets.Providers, Users: sets.Users, Prefixes: sets.Prefixes}, nil
+	}
 	p := analysis.NewFigure4Partial(start, days)
 	done := ctx.Done()
-	b.st.observeQuery(false, streamed)
 	for ev := range b.st.s.All() {
 		select {
 		case <-done:

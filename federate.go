@@ -238,8 +238,10 @@ type lineCursor struct {
 // RecordLines implements Backend: open every shard stream eagerly
 // (so ShardsFailed is known before the first body byte), then k-way
 // merge on RecordKey, passing each shard's serialized bytes through
-// verbatim. A shard that dies mid-stream ends its contribution; the
-// merge continues over the rest.
+// verbatim — borrowed, not copied: a returned Line is the shard stream's
+// own buffer. A shard that dies mid-stream (a read error, an oversize or
+// malformed line) ends its contribution and is counted; the merge
+// continues over the rest.
 func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	streams := make([]*RecordStream, len(f.backends))
 	_, failed, err := f.fanOut(func(i int, b Backend) error {
@@ -290,29 +292,39 @@ func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStrea
 		// here because the union of per-shard top-ks overshoots.
 		remaining = q.Limit
 	}
+	// A popped cursor's head is borrowed from its shard's stream, so the
+	// shard may only advance once the caller is done with the line: at
+	// the start of the following call, not before returning.
+	var popped lineCursor
 	return &RecordStream{
 		ShardsFailed: failed,
 		next: func() (RecordLine, error) {
-			if h.Len() == 0 || remaining <= 0 {
+			if remaining <= 0 {
 				return RecordLine{}, io.EOF
 			}
-			c := h.Pop()
-			out := c.head
-			rl, err := c.src.Next()
-			if err != nil {
-				// EOF ends the shard cleanly; anything else kills its
-				// remaining contribution (headers are already sent, so
-				// the failure shows in counters, not this response).
-				if !errors.Is(err, io.EOF) {
-					f.counters[c.idx].failures.Add(1)
+			if popped.src != nil {
+				c := popped
+				popped = lineCursor{}
+				rl, err := c.src.Next()
+				if err != nil {
+					// EOF ends the shard cleanly; anything else kills its
+					// remaining contribution (headers are already sent, so
+					// the failure shows in counters, not this response).
+					if !errors.Is(err, io.EOF) {
+						f.counters[c.idx].failures.Add(1)
+					}
+					c.src.Close()
+				} else {
+					c.head = rl
+					h.Push(c)
 				}
-				c.src.Close()
-			} else {
-				c.head = rl
-				h.Push(c)
 			}
+			if h.Len() == 0 {
+				return RecordLine{}, io.EOF
+			}
+			popped = h.Pop()
 			remaining--
-			return out, nil
+			return popped.head, nil
 		},
 		close: closeAll,
 	}, nil

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -653,6 +654,101 @@ func TestFederationHedgeCounter(t *testing.T) {
 			}
 			if !tc.moved && (inStats != 0 || inMetrics != 0) {
 				t.Errorf("hedges with no hedge delay: /stats %d, /metrics %v; want 0 in both", inStats, inMetrics)
+			}
+		})
+	}
+}
+
+// TestRemoteHostileShard puts a misbehaving shard next to two honest
+// ones: whatever it sends, the router answers 200 with the honest
+// shards' merge (plus the bad shard's good prefix), counts the shard's
+// failure, and never buffers more than the line cap.
+func TestRemoteHostileShard(t *testing.T) {
+	f := newFederationFixture(t)
+	ctx := context.Background()
+	linesOf := func(be Backend) (lines [][]byte) {
+		t.Helper()
+		rs, err := be.RecordLines(ctx, Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.Close()
+		for {
+			rl, err := rs.Next()
+			if err != nil {
+				return lines
+			}
+			lines = append(lines, bytes.Clone(rl.Line)) // Line is borrowed
+		}
+	}
+	join := func(lines [][]byte) []byte {
+		return append(bytes.Join(lines, nl), nl...)
+	}
+	// shard serves a fixed NDJSON body whatever is asked, as a backend.
+	shard := func(name string, body []byte) Backend {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.Write(body)
+		}))
+		t.Cleanup(srv.Close)
+		rb, err := NewRemoteBackend([]string{srv.URL}, RemoteOptions{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rb
+	}
+	// The single store's stream dealt round-robin: each third is in seq
+	// order, and the three merge back to the whole.
+	var thirds [3][][]byte
+	for i, line := range linesOf(NewStoreBackend(f.single, nil)) {
+		thirds[i%3] = append(thirds[i%3], line)
+	}
+	honest := []Backend{shard("honest-0", join(thirds[0])), shard("honest-1", join(thirds[1]))}
+	bad := thirds[2]
+	huge := append(append([]byte(`{"note":"`), bytes.Repeat([]byte("x"), 2<<20)...), `",`...)
+	huge = append(huge, bad[0][1:]...) // a valid record, 2 MiB long
+
+	for _, c := range []struct {
+		name string
+		body []byte
+		good int  // lines of the bad shard that must still be served
+		fail bool // whether the shard's failure counter must move
+	}{
+		{"oversize line", append(join([][]byte{huge}), join(bad[1:])...), 0, true},
+		{"garbage after ten good lines", append(join(bad[:10]), "{\"prefix\":\"10.0.0.0/8\",\"seq\":}\n"...), 10, true},
+		{"body cut mid-record", append(join(bad[:10]), bad[10][:len(bad[10])/2]...), 10, true},
+		{"blank keep-alive lines", bytes.ReplaceAll(join(bad), nl, []byte("\n\n\n")), len(bad), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fed := NewFederatedStore(honest[0], honest[1], shard("hostile", c.body))
+			router := httptest.NewServer(NewRouterHandler(fed, RouterOptions{}))
+			defer router.Close()
+			// The same merge with the bad shard's good prefix served honestly.
+			want := join(linesOf(NewFederatedStore(honest[0], honest[1], shard("prefix", join(bad[:c.good])))))
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			resp, got := get(t, router.URL, "/events?format=ndjson")
+			runtime.ReadMemStats(&after)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, want 200", resp.StatusCode)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("router served %d bytes, want the %d of the honest merge plus %d good lines",
+					len(got), len(want), c.good)
+			}
+			// Refusing the hostile body may cost the cap a few times over
+			// (the buffer doubles up to it), not the line's size again and
+			// again: the 2 MiB line used to be read whole and passed on.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*maxShardLine+4*uint64(len(want)) {
+				t.Errorf("answering allocated %d bytes", grew)
+			}
+			var failures uint64
+			for i := range fed.counters {
+				failures += fed.counters[i].failures.Load()
+			}
+			if (failures > 0) != c.fail {
+				t.Errorf("stream failures counted = %d, want moved: %v", failures, c.fail)
 			}
 		})
 	}

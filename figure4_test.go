@@ -1,7 +1,9 @@
 package bgpblackholing
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -42,6 +44,27 @@ func checkFigure4MatchesScan(t *testing.T, st *Store, stage string) {
 				got[d].Users != want[d].Users || got[d].Prefixes != want[d].Prefixes {
 				t.Fatalf("%s window %d day %d: got %+v, want %+v", stage, wi, d, got[d], want[d])
 			}
+		}
+
+		// The mergeable shape obeys the same law: the per-day sets read
+		// from the view are, as JSON bytes, the scan's.
+		scan := analysis.NewFigure4Partial(w.start, w.days)
+		for ev := range st.s.All() {
+			scan.Observe(ev)
+		}
+		wantSets, err := json.Marshal(scan.Sets())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets, err := NewStoreBackend(st, nil).Figure4Sets(context.Background(), w.start, w.days)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotSets, _ := json.Marshal(sets); !bytes.Equal(gotSets, wantSets) {
+			t.Fatalf("%s window %d: Figure4Sets diverges from the scan:\n got %.300s\nwant %.300s", stage, wi, gotSets, wantSets)
+		}
+		if _, ok := st.s.DailySets(w.start, w.days); ok != (w.start.UnixNano()%int64(24*time.Hour) == 0) {
+			t.Fatalf("%s window %d: DailySets ok = %v for start %v", stage, wi, ok, w.start)
 		}
 	}
 }
@@ -104,4 +127,65 @@ func TestFigure4MaterializedMatchesScan(t *testing.T) {
 		t.Fatal("reopen found no cold segments; sidecars missing")
 	}
 	checkFigure4MatchesScan(t, st, "reopened-cold")
+}
+
+// TestFigure4SetsColdStore takes the mergeable Figure 4 through what
+// TestFigure4MaterializedMatchesScan's merge-all pass leaves out: a
+// store of many segments under tiered compaction, reopened full, cold
+// and cold+mmap — and checks that a cold store answering a window from
+// its day view hydrates only the segments that overlap it.
+func TestFigure4SetsColdStore(t *testing.T) {
+	p, err := NewPipeline(SmallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := OpenStoreWith(dir, StoreOptions{MaxSegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := p.NewDetector()
+	wait := det.SinkToStore(st)
+	if _, err := det.Run(context.Background(), p.Replay(800, 812)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Compact(CompactionPolicy{Partition: 3 * 24 * time.Hour, SizeRatio: 4, MinRun: 2}); err != nil {
+		t.Fatal(err)
+	}
+	checkFigure4MatchesScan(t, st, "tiered")
+	stats := st.Stats()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One early day: segments holding only later events stay cold.
+	day := stats.MinStart.UTC().Truncate(24 * time.Hour)
+	for name, opts := range map[string]StoreOptions{
+		"full":      {ReadOnly: true},
+		"cold":      {ReadOnly: true, ColdOpen: true},
+		"cold+mmap": {ReadOnly: true, ColdOpen: true, Mmap: true},
+	} {
+		st, err := OpenStoreWith(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.ColdOpen {
+			cold := st.Stats().SegmentsCold
+			if cold < 3 {
+				t.Fatalf("%s: only %d cold segments; fixture too coarse", name, cold)
+			}
+			if _, ok := st.s.DailySets(day, 1); !ok {
+				t.Fatalf("%s: DailySets refused an aligned window", name)
+			}
+			if after := st.Stats(); after.SegmentsHydrated == 0 || after.SegmentsHydrated >= cold {
+				t.Errorf("%s: a one-day window hydrated %d of %d cold segments, want some but not all",
+					name, after.SegmentsHydrated, cold)
+			}
+		}
+		checkFigure4MatchesScan(t, st, name)
+		st.Close()
+	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"slices"
 	"time"
@@ -305,17 +306,9 @@ type DayCount struct {
 // day-aligned or days is not positive; callers fall back to the scan
 // path then.
 func (s *Store) DailyCounts(start time.Time, days int) ([]DayCount, bool) {
-	if days <= 0 {
+	if !s.hydrateDays(start, days) {
 		return nil, false
 	}
-	const dayNanos = int64(24 * time.Hour)
-	if start.UnixNano()%dayNanos != 0 {
-		return nil, false
-	}
-	// Only events overlapping the window contribute, so the time
-	// dimension bounds which cold segments must hydrate.
-	end := start.Add(time.Duration(days)*24*time.Hour - time.Nanosecond)
-	s.ensureHydrated(Filter{From: start, To: end})
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d0 := unixDay(start)
@@ -328,6 +321,67 @@ func (s *Store) DailyCounts(start time.Time, days int) ([]DayCount, bool) {
 				Prefixes:  len(a.prefixes),
 			}
 		}
+	}
+	return out, true
+}
+
+// hydrateDays is the precondition DailyCounts and DailySets share: it
+// reports whether the view can answer the window (start on a UTC
+// midnight, days positive) and, when it can, hydrates the cold segments
+// overlapping it — only events overlapping the window contribute, so
+// the time dimension bounds which segments must be read.
+func (s *Store) hydrateDays(start time.Time, days int) bool {
+	const dayNanos = int64(24 * time.Hour)
+	if days <= 0 || start.UnixNano()%dayNanos != 0 {
+		return false
+	}
+	end := start.Add(time.Duration(days)*24*time.Hour - time.Nanosecond)
+	s.ensureHydrated(Filter{From: start, To: end})
+	return true
+}
+
+// DaySets is DailySets' answer: one sorted member list per day and
+// dimension, in the element types of analysis.Figure4Sets.
+type DaySets struct {
+	Providers [][]string
+	Users     [][]uint32
+	Prefixes  [][]string
+}
+
+// DailySets is DailyCounts with the members listed instead of counted:
+// per day the distinct providers, users and victim prefixes of the live
+// events overlapping it, each sorted (prefixes as strings) and never
+// nil — exactly analysis.Figure4Partial.Sets over a scan of the store,
+// read from the view in O(members) with no event touched. It is what a
+// federation asks of each shard, since sets union where counts cannot.
+// ok is false under DailyCounts' conditions, and the caller scans.
+func (s *Store) DailySets(start time.Time, days int) (DaySets, bool) {
+	if !s.hydrateDays(start, days) {
+		return DaySets{}, false
+	}
+	d0 := unixDay(start)
+	out := DaySets{make([][]string, days), make([][]uint32, days), make([][]string, days)}
+	s.mu.RLock()
+	for d := range days {
+		a := s.days[d0+int64(d)]
+		if a == nil {
+			a = &dayAgg{}
+		}
+		out.Providers[d] = slices.AppendSeq(make([]string, 0, len(a.providers)), maps.Keys(a.providers))
+		out.Users[d] = make([]uint32, 0, len(a.users))
+		for u := range a.users {
+			out.Users[d] = append(out.Users[d], uint32(u))
+		}
+		out.Prefixes[d] = make([]string, 0, len(a.prefixes))
+		for p := range a.prefixes {
+			out.Prefixes[d] = append(out.Prefixes[d], p.String())
+		}
+	}
+	s.mu.RUnlock()
+	for d := range days { // sorted outside the lock: appends need not wait for it
+		slices.Sort(out.Providers[d])
+		slices.Sort(out.Users[d])
+		slices.Sort(out.Prefixes[d])
 	}
 	return out, true
 }

@@ -1,8 +1,10 @@
 package bgpblackholing
 
 import (
+	"encoding/json"
 	"fmt"
 	"iter"
+	"math"
 	"net/http"
 	"net/netip"
 	"net/url"
@@ -12,6 +14,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"bgpblackholing/internal/analysis"
 	"bgpblackholing/internal/core"
@@ -411,11 +414,119 @@ func NewEventRecord(ev *Event) EventRecord {
 // legitimacy_reasons fields appear on the wire.
 func NewEventRecordEnriched(ev *Event, ann Annotation) EventRecord {
 	r := NewEventRecord(ev)
+	r.annotate(ann)
+	return r
+}
+
+// annotate attaches a legitimacy annotation to an already projected
+// record.
+func (r *EventRecord) annotate(ann Annotation) {
 	r.RPKI = ann.RPKI
 	r.CommunityDoc = ann.Communities
 	r.Legitimacy = ann.Legitimacy
 	r.LegitimacyReasons = ann.Reasons
-	return r
+}
+
+// appendRecordLine appends rec's NDJSON line (no trailing newline) to
+// dst: byte for byte what json.Marshal(rec) returns — field order, the
+// omitempty rules, number formats — without reflection or a buffer per
+// line. What json.Marshal formats specially or refuses (a year outside
+// [0,9999], a duration outside [1e-6, 1e21) or not finite, a string that
+// needs escaping) is handed to it, so those bytes and errors are the
+// library's own. TestRecordLineMatchesJSON fails when EventRecord or an
+// enrichment struct changes shape under this function.
+func appendRecordLine(dst []byte, rec *EventRecord) ([]byte, error) {
+	mark := len(dst)
+	dst = appendJSONString(append(dst, `{"prefix":`...), rec.Prefix)
+	b, err := rec.Start.AppendText(append(dst, `,"start":"`...))
+	if err == nil {
+		b, err = rec.End.AppendText(append(b, `","end":"`...))
+	}
+	secs := rec.DurationSeconds
+	if abs := math.Abs(secs); err != nil || !(abs == 0 || abs >= 1e-6 && abs < 1e21) {
+		b, err = json.Marshal(rec)
+		return append(dst[:mark], b...), err
+	}
+	dst = strconv.AppendFloat(append(b, `","duration_seconds":`...), secs, 'f', -1, 64)
+	if rec.StartUnknown {
+		dst = append(dst, `,"start_unknown":true`...)
+	}
+	dst = appendJSONStrings(dst, `,"providers":[`, rec.Providers)
+	if len(rec.Users) > 0 {
+		dst = append(dst, `,"users":[`...)
+		for _, u := range rec.Users {
+			dst = append(strconv.AppendUint(dst, uint64(u), 10), ',')
+		}
+		dst[len(dst)-1] = ']' // over the last element's comma
+	}
+	dst = appendJSONStrings(dst, `,"communities":[`, rec.Communities)
+	dst = appendJSONStrings(dst, `,"platforms":[`, rec.Platforms)
+	dst = strconv.AppendInt(append(dst, `,"peers":`...), int64(rec.Peers), 10)
+	dst = strconv.AppendInt(append(dst, `,"detections":`...), int64(rec.Detections), 10)
+	if rec.DirectFeed {
+		dst = append(dst, `,"direct_feed":true`...)
+	}
+	if rec.SawNoExport {
+		dst = append(dst, `,"saw_no_export":true`...)
+	}
+	if rec.Seq != 0 {
+		dst = strconv.AppendUint(append(dst, `,"seq":`...), rec.Seq, 10)
+	}
+	if len(rec.RPKI) > 0 {
+		dst = append(dst, `,"rpki":[`...)
+		for _, v := range rec.RPKI {
+			dst = strconv.AppendUint(append(dst, `{"origin":`...), uint64(v.Origin), 10)
+			dst = append(appendJSONString(append(dst, `,"state":`...), v.State), '}', ',')
+		}
+		dst[len(dst)-1] = ']'
+	}
+	if len(rec.CommunityDoc) > 0 {
+		dst = append(dst, `,"community_doc":[`...)
+		for _, c := range rec.CommunityDoc {
+			dst = appendJSONString(append(dst, `{"community":`...), c.Community)
+			dst = appendJSONString(append(dst, `,"doc":`...), c.Doc)
+			if c.MaxPrefixLen != 0 {
+				dst = strconv.AppendInt(append(dst, `,"max_prefix_len":`...), int64(c.MaxPrefixLen), 10)
+			}
+			dst = strconv.AppendBool(append(dst, `,"within_max_len":`...), c.WithinMaxLen)
+			dst = append(dst, '}', ',')
+		}
+		dst[len(dst)-1] = ']'
+	}
+	if rec.Legitimacy != "" {
+		dst = appendJSONString(append(dst, `,"legitimacy":`...), rec.Legitimacy)
+	}
+	dst = appendJSONStrings(dst, `,"legitimacy_reasons":[`, rec.LegitimacyReasons)
+	return append(dst, '}'), nil
+}
+
+// appendJSONStrings appends an omitempty string-list field; open is its
+// `,"name":[` opener.
+func appendJSONStrings(dst []byte, open string, list []string) []byte {
+	if len(list) == 0 {
+		return dst
+	}
+	dst = append(dst, open...)
+	for _, s := range list {
+		dst = append(appendJSONString(dst, s), ',')
+	}
+	dst[len(dst)-1] = ']'
+	return dst
+}
+
+// appendJSONString appends s as a JSON string. Every string the system
+// renders (prefixes, "AS3356", "3356:666", platform and verdict names)
+// is ASCII that encoding/json copies between quotes; anything it would
+// escape — quotes, backslashes, control bytes, < > &, non-ASCII — is
+// left to it.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // ParseProviderRef parses the canonical provider notation: "AS3356"

@@ -1,0 +1,318 @@
+package bgpblackholing
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"bgpblackholing/internal/enrich"
+)
+
+// This file holds the NDJSON line's two hand-written ends to the
+// library code they replaced: appendRecordLine to json.Marshal, and
+// scanLineKey to json.Unmarshal into recordLineKey.
+
+// lineFixtureEvents is every event of SmallOptions seed 42, days
+// 800–810, with the pipeline that annotates them.
+func lineFixtureEvents(t testing.TB) (*Pipeline, []*Event) {
+	t.Helper()
+	p, err := NewPipeline(SmallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.NewDetector().Run(context.Background(), p.Replay(800, 810))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Events) < 100 {
+		t.Fatalf("fixture window produced only %d events", len(res.Events))
+	}
+	return p, res.Events
+}
+
+// sameAsMarshal checks one record: the same bytes, or the same error.
+func sameAsMarshal(t *testing.T, rec *EventRecord) {
+	t.Helper()
+	want, wantErr := json.Marshal(rec)
+	got, gotErr := appendRecordLine([]byte("kept:"), rec)
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("appendRecordLine error %v, json.Marshal error %v\nrecord %+v", gotErr, wantErr, rec)
+	}
+	if string(got) != "kept:"+string(want) {
+		t.Fatalf("appendRecordLine diverges from json.Marshal:\n got %s\nwant kept:%s", got, want)
+	}
+}
+
+// TestRecordLineMatchesJSON holds appendRecordLine to json.Marshal byte
+// for byte: over real events plain and enriched, over a seeded set of
+// records built to hit every escape, float format, omitempty edge and
+// refused value, and — by reflection — over the struct shapes it has
+// hard-coded.
+func TestRecordLineMatchesJSON(t *testing.T) {
+	t.Run("shape", func(t *testing.T) {
+		// The encoder spells these fields out. A field added, removed,
+		// reordered or re-tagged must be taught to it (and to this list).
+		for _, c := range []struct {
+			typ  any
+			want string
+		}{
+			{EventRecord{}, `Prefix string "prefix"; Start time.Time "start"; End time.Time "end"; ` +
+				`DurationSeconds float64 "duration_seconds"; StartUnknown bool "start_unknown,omitempty"; ` +
+				`Providers []string "providers,omitempty"; Users []uint32 "users,omitempty"; ` +
+				`Communities []string "communities,omitempty"; Platforms []string "platforms,omitempty"; ` +
+				`Peers int "peers"; Detections int "detections"; DirectFeed bool "direct_feed,omitempty"; ` +
+				`SawNoExport bool "saw_no_export,omitempty"; Seq uint64 "seq,omitempty"; ` +
+				`RPKI []enrich.OriginValidity "rpki,omitempty"; CommunityDoc []enrich.CommunityDoc "community_doc,omitempty"; ` +
+				`Legitimacy string "legitimacy,omitempty"; LegitimacyReasons []string "legitimacy_reasons,omitempty"; `},
+			{OriginValidity{}, `Origin bgp.ASN "origin"; State string "state"; `},
+			{CommunityDoc{}, `Community string "community"; Doc string "doc"; ` +
+				`MaxPrefixLen int "max_prefix_len,omitempty"; WithinMaxLen bool "within_max_len"; `},
+		} {
+			typ, got := reflect.TypeOf(c.typ), ""
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				got += fmt.Sprintf("%s %s %q; ", f.Name, f.Type, f.Tag.Get("json"))
+			}
+			if got != c.want {
+				t.Errorf("%s changed shape; teach appendRecordLine the new one:\n got %s\nwant %s", typ, got, c.want)
+			}
+		}
+	})
+
+	t.Run("events", func(t *testing.T) {
+		p, events := lineFixtureEvents(t)
+		ann := p.Annotator()
+		for _, ev := range events {
+			rec := NewEventRecord(ev)
+			sameAsMarshal(t, &rec)
+			rec = NewEventRecordEnriched(ev, ann.AnnotateUncached(ev))
+			sameAsMarshal(t, &rec)
+		}
+		// Beyond the projection's own allocations a plain line costs at
+		// most one: the buffer, when it must grow.
+		ev := events[len(events)/2]
+		project := testing.AllocsPerRun(200, func() { NewEventRecord(ev) })
+		var buf []byte
+		line := testing.AllocsPerRun(200, func() {
+			rec := NewEventRecord(ev)
+			buf, _ = appendRecordLine(buf[:0], &rec)
+		})
+		if line > project+1 {
+			t.Errorf("a line costs %.0f allocations, the projection alone %.0f", line, project)
+		}
+	})
+
+	t.Run("adversarial", func(t *testing.T) {
+		r := rand.New(rand.NewSource(42))
+		atoms := []string{"", "AS3356", `"`, `\`, "<", ">", "&", "/", "\x00", "\x1f", "\b", "\f", "\n", "\r", "\t", "\x7f",
+			"\xff", "\xc3", "\xe2\x80", "\xed\xa0\x80", "é", "\u2028", "\u2029", "\u2027", "\ufffd", "𝄞", "</script>"}
+		str := func() string {
+			s := ""
+			for n := r.Intn(4); n >= 0; n-- {
+				s += atoms[r.Intn(len(atoms))]
+			}
+			return s
+		}
+		strs := func() []string {
+			switch n := r.Intn(4); n {
+			case 0:
+				return nil
+			case 1:
+				return []string{}
+			default:
+				out := make([]string, n-1)
+				for i := range out {
+					out[i] = str()
+				}
+				return out
+			}
+		}
+		durations := []float64{0, math.Copysign(0, -1), 1e-7, 9.99e-7, 1e-6, 1e-9, 1.5e-10, 1, 10800, 0.1, 1e20, 1e21, 1.5e300,
+			-1, -1e-7, -1e21, math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+		times := []time.Time{{}, time.Unix(0, 0).UTC(), time.Date(2015, 3, 1, 12, 0, 0, 0, time.UTC),
+			time.Date(2016, 1, 2, 3, 4, 5, 678, time.FixedZone("", 3*3600+1800)),
+			time.Date(2016, 1, 2, 3, 4, 5, 120000000, time.FixedZone("w", -7*3600)),
+			time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+			time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(2016, 1, 1, 0, 0, 0, 0, time.FixedZone("far", 24*3600))}
+		for i := 0; i < 4000; i++ {
+			rec := EventRecord{
+				Prefix:            str(),
+				Start:             times[r.Intn(len(times))],
+				End:               times[r.Intn(len(times))],
+				DurationSeconds:   durations[r.Intn(len(durations))],
+				StartUnknown:      r.Intn(2) == 0,
+				Providers:         strs(),
+				Communities:       strs(),
+				Platforms:         strs(),
+				Peers:             r.Intn(3) - 1,
+				Detections:        r.Intn(1 << 20),
+				DirectFeed:        r.Intn(2) == 0,
+				SawNoExport:       r.Intn(2) == 0,
+				Seq:               uint64(r.Intn(3)) * math.MaxUint64 / 2,
+				Legitimacy:        str(),
+				LegitimacyReasons: strs(),
+			}
+			if i%8 != 0 { // most records carry a representable time, so the rest of the line is compared too
+				rec.Start, rec.End = times[1+r.Intn(5)], times[1+r.Intn(5)]
+			}
+			switch r.Intn(3) {
+			case 1:
+				rec.Users = []uint32{}
+			case 2:
+				rec.Users = []uint32{0, uint32(r.Int63()), math.MaxUint32}
+			}
+			for n := r.Intn(3); n > 0; n-- {
+				rec.RPKI = append(rec.RPKI, OriginValidity{Origin: ASN(r.Uint32()), State: str()})
+				rec.CommunityDoc = append(rec.CommunityDoc, CommunityDoc{Community: str(), Doc: str(),
+					MaxPrefixLen: r.Intn(3) - 1, WithinMaxLen: r.Intn(2) == 0})
+			}
+			if r.Intn(4) == 0 {
+				rec.RPKI, rec.CommunityDoc = []enrich.OriginValidity{}, []enrich.CommunityDoc{}
+			}
+			sameAsMarshal(t, &rec)
+		}
+	})
+}
+
+// TestEnrichedLinesProjectOnce is the regression test for the double
+// projection: an enriched stream used to build NewEventRecord(ev), throw
+// it away and project again inside NewEventRecordEnriched. A streamed
+// enriched line may allocate what one projection and one annotation do,
+// plus the iterator's and the buffer's small change — not a second
+// projection.
+func TestEnrichedLinesProjectOnce(t *testing.T) {
+	p, events := lineFixtureEvents(t)
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Append(events...); err != nil {
+		t.Fatal(err)
+	}
+	ann := p.Annotator()
+	floor := testing.AllocsPerRun(1, func() {
+		for _, ev := range events {
+			rec := NewEventRecord(ev)
+			rec.annotate(ann.AnnotateUncached(ev))
+		}
+	})
+	be := NewStoreBackend(st, p)
+	lines := 0
+	streamed := testing.AllocsPerRun(1, func() {
+		rs, err := be.RecordLines(context.Background(), Query{Enrich: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.Close()
+		for lines = 0; ; lines++ {
+			if _, err := rs.Next(); err != nil {
+				break
+			}
+		}
+	})
+	if lines != len(events) {
+		t.Fatalf("streamed %d lines, want %d", lines, len(events))
+	}
+	// One allocation per line of slack covers the iterator and buffer
+	// growth; a second projection costs at least five.
+	if ceiling := floor + float64(len(events)) + 64; streamed > ceiling {
+		t.Errorf("enriched stream: %.0f allocations for %d lines; one projection + one annotation each is %.0f",
+			streamed, lines, floor)
+	}
+}
+
+// recordLineKey is the reflective decode RemoteBackend.RecordLines used
+// before scanLineKey, kept as its oracle.
+type recordLineKey struct {
+	Prefix string    `json:"prefix"`
+	Start  time.Time `json:"start"`
+	End    time.Time `json:"end"`
+	Seq    uint64    `json:"seq"`
+}
+
+func oracleLineKey(line []byte) (RecordKey, error) {
+	var key recordLineKey
+	if err := json.Unmarshal(line, &key); err != nil {
+		return RecordKey{}, err
+	}
+	return RecordKey{End: key.End.UnixNano(), Seq: key.Seq, Start: key.Start.UnixNano(), Prefix: key.Prefix}, nil
+}
+
+// lineKeySeeds are lines of every kind scanLineKey must read or refuse
+// exactly as encoding/json does.
+var lineKeySeeds = []string{
+	// real shapes: plain, enriched, IPv6, seq-less legacy
+	`{"prefix":"10.1.2.3/32","start":"2015-03-01T12:00:00Z","end":"2015-03-01T15:00:00Z","duration_seconds":10800,"providers":["AS3356"],"users":[65001],"communities":["3356:9999"],"platforms":["RIS"],"peers":1,"detections":2,"seq":17}`,
+	`{"prefix":"10.1.2.3/32","start":"2015-03-01T12:00:00.5Z","end":"2015-03-01T15:00:00.123456789+02:00","duration_seconds":1e-7,"start_unknown":true,"peers":1,"detections":2,"seq":18446744073709551615,"rpki":[{"origin":65001,"state":"valid"}],"community_doc":[{"community":"3356:9999","doc":"irr","max_prefix_len":32,"within_max_len":true}],"legitimacy":"legitimate","legitimacy_reasons":["a","b"]}`,
+	`{"prefix":"2001:db8::/48","start":"2016-01-01T00:00:00Z","end":"2016-01-02T00:00:00Z","duration_seconds":86400,"peers":0,"detections":1,"seq":3}`,
+	`{"prefix":"192.0.2.0/24","start":"2014-12-01T00:00:00Z","end":"2014-12-01T00:05:00Z","duration_seconds":300,"peers":2,"detections":2}`,
+	// key matching: case folding (ASCII and the long s), escapes, duplicates
+	`{"PREFIX":"a","Start":"2015-03-01T12:00:00Z","eNd":"2015-03-01T12:00:00Z","SEQ":4}`,
+	`{"ſeq":5,"ſtart":"2015-03-01T12:00:00Z","prefiX":"x"}`,
+	`{"\u0073eq":6,"pre\u0066ix":"a\u0062c","\u0053TART":"2015-03-01T12:00:00Z","s\u0065q\u0000":1,"\u212aey":1}`,
+	`{"s\u0065q":"6"}`, `{"\u017feq":7}`, "{\"se\xffq\":8,\"seq\":9}",
+	`{"seq":1,"seq":2,"prefix":"a","prefix":"b","start":"2015-03-01T12:00:00Z","start":"2016-03-01T12:00:00Z"}`,
+	`{"seq":7,"seq":null,"prefix":"kept","prefix":null,"end":"2015-03-01T12:00:00Z","end":null}`,
+	`{"seq":null,"prefix":null,"start":null,"end":null}`,
+	// values in strings and nested containers that only look like keys
+	`{"note":"\"seq\":99,\"prefix\":\"no\"","nested":{"seq":98,"prefix":"no","deep":[{"seq":97}]},"seq":1}`,
+	`{"prefix":"esc\"aped\\ é 𝄞 \ud800 </ ","seq":2}`,
+	"{\"prefix\":\"caf\xc3\xa9 \xff\xfe bad utf8\",\"seq\":3}",
+	// mistyped key fields
+	`{"seq":"5"}`, `{"seq":-1}`, `{"seq":1.0}`, `{"seq":1e2}`, `{"seq":18446744073709551616}`, `{"seq":true}`, `{"seq":[1]}`, `{"seq":{}}`,
+	`{"prefix":5}`, `{"prefix":true}`, `{"prefix":["a"]}`, `{"prefix":{"a":1}}`,
+	`{"start":5}`, `{"start":"yesterday"}`, `{"start":"2015-03-01T12:00:00"}`, `{"start":"2015-03-01 12:00:00Z"}`, `{"start":"2015-03-01T12:00:00Z "}`,
+	`{"start":"2015-03-01T12:00:00Z"}`, `{"start":["2015-03-01T12:00:00Z"]}`, `{"start":{}}`, `{"end":false}`, `{"end":"2015-02-30T12:00:00Z"}`,
+	`{"start":"0000-01-01T00:00:00Z","end":"9999-12-31T23:59:59.999999999Z"}`, `{"start":"10000-01-01T00:00:00Z"}`, `{"start":"2015-03-01T12:00:00+24:00"}`,
+	// not objects
+	`null`, ` null `, `true`, `false`, `0`, `-0`, `1.5e+3`, `"seq"`, `[]`, `[{"seq":1}]`, `{}`, ` { } `, "\t{\"seq\" : 1 ,\r\n\"prefix\" : \"a\" }\n",
+	// malformed
+	``, ` `, `{`, `}`, `{"seq"}`, `{"seq":}`, `{"seq":1,}`, `{,"seq":1}`, `{"seq":1 "prefix":"a"}`, `{"seq":1}}`, `{"seq":1}{`, `{"seq":1} x`, `{seq:1}`, `{'seq':1}`,
+	`{"seq":01}`, `{"seq":1.}`, `{"seq":.5}`, `{"seq":1e}`, `{"seq":+1}`, `{"seq":-}`, `{"a":tru}`, `{"a":nul}`, `{"a":nulll}`, `{"a":truefalse}`, `nullnull`,
+	`{"a":"unterminated}`, `{"a":"bad \x escape"}`, `{"a":"bad \u12g4"}`, `{"a":"short \u12"}`, "{\"a\":\"raw\ncontrol\"}", "{\"a\":\"tab\tinside\"}", `{"a":"trailing backslash\`,
+	`{"a":[1,2,]}`, `{"a":[1 2]}`, `{"a":[}`, `{"a":{]}`, `[1,2`, `{"a":{"b":{"c":[[[]]]}}}`, `{"a":[[[[`,
+}
+
+// FuzzRecordLineKey is the differential test for scanLineKey against
+// the reflective decode it replaced: the two must fail on the same
+// inputs and, when they succeed, agree on all four key fields.
+func FuzzRecordLineKey(f *testing.F) {
+	for _, s := range lineKeySeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		want, wantErr := oracleLineKey(line)
+		got, gotErr := scanLineKey(line)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("scanLineKey error %v, json.Unmarshal error %v\nline %q", gotErr, wantErr, line)
+		}
+		if got != want {
+			t.Fatalf("scanLineKey %+v, json.Unmarshal %+v\nline %q", got, want, line)
+		}
+	})
+}
+
+// TestScanLineKeyNesting pins the one limit no short seed reaches:
+// encoding/json refuses nesting deeper than 10000, and so must the scan.
+func TestScanLineKeyNesting(t *testing.T) {
+	for _, depth := range []int{9999, 10000, 10001} {
+		line := []byte(`{"seq":1,"a":`)
+		for i := 1; i < depth; i++ { // the line's own object is level one
+			line = append(line, '[')
+		}
+		for i := 1; i < depth; i++ {
+			line = append(line, ']')
+		}
+		line = append(line, '}')
+		_, wantErr := oracleLineKey(line)
+		if _, gotErr := scanLineKey(line); (gotErr == nil) != (wantErr == nil) {
+			t.Errorf("depth %d: scanLineKey error %v, json.Unmarshal error %v", depth, gotErr, wantErr)
+		}
+	}
+}

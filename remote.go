@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // RemoteBackend speaks the existing bhserve HTTP/NDJSON wire format as
@@ -292,18 +293,19 @@ func (b *RemoteBackend) Records(ctx context.Context, q Query) (*RecordSet, error
 	}, nil
 }
 
-// recordLineKey is the minimal per-line decode a merge needs — the
-// full record rides through as raw bytes.
-type recordLineKey struct {
-	Prefix string    `json:"prefix"`
-	Start  time.Time `json:"start"`
-	End    time.Time `json:"end"`
-	Seq    uint64    `json:"seq"`
-}
+// maxShardLine caps one NDJSON line read from a shard. A record is a
+// few hundred bytes (a few KiB enriched); a line that reaches the cap
+// is a misbehaving shard, and buffering more of it would let one shard
+// grow the router without bound.
+const maxShardLine = 1 << 20
 
 // RecordLines implements Backend over GET /events?format=ndjson.
 // Failover walks the URL set sequentially and only before the first
-// body byte; once a stream is live its shard is committed.
+// body byte; once a stream is live its shard is committed. Lines are
+// read through one reused buffer (RecordLine.Line is borrowed) that
+// never grows past maxShardLine; an oversize or malformed line, like a
+// read error, ends the stream with an error the federation counts as
+// this shard's failure.
 func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	params := queryParams(q)
 	params.Set("format", "ndjson")
@@ -311,40 +313,231 @@ func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream
 	if err != nil {
 		return nil, err
 	}
-	rd := bufio.NewReaderSize(resp.Body, 64<<10)
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 64<<10), maxShardLine)
 	return &RecordStream{
 		next: func() (RecordLine, error) {
-			for {
-				raw, err := rd.ReadBytes('\n')
-				line := bytes.TrimRight(raw, "\n")
+			for sc.Scan() {
+				line := sc.Bytes()
 				if len(line) == 0 {
-					if err != nil {
-						if err == io.EOF {
-							return RecordLine{}, io.EOF
-						}
-						return RecordLine{}, err
-					}
 					continue // blank keep-alive line
 				}
-				var key recordLineKey
-				if jerr := json.Unmarshal(line, &key); jerr != nil {
-					return RecordLine{}, fmt.Errorf("shard %s: bad NDJSON line: %v", b.name, jerr)
+				key, err := scanLineKey(line)
+				if err != nil {
+					return RecordLine{}, fmt.Errorf("shard %s: bad NDJSON line: %v", b.name, err)
 				}
-				// The line must be owned by the caller: ReadBytes
-				// allocates per line, so no copy is needed.
-				return RecordLine{
-					Key: RecordKey{
-						End:    key.End.UnixNano(),
-						Seq:    key.Seq,
-						Start:  key.Start.UnixNano(),
-						Prefix: key.Prefix,
-					},
-					Line: line,
-				}, nil
+				return RecordLine{Key: key, Line: line}, nil
 			}
+			if err := sc.Err(); err != nil {
+				return RecordLine{}, fmt.Errorf("shard %s: %w", b.name, err)
+			}
+			return RecordLine{}, io.EOF
 		},
 		close: func() { resp.Body.Close() },
 	}, nil
+}
+
+// scanLineKey derives a line's merge key in one pass over its bytes. The
+// key is scanned, not decoded: a reflective json.Unmarshal of four
+// fields cost the router as much per line as producing the line cost
+// the shard. It accepts and rejects exactly what json.Unmarshal into
+//
+//	struct {
+//		Prefix string    `json:"prefix"`
+//		Start  time.Time `json:"start"`
+//		End    time.Time `json:"end"`
+//		Seq    uint64    `json:"seq"`
+//	}
+//
+// does, and yields the same four values (FuzzRecordLineKey holds it to
+// that): the whole line must be valid JSON, an object or null; keys
+// match case-folded, the last duplicate wins, a null value leaves its
+// field alone and any other mistyped value is an error.
+func scanLineKey(line []byte) (RecordKey, error) {
+	var k lineKey
+	i := skipSpace(line, 0)
+	end := k.skipValue(line, i, 0)
+	if end < 0 || skipSpace(line, end) != len(line) || line[i] != '{' && line[i] != 'n' {
+		if k.err == nil {
+			k.err = errors.New("not a JSON object")
+		}
+		return RecordKey{}, k.err
+	}
+	return RecordKey{End: k.end.UnixNano(), Seq: k.seq, Start: k.start.UnixNano(), Prefix: k.prefix}, nil
+}
+
+// lineKey collects the key fields as the scan meets them, and the error
+// of a member that is syntactically fine but no value for its field.
+type lineKey struct {
+	prefix     string
+	start, end time.Time
+	seq        uint64
+	err        error
+}
+
+var keyPrefix, keyStart, keyEnd, keySeq = []byte("prefix"), []byte("start"), []byte("end"), []byte("seq")
+
+// maxJSONDepth is encoding/json's nesting limit.
+const maxJSONDepth = 10000
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// skipValue returns the index after the JSON value starting at b[i], or
+// -1 if there is none by encoding/json's grammar (its nesting limit
+// included). depth counts the containers open around the value; the
+// members of the outermost one, the line itself, are offered to set.
+func (k *lineKey) skipValue(b []byte, i, depth int) int {
+	if i >= len(b) {
+		return -1
+	}
+	switch c := b[i]; c {
+	case '"':
+		end, _ := skipString(b, i)
+		return end
+	case 't', 'f', 'n':
+		for _, lit := range [...]string{"true", "false", "null"} {
+			if len(b)-i >= len(lit) && string(b[i:i+len(lit)]) == lit {
+				return i + len(lit)
+			}
+		}
+		return -1
+	case '{', '[':
+		if depth++; depth > maxJSONDepth {
+			return -1
+		}
+		closer := c + 2 // '}' is '{'+2 and ']' is '['+2
+		if i = skipSpace(b, i+1); i < len(b) && b[i] == closer {
+			return i + 1
+		}
+		for {
+			var name []byte
+			var plain bool
+			if c == '{' {
+				end, p := skipString(b, i)
+				if end < 0 {
+					return -1
+				}
+				name, plain = b[i:end], p
+				if i = skipSpace(b, end); i >= len(b) || b[i] != ':' {
+					return -1
+				}
+				i = skipSpace(b, i+1)
+			}
+			end := k.skipValue(b, i, depth)
+			if end < 0 || c == '{' && depth == 1 && !k.set(name, plain, b[i:end]) {
+				return -1
+			}
+			if i = skipSpace(b, end); i >= len(b) || b[i] != closer && b[i] != ',' {
+				return -1
+			}
+			if b[i] == closer {
+				return i + 1
+			}
+			i = skipSpace(b, i+1)
+		}
+	}
+	// A number: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
+	if b[i] == '-' {
+		i++
+	}
+	j := skipDigits(b, i)
+	if j == i || b[i] == '0' && j > i+1 {
+		return -1
+	}
+	if j < len(b) && b[j] == '.' {
+		if i, j = j+1, skipDigits(b, j+1); j == i {
+			return -1
+		}
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		if j++; j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		if i, j = j, skipDigits(b, j); j == i {
+			return -1
+		}
+	}
+	return j
+}
+
+// skipString returns the index after the string token opening at b[i],
+// -1 if none does or it is malformed, and whether the token is plain:
+// ASCII with no escape, so the bytes between its quotes are its value.
+func skipString(b []byte, i int) (end int, plain bool) {
+	if i >= len(b) || b[i] != '"' {
+		return -1, false
+	}
+	plain = true
+	for i++; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1, plain
+		case c < ' ':
+			return -1, false
+		case c >= utf8.RuneSelf:
+			plain = false
+		case c == '\\':
+			plain = false
+			if i++; i < len(b) && b[i] == 'u' {
+				for end := i + 4; i < end; {
+					if i++; i >= len(b) || !('0' <= b[i] && b[i] <= '9' || 'a' <= b[i]|0x20 && b[i]|0x20 <= 'f') {
+						return -1, false
+					}
+				}
+			} else if i >= len(b) || strings.IndexByte(`"\\/bfnrt`, b[i]) < 0 {
+				return -1, false
+			}
+		}
+	}
+	return -1, false
+}
+
+// set stores one member of the line's object when name, its raw key
+// token, names a key field, reading the raw value token tok as
+// encoding/json reads it into that field's type. It reports whether the
+// scan may go on; k.err says why not.
+func (k *lineKey) set(name []byte, plain bool, tok []byte) bool {
+	key := name[1 : len(name)-1]
+	if !plain {
+		var s string // an escaped or non-ASCII key is rare enough to leave to the library
+		if k.err = json.Unmarshal(name, &s); k.err != nil {
+			return false
+		}
+		key = []byte(s)
+	} else if len(key) < len(keyEnd) || len(key) > len(keyPrefix) {
+		return true // no key field's name
+	}
+	switch {
+	case bytes.EqualFold(key, keyStart):
+		k.err = k.start.UnmarshalJSON(tok) // null is its no-op, a non-string its error
+	case bytes.EqualFold(key, keyEnd):
+		k.err = k.end.UnmarshalJSON(tok)
+	case tok[0] == 'n':
+		// null leaves prefix and seq alone too
+	case bytes.EqualFold(key, keySeq):
+		k.seq, k.err = strconv.ParseUint(string(tok), 10, 64) // an error for every non-number as well
+	case bytes.EqualFold(key, keyPrefix):
+		if _, plain := skipString(tok, 0); plain {
+			k.prefix = string(tok[1 : len(tok)-1])
+		} else {
+			var s string // not a string, which is an error, or one the library must unquote
+			k.err = json.Unmarshal(tok, &s)
+			k.prefix = s
+		}
+	}
+	return k.err == nil
 }
 
 // figure4Params renders a Figure 4 window as the /figure4 parameter set.

@@ -10,8 +10,12 @@ package bgpblackholing
 // no replay, no raw update data.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"os"
 	"sync"
@@ -399,4 +403,98 @@ func BenchmarkCompactTiered(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// routerBenchFixture serves the bench window twice over loopback HTTP:
+// from one cold-opened store, and from three cold-opened shard stores
+// (split by prefix:8:3) behind a router handler over RemoteBackends —
+// the bhserve ×3 + bhroute deployment in one process. It returns the
+// two base URLs and one keep-alive client.
+func routerBenchFixture(b *testing.B) (single, router string, client *http.Client) {
+	b.Helper()
+	events := storeBenchEvents(b)
+	plan := PrefixShardPlan{Bit: 8, N: 3}
+	serve := func(keep func(*Event) bool) string {
+		dir := b.TempDir()
+		st, err := OpenStoreWith(dir, StoreOptions{MaxSegmentBytes: 16 << 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ev := range events {
+			if keep(ev) {
+				if err := st.Append(ev); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if st, err = OpenStoreWith(dir, StoreOptions{ReadOnly: true, ColdOpen: true, Mmap: true}); err != nil {
+			b.Fatal(err)
+		}
+		srv := httptest.NewServer(NewStoreHandler(st, storeBench.pipeline))
+		b.Cleanup(func() { srv.Close(); st.Close() })
+		return srv.URL
+	}
+	single = serve(func(*Event) bool { return true })
+	backends := make([]Backend, plan.Shards())
+	for i := range backends {
+		rb, err := NewRemoteBackend([]string{serve(func(ev *Event) bool { return plan.Shard(ev) == i })},
+			RemoteOptions{Name: fmt.Sprintf("shard-%d", i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		backends[i] = rb
+	}
+	srv := httptest.NewServer(NewRouterHandler(NewFederatedStore(backends...), RouterOptions{}))
+	b.Cleanup(srv.Close)
+	return single, srv.URL, &http.Client{}
+}
+
+// benchRouterVsSingle times one GET path against the router and, as a
+// sub-benchmark, against the single store, so the hop's overhead ratio
+// is one division; both must answer the same bytes. bytes/op is the
+// response body.
+func benchRouterVsSingle(b *testing.B, path string) {
+	single, router, client := routerBenchFixture(b)
+	var want []byte
+	for _, side := range []struct{ name, base string }{{"single", single}, {"router", router}} {
+		b.Run(side.name, func(b *testing.B) {
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				resp, err := client.Get(side.base + path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || len(body) == 0 {
+					b.Fatalf("GET %s: status %d, %d bytes, err %v", path, resp.StatusCode, len(body), err)
+				}
+				if want == nil {
+					want = body
+				} else if i == 0 && !bytes.Equal(body, want) {
+					b.Fatalf("GET %s: the router and the single store answer different bytes", path)
+				}
+				n = len(body)
+			}
+			b.ReportMetric(float64(n), "bytes/op")
+		})
+	}
+}
+
+// BenchmarkRouterWindowNDJSON streams the whole bench window as NDJSON:
+// per line the shard projects and encodes, the router scans the merge
+// key and passes the bytes through.
+func BenchmarkRouterWindowNDJSON(b *testing.B) {
+	benchRouterVsSingle(b, "/events?format=ndjson")
+}
+
+// BenchmarkRouterFigure4 asks for the daily series: the single store
+// answers from its per-day counts, the router unions its shards' per-day
+// sets (/figure4?shape=sets) and counts.
+func BenchmarkRouterFigure4(b *testing.B) {
+	benchRouterVsSingle(b, "/figure4")
 }
