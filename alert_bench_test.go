@@ -1,12 +1,12 @@
 package bgpblackholing
 
-// The alerting performance wall: live inference over a pre-materialised
-// day of updates with a 100-rule alerting hub on the event-close hook
-// (BenchmarkRuleMatch) must stay within 1.3x of the bare engine
-// (BenchmarkRuleMatchBaseline). scripts/bench_compare.go enforces the
-// ratio in CI; the rule set mixes every match dimension — prefix modes,
-// origins, communities, durations and verdict conditions — so the
-// compiled index, not a lucky subset, is what gets measured.
+// The alerting cost: live inference over a pre-materialised day of
+// updates with a 100-rule alerting hub on the event-close hook
+// (BenchmarkRuleMatch) against the bare engine
+// (BenchmarkRuleMatchBaseline); the rule set mixes every match
+// dimension — prefix modes, origins, communities, durations and verdict
+// conditions — so the compiled index, not a lucky subset, is what gets
+// measured.
 
 import (
 	"fmt"

@@ -68,9 +68,6 @@ const (
 // wire form).
 func ParseRule(s string) (AlertRule, error) { return alert.ParseRule(s) }
 
-// ParseRuleMode parses "exact", "covered" or "lpm".
-func ParseRuleMode(s string) (AlertRuleMode, error) { return alert.ParseMode(s) }
-
 // NewAlertHub compiles rules into a hub. The config's Annotator
 // enables detection-time enrichment (verdict-conditioned rules fire on
 // the live stream, and each alerted event's verdict is primed into the

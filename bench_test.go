@@ -61,7 +61,7 @@ func benchPipeline(b *testing.B) *Pipeline {
 func benchWindow(b *testing.B) *RunResult {
 	p := benchPipeline(b)
 	bench.onceWindow.Do(func() {
-		bench.window = p.RunWindow(windowFrom, windowTo)
+		bench.window = replay(b, p, windowFrom, windowTo)
 	})
 	return bench.window
 }
@@ -70,7 +70,7 @@ func benchWindow(b *testing.B) *RunResult {
 func benchFull(b *testing.B) *RunResult {
 	p := benchPipeline(b)
 	bench.onceFull.Do(func() {
-		bench.full = p.RunWindow(0, 850)
+		bench.full = replay(b, p, 0, 850)
 	})
 	return bench.full
 }

@@ -63,7 +63,6 @@
 package bgpblackholing
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -198,24 +197,6 @@ type RunResult struct {
 	// WindowStart and WindowEnd delimit the replayed wall-clock window
 	// (zero for non-replay sources).
 	WindowStart, WindowEnd time.Time
-}
-
-// RunWindow replays days [fromDay, toDay) of the scenario through the
-// inference engine and returns the closed events.
-//
-// Deprecated: RunWindow is the pre-streaming batch entry point, kept as
-// a thin wrapper producing byte-identical results. New code should use
-// the cancellable, incrementally-delivering form directly:
-//
-//	det := p.NewDetector()
-//	res, err := det.Run(ctx, p.Replay(fromDay, toDay))
-func (p *Pipeline) RunWindow(fromDay, toDay int) *RunResult {
-	res, err := p.NewDetector().Run(context.Background(), p.Replay(fromDay, toDay))
-	if err != nil {
-		// Unreachable: a background-context replay has no error paths.
-		panic(fmt.Sprintf("bgpblackholing: RunWindow: %v", err))
-	}
-	return res
 }
 
 // RPKIRegistry returns the deployment's ROA registry, or nil when the

@@ -1,6 +1,7 @@
 package bgpblackholing
 
 import (
+	"context"
 	"testing"
 
 	"bgpblackholing/internal/collector"
@@ -17,6 +18,17 @@ func smallPipeline(t testing.TB) *Pipeline {
 	return p
 }
 
+// replay runs days [fromDay, toDay) of p's scenario through a fresh
+// detector and returns the closed events.
+func replay(t testing.TB, p *Pipeline, fromDay, toDay int) *RunResult {
+	t.Helper()
+	res, err := p.NewDetector().Run(context.Background(), p.Replay(fromDay, toDay))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestPipelineBuilds(t *testing.T) {
 	p := smallPipeline(t)
 	if len(p.Topo.Order) == 0 || len(p.Deploy.Collectors) == 0 || len(p.Corpus) == 0 {
@@ -29,7 +41,7 @@ func TestPipelineBuilds(t *testing.T) {
 
 func TestRunWindowProducesEvents(t *testing.T) {
 	p := smallPipeline(t)
-	res := p.RunWindow(800, 805)
+	res := replay(t, p, 800, 805)
 	if len(res.Events) == 0 {
 		t.Fatal("no events inferred")
 	}
@@ -72,8 +84,8 @@ func TestRunWindowProducesEvents(t *testing.T) {
 func TestRunWindowDeterministic(t *testing.T) {
 	p1 := smallPipeline(t)
 	p2 := smallPipeline(t)
-	r1 := p1.RunWindow(800, 802)
-	r2 := p2.RunWindow(800, 802)
+	r1 := replay(t, p1, 800, 802)
+	r2 := replay(t, p2, 800, 802)
 	if len(r1.Events) != len(r2.Events) {
 		t.Fatalf("event counts differ: %d vs %d", len(r1.Events), len(r2.Events))
 	}
@@ -81,7 +93,7 @@ func TestRunWindowDeterministic(t *testing.T) {
 
 func TestMostBlackholedPrefixesAreHostRoutes(t *testing.T) {
 	p := smallPipeline(t)
-	res := p.RunWindow(795, 805)
+	res := replay(t, p, 795, 805)
 	n32, total := 0, 0
 	for _, ev := range res.Events {
 		if !ev.Prefix.Addr().Is4() {
@@ -102,7 +114,7 @@ func TestMostBlackholedPrefixesAreHostRoutes(t *testing.T) {
 
 func TestBundlingContributesNoPathInferences(t *testing.T) {
 	p := smallPipeline(t)
-	res := p.RunWindow(795, 805)
+	res := replay(t, p, 795, 805)
 	noPath, total := 0, 0
 	for _, ev := range res.Events {
 		for _, d := range ev.ASDistances {
@@ -123,7 +135,7 @@ func TestBundlingContributesNoPathInferences(t *testing.T) {
 
 func TestTableHelpers(t *testing.T) {
 	p := smallPipeline(t)
-	res := p.RunWindow(800, 803)
+	res := replay(t, p, 800, 803)
 	if rows := p.Table1(); len(rows) != 5 {
 		t.Fatalf("table1 rows = %d", len(rows))
 	}
@@ -156,7 +168,7 @@ func TestTableHelpers(t *testing.T) {
 
 func TestCDNSeesMostProviders(t *testing.T) {
 	p := smallPipeline(t)
-	res := p.RunWindow(790, 805)
+	res := replay(t, p, 790, 805)
 	rows := p.Table3(res.Events)
 	byName := map[string]int{}
 	for _, r := range rows {

@@ -98,10 +98,6 @@ func (p *Pipeline) NewDetector(opts ...DetectorOption) *Detector {
 	return NewDetector(p.Dict, p.Topo, opts...)
 }
 
-// SetClean toggles §3 data cleaning (bogon and coarse-prefix removal);
-// it is on by default.
-func (d *Detector) SetClean(clean bool) { d.engine.Clean = clean }
-
 // Metrics returns a snapshot of the engine's counters plus the fan-out
 // layer's slow-consumer counters; safe to call after Run returns (live
 // deployments report them on shutdown and via /stats).

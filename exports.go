@@ -220,7 +220,3 @@ func Kinds() []Kind { return topology.Kinds() }
 
 // DefaultSpikes lists the scenario's headline DDoS attacks.
 func DefaultSpikes() []Spike { return workload.DefaultSpikes() }
-
-// WorkloadPresets lists the named scenario presets accepted by
-// Options.Workload ("default", "flash-crowd").
-func WorkloadPresets() []string { return workload.Presets() }

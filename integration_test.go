@@ -203,8 +203,8 @@ func TestLiveRunDeterministicAcrossPipelines(t *testing.T) {
 	// Two pipelines from identical options must agree event for event.
 	p1 := smallPipeline(t)
 	p2 := smallPipeline(t)
-	a := p1.RunWindow(847, 849)
-	b := p2.RunWindow(847, 849)
+	a := replay(t, p1, 847, 849)
+	b := replay(t, p2, 847, 849)
 	sa, sb := signatures(a.Events), signatures(b.Events)
 	if len(sa) != len(sb) {
 		t.Fatalf("counts differ: %d vs %d", len(sa), len(sb))

@@ -91,16 +91,6 @@ func ParseCommunity(s string) (Community, error) {
 	return MakeCommunity(uint16(hi), uint16(lo)), nil
 }
 
-// MustParseCommunity is ParseCommunity that panics on error, for use in
-// tests and static tables.
-func MustParseCommunity(s string) Community {
-	c, err := ParseCommunity(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // LargeCommunity is an RFC 8092 large community: three 32-bit fields
 // rendered "global:local1:local2". The global administrator field holds a
 // 4-octet AS number, lifting the RFC 1997 16-bit restriction.

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
 	"sync"
 
 	"bgpblackholing/internal/bgp"
@@ -328,27 +327,6 @@ func (d *Deployment) SessionCount(p Platform) int {
 	return n
 }
 
-// DirectFeedProviders reports which blackholing providers have a direct
-// BGP session with any collector of the platform (Table 3's last column
-// denominator is all active providers).
-func (d *Deployment) DirectFeedProviders(p Platform) map[bgp.ASN]bool {
-	out := map[bgp.ASN]bool{}
-	for _, c := range d.ByPlatform(p) {
-		for _, s := range c.Sessions {
-			as := d.Topo.AS(s.AS)
-			if as != nil && as.OffersBlackholing() {
-				out[s.AS] = true
-			}
-			if s.RouteServer {
-				if x := d.Topo.IXPByRouteServer(s.AS); x != nil && x.Blackholing != nil {
-					out[s.AS] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
 // HasDirectFeed reports whether the AS has a direct BGP session with
 // any collector of the platform (pass platform -1 for "any platform").
 func (d *Deployment) HasDirectFeed(p Platform, asn bgp.ASN) bool {
@@ -369,14 +347,4 @@ func (d *Deployment) HasRSFeed(p Platform, ixpID int) bool {
 		}
 	}
 	return false
-}
-
-// sortedSessionASes lists all ASes with any collector session.
-func (d *Deployment) sortedSessionASes() []bgp.ASN {
-	out := make([]bgp.ASN, 0, len(d.sessionsByAS))
-	for a := range d.sessionsByAS {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -150,16 +150,6 @@ func usesRouteServer(member bgp.ASN, ixpID int) bool {
 	return detHash(uint64(member), uint64(ixpID), 0xA5)%10 < 6
 }
 
-// providerBlackholeNextHop is the null-interface address a provider AS
-// sets as next hop for blackholed prefixes.
-func providerBlackholeNextHop(as *topology.AS) netip.Addr {
-	if len(as.Prefixes) == 0 {
-		return netip.Addr{}
-	}
-	b := as.Prefixes[0].Addr().As4()
-	return netip.AddrFrom4([4]byte{b[0], b[1], 0, 66})
-}
-
 // propScratch holds the dense per-propagation working state, pooled on
 // the Deployment so concurrent Propagate calls (day-sharded replay) each
 // get their own buffers without per-call map allocation.

@@ -231,9 +231,6 @@ type Engine struct {
 	// one total closing order.
 	seq uint64
 
-	// Clean enables §3 data cleaning (bogon and coarse-prefix removal).
-	Clean bool
-
 	// OnEventClose, when non-nil, is invoked synchronously each time a
 	// prefix-level event closes — from a withdrawal, an implicit
 	// withdrawal, or Flush — before the event is appended to the closed
@@ -280,7 +277,6 @@ func NewEngine(dict *dictionary.Dictionary, topo *topology.Topology) *Engine {
 		topo:      topo,
 		perPeer:   map[peerKey]*peerState{},
 		perPrefix: map[netip.Prefix]*prefixState{},
-		Clean:     true,
 	}
 }
 
@@ -474,12 +470,11 @@ func (e *Engine) ProcessUpdate(u *bgp.Update, collectorName string, platform col
 }
 
 func (e *Engine) process(u *bgp.Update, collectorName string, platform collector.Platform, fromDump bool) {
-	if e.Clean {
-		u = bogon.CleanUpdate(u)
-		if u == nil {
-			e.metrics.updatesCleaned.Add(1)
-			return
-		}
+	// §3 data cleaning: bogon and coarse-prefix removal.
+	u = bogon.CleanUpdate(u)
+	if u == nil {
+		e.metrics.updatesCleaned.Add(1)
+		return
 	}
 	e.metrics.updatesProcessed.Add(1)
 

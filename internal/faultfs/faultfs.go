@@ -319,8 +319,7 @@ func (f *File) Name() string { return f.path }
 // FlakyConn wraps a net.Conn and fails on schedule: after a set number
 // of Read or Write calls the connection reports the configured error
 // and closes the underlying conn, simulating a session reset mid-feed.
-// Optional latency slows every operation (slow-peer simulation). Use
-// it on either side of a BGP session to drive reconnect logic.
+// Use it on either side of a BGP session to drive reconnect logic.
 type FlakyConn struct {
 	net.Conn
 
@@ -328,7 +327,6 @@ type FlakyConn struct {
 	readsLeft  int // remaining Read calls before failure; <0 = unlimited
 	writesLeft int // remaining Write calls before failure; <0 = unlimited
 	err        error
-	latency    time.Duration
 }
 
 // Flaky wraps conn with no faults scheduled.
@@ -361,23 +359,10 @@ func (c *FlakyConn) FailWritesAfter(n int, err error) *FlakyConn {
 	return c
 }
 
-// SetLatency delays every Read and Write by d.
-func (c *FlakyConn) SetLatency(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.latency = d
-}
-
 // use consumes one operation from the given budget, returning the
 // scheduled error once it is exhausted.
 func (c *FlakyConn) use(budget *int) error {
 	c.mu.Lock()
-	if c.latency > 0 {
-		d := c.latency
-		c.mu.Unlock()
-		time.Sleep(d)
-		c.mu.Lock()
-	}
 	defer c.mu.Unlock()
 	if *budget < 0 {
 		return nil

@@ -42,7 +42,6 @@ const (
 // Errors returned by the decoder.
 var (
 	ErrTruncated      = errors.New("mrt: truncated record")
-	ErrUnknownType    = errors.New("mrt: unknown record type")
 	ErrNoPeerIndex    = errors.New("mrt: RIB record before PEER_INDEX_TABLE")
 	ErrBadPeerIndex   = errors.New("mrt: peer index out of range")
 	ErrRecordTooLarge = errors.New("mrt: record exceeds size limit")
@@ -335,9 +334,6 @@ func (r *Reader) ReadAll() ([]Record, error) {
 		out = append(out, rec)
 	}
 }
-
-// PeerIndex returns the most recently decoded PEER_INDEX_TABLE, or nil.
-func (r *Reader) PeerIndex() *PeerIndexTable { return r.peers }
 
 // ResolveRIB converts a RIB record into per-peer bgp.RIBEntry values
 // using the reader's current peer index table.

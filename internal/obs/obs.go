@@ -150,17 +150,6 @@ func ExponentialBuckets(start, factor float64, count int) []float64 {
 	return b
 }
 
-// LinearBuckets returns count bounds starting at start, stepping by
-// width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	b := make([]float64, count)
-	for i := range b {
-		b[i] = start
-		start += width
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------
 // Series and families.
 
@@ -235,15 +224,6 @@ type CounterVec struct{ f *family }
 func (v *CounterVec) With(values ...string) *Counter {
 	key := renderLabels(v.f.labelNames, values)
 	return v.f.get(key, func() *series { return &series{labels: key, c: &Counter{}} }).c
-}
-
-// GaugeVec is a gauge family with variable labels.
-type GaugeVec struct{ f *family }
-
-// With returns the child gauge for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	key := renderLabels(v.f.labelNames, values)
-	return v.f.get(key, func() *series { return &series{labels: key, g: &Gauge{}} }).g
 }
 
 // HistogramVec is a histogram family with variable labels.
@@ -374,11 +354,6 @@ func (r *Registry) CounterFuncLabeled(name, help string, labelNames, labelValues
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.register(name, help, KindGauge, nil)
 	return f.get("", func() *series { return &series{g: &Gauge{}} }).g
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, KindGauge, labelNames)}
 }
 
 // GaugeFunc registers a gauge computed at scrape time. Re-registering

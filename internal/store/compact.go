@@ -48,8 +48,10 @@ type Policy struct {
 	// MinRun is the minimum number of similar-sized consecutive
 	// segments that triggers a merge (default 4, floor 2).
 	MinRun int
-	// MergeAll restores the legacy behavior: seal the active segment
-	// and merge every segment of every partition, regardless of size.
+	// MergeAll selects the seal-and-dedupe pass instead of the tiered
+	// one: seal the active segment and merge every segment of every
+	// partition, regardless of size. It is the only pass that drops
+	// superseded flush duplicates across runs.
 	MergeAll bool
 }
 
@@ -93,21 +95,13 @@ type CompactStats struct {
 // members are removed. The pre-commit point is segmentCommitHook.
 var compactStageHook func(stage string, runHi uint64)
 
-// Compact runs the legacy merge-everything pass: the active segment is
-// sealed, every partition's segments merge into one, and superseded
-// flush duplicates plus tombstoned records are dropped. Equivalent to
-// CompactWith(Policy{MergeAll: true}).
-func (s *Store) Compact() (CompactStats, error) {
-	return s.CompactWith(Policy{MergeAll: true})
-}
-
-// CompactWith runs one compaction pass under pol. The expensive work —
+// Compact runs one compaction pass under pol. The expensive work —
 // re-encoding surviving events and fsyncing merged segments — runs
 // outside the store lock, so queries keep answering and appends keep
 // landing throughout; the lock is only held for the brief swap phases.
 // Each selected run commits independently (marker-led atomic rename),
 // so a crash mid-pass leaves every run either fully old or fully new.
-func (s *Store) CompactWith(pol Policy) (CompactStats, error) {
+func (s *Store) Compact(pol Policy) (CompactStats, error) {
 	in := s.inst
 	var start time.Time
 	if in != nil && in.CompactSeconds != nil {

@@ -139,7 +139,7 @@ func TestCompactionCrashPointMatrix(t *testing.T) {
 	}
 	defer func() { segmentCommitHook, compactStageHook = nil, nil }()
 
-	stats, err := s.CompactWith(pol)
+	stats, err := s.Compact(pol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,14 +95,7 @@ func diskEvents(t *testing.T, dir string) []*core.Event {
 		}
 		scans[i] = sc
 		for _, rec := range sc.records {
-			if isMarkerV1(rec) {
-				for j := range segs {
-					if segs[j].seq < sf.seq {
-						superseded[segs[j].seq] = true
-					}
-				}
-			}
-			if isMarkerV2(rec) {
+			if isMarker(rec) {
 				listed, err := markerV2Seqs(rec)
 				if err != nil {
 					t.Fatal(err)
@@ -158,7 +151,7 @@ func TestTieredCompactionQueryIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm, err := s.CompactWith(Policy{Partition: testPartition, SizeRatio: 1e9, MinRun: 2})
+	warm, err := s.Compact(Policy{Partition: testPartition, SizeRatio: 1e9, MinRun: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +179,7 @@ func TestTieredCompactionQueryIdentical(t *testing.T) {
 		t.Fatalf("full scan sees %d events, want 240", len(before[0]))
 	}
 
-	stats, err := s.CompactWith(pol)
+	stats, err := s.Compact(pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +233,7 @@ func TestTieredCompactionPartitionIsolation(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	stats, err := s.CompactWith(pol)
+	stats, err := s.Compact(pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +325,7 @@ func TestDeletePrefixImmediateAndPhysical(t *testing.T) {
 	}
 
 	// Physical erasure at the partition's next compaction.
-	stats, err := s.CompactWith(pol)
+	stats, err := s.Compact(pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +350,7 @@ func TestDeletePrefixImmediateAndPhysical(t *testing.T) {
 	if res := s.Query(Filter{Prefix: target, Mode: PrefixCovered}); res.Total != 0 {
 		t.Fatalf("tombstone did not cover a late append: %d events", res.Total)
 	}
-	if _, err := s.CompactWith(pol); err != nil {
+	if _, err := s.Compact(pol); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range diskEvents(t, dir) {
@@ -435,7 +428,7 @@ func TestTombstoneSurvivesRepeatedCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.Compact(); err != nil {
+		if _, err := s.Compact(Policy{MergeAll: true}); err != nil {
 			t.Fatal(err)
 		}
 		if st := s.Stats(); st.Tombstones != 1 {
@@ -483,7 +476,7 @@ func TestTombstoneSurvivesMergeOfItsSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Merge everything: the tombstone's segment is part of the run.
-	if _, err := s.Compact(); err != nil {
+	if _, err := s.Compact(Policy{MergeAll: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

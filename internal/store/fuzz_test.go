@@ -19,7 +19,7 @@ func FuzzDecodeEvent(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{codecVersion})
-	f.Add([]byte{kindMarkerV1})
+	f.Add([]byte{0xFF}) // the retired marker-v1 tag: rejected
 	f.Add(appendMarkerV2(nil, []uint64{1, 2, 3}))
 	f.Add(encodeTombstone(nil, Tombstone{Prefix: netip.MustParsePrefix("10.0.0.0/8"), UpTo: testEpoch}))
 	truncated := EncodeEvent(nil, makeEvent(3))

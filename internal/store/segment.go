@@ -31,33 +31,24 @@ var segMagic = []byte("BHSTSEG\x01")
 // event payloads start with a codec version (1 or 2), everything else uses
 // high-byte tags that can never collide with a codec version.
 const (
-	kindMarkerV1  = 0xFF // legacy: every lower-seq segment is superseded
 	kindMarkerV2  = 0xFE // explicit list of superseded segment seqs
 	kindTombstone = 0xFD // DeletePrefix erasure record
 )
 
-// isMarkerV1 reports whether a record payload is the legacy
-// merge-everything compaction marker: it declares every segment with a
-// lower sequence number superseded. Kept for stores written before
-// tiered compaction; new merges always write the v2 marker.
-func isMarkerV1(rec []byte) bool { return len(rec) == 1 && rec[0] == kindMarkerV1 }
-
-// isMarkerV2 reports whether a record payload is a tiered compaction
-// marker, the first record of a merged segment: it lists exactly the
+// isMarker reports whether a record payload is a compaction marker,
+// the first record of a merged segment: it lists exactly the
 // segment sequence numbers the merge superseded, so a crash between the
 // merged segment's atomic-rename commit and the removal of the old run
 // members cannot double-index events on the next open — recovery skips
 // (and removes) precisely the listed leftovers, leaving every other
-// segment alone.
-func isMarkerV2(rec []byte) bool { return len(rec) >= 1 && rec[0] == kindMarkerV2 }
+// segment alone. (The retired 0xFF tag — a one-byte marker superseding
+// every lower segment — is not a marker: it reaches the codec, which
+// rejects it as an unknown version.)
+func isMarker(rec []byte) bool { return len(rec) >= 1 && rec[0] == kindMarkerV2 }
 
 // isTombstone reports whether a record payload is a DeletePrefix
 // tombstone.
 func isTombstone(rec []byte) bool { return len(rec) >= 1 && rec[0] == kindTombstone }
-
-// isMarker reports whether a record payload is a compaction marker of
-// either version (records that must not be decoded as events).
-func isMarker(rec []byte) bool { return isMarkerV1(rec) || isMarkerV2(rec) }
 
 // appendMarkerV2 encodes a tiered compaction marker superseding seqs.
 func appendMarkerV2(buf []byte, seqs []uint64) []byte {

@@ -516,6 +516,13 @@ func decodeSummary(data []byte) (*segSummary, error) {
 		(m.eventRecords > 0 && len(m.dead) != (m.eventRecords+7)/8) {
 		return nil, fmt.Errorf("store: corrupt sidecar: inconsistent counts")
 	}
+	for _, rec := range m.others {
+		if !isMarker(rec) && !isTombstone(rec) {
+			// Includes the retired 0xFF marker: the segment falls back
+			// to a scan, where the codec rejects the record.
+			return nil, fmt.Errorf("store: corrupt sidecar: unknown non-event record kind")
+		}
+	}
 	return m, nil
 }
 

@@ -343,7 +343,7 @@ func TestCompactionWritesMergedSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantAll := encodeAll(t, collectAll(s))
-	if _, err := s.Compact(); err != nil {
+	if _, err := s.Compact(Policy{MergeAll: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

@@ -30,9 +30,9 @@ type Options struct {
 	// bytes (default 8 MiB).
 	MaxSegmentBytes int64
 	// CompactSegments, when > 0, starts a background compactor that
-	// runs Policy (or the legacy merge-everything pass when Policy is
+	// runs Policy (or the MergeAll seal-and-dedupe pass when Policy is
 	// zero) whenever the sealed segment count reaches this threshold.
-	// Zero disables background compaction; CompactWith can still be
+	// Zero disables background compaction; Compact can still be
 	// called explicitly.
 	CompactSegments int
 	// Policy is the compaction policy. Besides steering the background
@@ -101,10 +101,6 @@ type SyncPolicy struct {
 	// Always fsyncs on every Append call — maximum durability, one
 	// fsync per batch.
 	Always bool
-	// OnClose documents the zero-value behavior explicitly: sync only
-	// at seal, Sync and Close. It is implied when every other field is
-	// zero.
-	OnClose bool
 }
 
 // ErrReadOnly is returned by mutating calls on a read-only store.
@@ -304,7 +300,7 @@ type Store struct {
 	scratch []byte
 
 	// compactMu serializes whole compactions; s.mu is only held for
-	// CompactWith's brief swap phases, never across a merge write.
+	// Compact's brief swap phases, never across a merge write.
 	compactMu   sync.Mutex
 	compactCh   chan struct{}
 	compactDone chan struct{}
@@ -458,33 +454,26 @@ func open(dir string, opts Options) (*Store, error) {
 		return sums[i].others
 	}
 
-	// Honour compaction markers: a v1 marker in segment S supersedes
-	// every lower-seq segment; a v2 marker supersedes exactly the seqs
+	// Honour compaction markers: a marker supersedes exactly the seqs
 	// it lists. Superseded segments are leftovers of a crash between a
 	// merge's atomic commit and its cleanup — indexing them would
 	// double-count every event they hold.
 	superseded := map[uint64]bool{}
 	for i := range segs {
 		for _, rec := range recsOf(i) {
-			switch {
-			case isMarkerV1(rec):
-				for j := range segs {
-					if segs[j].seq < segs[i].seq {
-						superseded[segs[j].seq] = true
-					}
-				}
-			case isMarkerV2(rec):
-				listed, merr := markerV2Seqs(rec)
-				if merr != nil {
-					return nil, fmt.Errorf("store: %s: %w", segs[i].path, merr)
-				}
-				for _, q := range listed {
-					// A marker can only speak for segments older than
-					// itself; anything else is corruption — ignore it
-					// rather than delete live data.
-					if q < segs[i].seq {
-						superseded[q] = true
-					}
+			if !isMarker(rec) {
+				continue
+			}
+			listed, merr := markerV2Seqs(rec)
+			if merr != nil {
+				return nil, fmt.Errorf("store: %s: %w", segs[i].path, merr)
+			}
+			for _, q := range listed {
+				// A marker can only speak for segments older than
+				// itself; anything else is corruption — ignore it
+				// rather than delete live data.
+				if q < segs[i].seq {
+					superseded[q] = true
 				}
 			}
 		}
@@ -1351,7 +1340,7 @@ func (s *Store) compactLoop() {
 	for range s.compactCh {
 		// Best-effort: a failed background compaction leaves the store
 		// exactly as it was (no rename happened).
-		s.CompactWith(pol)
+		s.Compact(pol)
 	}
 }
 

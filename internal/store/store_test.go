@@ -5,6 +5,8 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -372,7 +374,7 @@ func TestStoreReadOnly(t *testing.T) {
 	if err := r.Append(makeEvent(3)); err != ErrReadOnly {
 		t.Fatalf("Append on read-only store: %v, want ErrReadOnly", err)
 	}
-	if _, err := r.Compact(); err != ErrReadOnly {
+	if _, err := r.Compact(Policy{MergeAll: true}); err != ErrReadOnly {
 		t.Fatalf("Compact on read-only store: %v, want ErrReadOnly", err)
 	}
 	if n := r.Len(); n != 2 {
@@ -400,7 +402,7 @@ func TestCompactDropsSupersededFlushDuplicates(t *testing.T) {
 	if err := s.Append(short, other, long); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Compact()
+	st, err := s.Compact(Policy{MergeAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +455,7 @@ func TestCompactCrashLeftoversIgnored(t *testing.T) {
 	if err := s.Append(dup); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Compact()
+	st, err := s.Compact(Policy{MergeAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,6 +502,65 @@ func TestCompactCrashLeftoversIgnored(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsRetiredMarker: the 0xFF tag was the pre-tiered
+// one-byte marker that superseded every lower segment. It has no
+// writer, so a reader no longer honours it: the record reaches the
+// codec as an unknown version and Open fails — read-only, read-write,
+// and cold with a sidecar that carries the byte among its non-event
+// payloads — without deleting the lower segments or anything else.
+func TestOpenRejectsRetiredMarker(t *testing.T) {
+	dir := t.TempDir()
+	writeSeg := func(seq uint64, payloads ...[]byte) int64 {
+		buf := slices.Clone(segMagic)
+		for _, p := range payloads {
+			buf = appendRecord(buf, p)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segName(seq)), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(buf))
+	}
+	enc := func(i int) []byte { return EncodeEvent(nil, makeEvent(i)) }
+	writeSeg(1, enc(0), enc(1), enc(2))
+	size2 := writeSeg(2, []byte{0xFF}, enc(3), enc(4))
+	writeSeg(3, enc(5))
+
+	snapshot := func() map[string]string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range ents {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files
+	}
+	check := func(name string, opts Options) {
+		before := snapshot()
+		if s, err := Open(dir, opts); err == nil {
+			s.Close()
+			t.Fatalf("%s: Open accepted a segment holding the retired 0xFF marker", name)
+		}
+		if after := snapshot(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: a failed Open changed the store directory", name)
+		}
+	}
+	check("read-only", Options{ReadOnly: true})
+	check("read-write", Options{})
+
+	m := buildSummary(2, size2, size2, false,
+		[]sumRec{{ev: makeEvent(3)}, {ev: makeEvent(4)}}, [][]byte{{0xFF}}, nil)
+	if err := writeSidecar(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	check("cold with sidecar", Options{ReadOnly: true, ColdOpen: true})
+}
+
 // TestCompactConcurrentAppendsSurvive: events appended while a
 // compaction's merge phase runs land in a segment the marker does not
 // supersede, and survive both the swap and a reopen.
@@ -516,7 +577,7 @@ func TestCompactConcurrentAppendsSurvive(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Compact()
+		_, err := s.Compact(Policy{MergeAll: true})
 		done <- err
 	}()
 	for i := 100; i < 160; i++ {

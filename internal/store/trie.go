@@ -274,20 +274,3 @@ func collect(n *tnode, out *[]CoveringMatch) {
 	collect(n.child[0], out)
 	collect(n.child[1], out)
 }
-
-// Walk visits every stored prefix in trie order; returning false stops
-// the walk.
-func (t *Trie) Walk(fn func(netip.Prefix, []int32) bool) {
-	walk(t.root4, fn)
-	walk(t.root6, fn)
-}
-
-func walk(n *tnode, fn func(netip.Prefix, []int32) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.ords != nil && !fn(n.prefix, n.ords) {
-		return false
-	}
-	return walk(n.child[0], fn) && walk(n.child[1], fn)
-}

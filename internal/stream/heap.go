@@ -37,10 +37,6 @@ func (h *Heap[T]) Push(x T) {
 	h.siftUp(len(h.items) - 1)
 }
 
-// Peek returns the minimum element without removing it. It must not be
-// called on an empty heap.
-func (h *Heap[T]) Peek() T { return h.items[0] }
-
 // Pop removes and returns the minimum element. It must not be called
 // on an empty heap.
 func (h *Heap[T]) Pop() T {
@@ -54,14 +50,6 @@ func (h *Heap[T]) Pop() T {
 		h.siftDown(0)
 	}
 	return root
-}
-
-// ReplaceMin replaces the minimum element with x and restores heap
-// order — a Pop followed by a Push, in one sift. It must not be called
-// on an empty heap.
-func (h *Heap[T]) ReplaceMin(x T) {
-	h.items[0] = x
-	h.siftDown(0)
 }
 
 func (h *Heap[T]) siftUp(i int) {

@@ -60,11 +60,6 @@ func (l *Live) Publish(e *Elem) {
 	l.cond.Signal()
 }
 
-// PublishObservation converts and publishes a collector observation.
-func (l *Live) PublishObservation(o collector.Observation) {
-	l.Publish(&Elem{Collector: o.Collector.Name, Platform: o.Collector.Platform, Update: o.Update})
-}
-
 // Close ends the stream; pending elements still drain.
 func (l *Live) Close() {
 	l.mu.Lock()

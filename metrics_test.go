@@ -180,6 +180,41 @@ func telemetryServer(t *testing.T) (*Telemetry, *Store, *httptest.Server) {
 	return tel, st, srv
 }
 
+// TestInstrumentedAppendAllocParity is the deterministic form of the
+// "instrumented append within 1.15x of bare" wall: the telemetry seam
+// is pre-resolved pointers and atomics, so an Append with
+// StoreOptions.Instruments and Telemetry.ObserveStore attached must
+// not allocate more than a bare one. Timing is the harness's business
+// (obs.instrumented_append_ratio).
+func TestInstrumentedAppendAllocParity(t *testing.T) {
+	events := replay(t, smallPipeline(t), 845, 850).Events
+	if len(events) == 0 {
+		t.Fatal("no events")
+	}
+	allocsPerAppend := func(opts StoreOptions, observe func(*Store)) float64 {
+		st, err := OpenStoreWith(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		observe(st)
+		i := 0
+		return testing.AllocsPerRun(4*len(events), func() {
+			if err := st.Append(events[i%len(events)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	bare := allocsPerAppend(StoreOptions{}, func(*Store) {})
+	tel := NewTelemetry()
+	instrumented := allocsPerAppend(StoreOptions{Instruments: tel.StoreInstruments()}, tel.ObserveStore)
+	t.Logf("allocs per Append: bare %.0f, instrumented %.0f", bare, instrumented)
+	if instrumented > bare {
+		t.Fatalf("instrumented Append allocates %.0f per event, bare %.0f: telemetry reached the append hot path", instrumented, bare)
+	}
+}
+
 func scrape(t *testing.T, srv *httptest.Server) *exposition {
 	t.Helper()
 	resp, err := http.Get(srv.URL + "/metrics")

@@ -2,11 +2,10 @@ package bgpblackholing
 
 // Benchmarks for the day-sharded parallel replay pipeline. Run with
 //
-//	go test -run '^$' -bench BenchmarkRunWindowParallel -benchmem
+//	go test -run '^$' -bench BenchmarkReplayParallel -benchmem
 //
 // and compare the workers=1 row (the serial baseline) against the
-// multi-worker rows; scripts/bench.sh records the results in
-// BENCH_<date>.json.
+// multi-worker rows.
 
 import (
 	"context"
@@ -31,16 +30,16 @@ func parallelBenchPipeline(b *testing.B) *Pipeline {
 		// Warm the lazy caches (customer cones, dense AS index) so every
 		// worker-count variant benchmarks the same steady state.
 		p.Opts.Workers = 1
-		p.RunWindow(windowFrom, windowFrom+2)
+		replay(b, p, windowFrom, windowFrom+2)
 		parallelBench.p = p
 	})
 	return parallelBench.p
 }
 
-// BenchmarkRunWindowParallel replays the Aug 2016 – Mar 2017 analysis
+// BenchmarkReplayParallel replays the Aug 2016 – Mar 2017 analysis
 // window at SmallOptions across worker counts. Identical Events are
 // produced at every worker count; only the wall clock changes.
-func BenchmarkRunWindowParallel(b *testing.B) {
+func BenchmarkReplayParallel(b *testing.B) {
 	counts := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n > 4 {
 		counts = append(counts, n)
@@ -51,7 +50,7 @@ func BenchmarkRunWindowParallel(b *testing.B) {
 			p.Opts.Workers = workers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := p.RunWindow(windowFrom, windowTo)
+				res := replay(b, p, windowFrom, windowTo)
 				if len(res.Events) == 0 {
 					b.Fatal("no events")
 				}
@@ -63,7 +62,7 @@ func BenchmarkRunWindowParallel(b *testing.B) {
 // BenchmarkRunStreaming replays the same window through the streaming
 // API — Detector.Run over a ReplaySource, with the per-event close hook
 // live and one subscriber draining the event channel. Comparing against
-// the matching BenchmarkRunWindowParallel row bounds the cost of the
+// the matching BenchmarkReplayParallel row bounds the cost of the
 // event-hook indirection and the subscriber fanout (it must be noise:
 // the hot path is materialization + inference, not delivery).
 func BenchmarkRunStreaming(b *testing.B) {

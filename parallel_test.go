@@ -56,7 +56,7 @@ func TestRunWindowDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := p.RunWindow(fromDay, toDay)
+		res := replay(t, p, fromDay, toDay)
 		if len(res.Events) == 0 {
 			t.Fatalf("workers=%d: no events", workers)
 		}
@@ -75,14 +75,14 @@ func TestRunWindowDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestRunWindowWorkersSharedPipeline re-runs the same Pipeline value with
-// different worker counts: RunWindow must not leave behind state that
+// different worker counts: a replay must not leave behind state that
 // changes a later run.
 func TestRunWindowWorkersSharedPipeline(t *testing.T) {
 	p := smallPipeline(t)
 	sums := map[int]string{}
 	for _, workers := range []int{2, 1, 4} {
 		p.Opts.Workers = workers
-		sums[workers] = canonicalEvents(p.RunWindow(840, 848))
+		sums[workers] = canonicalEvents(replay(t, p, 840, 848))
 	}
 	if sums[1] != sums[2] || sums[1] != sums[4] {
 		t.Fatalf("shared-pipeline runs diverge: %v", sums)

@@ -76,7 +76,7 @@ type CompactStats = store.CompactStats
 
 // CompactionPolicy selects which segments a compaction pass may merge:
 // time-partitioned segments (Partition), LSM-style size-ratio runs
-// (SizeRatio / MinRun), or the legacy merge-everything pass (MergeAll).
+// (SizeRatio / MinRun), or the seal-and-dedupe pass (MergeAll).
 // See Store.Compact and ParseCompactionPolicy.
 type CompactionPolicy = store.Policy
 
@@ -154,11 +154,13 @@ func (st *Store) Stats() StoreStats { return st.s.Stats() }
 
 // Compact runs one compaction pass under policy. A zero policy is the
 // default tiered pass (size-ratio 4, runs of 4, one partition); set
-// MergeAll for the legacy merge-everything behavior, or Partition plus
-// SizeRatio/MinRun for LSM-style tiering in which cold, settled
-// segments are never rewritten (CompactStats.Skipped names them).
+// MergeAll for the seal-and-dedupe pass (the active segment is sealed,
+// every partition merges into one segment, superseded flush duplicates
+// are dropped), or Partition plus SizeRatio/MinRun for LSM-style
+// tiering in which cold, settled segments are never rewritten
+// (CompactStats.Skipped names them).
 func (st *Store) Compact(policy CompactionPolicy) (CompactStats, error) {
-	return st.s.CompactWith(policy)
+	return st.s.Compact(policy)
 }
 
 // DeletePrefix erases a prefix's history — GDPR-style: every stored
@@ -541,8 +543,11 @@ func ParseProviderRef(s string) (ProviderRef, error) {
 // ParseCompactionPolicy parses a compaction policy spec, the format
 // cmd/bhserve's -compact-policy flag and bhquery's admin verbs use:
 //
-//	merge-all (or all)     legacy: merge every segment on every pass
-//	tiered                 size-ratio 4, runs of 4, 30-day partitions
+//	merge-all (or all)     seal-and-dedupe: seal the active segment, merge
+//	                       every segment per partition, drop superseded
+//	                       flush duplicates
+//	tiered                 steady state: size-ratio 4, runs of 4, 30-day
+//	                       partitions; settled segments are never rewritten
 //	tiered,partition=60d,ratio=3,min-run=2
 //
 // The tiered options: partition is a Go duration ("720h") or a day

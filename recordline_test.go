@@ -25,10 +25,7 @@ func lineFixtureEvents(t testing.TB) (*Pipeline, []*Event) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.NewDetector().Run(context.Background(), p.Replay(800, 810))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, p, 800, 810)
 	if len(res.Events) < 100 {
 		t.Fatalf("fixture window produced only %d events", len(res.Events))
 	}

@@ -1,7 +1,7 @@
 package bgpblackholing
 
-// Tests for the streaming detection API: Run over a Source must match
-// the legacy batch path byte for byte, cancellation must be prompt and
+// Tests for the streaming detection API: Run over a ReplaySource must
+// be byte-identical across worker counts, cancellation must be prompt and
 // leak-free, and closed events must reach subscribers incrementally.
 
 import (
@@ -35,12 +35,13 @@ func archiveGlob(dir string) ([]struct{ path, name string }, error) {
 	return out, nil
 }
 
-// TestRunReplayMatchesRunWindow is the API-redesign contract: Run over
-// a ReplaySource produces byte-identical Events and InferStats to the
-// batch RunWindow entry point, for every worker count.
+// TestRunReplayMatchesRunWindow is the replay contract: Run over a
+// ReplaySource produces byte-identical Events and InferStats, and the
+// same window, for every worker count.
 func TestRunReplayMatchesRunWindow(t *testing.T) {
 	const fromDay, toDay = 820, 850
 	var want string
+	var first *RunResult
 	for i, workers := range []int{1, 2, 8} {
 		opts := SmallOptions()
 		opts.Workers = workers
@@ -48,32 +49,18 @@ func TestRunReplayMatchesRunWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy := p.RunWindow(fromDay, toDay)
+		res := replay(t, p, fromDay, toDay)
 		if i == 0 {
-			want = canonicalEvents(legacy)
-			if len(legacy.Events) == 0 {
+			first, want = res, canonicalEvents(res)
+			if len(res.Events) == 0 {
 				t.Fatal("no events")
 			}
 		}
-		if got := canonicalEvents(legacy); got != want {
-			t.Fatalf("workers=%d: RunWindow checksum %s, want %s", workers, got, want)
-		}
-
-		// A fresh pipeline (the engine accumulates), same window via the
-		// streaming API.
-		p2, err := NewPipeline(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p2.NewDetector().Run(context.Background(), p2.Replay(fromDay, toDay))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if got := canonicalEvents(res); got != want {
-			t.Fatalf("workers=%d: Run checksum %s, want RunWindow's %s", workers, got, want)
+			t.Fatalf("workers=%d: Run checksum %s, want %s", workers, got, want)
 		}
-		if res.WindowStart != legacy.WindowStart || res.WindowEnd != legacy.WindowEnd {
-			t.Fatalf("window = [%v,%v), want [%v,%v)", res.WindowStart, res.WindowEnd, legacy.WindowStart, legacy.WindowEnd)
+		if res.WindowStart != first.WindowStart || res.WindowEnd != first.WindowEnd {
+			t.Fatalf("window = [%v,%v), want [%v,%v)", res.WindowStart, res.WindowEnd, first.WindowStart, first.WindowEnd)
 		}
 		if res.Metrics.EventsClosed != uint64(len(res.Events)) {
 			t.Fatalf("metrics.EventsClosed=%d, events=%d", res.Metrics.EventsClosed, len(res.Events))
@@ -86,7 +73,7 @@ func TestRunReplayMatchesRunWindow(t *testing.T) {
 // Metrics accumulated so far, and leaks no materialization workers.
 func TestRunCancellation(t *testing.T) {
 	p := smallPipeline(t)
-	full := p.RunWindow(700, 850)
+	full := replay(t, p, 700, 850)
 	if len(full.Events) < 10 {
 		t.Fatalf("reference window too quiet: %d events", len(full.Events))
 	}
