@@ -95,10 +95,8 @@ func BenchmarkRuleMatchBaseline(b *testing.B) {
 
 // BenchmarkRuleMatch replays the same day with a 100-rule hub (with
 // detection-time enrichment for the verdict rules) publishing on every
-// event close. Hub and annotator are rebuilt per iteration alongside
-// the engine: a shared annotator would accumulate cache entries for
-// every iteration's distinct event pointers and the benchmark would
-// measure cache growth, not matching.
+// event close. The hub is rebuilt per iteration alongside the engine,
+// so its replay ring and counters start empty each time.
 func BenchmarkRuleMatch(b *testing.B) {
 	p := benchPipeline(b)
 	elems := benchAlertElems(b, p)

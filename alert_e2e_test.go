@@ -278,11 +278,11 @@ func TestAlertingEndToEnd(t *testing.T) {
 		t.Fatalf("webhook stats: %+v", ws)
 	}
 
-	// Detection-time verdicts were primed into the annotator cache, so
-	// the query path serves the same answers without recomputation.
+	// The query path computes its verdicts from the same world the
+	// detection-time ones came from.
 	for _, ev := range res.Events {
 		if got := ann.Annotate(ev).Legitimacy; got == "" {
-			t.Fatal("primed cache lost a verdict")
+			t.Fatal("the annotator lost a verdict")
 		}
 	}
 }

@@ -70,10 +70,9 @@ func ParseRule(s string) (AlertRule, error) { return alert.ParseRule(s) }
 
 // NewAlertHub compiles rules into a hub. The config's Annotator
 // enables detection-time enrichment (verdict-conditioned rules fire on
-// the live stream, and each alerted event's verdict is primed into the
-// annotator cache so /events?enrich=1 serves the same answer). The
-// alert wire encoding is the full EventRecord wrapped in an
-// {id, rule, event} envelope; see AlertRecord.
+// the live stream; /events?enrich=1 later computes the same verdict
+// from the same world). The alert wire encoding is the full EventRecord
+// wrapped in an {id, rule, event} envelope; see AlertRecord.
 func NewAlertHub(rules []AlertRule, cfg AlertHubConfig) (*AlertHub, error) {
 	if cfg.Encode == nil {
 		cfg.Encode = EncodeAlertRecord

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"iter"
-	"sync"
 	"time"
 
 	"bgpblackholing/internal/analysis"
@@ -42,10 +41,16 @@ type Figure4Sets = analysis.Figure4Sets
 // withdrawals backdate End to the last sighting, closing a
 // long-stale event after (but ending before) its neighbors. Merging
 // shard streams on Seq therefore reproduces the exact single-store
-// stream for any seq-stamped lineage. Records written before seq
-// stamping carry Seq 0 and sort first, ordered among themselves by
-// their fields — deterministic, but only approximating their
-// original interleave.
+// stream for any seq-stamped lineage.
+//
+// The key decides between shards, never within one: a shard's own order
+// is trusted in both response shapes, because a stream that cannot be
+// buffered has no other rule to follow. A store appended to across a
+// detector restart (Seq starts over at 1) or holding seq-less records
+// (Seq 0) is therefore served in its append order, by the shard and by
+// a router in front of it alike — a federation over one shard is the
+// identity — while several such shards interleave deterministically on
+// their heads, only approximating the original close order.
 type RecordKey struct {
 	End    int64 // End UnixNano
 	Seq    uint64
@@ -80,12 +85,11 @@ func KeyOf(rec *EventRecord) RecordKey {
 // RecordSet is a materialized query answer in wire form.
 type RecordSet struct {
 	// Records are the matches in global event order (empty, never nil,
-	// when nothing matches), annotated when the query asked for
-	// enrichment. Records are shared, read-only wire
-	// values: a StoreBackend hands out its memoized projections, and a
-	// federation re-slices shard answers — callers must not mutate
-	// them.
-	Records []*EventRecord
+	// when nothing matches), each the encoded record — annotated when
+	// the query asked for enrichment — plus its merge key. The lines
+	// belong to the set: they slice the buffer it was encoded or read
+	// into and stay valid as long as the set is referenced.
+	Records []RecordLine
 	// Total counts all matches ignoring Limit; Scanned counts candidate
 	// events examined. Across a federation both are sums over shards.
 	Total   int
@@ -97,15 +101,18 @@ type RecordSet struct {
 	ShardsFailed int
 }
 
-// RecordLine is one NDJSON record plus its merge key. Line holds the
-// exact serialized bytes (no trailing newline) — the federation layer
-// passes shard bytes through verbatim, so a federated NDJSON response
-// is byte-identical to a single store's.
+// RecordLine is one encoded record plus its merge key: the only form a
+// record takes above the store. Line holds the exact serialized bytes
+// (no trailing newline) — an NDJSON line, and compact, an element of the
+// JSON envelope's "events". The federation layer passes shard bytes
+// through verbatim, so a federated response is byte-identical to a
+// single store's.
 //
-// Line is borrowed: it points into the stream's own buffer and is valid
-// only until that stream's next Next or Close. Write it out (the HTTP
-// handler and bhquery do) or copy it before advancing. Key is owned and
-// may be kept.
+// A RecordSet's lines are owned for the set's life. A RecordStream's are
+// borrowed: Line points into the stream's own buffer and is valid only
+// until that stream's next Next or Close. Write it out (the HTTP handler
+// and bhquery do) or copy it before advancing. Key is owned and may be
+// kept either way.
 type RecordLine struct {
 	Key  RecordKey
 	Line []byte
@@ -261,13 +268,6 @@ type StoreBackend struct {
 	name string
 	st   *Store
 	p    *Pipeline
-	// recs memoizes the base (unenriched) wire projection per stored
-	// event. Events are immutable once closed, so the projection —
-	// prefix formatting, provider/community/platform rendering, the
-	// sorts — is a pure function of the event and only worth paying
-	// once, not per query. Entries live as long as the backend; the
-	// map is bounded by the number of distinct events ever returned.
-	recs sync.Map // *Event -> *EventRecord
 }
 
 // NewStoreBackend wraps a store. p may be nil; enrichment then falls
@@ -293,44 +293,75 @@ func (b *StoreBackend) annotator() *Annotator {
 	return b.st.Annotator()
 }
 
-// record returns the memoized base projection of ev. The returned
-// record (and any copy of it) shares its rendered slices with every
-// other caller — the query surface treats records as read-only wire
-// values, never mutating Providers/Users/Communities/Platforms.
-func (b *StoreBackend) record(ev *Event) *EventRecord {
-	if r, ok := b.recs.Load(ev); ok {
-		return r.(*EventRecord)
+// enricher returns the annotator q's records pass through: nil unless q
+// asks for enrichment, errNoAnnotator when it asks and there is none.
+func (b *StoreBackend) enricher(q Query) (*Annotator, error) {
+	if !q.Enrich {
+		return nil, nil
 	}
-	r := NewEventRecord(ev)
-	actual, _ := b.recs.LoadOrStore(ev, &r)
-	return actual.(*EventRecord)
+	if ann := b.annotator(); ann != nil {
+		return ann, nil
+	}
+	return nil, errNoAnnotator
 }
 
-// Records implements Backend over the store's index query, annotating
-// through the shared (cached) annotator exactly as the JSON /events
-// path always has. The observed latency covers select + annotate +
-// project.
+// appendEventLine is the one project → annotate → encode step: it
+// appends ev's record line to dst, annotated when ann is non-nil, and
+// returns the line's merge key. Nothing about ev is kept: an event the
+// store erases is held by no read-path state.
+func appendEventLine(dst []byte, ev *Event, ann *Annotator) ([]byte, RecordKey, error) {
+	rec := NewEventRecord(ev)
+	if ann != nil {
+		rec.annotate(ann.Annotate(ev))
+	}
+	dst, err := appendRecordLine(dst, &rec)
+	return dst, KeyOf(&rec), err
+}
+
+// ownLines points each of a set's lines at its bytes in buf, the one
+// buffer they were appended to in order. Until then a Line is good for
+// its length only: buf moved whenever it grew.
+func ownLines(buf []byte, lines []RecordLine) []RecordLine {
+	off := 0
+	for i := range lines {
+		end := off + len(lines[i].Line)
+		lines[i].Line = buf[off:end:end]
+		off = end
+	}
+	return lines
+}
+
+// Records implements Backend over the store's index query, encoding
+// every match into the set's one buffer. The observed latency covers
+// select + project + annotate + encode.
 func (b *StoreBackend) Records(ctx context.Context, q Query) (*RecordSet, error) {
 	began := time.Now()
-	ann := b.annotator()
-	if q.Enrich && ann == nil {
-		return nil, errNoAnnotator
+	ann, err := b.enricher(q)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	res := b.st.s.Query(q.filter())
-	records := make([]*EventRecord, len(res.Events))
+	lines := make([]RecordLine, len(res.Events))
+	var buf []byte
 	for i, ev := range res.Events {
-		if q.Enrich {
-			r := *b.record(ev) // annotation fields differ per call: copy the base
-			r.annotate(ann.Annotate(ev))
-			records[i] = &r
-		} else {
-			records[i] = b.record(ev)
+		if i%256 == 255 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
+		start := len(buf)
+		if buf, lines[i].Key, err = appendEventLine(buf, ev, ann); err != nil {
+			return nil, err
+		}
+		lines[i].Line = buf[start:]
 	}
 	elapsed := time.Since(began)
 	b.st.observeQuery(q.Enrich, elapsed)
 	return &RecordSet{
-		Records: records,
+		Records: ownLines(buf, lines),
 		Total:   res.Total,
 		Scanned: res.Scanned,
 		Elapsed: elapsed,
@@ -338,17 +369,14 @@ func (b *StoreBackend) Records(ctx context.Context, q Query) (*RecordSet, error)
 }
 
 // RecordLines implements Backend over the store's streaming query:
-// each event is projected once and encoded into the stream's one
-// buffer. Enrichment is uncached (an unbounded stream must not grow the
-// shared annotation cache by one entry per stored event), matching the
-// NDJSON path's historical behavior.
+// each event is encoded into the stream's one reused buffer as it is
+// asked for.
 func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
-	ann := b.annotator()
-	if q.Enrich && ann == nil {
-		return nil, errNoAnnotator
+	ann, err := b.enricher(q)
+	if err != nil {
+		return nil, err
 	}
-	enrich := q.Enrich // the stream's closure must not hold all of q
-	b.st.observeQuery(enrich, streamed)
+	b.st.observeQuery(q.Enrich, streamed)
 	next, stop := iter.Pull(b.st.s.QuerySeq(q.filter()))
 	done := ctx.Done()
 	var buf []byte
@@ -363,15 +391,13 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 			if !ok {
 				return RecordLine{}, io.EOF
 			}
-			rec := NewEventRecord(ev)
-			if enrich {
-				rec.annotate(ann.AnnotateUncached(ev))
-			}
+			var rl RecordLine
 			var err error
-			if buf, err = appendRecordLine(buf[:0], &rec); err != nil {
+			if buf, rl.Key, err = appendEventLine(buf[:0], ev, ann); err != nil {
 				return RecordLine{}, err
 			}
-			return RecordLine{Key: KeyOf(&rec), Line: buf}, nil
+			rl.Line = buf
+			return rl, nil
 		},
 		close: stop,
 	}, nil
@@ -408,9 +434,8 @@ func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days in
 	return &sets, nil
 }
 
-// LegitimacySummary implements Backend: a streaming aggregation
-// through the uncached annotator, matching the /legitimacy endpoint's
-// historical behavior.
+// LegitimacySummary implements Backend: a streaming aggregation through
+// the annotator; no result set is materialized.
 func (b *StoreBackend) LegitimacySummary(ctx context.Context, q Query) (*LegitimacySummary, error) {
 	ann := b.annotator()
 	if ann == nil {
@@ -426,7 +451,7 @@ func (b *StoreBackend) LegitimacySummary(ctx context.Context, q Query) (*Legitim
 			return nil, ctx.Err()
 		default:
 		}
-		a := ann.AnnotateUncached(ev) // one-shot sweep: bypass the cache
+		a := ann.Annotate(ev)
 		sum.Total++
 		sum.Legitimacy[a.Legitimacy]++
 		if len(a.RPKI) > 0 {

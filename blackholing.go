@@ -127,8 +127,8 @@ type Pipeline struct {
 	Dict     *dictionary.Dictionary
 	Scenario *workload.Scenario
 
-	// annOnce/ann memoize Annotator, so every surface (HTTP handler,
-	// store, examples) shares one annotator — and one annotation cache.
+	// annOnce/ann build Annotator once: every surface (HTTP handler,
+	// store, examples) shares one annotator.
 	annOnce sync.Once
 	ann     *Annotator
 }
@@ -213,8 +213,7 @@ func (p *Pipeline) RPKIRegistry() *RPKIRegistry {
 // from the world: the deployment's ROA registry and the extracted
 // IRR/web dictionary. Attach it to a store (Store.SetAnnotator) to
 // enable Query.Enrich, or annotate events directly with
-// Annotator.Annotate. Every call returns the same instance, so all
-// query surfaces share one annotation cache.
+// Annotator.Annotate. Every call returns the same instance.
 func (p *Pipeline) Annotator() *Annotator {
 	p.annOnce.Do(func() { p.ann = NewAnnotator(p.RPKIRegistry(), p.Dict) })
 	return p.ann

@@ -386,7 +386,15 @@ func runQuery(ctx context.Context, stdout, stderr io.Writer, c *config, be bgpbl
 	warnShardsFailed(stderr, rs.ShardsFailed)
 	fmt.Fprintf(stderr, "bhquery: %d matches (%d returned), %d candidates scanned, %s\n",
 		rs.Total, len(rs.Records), rs.Scanned, rs.Elapsed)
-	return render(stdout, c.format, c.enrich, rs.Records)
+	// A backend answers in encoded lines; the renderers read fields.
+	records := make([]*bgpblackholing.EventRecord, len(rs.Records))
+	for i, rl := range rs.Records {
+		records[i] = new(bgpblackholing.EventRecord)
+		if err := json.Unmarshal(rl.Line, records[i]); err != nil {
+			return fmt.Errorf("record %d: %v", i, err)
+		}
+	}
+	return render(stdout, c.format, c.enrich, records)
 }
 
 func buildQuery(c *config) (bgpblackholing.Query, error) {

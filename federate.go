@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -145,10 +144,10 @@ func inProcess(b Backend) bool {
 	return ok
 }
 
-// Records implements Backend: fan out with the limit pushed down,
-// sort each shard's answer on RecordKey, k-way merge, cut to the
-// limit, and sum the accounting (shards partition the events, so
-// totals add).
+// Records implements Backend: fan out with the limit pushed down, merge
+// the answered sets as streams over their lines, and sum the accounting
+// (shards partition the events, so totals add). The merged lines stay
+// the shard sets' own.
 func (f *FederatedStore) Records(ctx context.Context, q Query) (*RecordSet, error) {
 	began := time.Now()
 	sets := make([]*RecordSet, len(f.backends))
@@ -161,74 +160,37 @@ func (f *FederatedStore) Records(ctx context.Context, q Query) (*RecordSet, erro
 		return nil, err
 	}
 
-	out := &RecordSet{Records: []*EventRecord{}, ShardsFailed: failed} // an empty match is [], never null
-	var cursors []recordsCursor
-	for _, rs := range sets {
+	out := &RecordSet{Records: []RecordLine{}, ShardsFailed: failed} // an empty match is [], never null
+	streams := make([]*RecordStream, len(sets))
+	for i, rs := range sets {
 		if rs == nil {
 			continue
 		}
 		out.Total += rs.Total
 		out.Scanned += rs.Scanned
-		// Shard answers are in append order, which is RecordKey order
-		// for a seq-stamped lineage — verified with one linear pass
-		// that also precomputes the merge keys. Only a legacy
-		// (seq-less) shard pays the sort.
-		keys := make([]RecordKey, len(rs.Records))
-		sorted := true
-		for i := range rs.Records {
-			keys[i] = KeyOf(rs.Records[i])
-			if i > 0 && keys[i].Less(keys[i-1]) {
-				sorted = false
+		lines := rs.Records
+		streams[i] = &RecordStream{next: func() (RecordLine, error) {
+			if len(lines) == 0 {
+				return RecordLine{}, io.EOF
 			}
-		}
-		if !sorted {
-			sort.Stable(&keyedRecords{keys: keys, records: rs.Records})
-		}
-		if len(rs.Records) > 0 {
-			cursors = append(cursors, recordsCursor{records: rs.Records, keys: keys})
-		}
+			rl := lines[0]
+			lines = lines[1:]
+			return rl, nil
+		}}
 	}
-	h := stream.NewHeap(func(a, b recordsCursor) bool {
-		return a.keys[a.pos].Less(b.keys[b.pos])
-	})
-	for _, c := range cursors {
-		h.Push(c)
-	}
-	for h.Len() > 0 {
-		c := h.Pop()
-		out.Records = append(out.Records, c.records[c.pos])
-		if q.Limit > 0 && len(out.Records) >= q.Limit {
-			break
+	merged := f.merge(streams, q.Limit)
+	for {
+		rl, err := merged.Next()
+		if err != nil {
+			break // io.EOF: a set's lines cannot fail
 		}
-		if c.pos++; c.pos < len(c.records) {
-			h.Push(c)
-		}
+		out.Records = append(out.Records, rl)
 	}
 	out.Elapsed = time.Since(began)
 	return out, nil
 }
 
-type recordsCursor struct {
-	records []*EventRecord
-	keys    []RecordKey
-	pos     int
-}
-
-// keyedRecords sorts a shard's records and their precomputed keys in
-// lockstep (legacy seq-less shards only).
-type keyedRecords struct {
-	keys    []RecordKey
-	records []*EventRecord
-}
-
-func (k *keyedRecords) Len() int           { return len(k.keys) }
-func (k *keyedRecords) Less(a, b int) bool { return k.keys[a].Less(k.keys[b]) }
-func (k *keyedRecords) Swap(a, b int) {
-	k.keys[a], k.keys[b] = k.keys[b], k.keys[a]
-	k.records[a], k.records[b] = k.records[b], k.records[a]
-}
-
-// lineCursor is one shard's live NDJSON stream position in the merge.
+// lineCursor is one shard's stream position in the merge.
 type lineCursor struct {
 	idx  int // shard index, for failure accounting
 	src  *RecordStream
@@ -236,12 +198,9 @@ type lineCursor struct {
 }
 
 // RecordLines implements Backend: open every shard stream eagerly
-// (so ShardsFailed is known before the first body byte), then k-way
-// merge on RecordKey, passing each shard's serialized bytes through
-// verbatim — borrowed, not copied: a returned Line is the shard stream's
-// own buffer. A shard that dies mid-stream (a read error, an oversize or
-// malformed line) ends its contribution and is counted; the merge
-// continues over the rest.
+// (so ShardsFailed is known before the first body byte), then merge,
+// passing each shard's serialized bytes through verbatim — borrowed, not
+// copied: a returned Line is the shard stream's own buffer.
 func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	streams := make([]*RecordStream, len(f.backends))
 	_, failed, err := f.fanOut(func(i int, b Backend) error {
@@ -252,48 +211,59 @@ func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStrea
 	if err != nil {
 		return nil, err
 	}
-	closeAll := func() {
-		for _, s := range streams {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}
+	merged := f.merge(streams, q.Limit)
+	merged.ShardsFailed += failed
+	return merged, nil
+}
 
-	// Prime every stream: the merge needs each shard's head to pick a
-	// global minimum, and a shard that cannot produce its first record
-	// is a failure the response headers can still report.
+// merge is the federation's one merge: a k-way heap merge of the shards'
+// streams (nil for a shard with none) on RecordKey, cut at limit when it
+// is positive — limits are pushed down per shard and re-applied here,
+// because the union of per-shard top-ks overshoots. Each shard's own
+// order is trusted; equal heads go by shard index. A shard that fails (a
+// read error, an oversize or malformed line) ends its contribution and is
+// counted while the merge continues over the rest: in ShardsFailed when
+// it cannot produce its first record, which the response headers can
+// still report, and in the shard's failure counter either way. Closing
+// the merged stream closes every shard's.
+func (f *FederatedStore) merge(streams []*RecordStream, limit int) *RecordStream {
 	h := stream.NewHeap(func(a, b lineCursor) bool {
 		if a.head.Key == b.head.Key {
 			return a.idx < b.idx
 		}
 		return a.head.Key.Less(b.head.Key)
 	})
+	// advance pushes a shard's next record, or drops the shard from the
+	// merge at its end or its failure; only a failure is returned.
+	advance := func(c lineCursor) error {
+		rl, err := c.src.Next()
+		if err == nil {
+			c.head = rl
+			h.Push(c)
+			return nil
+		}
+		c.src.Close()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		f.counters[c.idx].failures.Add(1)
+		return err
+	}
+	// Prime every stream: the merge needs each shard's head to pick a
+	// global minimum.
+	failed := 0
 	for i, s := range streams {
-		if s == nil {
-			continue
+		if s != nil && advance(lineCursor{idx: i, src: s}) != nil {
+			failed++
 		}
-		rl, err := s.Next()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				failed++
-				f.counters[i].failures.Add(1)
-			}
-			s.Close()
-			streams[i] = nil
-			continue
-		}
-		h.Push(lineCursor{idx: i, src: s, head: rl})
 	}
 
 	remaining := math.MaxInt
-	if q.Limit > 0 {
-		// Pushed down per shard by queryParams/QuerySeq; re-applied
-		// here because the union of per-shard top-ks overshoots.
-		remaining = q.Limit
+	if limit > 0 {
+		remaining = limit
 	}
-	// A popped cursor's head is borrowed from its shard's stream, so the
-	// shard may only advance once the caller is done with the line: at
+	// A popped cursor's head may be borrowed from its shard's stream, so
+	// the shard may only advance once the caller is done with the line: at
 	// the start of the following call, not before returning.
 	var popped lineCursor
 	return &RecordStream{
@@ -303,21 +273,10 @@ func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStrea
 				return RecordLine{}, io.EOF
 			}
 			if popped.src != nil {
-				c := popped
+				// Headers are sent: a failure now shows in the shard's
+				// counter, not in this response.
+				_ = advance(popped)
 				popped = lineCursor{}
-				rl, err := c.src.Next()
-				if err != nil {
-					// EOF ends the shard cleanly; anything else kills its
-					// remaining contribution (headers are already sent, so
-					// the failure shows in counters, not this response).
-					if !errors.Is(err, io.EOF) {
-						f.counters[c.idx].failures.Add(1)
-					}
-					c.src.Close()
-				} else {
-					c.head = rl
-					h.Push(c)
-				}
 			}
 			if h.Len() == 0 {
 				return RecordLine{}, io.EOF
@@ -326,8 +285,14 @@ func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStrea
 			remaining--
 			return popped.head, nil
 		},
-		close: closeAll,
-	}, nil
+		close: func() {
+			for _, s := range streams {
+				if s != nil {
+					s.Close()
+				}
+			}
+		},
+	}
 }
 
 // Figure4 implements Backend: every shard reports its per-day entity

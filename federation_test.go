@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -279,6 +281,26 @@ func TestFederationByteIdentical(t *testing.T) {
 	}
 }
 
+// envelopeLines renders a JSON /events body's "events" the way NDJSON
+// carries them: each element compact on its own line.
+func envelopeLines(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var envelope struct {
+		Events []json.RawMessage `json:"events"`
+	}
+	if err := json.Unmarshal(body, &envelope); err != nil {
+		t.Fatalf("JSON /events body: %v", err)
+	}
+	var lines bytes.Buffer
+	for _, el := range envelope.Events {
+		if err := json.Compact(&lines, el); err != nil {
+			t.Fatal(err)
+		}
+		lines.Write(nl)
+	}
+	return lines.Bytes()
+}
+
 // firstDiffLine returns the first line of a at which a and b diverge.
 func firstDiffLine(a, b []byte) []byte {
 	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
@@ -427,9 +449,13 @@ func TestFederationLimitPushdownProperty(t *testing.T) {
 						plan, qi, k, got.Total, want.Total, len(got.Records), len(want.Records))
 				}
 				for i := range want.Records {
-					if KeyOf(got.Records[i]) != KeyOf(want.Records[i]) {
+					if got.Records[i].Key != want.Records[i].Key {
 						t.Fatalf("%s q%d k=%d: record %d diverges: %v vs %v",
-							plan, qi, k, i, KeyOf(got.Records[i]), KeyOf(want.Records[i]))
+							plan, qi, k, i, got.Records[i].Key, want.Records[i].Key)
+					}
+					if !bytes.Equal(got.Records[i].Line, want.Records[i].Line) {
+						t.Fatalf("%s q%d k=%d: record %d line diverges:\n got %s\nwant %s",
+							plan, qi, k, i, got.Records[i].Line, want.Records[i].Line)
 					}
 				}
 			}
@@ -660,15 +686,17 @@ func TestFederationHedgeCounter(t *testing.T) {
 }
 
 // TestRemoteHostileShard puts a misbehaving shard next to two honest
-// ones: whatever it sends, the router answers 200 with the honest
-// shards' merge (plus the bad shard's good prefix), counts the shard's
-// failure, and never buffers more than the line cap.
+// ones: whatever it sends, in either response shape, the router answers
+// 200 with the honest shards' merge, counts the shard's failure, and
+// never buffers more than the record cap. A stream keeps the bad shard's
+// good prefix; a JSON answer that fails is dropped whole and reported in
+// X-Shards-Failed.
 func TestRemoteHostileShard(t *testing.T) {
 	f := newFederationFixture(t)
 	ctx := context.Background()
-	linesOf := func(be Backend) (lines [][]byte) {
+	linesOf := func(be Backend, q Query) (lines [][]byte) {
 		t.Helper()
-		rs, err := be.RecordLines(ctx, Query{})
+		rs, err := be.RecordLines(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -684,11 +712,43 @@ func TestRemoteHostileShard(t *testing.T) {
 	join := func(lines [][]byte) []byte {
 		return append(bytes.Join(lines, nl), nl...)
 	}
-	// shard serves a fixed NDJSON body whatever is asked, as a backend.
-	shard := func(name string, body []byte) Backend {
+	// shard serves a fixed body as a backend: as it is for NDJSON, and as
+	// the elements of an envelope for JSON (a blank line is white space
+	// between two, a body not ending in a newline an envelope cut short).
+	// An honest shard cuts its answer to the limit asked for.
+	shard := func(name string, body []byte, honest bool) Backend {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Write(body)
+			body := body
+			if limit, _ := strconv.Atoi(r.URL.Query().Get("limit")); honest && limit > 0 {
+				if lines := bytes.SplitAfter(body, nl); limit < len(lines) {
+					body = bytes.Join(lines[:limit], nil)
+				}
+			}
+			if r.URL.Query().Get("format") == "ndjson" {
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				w.Write(body)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"elapsed_us": 7, "events": [`)
+			lines := bytes.Split(body, nl)
+			n := 0
+			for _, line := range lines[:len(lines)-1] {
+				if len(line) > 0 && n > 0 {
+					io.WriteString(w, ",")
+				}
+				if len(line) > 0 {
+					n++
+				}
+				w.Write(line)
+				io.WriteString(w, "\n    ")
+			}
+			if last := lines[len(lines)-1]; len(last) > 0 {
+				io.WriteString(w, ",")
+				w.Write(last)
+				return
+			}
+			fmt.Fprintf(w, `], "returned": %d, "scanned": %d, "total": %d}`, n, n, n)
 		}))
 		t.Cleanup(srv.Close)
 		rb, err := NewRemoteBackend([]string{srv.URL}, RemoteOptions{Name: name})
@@ -700,35 +760,50 @@ func TestRemoteHostileShard(t *testing.T) {
 	// The single store's stream dealt round-robin: each third is in seq
 	// order, and the three merge back to the whole.
 	var thirds [3][][]byte
-	for i, line := range linesOf(NewStoreBackend(f.single, nil)) {
+	for i, line := range linesOf(NewStoreBackend(f.single, nil), Query{}) {
 		thirds[i%3] = append(thirds[i%3], line)
 	}
-	honest := []Backend{shard("honest-0", join(thirds[0])), shard("honest-1", join(thirds[1]))}
+	honest := []Backend{shard("honest-0", join(thirds[0]), true), shard("honest-1", join(thirds[1]), true)}
 	bad := thirds[2]
 	huge := append(append([]byte(`{"note":"`), bytes.Repeat([]byte("x"), 2<<20)...), `",`...)
 	huge = append(huge, bad[0][1:]...) // a valid record, 2 MiB long
 
 	for _, c := range []struct {
-		name string
-		body []byte
-		good int  // lines of the bad shard that must still be served
-		fail bool // whether the shard's failure counter must move
+		name  string
+		body  []byte
+		limit int  // the limit asked for, 0 for none
+		good  int  // lines of the bad shard a stream must still serve
+		fail  bool // whether a stream must move the shard's failure counter
+		drop  bool // whether a JSON answer must drop the shard
 	}{
-		{"oversize line", append(join([][]byte{huge}), join(bad[1:])...), 0, true},
-		{"garbage after ten good lines", append(join(bad[:10]), "{\"prefix\":\"10.0.0.0/8\",\"seq\":}\n"...), 10, true},
-		{"body cut mid-record", append(join(bad[:10]), bad[10][:len(bad[10])/2]...), 10, true},
-		{"blank keep-alive lines", bytes.ReplaceAll(join(bad), nl, []byte("\n\n\n")), len(bad), false},
+		{"oversize line", append(join([][]byte{huge}), join(bad[1:])...), 0, 0, true, true},
+		{"garbage after ten good lines", append(join(bad[:10]), "{\"prefix\":\"10.0.0.0/8\",\"seq\":}\n"...), 0, 10, true, true},
+		{"body cut mid-record", append(join(bad[:10]), bad[10][:len(bad[10])/2]...), 0, 10, true, true},
+		{"blank keep-alive lines", bytes.ReplaceAll(join(bad), nl, []byte("\n\n\n")), 0, len(bad), false, false},
+		// A stream is re-cut by the merge; a set that ignores the limit it
+		// was sent could be of any size.
+		{"over the asked limit", join(bad), 5, len(bad), false, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			fed := NewFederatedStore(honest[0], honest[1], shard("hostile", c.body))
+			fed := NewFederatedStore(honest[0], honest[1], shard("hostile", c.body, false))
 			router := httptest.NewServer(NewRouterHandler(fed, RouterOptions{}))
 			defer router.Close()
+			failures := func() (n uint64) {
+				for i := range fed.counters {
+					n += fed.counters[i].failures.Load()
+				}
+				return n
+			}
+			q, params := Query{Limit: c.limit}, ""
+			if c.limit > 0 {
+				params = "&limit=" + strconv.Itoa(c.limit)
+			}
 			// The same merge with the bad shard's good prefix served honestly.
-			want := join(linesOf(NewFederatedStore(honest[0], honest[1], shard("prefix", join(bad[:c.good])))))
+			want := join(linesOf(NewFederatedStore(honest[0], honest[1], shard("prefix", join(bad[:c.good]), true)), q))
 
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			resp, got := get(t, router.URL, "/events?format=ndjson")
+			resp, got := get(t, router.URL, "/events?format=ndjson"+params)
 			runtime.ReadMemStats(&after)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d, want 200", resp.StatusCode)
@@ -743,13 +818,117 @@ func TestRemoteHostileShard(t *testing.T) {
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*maxShardLine+4*uint64(len(want)) {
 				t.Errorf("answering allocated %d bytes", grew)
 			}
-			var failures uint64
-			for i := range fed.counters {
-				failures += fed.counters[i].failures.Load()
+			if n := failures(); (n > 0) != c.fail {
+				t.Errorf("stream failures counted = %d, want moved: %v", n, c.fail)
 			}
-			if (failures > 0) != c.fail {
-				t.Errorf("stream failures counted = %d, want moved: %v", failures, c.fail)
+
+			// The JSON shape: "events", compacted, are the lines of the
+			// merge — without the bad shard when its answer must go.
+			if c.drop {
+				want = join(linesOf(NewFederatedStore(honest[0], honest[1]), q))
+			}
+			counted := failures()
+			runtime.ReadMemStats(&before)
+			resp, got = get(t, router.URL, "/events?"+params)
+			runtime.ReadMemStats(&after)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("JSON: status %d, want 200", resp.StatusCode)
+			}
+			if lines := envelopeLines(t, got); !bytes.Equal(lines, want) {
+				t.Errorf("JSON: router served %d bytes of records, want the %d of the merge (bad shard dropped: %v)",
+					len(lines), len(want), c.drop)
+			}
+			if hdr := resp.Header.Get("X-Shards-Failed"); (hdr == "1") != c.drop || !c.drop && hdr != "" {
+				t.Errorf("JSON: X-Shards-Failed = %q, want set to 1: %v", hdr, c.drop)
+			}
+			if moved := failures() > counted; moved != c.drop {
+				t.Errorf("JSON: shard failure counted: %v, want %v", moved, c.drop)
+			}
+			// The indented answer is a few times its lines; the refused
+			// element must not be in the sum.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*maxShardLine+16*uint64(len(got)) {
+				t.Errorf("JSON: answering allocated %d bytes", grew)
 			}
 		})
+	}
+}
+
+// TestFederationOneShardIsIdentity: a router in front of one shard
+// changes nothing, in either shape, even when the shard's append order
+// is not its key order — a store two detector lineages wrote one after
+// the other (Seq restarts at 1) and that also holds seq-less events. The
+// router used to re-sort such a shard's JSON answer and pass its NDJSON
+// through.
+func TestFederationOneShardIsIdentity(t *testing.T) {
+	p := smallPipeline(t)
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, days := range [][2]int{{800, 803}, {803, 806}} {
+		det := p.NewDetector()
+		wait := det.SinkToStore(st)
+		if _, err := det.Run(context.Background(), p.Replay(days[0], days[1])); err != nil {
+			t.Fatal(err)
+		}
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := st.Append(stallEvent(i)); err != nil { // hand-built: Seq 0
+			t.Fatal(err)
+		}
+	}
+	events := st.Events()
+	ascending := sort.SliceIsSorted(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
+	if ascending || events[len(events)-1].Seq != 0 {
+		t.Fatalf("fixture: %d events with ascending seq: %v; want a restarted lineage and a seq-less tail", len(events), ascending)
+	}
+
+	shard := httptest.NewServer(NewStoreHandler(st, p))
+	defer shard.Close()
+	remote, err := NewRemoteBackend([]string{shard.URL}, RemoteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, be := range map[string]Backend{"in-process": NewStoreBackend(st, p), "remote": remote} {
+		router := httptest.NewServer(NewRouterHandler(NewFederatedStore(be), RouterOptions{}))
+		defer router.Close()
+		for _, params := range []string{"", "limit=5", "enrich=1&limit=40", "prefix=10.0.0.0/8&mode=covered"} {
+			_, want := get(t, shard.URL, "/events?format=ndjson&"+params)
+			_, got := get(t, router.URL, "/events?format=ndjson&"+params)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s ?%s: NDJSON through the router differs at line %q", name, params, firstDiffLine(got, want))
+			}
+			_, wantJSON := get(t, shard.URL, "/events?"+params)
+			_, gotJSON := get(t, router.URL, "/events?"+params)
+			if maskElapsed(string(gotJSON)) != maskElapsed(string(wantJSON)) {
+				t.Errorf("%s ?%s: JSON through the router differs:\n%s\n---\n%s", name, params, gotJSON, wantJSON)
+			}
+			// One record, one encoding: the JSON elements are the lines.
+			if !bytes.Equal(envelopeLines(t, gotJSON), want) {
+				t.Errorf("%s ?%s: the JSON elements, compacted, are not the NDJSON lines", name, params)
+			}
+		}
+	}
+}
+
+// TestFederationRecordsCancelled: a materialized answer honours its
+// context like a streamed one — a store stops before it projects a
+// match, and a federation over it reports why every shard failed.
+func TestFederationRecordsCancelled(t *testing.T) {
+	be := NewStoreBackend(storeFixture(t), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rs, err := be.Records(ctx, Query{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("StoreBackend.Records under a cancelled context: %v, %v; want context.Canceled", rs, err)
+	}
+	if rs, err := NewFederatedStore(be).Records(ctx, Query{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("FederatedStore.Records under a cancelled context: %v, %v; want context.Canceled", rs, err)
+	}
+	if rs, err := be.Records(context.Background(), Query{}); err != nil || len(rs.Records) != 3 {
+		t.Errorf("StoreBackend.Records: %v, %v; want the fixture's 3 records", rs, err)
 	}
 }

@@ -1,6 +1,7 @@
 package bgpblackholing
 
 import (
+	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -393,8 +394,9 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 const defaultJSONLimit = 10000
 
 // events answers /events in either shape: NDJSON (by parameter or
-// Accept header) streams Backend.RecordLines uncapped; JSON wraps
-// Backend.Records in the envelope.
+// Accept header) streams Backend.RecordLines uncapped; JSON writes the
+// envelope around Backend.Records' lines. Either way the records are the
+// backend's bytes: nothing on this path encodes by reflection.
 func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 	q, err := parseQuery(r)
 	if err != nil {
@@ -414,14 +416,47 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 		backendError(w, err)
 		return
 	}
+	bufs := envelopePool.Get().(*envelopeBufs)
+	defer envelopePool.Put(bufs)
+	bufs.compact = appendEnvelope(bufs.compact[:0], rs)
+	bufs.indented.Reset()
+	if err := json.Indent(&bufs.indented, bufs.compact, "", "  "); err != nil {
+		backendError(w, err) // a backend's line was not JSON
+		return
+	}
 	shardsFailedHeader(w, rs.ShardsFailed)
-	writeJSON(w, map[string]any{
-		"total":      rs.Total,
-		"returned":   len(rs.Records),
-		"scanned":    rs.Scanned,
-		"elapsed_us": rs.Elapsed.Microseconds(),
-		"events":     rs.Records,
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(bufs.indented.Bytes())
+}
+
+// envelopeBufs are the two buffers of a JSON /events answer, recycled.
+type envelopeBufs struct {
+	compact  []byte
+	indented bytes.Buffer
+}
+
+var envelopePool = sync.Pool{New: func() any { return new(envelopeBufs) }}
+
+// appendEnvelope appends the JSON /events envelope around rs's lines,
+// compact and newline-terminated: the bytes json.Marshal gives a
+// map[string]any of these five members (a map's keys sort) whose
+// "events" are the records themselves, since a line is json.Marshal of
+// its record. Indented, that is what json.Encoder with SetIndent writes
+// for the map — the envelope law, which
+// TestEventsEnvelopeMatchesEncodingJSON holds.
+func appendEnvelope(dst []byte, rs *RecordSet) []byte {
+	dst = strconv.AppendInt(append(dst, `{"elapsed_us":`...), rs.Elapsed.Microseconds(), 10)
+	dst = append(dst, `,"events":[`...)
+	for i, rl := range rs.Records {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, rl.Line...)
+	}
+	dst = strconv.AppendInt(append(dst, `],"returned":`...), int64(len(rs.Records)), 10)
+	dst = strconv.AppendInt(append(dst, `,"scanned":`...), int64(rs.Scanned), 10)
+	dst = strconv.AppendInt(append(dst, `,"total":`...), int64(rs.Total), 10)
+	return append(dst, '}', '\n')
 }
 
 // backendError maps a Backend failure onto an HTTP response: the

@@ -63,10 +63,9 @@ func (a *Alert) Payload() []byte {
 // watcher queues.
 type Config struct {
 	// Annotator, when set, computes the legitimacy verdict of each
-	// closing event on the live path (AnnotateUncached semantics) so
-	// verdict-conditioned rules fire on the stream; the result is primed
-	// back into the annotator's cache so the query path serves the same
-	// verdict. Without it, verdict-conditioned rules never match.
+	// closing event on the live path so verdict-conditioned rules fire
+	// on the stream; the query path recomputes the same verdict from the
+	// same world. Without it, verdict-conditioned rules never match.
 	Annotator *enrich.Annotator
 	// Encode overrides the alert wire encoding (the facade installs the
 	// full event-record shape here). Defaults to EncodeAlert.
@@ -222,9 +221,8 @@ func (h *Hub) DeleteRule(name string) bool {
 
 // Publish evaluates one closed event against the rule set and fans out
 // every match. It never blocks on a subscriber. When the hub has an
-// annotator, the event's legitimacy is computed here (at most once,
-// and only if some rule needs it or priming is on for all events) and
-// primed into the annotator cache.
+// annotator, the event's legitimacy is computed here, at most once and
+// only if a rule asks for the verdict or fires.
 func (h *Hub) Publish(ev *core.Event) {
 	h.published.Add(1)
 	if obs := h.publishObs.Load(); obs != nil {
@@ -242,7 +240,7 @@ func (h *Hub) Publish(ev *core.Event) {
 			return ""
 		}
 		if ann == nil {
-			a := h.cfg.Annotator.AnnotateUncached(ev)
+			a := h.cfg.Annotator.Annotate(ev)
 			ann = &a
 		}
 		return ann.Legitimacy
@@ -256,11 +254,8 @@ func (h *Hub) Publish(ev *core.Event) {
 		return
 	}
 	// At least one rule fired: compute (or reuse) the annotation so the
-	// alert carries the verdict, and prime the query path with it.
-	if h.cfg.Annotator != nil {
-		verdict()
-		h.cfg.Annotator.Prime(ev, *ann)
-	}
+	// alert carries the verdict.
+	verdict()
 	rules := h.ix.Rules()
 	for _, ord := range ords {
 		h.nextID++

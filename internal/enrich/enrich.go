@@ -16,7 +16,6 @@ package enrich
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/core"
@@ -110,17 +109,15 @@ func SummarizeRPKI(states []OriginValidity) string {
 // the corresponding section is simply absent (and never condemns).
 // Annotate is safe for concurrent use.
 //
-// Annotations are memoized per event: stored events are immutable and
+// An annotator keeps nothing per event. Stored events are immutable and
 // the world (registry + dictionary) is fixed for an annotator's
-// lifetime, so the first annotation of an event is the answer forever.
-// Repeated queries over hot prefixes — the looking-glass and dashboard
-// shape — then pay a cache hit, not a re-validation. The cache grows
-// with the number of distinct events annotated (one small struct each);
-// build a fresh annotator if the world changes.
+// lifetime, so annotating an event again gives the same answer: an
+// alert's verdict and a later enrich=1 query agree without either
+// remembering the other, and an event the store erases is not held
+// here. Build a fresh annotator if the world changes.
 type Annotator struct {
-	rpki  *rpki.Registry
-	dict  *dictionary.Dictionary
-	cache sync.Map // *core.Event -> *Annotation
+	rpki *rpki.Registry
+	dict *dictionary.Dictionary
 }
 
 // New builds an annotator over a registry and a dictionary.
@@ -128,44 +125,15 @@ func New(reg *rpki.Registry, dict *dictionary.Dictionary) *Annotator {
 	return &Annotator{rpki: reg, dict: dict}
 }
 
-// Annotate returns the legitimacy view of one event, memoized. The
-// returned annotation's slices are shared across callers and must be
-// treated as read-only. The cache holds one entry per distinct event
-// annotated — right for point lookups and bounded queries; full-store
-// sweeps should use AnnotateUncached instead, so a single scan doesn't
-// materialize an annotation per stored event (or pin erased events).
-func (a *Annotator) Annotate(ev *core.Event) Annotation {
-	if v, ok := a.cache.Load(ev); ok {
-		return *v.(*Annotation)
-	}
-	ann := a.annotate(ev)
-	a.cache.Store(ev, &ann)
-	return ann
-}
-
-// Prime inserts a precomputed annotation for ev into the memoization
-// cache. The alerting hub computes verdicts at detection time
-// (AnnotateUncached on the live path, so a stalled hub subscriber can't
-// bloat the cache with events nobody will query); priming afterwards
-// makes the query path — /events?enrich=1, /legitimacy — serve the
-// exact verdict the alert carried, without re-validating. Safe for
-// concurrent use; a later Prime for the same event wins over an
-// earlier one, which is harmless because annotations of an immutable
-// event are deterministic.
-func (a *Annotator) Prime(ev *core.Event, ann Annotation) {
-	a.cache.Store(ev, &ann)
-}
-
-// AnnotateUncached computes the legitimacy view without touching the
-// memoization cache (neither reading nor writing): the right call for
-// one-shot streaming scans over unbounded result sets, which would
-// otherwise grow the cache by the whole store.
+// AnnotateUncached is Annotate: there is no cache to go around. It
+// stays only because bench/bhbench/probe_alert.go calls it and bench/
+// changes in benchmark PRs alone; the next one retires it.
 func (a *Annotator) AnnotateUncached(ev *core.Event) Annotation {
-	return a.annotate(ev)
+	return a.Annotate(ev)
 }
 
-// annotate computes the legitimacy view of one event.
-func (a *Annotator) annotate(ev *core.Event) Annotation {
+// Annotate computes the legitimacy view of one event.
+func (a *Annotator) Annotate(ev *core.Event) Annotation {
 	var ann Annotation
 	var reasons []string
 

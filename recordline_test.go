@@ -1,21 +1,26 @@
 package bgpblackholing
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"testing"
 	"time"
 
 	"bgpblackholing/internal/enrich"
 )
 
-// This file holds the NDJSON line's two hand-written ends to the
-// library code they replaced: appendRecordLine to json.Marshal, and
-// scanLineKey to json.Unmarshal into recordLineKey.
+// This file holds the record line's hand-written code to the library
+// code it replaced: appendRecordLine to json.Marshal, scanLineKey to
+// json.Unmarshal into recordLineKey, and the /events envelope written
+// around the lines to json.Encoder over the decoded records.
 
 // lineFixtureEvents is every event of SmallOptions seed 42, days
 // 800–810, with the pipeline that annotates them.
@@ -87,7 +92,7 @@ func TestRecordLineMatchesJSON(t *testing.T) {
 		for _, ev := range events {
 			rec := NewEventRecord(ev)
 			sameAsMarshal(t, &rec)
-			rec = NewEventRecordEnriched(ev, ann.AnnotateUncached(ev))
+			rec = NewEventRecordEnriched(ev, ann.Annotate(ev))
 			sameAsMarshal(t, &rec)
 		}
 		// Beyond the projection's own allocations a plain line costs at
@@ -196,7 +201,7 @@ func TestEnrichedLinesProjectOnce(t *testing.T) {
 	floor := testing.AllocsPerRun(1, func() {
 		for _, ev := range events {
 			rec := NewEventRecord(ev)
-			rec.annotate(ann.AnnotateUncached(ev))
+			rec.annotate(ann.Annotate(ev))
 		}
 	})
 	be := NewStoreBackend(st, p)
@@ -312,4 +317,154 @@ func TestScanLineKeyNesting(t *testing.T) {
 			t.Errorf("depth %d: scanLineKey error %v, json.Unmarshal error %v", depth, gotErr, wantErr)
 		}
 	}
+}
+
+// fixedBackend answers every Records call with one prepared set; the
+// rest of Backend is never asked.
+type fixedBackend struct {
+	Backend
+	set *RecordSet
+}
+
+func (b fixedBackend) Records(context.Context, Query) (*RecordSet, error) { return b.set, nil }
+
+var elapsedUS = regexp.MustCompile(`"elapsed_us": \d+`)
+
+// TestEventsEnvelopeMatchesEncodingJSON is the envelope law: the JSON
+// /events body, written around the backend's lines and indented, is byte
+// for byte what the path it replaced wrote — json.Encoder with
+// SetIndent over a map[string]any holding the []*EventRecord — once
+// elapsed_us is normalised. That path is kept here as the reference, fed
+// records projected straight from the events, never decoded from a line.
+func TestEventsEnvelopeMatchesEncodingJSON(t *testing.T) {
+	reference := func(records []*EventRecord, total, scanned int) string {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(map[string]any{
+			"total":      total,
+			"returned":   len(records),
+			"scanned":    scanned,
+			"elapsed_us": 0,
+			"events":     records,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	// check serves path from each handler and compares. Scanned is
+	// shard-local (a federation sums it), so the reference takes the
+	// body's own.
+	check := func(handlers map[string]http.Handler, path string, records []*EventRecord, total int) {
+		t.Helper()
+		for name, h := range handlers {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+			var envelope struct {
+				Scanned int `json:"scanned"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &envelope); err != nil {
+				t.Fatalf("%s %s: status %d: %v", name, path, w.Code, err)
+			}
+			got := elapsedUS.ReplaceAllString(w.Body.String(), `"elapsed_us": 0`)
+			if want := reference(records, total, envelope.Scanned); got != want {
+				t.Errorf("%s %s: the envelope diverges from json.Encoder:\n got %s\nwant %s", name, path, got, want)
+			}
+		}
+	}
+	remoteOf := func(h http.Handler) Backend {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		rb, err := NewRemoteBackend([]string{srv.URL}, RemoteOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rb
+	}
+
+	t.Run("events", func(t *testing.T) {
+		f := newFederationFixture(t)
+		_, router := f.startShardServers(t, "prefix-split")
+		store := NewStoreHandler(f.single, f.p)
+		handlers := map[string]http.Handler{
+			"store":      store,
+			"remote":     newHandler(remoteOf(store), HandlerOptions{}),
+			"federation": router,
+		}
+		ann := f.p.Annotator()
+		for _, combo := range f.queryCombos(t) { // an empty match, limit cuts and enriched records among them
+			path := "/events?" + combo
+			q, err := parseQuery(httptest.NewRequest(http.MethodGet, path, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.Limit <= 0 {
+				q.Limit = defaultJSONLimit
+			}
+			res := f.single.s.Query(q.filter())
+			records := make([]*EventRecord, len(res.Events))
+			for i, ev := range res.Events {
+				rec := NewEventRecord(ev)
+				if q.Enrich {
+					rec.annotate(ann.Annotate(ev))
+				}
+				records[i] = &rec
+			}
+			check(handlers, path, records, res.Total)
+		}
+	})
+
+	t.Run("adversarial", func(t *testing.T) {
+		// What appendRecordLine hands back to the library: strings that
+		// need escaping, durations outside [1e-6, 1e21).
+		strs := []string{`<script>&amp;</script>`, "é  𝄞", `"quoted\"`, "\x00\x1f\t\n\x7f", "\xff\xc3", "AS3356"}
+		durs := []float64{1e-7, 1e21, 1.5e300, -1e-9, 9.99e-7, 0}
+		base := time.Date(2016, 1, 2, 3, 4, 5, 678, time.FixedZone("", 3*3600+1800))
+		var records []*EventRecord
+		for i := range strs {
+			str := func(k int) string { return strs[(i+k)%len(strs)] }
+			records = append(records, &EventRecord{
+				Prefix:            str(0),
+				Start:             base,
+				End:               base.Add(time.Duration(i) * time.Hour),
+				DurationSeconds:   durs[i],
+				Providers:         []string{str(1), str(2)},
+				Users:             []uint32{0, math.MaxUint32},
+				Communities:       []string{str(3)},
+				Platforms:         []string{str(4)},
+				Seq:               uint64(i + 1),
+				RPKI:              []OriginValidity{{Origin: 65001, State: str(5)}},
+				CommunityDoc:      []CommunityDoc{{Community: str(1), Doc: str(2), MaxPrefixLen: i % 2}},
+				Legitimacy:        str(3),
+				LegitimacyReasons: []string{str(4), str(5)},
+			})
+		}
+		fixed := func(records []*EventRecord) Backend {
+			lines := make([]RecordLine, len(records))
+			var buf []byte
+			for i, rec := range records {
+				start := len(buf)
+				var err error
+				if buf, err = appendRecordLine(buf, rec); err != nil {
+					t.Fatal(err)
+				}
+				lines[i] = RecordLine{Key: KeyOf(rec), Line: buf[start:]}
+			}
+			return fixedBackend{set: &RecordSet{Records: ownLines(buf, lines), Total: len(records), Scanned: len(records)}}
+		}
+		var thirds [3][]*EventRecord
+		for i, rec := range records {
+			thirds[i%3] = append(thirds[i%3], rec)
+		}
+		var shards []Backend
+		for _, third := range thirds {
+			shards = append(shards, remoteOf(newHandler(fixed(third), HandlerOptions{})))
+		}
+		all := newHandler(fixed(records), HandlerOptions{})
+		check(map[string]http.Handler{
+			"fixed":      all,
+			"remote":     newHandler(remoteOf(all), HandlerOptions{}),
+			"federation": newHandler(NewFederatedStore(shards...), HandlerOptions{}),
+		}, "/events", records, len(records))
+	})
 }

@@ -274,27 +274,124 @@ const maxRemoteLimit = 1 << 30
 func (b *RemoteBackend) Records(ctx context.Context, q Query) (*RecordSet, error) {
 	began := time.Now()
 	params := queryParams(q)
-	if q.Limit <= 0 {
-		params.Set("limit", strconv.Itoa(maxRemoteLimit))
+	limit := q.Limit
+	if limit <= 0 {
+		limit = maxRemoteLimit
+		params.Set("limit", strconv.Itoa(limit))
 	}
-	var envelope struct {
-		Total   int            `json:"total"`
-		Scanned int            `json:"scanned"`
-		Events  []*EventRecord `json:"events"`
-	}
-	if err := b.getJSON(ctx, "/events", params, &envelope); err != nil {
+	resp, err := b.hedged(ctx, "/events", params)
+	if err != nil {
 		return nil, err
 	}
-	return &RecordSet{
-		Records: envelope.Events,
-		Total:   envelope.Total,
-		Scanned: envelope.Scanned,
-		Elapsed: time.Since(began),
-	}, nil
+	defer resp.Body.Close()
+	rs, err := readRecordSet(resp.Body, limit)
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: bad /events answer: %w", b.name, err)
+	}
+	rs.Elapsed = time.Since(began)
+	return rs, nil
 }
 
-// maxShardLine caps one NDJSON line read from a shard. A record is a
-// few hundred bytes (a few KiB enriched); a line that reaches the cap
+// readRecordSet reads a shard's /events envelope one member, and its
+// "events" one element, at a time: each element is compacted into the
+// set's buffer — the line the shard's NDJSON would have carried — and
+// keyed by scanLineKey; nothing is decoded into a record. The hop has
+// RecordLines' bounds: an element over maxShardLine as sent, one that
+// is no record, or more elements than the limit asked for is an error,
+// which a federation counts against the shard while it serves the
+// others' merge.
+func readRecordSet(r io.Reader, limit int) (*RecordSet, error) {
+	body := &boundedReader{r: r}
+	dec := json.NewDecoder(body)
+	body.dec = dec
+	delim := func(want json.Delim) error {
+		tok, err := dec.Token()
+		if err == nil && tok != want {
+			err = fmt.Errorf("got %v, want %v", tok, want)
+		}
+		return err
+	}
+	rs := &RecordSet{}
+	lines := []RecordLine{} // an empty match is [], never null
+	var buf bytes.Buffer
+	var elem json.RawMessage // reused: a RawMessage decodes into its own capacity
+	if err := delim('{'); err != nil {
+		return nil, err
+	}
+	for dec.More() {
+		name, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		switch name {
+		case "total":
+			err = dec.Decode(&rs.Total)
+		case "scanned":
+			err = dec.Decode(&rs.Scanned)
+		case "events":
+			if err = delim('['); err != nil {
+				break
+			}
+			for dec.More() {
+				if len(lines) == limit {
+					return nil, fmt.Errorf("more than the %d records asked for", limit)
+				}
+				if err := dec.Decode(&elem); err != nil {
+					return nil, err
+				}
+				start := buf.Len()
+				if err := json.Compact(&buf, elem); err != nil {
+					return nil, err
+				}
+				line := buf.Bytes()[start:]
+				key, err := scanLineKey(line)
+				if err != nil {
+					return nil, fmt.Errorf("bad record: %v", err)
+				}
+				lines = append(lines, RecordLine{Key: key, Line: line})
+			}
+			err = delim(']')
+		default: // elapsed_us, returned
+			err = dec.Decode(&elem)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := delim('}'); err != nil {
+		return nil, err
+	}
+	rs.Records = ownLines(buf.Bytes(), lines)
+	return rs, nil
+}
+
+// boundedReader feeds a json.Decoder and fails once the decoder holds
+// maxShardLine bytes it has not consumed — one value, or the white space
+// before one, still growing — so a shard cannot make the router buffer
+// without bound. InputOffset stays at a value's start until the value
+// is complete.
+type boundedReader struct {
+	r    io.Reader
+	dec  *json.Decoder
+	read int64
+}
+
+func (b *boundedReader) Read(p []byte) (int, error) {
+	room := maxShardLine - (b.read - b.dec.InputOffset())
+	if room <= 0 {
+		return 0, fmt.Errorf("a value over %d bytes", maxShardLine)
+	}
+	if int64(len(p)) > room {
+		p = p[:room]
+	}
+	n, err := b.r.Read(p)
+	b.read += int64(n)
+	return n, err
+}
+
+// maxShardLine caps one record read from a shard, as an NDJSON line or
+// as an element of the JSON envelope. A record is a few hundred bytes (a
+// few KiB enriched, a few times that indented); one that reaches the cap
 // is a misbehaving shard, and buffering more of it would let one shard
 // grow the router without bound.
 const maxShardLine = 1 << 20

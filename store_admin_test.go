@@ -8,8 +8,10 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"bgpblackholing/internal/store"
 )
@@ -203,4 +205,81 @@ func TestDeletePrefixHostAddress(t *testing.T) {
 	if res := st.Query(Query{Prefix: netip.MustParsePrefix("192.0.2.0/24"), Mode: PrefixExact}); res.Total != 1 {
 		t.Fatalf("covering /24 should survive a host delete, got %d", res.Total)
 	}
+}
+
+// TestErasedEventsAreCollectable: erasure means the process lets go. An
+// event that was queried plain and enriched and alerted on, then erased
+// with DeletePrefix and compacted away, is garbage once the caller drops
+// it — nothing on the read path or in the annotator holds an event after
+// answering about it. (A per-event projection memo and a per-event
+// annotation cache, each entered on first use and never left, used to.)
+func TestErasedEventsAreCollectable(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ann := fixtureAnnotator()
+	be := NewStoreBackend(st, nil)
+	st.SetAnnotator(ann)
+	hub, err := NewAlertHub([]AlertRule{{Name: "all"}}, AlertHubConfig{Annotator: ann})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 8
+	var erased [n]weak.Pointer[Event]
+	func() {
+		// Every strong reference this test holds lives in this frame.
+		events := make([]*Event, n)
+		for i := range events {
+			events[i] = stallEvent(i)
+			events[i].Users = map[ASN]bool{65001: true}
+			events[i].Communities = map[Community]bool{MakeCommunity(3356, 9999): true}
+			erased[i] = weak.Make(events[i])
+		}
+		if err := st.Append(events...); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []Query{{}, {Enrich: true}} {
+			rs, err := be.Records(context.Background(), q)
+			if err != nil || len(rs.Records) != n {
+				t.Fatalf("Records(enrich=%v): %d records, %v; want %d", q.Enrich, len(rs.Records), err, n)
+			}
+		}
+		for _, ev := range events {
+			hub.Publish(ev)
+		}
+		if got := hub.Stats().Alerts; got != n {
+			t.Fatalf("hub raised %d alerts, want %d", got, n)
+		}
+	}()
+	// The hub's replay ring keeps its last RingSize alerts, events
+	// included, for Last-Event-ID resume: bounded, and gone with the hub.
+	hub.Close()
+	hub = nil
+
+	if got, err := st.DeletePrefix(netip.MustParsePrefix("10.0.0.0/8"), time.Time{}); err != nil || got != n {
+		t.Fatalf("DeletePrefix erased %d events, %v; want %d", got, err, n)
+	}
+	if _, err := st.Compact(CompactionPolicy{MergeAll: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	held := n
+	for deadline := time.Now().Add(2 * time.Second); held > 0 && time.Now().Before(deadline); {
+		runtime.GC()
+		held = 0
+		for _, wp := range erased {
+			if wp.Value() != nil {
+				held++
+			}
+		}
+	}
+	if held > 0 {
+		t.Errorf("%d of %d erased events are still reachable", held, n)
+	}
+	// The backend, the annotator and the store outlive the events.
+	runtime.KeepAlive(be)
+	runtime.KeepAlive(ann)
 }
