@@ -273,7 +273,13 @@ func TestAlertingEndToEnd(t *testing.T) {
 			t.Fatalf("webhook delivery %d: rule %q != sse rule %q", i, rec.Rule, frames[i].rec.Rule)
 		}
 	}
+	// The sender counts a delivery once it has read the response — a
+	// moment after the receiver recorded the request.
 	ws := hub.Stats().Webhooks
+	for len(ws) == 1 && ws[0].Delivered < uint64(total) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		ws = hub.Stats().Webhooks
+	}
 	if len(ws) != 1 || ws[0].Delivered != uint64(total) || ws[0].Retries != 2 || ws[0].DeadLetters != 0 {
 		t.Fatalf("webhook stats: %+v", ws)
 	}

@@ -108,7 +108,7 @@ func EncodeAlertRecord(a *Alert) ([]byte, error) {
 
 // SinkToHub attaches a hub as an alerting sink for the current (or
 // next) Run: every closing event is published to the hub in closing
-// order through the same fan-out plumbing as Subscribe. The hub's
+// order through the same kind of queue as Subscribe. The hub's
 // Publish never blocks (watcher queues drop oldest, webhook queues
 // drop newest), so the sink rides an unbounded queue like SinkToStore
 // — alerting sees every event, and a stalled alert consumer costs
@@ -116,11 +116,15 @@ func EncodeAlertRecord(a *Alert) ([]byte, error) {
 // function blocks until the Run has returned and every event has been
 // published.
 func (d *Detector) SinkToHub(h *AlertHub) (wait func()) {
-	s := d.subscribeUnbounded()
+	q := d.subscribe(0)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for ev := range s.ch {
+		for {
+			ev, err := q.Pop()
+			if err != nil {
+				return
+			}
 			h.Publish(ev)
 		}
 	}()

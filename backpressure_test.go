@@ -8,9 +8,10 @@ package bgpblackholing
 import (
 	"context"
 	"net/netip"
-	"runtime"
 	"testing"
 	"time"
+
+	"bgpblackholing/internal/faultfs"
 )
 
 // stallEvent builds a minimal closed event; fanout does not inspect it.
@@ -84,7 +85,7 @@ func TestStalledSubscriberDropOldest(t *testing.T) {
 // never read a single event.
 func TestStalledSubscriberEvict(t *testing.T) {
 	p := smallPipeline(t)
-	before := runtime.NumGoroutine()
+	before := faultfs.SnapshotGoroutines()
 	det := p.NewDetector(WithSubscriberQueueBound(4, Evict))
 	ch := det.Subscribe()
 
@@ -114,13 +115,7 @@ func TestStalledSubscriberEvict(t *testing.T) {
 	}
 
 	// The pump goroutine must be gone.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("pump goroutine leak: %d goroutines, started with %d", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	faultfs.CheckGoroutines(t, before)
 }
 
 // TestStalledSubscriberDoesNotBlockRun runs a real replay window with a

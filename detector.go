@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"bgpblackholing/internal/core"
 	"bgpblackholing/internal/dictionary"
 	"bgpblackholing/internal/mrt"
+	"bgpblackholing/internal/stream"
 )
 
 // Detector runs the paper's inference engine (§4.2) over any Source,
@@ -32,7 +34,7 @@ type Detector struct {
 	subEvicts  atomic.Uint64
 
 	mu      sync.Mutex
-	subs    []*subscriber
+	subs    []*eventQueue
 	running bool
 }
 
@@ -278,125 +280,14 @@ func (d *Detector) Run(ctx context.Context, src Source, opts ...RunOption) (*Run
 // ---------------------------------------------------------------------
 // Incremental event delivery.
 
-// subscriber decouples the engine's single processing goroutine from a
-// consumer: the fanout path only appends to a queue (never blocking
-// inference), and a pump goroutine forwards events to the subscriber's
-// channel. The queue is unbounded by default; a Detector built with
-// WithSubscriberQueueBound caps it and applies a slow-consumer policy
-// when a consumer falls a full bound behind.
-type subscriber struct {
-	bound  int // max queued events; 0 = unbounded
-	policy SlowConsumerPolicy
-	// drops / evicts are the owning Detector's aggregate counters; the
-	// per-subscriber count lives in dropped.
-	drops  *atomic.Uint64
-	evicts *atomic.Uint64
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*Event
-	dropped uint64
-	done    bool          // producer side finished (Run returned)
-	stop    chan struct{} // consumer side abandoned (Stream break)
-	ch      chan *Event
-}
-
-func (d *Detector) newSubscriber(bound int, policy SlowConsumerPolicy) *subscriber {
-	s := &subscriber{
-		bound:  bound,
-		policy: policy,
-		drops:  &d.subDrops,
-		evicts: &d.subEvicts,
-		stop:   make(chan struct{}),
-		ch:     make(chan *Event, 16),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	go s.pump()
-	return s
-}
-
-// push queues one closed event, applying the slow-consumer policy when
-// the queue is at its bound. It reports whether the subscriber evicted
-// itself, so fanout can stop visiting it.
-func (s *subscriber) push(ev *Event) (evicted bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return false
-	}
-	if s.bound > 0 && len(s.queue) >= s.bound {
-		if s.policy == Evict {
-			// cancel(), inlined: cancel takes s.mu and push holds it.
-			s.done = true
-			s.queue = nil
-			close(s.stop)
-			s.cond.Broadcast()
-			s.evicts.Add(1)
-			return true
-		}
-		s.queue = append(s.queue[1:len(s.queue):len(s.queue)], ev)
-		s.dropped++
-		s.drops.Add(1)
-		s.cond.Signal()
-		return false
-	}
-	s.queue = append(s.queue, ev)
-	s.cond.Signal()
-	return false
-}
-
-// finish marks the producer side complete; the pump closes the channel
-// after the queue drains.
-func (s *subscriber) finish() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.done = true
-	s.cond.Broadcast()
-}
-
-// cancel abandons the subscription from the consumer side: the pump
-// exits, and fanout stops queueing events for it (done doubles as the
-// drop flag in push).
-func (s *subscriber) cancel() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.done = true
-	s.queue = nil
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	s.cond.Broadcast()
-}
-
-func (s *subscriber) pump() {
-	defer close(s.ch)
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.done {
-			select {
-			case <-s.stop:
-				s.mu.Unlock()
-				return
-			default:
-			}
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 && s.done {
-			s.mu.Unlock()
-			return
-		}
-		ev := s.queue[0]
-		s.queue = s.queue[1:]
-		s.mu.Unlock()
-		select {
-		case s.ch <- ev:
-		case <-s.stop:
-			return
-		}
-	}
-}
+// eventQueue decouples the engine's single processing goroutine from
+// one consumer: fanout only pushes (never blocking inference) and the
+// consumer pops at its own pace. Subscribe / Stream queues carry the
+// detector's bound — unbounded by default, or capped by
+// WithSubscriberQueueBound, in which case the slow-consumer policy
+// applies once a consumer falls a full bound behind; sink queues are
+// never bounded.
+type eventQueue = stream.Queue[*Event]
 
 // fanout is the engine's OnEventClose hook: it hands the closed event
 // to every live subscriber without blocking the inference hot path —
@@ -405,40 +296,39 @@ func (d *Detector) fanout(ev *Event) {
 	d.mu.Lock()
 	subs := d.subs
 	d.mu.Unlock()
-	for _, s := range subs {
-		if s.push(ev) {
-			d.unsubscribe(s)
+	for _, q := range subs {
+		if d.slowPolicy == Evict {
+			if !q.TryPush(ev) {
+				q.Abort()
+				d.subEvicts.Add(1)
+				d.unsubscribe(q)
+			}
+		} else if q.Push(ev) {
+			d.subDrops.Add(1)
 		}
 	}
 }
 
 // closeSubs ends every subscription: pending events still drain, then
-// the channels close. Called when Run returns.
+// the consumers see the end. Called when Run returns.
 func (d *Detector) closeSubs() {
 	d.mu.Lock()
 	subs := d.subs
 	d.subs = nil
 	d.mu.Unlock()
-	for _, s := range subs {
-		s.finish()
+	for _, q := range subs {
+		q.Close()
 	}
 }
 
-func (d *Detector) subscribe() *subscriber {
-	return d.register(d.newSubscriber(d.queueBound, d.slowPolicy))
-}
-
-// subscribeUnbounded ignores the detector's queue bound — the shape
-// for durability sinks, where dropping would lose persisted events.
-func (d *Detector) subscribeUnbounded() *subscriber {
-	return d.register(d.newSubscriber(0, DropOldest))
-}
-
-func (d *Detector) register(s *subscriber) *subscriber {
+// subscribe registers a queue bounded at bound events; sinks pass 0 —
+// they are the durability path, where dropping would lose events.
+func (d *Detector) subscribe(bound int) *eventQueue {
+	q := stream.NewQueue[*Event](bound)
 	d.mu.Lock()
-	d.subs = append(d.subs, s)
+	d.subs = append(d.subs, q)
 	d.mu.Unlock()
-	return s
+	return q
 }
 
 // SubscriberStats snapshots one live subscription's queue health.
@@ -459,23 +349,18 @@ func (d *Detector) SubscriberStats() []SubscriberStats {
 	subs := d.subs
 	d.mu.Unlock()
 	out := make([]SubscriberStats, 0, len(subs))
-	for _, s := range subs {
-		s.mu.Lock()
-		out = append(out, SubscriberStats{Queued: len(s.queue), Bound: s.bound, Dropped: s.dropped})
-		s.mu.Unlock()
+	for _, q := range subs {
+		out = append(out, SubscriberStats{Queued: q.Len(), Bound: q.Limit(), Dropped: q.Dropped()})
 	}
 	return out
 }
 
 // unsubscribe removes a canceled subscriber so fanout stops visiting it.
-func (d *Detector) unsubscribe(s *subscriber) {
+func (d *Detector) unsubscribe(q *eventQueue) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for i, x := range d.subs {
-		if x == s {
-			d.subs = append(d.subs[:i], d.subs[i+1:]...)
-			return
-		}
+	if i := slices.Index(d.subs, q); i >= 0 {
+		d.subs = slices.Delete(slices.Clone(d.subs), i, i+1)
 	}
 }
 
@@ -493,12 +378,16 @@ func (d *Detector) unsubscribe(s *subscriber) {
 // exits. A consumer that may stop early should use Stream instead,
 // whose loop exit cancels the subscription.
 func (d *Detector) Subscribe() <-chan *Event {
-	return d.subscribe().ch
+	// 16 slots: enough that a consumer keeping pace rarely parks the
+	// relay, small enough that a stalled one holds bound + 17 events.
+	ch := make(chan *Event, 16)
+	go d.subscribe(d.queueBound).Pump(ch)
+	return ch
 }
 
 // SinkToStore attaches st as a persistence sink for the current (or
 // next) Run: every event is appended to the store in closing order the
-// moment it closes, through the same unbounded-queue plumbing as
+// moment it closes, through an unbounded queue of the kind behind
 // Subscribe — a slow disk never blocks or reorders inference. The
 // returned wait function blocks until the Run has returned, every
 // closed event has been appended, and the store has been synced; it
@@ -508,22 +397,8 @@ func (d *Detector) Subscribe() <-chan *Event {
 //	res, err := det.Run(ctx, src)
 //	if err := wait(); err != nil { ... }
 func (d *Detector) SinkToStore(st *Store) (wait func() error) {
-	s := d.subscribeUnbounded()
-	done := make(chan error, 1)
-	go func() {
-		var sinkErr error
-		for ev := range s.ch {
-			if sinkErr != nil {
-				continue // drain so Run's finish isn't blocked
-			}
-			sinkErr = st.Append(ev)
-		}
-		if sinkErr == nil {
-			sinkErr = st.Sync()
-		}
-		done <- sinkErr
-	}()
-	return func() error { return <-done }
+	errs := d.sink(func(*Event) int { return 0 }, []*Store{st})
+	return func() error { return (<-errs)[0] }
 }
 
 // SinkToShards is SinkToStore over a sharded fleet: each closed event
@@ -542,25 +417,37 @@ func (d *Detector) SinkToShards(plan ShardPlan, stores []*Store) (wait func() er
 		err := fmt.Errorf("SinkToShards: plan %v wants %d stores, got %d", plan, plan.Shards(), len(stores))
 		return func() error { return err }
 	}
-	s := d.subscribeUnbounded()
-	done := make(chan error, 1)
+	errs := d.sink(plan.Shard, stores)
+	return func() error { return errors.Join(<-errs...) }
+}
+
+// sink is the one drain loop behind both store sinks: a goroutine pops
+// the run's events off an unbounded queue, appends each to the store
+// shard picks, syncs every store once the run has ended, and delivers
+// each store's first error. A store that has failed (or an index shard
+// gets wrong) drops its remaining events; the queue is still drained.
+func (d *Detector) sink(shard func(*Event) int, stores []*Store) <-chan []error {
+	q := d.subscribe(0)
+	done := make(chan []error, 1)
 	go func() {
 		errs := make([]error, len(stores))
-		for ev := range s.ch {
-			i := plan.Shard(ev)
-			if i < 0 || i >= len(stores) || errs[i] != nil {
-				continue // drain so Run's finish isn't blocked
+		for {
+			ev, err := q.Pop()
+			if err != nil {
+				break
 			}
-			errs[i] = stores[i].Append(ev)
+			if i := shard(ev); i >= 0 && i < len(stores) && errs[i] == nil {
+				errs[i] = stores[i].Append(ev)
+			}
 		}
 		for i, st := range stores {
 			if errs[i] == nil {
 				errs[i] = st.Sync()
 			}
 		}
-		done <- errors.Join(errs...)
+		done <- errs
 	}()
-	return func() error { return <-done }
+	return done
 }
 
 // Stream returns the subscription as an iterator: ranging over it
@@ -575,14 +462,15 @@ func (d *Detector) SinkToShards(plan ShardPlan, stores []*Store) (wait func() er
 //		fmt.Println(ev.Prefix, ev.Duration())
 //	}
 func (d *Detector) Stream() iter.Seq[*Event] {
-	s := d.subscribe()
+	q := d.subscribe(d.queueBound)
 	return func(yield func(*Event) bool) {
 		defer func() {
-			d.unsubscribe(s)
-			s.cancel()
+			d.unsubscribe(q)
+			q.Abort()
 		}()
-		for ev := range s.ch {
-			if !yield(ev) {
+		for {
+			ev, err := q.Pop()
+			if err != nil || !yield(ev) {
 				return
 			}
 		}

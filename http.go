@@ -219,6 +219,7 @@ type rateLimiter struct {
 	rate    float64
 	burst   float64
 	clients map[string]*tokenBucket
+	pruned  time.Time // last pruneLocked scan
 }
 
 type tokenBucket struct {
@@ -226,8 +227,11 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-// maxRateClients caps the client map; past it, the stalest buckets are
-// pruned (they refill to full burst while idle anyway).
+// maxRateClients caps the client map. At the cap, buckets idle long
+// enough to have refilled are pruned — at most one scan per refill
+// interval — and while every slot is still held by a recently seen
+// client a newcomer is refused: established clients keep their buckets
+// and a flood of addresses costs neither memory nor a scan per request.
 const maxRateClients = 4096
 
 func (l *rateLimiter) allow(key string, now time.Time) bool {
@@ -237,6 +241,9 @@ func (l *rateLimiter) allow(key string, now time.Time) bool {
 	if b == nil {
 		if len(l.clients) >= maxRateClients {
 			l.pruneLocked(now)
+			if len(l.clients) >= maxRateClients {
+				return false
+			}
 		}
 		b = &tokenBucket{tokens: l.burst, last: now}
 		l.clients[key] = b
@@ -252,9 +259,14 @@ func (l *rateLimiter) allow(key string, now time.Time) bool {
 }
 
 // pruneLocked drops buckets idle long enough to have refilled fully —
-// indistinguishable from a fresh client.
+// indistinguishable from a fresh client. It scans at most once per
+// refill interval.
 func (l *rateLimiter) pruneLocked(now time.Time) {
 	full := l.burst / l.rate // seconds to refill from empty
+	if now.Sub(l.pruned).Seconds() < full {
+		return
+	}
+	l.pruned = now
 	for k, b := range l.clients {
 		if now.Sub(b.last).Seconds() >= full {
 			delete(l.clients, k)
@@ -552,6 +564,15 @@ func (h *handler) figure4(w http.ResponseWriter, r *http.Request) {
 	be, ctx := h.be, r.Context()
 	get := r.URL.Query().Get
 	sets := get("shape") == "sets"
+	every := 0 // 0 = not asked for
+	if s := get("every"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n <= 0 {
+			httpError(w, http.StatusBadRequest, "every: bad value %q", s)
+			return
+		}
+		every = n
+	}
 	stats, err := be.Stats(ctx)
 	if err != nil {
 		backendError(w, err)
@@ -621,14 +642,9 @@ func (h *handler) figure4(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	series := res.Series
-	if s := get("every"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			httpError(w, http.StatusBadRequest, "every: bad value %q", s)
-			return
-		}
+	if every > 0 {
 		var sampled []DailyPoint
-		for i := 0; i < len(series); i += n {
+		for i := 0; i < len(series); i += every {
 			sampled = append(sampled, series[i])
 		}
 		series = sampled

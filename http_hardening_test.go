@@ -7,6 +7,7 @@ package bgpblackholing
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -129,6 +130,42 @@ func TestHTTPRateLimitRefill(t *testing.T) {
 	}
 	if l.allow("10.0.0.1", now.Add(500*time.Millisecond)) {
 		t.Fatal("second request on a single refilled token allowed")
+	}
+}
+
+// TestHTTPRateLimitClientCap floods the limiter with three caps' worth
+// of distinct clients at one instant: the map never exceeds its cap, a
+// full map of active clients refuses newcomers without rescanning, the
+// clients already in it keep the tokens they had, and slots free up
+// again once their holders have been idle for a refill interval.
+func TestHTTPRateLimitClientCap(t *testing.T) {
+	l := &rateLimiter{rate: 1, burst: 2, clients: map[string]*tokenBucket{}}
+	now := time.Unix(1425211200, 0)
+	key := func(i int) string { return fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&255, i&255) }
+	for i := range 3 * maxRateClients {
+		if got, want := l.allow(key(i), now), i < maxRateClients; got != want {
+			t.Fatalf("client %d at the same instant: allow = %v, want %v", i, got, want)
+		}
+		if len(l.clients) > maxRateClients {
+			t.Fatalf("client %d: %d buckets, cap is %d", i, len(l.clients), maxRateClients)
+		}
+	}
+	// One scan when the map first filled, none for the 2×cap refusals.
+	if !l.pruned.Equal(now) {
+		t.Fatalf("pruned at %v, want %v", l.pruned, now)
+	}
+	// An established client still owns its bucket: one token of the
+	// burst of two is left, and then it is throttled like before.
+	if !l.allow(key(0), now) || l.allow(key(0), now) {
+		t.Fatal("established client lost its bucket to the flood")
+	}
+	// Two seconds idle refills every bucket; the stale ones make room.
+	later := now.Add(2 * time.Second)
+	if !l.allow(key(3*maxRateClients), later) {
+		t.Fatal("newcomer refused although every bucket had gone idle")
+	}
+	if len(l.clients) != 1 {
+		t.Fatalf("%d buckets after the idle ones were pruned, want 1", len(l.clients))
 	}
 }
 

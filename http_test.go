@@ -1,7 +1,9 @@
 package bgpblackholing
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -59,6 +61,23 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 		}
 	}
 	return resp
+}
+
+// unreachableBackend fails the test when a request that should have
+// been refused at parameter validation reaches the backend.
+type unreachableBackend struct {
+	Backend
+	t *testing.T
+}
+
+func (b unreachableBackend) Stats(context.Context) (*BackendStats, error) {
+	b.t.Error("Stats reached the backend")
+	return nil, errors.New("unreachable")
+}
+
+func (b unreachableBackend) Figure4(context.Context, time.Time, int) (*Figure4Result, error) {
+	b.t.Error("Figure4 reached the backend")
+	return nil, errors.New("unreachable")
 }
 
 func TestStoreHTTPAPI(t *testing.T) {
@@ -164,6 +183,15 @@ func TestStoreHTTPAPI(t *testing.T) {
 	}
 	if resp := getJSON(t, srv.URL+"/figure4?start=1000-01-01T00:00:00Z", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("figure4 far-past start: status %d, want 400", resp.StatusCode)
+	}
+
+	// A malformed every is refused before any backend call — behind a
+	// router each one is a fan-out to every shard.
+	badEvery := httptest.NewRecorder()
+	newHandler(unreachableBackend{NewStoreBackend(st, nil), t}, HandlerOptions{}).
+		ServeHTTP(badEvery, httptest.NewRequest("GET", "/figure4?every=x", nil))
+	if badEvery.Code != http.StatusBadRequest {
+		t.Fatalf("figure4 bad every: status %d, want 400", badEvery.Code)
 	}
 
 	// Errors: bad parameter, unknown route, missing pipeline.

@@ -2,9 +2,10 @@
 // pushes closed events in (Publish), the compiled rule index decides
 // which rules fire, and matching alerts fan out to SSE watchers and
 // registered webhooks. Publish never blocks on a consumer — watchers
-// ride bounded drop-oldest queues (the detector's backpressure
-// discipline) and webhooks ride bounded channels — so a stalled
-// subscriber can never stall inference.
+// and webhooks each ride a bounded stream.Queue, the detector's
+// backpressure discipline (watchers shed their oldest alert, webhooks
+// refuse the newest) — so a stalled subscriber can never stall
+// inference.
 package alert
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"bgpblackholing/internal/core"
 	"bgpblackholing/internal/enrich"
+	"bgpblackholing/internal/stream"
 )
 
 // Alert is one rule firing on one closed event. The payload is
@@ -270,7 +272,7 @@ func (h *Hub) Publish(ev *core.Event) {
 			w.offer(a)
 		}
 		for _, wh := range h.webhooks {
-			wh.offer(a)
+			wh.q.TryPush(a) // a full queue refuses (and counts) the newest
 		}
 	}
 }
@@ -302,10 +304,10 @@ func (h *Hub) Close() {
 	close(h.stop)
 	h.mu.Unlock()
 	for _, w := range watchers {
-		w.cancel()
+		w.q.Abort()
 	}
 	for _, wh := range webhooks {
-		close(wh.q)
+		wh.q.Close()
 	}
 	h.wg.Wait()
 }
@@ -338,7 +340,7 @@ func (h *Hub) Stats() Stats {
 		EncodeErrors: h.encodeErrs.Load(),
 	}
 	for _, w := range h.watchers {
-		s.WatcherDrops += w.drops.Load()
+		s.WatcherDrops += w.Drops()
 	}
 	for _, wh := range h.webhooks {
 		s.Webhooks = append(s.Webhooks, wh.stats())
@@ -394,42 +396,36 @@ func (h *Hub) removeWatcher(w *Watcher) {
 	h.mu.Lock()
 	if i := slices.Index(h.watchers, w); i >= 0 {
 		h.watchers = slices.Delete(h.watchers, i, i+1)
-		h.closedDrops += w.drops.Load()
+		h.closedDrops += w.Drops()
 	}
 	h.mu.Unlock()
 }
 
-// Watcher is one /watch subscriber: a bounded drop-oldest queue pumped
-// into a channel, mirroring the detector's slow-consumer discipline so
-// a stalled SSE client holds at most WatchBound+O(1) alerts and never
+// Watcher is one /watch subscriber: a bounded drop-oldest stream.Queue
+// relayed into a channel (the SSE handler selects on it beside its
+// heartbeat ticker), the detector's slow-consumer discipline, so a
+// stalled SSE client holds at most WatchBound+17 alerts and never
 // backpressures Publish.
 type Watcher struct {
 	hub    *Hub
 	filter map[string]bool // nil = all rules
-	bound  int
-	drops  atomic.Uint64
-
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []*Alert
-	done  bool
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	ch       chan *Alert
+	q      *stream.Queue[*Alert]
+	ch     chan *Alert
 }
 
 func newWatcher(h *Hub, filter map[string]bool, bound int) *Watcher {
 	w := &Watcher{
 		hub:    h,
 		filter: filter,
-		bound:  bound,
-		stop:   make(chan struct{}),
-		ch:     make(chan *Alert, 16),
+		q:      stream.NewQueue[*Alert](bound),
+		// 16 slots: a client keeping pace rarely parks the relay.
+		ch: make(chan *Alert, 16),
 	}
-	w.cond = sync.NewCond(&w.mu)
 	h.wg.Add(1)
-	go w.pump()
+	go func() {
+		defer h.wg.Done()
+		w.q.Pump(w.ch)
+	}()
 	return w
 }
 
@@ -438,50 +434,13 @@ func newWatcher(h *Hub, filter map[string]bool, bound int) *Watcher {
 func (w *Watcher) C() <-chan *Alert { return w.ch }
 
 // Drops reports alerts discarded because this watcher fell behind.
-func (w *Watcher) Drops() uint64 { return w.drops.Load() }
+func (w *Watcher) Drops() uint64 { return w.q.Dropped() }
 
 // offer enqueues without blocking, evicting the oldest pending alert
 // on overflow.
 func (w *Watcher) offer(a *Alert) {
-	if w.filter != nil && !w.filter[a.Rule] {
-		return
-	}
-	w.mu.Lock()
-	if w.done {
-		w.mu.Unlock()
-		return
-	}
-	if len(w.queue) >= w.bound {
-		copy(w.queue, w.queue[1:])
-		w.queue = w.queue[:len(w.queue)-1]
-		w.drops.Add(1)
-	}
-	w.queue = append(w.queue, a)
-	w.mu.Unlock()
-	w.cond.Signal()
-}
-
-func (w *Watcher) pump() {
-	defer w.hub.wg.Done()
-	defer close(w.ch)
-	for {
-		w.mu.Lock()
-		for len(w.queue) == 0 && !w.done {
-			w.cond.Wait()
-		}
-		if w.done {
-			w.mu.Unlock()
-			return
-		}
-		a := w.queue[0]
-		w.queue[0] = nil
-		w.queue = w.queue[1:]
-		w.mu.Unlock()
-		select {
-		case w.ch <- a:
-		case <-w.stop:
-			return
-		}
+	if w.filter == nil || w.filter[a.Rule] {
+		w.q.Push(a)
 	}
 }
 
@@ -489,17 +448,7 @@ func (w *Watcher) pump() {
 // pending alerts are discarded (a resuming client replays them by ID).
 func (w *Watcher) Close() {
 	w.hub.removeWatcher(w)
-	w.cancel()
-}
-
-func (w *Watcher) cancel() {
-	w.stopOnce.Do(func() {
-		w.mu.Lock()
-		w.done = true
-		w.mu.Unlock()
-		w.cond.Signal()
-		close(w.stop)
-	})
+	w.q.Abort()
 }
 
 // alertWire is the default wire shape — a compact summary. The facade

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"bgpblackholing/internal/stream"
 )
 
 // WebhookConfig parameterizes one webhook registration. The zero value
@@ -34,13 +36,12 @@ type WebhookConfig struct {
 type webhook struct {
 	url  string
 	cfg  WebhookConfig
-	q    chan *Alert
+	q    *stream.Queue[*Alert] // bounded; a full queue refuses the newest alert
 	stop <-chan struct{}
 
 	delivered   atomic.Uint64
 	retries     atomic.Uint64
 	deadLetters atomic.Uint64
-	dropped     atomic.Uint64
 }
 
 // WebhookStats is the delivery ledger for one registered webhook.
@@ -61,11 +62,11 @@ type WebhookStats struct {
 func (w *webhook) stats() WebhookStats {
 	return WebhookStats{
 		URL:         w.url,
-		Queued:      len(w.q),
+		Queued:      w.q.Len(),
 		Delivered:   w.delivered.Load(),
 		Retries:     w.retries.Load(),
 		DeadLetters: w.deadLetters.Load(),
-		Dropped:     w.dropped.Load(),
+		Dropped:     w.q.Dropped(),
 	}
 }
 
@@ -101,7 +102,7 @@ func (h *Hub) AddWebhook(url string, cfg WebhookConfig) error {
 	w := &webhook{
 		url:  url,
 		cfg:  cfg,
-		q:    make(chan *Alert, cfg.QueueBound),
+		q:    stream.NewQueue[*Alert](cfg.QueueBound),
 		stop: h.stop,
 	}
 	h.webhooks = append(h.webhooks, w)
@@ -113,20 +114,13 @@ func (h *Hub) AddWebhook(url string, cfg WebhookConfig) error {
 	return nil
 }
 
-// offer enqueues without blocking; overflow drops the alert (counted).
-// Called under h.mu, so it can never race the close(w.q) in Hub.Close.
-func (w *webhook) offer(a *Alert) {
-	select {
-	case w.q <- a:
-	default:
-		w.dropped.Add(1)
-	}
-}
-
+// run delivers queued alerts until Hub.Close has closed the queue and
+// it has drained.
 func (w *webhook) run() {
-	for a := range w.q {
-		if !w.deliver(a) {
-			return // hub shut down mid-backoff
+	for {
+		a, err := w.q.Pop()
+		if err != nil || !w.deliver(a) {
+			return // queue closed and drained, or hub shut down mid-backoff
 		}
 	}
 }

@@ -97,8 +97,10 @@ func WriteDurationsCSV(w io.Writer, ungrouped, grouped []time.Duration) error {
 	return cw.Error()
 }
 
-// WriteEventsCSV exports closed events in the bhdetect CSV schema, so
-// library users get the same artefact as the tool.
+// WriteEventsCSV exports closed events in the schema of bhreport -csv's
+// events.csv — one row per event with provider and user counts
+// (n_providers, n_users), not bhdetect's CSV, which lists the
+// providers, users, communities and platforms themselves.
 func WriteEventsCSV(w io.Writer, events []*core.Event) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"prefix", "start", "end", "duration_sec", "n_providers", "n_users", "detections", "start_unknown"}); err != nil {

@@ -5,8 +5,25 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 )
+
+// TestGoroutineLeakCheck proves the leak helper both ways: a goroutine
+// started after the snapshot and still parked is reported with its
+// stack, and once it has exited the same snapshot is clean.
+func TestGoroutineLeakCheck(t *testing.T) {
+	before := SnapshotGoroutines()
+	release := make(chan struct{})
+	go func() { <-release }()
+	got := before.leaked(20 * time.Millisecond)
+	if !strings.Contains(got, "TestGoroutineLeakCheck") {
+		t.Fatalf("parked goroutine not reported; leaked = %q", got)
+	}
+	close(release)
+	CheckGoroutines(t, before)
+}
 
 // TestVolatileWrites proves the page-cache model: bytes written but not
 // synced vanish at a crash; synced bytes survive.

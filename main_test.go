@@ -1,0 +1,9 @@
+package bgpblackholing
+
+import (
+	"testing"
+
+	"bgpblackholing/internal/faultfs"
+)
+
+func TestMain(m *testing.M) { faultfs.LeakCheckMain(m) }

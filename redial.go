@@ -265,21 +265,8 @@ func (r *RedialSource) Close() {
 	})
 }
 
-// attach wires run-scoped cancellation exactly like LiveSource: a
-// consumer parked in Next is unblocked when the run's context ends.
 func (r *RedialSource) attach(ctx context.Context, runDone <-chan struct{}) {
-	r.live.ClearInterrupt()
-	done := ctx.Done()
-	if done == nil {
-		return
-	}
-	go func() {
-		select {
-		case <-done:
-			r.live.Interrupt()
-		case <-runDone:
-		}
-	}()
+	attachLive(ctx, runDone, r.live)
 }
 
 func (r *RedialSource) isClosed() bool {
@@ -384,9 +371,12 @@ func (r *RedialSource) loop() {
 	defer r.live.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() {
-		<-r.closed
-		cancel()
+	go func() { // Close abandons an in-flight dial; exits with the loop
+		select {
+		case <-r.closed:
+			cancel()
+		case <-ctx.Done():
+		}
 	}()
 
 	attempt, sessions := 0, 0

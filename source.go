@@ -321,12 +321,17 @@ func (l *LiveSource) Dropped() uint64 { return l.live.Dropped() }
 // drained.
 func (l *LiveSource) Next() (*Elem, error) { return l.live.Next() }
 
-// attach unblocks a consumer parked in Next when the run's context is
+func (l *LiveSource) attach(ctx context.Context, runDone <-chan struct{}) {
+	attachLive(ctx, runDone, l.live)
+}
+
+// attachLive is the run-attach of every queue-backed source: it
+// unblocks a consumer parked in Next when the run's context is
 // canceled; Detector.Run translates the resulting ErrInterrupted into
 // the context's error. A stale interrupt left behind by a previously
 // canceled run is cleared first, so the new run resumes the feed.
-func (l *LiveSource) attach(ctx context.Context, runDone <-chan struct{}) {
-	l.live.ClearInterrupt()
+func attachLive(ctx context.Context, runDone <-chan struct{}, live *stream.Live) {
+	live.ClearInterrupt()
 	done := ctx.Done()
 	if done == nil {
 		return
@@ -334,7 +339,7 @@ func (l *LiveSource) attach(ctx context.Context, runDone <-chan struct{}) {
 	go func() {
 		select {
 		case <-done:
-			l.live.Interrupt()
+			live.Interrupt()
 		case <-runDone:
 		}
 	}()

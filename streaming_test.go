@@ -10,12 +10,13 @@ import (
 	"io"
 	"net/netip"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bgpblackholing/internal/faultfs"
 )
 
 // archiveGlob lists a directory's update archives (not table dumps).
@@ -77,7 +78,7 @@ func TestRunCancellation(t *testing.T) {
 	if len(full.Events) < 10 {
 		t.Fatalf("reference window too quiet: %d events", len(full.Events))
 	}
-	before := runtime.NumGoroutine()
+	before := faultfs.SnapshotGoroutines()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -120,14 +121,7 @@ func TestRunCancellation(t *testing.T) {
 	}
 
 	// Leak check: every worker and watcher goroutine must exit.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before Run, %d after cancellation", before, runtime.NumGoroutine())
+	faultfs.CheckGoroutines(t, before)
 }
 
 // TestSubscribeDeliversIncrementally checks that subscribers receive
