@@ -182,11 +182,17 @@ type ShardStat struct {
 	Status string `json:"status"`
 	Events int    `json:"events"`
 	Err    string `json:"error,omitempty"`
-	// Requests / Failures / Hedges are the router's lifetime counters
-	// for this shard.
+	// Identity is the shard identity the shard advertises ("<plan spec>
+	// <index>", see Detector.SinkToShards); absent for an unstamped store
+	// or a nested router.
+	Identity string `json:"identity,omitempty"`
+	// Requests / Failures / Hedges / Skipped are the router's lifetime
+	// counters for this shard; Skipped counts the queries the learned
+	// plan placed on another shard, so never sent here.
 	Requests uint64 `json:"requests"`
 	Failures uint64 `json:"failures"`
 	Hedges   uint64 `json:"hedges"`
+	Skipped  uint64 `json:"skipped"`
 }
 
 // ShardsInfoVersion is the wire version of the "shards" block in

@@ -1,9 +1,15 @@
 // Command bhroute federates the query APIs of several bhserve shards
-// behind one endpoint: it fans each request out to every shard,
-// merges the answers in global event order, and reports partial
-// results honestly when a shard is down (HTTP 200 + X-Shards-Failed
-// rather than an error). Writes stay on the shard servers; bhroute is
-// a stateless read tier that can be restarted or scaled at will.
+// behind one endpoint: it fans each request out to every shard — or,
+// for a prefix query over a fleet written by one prefix-split
+// SinkToShards, to the one shard whose identity says it holds the
+// answer — merges the answers in global event order, and reports
+// partial results honestly when a shard is down (HTTP 200 +
+// X-Shards-Failed rather than an error). Writes stay on the shard
+// servers; bhroute is a stateless read tier that can be restarted or
+// scaled at will. It takes no plan: it reads the shards' identities at
+// start-up, logs what it learned, and exits 1 if they contradict each
+// other (two plans, one index twice, a shard count that is not the
+// plan's).
 //
 // Shards come from a static list, either repeated -shard flags or a
 // -shards file (one shard per line):
@@ -32,6 +38,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -102,6 +109,9 @@ func run(cfg config) error {
 	}
 	fed := bgpblackholing.NewFederatedStore(backends...)
 	defer fed.Close()
+	if err := learnPlacement(fed, cfg.timeout); err != nil {
+		return err
+	}
 
 	tel := bgpblackholing.NewTelemetry()
 	handler := bgpblackholing.NewRouterHandler(fed, bgpblackholing.RouterOptions{
@@ -129,6 +139,26 @@ func run(cfg config) error {
 		slog.Info("shutting down")
 		return srv.Close()
 	}
+}
+
+// learnPlacement reads the shards' identities once before serving and
+// logs what the router will do with them. Only identities that
+// contradict each other are an error: the fleet is not the one its
+// writer made, and starting would serve it anyway. A shard that is down
+// teaches nothing: every query goes to every shard until a /stats request
+// reaches them all and reads the identities again.
+func learnPlacement(fed *bgpblackholing.FederatedStore, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if _, err := fed.Stats(ctx); err != nil {
+		slog.Warn("no shard answered /stats", "err", err)
+	}
+	placement, err := fed.Placement()
+	if err != nil {
+		return err
+	}
+	slog.Info("placement " + placement)
+	return nil
 }
 
 // Slow-client bounds on the query API: the time a peer has to send its

@@ -5,8 +5,13 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"bgpblackholing"
 )
 
 // TestNewServerTimeouts: the router bounds slow headers and idle
@@ -67,5 +72,49 @@ func TestNewServerDoesNotCutLongStreams(t *testing.T) {
 	}
 	if took := time.Since(began); took < lines*gap {
 		t.Fatalf("stream finished in %v; it should have trickled for %v", took, lines*gap)
+	}
+}
+
+// TestRunRefusesContradictingShards: bhroute takes no plan, it reads the
+// one its shards were written under; shards that say two different
+// things are not one fleet, and the router does not start over them.
+func TestRunRefusesContradictingShards(t *testing.T) {
+	stamped := func(identity string) string {
+		dir := t.TempDir()
+		st, err := bgpblackholing.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// docs/FORMAT.md "Shard identity": one line in SHARD.
+		if err := os.WriteFile(filepath.Join(dir, "SHARD"), []byte(identity+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	cfg := config{httpAddr: "127.0.0.1:0", timeout: 5 * time.Second,
+		shards: multiFlag{"a=" + stamped("prefix:8:2 0"), "b=" + stamped("prefix:8:2 0")}}
+	if err := run(cfg); err == nil || !strings.Contains(err.Error(), "both shard 0 of plan prefix:8:2") {
+		t.Fatalf("run over two shards stamped with one index: %v; want the contradiction", err)
+	}
+
+	// The same check, on a fleet that is one: the plan is learned.
+	backends := make([]bgpblackholing.Backend, 2)
+	for i := range backends {
+		st, err := bgpblackholing.OpenStoreReadOnly(stamped(fmt.Sprintf("prefix:8:2 %d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		backends[i] = bgpblackholing.NewStoreBackend(st, nil)
+	}
+	fed := bgpblackholing.NewFederatedStore(backends...)
+	if err := learnPlacement(fed, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := fed.Placement(); got != "plan=prefix:8:2 placed=exact,covered,lpm" {
+		t.Errorf("placement %q", got)
 	}
 }

@@ -406,16 +406,40 @@ func (d *Detector) SinkToStore(st *Store) (wait func() error) {
 // partition the run's events and a FederatedStore over them answers
 // queries byte-identically to one store holding everything (events
 // keep their engine-stamped Seq, the global merge order, wherever they
-// land). len(stores) must equal plan.Shards(). The returned wait
-// function blocks until the Run has returned, every event has been
-// appended to its shard, and every store has been synced; it joins the
-// per-shard errors. A failing shard never blocks the others: its
-// remaining events are still routed (and dropped with the error
-// latched), the healthy shards keep appending.
+// land). len(stores) must equal plan.Shards().
+//
+// Before anything is routed, each store is stamped with its shard
+// identity — the plan's spec and the store's index, "prefix:8:3 1" —
+// durably, in its directory. The identity travels with the store: every
+// later open (read-only and replicas included) advertises it in Stats, a
+// FederatedStore over the fleet learns the plan from there and sends a
+// prefix query only to the shard that can hold its answer, and the store
+// itself refuses, now and after any reopen, an event the plan files
+// elsewhere. So stores[i] must be new, already shard i of this plan, or
+// hold only events the plan files on shard i; anything else, and a
+// provided plan ParseShardPlan would refuse, fails the returned wait
+// before the run starts. A caller's own ShardPlan type, or a
+// TimeShardPlan with an Epoch (the spec cannot spell one), routes events
+// as ever and stamps nothing: its fleet is queried everywhere.
+//
+// The returned wait function blocks until the Run has returned, every
+// event has been appended to its shard, and every store has been synced;
+// it joins the per-shard errors. A failing shard never blocks the
+// others: its remaining events are still routed (and dropped with the
+// error latched), the healthy shards keep appending.
 func (d *Detector) SinkToShards(plan ShardPlan, stores []*Store) (wait func() error) {
+	fail := func(err error) func() error { return func() error { return err } }
 	if len(stores) != plan.Shards() {
-		err := fmt.Errorf("SinkToShards: plan %v wants %d stores, got %d", plan, plan.Shards(), len(stores))
-		return func() error { return err }
+		return fail(fmt.Errorf("SinkToShards: plan %v wants %d stores, got %d", plan, plan.Shards(), len(stores)))
+	}
+	stamp, err := stampable(plan)
+	if err != nil {
+		return fail(fmt.Errorf("SinkToShards: plan %v: %w", plan, err))
+	}
+	for i := 0; stamp && i < len(stores); i++ {
+		if err := stores[i].stamp(plan, i); err != nil {
+			return fail(fmt.Errorf("SinkToShards: store %d: %w", i, err))
+		}
 	}
 	errs := d.sink(plan.Shard, stores)
 	return func() error { return errors.Join(<-errs...) }

@@ -2,10 +2,13 @@ package bgpblackholing
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,20 +43,36 @@ import (
 // (RecordSet.ShardsFailed, the X-Shards-Failed response header, the
 // stats shards block). Only when every shard fails does a call error.
 //
+// Placement: stores written through Detector.SinkToShards remember which
+// shard of which plan they are, and advertise it in their stats. Every
+// Stats call reads the fleet's identities; once all shards advertise
+// the same prefix plan, one index each, Records and RecordLines ask only
+// the shard a prefix query's matches can live on (PrefixShardPlan.owner
+// is the rule). Nothing is configured: a fleet with an unstamped shard
+// or a nested router, a time plan, or a federation nobody has asked for
+// Stats fans every query out everywhere, as before; identities that
+// contradict each other do the same, and Placement and Healthz say so.
+//
 // FederatedStore itself implements Backend, so a federation can be
 // served by NewRouterHandler, queried by bhquery, or even mounted as a
 // shard of a larger federation.
 type FederatedStore struct {
 	backends []Backend
 	counters []shardCounters
+	all      []int // every shard index: the fan-out of a query no plan places
+	// placed is what the last complete Stats answer taught; nil before
+	// the first, and again once a shard answers as another than it
+	// advertised (errShardChanged).
+	placed atomic.Pointer[placement]
 }
 
 // shardCounters are the router's lifetime per-shard counters, exposed
-// via /stats and Telemetry.ObserveFederation. The third per-shard
+// via /stats and Telemetry.ObserveFederation. The fourth per-shard
 // counter, hedges, is kept by the RemoteBackend that launches them.
 type shardCounters struct {
 	requests atomic.Uint64
 	failures atomic.Uint64
+	skipped  atomic.Uint64 // queries the plan placed on another shard
 }
 
 // hedges is the shard's lifetime hedged-attempt count: only a remote
@@ -68,10 +87,15 @@ func hedges(b Backend) uint64 {
 // NewFederatedStore federates backends. The shard order is
 // significant only for presentation (stats rows, health checks).
 func NewFederatedStore(backends ...Backend) *FederatedStore {
-	return &FederatedStore{
+	f := &FederatedStore{
 		backends: backends,
 		counters: make([]shardCounters, len(backends)),
+		all:      make([]int, len(backends)),
 	}
+	for i := range f.all {
+		f.all[i] = i
+	}
+	return f
 }
 
 // Name implements Backend.
@@ -88,11 +112,12 @@ func (f *FederatedStore) Close() error {
 	return errors.Join(errs...)
 }
 
-// fanOut runs fn against every shard concurrently, counting requests
-// and failures. It returns the per-shard errors (nil for successes) and
-// how many shards failed; err is non-nil only when every shard did —
-// anything less is a partial answer, not an error.
-func (f *FederatedStore) fanOut(fn func(i int, b Backend) error) (errs []error, failed int, err error) {
+// fanOut runs fn against the shards in ask concurrently, counting
+// requests and failures. It returns the per-shard errors (nil for
+// successes and for shards not asked) and how many asked shards failed;
+// err is non-nil only when every one did — anything less is a partial
+// answer, not an error.
+func (f *FederatedStore) fanOut(ask []int, fn func(i int, b Backend) error) (errs []error, failed int, err error) {
 	errs = make([]error, len(f.backends))
 	call := func(i int, b Backend) {
 		f.counters[i].requests.Add(1)
@@ -104,21 +129,23 @@ func (f *FederatedStore) fanOut(fn func(i int, b Backend) error) (errs []error, 
 	// Backends that answer from local memory in microseconds run
 	// inline on the calling goroutine: a spawn + scheduler wakeup
 	// costs more than the query itself. Remote backends (network
-	// latency) fan out first, so they overlap the inline work.
+	// latency) fan out first, so they overlap the inline work. A lone
+	// shard — a placed query — has nothing to overlap, and runs inline
+	// whatever it is.
+	inline := func(i int) bool { return len(ask) == 1 || inProcess(f.backends[i]) }
 	var wg sync.WaitGroup
-	for i, b := range f.backends {
-		if inProcess(b) {
-			continue
+	for _, i := range ask {
+		if !inline(i) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				call(i, f.backends[i])
+			}()
 		}
-		wg.Add(1)
-		go func(i int, b Backend) {
-			defer wg.Done()
-			call(i, b)
-		}(i, b)
 	}
-	for i, b := range f.backends {
-		if inProcess(b) {
-			call(i, b)
+	for _, i := range ask {
+		if inline(i) {
+			call(i, f.backends[i])
 		}
 	}
 	wg.Wait()
@@ -131,7 +158,7 @@ func (f *FederatedStore) fanOut(fn func(i int, b Backend) error) (errs []error, 
 			}
 		}
 	}
-	if failed == len(f.backends) {
+	if failed == len(ask) {
 		err = fmt.Errorf("all %d shards failed: %w", failed, first)
 	}
 	return errs, failed, err
@@ -144,39 +171,129 @@ func inProcess(b Backend) bool {
 	return ok
 }
 
-// Records implements Backend: fan out with the limit pushed down, merge
-// the answered sets as streams over their lines, and sum the accounting
-// (shards partition the events, so totals add). The merged lines stay
-// the shard sets' own.
+// gather opens q's answers on the shards q can live on — one stream per
+// asked shard, nil for the rest — and counts the asked shards that
+// failed. A query the learned plan places asks its owner alone. An LPM
+// answer is final only if the owner matched a prefix at least as long as
+// the split bit: a shorter covering prefix is filed under its own
+// address bits and may be on any shard, so the rest are asked as well.
+// Either way an LPM answer keeps only the longest match (keepLongest).
+func (f *FederatedStore) gather(q Query, open func(i int, b Backend) (*RecordStream, error)) (streams []*RecordStream, failed int, err error) {
+	streams = make([]*RecordStream, len(f.backends))
+	fn := func(i int, b Backend) error {
+		s, err := open(i, b)
+		streams[i] = s
+		if errors.Is(err, errShardChanged) {
+			f.placed.Store(nil) // the plan was learned from another fleet
+		}
+		return err
+	}
+	lpm := q.Prefix.IsValid() && q.Mode == PrefixLPM
+	owner, pl := -1, f.placed.Load()
+	if pl != nil && pl.plan != nil {
+		if k := pl.plan.owner(q); k >= 0 {
+			owner = pl.shard[k]
+		}
+	}
+	if owner < 0 {
+		_, failed, err = f.fanOut(f.all, fn)
+	} else if _, failed, err = f.fanOut([]int{owner}, fn); err == nil {
+		if lpm && len(f.all) > 1 && headBits(streams[owner]) < pl.plan.Bit {
+			rest := slices.DeleteFunc(slices.Clone(f.all), func(i int) bool { return i == owner })
+			_, more, _ := f.fanOut(rest, fn) // the owner answered: no error, whatever the rest do
+			failed += more
+		} else {
+			for i := range f.counters {
+				if i != owner {
+					f.counters[i].skipped.Add(1)
+				}
+			}
+		}
+	}
+	if err != nil {
+		return nil, failed, err
+	}
+	if lpm {
+		keepLongest(streams)
+	}
+	return streams, failed, nil
+}
+
+// headBits reads a stream's first record for the length of its prefix —
+// the prefix an LPM answer's shard matched — and hands the record (or the
+// error in its place) back to the stream's next Next. -1 when there is
+// no such record.
+func headBits(s *RecordStream) int {
+	rl, err := s.next()
+	rest := s.next
+	s.next = func() (RecordLine, error) {
+		s.next = rest // rl.Line is still the stream's: nothing was read past it
+		return rl, err
+	}
+	if err != nil {
+		return -1
+	}
+	p, err := netip.ParsePrefix(rl.Key.Prefix)
+	if err != nil {
+		return -1
+	}
+	return p.Bits()
+}
+
+// keepLongest makes a fan-out's LPM answers the LPM answer: every shard
+// answered with its own longest match — one prefix per shard — and one
+// store answers with the longest of them all, so the shards that matched
+// a shorter prefix are dropped (closed and set to nil). Shards matching
+// the same longest prefix (a time plan) all stay.
+func keepLongest(streams []*RecordStream) {
+	bits := make([]int, len(streams))
+	for i, s := range streams {
+		if bits[i] = -1; s != nil {
+			bits[i] = headBits(s)
+		}
+	}
+	longest := slices.Max(bits)
+	for i, s := range streams {
+		if bits[i] >= 0 && bits[i] < longest {
+			s.Close()
+			streams[i] = nil
+		}
+	}
+}
+
+// Records implements Backend: gather the asked shards' sets with the
+// limit pushed down, merge them as streams over their lines, and sum the
+// accounting (shards partition the events, so totals add). The merged
+// lines stay the shard sets' own.
 func (f *FederatedStore) Records(ctx context.Context, q Query) (*RecordSet, error) {
 	began := time.Now()
 	sets := make([]*RecordSet, len(f.backends))
-	_, failed, err := f.fanOut(func(i int, b Backend) error {
+	streams, failed, err := f.gather(q, func(i int, b Backend) (*RecordStream, error) {
 		rs, err := b.Records(ctx, q)
-		sets[i] = rs
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := &RecordSet{Records: []RecordLine{}, ShardsFailed: failed} // an empty match is [], never null
-	streams := make([]*RecordStream, len(sets))
-	for i, rs := range sets {
-		if rs == nil {
-			continue
+		if err != nil {
+			return nil, err
 		}
-		out.Total += rs.Total
-		out.Scanned += rs.Scanned
+		sets[i] = rs
 		lines := rs.Records
-		streams[i] = &RecordStream{next: func() (RecordLine, error) {
+		return &RecordStream{next: func() (RecordLine, error) {
 			if len(lines) == 0 {
 				return RecordLine{}, io.EOF
 			}
 			rl := lines[0]
 			lines = lines[1:]
 			return rl, nil
-		}}
+		}}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	out := &RecordSet{Records: []RecordLine{}, ShardsFailed: failed} // an empty match is [], never null
+	for i, s := range streams {
+		if s != nil {
+			out.Total += sets[i].Total
+			out.Scanned += sets[i].Scanned
+		}
 	}
 	merged := f.merge(streams, q.Limit)
 	for {
@@ -197,16 +314,13 @@ type lineCursor struct {
 	head RecordLine
 }
 
-// RecordLines implements Backend: open every shard stream eagerly
-// (so ShardsFailed is known before the first body byte), then merge,
-// passing each shard's serialized bytes through verbatim — borrowed, not
-// copied: a returned Line is the shard stream's own buffer.
+// RecordLines implements Backend: open every asked shard's stream
+// eagerly (so ShardsFailed is known before the first body byte), then
+// merge, passing each shard's serialized bytes through verbatim —
+// borrowed, not copied: a returned Line is the shard stream's own buffer.
 func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
-	streams := make([]*RecordStream, len(f.backends))
-	_, failed, err := f.fanOut(func(i int, b Backend) error {
-		s, err := b.RecordLines(ctx, q)
-		streams[i] = s
-		return err
+	streams, failed, err := f.gather(q, func(i int, b Backend) (*RecordStream, error) {
+		return b.RecordLines(ctx, q)
 	})
 	if err != nil {
 		return nil, err
@@ -216,8 +330,8 @@ func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStrea
 	return merged, nil
 }
 
-// merge is the federation's one merge: a k-way heap merge of the shards'
-// streams (nil for a shard with none) on RecordKey, cut at limit when it
+// merge is the federation's one merge: a k-way heap merge of the asked
+// shards' streams (nil for a shard with none) on RecordKey, cut at limit when it
 // is positive — limits are pushed down per shard and re-applied here,
 // because the union of per-shard top-ks overshoots. Each shard's own
 // order is trusted; equal heads go by shard index. A shard that fails (a
@@ -320,7 +434,7 @@ func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days 
 
 func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int) (*analysis.Figure4Partial, int, error) {
 	shardSets := make([]*Figure4Sets, len(f.backends))
-	_, failed, err := f.fanOut(func(i int, b Backend) error {
+	_, failed, err := f.fanOut(f.all, func(i int, b Backend) error {
 		s, err := b.Figure4Sets(ctx, start, days)
 		shardSets[i] = s
 		return err
@@ -344,7 +458,7 @@ func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days
 func (f *FederatedStore) LegitimacySummary(ctx context.Context, q Query) (*LegitimacySummary, error) {
 	began := time.Now()
 	sums := make([]*LegitimacySummary, len(f.backends))
-	_, failed, err := f.fanOut(func(i int, b Backend) error {
+	_, failed, err := f.fanOut(f.all, func(i int, b Backend) error {
 		s, err := b.LegitimacySummary(ctx, q)
 		sums[i] = s
 		return err
@@ -381,16 +495,21 @@ func (f *FederatedStore) LegitimacySummary(ctx context.Context, q Query) (*Legit
 // carries the version-tagged per-shard breakdown. Note Prefixes is a
 // sum of per-shard distinct counts: exact under a prefix-split plan,
 // an upper bound under a time plan (the same prefix may recur on
-// several shards).
+// several shards). An answer from every shard is also where the
+// federation learns its placement; one with a shard missing teaches
+// nothing and leaves what was learned alone.
 func (f *FederatedStore) Stats(ctx context.Context) (*BackendStats, error) {
 	stats := make([]*BackendStats, len(f.backends))
-	errs, failed, err := f.fanOut(func(i int, b Backend) error {
+	errs, failed, err := f.fanOut(f.all, func(i int, b Backend) error {
 		s, err := b.Stats(ctx)
 		stats[i] = s
 		return err
 	})
 	if err != nil {
 		return nil, err
+	}
+	if failed == 0 {
+		f.placed.Store(f.learn(stats))
 	}
 	out := &BackendStats{Shards: &ShardsInfo{Version: ShardsInfoVersion, Failed: failed}}
 	for i, b := range f.backends {
@@ -399,6 +518,7 @@ func (f *FederatedStore) Stats(ctx context.Context) (*BackendStats, error) {
 			Requests: f.counters[i].requests.Load(),
 			Failures: f.counters[i].failures.Load(),
 			Hedges:   hedges(b),
+			Skipped:  f.counters[i].skipped.Load(),
 		}
 		if rb, ok := b.(*RemoteBackend); ok {
 			row.URL = rb.URL()
@@ -414,6 +534,7 @@ func (f *FederatedStore) Stats(ctx context.Context) (*BackendStats, error) {
 		}
 		row.Status = "ok"
 		row.Events = s.Events
+		row.Identity = s.Identity
 		agg := &out.StoreStats
 		agg.Events += s.Events
 		agg.Prefixes += s.Prefixes
@@ -440,10 +561,11 @@ func (f *FederatedStore) Stats(ctx context.Context) (*BackendStats, error) {
 }
 
 // Healthz implements Backend: every shard is probed concurrently, and
-// the federation is ok only when every shard is.
+// the federation is ok only when every shard is and the identities they
+// last advertised do not contradict each other.
 func (f *FederatedStore) Healthz(ctx context.Context) *ShardHealth {
 	healths := make([]*ShardHealth, len(f.backends))
-	f.fanOut(func(i int, b Backend) error {
+	f.fanOut(f.all, func(i int, b Backend) error {
 		healths[i] = b.Healthz(ctx)
 		if healths[i].Status == "down" {
 			return errors.New(healths[i].Err)
@@ -465,11 +587,86 @@ func (f *FederatedStore) Healthz(ctx context.Context) *ShardHealth {
 			checks["shard:"+h.Name+":"+k] = v
 		}
 	}
+	if _, err := f.Placement(); err != nil {
+		checks["placement"] = err.Error()
+	}
 	if len(checks) > 0 {
 		out.Status = "degraded"
 		out.Checks = checks
 	}
 	return out
+}
+
+// placement is what a federation learned from one complete Stats answer.
+type placement struct {
+	spec  string           // the plan every shard advertises; "" when there is none to follow
+	plan  *PrefixShardPlan // spec parsed, when it is a plan that places queries
+	shard []int            // shard[k] is the backend holding the plan's shard k
+	why   string           // without a spec: which shard advertises no identity
+	err   error            // the identities contradict each other
+}
+
+// learn reads the shards' advertised identities. All advertising one
+// plan, whose N is the shard count, under indices that are a permutation
+// of 0..N-1, is a plan to follow; any shard advertising none is a fleet
+// to fan out over; anything else is a contradiction — the fleet was not
+// written by one SinkToShards, and no query may trust its layout.
+func (f *FederatedStore) learn(stats []*BackendStats) *placement {
+	name := func(i int) string { return f.backends[i].Name() }
+	for i, s := range stats {
+		if s.Identity == "" {
+			return &placement{why: "shard " + name(i) + " advertises no identity"}
+		}
+	}
+	pl := &placement{shard: make([]int, len(stats))}
+	for i := range pl.shard {
+		pl.shard[i] = -1
+	}
+	for i, s := range stats {
+		id, err := parseShardIdentity(s.Identity)
+		if err != nil {
+			return &placement{err: fmt.Errorf("shard %s: %w", name(i), err)}
+		}
+		switch spec := id.plan.String(); {
+		case i == 0:
+			pl.spec = spec
+			if plan, ok := id.plan.(PrefixShardPlan); ok {
+				pl.plan = &plan
+			}
+		case spec != pl.spec:
+			return &placement{err: fmt.Errorf("shard %s is of plan %s, shard %s of plan %s", name(0), pl.spec, name(i), spec)}
+		}
+		if n := id.plan.Shards(); n != len(stats) {
+			return &placement{err: fmt.Errorf("plan %s has %d shards, %d are configured", pl.spec, n, len(stats))}
+		}
+		if j := pl.shard[id.index]; j >= 0 {
+			return &placement{err: fmt.Errorf("shards %s and %s are both shard %d of plan %s", name(j), name(i), id.index, pl.spec)}
+		}
+		pl.shard[id.index] = i
+	}
+	return pl
+}
+
+// Placement describes how the federation places queries, as one log
+// line: the plan its shards advertise and the prefix modes it prunes
+// ("plan=prefix:8:3 placed=exact,covered,lpm"), or why every query goes
+// to every shard. The error is a contradiction between the shards'
+// identities; queries still fan out everywhere, which is correct for
+// any layout, but the fleet is not the one its writer made. Both are as
+// of the last Stats call that reached every shard.
+func (f *FederatedStore) Placement() (string, error) {
+	pl := f.placed.Load()
+	switch {
+	case pl == nil:
+		return "plan=none (no identities read yet)", nil
+	case pl.err != nil:
+		return "plan=none (identities contradict)", fmt.Errorf("shard identities contradict: %w", pl.err)
+	case pl.spec == "":
+		return "plan=none (" + pl.why + ")", nil
+	case pl.plan == nil:
+		return "plan=" + pl.spec + " placed=none", nil
+	}
+	return "plan=" + pl.spec + " placed=exact,covered,lpm", nil
 }
 
 // ---------------------------------------------------------------------
@@ -484,34 +681,58 @@ type ShardPlan interface {
 	Shards() int
 	// Shard maps an event to [0, N).
 	Shard(ev *Event) int
-	// String describes the plan for logs and docs.
+	// String names the plan. The provided plans print their spec, the
+	// form ParseShardPlan reads back: what logs show and stores are
+	// stamped with.
 	String() string
 }
+
+// maxShards bounds a plan's shard count.
+const maxShards = 1 << 20
 
 // TimeShardPlan partitions by closing time: shard = ⌊(End − Epoch) /
 // Width⌋ mod N. Consecutive time windows land on consecutive shards
 // round-robin, so a long capture spreads over all shards instead of
 // filling them one by one.
 type TimeShardPlan struct {
-	// Epoch anchors window zero. The zero value (Unix epoch) is fine;
-	// only the alignment matters.
+	// Epoch anchors window zero. The zero value means the Unix epoch;
+	// only the alignment matters. The spec has no field for it: a plan
+	// with another epoch routes events, but stamps no store.
 	Epoch time.Time
 	// Width is one window's span. Must be positive.
 	Width time.Duration
-	// N is the shard count. Must be positive.
+	// N is the shard count, 1 to 1<<20.
 	N int
+}
+
+// check is the one place that says which time plans exist: what
+// ParseShardPlan accepts, SinkToShards takes and Shard is defined for.
+func (p TimeShardPlan) check() error {
+	if p.Width <= 0 {
+		return fmt.Errorf("window width %s (want a positive duration)", p.Width)
+	}
+	if p.N < 1 || p.N > maxShards {
+		return fmt.Errorf("shard count %d (want 1..%d)", p.N, maxShards)
+	}
+	return nil
 }
 
 // Shards implements ShardPlan.
 func (p TimeShardPlan) Shards() int { return p.N }
 
-// Shard implements ShardPlan.
+// Shard implements ShardPlan; 0 under a plan check refuses.
 func (p TimeShardPlan) Shard(ev *Event) int {
-	w := int64(p.Width)
-	if w <= 0 || p.N <= 0 {
+	if p.check() != nil {
 		return 0
 	}
-	d := ev.End.Sub(p.Epoch)
+	epoch := p.Epoch
+	if epoch.IsZero() {
+		// time.Time's own zero is the year 1: Sub from any real event
+		// saturates, and every event lands in one window.
+		epoch = time.Unix(0, 0)
+	}
+	w := int64(p.Width)
+	d := ev.End.Sub(epoch)
 	win := int64(d) / w
 	if int64(d)%w < 0 {
 		win-- // floor toward −inf for pre-epoch events
@@ -523,100 +744,176 @@ func (p TimeShardPlan) Shard(ev *Event) int {
 	return s
 }
 
-// String implements ShardPlan.
+// String implements ShardPlan: the spec "time:<width>:<n>".
 func (p TimeShardPlan) String() string {
-	return fmt.Sprintf("time(width=%s, n=%d)", p.Width, p.N)
+	return fmt.Sprintf("time:%s:%d", p.Width, p.N)
 }
 
 // PrefixShardPlan partitions by prefix address: the top Bit bits of
-// the event prefix's (family-native) address, mod N. This is a split
-// of the patricia trie at depth Bit — all events under one depth-Bit
-// subtree land on the same shard, so covered/covering queries for a
-// prefix at or below that depth touch one shard. Both families hash
-// independently (v4 from the 32-bit address, v6 from the top 64 bits).
+// the event prefix's (family-native, masked) address, mod N. This is a
+// split of the patricia trie at depth Bit — all events under one
+// depth-Bit subtree land on the same shard, which is what lets a router
+// place a prefix query (owner). Both families hash independently (v4
+// from the 32-bit address, v6 from the top 64 bits).
 type PrefixShardPlan struct {
-	// Bit is the trie depth of the split (1..32). Must be positive.
+	// Bit is the trie depth of the split, 1 to 32.
 	Bit int
-	// N is the shard count. Must be positive.
+	// N is the shard count, 1 to 1<<20.
 	N int
+}
+
+// check is the one place that says which prefix plans exist: what
+// ParseShardPlan accepts, SinkToShards takes and Shard is defined for.
+func (p PrefixShardPlan) check() error {
+	if p.Bit < 1 || p.Bit > 32 {
+		return fmt.Errorf("split bit %d (want 1..32)", p.Bit)
+	}
+	if p.N < 1 || p.N > maxShards {
+		return fmt.Errorf("shard count %d (want 1..%d)", p.N, maxShards)
+	}
+	return nil
 }
 
 // Shards implements ShardPlan.
 func (p PrefixShardPlan) Shards() int { return p.N }
 
-// Shard implements ShardPlan.
-func (p PrefixShardPlan) Shard(ev *Event) int {
-	if p.N <= 0 {
+// Shard implements ShardPlan; 0 under a plan check refuses.
+func (p PrefixShardPlan) Shard(ev *Event) int { return p.shardOf(ev.Prefix) }
+
+// shardOf files a prefix under the top Bit bits of its masked address. A
+// prefix shorter than Bit is filed under its own bits, zero-extended:
+// wherever that lands, not necessarily with the longer prefixes it
+// covers.
+func (p PrefixShardPlan) shardOf(prefix netip.Prefix) int {
+	if p.check() != nil {
 		return 0
 	}
-	bit := p.Bit
-	if bit <= 0 {
-		bit = 8
-	}
-	if bit > 32 {
-		bit = 32
-	}
-	addr := ev.Prefix.Addr()
+	addr := prefix.Masked().Addr()
 	var top uint64
 	if addr.Is4() {
 		a4 := addr.As4()
-		v := uint64(a4[0])<<24 | uint64(a4[1])<<16 | uint64(a4[2])<<8 | uint64(a4[3])
-		top = v >> (32 - uint(bit))
+		top = uint64(binary.BigEndian.Uint32(a4[:])) >> (32 - p.Bit)
 	} else {
 		a16 := addr.As16()
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v = v<<8 | uint64(a16[i])
-		}
-		top = v >> (64 - uint(bit))
+		top = binary.BigEndian.Uint64(a16[:8]) >> (64 - p.Bit)
 	}
 	return int(top % uint64(p.N))
 }
 
-// String implements ShardPlan.
-func (p PrefixShardPlan) String() string {
-	return fmt.Sprintf("prefix(bit=%d, n=%d)", p.Bit, p.N)
+// owner is the placement law: the one shard every event q's prefix
+// filter can match is filed on, or -1 when they may be on any.
+//
+//	exact     the prefix's own shard, whatever its length
+//	covered   a query prefix at least Bit long contains only prefixes
+//	          that share its top Bit bits: its shard
+//	lpm       likewise for the matches at least Bit long; the caller
+//	          must ask the other shards when the owner has none (gather)
+//	covering  every match is shorter than the query, so possibly shorter
+//	          than Bit: anywhere
+//
+// Filters other than the prefix narrow a shard's answer, never move it.
+func (p PrefixShardPlan) owner(q Query) int {
+	if !q.Prefix.IsValid() || p.check() != nil {
+		return -1
+	}
+	if q.Mode == PrefixExact || q.Mode != PrefixCovering && q.Prefix.Bits() >= p.Bit {
+		return p.shardOf(q.Prefix)
+	}
+	return -1
 }
 
-// ParseShardPlan parses the CLI plan syntax:
+// String implements ShardPlan: the spec "prefix:<bit>:<n>".
+func (p PrefixShardPlan) String() string {
+	return fmt.Sprintf("prefix:%d:%d", p.Bit, p.N)
+}
+
+// stampable reports whether a store can be stamped with plan: it is one
+// of the provided plans and its spec says all of it. err is why a
+// provided plan is none at all.
+func stampable(plan ShardPlan) (ok bool, err error) {
+	switch p := plan.(type) {
+	case PrefixShardPlan:
+		return true, p.check()
+	case TimeShardPlan:
+		return p.Epoch.IsZero(), p.check()
+	}
+	return false, nil
+}
+
+// ParseShardPlan parses a plan spec, the form the provided plans print:
 //
 //	time:<width>:<n>    e.g. time:168h:3  (weekly windows over 3 shards)
 //	prefix:<bit>:<n>    e.g. prefix:8:4   (top octet over 4 shards)
+//
+// Numbers are plain decimal digits. Parsing what a plan prints gives the
+// plan back (a time plan's Epoch, which has no spelling, excepted).
 func ParseShardPlan(s string) (ShardPlan, error) {
 	parts := strings.SplitN(s, ":", 3)
 	if len(parts) != 3 {
 		return nil, fmt.Errorf("bad shard plan %q (want time:<width>:<n> or prefix:<bit>:<n>)", s)
 	}
-	n, err := parseCount(parts[2])
+	n, err := parseDigits(parts[2])
 	if err != nil {
 		return nil, fmt.Errorf("bad shard count in %q: %v", s, err)
 	}
+	var plan ShardPlan
 	switch parts[0] {
 	case "time":
-		w, err := time.ParseDuration(parts[1])
-		if err != nil || w <= 0 {
+		w, perr := time.ParseDuration(parts[1])
+		if perr != nil {
 			return nil, fmt.Errorf("bad window width in %q", s)
 		}
-		return TimeShardPlan{Width: w, N: n}, nil
+		p := TimeShardPlan{Width: w, N: n}
+		plan, err = p, p.check()
 	case "prefix":
-		bit, err := parseCount(parts[1])
-		if err != nil || bit > 32 {
-			return nil, fmt.Errorf("bad split bit in %q (want 1..32)", s)
+		bit, perr := parseDigits(parts[1])
+		if perr != nil {
+			return nil, fmt.Errorf("bad split bit in %q: %v", s, perr)
 		}
-		return PrefixShardPlan{Bit: bit, N: n}, nil
+		p := PrefixShardPlan{Bit: bit, N: n}
+		plan, err = p, p.check()
+	default:
+		return nil, fmt.Errorf("bad shard plan kind %q (want time or prefix)", parts[0])
 	}
-	return nil, fmt.Errorf("bad shard plan kind %q (want time or prefix)", parts[0])
+	if err != nil {
+		return nil, fmt.Errorf("bad shard plan %q: %v", s, err)
+	}
+	return plan, nil
 }
 
-// parseCount parses a plan's shard count or split bit: plain decimal
-// digits (ParseUint takes no sign), 1 to 1<<20.
-func parseCount(s string) (int, error) {
+// parseDigits parses a plan's shard count or split bit: plain decimal
+// digits (ParseUint takes no sign). What the number may be is check's
+// to say.
+func parseDigits(s string) (int, error) {
 	n, err := strconv.ParseUint(s, 10, 32)
 	if err != nil {
 		return 0, fmt.Errorf("bad number %q", s)
 	}
-	if n == 0 || n > 1<<20 {
-		return 0, fmt.Errorf("number %q out of range (want 1..%d)", s, 1<<20)
-	}
 	return int(n), nil
+}
+
+// shardIdentity is what a stamped store knows about itself: which shard
+// of which plan it is. On disk and in stats it is "<plan spec> <index>".
+type shardIdentity struct {
+	plan  ShardPlan
+	index int
+}
+
+func (id shardIdentity) String() string { return id.plan.String() + " " + strconv.Itoa(id.index) }
+
+// parseShardIdentity is String's inverse.
+func parseShardIdentity(s string) (shardIdentity, error) {
+	spec, idx, ok := strings.Cut(s, " ")
+	if !ok {
+		return shardIdentity{}, fmt.Errorf("bad shard identity %q (want \"<plan> <index>\")", s)
+	}
+	plan, err := ParseShardPlan(spec)
+	if err != nil {
+		return shardIdentity{}, fmt.Errorf("bad shard identity %q: %v", s, err)
+	}
+	i, err := parseDigits(idx)
+	if err != nil || i >= plan.Shards() {
+		return shardIdentity{}, fmt.Errorf("bad shard identity %q: index %q (want 0..%d)", s, idx, plan.Shards()-1)
+	}
+	return shardIdentity{plan, i}, nil
 }

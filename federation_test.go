@@ -78,7 +78,50 @@ func newFederationFixture(t *testing.T) *federationFixture {
 		t.Fatalf("replay produced only %d events; fixture too thin", len(res.Events))
 	}
 	f.events = res.Events
+	f.appendNested(t, plans)
+	for name, stores := range f.shards {
+		for i, st := range stores {
+			if st.Len() == 0 {
+				t.Fatalf("fixture: %s shard %d holds no event", name, i)
+			}
+		}
+	}
 	return f
+}
+
+// nestedFixture are prefixes nested three deep in both families, the
+// outermost shorter than the prefix plan's split bit, so it is filed away
+// from the prefixes it covers (first octets 100 and 101, 0x24 and 0x25:
+// different shards of prefix:8:3), each closing a day after the last, so
+// the time plan spreads them too. The replay may or may not nest
+// prefixes across shards; these always are.
+var nestedFixture = []string{
+	"100.0.0.0/6", "101.1.1.0/24", "101.1.1.1/32",
+	"2400::/6", "2500:db8::/32", "2500:db8::1/128",
+}
+
+// appendNested appends nestedFixture to the single store and to each
+// plan's owning shard, as the next events of the run's lineage.
+func (f *federationFixture) appendNested(t *testing.T, plans map[string]ShardPlan) {
+	t.Helper()
+	last := f.events[len(f.events)-1]
+	for i, prefix := range nestedFixture {
+		ev := &Event{
+			Prefix: mustPrefix(prefix),
+			Seq:    last.Seq + 1 + uint64(i),
+			Start:  last.End.Add(time.Duration(i) * 24 * time.Hour),
+			End:    last.End.Add(time.Duration(i)*24*time.Hour + time.Hour),
+		}
+		f.events = append(f.events, ev)
+		if err := f.single.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+		for name, plan := range plans {
+			if err := f.shards[name][plan.Shard(ev)].Append(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // queryCombos derives ≥ 12 filter/limit/enrich parameter sets from the
@@ -122,6 +165,19 @@ func (f *federationFixture) queryCombos(t *testing.T) []string {
 		"min_duration=999999h", // empty match: "events" must be [] on both sides
 		fmt.Sprintf("enrich=1&limit=50&origin=%d", user),
 		"enrich=1&limit=25",
+		// nestedFixture: an address under all three lengths, under two,
+		// under the outermost only, and the walks up and down the chain.
+		"prefix=101.1.1.1&mode=lpm",
+		"prefix=101.1.1.9&mode=lpm",
+		"prefix=102.0.0.1&mode=lpm&limit=1",
+		"prefix=101.1.1.1/32&mode=covering",
+		"prefix=100.0.0.0/6&mode=covered",
+		"prefix=101.1.1.0/24&mode=covered",
+		"prefix=2500:db8::1&mode=lpm",
+		"prefix=2500:db8::2&mode=lpm",
+		"prefix=2600::1&mode=lpm",
+		"prefix=2500:db8::1/128&mode=covering",
+		"prefix=2400::/6&mode=covered",
 	}
 }
 
@@ -610,6 +666,11 @@ func TestParseShardPlan(t *testing.T) {
 			t.Errorf("ParseShardPlan(%q): %v", spec, err)
 		} else if got != want {
 			t.Errorf("ParseShardPlan(%q) = %#v, want %#v", spec, got, want)
+		}
+		// The canonical spec — what a plan prints, a store is stamped
+		// with and a log shows — reads back as the plan.
+		if again, err := ParseShardPlan(want.String()); err != nil || again != want {
+			t.Errorf("plan %#v prints %q, which parses as %#v, %v", want, want, again, err)
 		}
 	}
 	for _, spec := range []string{

@@ -437,6 +437,7 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	shardsFailedHeader(w, rs.ShardsFailed)
+	h.shardIdentity(w)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(bufs.indented.Bytes())
 }
@@ -492,6 +493,23 @@ func shardsFailedHeader(w http.ResponseWriter, failed int) {
 	}
 }
 
+// shardIdentityHeader names, on a stamped store's /events answers, the
+// shard whose events they are: "<plan spec> <index>", what the store's
+// /stats advertises as Identity. A router that placed the query by that
+// advertisement refuses an answer from anyone else
+// (RemoteBackend.sameShard). Unstamped stores and routers never set it.
+const shardIdentityHeader = "X-Shard-Identity"
+
+func (h *handler) shardIdentity(w http.ResponseWriter) {
+	if h.tables == nil {
+		return
+	}
+	st, _ := h.tables.world()
+	if id := st.s.Identity(); id != "" {
+		w.Header().Set(shardIdentityHeader, id)
+	}
+}
+
 // streamRecordLines writes one event record per line, flushing
 // periodically. The lines drain Backend.RecordLines incrementally —
 // "streaming, uncapped" is literal: nothing is materialized ahead of
@@ -507,6 +525,7 @@ func (h *handler) streamRecordLines(ctx context.Context, w http.ResponseWriter, 
 	}
 	defer rs.Close()
 	shardsFailedHeader(w, rs.ShardsFailed)
+	h.shardIdentity(w)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	i := 0

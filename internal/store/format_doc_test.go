@@ -99,6 +99,17 @@ func TestFormatDocMatchesCode(t *testing.T) {
 	if !strings.Contains(flat, fmt.Sprintf("%d MiB (`maxSidecarBytes`)", maxSidecarBytes>>20)) {
 		t.Errorf("FORMAT.md sidecar size cap drifted from maxSidecarBytes = %d MiB", maxSidecarBytes>>20)
 	}
+	// The shard identity file: its name in the directory table, its size
+	// cap, and the temporary name it is written under.
+	if !strings.Contains(doc, "| `"+identityName+"` | shard identity") {
+		t.Errorf("FORMAT.md's directory table has no `%s` row", identityName)
+	}
+	if !strings.Contains(flat, fmt.Sprintf("at most %d bytes (`maxIdentityBytes`)", maxIdentityBytes)) {
+		t.Errorf("FORMAT.md identity size cap drifted from maxIdentityBytes = %d", maxIdentityBytes)
+	}
+	if tmp := "seg-" + identityName + ".tmp-*"; !strings.Contains(flat, "`"+tmp+"`") || !strings.Contains(tmp, ".tmp") {
+		t.Errorf("FORMAT.md does not name the identity's temporary file %s", tmp)
+	}
 	if codecVersion != 0x01 || codecVersionSeq != 0x02 || sumVersion != 0x01 {
 		t.Errorf("version bytes moved (codec 0x%02X/0x%02X, sum 0x%02X); FORMAT.md documents 0x01/0x02 and 0x01", codecVersion, codecVersionSeq, sumVersion)
 	}

@@ -24,6 +24,8 @@ package store
 //   - Copies land under a temporary name and rename into place, so a
 //     replica opening mid-ship sees either the old file or the new
 //     one. The ".tmp" infix keeps half-copies invisible to open.
+//   - The shard identity file (SHARD) is written once and never
+//     changes, so it ships like a sealed segment.
 //   - Compaction replaces segments; deleting destination files whose
 //     seq vanished from the source keeps the replica from double
 //     counting events that a rewrite moved into a new segment.
@@ -94,6 +96,13 @@ func Replicate(srcDir, dstDir string) (*ReplicaReport, error) {
 		rep.Bytes += n
 		return nil
 	}
+	// The shard identity first: a replica that serves any of the source's
+	// events advertises whose they are.
+	if _, err := os.Stat(filepath.Join(srcDir, identityName)); err == nil {
+		if err := ship(filepath.Join(srcDir, identityName), identityName); err != nil {
+			return rep, err
+		}
+	}
 	for _, sf := range segs {
 		// Segment before sidecar: a sidecar without its segment is an
 		// orphan, a segment without its sidecar just open-decodes.
@@ -116,7 +125,7 @@ func Replicate(srcDir, dstDir string) (*ReplicaReport, error) {
 		name := e.Name()
 		_, isSeg := parseSegName(name)
 		_, isSum := parseSumName(name)
-		if (!isSeg && !isSum) || want[name] {
+		if (!isSeg && !isSum && name != identityName) || want[name] {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dstDir, name)); err != nil {

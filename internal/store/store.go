@@ -211,6 +211,9 @@ type Stats struct {
 	// (Options.Mmap); mappings are scoped to open/hydration scans, so a
 	// quiescent store reports zero.
 	MappedBytes int64
+	// Identity is the store's shard identity (SetIdentity), absent from
+	// the JSON of an unstamped store and of an aggregate over several.
+	Identity string `json:",omitempty"`
 }
 
 // Store is the persistent blackholing event store. See the package
@@ -221,6 +224,8 @@ type Store struct {
 	opts Options
 	inst *Instruments // immutable after Open; nil when un-instrumented
 	lock string       // writer-lock file path; empty when read-only
+
+	identity string // shard identity (SetIdentity), "" when unstamped
 
 	// events holds every indexed event by ordinal (append order); a nil
 	// slot is a dead event (tombstoned, or a superseded duplicate
@@ -358,6 +363,9 @@ func open(dir string, opts Options) (*Store, error) {
 		if opts.ReadOnly && os.IsNotExist(err) {
 			return nil, fmt.Errorf("store: %s: no such store", dir)
 		}
+		return nil, err
+	}
+	if s.identity, err = readIdentity(dir); err != nil {
 		return nil, err
 	}
 
@@ -1299,6 +1307,7 @@ func (s *Store) Stats() Stats {
 		OpenDecodedEvents: s.openDecoded,
 		HydratedEvents:    s.hydratedEvents,
 		MappedBytes:       s.mappedBytes,
+		Identity:          s.identity,
 	}
 	for _, sf := range s.sealed {
 		st.PendingErasure += sf.dead

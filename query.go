@@ -43,6 +43,10 @@ type Store struct {
 	// qobs, when set by Telemetry.ObserveStore, receives query-path
 	// telemetry; atomic for the same reason as ann.
 	qobs atomic.Pointer[queryObs]
+	// shard is the identity the store is stamped with (stamp), nil when
+	// it has none: the slice of a sharded fleet's events Append keeps it
+	// to. Atomic because SinkToShards may stamp while others append.
+	shard atomic.Pointer[shardIdentity]
 }
 
 // SetAnnotator attaches a legitimacy annotator (see NewAnnotator and
@@ -133,12 +137,62 @@ func OpenStoreWith(dir string, opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{s: s}, nil
+	st := &Store{s: s}
+	if line := s.Identity(); line != "" {
+		id, err := parseShardIdentity(line)
+		if err != nil {
+			s.Close()
+			return nil, fmt.Errorf("store %s: %w", dir, err)
+		}
+		st.shard.Store(&id)
+	}
+	return st, nil
 }
 
 // Append persists events in order. Call Sync (or Close) for
-// durability; SinkToStore does both.
-func (st *Store) Append(events ...*Event) error { return st.s.Append(events...) }
+// durability; SinkToStore does both. A store stamped as one shard of a
+// plan (SinkToShards) refuses a batch holding an event the plan files
+// on another shard, whole.
+func (st *Store) Append(events ...*Event) error {
+	if id := st.shard.Load(); id != nil {
+		if err := id.owns(events); err != nil {
+			return err
+		}
+	}
+	return st.s.Append(events...)
+}
+
+// owns reports the first of events the plan files on another shard.
+func (id *shardIdentity) owns(events []*Event) error {
+	for _, ev := range events {
+		if k := id.plan.Shard(ev); k != id.index {
+			return fmt.Errorf("store is shard %q: event for %s belongs to shard %d", id, ev.Prefix, k)
+		}
+	}
+	return nil
+}
+
+// stamp makes the store shard index of plan, durably (one small file
+// beside the writer lock, see docs/FORMAT.md): from then on, and after
+// every reopen, it advertises that identity in its Stats and refuses
+// events the plan files elsewhere. A store may already hold events when
+// it is stamped, provided they are all its own. Stamping the identity it
+// already has is a no-op; any other is refused — a new plan is a new set
+// of directories.
+func (st *Store) stamp(plan ShardPlan, index int) error {
+	id := &shardIdentity{plan, index}
+	if st.shard.Load() != nil {
+		return st.s.SetIdentity(id.String()) // nil for the identity it has, ErrIdentity for another
+	}
+	if err := id.owns(st.Events()); err != nil {
+		return err
+	}
+	if err := st.s.SetIdentity(id.String()); err != nil {
+		return err
+	}
+	st.shard.Store(id)
+	return nil
+}
 
 // Sync flushes appended events to stable storage.
 func (st *Store) Sync() error { return st.s.Sync() }

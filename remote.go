@@ -39,6 +39,11 @@ type RemoteBackend struct {
 	// hedges counts hedged attempts launched; a federation reports it
 	// as the shard's hedge counter (/stats, bh_federation_shard_hedges_total).
 	hedges atomic.Uint64
+	// identity is the shard identity the peer's last /stats answer
+	// advertised ("" for none): what a federation placed its queries by,
+	// so what every /events answer is held to (sameShard). Nil before the
+	// first answer and after one that broke it.
+	identity atomic.Pointer[string]
 }
 
 // RemoteOptions configures NewRemoteBackend.
@@ -116,6 +121,28 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("remote status %d: %s", e.Status, e.Msg)
+}
+
+// errShardChanged marks an /events answer from another shard than the
+// one /stats advertised: a store swapped under a running router. A
+// federation that sees it stops placing queries until it has read the
+// fleet's identities again.
+var errShardChanged = errors.New("shard identity changed")
+
+// sameShard holds an /events answer to the identity the shard advertised:
+// a query placed on this shard by that identity is answered wrongly by
+// any other store. A mismatch fails the answer and forgets the identity,
+// so later answers pass unchecked — by then the federation is asking
+// every shard, which is right whatever each one holds — until the next
+// Stats reads it again.
+func (b *RemoteBackend) sameShard(resp *http.Response) error {
+	learned := b.identity.Load()
+	if got := resp.Header.Get(shardIdentityHeader); learned != nil && got != *learned {
+		b.identity.CompareAndSwap(learned, nil)
+		resp.Body.Close()
+		return fmt.Errorf("shard %s: %w: /stats advertised %q, /events answers as %q", b.name, errShardChanged, *learned, got)
+	}
+	return nil
 }
 
 // attempt runs one GET against one base URL. On non-2xx the body's
@@ -280,6 +307,9 @@ func (b *RemoteBackend) Records(ctx context.Context, q Query) (*RecordSet, error
 		params.Set("limit", strconv.Itoa(limit))
 	}
 	resp, err := b.hedged(ctx, "/events", params)
+	if err == nil {
+		err = b.sameShard(resp)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -407,6 +437,9 @@ func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream
 	params := queryParams(q)
 	params.Set("format", "ndjson")
 	resp, err := b.failover(ctx, "/events", params)
+	if err == nil {
+		err = b.sameShard(resp)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -673,12 +706,14 @@ func (b *RemoteBackend) LegitimacySummary(ctx context.Context, q Query) (*Legiti
 
 // Stats implements Backend over GET /stats. Extra sections a shard
 // serves (the detector block) are ignored; a shard that is itself a
-// federation forwards its shards block.
+// federation forwards its shards block. The identity the answer
+// advertises is remembered for sameShard.
 func (b *RemoteBackend) Stats(ctx context.Context) (*BackendStats, error) {
 	var stats BackendStats
 	if err := b.getJSON(ctx, "/stats", nil, &stats); err != nil {
 		return nil, err
 	}
+	b.identity.Store(&stats.Identity)
 	return &stats, nil
 }
 

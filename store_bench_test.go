@@ -10,7 +10,6 @@ package bgpblackholing
 // no replay, no raw update data.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -408,21 +407,25 @@ func BenchmarkCompactTiered(b *testing.B) {
 
 // routerBenchFixture serves the bench window twice over loopback HTTP:
 // from one cold-opened store, and from three cold-opened shard stores
-// (split by prefix:8:3) behind a router handler over RemoteBackends —
-// the bhserve ×3 + bhroute deployment in one process. It returns the
-// two base URLs and one keep-alive client.
+// (split by prefix:8:3, and stamped so) behind a router handler over
+// RemoteBackends that has read their identities — the bhserve ×3 +
+// bhroute deployment in one process. It returns the two base URLs and
+// one keep-alive client.
 func routerBenchFixture(b *testing.B) (single, router string, client *http.Client) {
 	b.Helper()
 	events := storeBenchEvents(b)
 	plan := PrefixShardPlan{Bit: 8, N: 3}
-	serve := func(keep func(*Event) bool) string {
+	serve := func(shard int) string { // -1: the single store
 		dir := b.TempDir()
 		st, err := OpenStoreWith(dir, StoreOptions{MaxSegmentBytes: 16 << 10})
+		if err == nil && shard >= 0 {
+			err = st.stamp(plan, shard)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, ev := range events {
-			if keep(ev) {
+			if shard < 0 || plan.Shard(ev) == shard {
 				if err := st.Append(ev); err != nil {
 					b.Fatal(err)
 				}
@@ -438,25 +441,28 @@ func routerBenchFixture(b *testing.B) (single, router string, client *http.Clien
 		b.Cleanup(func() { srv.Close(); st.Close() })
 		return srv.URL
 	}
-	single = serve(func(*Event) bool { return true })
+	single = serve(-1)
 	backends := make([]Backend, plan.Shards())
 	for i := range backends {
-		rb, err := NewRemoteBackend([]string{serve(func(ev *Event) bool { return plan.Shard(ev) == i })},
-			RemoteOptions{Name: fmt.Sprintf("shard-%d", i)})
+		rb, err := NewRemoteBackend([]string{serve(i)}, RemoteOptions{Name: fmt.Sprintf("shard-%d", i)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		backends[i] = rb
 	}
-	srv := httptest.NewServer(NewRouterHandler(NewFederatedStore(backends...), RouterOptions{}))
+	fed := NewFederatedStore(backends...)
+	if _, err := fed.Stats(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(NewRouterHandler(fed, RouterOptions{}))
 	b.Cleanup(srv.Close)
 	return single, srv.URL, &http.Client{}
 }
 
 // benchRouterVsSingle times one GET path against the router and, as a
 // sub-benchmark, against the single store, so the hop's overhead ratio
-// is one division; both must answer the same bytes. bytes/op is the
-// response body.
+// is one division; both must answer the same bytes (a JSON envelope's
+// elapsed_us and scanned aside). bytes/op is the response body.
 func benchRouterVsSingle(b *testing.B, path string) {
 	single, router, client := routerBenchFixture(b)
 	var want []byte
@@ -476,7 +482,7 @@ func benchRouterVsSingle(b *testing.B, path string) {
 				}
 				if want == nil {
 					want = body
-				} else if i == 0 && !bytes.Equal(body, want) {
+				} else if i == 0 && maskAccounting(body) != maskAccounting(want) {
 					b.Fatalf("GET %s: the router and the single store answer different bytes", path)
 				}
 				n = len(body)
@@ -491,6 +497,14 @@ func benchRouterVsSingle(b *testing.B, path string) {
 // key and passes the bytes through.
 func BenchmarkRouterWindowNDJSON(b *testing.B) {
 	benchRouterVsSingle(b, "/events?format=ndjson")
+}
+
+// BenchmarkRouterPoint asks who blackholes one address: the router sends
+// the query to the one shard its prefix is filed on, so what is left of
+// the hop is one loopback round trip and the envelope read and rewritten.
+func BenchmarkRouterPoint(b *testing.B) {
+	ev := storeBenchEvents(b)[0]
+	benchRouterVsSingle(b, "/events?limit=20&mode=lpm&prefix="+ev.Prefix.Addr().String())
 }
 
 // BenchmarkRouterFigure4 asks for the daily series: the single store
