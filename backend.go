@@ -27,8 +27,9 @@ import (
 // clients.
 
 // Figure4Sets is the mergeable wire form of the Figure 4 daily series:
-// per-day distinct-entity lists instead of counts, so a router can
-// union shards before counting (analysis.Figure4Partial).
+// per-day distinct-entity sets instead of counts — each entity named
+// once, each day listing indices — so a router can union shards before
+// counting (analysis.Figure4Union).
 type Figure4Sets = analysis.Figure4Sets
 
 // RecordKey is the canonical global ordering of event records across
@@ -99,6 +100,10 @@ type RecordSet struct {
 	// ShardsFailed counts backends that could not answer (federated
 	// queries only; the records are the surviving shards' merge).
 	ShardsFailed int
+
+	// shard is the shard identity of the one store that answered, "" for
+	// an unstamped store or a federation.
+	shard string
 }
 
 // RecordLine is one encoded record plus its merge key: the only form a
@@ -127,6 +132,7 @@ type RecordStream struct {
 	// cannot be reflected here; it ends that shard's contribution.
 	ShardsFailed int
 
+	shard string // as RecordSet.shard
 	next  func() (RecordLine, error)
 	close func()
 }
@@ -371,6 +377,7 @@ func (b *StoreBackend) Records(ctx context.Context, q Query) (*RecordSet, error)
 		Total:   res.Total,
 		Scanned: res.Scanned,
 		Elapsed: elapsed,
+		shard:   b.st.s.Identity(),
 	}, nil
 }
 
@@ -387,6 +394,7 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 	done := ctx.Done()
 	var buf []byte
 	return &RecordStream{
+		shard: b.st.s.Identity(),
 		next: func() (RecordLine, error) {
 			select {
 			case <-done:
@@ -422,9 +430,9 @@ func (b *StoreBackend) Figure4(ctx context.Context, start time.Time, days int) (
 // sets.
 func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
 	b.st.observeQuery(false, streamed)
-	if sets, ok := b.st.s.DailySets(start, days); ok {
-		return &Figure4Sets{Start: start, Days: days,
-			Providers: sets.Providers, Users: sets.Users, Prefixes: sets.Prefixes}, nil
+	if v, ok := b.st.s.DailySets(start, days); ok {
+		sets := analysis.NewFigure4Sets(start, v.Providers, v.Prefixes, v.DayProviders, v.DayUsers, v.DayPrefixes)
+		return &sets, nil
 	}
 	p := analysis.NewFigure4Partial(start, days)
 	done := ctx.Done()

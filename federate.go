@@ -44,14 +44,15 @@ import (
 // stats shards block). Only when every shard fails does a call error.
 //
 // Placement: stores written through Detector.SinkToShards remember which
-// shard of which plan they are, and advertise it in their stats. Every
-// Stats call reads the fleet's identities; once all shards advertise
-// the same prefix plan, one index each, Records and RecordLines ask only
-// the shard a prefix query's matches can live on (PrefixShardPlan.owner
-// is the rule). Nothing is configured: a fleet with an unstamped shard
-// or a nested router, a time plan, or a federation nobody has asked for
-// Stats fans every query out everywhere, as before; identities that
-// contradict each other do the same, and Placement and Healthz say so.
+// shard of which plan they are, and advertise it in their stats and with
+// every events answer. Every Stats call reads the fleet's identities, and
+// so does, while there is no plan, every events query all shards answer;
+// once all shards advertise the same prefix plan, one index each, Records
+// and RecordLines ask only the shard a prefix query's matches can live on
+// (PrefixShardPlan.owner is the rule). Nothing is configured: a fleet
+// with an unstamped shard or a nested router, or a time plan, fans every
+// query out everywhere, as before; identities that contradict each other
+// do the same, and Placement and Healthz say so.
 //
 // FederatedStore itself implements Backend, so a federation can be
 // served by NewRouterHandler, queried by bhquery, or even mounted as a
@@ -177,18 +178,48 @@ func inProcess(b Backend) bool {
 // answer is final only if the owner matched a prefix at least as long as
 // the split bit: a shorter covering prefix is filed under its own
 // address bits and may be on any shard, so the rest are asked as well.
-// Either way an LPM answer keeps only the longest match (keepLongest).
-func (f *FederatedStore) gather(q Query, open func(i int, b Backend) (*RecordStream, error)) (streams []*RecordStream, failed int, err error) {
+// Either way an LPM answer keeps only the longest match (keepLongest) —
+// the longest match of the events, not of those another filter lets
+// through: one store picks the prefix first and filters second, so an LPM
+// query with another filter is two, the bare one that finds the prefix
+// and the exact one that filters its events.
+//
+// With no plan to go by — none learned yet, or dropped — a fan-out that
+// every shard answers is also where the federation learns one: each
+// answer carries its store's identity, as Stats does.
+func (f *FederatedStore) gather(q Query, open func(i int, b Backend, q Query) (*RecordStream, error)) (streams []*RecordStream, failed int, err error) {
+	lpm := q.Prefix.IsValid() && q.Mode == PrefixLPM
+	if lpm && q != (Query{Prefix: q.Prefix, Mode: PrefixLPM, Limit: q.Limit, Enrich: q.Enrich}) {
+		found, failed, err := f.gather(Query{Prefix: q.Prefix, Mode: PrefixLPM, Limit: 1}, open)
+		if err != nil {
+			return nil, failed, err
+		}
+		var longest netip.Prefix
+		for _, s := range found {
+			if s != nil {
+				if rl, err := s.Next(); err == nil {
+					longest, _ = netip.ParsePrefix(rl.Key.Prefix)
+				}
+				s.Close()
+			}
+		}
+		if !longest.IsValid() {
+			return make([]*RecordStream, len(f.backends)), failed, nil // no prefix covers q's: no event matches
+		}
+		q.Prefix, q.Mode = longest, PrefixExact
+		streams, again, err := f.gather(q, open)
+		return streams, max(failed, again), err
+	}
+
 	streams = make([]*RecordStream, len(f.backends))
 	fn := func(i int, b Backend) error {
-		s, err := open(i, b)
+		s, err := open(i, b, q)
 		streams[i] = s
 		if errors.Is(err, errShardChanged) {
 			f.placed.Store(nil) // the plan was learned from another fleet
 		}
 		return err
 	}
-	lpm := q.Prefix.IsValid() && q.Mode == PrefixLPM
 	owner, pl := -1, f.placed.Load()
 	if pl != nil && pl.plan != nil {
 		if k := pl.plan.owner(q); k >= 0 {
@@ -196,7 +227,13 @@ func (f *FederatedStore) gather(q Query, open func(i int, b Backend) (*RecordStr
 		}
 	}
 	if owner < 0 {
-		_, failed, err = f.fanOut(f.all, fn)
+		if _, failed, err = f.fanOut(f.all, fn); pl == nil && failed == 0 {
+			ids := make([]string, len(streams))
+			for i, s := range streams {
+				ids[i] = s.shard
+			}
+			f.placed.CompareAndSwap(nil, f.learn(ids))
+		}
 	} else if _, failed, err = f.fanOut([]int{owner}, fn); err == nil {
 		if lpm && len(f.all) > 1 && headBits(streams[owner]) < pl.plan.Bit {
 			rest := slices.DeleteFunc(slices.Clone(f.all), func(i int) bool { return i == owner })
@@ -268,14 +305,14 @@ func keepLongest(streams []*RecordStream) {
 func (f *FederatedStore) Records(ctx context.Context, q Query) (*RecordSet, error) {
 	began := time.Now()
 	sets := make([]*RecordSet, len(f.backends))
-	streams, failed, err := f.gather(q, func(i int, b Backend) (*RecordStream, error) {
+	streams, failed, err := f.gather(q, func(i int, b Backend, q Query) (*RecordStream, error) {
 		rs, err := b.Records(ctx, q)
 		if err != nil {
 			return nil, err
 		}
 		sets[i] = rs
 		lines := rs.Records
-		return &RecordStream{next: func() (RecordLine, error) {
+		return &RecordStream{shard: rs.shard, next: func() (RecordLine, error) {
 			if len(lines) == 0 {
 				return RecordLine{}, io.EOF
 			}
@@ -319,7 +356,7 @@ type lineCursor struct {
 // merge, passing each shard's serialized bytes through verbatim —
 // borrowed, not copied: a returned Line is the shard stream's own buffer.
 func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
-	streams, failed, err := f.gather(q, func(i int, b Backend) (*RecordStream, error) {
+	streams, failed, err := f.gather(q, func(_ int, b Backend, q Query) (*RecordStream, error) {
 		return b.RecordLines(ctx, q)
 	})
 	if err != nil {
@@ -432,7 +469,7 @@ func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days 
 	return &sets, nil
 }
 
-func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int) (*analysis.Figure4Partial, int, error) {
+func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int) (*analysis.Figure4Union, int, error) {
 	shardSets := make([]*Figure4Sets, len(f.backends))
 	_, failed, err := f.fanOut(f.all, func(i int, b Backend) error {
 		s, err := b.Figure4Sets(ctx, start, days)
@@ -442,12 +479,12 @@ func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days
 	if err != nil {
 		return nil, failed, err
 	}
-	merged := analysis.NewFigure4Partial(start, days)
+	merged := analysis.NewFigure4Union(start, days)
 	for _, s := range shardSets {
 		if s == nil {
 			continue
 		}
-		if err := merged.MergeSets(*s); err != nil {
+		if err := merged.Add(s); err != nil {
 			return nil, failed, err
 		}
 	}
@@ -509,7 +546,11 @@ func (f *FederatedStore) Stats(ctx context.Context) (*BackendStats, error) {
 		return nil, err
 	}
 	if failed == 0 {
-		f.placed.Store(f.learn(stats))
+		ids := make([]string, len(stats))
+		for i, s := range stats {
+			ids[i] = s.Identity
+		}
+		f.placed.Store(f.learn(ids))
 	}
 	out := &BackendStats{Shards: &ShardsInfo{Version: ShardsInfoVersion, Failed: failed}}
 	for i, b := range f.backends {
@@ -597,7 +638,8 @@ func (f *FederatedStore) Healthz(ctx context.Context) *ShardHealth {
 	return out
 }
 
-// placement is what a federation learned from one complete Stats answer.
+// placement is what a federation learned from one complete answer: a
+// Stats call's, or a fan-out's when it had no plan.
 type placement struct {
 	spec  string           // the plan every shard advertises; "" when there is none to follow
 	plan  *PrefixShardPlan // spec parsed, when it is a plan that places queries
@@ -611,19 +653,19 @@ type placement struct {
 // of 0..N-1, is a plan to follow; any shard advertising none is a fleet
 // to fan out over; anything else is a contradiction — the fleet was not
 // written by one SinkToShards, and no query may trust its layout.
-func (f *FederatedStore) learn(stats []*BackendStats) *placement {
+func (f *FederatedStore) learn(ids []string) *placement {
 	name := func(i int) string { return f.backends[i].Name() }
-	for i, s := range stats {
-		if s.Identity == "" {
+	for i, id := range ids {
+		if id == "" {
 			return &placement{why: "shard " + name(i) + " advertises no identity"}
 		}
 	}
-	pl := &placement{shard: make([]int, len(stats))}
+	pl := &placement{shard: make([]int, len(ids))}
 	for i := range pl.shard {
 		pl.shard[i] = -1
 	}
-	for i, s := range stats {
-		id, err := parseShardIdentity(s.Identity)
+	for i, s := range ids {
+		id, err := parseShardIdentity(s)
 		if err != nil {
 			return &placement{err: fmt.Errorf("shard %s: %w", name(i), err)}
 		}
@@ -636,8 +678,8 @@ func (f *FederatedStore) learn(stats []*BackendStats) *placement {
 		case spec != pl.spec:
 			return &placement{err: fmt.Errorf("shard %s is of plan %s, shard %s of plan %s", name(0), pl.spec, name(i), spec)}
 		}
-		if n := id.plan.Shards(); n != len(stats) {
-			return &placement{err: fmt.Errorf("plan %s has %d shards, %d are configured", pl.spec, n, len(stats))}
+		if n := id.plan.Shards(); n != len(ids) {
+			return &placement{err: fmt.Errorf("plan %s has %d shards, %d are configured", pl.spec, n, len(ids))}
 		}
 		if j := pl.shard[id.index]; j >= 0 {
 			return &placement{err: fmt.Errorf("shards %s and %s are both shard %d of plan %s", name(j), name(i), id.index, pl.spec)}
@@ -653,7 +695,8 @@ func (f *FederatedStore) learn(stats []*BackendStats) *placement {
 // to every shard. The error is a contradiction between the shards'
 // identities; queries still fan out everywhere, which is correct for
 // any layout, but the fleet is not the one its writer made. Both are as
-// of the last Stats call that reached every shard.
+// of the last Stats call that reached every shard, or the events query
+// that did while nothing was known.
 func (f *FederatedStore) Placement() (string, error) {
 	pl := f.placed.Load()
 	switch {

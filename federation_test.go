@@ -773,11 +773,20 @@ func TestRemoteHostileShard(t *testing.T) {
 	join := func(lines [][]byte) []byte {
 		return append(bytes.Join(lines, nl), nl...)
 	}
-	// shard serves a fixed body as a backend: as it is for NDJSON, and as
-	// the elements of an envelope for JSON (a blank line is white space
-	// between two, a body not ending in a newline an envelope cut short).
-	// An honest shard cuts its answer to the limit asked for.
-	shard := func(name string, body []byte, honest bool) Backend {
+	// shard serves a fixed body as a backend, as it is: the lines of a
+	// stream (format=ndjson) and of a set (format=lines), whose accounting
+	// counts the records among them unless the case has its own way to
+	// answer a set. An honest shard cuts its answer to the limit asked for.
+	type setAnswer func(w http.ResponseWriter, body []byte, records int)
+	recordsOf := func(body []byte) (lines [][]byte) {
+		for _, line := range bytes.Split(body, nl) {
+			if len(line) > 0 {
+				lines = append(lines, line)
+			}
+		}
+		return lines
+	}
+	shard := func(name string, body []byte, honest bool, set setAnswer) Backend {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			body := body
 			if limit, _ := strconv.Atoi(r.URL.Query().Get("limit")); honest && limit > 0 {
@@ -785,31 +794,20 @@ func TestRemoteHostileShard(t *testing.T) {
 					body = bytes.Join(lines[:limit], nil)
 				}
 			}
-			if r.URL.Query().Get("format") == "ndjson" {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.Write(body)
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			switch format := r.URL.Query().Get("format"); {
+			case format == "lines" && set != nil:
+				set(w, body, len(recordsOf(body)))
 				return
+			case format == "lines":
+				n := strconv.Itoa(len(recordsOf(body)))
+				w.Header().Set("X-Events-Total", n)
+				w.Header().Set("X-Events-Scanned", n)
+				w.Header().Set("X-Events-Returned", n)
+			case format != "ndjson":
+				t.Errorf("the router asked shard %s for %s", name, r.URL)
 			}
-			w.Header().Set("Content-Type", "application/json")
-			io.WriteString(w, `{"elapsed_us": 7, "events": [`)
-			lines := bytes.Split(body, nl)
-			n := 0
-			for _, line := range lines[:len(lines)-1] {
-				if len(line) > 0 && n > 0 {
-					io.WriteString(w, ",")
-				}
-				if len(line) > 0 {
-					n++
-				}
-				w.Write(line)
-				io.WriteString(w, "\n    ")
-			}
-			if last := lines[len(lines)-1]; len(last) > 0 {
-				io.WriteString(w, ",")
-				w.Write(last)
-				return
-			}
-			fmt.Fprintf(w, `], "returned": %d, "scanned": %d, "total": %d}`, n, n, n)
+			w.Write(body)
 		}))
 		t.Cleanup(srv.Close)
 		rb, err := NewRemoteBackend([]string{srv.URL}, RemoteOptions{Name: name})
@@ -824,7 +822,7 @@ func TestRemoteHostileShard(t *testing.T) {
 	for i, line := range linesOf(NewStoreBackend(f.single, nil), Query{}) {
 		thirds[i%3] = append(thirds[i%3], line)
 	}
-	honest := []Backend{shard("honest-0", join(thirds[0]), true), shard("honest-1", join(thirds[1]), true)}
+	honest := []Backend{shard("honest-0", join(thirds[0]), true, nil), shard("honest-1", join(thirds[1]), true, nil)}
 	bad := thirds[2]
 	huge := append(append([]byte(`{"note":"`), bytes.Repeat([]byte("x"), 2<<20)...), `",`...)
 	huge = append(huge, bad[0][1:]...) // a valid record, 2 MiB long
@@ -836,17 +834,46 @@ func TestRemoteHostileShard(t *testing.T) {
 		good  int  // lines of the bad shard a stream must still serve
 		fail  bool // whether a stream must move the shard's failure counter
 		drop  bool // whether a JSON answer must drop the shard
+		set   setAnswer
 	}{
-		{"oversize line", append(join([][]byte{huge}), join(bad[1:])...), 0, 0, true, true},
-		{"garbage after ten good lines", append(join(bad[:10]), "{\"prefix\":\"10.0.0.0/8\",\"seq\":}\n"...), 0, 10, true, true},
-		{"body cut mid-record", append(join(bad[:10]), bad[10][:len(bad[10])/2]...), 0, 10, true, true},
-		{"blank keep-alive lines", bytes.ReplaceAll(join(bad), nl, []byte("\n\n\n")), 0, len(bad), false, false},
+		{"oversize line", append(join([][]byte{huge}), join(bad[1:])...), 0, 0, true, true, nil},
+		{"garbage after ten good lines", append(join(bad[:10]), "{\"prefix\":\"10.0.0.0/8\",\"seq\":}\n"...), 0, 10, true, true, nil},
+		{"body cut mid-record", append(join(bad[:10]), bad[10][:len(bad[10])/2]...), 0, 10, true, true, nil},
+		{"blank keep-alive lines", bytes.ReplaceAll(join(bad), nl, []byte("\n\n\n")), 0, len(bad), false, false, nil},
 		// A stream is re-cut by the merge; a set that ignores the limit it
 		// was sent could be of any size.
-		{"over the asked limit", join(bad), 5, len(bad), false, true},
+		{"over the asked limit", join(bad), 5, len(bad), false, true, nil},
+		// A set's own failures: its stream is good to the last line.
+		{"no accounting", join(bad), 0, len(bad), false, true, func(w http.ResponseWriter, body []byte, _ int) {
+			w.Write(body)
+		}},
+		{"accounting that is no number", join(bad), 0, len(bad), false, true, func(w http.ResponseWriter, body []byte, n int) {
+			w.Header().Set("X-Events-Total", "many")
+			w.Header().Set("X-Events-Scanned", strconv.Itoa(n))
+			w.Header().Set("X-Events-Returned", strconv.Itoa(n))
+			w.Write(body)
+		}},
+		{"a record short of its accounting", join(bad), 0, len(bad), false, true, func(w http.ResponseWriter, body []byte, n int) {
+			for _, name := range []string{"X-Events-Total", "X-Events-Scanned", "X-Events-Returned"} {
+				w.Header().Set(name, strconv.Itoa(n+1))
+			}
+			w.Write(body)
+		}},
+		// What a shard of the release before answers format=lines with:
+		// the indented envelope, which is no line of records.
+		{"the old envelope", join(bad), 0, len(bad), false, true, func(w http.ResponseWriter, body []byte, n int) {
+			w.Header().Set("Content-Type", "application/json")
+			rs := &RecordSet{Total: n, Scanned: n}
+			for _, line := range recordsOf(body) {
+				rs.Records = append(rs.Records, RecordLine{Line: line})
+			}
+			var indented bytes.Buffer
+			json.Indent(&indented, appendEnvelope(nil, rs), "", "  ")
+			w.Write(indented.Bytes())
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			fed := NewFederatedStore(honest[0], honest[1], shard("hostile", c.body, false))
+			fed := NewFederatedStore(honest[0], honest[1], shard("hostile", c.body, false, c.set))
 			router := httptest.NewServer(NewRouterHandler(fed, RouterOptions{}))
 			defer router.Close()
 			failures := func() (n uint64) {
@@ -860,7 +887,7 @@ func TestRemoteHostileShard(t *testing.T) {
 				params = "&limit=" + strconv.Itoa(c.limit)
 			}
 			// The same merge with the bad shard's good prefix served honestly.
-			want := join(linesOf(NewFederatedStore(honest[0], honest[1], shard("prefix", join(bad[:c.good]), true)), q))
+			want := join(linesOf(NewFederatedStore(honest[0], honest[1], shard("prefix", join(bad[:c.good]), true, nil)), q))
 
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,20 +52,18 @@ func checkFigure4MatchesScan(t *testing.T, st *Store, stage string) {
 		}
 
 		// The mergeable shape obeys the same law: the per-day sets read
-		// from the view are, as JSON bytes, the scan's.
+		// from the view are, as bytes on the wire, the scan's.
 		scan := analysis.NewFigure4Partial(w.start, w.days)
 		for ev := range st.s.All() {
 			scan.Observe(ev)
 		}
-		wantSets, err := json.Marshal(scan.Sets())
-		if err != nil {
-			t.Fatal(err)
-		}
+		scanned := scan.Sets()
+		wantSets := appendFigure4Sets(nil, &scanned)
 		sets, err := NewStoreBackend(st, nil).Figure4Sets(context.Background(), w.start, w.days)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotSets, _ := json.Marshal(sets); !bytes.Equal(gotSets, wantSets) {
+		if gotSets := appendFigure4Sets(nil, sets); !bytes.Equal(gotSets, wantSets) {
 			t.Fatalf("%s window %d: Figure4Sets diverges from the scan:\n got %.300s\nwant %.300s", stage, wi, gotSets, wantSets)
 		}
 		if _, ok := st.s.DailySets(w.start, w.days); ok != (w.start.UnixNano()%int64(24*time.Hour) == 0) {
@@ -188,4 +191,218 @@ func TestFigure4SetsColdStore(t *testing.T) {
 		checkFigure4MatchesScan(t, st, name)
 		st.Close()
 	}
+}
+
+// TestFederationFigure4Bytes: /figure4 through a router — flat, and over
+// two routers over the shards — is the single store's bytes, whatever the
+// window: the whole span, days=, an aligned and an unaligned start=,
+// every=, one with leading empty days, and one no event falls in. One of
+// the four shards holds nothing. In process — the handler truncates, so
+// nowhere else — an unaligned start takes every store through the scan
+// instead of the view.
+func TestFederationFigure4Bytes(t *testing.T) {
+	p := smallPipeline(t)
+	plan := PrefixShardPlan{Bit: 24, N: 4}
+	var events []*Event
+	for _, ev := range replay(t, p, 800, 812).Events {
+		if plan.Shard(ev) != 3 {
+			events = append(events, ev)
+		}
+	}
+	single, shards := shardedFleet(t, plan, events)
+	if shards[3].Len() != 0 || shards[0].Len() == 0 || shards[1].Len() == 0 || shards[2].Len() == 0 {
+		t.Fatalf("fixture: shards hold %d, %d, %d, %d events; want the last alone empty", shards[0].Len(), shards[1].Len(), shards[2].Len(), shards[3].Len())
+	}
+	remote, _ := remoteFleet(t, shards)
+	tier := func(backends ...Backend) Backend {
+		srv := httptest.NewServer(NewRouterHandler(NewFederatedStore(backends...), RouterOptions{}))
+		t.Cleanup(srv.Close)
+		rb, err := NewRemoteBackend([]string{srv.URL}, RemoteOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rb
+	}
+	routers := map[string]http.Handler{
+		"one tier":  NewRouterHandler(NewFederatedStore(remote...), RouterOptions{}),
+		"two tiers": NewRouterHandler(NewFederatedStore(tier(remote[0], remote[1]), tier(remote[2], remote[3])), RouterOptions{}),
+	}
+	want := NewStoreHandler(single, nil)
+	serve := func(h http.Handler, path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Shards-Failed") != "" {
+			t.Fatalf("GET %s: status %d, X-Shards-Failed %q", path, rec.Code, rec.Header().Get("X-Shards-Failed"))
+		}
+		return rec.Body.String()
+	}
+	base := single.Stats().MinStart.UTC().Truncate(24 * time.Hour)
+	at := func(t time.Time) string { return t.Format(time.RFC3339) }
+	for _, path := range []string{
+		"/figure4",
+		"/figure4?days=3",
+		"/figure4?every=7",
+		"/figure4?start=" + at(base.AddDate(0, 0, 2)) + "&days=5",
+		"/figure4?start=" + at(base.AddDate(0, 0, 2).Add(7*time.Hour+30*time.Minute)) + "&days=5",
+		"/figure4?start=" + at(base.AddDate(0, 0, -3)) + "&every=2",
+		"/figure4?start=" + at(base.AddDate(1, 0, 0)) + "&days=4",
+		"/figure4?start=" + at(base.AddDate(-1, 0, 0)) + "&days=2",
+	} {
+		body := serve(want, path)
+		if !strings.Contains(body, `"Day"`) {
+			t.Fatalf("GET %s: the single store answers no series: %s", path, body)
+		}
+		for name, router := range routers {
+			if got := serve(router, path); got != body {
+				t.Errorf("GET %s through %s differs from the single store's\n got %.400s\nwant %.400s", path, name, got, body)
+			}
+		}
+	}
+
+	unaligned := base.AddDate(0, 0, 1).Add(7 * time.Hour)
+	ctx := context.Background()
+	for name, fed := range map[string]*FederatedStore{
+		"stores": NewFederatedStore(localFleet(shards)...),
+		"federations of stores": NewFederatedStore(
+			NewFederatedStore(localFleet(shards[:2])...), NewFederatedStore(localFleet(shards[2:])...)),
+	} {
+		got, err := fed.Figure4(ctx, unaligned, 6)
+		if err != nil || got.ShardsFailed != 0 {
+			t.Fatalf("%s: Figure4 from %v: %+v, %v", name, unaligned, got, err)
+		}
+		if want := single.Figure4(unaligned, 6); !reflect.DeepEqual(got.Series, want) {
+			t.Errorf("%s: Figure4 from %v:\n got %+v\nwant %+v", name, unaligned, got.Series, want)
+		}
+	}
+}
+
+// FuzzFigure4Sets holds the shape=sets reader to its writer, and the
+// bitset union to the per-day maps it replaced. Whatever the bytes,
+// parseFigure4Sets takes them only if they are exactly what
+// appendFigure4Sets writes for the sets it returns; and what it takes,
+// unioned with three seeded shards' sets, counts what the naive union of
+// their members counts — as the seeded shards alone count what
+// Figure4Partial.Merge of their partials does.
+func FuzzFigure4Sets(f *testing.F) {
+	start := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
+	const days = 4
+	rng := rand.New(rand.NewSource(11))
+	events := nestedEvents(rng, 48) // over the first three days of 2016
+	merged := analysis.NewFigure4Partial(start, days)
+	var seeded []*Figure4Sets
+	for i := 0; i < 3; i++ {
+		p := analysis.NewFigure4Partial(start, days)
+		for _, ev := range events[i*16 : (i+1)*16] {
+			ev.Users = map[ASN]bool{ASN(64500 + rng.Intn(6)): true, ASN(64500 + rng.Intn(6)): true}
+			ev.Providers = map[ProviderRef]bool{{Kind: ProviderAS, ASN: ASN(3000 + rng.Intn(5))}: true, {Kind: ProviderIXP, IXPID: rng.Intn(2)}: true}
+			p.Observe(ev)
+		}
+		if err := merged.Merge(p); err != nil {
+			f.Fatal(err)
+		}
+		sets := p.Sets()
+		body := appendFigure4Sets(nil, &sets)
+		read, err := parseFigure4Sets(string(body), start, days)
+		if err != nil {
+			f.Fatalf("the reader refuses what the writer wrote: %v\n%s", err, body)
+		}
+		if oracle, _ := json.Marshal(sets); string(body) != string(oracle)+"\n" {
+			f.Fatalf("the writer's bytes are not encoding/json's:\n got %s\nwant %s", body, oracle)
+		}
+		seeded = append(seeded, read)
+		f.Add(body)
+		f.Add(body[:len(body)/2])                                                          // truncated
+		f.Add(bytes.Replace(body, []byte(`"days":4`), []byte(`"days":5`), 1))              // another window
+		f.Add(bytes.Replace(body, []byte(`T00:00:00Z`), []byte(`T01:00:00Z`), 1))          // another start
+		f.Add(bytes.Replace(body, []byte(`],"day_users"`), []byte(`,[]],"day_users"`), 1)) // a day too many
+	}
+	union := analysis.NewFigure4Union(start, days)
+	for _, s := range seeded {
+		if err := union.Add(s); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if got, want := union.Finalize(), merged.Finalize(); !reflect.DeepEqual(got, want) {
+		f.Fatalf("the union of the seeded shards' sets counts %+v, their merged partials %+v", got, want)
+	}
+	const head = `{"start":"2016-01-01T00:00:00Z","days":4,`
+	for _, rest := range []string{
+		`"providers":["AS1","AS2"],"prefixes":["10.0.0.0/8"],"day_providers":[[0,1],[],[1],[]],"day_users":[[65001],[],[],[0,4294967295]],"day_prefixes":[[0],[],[],[0]]}` + "\n",
+		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		// an index past its table, unsorted, twice; a table unsorted, twice
+		`"providers":["AS1","AS2"],"prefixes":[],"day_providers":[[0,2],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[0],[],[],[]]}` + "\n",
+		`"providers":["AS1","AS2"],"prefixes":[],"day_providers":[[1,0],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers":["AS1","AS2"],"prefixes":[],"day_providers":[[1,1],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers":["AS2","AS1"],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers":["AS1","AS1"],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		// spellings the writer has none of
+		`"providers":["AS\u0031"],"prefixes":[],"day_providers":[[0],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers":["caf` + "\xc3\xa9" + `"],"prefixes":[],"day_providers":[[0],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers": ["AS1"],"prefixes":[],"day_providers":[[0],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers":["AS1"],"prefixes":[],"day_providers":[[00],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[4294967296],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[-1],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers":[],"prefixes":[],"day_providers":[[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}`,
+		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n\n",
+		`"providers":null,"prefixes":null,"day_providers":null,"day_users":null,"day_prefixes":null}` + "\n",
+	} {
+		f.Add([]byte(head + rest))
+	}
+	f.Add([]byte(`[]`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sets, err := parseFigure4Sets(string(body), start, days)
+		if err != nil {
+			if sets != nil {
+				t.Fatalf("refused with %v, and returned %+v", err, sets)
+			}
+			return
+		}
+		if again := appendFigure4Sets(nil, sets); !bytes.Equal(again, body) {
+			t.Fatalf("the reader took what the writer does not write:\n took %q\nwrites %q", body, again)
+		}
+		all := append([]*Figure4Sets{sets}, seeded...)
+		union := analysis.NewFigure4Union(start, days)
+		want := make([]DailyPoint, days)
+		for d := range want {
+			providers, users, prefixes := map[string]bool{}, map[uint32]bool{}, map[string]bool{}
+			for _, s := range all {
+				for _, i := range s.DayProviders[d] {
+					providers[s.Providers[i]] = true
+				}
+				for _, u := range s.DayUsers[d] {
+					users[u] = true
+				}
+				for _, i := range s.DayPrefixes[d] {
+					prefixes[s.Prefixes[i]] = true
+				}
+			}
+			want[d] = DailyPoint{Day: start.AddDate(0, 0, d), Providers: len(providers), Users: len(users), Prefixes: len(prefixes)}
+		}
+		for _, s := range all {
+			if err := union.Add(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := union.Finalize(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("the union counts %+v, the members' maps %+v", got, want)
+		}
+		// A federation answering as a shard: the union's own sets cross the
+		// wire and count the same.
+		out := union.Sets()
+		tier, err := parseFigure4Sets(string(appendFigure4Sets(nil, &out)), start, days)
+		if err != nil {
+			t.Fatalf("the union's sets do not read back: %v", err)
+		}
+		above := analysis.NewFigure4Union(start, days)
+		if err := above.Add(tier); err != nil {
+			t.Fatal(err)
+		}
+		if got := above.Finalize(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("the union's sets count %+v a tier up, %+v here", got, want)
+		}
+	})
 }

@@ -43,7 +43,12 @@ import (
 //	                      world; 503 otherwise)
 //	    format            json (default) | ndjson (streaming, uncapped;
 //	                      also via the Accept: application/x-ndjson
-//	                      header)
+//	                      header) | lines (the JSON answer unwrapped:
+//	                      its records one per line under the same
+//	                      limit, its total, scanned and returned in
+//	                      the X-Events-Total, X-Events-Scanned and
+//	                      X-Events-Returned headers — what a router
+//	                      asks of a shard)
 //	/legitimacy                    legitimacy summary over the same
 //	                               filter params: verdict, RPKI-state
 //	                               and community-doc histograms (needs
@@ -405,18 +410,21 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 // pass an explicit limit to raise the JSON cap.
 const defaultJSONLimit = 10000
 
-// events answers /events in either shape: NDJSON (by parameter or
+// events answers /events in its three shapes: NDJSON (by parameter or
 // Accept header) streams Backend.RecordLines uncapped; JSON writes the
-// envelope around Backend.Records' lines. Either way the records are the
-// backend's bytes: nothing on this path encodes by reflection.
+// envelope around Backend.Records' lines, and format=lines writes those
+// lines bare, the envelope's numbers in headers — the set as a machine
+// reads it, a router above all: no indenting here, no parsing there.
+// Whichever, the records are the backend's bytes: nothing on this path
+// encodes by reflection.
 func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 	q, err := parseQuery(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if r.URL.Query().Get("format") == "ndjson" ||
-		strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
+	format := r.URL.Query().Get("format")
+	if format == "ndjson" || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
 		h.streamRecordLines(r.Context(), w, q)
 		return
 	}
@@ -430,6 +438,21 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 	}
 	bufs := envelopePool.Get().(*envelopeBufs)
 	defer envelopePool.Put(bufs)
+	if format == "lines" {
+		bufs.compact = bufs.compact[:0]
+		for _, rl := range rs.Records {
+			bufs.compact = append(append(bufs.compact, rl.Line...), '\n')
+		}
+		shardsFailedHeader(w, rs.ShardsFailed)
+		setShardIdentity(w, rs.shard)
+		hdr := w.Header()
+		hdr.Set(eventsTotalHeader, strconv.Itoa(rs.Total))
+		hdr.Set(eventsScannedHeader, strconv.Itoa(rs.Scanned))
+		hdr.Set(eventsReturnedHeader, strconv.Itoa(len(rs.Records)))
+		hdr.Set("Content-Type", "application/x-ndjson")
+		w.Write(bufs.compact)
+		return
+	}
 	bufs.compact = appendEnvelope(bufs.compact[:0], rs)
 	bufs.indented.Reset()
 	if err := json.Indent(&bufs.indented, bufs.compact, "", "  "); err != nil {
@@ -437,12 +460,22 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	shardsFailedHeader(w, rs.ShardsFailed)
-	h.shardIdentity(w)
+	setShardIdentity(w, rs.shard)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(bufs.indented.Bytes())
 }
 
-// envelopeBufs are the two buffers of a JSON /events answer, recycled.
+// The accounting of a format=lines answer: the envelope's "total",
+// "scanned" and "returned". The last is how its reader tells a whole body
+// from one that ends early on a line boundary.
+const (
+	eventsTotalHeader    = "X-Events-Total"
+	eventsScannedHeader  = "X-Events-Scanned"
+	eventsReturnedHeader = "X-Events-Returned"
+)
+
+// envelopeBufs are the two buffers of a buffered /events answer — the
+// first also a shape=sets answer's — recycled.
 type envelopeBufs struct {
 	compact  []byte
 	indented bytes.Buffer
@@ -500,12 +533,8 @@ func shardsFailedHeader(w http.ResponseWriter, failed int) {
 // (RemoteBackend.sameShard). Unstamped stores and routers never set it.
 const shardIdentityHeader = "X-Shard-Identity"
 
-func (h *handler) shardIdentity(w http.ResponseWriter) {
-	if h.tables == nil {
-		return
-	}
-	st, _ := h.tables.world()
-	if id := st.s.Identity(); id != "" {
+func setShardIdentity(w http.ResponseWriter, id string) {
+	if id != "" {
 		w.Header().Set(shardIdentityHeader, id)
 	}
 }
@@ -525,7 +554,7 @@ func (h *handler) streamRecordLines(ctx context.Context, w http.ResponseWriter, 
 	}
 	defer rs.Close()
 	shardsFailedHeader(w, rs.ShardsFailed)
-	h.shardIdentity(w)
+	setShardIdentity(w, rs.shard)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	i := 0
@@ -607,11 +636,14 @@ func (h *handler) figure4(w http.ResponseWriter, r *http.Request) {
 		start = t
 	}
 	// The sets shape has one reader, RemoteBackend.Figure4Sets — a
-	// machine — so it is written compact: indenting a shard's few hundred
-	// KB of members cost more than collecting them.
+	// machine — so it is written compact, and in the one spelling that
+	// reader takes.
 	writeSets := func(fs *Figure4Sets) {
+		bufs := envelopePool.Get().(*envelopeBufs)
+		defer envelopePool.Put(bufs)
+		bufs.compact = appendFigure4Sets(bufs.compact[:0], fs)
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(fs)
+		w.Write(bufs.compact)
 	}
 	// empty answers a window no event can fall in, in the asked shape.
 	empty := func() {
@@ -670,6 +702,52 @@ func (h *handler) figure4(w http.ResponseWriter, r *http.Request) {
 	}
 	shardsFailedHeader(w, res.ShardsFailed)
 	writeJSON(w, series)
+}
+
+// appendFigure4Sets appends the shape=sets body: fs as compact JSON and a
+// newline — json.Marshal's bytes, for the names the stores hold (nothing
+// a JSON string escapes). parseFigure4Sets is its inverse, and takes
+// nothing else.
+func appendFigure4Sets(dst []byte, fs *Figure4Sets) []byte {
+	names := func(key string, table []string) {
+		dst = append(dst, key...)
+		for i, name := range table {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(append(append(dst, '"'), name...), '"')
+		}
+	}
+	days := func(key string, lists [][]uint32) {
+		dst = append(dst, key...)
+		for d, day := range lists {
+			if d > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, '[')
+			for i, n := range day {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = strconv.AppendUint(dst, uint64(n), 10)
+			}
+			dst = append(dst, ']')
+		}
+	}
+	dst = appendFigure4Window(dst, fs.Start, fs.Days)
+	names(`"providers":[`, fs.Providers)
+	names(`],"prefixes":[`, fs.Prefixes)
+	days(`],"day_providers":[`, fs.DayProviders)
+	days(`],"day_users":[`, fs.DayUsers)
+	days(`],"day_prefixes":[`, fs.DayPrefixes)
+	return append(dst, "]}\n"...)
+}
+
+// appendFigure4Window appends the head of a shape=sets body, which says
+// what window the sets are over.
+func appendFigure4Window(dst []byte, start time.Time, days int) []byte {
+	dst = start.UTC().AppendFormat(append(dst, `{"start":"`...), time.RFC3339Nano)
+	return append(strconv.AppendInt(append(dst, `","days":`...), int64(days), 10), ',')
 }
 
 func (h *handler) figure8(w http.ResponseWriter, r *http.Request) {

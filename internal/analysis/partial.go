@@ -2,9 +2,11 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"bgpblackholing/internal/bgp"
@@ -122,69 +124,266 @@ func (p *Figure4Partial) Finalize() []DailyPoint {
 	return out
 }
 
-// Figure4Sets is the wire form of a Figure4Partial: per-day sorted
-// entity lists, the shape a shard's /figure4?shape=sets endpoint
-// returns so the router can union shards before counting. (Counts
-// alone — the []DailyPoint shape — cannot merge: the same provider
-// active on two shards must not count twice.)
+// Figure4Sets is the wire form of the Figure 4 state, the shape a
+// shard's /figure4?shape=sets endpoint returns so the router can union
+// shards before counting. (Counts alone — the []DailyPoint shape — cannot
+// merge: the same provider active on two shards must not count twice.)
+// Each distinct provider and prefix of the window is named once, in a
+// table; a day lists its members as indices into the tables, so a name
+// active on two hundred days crosses the wire once.
 type Figure4Sets struct {
-	Start     time.Time  `json:"start"`
-	Days      int        `json:"days"`
-	Providers [][]string `json:"providers"`
-	Users     [][]uint32 `json:"users"`
-	Prefixes  [][]string `json:"prefixes"`
+	Start time.Time `json:"start"`
+	Days  int       `json:"days"`
+	// Providers and Prefixes are the tables: every member of any day,
+	// once, ascending.
+	Providers []string `json:"providers"`
+	Prefixes  []string `json:"prefixes"`
+	// DayProviders[d] and DayPrefixes[d] are day d's members as ascending
+	// indices into the tables, DayUsers[d] its users as ascending AS
+	// numbers. Each holds Days lists, none nil.
+	DayProviders [][]uint32 `json:"day_providers"`
+	DayUsers     [][]uint32 `json:"day_users"`
+	DayPrefixes  [][]uint32 `json:"day_prefixes"`
 }
 
-// Sets exports the partial in wire form (sorted, deterministic).
+// NewFigure4Sets puts per-day members collected in any order into the
+// wire form's one spelling: providers and prefixes name each member once
+// in any order, dayProviders and dayPrefixes index them, and all three
+// day slices hold one list per day of the window. The tables are sorted
+// in place, the indices rewritten to match, and every day's list sorted.
+func NewFigure4Sets(start time.Time, providers, prefixes []string, dayProviders, dayUsers, dayPrefixes [][]uint32) Figure4Sets {
+	rankTable(providers, dayProviders)
+	rankTable(prefixes, dayPrefixes)
+	for _, day := range dayUsers {
+		slices.Sort(day)
+	}
+	return Figure4Sets{
+		Start: start, Days: len(dayUsers),
+		Providers: providers, Prefixes: prefixes,
+		DayProviders: dayProviders, DayUsers: dayUsers, DayPrefixes: dayPrefixes,
+	}
+}
+
+// rankTable sorts names and rewrites each day's ids — indices into names
+// as it was, no id twice in a day — into ascending indices into names as
+// it now is.
+func rankTable(names []string, days [][]uint32) {
+	order := make([]uint32, len(names)) // order[rank] is the id that sorts there
+	for id := range order {
+		order[id] = uint32(id)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
+	rank, sorted := make([]uint32, len(names)), make([]string, len(names))
+	for r, id := range order {
+		rank[id], sorted[r] = uint32(r), names[id]
+	}
+	copy(names, sorted)
+	// A day's ranks go through a bitset and come out ascending: a pass over
+	// the day and one over the table's width, where sorting it cost more
+	// than everything else here.
+	seen := make([]uint64, (len(names)+63)/64)
+	for _, day := range days {
+		for _, id := range day {
+			r := rank[id]
+			seen[r>>6] |= 1 << (r & 63)
+		}
+		appendBits(day[:0], seen) // as many as the day had: it fills the same memory
+		clear(seen)
+	}
+}
+
+// appendBits appends the indices of the bits set in words, ascending.
+func appendBits(dst []uint32, words []uint64) []uint32 {
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, uint32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
+// Sets exports the partial in wire form.
 func (p *Figure4Partial) Sets() Figure4Sets {
-	s := Figure4Sets{
-		Start:     p.Start,
-		Days:      p.Days,
-		Providers: make([][]string, p.Days),
-		Users:     make([][]uint32, p.Days),
-		Prefixes:  make([][]string, p.Days),
+	// tabulate gives each distinct name of any day an id, first seen first.
+	tabulate := func(days []map[string]bool) (names []string, ids [][]uint32) {
+		idOf := map[string]uint32{}
+		ids = make([][]uint32, len(days))
+		for d, set := range days {
+			ids[d] = make([]uint32, 0, len(set))
+			for name := range set {
+				id, ok := idOf[name]
+				if !ok {
+					id = uint32(len(names))
+					idOf[name] = id
+					names = append(names, name)
+				}
+				ids[d] = append(ids[d], id)
+			}
+		}
+		return names, ids
 	}
-	for d := 0; d < p.Days; d++ {
-		s.Providers[d] = make([]string, 0, len(p.provs[d]))
-		for k := range p.provs[d] {
-			s.Providers[d] = append(s.Providers[d], k)
+	providers, dayProviders := tabulate(p.provs)
+	prefixes, dayPrefixes := tabulate(p.prefixes)
+	dayUsers := make([][]uint32, p.Days)
+	for d, set := range p.users {
+		dayUsers[d] = make([]uint32, 0, len(set))
+		for u := range set {
+			dayUsers[d] = append(dayUsers[d], uint32(u))
 		}
-		sort.Strings(s.Providers[d])
-		s.Users[d] = make([]uint32, 0, len(p.users[d]))
-		for u := range p.users[d] {
-			s.Users[d] = append(s.Users[d], uint32(u))
-		}
-		slices.Sort(s.Users[d])
-		s.Prefixes[d] = make([]string, 0, len(p.prefixes[d]))
-		for k := range p.prefixes[d] {
-			s.Prefixes[d] = append(s.Prefixes[d], k)
-		}
-		sort.Strings(s.Prefixes[d])
 	}
-	return s
+	return NewFigure4Sets(p.Start, providers, prefixes, dayProviders, dayUsers, dayPrefixes)
 }
 
-// MergeSets unions a wire-form partial into p. The windows must match.
-func (p *Figure4Partial) MergeSets(s Figure4Sets) error {
-	if !s.Start.Equal(p.Start) || s.Days != p.Days {
-		return fmt.Errorf("analysis: figure4 window mismatch: %v/%dd vs %v/%dd", p.Start, p.Days, s.Start, s.Days)
+// Figure4Union is the union of shards' Figure4Sets over one window: what
+// Figure4Partial.Merge computes over partials, computed over the wire
+// form without a map per day. Each dimension gives every distinct member
+// one id, the first time any shard names it, and keeps a bitset of ids
+// per day; a shard's table is translated to ids once, its days are ORed
+// in, and Finalize counts bits.
+type Figure4Union struct {
+	Start time.Time
+	Days  int
+
+	providers, prefixes daySets[string]
+	users               daySets[uint32]
+}
+
+// NewFigure4Union returns an empty union over [start, start+days).
+func NewFigure4Union(start time.Time, days int) *Figure4Union {
+	days = max(days, 0)
+	return &Figure4Union{
+		Start: start, Days: days,
+		providers: daySets[string]{days: days},
+		prefixes:  daySets[string]{days: days},
+		users:     daySets[uint32]{days: days},
 	}
-	for d := 0; d < p.Days && d < len(s.Providers); d++ {
-		for _, k := range s.Providers[d] {
-			p.provs[d][k] = true
-		}
+}
+
+// Add unions one shard's sets into u. The windows must match exactly. The
+// sets are trusted to be well formed — every index inside its table — as
+// NewFigure4Sets makes them and a router's reader checks them.
+func (u *Figure4Union) Add(s *Figure4Sets) error {
+	if !s.Start.Equal(u.Start) || s.Days != u.Days {
+		return fmt.Errorf("analysis: figure4 window mismatch: %v/%dd vs %v/%dd", u.Start, u.Days, s.Start, s.Days)
 	}
-	for d := 0; d < p.Days && d < len(s.Users); d++ {
-		for _, u := range s.Users[d] {
-			p.users[d][bgp.ASN(u)] = true
-		}
+	if len(s.DayProviders) != u.Days || len(s.DayUsers) != u.Days || len(s.DayPrefixes) != u.Days {
+		return fmt.Errorf("analysis: figure4 sets list %d/%d/%d days, want %d", len(s.DayProviders), len(s.DayUsers), len(s.DayPrefixes), u.Days)
 	}
-	for d := 0; d < p.Days && d < len(s.Prefixes); d++ {
-		for _, k := range s.Prefixes[d] {
-			p.prefixes[d][k] = true
+	u.providers.addTable(s.Providers, s.DayProviders)
+	u.prefixes.addTable(s.Prefixes, s.DayPrefixes)
+	for d, day := range s.DayUsers {
+		for _, asn := range day {
+			u.users.set(d, u.users.id(asn))
 		}
 	}
 	return nil
+}
+
+// Finalize collapses the sets to the daily series.
+func (u *Figure4Union) Finalize() []DailyPoint {
+	if u.Days <= 0 {
+		return nil
+	}
+	out := make([]DailyPoint, u.Days)
+	for d := range out {
+		out[d] = DailyPoint{
+			Day:       u.Start.Add(time.Duration(d) * 24 * time.Hour),
+			Providers: u.providers.count(d),
+			Users:     u.users.count(d),
+			Prefixes:  u.prefixes.count(d),
+		}
+	}
+	return out
+}
+
+// Sets exports the union in wire form: a federation answering as one
+// shard of a larger one.
+func (u *Figure4Union) Sets() Figure4Sets {
+	dayUsers := u.users.members()
+	for _, day := range dayUsers {
+		for i, id := range day {
+			day[i] = u.users.keys[id]
+		}
+	}
+	return NewFigure4Sets(u.Start, slices.Clone(u.providers.keys), slices.Clone(u.prefixes.keys),
+		u.providers.members(), dayUsers, u.prefixes.members())
+}
+
+// daySets is one dimension of a Figure4Union: an id per distinct member
+// and, per day, a bitset over the ids, all days in one slice.
+type daySets[K comparable] struct {
+	ids   map[K]uint32
+	keys  []K // keys[id] is the member
+	days  int
+	width int      // words per day
+	bits  []uint64 // day d's bitset is bits[d*width : (d+1)*width]
+}
+
+func (s *daySets[K]) id(k K) uint32 {
+	id, ok := s.ids[k]
+	if !ok {
+		if s.ids == nil {
+			s.ids = map[K]uint32{}
+		}
+		id = uint32(len(s.keys))
+		s.ids[k] = id
+		s.keys = append(s.keys, k)
+	}
+	return id
+}
+
+// widen re-lays the bitsets out so that every day has a bit for width*64
+// ids.
+func (s *daySets[K]) widen(width int) {
+	wider := make([]uint64, s.days*width)
+	for d := range s.days {
+		copy(wider[d*width:], s.bits[d*s.width:(d+1)*s.width])
+	}
+	s.width, s.bits = width, wider
+}
+
+func (s *daySets[K]) set(day int, id uint32) {
+	if w := int(id>>6) + 1; w > s.width {
+		s.widen(max(w, 2*s.width)) // ids arrive one by one: double, so the copies add up to one
+	}
+	s.bits[day*s.width+int(id>>6)] |= 1 << (id & 63)
+}
+
+// addTable unions one shard's days, lists of indices into names, in.
+func (s *daySets[K]) addTable(names []K, days [][]uint32) {
+	if s.ids == nil {
+		s.ids = make(map[K]uint32, len(names)) // the first shard's table is most of the union's
+	}
+	global := make([]uint32, len(names))
+	for i, k := range names {
+		global[i] = s.id(k)
+	}
+	if w := (len(s.keys) + 63) / 64; w > s.width {
+		s.widen(w)
+	}
+	for d, day := range days {
+		row := s.bits[d*s.width : (d+1)*s.width]
+		for _, i := range day {
+			id := global[i]
+			row[id>>6] |= 1 << (id & 63)
+		}
+	}
+}
+
+func (s *daySets[K]) count(day int) (n int) {
+	for _, word := range s.bits[day*s.width : (day+1)*s.width] {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// members lists each day's ids, ascending and never nil.
+func (s *daySets[K]) members() [][]uint32 {
+	out := make([][]uint32, s.days)
+	for d := range out {
+		out[d] = appendBits(make([]uint32, 0, s.count(d)), s.bits[d*s.width:(d+1)*s.width])
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -76,8 +77,8 @@ func partitions(events []*core.Event) map[string][][]*core.Event {
 
 // TestFigure4PartialMerge: computing Figure 4 per shard and merging
 // the partials equals the single-pass result, for every partition —
-// including a JSON round trip through the wire (Sets) form, which is
-// what actually crosses the shard boundary in a federated /figure4.
+// and so is the union of the shards' wire (Sets) forms, which is what
+// actually crosses the shard boundary in a federated /figure4.
 func TestFigure4PartialMerge(t *testing.T) {
 	events := randomEvents(1, 80)
 	const days = 9
@@ -97,11 +98,15 @@ func TestFigure4PartialMerge(t *testing.T) {
 			t.Errorf("%s: merged partials != single pass\ngot  %+v\nwant %+v", name, got, want)
 		}
 
-		wire := NewFigure4Partial(t0, days)
+		// The same law over the wire form: the shards' sets, through a
+		// JSON round trip, union to the single pass — counted, and
+		// exported again as the sets of the whole.
+		wire, whole := NewFigure4Union(t0, days), NewFigure4Partial(t0, days)
 		for _, shard := range shards {
 			p := NewFigure4Partial(t0, days)
 			for _, ev := range shard {
 				p.Observe(ev)
+				whole.Observe(ev)
 			}
 			blob, err := json.Marshal(p.Sets())
 			if err != nil {
@@ -111,13 +116,22 @@ func TestFigure4PartialMerge(t *testing.T) {
 			if err := json.Unmarshal(blob, &sets); err != nil {
 				t.Fatalf("%s: unmarshal: %v", name, err)
 			}
-			if err := wire.MergeSets(sets); err != nil {
-				t.Fatalf("%s: merge sets: %v", name, err)
+			if err := wire.Add(&sets); err != nil {
+				t.Fatalf("%s: add sets: %v", name, err)
 			}
 		}
 		if got := wire.Finalize(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: wire round trip != single pass\ngot  %+v\nwant %+v", name, got, want)
 		}
+		gotSets, _ := json.Marshal(wire.Sets())
+		wantSets, _ := json.Marshal(whole.Sets())
+		if !bytes.Equal(gotSets, wantSets) {
+			t.Errorf("%s: the union's sets are not the whole's\ngot  %s\nwant %s", name, gotSets, wantSets)
+		}
+	}
+	sets := NewFigure4Partial(t0, days+1).Sets()
+	if err := NewFigure4Union(t0, days).Add(&sets); err == nil {
+		t.Error("adding sets over another window should fail")
 	}
 	if err := NewFigure4Partial(t0, days).Merge(NewFigure4Partial(t0, days+1)); err == nil {
 		t.Error("merging mismatched windows should fail")

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"maps"
 	"net/netip"
 	"slices"
 	"time"
@@ -340,48 +339,79 @@ func (s *Store) hydrateDays(start time.Time, days int) bool {
 	return true
 }
 
-// DaySets is DailySets' answer: one sorted member list per day and
-// dimension, in the element types of analysis.Figure4Sets.
+// DaySets is DailySets' answer, in the element types of
+// analysis.Figure4Sets: Providers and Prefixes name each distinct member
+// of the window once, in no particular order, and a day lists its members
+// as indices into them (its users as AS numbers), in no particular order
+// either.
 type DaySets struct {
-	Providers [][]string
-	Users     [][]uint32
-	Prefixes  [][]string
+	Providers, Prefixes                 []string
+	DayProviders, DayUsers, DayPrefixes [][]uint32
 }
 
 // DailySets is DailyCounts with the members listed instead of counted:
 // per day the distinct providers, users and victim prefixes of the live
-// events overlapping it, each sorted (prefixes as strings) and never
-// nil — exactly analysis.Figure4Partial.Sets over a scan of the store,
-// read from the view in O(members) with no event touched. It is what a
-// federation asks of each shard, since sets union where counts cannot.
-// ok is false under DailyCounts' conditions, and the caller scans.
+// events overlapping it — once put in order (analysis.NewFigure4Sets),
+// exactly analysis.Figure4Partial.Sets over a scan of the store, read
+// from the view in O(members) with no event touched, and no prefix
+// printed more than once. It is what a federation asks of each shard,
+// since sets union where counts cannot. ok is false under DailyCounts'
+// conditions, and the caller scans.
 func (s *Store) DailySets(start time.Time, days int) (DaySets, bool) {
 	if !s.hydrateDays(start, days) {
 		return DaySets{}, false
 	}
 	d0 := unixDay(start)
-	out := DaySets{make([][]string, days), make([][]uint32, days), make([][]string, days)}
+	out := DaySets{
+		DayProviders: make([][]uint32, days),
+		DayUsers:     make([][]uint32, days),
+		DayPrefixes:  make([][]uint32, days),
+	}
+	providerID, prefixID := map[string]uint32{}, map[netip.Prefix]uint32{}
+	var prefixes []netip.Prefix
 	s.mu.RLock()
+	var members int // every day's lists slice one allocation
+	for d := range days {
+		if a := s.days[d0+int64(d)]; a != nil {
+			members += len(a.providers) + len(a.users) + len(a.prefixes)
+		}
+	}
+	flat := make([]uint32, 0, members)
 	for d := range days {
 		a := s.days[d0+int64(d)]
 		if a == nil {
 			a = &dayAgg{}
 		}
-		out.Providers[d] = slices.AppendSeq(make([]string, 0, len(a.providers)), maps.Keys(a.providers))
-		out.Users[d] = make([]uint32, 0, len(a.users))
+		from := len(flat)
+		for name := range a.providers {
+			id, ok := providerID[name]
+			if !ok {
+				id = uint32(len(out.Providers))
+				providerID[name] = id
+				out.Providers = append(out.Providers, name)
+			}
+			flat = append(flat, id)
+		}
+		out.DayProviders[d], from = flat[from:len(flat):len(flat)], len(flat)
 		for u := range a.users {
-			out.Users[d] = append(out.Users[d], uint32(u))
+			flat = append(flat, uint32(u))
 		}
-		out.Prefixes[d] = make([]string, 0, len(a.prefixes))
+		out.DayUsers[d], from = flat[from:len(flat):len(flat)], len(flat)
 		for p := range a.prefixes {
-			out.Prefixes[d] = append(out.Prefixes[d], p.String())
+			id, ok := prefixID[p]
+			if !ok {
+				id = uint32(len(prefixes))
+				prefixID[p] = id
+				prefixes = append(prefixes, p)
+			}
+			flat = append(flat, id)
 		}
+		out.DayPrefixes[d] = flat[from:len(flat):len(flat)]
 	}
 	s.mu.RUnlock()
-	for d := range days { // sorted outside the lock: appends need not wait for it
-		slices.Sort(out.Providers[d])
-		slices.Sort(out.Users[d])
-		slices.Sort(out.Prefixes[d])
+	out.Prefixes = make([]string, len(prefixes)) // printed outside the lock: appends need not wait for it
+	for i, p := range prefixes {
+		out.Prefixes[i] = p.String()
 	}
 	return out, true
 }

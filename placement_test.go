@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -201,6 +202,146 @@ func TestFederationLPMLongestWins(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFederationLPMFilterResolvesPrefixFirst: mode=lpm picks the longest
+// prefix among the events, and any other filter then narrows that
+// prefix's events — so when none of them passes, the answer is empty
+// even though a shorter covering prefix, on another shard, holds an event
+// that does. The router used to answer with that event: the longest match
+// among the shards' filtered answers.
+func TestFederationLPMFilterResolvesPrefixFirst(t *testing.T) {
+	day := func(d int) time.Time { return time.Date(2016, 5, d, 12, 0, 0, 0, time.UTC) }
+	as1, as2 := ProviderRef{Kind: ProviderAS, ASN: 3356}, ProviderRef{Kind: ProviderAS, ASN: 174}
+	// The outer prefix is shorter than the split bit and closes a day
+	// before the inner one: a prefix plan and a daily time plan both file
+	// the two apart.
+	events := []*Event{
+		{Prefix: mustPrefix("100.0.0.0/6"), Seq: 1, Start: day(1).Add(-time.Hour), End: day(1),
+			Users: map[ASN]bool{65001: true}, Providers: map[ProviderRef]bool{as1: true}},
+		{Prefix: mustPrefix("101.1.1.1/32"), Seq: 2, Start: day(2).Add(-time.Hour), End: day(2),
+			Users: map[ASN]bool{65002: true}, Providers: map[ProviderRef]bool{as2: true}},
+		{Prefix: mustPrefix("101.1.1.1/32"), Seq: 3, Start: day(4).Add(-time.Hour), End: day(4),
+			Users: map[ASN]bool{65003: true}, Providers: map[ProviderRef]bool{as2: true}},
+	}
+	point := mustPrefix("101.1.1.1/32")
+	queries := map[string]Query{
+		"origin of the outer prefix only":   {Prefix: point, Mode: PrefixLPM, OriginASN: 65001},
+		"provider of the outer prefix only": {Prefix: point, Mode: PrefixLPM, Provider: &as1},
+		"window of the outer prefix only":   {Prefix: point, Mode: PrefixLPM, To: day(1)},
+		"origin of one inner event":         {Prefix: point, Mode: PrefixLPM, OriginASN: 65003},
+		"a filter every inner event passes": {Prefix: point, Mode: PrefixLPM, Provider: &as2, Limit: 1},
+		"an address only the outer covers":  {Prefix: mustPrefix("102.0.0.1/32"), Mode: PrefixLPM, OriginASN: 65001},
+		"an address nothing covers":         {Prefix: mustPrefix("8.8.8.8/32"), Mode: PrefixLPM, OriginASN: 65001},
+	}
+	for _, plan := range []ShardPlan{PrefixShardPlan{Bit: 8, N: 3}, TimeShardPlan{Width: 24 * time.Hour, N: 2}} {
+		single, shards := shardedFleet(t, plan, events)
+		if plan.Shard(events[0]) == plan.Shard(events[1]) {
+			t.Fatalf("fixture: plan %v files both prefixes on one shard", plan)
+		}
+		// The fixture is the bug's: filtered first, the outer prefix's
+		// event is the longest match left; prefix first, nothing is.
+		if q := queries["origin of the outer prefix only"]; single.Query(q).Total != 0 ||
+			single.Query(Query{Prefix: events[0].Prefix, OriginASN: q.OriginASN}).Total != 1 {
+			t.Fatal("fixture: the outer prefix's event must pass the filter and the inner prefix's must not")
+		}
+		remote, _ := remoteFleet(t, shards)
+		want := NewStoreHandler(single, nil)
+		for what, fed := range map[string]*FederatedStore{
+			"local, no identities read":  NewFederatedStore(localFleet(shards)...),
+			"local, identities read":     learned(t, localFleet(shards)),
+			"remote, no identities read": NewFederatedStore(remote...),
+			"remote, identities read":    learned(t, remote),
+		} {
+			router := NewRouterHandler(fed, RouterOptions{})
+			for name, q := range queries {
+				sameAnswer(t, fmt.Sprintf("plan %v, %s, %s", plan, what, name), want, router, q) // sets and streams
+			}
+		}
+	}
+}
+
+// TestFederationLearnsFromAnswers: a router with no plan — one that never
+// got a complete /stats answer, or one whose plan a swapped shard made it
+// drop — learns it from the identities its shards' /events answers carry:
+// the first query goes everywhere, the second to its owner, and nobody
+// asked for /stats in between.
+func TestFederationLearnsFromAnswers(t *testing.T) {
+	plan := PrefixShardPlan{Bit: 8, N: 3}
+	var events []*Event
+	for i, p := range []string{"9.1.1.1/32", "10.1.1.1/32", "11.1.1.1/32"} { // shards 0, 1, 2
+		events = append(events, stallEvent(i))
+		events[i].Prefix, events[i].Seq = mustPrefix(p), uint64(i+1)
+	}
+	_, shards := shardedFleet(t, plan, events)
+	var swapped atomic.Bool // shard 1's address answers from shard 2's store
+	backends := make([]Backend, len(shards))
+	for i, st := range shards {
+		own, other := NewStoreHandler(st, nil), NewStoreHandler(shards[2], nil)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == 1 && swapped.Load() {
+				other.ServeHTTP(w, r)
+				return
+			}
+			own.ServeHTTP(w, r)
+		}))
+		defer srv.Close()
+		rb, err := NewRemoteBackend([]string{srv.URL}, RemoteOptions{Name: fmt.Sprintf("shard-%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = rb
+	}
+	fed := NewFederatedStore(backends...)
+	router := NewRouterHandler(fed, RouterOptions{})
+	requests := func() (n [3]uint64) {
+		for i := range n {
+			n[i] = fed.counters[i].requests.Load()
+		}
+		return n
+	}
+	point := Query{Prefix: mustPrefix("10.1.1.1/32"), Mode: PrefixLPM}
+	ask := func(when string, ndjson bool, want [3]uint64) {
+		t.Helper()
+		before := requests()
+		code, body := serveEvents(router, point, ndjson)
+		if code != http.StatusOK || !bytes.Contains(body, []byte(`"10.1.1.1/32"`)) {
+			t.Fatalf("%s: status %d, body %s", when, code, body)
+		}
+		after := requests()
+		for i := range after {
+			after[i] -= before[i]
+		}
+		if after != want {
+			t.Errorf("%s: asked the shards %v times, want %v", when, after, want)
+		}
+	}
+	for _, ndjson := range []bool{false, true} {
+		if got, err := fed.Placement(); got != "plan=none (no identities read yet)" || err != nil {
+			t.Fatalf("ndjson=%v: placement before any answer: %q, %v", ndjson, got, err)
+		}
+		ask("the first query with no plan", ndjson, [3]uint64{1, 1, 1})
+		if got, err := fed.Placement(); got != "plan=prefix:8:3 placed=exact,covered,lpm" || err != nil {
+			t.Fatalf("ndjson=%v: placement after one query every shard answered: %q, %v", ndjson, got, err)
+		}
+		ask("the second", ndjson, [3]uint64{0, 1, 0})
+
+		// The learned plan is held to like one read from /stats: a swapped
+		// store is refused, and the plan dropped again.
+		swapped.Store(true)
+		if code, body := serveEvents(router, point, ndjson); code != http.StatusBadGateway || !bytes.Contains(body, []byte("shard identity changed")) {
+			t.Errorf("ndjson=%v: the swapped shard's answer: status %d, body %s; want 502 naming the change", ndjson, code, body)
+		}
+		swapped.Store(false)
+	}
+	// A fleet that contradicts itself is learned as that, too.
+	swapped.Store(true)
+	if code, _ := serveEvents(router, Query{}, true); code != http.StatusOK {
+		t.Fatalf("a query over the swapped fleet: status %d", code)
+	}
+	if got, err := fed.Placement(); err == nil || !strings.Contains(err.Error(), "both shard 2") {
+		t.Errorf("placement learned from a fleet with one store twice: %q, %v; want a contradiction", got, err)
 	}
 }
 
@@ -814,4 +955,55 @@ func TestFederationPlacementConcurrent(t *testing.T) {
 	}
 	stop()
 	<-relearning
+}
+
+// TestRoutedPointAllocations: a routed point answer — a KiB or two, in
+// either shape — is read through a recycled buffer. A stream used to
+// allocate its own 64 KiB scanner buffer on every request.
+func TestRoutedPointAllocations(t *testing.T) {
+	plan := PrefixShardPlan{Bit: 8, N: 3}
+	events := nestedEvents(rand.New(rand.NewSource(3)), 60)
+	_, shards := shardedFleet(t, plan, events)
+	backends, _ := remoteFleet(t, shards)
+	fed := learned(t, backends)
+	ctx := context.Background()
+	q := Query{Prefix: netip.PrefixFrom(events[0].Prefix.Addr(), events[0].Prefix.Addr().BitLen()), Mode: PrefixLPM, Limit: 20}
+	for shape, ask := range map[string]func() int{
+		"set": func() int {
+			rs, err := fed.Records(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(rs.Records)
+		},
+		"stream": func() (n int) {
+			rs, err := fed.RecordLines(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.Close()
+			for ; ; n++ {
+				if _, err := rs.Next(); err != nil {
+					return n
+				}
+			}
+		},
+	} {
+		if n := ask(); n == 0 || n > 20 { // also warms the connection and the buffer pool
+			t.Fatalf("%s: the point query returned %d records", shape, n)
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() { ask() })
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		t.Logf("%s: %d bytes, %.0f allocations a point", shape, perRun, allocs)
+		// Both ends of the loopback hop allocate in this process: net/http's
+		// request and response, twice, are most of the 12 KiB and 170
+		// allocations left. The old buffer alone was 64 KiB.
+		if perRun > 40<<10 || allocs > 250 {
+			t.Errorf("%s: a routed point costs %d bytes in %.0f allocations", shape, perRun, allocs)
+		}
+	}
 }

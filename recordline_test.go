@@ -110,75 +110,85 @@ func TestRecordLineMatchesJSON(t *testing.T) {
 	})
 
 	t.Run("adversarial", func(t *testing.T) {
-		r := rand.New(rand.NewSource(42))
-		atoms := []string{"", "AS3356", `"`, `\`, "<", ">", "&", "/", "\x00", "\x1f", "\b", "\f", "\n", "\r", "\t", "\x7f",
-			"\xff", "\xc3", "\xe2\x80", "\xed\xa0\x80", "é", "\u2028", "\u2029", "\u2027", "\ufffd", "𝄞", "</script>"}
-		str := func() string {
-			s := ""
-			for n := r.Intn(4); n >= 0; n-- {
-				s += atoms[r.Intn(len(atoms))]
-			}
-			return s
-		}
-		strs := func() []string {
-			switch n := r.Intn(4); n {
-			case 0:
-				return nil
-			case 1:
-				return []string{}
-			default:
-				out := make([]string, n-1)
-				for i := range out {
-					out[i] = str()
-				}
-				return out
-			}
-		}
-		durations := []float64{0, math.Copysign(0, -1), 1e-7, 9.99e-7, 1e-6, 1e-9, 1.5e-10, 1, 10800, 0.1, 1e20, 1e21, 1.5e300,
-			-1, -1e-7, -1e21, math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
-		times := []time.Time{{}, time.Unix(0, 0).UTC(), time.Date(2015, 3, 1, 12, 0, 0, 0, time.UTC),
-			time.Date(2016, 1, 2, 3, 4, 5, 678, time.FixedZone("", 3*3600+1800)),
-			time.Date(2016, 1, 2, 3, 4, 5, 120000000, time.FixedZone("w", -7*3600)),
-			time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
-			time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(2016, 1, 1, 0, 0, 0, 0, time.FixedZone("far", 24*3600))}
-		for i := 0; i < 4000; i++ {
-			rec := EventRecord{
-				Prefix:            str(),
-				Start:             times[r.Intn(len(times))],
-				End:               times[r.Intn(len(times))],
-				DurationSeconds:   durations[r.Intn(len(durations))],
-				StartUnknown:      r.Intn(2) == 0,
-				Providers:         strs(),
-				Communities:       strs(),
-				Platforms:         strs(),
-				Peers:             r.Intn(3) - 1,
-				Detections:        r.Intn(1 << 20),
-				DirectFeed:        r.Intn(2) == 0,
-				SawNoExport:       r.Intn(2) == 0,
-				Seq:               uint64(r.Intn(3)) * math.MaxUint64 / 2,
-				Legitimacy:        str(),
-				LegitimacyReasons: strs(),
-			}
-			if i%8 != 0 { // most records carry a representable time, so the rest of the line is compared too
-				rec.Start, rec.End = times[1+r.Intn(5)], times[1+r.Intn(5)]
-			}
-			switch r.Intn(3) {
-			case 1:
-				rec.Users = []uint32{}
-			case 2:
-				rec.Users = []uint32{0, uint32(r.Int63()), math.MaxUint32}
-			}
-			for n := r.Intn(3); n > 0; n-- {
-				rec.RPKI = append(rec.RPKI, OriginValidity{Origin: ASN(r.Uint32()), State: str()})
-				rec.CommunityDoc = append(rec.CommunityDoc, CommunityDoc{Community: str(), Doc: str(),
-					MaxPrefixLen: r.Intn(3) - 1, WithinMaxLen: r.Intn(2) == 0})
-			}
-			if r.Intn(4) == 0 {
-				rec.RPKI, rec.CommunityDoc = []enrich.OriginValidity{}, []enrich.CommunityDoc{}
-			}
+		for _, rec := range adversarialRecords(42, 4000) {
 			sameAsMarshal(t, &rec)
 		}
 	})
+}
+
+// adversarialRecords draws n records built to hit every escape, float
+// format, omitempty edge and value json.Marshal refuses.
+func adversarialRecords(seed int64, n int) []EventRecord {
+	r := rand.New(rand.NewSource(seed))
+	atoms := []string{"", "AS3356", `"`, `\`, "<", ">", "&", "/", "\x00", "\x1f", "\b", "\f", "\n", "\r", "\t", "\x7f",
+		"\xff", "\xc3", "\xe2\x80", "\xed\xa0\x80", "é", "\u2028", "\u2029", "\u2027", "\ufffd", "𝄞", "</script>"}
+	str := func() string {
+		s := ""
+		for n := r.Intn(4); n >= 0; n-- {
+			s += atoms[r.Intn(len(atoms))]
+		}
+		return s
+	}
+	strs := func() []string {
+		switch n := r.Intn(4); n {
+		case 0:
+			return nil
+		case 1:
+			return []string{}
+		default:
+			out := make([]string, n-1)
+			for i := range out {
+				out[i] = str()
+			}
+			return out
+		}
+	}
+	durations := []float64{0, math.Copysign(0, -1), 1e-7, 9.99e-7, 1e-6, 1e-9, 1.5e-10, 1, 10800, 0.1, 1e20, 1e21, 1.5e300,
+		-1, -1e-7, -1e21, math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+	times := []time.Time{{}, time.Unix(0, 0).UTC(), time.Date(2015, 3, 1, 12, 0, 0, 0, time.UTC),
+		time.Date(2016, 1, 2, 3, 4, 5, 678, time.FixedZone("", 3*3600+1800)),
+		time.Date(2016, 1, 2, 3, 4, 5, 120000000, time.FixedZone("w", -7*3600)),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(2016, 1, 1, 0, 0, 0, 0, time.FixedZone("far", 24*3600))}
+	records := make([]EventRecord, n)
+	for i := range records {
+		rec := EventRecord{
+			Prefix:            str(),
+			Start:             times[r.Intn(len(times))],
+			End:               times[r.Intn(len(times))],
+			DurationSeconds:   durations[r.Intn(len(durations))],
+			StartUnknown:      r.Intn(2) == 0,
+			Providers:         strs(),
+			Communities:       strs(),
+			Platforms:         strs(),
+			Peers:             r.Intn(3) - 1,
+			Detections:        r.Intn(1 << 20),
+			DirectFeed:        r.Intn(2) == 0,
+			SawNoExport:       r.Intn(2) == 0,
+			Seq:               uint64(r.Intn(3)) * math.MaxUint64 / 2,
+			Legitimacy:        str(),
+			LegitimacyReasons: strs(),
+		}
+		if i%8 != 0 { // most records carry a representable time, so the rest of the line is compared too
+			rec.Start, rec.End = times[1+r.Intn(5)], times[1+r.Intn(5)]
+		}
+		switch r.Intn(3) {
+		case 1:
+			rec.Users = []uint32{}
+		case 2:
+			rec.Users = []uint32{0, uint32(r.Int63()), math.MaxUint32}
+		}
+		for n := r.Intn(3); n > 0; n-- {
+			rec.RPKI = append(rec.RPKI, OriginValidity{Origin: ASN(r.Uint32()), State: str()})
+			rec.CommunityDoc = append(rec.CommunityDoc, CommunityDoc{Community: str(), Doc: str(),
+				MaxPrefixLen: r.Intn(3) - 1, WithinMaxLen: r.Intn(2) == 0})
+		}
+		if r.Intn(4) == 0 {
+			rec.RPKI, rec.CommunityDoc = []enrich.OriginValidity{}, []enrich.CommunityDoc{}
+		}
+		records[i] = rec
+	}
+	return records
 }
 
 // TestEnrichedLinesProjectOnce is the regression test for the double
@@ -467,4 +477,54 @@ func TestEventsEnvelopeMatchesEncodingJSON(t *testing.T) {
 			"federation": newHandler(NewFederatedStore(shards...), HandlerOptions{}),
 		}, "/events", records, len(records))
 	})
+}
+
+// TestRecordSetCrossesTheHop is the inverse property of the set hop:
+// what the handler writes for format=lines, RemoteBackend.Records reads
+// back as the set it was — accounting, lines, and the keys the lines
+// spell — over one hop and over two, whatever the records hold.
+func TestRecordSetCrossesTheHop(t *testing.T) {
+	var lines []RecordLine
+	for _, rec := range adversarialRecords(7, 600) {
+		line, err := appendRecordLine(nil, &rec)
+		if err != nil {
+			continue // what json.Marshal refuses is on no line
+		}
+		key, err := oracleLineKey(line)
+		if err != nil {
+			t.Fatalf("a line encoding/json does not read back: %v\n%s", err, line)
+		}
+		lines = append(lines, RecordLine{Key: key, Line: line})
+	}
+	if len(lines) < 300 {
+		t.Fatalf("only %d of 600 adversarial records encode", len(lines))
+	}
+	remoteOf := func(be Backend) Backend {
+		srv := httptest.NewServer(newHandler(be, HandlerOptions{}))
+		t.Cleanup(srv.Close)
+		rb, err := NewRemoteBackend([]string{srv.URL}, RemoteOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rb
+	}
+	for _, n := range []int{0, 1, len(lines)} {
+		want := &RecordSet{Records: lines[:n], Total: n + 5, Scanned: n + 9}
+		oneHop := remoteOf(fixedBackend{set: want})
+		for hops, be := range map[string]Backend{"one hop": oneHop, "two hops": remoteOf(oneHop)} {
+			got, err := be.Records(context.Background(), Query{Limit: n})
+			if err != nil {
+				t.Fatalf("%d records, %s: %v", n, hops, err)
+			}
+			if got.Total != want.Total || got.Scanned != want.Scanned || len(got.Records) != n {
+				t.Fatalf("%d records, %s: total %d scanned %d returned %d, want %d %d %d",
+					n, hops, got.Total, got.Scanned, len(got.Records), want.Total, want.Scanned, n)
+			}
+			for i, rl := range got.Records {
+				if !bytes.Equal(rl.Line, lines[i].Line) || rl.Key != lines[i].Key {
+					t.Fatalf("%d records, %s: record %d is %+v\n%s\nwant %+v\n%s", n, hops, i, rl.Key, rl.Line, lines[i].Key, lines[i].Line)
+				}
+			}
+		}
+	}
 }

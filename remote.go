@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unicode/utf8"
@@ -39,9 +40,10 @@ type RemoteBackend struct {
 	// hedges counts hedged attempts launched; a federation reports it
 	// as the shard's hedge counter (/stats, bh_federation_shard_hedges_total).
 	hedges atomic.Uint64
-	// identity is the shard identity the peer's last /stats answer
-	// advertised ("" for none): what a federation placed its queries by,
-	// so what every /events answer is held to (sameShard). Nil before the
+	// identity is the shard identity the peer last advertised ("" for
+	// none) — in a /stats answer, or in the first /events answer when there
+	// was none to hold it to: what a federation places its queries by, so
+	// what every /events answer is held to (sameShard). Nil before the
 	// first answer and after one that broke it.
 	identity atomic.Pointer[string]
 }
@@ -124,25 +126,29 @@ func (e *RemoteError) Error() string {
 }
 
 // errShardChanged marks an /events answer from another shard than the
-// one /stats advertised: a store swapped under a running router. A
+// one last advertised: a store swapped under a running router. A
 // federation that sees it stops placing queries until it has read the
 // fleet's identities again.
 var errShardChanged = errors.New("shard identity changed")
 
 // sameShard holds an /events answer to the identity the shard advertised:
 // a query placed on this shard by that identity is answered wrongly by
-// any other store. A mismatch fails the answer and forgets the identity,
-// so later answers pass unchecked — by then the federation is asking
-// every shard, which is right whatever each one holds — until the next
-// Stats reads it again.
-func (b *RemoteBackend) sameShard(resp *http.Response) error {
+// any other store. A mismatch fails the answer and forgets the identity;
+// by then the federation is asking every shard, which is right whatever
+// each one holds, and the next answer's identity — or the next Stats' —
+// is the one remembered: what the federation learns its next plan from
+// (FederatedStore.gather). It returns the identity the answer carries.
+func (b *RemoteBackend) sameShard(resp *http.Response) (string, error) {
+	got := resp.Header.Get(shardIdentityHeader)
 	learned := b.identity.Load()
-	if got := resp.Header.Get(shardIdentityHeader); learned != nil && got != *learned {
+	if learned == nil {
+		b.identity.CompareAndSwap(nil, &got)
+	} else if got != *learned {
 		b.identity.CompareAndSwap(learned, nil)
 		resp.Body.Close()
-		return fmt.Errorf("shard %s: %w: /stats advertised %q, /events answers as %q", b.name, errShardChanged, *learned, got)
+		return "", fmt.Errorf("shard %s: %w: it advertised %q, /events answers as %q", b.name, errShardChanged, *learned, got)
 	}
-	return nil
+	return got, nil
 }
 
 // attempt runs one GET against one base URL. On non-2xx the body's
@@ -297,174 +303,128 @@ func (b *RemoteBackend) getJSON(ctx context.Context, path string, params url.Val
 // federated merge.
 const maxRemoteLimit = 1 << 30
 
-// Records implements Backend over GET /events (JSON envelope).
+// Records implements Backend over GET /events?format=lines: the shard's
+// set as the lines it already is, its accounting in headers, read by the
+// loop that reads a stream. Beyond a stream's bounds a set has two of its
+// own — more lines than the limit asked for, or another count than the
+// shard said it returned (a body cut short, accounting missing or no
+// number), fail it whole: a federation counts that against the shard and
+// serves the others' merge.
 func (b *RemoteBackend) Records(ctx context.Context, q Query) (*RecordSet, error) {
 	began := time.Now()
 	params := queryParams(q)
+	params.Set("format", "lines")
 	limit := q.Limit
 	if limit <= 0 {
 		limit = maxRemoteLimit
 		params.Set("limit", strconv.Itoa(limit))
 	}
 	resp, err := b.hedged(ctx, "/events", params)
-	if err == nil {
-		err = b.sameShard(resp)
+	if err != nil {
+		return nil, err
 	}
+	shard, err := b.sameShard(resp)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	rs, err := readRecordSet(resp.Body, limit)
-	if err != nil {
-		return nil, fmt.Errorf("shard %s: bad /events answer: %w", b.name, err)
+	rs, returned := &RecordSet{shard: shard}, 0
+	for _, h := range [...]struct {
+		name string
+		n    *int
+	}{{eventsTotalHeader, &rs.Total}, {eventsScannedHeader, &rs.Scanned}, {eventsReturnedHeader, &returned}} {
+		v, err := strconv.ParseUint(resp.Header.Get(h.name), 10, 63)
+		if err != nil {
+			return nil, fmt.Errorf("shard %s: bad /events answer: %s %q", b.name, h.name, resp.Header.Get(h.name))
+		}
+		*h.n = int(v)
 	}
+	next, done := b.scanLines(resp.Body)
+	defer done()
+	lines := []RecordLine{} // an empty match is [], never null
+	var buf []byte
+	for {
+		rl, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(lines) == limit {
+			return nil, fmt.Errorf("shard %s: bad /events answer: more than the %d records asked for", b.name, limit)
+		}
+		buf = append(buf, rl.Line...)
+		lines = append(lines, rl) // rl.Line is good for its length only, until ownLines
+	}
+	if len(lines) != returned {
+		return nil, fmt.Errorf("shard %s: bad /events answer: %d records where %s says %d", b.name, len(lines), eventsReturnedHeader, returned)
+	}
+	rs.Records = ownLines(buf, lines)
 	rs.Elapsed = time.Since(began)
 	return rs, nil
 }
 
-// readRecordSet reads a shard's /events envelope one member, and its
-// "events" one element, at a time: each element is compacted into the
-// set's buffer — the line the shard's NDJSON would have carried — and
-// keyed by scanLineKey; nothing is decoded into a record. The hop has
-// RecordLines' bounds: an element over maxShardLine as sent, one that
-// is no record, or more elements than the limit asked for is an error,
-// which a federation counts against the shard while it serves the
-// others' merge.
-func readRecordSet(r io.Reader, limit int) (*RecordSet, error) {
-	body := &boundedReader{r: r}
-	dec := json.NewDecoder(body)
-	body.dec = dec
-	delim := func(want json.Delim) error {
-		tok, err := dec.Token()
-		if err == nil && tok != want {
-			err = fmt.Errorf("got %v, want %v", tok, want)
-		}
-		return err
-	}
-	rs := &RecordSet{}
-	lines := []RecordLine{} // an empty match is [], never null
-	var buf bytes.Buffer
-	var elem json.RawMessage // reused: a RawMessage decodes into its own capacity
-	if err := delim('{'); err != nil {
-		return nil, err
-	}
-	for dec.More() {
-		name, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		switch name {
-		case "total":
-			err = dec.Decode(&rs.Total)
-		case "scanned":
-			err = dec.Decode(&rs.Scanned)
-		case "events":
-			if err = delim('['); err != nil {
-				break
-			}
-			for dec.More() {
-				if len(lines) == limit {
-					return nil, fmt.Errorf("more than the %d records asked for", limit)
-				}
-				if err := dec.Decode(&elem); err != nil {
-					return nil, err
-				}
-				start := buf.Len()
-				if err := json.Compact(&buf, elem); err != nil {
-					return nil, err
-				}
-				line := buf.Bytes()[start:]
-				key, err := scanLineKey(line)
-				if err != nil {
-					return nil, fmt.Errorf("bad record: %v", err)
-				}
-				lines = append(lines, RecordLine{Key: key, Line: line})
-			}
-			err = delim(']')
-		default: // elapsed_us, returned
-			err = dec.Decode(&elem)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := delim('}'); err != nil {
-		return nil, err
-	}
-	rs.Records = ownLines(buf.Bytes(), lines)
-	return rs, nil
-}
-
-// boundedReader feeds a json.Decoder and fails once the decoder holds
-// maxShardLine bytes it has not consumed — one value, or the white space
-// before one, still growing — so a shard cannot make the router buffer
-// without bound. InputOffset stays at a value's start until the value
-// is complete.
-type boundedReader struct {
-	r    io.Reader
-	dec  *json.Decoder
-	read int64
-}
-
-func (b *boundedReader) Read(p []byte) (int, error) {
-	room := maxShardLine - (b.read - b.dec.InputOffset())
-	if room <= 0 {
-		return 0, fmt.Errorf("a value over %d bytes", maxShardLine)
-	}
-	if int64(len(p)) > room {
-		p = p[:room]
-	}
-	n, err := b.r.Read(p)
-	b.read += int64(n)
-	return n, err
-}
-
-// maxShardLine caps one record read from a shard, as an NDJSON line or
-// as an element of the JSON envelope. A record is a few hundred bytes (a
-// few KiB enriched, a few times that indented); one that reaches the cap
-// is a misbehaving shard, and buffering more of it would let one shard
-// grow the router without bound.
+// maxShardLine caps one record read from a shard. A record is a few
+// hundred bytes (a few KiB enriched); one that reaches the cap is a
+// misbehaving shard, and buffering more of it would let one shard grow
+// the router without bound.
 const maxShardLine = 1 << 20
+
+// scanBufs recycles the buffers shard bodies are scanned through: a
+// stream of megabytes is read 64 KiB at a time, and a point answer of one
+// KiB does not pay for that with an allocation sixty times its size.
+var scanBufs = sync.Pool{New: func() any { return new([64 << 10]byte) }}
+
+// scanLines is the one reader of a shard's /events body, streamed or
+// set: a record a line, keyed by scanLineKey as it passes — nothing is
+// decoded into a record. Lines are read through one reused buffer
+// (RecordLine.Line is borrowed until the following next) that never grows
+// past maxShardLine; an oversize line, one that is no record, or a read
+// error is the error next returns from then on. done releases the buffer:
+// no line is good after it.
+func (b *RemoteBackend) scanLines(body io.Reader) (next func() (RecordLine, error), done func()) {
+	buf := scanBufs.Get().(*[64 << 10]byte)
+	sc := bufio.NewScanner(body)
+	sc.Buffer(buf[:], maxShardLine)
+	next = func() (RecordLine, error) {
+		for sc.Scan() {
+			line := sc.Bytes()
+			if len(line) == 0 {
+				continue // blank keep-alive line
+			}
+			key, err := scanLineKey(line)
+			if err != nil {
+				return RecordLine{}, fmt.Errorf("shard %s: bad record line: %v", b.name, err)
+			}
+			return RecordLine{Key: key, Line: line}, nil
+		}
+		if err := sc.Err(); err != nil {
+			return RecordLine{}, fmt.Errorf("shard %s: %w", b.name, err)
+		}
+		return RecordLine{}, io.EOF
+	}
+	return next, func() { scanBufs.Put(buf) }
+}
 
 // RecordLines implements Backend over GET /events?format=ndjson.
 // Failover walks the URL set sequentially and only before the first
-// body byte; once a stream is live its shard is committed. Lines are
-// read through one reused buffer (RecordLine.Line is borrowed) that
-// never grows past maxShardLine; an oversize or malformed line, like a
-// read error, ends the stream with an error the federation counts as
-// this shard's failure.
+// body byte; once a stream is live its shard is committed. A line that
+// scanLines refuses ends the stream with an error the federation counts
+// as this shard's failure.
 func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	params := queryParams(q)
 	params.Set("format", "ndjson")
 	resp, err := b.failover(ctx, "/events", params)
-	if err == nil {
-		err = b.sameShard(resp)
-	}
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxShardLine)
-	return &RecordStream{
-		next: func() (RecordLine, error) {
-			for sc.Scan() {
-				line := sc.Bytes()
-				if len(line) == 0 {
-					continue // blank keep-alive line
-				}
-				key, err := scanLineKey(line)
-				if err != nil {
-					return RecordLine{}, fmt.Errorf("shard %s: bad NDJSON line: %v", b.name, err)
-				}
-				return RecordLine{Key: key, Line: line}, nil
-			}
-			if err := sc.Err(); err != nil {
-				return RecordLine{}, fmt.Errorf("shard %s: %w", b.name, err)
-			}
-			return RecordLine{}, io.EOF
-		},
-		close: func() { resp.Body.Close() },
-	}, nil
+	shard, err := b.sameShard(resp)
+	if err != nil {
+		return nil, err
+	}
+	next, done := b.scanLines(resp.Body)
+	return &RecordStream{shard: shard, next: next, close: func() { resp.Body.Close(); done() }}, nil
 }
 
 // scanLineKey derives a line's merge key in one pass over its bytes. The
@@ -684,15 +644,157 @@ func (b *RemoteBackend) Figure4(ctx context.Context, start time.Time, days int) 
 	return &Figure4Result{Series: series}, nil
 }
 
+// maxShardSets caps a shape=sets body, which is read whole: a window of
+// years over a shard of millions of prefixes stays well under it.
+const maxShardSets = 64 << 20
+
 // Figure4Sets implements Backend over GET /figure4?shape=sets.
 func (b *RemoteBackend) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
 	params := figure4Params(start, days)
 	params.Set("shape", "sets")
-	var sets Figure4Sets
-	if err := b.getJSON(ctx, "/figure4", params, &sets); err != nil {
+	resp, err := b.hedged(ctx, "/figure4", params)
+	if err != nil {
 		return nil, err
 	}
-	return &sets, nil
+	defer resp.Body.Close()
+	var body strings.Builder // the sets' names are substrings of it
+	buf := scanBufs.Get().(*[64 << 10]byte)
+	_, err = io.CopyBuffer(&body, io.LimitReader(resp.Body, maxShardSets+1), buf[:])
+	scanBufs.Put(buf)
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: %w", b.name, err)
+	}
+	if body.Len() > maxShardSets {
+		return nil, fmt.Errorf("shard %s: bad /figure4 answer: over %d bytes", b.name, maxShardSets)
+	}
+	sets, err := parseFigure4Sets(body.String(), start, days)
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: bad /figure4 answer: %w", b.name, err)
+	}
+	return sets, nil
+}
+
+// parseFigure4Sets reads a shape=sets body for the window asked. It is
+// appendFigure4Sets' inverse and nothing more lenient: the body must be,
+// byte for byte, what that writer emits for the sets this returns — no
+// white space, no escape, tables and lists strictly ascending, every
+// index inside its table, the window the one asked for. What a shard
+// sends is merged into every other shard's answer, so a body that is
+// anything else is the shard's failure, not a puzzle to solve.
+func parseFigure4Sets(body string, start time.Time, days int) (*Figure4Sets, error) {
+	rest, ok := strings.CutPrefix(body, string(appendFigure4Window(nil, start, days)))
+	if !ok {
+		return nil, fmt.Errorf("not the sets of %d days from %s", days, start.UTC().Format(time.RFC3339))
+	}
+	// Every number is followed by a comma or closes one of the 3×days
+	// lists: the lists slice one allocation.
+	p := setsScanner{rest: rest, nums: make([]uint32, 0, strings.Count(rest, ",")+3*days)}
+	fs := &Figure4Sets{Start: start, Days: days}
+	fs.Providers = p.names(`"providers":[`)
+	fs.Prefixes = p.names(`],"prefixes":[`)
+	fs.DayProviders = p.days(`],"day_providers":[`, days, uint64(len(fs.Providers)))
+	fs.DayUsers = p.days(`],"day_users":[`, days, 1<<32)
+	fs.DayPrefixes = p.days(`],"day_prefixes":[`, days, uint64(len(fs.Prefixes)))
+	p.literal("]}\n")
+	if p.err == nil && p.rest != "" {
+		p.fail("the end")
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return fs, nil
+}
+
+// setsScanner consumes a shape=sets body from the front. The first thing
+// that is not what the writer writes there is err, and ends the scan.
+type setsScanner struct {
+	rest string
+	nums []uint32 // every list's numbers, in the order read
+	err  error
+}
+
+func (p *setsScanner) fail(want string) {
+	if p.err == nil {
+		p.err = fmt.Errorf("want %s at %.20q", want, p.rest)
+	}
+}
+
+// literal consumes lit and reports whether the scan goes on.
+func (p *setsScanner) literal(lit string) bool {
+	rest, ok := strings.CutPrefix(p.rest, lit)
+	if !ok {
+		p.fail(strconv.Quote(lit))
+	}
+	if p.err != nil {
+		return false
+	}
+	p.rest = rest
+	return true
+}
+
+// names consumes open and the table after it, up to its closing bracket:
+// quoted names of printable ASCII, strictly ascending.
+func (p *setsScanner) names(open string) (names []string) {
+	if !p.literal(open) {
+		return nil
+	}
+	for !strings.HasPrefix(p.rest, "]") {
+		if len(names) > 0 && !p.literal(",") || !p.literal(`"`) {
+			return nil
+		}
+		end := 0
+		for end < len(p.rest) && p.rest[end] != '"' {
+			if c := p.rest[end]; c < ' ' || c > '~' || c == '\\' {
+				p.fail("a name of plain ASCII")
+				return nil
+			}
+			end++
+		}
+		name := p.rest[:end]
+		if len(names) > 0 && name <= names[len(names)-1] {
+			p.fail("a name after " + strconv.Quote(names[len(names)-1]))
+			return nil
+		}
+		names, p.rest = append(names, name), p.rest[end:]
+		if !p.literal(`"`) {
+			return nil
+		}
+	}
+	return names
+}
+
+// days consumes open and the n lists after it, up to the closing bracket
+// of the last: numbers spelled as strconv spells them, below limit and
+// strictly ascending within a list.
+func (p *setsScanner) days(open string, n int, limit uint64) [][]uint32 {
+	if !p.literal(open) {
+		return nil
+	}
+	days := make([][]uint32, n)
+	for d := range days {
+		if d > 0 && !p.literal(",") || !p.literal("[") {
+			return nil
+		}
+		from := len(p.nums)
+		for !strings.HasPrefix(p.rest, "]") {
+			if len(p.nums) > from && !p.literal(",") {
+				return nil
+			}
+			i, v := 0, uint64(0)
+			for i < len(p.rest) && '0' <= p.rest[i] && p.rest[i] <= '9' && v < limit {
+				v = v*10 + uint64(p.rest[i]-'0')
+				i++
+			}
+			if i == 0 || i > 1 && p.rest[0] == '0' || v >= limit || len(p.nums) > from && uint32(v) <= p.nums[len(p.nums)-1] {
+				p.fail(fmt.Sprintf("an ascending number below %d", limit))
+				return nil
+			}
+			p.nums, p.rest = append(p.nums, uint32(v)), p.rest[i:]
+		}
+		p.rest = p.rest[1:] // the list's closing bracket
+		days[d] = p.nums[from:len(p.nums):len(p.nums)]
+	}
+	return days
 }
 
 // LegitimacySummary implements Backend over GET /legitimacy.

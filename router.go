@@ -25,7 +25,7 @@ type RouterOptions = HandlerOptions
 //	               is also how the federation (re)reads its shards'
 //	               identities
 //	/events        federated query; same parameters as the store
-//	               handler, JSON or NDJSON, sent to the one shard the
+//	               handler, JSON, NDJSON or lines, sent to the one shard the
 //	               learned plan files the query's prefix on or, when it
 //	               places none, to every shard; limits pushed down per
 //	               shard and re-applied after the global merge
@@ -43,8 +43,8 @@ type RouterOptions = HandlerOptions
 // placed query that is its one owner: its events are nowhere else.
 //
 // The handler reads no identities itself: call fed.Stats once before
-// serving (bhroute does, and logs fed.Placement), or the first /stats
-// request that reaches every shard does it.
+// serving (bhroute does, and logs fed.Placement), or the first /stats or
+// /events request that reaches every shard does it.
 //
 // The aggregation endpoints that walk whole events (/figure8, /table3,
 // /table4) are absent — a FederatedStore has no table capability — and

@@ -501,15 +501,28 @@ func BenchmarkRouterWindowNDJSON(b *testing.B) {
 
 // BenchmarkRouterPoint asks who blackholes one address: the router sends
 // the query to the one shard its prefix is filed on, so what is left of
-// the hop is one loopback round trip and the envelope read and rewritten.
+// the hop is one loopback round trip, the lines read and the envelope
+// written around them.
 func BenchmarkRouterPoint(b *testing.B) {
 	ev := storeBenchEvents(b)[0]
 	benchRouterVsSingle(b, "/events?limit=20&mode=lpm&prefix="+ev.Prefix.Addr().String())
 }
 
+// BenchmarkRouterCovered asks for the enriched events under the first
+// event's /12 — the harness's covered scan: a set of up to 200 records
+// that crosses the hop as its lines and is indented once, by the router.
+func BenchmarkRouterCovered(b *testing.B) {
+	block, err := storeBenchEvents(b)[0].Prefix.Addr().Prefix(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRouterVsSingle(b, "/events?mode=covered&enrich=1&limit=200&prefix="+block.String())
+}
+
 // BenchmarkRouterFigure4 asks for the daily series: the single store
 // answers from its per-day counts, the router unions its shards' per-day
-// sets (/figure4?shape=sets) and counts.
+// sets (/figure4?shape=sets: each name once, the days as indices) in
+// bitsets and counts.
 func BenchmarkRouterFigure4(b *testing.B) {
 	benchRouterVsSingle(b, "/figure4")
 }
