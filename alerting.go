@@ -18,10 +18,6 @@ type (
 	// match mode, plus optional origin/provider/community/min-duration/
 	// verdict constraints. Parse one with ParseRule or from JSON.
 	AlertRule = alert.Rule
-	// AlertRuleMode says how a rule's prefixes match an event prefix:
-	// exact, covered (event inside rule prefix) or lpm (event covers
-	// rule prefix).
-	AlertRuleMode = alert.Mode
 	// Alert is one rule firing on one closed event.
 	Alert = alert.Alert
 	// AlertHub matches closing events against the rule set and delivers
@@ -43,19 +39,6 @@ type (
 	// UnknownAlertRuleError reports a /watch filter naming a rule that
 	// does not exist.
 	UnknownAlertRuleError = alert.UnknownRuleError
-)
-
-// Rule prefix-match modes.
-const (
-	// RuleModeExact fires only when the event prefix equals a rule
-	// prefix.
-	RuleModeExact = alert.ModeExact
-	// RuleModeCovered fires when the event prefix lies inside a rule
-	// prefix ("anything blackholed in my /16").
-	RuleModeCovered = alert.ModeCovered
-	// RuleModeLPM fires when the event prefix covers a rule prefix
-	// ("who blackholes this address, including covering aggregates").
-	RuleModeLPM = alert.ModeLPM
 )
 
 // ParseRule parses the compact rule syntax: whitespace-separated

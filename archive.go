@@ -2,70 +2,17 @@ package bgpblackholing
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"bgpblackholing/internal/collector"
 	"bgpblackholing/internal/mrt"
+	"bgpblackholing/internal/store"
 	"bgpblackholing/internal/stream"
 	"bgpblackholing/internal/workload"
 )
-
-// writeFileAtomic writes path through a temp file in the same
-// directory, fsyncs it, and commits with an atomic rename — the same
-// durability discipline as the event store's segments. A crash at any
-// point leaves either the old file or the complete new one, never a
-// torn archive; flush, fsync and close errors surface instead of being
-// dropped. write sees a buffered writer (archives are written a record
-// at a time), flushed before the fsync.
-func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}()
-	bw := bufio.NewWriterSize(f, 64<<10)
-	if err = write(bw); err != nil {
-		return err
-	}
-	if err = bw.Flush(); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(f.Name(), path); err != nil {
-		return err
-	}
-	// Make the rename itself durable. Some filesystems refuse fsync on
-	// directories; the rename there is as durable as it gets.
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	if cerr := d.Close(); serr == nil {
-		serr = cerr
-	}
-	if errors.Is(serr, os.ErrInvalid) {
-		serr = nil
-	}
-	return serr
-}
 
 // ArchiveSummary describes one WriteMRTArchives run.
 type ArchiveSummary struct {
@@ -88,7 +35,9 @@ type ArchiveSummary struct {
 // back), and world.txt summarises the world for humans. Identical
 // pipelines and windows produce byte-identical archives; bhdetect — or
 // any MRTSource + Detector combination — can then re-infer the events
-// from the archives alone.
+// from the archives alone. Every file is committed durably through
+// store.CommitFile, so a crash leaves each one as it was or complete,
+// never torn.
 func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSummary, error) {
 	if toDay <= fromDay {
 		return nil, fmt.Errorf("empty window [%d,%d)", fromDay, toDay)
@@ -140,7 +89,7 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 	}
 	sort.Strings(dumpNames)
 	for _, name := range dumpNames {
-		err := writeFileAtomic(filepath.Join(dir, name+".dump.mrt"), func(w io.Writer) error {
+		err := store.CommitFile(dir, name+".dump.mrt", true, func(w *bufio.Writer) error {
 			return collector.WriteTableDump(w, colByName[name], dumpObs[name], windowStart)
 		})
 		if err != nil {
@@ -169,7 +118,7 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 		col := colByName[name]
 		// Time-order within the archive.
 		elems := stream.SortedElems(perCollector[name])
-		err := writeFileAtomic(filepath.Join(dir, name+".mrt"), func(fw io.Writer) error {
+		err := store.CommitFile(dir, name+".mrt", true, func(fw *bufio.Writer) error {
 			w := mrt.NewWriter(fw)
 			for _, el := range elems {
 				if err := w.WriteUpdate(el.Update, col.IP, col.ASN); err != nil {
@@ -186,7 +135,7 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 
 	// Dictionary dump: bhdetect (and humans) can load this instead of
 	// re-deriving the corpus.
-	err := writeFileAtomic(filepath.Join(dir, "dictionary.json"), func(w io.Writer) error {
+	err := store.CommitFile(dir, "dictionary.json", true, func(w *bufio.Writer) error {
 		return p.Dict.Save(w)
 	})
 	if err != nil {
@@ -194,7 +143,7 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 	}
 
 	// World summary for humans.
-	err = writeFileAtomic(filepath.Join(dir, "world.txt"), func(w io.Writer) error {
+	err = store.CommitFile(dir, "world.txt", true, func(w *bufio.Writer) error {
 		if _, err := fmt.Fprintf(w, "seed=%d scale=%.3f window=[%d,%d)\n", p.Opts.Seed, p.Opts.TopoScale, fromDay, toDay); err != nil {
 			return err
 		}

@@ -96,7 +96,10 @@ func main() {
 	flag.BoolVar(&c.watch, "watch", false, "stream live alerts from the server's /watch SSE endpoint (requires -server)")
 	flag.BoolVar(&c.metrics, "metrics", false, "scrape the server's /metrics Prometheus exposition to stdout (requires -server)")
 	flag.StringVar(&c.authToken, "auth-token", "", "bearer token for -server requests")
-	flag.Var(&c.watchRules, "rule", "filter -watch to this rule (repeatable; default all rules)")
+	flag.Func("rule", "filter -watch to this rule (repeatable; default all rules)", func(v string) error {
+		c.watchRules = append(c.watchRules, v)
+		return nil
+	})
 	flag.Parse()
 	c.origin = uint32(origin)
 	if err := run(os.Stdout, os.Stderr, &c); err != nil {
@@ -125,19 +128,9 @@ type config struct {
 	replicateTo                       string
 
 	watch      bool
-	watchRules multiFlag
+	watchRules []string
 	metrics    bool
 	authToken  string
-}
-
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
 }
 
 func run(stdout, stderr io.Writer, c *config) error {

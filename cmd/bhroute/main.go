@@ -56,7 +56,7 @@ import (
 type config struct {
 	httpAddr   string
 	shardsFile string
-	shards     multiFlag
+	shards     []string
 	authToken  string
 	shardToken string
 	timeout    time.Duration
@@ -64,20 +64,14 @@ type config struct {
 	rateLimit  float64
 }
 
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
-}
-
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.httpAddr, "http", "127.0.0.1:8090", "serve the federated query API on this address")
 	flag.StringVar(&cfg.shardsFile, "shards", "", "shards file: one 'name = target [replica...]' per line")
-	flag.Var(&cfg.shards, "shard", "one shard, 'name=target[,replica...]' (repeatable); http(s) targets are shard query APIs, anything else a read-only store directory")
+	flag.Func("shard", "one shard, 'name=target[,replica...]' (repeatable); http(s) targets are shard query APIs, anything else a read-only store directory", func(v string) error {
+		cfg.shards = append(cfg.shards, v)
+		return nil
+	})
 	flag.StringVar(&cfg.authToken, "auth-token", "", "require this bearer token on the router's API (default open)")
 	flag.StringVar(&cfg.shardToken, "shard-token", "", "bearer token bhroute presents to the shard APIs")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-shard request timeout")

@@ -95,7 +95,7 @@ func TestRunRefusesContradictingShards(t *testing.T) {
 		return dir
 	}
 	cfg := config{httpAddr: "127.0.0.1:0", timeout: 5 * time.Second,
-		shards: multiFlag{"a=" + stamped("prefix:8:2 0"), "b=" + stamped("prefix:8:2 0")}}
+		shards: []string{"a=" + stamped("prefix:8:2 0"), "b=" + stamped("prefix:8:2 0")}}
 	if err := run(cfg); err == nil || !strings.Contains(err.Error(), "both shard 0 of plan prefix:8:2") {
 		t.Fatalf("run over two shards stamped with one index: %v; want the contradiction", err)
 	}

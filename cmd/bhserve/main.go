@@ -69,21 +69,11 @@ type config struct {
 	liveBuffer int
 	subQueue   int
 	rulesFile  string
-	webhooks   multiFlag
+	webhooks   []string
 	workload   string
 	logFormat  string
 	logLevel   string
 	pprof      bool
-}
-
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
 }
 
 func main() {
@@ -106,7 +96,10 @@ func main() {
 	flag.IntVar(&cfg.subQueue, "sub-queue", 0, "bound each event subscriber's queue, dropping oldest past it (0 = unbounded)")
 	flag.StringVar(&cfg.workload, "workload", "", "scenario preset for the world and -ingest replay: default or flash-crowd")
 	flag.StringVar(&cfg.rulesFile, "rules-file", "", "load alert rules from this file (one per line, 'name=x prefix=...' syntax)")
-	flag.Var(&cfg.webhooks, "webhook", "POST matching alerts to this URL (repeatable)")
+	flag.Func("webhook", "POST matching alerts to this URL (repeatable)", func(v string) error {
+		cfg.webhooks = append(cfg.webhooks, v)
+		return nil
+	})
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log output format: text or json")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ on the query API (requires -http; auth-protected when -auth-token is set)")

@@ -113,10 +113,6 @@ func (d *Detector) Metrics() Metrics {
 // ActiveCount reports how many prefixes are currently blackholed.
 func (d *Detector) ActiveCount() int { return d.engine.ActiveCount() }
 
-// Events returns all events closed so far, in closing order. The slice
-// is a copy owned by the caller.
-func (d *Detector) Events() []*Event { return d.engine.Events() }
-
 // SeedFromRIBDump seeds the detector from an MRT TABLE_DUMP_V2 archive
 // (§4.2 "Initialization Based on BGP Table Dump"): blackholed prefixes
 // found in the dump start events whose true start time is unknown. Call

@@ -27,12 +27,8 @@ type (
 	// Event is one correlated prefix-level blackholing event: the span
 	// during which at least one BGP peer observed the prefix blackholed.
 	Event = core.Event
-	// Detection is one update classified as a blackholing announcement.
-	Detection = core.Detection
 	// ProviderRef identifies one inferred blackholing provider.
 	ProviderRef = core.ProviderRef
-	// ProviderInference is one provider identified on one update.
-	ProviderInference = core.ProviderInference
 	// Metrics counts what the engine has processed, for live-deployment
 	// observability.
 	Metrics = core.Metrics
@@ -51,14 +47,8 @@ type (
 	ASN = bgp.ASN
 	// Community is an RFC 1997 BGP community.
 	Community = bgp.Community
-	// LargeCommunity is an RFC 8092 BGP large community.
-	LargeCommunity = bgp.LargeCommunity
 	// Path is a BGP AS path (sequences and sets, with prepending).
 	Path = bgp.Path
-	// Origin is the BGP origin attribute.
-	Origin = bgp.Origin
-	// RIBEntry is one routing-table entry from a table dump.
-	RIBEntry = bgp.RIBEntry
 )
 
 // World types surfaced by Pipeline fields and results.
@@ -66,39 +56,21 @@ type (
 	// Platform identifies a collection platform (RIS, Route Views, PCH,
 	// CDN).
 	Platform = collector.Platform
-	// Observation is one update observed at one collector.
-	Observation = collector.Observation
-	// PropagationResult describes how one blackholing announcement
-	// propagated: which ASes and IXP members dropped traffic.
-	PropagationResult = collector.Result
 	// Dictionary is the blackhole-communities dictionary (§4.1).
 	Dictionary = dictionary.Dictionary
-	// DictionaryEntry is one documented community in the dictionary.
-	DictionaryEntry = dictionary.Entry
 	// CommunityStats is the per-community prefix-length profile feeding
 	// the Figure 2 inference.
 	CommunityStats = dictionary.CommunityStats
-	// InferenceResult carries the prefix-length statistics and the
-	// inferred undocumented communities.
-	InferenceResult = dictionary.InferenceResult
 	// Topology is the synthetic AS-level Internet.
 	Topology = topology.Topology
-	// AS is one autonomous system of the topology.
-	AS = topology.AS
 	// IXP is one Internet exchange point of the topology.
 	IXP = topology.IXP
 	// Kind classifies an AS (transit, content, access, ...).
 	Kind = topology.Kind
-	// DocSource records where a blackholing service is documented.
-	DocSource = topology.DocSource
 	// Intent is one scenario blackholing intent (ground truth).
 	Intent = workload.Intent
 	// Spike is one headline DDoS attack of the longitudinal scenario.
 	Spike = workload.Spike
-	// IRRDocument is one collected piece of operator documentation.
-	IRRDocument = irr.Document
-	// IRRSource distinguishes IRR records from operator web pages.
-	IRRSource = irr.Source
 )
 
 // Legitimacy enrichment types (see NewAnnotator, Pipeline.Annotator,
@@ -109,8 +81,6 @@ type (
 	RPKIRegistry = rpki.Registry
 	// ROA is one Route Origin Authorization.
 	ROA = rpki.ROA
-	// RPKIState is the RFC 6811 origin-validation outcome.
-	RPKIState = rpki.State
 	// Annotator computes per-event legitimacy annotations from a ROA
 	// registry and the blackhole-communities dictionary.
 	Annotator = enrich.Annotator
@@ -121,13 +91,6 @@ type (
 	OriginValidity = enrich.OriginValidity
 	// CommunityDoc is the documentation status of one matched community.
 	CommunityDoc = enrich.CommunityDoc
-)
-
-// RFC 6811 origin-validation states (RPKIState values).
-const (
-	RPKINotFound = rpki.NotFound
-	RPKIValid    = rpki.Valid
-	RPKIInvalid  = rpki.Invalid
 )
 
 // Legitimacy verdicts (Annotation.Legitimacy values).
@@ -181,7 +144,8 @@ const (
 	OriginIGP = bgp.OriginIGP
 )
 
-// Documentation sources (DocSource values and IRRDocument.Source).
+// Documentation sources: where a blackholing service is documented,
+// and where a collected piece of operator documentation came from.
 const (
 	DocNone    = topology.DocNone
 	DocIRR     = topology.DocIRR

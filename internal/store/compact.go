@@ -92,7 +92,7 @@ type CompactStats struct {
 // compactStageHook, when set (tests only), is called with the stages of
 // each run's commit protocol: "post-commit" right after the merged
 // segment's atomic rename, and "post-cleanup" after the superseded run
-// members are removed. The pre-commit point is segmentCommitHook.
+// members are removed. The pre-commit point is CommitHook.
 var compactStageHook func(stage string, runHi uint64)
 
 // Compact runs one compaction pass under pol. The expensive work —
@@ -462,7 +462,7 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 	// merged file's size. The rename's directory fsync makes both
 	// changes durable together.
 	os.Remove(sumPath(s.dir, hi.seq))
-	if err := writeSegmentAtomic(s.dir, hiPath, payloads); err != nil {
+	if err := writeSegmentAtomic(s.dir, segName(hi.seq), payloads); err != nil {
 		// Nothing swapped: the store keeps serving from the old run.
 		return err
 	}

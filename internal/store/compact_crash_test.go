@@ -130,14 +130,14 @@ func TestCompactionCrashPointMatrix(t *testing.T) {
 	}
 	var snaps []snap
 	var pendingHi uint64
-	segmentCommitHook = func() {
+	CommitHook = func() {
 		snaps = append(snaps, snap{"pre-commit", pendingHi, copySnapshot(t, dir)})
 	}
 	compactStageHook = func(stage string, hi uint64) {
 		pendingHi = hi // runs commit in ascending order; first hook call trails the first rename
 		snaps = append(snaps, snap{stage, hi, copySnapshot(t, dir)})
 	}
-	defer func() { segmentCommitHook, compactStageHook = nil, nil }()
+	defer func() { CommitHook, compactStageHook = nil, nil }()
 
 	stats, err := s.Compact(pol)
 	if err != nil {

@@ -82,7 +82,7 @@ func assertSameResults(t *testing.T, what string, want, got [][][]byte) {
 // exactly what recovery would skip).
 func diskEvents(t *testing.T, dir string) []*core.Event {
 	t.Helper()
-	segs, err := listSegments(dir, true)
+	segs, _, err := listDir(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,12 @@ func insertOrd(l []int32, ord int32) []int32 {
 	return slices.Insert(l, at, ord)
 }
 
-// indexAt indexes ev at a pre-reserved ordinal. Unlike index, the slot
-// already exists (nil) and later ordinals may already populate the
-// postings lists, so every insertion keeps them sorted. The caller
-// holds the write lock, accounted the event as live at reservation
-// time, and cloned s.events for this hydration batch.
+// indexAt indexes ev at a reserved ordinal: the slot already exists
+// (nil) and was accounted live at reservation time. index reserves the
+// next one; hydration fills a block reserved at open, so later ordinals
+// may already populate the postings lists and every insertion keeps
+// them sorted. The caller holds the write lock and, when snapshots may
+// be live, cloned s.events.
 func (s *Store) indexAt(ev *core.Event, ord int32) {
 	s.events[ord] = ev
 	s.trie.Insert(ev.Prefix, ord)

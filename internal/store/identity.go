@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -65,11 +66,10 @@ func (s *Store) Identity() string {
 	return s.identity
 }
 
-// SetIdentity stamps the store with its shard identity, durably: the
-// line lands under a temporary name, is fsynced, and renames into
-// place. Stamping again with the same identity is a no-op; a different
-// one fails with ErrIdentity — a directory's slice of the event space
-// does not change under the events it already holds.
+// SetIdentity stamps the store with its shard identity, durably
+// (CommitFile). Stamping again with the same identity is a no-op; a
+// different one fails with ErrIdentity — a directory's slice of the
+// event space does not change under the events it already holds.
 func (s *Store) SetIdentity(id string) error {
 	if err := checkIdentity(id); err != nil {
 		return err
@@ -86,26 +86,11 @@ func (s *Store) SetIdentity(id string) error {
 	case s.identity != "":
 		return fmt.Errorf("%w: have %q, asked for %q", ErrIdentity, s.identity, id)
 	}
-	// "seg-….tmp-": the name every open already treats as in-flight.
-	tmp, err := os.CreateTemp(s.dir, "seg-"+identityName+".tmp-*")
-	if err != nil {
+	err := CommitFile(s.dir, identityName, true, func(w *bufio.Writer) error {
+		_, err := w.WriteString(id + "\n")
 		return err
-	}
-	_, err = tmp.WriteString(id + "\n")
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(s.dir, identityName))
-	}
+	})
 	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
 		return err
 	}
 	s.identity = id

@@ -21,9 +21,10 @@ package store
 //   - Sidecars are advisory and self-invalidating (they record the
 //     segment size they summarize). Shipping a stale one just demotes
 //     that segment to a full decode on the replica.
-//   - Copies land under a temporary name and rename into place, so a
-//     replica opening mid-ship sees either the old file or the new
-//     one. The ".tmp" infix keeps half-copies invisible to open.
+//   - Copies go through CommitFile, so a replica opening mid-ship sees
+//     either the old file or the new one; an in-flight copy a crashed
+//     pass left behind is invisible to open and retired by the next
+//     pass.
 //   - The shard identity file (SHARD) is written once and never
 //     changes, so it ships like a sealed segment.
 //   - Compaction replaces segments; deleting destination files whose
@@ -31,6 +32,7 @@ package store
 //     counting events that a rewrite moved into a new segment.
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -45,8 +47,9 @@ type ReplicaReport struct {
 	// Skipped counts source files left alone because the destination
 	// already had them at the same size.
 	Skipped int
-	// Deleted lists destination segment/sidecar names removed because
-	// the source no longer has their seq (compaction superseded them).
+	// Deleted lists destination names removed: segments and sidecars
+	// whose seq the source no longer has (compaction superseded them),
+	// and in-flight files a crashed pass left behind.
 	Deleted []string
 	// Bytes is the total payload shipped.
 	Bytes int64
@@ -67,11 +70,7 @@ func Replicate(srcDir, dstDir string) (*ReplicaReport, error) {
 	if err := os.MkdirAll(dstDir, 0o755); err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(srcDir, true)
-	if err != nil {
-		return nil, err
-	}
-	sums, err := listSidecars(srcDir)
+	segs, sums, err := listDir(srcDir, true)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +87,18 @@ func Replicate(srcDir, dstDir string) (*ReplicaReport, error) {
 			rep.Skipped++
 			return nil
 		}
-		n, err := copyFileAtomic(srcPath, dstDir, name)
+		in, err := os.Open(srcPath)
+		if err != nil {
+			return err
+		}
+		defer in.Close()
+		// Durable, sidecars included: a crash can't leave a
+		// renamed-but-hollow file, nor lose a finished copy.
+		var n int64
+		err = CommitFile(dstDir, name, true, func(w *bufio.Writer) (err error) {
+			n, err = io.Copy(w, in)
+			return err
+		})
 		if err != nil {
 			return err
 		}
@@ -116,7 +126,8 @@ func Replicate(srcDir, dstDir string) (*ReplicaReport, error) {
 		}
 	}
 
-	// Retire destination files the source no longer has.
+	// Retire destination files the source no longer has, and whatever a
+	// crashed pass left in flight.
 	entries, err := os.ReadDir(dstDir)
 	if err != nil {
 		return rep, err
@@ -125,7 +136,8 @@ func Replicate(srcDir, dstDir string) (*ReplicaReport, error) {
 		name := e.Name()
 		_, isSeg := parseSegName(name)
 		_, isSum := parseSumName(name)
-		if (!isSeg && !isSum && name != identityName) || want[name] {
+		retired := (isSeg || isSum || name == identityName) && !want[name]
+		if !retired && !inFlight(name) {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dstDir, name)); err != nil {
@@ -137,43 +149,4 @@ func Replicate(srcDir, dstDir string) (*ReplicaReport, error) {
 		return rep, err
 	}
 	return rep, nil
-}
-
-// copyFileAtomic copies src into dir/name via a temp file + rename,
-// fsyncing the payload before the rename so a crash can't leave a
-// renamed-but-hollow file. Returns the bytes copied.
-func copyFileAtomic(src, dir, name string) (int64, error) {
-	in, err := os.Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	n, err := io.Copy(tmp, in)
-	if err != nil {
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		return 0, err
-	}
-	tmpName := tmp.Name()
-	tmp = nil
-	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmpName)
-		return 0, err
-	}
-	return n, nil
 }

@@ -1,11 +1,11 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -108,32 +108,33 @@ func parseSegName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// listSegments returns the segment files in dir in ascending sequence
-// order. Leftover temporary files (a compaction interrupted before its
-// rename) are removed unless readOnly.
-func listSegments(dir string, readOnly bool) ([]segFile, error) {
+// listDir reads a store directory once: its segment files in ascending
+// sequence order, and seq → path for every sidecar (orphans — no
+// matching segment — are the caller's to clean). In-flight files (a
+// commit interrupted before its rename) are removed unless readOnly.
+func listDir(dir string, readOnly bool) (segs []segFile, sums map[uint64]string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var segs []segFile
+	sums = map[uint64]string{}
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
-		name := e.Name()
-		if strings.HasPrefix(name, "seg-") && strings.Contains(name, ".tmp") {
+		name, path := e.Name(), filepath.Join(dir, e.Name())
+		if inFlight(name) {
 			if !readOnly {
-				os.Remove(filepath.Join(dir, name))
+				os.Remove(path)
 			}
-			continue
-		}
-		if seq, ok := parseSegName(name); ok {
-			segs = append(segs, segFile{seq: seq, path: filepath.Join(dir, name)})
+		} else if seq, ok := parseSegName(name); ok {
+			segs = append(segs, segFile{seq: seq, path: path})
+		} else if seq, ok := parseSumName(name); ok {
+			sums[seq] = path
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	return segs, nil
+	return segs, sums, nil
 }
 
 type segFile struct {
@@ -251,64 +252,20 @@ func createSegment(path string) (*os.File, error) {
 	return f, nil
 }
 
-// writeSegmentAtomic writes a complete segment (magic + records) to a
-// temporary file in dir, syncs it, and atomically renames it to path.
-func writeSegmentAtomic(dir, path string, payloads [][]byte) (err error) {
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(segMagic); err != nil {
-		return err
-	}
-	var buf []byte
-	for _, p := range payloads {
-		buf = appendRecord(buf[:0], p)
-		if _, err = tmp.Write(buf); err != nil {
+// writeSegmentAtomic commits a complete segment (magic + records)
+// durably under dir/name.
+func writeSegmentAtomic(dir, name string, payloads [][]byte) error {
+	return CommitFile(dir, name, true, func(w *bufio.Writer) error {
+		if _, err := w.Write(segMagic); err != nil {
 			return err
 		}
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if segmentCommitHook != nil {
-		segmentCommitHook()
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// segmentCommitHook, when set (tests only), runs after a merged
-// segment's temporary file is fully written and synced but before the
-// atomic rename commits it — the crash-matrix tests snapshot the
-// directory here to simulate a crash at the pre-commit point.
-var segmentCommitHook func()
-
-// syncDir fsyncs a directory so renames and removals are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	// Some filesystems refuse fsync on directories; renames there are
-	// as durable as they get.
-	if errors.Is(err, io.EOF) || errors.Is(err, os.ErrInvalid) {
+		var buf []byte
+		for _, p := range payloads {
+			buf = appendRecord(buf[:0], p)
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+		}
 		return nil
-	}
-	return err
+	})
 }

@@ -31,6 +31,7 @@ package store
 // versions so the format can evolve by bumping sumVersion.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -56,8 +57,7 @@ const sumVersion = 1
 const maxSidecarBytes = 16 << 20
 
 // sumName renders the canonical sidecar file name for a segment
-// sequence number. The ".sum" suffix keeps sidecars invisible to
-// listSegments, which only accepts ".log".
+// sequence number.
 func sumName(seq uint64) string {
 	return fmt.Sprintf("seg-%08d.sum", seq)
 }
@@ -585,26 +585,15 @@ func decodeBloom(d *decoder) bloom {
 // ---------------------------------------------------------------------
 // Files.
 
-// writeSidecar writes the sidecar next to its segment via a temp file
-// and atomic rename. No fsync: sidecars are advisory and self-checked,
-// so a crash can at worst leave a sidecar behind that fails validation
-// and demotes its segment to a full decode.
+// writeSidecar commits the sidecar next to its segment. No fsync:
+// sidecars are advisory and self-checked, so a crash can at worst leave
+// a sidecar behind that fails validation and demotes its segment to a
+// full decode.
 func writeSidecar(dir string, m *segSummary) error {
-	tmp, err := os.CreateTemp(dir, sumName(m.seq)+".tmp-*")
-	if err != nil {
+	return CommitFile(dir, sumName(m.seq), false, func(w *bufio.Writer) error {
+		_, err := w.Write(encodeSummary(m))
 		return err
-	}
-	data := encodeSummary(m)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), sumPath(dir, m.seq))
+	})
 }
 
 // loadSidecar reads and structurally validates one sidecar file.
@@ -614,23 +603,4 @@ func loadSidecar(path string) (*segSummary, error) {
 		return nil, err
 	}
 	return decodeSummary(data)
-}
-
-// listSidecars maps segment seq → sidecar path for every ".sum" file
-// in dir; orphans (no matching segment) are the caller's to clean.
-func listSidecars(dir string) (map[uint64]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := map[uint64]string{}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if seq, ok := parseSumName(e.Name()); ok {
-			out[seq] = filepath.Join(dir, e.Name())
-		}
-	}
-	return out, nil
 }

@@ -358,7 +358,7 @@ func open(dir string, opts Options) (*Store, error) {
 		days:           map[int64]*dayAgg{},
 		activeMinStart: noMinStart,
 	}
-	segs, err := listSegments(dir, opts.ReadOnly)
+	segs, sidecars, err := listDir(dir, opts.ReadOnly)
 	if err != nil {
 		if opts.ReadOnly && os.IsNotExist(err) {
 			return nil, fmt.Errorf("store: %s: no such store", dir)
@@ -373,7 +373,6 @@ func open(dir string, opts Options) (*Store, error) {
 	// matching seq, segment file size unchanged since write). Orphans
 	// and invalid sidecars are removed on a read-write open — the heal
 	// pass below rewrites what's worth keeping.
-	sidecars, _ := listSidecars(dir)
 	bySeq := make(map[uint64]int, len(segs))
 	for i, sf := range segs {
 		bySeq[sf.seq] = i
@@ -806,29 +805,10 @@ func (s *Store) openSeg(path string) (SegmentFile, error) {
 // the segment holding its record.
 func (s *Store) index(ev *core.Event, seq uint64) {
 	ord := int32(len(s.events))
-	s.events = append(s.events, ev)
+	s.events = append(s.events, nil)
 	s.eventSeg = append(s.eventSeg, seq)
 	s.live++
-	s.trie.Insert(ev.Prefix, ord)
-	for u := range ev.Users {
-		s.byUser[u] = append(s.byUser[u], ord)
-	}
-	for pr := range ev.Providers {
-		s.byProvider[pr] = append(s.byProvider[pr], ord)
-	}
-	for c := range ev.Communities {
-		s.byCommunity[c] = append(s.byCommunity[c], ord)
-	}
-	for d := unixDay(ev.Start); d <= unixDay(ev.End); d++ {
-		s.byDay[d] = append(s.byDay[d], ord)
-	}
-	if s.minStart.IsZero() || ev.Start.Before(s.minStart) {
-		s.minStart = ev.Start
-	}
-	if ev.End.After(s.maxEnd) {
-		s.maxEnd = ev.End
-	}
-	s.dayAdd(ev)
+	s.indexAt(ev, ord)
 }
 
 // unindex removes ordinal ord from every index and nils its slot,
@@ -901,14 +881,10 @@ func removePosting[K comparable](m map[K][]int32, k K, ord int32) {
 // keeping the list sorted.
 func replacePosting[K comparable](m map[K][]int32, k K, from, to int32) {
 	l := m[k]
-	for i, o := range l {
-		if o == from {
-			l = append(l[:i:i], l[i+1:]...)
-			break
-		}
+	if i := slices.Index(l, from); i >= 0 {
+		l = append(l[:i:i], l[i+1:]...)
 	}
-	at, _ := slices.BinarySearch(l, to)
-	m[k] = slices.Insert(l, at, to)
+	m[k] = insertOrd(l, to)
 }
 
 // tombstoned reports whether any tombstone in force kills ev.

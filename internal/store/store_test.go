@@ -191,9 +191,9 @@ func TestStoreCrashRecoveryTruncatedSegment(t *testing.T) {
 	}
 
 	// Tear the tail mid-record, as a crash during a write would.
-	segs, err := listSegments(dir, true)
+	segs, _, err := listDir(dir, true)
 	if err != nil || len(segs) == 0 {
-		t.Fatalf("listSegments: %v %v", segs, err)
+		t.Fatalf("listDir: %v %v", segs, err)
 	}
 	path := segs[len(segs)-1].path
 	fi, err := os.Stat(path)
@@ -251,7 +251,7 @@ func TestStoreCorruptedChecksumDetected(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := listSegments(dir, true)
+	segs, _, _ := listDir(dir, true)
 	path := segs[len(segs)-1].path
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -288,7 +288,7 @@ func TestStoreTornNewestSegmentMagic(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := listSegments(dir, true)
+	segs, _, _ := listDir(dir, true)
 	torn := filepath.Join(dir, segName(segs[len(segs)-1].seq+1))
 	if err := os.WriteFile(torn, []byte("BHS"), 0o644); err != nil {
 		t.Fatal(err)

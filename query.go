@@ -68,10 +68,6 @@ type StoreOptions = store.Options
 // Close. See ParseSyncPolicy for the flag syntax.
 type SyncPolicy = store.SyncPolicy
 
-// SegmentFile is the store's active-segment write handle, the seam
-// StoreOptions.OpenSegment replaces for fault injection.
-type SegmentFile = store.SegmentFile
-
 // StoreStats describes a store's shape (Store.Stats).
 type StoreStats = store.Stats
 
@@ -374,12 +370,6 @@ func (st *Store) Figure4(start time.Time, days int) []DailyPoint {
 // store.
 func (st *Store) Figure8(timeout time.Duration) (ungrouped, grouped []time.Duration) {
 	return analysis.Figure8Seq(st.s.All(), timeout)
-}
-
-// Group merges the store's per-prefix events into periods (the paper's
-// 5-minute aggregation).
-func (st *Store) Group(timeout time.Duration) []*Period {
-	return core.Group(st.Events(), timeout)
 }
 
 // Table3FromStore computes the blackhole visibility overview (Table 3)

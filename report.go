@@ -181,19 +181,6 @@ func TopForwarders(x *IXP, v VictimSpec, cfg IPFIXConfig) []MemberContribution {
 type (
 	// LookingGlasses is a deployment of per-AS looking glasses.
 	LookingGlasses = lookingglass.Deployment
-	// Glass is one AS's looking glass.
-	Glass = lookingglass.Glass
-	// GlassEntry is one RIB line of a looking-glass response.
-	GlassEntry = lookingglass.Entry
-	// GlassCapability grades what a glass can answer.
-	GlassCapability = lookingglass.Capability
-)
-
-// Looking-glass capabilities.
-const (
-	CapPrefixOnly = lookingglass.CapPrefixOnly
-	CapCommunity  = lookingglass.CapCommunity
-	CapFullTable  = lookingglass.CapFullTable
 )
 
 // DeployLookingGlasses places a looking glass in every AS of the

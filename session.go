@@ -20,10 +20,6 @@ import (
 // the paper's §10 near-real-time workflow end to end, over actual
 // sockets.
 
-// ErrBGPNotification is returned by session reads when the peer sent a
-// NOTIFICATION message (its graceful error path).
-var ErrBGPNotification = bgpd.ErrNotification
-
 // BGPConfig describes the local side of a BGP session.
 type BGPConfig struct {
 	// ASN is the local AS number (4-octet capable).
@@ -118,8 +114,8 @@ func (s *BGPSession) PeerASN() ASN { return s.sess.Peer().ASN }
 func (s *BGPSession) SendUpdate(u *Update) error { return s.sess.SendUpdate(u) }
 
 // ReadUpdate reads the next UPDATE, transparently answering keepalives.
-// It returns io.EOF when the peer hangs up and ErrBGPNotification when
-// the peer signals an error.
+// It returns io.EOF when the peer hangs up and an error when the peer
+// signals one with a NOTIFICATION.
 func (s *BGPSession) ReadUpdate() (*Update, error) { return s.sess.ReadUpdate() }
 
 // Close ends the session with a Cease notification.

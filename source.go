@@ -119,12 +119,6 @@ func (p *Pipeline) Replay(fromDay, toDay int) *ReplaySource {
 	}
 }
 
-// WindowStart returns the wall-clock start of the replayed window.
-func (r *ReplaySource) WindowStart() time.Time { return r.windowStart }
-
-// WindowEnd returns the wall-clock end of the replayed window.
-func (r *ReplaySource) WindowEnd() time.Time { return r.windowEnd }
-
 // ordinary returns the window's background churn, observed by the
 // dictionary-inference collector before the replay so the Figure 2
 // statistics see ordinary TE communities alongside blackhole ones.

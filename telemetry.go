@@ -66,9 +66,6 @@ func NewTelemetry() *Telemetry {
 	return t
 }
 
-// Registry exposes the underlying registry for custom metrics.
-func (t *Telemetry) Registry() *obs.Registry { return t.reg }
-
 // MetricsHandler returns the GET /metrics handler rendering the
 // Prometheus text exposition format.
 func (t *Telemetry) MetricsHandler() http.Handler { return t.reg.Handler() }
