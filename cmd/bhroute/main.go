@@ -131,7 +131,14 @@ func run(cfg config) error {
 		return err
 	case <-sig:
 		slog.Info("shutting down")
-		return srv.Close()
+		// Drain like bhserve: an in-flight NDJSON window ends at its last
+		// line, not mid-body.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			return srv.Close()
+		}
+		return nil
 	}
 }
 

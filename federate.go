@@ -61,9 +61,9 @@ type FederatedStore struct {
 	backends []Backend
 	counters []shardCounters
 	all      []int // every shard index: the fan-out of a query no plan places
-	// placed is what the last complete Stats answer taught; nil before
-	// the first, and again once a shard answers as another than it
-	// advertised (errShardChanged).
+	// placed is what the last complete answer taught — who each shard is
+	// and, from that, where queries go; nil before the first, and again
+	// once a shard answers as another than it advertised.
 	placed atomic.Pointer[placement]
 }
 
@@ -184,9 +184,14 @@ func inProcess(b Backend) bool {
 // query with another filter is two, the bare one that finds the prefix
 // and the exact one that filters its events.
 //
-// With no plan to go by — none learned yet, or dropped — a fan-out that
-// every shard answers is also where the federation learns one: each
-// answer carries its store's identity, as Stats does.
+// Every opened answer is held to the identity its shard advertised: a
+// query placed by that identity is answered wrongly by any other store —
+// one swapped under a running router — so the answer is closed and counted
+// as the shard's failure, and what was learned is dropped. By then every
+// query asks every shard, which is right whatever each one holds. With
+// nothing learned — not yet, or dropped — a fan-out that every shard
+// answers is where the federation learns again: each answer carries its
+// store's identity, as Stats does.
 func (f *FederatedStore) gather(q Query, open func(i int, b Backend, q Query) (*RecordStream, error)) (streams []*RecordStream, failed int, err error) {
 	lpm := q.Prefix.IsValid() && q.Mode == PrefixLPM
 	if lpm && q != (Query{Prefix: q.Prefix, Mode: PrefixLPM, Limit: q.Limit, Enrich: q.Enrich}) {
@@ -212,15 +217,17 @@ func (f *FederatedStore) gather(q Query, open func(i int, b Backend, q Query) (*
 	}
 
 	streams = make([]*RecordStream, len(f.backends))
+	owner, pl := -1, f.placed.Load()
 	fn := func(i int, b Backend) error {
 		s, err := open(i, b, q)
-		streams[i] = s
-		if errors.Is(err, errShardChanged) {
-			f.placed.Store(nil) // the plan was learned from another fleet
+		if err == nil && pl != nil && s.shard != pl.ids[i] {
+			s.Close()
+			f.placed.CompareAndSwap(pl, nil) // learned from another fleet
+			return fmt.Errorf("shard %s: shard identity changed: it advertised %q, /events answers as %q", b.Name(), pl.ids[i], s.shard)
 		}
+		streams[i] = s
 		return err
 	}
-	owner, pl := -1, f.placed.Load()
 	if pl != nil && pl.plan != nil {
 		if k := pl.plan.owner(q); k >= 0 {
 			owner = pl.shard[k]
@@ -641,6 +648,7 @@ func (f *FederatedStore) Healthz(ctx context.Context) *ShardHealth {
 // placement is what a federation learned from one complete answer: a
 // Stats call's, or a fan-out's when it had no plan.
 type placement struct {
+	ids   []string         // ids[i] is the identity backend i advertised, "" for none
 	spec  string           // the plan every shard advertises; "" when there is none to follow
 	plan  *PrefixShardPlan // spec parsed, when it is a plan that places queries
 	shard []int            // shard[k] is the backend holding the plan's shard k
@@ -652,22 +660,27 @@ type placement struct {
 // plan, whose N is the shard count, under indices that are a permutation
 // of 0..N-1, is a plan to follow; any shard advertising none is a fleet
 // to fan out over; anything else is a contradiction — the fleet was not
-// written by one SinkToShards, and no query may trust its layout.
+// written by one SinkToShards, and no query may trust its layout. Whatever
+// the reading, the identities themselves are kept: every later answer is
+// held to them (gather).
 func (f *FederatedStore) learn(ids []string) *placement {
 	name := func(i int) string { return f.backends[i].Name() }
+	contradiction := func(format string, args ...any) *placement {
+		return &placement{ids: ids, err: fmt.Errorf(format, args...)}
+	}
 	for i, id := range ids {
 		if id == "" {
-			return &placement{why: "shard " + name(i) + " advertises no identity"}
+			return &placement{ids: ids, why: "shard " + name(i) + " advertises no identity"}
 		}
 	}
-	pl := &placement{shard: make([]int, len(ids))}
+	pl := &placement{ids: ids, shard: make([]int, len(ids))}
 	for i := range pl.shard {
 		pl.shard[i] = -1
 	}
 	for i, s := range ids {
 		id, err := parseShardIdentity(s)
 		if err != nil {
-			return &placement{err: fmt.Errorf("shard %s: %w", name(i), err)}
+			return contradiction("shard %s: %w", name(i), err)
 		}
 		switch spec := id.plan.String(); {
 		case i == 0:
@@ -676,13 +689,13 @@ func (f *FederatedStore) learn(ids []string) *placement {
 				pl.plan = &plan
 			}
 		case spec != pl.spec:
-			return &placement{err: fmt.Errorf("shard %s is of plan %s, shard %s of plan %s", name(0), pl.spec, name(i), spec)}
+			return contradiction("shard %s is of plan %s, shard %s of plan %s", name(0), pl.spec, name(i), spec)
 		}
 		if n := id.plan.Shards(); n != len(ids) {
-			return &placement{err: fmt.Errorf("plan %s has %d shards, %d are configured", pl.spec, n, len(ids))}
+			return contradiction("plan %s has %d shards, %d are configured", pl.spec, n, len(ids))
 		}
 		if j := pl.shard[id.index]; j >= 0 {
-			return &placement{err: fmt.Errorf("shards %s and %s are both shard %d of plan %s", name(j), name(i), id.index, pl.spec)}
+			return contradiction("shards %s and %s are both shard %d of plan %s", name(j), name(i), id.index, pl.spec)
 		}
 		pl.shard[id.index] = i
 	}

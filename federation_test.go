@@ -10,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"net/url"
 	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -743,6 +745,27 @@ func TestFederationHedgeCounter(t *testing.T) {
 				t.Errorf("hedges with no hedge delay: /stats %d, /metrics %v; want 0 in both", inStats, inMetrics)
 			}
 		})
+	}
+
+	// A 4xx is the caller's error: every replica would answer the same,
+	// so the race ends there as sequential failover does.
+	var replicaAsked atomic.Int32
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		replicaAsked.Add(1)
+		shard.ServeHTTP(w, r)
+	}))
+	defer replica.Close()
+	rb, err := NewRemoteBackend([]string{fast.URL, replica.URL}, RemoteOptions{HedgeDelay: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rb.hedged(context.Background(), "/events", url.Values{"prefix": {"not-a-prefix"}})
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Status != http.StatusBadRequest {
+		t.Fatalf("a bad request through a hedged backend: %v, want the shard's 400", err)
+	}
+	if n, h := replicaAsked.Load(), rb.hedges.Load(); n != 0 || h != 0 {
+		t.Errorf("a 400 from the primary reached the replica %d times and counted %d hedges; want 0, 0", n, h)
 	}
 }
 

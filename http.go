@@ -530,7 +530,7 @@ func shardsFailedHeader(w http.ResponseWriter, failed int) {
 // shard whose events they are: "<plan spec> <index>", what the store's
 // /stats advertises as Identity. A router that placed the query by that
 // advertisement refuses an answer from anyone else
-// (RemoteBackend.sameShard). Unstamped stores and routers never set it.
+// (FederatedStore.gather). Unstamped stores and routers never set it.
 const shardIdentityHeader = "X-Shard-Identity"
 
 func setShardIdentity(w http.ResponseWriter, id string) {

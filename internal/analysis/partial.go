@@ -568,70 +568,39 @@ func (p *Table3Partial) Merge(o *Table3Partial) {
 	p.all.merge(o.all)
 }
 
+// uniqueTo counts the members of self's set that no other platform sees
+// — a cross-platform uniqueness column.
+func uniqueTo[K comparable](p *Table3Partial, self collector.Platform, set func(*visibilitySets) map[K]bool) int {
+	n, platforms := 0, collector.Platforms()
+	for k := range set(p.per[self]) {
+		only := true
+		for _, q := range platforms {
+			if q != self && set(p.per[q])[k] {
+				only = false
+				break
+			}
+		}
+		if only {
+			n++
+		}
+	}
+	return n
+}
+
 // Finalize computes the table, including the cross-platform uniqueness
 // columns, from the merged sets.
 func (p *Table3Partial) Finalize() []Table3Row {
-	platforms := collector.Platforms()
-	uniqueProviders := func(self collector.Platform) int {
-		n := 0
-		for k := range p.per[self].providers {
-			only := true
-			for _, q := range platforms {
-				if q != self && p.per[q].providers[k] {
-					only = false
-					break
-				}
-			}
-			if only {
-				n++
-			}
-		}
-		return n
-	}
-	uniqueUsers := func(self collector.Platform) int {
-		n := 0
-		for k := range p.per[self].users {
-			only := true
-			for _, q := range platforms {
-				if q != self && p.per[q].users[k] {
-					only = false
-					break
-				}
-			}
-			if only {
-				n++
-			}
-		}
-		return n
-	}
-	uniquePrefixes := func(self collector.Platform) int {
-		n := 0
-		for k := range p.per[self].prefixes {
-			only := true
-			for _, q := range platforms {
-				if q != self && p.per[q].prefixes[k] {
-					only = false
-					break
-				}
-			}
-			if only {
-				n++
-			}
-		}
-		return n
-	}
-
 	var out []Table3Row
-	for _, pl := range platforms {
+	for _, pl := range collector.Platforms() {
 		s := p.per[pl]
 		row := Table3Row{
 			Source:          pl.String(),
 			Providers:       len(s.providers),
-			UniqueProviders: uniqueProviders(pl),
+			UniqueProviders: uniqueTo(p, pl, func(s *visibilitySets) map[core.ProviderRef]bool { return s.providers }),
 			Users:           len(s.users),
-			UniqueUsers:     uniqueUsers(pl),
+			UniqueUsers:     uniqueTo(p, pl, func(s *visibilitySets) map[bgp.ASN]bool { return s.users }),
 			Prefixes:        len(s.prefixes),
-			UniquePrefixes:  uniquePrefixes(pl),
+			UniquePrefixes:  uniqueTo(p, pl, func(s *visibilitySets) map[netip.Prefix]bool { return s.prefixes }),
 		}
 		if len(s.providers) > 0 {
 			row.DirectFeedFrac = float64(len(s.direct)) / float64(len(s.providers))

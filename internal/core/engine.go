@@ -221,9 +221,10 @@ type Engine struct {
 	dict *dictionary.Dictionary
 	topo *topology.Topology
 
-	// perPeer tracks active blackholing per (prefix, peer IP).
-	perPeer map[peerKey]*peerState
-	// perPrefix correlates peers into prefix-level events.
+	// perPrefix is the one ledger of active blackholing: an entry per
+	// prefix with an open event, holding the event and the peers that
+	// still see the prefix blackholed. The last peer out (or Flush)
+	// closes the event and deletes the entry.
 	perPrefix map[netip.Prefix]*prefixState
 	closed    []*Event
 	// seq numbers closed events across the engine's whole lifetime —
@@ -252,20 +253,9 @@ type Engine struct {
 // concurrently with the processing goroutine.
 func (e *Engine) Metrics() Metrics { return e.metrics.snapshot() }
 
-type peerKey struct {
-	prefix netip.Prefix
-	peer   netip.Addr
-}
-
-type peerState struct {
-	start        time.Time
-	startUnknown bool
-}
-
 type prefixState struct {
 	event       *Event
 	activePeers map[netip.Addr]bool
-	lastEnd     time.Time
 }
 
 // NewEngine returns an engine inferring against the documented
@@ -275,7 +265,6 @@ func NewEngine(dict *dictionary.Dictionary, topo *topology.Topology) *Engine {
 	return &Engine{
 		dict:      dict,
 		topo:      topo,
-		perPeer:   map[peerKey]*peerState{},
 		perPrefix: map[netip.Prefix]*prefixState{},
 	}
 }
@@ -480,7 +469,7 @@ func (e *Engine) process(u *bgp.Update, collectorName string, platform collector
 
 	// Explicit withdrawals end per-peer blackholing (§4.2).
 	for _, p := range u.Withdrawn {
-		if e.endPeer(peerKey{p, u.PeerIP}, u.Time) {
+		if e.endPeer(p, u.PeerIP, u.Time) {
 			e.metrics.explicitEnds.Add(1)
 		}
 	}
@@ -496,36 +485,25 @@ func (e *Engine) process(u *bgp.Update, collectorName string, platform collector
 		det = &detVal
 	}
 	for _, p := range u.Announced {
-		key := peerKey{p, u.PeerIP}
 		if det == nil {
 			// Announcement without blackhole communities: implicit
 			// withdrawal if this peer previously saw the prefix
 			// blackholed (§4.2).
-			if e.endPeer(key, u.Time) {
+			if e.endPeer(p, u.PeerIP, u.Time) {
 				e.metrics.implicitEnds.Add(1)
 			}
 			continue
 		}
 		e.metrics.detections.Add(1)
-		e.startOrRefresh(key, u, det, p, collectorName, platform, fromDump)
+		e.startOrRefresh(u, det, p, collectorName, platform, fromDump)
 	}
 }
 
-func (e *Engine) startOrRefresh(key peerKey, u *bgp.Update, det *Detection, prefix netip.Prefix, collectorName string, platform collector.Platform, fromDump bool) {
-	ps := e.perPeer[key]
-	if ps == nil {
-		ps = &peerState{start: u.Time, startUnknown: fromDump}
-		e.perPeer[key] = ps
-	}
-
+func (e *Engine) startOrRefresh(u *bgp.Update, det *Detection, prefix netip.Prefix, collectorName string, platform collector.Platform, fromDump bool) {
 	st := e.perPrefix[prefix]
 	if st == nil {
-		st = &prefixState{activePeers: map[netip.Addr]bool{}}
-		e.perPrefix[prefix] = st
-	}
-	if st.event == nil {
 		e.metrics.eventsOpened.Add(1)
-		st.event = &Event{
+		st = &prefixState{activePeers: map[netip.Addr]bool{}, event: &Event{
 			Prefix:              prefix,
 			Start:               u.Time,
 			End:                 u.Time,
@@ -540,7 +518,8 @@ func (e *Engine) startOrRefresh(key peerKey, u *bgp.Update, det *Detection, pref
 			ProvidersByPlatform: map[collector.Platform]map[ProviderRef]bool{},
 			UsersByPlatform:     map[collector.Platform]map[bgp.ASN]bool{},
 			ProviderUsers:       map[ProviderRef]map[bgp.ASN]bool{},
-		}
+		}}
+		e.perPrefix[prefix] = st
 	}
 	ev := st.event
 	st.activePeers[u.PeerIP] = true
@@ -593,48 +572,40 @@ func betterDistance(cand, cur int) bool {
 	return cand != NoPath && cand < cur
 }
 
-// endPeer closes the per-peer state, reporting whether the peer was
-// actually tracking the prefix.
-func (e *Engine) endPeer(key peerKey, t time.Time) bool {
-	if _, ok := e.perPeer[key]; !ok {
+// endPeer ends one peer's view of a blackholed prefix, reporting whether
+// the peer was actually tracking it.
+func (e *Engine) endPeer(prefix netip.Prefix, peer netip.Addr, t time.Time) bool {
+	st := e.perPrefix[prefix]
+	if st == nil || !st.activePeers[peer] {
 		return false
 	}
-	delete(e.perPeer, key)
-	st := e.perPrefix[key.prefix]
-	if st == nil || st.event == nil {
-		return true
-	}
-	delete(st.activePeers, key.peer)
+	delete(st.activePeers, peer)
 	if t.After(st.event.End) {
 		st.event.End = t
 	}
 	if len(st.activePeers) == 0 {
 		// All peers agree the blackholing is over: close the event.
+		delete(e.perPrefix, prefix)
 		e.closeEvent(st.event)
-		st.event = nil
-		st.lastEnd = t
 	}
 	return true
 }
 
 // Flush closes every still-active event at time t (end of monitoring).
 func (e *Engine) Flush(t time.Time) {
-	var keys []netip.Prefix
-	for p, st := range e.perPrefix {
-		if st.event != nil {
-			keys = append(keys, p)
-		}
+	keys := make([]netip.Prefix, 0, len(e.perPrefix))
+	for p := range e.perPrefix {
+		keys = append(keys, p)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 	for _, p := range keys {
-		st := e.perPrefix[p]
-		if t.After(st.event.End) {
-			st.event.End = t
+		ev := e.perPrefix[p].event
+		delete(e.perPrefix, p)
+		if t.After(ev.End) {
+			ev.End = t
 		}
-		e.closeEvent(st.event)
-		st.event = nil
+		e.closeEvent(ev)
 	}
-	e.perPeer = map[peerKey]*peerState{}
 }
 
 // closeEvent records a closed event and notifies the OnEventClose hook.
@@ -677,15 +648,7 @@ func (e *Engine) Events() []*Event {
 }
 
 // ActiveCount reports how many prefixes are currently blackholed.
-func (e *Engine) ActiveCount() int {
-	n := 0
-	for _, st := range e.perPrefix {
-		if st.event != nil {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) ActiveCount() int { return len(e.perPrefix) }
 
 // Period is a group of events for the same prefix whose gaps are at most
 // the grouping timeout — the paper's 5-minute aggregation that turns the

@@ -416,3 +416,48 @@ func TestSequentialEventsSamePrefix(t *testing.T) {
 		t.Fatalf("periods = %d, want 1 grouped", len(periods))
 	}
 }
+
+// TestFlushForgetsPeers is the replay-then-live regression: Flush ends
+// every peer's view along with the events, so an event another peer
+// opens afterwards closes on that peer's withdrawal — not at the next
+// flush, waiting for a peer that was flushed away.
+func TestFlushForgetsPeers(t *testing.T) {
+	topo, dict := testWorld()
+	e := NewEngine(dict, topo)
+	bh := bgp.MakeCommunity(100, 666)
+	e.ProcessUpdate(announce("22.0.1.1", 100, 0, "31.0.0.1/32", []bgp.ASN{100, 200}, bh), "rrc00", collector.PlatformRIS)
+	e.Flush(t0.Add(time.Hour))
+	e.ProcessUpdate(announce("22.0.2.1", 300, 2*time.Hour, "31.0.0.1/32", []bgp.ASN{100, 200}, bh), "rrc00", collector.PlatformRIS)
+	e.ProcessUpdate(withdraw("22.0.2.1", 300, 3*time.Hour, "31.0.0.1/32"), "rrc00", collector.PlatformRIS)
+	evs := e.Events()
+	if len(evs) != 2 || e.ActiveCount() != 0 {
+		t.Fatalf("%d events, %d active; want 2 closed, 0 active", len(evs), e.ActiveCount())
+	}
+	if want := t0.Add(3 * time.Hour); !evs[1].End.Equal(want) {
+		t.Fatalf("second event ends %v, want the withdrawal at %v", evs[1].End, want)
+	}
+	if len(evs[1].Peers) != 1 {
+		t.Fatalf("second event has peers %v, want only the one that re-opened it", evs[1].Peers)
+	}
+}
+
+// TestClosedPrefixesLeaveTheEngine checks that engine state is bounded
+// by what is open, not by what was ever seen.
+func TestClosedPrefixesLeaveTheEngine(t *testing.T) {
+	topo, dict := testWorld()
+	e := NewEngine(dict, topo)
+	bh := bgp.MakeCommunity(100, 666)
+	const cycles = 10000
+	for i := 0; i < cycles; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{31, 1, byte(i >> 8), byte(i)}), 32).String()
+		at := time.Duration(i) * time.Minute
+		e.ProcessUpdate(announce("22.0.1.1", 100, at, p, []bgp.ASN{100, 200}, bh), "rrc00", collector.PlatformRIS)
+		e.ProcessUpdate(withdraw("22.0.1.1", 100, at+time.Second, p), "rrc00", collector.PlatformRIS)
+	}
+	if len(e.Events()) != cycles {
+		t.Fatalf("%d events closed, want %d", len(e.Events()), cycles)
+	}
+	if len(e.perPrefix) != 0 {
+		t.Fatalf("%d prefixes still held after every event closed", len(e.perPrefix))
+	}
+}

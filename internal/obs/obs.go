@@ -35,6 +35,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Kind is a metric family's exposition type.
@@ -66,10 +67,15 @@ func (k Kind) String() string {
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+// Add adds n. On a nil Counter — a signal nobody wired — it is a no-op,
+// so instrumented code calls it unguarded.
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -109,8 +115,11 @@ type Histogram struct {
 	sum     atomic.Uint64 // float64 bits
 }
 
-// Observe records one value.
+// Observe records one value; a no-op on a nil Histogram.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -123,6 +132,22 @@ func (h *Histogram) Observe(v float64) {
 		if h.sum.CompareAndSwap(old, next) {
 			return
 		}
+	}
+}
+
+// Now reads the clock for a later ObserveSince — unless the Histogram is
+// nil, when nobody will look: an unwired timing costs no time.Now.
+func (h *Histogram) Now() (start time.Time) {
+	if h != nil {
+		start = time.Now()
+	}
+	return start
+}
+
+// ObserveSince observes the seconds elapsed since start, which h.Now read.
+func (h *Histogram) ObserveSince(start time.Time) {
+	if h != nil {
+		h.Observe(time.Since(start).Seconds())
 	}
 }
 

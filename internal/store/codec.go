@@ -15,11 +15,11 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 	"time"
 
 	"bgpblackholing/internal/bgp"
@@ -65,45 +65,45 @@ func EncodeEvent(buf []byte, ev *core.Event) []byte {
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(ev.Detections))
 
-	buf = appendProviderSet(buf, ev.Providers)
-	buf = appendASNSet(buf, ev.Users)
-	buf = appendCommunitySet(buf, ev.Communities)
-	buf = appendPlatformSet(buf, ev.Platforms)
-	buf = appendPeerSet(buf, ev.Peers)
+	buf = appendSet(buf, ev.Providers, providerKeys)
+	buf = appendSet(buf, ev.Users, asnKeys)
+	buf = appendSet(buf, ev.Communities, communityKeys)
+	buf = appendSet(buf, ev.Platforms, platformKeys)
+	buf = appendSet(buf, ev.Peers, peerKeys)
 
 	buf = binary.AppendUvarint(buf, uint64(len(ev.ASDistances)))
 	for _, d := range ev.ASDistances {
 		buf = binary.AppendVarint(buf, int64(d))
 	}
 
-	provs := sortedProviders(ev.ProviderDistances)
+	provs := sortedKeys(ev.ProviderDistances, providerKeys.cmp)
 	buf = binary.AppendUvarint(buf, uint64(len(provs)))
 	for _, pr := range provs {
 		buf = appendProvider(buf, pr)
 		buf = binary.AppendVarint(buf, int64(ev.ProviderDistances[pr]))
 	}
 
-	buf = appendProviderSet(buf, ev.DirectProviders)
+	buf = appendSet(buf, ev.DirectProviders, providerKeys)
 
-	plats := sortedPlatformKeys(ev.ProvidersByPlatform)
+	plats := sortedKeys(ev.ProvidersByPlatform, platformKeys.cmp)
 	buf = binary.AppendUvarint(buf, uint64(len(plats)))
 	for _, p := range plats {
-		buf = binary.AppendVarint(buf, int64(p))
-		buf = appendProviderSet(buf, ev.ProvidersByPlatform[p])
+		buf = appendPlatform(buf, p)
+		buf = appendSet(buf, ev.ProvidersByPlatform[p], providerKeys)
 	}
 
-	uplats := sortedPlatformKeys(ev.UsersByPlatform)
+	uplats := sortedKeys(ev.UsersByPlatform, platformKeys.cmp)
 	buf = binary.AppendUvarint(buf, uint64(len(uplats)))
 	for _, p := range uplats {
-		buf = binary.AppendVarint(buf, int64(p))
-		buf = appendASNSet(buf, ev.UsersByPlatform[p])
+		buf = appendPlatform(buf, p)
+		buf = appendSet(buf, ev.UsersByPlatform[p], asnKeys)
 	}
 
-	pus := sortedProviders(ev.ProviderUsers)
+	pus := sortedKeys(ev.ProviderUsers, providerKeys.cmp)
 	buf = binary.AppendUvarint(buf, uint64(len(pus)))
 	for _, pr := range pus {
 		buf = appendProvider(buf, pr)
-		buf = appendASNSet(buf, ev.ProviderUsers[pr])
+		buf = appendSet(buf, ev.ProviderUsers[pr], asnKeys)
 	}
 	return buf
 }
@@ -129,11 +129,11 @@ func DecodeEvent(data []byte) (*core.Event, error) {
 	ev.SawNoExport = flags&4 != 0
 	ev.Detections = int(d.uvarint())
 
-	ev.Providers = d.providerSet()
-	ev.Users = d.asnSet()
-	ev.Communities = d.communitySet()
-	ev.Platforms = d.platformSet()
-	ev.Peers = d.peerSet()
+	ev.Providers = decodeSet(d, providerKeys)
+	ev.Users = decodeSet(d, asnKeys)
+	ev.Communities = decodeSet(d, communityKeys)
+	ev.Platforms = decodeSet(d, platformKeys)
+	ev.Peers = decodeSet(d, peerKeys)
 
 	// Each distance takes at least one byte, so a count beyond the
 	// remaining buffer is corruption — reject it before allocating
@@ -155,22 +155,22 @@ func DecodeEvent(data []byte) (*core.Event, error) {
 		ev.ProviderDistances[pr] = int(d.varint())
 	}
 
-	ev.DirectProviders = d.providerSet()
+	ev.DirectProviders = decodeSet(d, providerKeys)
 
 	ev.ProvidersByPlatform = map[collector.Platform]map[core.ProviderRef]bool{}
 	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		p := collector.Platform(d.varint())
-		ev.ProvidersByPlatform[p] = d.providerSet()
+		p := d.platform()
+		ev.ProvidersByPlatform[p] = decodeSet(d, providerKeys)
 	}
 	ev.UsersByPlatform = map[collector.Platform]map[bgp.ASN]bool{}
 	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		p := collector.Platform(d.varint())
-		ev.UsersByPlatform[p] = d.asnSet()
+		p := d.platform()
+		ev.UsersByPlatform[p] = decodeSet(d, asnKeys)
 	}
 	ev.ProviderUsers = map[core.ProviderRef]map[bgp.ASN]bool{}
 	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
 		pr := d.provider()
-		ev.ProviderUsers[pr] = d.asnSet()
+		ev.ProviderUsers[pr] = decodeSet(d, asnKeys)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -215,83 +215,57 @@ func appendProvider(buf []byte, pr core.ProviderRef) []byte {
 	return binary.AppendUvarint(buf, uint64(pr.IXPID))
 }
 
-func sortedProviders[V any](m map[core.ProviderRef]V) []core.ProviderRef {
-	out := make([]core.ProviderRef, 0, len(m))
-	for pr := range m {
-		out = append(out, pr)
-	}
-	slices.SortFunc(out, core.ProviderRefCompare)
-	return out
+func appendPlatform(buf []byte, p collector.Platform) []byte {
+	return binary.AppendVarint(buf, int64(p))
 }
 
-func appendProviderSet(buf []byte, m map[core.ProviderRef]bool) []byte {
-	provs := sortedProviders(m)
-	buf = binary.AppendUvarint(buf, uint64(len(provs)))
-	for _, pr := range provs {
-		buf = appendProvider(buf, pr)
+func appendUvarint[K ~uint32](buf []byte, k K) []byte {
+	return binary.AppendUvarint(buf, uint64(k))
+}
+
+// keyCodec is how one kind of set member crosses the codec: its
+// canonical order, its writer and its reader.
+type keyCodec[K comparable] struct {
+	cmp func(a, b K) int
+	put func(buf []byte, k K) []byte
+	get func(d *decoder) K
+}
+
+var (
+	providerKeys  = keyCodec[core.ProviderRef]{core.ProviderRefCompare, appendProvider, (*decoder).provider}
+	asnKeys       = keyCodec[bgp.ASN]{cmp.Compare[bgp.ASN], appendUvarint[bgp.ASN], uvarintKey[bgp.ASN]}
+	communityKeys = keyCodec[bgp.Community]{cmp.Compare[bgp.Community], appendUvarint[bgp.Community], uvarintKey[bgp.Community]}
+	platformKeys  = keyCodec[collector.Platform]{cmp.Compare[collector.Platform], appendPlatform, (*decoder).platform}
+	peerKeys      = keyCodec[netip.Addr]{netip.Addr.Compare, appendAddr, (*decoder).addr}
+)
+
+// sortedKeys returns m's keys in compare order.
+func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compare)
+	return keys
+}
+
+// appendSet writes a set count-first, members in canonical order.
+func appendSet[K comparable](buf []byte, m map[K]bool, c keyCodec[K]) []byte {
+	keys := sortedKeys(m, c.cmp)
+	buf = binary.AppendUvarint(buf, uint64(len(keys)))
+	for _, k := range keys {
+		buf = c.put(buf, k)
 	}
 	return buf
 }
 
-func appendASNSet(buf []byte, m map[bgp.ASN]bool) []byte {
-	asns := make([]bgp.ASN, 0, len(m))
-	for a := range m {
-		asns = append(asns, a)
+// decodeSet reads what appendSet wrote.
+func decodeSet[K comparable](d *decoder, c keyCodec[K]) map[K]bool {
+	m := map[K]bool{}
+	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
+		m[c.get(d)] = true
 	}
-	slices.Sort(asns)
-	buf = binary.AppendUvarint(buf, uint64(len(asns)))
-	for _, a := range asns {
-		buf = binary.AppendUvarint(buf, uint64(a))
-	}
-	return buf
-}
-
-func appendCommunitySet(buf []byte, m map[bgp.Community]bool) []byte {
-	cs := make([]bgp.Community, 0, len(m))
-	for c := range m {
-		cs = append(cs, c)
-	}
-	slices.Sort(cs)
-	buf = binary.AppendUvarint(buf, uint64(len(cs)))
-	for _, c := range cs {
-		buf = binary.AppendUvarint(buf, uint64(c))
-	}
-	return buf
-}
-
-func appendPlatformSet(buf []byte, m map[collector.Platform]bool) []byte {
-	ps := make([]collector.Platform, 0, len(m))
-	for p := range m {
-		ps = append(ps, p)
-	}
-	slices.Sort(ps)
-	buf = binary.AppendUvarint(buf, uint64(len(ps)))
-	for _, p := range ps {
-		buf = binary.AppendVarint(buf, int64(p))
-	}
-	return buf
-}
-
-func sortedPlatformKeys[V any](m map[collector.Platform]V) []collector.Platform {
-	ps := make([]collector.Platform, 0, len(m))
-	for p := range m {
-		ps = append(ps, p)
-	}
-	slices.Sort(ps)
-	return ps
-}
-
-func appendPeerSet(buf []byte, m map[netip.Addr]bool) []byte {
-	peers := make([]netip.Addr, 0, len(m))
-	for a := range m {
-		peers = append(peers, a)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].Compare(peers[j]) < 0 })
-	buf = binary.AppendUvarint(buf, uint64(len(peers)))
-	for _, a := range peers {
-		buf = appendAddr(buf, a)
-	}
-	return buf
+	return m
 }
 
 // ---------------------------------------------------------------------
@@ -460,42 +434,6 @@ func (d *decoder) provider() core.ProviderRef {
 	}
 }
 
-func (d *decoder) providerSet() map[core.ProviderRef]bool {
-	m := map[core.ProviderRef]bool{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		m[d.provider()] = true
-	}
-	return m
-}
+func (d *decoder) platform() collector.Platform { return collector.Platform(d.varint()) }
 
-func (d *decoder) asnSet() map[bgp.ASN]bool {
-	m := map[bgp.ASN]bool{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		m[bgp.ASN(d.uvarint())] = true
-	}
-	return m
-}
-
-func (d *decoder) communitySet() map[bgp.Community]bool {
-	m := map[bgp.Community]bool{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		m[bgp.Community(d.uvarint())] = true
-	}
-	return m
-}
-
-func (d *decoder) platformSet() map[collector.Platform]bool {
-	m := map[collector.Platform]bool{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		m[collector.Platform(d.varint())] = true
-	}
-	return m
-}
-
-func (d *decoder) peerSet() map[netip.Addr]bool {
-	m := map[netip.Addr]bool{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		m[d.addr()] = true
-	}
-	return m
-}
+func uvarintKey[K ~uint32](d *decoder) K { return K(d.uvarint()) }

@@ -102,32 +102,14 @@ var compactStageHook func(stage string, runHi uint64)
 // Each selected run commits independently (marker-led atomic rename),
 // so a crash mid-pass leaves every run either fully old or fully new.
 func (s *Store) Compact(pol Policy) (CompactStats, error) {
-	in := s.inst
-	var start time.Time
-	if in != nil && in.CompactSeconds != nil {
-		start = time.Now()
-	}
+	start := s.inst.CompactSeconds.Now()
 	st, err := s.compactWith(pol)
-	if in != nil {
-		if in.CompactRuns != nil {
-			in.CompactRuns.Inc()
-		}
-		if in.CompactSeconds != nil {
-			in.CompactSeconds.Observe(time.Since(start).Seconds())
-		}
-		if in.CompactMerged != nil {
-			in.CompactMerged.Add(uint64(len(st.Merged)))
-		}
-		if in.CompactSkipped != nil {
-			in.CompactSkipped.Add(uint64(len(st.Skipped)))
-		}
-		if in.CompactErased != nil {
-			in.CompactErased.Add(uint64(st.Erased))
-		}
-		if in.CompactDropped != nil {
-			in.CompactDropped.Add(uint64(st.Dropped))
-		}
-	}
+	s.inst.CompactRuns.Inc()
+	s.inst.CompactSeconds.ObserveSince(start)
+	s.inst.CompactMerged.Add(uint64(len(st.Merged)))
+	s.inst.CompactSkipped.Add(uint64(len(st.Skipped)))
+	s.inst.CompactErased.Add(uint64(st.Erased))
+	s.inst.CompactDropped.Add(uint64(st.Dropped))
 	return st, err
 }
 
@@ -597,9 +579,7 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 	if mergedSize > 0 {
 		m := buildSummary(hi.seq, mergedSize, mergedSize, false, mergedRecs, payloads[:nonEvents], appliedTombs)
 		if writeSidecar(s.dir, m) == nil {
-			if in := s.inst; in != nil && in.SidecarWrites != nil {
-				in.SidecarWrites.Inc()
-			}
+			s.inst.SidecarWrites.Inc()
 		}
 	}
 	if compactStageHook != nil {

@@ -29,6 +29,43 @@ func insertOrd(l []int32, ord int32) []int32 {
 	return slices.Insert(l, at, ord)
 }
 
+// removeOrd returns l without ord. The result never shares l's tail:
+// a snapshot may still be reading l.
+func removeOrd(l []int32, ord int32) []int32 {
+	if i := slices.Index(l, ord); i >= 0 {
+		return append(l[:i:i], l[i+1:]...)
+	}
+	return l
+}
+
+// postings rewrites, with edit, every postings list ev is filed under —
+// its prefix's in the trie, its users', providers' and communities', and
+// those of the days it spans: the one walk of the five index dimensions.
+// A list edit empties goes, with its key.
+func (s *Store) postings(ev *core.Event, edit func([]int32) []int32) {
+	s.trie.Edit(ev.Prefix, edit)
+	for u := range ev.Users {
+		editPosting(s.byUser, u, edit)
+	}
+	for pr := range ev.Providers {
+		editPosting(s.byProvider, pr, edit)
+	}
+	for c := range ev.Communities {
+		editPosting(s.byCommunity, c, edit)
+	}
+	for d := unixDay(ev.Start); d <= unixDay(ev.End); d++ {
+		editPosting(s.byDay, d, edit)
+	}
+}
+
+func editPosting[K comparable](m map[K][]int32, k K, edit func([]int32) []int32) {
+	if l := edit(m[k]); len(l) == 0 {
+		delete(m, k)
+	} else {
+		m[k] = l
+	}
+}
+
 // indexAt indexes ev at a reserved ordinal: the slot already exists
 // (nil) and was accounted live at reservation time. index reserves the
 // next one; hydration fills a block reserved at open, so later ordinals
@@ -37,19 +74,7 @@ func insertOrd(l []int32, ord int32) []int32 {
 // be live, cloned s.events.
 func (s *Store) indexAt(ev *core.Event, ord int32) {
 	s.events[ord] = ev
-	s.trie.Insert(ev.Prefix, ord)
-	for u := range ev.Users {
-		s.byUser[u] = insertOrd(s.byUser[u], ord)
-	}
-	for pr := range ev.Providers {
-		s.byProvider[pr] = insertOrd(s.byProvider[pr], ord)
-	}
-	for c := range ev.Communities {
-		s.byCommunity[c] = insertOrd(s.byCommunity[c], ord)
-	}
-	for d := unixDay(ev.Start); d <= unixDay(ev.End); d++ {
-		s.byDay[d] = insertOrd(s.byDay[d], ord)
-	}
+	s.postings(ev, func(l []int32) []int32 { return insertOrd(l, ord) })
 	if s.minStart.IsZero() || ev.Start.Before(s.minStart) {
 		s.minStart = ev.Start
 	}
@@ -221,9 +246,7 @@ func (s *Store) hydrateSegLocked(i int) {
 	sf.lazy, sf.sum = false, nil
 	s.coldSegs--
 	s.hydratedSegs++
-	if in := s.inst; in != nil && in.Hydrations != nil {
-		in.Hydrations.Inc()
-	}
+	s.inst.Hydrations.Inc()
 }
 
 // dayAgg is one day's slice of the materialized aggregate view: a
@@ -435,8 +458,6 @@ func (s *Store) writeSealSidecar() {
 	}
 	m := buildSummary(s.seq, s.size, s.size, false, recs, s.activeOthers, applied)
 	if writeSidecar(s.dir, m) == nil {
-		if in := s.inst; in != nil && in.SidecarWrites != nil {
-			in.SidecarWrites.Inc()
-		}
+		s.inst.SidecarWrites.Inc()
 	}
 }

@@ -1,16 +1,13 @@
 package store
 
-import (
-	"time"
-
-	"bgpblackholing/internal/obs"
-)
+import "bgpblackholing/internal/obs"
 
 // Instruments is the store's telemetry seam: pre-resolved metric
-// handles the write path updates with a few atomic operations. A nil
-// Instruments (the default) costs one pointer compare per site — the
-// un-instrumented hot path stays allocation- and syscall-free. Every
-// field is optional; leave a handle nil to skip that signal.
+// handles the write path updates with a few atomic operations. Every
+// field is optional, and a nil handle is a no-op (obs.Counter and
+// obs.Histogram take nil receivers): a nil Instruments (the default) is
+// one with no handle wired, costs a pointer compare per site, and keeps
+// the un-instrumented hot path allocation-, clock- and syscall-free.
 //
 // The struct holds obs primitives rather than a registry so label
 // resolution and family lookup happen once, at wiring time, never per
@@ -51,23 +48,12 @@ type Instruments struct {
 // fsync syncs the active segment through the instrumentation seam.
 // Caller holds the write lock.
 func (s *Store) fsync() error {
-	in := s.inst
-	if in == nil {
-		return s.active.Sync()
-	}
-	var start time.Time
-	if in.FsyncSeconds != nil {
-		start = time.Now()
-	}
+	start := s.inst.FsyncSeconds.Now()
 	err := s.active.Sync()
-	if in.FsyncTotal != nil {
-		in.FsyncTotal.Inc()
-	}
-	if in.FsyncSeconds != nil {
-		in.FsyncSeconds.Observe(time.Since(start).Seconds())
-	}
-	if err != nil && in.FsyncErrors != nil {
-		in.FsyncErrors.Inc()
+	s.inst.FsyncTotal.Inc()
+	s.inst.FsyncSeconds.ObserveSince(start)
+	if err != nil {
+		s.inst.FsyncErrors.Inc()
 	}
 	return err
 }
@@ -75,8 +61,8 @@ func (s *Store) fsync() error {
 // observeCommitBatch records the size of a group commit about to be
 // flushed. Caller holds the write lock.
 func (s *Store) observeCommitBatch() {
-	if in := s.inst; in != nil && in.CommitBatch != nil && s.unsynced > 0 {
-		in.CommitBatch.Observe(float64(s.unsynced))
+	if s.unsynced > 0 {
+		s.inst.CommitBatch.Observe(float64(s.unsynced))
 	}
 }
 

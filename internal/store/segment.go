@@ -237,10 +237,23 @@ func scanSegment(data []byte, path string) (scanResult, error) {
 	return res, nil
 }
 
-// createSegment creates a fresh segment file with its magic written and
-// synced, open for appending.
-func createSegment(path string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+// openSegmentFile is Options.OpenSegment's default: the real file.
+func openSegmentFile(path string, create bool) (SegmentFile, error) {
+	flags := os.O_WRONLY | os.O_APPEND
+	if create {
+		flags = os.O_CREATE | os.O_EXCL | os.O_WRONLY
+	}
+	f, err := os.OpenFile(path, flags, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// createSegment creates a fresh segment file through opener, with its
+// magic written, open for appending.
+func createSegment(opener func(path string, create bool) (SegmentFile, error), path string) (SegmentFile, error) {
+	f, err := opener(path, true)
 	if err != nil {
 		return nil, err
 	}

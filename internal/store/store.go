@@ -222,7 +222,7 @@ type Store struct {
 	mu   sync.RWMutex
 	dir  string
 	opts Options
-	inst *Instruments // immutable after Open; nil when un-instrumented
+	inst *Instruments // immutable after Open and never nil: un-instrumented is no handle wired
 	lock string       // writer-lock file path; empty when read-only
 
 	identity string // shard identity (SetIdentity), "" when unstamped
@@ -323,6 +323,12 @@ type Store struct {
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = defaultMaxSegmentBytes
+	}
+	if opts.OpenSegment == nil {
+		opts.OpenSegment = openSegmentFile
+	}
+	if opts.Instruments == nil {
+		opts.Instruments = &Instruments{}
 	}
 	var lock string
 	if !opts.ReadOnly {
@@ -653,9 +659,7 @@ func open(dir string, opts Options) (*Store, error) {
 			}
 		}
 	}
-	if in := s.inst; in != nil && in.SidecarFallbacks != nil && fallbacks > 0 {
-		in.SidecarFallbacks.Add(uint64(fallbacks))
-	}
+	s.inst.SidecarFallbacks.Add(uint64(fallbacks))
 
 	// Self-heal: sealed segments the open had to fully decode get a
 	// fresh sidecar, so the next open is cold again. Best-effort — a
@@ -672,9 +676,7 @@ func open(dir string, opts Options) (*Store, error) {
 			healed++
 		}
 	}
-	if in := s.inst; in != nil && in.SidecarWrites != nil && healed > 0 {
-		in.SidecarWrites.Add(uint64(healed))
-	}
+	s.inst.SidecarWrites.Add(uint64(healed))
 
 	if opts.ReadOnly {
 		s.sealed = segs
@@ -690,7 +692,7 @@ func open(dir string, opts Options) (*Store, error) {
 	// tail new appends must not extend).
 	if len(segs) > 0 {
 		last := segs[len(segs)-1]
-		f, err := s.openSeg(last.path)
+		f, err := s.opts.OpenSegment(last.path, false)
 		if err != nil {
 			return nil, err
 		}
@@ -764,7 +766,7 @@ func (s *Store) scanSegmentFile(path string) (scanResult, func(), error) {
 
 // startSegment creates segment seq and makes it the active one.
 func (s *Store) startSegment(seq uint64) error {
-	f, err := s.createSeg(filepath.Join(s.dir, segName(seq)))
+	f, err := createSegment(s.opts.OpenSegment, filepath.Join(s.dir, segName(seq)))
 	if err != nil {
 		return err
 	}
@@ -772,33 +774,6 @@ func (s *Store) startSegment(seq uint64) error {
 	s.activeEvents, s.activeDead, s.activeMinStart, s.activePart = 0, 0, noMinStart, 0
 	s.activeRecs, s.activeOthers = nil, nil
 	return nil
-}
-
-// createSeg creates a fresh segment file with its magic written,
-// through Options.OpenSegment when set (the fault-injection seam).
-func (s *Store) createSeg(path string) (SegmentFile, error) {
-	if s.opts.OpenSegment == nil {
-		return createSegment(path)
-	}
-	f, err := s.opts.OpenSegment(path, true)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Write(segMagic); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return f, nil
-}
-
-// openSeg reopens an existing segment for appending, through
-// Options.OpenSegment when set.
-func (s *Store) openSeg(path string) (SegmentFile, error) {
-	if s.opts.OpenSegment == nil {
-		return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	}
-	return s.opts.OpenSegment(path, false)
 }
 
 // index adds ev to the in-memory state under the next ordinal, recording
@@ -819,19 +794,7 @@ func (s *Store) unindex(ord int32) uint64 {
 	ev := s.events[ord]
 	s.events[ord] = nil
 	s.live--
-	s.trie.Remove(ev.Prefix, ord)
-	for u := range ev.Users {
-		removePosting(s.byUser, u, ord)
-	}
-	for pr := range ev.Providers {
-		removePosting(s.byProvider, pr, ord)
-	}
-	for c := range ev.Communities {
-		removePosting(s.byCommunity, c, ord)
-	}
-	for d := unixDay(ev.Start); d <= unixDay(ev.End); d++ {
-		removePosting(s.byDay, d, ord)
-	}
+	s.postings(ev, func(l []int32) []int32 { return removeOrd(l, ord) })
 	s.dayRemove(ev)
 	return s.eventSeg[ord]
 }
@@ -845,46 +808,7 @@ func (s *Store) moveOrd(from, to int32) {
 	ev := s.events[from]
 	s.events[to], s.events[from] = ev, nil
 	s.eventSeg[to] = s.eventSeg[from]
-	s.trie.Replace(ev.Prefix, from, to)
-	for u := range ev.Users {
-		replacePosting(s.byUser, u, from, to)
-	}
-	for pr := range ev.Providers {
-		replacePosting(s.byProvider, pr, from, to)
-	}
-	for c := range ev.Communities {
-		replacePosting(s.byCommunity, c, from, to)
-	}
-	for d := unixDay(ev.Start); d <= unixDay(ev.End); d++ {
-		replacePosting(s.byDay, d, from, to)
-	}
-}
-
-// removePosting drops ord from the postings of k, deleting the key when
-// the list empties.
-func removePosting[K comparable](m map[K][]int32, k K, ord int32) {
-	l := m[k]
-	for i, o := range l {
-		if o == ord {
-			nl := append(l[:i:i], l[i+1:]...)
-			if len(nl) == 0 {
-				delete(m, k)
-			} else {
-				m[k] = nl
-			}
-			return
-		}
-	}
-}
-
-// replacePosting swaps ordinal from for to in the postings of k,
-// keeping the list sorted.
-func replacePosting[K comparable](m map[K][]int32, k K, from, to int32) {
-	l := m[k]
-	if i := slices.Index(l, from); i >= 0 {
-		l = append(l[:i:i], l[i+1:]...)
-	}
-	m[k] = insertOrd(l, to)
+	s.postings(ev, func(l []int32) []int32 { return insertOrd(removeOrd(l, from), to) })
 }
 
 // tombstoned reports whether any tombstone in force kills ev.
@@ -919,15 +843,8 @@ func (s *Store) Append(events ...*core.Event) error {
 	case s.opts.ReadOnly:
 		return ErrReadOnly
 	}
-	if in := s.inst; in != nil {
-		if in.AppendSeconds != nil {
-			start := time.Now()
-			defer func() { in.AppendSeconds.Observe(time.Since(start).Seconds()) }()
-		}
-		if in.AppendEvents != nil {
-			in.AppendEvents.Add(uint64(len(events)))
-		}
-	}
+	defer s.inst.AppendSeconds.ObserveSince(s.inst.AppendSeconds.Now())
+	s.inst.AppendEvents.Add(uint64(len(events)))
 	for _, ev := range events {
 		// Time-partitioned segments: roll the active segment when the
 		// event belongs to a different partition, so merges never have
@@ -1060,16 +977,14 @@ func (s *Store) timedSync() {
 // already at risk, and the point here is a clean record boundary for
 // everything appended next.
 func (s *Store) failoverSeal() error {
-	next, err := s.createSeg(filepath.Join(s.dir, segName(s.seq+1)))
+	next, err := createSegment(s.opts.OpenSegment, filepath.Join(s.dir, segName(s.seq+1)))
 	if err != nil {
 		return err
 	}
 	s.fsync()
 	s.finishSeal(next)
 	s.writeFailed = false
-	if in := s.inst; in != nil && in.Failovers != nil {
-		in.Failovers.Inc()
-	}
+	s.inst.Failovers.Inc()
 	return nil
 }
 
@@ -1150,7 +1065,7 @@ func (s *Store) DeletePrefix(prefix netip.Prefix, upTo time.Time) (int, error) {
 // The replacement segment is created first, so the store keeps a valid
 // active segment on every error path. Caller holds the write lock.
 func (s *Store) seal() error {
-	next, err := s.createSeg(filepath.Join(s.dir, segName(s.seq+1)))
+	next, err := createSegment(s.opts.OpenSegment, filepath.Join(s.dir, segName(s.seq+1)))
 	if err != nil {
 		return err
 	}
@@ -1184,9 +1099,7 @@ func (s *Store) finishSeal(next SegmentFile) {
 		dead:         s.activeDead,
 	})
 	s.sealedBytes += s.size
-	if in := s.inst; in != nil && in.Seals != nil {
-		in.Seals.Inc()
-	}
+	s.inst.Seals.Inc()
 	s.active, s.seq, s.size = next, s.seq+1, int64(len(segMagic))
 	s.activeEvents, s.activeDead, s.activeMinStart, s.activePart = 0, 0, noMinStart, 0
 	s.activeRecs, s.activeOthers = nil, nil

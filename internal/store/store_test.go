@@ -472,7 +472,7 @@ func TestCompactCrashLeftoversIgnored(t *testing.T) {
 	// Resurrect a stale lower run member, as an interrupted cleanup
 	// would leave behind: the merged segment's marker names it.
 	stalePath := filepath.Join(dir, segName(st.Merged[0]))
-	f, err := createSegment(stalePath)
+	f, err := createSegment(openSegmentFile, stalePath)
 	if err != nil {
 		t.Fatal(err)
 	}

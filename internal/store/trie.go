@@ -3,7 +3,6 @@ package store
 import (
 	"math/bits"
 	"net/netip"
-	"slices"
 )
 
 // Trie is a binary radix (patricia) trie over IP prefixes, keyed by the
@@ -82,105 +81,62 @@ func (t *Trie) Len() int { return t.prefixes }
 
 // Insert adds ord to the postings of p (masked).
 func (t *Trie) Insert(p netip.Prefix, ord int32) {
+	t.Edit(p, func(l []int32) []int32 { return insertOrd(l, ord) })
+}
+
+// Edit replaces the postings list of p (masked) — nil when p is not
+// stored — with edit's result, which must stay sorted: hydrating a cold
+// segment files older ordinals after newer ones are present, and query
+// results must come out in ordinal (append) order. An empty result
+// unstores p; its node stays behind as a pure branch, which lookups skip.
+func (t *Trie) Edit(p netip.Prefix, edit func([]int32) []int32) {
+	n := t.slot(p)
+	if n.ords == nil {
+		t.prefixes++
+	}
+	if n.ords = edit(n.ords); len(n.ords) == 0 {
+		n.ords = nil
+		t.prefixes--
+	}
+}
+
+// slot returns the node terminating at p (masked), creating it — a pure
+// branch until it is given postings — where the trie has none.
+func (t *Trie) slot(p netip.Prefix) *tnode {
 	p = p.Masked()
 	key := keyBytes(p.Addr())
+	nn := func() *tnode { return &tnode{key: key, plen: p.Bits(), prefix: p} }
 	np := t.rootFor(p)
 	for {
 		n := *np
 		if n == nil {
-			*np = &tnode{key: key, plen: p.Bits(), prefix: p, ords: []int32{ord}}
-			t.prefixes++
-			return
+			*np = nn()
+			return *np
 		}
 		c := commonBits(key, n.key, min(p.Bits(), n.plen))
 		switch {
 		case c == n.plen && c == p.Bits():
-			// Same prefix. Sorted insert: hydrating a cold segment files
-			// older ordinals after newer ones are already present, and
-			// query results must come out in ordinal (append) order.
-			if n.ords == nil {
-				t.prefixes++
-			}
-			n.ords = insertOrd(n.ords, ord)
-			return
+			return n
 		case c == n.plen:
 			// n's prefix contains p: descend.
 			np = &n.child[bitAt(key, n.plen)]
 		case c == p.Bits():
 			// p contains n's prefix: insert p above n.
-			nn := &tnode{key: key, plen: p.Bits(), prefix: p, ords: []int32{ord}}
-			nn.child[bitAt(n.key, p.Bits())] = n
-			*np = nn
-			t.prefixes++
-			return
+			above := nn()
+			above.child[bitAt(n.key, p.Bits())] = n
+			*np = above
+			return above
 		default:
 			// Diverge at bit c: split with a branch node.
 			branchPrefix := netip.PrefixFrom(p.Addr(), c).Masked()
 			branch := &tnode{key: keyBytes(branchPrefix.Addr()), plen: c, prefix: branchPrefix}
 			branch.child[bitAt(n.key, c)] = n
-			nn := &tnode{key: key, plen: p.Bits(), prefix: p, ords: []int32{ord}}
-			branch.child[bitAt(key, c)] = nn
+			leaf := nn()
+			branch.child[bitAt(key, c)] = leaf
 			*np = branch
-			t.prefixes++
-			return
+			return leaf
 		}
 	}
-}
-
-// node returns the terminating node for p (masked), or nil.
-func (t *Trie) node(p netip.Prefix) *tnode {
-	p = p.Masked()
-	key := keyBytes(p.Addr())
-	n := *t.rootFor(p)
-	for n != nil {
-		c := commonBits(key, n.key, min(p.Bits(), n.plen))
-		if c == n.plen && c == p.Bits() {
-			return n
-		}
-		if c != n.plen || n.plen >= p.Bits() {
-			return nil
-		}
-		n = n.child[bitAt(key, n.plen)]
-	}
-	return nil
-}
-
-// Remove deletes ord from the postings of p. When the last ordinal
-// goes, the prefix no longer counts as stored (the node stays behind
-// as a pure branch, which lookups already skip).
-func (t *Trie) Remove(p netip.Prefix, ord int32) {
-	n := t.node(p)
-	if n == nil || n.ords == nil {
-		return
-	}
-	for i, o := range n.ords {
-		if o == ord {
-			n.ords = append(n.ords[:i:i], n.ords[i+1:]...)
-			if len(n.ords) == 0 {
-				n.ords = nil
-				t.prefixes--
-			}
-			return
-		}
-	}
-}
-
-// Replace swaps ordinal from for to in the postings of p, keeping the
-// list sorted — compaction uses it to move a duplicate's surviving
-// record to the key's first-appearance ordinal.
-func (t *Trie) Replace(p netip.Prefix, from, to int32) {
-	n := t.node(p)
-	if n == nil || n.ords == nil {
-		return
-	}
-	for i, o := range n.ords {
-		if o == from {
-			n.ords = append(n.ords[:i:i], n.ords[i+1:]...)
-			break
-		}
-	}
-	at, _ := slices.BinarySearch(n.ords, to)
-	n.ords = slices.Insert(n.ords, at, to)
 }
 
 // Exact returns the postings list of p, or nil.

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"slices"
 	"testing"
+	"time"
+
+	"bgpblackholing/internal/core"
 )
 
 // randPrefix draws a random IPv4 or IPv6 prefix. Small address pools
@@ -163,5 +167,87 @@ func TestTrieCoveringIsOrdered(t *testing.T) {
 	}
 	if p, ords, ok := tr.LPM(netip.MustParsePrefix("10.1.2.129/32")); !ok || p.String() != "10.1.2.128/25" || !slices.Equal(ords, []int32{3}) {
 		t.Fatalf("LPM: got %v %v %v", p, ords, ok)
+	}
+}
+
+// TestPostingsWalk drives the one walk of the five index dimensions
+// through its three edits — index, move, unindex — over events with every
+// dimension populated: each list an event is filed under holds its
+// ordinal, then the one it moved to (sorted among a neighbour's), and in
+// the end no map and no trie node holds anything.
+func TestPostingsWalk(t *testing.T) {
+	multiDay := makeEvent(3)
+	multiDay.End = multiDay.Start.Add(60 * time.Hour)
+	v6 := makeEvent(4)
+	v6.Prefix = netip.MustParsePrefix("2001:db8:1::/48")
+	for _, tc := range []struct {
+		name      string
+		ev        *core.Event
+		neighbour bool // an event sharing every key sits at ordinal 1
+	}{
+		{"alone", makeEvent(1), false},
+		{"beside a neighbour", makeEvent(2), true},
+		{"spanning days", multiDay, true},
+		{"v6", v6, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Open(t.TempDir(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.events, s.eventSeg = make([]*core.Event, 3), make([]uint64, 3)
+			want := func(ord int32) []int32 {
+				if !tc.neighbour {
+					return []int32{ord}
+				}
+				return slices.Sorted(slices.Values([]int32{1, ord}))
+			}
+			filed := func(when string, ord int32) {
+				t.Helper()
+				lists := map[string][]int32{"prefix": s.trie.Exact(tc.ev.Prefix)}
+				for u := range tc.ev.Users {
+					lists[fmt.Sprint("user ", u)] = s.byUser[u]
+				}
+				for pr := range tc.ev.Providers {
+					lists[fmt.Sprint("provider ", pr)] = s.byProvider[pr]
+				}
+				for c := range tc.ev.Communities {
+					lists[fmt.Sprint("community ", c)] = s.byCommunity[c]
+				}
+				for d := unixDay(tc.ev.Start); d <= unixDay(tc.ev.End); d++ {
+					lists[fmt.Sprint("day ", d)] = s.byDay[d]
+				}
+				if len(lists) < 5 {
+					t.Fatalf("the event populates only %d lists, want all five dimensions", len(lists))
+				}
+				for name, l := range lists {
+					if !slices.Equal(l, want(ord)) {
+						t.Errorf("%s: %s holds %v, want %v", when, name, l, want(ord))
+					}
+				}
+			}
+			if tc.neighbour {
+				twin := *tc.ev
+				s.live++
+				s.indexAt(&twin, 1)
+			}
+			s.live++
+			s.indexAt(tc.ev, 2)
+			filed("indexed", 2)
+			s.moveOrd(2, 0)
+			filed("moved", 0)
+			s.unindex(0)
+			if tc.neighbour {
+				s.unindex(1)
+			}
+			if n := len(s.byUser) + len(s.byProvider) + len(s.byCommunity) + len(s.byDay) + len(s.days) + s.trie.Len() + s.live; n != 0 {
+				t.Errorf("after unindexing: %d users, %d providers, %d communities, %d days, %d day aggregates, %d prefixes, %d live; want none",
+					len(s.byUser), len(s.byProvider), len(s.byCommunity), len(s.byDay), len(s.days), s.trie.Len(), s.live)
+			}
+			if cov := s.trie.Covering(tc.ev.Prefix); len(cov) != 0 {
+				t.Errorf("the emptied trie still answers %v", cov)
+			}
+		})
 	}
 }

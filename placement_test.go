@@ -841,6 +841,48 @@ func TestRemoteShardIdentityMismatch(t *testing.T) {
 	}
 }
 
+// TestInProcessShardIdentityMismatch: the identity check is the
+// federation's, not a transport's — a federation over in-process
+// StoreBackends refuses a slot that now answers from a store stamped as
+// another shard by the path that refuses a remote one.
+func TestInProcessShardIdentityMismatch(t *testing.T) {
+	plan := PrefixShardPlan{Bit: 8, N: 3}
+	var events []*Event
+	for i, p := range []string{"9.1.1.1/32", "10.1.1.1/32", "11.1.1.1/32"} {
+		events = append(events, stallEvent(i))
+		events[i].Prefix, events[i].Seq = mustPrefix(p), uint64(i+1)
+	}
+	_, shards := shardedFleet(t, plan, events)
+	backends := make([]Backend, len(shards))
+	for i, st := range shards {
+		backends[i] = NewStoreBackend(st, nil).WithName(fmt.Sprintf("shard-%d", i))
+	}
+	fed := learned(t, backends)
+	own := fed.backends[1]
+	router := NewRouterHandler(fed, RouterOptions{})
+	point := Query{Prefix: mustPrefix("10.1.1.1/32"), Mode: PrefixLPM}
+	for _, ndjson := range []bool{false, true} {
+		if code, body := serveEvents(router, point, ndjson); code != http.StatusOK || !bytes.Contains(body, []byte(`"10.1.1.1/32"`)) {
+			t.Fatalf("ndjson=%v: before the swap: status %d, body %s", ndjson, code, body)
+		}
+		fed.backends[1] = NewStoreBackend(shards[2], nil).WithName("shard-1")
+		failures := fed.counters[1].failures.Load()
+		if code, body := serveEvents(router, point, ndjson); code != http.StatusBadGateway || !bytes.Contains(body, []byte("shard identity changed")) {
+			t.Errorf("ndjson=%v: the swapped slot's answer: status %d, body %s; want 502 naming the change", ndjson, code, body)
+		}
+		if fed.counters[1].failures.Load() != failures+1 {
+			t.Errorf("ndjson=%v: the refused answer was not counted as the shard's failure", ndjson)
+		}
+		if got, err := fed.Placement(); got != "plan=none (no identities read yet)" || err != nil {
+			t.Errorf("ndjson=%v: placement after the refused answer: %q, %v; want the plan forgotten", ndjson, got, err)
+		}
+		fed.backends[1] = own
+		if _, err := fed.Stats(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // FuzzParseShardPlan: the parser never panics, and what it accepts
 // prints as a spec that parses back to the same plan and prints the
 // same — so a stamp written from a plan reads back as that plan. The

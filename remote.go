@@ -40,12 +40,6 @@ type RemoteBackend struct {
 	// hedges counts hedged attempts launched; a federation reports it
 	// as the shard's hedge counter (/stats, bh_federation_shard_hedges_total).
 	hedges atomic.Uint64
-	// identity is the shard identity the peer last advertised ("" for
-	// none) — in a /stats answer, or in the first /events answer when there
-	// was none to hold it to: what a federation places its queries by, so
-	// what every /events answer is held to (sameShard). Nil before the
-	// first answer and after one that broke it.
-	identity atomic.Pointer[string]
 }
 
 // RemoteOptions configures NewRemoteBackend.
@@ -125,32 +119,6 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("remote status %d: %s", e.Status, e.Msg)
 }
 
-// errShardChanged marks an /events answer from another shard than the
-// one last advertised: a store swapped under a running router. A
-// federation that sees it stops placing queries until it has read the
-// fleet's identities again.
-var errShardChanged = errors.New("shard identity changed")
-
-// sameShard holds an /events answer to the identity the shard advertised:
-// a query placed on this shard by that identity is answered wrongly by
-// any other store. A mismatch fails the answer and forgets the identity;
-// by then the federation is asking every shard, which is right whatever
-// each one holds, and the next answer's identity — or the next Stats' —
-// is the one remembered: what the federation learns its next plan from
-// (FederatedStore.gather). It returns the identity the answer carries.
-func (b *RemoteBackend) sameShard(resp *http.Response) (string, error) {
-	got := resp.Header.Get(shardIdentityHeader)
-	learned := b.identity.Load()
-	if learned == nil {
-		b.identity.CompareAndSwap(nil, &got)
-	} else if got != *learned {
-		b.identity.CompareAndSwap(learned, nil)
-		resp.Body.Close()
-		return "", fmt.Errorf("shard %s: %w: it advertised %q, /events answers as %q", b.name, errShardChanged, *learned, got)
-	}
-	return got, nil
-}
-
 // attempt runs one GET against one base URL. On non-2xx the body's
 // {"error": ...} is folded into a *RemoteError.
 func (b *RemoteBackend) attempt(ctx context.Context, base, path string, params url.Values) (*http.Response, error) {
@@ -193,19 +161,24 @@ func (b *RemoteBackend) failover(ctx context.Context, path string, params url.Va
 		if resp, err = b.attempt(ctx, u, path, params); err == nil {
 			return resp, nil
 		}
-		var re *RemoteError
-		if errors.As(err, &re) && re.Status/100 == 4 {
+		if callerError(err) {
 			break
 		}
 	}
 	return nil, err
 }
 
+// callerError reports whether err is a shard's 4xx answer.
+func callerError(err error) bool {
+	var re *RemoteError
+	return errors.As(err, &re) && re.Status/100 == 4
+}
+
 // hedged races the URL set for a buffered request: the primary starts
 // immediately; every HedgeDelay without an answer the next replica
 // joins (counted in b.hedges). The first success wins and the losers
-// are cancelled. With no hedge delay (or a single URL) it degrades to
-// sequential failover.
+// are cancelled; a 4xx ends the race as it ends failover's walk. With no
+// hedge delay (or a single URL) it degrades to sequential failover.
 func (b *RemoteBackend) hedged(ctx context.Context, path string, params url.Values) (*http.Response, error) {
 	ctx, cancel := context.WithTimeout(ctx, b.timeout)
 	if len(b.urls) == 1 || b.hedge <= 0 {
@@ -255,6 +228,10 @@ func (b *RemoteBackend) hedged(ctx context.Context, path string, params url.Valu
 				return out.resp, nil
 			}
 			lastErr = out.err
+			if callerError(out.err) {
+				cancel()
+				return nil, out.err
+			}
 			if pending == 0 && launched < len(b.urls) {
 				launch()
 				pending++
@@ -323,12 +300,8 @@ func (b *RemoteBackend) Records(ctx context.Context, q Query) (*RecordSet, error
 	if err != nil {
 		return nil, err
 	}
-	shard, err := b.sameShard(resp)
-	if err != nil {
-		return nil, err
-	}
 	defer resp.Body.Close()
-	rs, returned := &RecordSet{shard: shard}, 0
+	rs, returned := &RecordSet{shard: resp.Header.Get(shardIdentityHeader)}, 0
 	for _, h := range [...]struct {
 		name string
 		n    *int
@@ -419,12 +392,8 @@ func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream
 	if err != nil {
 		return nil, err
 	}
-	shard, err := b.sameShard(resp)
-	if err != nil {
-		return nil, err
-	}
 	next, done := b.scanLines(resp.Body)
-	return &RecordStream{shard: shard, next: next, close: func() { resp.Body.Close(); done() }}, nil
+	return &RecordStream{shard: resp.Header.Get(shardIdentityHeader), next: next, close: func() { resp.Body.Close(); done() }}, nil
 }
 
 // scanLineKey derives a line's merge key in one pass over its bytes. The
@@ -808,14 +777,12 @@ func (b *RemoteBackend) LegitimacySummary(ctx context.Context, q Query) (*Legiti
 
 // Stats implements Backend over GET /stats. Extra sections a shard
 // serves (the detector block) are ignored; a shard that is itself a
-// federation forwards its shards block. The identity the answer
-// advertises is remembered for sameShard.
+// federation forwards its shards block.
 func (b *RemoteBackend) Stats(ctx context.Context) (*BackendStats, error) {
 	var stats BackendStats
 	if err := b.getJSON(ctx, "/stats", nil, &stats); err != nil {
 		return nil, err
 	}
-	b.identity.Store(&stats.Identity)
 	return &stats, nil
 }
 

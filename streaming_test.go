@@ -294,6 +294,75 @@ func TestWithoutFlushHandover(t *testing.T) {
 	}
 }
 
+// sliceSource feeds a fixed list of elements, then io.EOF.
+type sliceSource []*Elem
+
+func (s *sliceSource) Next() (*Elem, error) {
+	if len(*s) == 0 {
+		return nil, io.EOF
+	}
+	el := (*s)[0]
+	*s = (*s)[1:]
+	return el, nil
+}
+
+// TestFlushedDetectorClosesEventsAgain is the catch-up-then-live
+// regression through the facade: a Run that flushed forgets the peers it
+// flushed, so an event another peer opens in the next Run on the same
+// Detector closes — for a subscriber, as it happens — at that peer's
+// withdrawal, not at the second Run's flush.
+func TestFlushedDetectorClosesEventsAgain(t *testing.T) {
+	p := smallPipeline(t)
+	provider := p.Topo.BlackholingProviders()[0]
+	bh := provider.Blackholing.Communities[0]
+	b := provider.Prefixes[0].Addr().As4()
+	victim := netip.PrefixFrom(netip.AddrFrom4([4]byte{b[0], b[1], 9, 9}), 32)
+	at := TimelineStart.AddDate(0, 0, 100)
+	blackhole := func(peer string, when time.Time) *Elem {
+		return &Elem{Collector: "rrc00", Platform: PlatformRIS, Update: &Update{
+			Time: when, PeerIP: netip.MustParseAddr(peer), PeerAS: provider.ASN,
+			Announced:   []netip.Prefix{victim},
+			Path:        NewPath(provider.ASN, 1200),
+			Communities: []Community{bh},
+		}}
+	}
+
+	det := p.NewDetector()
+	res1, err := det.Run(context.Background(), &sliceSource{blackhole("22.7.7.7", at)}, WithFlushAt(at.Add(time.Hour)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res1.Events) != 1 || det.ActiveCount() != 0 {
+		t.Fatalf("after the catch-up run: %d closed, %d active; want 1, 0", len(res1.Events), det.ActiveCount())
+	}
+
+	withdrawal := at.Add(3 * time.Hour)
+	sub := det.Subscribe()
+	res2, err := det.Run(context.Background(), &sliceSource{
+		blackhole("22.8.8.8", at.Add(2*time.Hour)),
+		{Collector: "rrc00", Platform: PlatformRIS, Update: &Update{
+			Time: withdrawal, PeerIP: netip.MustParseAddr("22.8.8.8"), PeerAS: provider.ASN,
+			Withdrawn: []netip.Prefix{victim},
+		}},
+	}, WithFlushAt(at.Add(24*time.Hour)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res2.Events) != 2 || det.ActiveCount() != 0 {
+		t.Fatalf("after the second run: %d closed, %d active; want 2, 0", len(res2.Events), det.ActiveCount())
+	}
+	var seen []*Event
+	for ev := range sub {
+		seen = append(seen, ev)
+	}
+	if len(seen) != 1 {
+		t.Fatalf("subscriber saw %d events, want the second run's one", len(seen))
+	}
+	if !seen[0].End.Equal(withdrawal) {
+		t.Fatalf("subscriber saw the event end at %v, want the withdrawal at %v", seen[0].End, withdrawal)
+	}
+}
+
 // TestWrappedReplayKeepsWindow is the combinator regression: a
 // ReplaySource behind FilterSource/MapSource must still populate the
 // window metadata, default the flush to the window end (not wall-clock
