@@ -190,7 +190,7 @@ var commitPublishers = []struct {
 		t.Cleanup(func() { s.Close() })
 		// Fill the first segment to one record short of its seal.
 		i := 0
-		for ; s.size+int64(len(appendRecord(nil, EncodeEvent(nil, makeEvent(i))))) < s.opts.MaxSegmentBytes; i++ {
+		for ; s.active.size+int64(len(appendRecord(nil, EncodeEvent(nil, makeEvent(i))))) < s.opts.MaxSegmentBytes; i++ {
 			appendEvents(t, s, i, i+1)
 		}
 		want := append(encodedSet(s), string(EncodeEvent(nil, makeEvent(i))))
@@ -251,7 +251,7 @@ var commitPublishers = []struct {
 		if err := s.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		want, active := encodedSet(s), segName(s.seq)
+		want, active := encodedSet(s), segName(s.active.seq)
 		if _, err := Replicate(src, dir); err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"time"
 
@@ -91,8 +90,9 @@ type CompactStats struct {
 
 // compactStageHook, when set (tests only), is called with the stages of
 // each run's commit protocol: "post-commit" right after the merged
-// segment's atomic rename, and "post-cleanup" after the superseded run
-// members are removed. The pre-commit point is CommitHook.
+// segment's atomic rename, and "post-cleanup" once the superseded run
+// members are removed and the swap is done. The pre-commit point is
+// CommitHook.
 var compactStageHook func(stage string, runHi uint64)
 
 // Compact runs one compaction pass under pol. The expensive work —
@@ -134,19 +134,19 @@ func (s *Store) compactWith(pol Policy) (CompactStats, error) {
 		EventsBefore:   s.live,
 	}
 	if pol.MergeAll {
-		if len(s.sealed) == 0 && s.activeDead == 0 && !s.hasDupLocked() {
+		if len(s.sealed) == 0 && s.active.dead == 0 && !s.hasDupLocked() {
 			// Single active segment, nothing to drop: no work.
 			stats.SegmentsAfter, stats.EventsAfter = stats.SegmentsBefore, stats.EventsBefore
 			s.mu.Unlock()
 			return stats, nil
 		}
-		if s.size > int64(len(segMagic)) || s.activeEvents+s.activeDead > 0 {
+		if s.active.size > int64(len(segMagic)) {
 			if err := s.seal(); err != nil {
 				s.mu.Unlock()
 				return stats, err
 			}
 		}
-	} else if s.activeDead > 0 {
+	} else if s.active.dead > 0 {
 		// A tiered pass leaves the active segment alone — unless it
 		// holds dead (DeletePrefix'd) records: seal it so the erasure
 		// singleton-run below can rewrite it, keeping the promise that
@@ -169,35 +169,16 @@ func (s *Store) compactWith(pol Policy) (CompactStats, error) {
 			inAnyRun[sf.seq] = true
 		}
 	}
-	if s.coldSegs > 0 {
-		cloned := false
-		for i := range s.sealed {
-			if !s.sealed[i].lazy || !inAnyRun[s.sealed[i].seq] {
-				continue
-			}
-			if !cloned {
-				s.events = slices.Clone(s.events)
-				cloned = true
-			}
-			s.hydrateSegLocked(i)
-		}
-	}
+	s.hydrateWhereLocked(func(sf *segFile) bool { return inAnyRun[sf.seq] })
 	var runs [][]segFile
 	for _, run := range candidateRuns {
-		poisoned := false
-		for _, sf := range run {
-			if sf.lazy {
-				poisoned = true
-				break
-			}
-		}
-		if poisoned {
+		if slices.ContainsFunc(run, func(sf segFile) bool { return sf.lazy }) {
 			for _, sf := range run {
 				delete(inAnyRun, sf.seq)
 			}
 			continue
 		}
-		runs = append(runs, append([]segFile(nil), run...))
+		runs = append(runs, slices.Clone(run))
 	}
 	sealed := append([]segFile(nil), s.sealed...)
 	eventsSnap := s.events[:len(s.events):len(s.events)]
@@ -278,7 +259,7 @@ func selectRuns(sealed []segFile, pol Policy) (runs [][]segFile, partitions int)
 	pks := make([]int64, len(sealed))
 	const unassigned = math.MinInt64
 	for i, sf := range sealed {
-		if sf.hasEvents {
+		if sf.events > 0 {
 			pks[i] = partitionKey(sf.minStartNano, pol.Partition)
 		} else if i > 0 {
 			pks[i] = pks[i-1]
@@ -300,7 +281,7 @@ func selectRuns(sealed []segFile, pol Policy) (runs [][]segFile, partitions int)
 	}
 	distinct := map[int64]bool{}
 	for i, sf := range sealed {
-		if sf.hasEvents {
+		if sf.events > 0 {
 			distinct[pks[i]] = true
 		}
 	}
@@ -436,7 +417,6 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 		kept = append(kept, emitPair{slot: first[k], src: best[k]})
 	}
 
-	hiPath := filepath.Join(s.dir, segName(hi.seq))
 	// The merged segment replaces hi's file, so hi's old sidecar — which
 	// describes the pre-merge bytes — must go before the rename: a crash
 	// in between leaves at worst a missing sidecar (full decode + heal
@@ -444,7 +424,8 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 	// merged file's size. The rename's directory fsync makes both
 	// changes durable together.
 	os.Remove(sumPath(s.dir, hi.seq))
-	if err := writeSegmentAtomic(s.dir, segName(hi.seq), payloads); err != nil {
+	mergedSize, err := writeSegmentAtomic(s.dir, segName(hi.seq), payloads)
+	if err != nil {
 		// Nothing swapped: the store keeps serving from the old run.
 		return err
 	}
@@ -452,20 +433,32 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 		compactStageHook("post-commit", hi.seq)
 	}
 
+	// Old run members are inert once the marker is committed (recovery
+	// skips and removes them), so removal is best-effort — as are their
+	// sidecars, which open would discard as orphans anyway. It need not
+	// wait for the swap: every member was hydrated in phase 1, so nothing
+	// in this process reads their files again, and going first keeps the
+	// merged segment's unsynced sidecar out of this directory fsync.
+	for _, sf := range run {
+		if sf.seq != hi.seq {
+			os.Remove(sf.path)
+			os.Remove(sumPath(s.dir, sf.seq))
+		}
+	}
+	syncDir(s.dir)
+
 	// Phase 3 (locked): swap the run for the merged segment.
 	s.mu.Lock()
 	if s.closed {
-		// The merge is already committed and the marker makes the old
-		// members inert; the next open finishes the cleanup.
+		// The merge is committed and cleaned up; the next open indexes it.
 		s.mu.Unlock()
 		return ErrClosed
 	}
 	// Copy-on-write: snapshots handed out by All keep the old array.
 	s.events = slices.Clone(s.events)
-	mergedDead := 0
-	mergedMin := int64(noMinStart)
 	// mergedRecs mirrors the merged file's event records in order, with
-	// liveness as of this swap — the merged segment's sidecar.
+	// liveness as of this swap: what the merged segment is described and
+	// summarized from.
 	mergedRecs := make([]sumRec, len(kept))
 	for i, p := range kept {
 		if p.src != p.slot && s.events[p.src] != nil {
@@ -475,17 +468,11 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 			}
 			s.moveOrd(p.src, p.slot)
 		}
+		// A record erased (DeletePrefix) between snapshot and swap is in
+		// the merged segment but stays invisible and goes at the next pass.
 		mergedRecs[i] = sumRec{ev: events[p.src], dead: s.events[p.slot] == nil}
-		if s.events[p.slot] == nil {
-			// Erased (DeletePrefix) between snapshot and swap: its
-			// record is in the merged segment but stays invisible and
-			// goes at the next pass.
-			mergedDead++
-		} else {
+		if !mergedRecs[i].dead {
 			s.eventSeg[p.slot] = hi.seq
-			if nano := s.events[p.slot].Start.UTC().UnixNano(); nano < mergedMin {
-				mergedMin = nano
-			}
 		}
 	}
 	slots := make(map[int32]bool, len(kept))
@@ -516,18 +503,10 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 			s.tombSeg[i] = hi.seq
 		}
 	}
-	var mergedSize int64
-	if fi, err := os.Stat(hiPath); err == nil {
-		mergedSize = fi.Size()
-	}
-	merged := segFile{
-		seq:          hi.seq,
-		path:         hiPath,
-		size:         mergedSize,
-		minStartNano: mergedMin,
-		hasEvents:    len(kept) > 0,
-		dead:         mergedDead,
-	}
+	// writeSegmentAtomic wrote exactly magic + records and synced, so
+	// the file is valid through its full size.
+	merged := hi
+	merged.segDesc = describe(mergedSize, mergedRecs)
 	newSealed := make([]segFile, 0, len(s.sealed))
 	found := false
 	for _, sf := range s.sealed {
@@ -548,40 +527,13 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 		return fmt.Errorf("store: compact: run head seg-%d missing from sealed set", hi.seq)
 	}
 	s.sealed = newSealed
-	s.sealedBytes = 0
-	for _, sf := range s.sealed {
-		s.sealedBytes += sf.size
-	}
-	// The applied-tombstone set for the merged sidecar is captured under
-	// the lock: a DeletePrefix landing after the unlock is, by
-	// construction, outside the set, so the next open's staleness check
-	// demotes the sidecar instead of trusting it.
-	appliedTombs := make([][]byte, len(s.tombs))
-	for i, tb := range s.tombs {
-		appliedTombs[i] = encodeTombstone(nil, tb)
-	}
-	s.mu.Unlock()
-
-	// Old run members are inert once the marker is committed (recovery
-	// skips and removes them), so removal is best-effort — as are their
-	// sidecars, which open would discard as orphans anyway.
-	for _, sf := range run {
-		if sf.seq != hi.seq {
-			os.Remove(sf.path)
-			os.Remove(sumPath(s.dir, sf.seq))
-		}
-	}
-	syncDir(s.dir)
-
 	// Fresh sidecar for the merged segment, so the next open skips
-	// decoding it. writeSegmentAtomic wrote exactly magic + records and
-	// synced, so the file is valid through its full size.
-	if mergedSize > 0 {
-		m := buildSummary(hi.seq, mergedSize, mergedSize, false, mergedRecs, payloads[:nonEvents], appliedTombs)
-		if writeSidecar(s.dir, m) == nil {
-			s.inst.SidecarWrites.Inc()
-		}
-	}
+	// decoding it — written under the lock, so its applied set is the
+	// tombstones mergedRecs was judged by: a DeletePrefix landing after
+	// the unlock is, by construction, outside the set, and the next
+	// open's staleness check demotes the sidecar instead of trusting it.
+	s.writeSummary(hi.seq, mergedSize, mergedSize, false, mergedRecs, payloads[:nonEvents])
+	s.mu.Unlock()
 	if compactStageHook != nil {
 		compactStageHook("post-cleanup", hi.seq)
 	}

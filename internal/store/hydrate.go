@@ -10,12 +10,12 @@ import (
 	"bgpblackholing/internal/core"
 )
 
-// On-demand hydration for cold-opened stores (Options.ColdOpen), the
-// materialized per-day aggregate view behind DailyCounts, and the
-// seal-time sidecar writer. The contract throughout: a query against a
-// cold store returns bytes identical to the same query against a fully
-// warm store — pruning may only skip segments that provably cannot
-// contribute to the filter's candidate posting set.
+// On-demand hydration for cold-opened stores (Options.ColdOpen) and the
+// materialized per-day aggregate view behind DailyCounts. The contract
+// throughout: a query against a cold store returns bytes identical to
+// the same query against a fully warm store — pruning may only skip
+// segments that provably cannot contribute to the filter's candidate
+// posting set.
 
 // insertOrd inserts ord into the sorted postings list l. The append
 // path always inserts the largest ordinal seen so far, so the common
@@ -121,10 +121,12 @@ func (s *Store) segTouches(m *segSummary, f Filter) bool {
 	return true
 }
 
-// ensureHydrated decodes every lazy segment the filter could touch.
-// The common case — no cold segments left, or none the filter's
-// primary index dimension can reach — costs a read-locked sweep over
-// segment summaries and touches no file.
+// ensureHydrated decodes every lazy segment the filter could touch —
+// all of them for the zero Filter (full scans, All, Figure 8: anything
+// that touches the whole store by definition). The common case — no
+// cold segments left, or none the filter's primary index dimension can
+// reach — costs a read-locked sweep over segment summaries and touches
+// no file.
 func (s *Store) ensureHydrated(f Filter) {
 	s.mu.RLock()
 	need := false
@@ -141,21 +143,7 @@ func (s *Store) ensureHydrated(f Filter) {
 		return
 	}
 	s.mu.Lock()
-	s.hydrateWhereLocked(func(m *segSummary) bool { return s.segTouches(m, f) })
-	s.mu.Unlock()
-}
-
-// ensureHydratedAll warms every remaining lazy segment (full scans,
-// All, Figure 8 — anything that touches the whole store by definition).
-func (s *Store) ensureHydratedAll() {
-	s.mu.RLock()
-	need := s.coldSegs > 0 && !s.closed
-	s.mu.RUnlock()
-	if !need {
-		return
-	}
-	s.mu.Lock()
-	s.hydrateWhereLocked(func(*segSummary) bool { return true })
+	s.hydrateWhereLocked(func(sf *segFile) bool { return s.segTouches(sf.sum, f) })
 	s.mu.Unlock()
 }
 
@@ -164,32 +152,31 @@ func (s *Store) ensureHydratedAll() {
 // concurrent hydration or compaction may have gotten there first), and
 // s.events is copy-on-write-cloned once per batch so snapshots handed
 // out by All and QuerySeq never observe slots mutating.
-func (s *Store) hydrateWhereLocked(pred func(*segSummary) bool) {
+func (s *Store) hydrateWhereLocked(pred func(*segFile) bool) {
 	if s.closed {
 		return
 	}
 	cloned := false
 	for i := range s.sealed {
-		if !s.sealed[i].lazy || !pred(s.sealed[i].sum) {
+		if !s.sealed[i].lazy || !pred(&s.sealed[i]) {
 			continue
 		}
 		if !cloned {
 			s.events = slices.Clone(s.events)
 			cloned = true
 		}
-		s.hydrateSegLocked(i)
+		s.hydrateSegLocked(&s.sealed[i])
 	}
 }
 
-// hydrateSegLocked decodes lazy sealed segment i and indexes its live
+// hydrateSegLocked decodes lazy sealed segment sf and indexes its live
 // events into the ordinal block reserved at open. A read failure keeps
 // the segment lazy (the next touching query retries); decode failures
 // or a sidecar/file mismatch mark the segment hydrated with the
 // unaccounted slots dead, so the store degrades to partial data
 // instead of wedging. Either failure is parked for Health. Caller
 // holds the write lock with s.events cloned.
-func (s *Store) hydrateSegLocked(i int) {
-	sf := &s.sealed[i]
+func (s *Store) hydrateSegLocked(sf *segFile) {
 	sc, done, err := s.scanSegmentFile(sf.path)
 	if err != nil {
 		s.hydrateErr = fmt.Errorf("hydrate %s: %w", sf.path, err)
@@ -198,41 +185,26 @@ func (s *Store) hydrateSegLocked(i int) {
 	defer done()
 	m := sf.sum
 	next := sf.base
-	evIdx := 0
-	var decodeErr error
-	for _, rec := range sc.records {
-		if isMarker(rec) || isTombstone(rec) {
-			continue
-		}
-		if evIdx >= m.eventRecords {
-			break // sealed segments are immutable; belt and braces
-		}
-		k := evIdx
-		evIdx++
-		if m.deadBit(k) {
-			continue // dead at sidecar-write time: no ordinal reserved
-		}
-		ev, derr := DecodeEvent(rec)
-		if derr != nil {
-			decodeErr = fmt.Errorf("hydrate %s: %w", sf.path, derr)
-			break
-		}
+	// Records the sidecar marked dead reserved no ordinal; sealed
+	// segments are immutable, so none past its count is belt and braces.
+	skip := func(k int) bool { return k >= m.events || m.deadBit(k) }
+	err = s.replay(sc.records, skip, func(ev *core.Event, dead bool) {
 		ord := next
 		next++
 		s.hydratedEvents++
-		if s.tombstoned(ev) {
+		if dead {
 			// A tombstone the staleness check could not see killed this
 			// event after the sidecar was written; the reserved slot
 			// stays dead. (DeletePrefix hydrates before appending, so
 			// this is defensive.)
 			sf.dead++
 			s.live--
-			continue
+			return
 		}
 		s.indexAt(ev, ord)
-	}
-	if decodeErr != nil {
-		s.hydrateErr = decodeErr
+	})
+	if err != nil {
+		s.hydrateErr = fmt.Errorf("hydrate %s: %w", sf.path, err)
 	}
 	if short := sf.base + sf.n - next; short > 0 {
 		// Fewer live records than the sidecar promised: the file lost
@@ -438,26 +410,4 @@ func (s *Store) DailySets(start time.Time, days int) (DaySets, bool) {
 		out.Prefixes[i] = p.String()
 	}
 	return out, true
-}
-
-// writeSealSidecar summarizes the active segment from the in-memory
-// accumulator — no re-read of the file — and writes its sidecar.
-// Deadness is evaluated against the tombstones in force now, so the
-// summary's live bounds and counts equal what an eager reopen would
-// compute. Best-effort and advisory: on failure the next open fully
-// decodes this segment and heals. Caller holds the write lock; the
-// segment's bytes are already synced.
-func (s *Store) writeSealSidecar() {
-	recs := make([]sumRec, len(s.activeRecs))
-	for i, ev := range s.activeRecs {
-		recs[i] = sumRec{ev: ev, dead: s.tombstoned(ev)}
-	}
-	applied := make([][]byte, len(s.tombs))
-	for i, tb := range s.tombs {
-		applied[i] = encodeTombstone(nil, tb)
-	}
-	m := buildSummary(s.seq, s.size, s.size, false, recs, s.activeOthers, applied)
-	if writeSidecar(s.dir, m) == nil {
-		s.inst.SidecarWrites.Inc()
-	}
 }

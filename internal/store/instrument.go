@@ -49,7 +49,7 @@ type Instruments struct {
 // Caller holds the write lock.
 func (s *Store) fsync() error {
 	start := s.inst.FsyncSeconds.Now()
-	err := s.active.Sync()
+	err := s.active.file.Sync()
 	s.inst.FsyncTotal.Inc()
 	s.inst.FsyncSeconds.ObserveSince(start)
 	if err != nil {

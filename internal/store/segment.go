@@ -137,20 +137,51 @@ func listDir(dir string, readOnly bool) (segs []segFile, sums map[uint64]string,
 	return segs, sums, nil
 }
 
+// segDesc is what a segment holds — the one description the store keeps
+// of it, from the directory listing through seal to merge. Only describe
+// derives one (a sidecar stores the one derived when it was written);
+// afterwards only size (a record appended to the active segment) and
+// dead (a DeletePrefix killed a record still on disk) move.
+type segDesc struct {
+	size         int64 // valid byte length
+	minStartNano int64 // earliest start over every event record, live or dead; noMinStart when there are none
+	events       int   // event records
+	dead         int   // of them tombstoned but still on disk: what makes the segment a rewrite candidate
+}
+
+// live is the number of event records not dead.
+func (d segDesc) live() int { return d.events - d.dead }
+
+// describe derives a segment's description from its valid length and
+// its event records with their liveness — what buildSummary takes too.
+// Open's build pass, seal (record by record, through add), a merge's
+// swap and every sidecar get theirs here, so the earliest start is over
+// all records everywhere and noMinStart has this one writer.
+func describe(size int64, recs []sumRec) segDesc {
+	d := segDesc{size: size, minStartNano: noMinStart}
+	for _, r := range recs {
+		d.add(r)
+	}
+	return d
+}
+
+// add is describe's step: one more event record in the segment.
+func (d *segDesc) add(r sumRec) {
+	d.events++
+	if r.dead {
+		d.dead++
+	}
+	if nano := r.ev.Start.UTC().UnixNano(); nano < d.minStartNano {
+		d.minStartNano = nano
+	}
+}
+
+// segFile is one segment of the log: where it is, and what it holds
+// (zero from listDir until open describes it).
 type segFile struct {
 	seq  uint64
 	path string
-
-	// Metadata the store maintains for sealed segments (zero until open
-	// or seal fills it in): valid byte length, the earliest event start
-	// (noMinStart when the segment holds no event records), whether any
-	// event records exist, and how many of them are dead — tombstoned
-	// or superseded in memory but still physically on disk, which makes
-	// the segment a rewrite candidate for the next compaction.
-	size         int64
-	minStartNano int64
-	hasEvents    bool
-	dead         int
+	segDesc
 
 	// Lazy-open state (Options.ColdOpen): a sealed segment whose fresh
 	// sidecar let open skip decoding it. base/n name the contiguous
@@ -161,6 +192,21 @@ type segFile struct {
 	sum  *segSummary
 	base int32
 	n    int32
+}
+
+// activeSeg is the segment appends land in: a segment like any other —
+// the same description, kept current record by record — plus what only
+// the one being written needs.
+type activeSeg struct {
+	segFile
+	file SegmentFile
+	part int64 // the time partition its event records share (Options.Policy.Partition)
+	// The sidecar accumulator, so seal summarizes without re-reading the
+	// file: every event record appended, in file order, dead on arrival
+	// included (liveness as of arrival; seal re-judges it), and every
+	// non-event record payload.
+	recs   []sumRec
+	others [][]byte
 }
 
 // appendRecord appends one length-prefixed, checksummed record.
@@ -183,6 +229,8 @@ type scanResult struct {
 	// truncated reports whether the file had garbage past validLen — a
 	// torn record from a crash, or corruption.
 	truncated bool
+	// fileSize is the length of the bytes scanned, garbage included.
+	fileSize int64
 }
 
 // errNotSegment marks a file whose magic is short or wrong — either
@@ -212,7 +260,7 @@ func scanSegment(data []byte, path string) (scanResult, error) {
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != string(segMagic) {
 		return scanResult{}, fmt.Errorf("%w: %s", errNotSegment, path)
 	}
-	res := scanResult{validLen: int64(len(segMagic))}
+	res := scanResult{validLen: int64(len(segMagic)), fileSize: int64(len(data))}
 	off := len(segMagic)
 	for off < len(data) {
 		if len(data)-off < recordHeaderBytes {
@@ -266,19 +314,22 @@ func createSegment(opener func(path string, create bool) (SegmentFile, error), p
 }
 
 // writeSegmentAtomic commits a complete segment (magic + records)
-// durably under dir/name.
-func writeSegmentAtomic(dir, name string, payloads [][]byte) error {
-	return CommitFile(dir, name, true, func(w *bufio.Writer) error {
+// durably under dir/name and returns its length in bytes.
+func writeSegmentAtomic(dir, name string, payloads [][]byte) (size int64, err error) {
+	err = CommitFile(dir, name, true, func(w *bufio.Writer) error {
 		if _, err := w.Write(segMagic); err != nil {
 			return err
 		}
+		size = int64(len(segMagic))
 		var buf []byte
 		for _, p := range payloads {
 			buf = appendRecord(buf[:0], p)
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}
+			size += int64(len(buf))
 		}
 		return nil
 	})
+	return size, err
 }

@@ -79,26 +79,27 @@ func parseSumName(name string) (uint64, bool) {
 type segSummary struct {
 	seq      uint64
 	fileSize int64 // segment file size when the sidecar was written
-	validLen int64 // byte offset past the last valid record
-	// truncated records that the segment carries garbage past validLen
-	// (a recovered wounded segment); open counts it as a recovered tail
+	// segDesc is the segment as describe saw it when the sidecar was
+	// written — size the byte offset past the last valid record, dead
+	// judged by the applied tombstones — so an open that trusts the
+	// sidecar takes the description from here instead of the records.
+	segDesc
+	// truncated records that the segment carries garbage past size (a
+	// recovered wounded segment); open counts it as a recovered tail
 	// without rescanning the file.
 	truncated bool
 
-	eventRecords int // event records within validLen
-	liveCount    int // event records live under the applied tombstones
-
-	// Time bounds in UnixNano: all* cover every event record (the
-	// partition metadata open needs), live* only the live ones (what
-	// feeds Stats.MinStart/MaxEnd and time-range pruning). Sentinels
+	// Time bounds in UnixNano beside segDesc's earliest start: allMaxEnd
+	// covers every event record, live* only the live ones (what feeds
+	// Stats.MinStart/MaxEnd and time-range pruning). Sentinels
 	// noMinStart / noMaxEnd when the respective set is empty.
-	allMinStart, allMaxEnd   int64
+	allMaxEnd                int64
 	liveMinStart, liveMaxEnd int64
 
-	// dead is a bitmap over event-record positions (file order); a set
-	// bit marks a record dead under the applied tombstones. Hydration
-	// skips those without re-evaluating tombstones.
-	dead []byte
+	// deadBits is a bitmap over event-record positions (file order); a
+	// set bit marks a record dead under the applied tombstones.
+	// Hydration skips those without re-evaluating tombstones.
+	deadBits []byte
 
 	// others holds the segment's non-event record payloads (compaction
 	// markers, tombstones) verbatim, in file order — open replays them
@@ -237,10 +238,8 @@ func buildSummary(seq uint64, fileSize, validLen int64, truncated bool, recs []s
 	m := &segSummary{
 		seq:          seq,
 		fileSize:     fileSize,
-		validLen:     validLen,
+		segDesc:      describe(validLen, recs),
 		truncated:    truncated,
-		eventRecords: len(recs),
-		allMinStart:  noMinStart,
 		allMaxEnd:    noMaxEnd,
 		liveMinStart: noMinStart,
 		liveMaxEnd:   noMaxEnd,
@@ -248,7 +247,7 @@ func buildSummary(seq uint64, fileSize, validLen int64, truncated bool, recs []s
 		applied:      applied,
 	}
 	if len(recs) > 0 {
-		m.dead = make([]byte, (len(recs)+7)/8)
+		m.deadBits = make([]byte, (len(recs)+7)/8)
 	}
 	// Digest sizing needs the live distinct-key counts first.
 	prefixSet := map[netip.Prefix]bool{}
@@ -258,17 +257,13 @@ func buildSummary(seq uint64, fileSize, validLen int64, truncated bool, recs []s
 	for k, r := range recs {
 		start := r.ev.Start.UTC().UnixNano()
 		end := r.ev.End.UTC().UnixNano()
-		if start < m.allMinStart {
-			m.allMinStart = start
-		}
 		if end > m.allMaxEnd {
 			m.allMaxEnd = end
 		}
 		if r.dead {
-			m.dead[k>>3] |= 1 << (k & 7)
+			m.deadBits[k>>3] |= 1 << (k & 7)
 			continue
 		}
-		m.liveCount++
 		if start < m.liveMinStart {
 			m.liveMinStart = start
 		}
@@ -317,7 +312,7 @@ func buildSummary(seq uint64, fileSize, validLen int64, truncated bool, recs []s
 }
 
 func (m *segSummary) deadBit(k int) bool {
-	return m.dead[k>>3]&(1<<(k&7)) != 0
+	return m.deadBits[k>>3]&(1<<(k&7)) != 0
 }
 
 // ---------------------------------------------------------------------
@@ -331,7 +326,7 @@ func (m *segSummary) deadBit(k int) bool {
 // inside the query must have its network address within the query's
 // span.
 func (m *segSummary) mayMatchPrefix(q netip.Prefix, mode PrefixMode) bool {
-	if m.liveCount == 0 {
+	if m.live() == 0 {
 		return false
 	}
 	q = q.Masked()
@@ -356,7 +351,7 @@ func (m *segSummary) mayMatchPrefix(q netip.Prefix, mode PrefixMode) bool {
 // bucket in [fromDay, toDay] — the same granularity the byDay index
 // uses, so pruning matches the warm store's candidate set exactly.
 func (m *segSummary) mayMatchTime(fromDay, toDay int64) bool {
-	if m.liveCount == 0 {
+	if m.live() == 0 {
 		return false
 	}
 	return unixDayNano(m.liveMinStart) <= toDay && unixDayNano(m.liveMaxEnd) >= fromDay
@@ -366,7 +361,7 @@ func (m *segSummary) mayMatchTime(fromDay, toDay int64) bool {
 // applied set could kill any of the segment's live events — if so the
 // recorded liveness counts can't be trusted and the sidecar is stale.
 func (m *segSummary) tombMayAffect(tb Tombstone) bool {
-	if m.liveCount == 0 {
+	if m.live() == 0 {
 		return false
 	}
 	if !tb.UpTo.IsZero() && m.liveMinStart > tb.UpTo.UTC().UnixNano() {
@@ -405,19 +400,19 @@ func encodeSummary(m *segSummary) []byte {
 	p := []byte{sumVersion}
 	p = binary.AppendUvarint(p, m.seq)
 	p = binary.AppendVarint(p, m.fileSize)
-	p = binary.AppendVarint(p, m.validLen)
+	p = binary.AppendVarint(p, m.size)
 	var flags byte
 	if m.truncated {
 		flags |= 1
 	}
 	p = append(p, flags)
-	p = binary.AppendUvarint(p, uint64(m.eventRecords))
-	p = binary.AppendUvarint(p, uint64(m.liveCount))
-	p = binary.AppendVarint(p, m.allMinStart)
+	p = binary.AppendUvarint(p, uint64(m.events))
+	p = binary.AppendUvarint(p, uint64(m.live()))
+	p = binary.AppendVarint(p, m.minStartNano)
 	p = binary.AppendVarint(p, m.allMaxEnd)
 	p = binary.AppendVarint(p, m.liveMinStart)
 	p = binary.AppendVarint(p, m.liveMaxEnd)
-	p = appendBytes(p, m.dead)
+	p = appendBytes(p, m.deadBits)
 	p = appendBytesList(p, m.others)
 	p = appendBytesList(p, m.applied)
 	p = appendFamRange(p, m.v4)
@@ -489,15 +484,15 @@ func decodeSummary(data []byte) (*segSummary, error) {
 	m := &segSummary{}
 	m.seq = d.uvarint()
 	m.fileSize = d.varint()
-	m.validLen = d.varint()
+	m.size = d.varint()
 	m.truncated = d.byte()&1 != 0
-	m.eventRecords = int(d.uvarint())
-	m.liveCount = int(d.uvarint())
-	m.allMinStart = d.varint()
+	events, live := int(d.uvarint()), int(d.uvarint())
+	m.events, m.dead = events, events-live
+	m.minStartNano = d.varint()
 	m.allMaxEnd = d.varint()
 	m.liveMinStart = d.varint()
 	m.liveMaxEnd = d.varint()
-	m.dead = decodeBytes(d)
+	m.deadBits = decodeBytes(d)
 	m.others = decodeBytesList(d)
 	m.applied = decodeBytesList(d)
 	m.v4 = decodeFamRange(d)
@@ -512,8 +507,8 @@ func decodeSummary(data []byte) (*segSummary, error) {
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("store: %d trailing bytes after sidecar payload", len(d.buf))
 	}
-	if m.eventRecords < 0 || m.liveCount < 0 || m.liveCount > m.eventRecords ||
-		(m.eventRecords > 0 && len(m.dead) != (m.eventRecords+7)/8) {
+	if events < 0 || live < 0 || live > events ||
+		(events > 0 && len(m.deadBits) != (events+7)/8) {
 		return nil, fmt.Errorf("store: corrupt sidecar: inconsistent counts")
 	}
 	for _, rec := range m.others {
@@ -584,6 +579,31 @@ func decodeBloom(d *decoder) bloom {
 
 // ---------------------------------------------------------------------
 // Files.
+
+// writeSummary is the one sidecar writer: open's heal, seal and a
+// merge's swap summarize a segment through it — size its file length,
+// validLen / truncated what a scan of it finds, recs its event records
+// in file order with their liveness, others its non-event payloads. The
+// applied set is the tombstones in force, so the caller has judged recs
+// by exactly those and lets no other in before this returns (open is
+// alone; seal and the swap hold the write lock). Best-effort: after a
+// failed write the next open fully decodes the segment and heals.
+func (s *Store) writeSummary(seq uint64, size, validLen int64, truncated bool, recs []sumRec, others [][]byte) {
+	if writeSidecar(s.dir, buildSummary(seq, size, validLen, truncated, recs, others, s.appliedTombs())) == nil {
+		s.inst.SidecarWrites.Inc()
+	}
+}
+
+// appliedTombs encodes the tombstones in force: a sidecar's applied
+// set when written now, and what open's staleness pass looks up in the
+// sets of the sidecars it finds.
+func (s *Store) appliedTombs() [][]byte {
+	applied := make([][]byte, len(s.tombs))
+	for i, tb := range s.tombs {
+		applied[i] = encodeTombstone(nil, tb)
+	}
+	return applied
+}
 
 // writeSidecar commits the sidecar next to its segment. No fsync:
 // sidecars are advisory and self-checked, so a crash can at worst leave

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -242,10 +243,8 @@ type Store struct {
 	tombs   []Tombstone
 	tombSeg []uint64
 
-	sealed []segFile   // sealed segments, ascending seq
-	active SegmentFile // nil when read-only or closed
-	seq    uint64      // active segment sequence number
-	size   int64       // active segment size in bytes
+	sealed []segFile  // sealed segments, ascending seq
+	active *activeSeg // the segment appends land in; nil when read-only or closed
 
 	// Group-commit state: records appended since the last fsync, the
 	// armed Interval timer (nil when idle), a timer-driven sync failure
@@ -256,18 +255,9 @@ type Store struct {
 	asyncErr    error
 	writeFailed bool
 
-	// Active segment bookkeeping for partition rolling and erasure
-	// tracking: live event count, dead-on-disk record count, earliest
-	// event start, and the segment's time partition.
-	activeEvents   int
-	activeDead     int
-	activeMinStart int64
-	activePart     int64
-
 	closed bool
 
 	recoveredTails int
-	sealedBytes    int64
 
 	// Cold-open bookkeeping: lazy (sidecar-backed, undecoded) sealed
 	// segments, cumulative on-demand hydrations, event records open
@@ -281,13 +271,6 @@ type Store struct {
 	hydratedEvents int
 	mappedBytes    int64
 	hydrateErr     error
-
-	// Active-segment summary accumulator: every event record appended
-	// to the active segment (file order, dead-on-arrival included) and
-	// every non-event record payload, so seal can write the segment's
-	// sidecar without re-reading the file.
-	activeRecs   []*core.Event
-	activeOthers [][]byte
 
 	trie        *Trie
 	byUser      map[bgp.ASN][]int32
@@ -351,379 +334,372 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// open rebuilds the store from dir as a sequence of passes over one
+// slice, one entry per listed segment. Only a read-write open changes
+// the directory, and each pass says what it may remove.
 func open(dir string, opts Options) (*Store, error) {
-	s := &Store{
-		dir:            dir,
-		opts:           opts,
-		inst:           opts.Instruments,
-		trie:           &Trie{},
-		byUser:         map[bgp.ASN][]int32{},
-		byProvider:     map[core.ProviderRef][]int32{},
-		byCommunity:    map[bgp.Community][]int32{},
-		byDay:          map[int64][]int32{},
-		days:           map[int64]*dayAgg{},
-		activeMinStart: noMinStart,
-	}
-	segs, sidecars, err := listDir(dir, opts.ReadOnly)
-	if err != nil {
-		if opts.ReadOnly && os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: %s: no such store", dir)
+	o := &opener{Store: &Store{
+		dir:         dir,
+		opts:        opts,
+		inst:        opts.Instruments,
+		trie:        &Trie{},
+		byUser:      map[bgp.ASN][]int32{},
+		byProvider:  map[core.ProviderRef][]int32{},
+		byCommunity: map[bgp.Community][]int32{},
+		byDay:       map[int64][]int32{},
+		days:        map[int64]*dayAgg{},
+	}}
+	// Scan backings (possibly mmap'd views) outlive the passes: records
+	// alias them until build has decoded or copied every one.
+	defer func() {
+		for _, release := range o.releases {
+			release()
 		}
-		return nil, err
+	}()
+	for _, pass := range []func() error{
+		o.list, o.loadSidecars, o.scan, o.markers, o.tombstones, o.staleness, o.build, o.heal, o.activate,
+	} {
+		if err := pass(); err != nil {
+			return nil, err
+		}
 	}
-	if s.identity, err = readIdentity(dir); err != nil {
-		return nil, err
-	}
+	return o.Store, nil
+}
 
-	// Sidecar summaries: structurally validate (magic, CRC, version,
-	// matching seq, segment file size unchanged since write). Orphans
-	// and invalid sidecars are removed on a read-write open — the heal
-	// pass below rewrites what's worth keeping.
-	bySeq := make(map[uint64]int, len(segs))
-	for i, sf := range segs {
-		bySeq[sf.seq] = i
+// openSeg is one listed segment on its way through open's passes: the
+// segFile the store will keep, the sidecar that may stand in for its
+// records, and the scan that read them.
+type openSeg struct {
+	segFile
+	summary *segSummary // its sidecar, while valid and fresh; nil otherwise
+	scan    *scanResult // its records, once scanned
+	recs    []sumRec    // build's: its event records, decoded, with their liveness
+}
+
+// records yields the segment's record payloads without forcing a scan:
+// a sidecar carries its segment's non-event records (markers,
+// tombstones) verbatim, which is all the passes before build need.
+func (p *openSeg) records() [][]byte {
+	if p.scan != nil {
+		return p.scan.records
 	}
-	sums := make([]*segSummary, len(segs))
-	for seq, path := range sidecars {
-		i, ok := bySeq[seq]
+	return p.summary.others
+}
+
+// opener is a store being opened.
+type opener struct {
+	*Store
+	segs     []openSeg
+	sidecars map[uint64]string // seq → path, as listed
+	releases []func()
+}
+
+// list reads the directory: segments in ascending seq, sidecar paths,
+// the shard identity. listDir removes in-flight files.
+func (o *opener) list() error {
+	segs, sidecars, err := listDir(o.dir, o.opts.ReadOnly)
+	if err != nil {
+		if o.opts.ReadOnly && os.IsNotExist(err) {
+			return fmt.Errorf("store: %s: no such store", o.dir)
+		}
+		return err
+	}
+	o.segs, o.sidecars = make([]openSeg, len(segs)), sidecars
+	for i, sf := range segs {
+		o.segs[i].segFile = sf
+	}
+	o.identity, err = readIdentity(o.dir)
+	return err
+}
+
+// loadSidecars attaches each structurally valid sidecar (magic, CRC,
+// version, matching seq, segment file size unchanged since it was
+// written) to its segment. It removes every other one — invalid, or an
+// orphan whose segment is gone; heal rewrites what is worth keeping.
+func (o *opener) loadSidecars() error {
+	for i := range o.segs {
+		p := &o.segs[i]
+		path, ok := o.sidecars[p.seq]
 		if !ok {
-			if !opts.ReadOnly {
-				os.Remove(path) // orphan: its segment is gone
-			}
 			continue
 		}
-		m, merr := loadSidecar(path)
-		if merr == nil && m.seq == seq {
-			if fi, serr := os.Stat(segs[i].path); serr == nil && fi.Size() == m.fileSize {
-				sums[i] = m
-				continue
+		if m, err := loadSidecar(path); err == nil && m.seq == p.seq {
+			if fi, err := os.Stat(p.path); err == nil && fi.Size() == m.fileSize {
+				p.summary = m
+				delete(o.sidecars, p.seq)
 			}
 		}
-		if !opts.ReadOnly {
+	}
+	if !o.opts.ReadOnly {
+		for _, path := range o.sidecars {
 			os.Remove(path)
 		}
 	}
+	return nil
+}
 
-	// Scan pass. The newest segment is always scanned — it carries the
-	// crash-torn tail recovery truncates, and it becomes the active
-	// segment. Older segments are scanned only without a valid sidecar
-	// (or always, when ColdOpen is off). Scan backings (possibly mmap'd
-	// views) are released when open finishes decoding.
-	scans := make([]scanResult, len(segs))
-	scanned := make([]bool, len(segs))
-	var releases []func()
-	defer func() {
-		for _, r := range releases {
-			r()
-		}
-	}()
-	scanAt := func(i int) error {
-		sc, done, serr := s.scanSegmentFile(segs[i].path)
-		if serr != nil {
-			return serr
-		}
-		releases = append(releases, done)
-		scans[i], scanned[i] = sc, true
-		return nil
+// scanSeg reads p's records through the configured seam.
+func (o *opener) scanSeg(p *openSeg) error {
+	sc, release, err := o.scanSegmentFile(p.path)
+	if err != nil {
+		return err
 	}
-	for i := 0; i < len(segs); {
-		last := i == len(segs)-1
-		if scanned[i] || (opts.ColdOpen && sums[i] != nil && !last) {
+	o.releases = append(o.releases, release)
+	p.scan = &sc
+	return nil
+}
+
+// scan reads the segments whose records open needs. The newest always:
+// it carries the crash-torn tail recovery truncates, and it becomes the
+// active segment. Older ones only without a valid sidecar (or always,
+// when ColdOpen is off). It removes a newest segment without a complete
+// magic, and its sidecar.
+func (o *opener) scan() error {
+	for i := 0; i < len(o.segs); {
+		p, last := &o.segs[i], i == len(o.segs)-1
+		if p.scan != nil || (o.opts.ColdOpen && p.summary != nil && !last) {
 			i++
 			continue
 		}
-		if err := scanAt(i); err != nil {
+		err := o.scanSeg(p)
+		if errors.Is(err, errNotSegment) && last {
 			// A crash between a segment's creation and its first sync
 			// can leave the newest file without a complete magic; treat
 			// it like a torn tail, not corruption.
-			if errors.Is(err, errNotSegment) && last {
-				if !opts.ReadOnly {
-					if rerr := os.Remove(segs[i].path); rerr != nil {
-						return nil, rerr
-					}
-					os.Remove(sumPath(dir, segs[i].seq))
+			if !o.opts.ReadOnly {
+				if err := os.Remove(p.path); err != nil {
+					return err
 				}
-				segs, scans, scanned, sums = segs[:i], scans[:i], scanned[:i], sums[:i]
-				s.recoveredTails++
-				if i > 0 {
-					// The previous segment is the new newest: it must be
-					// scanned too, even if a sidecar would have covered it.
-					i = len(segs) - 1
-				}
-				continue
+				os.Remove(sumPath(o.dir, p.seq))
 			}
-			return nil, err
+			o.segs = o.segs[:i]
+			o.recoveredTails++
+			// The previous segment is the new newest: it must be scanned
+			// too, even if a sidecar would have covered it.
+			i = max(i-1, 0)
+			continue
+		}
+		if err != nil {
+			return err
 		}
 		i++
 	}
+	return nil
+}
 
-	// recsOf yields a segment's record payloads without forcing a scan:
-	// a lazy segment's sidecar carries its non-event records (markers,
-	// tombstones) verbatim, which is all the passes below need.
-	recsOf := func(i int) [][]byte {
-		if scanned[i] {
-			return scans[i].records
-		}
-		return sums[i].others
-	}
-
-	// Honour compaction markers: a marker supersedes exactly the seqs
-	// it lists. Superseded segments are leftovers of a crash between a
-	// merge's atomic commit and its cleanup — indexing them would
-	// double-count every event they hold.
+// markers honours compaction markers: a marker supersedes exactly the
+// seqs it lists. Superseded segments are leftovers of a crash between a
+// merge's atomic commit and its cleanup — indexing them would
+// double-count every event they hold — so it drops them from the
+// slice, and removes them and their sidecars.
+func (o *opener) markers() error {
 	superseded := map[uint64]bool{}
-	for i := range segs {
-		for _, rec := range recsOf(i) {
+	for i := range o.segs {
+		p := &o.segs[i]
+		for _, rec := range p.records() {
 			if !isMarker(rec) {
 				continue
 			}
-			listed, merr := markerV2Seqs(rec)
-			if merr != nil {
-				return nil, fmt.Errorf("store: %s: %w", segs[i].path, merr)
+			listed, err := markerV2Seqs(rec)
+			if err != nil {
+				return fmt.Errorf("store: %s: %w", p.path, err)
 			}
 			for _, q := range listed {
 				// A marker can only speak for segments older than
 				// itself; anything else is corruption — ignore it
 				// rather than delete live data.
-				if q < segs[i].seq {
+				if q < p.seq {
 					superseded[q] = true
 				}
 			}
 		}
 	}
-	if len(superseded) > 0 {
-		keptSegs, keptScans := segs[:0:0], scans[:0:0]
-		keptScanned, keptSums := scanned[:0:0], sums[:0:0]
-		for i, sf := range segs {
-			if superseded[sf.seq] {
-				if !opts.ReadOnly {
-					if err := os.Remove(sf.path); err != nil {
-						return nil, err
-					}
-					os.Remove(sumPath(dir, sf.seq))
-				}
-				continue
-			}
-			keptSegs = append(keptSegs, sf)
-			keptScans = append(keptScans, scans[i])
-			keptScanned = append(keptScanned, scanned[i])
-			keptSums = append(keptSums, sums[i])
-		}
-		segs, scans, scanned, sums = keptSegs, keptScans, keptScanned, keptSums
+	if len(superseded) == 0 {
+		return nil
 	}
+	kept := o.segs[:0]
+	for _, p := range o.segs {
+		if !superseded[p.seq] {
+			kept = append(kept, p)
+		} else if !o.opts.ReadOnly {
+			if err := os.Remove(p.path); err != nil {
+				return err
+			}
+			os.Remove(sumPath(o.dir, p.seq))
+		}
+	}
+	o.segs = kept
+	return nil
+}
 
-	// Tombstones from every kept segment — scanned records or sidecar
-	// copies — are collected before any event is indexed or reserved:
-	// their time-based semantics are independent of replay order. The
-	// raw payloads double as the staleness oracle below.
-	var tombPayloads [][]byte
-	for i, sf := range segs {
-		for _, rec := range recsOf(i) {
+// tombstones collects the tombstones of every kept segment — scanned
+// records or sidecar copies — before any event is indexed or reserved:
+// their time-based semantics are independent of replay order. It
+// removes nothing.
+func (o *opener) tombstones() error {
+	for i := range o.segs {
+		p := &o.segs[i]
+		for _, rec := range p.records() {
 			if !isTombstone(rec) {
 				continue
 			}
-			tb, terr := decodeTombstone(rec)
-			if terr != nil {
-				return nil, fmt.Errorf("store: %s: %w", sf.path, terr)
+			tb, err := decodeTombstone(rec)
+			if err != nil {
+				return fmt.Errorf("store: %s: %w", p.path, err)
 			}
-			s.tombs = append(s.tombs, tb)
-			s.tombSeg = append(s.tombSeg, sf.seq)
-			tombPayloads = append(tombPayloads, slices.Clone(rec))
+			o.tombs = append(o.tombs, tb)
+			o.tombSeg = append(o.tombSeg, p.seq)
 		}
 	}
+	return nil
+}
 
-	// Staleness: the tombstone set only grows, so a sidecar is stale
-	// exactly when a tombstone outside its recorded applied set could
-	// kill one of its live events — its liveness counts can't be
-	// trusted. Demote such segments to a full decode now; the heal pass
-	// rewrites their sidecars.
-	for i := range segs {
-		if sums[i] == nil || scanned[i] {
+// staleness demotes the sidecars whose liveness can no longer be
+// trusted to a full decode: the tombstone set only grows, so a sidecar
+// is stale exactly when a tombstone outside its recorded applied set
+// could kill one of its live events. It removes nothing; heal rewrites
+// the demoted sidecars.
+func (o *opener) staleness() error {
+	inForce := o.appliedTombs()
+	for i := range o.segs {
+		p := &o.segs[i]
+		if p.summary == nil || p.scan != nil {
 			continue
 		}
-		applied := make(map[string]bool, len(sums[i].applied))
-		for _, p := range sums[i].applied {
-			applied[string(p)] = true
+		applied := make(map[string]bool, len(p.summary.applied))
+		for _, enc := range p.summary.applied {
+			applied[string(enc)] = true
 		}
-		for j, p := range tombPayloads {
-			if !applied[string(p)] && sums[i].tombMayAffect(s.tombs[j]) {
-				if err := scanAt(i); err != nil {
-					return nil, err
+		for j, enc := range inForce {
+			if !applied[string(enc)] && p.summary.tombMayAffect(o.tombs[j]) {
+				if err := o.scanSeg(p); err != nil {
+					return err
 				}
-				sums[i] = nil
+				p.summary = nil
 				break
 			}
 		}
 	}
+	return nil
+}
 
-	// Build pass, ascending seq. Scanned segments decode and index
-	// their tombstone survivors; lazy segments reserve a contiguous
-	// ordinal block straight from the sidecar. Ordinals land in the
-	// same (segment, record) order either way, so query results sort
-	// identically on a cold and a warm store.
-	type healSeg struct {
-		i    int
-		recs []sumRec
-	}
-	var heals []healSeg
-	var lastEvs []*core.Event
-	fallbacks := 0
-	for i := range segs {
-		lastIdx := i == len(segs)-1
-		if scanned[i] {
-			if !lastIdx && sums[i] == nil {
-				fallbacks++
-			}
-			segs[i].minStartNano = noMinStart
-			var evs []*core.Event
-			for _, rec := range scans[i].records {
-				if isMarker(rec) || isTombstone(rec) {
-					continue
-				}
-				ev, derr := DecodeEvent(rec)
-				if derr != nil {
-					return nil, fmt.Errorf("store: %s: %w", segs[i].path, derr)
-				}
-				evs = append(evs, ev)
-				segs[i].hasEvents = true
-				if nano := ev.Start.UTC().UnixNano(); nano < segs[i].minStartNano {
-					segs[i].minStartNano = nano
-				}
-				if !lastIdx {
-					s.openDecoded++
-				}
-			}
-			heal := !lastIdx && !opts.ReadOnly && sums[i] == nil
-			var recs []sumRec
-			if heal {
-				recs = make([]sumRec, 0, len(evs))
-			}
-			for _, ev := range evs {
-				dead := s.tombstoned(ev)
-				if dead {
-					segs[i].dead++
-				} else {
-					s.index(ev, segs[i].seq)
-				}
-				if heal {
-					recs = append(recs, sumRec{ev: ev, dead: dead})
-				}
-			}
-			segs[i].size = scans[i].validLen
-			if scans[i].truncated {
-				s.recoveredTails++
-				if !opts.ReadOnly && lastIdx {
-					// Crash tore the newest segment's tail: truncate so new
-					// appends start at a clean record boundary.
-					if err := os.Truncate(segs[i].path, scans[i].validLen); err != nil {
-						return nil, err
-					}
-				}
-			}
-			if heal {
-				heals = append(heals, healSeg{i: i, recs: recs})
-			}
-			if lastIdx {
-				lastEvs = evs
-			}
+// build describes every segment and fills the indexes, ascending seq.
+// A scanned segment decodes its records and indexes its tombstone
+// survivors; a lazy one takes the description its sidecar stored and
+// reserves a contiguous ordinal block, decoding nothing. Ordinals land
+// in the same (segment, record) order either way, so query results sort
+// identically on a cold and a warm store. It truncates the newest
+// segment's torn tail, so new appends start at a clean record boundary.
+func (o *opener) build() error {
+	for i := range o.segs {
+		p, last := &o.segs[i], i == len(o.segs)-1
+		if p.scan == nil {
+			o.reserve(&p.segFile, p.summary)
 			continue
 		}
-		// Lazy: trust the sidecar, decode nothing.
-		m := sums[i]
-		segs[i].size = m.validLen
-		segs[i].minStartNano = noMinStart
-		if m.eventRecords > 0 {
-			segs[i].minStartNano = m.allMinStart
-		}
-		segs[i].hasEvents = m.eventRecords > 0
-		segs[i].dead = m.eventRecords - m.liveCount
-		if m.truncated {
-			s.recoveredTails++
-		}
-		if m.liveCount > 0 {
-			segs[i].lazy = true
-			segs[i].sum = m
-			segs[i].base = int32(len(s.events))
-			segs[i].n = int32(m.liveCount)
-			for k := 0; k < m.liveCount; k++ {
-				s.events = append(s.events, nil)
-				s.eventSeg = append(s.eventSeg, segs[i].seq)
+		err := o.replay(p.scan.records, nil, func(ev *core.Event, dead bool) {
+			p.recs = append(p.recs, sumRec{ev: ev, dead: dead})
+			if !dead {
+				o.index(ev, p.seq)
 			}
-			s.live += m.liveCount
-			s.coldSegs++
-			if t := time.Unix(0, m.liveMinStart).UTC(); s.minStart.IsZero() || t.Before(s.minStart) {
-				s.minStart = t
-			}
-			if t := time.Unix(0, m.liveMaxEnd).UTC(); t.After(s.maxEnd) {
-				s.maxEnd = t
-			}
-		}
-	}
-	s.inst.SidecarFallbacks.Add(uint64(fallbacks))
-
-	// Self-heal: sealed segments the open had to fully decode get a
-	// fresh sidecar, so the next open is cold again. Best-effort — a
-	// failed write just means another full decode next time.
-	healed := 0
-	for _, h := range heals {
-		fi, statErr := os.Stat(segs[h.i].path)
-		if statErr != nil {
-			continue
-		}
-		m := buildSummary(segs[h.i].seq, fi.Size(), scans[h.i].validLen, scans[h.i].truncated,
-			h.recs, nonEventPayloads(scans[h.i].records), tombPayloads)
-		if writeSidecar(dir, m) == nil {
-			healed++
-		}
-	}
-	s.inst.SidecarWrites.Add(uint64(healed))
-
-	if opts.ReadOnly {
-		s.sealed = segs
-		for _, sf := range s.sealed {
-			s.sealedBytes += sf.size
-		}
-		return s, nil
-	}
-
-	// Reopen the newest segment for appending, or start the first one.
-	// The reopened size is the scan's validLen, not the file size: any
-	// torn bytes past it were truncated above (or belong to a garbage
-	// tail new appends must not extend).
-	if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		f, err := s.opts.OpenSegment(last.path, false)
+		})
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("store: %s: %w", p.path, err)
 		}
-		s.active, s.seq, s.size = f, last.seq, scans[len(scans)-1].validLen
-		s.activeDead = last.dead
-		s.activeMinStart = last.minStartNano
-		if last.hasEvents && opts.Policy.Partition > 0 {
-			s.activePart = partitionKey(last.minStartNano, opts.Policy.Partition)
-		}
-		for _, ev := range lastEvs {
-			if !s.tombstoned(ev) {
-				s.activeEvents++
+		p.segDesc = describe(p.scan.validLen, p.recs)
+		if !last {
+			o.openDecoded += p.events
+			if p.summary == nil {
+				o.inst.SidecarFallbacks.Inc()
 			}
 		}
-		s.activeRecs = lastEvs
-		s.activeOthers = nonEventPayloads(scans[len(scans)-1].records)
-		s.sealed = segs[:len(segs)-1]
-	} else {
-		if err := s.startSegment(1); err != nil {
-			return nil, err
+		if p.scan.truncated {
+			o.recoveredTails++
+			if last && !o.opts.ReadOnly {
+				if err := os.Truncate(p.path, p.scan.validLen); err != nil {
+					return err
+				}
+			}
 		}
 	}
-	for _, sf := range s.sealed {
-		s.sealedBytes += sf.size
+	return nil
+}
+
+// reserve makes sf the lazy segment its fresh sidecar m describes.
+func (s *Store) reserve(sf *segFile, m *segSummary) {
+	sf.segDesc = m.segDesc
+	if m.truncated {
+		s.recoveredTails++
 	}
-	if opts.CompactSegments > 0 {
-		s.compactCh = make(chan struct{}, 1)
-		s.compactDone = make(chan struct{})
-		go s.compactLoop()
+	if m.live() == 0 {
+		return
 	}
-	return s, nil
+	sf.lazy, sf.sum = true, m
+	sf.base, sf.n = int32(len(s.events)), int32(m.live())
+	for range m.live() {
+		s.events = append(s.events, nil)
+		s.eventSeg = append(s.eventSeg, sf.seq)
+	}
+	s.live += m.live()
+	s.coldSegs++
+	if t := time.Unix(0, m.liveMinStart).UTC(); s.minStart.IsZero() || t.Before(s.minStart) {
+		s.minStart = t
+	}
+	if t := time.Unix(0, m.liveMaxEnd).UTC(); t.After(s.maxEnd) {
+		s.maxEnd = t
+	}
+}
+
+// heal gives every sealed segment open had to fully decode for want of
+// a sidecar a fresh one, so the next open is cold again. It removes
+// nothing, and a read-only open skips it.
+func (o *opener) heal() error {
+	if o.opts.ReadOnly {
+		return nil
+	}
+	for i := 0; i < len(o.segs)-1; i++ {
+		if p := &o.segs[i]; p.summary == nil {
+			o.writeSummary(p.seq, p.scan.fileSize, p.scan.validLen, p.scan.truncated, p.recs, nonEventPayloads(p.scan.records))
+		}
+	}
+	return nil
+}
+
+// activate files the segments as sealed and, on a read-write open,
+// reopens the newest for appending (or starts the first) and starts the
+// background compactor. The active segment's size is the scan's valid
+// length, not the file size: any torn bytes past it were truncated by
+// build (or belong to a garbage tail new appends must not extend).
+func (o *opener) activate() error {
+	o.sealed = make([]segFile, len(o.segs))
+	for i := range o.segs {
+		o.sealed[i] = o.segs[i].segFile
+	}
+	if o.opts.ReadOnly {
+		return nil
+	}
+	if len(o.segs) == 0 {
+		var err error
+		if o.active, err = o.newSegment(1); err != nil {
+			return err
+		}
+	} else {
+		last := &o.segs[len(o.segs)-1]
+		f, err := o.opts.OpenSegment(last.path, false)
+		if err != nil {
+			return err
+		}
+		o.sealed = o.sealed[:len(o.sealed)-1]
+		o.active = &activeSeg{segFile: last.segFile, file: f, recs: last.recs, others: nonEventPayloads(last.scan.records)}
+		// Append sets part anew on a segment that holds no event yet.
+		o.active.part = partitionKey(last.minStartNano, o.opts.Policy.Partition)
+	}
+	if o.opts.CompactSegments > 0 {
+		o.compactCh = make(chan struct{}, 1)
+		o.compactDone = make(chan struct{})
+		go o.compactLoop()
+	}
+	return nil
 }
 
 // nonEventPayloads copies a scan's marker and tombstone payloads (the
@@ -764,15 +740,28 @@ func (s *Store) scanSegmentFile(path string) (scanResult, func(), error) {
 	return sc, func() {}, nil
 }
 
-// startSegment creates segment seq and makes it the active one.
-func (s *Store) startSegment(seq uint64) error {
-	f, err := createSegment(s.opts.OpenSegment, filepath.Join(s.dir, segName(seq)))
-	if err != nil {
-		return err
+// newSegment creates segment seq, open for appending and described as
+// holding nothing yet.
+func (s *Store) newSegment(seq uint64) (*activeSeg, error) {
+	a := &activeSeg{}
+	a.seq, a.path = seq, filepath.Join(s.dir, segName(seq))
+	a.segDesc = describe(int64(len(segMagic)), nil)
+	var err error
+	if a.file, err = createSegment(s.opts.OpenSegment, a.path); err != nil {
+		return nil, err
 	}
-	s.active, s.seq, s.size = f, seq, int64(len(segMagic))
-	s.activeEvents, s.activeDead, s.activeMinStart, s.activePart = 0, 0, noMinStart, 0
-	s.activeRecs, s.activeOthers = nil, nil
+	return a, nil
+}
+
+// segment finds the store's segment seq — the active one or a sealed
+// one — or nil.
+func (s *Store) segment(seq uint64) *segFile {
+	if s.active != nil && s.active.seq == seq {
+		return &s.active.segFile
+	}
+	if i, ok := slices.BinarySearchFunc(s.sealed, seq, func(sf segFile, q uint64) int { return cmp.Compare(sf.seq, q) }); ok {
+		return &s.sealed[i]
+	}
 	return nil
 }
 
@@ -821,6 +810,29 @@ func (s *Store) tombstoned(ev *core.Event) bool {
 	return false
 }
 
+// replay decodes a scanned segment's event records in file order —
+// markers and tombstones passed over — and hands each to visit with the
+// verdict of the tombstones in force: the one walk open's build pass
+// and hydration share. skip, when non-nil, names records by position
+// among the event records to pass over undecoded.
+func (s *Store) replay(records [][]byte, skip func(k int) bool, visit func(ev *core.Event, dead bool)) error {
+	k := -1
+	for _, rec := range records {
+		if isMarker(rec) || isTombstone(rec) {
+			continue
+		}
+		if k++; skip != nil && skip(k) {
+			continue
+		}
+		ev, err := DecodeEvent(rec)
+		if err != nil {
+			return err
+		}
+		visit(ev, s.tombstoned(ev))
+	}
+	return nil
+}
+
 func unixDay(t time.Time) int64 {
 	const day = 24 * 60 * 60
 	sec := t.Unix()
@@ -851,13 +863,13 @@ func (s *Store) Append(events ...*core.Event) error {
 		// to cross partition boundaries.
 		if s.opts.Policy.Partition > 0 {
 			pk := partitionKey(ev.Start.UTC().UnixNano(), s.opts.Policy.Partition)
-			if s.activeEvents+s.activeDead > 0 && pk != s.activePart {
+			if s.active.events > 0 && pk != s.active.part {
 				if err := s.seal(); err != nil {
 					return err
 				}
 			}
-			if s.activeEvents+s.activeDead == 0 {
-				s.activePart = pk
+			if s.active.events == 0 {
+				s.active.part = pk
 			}
 		}
 		payload := EncodeEvent(s.scratch[:0], ev)
@@ -866,17 +878,13 @@ func (s *Store) Append(events ...*core.Event) error {
 		if err := s.writeRecord(rec); err != nil {
 			return fmt.Errorf("store: append: %w", err)
 		}
-		if nano := ev.Start.UTC().UnixNano(); nano < s.activeMinStart {
-			s.activeMinStart = nano
+		r := sumRec{ev: ev, dead: s.tombstoned(ev)} // dead on arrival: logged but invisible
+		s.active.recs = append(s.active.recs, r)
+		s.active.add(r)
+		if !r.dead {
+			s.index(ev, s.active.seq)
 		}
-		s.activeRecs = append(s.activeRecs, ev)
-		if s.tombstoned(ev) {
-			s.activeDead++ // dead on arrival: logged but invisible
-		} else {
-			s.index(ev, s.seq)
-			s.activeEvents++
-		}
-		if s.size >= s.opts.MaxSegmentBytes {
+		if s.active.size >= s.opts.MaxSegmentBytes {
 			if err := s.seal(); err != nil {
 				return err
 			}
@@ -896,11 +904,11 @@ func (s *Store) writeRecord(rec []byte) error {
 			return fmt.Errorf("segment failover: %w", err)
 		}
 	}
-	if _, err := s.active.Write(rec); err != nil {
+	if _, err := s.active.file.Write(rec); err != nil {
 		s.writeFailed = true
 		return err
 	}
-	s.size += int64(len(rec))
+	s.active.size += int64(len(rec))
 	s.unsynced++
 	return nil
 }
@@ -977,7 +985,7 @@ func (s *Store) timedSync() {
 // already at risk, and the point here is a clean record boundary for
 // everything appended next.
 func (s *Store) failoverSeal() error {
-	next, err := createSegment(s.opts.OpenSegment, filepath.Join(s.dir, segName(s.seq+1)))
+	next, err := s.newSegment(s.active.seq + 1)
 	if err != nil {
 		return err
 	}
@@ -1021,9 +1029,9 @@ func (s *Store) DeletePrefix(prefix netip.Prefix, upTo time.Time) (int, error) {
 	if err := s.writeRecord(rec); err != nil {
 		return 0, fmt.Errorf("store: delete: %w", err)
 	}
-	s.activeOthers = append(s.activeOthers, payload)
+	s.active.others = append(s.active.others, payload)
 	s.tombs = append(s.tombs, tb)
-	s.tombSeg = append(s.tombSeg, s.seq)
+	s.tombSeg = append(s.tombSeg, s.active.seq)
 
 	// Collect doomed ordinals first: unindex mutates the postings the
 	// trie matches alias.
@@ -1039,21 +1047,12 @@ func (s *Store) DeletePrefix(prefix netip.Prefix, upTo time.Time) (int, error) {
 		// Copy-on-write: snapshots handed out by All keep the old array.
 		s.events = slices.Clone(s.events)
 		for _, ord := range doomed {
-			seq := s.unindex(ord)
-			if seq == s.seq {
-				s.activeDead++
-				s.activeEvents--
-			} else {
-				for i := range s.sealed {
-					if s.sealed[i].seq == seq {
-						s.sealed[i].dead++
-						break
-					}
-				}
+			if sf := s.segment(s.unindex(ord)); sf != nil {
+				sf.dead++
 			}
 		}
 	}
-	if s.size >= s.opts.MaxSegmentBytes {
+	if s.active.size >= s.opts.MaxSegmentBytes {
 		if err := s.seal(); err != nil {
 			return len(doomed), err
 		}
@@ -1065,20 +1064,27 @@ func (s *Store) DeletePrefix(prefix netip.Prefix, upTo time.Time) (int, error) {
 // The replacement segment is created first, so the store keeps a valid
 // active segment on every error path. Caller holds the write lock.
 func (s *Store) seal() error {
-	next, err := createSegment(s.opts.OpenSegment, filepath.Join(s.dir, segName(s.seq+1)))
+	next, err := s.newSegment(s.active.seq + 1)
 	if err != nil {
 		return err
 	}
 	if err := s.fsync(); err != nil {
 		s.writeFailed = true
-		next.Close()
-		os.Remove(next.Name())
+		next.file.Close()
+		os.Remove(next.path)
 		return err
 	}
-	// The segment's bytes are durable: summarize it so the next open can
-	// skip decoding it. (The failover path writes no sidecar — a wounded
-	// segment's tail is unknown; the next open scans and heals it.)
-	s.writeSealSidecar()
+	// The segment's bytes are durable: summarize it from the accumulator
+	// — no re-read of the file — so the next open can skip decoding it.
+	// Liveness is re-judged against the tombstones in force now, so the
+	// summary equals what an eager reopen would compute. (The failover
+	// path writes no sidecar — a wounded segment's tail is unknown; the
+	// next open scans and heals it.)
+	a := s.active
+	for i := range a.recs {
+		a.recs[i].dead = s.tombstoned(a.recs[i].ev)
+	}
+	s.writeSummary(a.seq, a.size, a.size, false, a.recs, a.others)
 	s.finishSeal(next)
 	return nil
 }
@@ -1087,22 +1093,12 @@ func (s *Store) seal() error {
 // (or abandoned, on the failover path) — records it in the sealed set,
 // and installs next as the new active segment. Caller holds the write
 // lock.
-func (s *Store) finishSeal(next SegmentFile) {
+func (s *Store) finishSeal(next *activeSeg) {
 	// The old active's data is synced; a close error cannot lose anything.
-	s.active.Close()
-	s.sealed = append(s.sealed, segFile{
-		seq:          s.seq,
-		path:         filepath.Join(s.dir, segName(s.seq)),
-		size:         s.size,
-		minStartNano: s.activeMinStart,
-		hasEvents:    s.activeEvents+s.activeDead > 0,
-		dead:         s.activeDead,
-	})
-	s.sealedBytes += s.size
+	s.active.file.Close()
+	s.sealed = append(s.sealed, s.active.segFile)
 	s.inst.Seals.Inc()
-	s.active, s.seq, s.size = next, s.seq+1, int64(len(segMagic))
-	s.activeEvents, s.activeDead, s.activeMinStart, s.activePart = 0, 0, noMinStart, 0
-	s.activeRecs, s.activeOthers = nil, nil
+	s.active = next
 	s.unsynced = 0
 	s.stopSyncTimer()
 	if s.compactCh != nil && len(s.sealed) >= s.opts.CompactSegments {
@@ -1150,7 +1146,7 @@ func (s *Store) Close() error {
 		if serr := s.fsync(); serr != nil {
 			err = serr
 		}
-		if cerr := s.active.Close(); err == nil {
+		if cerr := s.active.file.Close(); err == nil {
 			err = cerr
 		}
 		s.active = nil
@@ -1184,9 +1180,7 @@ func (s *Store) Stats() Stats {
 		Events:            s.live,
 		Prefixes:          s.trie.Len(),
 		Segments:          len(s.sealed),
-		Bytes:             s.sealedBytes,
 		Tombstones:        len(s.tombs),
-		PendingErasure:    s.activeDead,
 		Unsynced:          s.unsynced,
 		RecoveredTails:    s.recoveredTails,
 		MinStart:          s.minStart,
@@ -1199,11 +1193,13 @@ func (s *Store) Stats() Stats {
 		Identity:          s.identity,
 	}
 	for _, sf := range s.sealed {
+		st.Bytes += sf.size
 		st.PendingErasure += sf.dead
 	}
 	if s.active != nil {
 		st.Segments++
-		st.Bytes += s.size
+		st.Bytes += s.active.size
+		st.PendingErasure += s.active.dead
 	}
 	return st
 }
@@ -1213,7 +1209,7 @@ func (s *Store) Stats() Stats {
 // cold-opened store this warms every remaining lazy segment first — an
 // unfiltered walk touches everything by definition.
 func (s *Store) All() iter.Seq[*core.Event] {
-	s.ensureHydratedAll()
+	s.ensureHydrated(Filter{})
 	s.mu.RLock()
 	events := s.events[:len(s.events):len(s.events)]
 	s.mu.RUnlock()
