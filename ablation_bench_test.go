@@ -61,7 +61,7 @@ func BenchmarkAblationBundling(b *testing.B) {
 				prefixes[ev.Prefix.String()] = true
 				for _, d := range ev.ProviderDistances {
 					dists++
-					if d == core.NoPath {
+					if d.Val == core.NoPath {
 						noPath++
 					}
 				}
@@ -114,7 +114,7 @@ func BenchmarkAblationDictionary(b *testing.B) {
 			events := ablationRun(p, base, st.dict, 845, 848)
 			provs := map[string]bool{}
 			for _, ev := range events {
-				for pr := range ev.Providers {
+				for _, pr := range ev.Providers {
 					provs[pr.String()] = true
 				}
 			}

@@ -73,16 +73,6 @@ func (k RecordKey) Less(o RecordKey) bool {
 	return k.Prefix < o.Prefix
 }
 
-// KeyOf extracts the merge key from a wire record.
-func KeyOf(rec *EventRecord) RecordKey {
-	return RecordKey{
-		End:    rec.End.UnixNano(),
-		Seq:    rec.Seq,
-		Start:  rec.Start.UnixNano(),
-		Prefix: rec.Prefix,
-	}
-}
-
 // RecordSet is a materialized query answer in wire form.
 type RecordSet struct {
 	// Records are the matches in global event order (empty, never nil,
@@ -317,19 +307,6 @@ func (b *StoreBackend) enricher(q Query) (*Annotator, error) {
 	return nil, errNoAnnotator
 }
 
-// appendEventLine is the one project → annotate → encode step: it
-// appends ev's record line to dst, annotated when ann is non-nil, and
-// returns the line's merge key. Nothing about ev is kept: an event the
-// store erases is held by no read-path state.
-func appendEventLine(dst []byte, ev *Event, ann *Annotator) ([]byte, RecordKey, error) {
-	rec := NewEventRecord(ev)
-	if ann != nil {
-		rec.annotate(ann.Annotate(ev))
-	}
-	dst, err := appendRecordLine(dst, &rec)
-	return dst, KeyOf(&rec), err
-}
-
 // ownLines points each of a set's lines at its bytes in buf, the one
 // buffer they were appended to in order. Until then a Line is good for
 // its length only: buf moved whenever it grew.
@@ -365,7 +342,7 @@ func (b *StoreBackend) Records(ctx context.Context, q Query) (*RecordSet, error)
 			}
 		}
 		start := len(buf)
-		if buf, lines[i].Key, err = appendEventLine(buf, ev, ann); err != nil {
+		if buf, lines[i].Key, err = appendEventLine(buf, ev, ann.Annotate(ev)); err != nil {
 			return nil, err
 		}
 		lines[i].Line = buf[start:]
@@ -407,7 +384,7 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 			}
 			var rl RecordLine
 			var err error
-			if buf, rl.Key, err = appendEventLine(buf[:0], ev, ann); err != nil {
+			if buf, rl.Key, err = appendEventLine(buf[:0], ev, ann.Annotate(ev)); err != nil {
 				return RecordLine{}, err
 			}
 			rl.Line = buf

@@ -59,7 +59,7 @@ func TestRunWindowProducesEvents(t *testing.T) {
 		if ev.Start.Before(res.WindowStart) {
 			t.Fatalf("event starts %v before window %v", ev.Start, res.WindowStart)
 		}
-		for pr := range ev.Providers {
+		for _, pr := range ev.Providers {
 			switch pr.Kind {
 			case core.ProviderAS:
 				as := p.Topo.AS(pr.ASN)

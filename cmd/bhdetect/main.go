@@ -185,23 +185,22 @@ func toRecord(ev *bgpblackholing.Event) eventRecord {
 		StartUnknown: ev.StartUnknown,
 		Detections:   ev.Detections,
 	}
-	for pr := range ev.Providers {
-		rec.Providers = append(rec.Providers, pr.String())
-	}
-	sort.Strings(rec.Providers)
-	for u := range ev.Users {
-		rec.Users = append(rec.Users, "AS"+u.String())
-	}
-	sort.Strings(rec.Users)
-	for c := range ev.Communities {
-		rec.Communities = append(rec.Communities, c.String())
-	}
-	sort.Strings(rec.Communities)
-	for p := range ev.Platforms {
-		rec.Platforms = append(rec.Platforms, p.String())
-	}
-	sort.Strings(rec.Platforms)
+	rec.Providers = sortedStrings(ev.Providers, "")
+	rec.Users = sortedStrings(ev.Users, "AS")
+	rec.Communities = sortedStrings(ev.Communities, "")
+	rec.Platforms = sortedStrings(ev.Platforms, "")
 	return rec
+}
+
+// sortedStrings names a set's members, each behind prefix, in string
+// order — the order the report has always listed them in.
+func sortedStrings[T fmt.Stringer](set []T, prefix string) []string {
+	var out []string
+	for _, m := range set {
+		out = append(out, prefix+m.String())
+	}
+	sort.Strings(out)
+	return out
 }
 
 func writeJSON(w io.Writer, events []*bgpblackholing.Event) error {

@@ -35,7 +35,7 @@ func testEvents(n int) []*bgpblackholing.Event {
 			Prefix:     netip.PrefixFrom(netip.AddrFrom4([4]byte{31, byte(i >> 16), byte(i >> 8), byte(i)}), 32),
 			Start:      start,
 			End:        start.Add(time.Duration(i) * time.Second),
-			Users:      map[bgpblackholing.ASN]bool{65001: true},
+			Users:      []bgpblackholing.ASN{65001},
 			Detections: i,
 		}
 	}

@@ -42,7 +42,6 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -464,10 +463,9 @@ func serveCfg(asn uint32) bgpblackholing.BGPServerConfig {
 
 func printEvent(ev *bgpblackholing.Event) {
 	var provs []string
-	for pr := range ev.Providers {
+	for _, pr := range ev.Providers {
 		provs = append(provs, pr.String())
 	}
-	sort.Strings(provs)
 	slog.Info("event closed",
 		"prefix", ev.Prefix.String(),
 		"start", ev.Start.Format(time.RFC3339),

@@ -268,11 +268,11 @@ func TestEventRecordWireFormatGolden(t *testing.T) {
 		Prefix:      netip.MustParsePrefix("10.1.2.3/32"),
 		Start:       time.Date(2015, 3, 1, 12, 0, 0, 0, time.UTC),
 		End:         time.Date(2015, 3, 1, 15, 0, 0, 0, time.UTC),
-		Providers:   map[ProviderRef]bool{pr: true},
-		Users:       map[ASN]bool{65001: true},
-		Communities: map[Community]bool{MakeCommunity(3356, 9999): true},
-		Platforms:   map[Platform]bool{PlatformRIS: true},
-		Peers:       map[netip.Addr]bool{netip.MustParseAddr("192.0.2.1"): true},
+		Providers:   []ProviderRef{pr},
+		Users:       []ASN{65001},
+		Communities: []Community{MakeCommunity(3356, 9999)},
+		Platforms:   []Platform{PlatformRIS},
+		Peers:       []netip.Addr{netip.MustParseAddr("192.0.2.1")},
 		Detections:  2,
 	}
 	got, err := json.Marshal(NewEventRecord(ev))

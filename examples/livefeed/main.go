@@ -116,12 +116,8 @@ func main() {
 	go func() {
 		defer close(printed)
 		for ev := range sub {
-			var provs []string
-			for pr := range ev.Providers {
-				provs = append(provs, pr.String())
-			}
 			fmt.Printf("  EVENT %s  %v  providers=%v\n",
-				ev.Prefix, ev.Duration().Truncate(time.Millisecond), provs)
+				ev.Prefix, ev.Duration().Truncate(time.Millisecond), ev.Providers)
 		}
 	}()
 

@@ -27,7 +27,6 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"bgpblackholing"
 )
@@ -91,14 +90,9 @@ func main() {
 	fmt.Printf("LPM lookup %s: %d events (scanned %d candidates in %s)\n",
 		victim, qr.Total, qr.Scanned, qr.Elapsed)
 	for i, ev := range qr.Events {
-		var provs []string
-		for pr := range ev.Providers {
-			provs = append(provs, pr.String())
-		}
-		sort.Strings(provs)
 		ann := qr.Annotations[i]
 		fmt.Printf("  %s  %s – %s  via %v  rpki=%s legitimacy=%s\n", ev.Prefix,
-			ev.Start.Format("2006-01-02 15:04"), ev.End.Format("2006-01-02 15:04"), provs,
+			ev.Start.Format("2006-01-02 15:04"), ev.End.Format("2006-01-02 15:04"), ev.Providers,
 			ann.RPKISummary(), ann.Legitimacy)
 		for _, reason := range ann.Reasons {
 			fmt.Printf("    ! %s\n", reason)
@@ -114,7 +108,7 @@ func main() {
 
 	// 3. Per-origin history: the blackholing user's full record.
 	var user bgpblackholing.ASN
-	for u := range res.Events[len(res.Events)/2].Users {
+	for _, u := range res.Events[len(res.Events)/2].Users {
 		user = u
 		break
 	}
@@ -145,7 +139,7 @@ func main() {
 		// the prefix and the trigger community.
 		verdict := ann.Annotate(&bgpblackholing.Event{
 			Prefix:      e.Prefix,
-			Communities: map[bgpblackholing.Community]bool{e.Communities[0]: true},
+			Communities: []bgpblackholing.Community{e.Communities[0]},
 		})
 		fmt.Printf("looking glass inside AS%d: %s -> next-hop %s (null route, community %s, legitimacy=%s)\n",
 			provider.ASN, e.Prefix, e.NextHop, e.Communities[0], verdict.Legitimacy)

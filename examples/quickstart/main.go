@@ -57,13 +57,8 @@ func main() {
 		if i >= 5 {
 			break
 		}
-		var providers []string
-		for pr := range ev.Providers {
-			providers = append(providers, pr.String())
-		}
-		sort.Strings(providers)
 		fmt.Printf("  %-20s %8s  providers=%v  seen by %d peers\n",
-			ev.Prefix, ev.Duration().Truncate(1e9), providers, len(ev.Peers))
+			ev.Prefix, ev.Duration().Truncate(1e9), ev.Providers, len(ev.Peers))
 	}
 
 	// The ON/OFF probing practice: grouping with the paper's 5-minute

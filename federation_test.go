@@ -132,17 +132,17 @@ func (f *federationFixture) queryCombos(t *testing.T) []string {
 	t.Helper()
 	ev := f.events[len(f.events)/2]
 	var user ASN
-	for u := range ev.Users {
+	for _, u := range ev.Users {
 		user = u
 		break
 	}
 	var prov ProviderRef
-	for pr := range ev.Providers {
+	for _, pr := range ev.Providers {
 		prov = pr
 		break
 	}
 	var comm Community
-	for c := range ev.Communities {
+	for _, c := range ev.Communities {
 		comm = c
 		break
 	}
@@ -478,7 +478,7 @@ func TestFederationLimitPushdownProperty(t *testing.T) {
 		fed := NewFederatedStore(backends...)
 		ev := f.events[len(f.events)/2]
 		var user ASN
-		for u := range ev.Users {
+		for _, u := range ev.Users {
 			user = u
 			break
 		}

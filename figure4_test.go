@@ -2,6 +2,7 @@ package bgpblackholing
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"bgpblackholing/internal/analysis"
+	"bgpblackholing/internal/core"
 )
 
 // checkFigure4MatchesScan asserts the materialized daily aggregates
@@ -293,8 +295,8 @@ func FuzzFigure4Sets(f *testing.F) {
 	for i := 0; i < 3; i++ {
 		p := analysis.NewFigure4Partial(start, days)
 		for _, ev := range events[i*16 : (i+1)*16] {
-			ev.Users = map[ASN]bool{ASN(64500 + rng.Intn(6)): true, ASN(64500 + rng.Intn(6)): true}
-			ev.Providers = map[ProviderRef]bool{{Kind: ProviderAS, ASN: ASN(3000 + rng.Intn(5))}: true, {Kind: ProviderIXP, IXPID: rng.Intn(2)}: true}
+			ev.Users = core.SetOf(cmp.Compare[ASN], ASN(64500+rng.Intn(6)), ASN(64500+rng.Intn(6)))
+			ev.Providers = []ProviderRef{{Kind: ProviderAS, ASN: ASN(3000 + rng.Intn(5))}, {Kind: ProviderIXP, IXPID: rng.Intn(2)}}
 			p.Observe(ev)
 		}
 		if err := merged.Merge(p); err != nil {

@@ -29,11 +29,11 @@ func storeFixture(t *testing.T) *Store {
 			Prefix:      netip.MustParsePrefix(prefix),
 			Start:       start,
 			End:         start.Add(dur),
-			Providers:   map[ProviderRef]bool{pr: true},
-			Users:       map[ASN]bool{user: true},
-			Communities: map[Community]bool{MakeCommunity(3356, 9999): true},
-			Platforms:   map[Platform]bool{PlatformRIS: true},
-			Peers:       map[netip.Addr]bool{netip.MustParseAddr("192.0.2.1"): true},
+			Providers:   []ProviderRef{pr},
+			Users:       []ASN{user},
+			Communities: []Community{MakeCommunity(3356, 9999)},
+			Platforms:   []Platform{PlatformRIS},
+			Peers:       []netip.Addr{netip.MustParseAddr("192.0.2.1")},
 			Detections:  2,
 		}
 	}

@@ -8,6 +8,7 @@ package bgpblackholing
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -194,7 +195,7 @@ func TestTableDumpSeedsEngineThroughMRT(t *testing.T) {
 	if !evs[0].StartUnknown {
 		t.Fatal("dump-seeded event should have unknown start")
 	}
-	if !evs[0].Providers[core.ProviderRef{Kind: core.ProviderAS, ASN: provider.ASN}] {
+	if !slices.Contains(evs[0].Providers, core.ProviderRef{Kind: core.ProviderAS, ASN: provider.ASN}) {
 		t.Fatal("provider missing")
 	}
 }

@@ -196,7 +196,7 @@ func (ix *Index) Match(ev *core.Event, verdict func() string) []int32 {
 			}
 		}
 	}
-	for u := range ev.Users {
+	for _, u := range ev.Users {
 		for _, ord := range ix.byOrigin[u] {
 			try(ord)
 		}
@@ -209,19 +209,9 @@ func (ix *Index) Match(ev *core.Event, verdict func() string) []int32 {
 	return out
 }
 
-// anyKey reports whether any key of m is in set.
-func anyKey[K comparable](m map[K]bool, set map[K]bool) bool {
-	// Probe the smaller side: rules usually name a handful of values
-	// while events can carry many, and vice versa.
-	if len(set) <= len(m) {
-		for k := range set {
-			if m[k] {
-				return true
-			}
-		}
-		return false
-	}
-	for k := range m {
+// anyKey reports whether any of an event's members is in set.
+func anyKey[K comparable](members []K, set map[K]bool) bool {
+	for _, k := range members {
 		if set[k] {
 			return true
 		}

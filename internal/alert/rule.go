@@ -143,7 +143,7 @@ func (r *Rule) normalize() {
 	r.Prefixes = slices.Compact(r.Prefixes)
 	slices.Sort(r.Origins)
 	r.Origins = slices.Compact(r.Origins)
-	slices.SortFunc(r.Providers, compareProvider)
+	slices.SortFunc(r.Providers, core.ProviderRefCompare)
 	r.Providers = slices.Compact(r.Providers)
 	slices.Sort(r.Communities)
 	r.Communities = slices.Compact(r.Communities)
@@ -156,19 +156,6 @@ func comparePrefix(a, b netip.Prefix) int {
 		return c
 	}
 	return a.Bits() - b.Bits()
-}
-
-func compareProvider(a, b core.ProviderRef) int {
-	if a.Kind != b.Kind {
-		return int(a.Kind) - int(b.Kind)
-	}
-	if a.ASN != b.ASN {
-		if a.ASN < b.ASN {
-			return -1
-		}
-		return 1
-	}
-	return a.IXPID - b.IXPID
 }
 
 // ParseRule parses the compact flag syntax: whitespace-separated

@@ -1,6 +1,7 @@
 package alert
 
 import (
+	"cmp"
 	"encoding/json"
 	"net/netip"
 	"testing"
@@ -104,25 +105,20 @@ func TestRuleJSONRoundTrip(t *testing.T) {
 func testEvent(prefix string, dur time.Duration, users []uint32, provs []core.ProviderRef, comms []string) *core.Event {
 	start := time.Date(2016, 9, 20, 12, 0, 0, 0, time.UTC)
 	ev := &core.Event{
-		Prefix:      netip.MustParsePrefix(prefix),
-		Start:       start,
-		End:         start.Add(dur),
-		Providers:   map[core.ProviderRef]bool{},
-		Users:       map[bgp.ASN]bool{},
-		Communities: map[bgp.Community]bool{},
+		Prefix:    netip.MustParsePrefix(prefix),
+		Start:     start,
+		End:       start.Add(dur),
+		Providers: core.SetOf(core.ProviderRefCompare, provs...),
 	}
 	for _, u := range users {
-		ev.Users[bgp.ASN(u)] = true
-	}
-	for _, p := range provs {
-		ev.Providers[p] = true
+		ev.Users = core.SetOf(cmp.Compare[bgp.ASN], append(ev.Users, bgp.ASN(u))...)
 	}
 	for _, c := range comms {
 		cc, err := bgp.ParseCommunity(c)
 		if err != nil {
 			panic(err)
 		}
-		ev.Communities[cc] = true
+		ev.Communities = core.SetOf(cmp.Compare[bgp.Community], append(ev.Communities, cc)...)
 	}
 	return ev
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"net/netip"
 	"strings"
 	"testing"
@@ -18,24 +19,17 @@ var t0 = time.Date(2016, 8, 1, 0, 0, 0, 0, time.UTC)
 
 func mkEvent(prefix string, provider core.ProviderRef, user bgp.ASN, startMin, endMin int, platforms ...collector.Platform) *core.Event {
 	ev := &core.Event{
-		Prefix:              netip.MustParsePrefix(prefix),
-		Start:               t0.Add(time.Duration(startMin) * time.Minute),
-		End:                 t0.Add(time.Duration(endMin) * time.Minute),
-		Providers:           map[core.ProviderRef]bool{provider: true},
-		Users:               map[bgp.ASN]bool{user: true},
-		Communities:         map[bgp.Community]bool{},
-		Platforms:           map[collector.Platform]bool{},
-		Peers:               map[netip.Addr]bool{},
-		ProviderDistances:   map[core.ProviderRef]int{},
-		DirectProviders:     map[core.ProviderRef]bool{},
-		ProvidersByPlatform: map[collector.Platform]map[core.ProviderRef]bool{},
-		UsersByPlatform:     map[collector.Platform]map[bgp.ASN]bool{},
-		ProviderUsers:       map[core.ProviderRef]map[bgp.ASN]bool{provider: {user: true}},
+		Prefix:        netip.MustParsePrefix(prefix),
+		Start:         t0.Add(time.Duration(startMin) * time.Minute),
+		End:           t0.Add(time.Duration(endMin) * time.Minute),
+		Providers:     []core.ProviderRef{provider},
+		Users:         []bgp.ASN{user},
+		Platforms:     core.SetOf(cmp.Compare[collector.Platform], platforms...),
+		ProviderUsers: []core.Keyed[core.ProviderRef, []bgp.ASN]{{Key: provider, Val: []bgp.ASN{user}}},
 	}
-	for _, p := range platforms {
-		ev.Platforms[p] = true
-		ev.ProvidersByPlatform[p] = map[core.ProviderRef]bool{provider: true}
-		ev.UsersByPlatform[p] = map[bgp.ASN]bool{user: true}
+	for _, p := range ev.Platforms {
+		ev.ProvidersByPlatform = append(ev.ProvidersByPlatform, core.Keyed[collector.Platform, []core.ProviderRef]{Key: p, Val: []core.ProviderRef{provider}})
+		ev.UsersByPlatform = append(ev.UsersByPlatform, core.Keyed[collector.Platform, []bgp.ASN]{Key: p, Val: []bgp.ASN{user}})
 	}
 	return ev
 }
@@ -105,7 +99,7 @@ func TestTable3AttributionAndUniques(t *testing.T) {
 		mkEvent("31.0.0.3/32", ixpRef(0), 200, 0, 10, collector.PlatformPCH),
 	}
 	events[0].DirectFeed = true
-	events[0].DirectProviders[asRef(100)] = true
+	events[0].DirectProviders = []core.ProviderRef{asRef(100)}
 	rows := Table3(events, nil)
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
@@ -226,10 +220,10 @@ func TestFigure6Countries(t *testing.T) {
 
 func TestFigure7bc(t *testing.T) {
 	ev1 := mkEvent("31.0.0.1/32", asRef(100), 200, 0, 10, collector.PlatformRIS)
-	ev1.Providers[asRef(150)] = true
-	ev1.ProviderDistances = map[core.ProviderRef]int{asRef(100): 1, asRef(150): core.NoPath}
+	ev1.Providers = append(ev1.Providers, asRef(150))
+	ev1.ProviderDistances = []core.Keyed[core.ProviderRef, int]{{Key: asRef(100), Val: 1}, {Key: asRef(150), Val: core.NoPath}}
 	ev2 := mkEvent("31.0.0.2/32", asRef(100), 200, 0, 10, collector.PlatformRIS)
-	ev2.ProviderDistances = map[core.ProviderRef]int{asRef(100): core.NoPath}
+	ev2.ProviderDistances = []core.Keyed[core.ProviderRef, int]{{Key: asRef(100), Val: core.NoPath}}
 	events := []*core.Event{ev1, ev2}
 
 	h := Figure7b(events)

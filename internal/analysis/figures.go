@@ -160,7 +160,7 @@ func floorDays(d time.Duration) int {
 func Figure5a(events []*core.Event, topo *topology.Topology) (transit, ixp []int) {
 	perProvider := map[core.ProviderRef]map[netip.Prefix]bool{}
 	for _, ev := range events {
-		for pr := range ev.Providers {
+		for _, pr := range ev.Providers {
 			if perProvider[pr] == nil {
 				perProvider[pr] = map[netip.Prefix]bool{}
 			}
@@ -190,7 +190,7 @@ func Figure5a(events []*core.Event, topo *topology.Topology) (transit, ixp []int
 func Figure5b(events []*core.Event, topo *topology.Topology) map[topology.Kind][]int {
 	perUser := map[bgp.ASN]map[netip.Prefix]bool{}
 	for _, ev := range events {
-		for u := range ev.Users {
+		for _, u := range ev.Users {
 			if perUser[u] == nil {
 				perUser[u] = map[netip.Prefix]bool{}
 			}
@@ -219,14 +219,14 @@ func Figure6(events []*core.Event, topo *topology.Topology) (providers, users ma
 	userSet := map[bgp.ASN]bool{}
 	ixpSet := map[int]bool{}
 	for _, ev := range events {
-		for pr := range ev.Providers {
+		for _, pr := range ev.Providers {
 			if pr.Kind == core.ProviderAS {
 				provSet[pr.ASN] = true
 			} else {
 				ixpSet[pr.IXPID] = true
 			}
 		}
-		for u := range ev.Users {
+		for _, u := range ev.Users {
 			userSet[u] = true
 		}
 	}
@@ -289,7 +289,7 @@ func Figure7c(events []*core.Event) *Histogram {
 	var samples []int
 	for _, ev := range events {
 		for _, d := range ev.ProviderDistances {
-			samples = append(samples, d)
+			samples = append(samples, d.Val)
 		}
 	}
 	return NewHistogram(samples)

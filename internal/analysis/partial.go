@@ -78,10 +78,10 @@ func (p *Figure4Partial) Observe(ev *core.Event) {
 	}
 	prefix := ev.Prefix.String()
 	for d := d0; d <= d1; d++ {
-		for pr := range ev.Providers {
+		for _, pr := range ev.Providers {
 			p.provs[d][pr.String()] = true
 		}
-		for u := range ev.Users {
+		for _, u := range ev.Users {
 			p.users[d][u] = true
 		}
 		p.prefixes[d][prefix] = true
@@ -519,7 +519,7 @@ func NewTable3Partial(deploy *collector.Deployment) *Table3Partial {
 // isDirectFor resolves the direct-feed property for one provider.
 func isDirectFor(deploy *collector.Deployment, p collector.Platform, pr core.ProviderRef, ev *core.Event) bool {
 	if deploy == nil {
-		return ev.DirectProviders[pr]
+		return slices.Contains(ev.DirectProviders, pr)
 	}
 	if pr.Kind == core.ProviderIXP {
 		return deploy.HasRSFeed(p, pr.IXPID)
@@ -530,28 +530,28 @@ func isDirectFor(deploy *collector.Deployment, p collector.Platform, pr core.Pro
 // Observe credits ev to the platforms that evidenced it.
 func (p *Table3Partial) Observe(ev *core.Event) {
 	for _, pl := range collector.Platforms() {
-		if !ev.Platforms[pl] {
+		if !slices.Contains(ev.Platforms, pl) {
 			continue
 		}
 		s := p.per[pl]
-		for pr := range ev.ProvidersByPlatform[pl] {
+		for _, pr := range core.Find(ev.ProvidersByPlatform, pl) {
 			s.providers[pr] = true
 			if isDirectFor(p.deploy, pl, pr, ev) {
 				s.direct[pr] = true
 			}
 		}
-		for u := range ev.UsersByPlatform[pl] {
+		for _, u := range core.Find(ev.UsersByPlatform, pl) {
 			s.users[u] = true
 		}
 		s.prefixes[ev.Prefix] = true
 	}
-	for pr := range ev.Providers {
+	for _, pr := range ev.Providers {
 		p.all.providers[pr] = true
 		if isDirectFor(p.deploy, -1, pr, ev) {
 			p.all.direct[pr] = true
 		}
 	}
-	for u := range ev.Users {
+	for _, u := range ev.Users {
 		p.all.users[u] = true
 	}
 	p.all.prefixes[ev.Prefix] = true
@@ -642,7 +642,7 @@ func (p *Table4Partial) get(k topology.Kind) *visibilitySets {
 
 // Observe credits ev's providers to their network-type rows.
 func (p *Table4Partial) Observe(ev *core.Event) {
-	for pr := range ev.Providers {
+	for _, pr := range ev.Providers {
 		k := topology.KindIXP
 		if pr.Kind == core.ProviderAS {
 			k = topology.KindUnknown
@@ -657,7 +657,7 @@ func (p *Table4Partial) Observe(ev *core.Event) {
 		}
 		// Users are credited to the provider they were inferred with,
 		// not to every provider of the event.
-		for u := range ev.ProviderUsers[pr] {
+		for _, u := range core.Find(ev.ProviderUsers, pr) {
 			s.users[u] = true
 		}
 		s.prefixes[ev.Prefix] = true

@@ -36,12 +36,12 @@ func randomEvents(seed int64, n int) []*core.Event {
 			ev.StartUnknown = true
 		}
 		if rng.Intn(3) == 0 {
-			ev.DirectProviders[provider] = true
+			ev.DirectProviders = []core.ProviderRef{provider}
 		}
 		if rng.Intn(5) == 0 {
 			ixp := ixpRef(0)
-			ev.Providers[ixp] = true
-			ev.ProviderUsers[ixp] = map[bgp.ASN]bool{user: true}
+			ev.Providers = append(ev.Providers, ixp) // an IXP sorts after every AS
+			ev.ProviderUsers = append(ev.ProviderUsers, core.Keyed[core.ProviderRef, []bgp.ASN]{Key: ixp, Val: []bgp.ASN{user}})
 		}
 		events[i] = ev
 	}

@@ -69,9 +69,16 @@ func (c Community) High() uint16 { return uint16(c >> 16) }
 // Low returns the low 16 bits, the operator-defined tag.
 func (c Community) Low() uint16 { return uint16(c & 0xFFFF) }
 
+// AppendTo appends the community in the canonical "high:low" notation to b.
+func (c Community) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(c.High()), 10)
+	return strconv.AppendUint(append(b, ':'), uint64(c.Low()), 10)
+}
+
 // String renders the community in the canonical "high:low" notation.
 func (c Community) String() string {
-	return strconv.Itoa(int(c.High())) + ":" + strconv.Itoa(int(c.Low()))
+	var b [11]byte
+	return string(c.AppendTo(b[:0]))
 }
 
 // ParseCommunity parses the canonical "high:low" notation.

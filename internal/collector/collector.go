@@ -47,6 +47,9 @@ func (p Platform) String() string {
 	return fmt.Sprintf("Platform(%d)", int(p))
 }
 
+// AppendTo appends the platform's name to b.
+func (p Platform) AppendTo(b []byte) []byte { return append(b, p.String()...) }
+
 // Platforms lists all platforms in table order.
 func Platforms() []Platform {
 	return []Platform{PlatformRIS, PlatformRV, PlatformPCH, PlatformCDN}

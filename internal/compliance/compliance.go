@@ -11,6 +11,7 @@ package compliance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bgpblackholing/internal/bgp"
@@ -109,14 +110,8 @@ func AuditEvents(events []*core.Event) *Report {
 func auditOne(ev *core.Event) map[Rule]bool {
 	out := map[Rule]bool{}
 
-	std := false
-	for c := range ev.Communities {
-		if c == bgp.CommunityBlackhole {
-			std = true
-		}
-	}
-	out[RuleStandardCommunity] = std
-	out[RuleNoExport] = ev.SawNoExport || ev.Communities[bgp.CommunityNoExport]
+	out[RuleStandardCommunity] = slices.Contains(ev.Communities, bgp.CommunityBlackhole)
+	out[RuleNoExport] = ev.SawNoExport || slices.Contains(ev.Communities, bgp.CommunityNoExport)
 	out[RuleHostRoute] = bgp.IsHostRoute(ev.Prefix)
 	if ev.Prefix.Addr().Is4() {
 		out[RuleNotTooCoarse] = ev.Prefix.Bits() >= 24
@@ -125,7 +120,7 @@ func auditOne(ev *core.Event) map[Rule]bool {
 	}
 	propagated := false
 	for _, d := range ev.ProviderDistances {
-		if d >= 2 {
+		if d.Val >= 2 {
 			propagated = true
 		}
 	}

@@ -1,6 +1,7 @@
 package compliance
 
 import (
+	"cmp"
 	"net/netip"
 	"strings"
 	"testing"
@@ -11,15 +12,12 @@ import (
 
 func event(prefix string, comms []bgp.Community, distances ...int) *core.Event {
 	ev := &core.Event{
-		Prefix:            netip.MustParsePrefix(prefix),
-		Communities:       map[bgp.Community]bool{},
-		ProviderDistances: map[core.ProviderRef]int{},
-	}
-	for _, c := range comms {
-		ev.Communities[c] = true
+		Prefix:      netip.MustParsePrefix(prefix),
+		Communities: core.SetOf(cmp.Compare[bgp.Community], comms...),
 	}
 	for i, d := range distances {
-		ev.ProviderDistances[core.ProviderRef{Kind: core.ProviderAS, ASN: bgp.ASN(100 + i)}] = d
+		ev.ProviderDistances = append(ev.ProviderDistances, core.Keyed[core.ProviderRef, int]{
+			Key: core.ProviderRef{Kind: core.ProviderAS, ASN: bgp.ASN(100 + i)}, Val: d})
 	}
 	return ev
 }

@@ -8,10 +8,13 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -41,34 +44,19 @@ type ProviderRef struct {
 	IXPID int
 }
 
-// String renders the provider for logs.
-func (p ProviderRef) String() string {
+// AppendTo appends the provider's canonical notation — "AS3356",
+// "ixp:4" — to b.
+func (p ProviderRef) AppendTo(b []byte) []byte {
 	if p.Kind == ProviderIXP {
-		return "ixp:" + itoa(p.IXPID)
+		return strconv.AppendInt(append(b, "ixp:"...), int64(p.IXPID), 10)
 	}
-	return "AS" + p.ASN.String()
+	return strconv.AppendUint(append(b, "AS"...), uint64(p.ASN), 10)
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+// String renders the provider in its canonical notation.
+func (p ProviderRef) String() string {
+	var b [24]byte
+	return string(p.AppendTo(b[:0]))
 }
 
 // NoPath is the AS-distance value recorded when the provider does not
@@ -99,6 +87,15 @@ type Detection struct {
 
 // Event is one correlated prefix-level blackholing event: the span
 // during which at least one BGP peer observed the prefix blackholed.
+//
+// Every set-valued field is a strictly ascending, duplicate-free slice
+// in the canonical order of its member type (ProviderRefCompare; numeric
+// ASN, community and platform; netip.Addr.Compare), keyed evidence a
+// list of Keyed entries strictly ascending by key, and an empty set is
+// nil. That is the one form an event has from the moment it opens to
+// the disk and the wire: the engine inserts in order, the store's
+// decoder refuses anything else, and Check is what a boundary handed an
+// event from outside runs.
 type Event struct {
 	Prefix netip.Prefix
 	Start  time.Time
@@ -115,37 +112,38 @@ type Event struct {
 	// start predates monitoring (§4.2 "initial starting time of zero").
 	StartUnknown bool
 	// Providers aggregates every provider inferred during the event.
-	Providers map[ProviderRef]bool
+	Providers []ProviderRef
 	// Users aggregates every inferred blackholing user.
-	Users map[bgp.ASN]bool
+	Users []bgp.ASN
 	// Communities aggregates the matched blackhole communities.
-	Communities map[bgp.Community]bool
+	Communities []bgp.Community
 	// Platforms records which collection platforms observed the event.
-	Platforms map[collector.Platform]bool
+	Platforms []collector.Platform
 	// Peers records the observing BGP peers.
-	Peers map[netip.Addr]bool
+	Peers []netip.Addr
 	// ASDistances records one collector-to-provider distance per
-	// provider inference (NoPath for bundling-only inferences).
+	// provider inference (NoPath for bundling-only inferences), in
+	// arrival order.
 	ASDistances []int
 	// ProviderDistances records, per provider, the best (smallest)
 	// distance at which any collector peer saw the provider on the AS
 	// path during the event; NoPath when the provider was only ever
 	// inferred from community bundling. Figure 7c counts events by this
 	// value.
-	ProviderDistances map[ProviderRef]int
+	ProviderDistances []Keyed[ProviderRef, int]
 	// DirectProviders marks providers observed through their own direct
 	// collector session (AS providers as the collector peer, IXPs via a
 	// route-server session) — Table 3's "direct BGP feed" column.
-	DirectProviders map[ProviderRef]bool
+	DirectProviders []ProviderRef
 	// ProvidersByPlatform records which platform's observations
 	// evidenced each provider, for the per-source rows of Table 3.
-	ProvidersByPlatform map[collector.Platform]map[ProviderRef]bool
+	ProvidersByPlatform []Keyed[collector.Platform, []ProviderRef]
 	// UsersByPlatform records which platform's observations evidenced
 	// each user.
-	UsersByPlatform map[collector.Platform]map[bgp.ASN]bool
+	UsersByPlatform []Keyed[collector.Platform, []bgp.ASN]
 	// ProviderUsers records, per provider, the users inferred to be
 	// using it (Table 4 user attribution).
-	ProviderUsers map[ProviderRef]map[bgp.ASN]bool
+	ProviderUsers []Keyed[ProviderRef, []bgp.ASN]
 	// Detections counts classified announcements within the event.
 	Detections int
 	// DirectFeed is true when any observing peer was itself an inferred
@@ -254,8 +252,9 @@ type Engine struct {
 func (e *Engine) Metrics() Metrics { return e.metrics.snapshot() }
 
 type prefixState struct {
-	event       *Event
-	activePeers map[netip.Addr]bool
+	event *Event
+	// activePeers is ascending, like the event's own sets.
+	activePeers []netip.Addr
 }
 
 // NewEngine returns an engine inferring against the documented
@@ -291,20 +290,8 @@ func (e *Engine) Classify(u *bgp.Update) *Detection {
 // references — AS providers before IXPs, then by ASN, then by IXP id —
 // used for deterministic dedup, serialization and display.
 func ProviderRefCompare(a, b ProviderRef) int {
-	if a.Kind != b.Kind {
-		return int(a.Kind) - int(b.Kind)
-	}
-	if a.ASN != b.ASN {
-		if a.ASN < b.ASN {
-			return -1
-		}
-		return 1
-	}
-	return a.IXPID - b.IXPID
+	return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.ASN, b.ASN), cmp.Compare(a.IXPID, b.IXPID))
 }
-
-// providerLess orders inferences for deterministic deduplication.
-func providerLess(a, b ProviderRef) bool { return ProviderRefCompare(a, b) < 0 }
 
 // classify is the allocation-lean core of Classify: it writes into the
 // engine's reusable scratch buffers and returns a slice that is only
@@ -425,7 +412,7 @@ func (e *Engine) classify(u *bgp.Update) []ProviderInference {
 	// from several sources). Inference lists are tiny, so a closure-free
 	// insertion sort beats sort.Slice here.
 	for i := 1; i < len(infs); i++ {
-		for j := i; j > 0 && providerLess(infs[j].Provider, infs[j-1].Provider); j-- {
+		for j := i; j > 0 && ProviderRefCompare(infs[j].Provider, infs[j-1].Provider) < 0; j-- {
 			infs[j], infs[j-1] = infs[j-1], infs[j]
 		}
 	}
@@ -503,26 +490,11 @@ func (e *Engine) startOrRefresh(u *bgp.Update, det *Detection, prefix netip.Pref
 	st := e.perPrefix[prefix]
 	if st == nil {
 		e.metrics.eventsOpened.Add(1)
-		st = &prefixState{activePeers: map[netip.Addr]bool{}, event: &Event{
-			Prefix:              prefix,
-			Start:               u.Time,
-			End:                 u.Time,
-			StartUnknown:        fromDump,
-			Providers:           map[ProviderRef]bool{},
-			Users:               map[bgp.ASN]bool{},
-			Communities:         map[bgp.Community]bool{},
-			Platforms:           map[collector.Platform]bool{},
-			Peers:               map[netip.Addr]bool{},
-			ProviderDistances:   map[ProviderRef]int{},
-			DirectProviders:     map[ProviderRef]bool{},
-			ProvidersByPlatform: map[collector.Platform]map[ProviderRef]bool{},
-			UsersByPlatform:     map[collector.Platform]map[bgp.ASN]bool{},
-			ProviderUsers:       map[ProviderRef]map[bgp.ASN]bool{},
-		}}
+		st = &prefixState{event: &Event{Prefix: prefix, Start: u.Time, End: u.Time, StartUnknown: fromDump}}
 		e.perPrefix[prefix] = st
 	}
 	ev := st.event
-	st.activePeers[u.PeerIP] = true
+	st.activePeers = insert(st.activePeers, u.PeerIP, netip.Addr.Compare)
 	if u.Time.After(ev.End) {
 		ev.End = u.Time
 	}
@@ -530,35 +502,29 @@ func (e *Engine) startOrRefresh(u *bgp.Update, det *Detection, prefix netip.Pref
 		ev.SawNoExport = true
 	}
 	ev.Detections++
-	ev.Platforms[platform] = true
-	ev.Peers[u.PeerIP] = true
-	if ev.ProvidersByPlatform[platform] == nil {
-		ev.ProvidersByPlatform[platform] = map[ProviderRef]bool{}
-		ev.UsersByPlatform[platform] = map[bgp.ASN]bool{}
-	}
+	asn, platforms := cmp.Compare[bgp.ASN], cmp.Compare[collector.Platform]
+	ev.Platforms = insert(ev.Platforms, platform, platforms)
+	ev.Peers = insert(ev.Peers, u.PeerIP, netip.Addr.Compare)
+	platProviders, _ := entry(&ev.ProvidersByPlatform, platform, platforms)
+	platUsers, _ := entry(&ev.UsersByPlatform, platform, platforms)
 	for _, inf := range det.Providers {
-		ev.Providers[inf.Provider] = true
-		ev.ProvidersByPlatform[platform][inf.Provider] = true
+		ev.Providers = insert(ev.Providers, inf.Provider, ProviderRefCompare)
+		*platProviders = insert(*platProviders, inf.Provider, ProviderRefCompare)
 		if inf.User != 0 {
-			ev.Users[inf.User] = true
-			ev.UsersByPlatform[platform][inf.User] = true
-			if ev.ProviderUsers[inf.Provider] == nil {
-				ev.ProviderUsers[inf.Provider] = map[bgp.ASN]bool{}
-			}
-			ev.ProviderUsers[inf.Provider][inf.User] = true
+			ev.Users = insert(ev.Users, inf.User, asn)
+			*platUsers = insert(*platUsers, inf.User, asn)
+			provUsers, _ := entry(&ev.ProviderUsers, inf.Provider, ProviderRefCompare)
+			*provUsers = insert(*provUsers, inf.User, asn)
 		}
-		ev.Communities[inf.Community] = true
+		ev.Communities = insert(ev.Communities, inf.Community, cmp.Compare[bgp.Community])
 		ev.ASDistances = append(ev.ASDistances, inf.ASDistance)
-		if cur, ok := ev.ProviderDistances[inf.Provider]; !ok || betterDistance(inf.ASDistance, cur) {
-			ev.ProviderDistances[inf.Provider] = inf.ASDistance
+		if best, known := entry(&ev.ProviderDistances, inf.Provider, ProviderRefCompare); !known || betterDistance(inf.ASDistance, *best) {
+			*best = inf.ASDistance
 		}
-		if inf.Provider.Kind == ProviderAS && inf.Provider.ASN == u.PeerAS {
+		if inf.Provider.Kind == ProviderAS && inf.Provider.ASN == u.PeerAS ||
+			inf.Provider.Kind == ProviderIXP && inf.ASDistance == 0 {
 			ev.DirectFeed = true
-			ev.DirectProviders[inf.Provider] = true
-		}
-		if inf.Provider.Kind == ProviderIXP && inf.ASDistance == 0 {
-			ev.DirectFeed = true
-			ev.DirectProviders[inf.Provider] = true
+			ev.DirectProviders = insert(ev.DirectProviders, inf.Provider, ProviderRefCompare)
 		}
 	}
 }
@@ -576,10 +542,14 @@ func betterDistance(cand, cur int) bool {
 // the peer was actually tracking it.
 func (e *Engine) endPeer(prefix netip.Prefix, peer netip.Addr, t time.Time) bool {
 	st := e.perPrefix[prefix]
-	if st == nil || !st.activePeers[peer] {
+	if st == nil {
 		return false
 	}
-	delete(st.activePeers, peer)
+	i := slices.Index(st.activePeers, peer)
+	if i < 0 {
+		return false
+	}
+	st.activePeers = slices.Delete(st.activePeers, i, i+1)
 	if t.After(st.event.End) {
 		st.event.End = t
 	}
@@ -597,7 +567,7 @@ func (e *Engine) Flush(t time.Time) {
 	for p := range e.perPrefix {
 		keys = append(keys, p)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	sortByString(keys)
 	for _, p := range keys {
 		ev := e.perPrefix[p].event
 		delete(e.perPrefix, p)
@@ -678,7 +648,7 @@ func Group(events []*Event, timeout time.Duration) []*Period {
 	for p := range byPrefix {
 		prefixes = append(prefixes, p)
 	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].String() < prefixes[j].String() })
+	sortByString(prefixes)
 
 	var out []*Period
 	for _, p := range prefixes {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -228,10 +229,10 @@ func TestEventLifecycleExplicitWithdrawal(t *testing.T) {
 	if ev.Duration() != 10*time.Minute {
 		t.Fatalf("duration = %v", ev.Duration())
 	}
-	if !ev.Providers[ProviderRef{Kind: ProviderAS, ASN: 100}] {
+	if !slices.Contains(ev.Providers, ProviderRef{Kind: ProviderAS, ASN: 100}) {
 		t.Fatal("provider missing on event")
 	}
-	if !ev.Users[200] {
+	if !slices.Contains(ev.Users, 200) {
 		t.Fatal("user missing on event")
 	}
 	if !ev.DirectFeed {
@@ -280,7 +281,7 @@ func TestEventCrossPeerCorrelation(t *testing.T) {
 	if ev.Duration() != 9*time.Minute {
 		t.Fatalf("duration = %v, want 9m (max across peers)", ev.Duration())
 	}
-	if len(ev.Peers) != 2 || !ev.Platforms[collector.PlatformRIS] || !ev.Platforms[collector.PlatformRV] {
+	if len(ev.Peers) != 2 || !slices.Equal(ev.Platforms, []collector.Platform{collector.PlatformRIS, collector.PlatformRV}) {
 		t.Fatalf("peers/platforms = %v/%v", ev.Peers, ev.Platforms)
 	}
 }

@@ -15,7 +15,6 @@ package enrich
 
 import (
 	"fmt"
-	"slices"
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/core"
@@ -132,22 +131,21 @@ func (a *Annotator) AnnotateUncached(ev *core.Event) Annotation {
 	return a.Annotate(ev)
 }
 
-// Annotate computes the legitimacy view of one event.
+// Annotate computes the legitimacy view of one event. A nil annotator
+// has none: the zero Annotation, which adds nothing to a record.
 func (a *Annotator) Annotate(ev *core.Event) Annotation {
 	var ann Annotation
+	if a == nil {
+		return ann
+	}
 	var reasons []string
 
 	// (a) RFC 6811 validity of the victim prefix at each inferred
 	// origin, through the registry's indexed covering lookup.
 	invalid := 0
 	if a.rpki != nil && len(ev.Users) > 0 {
-		origins := make([]bgp.ASN, 0, len(ev.Users))
-		for u := range ev.Users {
-			origins = append(origins, u)
-		}
-		slices.Sort(origins)
-		ann.RPKI = make([]OriginValidity, len(origins))
-		for i, origin := range origins {
+		ann.RPKI = make([]OriginValidity, len(ev.Users))
+		for i, origin := range ev.Users {
 			st := a.rpki.Validate(ev.Prefix, origin)
 			ann.RPKI[i] = OriginValidity{Origin: origin, State: st.String()}
 			if st == rpki.Invalid {
@@ -161,13 +159,8 @@ func (a *Annotator) Annotate(ev *core.Event) Annotation {
 	// the victim prefix respects the documented acceptance length.
 	undocumented, overLen := 0, 0
 	if a.dict != nil && len(ev.Communities) > 0 {
-		comms := make([]bgp.Community, 0, len(ev.Communities))
-		for c := range ev.Communities {
-			comms = append(comms, c)
-		}
-		slices.Sort(comms)
-		ann.Communities = make([]CommunityDoc, len(comms))
-		for i, c := range comms {
+		ann.Communities = make([]CommunityDoc, len(ev.Communities))
+		for i, c := range ev.Communities {
 			cd := CommunityDoc{Community: c.String(), Doc: DocUndocumented, WithinMaxLen: true}
 			if e := a.dict.Lookup(c); e != nil {
 				cd.Doc = docString(e.Doc)

@@ -1,6 +1,7 @@
 package enrich
 
 import (
+	"cmp"
 	"net/netip"
 	"strings"
 	"testing"
@@ -17,14 +18,10 @@ func event(prefix string, users []uint32, comms ...bgp.Community) *core.Event {
 		Prefix:      netip.MustParsePrefix(prefix),
 		Start:       time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC),
 		End:         time.Date(2015, 3, 1, 1, 0, 0, 0, time.UTC),
-		Users:       map[bgp.ASN]bool{},
-		Communities: map[bgp.Community]bool{},
+		Communities: core.SetOf(cmp.Compare[bgp.Community], comms...),
 	}
 	for _, u := range users {
-		ev.Users[bgp.ASN(u)] = true
-	}
-	for _, c := range comms {
-		ev.Communities[c] = true
+		ev.Users = core.SetOf(cmp.Compare[bgp.ASN], append(ev.Users, bgp.ASN(u))...)
 	}
 	return ev
 }

@@ -15,11 +15,9 @@
 package store
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"slices"
 	"time"
 
 	"bgpblackholing/internal/bgp"
@@ -39,8 +37,9 @@ const (
 )
 
 // EncodeEvent appends the canonical binary encoding of ev to buf and
-// returns the extended buffer. The encoding is deterministic: map keys
-// are sorted, times are UTC nanoseconds, identical events encode to
+// returns the extended buffer. The encoding is deterministic: an event's
+// sets are already in canonical order (core.Event), so every one is a
+// linear copy; times are UTC nanoseconds, identical events encode to
 // identical bytes (the round-trip tests compare raw encodings).
 func EncodeEvent(buf []byte, ev *core.Event) []byte {
 	if ev.Seq != 0 {
@@ -65,51 +64,22 @@ func EncodeEvent(buf []byte, ev *core.Event) []byte {
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(ev.Detections))
 
-	buf = appendSet(buf, ev.Providers, providerKeys)
-	buf = appendSet(buf, ev.Users, asnKeys)
-	buf = appendSet(buf, ev.Communities, communityKeys)
-	buf = appendSet(buf, ev.Platforms, platformKeys)
-	buf = appendSet(buf, ev.Peers, peerKeys)
-
-	buf = binary.AppendUvarint(buf, uint64(len(ev.ASDistances)))
-	for _, d := range ev.ASDistances {
-		buf = binary.AppendVarint(buf, int64(d))
-	}
-
-	provs := sortedKeys(ev.ProviderDistances, providerKeys.cmp)
-	buf = binary.AppendUvarint(buf, uint64(len(provs)))
-	for _, pr := range provs {
-		buf = appendProvider(buf, pr)
-		buf = binary.AppendVarint(buf, int64(ev.ProviderDistances[pr]))
-	}
-
-	buf = appendSet(buf, ev.DirectProviders, providerKeys)
-
-	plats := sortedKeys(ev.ProvidersByPlatform, platformKeys.cmp)
-	buf = binary.AppendUvarint(buf, uint64(len(plats)))
-	for _, p := range plats {
-		buf = appendPlatform(buf, p)
-		buf = appendSet(buf, ev.ProvidersByPlatform[p], providerKeys)
-	}
-
-	uplats := sortedKeys(ev.UsersByPlatform, platformKeys.cmp)
-	buf = binary.AppendUvarint(buf, uint64(len(uplats)))
-	for _, p := range uplats {
-		buf = appendPlatform(buf, p)
-		buf = appendSet(buf, ev.UsersByPlatform[p], asnKeys)
-	}
-
-	pus := sortedKeys(ev.ProviderUsers, providerKeys.cmp)
-	buf = binary.AppendUvarint(buf, uint64(len(pus)))
-	for _, pr := range pus {
-		buf = appendProvider(buf, pr)
-		buf = appendSet(buf, ev.ProviderUsers[pr], asnKeys)
-	}
-	return buf
+	buf = providers.put(buf, ev.Providers)
+	buf = asns.put(buf, ev.Users)
+	buf = communities.put(buf, ev.Communities)
+	buf = platforms.put(buf, ev.Platforms)
+	buf = peers.put(buf, ev.Peers)
+	buf = distances.put(buf, ev.ASDistances)
+	buf = providerDistances.put(buf, ev.ProviderDistances)
+	buf = providers.put(buf, ev.DirectProviders)
+	buf = providersByPlatform.put(buf, ev.ProvidersByPlatform)
+	buf = usersByPlatform.put(buf, ev.UsersByPlatform)
+	return providerUsers.put(buf, ev.ProviderUsers)
 }
 
 // DecodeEvent decodes one event from data, which must hold exactly one
-// EncodeEvent payload.
+// EncodeEvent payload with every set and key list strictly ascending —
+// what EncodeEvent writes for any event the store accepts.
 func DecodeEvent(data []byte) (*core.Event, error) {
 	d := &decoder{buf: data}
 	v := d.byte()
@@ -129,60 +99,31 @@ func DecodeEvent(data []byte) (*core.Event, error) {
 	ev.SawNoExport = flags&4 != 0
 	ev.Detections = int(d.uvarint())
 
-	ev.Providers = decodeSet(d, providerKeys)
-	ev.Users = decodeSet(d, asnKeys)
-	ev.Communities = decodeSet(d, communityKeys)
-	ev.Platforms = decodeSet(d, platformKeys)
-	ev.Peers = decodeSet(d, peerKeys)
-
-	// Each distance takes at least one byte, so a count beyond the
-	// remaining buffer is corruption — reject it before allocating
-	// (a fuzzed record could otherwise request a huge slice).
-	if n := int(d.uvarint()); n > 0 && d.err == nil {
-		if n > len(d.buf) {
-			d.fail("distance count")
-		} else {
-			ev.ASDistances = make([]int, n)
-			for i := range ev.ASDistances {
-				ev.ASDistances[i] = int(d.varint())
-			}
-		}
-	}
-
-	ev.ProviderDistances = map[core.ProviderRef]int{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		pr := d.provider()
-		ev.ProviderDistances[pr] = int(d.varint())
-	}
-
-	ev.DirectProviders = decodeSet(d, providerKeys)
-
-	ev.ProvidersByPlatform = map[collector.Platform]map[core.ProviderRef]bool{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		p := d.platform()
-		ev.ProvidersByPlatform[p] = decodeSet(d, providerKeys)
-	}
-	ev.UsersByPlatform = map[collector.Platform]map[bgp.ASN]bool{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		p := d.platform()
-		ev.UsersByPlatform[p] = decodeSet(d, asnKeys)
-	}
-	ev.ProviderUsers = map[core.ProviderRef]map[bgp.ASN]bool{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		pr := d.provider()
-		ev.ProviderUsers[pr] = decodeSet(d, asnKeys)
-	}
+	ev.Providers = providers.get(d)
+	ev.Users = asns.get(d)
+	ev.Communities = communities.get(d)
+	ev.Platforms = platforms.get(d)
+	ev.Peers = peers.get(d)
+	ev.ASDistances = distances.get(d)
+	ev.ProviderDistances = providerDistances.get(d)
+	ev.DirectProviders = providers.get(d)
+	ev.ProvidersByPlatform = providersByPlatform.get(d)
+	ev.UsersByPlatform = usersByPlatform.get(d)
+	ev.ProviderUsers = providerUsers.get(d)
 	if d.err != nil {
 		return nil, d.err
 	}
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("store: %d trailing bytes after event record", len(d.buf))
 	}
+	if err := ev.Check(); err != nil {
+		return nil, fmt.Errorf("store: corrupt event record: %w", err)
+	}
 	return ev, nil
 }
 
 // ---------------------------------------------------------------------
-// Encoding helpers. Every set is written count-first with sorted keys.
+// Encoding helpers.
 
 func appendPrefix(buf []byte, p netip.Prefix) []byte {
 	a := p.Addr()
@@ -215,58 +156,73 @@ func appendProvider(buf []byte, pr core.ProviderRef) []byte {
 	return binary.AppendUvarint(buf, uint64(pr.IXPID))
 }
 
-func appendPlatform(buf []byte, p collector.Platform) []byte {
-	return binary.AppendVarint(buf, int64(p))
+func appendVarint[K ~int](buf []byte, k K) []byte {
+	return binary.AppendVarint(buf, int64(k))
 }
 
 func appendUvarint[K ~uint32](buf []byte, k K) []byte {
 	return binary.AppendUvarint(buf, uint64(k))
 }
 
-// keyCodec is how one kind of set member crosses the codec: its
-// canonical order, its writer and its reader.
-type keyCodec[K comparable] struct {
-	cmp func(a, b K) int
-	put func(buf []byte, k K) []byte
-	get func(d *decoder) K
+// codec is how one kind of value crosses the codec: its writer and its
+// reader. Order is not its business: a list goes out as it is held, and
+// core.Event.Check is what says a decoded one is in canonical order.
+type codec[T any] struct {
+	put func(buf []byte, v T) []byte
+	get func(d *decoder) T
+}
+
+// listOf is the codec of a list of c's values: count-first, members in
+// the order held, an empty list read back as nil.
+func listOf[T any](c codec[T]) codec[[]T] {
+	return codec[[]T]{
+		put: func(buf []byte, list []T) []byte {
+			buf = binary.AppendUvarint(buf, uint64(len(list)))
+			for _, v := range list {
+				buf = c.put(buf, v)
+			}
+			return buf
+		},
+		get: func(d *decoder) []T {
+			n := d.count()
+			if n == 0 {
+				return nil
+			}
+			list := make([]T, n)
+			for i := range list {
+				list[i] = c.get(d)
+			}
+			return list
+		},
+	}
+}
+
+// keyedOf is the codec of one keyed entry: its key, then its value.
+func keyedOf[K, V any](key codec[K], val codec[V]) codec[core.Keyed[K, V]] {
+	return codec[core.Keyed[K, V]]{
+		put: func(buf []byte, e core.Keyed[K, V]) []byte { return val.put(key.put(buf, e.Key), e.Val) },
+		get: func(d *decoder) core.Keyed[K, V] { return core.Keyed[K, V]{Key: key.get(d), Val: val.get(d)} },
+	}
 }
 
 var (
-	providerKeys  = keyCodec[core.ProviderRef]{core.ProviderRefCompare, appendProvider, (*decoder).provider}
-	asnKeys       = keyCodec[bgp.ASN]{cmp.Compare[bgp.ASN], appendUvarint[bgp.ASN], uvarintKey[bgp.ASN]}
-	communityKeys = keyCodec[bgp.Community]{cmp.Compare[bgp.Community], appendUvarint[bgp.Community], uvarintKey[bgp.Community]}
-	platformKeys  = keyCodec[collector.Platform]{cmp.Compare[collector.Platform], appendPlatform, (*decoder).platform}
-	peerKeys      = keyCodec[netip.Addr]{netip.Addr.Compare, appendAddr, (*decoder).addr}
+	provider = codec[core.ProviderRef]{appendProvider, (*decoder).provider}
+	asn      = codec[bgp.ASN]{appendUvarint[bgp.ASN], uvarintKey[bgp.ASN]}
+	platform = codec[collector.Platform]{appendVarint[collector.Platform], varintKey[collector.Platform]}
+	distance = codec[int]{appendVarint[int], varintKey[int]}
+
+	providers   = listOf(provider)
+	asns        = listOf(asn)
+	communities = listOf(codec[bgp.Community]{appendUvarint[bgp.Community], uvarintKey[bgp.Community]})
+	platforms   = listOf(platform)
+	peers       = listOf(codec[netip.Addr]{appendAddr, (*decoder).addr})
+	distances   = listOf(distance)
+
+	providerDistances   = listOf(keyedOf(provider, distance))
+	providersByPlatform = listOf(keyedOf(platform, providers))
+	usersByPlatform     = listOf(keyedOf(platform, asns))
+	providerUsers       = listOf(keyedOf(provider, asns))
 )
-
-// sortedKeys returns m's keys in compare order.
-func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, compare)
-	return keys
-}
-
-// appendSet writes a set count-first, members in canonical order.
-func appendSet[K comparable](buf []byte, m map[K]bool, c keyCodec[K]) []byte {
-	keys := sortedKeys(m, c.cmp)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		buf = c.put(buf, k)
-	}
-	return buf
-}
-
-// decodeSet reads what appendSet wrote.
-func decodeSet[K comparable](d *decoder, c keyCodec[K]) map[K]bool {
-	m := map[K]bool{}
-	for i, n := 0, int(d.uvarint()); i < n && d.err == nil; i++ {
-		m[c.get(d)] = true
-	}
-	return m
-}
 
 // ---------------------------------------------------------------------
 // Tombstones. A tombstone is the durable form of DeletePrefix: it
@@ -379,6 +335,19 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
+// count reads an element count. Every element takes at least one byte,
+// so a count beyond the remaining buffer is corruption — refused before
+// anything is allocated for it (a fuzzed record could otherwise request
+// a huge slice).
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)) {
+		d.fail("count")
+		return 0
+	}
+	return int(n)
+}
+
 func (d *decoder) varint() int64 {
 	if d.err != nil {
 		return 0
@@ -434,6 +403,6 @@ func (d *decoder) provider() core.ProviderRef {
 	}
 }
 
-func (d *decoder) platform() collector.Platform { return collector.Platform(d.varint()) }
+func varintKey[K ~int](d *decoder) K { return K(d.varint()) }
 
 func uvarintKey[K ~uint32](d *decoder) K { return K(d.uvarint()) }

@@ -313,7 +313,7 @@ func TestDeletePrefixImmediateAndPhysical(t *testing.T) {
 	if res := s.Query(Filter{}); res.Total != total-n {
 		t.Fatalf("full scan sees %d events, want %d", res.Total, total-n)
 	}
-	for u := range victim.Users {
+	for _, u := range victim.Users {
 		for _, ev := range s.Query(Filter{User: u}).Events {
 			if target.Contains(ev.Prefix.Addr()) && target.Bits() <= ev.Prefix.Bits() {
 				t.Fatalf("user posting still reaches erased event %v", ev.Prefix)

@@ -2,17 +2,23 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 	"time"
+
+	"bgpblackholing/internal/bgp"
+	"bgpblackholing/internal/collector"
+	"bgpblackholing/internal/core"
 )
 
 // FuzzDecodeEvent: the codec must never panic on arbitrary input, and
-// anything it does accept must re-encode to a canonical fixed point
-// (encode→decode→encode is byte-identical).
+// anything it does accept holds every set strictly ascending and
+// re-encodes to a canonical fixed point (encode→decode→encode is
+// byte-identical).
 func FuzzDecodeEvent(f *testing.F) {
 	for i := 0; i < 10; i++ {
 		f.Add(EncodeEvent(nil, makeEvent(i)))
@@ -24,10 +30,38 @@ func FuzzDecodeEvent(f *testing.F) {
 	f.Add(encodeTombstone(nil, Tombstone{Prefix: netip.MustParsePrefix("10.0.0.0/8"), UpTo: testEpoch}))
 	truncated := EncodeEvent(nil, makeEvent(3))
 	f.Add(truncated[:len(truncated)/2])
+	swapped, duplicated := makeEvent(4), makeEvent(4)
+	swapped.Users[0], swapped.Users[1] = swapped.Users[1], swapped.Users[0]
+	duplicated.Providers = append(duplicated.Providers, duplicated.Providers[1])
+	f.Add(EncodeEvent(nil, swapped))
+	f.Add(EncodeEvent(nil, duplicated))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ev, err := DecodeEvent(data)
 		if err != nil {
 			return // rejected cleanly
+		}
+		// Accepted ⇒ every set and key list strictly ascending, read here
+		// with the standard library's eyes, not core.Event.Check's.
+		strictly := func(ok ...bool) {
+			if slices.Contains(ok, false) {
+				t.Fatalf("decode accepted a set that is not strictly ascending: %+v", ev)
+			}
+		}
+		asns := func(s []bgp.ASN) bool { return ascends(s, cmp.Compare[bgp.ASN]) }
+		providers := func(s []core.ProviderRef) bool { return ascends(s, core.ProviderRefCompare) }
+		strictly(providers(ev.Providers), asns(ev.Users), ascends(ev.Communities, cmp.Compare[bgp.Community]),
+			ascends(ev.Platforms, cmp.Compare[collector.Platform]), ascends(ev.Peers, netip.Addr.Compare),
+			providers(ev.DirectProviders), providers(keysOf(ev.ProviderDistances)), providers(keysOf(ev.ProviderUsers)),
+			ascends(keysOf(ev.ProvidersByPlatform), cmp.Compare[collector.Platform]),
+			ascends(keysOf(ev.UsersByPlatform), cmp.Compare[collector.Platform]))
+		for i := range ev.ProvidersByPlatform {
+			strictly(providers(ev.ProvidersByPlatform[i].Val))
+		}
+		for i := range ev.UsersByPlatform {
+			strictly(asns(ev.UsersByPlatform[i].Val))
+		}
+		for i := range ev.ProviderUsers {
+			strictly(asns(ev.ProviderUsers[i].Val))
 		}
 		enc := EncodeEvent(nil, ev)
 		ev2, err := DecodeEvent(enc)
@@ -38,6 +72,20 @@ func FuzzDecodeEvent(f *testing.F) {
 			t.Fatal("canonical encoding is not a fixed point")
 		}
 	})
+}
+
+// ascends reports whether s is sorted with no two neighbours equal.
+func ascends[T any](s []T, compare func(a, b T) int) bool {
+	return slices.IsSortedFunc(s, compare) &&
+		len(slices.CompactFunc(slices.Clone(s), func(a, b T) bool { return compare(a, b) == 0 })) == len(s)
+}
+
+func keysOf[K, V any](list []core.Keyed[K, V]) []K {
+	keys := make([]K, len(list))
+	for i := range list {
+		keys[i] = list[i].Key
+	}
+	return keys
 }
 
 // FuzzRecoverSegment: a segment file with an arbitrary (torn, corrupt,

@@ -44,13 +44,13 @@ func removeOrd(l []int32, ord int32) []int32 {
 // A list edit empties goes, with its key.
 func (s *Store) postings(ev *core.Event, edit func([]int32) []int32) {
 	s.trie.Edit(ev.Prefix, edit)
-	for u := range ev.Users {
+	for _, u := range ev.Users {
 		editPosting(s.byUser, u, edit)
 	}
-	for pr := range ev.Providers {
+	for _, pr := range ev.Providers {
 		editPosting(s.byProvider, pr, edit)
 	}
-	for c := range ev.Communities {
+	for _, c := range ev.Communities {
 		editPosting(s.byCommunity, c, edit)
 	}
 	for d := unixDay(ev.Start); d <= unixDay(ev.End); d++ {
@@ -224,13 +224,23 @@ func (s *Store) hydrateSegLocked(sf *segFile) {
 // dayAgg is one day's slice of the materialized aggregate view: a
 // refcount per distinct provider, user and victim prefix over the live
 // events overlapping that day. The distinct-set sizes are exactly what
-// analysis.Figure4Seq computes per day (providers keyed by their
-// String form, prefixes verbatim), so len() answers /figure4 in O(1)
-// per day.
+// analysis.Figure4Seq computes per day, so len() answers /figure4 in O(1)
+// per day. Figure 4 tells providers apart by their String form; named
+// providers are keyed here by the value that form spells (dayProvider),
+// and printed when a view is asked for.
 type dayAgg struct {
-	providers map[string]int
+	providers map[core.ProviderRef]int
 	users     map[bgp.ASN]int
 	prefixes  map[netip.Prefix]int
+}
+
+// dayProvider is pr without what ProviderRef.String does not print: two
+// references Figure 4 would count once are one key.
+func dayProvider(pr core.ProviderRef) core.ProviderRef {
+	if pr.Kind == core.ProviderIXP {
+		return core.ProviderRef{Kind: core.ProviderIXP, IXPID: pr.IXPID}
+	}
+	return core.ProviderRef{Kind: core.ProviderAS, ASN: pr.ASN}
 }
 
 // dayAdd credits ev to every day its span overlaps. Caller holds the
@@ -240,16 +250,16 @@ func (s *Store) dayAdd(ev *core.Event) {
 		a := s.days[d]
 		if a == nil {
 			a = &dayAgg{
-				providers: map[string]int{},
+				providers: map[core.ProviderRef]int{},
 				users:     map[bgp.ASN]int{},
 				prefixes:  map[netip.Prefix]int{},
 			}
 			s.days[d] = a
 		}
-		for pr := range ev.Providers {
-			a.providers[pr.String()]++
+		for _, pr := range ev.Providers {
+			a.providers[dayProvider(pr)]++
 		}
-		for u := range ev.Users {
+		for _, u := range ev.Users {
 			a.users[u]++
 		}
 		a.prefixes[ev.Prefix]++
@@ -263,10 +273,10 @@ func (s *Store) dayRemove(ev *core.Event) {
 		if a == nil {
 			continue
 		}
-		for pr := range ev.Providers {
-			decEntry(a.providers, pr.String())
+		for _, pr := range ev.Providers {
+			decEntry(a.providers, dayProvider(pr))
 		}
-		for u := range ev.Users {
+		for _, u := range ev.Users {
 			decEntry(a.users, u)
 		}
 		decEntry(a.prefixes, ev.Prefix)
@@ -349,8 +359,8 @@ type DaySets struct {
 // per day the distinct providers, users and victim prefixes of the live
 // events overlapping it — once put in order (analysis.NewFigure4Sets),
 // exactly analysis.Figure4Partial.Sets over a scan of the store, read
-// from the view in O(members) with no event touched, and no prefix
-// printed more than once. It is what a federation asks of each shard,
+// from the view in O(members) with no event touched, and no provider or
+// prefix printed more than once. It is what a federation asks of each shard,
 // since sets union where counts cannot. ok is false under DailyCounts'
 // conditions, and the caller scans.
 func (s *Store) DailySets(start time.Time, days int) (DaySets, bool) {
@@ -363,8 +373,7 @@ func (s *Store) DailySets(start time.Time, days int) (DaySets, bool) {
 		DayUsers:     make([][]uint32, days),
 		DayPrefixes:  make([][]uint32, days),
 	}
-	providerID, prefixID := map[string]uint32{}, map[netip.Prefix]uint32{}
-	var prefixes []netip.Prefix
+	providers, prefixes := nameTable[core.ProviderRef]{}, nameTable[netip.Prefix]{}
 	s.mu.RLock()
 	var members int // every day's lists slice one allocation
 	for d := range days {
@@ -379,14 +388,8 @@ func (s *Store) DailySets(start time.Time, days int) (DaySets, bool) {
 			a = &dayAgg{}
 		}
 		from := len(flat)
-		for name := range a.providers {
-			id, ok := providerID[name]
-			if !ok {
-				id = uint32(len(out.Providers))
-				providerID[name] = id
-				out.Providers = append(out.Providers, name)
-			}
-			flat = append(flat, id)
+		for pr := range a.providers {
+			flat = append(flat, providers.id(pr))
 		}
 		out.DayProviders[d], from = flat[from:len(flat):len(flat)], len(flat)
 		for u := range a.users {
@@ -394,20 +397,42 @@ func (s *Store) DailySets(start time.Time, days int) (DaySets, bool) {
 		}
 		out.DayUsers[d], from = flat[from:len(flat):len(flat)], len(flat)
 		for p := range a.prefixes {
-			id, ok := prefixID[p]
-			if !ok {
-				id = uint32(len(prefixes))
-				prefixID[p] = id
-				prefixes = append(prefixes, p)
-			}
-			flat = append(flat, id)
+			flat = append(flat, prefixes.id(p))
 		}
 		out.DayPrefixes[d] = flat[from:len(flat):len(flat)]
 	}
 	s.mu.RUnlock()
-	out.Prefixes = make([]string, len(prefixes)) // printed outside the lock: appends need not wait for it
-	for i, p := range prefixes {
-		out.Prefixes[i] = p.String()
-	}
+	// Printed outside the lock: appends need not wait for it.
+	out.Providers, out.Prefixes = providers.names(), prefixes.names()
 	return out, true
+}
+
+// nameTable gives each distinct member of a window an id, first seen
+// first, and names them all once at the end.
+type nameTable[K interface {
+	comparable
+	String() string
+}] struct {
+	ids  map[K]uint32
+	keys []K
+}
+
+func (t *nameTable[K]) id(k K) uint32 {
+	id, ok := t.ids[k]
+	if !ok {
+		if t.ids == nil {
+			t.ids = map[K]uint32{}
+		}
+		id = uint32(len(t.keys))
+		t.ids[k], t.keys = id, append(t.keys, k)
+	}
+	return id
+}
+
+func (t *nameTable[K]) names() []string {
+	names := make([]string, len(t.keys))
+	for i, k := range t.keys {
+		names[i] = k.String()
+	}
+	return names
 }

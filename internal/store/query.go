@@ -251,13 +251,13 @@ func matches(ev *core.Event, f Filter) bool {
 	if f.Prefix.IsValid() && !prefixMatches(ev.Prefix, f) {
 		return false
 	}
-	if f.User != 0 && !ev.Users[f.User] {
+	if f.User != 0 && !slices.Contains(ev.Users, f.User) {
 		return false
 	}
-	if f.Provider != nil && !ev.Providers[*f.Provider] {
+	if f.Provider != nil && !slices.Contains(ev.Providers, *f.Provider) {
 		return false
 	}
-	if f.Community != 0 && !ev.Communities[f.Community] {
+	if f.Community != 0 && !slices.Contains(ev.Communities, f.Community) {
 		return false
 	}
 	if f.MinDuration > 0 && ev.Duration() < f.MinDuration {

@@ -277,13 +277,13 @@ func buildSummary(seq uint64, fileSize, validLen int64, truncated bool, recs []s
 		} else {
 			m.v6.add(keyBytes(p.Addr()))
 		}
-		for u := range r.ev.Users {
+		for _, u := range r.ev.Users {
 			userSet[uint64(u)] = true
 		}
-		for pr := range r.ev.Providers {
+		for _, pr := range r.ev.Providers {
 			provSet[pr] = true
 		}
-		for c := range r.ev.Communities {
+		for _, c := range r.ev.Communities {
 			commSet[uint64(c)] = true
 		}
 	}

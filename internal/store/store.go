@@ -166,6 +166,10 @@ func processAlive(pid int) bool {
 // ErrClosed is returned by calls on a closed store.
 var ErrClosed = errors.New("store: closed")
 
+// ErrNotCanonical is returned by Append for an event with a set or key
+// list that is not strictly ascending.
+var ErrNotCanonical = errors.New("store: event is not in canonical form")
+
 const defaultMaxSegmentBytes = 8 << 20
 
 // noMinStart is the minStartNano sentinel for a segment holding no
@@ -845,8 +849,16 @@ func unixDay(t time.Time) int64 {
 // Append persists the events (in order) and indexes them. The write
 // lands in the OS page cache; call Sync for durability. An event a
 // tombstone in force already covers is written to the log but stays
-// invisible (its record is dropped at the next compaction).
+// invisible (its record is dropped at the next compaction). A batch
+// holding an event whose sets are not in canonical form (core.Event) is
+// refused whole with ErrNotCanonical before a byte is written: the
+// decoder would refuse its record, and the store could not reopen.
 func (s *Store) Append(events ...*core.Event) error {
+	for _, ev := range events {
+		if err := ev.Check(); err != nil {
+			return fmt.Errorf("%w: %v", ErrNotCanonical, err)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {

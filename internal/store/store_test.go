@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,26 +32,26 @@ func makeEvent(i int) *core.Event {
 		Start:        start,
 		End:          start.Add(time.Duration(1+i%9) * 11 * time.Minute),
 		StartUnknown: i%13 == 0,
-		Providers:    map[core.ProviderRef]bool{pr: true, xr: true},
-		Users:        map[bgp.ASN]bool{user: true, user + 1: true},
-		Communities:  map[bgp.Community]bool{comm: true},
-		Platforms:    map[collector.Platform]bool{collector.PlatformRIS: true, collector.PlatformPCH: true},
-		Peers:        map[netip.Addr]bool{peer: true},
+		Providers:    []core.ProviderRef{pr, xr},
+		Users:        []bgp.ASN{user, user + 1},
+		Communities:  []bgp.Community{comm},
+		Platforms:    []collector.Platform{collector.PlatformRIS, collector.PlatformPCH},
+		Peers:        []netip.Addr{peer},
 		ASDistances:  []int{1, core.NoPath, i % 4},
-		ProviderDistances: map[core.ProviderRef]int{
-			pr: 1, xr: core.NoPath,
+		ProviderDistances: []core.Keyed[core.ProviderRef, int]{
+			{Key: pr, Val: 1}, {Key: xr, Val: core.NoPath},
 		},
-		DirectProviders: map[core.ProviderRef]bool{pr: true},
-		ProvidersByPlatform: map[collector.Platform]map[core.ProviderRef]bool{
-			collector.PlatformRIS: {pr: true},
-			collector.PlatformPCH: {xr: true},
+		DirectProviders: []core.ProviderRef{pr},
+		ProvidersByPlatform: []core.Keyed[collector.Platform, []core.ProviderRef]{
+			{Key: collector.PlatformRIS, Val: []core.ProviderRef{pr}},
+			{Key: collector.PlatformPCH, Val: []core.ProviderRef{xr}},
 		},
-		UsersByPlatform: map[collector.Platform]map[bgp.ASN]bool{
-			collector.PlatformRIS: {user: true},
-			collector.PlatformPCH: {},
+		UsersByPlatform: []core.Keyed[collector.Platform, []bgp.ASN]{
+			{Key: collector.PlatformRIS, Val: []bgp.ASN{user}},
+			{Key: collector.PlatformPCH},
 		},
-		ProviderUsers: map[core.ProviderRef]map[bgp.ASN]bool{
-			pr: {user: true, user + 1: true},
+		ProviderUsers: []core.Keyed[core.ProviderRef, []bgp.ASN]{
+			{Key: pr, Val: []bgp.ASN{user, user + 1}},
 		},
 		Detections:  3 + i%5,
 		DirectFeed:  i%2 == 0,
@@ -104,6 +106,87 @@ func TestCodecRejectsCorruptRecords(t *testing.T) {
 	}
 	if _, err := DecodeEvent(append([]byte{99}, enc[1:]...)); err == nil {
 		t.Fatal("decode accepted unknown version")
+	}
+	// A set or key list out of canonical form: EncodeEvent writes what it
+	// is given, and the decoder must refuse every one of them.
+	for name, ev := range nonCanonicalEvents() {
+		if _, err := DecodeEvent(EncodeEvent(nil, ev)); err == nil || !strings.Contains(err.Error(), "not strictly ascending") {
+			t.Errorf("%s: decode error %v, want a not-strictly-ascending refusal", name, err)
+		}
+	}
+}
+
+// nonCanonicalEvents is makeEvent(5) broken one field at a time: two
+// members swapped, or one member twice.
+func nonCanonicalEvents() map[string]*core.Event {
+	out := map[string]*core.Event{}
+	ev := func(name string) *core.Event {
+		out[name] = makeEvent(5)
+		return out[name]
+	}
+	swap := func(n int, swap func(i, j int)) { swap(n-2, n-1) }
+	e := ev("Providers swapped")
+	swap(len(e.Providers), reflect.Swapper(e.Providers))
+	e = ev("Users swapped")
+	swap(len(e.Users), reflect.Swapper(e.Users))
+	e = ev("Platforms swapped")
+	swap(len(e.Platforms), reflect.Swapper(e.Platforms))
+	e = ev("ProviderDistances swapped")
+	swap(len(e.ProviderDistances), reflect.Swapper(e.ProviderDistances))
+	e = ev("ProvidersByPlatform swapped")
+	swap(len(e.ProvidersByPlatform), reflect.Swapper(e.ProvidersByPlatform))
+	e = ev("UsersByPlatform swapped")
+	swap(len(e.UsersByPlatform), reflect.Swapper(e.UsersByPlatform))
+	e = ev("ProviderUsers members swapped")
+	swap(len(e.ProviderUsers[0].Val), reflect.Swapper(e.ProviderUsers[0].Val))
+	e = ev("Communities duplicated")
+	e.Communities = append(e.Communities, e.Communities[0])
+	e = ev("Peers duplicated")
+	e.Peers = append(e.Peers, e.Peers[0])
+	e = ev("DirectProviders duplicated")
+	e.DirectProviders = append(e.DirectProviders, e.DirectProviders[0])
+	e = ev("ProviderUsers key duplicated")
+	e.ProviderUsers = append(e.ProviderUsers, e.ProviderUsers[0])
+	e = ev("ProvidersByPlatform members duplicated")
+	e.ProvidersByPlatform[0].Val = append(e.ProvidersByPlatform[0].Val, e.ProvidersByPlatform[0].Val[0])
+	return out
+}
+
+// TestAppendRefusesNonCanonicalEvents: a hand-built event that breaks
+// the Event invariant never reaches disk — the batch is refused whole
+// with ErrNotCanonical before a byte is written, and the store goes on
+// to append and reopen as if it had never been offered.
+func TestAppendRefusesNonCanonicalEvents(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(makeEvent(0)); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	for name, bad := range nonCanonicalEvents() {
+		if err := s.Append(makeEvent(1), bad); !errors.Is(err, ErrNotCanonical) {
+			t.Fatalf("%s: Append error %v, want ErrNotCanonical", name, err)
+		}
+	}
+	if s.Len() != 1 || !reflect.DeepEqual(dirFiles(t, dir), before) {
+		t.Fatalf("a refused batch left a trace: %d events", s.Len())
+	}
+	if err := s.Append(makeEvent(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != 2 || r.Stats().RecoveredTails != 0 {
+		t.Fatalf("reopened store has %d events, %d torn tails", r.Len(), r.Stats().RecoveredTails)
 	}
 }
 
@@ -734,13 +817,13 @@ func naiveMatch(ev *core.Event, f Filter, s *Store) bool {
 			}
 		}
 	}
-	if f.User != 0 && !ev.Users[f.User] {
+	if f.User != 0 && !slices.Contains(ev.Users, f.User) {
 		return false
 	}
-	if f.Provider != nil && !ev.Providers[*f.Provider] {
+	if f.Provider != nil && !slices.Contains(ev.Providers, *f.Provider) {
 		return false
 	}
-	if f.Community != 0 && !ev.Communities[f.Community] {
+	if f.Community != 0 && !slices.Contains(ev.Communities, f.Community) {
 		return false
 	}
 	if f.MinDuration > 0 && ev.Duration() < f.MinDuration {

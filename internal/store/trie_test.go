@@ -206,13 +206,13 @@ func TestPostingsWalk(t *testing.T) {
 			filed := func(when string, ord int32) {
 				t.Helper()
 				lists := map[string][]int32{"prefix": s.trie.Exact(tc.ev.Prefix)}
-				for u := range tc.ev.Users {
+				for _, u := range tc.ev.Users {
 					lists[fmt.Sprint("user ", u)] = s.byUser[u]
 				}
-				for pr := range tc.ev.Providers {
+				for _, pr := range tc.ev.Providers {
 					lists[fmt.Sprint("provider ", pr)] = s.byProvider[pr]
 				}
-				for c := range tc.ev.Communities {
+				for _, c := range tc.ev.Communities {
 					lists[fmt.Sprint("community ", c)] = s.byCommunity[c]
 				}
 				for d := unixDay(tc.ev.Start); d <= unixDay(tc.ev.End); d++ {

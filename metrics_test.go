@@ -244,8 +244,8 @@ func TestMetricsExposition(t *testing.T) {
 	mk := func(prefix string) *Event {
 		return &Event{
 			Prefix: netip.MustParsePrefix(prefix), Start: base, End: base.Add(time.Hour),
-			Providers: map[ProviderRef]bool{{Kind: ProviderAS, ASN: 3356}: true},
-			Users:     map[ASN]bool{65001: true},
+			Providers: []ProviderRef{{Kind: ProviderAS, ASN: 3356}},
+			Users:     []ASN{65001},
 		}
 	}
 	if err := st.Append(mk("10.1.2.0/24"), mk("10.2.0.0/16")); err != nil {

@@ -13,17 +13,17 @@ func canonicalEvents(res *RunResult) string {
 	h := sha256.New()
 	for _, ev := range res.Events {
 		var provs []string
-		for p := range ev.Providers {
+		for _, p := range ev.Providers {
 			provs = append(provs, p.String())
 		}
 		sort.Strings(provs)
 		var users []string
-		for u := range ev.Users {
+		for _, u := range ev.Users {
 			users = append(users, u.String())
 		}
 		sort.Strings(users)
 		var peers []string
-		for p := range ev.Peers {
+		for _, p := range ev.Peers {
 			peers = append(peers, p.String())
 		}
 		sort.Strings(peers)

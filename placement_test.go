@@ -219,11 +219,11 @@ func TestFederationLPMFilterResolvesPrefixFirst(t *testing.T) {
 	// the two apart.
 	events := []*Event{
 		{Prefix: mustPrefix("100.0.0.0/6"), Seq: 1, Start: day(1).Add(-time.Hour), End: day(1),
-			Users: map[ASN]bool{65001: true}, Providers: map[ProviderRef]bool{as1: true}},
+			Users: []ASN{65001}, Providers: []ProviderRef{as1}},
 		{Prefix: mustPrefix("101.1.1.1/32"), Seq: 2, Start: day(2).Add(-time.Hour), End: day(2),
-			Users: map[ASN]bool{65002: true}, Providers: map[ProviderRef]bool{as2: true}},
+			Users: []ASN{65002}, Providers: []ProviderRef{as2}},
 		{Prefix: mustPrefix("101.1.1.1/32"), Seq: 3, Start: day(4).Add(-time.Hour), End: day(4),
-			Users: map[ASN]bool{65003: true}, Providers: map[ProviderRef]bool{as2: true}},
+			Users: []ASN{65003}, Providers: []ProviderRef{as2}},
 	}
 	point := mustPrefix("101.1.1.1/32")
 	queries := map[string]Query{

@@ -1,6 +1,7 @@
 package bgpblackholing
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"iter"
@@ -388,9 +389,9 @@ func (p *Pipeline) Table4FromStore(st *Store) []Table4Row {
 // Wire representation: the JSON shape served by the HTTP API and
 // consumed by bhquery.
 
-// EventRecord is the JSON-friendly projection of an Event: map-valued
-// evidence becomes sorted lists, providers render in their canonical
-// "AS123" / "ixp:4" notation.
+// EventRecord is the JSON-friendly projection of an Event: its sets
+// become lists (the string ones in string order), providers render in
+// their canonical "AS123" / "ixp:4" notation.
 type EventRecord struct {
 	Prefix          string    `json:"prefix"`
 	Start           time.Time `json:"start"`
@@ -430,29 +431,30 @@ func NewEventRecord(ev *Event) EventRecord {
 		End:             ev.End.UTC(),
 		DurationSeconds: ev.Duration().Seconds(),
 		StartUnknown:    ev.StartUnknown,
+		Providers:       wireStrings(ev.Providers),
+		Communities:     wireStrings(ev.Communities),
+		Platforms:       wireStrings(ev.Platforms),
 		Peers:           len(ev.Peers),
 		Detections:      ev.Detections,
 		DirectFeed:      ev.DirectFeed,
 		SawNoExport:     ev.SawNoExport,
 		Seq:             ev.Seq,
 	}
-	for pr := range ev.Providers {
-		r.Providers = append(r.Providers, pr.String())
-	}
-	sort.Strings(r.Providers)
-	for u := range ev.Users {
+	for _, u := range ev.Users {
 		r.Users = append(r.Users, uint32(u))
 	}
-	slices.Sort(r.Users)
-	for c := range ev.Communities {
-		r.Communities = append(r.Communities, c.String())
-	}
-	sort.Strings(r.Communities)
-	for p := range ev.Platforms {
-		r.Platforms = append(r.Platforms, p.String())
-	}
-	sort.Strings(r.Platforms)
 	return r
+}
+
+// wireStrings renders a set's members in the order of the wire's string
+// lists (see appendSortedStrings).
+func wireStrings[T fmt.Stringer](set []T) []string {
+	var out []string
+	for _, m := range set {
+		out = append(out, m.String())
+	}
+	sort.Strings(out)
+	return out
 }
 
 // NewEventRecordEnriched projects an event with its legitimacy
@@ -460,75 +462,79 @@ func NewEventRecord(ev *Event) EventRecord {
 // legitimacy_reasons fields appear on the wire.
 func NewEventRecordEnriched(ev *Event, ann Annotation) EventRecord {
 	r := NewEventRecord(ev)
-	r.annotate(ann)
-	return r
-}
-
-// annotate attaches a legitimacy annotation to an already projected
-// record.
-func (r *EventRecord) annotate(ann Annotation) {
 	r.RPKI = ann.RPKI
 	r.CommunityDoc = ann.Communities
 	r.Legitimacy = ann.Legitimacy
 	r.LegitimacyReasons = ann.Reasons
+	return r
 }
 
-// appendRecordLine appends rec's NDJSON line (no trailing newline) to
-// dst: byte for byte what json.Marshal(rec) returns — field order, the
-// omitempty rules, number formats — without reflection or a buffer per
-// line. What json.Marshal formats specially or refuses (a year outside
-// [0,9999], a duration outside [1e-6, 1e21) or not finite, a string that
-// needs escaping) is handed to it, so those bytes and errors are the
-// library's own. TestRecordLineMatchesJSON fails when EventRecord or an
-// enrichment struct changes shape under this function.
-func appendRecordLine(dst []byte, rec *EventRecord) ([]byte, error) {
+// appendEventLine is the one project → encode step of the read path: it
+// appends ev's record line (no trailing newline) to dst, with ann's
+// fields when ann is not the zero Annotation, and returns the line's
+// merge key. The line is byte for byte json.Marshal(
+// NewEventRecordEnriched(ev, ann)) — field order, the omitempty rules,
+// number formats — written straight from the event: no record, no
+// reflection, and one allocation, the key's prefix. What json.Marshal
+// formats specially or refuses (a year outside [0,9999], a duration
+// outside [1e-6, 1e21) or not finite, a string that needs escaping) is
+// handed to it, so those bytes and errors are the library's own.
+// TestRecordLineMatchesJSON fails when EventRecord or an enrichment
+// struct changes shape under this function. Nothing about ev is kept:
+// an event the store erases is held by no read-path state.
+func appendEventLine(dst []byte, ev *Event, ann Annotation) ([]byte, RecordKey, error) {
 	mark := len(dst)
-	dst = appendJSONString(append(dst, `{"prefix":`...), rec.Prefix)
-	b, err := rec.Start.AppendText(append(dst, `,"start":"`...))
-	if err == nil {
-		b, err = rec.End.AppendText(append(b, `","end":"`...))
+	dst = append(dst, `{"prefix":"`...)
+	at := len(dst)
+	if dst = ev.Prefix.AppendTo(dst); !ev.Prefix.IsValid() {
+		dst = append(dst[:at], "invalid Prefix"...) // Prefix.String's word for the zero Prefix too, where AppendTo has none
 	}
-	secs := rec.DurationSeconds
+	key := RecordKey{End: ev.End.UnixNano(), Seq: ev.Seq, Start: ev.Start.UnixNano(), Prefix: string(dst[at:])}
+	b, err := ev.Start.UTC().AppendText(append(dst, `","start":"`...))
+	if err == nil {
+		b, err = ev.End.UTC().AppendText(append(b, `","end":"`...))
+	}
+	secs := ev.Duration().Seconds()
 	if abs := math.Abs(secs); err != nil || !(abs == 0 || abs >= 1e-6 && abs < 1e21) {
-		b, err = json.Marshal(rec)
-		return append(dst[:mark], b...), err
+		b, err = json.Marshal(NewEventRecordEnriched(ev, ann))
+		return append(dst[:mark], b...), key, err
 	}
 	dst = strconv.AppendFloat(append(b, `","duration_seconds":`...), secs, 'f', -1, 64)
-	if rec.StartUnknown {
+	if ev.StartUnknown {
 		dst = append(dst, `,"start_unknown":true`...)
 	}
-	dst = appendJSONStrings(dst, `,"providers":[`, rec.Providers)
-	if len(rec.Users) > 0 {
+	dst = appendSortedStrings(dst, `,"providers":[`, ev.Providers)
+	if len(ev.Users) > 0 {
 		dst = append(dst, `,"users":[`...)
-		for _, u := range rec.Users {
+		for _, u := range ev.Users {
 			dst = append(strconv.AppendUint(dst, uint64(u), 10), ',')
 		}
 		dst[len(dst)-1] = ']' // over the last element's comma
 	}
-	dst = appendJSONStrings(dst, `,"communities":[`, rec.Communities)
-	dst = appendJSONStrings(dst, `,"platforms":[`, rec.Platforms)
-	dst = strconv.AppendInt(append(dst, `,"peers":`...), int64(rec.Peers), 10)
-	dst = strconv.AppendInt(append(dst, `,"detections":`...), int64(rec.Detections), 10)
-	if rec.DirectFeed {
+	dst = appendSortedStrings(dst, `,"communities":[`, ev.Communities)
+	dst = appendSortedStrings(dst, `,"platforms":[`, ev.Platforms)
+	dst = strconv.AppendInt(append(dst, `,"peers":`...), int64(len(ev.Peers)), 10)
+	dst = strconv.AppendInt(append(dst, `,"detections":`...), int64(ev.Detections), 10)
+	if ev.DirectFeed {
 		dst = append(dst, `,"direct_feed":true`...)
 	}
-	if rec.SawNoExport {
+	if ev.SawNoExport {
 		dst = append(dst, `,"saw_no_export":true`...)
 	}
-	if rec.Seq != 0 {
-		dst = strconv.AppendUint(append(dst, `,"seq":`...), rec.Seq, 10)
+	if ev.Seq != 0 {
+		dst = strconv.AppendUint(append(dst, `,"seq":`...), ev.Seq, 10)
 	}
-	if len(rec.RPKI) > 0 {
+	if len(ann.RPKI) > 0 {
 		dst = append(dst, `,"rpki":[`...)
-		for _, v := range rec.RPKI {
+		for _, v := range ann.RPKI {
 			dst = strconv.AppendUint(append(dst, `{"origin":`...), uint64(v.Origin), 10)
 			dst = append(appendJSONString(append(dst, `,"state":`...), v.State), '}', ',')
 		}
 		dst[len(dst)-1] = ']'
 	}
-	if len(rec.CommunityDoc) > 0 {
+	if len(ann.Communities) > 0 {
 		dst = append(dst, `,"community_doc":[`...)
-		for _, c := range rec.CommunityDoc {
+		for _, c := range ann.Communities {
 			dst = appendJSONString(append(dst, `{"community":`...), c.Community)
 			dst = appendJSONString(append(dst, `,"doc":`...), c.Doc)
 			if c.MaxPrefixLen != 0 {
@@ -539,25 +545,51 @@ func appendRecordLine(dst []byte, rec *EventRecord) ([]byte, error) {
 		}
 		dst[len(dst)-1] = ']'
 	}
-	if rec.Legitimacy != "" {
-		dst = appendJSONString(append(dst, `,"legitimacy":`...), rec.Legitimacy)
+	if ann.Legitimacy != "" {
+		dst = appendJSONString(append(dst, `,"legitimacy":`...), ann.Legitimacy)
 	}
-	dst = appendJSONStrings(dst, `,"legitimacy_reasons":[`, rec.LegitimacyReasons)
-	return append(dst, '}'), nil
+	if len(ann.Reasons) > 0 {
+		dst = append(dst, `,"legitimacy_reasons":[`...)
+		for _, s := range ann.Reasons {
+			dst = append(appendJSONString(dst, s), ',')
+		}
+		dst[len(dst)-1] = ']'
+	}
+	return append(dst, '}'), key, nil
 }
 
-// appendJSONStrings appends an omitempty string-list field; open is its
-// `,"name":[` opener.
-func appendJSONStrings(dst []byte, open string, list []string) []byte {
-	if len(list) == 0 {
+// appendSortedStrings appends an omitempty string-list field — open is
+// its `,"name":[` opener — listing set's members in the byte order of
+// their text, where the event holds them in numeric order ("AS10" sorts
+// before "AS9": the wire kept the order its first writer gave it, the
+// disk kept the codec's). The members are rendered past the end of dst,
+// their spans sorted, the list written beyond them and moved down over
+// them: the caller's buffer is the only scratch. They are the system's
+// own renderings of numbers and platform names — nothing JSON escapes.
+func appendSortedStrings[T interface{ AppendTo([]byte) []byte }](dst []byte, open string, set []T) []byte {
+	if len(set) == 0 {
 		return dst
 	}
 	dst = append(dst, open...)
-	for _, s := range list {
-		dst = append(appendJSONString(dst, s), ',')
+	var buf [32][2]int
+	spans, text := buf[:0], dst
+	for _, m := range set {
+		from := len(text)
+		text = m.AppendTo(text)
+		spans = append(spans, [2]int{from, len(text)})
 	}
-	dst[len(dst)-1] = ']'
-	return dst
+	member := func(i int) []byte { return text[spans[i][0]:spans[i][1]] }
+	for i := 1; i < len(spans); i++ { // an insertion sort: the lists are a handful long
+		for j := i; j > 0 && bytes.Compare(member(j), member(j-1)) < 0; j-- {
+			spans[j], spans[j-1] = spans[j-1], spans[j]
+		}
+	}
+	list := len(text)
+	for i := range spans {
+		text = append(append(append(text, '"'), member(i)...), '"', ',')
+	}
+	text[len(text)-1] = ']'
+	return text[:len(dst)+copy(text[len(dst):], text[list:])]
 }
 
 // appendJSONString appends s as a JSON string. Every string the system

@@ -234,8 +234,8 @@ func TestErasedEventsAreCollectable(t *testing.T) {
 		events := make([]*Event, n)
 		for i := range events {
 			events[i] = stallEvent(i)
-			events[i].Users = map[ASN]bool{65001: true}
-			events[i].Communities = map[Community]bool{MakeCommunity(3356, 9999): true}
+			events[i].Users = []ASN{65001}
+			events[i].Communities = []Community{MakeCommunity(3356, 9999)}
 			erased[i] = weak.Make(events[i])
 		}
 		if err := st.Append(events...); err != nil {

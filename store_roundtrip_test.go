@@ -71,7 +71,7 @@ func TestStoreRoundTripMatchesRun(t *testing.T) {
 				t.Fatalf("LPM query scanned %d > %d stored events", qr.Scanned, len(got))
 			}
 			var user ASN
-			for u := range ev.Users {
+			for _, u := range ev.Users {
 				user = u
 				break
 			}
