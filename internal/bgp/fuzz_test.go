@@ -1,14 +1,17 @@
 package bgp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"testing"
 )
 
-// FuzzUnmarshalUpdate asserts the UPDATE decoder never panics and that
-// anything it accepts re-encodes without error (run with
-// `go test -fuzz=FuzzUnmarshalUpdate ./internal/bgp` for a real fuzzing
-// session; the seed corpus runs under plain `go test`).
+// FuzzUnmarshalUpdate asserts the UPDATE decoder never panics, that
+// anything it accepts encodes without panicking, and that the encoding
+// is a fixed point: it decodes, and encodes again to the same bytes (run
+// with `go test -fuzz=FuzzUnmarshalUpdate ./internal/bgp` for a real
+// fuzzing session; the seed corpus runs under plain `go test`).
 func FuzzUnmarshalUpdate(f *testing.F) {
 	seed := &Update{
 		Announced:        []netip.Prefix{netip.MustParsePrefix("192.88.99.1/32")},
@@ -29,6 +32,7 @@ func FuzzUnmarshalUpdate(f *testing.F) {
 	mut[25] ^= 0xFF
 	f.Add(mut)
 	f.Add([]byte{})
+	f.Add(crossFamilyNextHop(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := UnmarshalUpdate(data)
@@ -38,8 +42,38 @@ func FuzzUnmarshalUpdate(f *testing.F) {
 		// Accepted updates must re-encode (unless they exceed the size
 		// limit after normalisation, which Marshal reports as an error,
 		// not a panic).
-		_, _ = MarshalUpdate(u)
+		enc, err := MarshalUpdate(u)
+		if err != nil {
+			return
+		}
+		again, err := UnmarshalUpdate(enc)
+		if err != nil {
+			t.Fatalf("encoding of an accepted update does not decode: %v", err)
+		}
+		if enc2, err := MarshalUpdate(again); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("encoding is not a fixed point (err %v)", err)
+		}
 	})
+}
+
+// crossFamilyNextHop is an UPDATE the decoder accepts with IPv4 NLRI and
+// an IPv6 next hop: an IPv6 announcement via 2001:db8::1 with the
+// classic NLRI bytes 24 192 0 2 appended and the header length patched.
+// An encoder that wrote every valid next hop into NEXT_HOP panicked on it
+// ("As4 called on IPv6 address").
+func crossFamilyNextHop(tb testing.TB) []byte {
+	wire, err := MarshalUpdate(&Update{
+		Announced: []netip.Prefix{netip.MustParsePrefix("2001:db8:1::/48")},
+		Origin:    OriginIGP,
+		Path:      NewPath(3356, 65001),
+		NextHop:   netip.MustParseAddr("2001:db8::1"),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	wire = append(wire, 24, 192, 0, 2)
+	binary.BigEndian.PutUint16(wire[16:18], uint16(len(wire)))
+	return wire
 }
 
 // FuzzUnmarshalPathAttributes covers the standalone attribute decoder
@@ -52,6 +86,8 @@ func FuzzUnmarshalPathAttributes(f *testing.F) {
 		Communities: []Community{CommunityBlackhole},
 	}
 	f.Add(MarshalPathAttributes(u))
+	u.NextHop = netip.MustParseAddr("2001:db8::1")
+	f.Add(MarshalPathAttributes(u))
 	f.Add([]byte{0x40, 1})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -59,7 +95,17 @@ func FuzzUnmarshalPathAttributes(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = MarshalPathAttributes(got)
+		enc := MarshalPathAttributes(got)
+		if len(data) > 0xFFFF {
+			return // merged attributes may outgrow a 16-bit length
+		}
+		again, err := UnmarshalPathAttributes(enc)
+		if err != nil {
+			t.Fatalf("encoding of accepted attributes does not decode: %v", err)
+		}
+		if !bytes.Equal(enc, MarshalPathAttributes(again)) {
+			t.Fatal("attribute encoding is not a fixed point")
+		}
 	})
 }
 

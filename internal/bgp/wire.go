@@ -55,110 +55,77 @@ var (
 	ErrBadNLRI       = errors.New("bgp: malformed NLRI")
 )
 
+// AppendMessage appends one framed BGP message to dst: the header — 16
+// all-ones marker octets, the total length, the type — then body. It is
+// the one writer of the RFC 4271 header, and refuses a message longer
+// than MaxMessageLen.
+func AppendMessage(dst []byte, typ byte, body []byte) ([]byte, error) {
+	total := HeaderLen + len(body)
+	if total > MaxMessageLen {
+		return dst, fmt.Errorf("%w: %d bytes", ErrBadLength, total)
+	}
+	for range 16 {
+		dst = append(dst, 0xFF)
+	}
+	dst = binary.BigEndian.AppendUint16(dst, uint16(total))
+	dst = append(dst, typ)
+	return append(dst, body...), nil
+}
+
+// ParseHeader is AppendMessage's reader: it checks the header at the
+// start of msg and returns the message type and the total length the
+// header declares (at least HeaderLen). The upper bound is the caller's:
+// a session enforces MaxMessageLen, an archived message must fill its
+// record.
+func ParseHeader(msg []byte) (typ byte, total int, err error) {
+	if len(msg) < HeaderLen {
+		return 0, 0, ErrShortMessage
+	}
+	for _, b := range msg[:16] {
+		if b != 0xFF {
+			return 0, 0, ErrBadMarker
+		}
+	}
+	total = int(binary.BigEndian.Uint16(msg[16:18]))
+	if total < HeaderLen {
+		return 0, 0, fmt.Errorf("%w: header says %d", ErrBadLength, total)
+	}
+	return msg[18], total, nil
+}
+
 // MarshalUpdate encodes the UPDATE as a complete BGP message (header
 // included) using 4-octet AS numbers in AS_PATH, the encoding used inside
 // MRT BGP4MP_MESSAGE_AS4 records. IPv6 reachability is carried in
 // MP_REACH_NLRI / MP_UNREACH_NLRI attributes; IPv4 uses the classic
-// withdrawn-routes and NLRI fields.
+// withdrawn-routes and NLRI fields. The path attributes follow
+// appendAttributes' next-hop rule, so any update UnmarshalUpdate returns
+// encodes, and Marshal(Unmarshal(Marshal(u))) == Marshal(u).
 func MarshalUpdate(u *Update) ([]byte, error) {
-	var withdrawn4, withdrawn6, nlri4, nlri6 []netip.Prefix
-	for _, p := range u.Withdrawn {
-		if p.Addr().Is4() {
-			withdrawn4 = append(withdrawn4, p)
-		} else {
-			withdrawn6 = append(withdrawn6, p)
-		}
-	}
-	for _, p := range u.Announced {
-		if p.Addr().Is4() {
-			nlri4 = append(nlri4, p)
-		} else {
-			nlri6 = append(nlri6, p)
-		}
-	}
+	n4, _ := nlriSize(u.Announced, false)
+	n6, _ := nlriSize(u.Announced, true)
+	w6, w6size := nlriSize(u.Withdrawn, true)
 
-	body := make([]byte, 0, 256)
-
-	// Withdrawn routes (IPv4).
-	wr := appendPrefixes(nil, withdrawn4)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(wr)))
-	body = append(body, wr...)
-
-	// Path attributes.
-	var attrs []byte
-	hasReach := len(nlri4) > 0 || len(nlri6) > 0
-	if hasReach {
-		attrs = appendAttr(attrs, flagTransitive, attrOrigin, []byte{byte(u.Origin)})
-		attrs = appendAttr(attrs, flagTransitive, attrASPath, marshalASPath(u.Path))
-		if len(nlri4) > 0 && u.NextHop.IsValid() {
-			nh := u.NextHop.As4()
-			attrs = appendAttr(attrs, flagTransitive, attrNextHop, nh[:])
-		}
-		if len(u.Communities) > 0 {
-			val := make([]byte, 0, 4*len(u.Communities))
-			for _, c := range u.Communities {
-				val = binary.BigEndian.AppendUint32(val, uint32(c))
-			}
-			attrs = appendAttr(attrs, flagOptional|flagTransitive, attrCommunities, val)
-		}
-		if len(u.ExtendedCommunities) > 0 {
-			val := make([]byte, 0, 8*len(u.ExtendedCommunities))
-			for _, ec := range u.ExtendedCommunities {
-				val = append(val, ec[:]...)
-			}
-			attrs = appendAttr(attrs, flagOptional|flagTransitive, attrExtCommunities, val)
-		}
-		if len(u.LargeCommunities) > 0 {
-			val := make([]byte, 0, 12*len(u.LargeCommunities))
-			for _, lc := range u.LargeCommunities {
-				val = binary.BigEndian.AppendUint32(val, lc.Global)
-				val = binary.BigEndian.AppendUint32(val, lc.Local1)
-				val = binary.BigEndian.AppendUint32(val, lc.Local2)
-			}
-			attrs = appendAttr(attrs, flagOptional|flagTransitive, attrLargeCommunities, val)
-		}
+	// Withdrawn routes (IPv4), then path attributes, each behind the
+	// two-octet length patched in once it is known.
+	body := make([]byte, 2, 256)
+	body = appendPrefixes(body, u.Withdrawn, false)
+	binary.BigEndian.PutUint16(body, uint16(len(body)-2))
+	at := len(body)
+	body = append(body, 0, 0)
+	if n4 > 0 || n6 > 0 {
+		body = appendAttributes(body, u, n4 > 0, true)
 	}
-	if len(nlri6) > 0 {
-		val := make([]byte, 0, 64)
-		val = binary.BigEndian.AppendUint16(val, afiIPv6)
-		val = append(val, safiUnicast)
-		if u.NextHop.IsValid() && u.NextHop.Is6() {
-			nh := u.NextHop.As16()
-			val = append(val, 16)
-			val = append(val, nh[:]...)
-		} else {
-			val = append(val, 16)
-			val = append(val, make([]byte, 16)...)
-		}
-		val = append(val, 0) // reserved SNPA count
-		val = appendPrefixes(val, nlri6)
-		attrs = appendAttr(attrs, flagOptional, attrMPReachNLRI, val)
+	if w6 > 0 {
+		body = appendAttrHeader(body, flagOptional, attrMPUnreachNLRI, 3+w6size)
+		body = binary.BigEndian.AppendUint16(body, afiIPv6)
+		body = append(body, safiUnicast)
+		body = appendPrefixes(body, u.Withdrawn, true)
 	}
-	if len(withdrawn6) > 0 {
-		val := make([]byte, 0, 32)
-		val = binary.BigEndian.AppendUint16(val, afiIPv6)
-		val = append(val, safiUnicast)
-		val = appendPrefixes(val, withdrawn6)
-		attrs = appendAttr(attrs, flagOptional, attrMPUnreachNLRI, val)
-	}
-	body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
-	body = append(body, attrs...)
+	binary.BigEndian.PutUint16(body[at:], uint16(len(body)-at-2))
 
 	// NLRI (IPv4).
-	body = appendPrefixes(body, nlri4)
-
-	total := HeaderLen + len(body)
-	if total > MaxMessageLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadLength, total)
-	}
-	msg := make([]byte, 0, total)
-	for i := 0; i < 16; i++ {
-		msg = append(msg, 0xFF)
-	}
-	msg = binary.BigEndian.AppendUint16(msg, uint16(total))
-	msg = append(msg, TypeUpdate)
-	msg = append(msg, body...)
-	return msg, nil
+	body = appendPrefixes(body, u.Announced, false)
+	return AppendMessage(make([]byte, 0, HeaderLen+len(body)), TypeUpdate, body)
 }
 
 // UnmarshalUpdate decodes a complete BGP UPDATE message (header included)
@@ -179,23 +146,23 @@ func UnmarshalUpdate(msg []byte) (*Update, error) {
 // msg, so msg may be reused once the call returns. On error *u holds a
 // partial decode and must be discarded.
 func UnmarshalUpdateInto(u *Update, msg []byte) error {
-	if len(msg) < HeaderLen {
-		return ErrShortMessage
+	typ, total, err := ParseHeader(msg)
+	if err != nil {
+		return err
 	}
-	for i := 0; i < 16; i++ {
-		if msg[i] != 0xFF {
-			return ErrBadMarker
-		}
-	}
-	total := int(binary.BigEndian.Uint16(msg[16:18]))
-	if total != len(msg) || total < HeaderLen {
+	if total != len(msg) {
 		return fmt.Errorf("%w: header says %d, have %d", ErrBadLength, total, len(msg))
 	}
-	if msg[18] != TypeUpdate {
+	if typ != TypeUpdate {
 		return ErrNotUpdate
 	}
-	body := msg[HeaderLen:]
+	return UnmarshalUpdateBody(u, msg[HeaderLen:])
+}
 
+// UnmarshalUpdateBody is UnmarshalUpdateInto for an UPDATE whose header
+// the caller has already read and checked — a session that framed the
+// message off its connection — decoding the body after it.
+func UnmarshalUpdateBody(u *Update, body []byte) error {
 	*u = Update{}
 	// Withdrawn routes.
 	if len(body) < 2 {
@@ -237,47 +204,7 @@ func UnmarshalUpdateInto(u *Update, msg []byte) error {
 // hop, an MP_REACH_NLRI attribute carrying no NLRI). MRT TABLE_DUMP_V2
 // RIB entries store attributes in exactly this standalone form.
 func MarshalPathAttributes(u *Update) []byte {
-	var attrs []byte
-	attrs = appendAttr(attrs, flagTransitive, attrOrigin, []byte{byte(u.Origin)})
-	attrs = appendAttr(attrs, flagTransitive, attrASPath, marshalASPath(u.Path))
-	if u.NextHop.IsValid() && u.NextHop.Is4() {
-		nh := u.NextHop.As4()
-		attrs = appendAttr(attrs, flagTransitive, attrNextHop, nh[:])
-	}
-	if len(u.Communities) > 0 {
-		val := make([]byte, 0, 4*len(u.Communities))
-		for _, c := range u.Communities {
-			val = binary.BigEndian.AppendUint32(val, uint32(c))
-		}
-		attrs = appendAttr(attrs, flagOptional|flagTransitive, attrCommunities, val)
-	}
-	if len(u.ExtendedCommunities) > 0 {
-		val := make([]byte, 0, 8*len(u.ExtendedCommunities))
-		for _, ec := range u.ExtendedCommunities {
-			val = append(val, ec[:]...)
-		}
-		attrs = appendAttr(attrs, flagOptional|flagTransitive, attrExtCommunities, val)
-	}
-	if len(u.LargeCommunities) > 0 {
-		val := make([]byte, 0, 12*len(u.LargeCommunities))
-		for _, lc := range u.LargeCommunities {
-			val = binary.BigEndian.AppendUint32(val, lc.Global)
-			val = binary.BigEndian.AppendUint32(val, lc.Local1)
-			val = binary.BigEndian.AppendUint32(val, lc.Local2)
-		}
-		attrs = appendAttr(attrs, flagOptional|flagTransitive, attrLargeCommunities, val)
-	}
-	if u.NextHop.IsValid() && u.NextHop.Is6() {
-		val := make([]byte, 0, 24)
-		val = binary.BigEndian.AppendUint16(val, afiIPv6)
-		val = append(val, safiUnicast)
-		nh := u.NextHop.As16()
-		val = append(val, 16)
-		val = append(val, nh[:]...)
-		val = append(val, 0) // reserved SNPA count
-		attrs = appendAttr(attrs, flagOptional, attrMPReachNLRI, val)
-	}
-	return attrs
+	return appendAttributes(nil, u, true, false)
 }
 
 // UnmarshalPathAttributes decodes a standalone path-attribute section as
@@ -292,31 +219,85 @@ func UnmarshalPathAttributes(attrs []byte) (*Update, error) {
 	return u, nil
 }
 
-func appendAttr(dst []byte, flags byte, code byte, val []byte) []byte {
-	if len(val) > 255 {
-		flags |= flagExtLen
+// appendAttributes is the one path-attribute writer: ORIGIN, AS_PATH,
+// NEXT_HOP, COMMUNITIES, EXTENDED and LARGE COMMUNITIES, MP_REACH_NLRI,
+// in that order. The next-hop rule: an IPv4 next hop goes in NEXT_HOP,
+// written only beside IPv4 reachability (v4: classic NLRI follow, or the
+// standalone RIB form); an IPv6 next hop goes in MP_REACH_NLRI, which is
+// also written — with a zero next hop if none is IPv6 — when v6 asks for
+// the update's IPv6 announcements to be carried there.
+func appendAttributes(dst []byte, u *Update, v4, v6 bool) []byte {
+	dst = appendAttrHeader(dst, flagTransitive, attrOrigin, 1)
+	dst = append(dst, byte(u.Origin))
+	pathLen := 0
+	for _, s := range u.Path.Segments {
+		if len(s.ASNs) > 0 {
+			pathLen += 2 + 4*len(s.ASNs)
+		}
 	}
-	dst = append(dst, flags, code)
-	if flags&flagExtLen != 0 {
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(val)))
-	} else {
-		dst = append(dst, byte(len(val)))
-	}
-	return append(dst, val...)
-}
-
-func marshalASPath(p Path) []byte {
-	var out []byte
-	for _, s := range p.Segments {
+	dst = appendAttrHeader(dst, flagTransitive, attrASPath, pathLen)
+	for _, s := range u.Path.Segments {
 		if len(s.ASNs) == 0 {
 			continue
 		}
-		out = append(out, byte(s.Type), byte(len(s.ASNs)))
+		dst = append(dst, byte(s.Type), byte(len(s.ASNs)))
 		for _, a := range s.ASNs {
-			out = binary.BigEndian.AppendUint32(out, uint32(a))
+			dst = binary.BigEndian.AppendUint32(dst, uint32(a))
 		}
 	}
-	return out
+	if v4 && u.NextHop.Is4() {
+		nh := u.NextHop.As4()
+		dst = appendAttrHeader(dst, flagTransitive, attrNextHop, 4)
+		dst = append(dst, nh[:]...)
+	}
+	if len(u.Communities) > 0 {
+		dst = appendAttrHeader(dst, flagOptional|flagTransitive, attrCommunities, 4*len(u.Communities))
+		for _, c := range u.Communities {
+			dst = binary.BigEndian.AppendUint32(dst, uint32(c))
+		}
+	}
+	if len(u.ExtendedCommunities) > 0 {
+		dst = appendAttrHeader(dst, flagOptional|flagTransitive, attrExtCommunities, 8*len(u.ExtendedCommunities))
+		for _, ec := range u.ExtendedCommunities {
+			dst = append(dst, ec[:]...)
+		}
+	}
+	if len(u.LargeCommunities) > 0 {
+		dst = appendAttrHeader(dst, flagOptional|flagTransitive, attrLargeCommunities, 12*len(u.LargeCommunities))
+		for _, lc := range u.LargeCommunities {
+			dst = binary.BigEndian.AppendUint32(dst, lc.Global)
+			dst = binary.BigEndian.AppendUint32(dst, lc.Local1)
+			dst = binary.BigEndian.AppendUint32(dst, lc.Local2)
+		}
+	}
+	n6, size6 := 0, 0
+	if v6 {
+		n6, size6 = nlriSize(u.Announced, true)
+	}
+	if n6 > 0 || u.NextHop.Is6() {
+		var nh [16]byte
+		if u.NextHop.Is6() {
+			nh = u.NextHop.As16()
+		}
+		dst = appendAttrHeader(dst, flagOptional, attrMPReachNLRI, 5+len(nh)+size6)
+		dst = binary.BigEndian.AppendUint16(dst, afiIPv6)
+		dst = append(dst, safiUnicast, byte(len(nh)))
+		dst = append(dst, nh[:]...)
+		dst = append(dst, 0) // reserved SNPA count
+		if v6 {
+			dst = appendPrefixes(dst, u.Announced, true)
+		}
+	}
+	return dst
+}
+
+// appendAttrHeader appends a path attribute's flags, type code and the
+// length of its n-byte value, in the extended two-octet form past 255.
+func appendAttrHeader(dst []byte, flags, code byte, n int) []byte {
+	if n > 255 {
+		return binary.BigEndian.AppendUint16(append(dst, flags|flagExtLen, code), uint16(n))
+	}
+	return append(dst, flags, code, byte(n))
 }
 
 // parseASPath validates and sizes the attribute in a first pass, then
@@ -476,66 +457,108 @@ func parseMPUnreach(u *Update, val []byte) (err error) {
 	return err
 }
 
-// appendPrefixes encodes prefixes in the RFC 4271 NLRI format: one length
-// octet followed by ceil(len/8) address octets.
-func appendPrefixes(dst []byte, ps []netip.Prefix) []byte {
+// AppendPrefix appends p in the RFC 4271 NLRI encoding: one length
+// octet, then the ceil(length/8) leading octets of the address. It is the
+// one writer of the form — UPDATE fields, MP attributes and MRT RIB
+// records alike.
+func AppendPrefix(dst []byte, p netip.Prefix) []byte {
+	bits := p.Bits()
+	dst = append(dst, byte(bits))
+	nb := (bits + 7) / 8
+	if p.Addr().Is4() {
+		a := p.Addr().As4()
+		return append(dst, a[:nb]...)
+	}
+	a := p.Addr().As16()
+	return append(dst, a[:nb]...)
+}
+
+// ParsePrefix is AppendPrefix's reader: the prefix at the start of b, in
+// the address family v6 selects, and the bytes after it. Every error
+// wraps ErrBadNLRI; one for a prefix cut short also wraps
+// ErrShortMessage.
+func ParsePrefix(b []byte, v6 bool) (netip.Prefix, []byte, error) {
+	n, err := prefixSize(b, v6)
+	if err != nil {
+		return netip.Prefix{}, nil, err
+	}
+	var addr netip.Addr
+	if v6 {
+		var a [16]byte
+		copy(a[:], b[1:n])
+		addr = netip.AddrFrom16(a)
+	} else {
+		var a [4]byte
+		copy(a[:], b[1:n])
+		addr = netip.AddrFrom4(a)
+	}
+	p, _ := addr.Prefix(int(b[0])) // prefixSize bounded the length
+	return p, b[n:], nil
+}
+
+var errShortPrefix = fmt.Errorf("%w: %w", ErrBadNLRI, ErrShortMessage)
+
+// prefixSize checks the length octet at the start of b against the
+// family and the bytes present, and returns the encoded prefix's size.
+func prefixSize(b []byte, v6 bool) (int, error) {
+	if len(b) == 0 {
+		return 0, errShortPrefix
+	}
+	bits, maxBits := int(b[0]), 32
+	if v6 {
+		maxBits = 128
+	}
+	if bits > maxBits {
+		return 0, fmt.Errorf("%w: prefix length %d", ErrBadNLRI, bits)
+	}
+	if n := 1 + (bits+7)/8; len(b) >= n {
+		return n, nil
+	}
+	return 0, errShortPrefix
+}
+
+// nlriSize counts the prefixes of ps in one address family (v6, or IPv4)
+// and the bytes appendPrefixes writes for them.
+func nlriSize(ps []netip.Prefix, v6 bool) (n, size int) {
 	for _, p := range ps {
-		bits := p.Bits()
-		dst = append(dst, byte(bits))
-		nb := (bits + 7) / 8
-		if p.Addr().Is4() {
-			a := p.Addr().As4()
-			dst = append(dst, a[:nb]...)
-		} else {
-			a := p.Addr().As16()
-			dst = append(dst, a[:nb]...)
+		if p.Addr().Is4() != v6 {
+			n++
+			size += 1 + (p.Bits()+7)/8
+		}
+	}
+	return n, size
+}
+
+// appendPrefixes appends the prefixes of ps in one address family (v6,
+// or IPv4), in order.
+func appendPrefixes(dst []byte, ps []netip.Prefix, v6 bool) []byte {
+	for _, p := range ps {
+		if p.Addr().Is4() != v6 {
+			dst = AppendPrefix(dst, p)
 		}
 	}
 	return dst
 }
 
-// parsePrefixes decodes RFC 4271 NLRI-encoded prefixes and appends them
+// parsePrefixes decodes a field of NLRI-encoded prefixes and appends them
 // to dst, which grows at most once: the field is validated and counted
 // before anything is allocated. v6 selects the address family for fields
 // (MP attributes) where it is not implicit. An empty field returns dst
 // unchanged, so a list nothing was appended to stays nil.
 func parsePrefixes(dst []netip.Prefix, b []byte, v6 bool) ([]netip.Prefix, error) {
-	maxBits := 32
-	if v6 {
-		maxBits = 128
-	}
 	n := 0
 	for rest := b; len(rest) > 0; n++ {
-		bits := int(rest[0])
-		if bits > maxBits {
-			return nil, fmt.Errorf("%w: prefix length %d", ErrBadNLRI, bits)
+		size, err := prefixSize(rest, v6)
+		if err != nil {
+			return nil, err
 		}
-		nb := 1 + (bits+7)/8
-		if len(rest) < nb {
-			return nil, ErrBadNLRI
-		}
-		rest = rest[nb:]
+		rest = rest[size:]
 	}
 	dst = slices.Grow(dst, n)
 	for len(b) > 0 {
-		bits := int(b[0])
-		nb := (bits + 7) / 8
-		var addr netip.Addr
-		if v6 {
-			var a [16]byte
-			copy(a[:], b[1:1+nb])
-			addr = netip.AddrFrom16(a)
-		} else {
-			var a [4]byte
-			copy(a[:], b[1:1+nb])
-			addr = netip.AddrFrom4(a)
-		}
-		p, err := addr.Prefix(bits)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadNLRI, err)
-		}
+		var p netip.Prefix
+		p, b, _ = ParsePrefix(b, v6) // the pass above validated every prefix
 		dst = append(dst, p)
-		b = b[1+nb:]
 	}
 	return dst, nil
 }

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -111,14 +112,10 @@ func TestUnknownAttributeSkipped(t *testing.T) {
 	newAttrsLen := attrsLen + len(unknown)
 	newBody[2], newBody[3] = byte(newAttrsLen>>8), byte(newAttrsLen)
 
-	msg := make([]byte, 0, HeaderLen+len(newBody))
-	for i := 0; i < 16; i++ {
-		msg = append(msg, 0xFF)
+	msg, err := AppendMessage(nil, TypeUpdate, newBody)
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := HeaderLen + len(newBody)
-	msg = append(msg, byte(total>>8), byte(total), TypeUpdate)
-	msg = append(msg, newBody...)
-
 	got, err := UnmarshalUpdate(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -154,5 +151,68 @@ func TestMarshalPathAttributesStandalone(t *testing.T) {
 	}
 	if len(got.Announced) != 0 {
 		t.Fatal("standalone attributes should carry no NLRI")
+	}
+}
+
+// TestNextHopRule holds both encoders to the one attribute writer's
+// next-hop rule: an IPv4 next hop goes in NEXT_HOP, beside IPv4
+// reachability only; an IPv6 one goes in MP_REACH_NLRI, which an update
+// with IPv6 NLRI always carries (zero next hop if none is IPv6). What
+// the encoder writes decodes back to the next hop the table names.
+func TestNextHopRule(t *testing.T) {
+	v4, v6 := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("2001:db8::1")
+	p4, p6 := netip.MustParsePrefix("192.0.2.0/24"), netip.MustParsePrefix("2001:db8:1::/48")
+	cases := []struct {
+		name      string
+		hop       netip.Addr
+		announced []netip.Prefix // nil: the standalone RIB form
+		nextHop   bool           // NEXT_HOP written
+		mpReach   bool           // MP_REACH_NLRI written
+		decoded   netip.Addr
+	}{
+		{"v4 hop, v4 nlri", v4, []netip.Prefix{p4}, true, false, v4},
+		{"v6 hop, v4 nlri", v6, []netip.Prefix{p4}, false, true, v6},
+		{"v6 hop, v6 nlri", v6, []netip.Prefix{p6}, false, true, v6},
+		{"v4 hop, v6 nlri", v4, []netip.Prefix{p6}, false, true, netip.IPv6Unspecified()},
+		{"no hop, v4 nlri", netip.Addr{}, []netip.Prefix{p4}, false, false, netip.Addr{}},
+		{"v4 hop, standalone", v4, nil, true, false, v4},
+		{"v6 hop, standalone", v6, nil, false, true, v6},
+		{"no hop, standalone", netip.Addr{}, nil, false, false, netip.Addr{}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			u := &Update{Announced: c.announced, Origin: OriginIGP, Path: NewPath(3356), NextHop: c.hop}
+			var attrs []byte
+			var got *Update
+			if c.announced == nil {
+				attrs = MarshalPathAttributes(u)
+				var err error
+				if got, err = UnmarshalPathAttributes(attrs); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				wire, err := MarshalUpdate(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body := wire[HeaderLen+2:] // no withdrawn routes
+				attrs = body[2 : 2+int(binary.BigEndian.Uint16(body))]
+				if got, err = UnmarshalUpdate(wire); err != nil {
+					t.Fatal(err)
+				}
+			}
+			codes := map[byte]bool{}
+			for len(attrs) > 0 {
+				codes[attrs[1]] = true
+				attrs = attrs[3+int(attrs[2]):] // no value here needs the extended length
+			}
+			if codes[attrNextHop] != c.nextHop || codes[attrMPReachNLRI] != c.mpReach {
+				t.Fatalf("NEXT_HOP written %v, MP_REACH_NLRI written %v; want %v, %v",
+					codes[attrNextHop], codes[attrMPReachNLRI], c.nextHop, c.mpReach)
+			}
+			if got.NextHop != c.decoded {
+				t.Fatalf("decoded next hop %v, want %v", got.NextHop, c.decoded)
+			}
+		})
 	}
 }

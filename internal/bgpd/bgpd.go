@@ -138,37 +138,33 @@ func parseOpen(body []byte) (Peer, error) {
 
 // writeMessage frames and sends one BGP message.
 func writeMessage(w io.Writer, msgType byte, body []byte) error {
-	msg := make([]byte, 0, bgp.HeaderLen+len(body))
-	for i := 0; i < 16; i++ {
-		msg = append(msg, 0xFF)
+	msg, err := bgp.AppendMessage(nil, msgType, body)
+	if err != nil {
+		return err
 	}
-	msg = binary.BigEndian.AppendUint16(msg, uint16(bgp.HeaderLen+len(body)))
-	msg = append(msg, msgType)
-	msg = append(msg, body...)
-	_, err := w.Write(msg)
+	_, err = w.Write(msg)
 	return err
 }
 
-// readMessage reads one framed message.
+// readMessage reads one framed message of at most bgp.MaxMessageLen
+// bytes and returns its type and body.
 func readMessage(r io.Reader) (byte, []byte, error) {
 	var hdr [bgp.HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	for i := 0; i < 16; i++ {
-		if hdr[i] != 0xFF {
-			return 0, nil, bgp.ErrBadMarker
-		}
+	typ, total, err := bgp.ParseHeader(hdr[:])
+	if err != nil {
+		return 0, nil, err
 	}
-	total := int(binary.BigEndian.Uint16(hdr[16:18]))
-	if total < bgp.HeaderLen || total > bgp.MaxMessageLen {
+	if total > bgp.MaxMessageLen {
 		return 0, nil, bgp.ErrBadLength
 	}
 	body := make([]byte, total-bgp.HeaderLen)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}
-	return hdr[18], body, nil
+	return typ, body, nil
 }
 
 // Establish performs the OPEN/KEEPALIVE handshake on conn. Both sides
@@ -288,16 +284,8 @@ func (s *Session) ReadUpdate() (*bgp.Update, error) {
 		case typeNotification:
 			return nil, notificationError(body)
 		case typeUpdate:
-			// Re-frame for the bgp decoder (it expects the full message).
-			msg := make([]byte, 0, bgp.HeaderLen+len(body))
-			for i := 0; i < 16; i++ {
-				msg = append(msg, 0xFF)
-			}
-			msg = binary.BigEndian.AppendUint16(msg, uint16(bgp.HeaderLen+len(body)))
-			msg = append(msg, typeUpdate)
-			msg = append(msg, body...)
-			u, err := bgp.UnmarshalUpdate(msg)
-			if err != nil {
+			u := &bgp.Update{}
+			if err := bgp.UnmarshalUpdateBody(u, body); err != nil {
 				return nil, err
 			}
 			u.Time = time.Now().UTC()

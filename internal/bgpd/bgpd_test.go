@@ -1,10 +1,12 @@
 package bgpd
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
 	"net/netip"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -236,4 +238,53 @@ func TestReadMessageRejectsBadFraming(t *testing.T) {
 	if _, _, err := readMessage(r); err == nil {
 		t.Fatal("bad marker accepted")
 	}
+}
+
+// replayConn is a connection that reads a fixed byte stream.
+type replayConn struct {
+	net.Conn
+	r *bytes.Reader
+}
+
+func (c replayConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+// TestReadUpdateAllocations: ReadUpdate decodes the body it read in
+// place — no second, re-framed copy of the message for the decoder —
+// so an update costs the frame's body, the Update and the decoder's
+// slices (prefixes, path segments, ASNs, communities), and the header.
+func TestReadUpdateAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	wire, err := bgp.MarshalUpdate(&bgp.Update{
+		Announced:   []netip.Prefix{netip.MustParsePrefix("31.0.0.1/32")},
+		Origin:      bgp.OriginIGP,
+		Path:        bgp.NewPath(3356, 65001),
+		NextHop:     netip.MustParseAddr("10.0.0.2"),
+		Communities: []bgp.Community{bgp.CommunityBlackhole},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	s := &Session{conn: replayConn{r: bytes.NewReader(bytes.Repeat(wire, runs+1))}}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := s.ReadUpdate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ReadUpdate: %.1f allocations per update", allocs)
+	if allocs > 7 {
+		t.Fatalf("ReadUpdate allocates %.1f times per update, want <= 7", allocs)
+	}
+}
+
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
 }

@@ -218,7 +218,7 @@ func (w *Writer) WriteRIB(r *RIB) error {
 	}
 	body := w.begin(r.Time, TypeTableDumpV2, subtype)
 	body = binary.BigEndian.AppendUint32(body, r.Sequence)
-	body = appendNLRIPrefix(body, r.Prefix)
+	body = bgp.AppendPrefix(body, r.Prefix)
 	body = binary.BigEndian.AppendUint16(body, uint16(len(r.Entries)))
 	for _, e := range r.Entries {
 		body = binary.BigEndian.AppendUint16(body, e.PeerIndex)
@@ -469,10 +469,12 @@ func parseRIB(ts time.Time, subtype uint16, body []byte) (*RIB, error) {
 	}
 	rib := &RIB{Time: ts, Sequence: binary.BigEndian.Uint32(body[0:4])}
 	body = body[4:]
-	v6 := subtype == SubtypeRIBIPv6Unicast
-	prefix, rest, err := parseNLRIPrefix(body, v6)
+	prefix, rest, err := bgp.ParsePrefix(body, subtype == SubtypeRIBIPv6Unicast)
+	if errors.Is(err, bgp.ErrShortMessage) {
+		return nil, ErrTruncated
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mrt: RIB prefix: %w", err)
 	}
 	rib.Prefix = prefix
 	body = rest
@@ -503,54 +505,6 @@ func parseRIB(ts time.Time, subtype uint16, body []byte) (*RIB, error) {
 		rib.Entries = append(rib.Entries, e)
 	}
 	return rib, nil
-}
-
-func appendNLRIPrefix(dst []byte, p netip.Prefix) []byte {
-	bits := p.Bits()
-	dst = append(dst, byte(bits))
-	nb := (bits + 7) / 8
-	if p.Addr().Is4() {
-		a := p.Addr().As4()
-		dst = append(dst, a[:nb]...)
-	} else {
-		a := p.Addr().As16()
-		dst = append(dst, a[:nb]...)
-	}
-	return dst
-}
-
-func parseNLRIPrefix(b []byte, v6 bool) (netip.Prefix, []byte, error) {
-	if len(b) < 1 {
-		return netip.Prefix{}, nil, ErrTruncated
-	}
-	bits := int(b[0])
-	b = b[1:]
-	maxBits := 32
-	if v6 {
-		maxBits = 128
-	}
-	if bits > maxBits {
-		return netip.Prefix{}, nil, fmt.Errorf("mrt: prefix length %d", bits)
-	}
-	nb := (bits + 7) / 8
-	if len(b) < nb {
-		return netip.Prefix{}, nil, ErrTruncated
-	}
-	var addr netip.Addr
-	if v6 {
-		var a [16]byte
-		copy(a[:], b[:nb])
-		addr = netip.AddrFrom16(a)
-	} else {
-		var a [4]byte
-		copy(a[:], b[:nb])
-		addr = netip.AddrFrom4(a)
-	}
-	p, err := addr.Prefix(bits)
-	if err != nil {
-		return netip.Prefix{}, nil, err
-	}
-	return p, b[nb:], nil
 }
 
 func addr4(a netip.Addr) [4]byte {

@@ -110,11 +110,8 @@ func DecodeEvent(data []byte) (*core.Event, error) {
 	ev.ProvidersByPlatform = providersByPlatform.get(d)
 	ev.UsersByPlatform = usersByPlatform.get(d)
 	ev.ProviderUsers = providerUsers.get(d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes after event record", len(d.buf))
+	if err := d.finish("event record"); err != nil {
+		return nil, err
 	}
 	if err := ev.Check(); err != nil {
 		return nil, fmt.Errorf("store: corrupt event record: %w", err)
@@ -278,11 +275,8 @@ func decodeTombstone(data []byte) (Tombstone, error) {
 	if flags&1 != 0 {
 		tb.UpTo = time.Unix(0, d.varint()).UTC()
 	}
-	if d.err != nil {
-		return Tombstone{}, d.err
-	}
-	if len(d.buf) != 0 {
-		return Tombstone{}, fmt.Errorf("store: %d trailing bytes after tombstone record", len(d.buf))
+	if err := d.finish("tombstone record"); err != nil {
+		return Tombstone{}, err
 	}
 	return tb, nil
 }
@@ -290,6 +284,9 @@ func decodeTombstone(data []byte) (Tombstone, error) {
 // ---------------------------------------------------------------------
 // Decoding. The decoder is error-latching: after the first malformed
 // field every accessor returns zero values and the error surfaces once.
+// It is the one reader of every payload the store writes — events,
+// tombstones, markers, sidecars — and it reads only canonical bytes:
+// varints in their shortest form, what binary.AppendUvarint writes.
 
 type decoder struct {
 	buf []byte
@@ -298,8 +295,17 @@ type decoder struct {
 
 func (d *decoder) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("store: truncated event record (%s)", what)
+		d.err = fmt.Errorf("store: truncated or malformed payload (%s)", what)
 	}
+}
+
+// finish is the end of every payload: the first error, or one for bytes
+// left over after what.
+func (d *decoder) finish(what string) error {
+	if d.err == nil && len(d.buf) != 0 {
+		d.err = fmt.Errorf("store: %d trailing bytes after %s", len(d.buf), what)
+	}
+	return d.err
 }
 
 func (d *decoder) byte() byte {
@@ -327,12 +333,32 @@ func (d *decoder) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
+	if n <= 0 || overlong(d.buf[:n]) {
 		d.fail("uvarint")
 		return 0
 	}
 	d.buf = d.buf[n:]
 	return v
+}
+
+// overlong reports whether a varint's bytes are longer than its value
+// needs: a last byte of zero after a continuation.
+func overlong(b []byte) bool { return len(b) > 1 && b[len(b)-1] == 0 }
+
+// bool reads a flag byte that is 0 or 1.
+func (d *decoder) bool() bool {
+	b := d.byte()
+	if b > 1 {
+		d.fail("flag")
+	}
+	return b == 1
+}
+
+func (d *decoder) u64le() uint64 {
+	if b := d.take(8); d.err == nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 
 // count reads an element count. Every element takes at least one byte,
@@ -353,7 +379,7 @@ func (d *decoder) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf)
-	if n <= 0 {
+	if n <= 0 || overlong(d.buf[:n]) {
 		d.fail("varint")
 		return 0
 	}

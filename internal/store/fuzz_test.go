@@ -107,6 +107,10 @@ func FuzzRecoverSegment(f *testing.F) {
 	f.Add(appendRecord(slices.Clone(segMagic), appendMarkerV2(nil, []uint64{0, 1, 7})))
 	f.Add(appendRecord(slices.Clone(segMagic),
 		encodeTombstone(nil, Tombstone{Prefix: netip.MustParsePrefix("10.0.0.0/8")})))
+	// A marker with one byte after its list: Open must fail, deleting
+	// nothing.
+	trailing := appendRecord(slices.Clone(segMagic), append(appendMarkerV2(nil, []uint64{0}), 0))
+	f.Add(appendRecord(trailing, EncodeEvent(nil, makeEvent(0))))
 	huge := slices.Clone(segMagic)
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0) // absurd length header
 	f.Add(huge)
@@ -138,6 +142,43 @@ func FuzzRecoverSegment(f *testing.F) {
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzDecodeSummary: the sidecar reader never panics and accepts exactly
+// what the writer writes — any sidecar it decodes re-encodes through
+// encodeSummary to the same bytes. Each input is tried as a whole file
+// and, framed under a valid checksum, as a payload, so mutations reach
+// the payload decoder instead of dying at the CRC.
+func FuzzDecodeSummary(f *testing.F) {
+	dir := f.TempDir()
+	buildSidecarDir(f, dir)
+	for _, path := range sidecarFiles(f, dir)[:2] {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload := data[len(sumMagic)+recordHeaderBytes:]
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(payload)
+		for _, at := range []int{1, len(payload) / 3, len(payload) / 2, len(payload) - 1} {
+			flipped := slices.Clone(payload)
+			flipped[at] ^= 0x81
+			f.Add(flipped)
+		}
+		f.Add(append(slices.Clone(data), 0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, appendRecord(slices.Clone(sumMagic), data)} {
+			m, err := decodeSummary(in)
+			if err != nil {
+				continue
+			}
+			if !bytes.Equal(encodeSummary(m), in) {
+				t.Fatalf("decodeSummary accepted %d bytes that do not re-encode to themselves", len(in))
+			}
 		}
 	})
 }

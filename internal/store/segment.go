@@ -50,32 +50,22 @@ func isMarker(rec []byte) bool { return len(rec) >= 1 && rec[0] == kindMarkerV2 
 // tombstone.
 func isTombstone(rec []byte) bool { return len(rec) >= 1 && rec[0] == kindTombstone }
 
+// seqList is the marker's superseded-seq list: uvarint count, uvarint
+// seqs.
+var seqList = listOf(codec[uint64]{binary.AppendUvarint, (*decoder).uvarint})
+
 // appendMarkerV2 encodes a tiered compaction marker superseding seqs.
 func appendMarkerV2(buf []byte, seqs []uint64) []byte {
-	buf = append(buf, kindMarkerV2)
-	buf = binary.AppendUvarint(buf, uint64(len(seqs)))
-	for _, q := range seqs {
-		buf = binary.AppendUvarint(buf, q)
-	}
-	return buf
+	return seqList.put(append(buf, kindMarkerV2), seqs)
 }
 
-// markerV2Seqs decodes the superseded sequence list of a v2 marker.
+// markerV2Seqs decodes the superseded sequence list of a v2 marker,
+// which must end where the list does.
 func markerV2Seqs(rec []byte) ([]uint64, error) {
-	d := rec[1:]
-	n, w := binary.Uvarint(d)
-	if w <= 0 || n > uint64(len(d)) {
-		return nil, errors.New("store: malformed compaction marker")
-	}
-	d = d[w:]
-	seqs := make([]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		q, w := binary.Uvarint(d)
-		if w <= 0 {
-			return nil, errors.New("store: malformed compaction marker")
-		}
-		d = d[w:]
-		seqs = append(seqs, q)
+	d := &decoder{buf: rec[1:]}
+	seqs := seqList.get(d)
+	if err := d.finish("compaction marker"); err != nil {
+		return nil, fmt.Errorf("store: malformed compaction marker: %w", err)
 	}
 	return seqs, nil
 }
@@ -209,13 +199,30 @@ type activeSeg struct {
 	others [][]byte
 }
 
-// appendRecord appends one length-prefixed, checksummed record.
+// appendRecord appends one length-prefixed, checksummed record: the one
+// record frame, shared by segments and sidecars.
 func appendRecord(buf []byte, payload []byte) []byte {
-	var hdr [recordHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 	return append(buf, payload...)
+}
+
+// nextRecord is appendRecord's reader: the payload of the record at the
+// start of data and the bytes after it. ok is false when the header is
+// short, the length exceeds limit or the data, or the checksum fails.
+func nextRecord(data []byte, limit int) (payload, rest []byte, ok bool) {
+	if len(data) < recordHeaderBytes {
+		return nil, nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(data[0:4]))
+	if n > limit || len(data)-recordHeaderBytes < n {
+		return nil, nil, false
+	}
+	payload = data[recordHeaderBytes : recordHeaderBytes+n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:8]) {
+		return nil, nil, false
+	}
+	return payload, data[recordHeaderBytes+n:], true
 }
 
 // scanResult is what readSegment recovered from one segment file.
@@ -261,26 +268,15 @@ func scanSegment(data []byte, path string) (scanResult, error) {
 		return scanResult{}, fmt.Errorf("%w: %s", errNotSegment, path)
 	}
 	res := scanResult{validLen: int64(len(segMagic)), fileSize: int64(len(data))}
-	off := len(segMagic)
-	for off < len(data) {
-		if len(data)-off < recordHeaderBytes {
-			res.truncated = true
-			break
-		}
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n > maxRecordBytes || len(data)-off-recordHeaderBytes < n {
-			res.truncated = true
-			break
-		}
-		payload := data[off+recordHeaderBytes : off+recordHeaderBytes+n]
-		if crc32.ChecksumIEEE(payload) != sum {
+	for rest := data[len(segMagic):]; len(rest) > 0; {
+		payload, next, ok := nextRecord(rest, maxRecordBytes)
+		if !ok {
 			res.truncated = true
 			break
 		}
 		res.records = append(res.records, payload)
-		off += recordHeaderBytes + n
-		res.validLen = int64(off)
+		rest = next
+		res.validLen = int64(len(data) - len(rest))
 	}
 	return res, nil
 }

@@ -35,7 +35,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -396,6 +395,16 @@ func unixDayNano(nano int64) int64 {
 // ---------------------------------------------------------------------
 // Encoding.
 
+// The sidecar's byte strings, lists of them, and bloom words, as codec
+// values: each count-first (FORMAT.md's bytes and list). A count is
+// bounded by the bytes left, so a corrupt word count can allocate at
+// most 8× the capped payload.
+var (
+	blob  = listOf(codec[byte]{func(buf []byte, b byte) []byte { return append(buf, b) }, (*decoder).byte})
+	blobs = listOf(blob)
+	words = listOf(codec[uint64]{binary.LittleEndian.AppendUint64, (*decoder).u64le})
+)
+
 func encodeSummary(m *segSummary) []byte {
 	p := []byte{sumVersion}
 	p = binary.AppendUvarint(p, m.seq)
@@ -412,9 +421,9 @@ func encodeSummary(m *segSummary) []byte {
 	p = binary.AppendVarint(p, m.allMaxEnd)
 	p = binary.AppendVarint(p, m.liveMinStart)
 	p = binary.AppendVarint(p, m.liveMaxEnd)
-	p = appendBytes(p, m.deadBits)
-	p = appendBytesList(p, m.others)
-	p = appendBytesList(p, m.applied)
+	p = blob.put(p, m.deadBits)
+	p = blobs.put(p, m.others)
+	p = blobs.put(p, m.applied)
 	p = appendFamRange(p, m.v4)
 	p = appendFamRange(p, m.v6)
 	p = appendBloom(p, m.prefixes)
@@ -423,59 +432,32 @@ func encodeSummary(m *segSummary) []byte {
 	p = appendBloom(p, m.communities)
 
 	out := make([]byte, 0, len(sumMagic)+recordHeaderBytes+len(p))
-	out = append(out, sumMagic...)
-	var hdr [recordHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(p))
-	out = append(out, hdr[:]...)
-	return append(out, p...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-func appendBytesList(buf []byte, l [][]byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(l)))
-	for _, b := range l {
-		buf = appendBytes(buf, b)
-	}
-	return buf
+	return appendRecord(append(out, sumMagic...), p)
 }
 
 func appendFamRange(buf []byte, r famRange) []byte {
 	if !r.present {
 		return append(buf, 0)
 	}
-	buf = append(buf, 1)
-	buf = appendBytes(buf, r.min)
-	return appendBytes(buf, r.max)
+	return blob.put(blob.put(append(buf, 1), r.min), r.max)
 }
 
 func appendBloom(buf []byte, b bloom) []byte {
 	buf = append(buf, byte(b.k))
 	buf = binary.AppendUvarint(buf, b.nbits)
-	buf = binary.AppendUvarint(buf, uint64(len(b.words)))
-	for _, w := range b.words {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf
+	return words.put(buf, b.words)
 }
 
+// decodeSummary reads a sidecar, accepting only the bytes encodeSummary
+// writes: one framed record after the magic and nothing after it, flags
+// and presence bytes 0 or 1, shortest varints, blooms of whole words.
 func decodeSummary(data []byte) (*segSummary, error) {
-	if len(data) < len(sumMagic)+recordHeaderBytes || !bytes.Equal(data[:len(sumMagic)], sumMagic) {
+	if !bytes.HasPrefix(data, sumMagic) {
 		return nil, fmt.Errorf("store: not a sidecar file (bad magic)")
 	}
-	data = data[len(sumMagic):]
-	n := int(binary.LittleEndian.Uint32(data[0:4]))
-	sum := binary.LittleEndian.Uint32(data[4:8])
-	if n > maxSidecarBytes || len(data)-recordHeaderBytes < n {
-		return nil, fmt.Errorf("store: truncated sidecar")
-	}
-	p := data[recordHeaderBytes : recordHeaderBytes+n]
-	if crc32.ChecksumIEEE(p) != sum {
-		return nil, fmt.Errorf("store: sidecar checksum mismatch")
+	p, rest, ok := nextRecord(data[len(sumMagic):], maxSidecarBytes)
+	if !ok || len(rest) != 0 {
+		return nil, fmt.Errorf("store: sidecar frame torn, oversized, failing its checksum or followed by bytes")
 	}
 	d := &decoder{buf: p}
 	if v := d.byte(); v != sumVersion {
@@ -485,27 +467,24 @@ func decodeSummary(data []byte) (*segSummary, error) {
 	m.seq = d.uvarint()
 	m.fileSize = d.varint()
 	m.size = d.varint()
-	m.truncated = d.byte()&1 != 0
+	m.truncated = d.bool()
 	events, live := int(d.uvarint()), int(d.uvarint())
 	m.events, m.dead = events, events-live
 	m.minStartNano = d.varint()
 	m.allMaxEnd = d.varint()
 	m.liveMinStart = d.varint()
 	m.liveMaxEnd = d.varint()
-	m.deadBits = decodeBytes(d)
-	m.others = decodeBytesList(d)
-	m.applied = decodeBytesList(d)
-	m.v4 = decodeFamRange(d)
-	m.v6 = decodeFamRange(d)
-	m.prefixes = decodeBloom(d)
-	m.users = decodeBloom(d)
-	m.providers = decodeBloom(d)
-	m.communities = decodeBloom(d)
-	if d.err != nil {
-		return nil, fmt.Errorf("store: corrupt sidecar: %w", d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes after sidecar payload", len(d.buf))
+	m.deadBits = blob.get(d)
+	m.others = blobs.get(d)
+	m.applied = blobs.get(d)
+	m.v4 = d.famRange()
+	m.v6 = d.famRange()
+	m.prefixes = d.bloom()
+	m.users = d.bloom()
+	m.providers = d.bloom()
+	m.communities = d.bloom()
+	if err := d.finish("sidecar payload"); err != nil {
+		return nil, fmt.Errorf("store: corrupt sidecar: %w", err)
 	}
 	if events < 0 || live < 0 || live > events ||
 		(events > 0 && len(m.deadBits) != (events+7)/8) {
@@ -521,58 +500,17 @@ func decodeSummary(data []byte) (*segSummary, error) {
 	return m, nil
 }
 
-func decodeBytes(d *decoder) []byte {
-	n := int(d.uvarint())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > len(d.buf) {
-		d.fail("sidecar bytes")
-		return nil
-	}
-	return slices.Clone(d.take(n))
-}
-
-func decodeBytesList(d *decoder) [][]byte {
-	n := int(d.uvarint())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > len(d.buf) {
-		d.fail("sidecar list")
-		return nil
-	}
-	out := make([][]byte, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, decodeBytes(d))
-	}
-	return out
-}
-
-func decodeFamRange(d *decoder) famRange {
-	if d.byte()&1 == 0 {
+func (d *decoder) famRange() famRange {
+	if !d.bool() {
 		return famRange{}
 	}
-	return famRange{present: true, min: decodeBytes(d), max: decodeBytes(d)}
+	return famRange{present: true, min: blob.get(d), max: blob.get(d)}
 }
 
-func decodeBloom(d *decoder) bloom {
-	b := bloom{k: int(d.byte()), nbits: d.uvarint()}
-	n := int(d.uvarint())
-	if d.err != nil {
-		return bloom{}
-	}
-	if n*8 > len(d.buf) || (b.nbits+63)/64 != uint64(n) {
+func (d *decoder) bloom() bloom {
+	b := bloom{k: int(d.byte()), nbits: d.uvarint(), words: words.get(d)}
+	if d.err == nil && (len(b.words) == 0 || b.nbits != 64*uint64(len(b.words))) {
 		d.fail("sidecar bloom")
-		return bloom{}
-	}
-	b.words = make([]uint64, n)
-	for i := range b.words {
-		w := d.take(8)
-		if d.err != nil {
-			return bloom{}
-		}
-		b.words[i] = binary.LittleEndian.Uint64(w)
 	}
 	return b
 }

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ import (
 // tombstone in the active segment (staling the earlier sidecars), and
 // the extra open/close cycle lets the self-heal pass rewrite them with
 // the tombstone in their applied set. Returns the deleted prefix.
-func buildSidecarDir(t *testing.T, dir string) netip.Prefix {
+func buildSidecarDir(t testing.TB, dir string) netip.Prefix {
 	t.Helper()
 	s, err := Open(dir, Options{MaxSegmentBytes: 4096})
 	if err != nil {
@@ -53,7 +54,7 @@ func buildSidecarDir(t *testing.T, dir string) netip.Prefix {
 }
 
 // sidecarFiles lists the .sum files in dir.
-func sidecarFiles(t *testing.T, dir string) []string {
+func sidecarFiles(t testing.TB, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -260,6 +261,24 @@ func TestSidecarFallbackMatrix(t *testing.T) {
 			}
 			data[len(data)/2] ^= 0xFF
 			if err := os.WriteFile(sums[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"non-canonical": func(t *testing.T, dir string, _ netip.Prefix) {
+			// A bit no writer sets in the flags byte, under a valid
+			// checksum: the reader takes only what encodeSummary writes.
+			sums := sidecarFiles(t, dir)
+			data, err := os.ReadFile(sums[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := slices.Clone(data[len(sumMagic)+recordHeaderBytes:])
+			d := &decoder{buf: p[1:]} // past the version: seq, file size, valid length
+			d.uvarint()
+			d.varint()
+			d.varint()
+			p[len(p)-len(d.buf)] |= 2
+			if err := os.WriteFile(sums[0], appendRecord(slices.Clone(sumMagic), p), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -644,6 +644,38 @@ func TestOpenRejectsRetiredMarker(t *testing.T) {
 	check("cold with sidecar", Options{ReadOnly: true, ColdOpen: true})
 }
 
+// TestOpenRejectsMarkerTrailingBytes: a compaction marker is its list
+// and nothing after it. One stray byte behind the list makes the marker
+// corrupt, and Open fails — read-only and read-write — with every file
+// still on disk, the segments it lists included.
+func TestOpenRejectsMarkerTrailingBytes(t *testing.T) {
+	dir := t.TempDir()
+	for seq, payloads := range map[uint64][][]byte{
+		1: {EncodeEvent(nil, makeEvent(0))},
+		2: {append(appendMarkerV2(nil, []uint64{1}), 0), EncodeEvent(nil, makeEvent(0))},
+		3: {EncodeEvent(nil, makeEvent(1))},
+	} {
+		buf := slices.Clone(segMagic)
+		for _, p := range payloads {
+			buf = appendRecord(buf, p)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segName(seq)), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opts := range []Options{{ReadOnly: true}, {}} {
+		if s, err := Open(dir, opts); err == nil {
+			s.Close()
+			t.Fatalf("Open(%+v) accepted a marker with a trailing byte", opts)
+		}
+		for seq := uint64(1); seq <= 3; seq++ {
+			if _, err := os.Stat(filepath.Join(dir, segName(seq))); err != nil {
+				t.Fatalf("a failed Open(%+v) removed %s: %v", opts, segName(seq), err)
+			}
+		}
+	}
+}
+
 // TestCompactConcurrentAppendsSurvive: events appended while a
 // compaction's merge phase runs land in a segment the marker does not
 // supersede, and survive both the swap and a reopen.
