@@ -456,7 +456,7 @@ func serveCfg(asn uint32) bgpblackholing.BGPServerConfig {
 		CollectorName: "bhserve",
 		Platform:      bgpblackholing.PlatformRIS,
 		Logf: func(format string, args ...any) {
-			slog.Debug(fmt.Sprintf(format, args...), "component", "bgp-listener")
+			slog.Info(fmt.Sprintf(format, args...), "component", "bgp-listener")
 		},
 	}
 }

@@ -7,7 +7,8 @@
 //
 // The implementation covers the session subset a collector needs:
 // handshake, keepalives, update exchange and orderly teardown. Policy
-// (what to announce) lives in the caller.
+// (what to announce) lives in the caller. A collecting side runs one
+// lifecycle: Establish, then Receive until the session ends.
 package bgpd
 
 import (
@@ -66,10 +67,16 @@ type Session struct {
 
 	mu     sync.Mutex
 	closed bool
+	done   chan struct{} // closed with the session; stops KeepaliveLoop
 
 	// negotiated hold time (min of both sides).
 	hold time.Duration
 }
+
+// writeBound bounds the write of a KEEPALIVE and of a teardown's
+// NOTIFICATION: a peer that has stopped reading must block neither the
+// sender nor a Close waiting behind it.
+const writeBound = 200 * time.Millisecond
 
 // marshalOpen builds the OPEN message body.
 func marshalOpen(cfg Config) []byte {
@@ -167,59 +174,63 @@ func readMessage(r io.Reader) (byte, []byte, error) {
 	return typ, body, nil
 }
 
+// notify sends a NOTIFICATION, best-effort and bounded by writeBound.
+func notify(conn net.Conn, code, subcode byte) {
+	_ = conn.SetWriteDeadline(time.Now().Add(writeBound))
+	_ = writeMessage(conn, typeNotification, []byte{code, subcode})
+}
+
 // Establish performs the OPEN/KEEPALIVE handshake on conn. Both sides
 // call Establish; the handshake is symmetric. Sends run concurrently
 // with receives so the handshake also works over fully synchronous
-// transports (net.Pipe).
-func Establish(conn net.Conn, cfg Config) (*Session, error) {
-	sendErr := make(chan error, 1)
-	go func() {
-		if err := writeMessage(conn, typeOpen, marshalOpen(cfg)); err != nil {
-			sendErr <- err
-			return
+// transports (net.Pipe). It either returns an established session or
+// closes conn: a failed handshake leaves no socket open. Establish sets
+// no deadline of its own; one the caller put on conn bounds it.
+func Establish(conn net.Conn, cfg Config) (_ *Session, err error) {
+	defer func() {
+		if err != nil {
+			conn.Close()
 		}
-		sendErr <- nil
 	}()
-	msgType, body, err := readMessage(conn)
+	body, err := exchange(conn, typeOpen, marshalOpen(cfg))
 	if err != nil {
 		return nil, err
-	}
-	if err := <-sendErr; err != nil {
-		return nil, err
-	}
-	if msgType == typeNotification {
-		return nil, notificationError(body)
-	}
-	if msgType != typeOpen {
-		return nil, fmt.Errorf("bgpd: expected OPEN, got type %d", msgType)
 	}
 	peer, err := parseOpen(body)
 	if err != nil {
-		// RFC behaviour: notify and fail.
-		_ = writeMessage(conn, typeNotification, []byte{2, 0}) // OPEN error
+		notify(conn, 2, 0) // RFC behaviour: an OPEN error, then fail
 		return nil, err
 	}
-	go func() { sendErr <- writeMessage(conn, typeKeepalive, nil) }()
-	// Await the peer's keepalive confirming establishment.
-	msgType, body, err = readMessage(conn)
-	if err != nil {
+	// Each side's KEEPALIVE confirms establishment.
+	if _, err := exchange(conn, typeKeepalive, nil); err != nil {
 		return nil, err
 	}
-	if err := <-sendErr; err != nil {
-		return nil, err
-	}
-	if msgType == typeNotification {
-		return nil, notificationError(body)
-	}
-	if msgType != typeKeepalive {
-		return nil, fmt.Errorf("bgpd: expected KEEPALIVE, got type %d", msgType)
-	}
-	s := &Session{conn: conn, cfg: cfg, peer: peer}
+	s := &Session{conn: conn, cfg: cfg, peer: peer, done: make(chan struct{})}
 	s.hold = cfg.HoldTime
 	if peer.HoldTime > 0 && (s.hold == 0 || peer.HoldTime < s.hold) {
 		s.hold = peer.HoldTime
 	}
 	return s, nil
+}
+
+// exchange sends one handshake message while it reads the peer's,
+// which must be of the same type, and returns the peer's body.
+func exchange(conn net.Conn, msgType byte, body []byte) ([]byte, error) {
+	sent := make(chan error, 1)
+	go func() { sent <- writeMessage(conn, msgType, body) }()
+	got, peerBody, err := readMessage(conn)
+	if err == nil {
+		err = <-sent
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case got == typeNotification:
+		return nil, notificationError(peerBody)
+	case got != msgType:
+		return nil, fmt.Errorf("bgpd: expected message type %d, got %d", msgType, got)
+	}
+	return peerBody, nil
 }
 
 func notificationError(body []byte) error {
@@ -251,13 +262,17 @@ func (s *Session) SendUpdate(u *bgp.Update) error {
 	return err
 }
 
-// SendKeepalive transmits a KEEPALIVE.
+// SendKeepalive transmits a KEEPALIVE. The write is bounded by
+// writeBound: the session's lock is held across it, and a peer that
+// has stopped reading must not hold a Close behind it.
 func (s *Session) SendKeepalive() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
+	_ = s.conn.SetWriteDeadline(time.Now().Add(writeBound))
+	defer s.conn.SetWriteDeadline(time.Time{})
 	return writeMessage(s.conn, typeKeepalive, nil)
 }
 
@@ -296,46 +311,96 @@ func (s *Session) ReadUpdate() (*bgp.Update, error) {
 	}
 }
 
-// Notify sends a NOTIFICATION (code/subcode) and closes the session.
-// The notification write is best-effort and bounded: a peer that has
-// stopped reading must not block the teardown.
+// Receive is the receive loop of a collecting side. It keeps the
+// peer's hold timer alive with a KEEPALIVE every third of the
+// negotiated hold time, hands each UPDATE to deliver — stamped with the
+// peer's AS and the connection's remote address — and returns the
+// error that ended the session (io.EOF for an orderly remote close),
+// with the session closed.
+func (s *Session) Receive(deliver func(*bgp.Update)) error {
+	var keepalive chan error // nil when the hold time runs no keepalives
+	if s.hold > 0 {
+		keepalive = make(chan error, 1)
+		go func() {
+			err := s.KeepaliveLoop(s.hold / 3)
+			s.Close() // a keepalive that failed ends the session
+			keepalive <- err
+		}()
+	}
+	peerIP := remoteIP(s.conn)
+	var err error
+	for {
+		var u *bgp.Update
+		if u, err = s.ReadUpdate(); err != nil {
+			break
+		}
+		u.PeerAS, u.PeerIP = s.peer.ASN, peerIP
+		deliver(u)
+	}
+	s.Close()
+	if keepalive != nil {
+		if kerr := <-keepalive; !errors.Is(kerr, ErrClosed) {
+			return fmt.Errorf("bgpd: keepalive: %w", kerr)
+		}
+	}
+	return err
+}
+
+// remoteIP is the address of conn's remote end, or the zero Addr when
+// it is no IP (net.Pipe).
+func remoteIP(conn net.Conn) netip.Addr {
+	ap, _ := netip.ParseAddrPort(conn.RemoteAddr().String())
+	return ap.Addr()
+}
+
+// Notify sends a NOTIFICATION (code/subcode) and closes the session;
+// it fails with ErrClosed on a session already closed.
 func (s *Session) Notify(code, subcode byte) error {
+	if !s.end(code, subcode) {
+		return ErrClosed
+	}
+	return s.conn.Close()
+}
+
+// Close ends the session with the RFC "Cease" notification. Closing a
+// closed session is a no-op.
+func (s *Session) Close() error {
+	if !s.end(6, 0) {
+		return nil
+	}
+	return s.conn.Close()
+}
+
+// end marks the session closed, which stops KeepaliveLoop, and sends
+// the teardown's NOTIFICATION, best-effort and bounded like a
+// KEEPALIVE. It reports false when the session was closed already.
+func (s *Session) end(code, subcode byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		return false
 	}
 	s.closed = true
-	_ = s.conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
-	_ = writeMessage(s.conn, typeNotification, []byte{code, subcode})
-	return s.conn.Close()
-}
-
-// Close ends the session with the RFC "Cease" notification
-// (best-effort, bounded like Notify).
-func (s *Session) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	_ = s.conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
-	_ = writeMessage(s.conn, typeNotification, []byte{6, 0}) // Cease
-	return s.conn.Close()
+	close(s.done)
+	notify(s.conn, code, subcode)
+	return true
 }
 
 // KeepaliveLoop sends keepalives every interval until the session
-// closes; run it in a goroutine on long-lived sessions. It returns the
-// first send error (ErrClosed on orderly shutdown).
+// closes, returning the moment it does; run it in a goroutine on
+// long-lived sessions. It returns the first send error (ErrClosed on
+// orderly shutdown).
 func (s *Session) KeepaliveLoop(interval time.Duration) error {
 	t := time.NewTicker(interval)
 	defer t.Stop()
-	for range t.C {
-		if err := s.SendKeepalive(); err != nil {
-			return err
+	for {
+		select {
+		case <-s.done:
+			return ErrClosed
+		case <-t.C:
+			if err := s.SendKeepalive(); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
 }

@@ -31,12 +31,20 @@ func TestNotifyTerminatesPeer(t *testing.T) {
 	}
 }
 
+// TestKeepaliveLoopStopsOnClose: the loop returns when the session
+// closes, not at its next tick.
 func TestKeepaliveLoopStopsOnClose(t *testing.T) {
 	sa, sb := pipePair(t, cfg(1, "10.0.0.1"), cfg(2, "10.0.0.2"))
 	defer sa.Close()
-	loopDone := make(chan error, 1)
-	go func() { loopDone <- sb.KeepaliveLoop(5 * time.Millisecond) }()
-	// Reader consumes the keepalives until the update arrives.
+	type stopped struct {
+		err error
+		at  time.Time
+	}
+	loopDone := make(chan stopped, 1)
+	go func() {
+		err := sb.KeepaliveLoop(time.Second)
+		loopDone <- stopped{err, time.Now()}
+	}()
 	readDone := make(chan error, 1)
 	go func() {
 		_, err := sa.ReadUpdate()
@@ -51,11 +59,15 @@ func TestKeepaliveLoopStopsOnClose(t *testing.T) {
 	if err := <-readDone; err != nil {
 		t.Fatalf("reader: %v", err)
 	}
+	closed := time.Now()
 	sb.Close()
 	select {
-	case err := <-loopDone:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("loop err = %v", err)
+	case s := <-loopDone:
+		if !errors.Is(s.err, ErrClosed) {
+			t.Fatalf("loop err = %v", s.err)
+		}
+		if d := s.at.Sub(closed); d > 100*time.Millisecond {
+			t.Fatalf("keepalive loop returned %v after Close, want within 100ms", d)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("keepalive loop did not stop")

@@ -16,8 +16,6 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
-	"net"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,9 +125,6 @@ type RedialConfig struct {
 	// Logger receives the default transition log lines when
 	// OnTransition is nil. Nil means slog.Default().
 	Logger *slog.Logger
-
-	// dial replaces DialBGPContext in tests.
-	dial func(ctx context.Context, addr string, cfg BGPConfig) (*BGPSession, error)
 }
 
 // RedialSource is a Source fed by a BGP session that redials itself.
@@ -141,14 +136,13 @@ type RedialSource struct {
 	cfg  RedialConfig
 	live *stream.Live
 
-	start     sync.Once
-	closeOnce sync.Once
-	closed    chan struct{}
+	start  sync.Once
+	ctx    context.Context // canceled by Close
+	cancel context.CancelFunc
 
 	mu       sync.Mutex
 	state    ConnState
 	terminal error
-	cur      *BGPSession // in-flight session, closed by Close
 
 	// Session-lifecycle counters, bumped inside transition so they
 	// cover both custom OnTransition callbacks and the default logger.
@@ -212,18 +206,11 @@ func NewRedialSource(addr string, cfg RedialConfig) *RedialSource {
 	if cfg.Jitter == 0 {
 		cfg.Jitter = 0.2
 	}
-	if cfg.dial == nil {
-		cfg.dial = DialBGPContext
-	}
 	if cfg.OnTransition == nil {
 		cfg.OnTransition = transitionLogger(addr, cfg.Logger)
 	}
-	return &RedialSource{
-		addr:   addr,
-		cfg:    cfg,
-		live:   stream.NewLive(),
-		closed: make(chan struct{}),
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &RedialSource{addr: addr, cfg: cfg, live: stream.NewLive(), ctx: ctx, cancel: cancel}
 }
 
 // State reports the connection loop's current phase.
@@ -251,32 +238,15 @@ func (r *RedialSource) Next() (*Elem, error) {
 	return el, err
 }
 
-// Close ends the feed: the in-flight dial or read is abandoned,
+// Close ends the feed: the in-flight dial or session is abandoned,
 // pending elements still drain, then the consumer sees io.EOF.
-func (r *RedialSource) Close() {
-	r.closeOnce.Do(func() {
-		close(r.closed)
-		r.mu.Lock()
-		cur := r.cur
-		r.mu.Unlock()
-		if cur != nil {
-			cur.Close() // unblock a read parked on the session
-		}
-	})
-}
+func (r *RedialSource) Close() { r.cancel() }
 
 func (r *RedialSource) attach(ctx context.Context, runDone <-chan struct{}) {
 	attachLive(ctx, runDone, r.live)
 }
 
-func (r *RedialSource) isClosed() bool {
-	select {
-	case <-r.closed:
-		return true
-	default:
-		return false
-	}
-}
+func (r *RedialSource) isClosed() bool { return r.ctx.Err() != nil }
 
 // transitionLogger is the default OnTransition: structured slog lines
 // at a severity matching the transition (routine phases at debug/info,
@@ -366,30 +336,21 @@ func (r *RedialSource) backoffFor(attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// loop is the connection goroutine: dial, consume, back off, repeat.
+// loop is the connection goroutine: dial, receive, back off, repeat,
+// until Close or the retry budget ends it.
 func (r *RedialSource) loop() {
 	defer r.live.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { // Close abandons an in-flight dial; exits with the loop
-		select {
-		case <-r.closed:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-
-	attempt, sessions := 0, 0
-	for {
+	defer func() {
 		if r.isClosed() {
 			r.transition(ConnClosed, 0, nil, 0)
-			return
 		}
+	}()
+	attempt, sessions := 0, 0
+	for !r.isClosed() {
 		r.transition(ConnDialing, 0, nil, 0)
-		sess, err := r.cfg.dial(ctx, r.addr, r.cfg.Session)
+		sess, err := DialBGPContext(r.ctx, r.addr, r.cfg.Session)
 		if err != nil {
 			if r.isClosed() {
-				r.transition(ConnClosed, 0, nil, 0)
 				return
 			}
 			attempt++
@@ -407,12 +368,9 @@ func (r *RedialSource) loop() {
 		}
 		attempt = 0
 		sessions++
-		r.mu.Lock()
-		r.cur = sess
-		r.mu.Unlock()
-		if r.isClosed() { // Close raced the dial; it may have missed cur
-			sess.Close()
-			r.transition(ConnClosed, 0, nil, 0)
+		// Close ends the session, which unblocks its read.
+		stop := context.AfterFunc(r.ctx, func() { sess.Close() })
+		if r.isClosed() { // Close raced the dial
 			return
 		}
 		r.transition(ConnEstablished, 0, nil, 0)
@@ -420,20 +378,13 @@ func (r *RedialSource) loop() {
 			r.transition(ConnReseeding, 0, nil, 0)
 			r.transition(ConnEstablished, 0, r.reseed(), 0)
 		}
-		readErr := r.consume(sess)
-		sess.Close()
-		r.mu.Lock()
-		r.cur = nil
-		r.mu.Unlock()
-		if r.isClosed() {
-			r.transition(ConnClosed, 0, nil, 0)
-			return
-		}
+		readErr := sess.receive(r.live, r.cfg.CollectorName, r.cfg.Platform)
+		stop()
 		// A lost session redials after one base backoff: enough to
 		// avoid a hot loop against a peer that accepts and instantly
 		// drops, without treating an outage after hours of service as
 		// a consecutive failure.
-		if !r.waitBackoff(1, readErr) {
+		if r.isClosed() || !r.waitBackoff(1, readErr) {
 			return
 		}
 	}
@@ -447,30 +398,8 @@ func (r *RedialSource) waitBackoff(attempt int, cause error) bool {
 	select {
 	case <-time.After(wait):
 		return true
-	case <-r.closed:
-		r.transition(ConnClosed, 0, nil, 0)
+	case <-r.ctx.Done():
 		return false
-	}
-}
-
-// consume publishes the session's updates until it ends, returning the
-// read error that ended it.
-func (r *RedialSource) consume(sess *BGPSession) error {
-	peerAS := sess.PeerASN()
-	var peerIP netip.Addr
-	if host, _, err := net.SplitHostPort(r.addr); err == nil {
-		peerIP, _ = netip.ParseAddr(host)
-	}
-	for {
-		u, err := sess.ReadUpdate()
-		if err != nil {
-			return err
-		}
-		u.PeerAS = peerAS
-		if peerIP.IsValid() {
-			u.PeerIP = peerIP
-		}
-		r.live.Publish(&stream.Elem{Collector: r.cfg.CollectorName, Platform: r.cfg.Platform, Update: u})
 	}
 }
 

@@ -266,6 +266,69 @@ func TestChaosRedialSessionReset(t *testing.T) {
 	}
 }
 
+// TestRedialKeepsPeerHoldTimer: a collector that negotiates a 3 s hold
+// time and sends nothing but its own keepalives is still established
+// with the source after 7 s — the source's keepalives keep its hold
+// timer from expiring — and reads a Cease when the source closes, while
+// the source's consumer reads a clean end.
+func TestRedialKeepsPeerHoldTimer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("network integration test")
+	}
+	t.Parallel()
+	const hold = 3 * time.Second
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	collectorErr := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			collectorErr <- err
+			return
+		}
+		sess, err := bgpd.Establish(conn, bgpd.Config{ASN: 65001, BGPID: netip.MustParseAddr("10.255.0.1"), HoldTime: hold})
+		if err != nil {
+			collectorErr <- err
+			return
+		}
+		defer sess.Close()
+		go sess.KeepaliveLoop(hold / 3)
+		_, err = sess.ReadUpdate()
+		collectorErr <- err
+	}()
+
+	src := NewRedialSource(ln.Addr().String(), RedialConfig{
+		Session:        BGPConfig{ASN: 64900, BGPID: netip.MustParseAddr("10.0.0.9"), HoldTime: hold, DialTimeout: 5 * time.Second},
+		InitialBackoff: 10 * time.Millisecond,
+		Jitter:         -1,
+		OnTransition:   func(ConnTransition) {},
+	})
+	next := make(chan error, 1)
+	go func() {
+		_, err := src.Next()
+		next <- err
+	}()
+	start := time.Now()
+	select {
+	case err := <-collectorErr:
+		t.Fatalf("collector session ended after %v: %v", time.Since(start).Round(time.Millisecond), err)
+	case <-time.After(7 * time.Second):
+	}
+	if st := src.Stats(); st.State != ConnEstablished.String() || st.Establishes != 1 {
+		t.Fatalf("after 7 s the source is %s with %d establishes, want established once", st.State, st.Establishes)
+	}
+	src.Close()
+	if err := <-collectorErr; !errors.Is(err, bgpd.ErrNotification) || !strings.Contains(err.Error(), "code 6 ") {
+		t.Fatalf("collector read %v on the source's Close, want a Cease", err)
+	}
+	if err := <-next; !errors.Is(err, io.EOF) {
+		t.Fatalf("consumer read %v after Close, want io.EOF", err)
+	}
+}
+
 // TestChaosRedialRetryBudget exhausts the retry budget against a dead
 // address: the feed must end with the terminal error, not a clean EOF.
 func TestChaosRedialRetryBudget(t *testing.T) {

@@ -1,6 +1,7 @@
 package bgpblackholing
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"io"
@@ -41,28 +42,33 @@ type BGPConfig struct {
 // BGPConfig.DialTimeout is zero.
 const DefaultDialTimeout = 30 * time.Second
 
-// dialTimeout resolves the configured timeout against the default.
-func (c BGPConfig) dialTimeout() time.Duration {
-	switch {
-	case c.DialTimeout < 0:
-		return 0
-	case c.DialTimeout == 0:
-		return DefaultDialTimeout
-	}
-	return c.DialTimeout
-}
-
 // BGPSession is one established BGP session.
 type BGPSession struct {
 	sess *bgpd.Session
 }
 
 // EstablishBGP performs the OPEN/KEEPALIVE handshake over an existing
-// connection (either side of it).
+// connection (either side of it), closing conn when it fails. It sets
+// no deadline: one the caller put on conn bounds it.
 func EstablishBGP(conn net.Conn, cfg BGPConfig) (*BGPSession, error) {
+	return establish(conn, cfg, time.Time{})
+}
+
+// establish is the one handshake of every session, dialed, accepted or
+// handed in: bounded by deadline unless it is zero — which leaves
+// conn's deadlines as the caller set them — and closing conn when it
+// fails. An established session manages its own read deadlines from
+// the hold time, so the bound is cleared once it is up.
+func establish(conn net.Conn, cfg BGPConfig, deadline time.Time) (*BGPSession, error) {
+	if !deadline.IsZero() {
+		conn.SetDeadline(deadline)
+	}
 	sess, err := bgpd.Establish(conn, bgpd.Config{ASN: cfg.ASN, BGPID: cfg.BGPID, HoldTime: cfg.HoldTime})
 	if err != nil {
 		return nil, err
+	}
+	if !deadline.IsZero() {
+		conn.SetDeadline(time.Time{})
 	}
 	return &BGPSession{sess: sess}, nil
 }
@@ -79,9 +85,9 @@ func DialBGP(addr string, cfg BGPConfig) (*BGPSession, error) {
 // deadline and cfg.DialTimeout bounds the whole dial including the
 // OPEN handshake.
 func DialBGPContext(ctx context.Context, addr string, cfg BGPConfig) (*BGPSession, error) {
-	deadline := time.Time{}
-	if to := cfg.dialTimeout(); to > 0 {
-		deadline = time.Now().Add(to)
+	var deadline time.Time
+	if cfg.DialTimeout >= 0 {
+		deadline = time.Now().Add(cmp.Or(cfg.DialTimeout, DefaultDialTimeout))
 	}
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
@@ -91,20 +97,9 @@ func DialBGPContext(ctx context.Context, addr string, cfg BGPConfig) (*BGPSessio
 	if err != nil {
 		return nil, err
 	}
-	// The deadline must also cover the handshake: a peer that accepts
-	// the TCP connection but never answers the OPEN is the hang the
-	// timeout exists for. Established sessions manage their own read
-	// deadlines from the hold time, so clear it afterwards.
-	if !deadline.IsZero() {
-		conn.SetDeadline(deadline)
-	}
-	sess, err := EstablishBGP(conn, cfg)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	conn.SetDeadline(time.Time{})
-	return sess, nil
+	// The deadline covers the handshake too: a peer that accepts the TCP
+	// connection but never answers the OPEN is the hang it exists for.
+	return establish(conn, cfg, deadline)
 }
 
 // PeerASN returns the remote AS number learned from its OPEN.
@@ -113,13 +108,17 @@ func (s *BGPSession) PeerASN() ASN { return s.sess.Peer().ASN }
 // SendUpdate writes one UPDATE message.
 func (s *BGPSession) SendUpdate(u *Update) error { return s.sess.SendUpdate(u) }
 
-// ReadUpdate reads the next UPDATE, transparently answering keepalives.
-// It returns io.EOF when the peer hangs up and an error when the peer
-// signals one with a NOTIFICATION.
-func (s *BGPSession) ReadUpdate() (*Update, error) { return s.sess.ReadUpdate() }
-
 // Close ends the session with a Cease notification.
 func (s *BGPSession) Close() error { return s.sess.Close() }
+
+// receive runs the session's receive loop (bgpd.Session.Receive),
+// publishing every update into live under the collector's name and
+// platform, and returns the error that ended the session.
+func (s *BGPSession) receive(live *stream.Live, collectorName string, platform Platform) error {
+	return s.sess.Receive(func(u *Update) {
+		live.Publish(&stream.Elem{Collector: collectorName, Platform: platform, Update: u})
+	})
+}
 
 // BGPServerConfig configures a collector-side BGP listener.
 type BGPServerConfig struct {
@@ -141,10 +140,23 @@ func (c *BGPServerConfig) logf(format string, args ...any) {
 	}
 }
 
+// maxBGPSessions caps the listener's concurrent sessions, each counted
+// from accept to teardown. The paper's Table 1 (collector.DefaultConfig)
+// counts 425 sessions over all of RIS's collectors and 269 over all of
+// Route Views', so one listener under the cap could hold every session
+// of either platform, RIS's more than twice over. A flood of connections
+// holds at most 1024 goroutines and sockets, each for no longer than the
+// handshake bound unless it completes a handshake. A connection past the
+// cap is closed at accept.
+const maxBGPSessions = 1024
+
 // ServeBGP accepts BGP sessions on ln and publishes every received
 // UPDATE — stamped with the session's peer AS and address — into the
-// live source, like a RIPE RIS collector ingesting peer feeds. It
-// blocks until the listener is closed, then waits for the established
+// live source, like a RIPE RIS collector ingesting peer feeds. Each
+// handshake is bounded by the configured hold time (DefaultDialTimeout
+// when it is zero), an established session is kept alive with
+// keepalives, and at most 1024 sessions run at once. ServeBGP blocks
+// until the listener is closed, then waits for the established
 // sessions to finish reading (every update already on the wire is
 // published) and closes the source so the consuming Detector.Run
 // drains and returns. Callers that must not wait for lingering
@@ -154,6 +166,9 @@ func (l *LiveSource) ServeBGP(ln net.Listener, cfg BGPServerConfig) error {
 	var sessions sync.WaitGroup
 	defer l.Close()
 	defer sessions.Wait()
+	local := BGPConfig{ASN: cfg.ASN, BGPID: cfg.BGPID, HoldTime: cfg.HoldTime}
+	bound := cmp.Or(cfg.HoldTime, DefaultDialTimeout) // of each handshake
+	slots := make(chan struct{}, maxBGPSessions)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -162,40 +177,25 @@ func (l *LiveSource) ServeBGP(ln net.Listener, cfg BGPServerConfig) error {
 			}
 			return err
 		}
+		select {
+		case slots <- struct{}{}:
+		default:
+			cfg.logf("refusing %s: %d sessions open", conn.RemoteAddr(), maxBGPSessions)
+			conn.Close()
+			continue
+		}
 		sessions.Add(1)
 		go func() {
-			defer sessions.Done()
-			l.serveBGPSession(conn, cfg)
+			defer func() { <-slots; sessions.Done() }()
+			sess, err := establish(conn, local, time.Now().Add(bound))
+			if err != nil {
+				cfg.logf("handshake failed from %s: %v", conn.RemoteAddr(), err)
+				return
+			}
+			cfg.logf("session up with AS%s (%s)", sess.PeerASN(), conn.RemoteAddr())
+			if err := sess.receive(l.live, cfg.CollectorName, cfg.Platform); !errors.Is(err, io.EOF) {
+				cfg.logf("session with AS%s ended: %v", sess.PeerASN(), err)
+			}
 		}()
 	}
-}
-
-func (l *LiveSource) serveBGPSession(conn net.Conn, cfg BGPServerConfig) {
-	sess, err := bgpd.Establish(conn, bgpd.Config{ASN: cfg.ASN, BGPID: cfg.BGPID, HoldTime: cfg.HoldTime})
-	if err != nil {
-		cfg.logf("handshake failed from %s: %v", conn.RemoteAddr(), err)
-		return
-	}
-	defer sess.Close()
-	cfg.logf("session up with AS%s (%s)", sess.Peer().ASN, conn.RemoteAddr())
-	peerIP := peerAddr(conn)
-	for {
-		u, err := sess.ReadUpdate()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				cfg.logf("session with AS%s ended: %v", sess.Peer().ASN, err)
-			}
-			return
-		}
-		u.PeerAS = sess.Peer().ASN
-		u.PeerIP = peerIP
-		l.Publish(&stream.Elem{Collector: cfg.CollectorName, Platform: cfg.Platform, Update: u})
-	}
-}
-
-func peerAddr(conn net.Conn) netip.Addr {
-	if ap, err := netip.ParseAddrPort(conn.RemoteAddr().String()); err == nil {
-		return ap.Addr()
-	}
-	return netip.Addr{}
 }
