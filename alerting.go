@@ -99,17 +99,7 @@ func EncodeAlertRecord(a *Alert) ([]byte, error) {
 // function blocks until the Run has returned and every event has been
 // published.
 func (d *Detector) SinkToHub(h *AlertHub) (wait func()) {
-	q := d.subscribe(0)
 	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			ev, err := q.Pop()
-			if err != nil {
-				return
-			}
-			h.Publish(ev)
-		}
-	}()
+	d.drain(h.Publish, func() { close(done) })
 	return func() { <-done }
 }

@@ -393,7 +393,7 @@ func (d *Detector) Subscribe() <-chan *Event {
 //	res, err := det.Run(ctx, src)
 //	if err := wait(); err != nil { ... }
 func (d *Detector) SinkToStore(st *Store) (wait func() error) {
-	errs := d.sink(func(*Event) int { return 0 }, []*Store{st})
+	errs := d.sink(nil, []*Store{st})
 	return func() error { return (<-errs)[0] }
 }
 
@@ -422,7 +422,9 @@ func (d *Detector) SinkToStore(st *Store) (wait func() error) {
 // event has been appended to its shard, and every store has been synced;
 // it joins the per-shard errors. A failing shard never blocks the
 // others: its remaining events are still routed (and dropped with the
-// error latched), the healthy shards keep appending.
+// error latched), the healthy shards keep appending. An event the plan
+// files outside [0, N) is dropped the same way, and the first one is
+// named in the joined error.
 func (d *Detector) SinkToShards(plan ShardPlan, stores []*Store) (wait func() error) {
 	fail := func(err error) func() error { return func() error { return err } }
 	if len(stores) != plan.Shards() {
@@ -437,37 +439,59 @@ func (d *Detector) SinkToShards(plan ShardPlan, stores []*Store) (wait func() er
 			return fail(fmt.Errorf("SinkToShards: store %d: %w", i, err))
 		}
 	}
-	errs := d.sink(plan.Shard, stores)
+	errs := d.sink(plan, stores)
 	return func() error { return errors.Join(<-errs...) }
 }
 
-// sink is the one drain loop behind both store sinks: a goroutine pops
-// the run's events off an unbounded queue, appends each to the store
-// shard picks, syncs every store once the run has ended, and delivers
-// each store's first error. A store that has failed (or an index shard
-// gets wrong) drops its remaining events; the queue is still drained.
-func (d *Detector) sink(shard func(*Event) int, stores []*Store) <-chan []error {
-	q := d.subscribe(0)
+// sink is what both store sinks drain into: it appends each event to
+// the store plan files it on (stores[0] under a nil plan), syncs every
+// store once the run has ended, and delivers each store's first error,
+// then the first event plan filed out of range. A store that has failed
+// drops its remaining events, as does every misfiled one.
+func (d *Detector) sink(plan ShardPlan, stores []*Store) <-chan []error {
+	n := len(stores)
+	errs := make([]error, n+1) // errs[n]: the first misfiled event
 	done := make(chan []error, 1)
-	go func() {
-		errs := make([]error, len(stores))
-		for {
-			ev, err := q.Pop()
-			if err != nil {
-				break
-			}
-			if i := shard(ev); i >= 0 && i < len(stores) && errs[i] == nil {
-				errs[i] = stores[i].Append(ev)
-			}
+	d.drain(func(ev *Event) {
+		i := 0
+		if plan != nil {
+			i = plan.Shard(ev)
 		}
+		switch {
+		case i < 0 || i >= n:
+			if errs[n] == nil {
+				errs[n] = fmt.Errorf("SinkToShards: plan %v filed %s on shard %d, outside [0, %d): dropped", plan, ev.Prefix, i, n)
+			}
+		case errs[i] == nil:
+			errs[i] = stores[i].Append(ev)
+		}
+	}, func() {
 		for i, st := range stores {
 			if errs[i] == nil {
 				errs[i] = st.Sync()
 			}
 		}
 		done <- errs
-	}()
+	})
 	return done
+}
+
+// drain is the one drain loop behind the detector's sinks: a goroutine
+// pops the run's events off an unbounded queue and hands each to step,
+// in closing order, then runs end once the run has returned and the
+// queue is empty.
+func (d *Detector) drain(step func(*Event), end func()) {
+	q := d.subscribe(0)
+	go func() {
+		for {
+			ev, err := q.Pop()
+			if err != nil {
+				break
+			}
+			step(ev)
+		}
+		end()
+	}()
 }
 
 // Stream returns the subscription as an iterator: ranging over it

@@ -30,8 +30,6 @@ import (
 	"os"
 	"slices"
 	"time"
-
-	"bgpblackholing/internal/core"
 )
 
 // Policy selects which segments a compaction pass may merge.
@@ -141,7 +139,7 @@ func (s *Store) compactWith(pol Policy) (CompactStats, error) {
 			return stats, nil
 		}
 		if s.active.size > int64(len(segMagic)) {
-			if err := s.seal(); err != nil {
+			if err := s.roll(); err != nil {
 				s.mu.Unlock()
 				return stats, err
 			}
@@ -151,7 +149,7 @@ func (s *Store) compactWith(pol Policy) (CompactStats, error) {
 		// holds dead (DeletePrefix'd) records: seal it so the erasure
 		// singleton-run below can rewrite it, keeping the promise that
 		// an explicit compaction purges deleted bytes from disk.
-		if err := s.seal(); err != nil {
+		if err := s.roll(); err != nil {
 			s.mu.Unlock()
 			return stats, err
 		}
@@ -181,10 +179,7 @@ func (s *Store) compactWith(pol Policy) (CompactStats, error) {
 		runs = append(runs, slices.Clone(run))
 	}
 	sealed := append([]segFile(nil), s.sealed...)
-	eventsSnap := s.events[:len(s.events):len(s.events)]
-	segSnap := s.eventSeg[:len(s.eventSeg):len(s.eventSeg)]
-	tombsSnap := append([]Tombstone(nil), s.tombs...)
-	tombSegSnap := append([]uint64(nil), s.tombSeg...)
+	snap := s.snapshot()
 	s.mu.Unlock()
 
 	stats.Partitions = partitions
@@ -201,7 +196,7 @@ func (s *Store) compactWith(pol Policy) (CompactStats, error) {
 
 	// Phases 2+3, per run: merge outside the lock, swap under it.
 	for _, run := range runs {
-		if err := s.compactRun(run, eventsSnap, segSnap, tombsSnap, tombSegSnap, &stats); err != nil {
+		if err := s.compactRun(run, snap, &stats); err != nil {
 			s.mu.RLock()
 			stats.EventsAfter, stats.SegmentsAfter = s.live, len(s.sealed)+1
 			s.mu.RUnlock()
@@ -217,11 +212,11 @@ func (s *Store) compactWith(pol Policy) (CompactStats, error) {
 // hasDupLocked reports whether any two live events share a dupKey.
 func (s *Store) hasDupLocked() bool {
 	seen := make(map[dupKey]bool, s.live)
-	for _, ev := range s.events {
-		if ev == nil {
+	for _, sl := range s.slots {
+		if sl.ev == nil {
 			continue
 		}
-		k := keyOf(ev)
+		k := keyOf(sl.ev)
 		if seen[k] {
 			return true
 		}
@@ -361,12 +356,12 @@ func sizeRatioRuns(block []segFile, pol Policy) [][]segFile {
 // compactRun merges one run: survivors (live events of the run minus
 // superseded duplicates) and the run's tombstone records are written to
 // a fresh segment that atomically replaces the run's highest member,
-// led by a v2 marker naming the lower members. The snapshot arguments
+// led by a v2 marker naming the lower members. The ledgers' snapshot
 // came from phase 1; the authoritative liveness check happens again
 // under the lock during the swap, so a DeletePrefix racing the merge
 // stays correct (its victims are at worst re-written as dead-on-disk
 // records and erased by the next pass).
-func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint64, tombs []Tombstone, tombSeg []uint64, stats *CompactStats) error {
+func (s *Store) compactRun(run []segFile, snap ledgers, stats *CompactStats) error {
 	hi := run[len(run)-1]
 	inRun := make(map[uint64]bool, len(run))
 	lower := make([]uint64, 0, len(run)-1)
@@ -379,18 +374,18 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 
 	// Candidates: the run's live events, in ordinal (replay) order.
 	var ords []int32
-	for ord := range events {
-		if events[ord] != nil && inRun[eventSeg[ord]] {
+	for ord, sl := range snap.slots {
+		if sl.ev != nil && inRun[sl.seg] {
 			ords = append(ords, int32(ord))
 		}
 	}
 	first := map[dupKey]int32{}
 	best := map[dupKey]int32{}
 	for _, ord := range ords {
-		k := keyOf(events[ord])
+		k := keyOf(snap.slots[ord].ev)
 		if _, seen := first[k]; !seen {
 			first[k], best[k] = ord, ord
-		} else if supersedes(events[ord], events[best[k]]) {
+		} else if supersedes(snap.slots[ord].ev, snap.slots[best[k]].ev) {
 			best[k] = ord
 		}
 	}
@@ -398,9 +393,9 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 	// Emit: marker, the run's tombstones, then each key's survivor at
 	// its first-appearance position.
 	payloads := [][]byte{appendMarkerV2(nil, lower)}
-	for i, tb := range tombs {
-		if inRun[tombSeg[i]] {
-			payloads = append(payloads, encodeTombstone(nil, tb))
+	for _, tb := range snap.tombs {
+		if inRun[tb.seg] {
+			payloads = append(payloads, encodeTombstone(nil, tb.Tombstone))
 		}
 	}
 	nonEvents := len(payloads) // marker + re-emitted tombstones
@@ -408,12 +403,12 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 	var kept []emitPair
 	emitted := map[dupKey]bool{}
 	for _, ord := range ords {
-		k := keyOf(events[ord])
+		k := keyOf(snap.slots[ord].ev)
 		if emitted[k] {
 			continue
 		}
 		emitted[k] = true
-		payloads = append(payloads, EncodeEvent(nil, events[best[k]]))
+		payloads = append(payloads, EncodeEvent(nil, snap.slots[best[k]].ev))
 		kept = append(kept, emitPair{slot: first[k], src: best[k]})
 	}
 
@@ -454,15 +449,15 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	// Copy-on-write: snapshots handed out by All keep the old array.
-	s.events = slices.Clone(s.events)
+	// Copy-on-write: snapshots keep the old arrays.
+	s.slots, s.tombs = slices.Clone(s.slots), slices.Clone(s.tombs)
 	// mergedRecs mirrors the merged file's event records in order, with
 	// liveness as of this swap: what the merged segment is described and
 	// summarized from.
 	mergedRecs := make([]sumRec, len(kept))
 	for i, p := range kept {
-		if p.src != p.slot && s.events[p.src] != nil {
-			if s.events[p.slot] != nil {
+		if p.src != p.slot && s.slots[p.src].ev != nil {
+			if s.slots[p.slot].ev != nil {
 				s.unindex(p.slot)
 				stats.Dropped++
 			}
@@ -470,9 +465,9 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 		}
 		// A record erased (DeletePrefix) between snapshot and swap is in
 		// the merged segment but stays invisible and goes at the next pass.
-		mergedRecs[i] = sumRec{ev: events[p.src], dead: s.events[p.slot] == nil}
+		mergedRecs[i] = sumRec{ev: snap.slots[p.src].ev, dead: s.slots[p.slot].ev == nil}
 		if !mergedRecs[i].dead {
-			s.eventSeg[p.slot] = hi.seq
+			s.slots[p.slot].seg = hi.seq
 		}
 	}
 	slots := make(map[int32]bool, len(kept))
@@ -485,7 +480,7 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 		if slots[ord] || srcs[ord] {
 			continue
 		}
-		if s.events[ord] != nil {
+		if s.slots[ord].ev != nil {
 			s.unindex(ord)
 			stats.Dropped++
 		}
@@ -498,9 +493,9 @@ func (s *Store) compactRun(run []segFile, events []*core.Event, eventSeg []uint6
 	// segment re-emits them again instead of dropping the only copy
 	// (tombstones appended during the merge sit in the active segment,
 	// which is never in the run).
-	for i := range s.tombSeg {
-		if inRun[s.tombSeg[i]] {
-			s.tombSeg[i] = hi.seq
+	for i := range s.tombs {
+		if inRun[s.tombs[i].seg] {
+			s.tombs[i].seg = hi.seq
 		}
 	}
 	// writeSegmentAtomic wrote exactly magic + records and synced, so

@@ -249,11 +249,11 @@ func TestTieredCompactionPartitionIsolation(t *testing.T) {
 	for _, sf := range s.sealed {
 		var pk int64
 		seen := false
-		for ord, ev := range s.events {
-			if ev == nil || s.eventSeg[ord] != sf.seq {
+		for _, sl := range s.slots {
+			if sl.ev == nil || sl.seg != sf.seq {
 				continue
 			}
-			k := partitionKey(ev.Start.UTC().UnixNano(), pol.Partition)
+			k := partitionKey(sl.ev.Start.UTC().UnixNano(), pol.Partition)
 			if seen && k != pk {
 				t.Fatalf("segment %d mixes partitions %d and %d", sf.seq, pk, k)
 			}

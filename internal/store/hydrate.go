@@ -71,9 +71,9 @@ func editPosting[K comparable](m map[K][]int32, k K, edit func([]int32) []int32)
 // next one; hydration fills a block reserved at open, so later ordinals
 // may already populate the postings lists and every insertion keeps
 // them sorted. The caller holds the write lock and, when snapshots may
-// be live, cloned s.events.
+// be live, cloned s.slots.
 func (s *Store) indexAt(ev *core.Event, ord int32) {
-	s.events[ord] = ev
+	s.slots[ord].ev = ev
 	s.postings(ev, func(l []int32) []int32 { return insertOrd(l, ord) })
 	if s.minStart.IsZero() || ev.Start.Before(s.minStart) {
 		s.minStart = ev.Start
@@ -150,7 +150,7 @@ func (s *Store) ensureHydrated(f Filter) {
 // hydrateWhereLocked hydrates the lazy segments matching pred under
 // the held write lock. The sealed set is re-examined under the lock (a
 // concurrent hydration or compaction may have gotten there first), and
-// s.events is copy-on-write-cloned once per batch so snapshots handed
+// s.slots is copy-on-write-cloned once per batch so snapshots handed
 // out by All and QuerySeq never observe slots mutating.
 func (s *Store) hydrateWhereLocked(pred func(*segFile) bool) {
 	if s.closed {
@@ -162,7 +162,7 @@ func (s *Store) hydrateWhereLocked(pred func(*segFile) bool) {
 			continue
 		}
 		if !cloned {
-			s.events = slices.Clone(s.events)
+			s.slots = slices.Clone(s.slots)
 			cloned = true
 		}
 		s.hydrateSegLocked(&s.sealed[i])
@@ -175,7 +175,7 @@ func (s *Store) hydrateWhereLocked(pred func(*segFile) bool) {
 // or a sidecar/file mismatch mark the segment hydrated with the
 // unaccounted slots dead, so the store degrades to partial data
 // instead of wedging. Either failure is parked for Health. Caller
-// holds the write lock with s.events cloned.
+// holds the write lock with s.slots cloned.
 func (s *Store) hydrateSegLocked(sf *segFile) {
 	sc, done, err := s.scanSegmentFile(sf.path)
 	if err != nil {

@@ -45,8 +45,8 @@ type Instruments struct {
 	SidecarFallbacks *obs.Counter // sealed segments open fully decoded for want of a fresh sidecar
 }
 
-// fsync syncs the active segment through the instrumentation seam.
-// Caller holds the write lock.
+// fsync syncs the active segment through the instrumentation seam. Its
+// one caller is the durability step, Store.sync.
 func (s *Store) fsync() error {
 	start := s.inst.FsyncSeconds.Now()
 	err := s.active.file.Sync()
@@ -56,14 +56,6 @@ func (s *Store) fsync() error {
 		s.inst.FsyncErrors.Inc()
 	}
 	return err
-}
-
-// observeCommitBatch records the size of a group commit about to be
-// flushed. Caller holds the write lock.
-func (s *Store) observeCommitBatch() {
-	if s.unsynced > 0 {
-		s.inst.CommitBatch.Observe(float64(s.unsynced))
-	}
 }
 
 // Health is the store's failure snapshot, feeding readiness checks: a

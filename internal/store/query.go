@@ -77,7 +77,7 @@ func (s *Store) Query(f Filter) Result {
 	res := Result{}
 	if all {
 		res.Scanned = s.live
-		for ord := range s.events {
+		for ord := range s.slots {
 			s.consider(&res, int32(ord), f)
 		}
 		return res
@@ -101,7 +101,7 @@ func (s *Store) Query(f Filter) Result {
 func (s *Store) QuerySeq(f Filter) iter.Seq[*core.Event] {
 	s.ensureHydrated(f)
 	s.mu.RLock()
-	events := s.events[:len(s.events):len(s.events)]
+	slots := s.snapshot().slots
 	cands, all := s.candidates(f)
 	if !all {
 		// Postings lists are mutated in place by later appends and
@@ -112,7 +112,7 @@ func (s *Store) QuerySeq(f Filter) iter.Seq[*core.Event] {
 	return func(yield func(*core.Event) bool) {
 		yielded := 0
 		emit := func(ord int32) bool {
-			ev := events[ord]
+			ev := slots[ord].ev
 			if ev == nil || !matches(ev, f) {
 				return true
 			}
@@ -123,7 +123,7 @@ func (s *Store) QuerySeq(f Filter) iter.Seq[*core.Event] {
 			return f.Limit <= 0 || yielded < f.Limit
 		}
 		if all {
-			for ord := range events {
+			for ord := range slots {
 				if !emit(int32(ord)) {
 					return
 				}
@@ -142,7 +142,7 @@ func (s *Store) QuerySeq(f Filter) iter.Seq[*core.Event] {
 // is a dead event (tombstoned or superseded); index postings no longer
 // reference those, but the full-scan path walks every ordinal.
 func (s *Store) consider(res *Result, ord int32, f Filter) {
-	ev := s.events[ord]
+	ev := s.slots[ord].ev
 	if ev == nil || !matches(ev, f) {
 		return
 	}

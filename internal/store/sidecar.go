@@ -538,7 +538,7 @@ func (s *Store) writeSummary(seq uint64, size, validLen int64, truncated bool, r
 func (s *Store) appliedTombs() [][]byte {
 	applied := make([][]byte, len(s.tombs))
 	for i, tb := range s.tombs {
-		applied[i] = encodeTombstone(nil, tb)
+		applied[i] = encodeTombstone(nil, tb.Tombstone)
 	}
 	return applied
 }

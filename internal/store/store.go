@@ -232,20 +232,8 @@ type Store struct {
 
 	identity string // shard identity (SetIdentity), "" when unstamped
 
-	// events holds every indexed event by ordinal (append order); a nil
-	// slot is a dead event (tombstoned, or a superseded duplicate
-	// dropped by compaction). Mutating slots copies the slice first so
-	// snapshots handed out by All stay safe. eventSeg is parallel: the
-	// segment whose file holds each ordinal's record.
-	events   []*core.Event
-	eventSeg []uint64
-	live     int
-
-	// tombs are the DeletePrefix directives in force; tombSeg is the
-	// segment each tombstone record lives in (compaction re-emits a
-	// tombstone when its segment merges).
-	tombs   []Tombstone
-	tombSeg []uint64
+	ledgers
+	live int // slots holding an event
 
 	sealed []segFile  // sealed segments, ascending seq
 	active *activeSeg // the segment appends land in; nil when read-only or closed
@@ -296,6 +284,36 @@ type Store struct {
 	compactMu   sync.Mutex
 	compactCh   chan struct{}
 	compactDone chan struct{}
+}
+
+// ledgers are what the store holds by position, each entry with the
+// segment whose file holds its record: slots, one per ordinal in append
+// order, and the DeletePrefix directives in force. Both are
+// copy-on-write — every in-place write clones the slice first — so a
+// snapshot (All, QuerySeq, a compaction's phase 1) stays safe to read
+// without the lock.
+type ledgers struct {
+	slots []slot
+	tombs []tomb
+}
+
+// slot is one ordinal: its event, nil when dead (tombstoned, or a
+// superseded duplicate dropped by compaction).
+type slot struct {
+	ev  *core.Event
+	seg uint64
+}
+
+// tomb is one tombstone in force: compaction re-emits it when its
+// segment merges.
+type tomb struct {
+	Tombstone
+	seg uint64
+}
+
+// snapshot is the ledgers as they stand: appends past it reallocate.
+func (l ledgers) snapshot() ledgers {
+	return ledgers{l.slots[:len(l.slots):len(l.slots)], l.tombs[:len(l.tombs):len(l.tombs)]}
 }
 
 // Open opens (or creates) the event store in dir, replays every segment
@@ -551,8 +569,7 @@ func (o *opener) tombstones() error {
 			if err != nil {
 				return fmt.Errorf("store: %s: %w", p.path, err)
 			}
-			o.tombs = append(o.tombs, tb)
-			o.tombSeg = append(o.tombSeg, p.seq)
+			o.tombs = append(o.tombs, tomb{tb, p.seq})
 		}
 	}
 	return nil
@@ -575,7 +592,7 @@ func (o *opener) staleness() error {
 			applied[string(enc)] = true
 		}
 		for j, enc := range inForce {
-			if !applied[string(enc)] && p.summary.tombMayAffect(o.tombs[j]) {
+			if !applied[string(enc)] && p.summary.tombMayAffect(o.tombs[j].Tombstone) {
 				if err := o.scanSeg(p); err != nil {
 					return err
 				}
@@ -639,10 +656,9 @@ func (s *Store) reserve(sf *segFile, m *segSummary) {
 		return
 	}
 	sf.lazy, sf.sum = true, m
-	sf.base, sf.n = int32(len(s.events)), int32(m.live())
+	sf.base, sf.n = int32(len(s.slots)), int32(m.live())
 	for range m.live() {
-		s.events = append(s.events, nil)
-		s.eventSeg = append(s.eventSeg, sf.seq)
+		s.slots = append(s.slots, slot{seg: sf.seq})
 	}
 	s.live += m.live()
 	s.coldSegs++
@@ -772,35 +788,33 @@ func (s *Store) segment(seq uint64) *segFile {
 // index adds ev to the in-memory state under the next ordinal, recording
 // the segment holding its record.
 func (s *Store) index(ev *core.Event, seq uint64) {
-	ord := int32(len(s.events))
-	s.events = append(s.events, nil)
-	s.eventSeg = append(s.eventSeg, seq)
+	ord := int32(len(s.slots))
+	s.slots = append(s.slots, slot{seg: seq})
 	s.live++
 	s.indexAt(ev, ord)
 }
 
-// unindex removes ordinal ord from every index and nils its slot,
+// unindex removes ordinal ord from every index and empties its slot,
 // returning the segment that still holds its record on disk. The caller
-// must hold the write lock and have copy-on-write-cloned s.events if
+// must hold the write lock and have copy-on-write-cloned s.slots if
 // snapshots may be live.
 func (s *Store) unindex(ord int32) uint64 {
-	ev := s.events[ord]
-	s.events[ord] = nil
+	ev := s.slots[ord].ev
+	s.slots[ord].ev = nil
 	s.live--
 	s.postings(ev, func(l []int32) []int32 { return removeOrd(l, ord) })
 	s.dayRemove(ev)
-	return s.eventSeg[ord]
+	return s.slots[ord].seg
 }
 
 // moveOrd relocates the live event at ordinal from to the (empty)
 // ordinal to, rewriting every index posting — compaction uses it to put
 // a duplicate's survivor at the key's first-appearance position, which
 // is where the merged segment writes it. Caller holds the write lock
-// with s.events cloned.
+// with s.slots cloned.
 func (s *Store) moveOrd(from, to int32) {
-	ev := s.events[from]
-	s.events[to], s.events[from] = ev, nil
-	s.eventSeg[to] = s.eventSeg[from]
+	ev := s.slots[from].ev
+	s.slots[to], s.slots[from].ev = s.slots[from], nil
 	s.postings(ev, func(l []int32) []int32 { return insertOrd(removeOrd(l, from), to) })
 }
 
@@ -873,139 +887,29 @@ func (s *Store) Append(events ...*core.Event) error {
 		// Time-partitioned segments: roll the active segment when the
 		// event belongs to a different partition, so merges never have
 		// to cross partition boundaries.
-		if s.opts.Policy.Partition > 0 {
-			pk := partitionKey(ev.Start.UTC().UnixNano(), s.opts.Policy.Partition)
-			if s.active.events > 0 && pk != s.active.part {
-				if err := s.seal(); err != nil {
-					return err
-				}
-			}
-			if s.active.events == 0 {
-				s.active.part = pk
-			}
-		}
-		payload := EncodeEvent(s.scratch[:0], ev)
-		s.scratch = payload[:0]
-		rec := appendRecord(nil, payload)
-		if err := s.writeRecord(rec); err != nil {
-			return fmt.Errorf("store: append: %w", err)
-		}
-		r := sumRec{ev: ev, dead: s.tombstoned(ev)} // dead on arrival: logged but invisible
-		s.active.recs = append(s.active.recs, r)
-		s.active.add(r)
-		if !r.dead {
-			s.index(ev, s.active.seq)
-		}
-		if s.active.size >= s.opts.MaxSegmentBytes {
-			if err := s.seal(); err != nil {
+		pk := partitionKey(ev.Start.UTC().UnixNano(), s.opts.Policy.Partition)
+		if s.active.events > 0 && pk != s.active.part {
+			if err := s.roll(); err != nil {
 				return err
 			}
 		}
-	}
-	return s.maybeGroupCommit()
-}
-
-// writeRecord appends one raw record to the active segment, tracking
-// size and group-commit lag. A wounded segment (an earlier write or
-// fsync failure left its tail in an unknown state) is failed over to a
-// fresh segment first, so a torn record can never sit in the middle of
-// a record boundary new appends extend.
-func (s *Store) writeRecord(rec []byte) error {
-	if s.writeFailed {
-		if err := s.failoverSeal(); err != nil {
-			return fmt.Errorf("segment failover: %w", err)
+		s.scratch = EncodeEvent(s.scratch[:0], ev)
+		err := s.record(s.scratch, func(a *activeSeg) {
+			if a.events == 0 {
+				a.part = pk
+			}
+			r := sumRec{ev: ev, dead: s.tombstoned(ev)} // dead on arrival: logged but invisible
+			a.recs = append(a.recs, r)
+			a.add(r)
+			if !r.dead {
+				s.index(ev, a.seq)
+			}
+		})
+		if err != nil {
+			return fmt.Errorf("store: append: %w", err)
 		}
 	}
-	if _, err := s.active.file.Write(rec); err != nil {
-		s.writeFailed = true
-		return err
-	}
-	s.active.size += int64(len(rec))
-	s.unsynced++
-	return nil
-}
-
-// maybeGroupCommit applies Options.Sync after a batch of appended
-// records: fsync now when the policy demands it, or arm the Interval
-// timer. A pending timer-sync failure surfaces here first. Caller
-// holds the write lock.
-func (s *Store) maybeGroupCommit() error {
-	if err := s.asyncErr; err != nil {
-		s.asyncErr = nil
-		return fmt.Errorf("store: group commit: %w", err)
-	}
-	pol := s.opts.Sync
-	if pol.Always || (pol.EveryN > 0 && s.unsynced >= pol.EveryN) {
-		if err := s.syncActive(); err != nil {
-			return fmt.Errorf("store: group commit: %w", err)
-		}
-		return nil
-	}
-	if pol.Interval > 0 && s.unsynced > 0 && s.syncTimer == nil {
-		s.syncTimer = time.AfterFunc(pol.Interval, s.timedSync)
-	}
-	return nil
-}
-
-// syncActive fsyncs the active segment and resets the group-commit
-// lag. Caller holds the write lock.
-func (s *Store) syncActive() error {
-	if s.active == nil {
-		return nil
-	}
-	s.observeCommitBatch()
-	if err := s.fsync(); err != nil {
-		s.writeFailed = true
-		return err
-	}
-	s.unsynced = 0
-	s.stopSyncTimer()
-	return nil
-}
-
-func (s *Store) stopSyncTimer() {
-	if s.syncTimer != nil {
-		s.syncTimer.Stop()
-		s.syncTimer = nil
-	}
-}
-
-// timedSync is the Interval policy's deadline: fsync whatever the
-// group commit has accumulated. Its failure is remembered and returned
-// by the next Append or Sync (a timer has no caller to report to).
-func (s *Store) timedSync() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.syncTimer = nil
-	if s.closed || s.active == nil || s.unsynced == 0 {
-		return
-	}
-	s.observeCommitBatch()
-	if err := s.fsync(); err != nil {
-		s.writeFailed = true
-		s.asyncErr = err
-		return
-	}
-	s.unsynced = 0
-}
-
-// failoverSeal abandons a wounded active segment: a failed write or
-// fsync left bytes past the last known-good record in an unknown
-// state, so the file is sealed at its known-good length — recovery
-// skips any torn bytes beyond it — and a fresh segment takes over.
-// Sync and close on the wounded file are best-effort: its data is
-// already at risk, and the point here is a clean record boundary for
-// everything appended next.
-func (s *Store) failoverSeal() error {
-	next, err := s.newSegment(s.active.seq + 1)
-	if err != nil {
-		return err
-	}
-	s.fsync()
-	s.finishSeal(next)
-	s.writeFailed = false
-	s.inst.Failovers.Inc()
-	return nil
+	return s.groupCommit()
 }
 
 // DeletePrefix erases the history of a prefix: every stored event whose
@@ -1037,107 +941,182 @@ func (s *Store) DeletePrefix(prefix netip.Prefix, upTo time.Time) (int, error) {
 		tb.UpTo = upTo.UTC()
 	}
 	payload := encodeTombstone(nil, tb)
-	rec := appendRecord(nil, payload)
-	if err := s.writeRecord(rec); err != nil {
-		return 0, fmt.Errorf("store: delete: %w", err)
-	}
-	s.active.others = append(s.active.others, payload)
-	s.tombs = append(s.tombs, tb)
-	s.tombSeg = append(s.tombSeg, s.active.seq)
-
-	// Collect doomed ordinals first: unindex mutates the postings the
-	// trie matches alias.
 	var doomed []int32
-	for _, m := range s.trie.Covered(tb.Prefix) {
-		for _, ord := range m.Ords {
-			if ev := s.events[ord]; ev != nil && (tb.UpTo.IsZero() || !ev.End.After(tb.UpTo)) {
-				doomed = append(doomed, ord)
+	err := s.record(payload, func(a *activeSeg) {
+		a.others = append(a.others, payload)
+		s.tombs = append(s.tombs, tomb{tb, a.seq})
+		// Collect doomed ordinals first: unindex mutates the postings the
+		// trie matches alias.
+		for _, m := range s.trie.Covered(tb.Prefix) {
+			for _, ord := range m.Ords {
+				if ev := s.slots[ord].ev; ev != nil && tb.Matches(ev) {
+					doomed = append(doomed, ord)
+				}
 			}
 		}
-	}
-	if len(doomed) > 0 {
-		// Copy-on-write: snapshots handed out by All keep the old array.
-		s.events = slices.Clone(s.events)
-		for _, ord := range doomed {
-			if sf := s.segment(s.unindex(ord)); sf != nil {
-				sf.dead++
+		if len(doomed) > 0 {
+			s.slots = slices.Clone(s.slots)
+			for _, ord := range doomed {
+				if sf := s.segment(s.unindex(ord)); sf != nil {
+					sf.dead++
+				}
 			}
 		}
+	})
+	if err != nil {
+		return len(doomed), fmt.Errorf("store: delete: %w", err)
 	}
-	if s.active.size >= s.opts.MaxSegmentBytes {
-		if err := s.seal(); err != nil {
-			return len(doomed), err
-		}
-	}
-	return len(doomed), s.maybeGroupCommit()
+	return len(doomed), s.groupCommit()
 }
 
-// seal syncs and closes the active segment and starts the next one.
-// The replacement segment is created first, so the store keeps a valid
-// active segment on every error path. Caller holds the write lock.
-func (s *Store) seal() error {
+// record is the one record step: it frames payload onto the active
+// segment — failing a wounded segment over first, so a torn record never
+// sits where new records extend — has note book it against the segment,
+// and rolls the segment once it is full. Caller holds the write lock.
+func (s *Store) record(payload []byte, note func(*activeSeg)) error {
+	if s.writeFailed {
+		if err := s.roll(); err != nil {
+			return fmt.Errorf("segment failover: %w", err)
+		}
+	}
+	rec := appendRecord(nil, payload)
+	if _, err := s.active.file.Write(rec); err != nil {
+		s.writeFailed = true
+		return err
+	}
+	s.active.size += int64(len(rec))
+	s.unsynced++
+	note(s.active)
+	if s.active.size >= s.opts.MaxSegmentBytes {
+		return s.roll()
+	}
+	return nil
+}
+
+// groupCommit applies Options.Sync after a batch of records: sync now
+// when the policy asks for it — or when a failed deadline sync is parked,
+// which the durability step surfaces instead — or arm the Interval
+// deadline. Caller holds the write lock.
+func (s *Store) groupCommit() error {
+	pol := s.opts.Sync
+	switch {
+	case s.asyncErr != nil || pol.Always || (pol.EveryN > 0 && s.unsynced >= pol.EveryN):
+		if err := s.sync(syncCommit); err != nil {
+			return fmt.Errorf("store: group commit: %w", err)
+		}
+	case pol.Interval > 0 && s.unsynced > 0 && s.syncTimer == nil:
+		s.syncTimer = time.AfterFunc(pol.Interval, s.timedSync)
+	}
+	return nil
+}
+
+// syncCause says who asks the durability step for an fsync.
+type syncCause uint8
+
+const (
+	syncCommit   syncCause = iota // a group commit or Sync: a parked deadline failure surfaces instead
+	syncDeadline                  // the Interval deadline: a failure is parked for the next commit
+	syncRoll                      // a roll or Close: not a group commit, so no batch is observed
+)
+
+// sync is the one durability step, and the only fsync of the active
+// segment. Success clears the group-commit lag; failure wounds the
+// segment, so its next record fails it over. Either way the Interval
+// deadline is disarmed. Caller holds the write lock.
+func (s *Store) sync(why syncCause) error {
+	if err := s.asyncErr; why == syncCommit && err != nil {
+		s.asyncErr = nil
+		return err
+	}
+	if why != syncRoll && s.unsynced > 0 {
+		s.inst.CommitBatch.Observe(float64(s.unsynced))
+	}
+	err := s.fsync()
+	if s.syncTimer != nil {
+		s.syncTimer.Stop()
+		s.syncTimer = nil
+	}
+	if err != nil {
+		s.writeFailed = true
+		if why == syncDeadline {
+			s.asyncErr = err
+		}
+		return err
+	}
+	s.unsynced = 0
+	return nil
+}
+
+// timedSync is the Interval deadline: it syncs whatever the group commit
+// has accumulated. A timer has no caller to report to, so a failure
+// surfaces on the next Append or Sync.
+func (s *Store) timedSync() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.syncTimer = nil
+	if s.active != nil && s.unsynced > 0 {
+		s.sync(syncDeadline)
+	}
+}
+
+// roll is the one way a segment stops taking records — full, at a
+// partition boundary, for a compaction or wounded: it seals the active
+// segment and starts the next. The next one is created first, so the
+// store keeps a valid active segment on every error path. A healthy
+// segment must sync first, and is summarized from its accumulator (no
+// re-read of the file) so the next open can skip decoding it. A wounded
+// one (a failed write or sync left the bytes past its last good record
+// unknown) fails over: its sync is best effort, it is sealed at its
+// known-good length — recovery skips any torn bytes past it — and it
+// gets no sidecar, so the next open scans and heals it. Caller holds
+// the write lock.
+func (s *Store) roll() error {
 	next, err := s.newSegment(s.active.seq + 1)
 	if err != nil {
 		return err
 	}
-	if err := s.fsync(); err != nil {
-		s.writeFailed = true
+	a, wounded := s.active, s.writeFailed
+	if err := s.sync(syncRoll); err != nil && !wounded {
 		next.file.Close()
 		os.Remove(next.path)
 		return err
 	}
-	// The segment's bytes are durable: summarize it from the accumulator
-	// — no re-read of the file — so the next open can skip decoding it.
-	// Liveness is re-judged against the tombstones in force now, so the
-	// summary equals what an eager reopen would compute. (The failover
-	// path writes no sidecar — a wounded segment's tail is unknown; the
-	// next open scans and heals it.)
-	a := s.active
-	for i := range a.recs {
-		a.recs[i].dead = s.tombstoned(a.recs[i].ev)
+	if wounded {
+		s.inst.Failovers.Inc()
+	} else {
+		// Liveness is re-judged against the tombstones in force now, so
+		// the summary equals what an eager reopen would compute.
+		for i := range a.recs {
+			a.recs[i].dead = s.tombstoned(a.recs[i].ev)
+		}
+		s.writeSummary(a.seq, a.size, a.size, false, a.recs, a.others)
 	}
-	s.writeSummary(a.seq, a.size, a.size, false, a.recs, a.others)
-	s.finishSeal(next)
-	return nil
-}
-
-// finishSeal retires the active segment — its data is already synced
-// (or abandoned, on the failover path) — records it in the sealed set,
-// and installs next as the new active segment. Caller holds the write
-// lock.
-func (s *Store) finishSeal(next *activeSeg) {
-	// The old active's data is synced; a close error cannot lose anything.
-	s.active.file.Close()
-	s.sealed = append(s.sealed, s.active.segFile)
+	a.file.Close() // synced or abandoned: a close error cannot lose anything
+	s.sealed = append(s.sealed, a.segFile)
 	s.inst.Seals.Inc()
-	s.active = next
-	s.unsynced = 0
-	s.stopSyncTimer()
+	s.active, s.unsynced, s.writeFailed = next, 0, false
 	if s.compactCh != nil && len(s.sealed) >= s.opts.CompactSegments {
 		select {
 		case s.compactCh <- struct{}{}:
 		default:
 		}
 	}
+	return nil
 }
 
 // Sync flushes the active segment to stable storage. A deferred
-// group-commit failure (an Interval timer fsync that failed) surfaces
+// group-commit failure (an Interval deadline sync that failed) surfaces
 // here if no Append reported it first.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	switch {
+	case s.closed:
 		return ErrClosed
-	}
-	if err := s.asyncErr; err != nil {
-		s.asyncErr = nil
-		return fmt.Errorf("store: group commit: %w", err)
-	}
-	if s.active == nil {
+	case s.active == nil: // read-only
 		return nil
 	}
-	return s.syncActive()
+	return s.sync(syncCommit)
 }
 
 // Close syncs and closes the store. Further calls fail with ErrClosed.
@@ -1148,16 +1127,13 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.stopSyncTimer()
 	compactDone := s.compactDone
 	if s.compactCh != nil {
 		close(s.compactCh)
 	}
 	var err error
 	if s.active != nil {
-		if serr := s.fsync(); serr != nil {
-			err = serr
-		}
+		err = s.sync(syncRoll)
 		if cerr := s.active.file.Close(); err == nil {
 			err = cerr
 		}
@@ -1223,14 +1199,11 @@ func (s *Store) Stats() Stats {
 func (s *Store) All() iter.Seq[*core.Event] {
 	s.ensureHydrated(Filter{})
 	s.mu.RLock()
-	events := s.events[:len(s.events):len(s.events)]
+	slots := s.snapshot().slots
 	s.mu.RUnlock()
 	return func(yield func(*core.Event) bool) {
-		for _, ev := range events {
-			if ev == nil {
-				continue
-			}
-			if !yield(ev) {
+		for _, sl := range slots {
+			if sl.ev != nil && !yield(sl.ev) {
 				return
 			}
 		}

@@ -196,7 +196,7 @@ func TestPostingsWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			s.events, s.eventSeg = make([]*core.Event, 3), make([]uint64, 3)
+			s.slots = make([]slot, 3)
 			want := func(ord int32) []int32 {
 				if !tc.neighbour {
 					return []int32{ord}

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -949,6 +950,62 @@ func TestShardPlanOutOfRange(t *testing.T) {
 		if got, want := plan.Shard(ev), (first+day)%3; got != want {
 			t.Errorf("time plan: day %d on shard %d, want %d", day, got, want)
 		}
+	}
+}
+
+// misfilingPlan breaks ShardPlan's contract on purpose: it files every
+// event with an odd Seq on shard N, one past the last.
+type misfilingPlan struct{ n int }
+
+func (p misfilingPlan) Shards() int    { return p.n }
+func (p misfilingPlan) String() string { return "misfiling" }
+func (p misfilingPlan) Shard(ev *Event) int {
+	if ev.Seq%2 == 1 {
+		return p.n
+	}
+	return 0
+}
+
+// TestSinkToShardsReportsMisfiledEvents: an event a caller's plan files
+// outside [0, N) has no store to go to. The sink drops it and keeps
+// draining — every other event still lands — but wait says so, naming
+// the plan, the event's prefix and the index it was filed under.
+func TestSinkToShardsReportsMisfiledEvents(t *testing.T) {
+	p := smallPipeline(t)
+	stores := make([]*Store, 2)
+	for i := range stores {
+		st, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		stores[i] = st
+	}
+	det := p.NewDetector()
+	wait := det.SinkToShards(misfilingPlan{len(stores)}, stores)
+	res, err := det.Run(context.Background(), p.Replay(800, 803))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = wait()
+	var misfiled []string
+	for _, ev := range res.Events {
+		if ev.Seq%2 == 1 {
+			misfiled = append(misfiled, ev.Prefix.String())
+		}
+	}
+	if len(misfiled) == 0 || len(misfiled) == len(res.Events) {
+		t.Fatalf("fixture: %d of %d events misfiled; want some, not all", len(misfiled), len(res.Events))
+	}
+	if err == nil {
+		t.Fatalf("%d events filed on shard 2 of 2 were dropped, and wait returned nil", len(misfiled))
+	}
+	if msg := err.Error(); !strings.Contains(msg, "misfiling") || !strings.Contains(msg, "shard 2") ||
+		!slices.ContainsFunc(misfiled, func(p string) bool { return strings.Contains(msg, p) }) {
+		t.Errorf("wait() = %q; want the plan, a misfiled event's prefix and shard 2 named", msg)
+	}
+	if got, want := stores[0].Len()+stores[1].Len(), len(res.Events)-len(misfiled); got != want {
+		t.Errorf("the stores hold %d events, want the %d the plan filed in range", got, want)
 	}
 }
 
