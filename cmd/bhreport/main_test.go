@@ -3,32 +3,36 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
 )
 
 // TestReportGolden pins the science: every table and figure of a small
-// fixed world must come out byte for byte as recorded, whatever the
-// worker count (Options.Workers defaults to GOMAXPROCS). Regenerate
-// testdata/report.seed42.golden only for a deliberate change of results:
+// fixed world must come out byte for byte as recorded, at two seeds,
+// whatever the worker count (Options.Workers defaults to GOMAXPROCS) and
+// however many sections render at once. Regenerate
+// testdata/report.seed*.golden only for a deliberate change of results:
 //
 //	go run ./cmd/bhreport -scale 0.05 -events 0.1 -full -seed 42
 func TestReportGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/report.seed42.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		var got bytes.Buffer
-		err := run(&got, 0.05, 0.1, 42, true, "")
-		runtime.GOMAXPROCS(prev)
+	for _, seed := range []int64{42, 11} {
+		want, err := os.ReadFile(fmt.Sprintf("testdata/report.seed%d.golden", seed))
 		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("GOMAXPROCS=%d: report differs from golden at line %d", procs, firstDiffLine(got.Bytes(), want))
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			var got bytes.Buffer
+			err := run(&got, 0.05, 0.1, seed, true, "")
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("seed %d, GOMAXPROCS=%d: %v", seed, procs, err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("seed %d, GOMAXPROCS=%d: report differs from golden at line %d", seed, procs, firstDiffLine(got.Bytes(), want))
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"maps"
 	"net/netip"
 	"time"
 
@@ -106,59 +107,29 @@ func (d *Deployment) Table1() []VisibilityStats {
 	platforms := Platforms()
 	prefixSets := make([]map[netip.Prefix]bool, len(platforms))
 	peerSets := make([]map[bgp.ASN]bool, len(platforms))
+	totalPrefixes := map[netip.Prefix]bool{}
+	totalPeers := map[bgp.ASN]bool{}
 	for i, p := range platforms {
 		prefixSets[i] = d.PlatformPrefixes(p)
+		maps.Copy(totalPrefixes, prefixSets[i])
 		peerSets[i] = map[bgp.ASN]bool{}
 		for _, a := range d.PeerASes(p) {
 			peerSets[i][a] = true
+			totalPeers[a] = true
 		}
 	}
 	var rows []VisibilityStats
-	totalPrefixes := map[netip.Prefix]bool{}
-	totalPeers := map[bgp.ASN]bool{}
 	totalSessions := 0
 	for i, p := range platforms {
-		uniqueP := 0
-		for pfx := range prefixSets[i] {
-			only := true
-			for j := range platforms {
-				if j != i && prefixSets[j][pfx] {
-					only = false
-					break
-				}
-			}
-			if only {
-				uniqueP++
-			}
-			totalPrefixes[pfx] = true
-		}
-		uniqueA := 0
-		for a := range peerSets[i] {
-			only := true
-			for j := range platforms {
-				if j != i && peerSets[j][a] {
-					only = false
-					break
-				}
-			}
-			if only {
-				uniqueA++
-			}
-			totalPeers[a] = true
-		}
 		rows = append(rows, VisibilityStats{
 			Platform:       p,
 			IPPeers:        d.SessionCount(p),
 			ASPeers:        len(peerSets[i]),
-			UniqueASPeers:  uniqueA,
+			UniqueASPeers:  onlyIn(peerSets, i),
 			Prefixes:       len(prefixSets[i]),
-			UniquePrefixes: uniqueP,
+			UniquePrefixes: onlyIn(prefixSets, i),
 		})
 		totalSessions += d.SessionCount(p)
-	}
-	totalUnique := 0
-	for range totalPrefixes {
-		totalUnique++
 	}
 	rows = append(rows, VisibilityStats{
 		Platform:       -1, // total row
@@ -166,9 +137,24 @@ func (d *Deployment) Table1() []VisibilityStats {
 		ASPeers:        len(totalPeers),
 		UniqueASPeers:  len(totalPeers),
 		Prefixes:       len(totalPrefixes),
-		UniquePrefixes: totalUnique,
+		UniquePrefixes: len(totalPrefixes),
 	})
 	return rows
+}
+
+// onlyIn counts the members of sets[i] that no other set holds.
+func onlyIn[K comparable](sets []map[K]bool, i int) int {
+	n := 0
+next:
+	for k := range sets[i] {
+		for j := range sets {
+			if j != i && sets[j][k] {
+				continue next
+			}
+		}
+		n++
+	}
+	return n
 }
 
 // OrdinaryUpdates synthesises a day's worth of routine BGP churn: peers

@@ -549,7 +549,7 @@ func (d *Deployment) propagateViaRouteServer(res *Result, a Announcement, comms 
 	res.AcceptedIXPs = append(res.AcceptedIXPs, xid)
 
 	// Members honouring the request drop traffic at their IXP port.
-	drops := map[bgp.ASN]bool{}
+	drops := make(map[bgp.ASN]bool, len(x.Members))
 	for _, m := range x.Members {
 		if m != a.User && honorsIXPBlackhole(m, xid) {
 			drops[m] = true

@@ -3,10 +3,14 @@ package dictionary
 import (
 	"fmt"
 	"net/netip"
+	"reflect"
+	"slices"
 	"testing"
 
 	"bgpblackholing/internal/bgp"
+	"bgpblackholing/internal/collector"
 	"bgpblackholing/internal/topology"
+	"bgpblackholing/internal/workload"
 )
 
 func announce(prefix string, comms ...bgp.Community) *bgp.Update {
@@ -141,5 +145,124 @@ func TestObserveIgnoresWithdrawalsAndBareAnnouncements(t *testing.T) {
 	c.Observe(announce("192.0.2.1/32")) // no communities
 	if len(c.stats) != 0 {
 		t.Fatalf("stats = %v, want empty", c.stats)
+	}
+}
+
+// observeReference is Observe before seen was packed: a filtered IPv4
+// copy of every update, deduplicated on (community, netip.Prefix).
+func observeReference(d *Dictionary, stats map[bgp.Community]*CommunityStats, seen map[struct {
+	c bgp.Community
+	p netip.Prefix
+}]bool, u *bgp.Update) {
+	var v4 []netip.Prefix
+	for _, p := range u.Announced {
+		if p.Addr().Is4() {
+			v4 = append(v4, p)
+		}
+	}
+	if len(v4) == 0 || len(u.Communities) == 0 {
+		return
+	}
+	hasKnown := false
+	for _, comm := range u.Communities {
+		hasKnown = hasKnown || d.Lookup(comm) != nil
+	}
+	for _, comm := range u.Communities {
+		s := stats[comm]
+		if s == nil {
+			s = &CommunityStats{Community: comm, LenCounts: map[int]int{}}
+			stats[comm] = s
+		}
+		for _, p := range v4 {
+			key := struct {
+				c bgp.Community
+				p netip.Prefix
+			}{comm, p}
+			if !seen[key] {
+				seen[key] = true
+				s.LenCounts[p.Bits()]++
+				s.Total++
+			}
+		}
+		if hasKnown && d.Lookup(comm) == nil {
+			s.CoOccurredWithKnown = true
+		}
+	}
+}
+
+// replayUpdates is a ten-day replay plus a window of ordinary churn, with
+// every third announcement folded into one multi-prefix update with its
+// successor, an IPv6 prefix and its own first address at /31, masked and
+// not, so the corpus mixes v4/v6, single/multi-prefix updates and one
+// address at several lengths.
+func replayUpdates(t *testing.T, topo *topology.Topology) []*bgp.Update {
+	t.Helper()
+	dep := collector.Deploy(topo, collector.DefaultConfig().Scaled(0.2))
+	sc := workload.NewScenario(topo, workload.DefaultConfig().Scaled(0.3))
+	obs := dep.OrdinaryUpdates(workload.TimelineStart, 5000)
+	for day := 640; day < 650; day++ {
+		o, _ := workload.Materialize(dep, topo, sc.IntentsForDay(day), 42)
+		obs = append(obs, o...)
+	}
+	v6 := netip.MustParsePrefix("2001:db8::1/128")
+	var out []*bgp.Update
+	for i, o := range obs {
+		u := o.Update
+		if i%3 == 0 && i+1 < len(obs) && len(u.Announced) > 0 {
+			m := *u
+			at31 := netip.PrefixFrom(u.Announced[0].Addr(), 31)
+			m.Announced = append(append(slices.Clone(u.Announced), v6, at31, at31.Masked()), obs[i+1].Update.Announced...)
+			u = &m
+		}
+		out = append(out, u)
+	}
+	return out
+}
+
+// TestObserveMatchesPrefixKeyedReference checks the packed seen key
+// against the netip.Prefix-keyed dedup it replaced, over one replay.
+func TestObserveMatchesPrefixKeyedReference(t *testing.T) {
+	topo, docs := worldAndCorpus(t)
+	d := FromCorpus(docs)
+	d.AddPrivateFromTopology(topo)
+	c := NewCollector(d)
+	ref := &Collector{dict: d, stats: map[bgp.Community]*CommunityStats{}}
+	refSeen := map[struct {
+		c bgp.Community
+		p netip.Prefix
+	}]bool{}
+	multi, v6 := 0, 0
+	for _, u := range replayUpdates(t, topo) {
+		c.Observe(u)
+		observeReference(d, ref.stats, refSeen, u)
+		if len(u.Announced) > 1 {
+			multi++
+		}
+		if slices.ContainsFunc(u.Announced, func(p netip.Prefix) bool { return p.Addr().Is6() }) {
+			v6++
+		}
+	}
+	got, want := c.Infer(), ref.Infer()
+	if multi == 0 || v6 == 0 || len(want.Stats) == 0 || len(want.Inferred) == 0 {
+		t.Fatalf("replay too thin: %d multi-prefix, %d v6 updates, %d communities, %d inferred",
+			multi, v6, len(want.Stats), len(want.Inferred))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Infer() differs from the netip.Prefix-keyed reference")
+	}
+}
+
+// TestObserveSeenAllocatesNothing: a (community, prefix) application the
+// collector has seen costs no allocation, whatever else the update holds.
+func TestObserveSeenAllocatesNothing(t *testing.T) {
+	c := NewCollector(knownDict())
+	u := &bgp.Update{
+		Announced: []netip.Prefix{netip.MustParsePrefix("192.0.2.1/32"),
+			netip.MustParsePrefix("2001:db8::1/128"), netip.MustParsePrefix("198.51.100.0/24")},
+		Communities: []bgp.Community{bgp.MakeCommunity(3356, 9999), bgp.MakeCommunity(7018, 666)},
+	}
+	c.Observe(u)
+	if n := testing.AllocsPerRun(100, func() { c.Observe(u) }); n != 0 {
+		t.Fatalf("Observe of a seen update: %v allocs, want 0", n)
 	}
 }

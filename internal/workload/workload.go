@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"time"
 
 	"bgpblackholing/internal/bgp"
@@ -587,19 +588,19 @@ func (s *Scenario) misconfigFullTable(r *rand.Rand, dayStart time.Time) []Intent
 func Materialize(d *collector.Deployment, topo *topology.Topology, intents []Intent, seed int64) ([]collector.Observation, []*collector.Result) {
 	// Pre-size for the common shape: a few ON phases per intent, each
 	// producing an announcement plus a matching withdrawal batch. The
-	// estimate only seeds capacity; append grows past it as needed.
+	// estimate only seeds capacity; each intent then grows obs once, by
+	// exactly what its phases append.
 	nPhases := 0
 	for i := range intents {
 		nPhases += len(intents[i].Pattern)
 	}
 	obs := make([]collector.Observation, 0, 16*nPhases)
 	results := make([]*collector.Result, 0, nPhases)
-	r := rand.New(rand.NewSource(0))
 	for idx, in := range intents {
 		if !in.Prefix.IsValid() {
 			continue
 		}
-		r.Seed(seed ^ int64(idx)*0x5851F42D4C957F2D)
+		coin := newCoins(seed ^ int64(idx)*0x5851F42D4C957F2D)
 		t := in.Start
 		res := d.Propagate(collector.Announcement{
 			Time:            t,
@@ -611,6 +612,7 @@ func Materialize(d *collector.Deployment, topo *topology.Topology, intents []Int
 			TargetIXPs:      in.IXPs,
 			Bundled:         in.Bundled,
 		})
+		obs = slices.Grow(obs, 2*len(in.Pattern)*len(res.Observations))
 		for i, ph := range in.Pattern {
 			results = append(results, res)
 			if i == 0 {
@@ -619,7 +621,7 @@ func Materialize(d *collector.Deployment, topo *topology.Topology, intents []Int
 				obs = d.AppendRestamped(obs, res, t, collector.RestampRepeat)
 			}
 			end := collector.RestampStripped
-			if r.Float64() < 0.8 {
+			if coin.Float64() < 0.8 {
 				end = collector.RestampWithdraw
 			}
 			t = t.Add(ph.On)
