@@ -87,8 +87,9 @@ type RecordSet struct {
 	Scanned int
 	// Elapsed is the whole call's wall-clock time.
 	Elapsed time.Duration
-	// ShardsFailed counts backends that could not answer (federated
-	// queries only; the records are the surviving shards' merge).
+	// ShardsFailed counts backends that could not answer, at any depth of
+	// nested routers (federated queries only; the records are the
+	// surviving shards' merge).
 	ShardsFailed int
 
 	// shard is the shard identity of the one store that answered, "" for

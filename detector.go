@@ -414,9 +414,8 @@ func (d *Detector) SinkToStore(st *Store) (wait func() error) {
 // elsewhere. So stores[i] must be new, already shard i of this plan, or
 // hold only events the plan files on shard i; anything else, and a
 // provided plan ParseShardPlan would refuse, fails the returned wait
-// before the run starts. A caller's own ShardPlan type, or a
-// TimeShardPlan with an Epoch (the spec cannot spell one), routes events
-// as ever and stamps nothing: its fleet is queried everywhere.
+// before the run starts. A caller's own ShardPlan type routes events as
+// ever and stamps nothing: its fleet is queried everywhere.
 //
 // The returned wait function blocks until the Run has returned, every
 // event has been appended to its shard, and every store has been synced;

@@ -41,7 +41,10 @@ import (
 // A failed shard degrades the answer instead of failing it: the merge
 // continues over the surviving shards and the failure is counted
 // (RecordSet.ShardsFailed, the X-Shards-Failed response header, the
-// stats shards block). Only when every shard fails does a call error.
+// stats shards block) — with the shards a nested router reports missing,
+// so events and legitimacy count losses at any depth (a shape=sets
+// answer has no field for one). Only when every shard fails does a call
+// error.
 //
 // Placement: stores written through Detector.SinkToShards remember which
 // shard of which plan they are, and advertise it in their stats and with
@@ -257,6 +260,11 @@ func (f *FederatedStore) gather(q Query, open func(i int, b Backend, q Query) (*
 	if err != nil {
 		return nil, failed, err
 	}
+	for _, s := range streams {
+		if s != nil {
+			failed += s.ShardsFailed // a nested router's shards missing below it
+		}
+	}
 	if lpm {
 		keepLongest(streams)
 	}
@@ -319,7 +327,7 @@ func (f *FederatedStore) Records(ctx context.Context, q Query) (*RecordSet, erro
 		}
 		sets[i] = rs
 		lines := rs.Records
-		return &RecordStream{shard: rs.shard, next: func() (RecordLine, error) {
+		return &RecordStream{ShardsFailed: rs.ShardsFailed, shard: rs.shard, next: func() (RecordLine, error) {
 			if len(lines) == 0 {
 				return RecordLine{}, io.EOF
 			}
@@ -516,6 +524,7 @@ func (f *FederatedStore) LegitimacySummary(ctx context.Context, q Query) (*Legit
 		if s == nil {
 			continue
 		}
+		out.ShardsFailed += s.ShardsFailed
 		out.Total += s.Total
 		for k, v := range s.Legitimacy {
 			out.Legitimacy[k] += v
@@ -746,15 +755,11 @@ type ShardPlan interface {
 // maxShards bounds a plan's shard count.
 const maxShards = 1 << 20
 
-// TimeShardPlan partitions by closing time: shard = ⌊(End − Epoch) /
-// Width⌋ mod N. Consecutive time windows land on consecutive shards
+// TimeShardPlan partitions by closing time: shard = ⌊(End − Unix epoch)
+// / Width⌋ mod N. Consecutive time windows land on consecutive shards
 // round-robin, so a long capture spreads over all shards instead of
 // filling them one by one.
 type TimeShardPlan struct {
-	// Epoch anchors window zero. The zero value means the Unix epoch;
-	// only the alignment matters. The spec has no field for it: a plan
-	// with another epoch routes events, but stamps no store.
-	Epoch time.Time
 	// Width is one window's span. Must be positive.
 	Width time.Duration
 	// N is the shard count, 1 to 1<<20.
@@ -781,14 +786,8 @@ func (p TimeShardPlan) Shard(ev *Event) int {
 	if p.check() != nil {
 		return 0
 	}
-	epoch := p.Epoch
-	if epoch.IsZero() {
-		// time.Time's own zero is the year 1: Sub from any real event
-		// saturates, and every event lands in one window.
-		epoch = time.Unix(0, 0)
-	}
 	w := int64(p.Width)
-	d := ev.End.Sub(epoch)
+	d := ev.End.Sub(time.Unix(0, 0)) // not time.Time's zero, the year 1: Sub from it saturates
 	win := int64(d) / w
 	if int64(d)%w < 0 {
 		win-- // floor toward −inf for pre-epoch events
@@ -884,16 +883,14 @@ func (p PrefixShardPlan) String() string {
 }
 
 // stampable reports whether a store can be stamped with plan: it is one
-// of the provided plans and its spec says all of it. err is why a
+// of the provided plans, whose spec says all of it. err is why a
 // provided plan is none at all.
 func stampable(plan ShardPlan) (ok bool, err error) {
-	switch p := plan.(type) {
-	case PrefixShardPlan:
-		return true, p.check()
-	case TimeShardPlan:
-		return p.Epoch.IsZero(), p.check()
+	p, ok := plan.(interface{ check() error })
+	if !ok {
+		return false, nil
 	}
-	return false, nil
+	return true, p.check()
 }
 
 // ParseShardPlan parses a plan spec, the form the provided plans print:
@@ -902,7 +899,7 @@ func stampable(plan ShardPlan) (ok bool, err error) {
 //	prefix:<bit>:<n>    e.g. prefix:8:4   (top octet over 4 shards)
 //
 // Numbers are plain decimal digits. Parsing what a plan prints gives the
-// plan back (a time plan's Epoch, which has no spelling, excepted).
+// plan back.
 func ParseShardPlan(s string) (ShardPlan, error) {
 	parts := strings.SplitN(s, ":", 3)
 	if len(parts) != 3 {

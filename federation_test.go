@@ -460,6 +460,69 @@ func TestFederationPartialResults(t *testing.T) {
 	}
 }
 
+// TestFederationNestedRouterCountsLostShards: routers may front routers,
+// and a shard lost below the first tier is still lost. Over HTTP and in
+// process, a router whose only shard is a router missing one of its own
+// must not serve that partial answer as complete, on any answer that
+// carries a count: /events as JSON and NDJSON, and /legitimacy.
+func TestFederationNestedRouterCountsLostShards(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetAnnotator(fixtureAnnotator())
+	for i := range 4 {
+		if err := st.Append(stallEvent(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shard := httptest.NewServer(NewStoreHandlerWith(st, nil, HandlerOptions{}))
+	defer shard.Close()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	remote := func(name, url string) Backend {
+		rb, err := NewRemoteBackend([]string{url}, RemoteOptions{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rb
+	}
+	innerFed := NewFederatedStore(remote("store", shard.URL), remote("dead", dead.URL))
+	inner := httptest.NewServer(NewRouterHandler(innerFed, RouterOptions{}))
+	defer inner.Close()
+	outer := httptest.NewServer(NewRouterHandler(NewFederatedStore(remote("inner", inner.URL)), RouterOptions{}))
+	defer outer.Close()
+
+	for _, path := range []string{"/events", "/events?format=ndjson", "/legitimacy"} {
+		for tier, base := range map[string]string{"inner": inner.URL, "outer": outer.URL} {
+			resp, body := get(t, base, path)
+			if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("10.0.3.0/24")) && path != "/legitimacy" {
+				t.Errorf("%s router %s: status %d, body %.200s", tier, path, resp.StatusCode, body)
+			}
+			if n, _ := strconv.Atoi(resp.Header.Get("X-Shards-Failed")); n < 1 {
+				t.Errorf("%s router %s: X-Shards-Failed %q, want at least 1", tier, path, resp.Header.Get("X-Shards-Failed"))
+			}
+			if path == "/legitimacy" && !bytes.Contains(body, []byte(`"shards_failed": 1`)) {
+				t.Errorf("%s router %s: body %s counts no failed shard", tier, path, body)
+			}
+		}
+	}
+
+	ctx := context.Background()
+	nested := NewFederatedStore(innerFed)
+	if rs, err := nested.Records(ctx, Query{}); err != nil || rs.ShardsFailed < 1 || len(rs.Records) != 4 {
+		t.Errorf("in process, Records: %v; want 4 records and a failed shard", err)
+	} else if s, err := nested.RecordLines(ctx, Query{}); err != nil || s.ShardsFailed < 1 {
+		t.Errorf("in process, RecordLines: %v; want a failed shard", err)
+	} else {
+		s.Close()
+	}
+	if sum, err := nested.LegitimacySummary(ctx, Query{}); err != nil || sum.ShardsFailed < 1 {
+		t.Errorf("in process, LegitimacySummary: %+v, %v; want a failed shard", sum, err)
+	}
+}
+
 // TestFederationLimitPushdownProperty is the pushdown law, in process:
 // for every filter combination and a range of limits, pushing Limit=k
 // to each shard and re-cutting the global merge equals the single
@@ -874,6 +937,13 @@ func TestRemoteHostileShard(t *testing.T) {
 			w.Header().Set("X-Events-Total", "many")
 			w.Header().Set("X-Events-Scanned", strconv.Itoa(n))
 			w.Header().Set("X-Events-Returned", strconv.Itoa(n))
+			w.Write(body)
+		}},
+		{"a failed-shard count that is no number", join(bad), 0, len(bad), false, true, func(w http.ResponseWriter, body []byte, n int) {
+			for _, name := range []string{"X-Events-Total", "X-Events-Scanned", "X-Events-Returned"} {
+				w.Header().Set(name, strconv.Itoa(n))
+			}
+			w.Header().Set("X-Shards-Failed", "some")
 			w.Write(body)
 		}},
 		{"a record short of its accounting", join(bad), 0, len(bad), false, true, func(w http.ResponseWriter, body []byte, n int) {

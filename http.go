@@ -519,12 +519,15 @@ func backendError(w http.ResponseWriter, err error) {
 // shardsFailedHeader exposes partial-result degradation: when any
 // shard of a federated backend failed to answer, the response is still
 // 200 but carries X-Shards-Failed so callers can tell complete answers
-// from degraded ones. Single-store backends never set it.
+// from degraded ones, shards lost at any depth. Single-store backends
+// never set it.
 func shardsFailedHeader(w http.ResponseWriter, failed int) {
 	if failed > 0 {
-		w.Header().Set("X-Shards-Failed", strconv.Itoa(failed))
+		w.Header().Set(shardsFailedKey, strconv.Itoa(failed))
 	}
 }
+
+const shardsFailedKey = "X-Shards-Failed"
 
 // shardIdentityHeader names, on a stamped store's /events answers, the
 // shard whose events they are: "<plan spec> <index>", what the store's

@@ -9,7 +9,7 @@
 package alert
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -60,17 +60,16 @@ func (a *Alert) Payload() []byte {
 	return a.payload
 }
 
-// Config parameterizes a Hub. The zero value is usable: no enrichment,
-// the default wire encoding, a 1024-alert replay ring and 256-alert
-// watcher queues.
+// Config parameterizes a Hub. Encode is required; the rest defaults to
+// no enrichment, a 1024-alert replay ring and 256-alert watcher queues.
 type Config struct {
 	// Annotator, when set, computes the legitimacy verdict of each
 	// closing event on the live path so verdict-conditioned rules fire
 	// on the stream; the query path recomputes the same verdict from the
 	// same world. Without it, verdict-conditioned rules never match.
 	Annotator *enrich.Annotator
-	// Encode overrides the alert wire encoding (the facade installs the
-	// full event-record shape here). Defaults to EncodeAlert.
+	// Encode is the alert wire encoding: the facade's full event-record
+	// shape (NewAlertHub installs it), the one form alerts take.
 	Encode func(*Alert) ([]byte, error)
 	// RingSize bounds the replay ring for Last-Event-ID resume.
 	// Default 1024.
@@ -133,14 +132,14 @@ func (h *Hub) SetPublishObserver(fn func(seconds float64)) {
 }
 
 // NewHub builds a hub over an initial rule set (which may be empty and
-// replaced later via SetRules).
+// replaced later via SetRules). It refuses a config without Encode.
 func NewHub(rules []Rule, cfg Config) (*Hub, error) {
 	ix, err := Compile(rules)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Encode == nil {
-		cfg.Encode = EncodeAlert
+		return nil, errors.New("alert: Config.Encode is required")
 	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = defaultRingSize
@@ -449,34 +448,4 @@ func (w *Watcher) offer(a *Alert) {
 func (w *Watcher) Close() {
 	w.hub.removeWatcher(w)
 	w.q.Abort()
-}
-
-// alertWire is the default wire shape — a compact summary. The facade
-// installs a richer encoder carrying the full event record; both keep
-// the id/rule envelope so clients can rely on it.
-type alertWire struct {
-	ID          uint64  `json:"id"`
-	Rule        string  `json:"rule"`
-	Prefix      string  `json:"prefix"`
-	Start       string  `json:"start"`
-	End         string  `json:"end"`
-	DurationSec float64 `json:"duration_sec"`
-	Legitimacy  string  `json:"legitimacy,omitempty"`
-}
-
-// EncodeAlert is the default Config.Encode: a compact JSON summary of
-// the alert (id, rule, prefix, window, verdict).
-func EncodeAlert(a *Alert) ([]byte, error) {
-	w := alertWire{
-		ID:          a.ID,
-		Rule:        a.Rule,
-		Prefix:      a.Event.Prefix.String(),
-		Start:       a.Event.Start.UTC().Format(time.RFC3339),
-		End:         a.Event.End.UTC().Format(time.RFC3339),
-		DurationSec: a.Event.Duration().Seconds(),
-	}
-	if a.Ann != nil {
-		w.Legitimacy = a.Ann.Legitimacy
-	}
-	return json.Marshal(w)
 }

@@ -11,14 +11,31 @@ import (
 	"bgpblackholing/internal/enrich"
 )
 
+// testEncode is the tests' alert wire form: the id and rule alone.
+func testEncode(a *Alert) ([]byte, error) {
+	return fmt.Appendf(nil, `{"id":%d,"rule":%q}`, a.ID, a.Rule), nil
+}
+
 func testHub(t *testing.T, cfg Config, specs ...string) *Hub {
 	t.Helper()
+	if cfg.Encode == nil {
+		cfg.Encode = testEncode
+	}
 	h, err := NewHub(mustRules(t, specs...), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Close)
 	return h
+}
+
+// TestHubRequiresEncode: alerts have one wire form, the one the caller
+// installs; a hub without it is refused, not given a second one.
+func TestHubRequiresEncode(t *testing.T) {
+	if h, err := NewHub(mustRules(t, "name=all"), Config{}); err == nil {
+		h.Close()
+		t.Fatal("NewHub without Config.Encode succeeded")
+	}
 }
 
 func TestHubWatchOrderAndIDs(t *testing.T) {

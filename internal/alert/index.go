@@ -72,7 +72,7 @@ func Compile(rules []Rule) (*Index, error) {
 			for _, p := range r.Prefixes {
 				ix.trie.Insert(p, ord)
 			}
-			if r.Mode == ModeLPM {
+			if r.Mode == store.PrefixLPM {
 				ix.nLPM++
 			} else {
 				ix.nExactCovered++
@@ -176,9 +176,9 @@ func (ix *Index) Match(ev *core.Event, verdict func() string) []int32 {
 				for _, ord := range m.Ords {
 					r := &ix.rules[ord]
 					switch r.Mode {
-					case ModeCovered:
+					case store.PrefixCovered:
 						try(ord)
-					case ModeExact:
+					case store.PrefixExact:
 						if exact {
 							try(ord)
 						}
@@ -189,7 +189,7 @@ func (ix *Index) Match(ev *core.Event, verdict func() string) []int32 {
 		if ix.nLPM > 0 {
 			for _, m := range ix.trie.Covered(ev.Prefix) {
 				for _, ord := range m.Ords {
-					if ix.rules[ord].Mode == ModeLPM {
+					if ix.rules[ord].Mode == store.PrefixLPM {
 						try(ord)
 					}
 				}

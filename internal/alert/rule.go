@@ -7,9 +7,9 @@
 // observation makes blackholing actionable, and an event nobody is told
 // about is not actionable.
 //
-// The package deliberately mirrors the query API's vocabulary: a rule
-// constrains the same dimensions a store query filters on (prefix +
-// match mode, origin ASN, provider, community, duration) plus the
+// The package speaks the query API's vocabulary, through its parsers: a
+// rule constrains the same dimensions a store query filters on (prefix
+// + match mode, origin ASN, provider, community, duration) plus the
 // enrichment verdict, so an operator can turn any saved query into a
 // standing alert.
 package alert
@@ -26,49 +26,8 @@ import (
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/core"
 	"bgpblackholing/internal/enrich"
+	"bgpblackholing/internal/store"
 )
-
-// Mode selects how a rule's prefix set matches an event's prefix.
-type Mode int
-
-const (
-	// ModeExact fires when the event's prefix equals one of the rule's
-	// prefixes.
-	ModeExact Mode = iota
-	// ModeCovered fires when the event's prefix lies inside one of the
-	// rule's prefixes — "alert on anything blackholed in my /16".
-	ModeCovered
-	// ModeLPM fires when the event's prefix contains one of the rule's
-	// prefixes — the bhquery "-mode lpm" shape on the stream: "who
-	// blackholes my address", including via a covering aggregate.
-	ModeLPM
-)
-
-// String renders the mode in the rule syntax's vocabulary.
-func (m Mode) String() string {
-	switch m {
-	case ModeExact:
-		return "exact"
-	case ModeCovered:
-		return "covered"
-	case ModeLPM:
-		return "lpm"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
-}
-
-// ParseMode parses a match-mode name.
-func ParseMode(s string) (Mode, error) {
-	switch strings.ToLower(s) {
-	case "", "exact":
-		return ModeExact, nil
-	case "covered":
-		return ModeCovered, nil
-	case "lpm":
-		return ModeLPM, nil
-	}
-	return ModeExact, fmt.Errorf("bad match mode %q (want exact, covered or lpm)", s)
-}
 
 // Rule is one standing alert definition. Every populated dimension must
 // match for the rule to fire; an empty dimension matches everything.
@@ -79,8 +38,9 @@ type Rule struct {
 	// Prefixes constrains the event prefix under Mode; empty matches any
 	// prefix.
 	Prefixes []netip.Prefix
-	// Mode is how Prefixes match (exact, covered, lpm).
-	Mode Mode
+	// Mode is how Prefixes match: exact, covered (the event's prefix lies
+	// inside a rule prefix) or lpm (it contains one, see store.PrefixLPM).
+	Mode store.PrefixMode
 	// Origins matches events whose inferred blackholing users include
 	// any of these ASNs.
 	Origins []bgp.ASN
@@ -111,8 +71,8 @@ func (r *Rule) Validate() error {
 	if !ruleNameOK(r.Name) {
 		return fmt.Errorf("bad rule name %q (want 1-128 chars, no spaces, '=' or ',')", r.Name)
 	}
-	if r.Mode != ModeExact && r.Mode != ModeCovered && r.Mode != ModeLPM {
-		return fmt.Errorf("rule %s: bad mode %d", r.Name, int(r.Mode))
+	if r.Mode != store.PrefixExact && r.Mode != store.PrefixCovered && r.Mode != store.PrefixLPM {
+		return fmt.Errorf("rule %s: bad mode %s (want exact, covered or lpm; lpm fires on an event whose prefix contains a rule prefix)", r.Name, r.Mode)
 	}
 	for _, p := range r.Prefixes {
 		if !p.IsValid() {
@@ -187,14 +147,14 @@ func ParseRule(s string) (Rule, error) {
 			r.Name = val
 		case "prefix":
 			for _, f := range strings.Split(val, ",") {
-				p, perr := parsePrefixOrAddr(f)
+				p, perr := store.ParsePrefix(f)
 				if perr != nil {
 					return Rule{}, fmt.Errorf("prefix: %v", perr)
 				}
 				r.Prefixes = append(r.Prefixes, p)
 			}
 		case "mode":
-			if r.Mode, err = ParseMode(val); err != nil {
+			if r.Mode, err = store.ParsePrefixMode(val); err != nil {
 				return Rule{}, err
 			}
 		case "origin":
@@ -238,74 +198,36 @@ func ParseRule(s string) (Rule, error) {
 	return r, nil
 }
 
-// parsePrefixOrAddr accepts a prefix or a bare address (its host
-// prefix).
-func parsePrefixOrAddr(s string) (netip.Prefix, error) {
-	p, err := netip.ParsePrefix(s)
-	if err != nil {
-		a, aerr := netip.ParseAddr(s)
-		if aerr != nil {
-			return netip.Prefix{}, fmt.Errorf("bad prefix %q", s)
-		}
-		p = netip.PrefixFrom(a, a.BitLen())
-	}
-	return p, nil
-}
-
 // String renders the rule in the canonical compact syntax: the exact
 // form ParseRule accepts, fields in a fixed order, sets sorted. Empty
-// dimensions are omitted; mode appears only alongside prefixes.
+// dimensions are omitted; mode appears only alongside prefixes. Values
+// are spelled as in the wire form.
 func (r Rule) String() string {
-	var b strings.Builder
-	b.WriteString("name=")
-	b.WriteString(r.Name)
-	if len(r.Prefixes) > 0 {
-		b.WriteString(" prefix=")
-		for i, p := range r.Prefixes {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(p.String())
+	w := r.wire()
+	one := func(s string) []string {
+		if s == "" {
+			return nil
 		}
-		b.WriteString(" mode=")
-		b.WriteString(r.Mode.String())
+		return []string{s}
 	}
-	if len(r.Origins) > 0 {
-		b.WriteString(" origin=")
-		for i, a := range r.Origins {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(a.String())
-		}
+	origins := make([]string, len(r.Origins))
+	for i, a := range r.Origins {
+		origins[i] = a.String()
 	}
-	if len(r.Providers) > 0 {
-		b.WriteString(" provider=")
-		for i, p := range r.Providers {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(p.String())
+	b := []byte("name=" + w.Name)
+	for _, f := range [...]struct {
+		key  string
+		vals []string
+	}{
+		{"prefix", w.Prefixes}, {"mode", one(w.Mode)}, {"origin", origins}, {"provider", w.Providers},
+		{"community", w.Communities}, {"min-duration", one(w.MinDuration)}, {"verdict", w.Verdicts},
+	} {
+		if len(f.vals) > 0 {
+			b = append(append(append(b, ' '), f.key...), '=')
+			b = append(b, strings.Join(f.vals, ",")...)
 		}
 	}
-	if len(r.Communities) > 0 {
-		b.WriteString(" community=")
-		for i, c := range r.Communities {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(c.String())
-		}
-	}
-	if r.MinDuration > 0 {
-		b.WriteString(" min-duration=")
-		b.WriteString(r.MinDuration.String())
-	}
-	if len(r.Verdicts) > 0 {
-		b.WriteString(" verdict=")
-		b.WriteString(strings.Join(r.Verdicts, ","))
-	}
-	return b.String()
+	return string(b)
 }
 
 // ruleJSON is the wire form of a Rule: every field in its canonical
@@ -322,8 +244,9 @@ type ruleJSON struct {
 	Verdicts    []string `json:"verdicts,omitempty"`
 }
 
-// MarshalJSON renders the rule in its wire form.
-func (r Rule) MarshalJSON() ([]byte, error) {
+// wire is the rule in its wire form, which String and MarshalJSON both
+// render.
+func (r Rule) wire() ruleJSON {
 	w := ruleJSON{Name: r.Name, Verdicts: r.Verdicts}
 	for _, p := range r.Prefixes {
 		w.Prefixes = append(w.Prefixes, p.String())
@@ -343,8 +266,11 @@ func (r Rule) MarshalJSON() ([]byte, error) {
 	if r.MinDuration > 0 {
 		w.MinDuration = r.MinDuration.String()
 	}
-	return json.Marshal(w)
+	return w
 }
+
+// MarshalJSON renders the rule in its wire form.
+func (r Rule) MarshalJSON() ([]byte, error) { return json.Marshal(r.wire()) }
 
 // UnmarshalJSON parses the wire form, normalizes and validates.
 func (r *Rule) UnmarshalJSON(data []byte) error {
@@ -355,13 +281,13 @@ func (r *Rule) UnmarshalJSON(data []byte) error {
 	out := Rule{Name: w.Name, Verdicts: w.Verdicts}
 	var err error
 	for _, s := range w.Prefixes {
-		p, perr := parsePrefixOrAddr(s)
+		p, perr := store.ParsePrefix(s)
 		if perr != nil {
 			return perr
 		}
 		out.Prefixes = append(out.Prefixes, p)
 	}
-	if out.Mode, err = ParseMode(w.Mode); err != nil {
+	if out.Mode, err = store.ParsePrefixMode(w.Mode); err != nil {
 		return err
 	}
 	for _, n := range w.Origins {

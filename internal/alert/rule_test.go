@@ -4,11 +4,13 @@ import (
 	"cmp"
 	"encoding/json"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/core"
+	"bgpblackholing/internal/store"
 )
 
 func TestParseRuleFull(t *testing.T) {
@@ -16,7 +18,7 @@ func TestParseRuleFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Name != "dc" || r.Mode != ModeCovered {
+	if r.Name != "dc" || r.Mode != store.PrefixCovered {
 		t.Fatalf("name/mode: %+v", r)
 	}
 	if len(r.Prefixes) != 2 || r.Prefixes[0] != netip.MustParsePrefix("10.1.0.0/16") {
@@ -53,6 +55,47 @@ func TestParseRuleErrors(t *testing.T) {
 	} {
 		if _, err := ParseRule(bad); err == nil {
 			t.Errorf("ParseRule(%q): expected error", bad)
+		}
+	}
+}
+
+// TestRuleModeVocabulary: a rule's mode is the query's PrefixMode, named
+// as the query names it in any case; a value that is no mode prints as
+// mode(N); and covering, whose stream meaning lpm already has, is no
+// rule mode.
+func TestRuleModeVocabulary(t *testing.T) {
+	for _, c := range []struct {
+		mode     store.PrefixMode
+		name     string
+		ruleMode bool
+	}{
+		{store.PrefixExact, "exact", true},
+		{store.PrefixLPM, "lpm", true},
+		{store.PrefixCovered, "covered", true},
+		{store.PrefixCovering, "covering", false},
+		{store.PrefixMode(4), "mode(4)", false},
+		{store.PrefixMode(-1), "mode(-1)", false},
+	} {
+		if got := c.mode.String(); got != c.name {
+			t.Errorf("PrefixMode(%d) prints %q, want %q", int(c.mode), got, c.name)
+		}
+		inRange := c.mode >= store.PrefixExact && c.mode <= store.PrefixCovering
+		for _, spelled := range []string{c.name, strings.ToUpper(c.name), strings.ToUpper(c.name[:1]) + c.name[1:]} {
+			m, err := store.ParsePrefixMode(spelled)
+			if inRange != (err == nil) || inRange && m != c.mode {
+				t.Errorf("ParsePrefixMode(%q) = %v, %v", spelled, m, err)
+			}
+			_, err = ParseRule("name=r prefix=10.0.0.0/8 mode=" + spelled)
+			if c.ruleMode != (err == nil) {
+				t.Errorf("rule mode=%s: err = %v, want a rule mode: %v", spelled, err, c.ruleMode)
+			}
+			if c.mode == store.PrefixCovering && (err == nil || !strings.Contains(err.Error(), "lpm")) {
+				t.Errorf("rule mode=%s: refused with %v, which does not point at lpm", spelled, err)
+			}
+		}
+		r := Rule{Name: "r", Prefixes: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}, Mode: c.mode}
+		if err := r.Validate(); c.ruleMode != (err == nil) {
+			t.Errorf("Rule{Mode: %v}.Validate() = %v", c.mode, err)
 		}
 	}
 }

@@ -424,17 +424,17 @@ func (p *Figure8Partial) Merge(o *Figure8Partial) {
 }
 
 // Finalize reconstitutes synthetic events in canonical global order
-// (end, seq, start, prefix — the federation merge key) and computes
-// the two Figure 8 distributions.
+// (seq, end, start, prefix — the federation merge key, RecordKey.Less)
+// and computes the two Figure 8 distributions.
 func (p *Figure8Partial) Finalize(timeout time.Duration) (ungrouped, grouped []time.Duration) {
 	sk := slices.Clone(p.Skeletons)
 	sort.Slice(sk, func(i, j int) bool {
 		a, b := &sk[i], &sk[j]
-		if !a.End.Equal(b.End) {
-			return a.End.Before(b.End)
-		}
 		if a.Seq != b.Seq {
 			return a.Seq < b.Seq
+		}
+		if !a.End.Equal(b.End) {
+			return a.End.Before(b.End)
 		}
 		if !a.Start.Equal(b.Start) {
 			return a.Start.Before(b.Start)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -139,13 +138,12 @@ func TestFigure4PartialMerge(t *testing.T) {
 }
 
 // TestFigure8PartialMerge: skeleton concatenation across shards
-// finalizes to the same duration distributions as the whole set.
+// finalizes to the same duration distributions as the whole set, in the
+// same order — the events' Seq order, the federation's merge order.
 func TestFigure8PartialMerge(t *testing.T) {
 	events := randomEvents(2, 60)
 	const timeout = 5 * time.Minute
 	wantU, wantG := Figure8(events, timeout)
-	slices.Sort(wantU)
-	slices.Sort(wantG)
 	for name, shards := range partitions(events) {
 		var merged Figure8Partial
 		for _, shard := range shards {
@@ -156,8 +154,6 @@ func TestFigure8PartialMerge(t *testing.T) {
 			merged.Merge(&p)
 		}
 		gotU, gotG := merged.Finalize(timeout)
-		slices.Sort(gotU)
-		slices.Sort(gotG)
 		if !reflect.DeepEqual(gotU, wantU) {
 			t.Errorf("%s: ungrouped durations diverge (%d vs %d samples)", name, len(gotU), len(wantU))
 		}

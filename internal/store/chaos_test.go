@@ -239,7 +239,7 @@ func TestChaosTransientSyncError(t *testing.T) {
 }
 
 // TestChaosGroupCommitBatching proves the fsync schedule each policy
-// promises: EveryN batches, Always syncs per append, and the zero
+// promises: EveryN batches (EveryN 1 syncs per append), and the zero
 // policy defers everything to Close.
 func TestChaosGroupCommitBatching(t *testing.T) {
 	const n = 64
@@ -249,7 +249,7 @@ func TestChaosGroupCommitBatching(t *testing.T) {
 		wantSyncs int
 	}{
 		{"every-8", SyncPolicy{EveryN: 8}, n / 8},
-		{"always", SyncPolicy{Always: true}, n},
+		{"always", SyncPolicy{EveryN: 1}, n},
 		{"on-close-only", SyncPolicy{}, 0},
 	}
 	for _, tc := range cases {

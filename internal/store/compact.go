@@ -52,8 +52,11 @@ type Policy struct {
 	MergeAll bool
 }
 
-// withDefaults fills the tuning zero values.
+// withDefaults fills the zero values; the zero Policy merges all.
 func (p Policy) withDefaults() Policy {
+	if p == (Policy{}) {
+		p.MergeAll = true
+	}
 	if p.SizeRatio <= 1 {
 		p.SizeRatio = 4
 	}
@@ -93,12 +96,13 @@ type CompactStats struct {
 // CommitHook.
 var compactStageHook func(stage string, runHi uint64)
 
-// Compact runs one compaction pass under pol. The expensive work —
-// re-encoding surviving events and fsyncing merged segments — runs
-// outside the store lock, so queries keep answering and appends keep
-// landing throughout; the lock is only held for the brief swap phases.
-// Each selected run commits independently (marker-led atomic rename),
-// so a crash mid-pass leaves every run either fully old or fully new.
+// Compact runs one compaction pass under pol; the zero pol merges all.
+// The expensive work — re-encoding surviving events and fsyncing merged
+// segments — runs outside the store lock, so queries keep answering and
+// appends keep landing throughout; the lock is only held for the brief
+// swap phases. Each selected run commits independently (marker-led
+// atomic rename), so a crash mid-pass leaves every run either fully old
+// or fully new.
 func (s *Store) Compact(pol Policy) (CompactStats, error) {
 	start := s.inst.CompactSeconds.Now()
 	st, err := s.compactWith(pol)

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"fmt"
 	"iter"
 	"net/netip"
 	"slices"
+	"strings"
 	"time"
 
 	"bgpblackholing/internal/bgp"
@@ -18,6 +20,9 @@ const (
 	PrefixExact PrefixMode = iota
 	// PrefixLPM matches events for the longest stored prefix containing
 	// the query prefix (a point lookup: "who blackholes this address").
+	// An alert rule sees one event at a time, with no stored set to pick
+	// the longest from: there lpm fires when the event's prefix contains
+	// one of the rule's prefixes, a covering aggregate included.
 	PrefixLPM
 	// PrefixCovered matches events for every stored prefix inside the
 	// query prefix ("all blackholed more-specifics of this /16").
@@ -26,6 +31,41 @@ const (
 	// the query prefix (the whole chain of covering aggregates).
 	PrefixCovering
 )
+
+var prefixModeNames = [...]string{"exact", "lpm", "covered", "covering"}
+
+// String is the mode's name — in the query parameter and the alert rule
+// syntax alike — or mode(N) for a value that is no mode.
+func (m PrefixMode) String() string {
+	if m >= 0 && int(m) < len(prefixModeNames) {
+		return prefixModeNames[m]
+	}
+	return fmt.Sprintf("mode(%d)", int(m))
+}
+
+// ParsePrefixMode reads a mode's name in any case; "" is exact.
+func ParsePrefixMode(s string) (PrefixMode, error) {
+	if s == "" {
+		return PrefixExact, nil
+	}
+	if i := slices.Index(prefixModeNames[:], strings.ToLower(s)); i >= 0 {
+		return PrefixMode(i), nil
+	}
+	return PrefixExact, fmt.Errorf("bad prefix mode %q (want exact, lpm, covered or covering)", s)
+}
+
+// ParsePrefix reads a prefix, or a bare address as its host prefix (the
+// point-lookup shape).
+func ParsePrefix(s string) (netip.Prefix, error) {
+	if p, err := netip.ParsePrefix(s); err == nil {
+		return p, nil
+	}
+	a, err := netip.ParseAddr(s)
+	if err != nil {
+		return netip.Prefix{}, fmt.Errorf("bad prefix %q", s)
+	}
+	return netip.PrefixFrom(a, a.BitLen()), nil
+}
 
 // Filter selects events. Zero-valued fields don't constrain; the time
 // range matches events whose [Start, End] span overlaps [From, To].

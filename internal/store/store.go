@@ -92,16 +92,13 @@ type SegmentFile interface {
 type SyncPolicy struct {
 	// EveryN fsyncs once every N appended records (a group commit):
 	// the fsync cost amortizes over N events while the crash-loss
-	// window stays below N records.
+	// window stays below N records. 1 syncs every non-empty Append batch.
 	EveryN int
 	// Interval fsyncs at most this long after the first unsynced
 	// append — whichever of EveryN and Interval trips first wins. The
 	// timer-driven sync's error, if any, surfaces on the next Append
 	// or Sync call.
 	Interval time.Duration
-	// Always fsyncs on every Append call — maximum durability, one
-	// fsync per batch.
-	Always bool
 }
 
 // ErrReadOnly is returned by mutating calls on a read-only store.
@@ -1000,7 +997,7 @@ func (s *Store) record(payload []byte, note func(*activeSeg)) error {
 func (s *Store) groupCommit() error {
 	pol := s.opts.Sync
 	switch {
-	case s.asyncErr != nil || pol.Always || (pol.EveryN > 0 && s.unsynced >= pol.EveryN):
+	case s.asyncErr != nil || (pol.EveryN > 0 && s.unsynced >= pol.EveryN):
 		if err := s.sync(syncCommit); err != nil {
 			return fmt.Errorf("store: group commit: %w", err)
 		}
@@ -1212,14 +1209,10 @@ func (s *Store) All() iter.Seq[*core.Event] {
 
 func (s *Store) compactLoop() {
 	defer close(s.compactDone)
-	pol := s.opts.Policy
-	if pol == (Policy{}) {
-		pol = Policy{MergeAll: true}
-	}
 	for range s.compactCh {
 		// Best-effort: a failed background compaction leaves the store
 		// exactly as it was (no rename happened).
-		s.Compact(pol)
+		s.Compact(s.opts.Policy)
 	}
 }
 

@@ -58,7 +58,7 @@ func TestStoreWritePathAccounting(t *testing.T) {
 			"fsyncs=4/4 batches=1/2 seals=3 failovers=1 unsynced=0 tombstones=2 pending=2",
 			"fsyncs=5/5 batches=1/2 seals=3 failovers=1",
 		}},
-		{"always", SyncPolicy{Always: true}, []string{
+		{"always", SyncPolicy{EveryN: 1}, []string{
 			"fsyncs=1/1 batches=1/2 seals=0 failovers=0 unsynced=0 tombstones=0 pending=0",
 			"fsyncs=2/2 batches=2/3 seals=0 failovers=0 unsynced=0 tombstones=1 pending=1",
 			"fsyncs=4/4 batches=3/4 seals=1 failovers=0 unsynced=0 tombstones=1 pending=1",

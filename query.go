@@ -60,13 +60,13 @@ func (st *Store) SetAnnotator(a *Annotator) { st.ann.Store(a) }
 // Annotator returns the attached legitimacy annotator, or nil.
 func (st *Store) Annotator() *Annotator { return st.ann.Load() }
 
-// StoreOptions tunes OpenStoreWith.
+// StoreOptions tunes OpenStoreWith. Its zero Policy compacts merge-all.
 type StoreOptions = store.Options
 
 // SyncPolicy is the store's group-commit fsync policy (StoreOptions.Sync):
 // batch fsyncs every N appended records or every Interval, whichever
-// comes first; Always per append; the zero value only at seal, Sync and
-// Close. See ParseSyncPolicy for the flag syntax.
+// comes first (EveryN 1 is one fsync per append batch); the zero value
+// only at seal, Sync and Close. See ParseSyncPolicy for the flag syntax.
 type SyncPolicy = store.SyncPolicy
 
 // StoreStats describes a store's shape (Store.Stats).
@@ -77,8 +77,8 @@ type CompactStats = store.CompactStats
 
 // CompactionPolicy selects which segments a compaction pass may merge:
 // time-partitioned segments (Partition), LSM-style size-ratio runs
-// (SizeRatio / MinRun), or the seal-and-dedupe pass (MergeAll).
-// See Store.Compact and ParseCompactionPolicy.
+// (SizeRatio / MinRun), or the seal-and-dedupe pass (MergeAll, or the
+// zero policy). See Store.Compact and ParseCompactionPolicy.
 type CompactionPolicy = store.Policy
 
 // PrefixMode selects how Query.Prefix matches stored prefixes.
@@ -203,12 +203,12 @@ func (st *Store) Len() int { return st.s.Len() }
 // Stats snapshots the store's shape.
 func (st *Store) Stats() StoreStats { return st.s.Stats() }
 
-// Compact runs one compaction pass under policy. A zero policy is the
-// default tiered pass (size-ratio 4, runs of 4, one partition); set
-// MergeAll for the seal-and-dedupe pass (the active segment is sealed,
+// Compact runs one compaction pass under policy. The zero policy, like
+// MergeAll, is the seal-and-dedupe pass (the active segment is sealed,
 // every partition merges into one segment, superseded flush duplicates
-// are dropped), or Partition plus SizeRatio/MinRun for LSM-style
-// tiering in which cold, settled segments are never rewritten
+// are dropped) — the pass the background compactor runs for a zero
+// StoreOptions.Policy. Set Partition and/or SizeRatio/MinRun for
+// LSM-style tiering in which cold, settled segments are never rewritten
 // (CompactStats.Skipped names them).
 func (st *Store) Compact(policy CompactionPolicy) (CompactStats, error) {
 	return st.s.Compact(policy)
@@ -680,7 +680,7 @@ func ParseCompactionPolicy(s string) (CompactionPolicy, error) {
 //	close                 sync only at seal, explicit Sync and Close
 //	                      (the zero value — fastest, crash loses the
 //	                      whole unsynced segment tail)
-//	always                fsync after every append batch
+//	always                fsync after every append batch ({EveryN: 1})
 //	group                 every 1000 records or 200ms, whichever first
 //	group,every=500,interval=100ms
 //
@@ -698,7 +698,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		if len(parts) > 1 {
 			return SyncPolicy{}, fmt.Errorf("policy %q takes no options", parts[0])
 		}
-		return SyncPolicy{Always: true}, nil
+		return SyncPolicy{EveryN: 1}, nil
 	case "group":
 	default:
 		return SyncPolicy{}, fmt.Errorf("bad sync policy %q (want close, always or group[,every=1000,interval=200ms])", s)
@@ -744,34 +744,11 @@ func parseDaysOrDuration(s string) (time.Duration, error) {
 	return time.ParseDuration(s)
 }
 
-// formatPrefixMode renders a prefix match mode as its parameter name —
-// the inverse of ParsePrefixMode.
-func formatPrefixMode(m PrefixMode) string {
-	switch m {
-	case PrefixLPM:
-		return "lpm"
-	case PrefixCovered:
-		return "covered"
-	case PrefixCovering:
-		return "covering"
-	}
-	return "exact"
-}
-
-// ParsePrefixMode parses a prefix match mode name: "exact", "lpm",
-// "covered" or "covering".
+// ParsePrefixMode parses a prefix match mode name, in any case: "exact",
+// "lpm", "covered" or "covering" — what PrefixMode.String prints, and
+// (covering aside) the names alert rules use.
 func ParsePrefixMode(s string) (PrefixMode, error) {
-	switch strings.ToLower(s) {
-	case "", "exact":
-		return PrefixExact, nil
-	case "lpm":
-		return PrefixLPM, nil
-	case "covered":
-		return PrefixCovered, nil
-	case "covering":
-		return PrefixCovering, nil
-	}
-	return PrefixExact, fmt.Errorf("bad prefix mode %q (want exact, lpm, covered or covering)", s)
+	return store.ParsePrefixMode(s)
 }
 
 // ---------------------------------------------------------------------
@@ -802,14 +779,9 @@ func parseQuery(r *http.Request) (Query, error) {
 		return q, err
 	}
 	if s := v.Get("prefix"); s != "" {
-		p, err := netip.ParsePrefix(s)
+		p, err := store.ParsePrefix(s)
 		if err != nil {
-			// A bare address means its host prefix — the point-lookup shape.
-			a, aerr := netip.ParseAddr(s)
-			if aerr != nil {
-				return q, fmt.Errorf("prefix: %v", err)
-			}
-			p = netip.PrefixFrom(a, a.BitLen())
+			return q, fmt.Errorf("prefix: %v", err)
 		}
 		q.Prefix = p
 	}
@@ -894,7 +866,7 @@ func queryParams(q Query) url.Values {
 		params.Set("prefix", q.Prefix.String())
 	}
 	if q.Mode != PrefixExact {
-		params.Set("mode", formatPrefixMode(q.Mode))
+		params.Set("mode", q.Mode.String())
 	}
 	if q.OriginASN != 0 {
 		params.Set("origin", strconv.FormatUint(uint64(q.OriginASN), 10))

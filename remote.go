@@ -3,6 +3,7 @@ package bgpblackholing
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -312,6 +313,9 @@ func (b *RemoteBackend) Records(ctx context.Context, q Query) (*RecordSet, error
 		}
 		*h.n = int(v)
 	}
+	if rs.ShardsFailed, err = b.nestedFailures(resp.Header); err != nil {
+		return nil, err
+	}
 	next, done := b.scanLines(resp.Body)
 	defer done()
 	lines := []RecordLine{} // an empty match is [], never null
@@ -392,8 +396,23 @@ func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream
 	if err != nil {
 		return nil, err
 	}
+	failed, err := b.nestedFailures(resp.Header)
+	if err != nil {
+		resp.Body.Close()
+		return nil, err
+	}
 	next, done := b.scanLines(resp.Body)
-	return &RecordStream{shard: resp.Header.Get(shardIdentityHeader), next: next, close: func() { resp.Body.Close(); done() }}, nil
+	return &RecordStream{ShardsFailed: failed, shard: resp.Header.Get(shardIdentityHeader), next: next, close: func() { resp.Body.Close(); done() }}, nil
+}
+
+// nestedFailures reads an /events answer's X-Shards-Failed: the shards a
+// router answering as this shard is missing below it. Absent is none.
+func (b *RemoteBackend) nestedFailures(h http.Header) (int, error) {
+	n, err := strconv.ParseUint(cmp.Or(h.Get(shardsFailedKey), "0"), 10, 31)
+	if err != nil {
+		err = fmt.Errorf("shard %s: bad /events answer: %s %q", b.name, shardsFailedKey, h.Get(shardsFailedKey))
+	}
+	return int(n), err
 }
 
 // scanLineKey derives a line's merge key in one pass over its bytes. The

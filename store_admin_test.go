@@ -112,6 +112,33 @@ func TestFacadeCompactAndDeletePrefix(t *testing.T) {
 	}
 }
 
+// TestCompactZeroPolicyMergesAll: the zero policy means one pass
+// wherever it is read — the background compactor's and an explicit
+// Compact's — and that pass is merge-all: it seals the active segment
+// and drops a flush duplicate a later, longer close superseded.
+func TestCompactZeroPolicyMergesAll(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	flushed, longer := stallEvent(7), stallEvent(7)
+	longer.End = longer.End.Add(3 * time.Hour)
+	if err := st.Append(flushed, stallEvent(8), longer); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := st.Compact(CompactionPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Dropped != 1 || stats.EventsAfter != 2 {
+		t.Fatalf("Compact(CompactionPolicy{}) = %+v, want the flush duplicate dropped and 2 events kept", stats)
+	}
+	if got := st.Events(); len(got) != 2 || !got[0].End.Equal(longer.End) {
+		t.Fatalf("after the pass the store holds %v; want the longer close first, of 2", got)
+	}
+}
+
 func TestParseCompactionPolicy(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -150,7 +177,7 @@ func TestParseSyncPolicy(t *testing.T) {
 	}{
 		{"", SyncPolicy{}, true},
 		{"close", SyncPolicy{}, true},
-		{"always", SyncPolicy{Always: true}, true},
+		{"always", SyncPolicy{EveryN: 1}, true}, // one fsync per append batch
 		{"group", SyncPolicy{EveryN: 1000, Interval: 200 * time.Millisecond}, true},
 		{"group,every=64", SyncPolicy{EveryN: 64, Interval: 200 * time.Millisecond}, true},
 		{"group,every=64,interval=1s", SyncPolicy{EveryN: 64, Interval: time.Second}, true},
