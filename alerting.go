@@ -1,7 +1,7 @@
 package bgpblackholing
 
 import (
-	"encoding/json"
+	"strconv"
 
 	"bgpblackholing/internal/alert"
 )
@@ -65,28 +65,29 @@ func NewAlertHub(rules []AlertRule, cfg AlertHubConfig) (*AlertHub, error) {
 
 // AlertRecord is the alert wire form delivered to webhooks and /watch
 // SSE clients: a monotonic id, the firing rule's name, and the full
-// event record (enriched when the hub has an annotator).
+// event record (enriched when the hub has an annotator). EncodeAlertRecord
+// writes it; clients decode it with json.Unmarshal.
 type AlertRecord struct {
 	ID    uint64      `json:"id"`
 	Rule  string      `json:"rule"`
 	Event EventRecord `json:"event"`
 }
 
-// NewAlertRecord builds the wire record for one alert.
-func NewAlertRecord(a *Alert) AlertRecord {
-	rec := AlertRecord{ID: a.ID, Rule: a.Rule}
-	if a.Ann != nil {
-		rec.Event = NewEventRecordEnriched(a.Event, *a.Ann)
-	} else {
-		rec.Event = NewEventRecord(a.Event)
-	}
-	return rec
-}
-
-// EncodeAlertRecord is the facade's Config.Encode: it marshals
-// NewAlertRecord(a).
+// EncodeAlertRecord is the facade's Config.Encode: a's AlertRecord as
+// json.Marshal writes it, with the event written by the read path's
+// line writer (appendEventLine) into a fresh buffer per alert.
 func EncodeAlertRecord(a *Alert) ([]byte, error) {
-	return json.Marshal(NewAlertRecord(a))
+	var ann Annotation
+	if a.Ann != nil {
+		ann = *a.Ann
+	}
+	b := strconv.AppendUint([]byte(`{"id":`), a.ID, 10)
+	b = appendJSONString(append(b, `,"rule":`...), a.Rule)
+	b, _, err := appendEventLine(append(b, `,"event":`...), a.Event, ann)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
 }
 
 // SinkToHub attaches a hub as an alerting sink for the current (or

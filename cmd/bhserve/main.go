@@ -61,7 +61,6 @@ type config struct {
 	ingest     string
 	policy     string
 	syncPolicy string
-	coldOpen   bool
 	mmap       bool
 	authToken  string
 	rateLimit  float64
@@ -87,7 +86,7 @@ func main() {
 	flag.StringVar(&cfg.ingest, "ingest", "", "replay days FROM:TO into the store at startup (requires -store)")
 	flag.StringVar(&cfg.policy, "compact-policy", "merge-all", "store compaction policy: merge-all, or tiered[,partition=30d,ratio=4,min-run=4]")
 	flag.StringVar(&cfg.syncPolicy, "sync-policy", "close", "store durability: close, always, or group[,every=N,interval=D]")
-	flag.BoolVar(&cfg.coldOpen, "cold-open", true, "open the store lazily from segment sidecars, decoding cold segments on first touching query")
+	flag.Bool("cold-open", true, "deprecated: no effect (every store open is cold)")
 	flag.BoolVar(&cfg.mmap, "mmap", true, "memory-map sealed segments instead of reading them into the heap (unix only; ignored elsewhere)")
 	flag.StringVar(&cfg.authToken, "auth-token", "", "require this bearer token on the query API (default open)")
 	flag.Float64Var(&cfg.rateLimit, "rate-limit", 0, "per-client query API requests/second (0 = unlimited)")
@@ -185,8 +184,7 @@ func run(cfg config) error {
 	var st *bgpblackholing.Store
 	if cfg.storeDir != "" {
 		st, err = bgpblackholing.OpenStoreWith(cfg.storeDir, bgpblackholing.StoreOptions{
-			CompactSegments: 8, Policy: pol, Sync: syncPol,
-			ColdOpen: cfg.coldOpen, Mmap: cfg.mmap,
+			CompactSegments: 8, Policy: pol, Sync: syncPol, Mmap: cfg.mmap,
 			Instruments: tel.StoreInstruments(),
 		})
 		if err != nil {

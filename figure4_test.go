@@ -123,7 +123,7 @@ func TestFigure4MaterializedMatchesScan(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err = OpenStoreWith(dir, StoreOptions{ReadOnly: true, ColdOpen: true, Mmap: true})
+	st, err = OpenStoreWith(dir, StoreOptions{ReadOnly: true, Mmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,16 +168,19 @@ func TestFigure4SetsColdStore(t *testing.T) {
 
 	// One early day: segments holding only later events stay cold.
 	day := stats.MinStart.UTC().Truncate(24 * time.Hour)
-	for name, opts := range map[string]StoreOptions{
-		"full":      {ReadOnly: true},
-		"cold":      {ReadOnly: true, ColdOpen: true},
-		"cold+mmap": {ReadOnly: true, ColdOpen: true, Mmap: true},
+	for name, mode := range map[string]struct {
+		dir  string
+		opts StoreOptions
+	}{
+		"full":      {sidecarlessCopy(t, dir), StoreOptions{ReadOnly: true}},
+		"cold":      {dir, StoreOptions{ReadOnly: true}},
+		"cold+mmap": {dir, StoreOptions{ReadOnly: true, Mmap: true}},
 	} {
-		st, err := OpenStoreWith(dir, opts)
+		st, err := OpenStoreWith(mode.dir, mode.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opts.ColdOpen {
+		if mode.dir == dir {
 			cold := st.Stats().SegmentsCold
 			if cold < 3 {
 				t.Fatalf("%s: only %d cold segments; fixture too coarse", name, cold)

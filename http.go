@@ -94,11 +94,10 @@ type HandlerOptions struct {
 	AuthToken string
 	// RateLimit, when positive, is the per-client steady-state request
 	// rate (requests/second, token bucket keyed by client IP); excess
-	// requests get a 429. /healthz is exempt.
+	// requests get a 429. /healthz is exempt. The bucket depth — how
+	// many requests a client may burst above the steady rate — is
+	// max(10, ceil(RateLimit)).
 	RateLimit float64
-	// RateBurst is the bucket depth — how many requests a client may
-	// burst above the steady rate. Defaults to max(10, ceil(RateLimit)).
-	RateBurst int
 	// Detector, when non-nil, adds the live fan-out counters (drops,
 	// evictions, per-subscriber queue depth) to /stats.
 	Detector *Detector
@@ -188,11 +187,7 @@ func newHandler(be Backend, opts HandlerOptions) http.Handler {
 	}
 	var handler http.Handler = mux
 	if opts.RateLimit > 0 {
-		burst := opts.RateBurst
-		if burst <= 0 {
-			burst = max(10, int(opts.RateLimit+0.999))
-		}
-		handler = rateLimitMiddleware(handler, opts.RateLimit, burst)
+		handler = rateLimitMiddleware(handler, opts.RateLimit, max(10, int(opts.RateLimit+0.999)))
 	}
 	if opts.AuthToken != "" {
 		handler = authMiddleware(handler, opts.AuthToken)

@@ -69,14 +69,12 @@ func TestHTTPAuthToken(t *testing.T) {
 
 func TestHTTPRateLimit(t *testing.T) {
 	st := storeFixture(t)
-	// A tiny bucket: 1 req/s steady state, burst of 3.
-	srv := httptest.NewServer(NewStoreHandlerWith(st, nil, HandlerOptions{
-		RateLimit: 1, RateBurst: 3,
-	}))
+	// 1 req/s steady state: the bucket holds the floor of 10.
+	srv := httptest.NewServer(NewStoreHandlerWith(st, nil, HandlerOptions{RateLimit: 1}))
 	defer srv.Close()
 
-	codes := make([]int, 0, 6)
-	for range 6 {
+	codes := make([]int, 0, 12)
+	for range 12 {
 		resp, err := http.Get(srv.URL + "/stats")
 		if err != nil {
 			t.Fatal(err)
@@ -85,11 +83,11 @@ func TestHTTPRateLimit(t *testing.T) {
 		resp.Body.Close()
 		codes = append(codes, resp.StatusCode)
 	}
-	// The burst passes; everything after is throttled (the six requests
-	// take far less than the 1s needed to accrue another token).
+	// The burst passes; everything after is throttled (the twelve
+	// requests take far less than the 1s needed to accrue another token).
 	for i, code := range codes {
 		want := http.StatusOK
-		if i >= 3 {
+		if i >= 10 {
 			want = http.StatusTooManyRequests
 		}
 		if code != want {

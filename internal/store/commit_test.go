@@ -121,7 +121,7 @@ func TestOpenSweepsStrayIdentityTemp(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("prefix:8:3 1\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{{ReadOnly: true}, {ReadOnly: true, ColdOpen: true}} {
+	for _, opts := range []Options{{ReadOnly: true}, {ReadOnly: true, Mmap: true}} {
 		s, err := Open(dir, opts)
 		if err != nil {
 			t.Fatalf("open %+v: %v", opts, err)
@@ -314,7 +314,7 @@ func TestCommitCrashMatrix(t *testing.T) {
 				t.Errorf("%s changed before its commit (present %v → %v, %d → %d bytes)", c.final, hadFinal, ok, len(before), len(after))
 			}
 
-			for _, opts := range []Options{{ReadOnly: true}, {ReadOnly: true, ColdOpen: true, Mmap: true}} {
+			for _, opts := range []Options{{ReadOnly: true}, {ReadOnly: true, Mmap: true}} {
 				ro, err := Open(snap, opts)
 				if err != nil {
 					t.Fatalf("open %+v at the crash point: %v", opts, err)

@@ -10,7 +10,7 @@ import (
 	"bgpblackholing/internal/core"
 )
 
-// On-demand hydration for cold-opened stores (Options.ColdOpen) and the
+// On-demand hydration for the sealed segments open left cold and the
 // materialized per-day aggregate view behind DailyCounts. The contract
 // throughout: a query against a cold store returns bytes identical to
 // the same query against a fully warm store — pruning may only skip

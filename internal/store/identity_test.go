@@ -81,7 +81,7 @@ func TestIdentityFile(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, identityName), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []Options{{}, {ReadOnly: true}, {ReadOnly: true, ColdOpen: true}} {
+		for _, opts := range []Options{{}, {ReadOnly: true}, {ReadOnly: true, Mmap: true}} {
 			if s, err := Open(dir, opts); err == nil {
 				s.Close()
 				t.Errorf("identity file %q: open %+v succeeded", content, opts)

@@ -45,14 +45,16 @@ func ledgerOf(s *Store) []string {
 		st.Events, st.Segments, st.Bytes, st.Tombstones, st.PendingErasure))
 }
 
-// reopenModes are the read-only opens the law quantifies over.
+// reopenModes are the read-only opens the law quantifies over: a
+// sidecar-less copy decodes every segment, the others open cold.
 var reopenModes = []struct {
 	name string
+	bare bool
 	opts Options
 }{
-	{"full", Options{ReadOnly: true}},
-	{"cold", Options{ReadOnly: true, ColdOpen: true}},
-	{"cold+mmap", Options{ReadOnly: true, ColdOpen: true, Mmap: true}},
+	{"sidecar-less", true, Options{ReadOnly: true}},
+	{"cold", false, Options{ReadOnly: true}},
+	{"cold+mmap", false, Options{ReadOnly: true, Mmap: true}},
 }
 
 // checkLedger syncs the live store and requires every reopen mode to
@@ -64,7 +66,11 @@ func checkLedger(t *testing.T, what string, s *Store, dir string) {
 	}
 	want := ledgerOf(s)
 	for _, mode := range reopenModes {
-		ro, err := Open(dir, mode.opts)
+		d := dir
+		if mode.bare {
+			d = sidecarless(t, dir)
+		}
+		ro, err := Open(d, mode.opts)
 		if err != nil {
 			t.Fatalf("%s: %s reopen: %v", what, mode.name, err)
 		}
@@ -288,7 +294,7 @@ func ledgerSequence(t *testing.T, seed int64) (wounded, raced int) {
 				t.Errorf("%s: close: %v", what, err)
 			}
 			ro := opts
-			ro.ColdOpen = rng.Intn(2) == 0
+			ro.Mmap = rng.Intn(2) == 0
 			s = openFaulted(t, dir, fs, ro)
 		}
 		checkLedger(t, what, s, dir)

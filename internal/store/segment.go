@@ -173,7 +173,7 @@ type segFile struct {
 	path string
 	segDesc
 
-	// Lazy-open state (Options.ColdOpen): a sealed segment whose fresh
+	// Lazy-open state (see Open): a sealed segment whose fresh
 	// sidecar let open skip decoding it. base/n name the contiguous
 	// ordinal block reserved for its live events; sum keeps the summary
 	// for query pruning until the first touching query hydrates the

@@ -43,7 +43,7 @@ func buildSidecarDir(t testing.TB, dir string) netip.Prefix {
 	}
 	// Heal pass: the tombstone postdates the seal-time sidecars, so this
 	// open scans the affected segments and rewrites their summaries.
-	s, err = Open(dir, Options{ColdOpen: true})
+	s, err = Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +69,23 @@ func sidecarFiles(t testing.TB, dir string) []string {
 	return out
 }
 
-// equivalenceFilters is the query matrix the cold and full open paths
-// must agree on: every prefix mode, each secondary index, time windows,
-// duration bounds, limits, and combinations.
+// sidecarless copies the store directory dir and deletes the copy's
+// sidecars: opening the copy decodes every segment, the reference the
+// cold open is held to.
+func sidecarless(t *testing.T, dir string) string {
+	t.Helper()
+	cp := copySnapshot(t, dir)
+	for _, p := range sidecarFiles(t, cp) {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cp
+}
+
+// equivalenceFilters is the query matrix the cold open and the decode
+// of every segment must agree on: every prefix mode, each secondary
+// index, time windows, duration bounds, limits, and combinations.
 func equivalenceFilters() []Filter {
 	p17 := makeEvent(17).Prefix
 	return []Filter{
@@ -124,14 +138,16 @@ func sameFingerprint(a, b queryFingerprint) bool {
 }
 
 // TestColdOpenQueryEquivalence is the acceptance matrix: a sidecar
-// cold open (with and without mmap), a fallback open with the sidecars
-// deleted, and a classic full-decode open must answer every filter
-// byte-identically — same events, same Total, same Scanned.
+// cold open (with and without mmap) and a fallback open with the
+// sidecars deleted (with and without mmap) must answer every filter
+// byte-identically to a decode of every segment — same events, same
+// Total, same Scanned.
 func TestColdOpenQueryEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	buildSidecarDir(t, dir)
+	bare := sidecarless(t, dir)
 
-	ref, err := Open(dir, Options{ReadOnly: true})
+	ref, err := Open(bare, Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,26 +162,17 @@ func TestColdOpenQueryEquivalence(t *testing.T) {
 
 	modes := []struct {
 		name string
+		dir  string
 		opts Options
-		prep func()
 	}{
-		{name: "cold", opts: Options{ReadOnly: true, ColdOpen: true}},
-		{name: "cold+mmap", opts: Options{ReadOnly: true, ColdOpen: true, Mmap: true}},
-		{name: "mmap-only", opts: Options{ReadOnly: true, Mmap: true}},
-		{name: "cold-no-sidecars", opts: Options{ReadOnly: true, ColdOpen: true}, prep: func() {
-			for _, p := range sidecarFiles(t, dir) {
-				if err := os.Remove(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}},
+		{name: "cold", dir: dir, opts: Options{ReadOnly: true}},
+		{name: "cold+mmap", dir: dir, opts: Options{ReadOnly: true, Mmap: true}},
+		{name: "mmap-only", dir: bare, opts: Options{ReadOnly: true, Mmap: true}},
+		{name: "cold-no-sidecars", dir: bare, opts: Options{ReadOnly: true}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			if m.prep != nil {
-				m.prep()
-			}
-			s, err := Open(dir, m.opts)
+			s, err := Open(m.dir, m.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +210,7 @@ func TestColdOpenDecodesNothing(t *testing.T) {
 	dir := t.TempDir()
 	buildSidecarDir(t, dir)
 
-	s, err := Open(dir, Options{ColdOpen: true})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +311,8 @@ func TestSidecarFallbackMatrix(t *testing.T) {
 			victim := buildSidecarDir(t, dir)
 			breaker(t, dir, victim)
 
-			// Reference answers from a full-decode open.
-			ref, err := Open(dir, Options{ReadOnly: true})
+			// Reference answers from a sidecar-less decode.
+			ref, err := Open(sidecarless(t, dir), Options{ReadOnly: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +322,7 @@ func TestSidecarFallbackMatrix(t *testing.T) {
 			// The degraded cold open: must fall back to decoding the
 			// affected segments (OpenDecodedEvents > 0) yet answer
 			// identically, and — being read-write — heal the sidecars.
-			s, err := Open(dir, Options{ColdOpen: true})
+			s, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +344,7 @@ func TestSidecarFallbackMatrix(t *testing.T) {
 			}
 
 			// Self-heal: the next cold open decodes nothing again.
-			s, err = Open(dir, Options{ColdOpen: true})
+			s, err = Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,7 +364,7 @@ func TestCompactionWritesMergedSidecar(t *testing.T) {
 	dir := t.TempDir()
 	buildSidecarDir(t, dir)
 
-	s, err := Open(dir, Options{ColdOpen: true})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +376,7 @@ func TestCompactionWritesMergedSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err = Open(dir, Options{ColdOpen: true})
+	s, err = Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,15 +55,9 @@ type Options struct {
 	// (appends, fsyncs, seals, group-commit batch sizes, compaction
 	// passes). Nil keeps the hot path free of even a time.Now call.
 	Instruments *Instruments
-	// ColdOpen defers decoding sealed segments that carry a fresh
-	// ".sum" sidecar summary: open reserves their index ordinals from
-	// the sidecar alone and the first query whose filter could touch a
-	// cold segment hydrates it (decodes and indexes its records). A
-	// missing, corrupt or stale sidecar demotes that segment to the
-	// classic full decode — results are byte-identical either way — and
-	// a read-write open rewrites it (self-heal). Off by default so
-	// existing stores keep their eager-open behavior (and Stats report
-	// fully-warm numbers) unless the caller opts in.
+	// ColdOpen is read nowhere: every open is cold (see Open).
+	//
+	// Deprecated: no effect.
 	ColdOpen bool
 	// Mmap maps segment files read-only for open and hydration scans on
 	// platforms that support it, so cold history is paged in by the OS
@@ -200,8 +194,8 @@ type Stats struct {
 	// deletions.
 	MinStart, MaxEnd time.Time
 	// SegmentsCold counts sealed segments whose records have not been
-	// decoded yet (Options.ColdOpen, sidecar-backed); SegmentsHydrated
-	// counts those decoded on demand since open. Prefixes reflects only
+	// decoded yet (sidecar-backed, see Open); SegmentsHydrated counts
+	// those decoded on demand since open. Prefixes reflects only
 	// hydrated events until the store warms up.
 	SegmentsCold, SegmentsHydrated int
 	// OpenDecodedEvents counts event records open decoded from sealed
@@ -322,6 +316,11 @@ func (l ledgers) snapshot() ledgers {
 // are skipped and deleted instead of double-indexed. A read-write Open
 // takes the directory's writer lock; a second concurrent writer fails
 // loudly.
+//
+// Every open is cold: it decodes the newest segment and each sealed one
+// whose sidecar is missing, corrupt or stale (sidecar.go), and reserves
+// the rest until a query touches them. Answers are the same either way;
+// Stats().Prefixes counts only the events hydrated so far.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = defaultMaxSegmentBytes
@@ -470,13 +469,12 @@ func (o *opener) scanSeg(p *openSeg) error {
 
 // scan reads the segments whose records open needs. The newest always:
 // it carries the crash-torn tail recovery truncates, and it becomes the
-// active segment. Older ones only without a valid sidecar (or always,
-// when ColdOpen is off). It removes a newest segment without a complete
-// magic, and its sidecar.
+// active segment. Older ones only without a valid sidecar. It removes a
+// newest segment without a complete magic, and its sidecar.
 func (o *opener) scan() error {
 	for i := 0; i < len(o.segs); {
 		p, last := &o.segs[i], i == len(o.segs)-1
-		if p.scan != nil || (o.opts.ColdOpen && p.summary != nil && !last) {
+		if p.scan != nil || (p.summary != nil && !last) {
 			i++
 			continue
 		}
@@ -625,11 +623,9 @@ func (o *opener) build() error {
 			return fmt.Errorf("store: %s: %w", p.path, err)
 		}
 		p.segDesc = describe(p.scan.validLen, p.recs)
-		if !last {
+		if !last { // scanned for want of a fresh sidecar
 			o.openDecoded += p.events
-			if p.summary == nil {
-				o.inst.SidecarFallbacks.Inc()
-			}
+			o.inst.SidecarFallbacks.Inc()
 		}
 		if p.scan.truncated {
 			o.recoveredTails++
@@ -1082,7 +1078,7 @@ func (s *Store) roll() error {
 		s.inst.Failovers.Inc()
 	} else {
 		// Liveness is re-judged against the tombstones in force now, so
-		// the summary equals what an eager reopen would compute.
+		// the summary equals what a decoding reopen would compute.
 		for i := range a.recs {
 			a.recs[i].dead = s.tombstoned(a.recs[i].ev)
 		}

@@ -641,7 +641,7 @@ func TestOpenRejectsRetiredMarker(t *testing.T) {
 	if err := writeSidecar(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	check("cold with sidecar", Options{ReadOnly: true, ColdOpen: true})
+	check("cold with sidecar", Options{ReadOnly: true})
 }
 
 // TestOpenRejectsMarkerTrailingBytes: a compaction marker is its list

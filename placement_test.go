@@ -717,10 +717,9 @@ func TestStampedStoreKeepsItsSlice(t *testing.T) {
 	for _, d := range []string{dir, replica} {
 		for _, opts := range []StoreOptions{
 			{},
-			{ColdOpen: true},
-			{ColdOpen: true, Mmap: true},
+			{Mmap: true},
 			{ReadOnly: true},
-			{ReadOnly: true, ColdOpen: true, Mmap: true},
+			{ReadOnly: true, Mmap: true},
 		} {
 			re, err := OpenStoreWith(d, opts)
 			if err != nil {

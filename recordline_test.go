@@ -120,6 +120,44 @@ func TestRecordLineMatchesJSON(t *testing.T) {
 	})
 }
 
+// TestAlertRecordMatchesJSON holds EncodeAlertRecord to json.Marshal of
+// the AlertRecord the facade used to build for an alert, byte for byte:
+// over the record-line corpus, plain and enriched, under a plain rule
+// name and one that needs escaping.
+func TestAlertRecordMatchesJSON(t *testing.T) {
+	check := func(a *Alert) {
+		t.Helper()
+		rec := AlertRecord{ID: a.ID, Rule: a.Rule, Event: NewEventRecord(a.Event)}
+		if a.Ann != nil {
+			rec.Event = NewEventRecordEnriched(a.Event, *a.Ann)
+		}
+		want, wantErr := json.Marshal(rec)
+		got, gotErr := EncodeAlertRecord(a)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("EncodeAlertRecord error %v, json.Marshal error %v\nevent %+v", gotErr, wantErr, a.Event)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("EncodeAlertRecord diverges from json.Marshal:\n got %s\nwant %s", got, want)
+		}
+	}
+	rules := []string{"ddos", `<"rule">\&` + " \xff\x01"}
+	p, events := lineFixtureEvents(t)
+	ann := p.Annotator()
+	for i, ev := range events {
+		check(&Alert{ID: uint64(i + 1), Rule: rules[i%2], Event: ev})
+		a := ann.Annotate(ev)
+		check(&Alert{ID: uint64(i + 1), Rule: rules[(i+1)%2], Event: ev, Ann: &a})
+	}
+	adversarial, anns := adversarialEvents(42, 4000)
+	for i, ev := range adversarial {
+		a := &Alert{ID: math.MaxUint64 - uint64(i), Rule: rules[i%2], Event: ev, Ann: &anns[i]}
+		if i%3 == 0 {
+			a.Ann = nil
+		}
+		check(a)
+	}
+}
+
 // TestEventLineAndEncodeAllocations are the deterministic walls under
 // what the benchmark shows: a plain line written into a reused buffer
 // costs one allocation, the merge key's prefix string, and an event

@@ -37,7 +37,6 @@ type RemoteBackend struct {
 	token   string
 	timeout time.Duration
 	hedge   time.Duration
-	client  *http.Client
 	// hedges counts hedged attempts launched; a federation reports it
 	// as the shard's hedge counter (/stats, bh_federation_shard_hedges_total).
 	hedges atomic.Uint64
@@ -57,8 +56,6 @@ type RemoteOptions struct {
 	// hedged attempt is launched against the next replica. Zero means
 	// sequential failover only (try the next URL after a failure).
 	HedgeDelay time.Duration
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
 }
 
 // NewRemoteBackend builds a Backend over one shard's URL set: the
@@ -80,7 +77,6 @@ func NewRemoteBackend(urls []string, opts RemoteOptions) (*RemoteBackend, error)
 		token:   opts.AuthToken,
 		timeout: opts.Timeout,
 		hedge:   opts.HedgeDelay,
-		client:  opts.Client,
 	}
 	if b.name == "" {
 		if u, err := url.Parse(cleaned[0]); err == nil && u.Host != "" {
@@ -92,9 +88,6 @@ func NewRemoteBackend(urls []string, opts RemoteOptions) (*RemoteBackend, error)
 	if b.timeout <= 0 {
 		b.timeout = 30 * time.Second
 	}
-	if b.client == nil {
-		b.client = http.DefaultClient
-	}
 	return b, nil
 }
 
@@ -104,8 +97,8 @@ func (b *RemoteBackend) Name() string { return b.name }
 // URL returns the shard's primary endpoint.
 func (b *RemoteBackend) URL() string { return b.urls[0] }
 
-// Close implements Backend. The HTTP client is shared; nothing to
-// release.
+// Close implements Backend. Requests go through http.DefaultClient;
+// nothing to release.
 func (b *RemoteBackend) Close() error { return nil }
 
 // RemoteError is a non-2xx answer from a shard, preserving the status
@@ -134,7 +127,7 @@ func (b *RemoteBackend) attempt(ctx context.Context, base, path string, params u
 	if b.token != "" {
 		req.Header.Set("Authorization", "Bearer "+b.token)
 	}
-	resp, err := b.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -818,7 +811,7 @@ func (b *RemoteBackend) Healthz(ctx context.Context) *ShardHealth {
 			lastErr = err
 			continue
 		}
-		resp, err := b.client.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			lastErr = err
 			continue

@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -309,4 +311,114 @@ func TestErasedEventsAreCollectable(t *testing.T) {
 	// The backend, the annotator and the store outlive the events.
 	runtime.KeepAlive(be)
 	runtime.KeepAlive(ann)
+}
+
+// sidecarlessCopy copies the closed store directory dir and deletes the
+// copy's sidecars: opening the copy decodes every segment, the
+// reference a cold open is held to.
+func sidecarlessCopy(tb testing.TB, dir string) string {
+	tb.Helper()
+	cp := tb.TempDir()
+	if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+		tb.Fatal(err)
+	}
+	sums, err := filepath.Glob(filepath.Join(cp, "*.sum"))
+	if err != nil || len(sums) == 0 {
+		tb.Fatalf("%s holds no sidecars to delete (%v)", dir, err)
+	}
+	for _, p := range sums {
+		if err := os.Remove(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return cp
+}
+
+// TestDefaultOpenIsCold: the plain read-only open of a store of several
+// sealed segments with fresh sidecars decodes none of them — the
+// sidecar decides, not an option — and answers as a decode of every
+// segment does.
+func TestDefaultOpenIsCold(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := populatedStore(t, dir, StoreOptions{MaxSegmentBytes: 16 << 10})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := OpenStoreReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if s := ro.Stats(); s.OpenDecodedEvents != 0 || s.SegmentsCold == 0 {
+		t.Fatalf("a default read-only open of %d segments decoded %d events and left %d cold; want none decoded, some cold",
+			s.Segments, s.OpenDecodedEvents, s.SegmentsCold)
+	}
+	ref, err := OpenStoreReadOnly(sidecarlessCopy(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	got, want := ro.Events(), ref.Events()
+	if len(got) != len(want) {
+		t.Fatalf("cold open holds %d events, the sidecar-less decode %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(store.EncodeEvent(nil, got[i]), store.EncodeEvent(nil, want[i])) {
+			t.Fatalf("event %d differs between the cold open and the sidecar-less decode", i)
+		}
+	}
+}
+
+// TestReadWriteOpenHealsStaleSidecar: a DeletePrefix stales the sidecar
+// of each sealed segment its tombstone may reach. The next read-write
+// open, with zero options, rewrites them, so the open after it falls
+// back to decoding no segment. (An option-chosen eager open used to
+// decode every segment, and neither counted nor healed a stale one.)
+func TestReadWriteOpenHealsStaleSidecar(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := populatedStore(t, dir, StoreOptions{MaxSegmentBytes: 16 << 10})
+	if _, err := st.DeletePrefix(st.Events()[0].Prefix, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sidecars := func() map[string]string {
+		sums, _ := filepath.Glob(filepath.Join(dir, "*.sum"))
+		out := map[string]string{}
+		for _, p := range sums {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[p] = string(data)
+		}
+		return out
+	}
+	before := sidecars()
+	rw, err := OpenStoreWith(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := 0
+	for p, data := range sidecars() {
+		if before[p] != data {
+			rewritten++
+		}
+	}
+	if rewritten == 0 {
+		t.Errorf("the read-write open rewrote none of %d sidecars", len(before))
+	}
+	ins := NewTelemetry().StoreInstruments()
+	ro, err := OpenStoreWith(dir, StoreOptions{ReadOnly: true, Instruments: ins})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if n, s := ins.SidecarFallbacks.Value(), ro.Stats(); n != 0 || s.OpenDecodedEvents != 0 {
+		t.Errorf("the next read-only open fell back on %d sidecars and decoded %d events; want none", n, s.OpenDecodedEvents)
+	}
 }

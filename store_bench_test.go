@@ -280,11 +280,11 @@ func coldBenchDir(b *testing.B) string {
 	return coldBench.dir
 }
 
-// BenchmarkStoreFullOpen measures the classic open: every segment read
-// and every record decoded and indexed. The denominator for the cold
-// open wall below.
+// BenchmarkStoreFullOpen measures the open of a store without sidecars:
+// every segment read and every record decoded and indexed. The
+// denominator for the cold open wall below.
 func BenchmarkStoreFullOpen(b *testing.B) {
-	dir := coldBenchDir(b)
+	dir := sidecarlessCopy(b, coldBenchDir(b))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -301,13 +301,15 @@ func BenchmarkStoreFullOpen(b *testing.B) {
 // BenchmarkStoreColdOpen measures the sidecar-backed open: sealed
 // segments stay undecoded (the Stats check proves zero event records
 // were touched), so open cost tracks segment count, not event count.
-// CI gates this at ≤0.25× BenchmarkStoreFullOpen.
+// No CI job gates the ratio to BenchmarkStoreFullOpen: the harness's
+// store.open_cold_ms row reports it, and TestColdOpenDecodesNothing
+// holds the zero.
 func BenchmarkStoreColdOpen(b *testing.B) {
 	dir := coldBenchDir(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := OpenStoreWith(dir, StoreOptions{ReadOnly: true, ColdOpen: true, Mmap: true})
+		st, err := OpenStoreWith(dir, StoreOptions{ReadOnly: true, Mmap: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,6 +338,7 @@ func BenchmarkFigure4Scan(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
+	st.s.All() // hydrates every cold segment, outside the timing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -348,7 +351,8 @@ func BenchmarkFigure4Scan(b *testing.B) {
 
 // BenchmarkFigure4Materialized answers the same series from the
 // store's refcounted per-day aggregates: O(days) map lookups, no event
-// scan. CI gates this at ≤0.1× BenchmarkFigure4Scan.
+// scan. The harness's store.figure4_materialized_us row reports it; no
+// CI job gates its ratio to BenchmarkFigure4Scan.
 func BenchmarkFigure4Materialized(b *testing.B) {
 	dir := coldBenchDir(b)
 	st, err := OpenStoreWith(dir, StoreOptions{ReadOnly: true})
@@ -434,7 +438,7 @@ func routerBenchFixture(b *testing.B) (single, router string, client *http.Clien
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
-		if st, err = OpenStoreWith(dir, StoreOptions{ReadOnly: true, ColdOpen: true, Mmap: true}); err != nil {
+		if st, err = OpenStoreWith(dir, StoreOptions{ReadOnly: true, Mmap: true}); err != nil {
 			b.Fatal(err)
 		}
 		srv := httptest.NewServer(NewStoreHandler(st, storeBench.pipeline))
