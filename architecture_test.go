@@ -1,0 +1,706 @@
+package bgpblackholing
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"go/ast"
+	"go/token"
+	"io/fs"
+	"maps"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+	"testing/fstest"
+)
+
+// TestArchitecture holds the module to the one-owner rules of
+// docs/ARCHITECTURE.md (archRules). Each rule must pass on the module,
+// reject the fixture that breaks it — so a rule that stops seeing its
+// violation fails too — and be stated in the document in the words it
+// fails with.
+func TestArchitecture(t *testing.T) {
+	m, err := rootModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := fs.ReadFile(m.fsys, "docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Error(err) // and every rule is unstated, but still checked
+	}
+	prose := strings.Join(strings.Fields(string(doc)), " ")
+	for _, r := range archRules {
+		t.Run(r.name, func(t *testing.T) {
+			if !strings.Contains(prose, r.law) {
+				t.Errorf("docs/ARCHITECTURE.md does not state this rule word for word: %s", r.law)
+			}
+			broken, err := loadGoModule(r.breaks)
+			if err != nil {
+				t.Fatalf("the rule's fixture: %v", err)
+			}
+			for i, check := range r.checks {
+				if problems := check(m); len(problems) > 0 {
+					t.Errorf("%s\n\t%s", r.law, strings.Join(problems, "\n\t"))
+				}
+				if !slices.ContainsFunc(check(broken), func(p string) bool { return !strings.HasPrefix(p, "gone: ") }) {
+					t.Errorf("check %d accepts the fixture that breaks it", i+1)
+				}
+			}
+		})
+	}
+}
+
+// archRule is one of docs/ARCHITECTURE.md's one-owner rules, checked on
+// the module's syntax.
+type archRule struct {
+	name   string
+	gates  string       // the CI grep steps the rule replaced
+	law    string       // its sentence in docs/ARCHITECTURE.md, word for word, and its failure message
+	checks []archCheck  // each must pass on the module
+	breaks fstest.MapFS // a module that breaks every check
+}
+
+// archCheck returns what breaks a rule in m, one line each. A line that
+// starts "gone: " says an owner or a scope the rule names no longer
+// exists: a rule about a renamed function would otherwise pass for ever.
+type archCheck func(m *goModule) []string
+
+// archFixture is a module of the given path, source pairs.
+func archFixture(pathsAndSources ...string) fstest.MapFS {
+	fsys := fstest.MapFS{}
+	for i := 0; i+1 < len(pathsAndSources); i += 2 {
+		fsys[pathsAndSources[i]] = &fstest.MapFile{Data: []byte(pathsAndSources[i+1])}
+	}
+	return fsys
+}
+
+// archScope says where a check looks: a file, and the top-level function
+// around the node ("" outside any).
+type archScope func(f *goFile, fn string) bool
+
+func archNonTest(f *goFile, _ string) bool { return !f.test }
+
+func archAnyFile(*goFile, string) bool { return true }
+
+func archInDir(dir string) archScope {
+	return func(f *goFile, _ string) bool { return !f.test && f.dir == dir }
+}
+
+func archOutsideDir(dir string) archScope {
+	return func(f *goFile, _ string) bool { return !f.test && f.dir != dir }
+}
+
+func archInFile(p string) archScope { return func(f *goFile, _ string) bool { return f.path == p } }
+
+func archInFunc(dir, name string) archScope {
+	return func(f *goFile, fn string) bool { return !f.test && f.dir == dir && fn == name }
+}
+
+// archShape is a syntax shape a check confines; at is where n was found.
+type archShape func(at *archSite, n ast.Node) bool
+
+// archSite is a node's place: its file, and the top-level function around
+// it (nil outside one), whose names are resolved when a shape asks.
+type archSite struct {
+	m    *goModule
+	file *goFile
+	fn   *goFunc
+	env  *fnEnv
+}
+
+func (s *archSite) typeOf(x ast.Expr) typeRef {
+	if s.fn == nil {
+		return typeRef{}
+	}
+	if s.env == nil {
+		s.env = s.m.env(s.fn)
+	}
+	return s.env.typeOf(x)
+}
+
+// onlyIn confines what match finds within scope to the functions ("F",
+// "T.M") and files ("dir/x.go") named in owners; no owners means never.
+// The scope must still hold a declaration, and every owner must still be
+// in it.
+func onlyIn(what string, scope archScope, match archShape, owners ...string) archCheck {
+	return func(m *goModule) (problems []string) {
+		seen := map[string]bool{}
+		for _, f := range m.files {
+			for _, decl := range f.syntax.Decls {
+				at, fn := &archSite{m: m, file: f}, ""
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					fn, at.fn = declName(fd), m.byDecl[fd]
+				}
+				if !scope(f, fn) {
+					continue
+				}
+				seen[""], seen[f.path], seen[fn] = true, true, true
+				if slices.Contains(owners, fn) || slices.Contains(owners, f.path) {
+					continue
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if n != nil && match(at, n) {
+						problems = append(problems, fmt.Sprintf("%s: %s in %s", m.pos(n), what, cmp.Or(fn, "a declaration")))
+					}
+					return true
+				})
+			}
+		}
+		if !seen[""] {
+			problems = append(problems, "gone: the rule's scope holds no declaration")
+		}
+		for _, o := range owners {
+			if !seen[o] {
+				problems = append(problems, "gone: "+o+", the owner the rule names")
+			}
+		}
+		return problems
+	}
+}
+
+// pkgRef matches a reference to one of the named members of the package
+// imported from importPath.
+func pkgRef(importPath string, names ...string) archShape {
+	return func(at *archSite, n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || !slices.Contains(names, sel.Sel.Name) {
+			return false
+		}
+		x, ok := sel.X.(*ast.Ident)
+		return ok && at.file.imports[x.Name] == importPath
+	}
+}
+
+// callOf matches a call of the function name — name(…) — or, with a
+// leading dot, of any method or function field so named: x.name(…).
+func callOf(name string) archShape {
+	return func(_ *archSite, n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		switch fun := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			return fun.Name == name
+		case *ast.SelectorExpr:
+			return "."+fun.Sel.Name == name
+		}
+		return false
+	}
+}
+
+// selectorPath matches a selector chain ending in names: x.file.Write.
+func selectorPath(names ...string) archShape {
+	return func(_ *archSite, n ast.Node) bool {
+		for i := len(names) - 1; i >= 0; i-- {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != names[i] {
+				return false
+			}
+			n = sel.X
+		}
+		return true
+	}
+}
+
+// literalOf matches a composite literal of the named type: T{…}, or a
+// slice, array or map literal of T.
+func literalOf(name string) archShape {
+	return func(_ *archSite, n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return false
+		}
+		t := lit.Type
+		for {
+			switch x := t.(type) {
+			case *ast.ArrayType:
+				t = x.Elt
+				continue
+			case *ast.MapType:
+				t = x.Value
+				continue
+			case *ast.StarExpr:
+				t = x.X
+				continue
+			case *ast.Ident:
+				return x.Name == name
+			}
+			return false
+		}
+	}
+}
+
+// markerLoop matches a loop of 16 steps — i < 16, range 16, range x[:16]
+// — the shape of a hand-written BGP marker.
+func markerLoop(_ *archSite, n ast.Node) bool {
+	sixteen := func(x ast.Expr) bool {
+		lit, ok := x.(*ast.BasicLit)
+		return ok && lit.Kind == token.INT && lit.Value == "16"
+	}
+	switch n := n.(type) {
+	case *ast.ForStmt:
+		cond, ok := n.Cond.(*ast.BinaryExpr)
+		return ok && cond.Op == token.LSS && sixteen(cond.Y)
+	case *ast.RangeStmt:
+		if sl, ok := n.X.(*ast.SliceExpr); ok {
+			return sl.Low == nil && sixteen(sl.High)
+		}
+		return sixteen(n.X)
+	}
+	return false
+}
+
+// waitGroupWait matches x.Wait() on a sync.WaitGroup, or on a value whose
+// type the spelling does not tell.
+func waitGroupWait(at *archSite, n ast.Node) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Wait" {
+		return false
+	}
+	t := at.typeOf(sel.X)
+	if t.expr == nil {
+		return !t.std
+	}
+	x, ok := bareType(t.expr).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := x.X.(*ast.Ident)
+	return ok && t.file.imports[pkg.Name] == "sync" && x.Sel.Name == "WaitGroup"
+}
+
+// readsColdOpen matches x.ColdOpen and a ColdOpen: key.
+func readsColdOpen(_ *archSite, n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.SelectorExpr:
+		return n.Sel.Name == "ColdOpen"
+	case *ast.KeyValueExpr:
+		key, ok := n.Key.(*ast.Ident)
+		return ok && key.Name == "ColdOpen"
+	}
+	return false
+}
+
+// noMapIn finds the map types reachable from the fields of the named
+// module types (dir.T), through every module type those hold and every
+// type argument they are instantiated with.
+func noMapIn(types ...string) archCheck {
+	return func(m *goModule) (problems []string) {
+		seen := map[ast.Expr]bool{}
+		var walk func(t typeRef, path string)
+		walk = func(t typeRef, path string) {
+			if t.expr == nil || seen[t.expr] {
+				return
+			}
+			seen[t.expr] = true
+			in := func(x ast.Expr) typeRef { return typeRef{file: t.file, expr: x} }
+			switch x := t.expr.(type) {
+			case *ast.MapType:
+				problems = append(problems, fmt.Sprintf("%s: %s is a map", m.pos(x), path))
+			case *ast.StarExpr:
+				walk(in(x.X), path)
+			case *ast.ParenExpr:
+				walk(in(x.X), path)
+			case *ast.ArrayType:
+				walk(in(x.Elt), path+"[]")
+			case *ast.ChanType:
+				walk(in(x.Value), path)
+			case *ast.IndexExpr:
+				walk(in(x.X), path)
+				walk(in(x.Index), path)
+			case *ast.IndexListExpr:
+				walk(in(x.X), path)
+				for _, ix := range x.Indices {
+					walk(in(ix), path)
+				}
+			case *ast.StructType:
+				for _, f := range x.Fields.List {
+					name := embeddedName(f.Type)
+					if len(f.Names) > 0 {
+						name = f.Names[0].Name
+					}
+					walk(in(f.Type), path+"."+name)
+				}
+			case *ast.Ident, *ast.SelectorExpr:
+				key, _ := m.named(t)
+				if d := m.types[key]; d != nil {
+					walk(typeRef{file: d.file, expr: d.spec.Type}, path)
+				}
+			}
+		}
+		for _, name := range types {
+			d := m.types[name]
+			if d == nil {
+				problems = append(problems, "gone: "+name+", the type the rule names")
+				continue
+			}
+			walk(typeRef{file: d.file, expr: d.spec.Type}, name[strings.LastIndexByte(name, '/')+1:])
+		}
+		return problems
+	}
+}
+
+// noField finds the fields of the struct type typ (dir.T) that bad picks
+// out; what says what is wrong with them.
+func noField(typ, what string, bad func(name string, t ast.Expr) bool) archCheck {
+	return func(m *goModule) (problems []string) {
+		d := m.types[typ]
+		if d == nil {
+			return []string{"gone: " + typ + ", the type the rule names"}
+		}
+		st, ok := d.spec.Type.(*ast.StructType)
+		if !ok {
+			return []string{"gone: " + typ + " is no struct"}
+		}
+		for _, f := range st.Fields.List {
+			names := []string{embeddedName(f.Type)}
+			if len(f.Names) > 0 {
+				names = names[:0]
+				for _, n := range f.Names {
+					names = append(names, n.Name)
+				}
+			}
+			for _, name := range names {
+				if bad(name, f.Type) {
+					problems = append(problems, fmt.Sprintf("%s: field %s %s", m.pos(f), name, what))
+				}
+			}
+		}
+		return problems
+	}
+}
+
+// mentions reports whether the type expression x names any of names.
+func mentions(x ast.Expr, names ...string) (found bool) {
+	ast.Inspect(x, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && slices.Contains(names, id.Name) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// modeTypes finds the named types that have a typed constant group of
+// their own holding an …Exact and an …Covered member, and wants the one
+// type want (dir.T). A constant spelled without a type — the root's
+// re-exports of the store's modes — is not its type's own.
+func modeTypes(want string) archCheck {
+	return func(m *goModule) (problems []string) {
+		var found []string
+		for _, f := range m.files {
+			if f.test {
+				continue
+			}
+			for _, decl := range f.syntax.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.CONST {
+					continue
+				}
+				var typ ast.Expr
+				exact, covered := map[string]bool{}, map[string]bool{}
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					if vs.Type != nil || len(vs.Values) > 0 {
+						typ = vs.Type
+					}
+					key, _ := m.named(typeRef{file: f, expr: typ})
+					if key == "" {
+						continue
+					}
+					for _, n := range vs.Names {
+						exact[key] = exact[key] || strings.HasSuffix(n.Name, "Exact")
+						covered[key] = covered[key] || strings.HasSuffix(n.Name, "Covered")
+					}
+				}
+				for key := range exact {
+					if exact[key] && covered[key] {
+						found = append(found, key+" ("+m.pos(gd)+")")
+					}
+				}
+			}
+		}
+		slices.Sort(found)
+		if len(found) != 1 || !strings.HasPrefix(found[0], want+" ") {
+			problems = append(problems, fmt.Sprintf("mode types %v, want %s alone", found, want))
+		}
+		return problems
+	}
+}
+
+// reachesNo finds the members of the package at importPath that the
+// functions roots (dir.F keys) reach through the module's non-test call
+// graph (goModule.calls). The walk does not enter the functions in
+// except, each allowed its use of the package for the reason given.
+func reachesNo(importPath string, roots []string, except map[string]string) archCheck {
+	return func(m *goModule) (problems []string) {
+		for _, key := range slices.Concat(roots, slices.Sorted(maps.Keys(except))) {
+			if len(m.byKey[key]) == 0 {
+				problems = append(problems, "gone: "+strings.TrimPrefix(key, ".")+", a function the rule names")
+			}
+		}
+		from := map[*goFunc]*goFunc{}
+		var queue []*goFunc
+		enter := func(g, by *goFunc) {
+			if _, seen := from[g]; !seen && !g.file.test {
+				from[g] = by
+				queue = append(queue, g)
+			}
+		}
+		for _, key := range roots {
+			for _, g := range m.byKey[key] {
+				enter(g, nil)
+			}
+		}
+		for len(queue) > 0 {
+			fn := queue[0]
+			queue = queue[1:]
+			if _, ok := except[fn.key()]; ok {
+				continue
+			}
+			m.calls(fn, func(g *goFunc) { enter(g, fn) }, func(p string, sel *ast.SelectorExpr) {
+				if p != importPath {
+					return
+				}
+				chain := []string{fn.String()}
+				for by := from[fn]; by != nil; by = from[by] {
+					chain = append(chain, by.String())
+				}
+				slices.Reverse(chain)
+				problems = append(problems, fmt.Sprintf("%s: %s.%s, reached by %s", m.pos(sel), sel.X.(*ast.Ident).Name, sel.Sel.Name, strings.Join(chain, " → ")))
+			})
+		}
+		return problems
+	}
+}
+
+// facadeOnly finds the imports of internal packages under cmd/ and
+// examples/.
+func facadeOnly(m *goModule) (problems []string) {
+	for _, f := range m.files {
+		if !strings.HasPrefix(f.path, "cmd/") && !strings.HasPrefix(f.path, "examples/") {
+			continue
+		}
+		for _, im := range f.syntax.Imports {
+			if p, _ := strconv.Unquote(im.Path.Value); p == modulePath+"/internal" || strings.HasPrefix(p, modulePath+"/internal/") {
+				problems = append(problems, fmt.Sprintf("%s: imports %s", m.pos(im), p))
+			}
+		}
+	}
+	return problems
+}
+
+// docsNameEveryPackage finds the internal packages that neither
+// README.md nor any file under docs/ names.
+func docsNameEveryPackage(m *goModule) (problems []string) {
+	docs, _ := fs.ReadFile(m.fsys, "README.md")
+	fs.WalkDir(m.fsys, "docs", func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			b, _ := fs.ReadFile(m.fsys, p)
+			docs = append(docs, b...)
+		}
+		return nil
+	})
+	pkgs, err := fs.ReadDir(m.fsys, "internal")
+	if err != nil {
+		return []string{"gone: internal/, the directory the rule names"}
+	}
+	for _, d := range pkgs {
+		if d.IsDir() && !bytes.Contains(docs, []byte("internal/"+d.Name())) {
+			problems = append(problems, "internal/"+d.Name()+" is named in neither README.md nor docs/")
+		}
+	}
+	return problems
+}
+
+// archRules are the one-owner rules, in docs/ARCHITECTURE.md's words.
+// A new owner is one more row.
+var archRules = []archRule{{
+	name:  "one-queue",
+	gates: "one-queue gate",
+	law:   "Only `internal/stream/queue.go` uses a `sync.Cond`; every other hand-off whose producer must not wait goes through a `stream.Queue`.",
+	checks: []archCheck{
+		onlyIn("a sync.Cond", archNonTest, pkgRef("sync", "Cond", "NewCond"), "internal/stream/queue.go"),
+	},
+	breaks: archFixture(
+		"internal/stream/queue.go", `package stream; import "sync"; var parked = sync.NewCond(nil)`,
+		"internal/alert/hub.go", `package alert; import "sync"; type hub struct{ ready *sync.Cond }`),
+}, {
+	name:  "one-commit",
+	gates: "one commit gate",
+	law:   "Only `internal/store/commit.go` calls `os.CreateTemp` or `os.Rename`.",
+	checks: []archCheck{
+		onlyIn("a temp file or a rename", archNonTest, pkgRef("os", "CreateTemp", "Rename"), "internal/store/commit.go"),
+	},
+	breaks: archFixture(
+		"internal/store/commit.go", `package store; import "os"; func CommitFile() { os.CreateTemp("", "x"); os.Rename("x", "y") }`,
+		"archive.go", `package bgpblackholing; import "os"; func publish() error { return os.Rename("a.tmp", "a") }`),
+}, {
+	name:   "no-map-in-event",
+	gates:  "one peer ledger gate; an event owns no map",
+	law:    "No map type is reachable from the fields of `core.Event` or of `core.prefixState`, the one peer ledger.",
+	checks: []archCheck{noMapIn("internal/core.Event", "internal/core.prefixState")},
+	breaks: archFixture("internal/core/engine.go", `package core
+type ProviderRef struct{ ASN uint32 }
+type Keyed[K, V any] struct{ Key K; Val V }
+type Event struct{ Users []Keyed[ProviderRef, map[uint32]bool] }
+type prefixState struct{ event *Event; peers map[string]bool }`),
+}, {
+	name:  "one-segment-ledger",
+	gates: "one segment ledger gate",
+	law:   "`buildSummary` is called only by `Store.writeSummary`, a `segDesc` literal is written only in `describe`, and a `segFile` literal only in `listDir`.",
+	checks: []archCheck{
+		onlyIn("a buildSummary call", archInDir("internal/store"), callOf("buildSummary"), "Store.writeSummary"),
+		onlyIn("a segDesc literal", archInDir("internal/store"), literalOf("segDesc"), "describe"),
+		onlyIn("a segFile literal", archInDir("internal/store"), literalOf("segFile"), "listDir"),
+	},
+	breaks: archFixture("internal/store/segment.go", `package store
+type Store struct{}
+type segDesc struct{ size int64 }
+type segFile struct{ segDesc; seq uint64 }
+func buildSummary() {}
+func describe() segDesc { return segDesc{} }
+func listDir() []segFile { return []segFile{{seq: 1}} }
+func (s *Store) writeSummary() { buildSummary() }
+func (s *Store) heal() ([]segDesc, segFile) { buildSummary(); return []segDesc{{size: 1}}, segFile{seq: 2} }`),
+}, {
+	name:  "one-write-path",
+	gates: "one write path",
+	law:   "Only `Store.sync` calls `fsync`, only `Store.record` writes to a segment's `file`, and in `store.go` only `Store.record` frames a record with `appendRecord`.",
+	checks: []archCheck{
+		onlyIn("an fsync", archInDir("internal/store"), callOf(".fsync"), "Store.sync"),
+		onlyIn("a segment file write", archInDir("internal/store"), selectorPath("file", "Write"), "Store.record"),
+		onlyIn("a record framed", archInFile("internal/store/store.go"), callOf("appendRecord"), "Store.record"),
+	},
+	breaks: archFixture("internal/store/store.go", `package store
+import "os"
+type Store struct{ active struct{ file *os.File } }
+func appendRecord(buf, p []byte) []byte { return append(buf, p...) }
+func (s *Store) fsync() error { return s.active.file.Sync() }
+func (s *Store) sync() error { return s.fsync() }
+func (s *Store) record(p []byte) error { _, err := s.active.file.Write(appendRecord(nil, p)); return err }
+func (s *Store) Close() error { s.active.file.Write(appendRecord(nil, nil)); return s.fsync() }`),
+}, {
+	name:  "one-coin-stream",
+	gates: "one coin stream",
+	law:   "No non-test code in `internal/workload` calls a `Seed` method, and `Materialize` builds no `rand.NewSource`.",
+	checks: []archCheck{
+		onlyIn("a reseed", archInDir("internal/workload"), callOf(".Seed")),
+		onlyIn("a rand.NewSource", archInFunc("internal/workload", "Materialize"), pkgRef("math/rand", "NewSource")),
+	},
+	breaks: archFixture("internal/workload/workload.go", `package workload
+import "math/rand"
+func Materialize(seed int64) float64 { return rand.New(rand.NewSource(seed)).Float64() }
+func reseed(r *rand.Rand, seed int64) { r.Seed(seed) }`),
+}, {
+	name:  "one-identity-ledger",
+	gates: "one identity ledger gate",
+	law:   "`RemoteBackend` keeps no shard identity: none of its fields is named for one or typed `shardIdentity` or `placement`.",
+	checks: []archCheck{noField(".RemoteBackend", "holds a shard identity", func(name string, typ ast.Expr) bool {
+		return strings.Contains(strings.ToLower(name), "identity") || mentions(typ, "shardIdentity", "placement")
+	})},
+	breaks: archFixture("remote.go", `package bgpblackholing
+type shardIdentity struct{ spec string }
+type RemoteBackend struct{ name string; shard *shardIdentity }`),
+}, {
+	name:  "one-fan-out-one-merge",
+	gates: "one fan-out, one merge gate",
+	law:   "In `federate.go` only `FederatedStore.fanOut` waits on a `sync.WaitGroup`, and only `FederatedStore.merge` calls `stream.NewHeap`.",
+	checks: []archCheck{
+		onlyIn("a WaitGroup wait", archInFile("federate.go"), waitGroupWait, "FederatedStore.fanOut"),
+		onlyIn("a stream.NewHeap", archNonTest, pkgRef(modulePath+"/internal/stream", "NewHeap"), "FederatedStore.merge"),
+	},
+	breaks: archFixture("federate.go", `package bgpblackholing
+import ("sync"; "bgpblackholing/internal/stream")
+type FederatedStore struct{}
+func (f *FederatedStore) fanOut() { var wg sync.WaitGroup; wg.Wait() }
+func (f *FederatedStore) merge() { stream.NewHeap() }
+func (f *FederatedStore) figure4() { var shards sync.WaitGroup; shards.Wait(); stream.NewHeap() }`),
+}, {
+	name:  "one-shard-reader",
+	gates: "one shard reader gate",
+	law:   "`RemoteBackend.Records`, `RemoteBackend.RecordLines`, `RemoteBackend.scanLines`, `RemoteBackend.Figure4Sets` and `parseFigure4Sets` reach no `encoding/json` symbol, except through `RemoteBackend.attempt`, which decodes a non-2xx answer's error body, and `lineKey.set`, which leaves an escaped or non-ASCII key to the library.",
+	checks: []archCheck{reachesNo("encoding/json",
+		[]string{".RemoteBackend.Records", ".RemoteBackend.RecordLines", ".RemoteBackend.scanLines", ".RemoteBackend.Figure4Sets", ".parseFigure4Sets"},
+		map[string]string{
+			".RemoteBackend.attempt": `decodes a non-2xx answer's {"error": …} body`,
+			".lineKey.set":           "unquotes an escaped or non-ASCII key through the library, as json.Unmarshal would; FuzzRecordLineKey holds it to that",
+		})},
+	breaks: archFixture("remote.go", `package bgpblackholing
+import ("encoding/json"; "io")
+type RemoteBackend struct{}
+type lineKey struct{}
+func (b *RemoteBackend) attempt() error { return json.Unmarshal(nil, nil) }
+func (b *RemoteBackend) Records(r io.Reader) { b.attempt(); b.readSet(r) }
+func (b *RemoteBackend) readSet(r io.Reader) { json.NewDecoder(r) }
+func (b *RemoteBackend) RecordLines() { b.scanLines() }
+func (b *RemoteBackend) scanLines() { var k lineKey; k.set() }
+func (k *lineKey) set() { json.Valid(nil) }
+func (b *RemoteBackend) Figure4Sets() { parseFigure4Sets() }
+func parseFigure4Sets() {}`),
+}, {
+	name:  "one-codec-per-byte-format",
+	gates: "one codec per byte format",
+	law:   "Only `internal/store/segment.go` calls `crc32.ChecksumIEEE`, and only `internal/bgp/wire.go` loops over the 16-byte BGP marker.",
+	checks: []archCheck{
+		onlyIn("a checksum", archAnyFile, pkgRef("hash/crc32", "ChecksumIEEE"), "internal/store/segment.go"),
+		onlyIn("a 16-step loop", archAnyFile, markerLoop, "internal/bgp/wire.go"),
+	},
+	breaks: archFixture(
+		"internal/store/segment.go", `package store; import "hash/crc32"; var sum = crc32.ChecksumIEEE(nil)`,
+		"internal/bgp/wire.go", `package bgp; func marker(b []byte) { for range 16 {} }`,
+		"internal/mrt/mrt.go", `package mrt
+import "hash/crc32"
+func check(b []byte) bool {
+	for i := 0; i < 16; i++ { if b[i] != 0xff { return false } }
+	return crc32.ChecksumIEEE(b) == 0
+}`),
+}, {
+	name:  "one-session-lifecycle",
+	gates: "one session lifecycle",
+	law:   "Outside `internal/bgpd` only `establish` calls `bgpd.Establish`, and `redial.go` never calls `net.SplitHostPort`.",
+	checks: []archCheck{
+		onlyIn("a handshake", archOutsideDir("internal/bgpd"), pkgRef(modulePath+"/internal/bgpd", "Establish"), "establish"),
+		onlyIn("an address split", archInFile("redial.go"), pkgRef("net", "SplitHostPort")),
+	},
+	breaks: archFixture(
+		"session.go", `package bgpblackholing; import "bgpblackholing/internal/bgpd"; func establish() { bgpd.Establish(nil) }`,
+		"redial.go", `package bgpblackholing
+import ("net"; "bgpblackholing/internal/bgpd")
+type RedialSource struct{}
+func (r *RedialSource) dial(addr string) { bgpd.Establish(nil); net.SplitHostPort(addr) }`),
+}, {
+	name:   "one-spelling-per-setting",
+	gates:  "one spelling per setting",
+	law:    "Exactly one named type in the module has a typed constant group of its own with an `…Exact` and an `…Covered` member: `store.PrefixMode`, which queries and alert rules share.",
+	checks: []archCheck{modeTypes("internal/store.PrefixMode")},
+	breaks: archFixture(
+		"internal/store/query.go", `package store; type PrefixMode uint8; const ( PrefixExact PrefixMode = iota; PrefixCovered )`,
+		"internal/alert/rule.go", `package alert; type Mode int; const ( ModeExact Mode = iota; ModeLPM; ModeCovered )`),
+}, {
+	name:   "one-open-mode",
+	gates:  "one open mode",
+	law:    "Outside its declaration, `ColdOpen` is used as no selector and no literal key: the sidecar alone chooses how a sealed segment opens.",
+	checks: []archCheck{onlyIn("ColdOpen read or set", archNonTest, readsColdOpen)},
+	breaks: archFixture(
+		"internal/store/store.go", `package store; type Options struct{ ColdOpen bool }; func open(o Options) bool { return o.ColdOpen }`,
+		"cmd/bhserve/main.go", `package main; import "bgpblackholing"; var opts = bgpblackholing.StoreOptions{ColdOpen: true}`),
+}, {
+	name:   "facade",
+	gates:  "Facade gate",
+	law:    "Nothing under `cmd/` or `examples/` imports a `bgpblackholing/internal/…` package.",
+	checks: []archCheck{facadeOnly},
+	breaks: archFixture("examples/quickstart/main.go", `package main; import "bgpblackholing/internal/store"; var open = store.Open`),
+}, {
+	name:   "docs-name-every-package",
+	gates:  "Docs drift gate",
+	law:    "Every `internal/*` package is named in README.md or `docs/`.",
+	checks: []archCheck{docsNameEveryPackage},
+	breaks: archFixture("internal/obs/obs.go", "package obs", "README.md", "Only internal/store is described here."),
+}}

@@ -3,7 +3,8 @@
 // the same synthetic world): it rebuilds the blackhole communities
 // dictionary from the world's documentation corpus, replays the merged
 // update stream through the inference engine, and emits the detected
-// blackholing events as CSV or JSON.
+// blackholing events as CSV or JSON. The JSON form is one record line per
+// event: the bytes a store serves for it on /events?format=ndjson.
 //
 // Usage:
 //
@@ -38,7 +39,7 @@ func main() {
 		format = flag.String("format", "csv", "output format: csv or json")
 	)
 	flag.Parse()
-	if err := run(*in, *scale, *seed, *format); err != nil {
+	if err := run(os.Stdout, *in, *scale, *seed, *format); err != nil {
 		fmt.Fprintln(os.Stderr, "bhdetect:", err)
 		os.Exit(1)
 	}
@@ -57,14 +58,25 @@ func platformOf(name string) bgpblackholing.Platform {
 	return bgpblackholing.PlatformCDN
 }
 
-func run(in string, scale float64, seed int64, format string) error {
+// run detects the events in the archives under in and writes them to w.
+func run(w io.Writer, in string, scale float64, seed int64, format string) error {
+	events, err := detect(in, scale, seed)
+	if err != nil {
+		return err
+	}
+	return writeEvents(w, format, events)
+}
+
+// detect replays the archives under in through a detector over the world
+// bhgen built with scale and seed, and returns the events it closed.
+func detect(in string, scale float64, seed int64) ([]*bgpblackholing.Event, error) {
 	opts := bgpblackholing.Options{
 		Seed: seed, TopoScale: scale, CollectorScale: scale,
 		EventScale: scale * 2, Days: 850,
 	}
 	p, err := bgpblackholing.NewPipeline(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Prefer the dictionary archived next to the MRT files (bhgen dumps
 	// it); the world regeneration then only provides the topology for
@@ -74,7 +86,7 @@ func run(in string, scale float64, seed int64, format string) error {
 		loaded, lerr := bgpblackholing.LoadDictionary(f)
 		f.Close()
 		if lerr != nil {
-			return fmt.Errorf("load dictionary.json: %w", lerr)
+			return nil, fmt.Errorf("load dictionary.json: %w", lerr)
 		}
 		dict = loaded
 		fmt.Fprintf(os.Stderr, "bhdetect: loaded dictionary.json (%d entries)\n", len(dict.Entries()))
@@ -82,10 +94,10 @@ func run(in string, scale float64, seed int64, format string) error {
 
 	matches, err := filepath.Glob(filepath.Join(in, "*.mrt"))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(matches) == 0 {
-		return fmt.Errorf("no .mrt archives in %s", in)
+		return nil, fmt.Errorf("no .mrt archives in %s", in)
 	}
 	sort.Strings(matches)
 
@@ -100,12 +112,12 @@ func run(in string, scale float64, seed int64, format string) error {
 		name := strings.TrimSuffix(filepath.Base(m), ".dump.mrt")
 		f, err := os.Open(m)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		err = det.SeedFromRIBDump(f, name, platformOf(name))
 		f.Close()
 		if err != nil {
-			return fmt.Errorf("seed %s: %w", m, err)
+			return nil, fmt.Errorf("seed %s: %w", m, err)
 		}
 	}
 
@@ -124,7 +136,7 @@ func run(in string, scale float64, seed int64, format string) error {
 		name := strings.TrimSuffix(filepath.Base(m), ".mrt")
 		src, err := bgpblackholing.OpenMRTSource(m, name, platformOf(name))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		toClose = append(toClose, src)
 		srcs = append(srcs, src)
@@ -132,10 +144,9 @@ func run(in string, scale float64, seed int64, format string) error {
 	res, err := det.Run(context.Background(), bgpblackholing.MergeSources(srcs...),
 		bgpblackholing.WithFlushAt(time.Date(2017, 4, 1, 0, 0, 0, 0, time.UTC)))
 	if err != nil {
-		return fmt.Errorf("replay: %w", err)
+		return nil, fmt.Errorf("replay: %w", err)
 	}
-
-	return writeEvents(os.Stdout, format, res.Events)
+	return res.Events, nil
 }
 
 // writeEvents renders the events to w through one buffered writer and
@@ -162,51 +173,15 @@ func writeEvents(w io.Writer, format string, events []*bgpblackholing.Event) err
 	return nil
 }
 
-// eventRecord is the serialised form of one event.
-type eventRecord struct {
-	Prefix       string   `json:"prefix"`
-	Start        string   `json:"start"`
-	End          string   `json:"end"`
-	DurationSec  float64  `json:"duration_sec"`
-	StartUnknown bool     `json:"start_unknown,omitempty"`
-	Providers    []string `json:"providers"`
-	Users        []string `json:"users"`
-	Communities  []string `json:"communities"`
-	Platforms    []string `json:"platforms"`
-	Detections   int      `json:"detections"`
-}
-
-func toRecord(ev *bgpblackholing.Event) eventRecord {
-	rec := eventRecord{
-		Prefix:       ev.Prefix.String(),
-		Start:        ev.Start.UTC().Format(time.RFC3339),
-		End:          ev.End.UTC().Format(time.RFC3339),
-		DurationSec:  ev.Duration().Seconds(),
-		StartUnknown: ev.StartUnknown,
-		Detections:   ev.Detections,
-	}
-	rec.Providers = sortedStrings(ev.Providers, "")
-	rec.Users = sortedStrings(ev.Users, "AS")
-	rec.Communities = sortedStrings(ev.Communities, "")
-	rec.Platforms = sortedStrings(ev.Platforms, "")
-	return rec
-}
-
-// sortedStrings names a set's members, each behind prefix, in string
-// order — the order the report has always listed them in.
-func sortedStrings[T fmt.Stringer](set []T, prefix string) []string {
-	var out []string
-	for _, m := range set {
-		out = append(out, prefix+m.String())
-	}
-	sort.Strings(out)
-	return out
-}
-
+// writeJSON writes each event's record line — json.Marshal of its
+// EventRecord, the read path's one event schema — and a newline.
 func writeJSON(w io.Writer, events []*bgpblackholing.Event) error {
-	enc := json.NewEncoder(w)
 	for _, ev := range events {
-		if err := enc.Encode(toRecord(ev)); err != nil {
+		line, err := json.Marshal(bgpblackholing.NewEventRecord(ev))
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}
@@ -218,17 +193,24 @@ func writeCSV(w io.Writer, events []*bgpblackholing.Event) error {
 		return err
 	}
 	for _, ev := range events {
-		rec := toRecord(ev)
 		_, err := fmt.Fprintf(w, "%s,%s,%s,%.0f,%s,%s,%s,%s,%d\n",
-			rec.Prefix, rec.Start, rec.End, rec.DurationSec,
-			strings.Join(rec.Providers, ";"),
-			strings.Join(rec.Users, ";"),
-			strings.Join(rec.Communities, ";"),
-			strings.Join(rec.Platforms, ";"),
-			rec.Detections)
+			ev.Prefix, ev.Start.UTC().Format(time.RFC3339), ev.End.UTC().Format(time.RFC3339), ev.Duration().Seconds(),
+			joined(ev.Providers, ""), joined(ev.Users, "AS"), joined(ev.Communities, ""), joined(ev.Platforms, ""),
+			ev.Detections)
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// joined names a set's members, each behind prefix, in string order —
+// the order the report has always listed them in — separated by ';'.
+func joined[T fmt.Stringer](set []T, prefix string) string {
+	names := make([]string, len(set))
+	for i, m := range set {
+		names[i] = prefix + m.String()
+	}
+	sort.Strings(names)
+	return strings.Join(names, ";")
 }

@@ -3,13 +3,93 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"net/http/httptest"
 	"net/netip"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"bgpblackholing"
 )
+
+// archives writes bhgen's archives for days 830–850 of the seed's world
+// at scale 0.1 — what `bhgen -scale 0.1 -from 830 -to 850` writes.
+func archives(t *testing.T, seed int64) string {
+	t.Helper()
+	p, err := bgpblackholing.NewPipeline(bgpblackholing.Options{
+		Seed: seed, TopoScale: 0.1, CollectorScale: 0.1, EventScale: 0.2, Days: 850,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := p.WriteMRTArchives(dir, 830, 850); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// The CSV is pinned byte for byte at two seeds; testdata holds what the
+// binary printed before its JSON form changed.
+func TestDetectGolden(t *testing.T) {
+	for _, seed := range []int64{11, 42} {
+		var out bytes.Buffer
+		if err := run(&out, archives(t, seed), 0.1, seed, "csv"); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(fmt.Sprintf("testdata/detect.seed%d.golden", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Bytes(); !bytes.Equal(got, want) {
+			gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			for i := range min(len(gl), len(wl)) {
+				if gl[i] != wl[i] {
+					t.Fatalf("seed %d: line %d is\n%s\nwant\n%s", seed, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("seed %d: %d lines, want %d", seed, len(gl), len(wl))
+		}
+	}
+}
+
+// -format json writes the read path's record lines: a store holding the
+// run's events serves the same bytes on /events?format=ndjson.
+func TestJSONIsTheStoresRecordLines(t *testing.T) {
+	dir := archives(t, 11)
+	events, err := detect(dir, 0.1, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines bytes.Buffer
+	if err := writeEvents(&lines, "json", events); err != nil {
+		t.Fatal(err)
+	}
+	st, err := bgpblackholing.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Append(events...); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	bgpblackholing.NewStoreHandler(st, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/events?format=ndjson", nil))
+	if rec.Code != 200 {
+		t.Fatalf("/events: %d %s", rec.Code, rec.Body)
+	}
+	got, want := strings.Split(lines.String(), "\n"), strings.Split(rec.Body.String(), "\n")
+	if len(got) != len(want) || len(got) < 100 {
+		t.Fatalf("bhdetect wrote %d lines, the store served %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("line %d:\nbhdetect %s\nstore    %s", i+1, got[i], want[i])
+		}
+	}
+}
 
 var errSink = errors.New("sink full")
 

@@ -2,12 +2,7 @@ package bgpblackholing
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,83 +26,20 @@ var notFuzzed = map[string]string{
 // path from a fuzz target. A facade function whose body is return pkg.F(…)
 // is reached when pkg.F is.
 func TestEveryReaderIsFuzzed(t *testing.T) {
-	type fn struct {
-		dir, name string // name is F, or Recv.M for a method
-		decl      *ast.FuncDecl
-		imports   map[string]string // local import name → module dir
-		test      bool
-	}
-	var fns []*fn
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			dir, ok := strings.CutPrefix(p, "bgpblackholing")
-			if !ok || dir != "" && dir[0] != '/' {
-				continue
-			}
-			name := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = strings.TrimPrefix(dir, "/")
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			name := fd.Name.Name
-			if fd.Recv != nil {
-				typ := fd.Recv.List[0].Type
-				if star, ok := typ.(*ast.StarExpr); ok {
-					typ = star.X
-				}
-				if ix, ok := typ.(*ast.IndexExpr); ok {
-					typ = ix.X
-				}
-				name = typ.(*ast.Ident).Name + "." + name
-			}
-			dir := filepath.ToSlash(filepath.Dir(path))
-			if dir == "." {
-				dir = ""
-			}
-			fns = append(fns, &fn{dir, name, fd, imports, strings.HasSuffix(path, "_test.go")})
-		}
-		return nil
-	})
+	m, err := rootModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	byKey := map[string][]*fn{}    // dir.F → functions
-	byMethod := map[string][]*fn{} // M → methods named M, any receiver
-	for _, f := range fns {
-		byKey[f.dir+"."+f.name] = append(byKey[f.dir+"."+f.name], f)
-		if i := strings.IndexByte(f.name, '.'); i >= 0 {
-			byMethod[f.name[i+1:]] = append(byMethod[f.name[i+1:]], f)
+	// moduleImport is the module directory a file's import name stands for.
+	moduleImport := func(f *goFunc, name string) (string, bool) {
+		if p, ok := f.file.imports[name]; ok {
+			return moduleDir(p)
 		}
+		return "", false
 	}
-	reached := map[*fn]bool{}
-	var queue []*fn
-	visit := func(gs []*fn) {
+	reached := map[*goFunc]bool{}
+	var queue []*goFunc
+	visit := func(gs []*goFunc) {
 		for _, g := range gs {
 			if !reached[g] {
 				reached[g] = true
@@ -115,9 +47,9 @@ func TestEveryReaderIsFuzzed(t *testing.T) {
 			}
 		}
 	}
-	for _, f := range fns {
-		if f.test && strings.HasPrefix(f.name, "Fuzz") {
-			visit([]*fn{f})
+	for _, f := range m.funcs {
+		if f.file.test && strings.HasPrefix(f.name, "Fuzz") {
+			visit([]*goFunc{f})
 		}
 	}
 	for len(queue) > 0 {
@@ -126,15 +58,15 @@ func TestEveryReaderIsFuzzed(t *testing.T) {
 		ast.Inspect(f.decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
-				visit(byKey[f.dir+"."+n.Name])
+				visit(m.byKey[f.file.dir+"."+n.Name])
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := f.imports[x.Name]; ok {
-						visit(byKey[dir+"."+n.Sel.Name])
+					if dir, ok := moduleImport(f, x.Name); ok {
+						visit(m.byKey[dir+"."+n.Sel.Name])
 						return false
 					}
 				}
-				visit(byMethod[n.Sel.Name])
+				visit(m.byName[n.Sel.Name])
 			}
 			return true
 		})
@@ -160,13 +92,13 @@ func TestEveryReaderIsFuzzed(t *testing.T) {
 		return false
 	}
 	var readers []string
-	for _, f := range fns {
+	for _, f := range m.funcs {
 		last := f.name[strings.LastIndexByte(f.name, '.')+1:]
-		if f.test || !ast.IsExported(last) || !ast.IsExported(f.name) || !readsBytes(f.decl.Type) ||
+		if f.file.test || !ast.IsExported(last) || !ast.IsExported(f.name) || !readsBytes(f.decl.Type) ||
 			!slices.ContainsFunc([]string{"Parse", "Load", "Unmarshal", "Decode", "Read"}, func(p string) bool { return strings.HasPrefix(last, p) }) {
 			continue
 		}
-		key := f.dir + "." + f.name
+		key := f.key()
 		readers = append(readers, key)
 		_, listed := notFuzzed[key]
 		if body := f.decl.Body.List; len(body) == 1 {
@@ -174,8 +106,8 @@ func TestEveryReaderIsFuzzed(t *testing.T) {
 				if call, ok := ret.Results[0].(*ast.CallExpr); ok {
 					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 						if x, ok := sel.X.(*ast.Ident); ok {
-							if dir, ok := f.imports[x.Name]; ok && len(byKey[dir+"."+sel.Sel.Name]) == 1 {
-								f = byKey[dir+"."+sel.Sel.Name][0]
+							if dir, ok := moduleImport(f, x.Name); ok && len(m.byKey[dir+"."+sel.Sel.Name]) == 1 {
+								f = m.byKey[dir+"."+sel.Sel.Name][0]
 							}
 						}
 					}
