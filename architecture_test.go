@@ -120,17 +120,22 @@ func (s *archSite) typeOf(x ast.Expr) typeRef {
 }
 
 // onlyIn confines what match finds within scope to the functions ("F",
-// "T.M") and files ("dir/x.go") named in owners; no owners means never.
-// The scope must still hold a declaration, and every owner must still be
-// in it.
+// "T.M"), package-level variables ("v") and files ("dir/x.go") named in
+// owners; no owners means never. The scope must still hold a declaration,
+// and every owner must still be in it.
 func onlyIn(what string, scope archScope, match archShape, owners ...string) archCheck {
 	return func(m *goModule) (problems []string) {
 		seen := map[string]bool{}
 		for _, f := range m.files {
 			for _, decl := range f.syntax.Decls {
 				at, fn := &archSite{m: m, file: f}, ""
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					fn, at.fn = declName(fd), m.byDecl[fd]
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					fn, at.fn = declName(d), m.byDecl[d]
+				case *ast.GenDecl:
+					if vs, ok := d.Specs[0].(*ast.ValueSpec); ok && len(d.Specs) == 1 && len(vs.Names) == 1 {
+						fn = vs.Names[0].Name
+					}
 				}
 				if !scope(f, fn) {
 					continue
@@ -273,6 +278,57 @@ func waitGroupWait(at *archSite, n ast.Node) bool {
 	}
 	pkg, ok := x.X.(*ast.Ident)
 	return ok && t.file.imports[pkg.Name] == "sync" && x.Sel.Name == "WaitGroup"
+}
+
+// mounts matches a route mounted on a mux: x.Handle(…) or x.HandleFunc(…).
+func mounts(at *archSite, n ast.Node) bool {
+	return callOf(".Handle")(at, n) || callOf(".HandleFunc")(at, n)
+}
+
+// servesBackend matches a method of its package's handler type that reads
+// the Backend — selects h.be or h.store — taken as a value: an argument,
+// an element of a literal, an assignment's right-hand side.
+func servesBackend(at *archSite, n ast.Node) bool {
+	var values []ast.Expr
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		values = n.Args
+	case *ast.CompositeLit:
+		values = n.Elts
+	case *ast.AssignStmt:
+		values = n.Rhs
+	}
+	for _, v := range values {
+		if kv, ok := v.(*ast.KeyValueExpr); ok {
+			v = kv.Value
+		}
+		sel, ok := ast.Unparen(v).(*ast.SelectorExpr)
+		if !ok {
+			continue
+		}
+		for _, fn := range at.m.byKey[at.file.dir+".handler."+sel.Sel.Name] {
+			reads := false
+			ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+				reads = reads || selectorPath("be")(at, n) || selectorPath("store")(at, n)
+				return !reads
+			})
+			if reads {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// assertsBackend matches a type assertion, or a type switch, on a value
+// of its package's Backend type.
+func assertsBackend(at *archSite, n ast.Node) bool {
+	x, ok := n.(*ast.TypeAssertExpr)
+	if !ok {
+		return false
+	}
+	key, _ := at.m.named(at.typeOf(x.X))
+	return key == at.file.dir+".Backend"
 }
 
 // readsColdOpen matches x.ColdOpen and a ColdOpen: key.
@@ -691,6 +747,32 @@ func (r *RedialSource) dial(addr string) { bgpd.Establish(nil); net.SplitHostPor
 	breaks: archFixture(
 		"internal/store/store.go", `package store; type Options struct{ ColdOpen bool }; func open(o Options) bool { return o.ColdOpen }`,
 		"cmd/bhserve/main.go", `package main; import "bgpblackholing"; var opts = bgpblackholing.StoreOptions{ColdOpen: true}`),
+}, {
+	name: "one-route-table",
+	law:  "Only `newHandler` mounts a route, every GET data route is a row of `routes`, and nothing else in `http.go` type-asserts a `Backend`.",
+	checks: []archCheck{
+		onlyIn("a route mounted", archNonTest, mounts, "newHandler"),
+		onlyIn("a Backend-reading handler outside routes", archInDir(""), servesBackend, "routes"),
+		onlyIn("a Backend type-asserted", archInFile("http.go"), assertsBackend, "newHandler"),
+	},
+	breaks: archFixture("http.go", `package bgpblackholing
+import "net/http"
+type Backend interface{ Name() string }
+type handler struct{ be Backend }
+func (h *handler) events(w http.ResponseWriter, r *http.Request) { h.be.Name() }
+func (h *handler) figure8(w http.ResponseWriter, r *http.Request) { h.be.Name() }
+var routes = []struct{ pattern string; serve func(*handler, http.ResponseWriter, *http.Request) }{{"GET /events", (*handler).events}}
+func newHandler(be Backend) *http.ServeMux {
+	h, mux := &handler{be: be}, http.NewServeMux()
+	for _, rt := range routes { mux.Handle(rt.pattern, nil) }
+	mountTables(mux, h, be)
+	return mux
+}
+func mountTables(mux *http.ServeMux, h *handler, be Backend) {
+	if _, ok := be.(interface{ world() (*handler, error) }); ok {
+		mux.Handle("GET /figure8", http.HandlerFunc(h.figure8))
+	}
+}`),
 }, {
 	name:   "facade",
 	gates:  "Facade gate",

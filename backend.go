@@ -22,9 +22,7 @@ import (
 //	FederatedStore  N backends merged in global event order (federate.go)
 //
 // One HTTP handler (newHandler, http.go) serves whichever Backend it is
-// given, so a single store, a remote store, and a fan-out over shards
-// all expose the identical HTTP contract — federation is invisible to
-// clients.
+// given, each route as its row of routes says.
 
 // Figure4Sets is the mergeable wire form of the Figure 4 daily series:
 // per-day distinct-entity sets instead of counts — each entity named
@@ -201,9 +199,10 @@ const ShardsInfoVersion = 1
 
 // ShardsInfo is the version-tagged federation section of /stats.
 type ShardsInfo struct {
-	Version int         `json:"version"`
-	Failed  int         `json:"failed"`
-	Shards  []ShardStat `json:"shards"`
+	Version int `json:"version"`
+	// Failed counts the shards down, at any depth of nested routers.
+	Failed int         `json:"failed"`
+	Shards []ShardStat `json:"shards"`
 }
 
 // BackendStats is a Backend's /stats answer: the (possibly aggregated)
@@ -488,9 +487,6 @@ func (b *StoreBackend) Healthz(ctx context.Context) *ShardHealth {
 	}
 	return h
 }
-
-// world makes StoreBackend a tableBackend; p is nil without a pipeline.
-func (b *StoreBackend) world() (st *Store, p *Pipeline) { return b.st, b.p }
 
 // Close closes the underlying store.
 func (b *StoreBackend) Close() error { return b.st.Close() }

@@ -346,3 +346,35 @@ func TestDownServerYieldsPartialAnswer(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutedFigure4WarnsOfPartialAnswer: -figure4 over a router with a
+// dead shard behind it prints the surviving shard's series and the
+// partial-result warning, as an events query over the same router does.
+func TestRoutedFigure4WarnsOfPartialAnswer(t *testing.T) {
+	f := newCLIFixture(t)
+	var shards []bgpblackholing.Backend
+	for _, u := range strings.Split(f.partial, ",") {
+		rb, err := bgpblackholing.NewRemoteBackend([]string{u}, bgpblackholing.RemoteOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, rb)
+	}
+	router := httptest.NewServer(bgpblackholing.NewRouterHandler(bgpblackholing.NewFederatedStore(shards...), bgpblackholing.RouterOptions{}))
+	defer router.Close()
+
+	want, _, err := runCLI(f.config(config{server: f.shardA, figure4: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stderr, err := runCLI(f.config(config{server: router.URL, figure4: true}))
+	if err != nil {
+		t.Fatalf("a dead shard behind the router failed the run: %v", err)
+	}
+	if got != want {
+		t.Errorf("the routed series is not the surviving shard's:\n%s\nwant\n%s", got, want)
+	}
+	if !strings.Contains(stderr, "warning: 1 server(s) failed to answer; results are partial") {
+		t.Errorf("no partial-result warning on stderr: %q", stderr)
+	}
+}

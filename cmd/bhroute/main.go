@@ -31,10 +31,8 @@
 //	        -shard edge-c=http://127.0.0.1:8083
 //	bhquery -server http://127.0.0.1:8090 -origin 65001
 //
-// Routes: /events (JSON + NDJSON), /legitimacy, /figure4 (incl. the
-// shape=sets mergeable form, so routers can front other routers),
-// /stats (aggregate + per-shard block), /healthz (per-shard checks),
-// /metrics. See OPERATIONS.md for the runbook.
+// Routes: bhserve's, as NewRouterHandler describes them, plus /metrics.
+// See OPERATIONS.md for the runbook.
 package main
 
 import (

@@ -108,20 +108,25 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// querySeeds are query strings over the /events parameter set, well and
+// badly spelled: FuzzParseQuery's seeds, and what TestEveryRouteFederates
+// asks every route.
+var querySeeds = []string{
+	"",
+	"prefix=10.1.2.3&mode=lpm",
+	"prefix=2001:db8::/32&mode=covered&limit=5",
+	"from=2015-03-01T12:00:05.5Z&to=2015-03-02T00:00:00%2B02:00",
+	"origin=65001&provider=AS3356&community=3356:9999",
+	"provider=ixp:4&min_duration=90s&max_duration=1h30m&enrich=1",
+	"mode=covering&enrich=banana",
+	"from=yesterday",
+	"limit=-1",
+}
+
 // FuzzParseQuery: parseQuery never panics on an arbitrary query string,
 // and every query it accepts survives the codec unchanged.
 func FuzzParseQuery(f *testing.F) {
-	for _, seed := range []string{
-		"",
-		"prefix=10.1.2.3&mode=lpm",
-		"prefix=2001:db8::/32&mode=covered&limit=5",
-		"from=2015-03-01T12:00:05.5Z&to=2015-03-02T00:00:00%2B02:00",
-		"origin=65001&provider=AS3356&community=3356:9999",
-		"provider=ixp:4&min_duration=90s&max_duration=1h30m&enrich=1",
-		"mode=covering&enrich=banana",
-		"from=yesterday",
-		"limit=-1",
-	} {
+	for _, seed := range querySeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {

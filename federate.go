@@ -20,15 +20,9 @@ import (
 )
 
 // FederatedStore fans the Backend query surface out over N shard
-// backends and merges the answers:
-//
-//	events        per-shard streams k-way merged on RecordKey (the
-//	              global closing order), limits pushed down per shard
-//	              and re-applied after the merge
-//	figure4       per-shard entity sets unioned, then counted
-//	legitimacy    per-shard histograms summed
-//	stats         store shapes summed + a version-tagged per-shard block
-//	healthz       per-shard probes
+// backends and merges the answers; which routes that serves, and how each
+// federates, is the routes table (http.go). Events are per-shard streams
+// k-way merged on RecordKey (the global closing order).
 //
 // Because each shard's stream is already ordered by RecordKey (Seq is
 // the closing/append order) and the shards partition the events, the
@@ -42,9 +36,8 @@ import (
 // continues over the surviving shards and the failure is counted
 // (RecordSet.ShardsFailed, the X-Shards-Failed response header, the
 // stats shards block) — with the shards a nested router reports missing,
-// so events and legitimacy count losses at any depth (a shape=sets
-// answer has no field for one). Only when every shard fails does a call
-// error.
+// so every merged answer counts losses at any depth. Only when every
+// shard fails does a call error.
 //
 // Placement: stores written through Detector.SinkToShards remember which
 // shard of which plan they are, and advertise it in their stats and with
@@ -461,10 +454,8 @@ func (f *FederatedStore) merge(streams []*RecordStream, limit int) *RecordStream
 	}
 }
 
-// Figure4 implements Backend: every shard reports its per-day entity
-// sets over the same window; the union is counted. Partial failures
-// degrade (the counts cover the surviving shards; ShardsFailed says
-// so) rather than erroring.
+// Figure4 implements Backend: the union of the shards' per-day entity
+// sets over the window, counted; ShardsFailed counts the shards missing.
 func (f *FederatedStore) Figure4(ctx context.Context, start time.Time, days int) (*Figure4Result, error) {
 	sets, failed, err := f.figure4Union(ctx, start, days)
 	if err != nil {
@@ -474,16 +465,18 @@ func (f *FederatedStore) Figure4(ctx context.Context, start time.Time, days int)
 }
 
 // Figure4Sets implements Backend, letting a federation itself act as
-// one shard of a larger federation.
+// one shard of a larger federation: the sets carry the shards it lost.
 func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
-	merged, _, err := f.figure4Union(ctx, start, days)
+	merged, failed, err := f.figure4Union(ctx, start, days)
 	if err != nil {
 		return nil, err
 	}
 	sets := merged.Sets()
+	sets.ShardsFailed = failed
 	return &sets, nil
 }
 
+// figure4Union unions the shards' sets, counting the failed and those missed.
 func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int) (*analysis.Figure4Union, int, error) {
 	shardSets := make([]*Figure4Sets, len(f.backends))
 	_, failed, err := f.fanOut(f.all, func(i int, b Backend) error {
@@ -502,6 +495,7 @@ func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days
 		if err := merged.Add(s); err != nil {
 			return nil, failed, err
 		}
+		failed += s.ShardsFailed
 	}
 	return merged, failed, nil
 }
@@ -520,23 +514,17 @@ func (f *FederatedStore) LegitimacySummary(ctx context.Context, q Query) (*Legit
 	}
 	out := newLegitimacySummary()
 	out.ShardsFailed = failed
+	hists := []map[string]int{out.Legitimacy, out.RPKI, out.CommunityDoc, out.Reasons}
 	for _, s := range sums {
 		if s == nil {
 			continue
 		}
 		out.ShardsFailed += s.ShardsFailed
 		out.Total += s.Total
-		for k, v := range s.Legitimacy {
-			out.Legitimacy[k] += v
-		}
-		for k, v := range s.RPKI {
-			out.RPKI[k] += v
-		}
-		for k, v := range s.CommunityDoc {
-			out.CommunityDoc[k] += v
-		}
-		for k, v := range s.Reasons {
-			out.Reasons[k] += v
+		for i, hist := range []map[string]int{s.Legitimacy, s.RPKI, s.CommunityDoc, s.Reasons} {
+			for k, v := range hist {
+				hists[i][k] += v
+			}
 		}
 	}
 	out.ElapsedUS = time.Since(began).Microseconds()
@@ -590,6 +578,9 @@ func (f *FederatedStore) Stats(ctx context.Context) (*BackendStats, error) {
 			continue
 		}
 		row.Status = "ok"
+		if s.Shards != nil {
+			out.Shards.Failed += s.Shards.Failed // a nested router's shards down below it
+		}
 		row.Events = s.Events
 		row.Identity = s.Identity
 		agg := &out.StoreStats

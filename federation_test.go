@@ -464,7 +464,8 @@ func TestFederationPartialResults(t *testing.T) {
 // and a shard lost below the first tier is still lost. Over HTTP and in
 // process, a router whose only shard is a router missing one of its own
 // must not serve that partial answer as complete, on any answer that
-// carries a count: /events as JSON and NDJSON, and /legitimacy.
+// carries a count: /events as JSON and NDJSON, /legitimacy, and /figure4
+// counted and as sets.
 func TestFederationNestedRouterCountsLostShards(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -494,16 +495,17 @@ func TestFederationNestedRouterCountsLostShards(t *testing.T) {
 	outer := httptest.NewServer(NewRouterHandler(NewFederatedStore(remote("inner", inner.URL)), RouterOptions{}))
 	defer outer.Close()
 
-	for _, path := range []string{"/events", "/events?format=ndjson", "/legitimacy"} {
+	for _, path := range []string{"/events", "/events?format=ndjson", "/legitimacy", "/figure4", "/figure4?shape=sets"} {
 		for tier, base := range map[string]string{"inner": inner.URL, "outer": outer.URL} {
 			resp, body := get(t, base, path)
-			if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("10.0.3.0/24")) && path != "/legitimacy" {
+			if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("10.0.3.0/24")) && path != "/legitimacy" && path != "/figure4" {
 				t.Errorf("%s router %s: status %d, body %.200s", tier, path, resp.StatusCode, body)
 			}
 			if n, _ := strconv.Atoi(resp.Header.Get("X-Shards-Failed")); n < 1 {
 				t.Errorf("%s router %s: X-Shards-Failed %q, want at least 1", tier, path, resp.Header.Get("X-Shards-Failed"))
 			}
-			if path == "/legitimacy" && !bytes.Contains(body, []byte(`"shards_failed": 1`)) {
+			if path == "/legitimacy" && !bytes.Contains(body, []byte(`"shards_failed": 1`)) ||
+				path == "/figure4?shape=sets" && !bytes.Contains(body, []byte(`"shards_failed":1,`)) {
 				t.Errorf("%s router %s: body %s counts no failed shard", tier, path, body)
 			}
 		}
@@ -520,6 +522,13 @@ func TestFederationNestedRouterCountsLostShards(t *testing.T) {
 	}
 	if sum, err := nested.LegitimacySummary(ctx, Query{}); err != nil || sum.ShardsFailed < 1 {
 		t.Errorf("in process, LegitimacySummary: %+v, %v; want a failed shard", sum, err)
+	}
+	day := stallEvent(0).Start.Truncate(24 * time.Hour)
+	if fig, err := nested.Figure4(ctx, day, 1); err != nil || fig.ShardsFailed < 1 {
+		t.Errorf("in process, Figure4: %+v, %v; want a failed shard", fig, err)
+	}
+	if sets, err := nested.Figure4Sets(ctx, day, 1); err != nil || sets.ShardsFailed < 1 {
+		t.Errorf("in process, Figure4Sets: %+v, %v; want a failed shard", sets, err)
 	}
 }
 
@@ -1031,6 +1040,45 @@ func TestRemoteHostileShard(t *testing.T) {
 				t.Errorf("JSON: answering allocated %d bytes", grew)
 			}
 		})
+	}
+
+	// The answers read whole — /stats, /legitimacy and the counted
+	// /figure4 — hold one JSON value within maxShardSets bytes: a string
+	// that never ends, or a value with another after it, fails the shard
+	// as soon as it is seen, not when the timeout ends it.
+	for _, c := range []struct {
+		name string
+		body func(w io.Writer) error
+	}{
+		{"a string that never ends", func(w io.Writer) error {
+			chunk := bytes.Repeat([]byte("x"), 64<<10)
+			for _, err := io.WriteString(w, `{"x":"`); err == nil; _, err = w.Write(chunk) {
+			}
+			return nil
+		}},
+		{"a second value", func(w io.Writer) error {
+			_, err := io.WriteString(w, "null\n{\"trailing\":true}\n")
+			return err
+		}},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { c.body(w) }))
+		rb, err := NewRemoteBackend([]string{srv.URL}, RemoteOptions{Name: "hostile"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for route, call := range map[string]func() error{
+			"/stats":      func() error { _, err := rb.Stats(ctx); return err },
+			"/legitimacy": func() error { _, err := rb.LegitimacySummary(ctx, Query{}); return err },
+			"/figure4":    func() error { _, err := rb.Figure4(ctx, f.events[0].Start, 3); return err },
+		} {
+			t.Run(c.name+" on "+route, func(t *testing.T) {
+				began := time.Now()
+				if err := call(); err == nil || time.Since(began) > 10*time.Second {
+					t.Errorf("%v after %v; want the shard's failure, at once", err, time.Since(began))
+				}
+			})
+		}
+		srv.Close()
 	}
 }
 

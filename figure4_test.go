@@ -284,9 +284,10 @@ func TestFederationFigure4Bytes(t *testing.T) {
 // FuzzFigure4Sets holds the shape=sets reader to its writer, and the
 // bitset union to the per-day maps it replaced. Whatever the bytes,
 // parseFigure4Sets takes them only if they are exactly what
-// appendFigure4Sets writes for the sets it returns; and what it takes,
-// unioned with three seeded shards' sets, counts what the naive union of
-// their members counts — as the seeded shards alone count what
+// appendFigure4Sets writes for the sets it returns — the window and the
+// lost-shard count of the head included; and what it takes, unioned
+// with three seeded shards' sets, counts what the naive union of their
+// members counts — as the seeded shards alone count what
 // Figure4Partial.Merge of their partials does.
 func FuzzFigure4Sets(f *testing.F) {
 	start := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -316,10 +317,11 @@ func FuzzFigure4Sets(f *testing.F) {
 		}
 		seeded = append(seeded, read)
 		f.Add(body)
-		f.Add(body[:len(body)/2])                                                          // truncated
-		f.Add(bytes.Replace(body, []byte(`"days":4`), []byte(`"days":5`), 1))              // another window
-		f.Add(bytes.Replace(body, []byte(`T00:00:00Z`), []byte(`T01:00:00Z`), 1))          // another start
-		f.Add(bytes.Replace(body, []byte(`],"day_users"`), []byte(`,[]],"day_users"`), 1)) // a day too many
+		f.Add(body[:len(body)/2])                                                               // truncated
+		f.Add(bytes.Replace(body, []byte(`"days":4`), []byte(`"days":5`), 1))                   // another window
+		f.Add(bytes.Replace(body, []byte(`T00:00:00Z`), []byte(`T01:00:00Z`), 1))               // another start
+		f.Add(bytes.Replace(body, []byte(`],"day_users"`), []byte(`,[]],"day_users"`), 1))      // a day too many
+		f.Add(bytes.Replace(body, []byte(`"shards_failed":0`), []byte(`"shards_failed":3`), 1)) // a router that lost 3
 	}
 	union := analysis.NewFigure4Union(start, days)
 	for _, s := range seeded {
@@ -330,7 +332,17 @@ func FuzzFigure4Sets(f *testing.F) {
 	if got, want := union.Finalize(), merged.Finalize(); !reflect.DeepEqual(got, want) {
 		f.Fatalf("the union of the seeded shards' sets counts %+v, their merged partials %+v", got, want)
 	}
-	const head = `{"start":"2016-01-01T00:00:00Z","days":4,`
+	const window = `{"start":"2016-01-01T00:00:00Z","days":4,`
+	const empty = `,"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n"
+	for _, count := range []string{
+		`"shards_failed":2147483647`,
+		// counts the writer has no spelling for, or nestedFailures' bound refuses
+		`"shards_failed":2147483648`, `"shards_failed":01`, `"shards_failed":-1`, `"shards_failed":+1`,
+		`"shards_failed":"1"`, `"shards_failed":null`, `"shards_failed": 1`, `"shards_failed":1.0`, `"shards_failed":`, ``,
+	} {
+		f.Add([]byte(window + count + empty))
+	}
+	const head = window + `"shards_failed":0,`
 	for _, rest := range []string{
 		`"providers":["AS1","AS2"],"prefixes":["10.0.0.0/8"],"day_providers":[[0,1],[],[1],[]],"day_users":[[65001],[],[],[0,4294967295]],"day_prefixes":[[0],[],[],[0]]}` + "\n",
 		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
@@ -396,11 +408,15 @@ func FuzzFigure4Sets(f *testing.F) {
 			t.Fatalf("the union counts %+v, the members' maps %+v", got, want)
 		}
 		// A federation answering as a shard: the union's own sets cross the
-		// wire and count the same.
+		// wire, with the shards it lost, and count the same.
 		out := union.Sets()
+		out.ShardsFailed = sets.ShardsFailed
 		tier, err := parseFigure4Sets(string(appendFigure4Sets(nil, &out)), start, days)
 		if err != nil {
 			t.Fatalf("the union's sets do not read back: %v", err)
+		}
+		if tier.ShardsFailed != sets.ShardsFailed {
+			t.Fatalf("the union's sets miss %d shards a tier up, %d here", tier.ShardsFailed, sets.ShardsFailed)
 		}
 		above := analysis.NewFigure4Union(start, days)
 		if err := above.Add(tier); err != nil {

@@ -128,20 +128,32 @@ func NewStoreHandlerWith(st *Store, p *Pipeline, opts HandlerOptions) http.Handl
 	return newHandler(NewStoreBackend(st, p), opts)
 }
 
-// tableBackend is the optional Backend capability behind /figure8,
-// /table3 and /table4, which walk whole events and the pipeline's world
-// rather than wire records. A StoreBackend holds both in process; a
-// FederatedStore does not, so a router answers 404 there.
-type tableBackend interface {
-	world() (*Store, *Pipeline)
+// routes is every GET data route: its pattern, its handler, and whether
+// any Backend answers it — a federation merging its shards' answers — or
+// only an in-process store, which holds whole events and the world; any
+// other Backend answers a store-only route 501. TestEveryRouteFederates
+// drives every row over a store, a router and a router of routers.
+var routes = []struct {
+	pattern string
+	serve   func(h *handler, w http.ResponseWriter, r *http.Request)
+	merged  bool
+}{
+	{"GET /healthz", (*handler).healthz, true},
+	{"GET /stats", (*handler).stats, true},
+	{"GET /events", (*handler).events, true},
+	{"GET /legitimacy", (*handler).legitimacy, true},
+	{"GET /figure4", (*handler).figure4, true},
+	{"GET /figure8", (*handler).figure8, false},
+	{"GET /table3", fromWorld("deployment", (*Pipeline).Table3FromStore), false},
+	{"GET /table4", fromWorld("topology", (*Pipeline).Table4FromStore), false},
 }
 
-// newHandler is the one HTTP read surface: every route is answered from
-// the Backend alone, so bhserve (a StoreBackend) and bhroute (a
-// FederatedStore) differ only in which optional routes get mounted.
+// newHandler is the one HTTP read surface: it mounts every row of routes
+// over be, and the alerting, metrics and profiling routes opts asks for.
 func newHandler(be Backend, opts HandlerOptions) http.Handler {
 	h := &handler{be: be, det: opts.Detector, hub: opts.Hub,
 		redials: opts.RedialSources, heartbeat: opts.WatchHeartbeat}
+	h.store, _ = be.(*StoreBackend)
 	if h.heartbeat <= 0 {
 		h.heartbeat = 15 * time.Second
 	}
@@ -156,16 +168,14 @@ func newHandler(be Backend, opts HandlerOptions) http.Handler {
 		}
 		mux.Handle(pattern, fn)
 	}
-	handle("GET /healthz", http.HandlerFunc(h.healthz))
-	handle("GET /stats", http.HandlerFunc(h.stats))
-	handle("GET /events", http.HandlerFunc(h.events))
-	handle("GET /legitimacy", http.HandlerFunc(h.legitimacy))
-	handle("GET /figure4", http.HandlerFunc(h.figure4))
-	if tb, ok := be.(tableBackend); ok {
-		h.tables = tb
-		handle("GET /figure8", http.HandlerFunc(h.figure8))
-		handle("GET /table3", http.HandlerFunc(h.table3))
-		handle("GET /table4", http.HandlerFunc(h.table4))
+	for _, rt := range routes {
+		serve := rt.serve
+		if !rt.merged && h.store == nil {
+			serve = func(_ *handler, w http.ResponseWriter, r *http.Request) {
+				httpError(w, http.StatusNotImplemented, "%s needs whole events, which only an in-process store holds, not backend %q: ask a shard", r.URL.Path, be.Name())
+			}
+		}
+		handle(rt.pattern, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { serve(h, w, r) }))
 	}
 	if opts.Hub != nil {
 		handle("GET /watch", http.HandlerFunc(h.watch))
@@ -297,8 +307,8 @@ func rateLimitMiddleware(next http.Handler, rate float64, burst int) http.Handle
 }
 
 type handler struct {
-	be     Backend
-	tables tableBackend // be's table capability, nil when it has none
+	be    Backend
+	store *StoreBackend // be, when it is an in-process store: what the store-only routes read
 
 	det       *Detector       // optional: fan-out counters on /stats
 	hub       *AlertHub       // optional: /watch, /rules, hub counters
@@ -511,11 +521,8 @@ func backendError(w http.ResponseWriter, err error) {
 	httpError(w, http.StatusBadGateway, "%v", err)
 }
 
-// shardsFailedHeader exposes partial-result degradation: when any
-// shard of a federated backend failed to answer, the response is still
-// 200 but carries X-Shards-Failed so callers can tell complete answers
-// from degraded ones, shards lost at any depth. Single-store backends
-// never set it.
+// shardsFailedHeader sets X-Shards-Failed on a partial answer, still a
+// 200: the shards a federation lost, at any depth. A store never sets it.
 func shardsFailedHeader(w http.ResponseWriter, failed int) {
 	if failed > 0 {
 		w.Header().Set(shardsFailedKey, strconv.Itoa(failed))
@@ -640,6 +647,7 @@ func (h *handler) figure4(w http.ResponseWriter, r *http.Request) {
 		bufs := envelopePool.Get().(*envelopeBufs)
 		defer envelopePool.Put(bufs)
 		bufs.compact = appendFigure4Sets(bufs.compact[:0], fs)
+		shardsFailedHeader(w, fs.ShardsFailed)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(bufs.compact)
 	}
@@ -732,8 +740,8 @@ func appendFigure4Sets(dst []byte, fs *Figure4Sets) []byte {
 			dst = append(dst, ']')
 		}
 	}
-	dst = appendFigure4Window(dst, fs.Start, fs.Days)
-	names(`"providers":[`, fs.Providers)
+	dst = strconv.AppendInt(appendFigure4Window(dst, fs.Start, fs.Days), int64(fs.ShardsFailed), 10)
+	names(`,"providers":[`, fs.Providers)
 	names(`],"prefixes":[`, fs.Prefixes)
 	days(`],"day_providers":[`, fs.DayProviders)
 	days(`],"day_users":[`, fs.DayUsers)
@@ -742,10 +750,10 @@ func appendFigure4Sets(dst []byte, fs *Figure4Sets) []byte {
 }
 
 // appendFigure4Window appends the head of a shape=sets body, which says
-// what window the sets are over.
+// what window the sets are over, up to the count of shards they miss.
 func appendFigure4Window(dst []byte, start time.Time, days int) []byte {
 	dst = start.UTC().AppendFormat(append(dst, `{"start":"`...), time.RFC3339Nano)
-	return append(strconv.AppendInt(append(dst, `","days":`...), int64(days), 10), ',')
+	return append(strconv.AppendInt(append(dst, `","days":`...), int64(days), 10), `,"shards_failed":`...)
 }
 
 func (h *handler) figure8(w http.ResponseWriter, r *http.Request) {
@@ -762,8 +770,7 @@ func (h *handler) figure8(w http.ResponseWriter, r *http.Request) {
 		}
 		timeout = d
 	}
-	st, _ := h.tables.world()
-	ungrouped, grouped := st.Figure8(timeout)
+	ungrouped, grouped := h.store.st.Figure8(timeout)
 	toSecs := func(ds []time.Duration) []float64 {
 		out := make([]float64, len(ds))
 		for i, d := range ds {
@@ -780,22 +787,17 @@ func (h *handler) figure8(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (h *handler) table3(w http.ResponseWriter, r *http.Request) {
-	st, p := h.tables.world()
-	if p == nil {
-		httpError(w, http.StatusServiceUnavailable, "table3 needs the pipeline's deployment; run the server with a world")
-		return
+// fromWorld serves one of the paper's visibility tables, which a store
+// answers only with the pipeline's world: 503 without one, for it needs
+// the world's deployment or topology.
+func fromWorld[T any](needs string, table func(*Pipeline, *Store) T) func(*handler, http.ResponseWriter, *http.Request) {
+	return func(h *handler, w http.ResponseWriter, r *http.Request) {
+		if h.store.p == nil {
+			httpError(w, http.StatusServiceUnavailable, "%s needs the pipeline's %s; run the server with a world", r.URL.Path[1:], needs)
+			return
+		}
+		writeJSON(w, table(h.store.p, h.store.st))
 	}
-	writeJSON(w, p.Table3FromStore(st))
-}
-
-func (h *handler) table4(w http.ResponseWriter, r *http.Request) {
-	st, p := h.tables.world()
-	if p == nil {
-		httpError(w, http.StatusServiceUnavailable, "table4 needs the pipeline's topology; run the server with a world")
-		return
-	}
-	writeJSON(w, p.Table4FromStore(st))
 }
 
 // watch serves the SSE alert stream: one "alert" event per matched

@@ -134,6 +134,8 @@ func (p *Figure4Partial) Finalize() []DailyPoint {
 type Figure4Sets struct {
 	Start time.Time `json:"start"`
 	Days  int       `json:"days"`
+	// ShardsFailed counts the shards a federation's sets miss, at any depth.
+	ShardsFailed int `json:"shards_failed"`
 	// Providers and Prefixes are the tables: every member of any day,
 	// once, ascending.
 	Providers []string `json:"providers"`

@@ -19,10 +19,9 @@ import (
 	"unicode/utf8"
 )
 
-// RemoteBackend speaks the existing bhserve HTTP/NDJSON wire format as
-// a Backend: /events (JSON and NDJSON), /figure4 (counts and the
-// mergeable shape=sets form), /legitimacy, /stats and /healthz. It is
-// how a bhroute router — or a federated bhquery — reaches a shard.
+// RemoteBackend speaks the bhserve HTTP wire format as a Backend: the
+// merged rows of the routes table (http.go), each through one reader. It
+// is how a bhroute router — or a federated bhquery — reaches a shard.
 //
 // A backend may know several URLs for the same shard: the primary
 // (the read-write server) plus replicas (read-only opens of shipped
@@ -258,14 +257,42 @@ func (c *cancelOnClose) Close() error {
 	return err
 }
 
-// getJSON runs a hedged GET and decodes the answer.
-func (b *RemoteBackend) getJSON(ctx context.Context, path string, params url.Values, v any) error {
+// getJSON runs a hedged GET and decodes the answer into v, returning its
+// X-Shards-Failed. The answer is read whole (readAnswer) and must be one
+// JSON value and white space: anything else is the shard's failure.
+func (b *RemoteBackend) getJSON(ctx context.Context, path string, params url.Values, v any) (failed int, err error) {
 	resp, err := b.hedged(ctx, path, params)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
+	if failed, err = b.nestedFailures(resp.Header); err != nil {
+		return 0, err
+	}
+	body, err := b.readAnswer(resp.Body, maxShardSets)
+	if err != nil {
+		return 0, err
+	}
+	if err = json.Unmarshal([]byte(body), v); err != nil {
+		return 0, fmt.Errorf("shard %s: bad %s answer: %w", b.name, path, err)
+	}
+	return failed, nil
+}
+
+// readAnswer reads a shard's answer whole, through a pooled buffer: more
+// than limit bytes is the shard's failure.
+func (b *RemoteBackend) readAnswer(r io.Reader, limit int64) (string, error) {
+	var body strings.Builder
+	buf := scanBufs.Get().(*[64 << 10]byte)
+	_, err := io.CopyBuffer(&body, io.LimitReader(r, limit+1), buf[:])
+	scanBufs.Put(buf)
+	if err != nil {
+		return "", fmt.Errorf("shard %s: %w", b.name, err)
+	}
+	if int64(body.Len()) > limit {
+		return "", fmt.Errorf("shard %s: answer over %d bytes", b.name, limit)
+	}
+	return body.String(), nil
 }
 
 // maxRemoteLimit is the explicit limit a remote Records call sends
@@ -398,12 +425,12 @@ func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream
 	return &RecordStream{ShardsFailed: failed, shard: resp.Header.Get(shardIdentityHeader), next: next, close: func() { resp.Body.Close(); done() }}, nil
 }
 
-// nestedFailures reads an /events answer's X-Shards-Failed: the shards a
-// router answering as this shard is missing below it. Absent is none.
+// nestedFailures reads an answer's X-Shards-Failed: the shards a router
+// answering as this shard is missing below it. Absent is none.
 func (b *RemoteBackend) nestedFailures(h http.Header) (int, error) {
 	n, err := strconv.ParseUint(cmp.Or(h.Get(shardsFailedKey), "0"), 10, 31)
 	if err != nil {
-		err = fmt.Errorf("shard %s: bad /events answer: %s %q", b.name, shardsFailedKey, h.Get(shardsFailedKey))
+		err = fmt.Errorf("shard %s: bad answer: %s %q", b.name, shardsFailedKey, h.Get(shardsFailedKey))
 	}
 	return int(n), err
 }
@@ -619,10 +646,11 @@ func figure4Params(start time.Time, days int) url.Values {
 // Figure4 implements Backend over GET /figure4.
 func (b *RemoteBackend) Figure4(ctx context.Context, start time.Time, days int) (*Figure4Result, error) {
 	var series []DailyPoint
-	if err := b.getJSON(ctx, "/figure4", figure4Params(start, days), &series); err != nil {
+	failed, err := b.getJSON(ctx, "/figure4", figure4Params(start, days), &series)
+	if err != nil {
 		return nil, err
 	}
-	return &Figure4Result{Series: series}, nil
+	return &Figure4Result{Series: series, ShardsFailed: failed}, nil
 }
 
 // maxShardSets caps a shape=sets body, which is read whole: a window of
@@ -638,17 +666,11 @@ func (b *RemoteBackend) Figure4Sets(ctx context.Context, start time.Time, days i
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var body strings.Builder // the sets' names are substrings of it
-	buf := scanBufs.Get().(*[64 << 10]byte)
-	_, err = io.CopyBuffer(&body, io.LimitReader(resp.Body, maxShardSets+1), buf[:])
-	scanBufs.Put(buf)
+	body, err := b.readAnswer(resp.Body, maxShardSets) // the sets' names are substrings of it
 	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", b.name, err)
+		return nil, err
 	}
-	if body.Len() > maxShardSets {
-		return nil, fmt.Errorf("shard %s: bad /figure4 answer: over %d bytes", b.name, maxShardSets)
-	}
-	sets, err := parseFigure4Sets(body.String(), start, days)
+	sets, err := parseFigure4Sets(body, start, days)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: bad /figure4 answer: %w", b.name, err)
 	}
@@ -669,9 +691,16 @@ func parseFigure4Sets(body string, start time.Time, days int) (*Figure4Sets, err
 	}
 	// Every number is followed by a comma or closes one of the 3×days
 	// lists: the lists slice one allocation.
+	// The shards the sets miss, spelled as strconv does, nestedFailures' bound.
+	digits := len(rest) - len(strings.TrimLeft(rest, "0123456789"))
+	failed, err := strconv.ParseUint(rest[:digits], 10, 31)
+	if err != nil || digits > 1 && rest[0] == '0' {
+		return nil, fmt.Errorf("want a count of failed shards at %.20q", rest)
+	}
+	rest = rest[digits:]
 	p := setsScanner{rest: rest, nums: make([]uint32, 0, strings.Count(rest, ",")+3*days)}
-	fs := &Figure4Sets{Start: start, Days: days}
-	fs.Providers = p.names(`"providers":[`)
+	fs := &Figure4Sets{Start: start, Days: days, ShardsFailed: int(failed)}
+	fs.Providers = p.names(`,"providers":[`)
 	fs.Prefixes = p.names(`],"prefixes":[`)
 	fs.DayProviders = p.days(`],"day_providers":[`, days, uint64(len(fs.Providers)))
 	fs.DayUsers = p.days(`],"day_users":[`, days, 1<<32)
@@ -781,7 +810,7 @@ func (p *setsScanner) days(open string, n int, limit uint64) [][]uint32 {
 // LegitimacySummary implements Backend over GET /legitimacy.
 func (b *RemoteBackend) LegitimacySummary(ctx context.Context, q Query) (*LegitimacySummary, error) {
 	sum := newLegitimacySummary()
-	if err := b.getJSON(ctx, "/legitimacy", queryParams(q), sum); err != nil {
+	if _, err := b.getJSON(ctx, "/legitimacy", queryParams(q), sum); err != nil { // the body counts the shards failed too
 		return nil, err
 	}
 	return sum, nil
@@ -792,7 +821,7 @@ func (b *RemoteBackend) LegitimacySummary(ctx context.Context, q Query) (*Legiti
 // federation forwards its shards block.
 func (b *RemoteBackend) Stats(ctx context.Context) (*BackendStats, error) {
 	var stats BackendStats
-	if err := b.getJSON(ctx, "/stats", nil, &stats); err != nil {
+	if _, err := b.getJSON(ctx, "/stats", nil, &stats); err != nil { // the shards block counts the shards failed
 		return nil, err
 	}
 	return &stats, nil
@@ -817,8 +846,11 @@ func (b *RemoteBackend) Healthz(ctx context.Context) *ShardHealth {
 			continue
 		}
 		h := &ShardHealth{} // the /healthz body is a ShardHealth's status, events and checks
-		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(h)
+		body, err := b.readAnswer(resp.Body, 1<<20)
 		resp.Body.Close()
+		if err == nil {
+			err = json.Unmarshal([]byte(body), h)
+		}
 		if err != nil {
 			lastErr = err
 			continue

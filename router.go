@@ -8,48 +8,21 @@ import "net/http"
 // federation counters — ObserveFederation is called for you).
 type RouterOptions = HandlerOptions
 
-// NewRouterHandler serves a federated query tier over HTTP: the same
-// read surface as NewStoreHandler, answered by fanning out to the
-// federation's shard backends and merging. Routes:
-//
-//	/healthz       federation health; every shard is probed and a
-//	               down or degraded shard surfaces as a
-//	               "shard:<name>..." check (503), shard identities
-//	               that contradict each other as a "placement" check,
-//	               with the historical {"status","events"} keys intact
-//	/stats         aggregated store shape (flat StoreStats keys, so
-//	               existing decoders keep working) plus a
-//	               version-tagged "shards" block with per-shard
-//	               status, advertised identity and lifetime
-//	               request/failure/hedge/skipped counters; answering it
-//	               is also how the federation (re)reads its shards'
-//	               identities
-//	/events        federated query; same parameters as the store
-//	               handler, JSON, NDJSON or lines, sent to the one shard the
-//	               learned plan files the query's prefix on or, when it
-//	               places none, to every shard; limits pushed down per
-//	               shard and re-applied after the global merge
-//	/legitimacy    per-shard summaries, histograms summed
-//	/figure4       per-shard per-day entity sets, unioned then
-//	               counted (distinct counts stay exact across
-//	               shards); shape=sets serves the mergeable form so
-//	               routers can themselves be federated
-//	/metrics       Prometheus exposition (with Telemetry)
+// NewRouterHandler serves a federated query tier over HTTP: the same read
+// surface as NewStoreHandler, over a FederatedStore, each route as its row
+// of routes (http.go) says — merged from the shards the query can live on,
+// or 501 for the store-only /figure8, /table3 and /table4. The alerting
+// surface is absent unless a Hub is passed.
 //
 // Partial results: when some (not all) of the shards a route asked fail,
-// data routes answer 200 with the X-Shards-Failed header counting the
-// missing shards, and /stats marks the shard "down" in the shards block.
-// Only when every asked shard fails does a route answer 502 — for a
+// it still answers, counting the shards missing at any depth in the
+// X-Shards-Failed header or the body (the /stats shards block, the
+// /healthz checks). When every asked shard fails it answers 502 — for a
 // placed query that is its one owner: its events are nowhere else.
 //
 // The handler reads no identities itself: call fed.Stats once before
 // serving (bhroute does, and logs fed.Placement), or the first /stats or
 // /events request that reaches every shard does it.
-//
-// The aggregation endpoints that walk whole events (/figure8, /table3,
-// /table4) are absent — a FederatedStore has no table capability — and
-// so is the alerting surface unless a Hub is passed: both belong to the
-// shard servers, not the router.
 func NewRouterHandler(fed *FederatedStore, opts RouterOptions) http.Handler {
 	if opts.Telemetry != nil {
 		opts.Telemetry.ObserveFederation(fed)
