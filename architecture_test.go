@@ -774,6 +774,31 @@ func mountTables(mux *http.ServeMux, h *handler, be Backend) {
 	}
 }`),
 }, {
+	name: "one-figure4-accumulator",
+	law:  "Figure 4's day rule `floorDays` is called only by `Figure4Union.Observe`, and `NewFigure4Sets` only by `Figure4Union.Sets` and `StoreBackend.Figure4Sets`.",
+	checks: []archCheck{
+		onlyIn("a day bucketed", archInDir("internal/analysis"), callOf("floorDays"), "Figure4Union.Observe"),
+		onlyIn("a Figure4Sets spelled", archNonTest, func(at *archSite, n ast.Node) bool {
+			return callOf("NewFigure4Sets")(at, n) || callOf(".NewFigure4Sets")(at, n)
+		}, "Figure4Union.Sets", "StoreBackend.Figure4Sets"),
+	},
+	breaks: archFixture(
+		"internal/analysis/partial.go", `package analysis
+import "time"
+type Figure4Sets struct{}
+type Figure4Union struct{ Start time.Time }
+func floorDays(d time.Duration) int { return int(d / (24 * time.Hour)) }
+func NewFigure4Sets() Figure4Sets { return Figure4Sets{} }
+func (u *Figure4Union) Observe(end time.Time) { floorDays(end.Sub(u.Start)) }
+func (u *Figure4Union) Sets() Figure4Sets { return NewFigure4Sets() }
+type dayMaps struct{ start time.Time; prefixes []map[string]bool }
+func (p *dayMaps) Observe(end time.Time, prefix string) { p.prefixes[floorDays(end.Sub(p.start))][prefix] = true }
+func (p *dayMaps) Sets() Figure4Sets { return NewFigure4Sets() }`,
+		"backend.go", `package bgpblackholing
+import "bgpblackholing/internal/analysis"
+type StoreBackend struct{}
+func (b *StoreBackend) Figure4Sets() analysis.Figure4Sets { return analysis.NewFigure4Sets() }`),
+}, {
 	name:   "facade",
 	gates:  "Facade gate",
 	law:    "Nothing under `cmd/` or `examples/` imports a `bgpblackholing/internal/…` package.",

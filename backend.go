@@ -403,15 +403,14 @@ func (b *StoreBackend) Figure4(ctx context.Context, start time.Time, days int) (
 // Figure4Sets implements Backend the way Store.Figure4 answers the
 // counted series: from the store's per-day view when start is aligned
 // to a UTC midnight (always, over HTTP — the handler truncates), else
-// with a one-pass scan into the mergeable partial. Both produce the same
-// sets.
+// with a one-pass scan into a Figure4Union. Both produce the same sets.
 func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
 	b.st.observeQuery(false, streamed)
 	if v, ok := b.st.s.DailySets(start, days); ok {
 		sets := analysis.NewFigure4Sets(start, v.Providers, v.Prefixes, v.DayProviders, v.DayUsers, v.DayPrefixes)
 		return &sets, nil
 	}
-	p := analysis.NewFigure4Partial(start, days)
+	u := analysis.NewFigure4Union(start, days)
 	done := ctx.Done()
 	for ev := range b.st.s.All() {
 		select {
@@ -419,9 +418,9 @@ func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days in
 			return nil, ctx.Err()
 		default:
 		}
-		p.Observe(ev)
+		u.Observe(ev)
 	}
-	sets := p.Sets()
+	sets := u.Sets()
 	return &sets, nil
 }
 

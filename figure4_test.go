@@ -55,7 +55,7 @@ func checkFigure4MatchesScan(t *testing.T, st *Store, stage string) {
 
 		// The mergeable shape obeys the same law: the per-day sets read
 		// from the view are, as bytes on the wire, the scan's.
-		scan := analysis.NewFigure4Partial(w.start, w.days)
+		scan := analysis.NewFigure4Union(w.start, w.days)
 		for ev := range st.s.All() {
 			scan.Observe(ev)
 		}
@@ -282,29 +282,26 @@ func TestFederationFigure4Bytes(t *testing.T) {
 }
 
 // FuzzFigure4Sets holds the shape=sets reader to its writer, and the
-// bitset union to the per-day maps it replaced. Whatever the bytes,
-// parseFigure4Sets takes them only if they are exactly what
-// appendFigure4Sets writes for the sets it returns — the window and the
-// lost-shard count of the head included; and what it takes, unioned
-// with three seeded shards' sets, counts what the naive union of their
-// members counts — as the seeded shards alone count what
-// Figure4Partial.Merge of their partials does.
+// bitset union to per-day maps. Whatever the bytes, parseFigure4Sets
+// takes them only if they are exactly what appendFigure4Sets writes for
+// the sets it returns — the window and the lost-shard count of the head
+// included; and what it takes, unioned with three seeded shards' sets,
+// counts what the naive union of their members counts — as the seeded
+// shards alone count what one scan of all their events does.
 func FuzzFigure4Sets(f *testing.F) {
 	start := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
 	const days = 4
 	rng := rand.New(rand.NewSource(11))
 	events := nestedEvents(rng, 48) // over the first three days of 2016
-	merged := analysis.NewFigure4Partial(start, days)
+	whole := analysis.NewFigure4Union(start, days)
 	var seeded []*Figure4Sets
 	for i := 0; i < 3; i++ {
-		p := analysis.NewFigure4Partial(start, days)
+		p := analysis.NewFigure4Union(start, days)
 		for _, ev := range events[i*16 : (i+1)*16] {
 			ev.Users = core.SetOf(cmp.Compare[ASN], ASN(64500+rng.Intn(6)), ASN(64500+rng.Intn(6)))
 			ev.Providers = []ProviderRef{{Kind: ProviderAS, ASN: ASN(3000 + rng.Intn(5))}, {Kind: ProviderIXP, IXPID: rng.Intn(2)}}
 			p.Observe(ev)
-		}
-		if err := merged.Merge(p); err != nil {
-			f.Fatal(err)
+			whole.Observe(ev)
 		}
 		sets := p.Sets()
 		body := appendFigure4Sets(nil, &sets)
@@ -329,8 +326,8 @@ func FuzzFigure4Sets(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	if got, want := union.Finalize(), merged.Finalize(); !reflect.DeepEqual(got, want) {
-		f.Fatalf("the union of the seeded shards' sets counts %+v, their merged partials %+v", got, want)
+	if got, want := union.Finalize(), whole.Finalize(); !reflect.DeepEqual(got, want) {
+		f.Fatalf("the union of the seeded shards' sets counts %+v, one scan of their events %+v", got, want)
 	}
 	const window = `{"start":"2016-01-01T00:00:00Z","days":4,`
 	const empty = `,"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n"

@@ -124,20 +124,18 @@ func Figure4(events []*core.Event, start time.Time, days int) []DailyPoint {
 	return Figure4Seq(slices.Values(events), start, days)
 }
 
-// Figure4Seq is Figure4 over an event sequence — the store-backed
-// variant: it runs in one pass without materializing the event slice,
-// so a persisted longitudinal store can stream straight into it. It is
-// the single-pass form of the mergeable Figure4Partial (partial.go),
-// which the federated query layer uses to combine shards.
+// Figure4Seq is Figure4 over an event sequence, in one pass without the
+// event slice, so a persisted store can stream straight into it: every
+// event is observed into a Figure4Union (partial.go).
 func Figure4Seq(events iter.Seq[*core.Event], start time.Time, days int) []DailyPoint {
 	if days <= 0 {
 		return nil
 	}
-	p := NewFigure4Partial(start, days)
+	u := NewFigure4Union(start, days)
 	for ev := range events {
-		p.Observe(ev)
+		u.Observe(ev)
 	}
-	return p.Finalize()
+	return u.Finalize()
 }
 
 // floorDays is the number of whole 24-hour days in d, rounding toward

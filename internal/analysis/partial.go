@@ -15,114 +15,17 @@ import (
 	"bgpblackholing/internal/topology"
 )
 
-// Mergeable partial aggregates. Each paper figure/table that the
-// federated query layer serves has a Partial form obeying one law:
-//
-//	Finalize(Observe(events)) == Finalize(Merge(Observe(shard1), …))
-//
-// for any partition of the events into shards — computing the figure
-// per shard and merging the partials yields exactly the single-store
-// result (property-tested in partial_test.go). The trick is the same
-// everywhere: the figures count *distinct* providers/users/prefixes,
-// so the partial keeps the underlying sets (cheap: bounded by the
-// distinct-entity count, not the event count) and merging is set
-// union; only Finalize collapses sets to counts.
+// Mergeable aggregates. The figures count *distinct* providers, users and
+// prefixes, so their state keeps the sets (bounded by the distinct-entity
+// count, not the event count): states computed per shard union into the
+// whole's, and only Finalize counts. Figure 4 federates, through
+// Figure4Union, its one accumulator. The Figure 8 and Table 3/4 partials
+// obey the same law, Finalize(Observe(events)) ==
+// Finalize(Merge(Observe(shard1), …)) for any partition of the events, but
+// only their tests merge them: a router answers those routes 501.
 
 // ---------------------------------------------------------------------
 // Figure 4
-
-// Figure4Partial is the mergeable state behind Figure 4: per-day
-// distinct-provider / distinct-user / distinct-prefix sets over a fixed
-// [start, start+days) window. Partials merge only over identical
-// windows — the federated router computes the global window from the
-// shards' aggregated time bounds first, then asks every shard for
-// partials over that same window.
-type Figure4Partial struct {
-	Start time.Time
-	Days  int
-
-	provs    []map[string]bool
-	users    []map[bgp.ASN]bool
-	prefixes []map[string]bool
-}
-
-// NewFigure4Partial returns an empty partial over [start, start+days).
-func NewFigure4Partial(start time.Time, days int) *Figure4Partial {
-	if days < 0 {
-		days = 0
-	}
-	p := &Figure4Partial{
-		Start:    start,
-		Days:     days,
-		provs:    make([]map[string]bool, days),
-		users:    make([]map[bgp.ASN]bool, days),
-		prefixes: make([]map[string]bool, days),
-	}
-	for i := 0; i < days; i++ {
-		p.provs[i] = map[string]bool{}
-		p.users[i] = map[bgp.ASN]bool{}
-		p.prefixes[i] = map[string]bool{}
-	}
-	return p
-}
-
-// Observe credits ev to every day its span overlaps.
-func (p *Figure4Partial) Observe(ev *core.Event) {
-	d0 := floorDays(ev.Start.Sub(p.Start))
-	d1 := floorDays(ev.End.Sub(p.Start))
-	if d0 < 0 {
-		d0 = 0
-	}
-	if d1 >= p.Days {
-		d1 = p.Days - 1
-	}
-	prefix := ev.Prefix.String()
-	for d := d0; d <= d1; d++ {
-		for _, pr := range ev.Providers {
-			p.provs[d][pr.String()] = true
-		}
-		for _, u := range ev.Users {
-			p.users[d][u] = true
-		}
-		p.prefixes[d][prefix] = true
-	}
-}
-
-// Merge unions o into p. The windows must match exactly.
-func (p *Figure4Partial) Merge(o *Figure4Partial) error {
-	if !o.Start.Equal(p.Start) || o.Days != p.Days {
-		return fmt.Errorf("analysis: figure4 window mismatch: %v/%dd vs %v/%dd", p.Start, p.Days, o.Start, o.Days)
-	}
-	for d := 0; d < p.Days; d++ {
-		for k := range o.provs[d] {
-			p.provs[d][k] = true
-		}
-		for k := range o.users[d] {
-			p.users[d][k] = true
-		}
-		for k := range o.prefixes[d] {
-			p.prefixes[d][k] = true
-		}
-	}
-	return nil
-}
-
-// Finalize collapses the sets to the daily series.
-func (p *Figure4Partial) Finalize() []DailyPoint {
-	if p.Days <= 0 {
-		return nil
-	}
-	out := make([]DailyPoint, p.Days)
-	for d := 0; d < p.Days; d++ {
-		out[d] = DailyPoint{
-			Day:       p.Start.Add(time.Duration(d) * 24 * time.Hour),
-			Providers: len(p.provs[d]),
-			Users:     len(p.users[d]),
-			Prefixes:  len(p.prefixes[d]),
-		}
-	}
-	return out
-}
 
 // Figure4Sets is the wire form of the Figure 4 state, the shape a
 // shard's /figure4?shape=sets endpoint returns so the router can union
@@ -204,44 +107,13 @@ func appendBits(dst []uint32, words []uint64) []uint32 {
 	return dst
 }
 
-// Sets exports the partial in wire form.
-func (p *Figure4Partial) Sets() Figure4Sets {
-	// tabulate gives each distinct name of any day an id, first seen first.
-	tabulate := func(days []map[string]bool) (names []string, ids [][]uint32) {
-		idOf := map[string]uint32{}
-		ids = make([][]uint32, len(days))
-		for d, set := range days {
-			ids[d] = make([]uint32, 0, len(set))
-			for name := range set {
-				id, ok := idOf[name]
-				if !ok {
-					id = uint32(len(names))
-					idOf[name] = id
-					names = append(names, name)
-				}
-				ids[d] = append(ids[d], id)
-			}
-		}
-		return names, ids
-	}
-	providers, dayProviders := tabulate(p.provs)
-	prefixes, dayPrefixes := tabulate(p.prefixes)
-	dayUsers := make([][]uint32, p.Days)
-	for d, set := range p.users {
-		dayUsers[d] = make([]uint32, 0, len(set))
-		for u := range set {
-			dayUsers[d] = append(dayUsers[d], uint32(u))
-		}
-	}
-	return NewFigure4Sets(p.Start, providers, prefixes, dayProviders, dayUsers, dayPrefixes)
-}
-
-// Figure4Union is the union of shards' Figure4Sets over one window: what
-// Figure4Partial.Merge computes over partials, computed over the wire
-// form without a map per day. Each dimension gives every distinct member
-// one id, the first time any shard names it, and keeps a bitset of ids
-// per day; a shard's table is translated to ids once, its days are ORed
-// in, and Finalize counts bits.
+// Figure4Union is Figure 4's accumulator: per day of the window
+// [start, start+days), the distinct providers, users and prefixes. It
+// takes events (Observe) and shards' wire forms (Add) alike, and unions
+// only over one window: a router computes the window first, then asks
+// every shard for it. Each dimension gives every distinct member one id,
+// the first time an event or a shard names it, and keeps a bitset of ids
+// per day; Finalize counts bits.
 type Figure4Union struct {
 	Start time.Time
 	Days  int
@@ -252,13 +124,26 @@ type Figure4Union struct {
 
 // NewFigure4Union returns an empty union over [start, start+days).
 func NewFigure4Union(start time.Time, days int) *Figure4Union {
-	days = max(days, 0)
-	return &Figure4Union{
-		Start: start, Days: days,
-		providers: daySets[string]{days: days},
-		prefixes:  daySets[string]{days: days},
-		users:     daySets[uint32]{days: days},
+	u := &Figure4Union{Start: start, Days: max(days, 0)}
+	u.providers.days, u.prefixes.days, u.users.days = u.Days, u.Days, u.Days
+	return u
+}
+
+// Observe credits ev to every day of the window its span overlaps: the
+// days it starts before the end of and ends at or after the start of.
+func (u *Figure4Union) Observe(ev *core.Event) {
+	d0 := max(floorDays(ev.Start.Sub(u.Start)), 0)
+	d1 := min(floorDays(ev.End.Sub(u.Start)), u.Days-1)
+	if d0 > d1 {
+		return // before any id: the tables name members of some day only
 	}
+	for _, pr := range ev.Providers {
+		u.providers.mark(d0, d1, u.providers.id(pr.String()))
+	}
+	for _, asn := range ev.Users {
+		u.users.mark(d0, d1, u.users.id(uint32(asn)))
+	}
+	u.prefixes.mark(d0, d1, u.prefixes.id(ev.Prefix.String()))
 }
 
 // Add unions one shard's sets into u. The windows must match exactly. The
@@ -275,7 +160,7 @@ func (u *Figure4Union) Add(s *Figure4Sets) error {
 	u.prefixes.addTable(s.Prefixes, s.DayPrefixes)
 	for d, day := range s.DayUsers {
 		for _, asn := range day {
-			u.users.set(d, u.users.id(asn))
+			u.users.mark(d, d, u.users.id(asn))
 		}
 	}
 	return nil
@@ -298,8 +183,8 @@ func (u *Figure4Union) Finalize() []DailyPoint {
 	return out
 }
 
-// Sets exports the union in wire form: a federation answering as one
-// shard of a larger one.
+// Sets exports the union in wire form: a store's scan, or a federation
+// answering as one shard of a larger one.
 func (u *Figure4Union) Sets() Figure4Sets {
 	dayUsers := u.users.members()
 	for _, day := range dayUsers {
@@ -312,13 +197,17 @@ func (u *Figure4Union) Sets() Figure4Sets {
 }
 
 // daySets is one dimension of a Figure4Union: an id per distinct member
-// and, per day, a bitset over the ids, all days in one slice.
+// and, per day, a bitset over the ids. Only the days from the first to the
+// last that has held a member have a bitset, all in one slice: a window
+// of a century with members on three days costs three.
 type daySets[K comparable] struct {
 	ids   map[K]uint32
-	keys  []K // keys[id] is the member
-	days  int
+	keys  []K      // keys[id] is the member
+	days  int      // the window's
+	first int      // the first day with a bitset
+	rows  int      // how many days from first on have one
 	width int      // words per day
-	bits  []uint64 // day d's bitset is bits[d*width : (d+1)*width]
+	bits  []uint64 // day first+r's bitset is bits[r*width : (r+1)*width]
 }
 
 func (s *daySets[K]) id(k K) uint32 {
@@ -334,21 +223,47 @@ func (s *daySets[K]) id(k K) uint32 {
 	return id
 }
 
-// widen re-lays the bitsets out so that every day has a bit for width*64
-// ids.
-func (s *daySets[K]) widen(width int) {
-	wider := make([]uint64, s.days*width)
-	for d := range s.days {
-		copy(wider[d*width:], s.bits[d*s.width:(d+1)*s.width])
+// row is day d's bitset, nil if d has none.
+func (s *daySets[K]) row(d int) []uint64 {
+	if r := d - s.first; r >= 0 && r < s.rows {
+		return s.bits[r*s.width : (r+1)*s.width]
 	}
-	s.width, s.bits = width, wider
+	return nil
 }
 
-func (s *daySets[K]) set(day int, id uint32) {
-	if w := int(id>>6) + 1; w > s.width {
-		s.widen(max(w, 2*s.width)) // ids arrive one by one: double, so the copies add up to one
+// reserve lays the bitsets out again, if they must grow, so that days lo
+// to hi have one of width words or more.
+func (s *daySets[K]) reserve(lo, hi, width int) {
+	if s.rows > 0 {
+		lo, hi, width = min(lo, s.first), max(hi, s.first+s.rows-1), max(width, s.width)
+		if lo == s.first && hi-lo+1 == s.rows && width == s.width {
+			return
+		}
 	}
-	s.bits[day*s.width+int(id>>6)] |= 1 << (id & 63)
+	bits := make([]uint64, (hi-lo+1)*width)
+	for d := s.first; d < s.first+s.rows; d++ {
+		copy(bits[(d-lo)*width:], s.row(d))
+	}
+	s.first, s.rows, s.width, s.bits = lo, hi-lo+1, width, bits
+}
+
+// mark sets id's bit on days lo to hi. Members arrive one by one, so what
+// must grow at least doubles: the copies add up to one layout.
+func (s *daySets[K]) mark(lo, hi int, id uint32) {
+	first, last, width := lo, hi, int(id>>6)+1
+	if lo < s.first {
+		first = max(min(lo, s.first-s.rows), 0)
+	}
+	if end := s.first + s.rows - 1; hi > end {
+		last = min(max(hi, end+s.rows), s.days-1)
+	}
+	if width > s.width {
+		width = max(width, 2*s.width)
+	}
+	s.reserve(first, last, width)
+	for d := lo; d <= hi; d++ {
+		s.bits[(d-s.first)*s.width+int(id>>6)] |= 1 << (id & 63)
+	}
 }
 
 // addTable unions one shard's days, lists of indices into names, in.
@@ -360,12 +275,17 @@ func (s *daySets[K]) addTable(names []K, days [][]uint32) {
 	for i, k := range names {
 		global[i] = s.id(k)
 	}
-	if w := (len(s.keys) + 63) / 64; w > s.width {
-		s.widen(w)
+	lo, hi := slices.IndexFunc(days, func(day []uint32) bool { return len(day) > 0 }), len(days)-1
+	if lo < 0 {
+		return // no day has a member
 	}
-	for d, day := range days {
-		row := s.bits[d*s.width : (d+1)*s.width]
-		for _, i := range day {
+	for len(days[hi]) == 0 {
+		hi--
+	}
+	s.reserve(lo, hi, (len(s.keys)+63)/64)
+	for d := lo; d <= hi; d++ {
+		row := s.row(d)
+		for _, i := range days[d] {
 			id := global[i]
 			row[id>>6] |= 1 << (id & 63)
 		}
@@ -373,7 +293,7 @@ func (s *daySets[K]) addTable(names []K, days [][]uint32) {
 }
 
 func (s *daySets[K]) count(day int) (n int) {
-	for _, word := range s.bits[day*s.width : (day+1)*s.width] {
+	for _, word := range s.row(day) {
 		n += bits.OnesCount64(word)
 	}
 	return n
@@ -383,7 +303,7 @@ func (s *daySets[K]) count(day int) (n int) {
 func (s *daySets[K]) members() [][]uint32 {
 	out := make([][]uint32, s.days)
 	for d := range out {
-		out[d] = appendBits(make([]uint32, 0, s.count(d)), s.bits[d*s.width:(d+1)*s.width])
+		out[d] = appendBits(make([]uint32, 0, s.count(d)), s.row(d))
 	}
 	return out
 }

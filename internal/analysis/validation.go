@@ -15,8 +15,9 @@ import (
 type Validation struct {
 	// Intents is the ground-truth population (well-formed ones only).
 	Intents int
-	// DetectedPrefixOnsets counts intents whose prefix appears in at
-	// least one inferred event overlapping the intent's activity.
+	// DetectedPrefixOnsets counts intents whose prefix is the prefix of
+	// at least one inferred event, at any time: Validate compares
+	// prefixes only, never the intent's activity with the event's span.
 	DetectedPrefixOnsets int
 	// IXPIntents / DetectedIXPIntents restrict to intents that used a
 	// route server (the population with near-total visibility).

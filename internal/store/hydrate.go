@@ -358,7 +358,7 @@ type DaySets struct {
 // DailySets is DailyCounts with the members listed instead of counted:
 // per day the distinct providers, users and victim prefixes of the live
 // events overlapping it — once put in order (analysis.NewFigure4Sets),
-// exactly analysis.Figure4Partial.Sets over a scan of the store, read
+// exactly analysis.Figure4Union.Sets over a scan of the store, read
 // from the view in O(members) with no event touched, and no provider or
 // prefix printed more than once. It is what a federation asks of each shard,
 // since sets union where counts cannot. ok is false under DailyCounts'
