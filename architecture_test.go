@@ -799,6 +799,27 @@ import "bgpblackholing/internal/analysis"
 type StoreBackend struct{}
 func (b *StoreBackend) Figure4Sets() analysis.Figure4Sets { return analysis.NewFigure4Sets() }`),
 }, {
+	name: "one-read-walk",
+	law:  "The store reads events one way: only its read walk calls `candidates` and `matches`.",
+	checks: []archCheck{
+		onlyIn("a candidates call", archInDir("internal/store"), callOf(".candidates"), "Store.walk"),
+		onlyIn("a matches call", archInDir("internal/store"), callOf("matches"), "cursor.each"),
+	},
+	breaks: archFixture("internal/store/query.go", `package store
+type Filter struct{}
+type Store struct{ slots []*int }
+type cursor struct{ f Filter; slots []*int }
+func matches(ev *int, f Filter) bool { return ev != nil }
+func (s *Store) candidates(f Filter) []int32 { return nil }
+func (s *Store) walk(f Filter) cursor { s.candidates(f); return cursor{f, s.slots} }
+func (c *cursor) each(yield func(*int) bool) {
+	for _, ev := range c.slots { if matches(ev, c.f) && !yield(ev) { return } }
+}
+func (s *Store) Query(f Filter) (n int) {
+	for _, ord := range s.candidates(f) { if matches(s.slots[ord], f) { n++ } }
+	return n
+}`),
+}, {
 	name:   "facade",
 	gates:  "Facade gate",
 	law:    "Nothing under `cmd/` or `examples/` imports a `bgpblackholing/internal/…` package.",

@@ -366,6 +366,9 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	b.st.observeQuery(q.Enrich, streamed)
 	next, stop := iter.Pull(b.st.s.QuerySeq(q.filter()))
 	done := ctx.Done()
@@ -397,7 +400,11 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 // Figure4 implements Backend over the store's (possibly materialized)
 // daily series.
 func (b *StoreBackend) Figure4(ctx context.Context, start time.Time, days int) (*Figure4Result, error) {
-	return &Figure4Result{Series: b.st.Figure4(start, days)}, nil
+	series, err := b.st.figure4(ctx, start, days)
+	if err != nil {
+		return nil, err
+	}
+	return &Figure4Result{Series: series}, nil
 }
 
 // Figure4Sets implements Backend the way Store.Figure4 answers the
@@ -410,15 +417,9 @@ func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days in
 		sets := analysis.NewFigure4Sets(start, v.Providers, v.Prefixes, v.DayProviders, v.DayUsers, v.DayPrefixes)
 		return &sets, nil
 	}
-	u := analysis.NewFigure4Union(start, days)
-	done := ctx.Done()
-	for ev := range b.st.s.All() {
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
-		}
-		u.Observe(ev)
+	u, err := b.st.figure4Scan(ctx, start, days)
+	if err != nil {
+		return nil, err
 	}
 	sets := u.Sets()
 	return &sets, nil

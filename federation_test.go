@@ -1144,18 +1144,49 @@ func TestFederationOneShardIsIdentity(t *testing.T) {
 	}
 }
 
-// TestFederationRecordsCancelled: a materialized answer honours its
-// context like a streamed one — a store stops before it projects a
-// match, and a federation over it reports why every shard failed.
+// TestFederationRecordsCancelled: every call that walks a store honours
+// its context as the Backend contract says — a cancelled call returns
+// ctx.Err() — whether it materializes, streams, scans for Figure 4 or
+// sums through the annotator, on a store and on a federation over it.
+// The same calls under a live context answer.
 func TestFederationRecordsCancelled(t *testing.T) {
-	be := NewStoreBackend(storeFixture(t), nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if rs, err := be.Records(ctx, Query{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("StoreBackend.Records under a cancelled context: %v, %v; want context.Canceled", rs, err)
+	st := storeFixture(t)
+	st.SetAnnotator(fixtureAnnotator())
+	be := NewStoreBackend(st, nil)
+	unaligned := time.Date(2015, 3, 1, 6, 0, 0, 0, time.UTC) // no per-day view answers it: a scan
+	calls := []struct {
+		name string
+		call func(context.Context, Backend) error
+	}{
+		{"Records", func(ctx context.Context, b Backend) error { _, err := b.Records(ctx, Query{}); return err }},
+		{"RecordLines", func(ctx context.Context, b Backend) error {
+			rs, err := b.RecordLines(ctx, Query{})
+			if err != nil {
+				return err
+			}
+			defer rs.Close()
+			_, err = rs.Next()
+			return err
+		}},
+		{"Figure4", func(ctx context.Context, b Backend) error { _, err := b.Figure4(ctx, unaligned, 5); return err }},
+		{"Figure4Sets", func(ctx context.Context, b Backend) error { _, err := b.Figure4Sets(ctx, unaligned, 5); return err }},
+		{"LegitimacySummary", func(ctx context.Context, b Backend) error { _, err := b.LegitimacySummary(ctx, Query{}); return err }},
 	}
-	if rs, err := NewFederatedStore(be).Records(ctx, Query{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("FederatedStore.Records under a cancelled context: %v, %v; want context.Canceled", rs, err)
+	backends := []struct {
+		name string
+		b    Backend
+	}{{"StoreBackend", be}, {"FederatedStore", NewFederatedStore(be)}}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range calls {
+		for _, b := range backends {
+			if err := c.call(cancelled, b.b); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s.%s under a cancelled context: %v; want context.Canceled", b.name, c.name, err)
+			}
+			if err := c.call(context.Background(), b.b); err != nil {
+				t.Errorf("%s.%s: %v", b.name, c.name, err)
+			}
+		}
 	}
 	if rs, err := be.Records(context.Background(), Query{}); err != nil || len(rs.Records) != 3 {
 		t.Errorf("StoreBackend.Records: %v, %v; want the fixture's 3 records", rs, err)

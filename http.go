@@ -554,6 +554,9 @@ func setShardIdentity(w http.ResponseWriter, id string) {
 func (h *handler) streamRecordLines(ctx context.Context, w http.ResponseWriter, q Query) {
 	rs, err := h.be.RecordLines(ctx, q)
 	if err != nil {
+		if ctx.Err() != nil {
+			return // client went away; nothing to write
+		}
 		backendError(w, err)
 		return
 	}

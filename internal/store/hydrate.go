@@ -90,33 +90,21 @@ func (s *Store) indexAt(ev *core.Event, ord int32) {
 // postings — and Result.Scanned — stay byte-identical to an
 // always-warm store's.
 func (s *Store) segTouches(m *segSummary, f Filter) bool {
-	if f.Prefix.IsValid() {
+	switch {
+	case f.Prefix.IsValid():
 		return m.mayMatchPrefix(f.Prefix, f.Mode)
-	}
-	if f.User != 0 {
+	case f.User != 0:
 		var kb [10]byte
 		return m.users.mayContain(bloomUserKey(kb[:0], uint64(f.User)))
-	}
-	if f.Provider != nil {
+	case f.Provider != nil:
 		var kb [24]byte
 		return m.providers.mayContain(bloomProviderKey(kb[:0], *f.Provider))
-	}
-	if f.Community != 0 {
+	case f.Community != 0:
 		var kb [10]byte
 		return m.communities.mayContain(bloomUserKey(kb[:0], uint64(f.Community)))
-	}
-	if !f.From.IsZero() || !f.To.IsZero() {
-		from, to := f.From, f.To
-		if from.IsZero() {
-			from = s.minStart
-		}
-		if to.IsZero() {
-			to = s.maxEnd
-		}
-		if from.IsZero() || to.IsZero() || to.Before(from) {
-			return false
-		}
-		return m.mayMatchTime(unixDay(from), unixDay(to))
+	case !f.From.IsZero() || !f.To.IsZero():
+		from, to := s.dayWindow(f)
+		return from <= to && m.mayMatchTime(from, to)
 	}
 	return true
 }
@@ -150,8 +138,8 @@ func (s *Store) ensureHydrated(f Filter) {
 // hydrateWhereLocked hydrates the lazy segments matching pred under
 // the held write lock. The sealed set is re-examined under the lock (a
 // concurrent hydration or compaction may have gotten there first), and
-// s.slots is copy-on-write-cloned once per batch so snapshots handed
-// out by All and QuerySeq never observe slots mutating.
+// s.slots is copy-on-write-cloned once per batch so the read walk's
+// snapshots never observe slots mutating.
 func (s *Store) hydrateWhereLocked(pred func(*segFile) bool) {
 	if s.closed {
 		return

@@ -107,25 +107,20 @@ type Result struct {
 // Query runs a filter against the in-memory indexes. The narrowest
 // applicable index (prefix trie, then user / provider / community
 // postings, then time buckets) supplies the candidate set; remaining
-// filters verify each candidate. No raw BGP data is touched.
+// filters verify each candidate. No raw BGP data is touched. Query is
+// the read walk folded into a Result: the read lock is held only while
+// the walk takes its snapshot, never while it matches, so a long query
+// holds up no append — and no query queued behind that append.
 func (s *Store) Query(f Filter) Result {
-	s.ensureHydrated(f)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-
-	cands, all := s.candidates(f)
-	res := Result{}
-	if all {
-		res.Scanned = s.live
-		for ord := range s.slots {
-			s.consider(&res, int32(ord), f)
+	c := s.walk(f)
+	res := Result{Scanned: c.scanned}
+	c.each(func(ev *core.Event) bool {
+		res.Total++
+		if f.Limit <= 0 || len(res.Events) < f.Limit {
+			res.Events = append(res.Events, ev)
 		}
-		return res
-	}
-	res.Scanned = len(cands)
-	for _, ord := range cands {
-		s.consider(&res, ord, f)
-	}
+		return true
+	})
 	return res
 }
 
@@ -133,81 +128,85 @@ func (s *Store) Query(f Filter) Result {
 // are yielded one at a time, in append (closing) order, without ever
 // materializing the full result set — the HTTP layer's NDJSON streaming
 // drains it incrementally, so an uncapped query over a production-scale
-// store stays O(1) in memory. The candidate set and event slots are
-// snapshotted under the read lock, then iteration proceeds without it
-// (events are immutable and the slot slice is copy-on-write), so a slow
-// consumer never blocks appends. Limit is honoured; Total/Scanned
-// accounting is Query's job.
+// store stays O(1) in memory. It is the read walk cut at Limit: the
+// snapshot is taken when QuerySeq is called, so a slow consumer never
+// blocks appends and sees none of them. Total/Scanned accounting is
+// Query's job.
 func (s *Store) QuerySeq(f Filter) iter.Seq[*core.Event] {
-	s.ensureHydrated(f)
-	s.mu.RLock()
-	slots := s.snapshot().slots
-	cands, all := s.candidates(f)
-	if !all {
-		// Postings lists are mutated in place by later appends and
-		// erasures; the snapshot must not alias them.
-		cands = slices.Clone(cands)
-	}
-	s.mu.RUnlock()
+	c := s.walk(f)
 	return func(yield func(*core.Event) bool) {
 		yielded := 0
-		emit := func(ord int32) bool {
-			ev := slots[ord].ev
-			if ev == nil || !matches(ev, f) {
-				return true
-			}
-			if !yield(ev) {
-				return false
-			}
+		c.each(func(ev *core.Event) bool {
 			yielded++
-			return f.Limit <= 0 || yielded < f.Limit
+			return yield(ev) && (c.f.Limit <= 0 || yielded < c.f.Limit)
+		})
+	}
+}
+
+// cursor is the store's one read walk over a filter: the slots and the
+// candidate ordinals as they stood under the read lock (Store.walk),
+// matched without it (each). Both are the cursor's own — the slots are
+// copy-on-write and the candidates a copy — so appends, erasures,
+// hydrations and compactions after the snapshot do not reach it.
+type cursor struct {
+	f       Filter
+	slots   []slot
+	ords    []int32 // the candidates, when an index applies
+	all     bool    // no index applies: every slot is a candidate
+	scanned int
+}
+
+// walk takes a cursor's snapshot: it hydrates what the filter can touch,
+// then, under the read lock, the slots, the candidates and the count of
+// live events they stand for.
+func (s *Store) walk(f Filter) cursor {
+	s.ensureHydrated(f)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c := cursor{f: f, slots: s.snapshot().slots}
+	if c.ords, c.all = s.candidates(f); c.all {
+		c.scanned = s.live
+	} else {
+		c.scanned = len(c.ords)
+	}
+	return c
+}
+
+// each yields the cursor's matches in append order until yield returns
+// false. A nil slot is a dead event (tombstoned or superseded); index
+// postings no longer reference those, but the full scan walks every
+// ordinal.
+func (c *cursor) each(yield func(*core.Event) bool) {
+	n := len(c.ords)
+	if c.all {
+		n = len(c.slots)
+	}
+	for i := range n {
+		ord := i
+		if !c.all {
+			ord = int(c.ords[i])
 		}
-		if all {
-			for ord := range slots {
-				if !emit(int32(ord)) {
-					return
-				}
-			}
+		if ev := c.slots[ord].ev; ev != nil && matches(ev, c.f) && !yield(ev) {
 			return
 		}
-		for _, ord := range cands {
-			if !emit(ord) {
-				return
-			}
-		}
 	}
 }
 
-// consider applies the full filter to one candidate ordinal. A nil slot
-// is a dead event (tombstoned or superseded); index postings no longer
-// reference those, but the full-scan path walks every ordinal.
-func (s *Store) consider(res *Result, ord int32, f Filter) {
-	ev := s.slots[ord].ev
-	if ev == nil || !matches(ev, f) {
-		return
-	}
-	res.Total++
-	if f.Limit <= 0 || len(res.Events) < f.Limit {
-		res.Events = append(res.Events, ev)
-	}
-}
-
-// candidates picks the narrowest index posting set for the filter; all
-// is true when no index applies (full scan).
+// candidates picks the narrowest index posting set for the filter, as a
+// list of its own: a cursor reads its candidates without the lock, and
+// hydration inserts ordinals into postings lists in place. all is true
+// when no index applies (full scan).
 func (s *Store) candidates(f Filter) (ords []int32, all bool) {
-	if f.Prefix.IsValid() {
+	switch {
+	case f.Prefix.IsValid():
 		return s.prefixCandidates(f), false
-	}
-	if f.User != 0 {
-		return s.byUser[f.User], false
-	}
-	if f.Provider != nil {
-		return s.byProvider[*f.Provider], false
-	}
-	if f.Community != 0 {
-		return s.byCommunity[f.Community], false
-	}
-	if !f.From.IsZero() || !f.To.IsZero() {
+	case f.User != 0:
+		return slices.Clone(s.byUser[f.User]), false
+	case f.Provider != nil:
+		return slices.Clone(s.byProvider[*f.Provider]), false
+	case f.Community != 0:
+		return slices.Clone(s.byCommunity[f.Community]), false
+	case !f.From.IsZero() || !f.To.IsZero():
 		return s.timeCandidates(f), false
 	}
 	return nil, true
@@ -219,13 +218,10 @@ func (s *Store) prefixCandidates(f Filter) []int32 {
 	var lists [][]int32
 	switch f.Mode {
 	case PrefixExact:
-		if ords := s.trie.Exact(f.Prefix); ords != nil {
-			lists = append(lists, ords)
-		}
+		return slices.Clone(s.trie.Exact(f.Prefix))
 	case PrefixLPM:
-		if _, ords, ok := s.trie.LPM(f.Prefix); ok {
-			lists = append(lists, ords)
-		}
+		_, ords, _ := s.trie.LPM(f.Prefix)
+		return slices.Clone(ords)
 	case PrefixCovered:
 		for _, m := range s.trie.Covered(f.Prefix) {
 			lists = append(lists, m.Ords)
@@ -240,18 +236,9 @@ func (s *Store) prefixCandidates(f Filter) []int32 {
 
 // timeCandidates unions the day buckets overlapping [From, To].
 func (s *Store) timeCandidates(f Filter) []int32 {
-	from, to := f.From, f.To
-	if from.IsZero() {
-		from = s.minStart
-	}
-	if to.IsZero() {
-		to = s.maxEnd
-	}
-	if from.IsZero() || to.IsZero() || to.Before(from) {
-		return nil
-	}
+	from, to := s.dayWindow(f)
 	var lists [][]int32
-	for d := unixDay(from); d <= unixDay(to); d++ {
+	for d := from; d <= to; d++ {
 		if ords := s.byDay[d]; len(ords) > 0 {
 			lists = append(lists, ords)
 		}
@@ -259,25 +246,31 @@ func (s *Store) timeCandidates(f Filter) []int32 {
 	return mergeOrds(lists)
 }
 
-// mergeOrds unions sorted postings lists into one sorted, deduplicated
-// list. Single-list unions are returned as-is (no copy).
+// dayWindow is the filter's [From, To] in unix days, an open side
+// bounded by the store's own span: empty (from > to) when there is none.
+func (s *Store) dayWindow(f Filter) (from, to int64) {
+	lo, hi := f.From, f.To
+	if lo.IsZero() {
+		lo = s.minStart
+	}
+	if hi.IsZero() {
+		hi = s.maxEnd
+	}
+	if lo.IsZero() || hi.IsZero() || hi.Before(lo) {
+		return 1, 0
+	}
+	return unixDay(lo), unixDay(hi)
+}
+
+// mergeOrds unions sorted postings lists into one new sorted,
+// deduplicated list.
 func mergeOrds(lists [][]int32) []int32 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
+	out := slices.Concat(lists...)
+	if len(lists) > 1 {
+		slices.Sort(out)
+		out = slices.Compact(out)
 	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]int32, 0, total)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	return out
 }
 
 // matches applies every filter dimension to one event.
@@ -318,14 +311,12 @@ func prefixMatches(got netip.Prefix, f Filter) bool {
 	switch f.Mode {
 	case PrefixExact:
 		return got == q
-	case PrefixLPM:
-		// Candidate sets already narrowed to the single longest match;
-		// for verification accept any stored prefix containing q.
+	case PrefixLPM, PrefixCovering:
+		// An LPM candidate set is already narrowed to the longest match;
+		// verification accepts any stored prefix containing q.
 		return got.Bits() <= q.Bits() && got.Contains(q.Addr())
 	case PrefixCovered:
 		return got.Bits() >= q.Bits() && q.Contains(got.Addr())
-	case PrefixCovering:
-		return got.Bits() <= q.Bits() && got.Contains(q.Addr())
 	}
 	return false
 }

@@ -281,8 +281,8 @@ type Store struct {
 // segment whose file holds its record: slots, one per ordinal in append
 // order, and the DeletePrefix directives in force. Both are
 // copy-on-write — every in-place write clones the slice first — so a
-// snapshot (All, QuerySeq, a compaction's phase 1) stays safe to read
-// without the lock.
+// snapshot (a read walk's cursor, a compaction's phase 1) stays safe to
+// read without the lock.
 type ledgers struct {
 	slots []slot
 	tombs []tomb
@@ -1186,22 +1186,11 @@ func (s *Store) Stats() Stats {
 }
 
 // All returns the stored live events in append order, as a snapshot:
-// events appended or erased after the call are not reflected. On a
-// cold-opened store this warms every remaining lazy segment first — an
-// unfiltered walk touches everything by definition.
-func (s *Store) All() iter.Seq[*core.Event] {
-	s.ensureHydrated(Filter{})
-	s.mu.RLock()
-	slots := s.snapshot().slots
-	s.mu.RUnlock()
-	return func(yield func(*core.Event) bool) {
-		for _, sl := range slots {
-			if sl.ev != nil && !yield(sl.ev) {
-				return
-			}
-		}
-	}
-}
+// events appended or erased after the call are not reflected. It is
+// QuerySeq's walk under the zero filter, so on a cold-opened store it
+// warms every remaining lazy segment first — an unfiltered walk touches
+// everything by definition.
+func (s *Store) All() iter.Seq[*core.Event] { return s.QuerySeq(Filter{}) }
 
 func (s *Store) compactLoop() {
 	defer close(s.compactDone)

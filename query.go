@@ -2,6 +2,7 @@ package bgpblackholing
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"iter"
@@ -152,7 +153,7 @@ func OpenStoreWith(dir string, opts StoreOptions) (*Store, error) {
 // on another shard, whole.
 func (st *Store) Append(events ...*Event) error {
 	if id := st.shard.Load(); id != nil {
-		if err := id.owns(events); err != nil {
+		if err := id.owns(slices.Values(events)); err != nil {
 			return err
 		}
 	}
@@ -160,8 +161,8 @@ func (st *Store) Append(events ...*Event) error {
 }
 
 // owns reports the first of events the plan files on another shard.
-func (id *shardIdentity) owns(events []*Event) error {
-	for _, ev := range events {
+func (id *shardIdentity) owns(events iter.Seq[*Event]) error {
+	for ev := range events {
 		if k := id.plan.Shard(ev); k != id.index {
 			return fmt.Errorf("store is shard %q: event for %s belongs to shard %d", id, ev.Prefix, k)
 		}
@@ -181,7 +182,7 @@ func (st *Store) stamp(plan ShardPlan, index int) error {
 	if st.shard.Load() != nil {
 		return st.s.SetIdentity(id.String()) // nil for the identity it has, ErrIdentity for another
 	}
-	if err := id.owns(st.Events()); err != nil {
+	if err := id.owns(st.s.All()); err != nil {
 		return err
 	}
 	if err := st.s.SetIdentity(id.String()); err != nil {
@@ -223,11 +224,6 @@ func (st *Store) Compact(policy CompactionPolicy) (CompactStats, error) {
 // erased now.
 func (st *Store) DeletePrefix(prefix netip.Prefix, upTo time.Time) (int, error) {
 	return st.s.DeletePrefix(prefix, upTo)
-}
-
-// Events returns every stored event in append (closing) order.
-func (st *Store) Events() []*Event {
-	return slices.Collect(st.s.All())
 }
 
 // Query selects stored events; the zero value matches everything.
@@ -352,6 +348,13 @@ func (st *Store) QuerySeq(q Query) iter.Seq[*Event] {
 // numbers (the alignment is exactly what makes scan day-bucketing
 // coincide with calendar-day overlap).
 func (st *Store) Figure4(start time.Time, days int) []DailyPoint {
+	series, _ := st.figure4(context.Background(), start, days) // only a cancelled scan fails
+	return series
+}
+
+// figure4 is Figure4 under ctx: a scan stops with ctx.Err() once ctx is
+// cancelled.
+func (st *Store) figure4(ctx context.Context, start time.Time, days int) ([]DailyPoint, error) {
 	if counts, ok := st.s.DailyCounts(start, days); ok {
 		out := make([]DailyPoint, days)
 		for d := range out {
@@ -362,9 +365,31 @@ func (st *Store) Figure4(start time.Time, days int) []DailyPoint {
 				Prefixes:  counts[d].Prefixes,
 			}
 		}
-		return out
+		return out, nil
 	}
-	return analysis.Figure4Seq(st.s.All(), start, days)
+	u, err := st.figure4Scan(ctx, start, days)
+	if err != nil {
+		return nil, err
+	}
+	return u.Finalize(), nil
+}
+
+// figure4Scan is Figure 4's one scan, for a start no per-day view
+// answers — the counted series and the shard sets alike: every stored
+// event observed into a union over the window, in one pass that stops
+// with ctx.Err() once ctx is cancelled.
+func (st *Store) figure4Scan(ctx context.Context, start time.Time, days int) (*analysis.Figure4Union, error) {
+	u := analysis.NewFigure4Union(start, days)
+	done := ctx.Done()
+	for ev := range st.s.All() {
+		select {
+		case <-done:
+			return nil, ctx.Err()
+		default:
+		}
+		u.Observe(ev)
+	}
+	return u, nil
 }
 
 // Figure8 computes the raw and grouped duration distributions from the

@@ -11,12 +11,17 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"weak"
 
 	"bgpblackholing/internal/store"
 )
+
+// Events is every stored event in append (closing) order, collected
+// from the store's read walk: the tests' view of what a store holds.
+func (st *Store) Events() []*Event { return slices.Collect(st.s.All()) }
 
 func populatedStore(t *testing.T, dir string, opts StoreOptions) (*Store, []*Event) {
 	t.Helper()
