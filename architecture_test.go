@@ -701,6 +701,23 @@ func (k *lineKey) set() { json.Valid(nil) }
 func (b *RemoteBackend) Figure4Sets() { parseFigure4Sets() }
 func parseFigure4Sets() {}`),
 }, {
+	name: "one-json-layout",
+	law:  "No non-test file of the root package calls `json.Indent`, `json.MarshalIndent` or `(*json.Encoder).SetIndent`: its answers are laid out by `indentValue`, called only by itself, `appendIndented` and `appendEnvelope`.",
+	checks: []archCheck{
+		onlyIn("a library layout", archInDir(""), func(at *archSite, n ast.Node) bool {
+			return pkgRef("encoding/json", "Indent", "MarshalIndent")(at, n) || callOf(".SetIndent")(at, n)
+		}),
+		onlyIn("an indentValue call", archInDir(""), callOf("indentValue"), "indentValue", "appendIndented", "appendEnvelope"),
+	},
+	breaks: archFixture("http.go", `package bgpblackholing
+import ("bytes"; "encoding/json"; "io")
+func indentValue(dst, b []byte, i, depth int) ([]byte, int) { return indentValue(dst, b, i+1, depth+1) }
+func appendIndented(dst, src []byte) ([]byte, int) { return indentValue(dst, src, 0, 0) }
+func appendEnvelope(dst, line []byte) ([]byte, int) { return indentValue(dst, line, 0, 2) }
+func writeJSON(w io.Writer, v any) { enc := json.NewEncoder(w); enc.SetIndent("", "  "); enc.Encode(v) }
+func writeSet(dst *bytes.Buffer, src []byte) { json.Indent(dst, src, "", "  "); indentValue(nil, src, 0, 1) }
+func writeTable(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") }`),
+}, {
 	name:  "one-codec-per-byte-format",
 	gates: "one codec per byte format",
 	law:   "Only `internal/store/segment.go` calls `crc32.ChecksumIEEE`, and only `internal/bgp/wire.go` loops over the 16-byte BGP marker.",

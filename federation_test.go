@@ -969,9 +969,8 @@ func TestRemoteHostileShard(t *testing.T) {
 			for _, line := range recordsOf(body) {
 				rs.Records = append(rs.Records, RecordLine{Line: line})
 			}
-			var indented bytes.Buffer
-			json.Indent(&indented, appendEnvelope(nil, rs), "", "  ")
-			w.Write(indented.Bytes())
+			envelope, _ := appendEnvelope(nil, rs)
+			w.Write(envelope)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

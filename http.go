@@ -1,7 +1,6 @@
 package bgpblackholing
 
 import (
-	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -322,12 +321,81 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// writeJSON answers v in json.Encoder's bytes under SetIndent("", "  ")
+// — json.Marshal's and a newline, laid out — or, when v does not encode,
+// with a 500.
 func writeJSON(w http.ResponseWriter, v any) {
+	compact, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding the answer: %v", err)
+		return
+	}
+	buf := answerPool.Get().(*[]byte)
+	defer answerPool.Put(buf)
+	*buf, _ = appendIndented((*buf)[:0], append(compact, '\n')) // what Marshal writes is JSON
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(*buf)
 }
+
+// appendIndented appends src laid out as json.Indent(dst, src, "", "  ")
+// lays it out, and fails where that fails (FuzzIndentJSON holds it to
+// the library): the value's tokens, each member and each closer of a
+// non-empty container on a line of its own, ": " after a key, and the
+// white space after the value copied.
+func appendIndented(dst, src []byte) ([]byte, error) {
+	dst, end := indentValue(dst, src, skipSpace(src, 0), 0)
+	if end < 0 || skipSpace(src, end) != len(src) {
+		return dst, errors.New("not a JSON value")
+	}
+	return append(dst, src[end:]...), nil
+}
+
+// indentValue appends the JSON value starting at b[i] laid out with depth
+// containers open around it, and returns the index after it in b, or -1
+// if there is none by encoding/json's grammar (remote.go's).
+func indentValue(dst, b []byte, i, depth int) ([]byte, int) {
+	if end := skipScalar(b, i); end >= 0 {
+		return append(dst, b[i:end]...), end
+	}
+	if depth++; i >= len(b) || b[i] != '{' && b[i] != '[' || depth > maxJSONDepth {
+		return dst, -1
+	}
+	c := b[i]
+	closer := c + 2 // '}' is '{'+2 and ']' is '['+2
+	dst = append(dst, c)
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == closer {
+		return append(dst, closer), i + 1
+	}
+	for {
+		dst = append(dst, newline[:1+2*depth]...)
+		if c == '{' {
+			end, _ := skipString(b, i)
+			if end < 0 {
+				return dst, -1
+			}
+			dst = append(append(dst, b[i:end]...), ':', ' ')
+			if i = skipSpace(b, end); i >= len(b) || b[i] != ':' {
+				return dst, -1
+			}
+			i = skipSpace(b, i+1)
+		}
+		var end int
+		if dst, end = indentValue(dst, b, i, depth); end < 0 {
+			return dst, -1
+		}
+		if i = skipSpace(b, end); i >= len(b) || b[i] != closer && b[i] != ',' {
+			return dst, -1
+		}
+		if b[i] == closer {
+			return append(append(dst, newline[:2*depth-1]...), closer), i + 1
+		}
+		dst = append(dst, ',')
+		i = skipSpace(b, i+1)
+	}
+}
+
+// newline[:1+2*depth] starts a line at depth, two spaces a level.
+var newline = "\n" + strings.Repeat("  ", maxJSONDepth)
 
 // healthz is liveness + readiness in one probe. Liveness is implicit
 // (the handler answered); readiness degrades — and the status code
@@ -441,33 +509,25 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 		backendError(w, err)
 		return
 	}
-	bufs := envelopePool.Get().(*envelopeBufs)
-	defer envelopePool.Put(bufs)
+	buf := answerPool.Get().(*[]byte)
+	defer answerPool.Put(buf)
+	hdr, ctype := w.Header(), "application/json"
 	if format == "lines" {
-		bufs.compact = bufs.compact[:0]
+		*buf, ctype = (*buf)[:0], "application/x-ndjson"
 		for _, rl := range rs.Records {
-			bufs.compact = append(append(bufs.compact, rl.Line...), '\n')
+			*buf = append(append(*buf, rl.Line...), '\n')
 		}
-		shardsFailedHeader(w, rs.ShardsFailed)
-		setShardIdentity(w, rs.shard)
-		hdr := w.Header()
 		hdr.Set(eventsTotalHeader, strconv.Itoa(rs.Total))
 		hdr.Set(eventsScannedHeader, strconv.Itoa(rs.Scanned))
 		hdr.Set(eventsReturnedHeader, strconv.Itoa(len(rs.Records)))
-		hdr.Set("Content-Type", "application/x-ndjson")
-		w.Write(bufs.compact)
-		return
-	}
-	bufs.compact = appendEnvelope(bufs.compact[:0], rs)
-	bufs.indented.Reset()
-	if err := json.Indent(&bufs.indented, bufs.compact, "", "  "); err != nil {
+	} else if *buf, err = appendEnvelope((*buf)[:0], rs); err != nil {
 		backendError(w, err) // a backend's line was not JSON
 		return
 	}
 	shardsFailedHeader(w, rs.ShardsFailed)
 	setShardIdentity(w, rs.shard)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(bufs.indented.Bytes())
+	hdr.Set("Content-Type", ctype)
+	w.Write(*buf)
 }
 
 // The accounting of a format=lines answer: the envelope's "total",
@@ -479,35 +539,37 @@ const (
 	eventsReturnedHeader = "X-Events-Returned"
 )
 
-// envelopeBufs are the two buffers of a buffered /events answer — the
-// first also a shape=sets answer's — recycled.
-type envelopeBufs struct {
-	compact  []byte
-	indented bytes.Buffer
-}
-
-var envelopePool = sync.Pool{New: func() any { return new(envelopeBufs) }}
+// answerPool recycles the buffer a buffered answer is written into: an
+// /events set or envelope, a shape=sets body, a writeJSON document.
+var answerPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendEnvelope appends the JSON /events envelope around rs's lines,
-// compact and newline-terminated: the bytes json.Marshal gives a
-// map[string]any of these five members (a map's keys sort) whose
-// "events" are the records themselves, since a line is json.Marshal of
-// its record. Indented, that is what json.Encoder with SetIndent writes
-// for the map — the envelope law, which
-// TestEventsEnvelopeMatchesEncodingJSON holds.
-func appendEnvelope(dst []byte, rs *RecordSet) []byte {
-	dst = strconv.AppendInt(append(dst, `{"elapsed_us":`...), rs.Elapsed.Microseconds(), 10)
-	dst = append(dst, `,"events":[`...)
+// laid out and newline-terminated: what json.Encoder with SetIndent
+// writes for a map[string]any of these five members (a map's keys sort)
+// whose "events" are the records themselves, since a line is
+// json.Marshal of its record, laid out by indentValue where the encoder
+// would — the envelope law, which TestEventsEnvelopeMatchesEncodingJSON
+// holds. A line that is not one JSON value is an error.
+func appendEnvelope(dst []byte, rs *RecordSet) ([]byte, error) {
+	dst = strconv.AppendInt(append(dst, "{\n  \"elapsed_us\": "...), rs.Elapsed.Microseconds(), 10)
+	dst = append(dst, ",\n  \"events\": ["...)
 	for i, rl := range rs.Records {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, rl.Line...)
+		var end int
+		dst, end = indentValue(append(dst, "\n    "...), rl.Line, skipSpace(rl.Line, 0), 2)
+		if end < 0 || skipSpace(rl.Line, end) != len(rl.Line) {
+			return dst, fmt.Errorf("record %d is not a JSON value", i)
+		}
 	}
-	dst = strconv.AppendInt(append(dst, `],"returned":`...), int64(len(rs.Records)), 10)
-	dst = strconv.AppendInt(append(dst, `,"scanned":`...), int64(rs.Scanned), 10)
-	dst = strconv.AppendInt(append(dst, `,"total":`...), int64(rs.Total), 10)
-	return append(dst, '}', '\n')
+	if len(rs.Records) > 0 {
+		dst = append(dst, "\n  "...)
+	}
+	dst = strconv.AppendInt(append(dst, "],\n  \"returned\": "...), int64(len(rs.Records)), 10)
+	dst = strconv.AppendInt(append(dst, ",\n  \"scanned\": "...), int64(rs.Scanned), 10)
+	dst = strconv.AppendInt(append(dst, ",\n  \"total\": "...), int64(rs.Total), 10)
+	return append(dst, "\n}\n"...), nil
 }
 
 // backendError maps a Backend failure onto an HTTP response: the
@@ -647,12 +709,12 @@ func (h *handler) figure4(w http.ResponseWriter, r *http.Request) {
 	// machine — so it is written compact, and in the one spelling that
 	// reader takes.
 	writeSets := func(fs *Figure4Sets) {
-		bufs := envelopePool.Get().(*envelopeBufs)
-		defer envelopePool.Put(bufs)
-		bufs.compact = appendFigure4Sets(bufs.compact[:0], fs)
+		buf := answerPool.Get().(*[]byte)
+		defer answerPool.Put(buf)
+		*buf = appendFigure4Sets((*buf)[:0], fs)
 		shardsFailedHeader(w, fs.ShardsFailed)
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(bufs.compact)
+		w.Write(*buf)
 	}
 	// empty answers a window no event can fall in, in the asked shape.
 	empty := func() {
@@ -685,6 +747,10 @@ func (h *handler) figure4(w http.ResponseWriter, r *http.Request) {
 	}
 	if days > maxFigure4Days {
 		httpError(w, http.StatusBadRequest, "series of %d days exceeds the %d-day cap; pass an explicit start and days", days, maxFigure4Days)
+		return
+	}
+	if start.AddDate(0, 0, days-1).Year() > 9999 { // a day JSON's time spelling cannot name
+		httpError(w, http.StatusBadRequest, "a series of %d days from %s ends past 9999-12-31", days, start.Format(time.DateOnly))
 		return
 	}
 	if sets {

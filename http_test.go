@@ -15,7 +15,7 @@ import (
 
 // storeFixture builds a store with three hand-made events: two /32s
 // under 10.1.0.0/16 (one long, one short) and one unrelated /24.
-func storeFixture(t *testing.T) *Store {
+func storeFixture(t testing.TB) *Store {
 	t.Helper()
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -78,6 +78,14 @@ func (b unreachableBackend) Stats(context.Context) (*BackendStats, error) {
 func (b unreachableBackend) Figure4(context.Context, time.Time, int) (*Figure4Result, error) {
 	b.t.Error("Figure4 reached the backend")
 	return nil, errors.New("unreachable")
+}
+
+// farFutureBackend answers every Figure 4 window with a day past the
+// year 9999, which json.Marshal refuses.
+type farFutureBackend struct{ Backend }
+
+func (farFutureBackend) Figure4(context.Context, time.Time, int) (*Figure4Result, error) {
+	return &Figure4Result{Series: []DailyPoint{{Day: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)}}}, nil
 }
 
 func TestStoreHTTPAPI(t *testing.T) {
@@ -175,14 +183,32 @@ func TestStoreHTTPAPI(t *testing.T) {
 	}
 
 	// Figure4 bounds: a start past the store's span yields an empty
-	// series; a start far before it trips the day cap.
+	// series; a start far before it trips the day cap, and a window
+	// whose last day is past 9999-12-31, which no JSON time names, is
+	// refused. A series that does not encode all the same is a 500 with
+	// its error, never an empty 200.
 	var empty []DailyPoint
 	getJSON(t, srv.URL+"/figure4?start=2030-01-01T00:00:00Z", &empty)
 	if len(empty) != 0 {
 		t.Fatalf("figure4 past the span: %d points, want 0", len(empty))
 	}
-	if resp := getJSON(t, srv.URL+"/figure4?start=1000-01-01T00:00:00Z", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("figure4 far-past start: status %d, want 400", resp.StatusCode)
+	unencodable := newHandler(farFutureBackend{NewStoreBackend(st, nil)}, HandlerOptions{})
+	for _, c := range []struct {
+		h      http.Handler
+		path   string
+		status int
+	}{
+		{srv.Config.Handler, "/figure4?start=1000-01-01T00:00:00Z", http.StatusBadRequest},
+		{srv.Config.Handler, "/figure4?start=9999-12-01T00:00:00Z&days=100", http.StatusBadRequest},
+		{srv.Config.Handler, "/figure4?days=36600&start=9950-01-01T00:00:00Z", http.StatusBadRequest},
+		{unencodable, "/figure4?start=2015-03-01T00:00:00Z&days=2", http.StatusInternalServerError},
+	} {
+		w := httptest.NewRecorder()
+		c.h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, c.path, nil))
+		var body struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &body); w.Code != c.status || err != nil || body.Error == "" {
+			t.Fatalf("%s: status %d (%v), body %q; want %d and an error", c.path, w.Code, err, w.Body, c.status)
+		}
 	}
 
 	// A malformed every is refused before any backend call — behind a

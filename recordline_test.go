@@ -461,9 +461,47 @@ func FuzzRecordLineKey(f *testing.F) {
 	})
 }
 
+// FuzzIndentJSON is the differential test for appendIndented against
+// json.Indent(…, "", "  "): the two must refuse the same inputs and,
+// when they accept, write the same bytes.
+func FuzzIndentJSON(f *testing.F) {
+	for _, s := range lineKeySeeds {
+		f.Add([]byte(s))
+	}
+	// Two real /events envelopes, compact as json.Indent was given them:
+	// a point answer and an enriched covered one.
+	p, err := NewPipeline(SmallOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := NewStoreHandler(storeFixture(f), p)
+	for _, path := range []string{"/events?prefix=10.1.2.3", "/events?mode=covered&enrich=1&prefix=10.0.0.0/8"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, w.Body.Bytes()); err != nil || w.Code != http.StatusOK {
+			f.Fatalf("%s: status %d: %v", path, w.Code, err)
+		}
+		f.Add(compact.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		var want bytes.Buffer
+		wantErr := json.Indent(&want, src, "", "  ")
+		got, gotErr := appendIndented(nil, src)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("appendIndented error %v, json.Indent error %v\nsrc %q", gotErr, wantErr, src)
+		}
+		if wantErr == nil && !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendIndented wrote\n%s\njson.Indent\n%s\nsrc %q", got, want.Bytes(), src)
+		}
+	})
+}
+
 // TestScanLineKeyNesting pins the one limit no short seed reaches:
-// encoding/json refuses nesting deeper than 10000, and so must the scan.
+// encoding/json refuses nesting deeper than 10000, and so must the scan
+// and the indenter.
 func TestScanLineKeyNesting(t *testing.T) {
+	var laid []byte
 	for _, depth := range []int{9999, 10000, 10001} {
 		line := []byte(`{"seq":1,"a":`)
 		for i := 1; i < depth; i++ { // the line's own object is level one
@@ -476,6 +514,13 @@ func TestScanLineKeyNesting(t *testing.T) {
 		_, wantErr := oracleLineKey(line)
 		if _, gotErr := scanLineKey(line); (gotErr == nil) != (wantErr == nil) {
 			t.Errorf("depth %d: scanLineKey error %v, json.Unmarshal error %v", depth, gotErr, wantErr)
+		}
+		// json.Indent refuses what json.Valid does. Laid out, such a line
+		// is ≈ 200 MB, so one buffer serves all three, and the bytes are
+		// left to FuzzIndentJSON's shapes.
+		var gotErr error
+		if laid, gotErr = appendIndented(laid[:0], line); (gotErr == nil) != json.Valid(line) {
+			t.Errorf("depth %d: appendIndented error %v, json.Valid %v", depth, gotErr, json.Valid(line))
 		}
 	}
 }

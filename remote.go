@@ -497,10 +497,53 @@ func skipDigits(b []byte, i int) int {
 // included). depth counts the containers open around the value; the
 // members of the outermost one, the line itself, are offered to set.
 func (k *lineKey) skipValue(b []byte, i, depth int) int {
+	if i >= len(b) || b[i] != '{' && b[i] != '[' {
+		return skipScalar(b, i)
+	}
+	c := b[i]
+	if depth++; depth > maxJSONDepth {
+		return -1
+	}
+	closer := c + 2 // '}' is '{'+2 and ']' is '['+2
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == closer {
+		return i + 1
+	}
+	for {
+		var name []byte
+		var plain bool
+		if c == '{' {
+			end, p := skipString(b, i)
+			if end < 0 {
+				return -1
+			}
+			name, plain = b[i:end], p
+			if i = skipSpace(b, end); i >= len(b) || b[i] != ':' {
+				return -1
+			}
+			i = skipSpace(b, i+1)
+		}
+		end := k.skipValue(b, i, depth)
+		if end < 0 || c == '{' && depth == 1 && !k.set(name, plain, b[i:end]) {
+			return -1
+		}
+		if i = skipSpace(b, end); i >= len(b) || b[i] != closer && b[i] != ',' {
+			return -1
+		}
+		if b[i] == closer {
+			return i + 1
+		}
+		i = skipSpace(b, i+1)
+	}
+}
+
+// skipScalar returns the index after the string, literal or number
+// starting at b[i], or -1 if none does: the token rules of both JSON
+// walks, scanLineKey's and indentValue's (http.go).
+func skipScalar(b []byte, i int) int {
 	if i >= len(b) {
 		return -1
 	}
-	switch c := b[i]; c {
+	switch b[i] {
 	case '"':
 		end, _ := skipString(b, i)
 		return end
@@ -511,40 +554,6 @@ func (k *lineKey) skipValue(b []byte, i, depth int) int {
 			}
 		}
 		return -1
-	case '{', '[':
-		if depth++; depth > maxJSONDepth {
-			return -1
-		}
-		closer := c + 2 // '}' is '{'+2 and ']' is '['+2
-		if i = skipSpace(b, i+1); i < len(b) && b[i] == closer {
-			return i + 1
-		}
-		for {
-			var name []byte
-			var plain bool
-			if c == '{' {
-				end, p := skipString(b, i)
-				if end < 0 {
-					return -1
-				}
-				name, plain = b[i:end], p
-				if i = skipSpace(b, end); i >= len(b) || b[i] != ':' {
-					return -1
-				}
-				i = skipSpace(b, i+1)
-			}
-			end := k.skipValue(b, i, depth)
-			if end < 0 || c == '{' && depth == 1 && !k.set(name, plain, b[i:end]) {
-				return -1
-			}
-			if i = skipSpace(b, end); i >= len(b) || b[i] != closer && b[i] != ',' {
-				return -1
-			}
-			if b[i] == closer {
-				return i + 1
-			}
-			i = skipSpace(b, i+1)
-		}
 	}
 	// A number: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
 	if b[i] == '-' {
@@ -580,6 +589,8 @@ func skipString(b []byte, i int) (end int, plain bool) {
 	plain = true
 	for i++; i < len(b); i++ {
 		switch c := b[i]; {
+		case c > '\\' && c < utf8.RuneSelf, c >= ' ' && c < '\\' && c != '"':
+			// most bytes: printable ASCII but the quote and the backslash
 		case c == '"':
 			return i + 1, plain
 		case c < ' ':
