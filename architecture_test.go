@@ -343,6 +343,85 @@ func readsColdOpen(_ *archSite, n ast.Node) bool {
 	return false
 }
 
+// parsesIntoQuery matches a Query field set from a parse: an assignment
+// to a field of a Query, or a keyed Query literal, whose value holds a
+// call of a Parse…, parse… or Atoi function other than ParseQuery, or a
+// name the function around it bound from one.
+func parsesIntoQuery(at *archSite, n ast.Node) bool {
+	isQuery := func(t typeRef) bool { key, _ := at.m.named(t); return key == ".Query" }
+	var values []ast.Expr
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for i, lhs := range n.Lhs {
+			if sel, ok := lhs.(*ast.SelectorExpr); ok && isQuery(at.typeOf(sel.X)) {
+				values = append(values, n.Rhs[min(i, len(n.Rhs)-1)])
+			}
+		}
+	case *ast.CompositeLit:
+		if n.Type != nil && isQuery(typeRef{file: at.file, expr: n.Type}) {
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					values = append(values, kv.Value)
+				}
+			}
+		}
+	}
+	if len(values) == 0 {
+		return false
+	}
+	parse := func(x ast.Expr) bool {
+		call, ok := ast.Unparen(x).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		name := ""
+		switch fun := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			name = fun.Name
+		case *ast.SelectorExpr:
+			name = fun.Sel.Name
+		}
+		return name != "ParseQuery" && (strings.HasPrefix(strings.ToLower(name), "parse") || name == "Atoi")
+	}
+	parsed := map[string]bool{} // the names bound from a parse
+	if at.fn != nil {
+		ast.Inspect(at.fn.decl.Body, func(n ast.Node) bool {
+			var lhs, rhs []ast.Expr
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				lhs, rhs = n.Lhs, n.Rhs
+			case *ast.ValueSpec:
+				rhs = n.Values
+				for _, id := range n.Names {
+					lhs = append(lhs, id)
+				}
+			}
+			for i, l := range lhs {
+				if id, ok := l.(*ast.Ident); ok && len(rhs) > 0 && parse(rhs[min(i, len(rhs)-1)]) {
+					parsed[id.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, v := range values {
+		found := false
+		ast.Inspect(v, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && parsed[id.Name] {
+				found = true
+			}
+			if x, ok := n.(ast.Expr); ok && parse(x) {
+				found = true
+			}
+			return !found
+		})
+		if found {
+			return true
+		}
+	}
+	return false
+}
+
 // noMapIn finds the map types reachable from the fields of the named
 // module types (dir.T), through every module type those hold and every
 // type argument they are instantiated with.
@@ -835,6 +914,30 @@ func (c *cursor) each(yield func(*int) bool) {
 func (s *Store) Query(f Filter) (n int) {
 	for _, ord := range s.candidates(f) { if matches(s.slots[ord], f) { n++ } }
 	return n
+}`),
+}, {
+	name: "one-query-codec",
+	law:  "Text becomes a `Query` only in `ParseQuery`: no other non-test function sets a `Query` field from a parse of its own, except `FederatedStore.gather`, which narrows an LPM query to the prefix of the longest match's record key.",
+	checks: []archCheck{
+		onlyIn("a Query field parsed", archNonTest, parsesIntoQuery, "ParseQuery", "queryFields", "FederatedStore.gather"),
+	},
+	breaks: archFixture(
+		"query.go", `package bgpblackholing
+import ("net/url"; "strconv")
+type Query struct{ Limit int }
+var queryFields = []struct{ read func(q *Query, s string) error }{{func(q *Query, s string) (err error) { q.Limit, err = strconv.Atoi(s); return err }}}
+func ParseQuery(v url.Values) (q Query, err error) { err = queryFields[0].read(&q, v.Get("limit")); return q, err }`,
+		"federate.go", `package bgpblackholing
+import "strconv"
+type FederatedStore struct{}
+func (f *FederatedStore) gather(q Query, key string) { q.Limit, _ = strconv.Atoi(key) }`,
+		"cmd/bhquery/main.go", `package main
+import ("strconv"; "bgpblackholing")
+func query(limit string) (bgpblackholing.Query, error) {
+	var q bgpblackholing.Query
+	n, err := strconv.Atoi(limit)
+	q.Limit = n
+	return q, err
 }`),
 }, {
 	name:   "facade",

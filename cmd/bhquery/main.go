@@ -51,9 +51,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/netip"
 	"net/url"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -62,67 +62,71 @@ import (
 
 func main() {
 	var c config
-	var origin uint
-	flag.StringVar(&c.storeDir, "store", "", "open this store directory (read-only)")
-	flag.StringVar(&c.server, "server", "", "query a running bhserve/bhroute at this base URL instead; a comma-separated list federates the servers client-side, merging answers in global event order")
-
-	flag.StringVar(&c.from, "from", "", "events overlapping at/after this RFC 3339 time")
-	flag.StringVar(&c.to, "to", "", "events overlapping at/before this RFC 3339 time")
-	flag.StringVar(&c.prefix, "prefix", "", "IP prefix or address to match")
-	flag.StringVar(&c.mode, "mode", "exact", "prefix match mode: exact, lpm, covered, covering")
-	flag.UintVar(&origin, "origin", 0, "blackholing user (origin) ASN")
-	flag.StringVar(&c.provider, "provider", "", "provider (AS3356 or ixp:4)")
-	flag.StringVar(&c.community, "community", "", "dictionary community (high:low)")
-	flag.DurationVar(&c.minDur, "min-duration", 0, "minimum event duration")
-	flag.DurationVar(&c.maxDur, "max-duration", 0, "maximum event duration")
-	flag.IntVar(&c.limit, "limit", 0, "cap returned events (0 = all)")
-
-	flag.StringVar(&c.format, "format", "table", "output: table, json, ndjson, csv")
-	flag.BoolVar(&c.stats, "stats", false, "print store statistics instead of events")
-	flag.BoolVar(&c.figure4, "figure4", false, "print the daily longitudinal series (Figure 4)")
-	flag.IntVar(&c.every, "every", 30, "sample the figure4 series every N days")
-	flag.BoolVar(&c.figure8, "figure8", false, "print the duration distribution summary (Figure 8)")
-	flag.DurationVar(&c.groupTO, "group-timeout", bgpblackholing.DefaultGroupTimeout, "event-grouping timeout for -figure8 (must be positive)")
-
-	flag.BoolVar(&c.enrich, "enrich", false, "annotate events with RPKI validity, community documentation and a legitimacy verdict")
-	flag.Float64Var(&c.scale, "scale", 0.15, "world scale for -enrich in direct -store mode (must match ingestion)")
-	flag.Int64Var(&c.seed, "seed", 42, "world seed for -enrich in direct -store mode (must match ingestion)")
-
-	flag.StringVar(&c.deletePrefix, "delete-prefix", "", "admin: erase this prefix's history (opens the store read-write)")
-	flag.StringVar(&c.deleteUpTo, "delete-up-to", "", "admin: bound -delete-prefix to events ending at/before this RFC 3339 time")
-	flag.StringVar(&c.compact, "compact", "", "admin: run a compaction pass (merge-all, or tiered[,partition=30d,ratio=4,min-run=4])")
-	flag.StringVar(&c.replicateTo, "replicate-to", "", "admin: one-shot sync the -store directory into this replica directory (sealed segments + sidecars; re-run to catch up)")
-
-	flag.BoolVar(&c.watch, "watch", false, "stream live alerts from the server's /watch SSE endpoint (requires -server)")
-	flag.BoolVar(&c.metrics, "metrics", false, "scrape the server's /metrics Prometheus exposition to stdout (requires -server)")
-	flag.StringVar(&c.authToken, "auth-token", "", "bearer token for -server requests")
-	flag.Func("rule", "filter -watch to this rule (repeatable; default all rules)", func(v string) error {
-		c.watchRules = append(c.watchRules, v)
-		return nil
-	})
+	flags(flag.CommandLine, &c)
 	flag.Parse()
-	c.origin = uint32(origin)
 	if err := run(os.Stdout, os.Stderr, &c); err != nil {
 		fmt.Fprintln(os.Stderr, "bhquery:", err)
 		os.Exit(1)
 	}
 }
 
+// flags defines bhquery's flags on fs, each setting its field of c.
+func flags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.storeDir, "store", "", "open this store directory (read-only)")
+	fs.StringVar(&c.server, "server", "", "query a running bhserve/bhroute at this base URL instead; a comma-separated list federates the servers client-side, merging answers in global event order")
+
+	fs.StringVar(&c.from, "from", "", "events overlapping at/after this RFC 3339 time")
+	fs.StringVar(&c.to, "to", "", "events overlapping at/before this RFC 3339 time")
+	fs.StringVar(&c.prefix, "prefix", "", "IP prefix or address to match")
+	fs.StringVar(&c.mode, "mode", "exact", "prefix match mode: exact, lpm, covered, covering")
+	fs.StringVar(&c.origin, "origin", "", "blackholing user (origin) ASN, base 10")
+	fs.StringVar(&c.provider, "provider", "", "provider (AS3356 or ixp:4)")
+	fs.StringVar(&c.community, "community", "", "dictionary community (high:low)")
+	fs.StringVar(&c.minDur, "min-duration", "", "minimum event duration")
+	fs.StringVar(&c.maxDur, "max-duration", "", "maximum event duration")
+	fs.StringVar(&c.limit, "limit", "0", "cap returned events (0 = all)")
+
+	fs.StringVar(&c.format, "format", "table", "output: table, json, ndjson, csv")
+	fs.BoolVar(&c.stats, "stats", false, "print store statistics instead of events")
+	fs.BoolVar(&c.figure4, "figure4", false, "print the daily longitudinal series (Figure 4)")
+	fs.IntVar(&c.every, "every", 30, "sample the figure4 series every N days")
+	fs.BoolVar(&c.figure8, "figure8", false, "print the duration distribution summary (Figure 8)")
+	fs.DurationVar(&c.groupTO, "group-timeout", bgpblackholing.DefaultGroupTimeout, "event-grouping timeout for -figure8 (must be positive)")
+
+	fs.BoolVar(&c.enrich, "enrich", false, "annotate events with RPKI validity, community documentation and a legitimacy verdict")
+	fs.Float64Var(&c.scale, "scale", 0.15, "world scale for -enrich in direct -store mode (must match ingestion)")
+	fs.Int64Var(&c.seed, "seed", 42, "world seed for -enrich in direct -store mode (must match ingestion)")
+
+	fs.StringVar(&c.deletePrefix, "delete-prefix", "", "admin: erase this prefix's history (opens the store read-write)")
+	fs.StringVar(&c.deleteUpTo, "delete-up-to", "", "admin: bound -delete-prefix to events ending at/before this RFC 3339 time")
+	fs.StringVar(&c.compact, "compact", "", "admin: run a compaction pass (merge-all, or tiered[,partition=30d,ratio=4,min-run=4])")
+	fs.StringVar(&c.replicateTo, "replicate-to", "", "admin: one-shot sync the -store directory into this replica directory (sealed segments + sidecars; re-run to catch up)")
+
+	fs.BoolVar(&c.watch, "watch", false, "stream live alerts from the server's /watch SSE endpoint (requires -server)")
+	fs.BoolVar(&c.metrics, "metrics", false, "scrape the server's /metrics Prometheus exposition to stdout (requires -server)")
+	fs.StringVar(&c.authToken, "auth-token", "", "bearer token for -server requests")
+	fs.Func("rule", "filter -watch to this rule (repeatable; default all rules)", func(v string) error {
+		c.watchRules = append(c.watchRules, v)
+		return nil
+	})
+}
+
 type config struct {
-	storeDir, server       string
-	from, to, prefix, mode string
-	origin                 uint32
-	provider, community    string
-	minDur, maxDur         time.Duration
-	limit                  int
-	format                 string
-	stats, figure4         bool
-	every                  int
-	figure8                bool
-	groupTO                time.Duration
-	enrich                 bool
-	scale                  float64
-	seed                   int64
+	storeDir, server string
+
+	// The query flags keep their text: query reads them as the /events
+	// parameters they stand for.
+	from, to, prefix, mode, origin, provider, community string
+	minDur, maxDur, limit                               string
+
+	format         string
+	stats, figure4 bool
+	every          int
+	figure8        bool
+	groupTO        time.Duration
+	enrich         bool
+	scale          float64
+	seed           int64
 
 	deletePrefix, deleteUpTo, compact string
 	replicateTo                       string
@@ -140,15 +144,8 @@ func run(stdout, stderr io.Writer, c *config) error {
 	if c.deleteUpTo != "" && c.deletePrefix == "" {
 		return fmt.Errorf("-delete-up-to requires -delete-prefix")
 	}
-	// Duration sanity up front: negative filter bounds are caller
-	// errors, and a non-positive grouping timeout would silently merge
-	// nothing (or everything) in core.Group.
-	if c.minDur < 0 {
-		return fmt.Errorf("-min-duration: negative duration %v", c.minDur)
-	}
-	if c.maxDur < 0 {
-		return fmt.Errorf("-max-duration: negative duration %v", c.maxDur)
-	}
+	// A non-positive grouping timeout would silently merge nothing (or
+	// everything) in core.Group.
 	if c.figure8 && c.groupTO <= 0 {
 		return fmt.Errorf("-group-timeout: grouping timeout must be positive, got %v", c.groupTO)
 	}
@@ -224,10 +221,11 @@ func runWriteAdmin(c *config) error {
 	defer st.Close()
 
 	if c.deletePrefix != "" {
-		p, err := parsePrefixArg(c.deletePrefix)
+		del, err := bgpblackholing.ParseQuery(url.Values{"prefix": {c.deletePrefix}})
 		if err != nil {
 			return fmt.Errorf("-delete-prefix: %v", err)
 		}
+		p := del.Prefix
 		var upTo time.Time
 		if c.deleteUpTo != "" {
 			if upTo, err = time.Parse(time.RFC3339, c.deleteUpTo); err != nil {
@@ -264,21 +262,8 @@ func runWriteAdmin(c *config) error {
 	return nil
 }
 
-// parsePrefixArg accepts a prefix or a bare address (its host prefix).
-func parsePrefixArg(s string) (netip.Prefix, error) {
-	p, err := netip.ParsePrefix(s)
-	if err != nil {
-		a, aerr := netip.ParseAddr(s)
-		if aerr != nil {
-			return netip.Prefix{}, err
-		}
-		p = netip.PrefixFrom(a, a.BitLen())
-	}
-	return p, nil
-}
-
 // ---------------------------------------------------------------------
-// The read path: flags → Query → Backend → records | lines → bytes.
+// The read path: flags → ParseQuery → Backend → records | lines → bytes.
 
 // openBackend picks the Backend the flags name: the store directory
 // opened read-only, one server, or a client-side federation of a server
@@ -350,7 +335,7 @@ func runQuery(ctx context.Context, stdout, stderr io.Writer, c *config, be bgpbl
 		return err
 	}
 
-	q, err := buildQuery(c)
+	q, err := c.query()
 	if err != nil {
 		return err
 	}
@@ -390,45 +375,15 @@ func runQuery(ctx context.Context, stdout, stderr io.Writer, c *config, be bgpbl
 	return render(stdout, c.format, c.enrich, records)
 }
 
-func buildQuery(c *config) (bgpblackholing.Query, error) {
-	var q bgpblackholing.Query
-	var err error
-	if c.from != "" {
-		if q.From, err = time.Parse(time.RFC3339, c.from); err != nil {
-			return q, fmt.Errorf("-from: %v", err)
-		}
-	}
-	if c.to != "" {
-		if q.To, err = time.Parse(time.RFC3339, c.to); err != nil {
-			return q, fmt.Errorf("-to: %v", err)
-		}
-	}
-	if c.prefix != "" {
-		p, err := parsePrefixArg(c.prefix)
-		if err != nil {
-			return q, fmt.Errorf("-prefix: %v", err)
-		}
-		q.Prefix = p
-	}
-	if q.Mode, err = bgpblackholing.ParsePrefixMode(c.mode); err != nil {
-		return q, err
-	}
-	q.OriginASN = bgpblackholing.ASN(c.origin)
-	if c.provider != "" {
-		pr, err := bgpblackholing.ParseProviderRef(c.provider)
-		if err != nil {
-			return q, err
-		}
-		q.Provider = &pr
-	}
-	if c.community != "" {
-		if q.Community, err = bgpblackholing.ParseCommunity(c.community); err != nil {
-			return q, err
-		}
-	}
-	q.MinDuration, q.MaxDuration, q.Limit = c.minDur, c.maxDur, c.limit
-	q.Enrich = c.enrich
-	return q, nil
+// query reads the query flags as the /events parameters they stand for,
+// through the API's own reader: a flag means what its parameter means.
+func (c *config) query() (bgpblackholing.Query, error) {
+	return bgpblackholing.ParseQuery(url.Values{
+		"from": {c.from}, "to": {c.to}, "prefix": {c.prefix}, "mode": {c.mode},
+		"origin": {c.origin}, "provider": {c.provider}, "community": {c.community},
+		"min_duration": {c.minDur}, "max_duration": {c.maxDur}, "limit": {c.limit},
+		"enrich": {strconv.FormatBool(c.enrich)},
+	})
 }
 
 // runFigure8 prints the duration distribution summary. Durations

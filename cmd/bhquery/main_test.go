@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"sort"
@@ -239,9 +240,9 @@ func TestThreeModesByteIdentical(t *testing.T) {
 	}{
 		{"all", config{}},
 		{"lpm", config{prefix: addr, mode: "lpm"}},
-		{"origin", config{origin: f.sample.Users[0]}},
-		{"limit5", config{limit: 5}},
-		{"empty", config{minDur: 999999 * time.Hour}},
+		{"origin", config{origin: fmt.Sprint(f.sample.Users[0])}},
+		{"limit5", config{limit: "5"}},
+		{"empty", config{minDur: "999999h"}},
 	}
 	for _, format := range []string{"table", "json", "csv", "ndjson"} {
 		for _, flt := range filters {
@@ -268,7 +269,7 @@ func TestThreeModesByteIdentical(t *testing.T) {
 	// -enrich over HTTP: the servers annotate from their own world.
 	for _, format := range []string{"table", "json", "csv", "ndjson"} {
 		name := "enrich." + format
-		modes := f.modes(config{format: format, enrich: true, limit: 25})
+		modes := f.modes(config{format: format, enrich: true, limit: "25"})
 		one, _, err := runCLI(modes["server"])
 		if err != nil {
 			t.Fatalf("%s -server: %v", name, err)
@@ -376,5 +377,66 @@ func TestRoutedFigure4WarnsOfPartialAnswer(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "warning: 1 server(s) failed to answer; results are partial") {
 		t.Errorf("no partial-result warning on stderr: %q", stderr)
+	}
+}
+
+// TestQueryFlagsReadAsEvents: the query flags are the /events parameters
+// under flag names, read by the API's reader, so a flag set means what
+// its parameters mean and is refused where /events answers 400. Each row
+// is one bhquery once read apart from /events: -origin in any base,
+// truncated to 32 bits, and -limit -1 as "every event".
+func TestQueryFlagsReadAsEvents(t *testing.T) {
+	dir := t.TempDir()
+	st, err := bgpblackholing.OpenStore(dir)
+	if err == nil {
+		err = st.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := bgpblackholing.OpenStoreReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	srv := httptest.NewServer(bgpblackholing.NewStoreHandler(ro, nil))
+	defer srv.Close()
+
+	for _, row := range []struct {
+		args   []string
+		params string                // the same query in /events parameters
+		want   *bgpblackholing.Query // nil: refused
+	}{
+		{[]string{"-origin", "0x10"}, "origin=0x10", nil},
+		{[]string{"-origin", "4294967297"}, "origin=4294967297", nil},
+		{[]string{"-origin", "010"}, "origin=010", &bgpblackholing.Query{OriginASN: 10}},
+		{[]string{"-limit", "-1"}, "limit=-1", nil},
+	} {
+		name := strings.Join(row.args, " ")
+		var c config
+		fs := flag.NewFlagSet("bhquery", flag.ContinueOnError)
+		flags(fs, &c)
+		if err := fs.Parse(append([]string{"-store", dir, "-format", "ndjson"}, row.args...)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resp, err := http.Get(srv.URL + "/events?" + row.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		q, qerr := c.query()
+		_, _, runErr := runCLI(c)
+		param, _, _ := strings.Cut(row.params, "=")
+		switch {
+		case row.want == nil && (qerr == nil || runErr == nil):
+			t.Errorf("%s: read as %+v, run error %v; want it refused", name, q, runErr)
+		case row.want == nil && !strings.HasPrefix(qerr.Error(), param+": "):
+			t.Errorf("%s: error %q does not name the parameter %s", name, qerr, param)
+		case row.want != nil && (qerr != nil || runErr != nil || q != *row.want):
+			t.Errorf("%s: read as %+v (%v), run error %v; want %+v", name, q, qerr, runErr, *row.want)
+		}
+		if refused := resp.StatusCode == http.StatusBadRequest; refused != (row.want == nil) {
+			t.Errorf("GET /events?%s: status %d, but bhquery %s refused=%v", row.params, resp.StatusCode, name, row.want == nil)
+		}
 	}
 }

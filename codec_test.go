@@ -2,9 +2,9 @@ package bgpblackholing
 
 import (
 	"math/rand"
-	"net/http"
 	"net/netip"
 	"net/url"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -12,7 +12,7 @@ import (
 // roundTrip sends q through the codec the way a router forwards it to a
 // remote shard: rendered as parameters, encoded onto a URL, parsed back.
 func roundTrip(q Query) (Query, error) {
-	return parseQuery(&http.Request{URL: &url.URL{RawQuery: queryParams(q).Encode()}})
+	return ParseQuery((&url.URL{RawQuery: queryParams(q).Encode()}).Query())
 }
 
 // sameQuery is Query equality with times compared as instants and the
@@ -83,7 +83,7 @@ func randomQuery(rng *rand.Rand) Query {
 	return q
 }
 
-// TestQueryCodecRoundTrip is the codec's law: parseQuery(queryParams(q))
+// TestQueryCodecRoundTrip is the codec's law: ParseQuery(queryParams(q))
 // is q, for every field — so a router forwards exactly the query it was
 // asked, sub-second filter boundaries included.
 func TestQueryCodecRoundTrip(t *testing.T) {
@@ -108,6 +108,58 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQueryCodecCoversEveryField holds queryFields to Query by
+// reflection: set alone, every field is printed by exactly one row, and
+// that row reads its text back into that field alone, unchanged. A field
+// no row reads and prints fails here — randomQuery sets fields by hand,
+// so the round trip would carry a new one as its zero value and pass.
+func TestQueryCodecCoversEveryField(t *testing.T) {
+	samples := map[reflect.Type]any{ // a set value of each field type
+		reflect.TypeFor[time.Time]():     time.Date(2015, 3, 1, 12, 0, 5, 500, time.UTC),
+		reflect.TypeFor[netip.Prefix]():  netip.MustParsePrefix("10.1.0.0/16"),
+		reflect.TypeFor[PrefixMode]():    PrefixCovered,
+		reflect.TypeFor[ASN]():           ASN(65001),
+		reflect.TypeFor[*ProviderRef]():  &ProviderRef{Kind: ProviderIXP, IXPID: 4},
+		reflect.TypeFor[Community]():     MakeCommunity(3356, 666),
+		reflect.TypeFor[time.Duration](): 90 * time.Second,
+		reflect.TypeFor[int]():           5,
+		reflect.TypeFor[bool]():          true,
+	}
+	typ := reflect.TypeFor[Query]()
+	rowOf := map[string]string{} // row name -> the field it prints
+	for i := range typ.NumField() {
+		field := typ.Field(i)
+		sample, ok := samples[field.Type]
+		if !ok {
+			t.Errorf("Query.%s: no sample value of type %s", field.Name, field.Type)
+			continue
+		}
+		var q Query
+		reflect.ValueOf(&q).Elem().Field(i).Set(reflect.ValueOf(sample))
+		var printers []int
+		for r, row := range queryFields {
+			if row.print(&q) != "" {
+				printers = append(printers, r)
+			}
+		}
+		if len(printers) != 1 {
+			t.Errorf("Query.%s is printed by %d rows, want exactly one", field.Name, len(printers))
+			continue
+		}
+		row := queryFields[printers[0]]
+		rowOf[row.name] = field.Name
+		var got Query
+		if err := row.read(&got, row.print(&q)); err != nil || !sameQuery(got, q) {
+			t.Errorf("row %s reads its own %q as %+v (%v), want %+v", row.name, row.print(&q), got, err, q)
+		}
+	}
+	for _, row := range queryFields {
+		if _, ok := rowOf[row.name]; !ok {
+			t.Errorf("row %s prints no field of Query", row.name)
+		}
+	}
+}
+
 // querySeeds are query strings over the /events parameter set, well and
 // badly spelled: FuzzParseQuery's seeds, and what TestEveryRouteFederates
 // asks every route.
@@ -123,14 +175,14 @@ var querySeeds = []string{
 	"limit=-1",
 }
 
-// FuzzParseQuery: parseQuery never panics on an arbitrary query string,
+// FuzzParseQuery: ParseQuery never panics on an arbitrary query string,
 // and every query it accepts survives the codec unchanged.
 func FuzzParseQuery(f *testing.F) {
 	for _, seed := range querySeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		q, err := parseQuery(&http.Request{URL: &url.URL{RawQuery: raw}})
+		q, err := ParseQuery((&url.URL{RawQuery: raw}).Query())
 		if err != nil {
 			return
 		}

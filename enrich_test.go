@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"bgpblackholing/internal/core"
 	"bgpblackholing/internal/dictionary"
 )
 
@@ -302,7 +303,7 @@ func TestNDJSONStreamsMatchMaterialized(t *testing.T) {
 
 		// Materialized reference: run the equivalent Query and encode
 		// the records the way the JSON path does.
-		q, err := parseQuery(httptest.NewRequest("GET", path, nil))
+		q, err := ParseQuery(httptest.NewRequest("GET", path, nil).URL.Query())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,18 +326,18 @@ func TestNDJSONStreamsMatchMaterialized(t *testing.T) {
 func TestParseProviderRefCasing(t *testing.T) {
 	want := ProviderRef{Kind: ProviderAS, ASN: 3356}
 	for _, s := range []string{"AS3356", "as3356", "As3356", "aS3356", "3356"} {
-		got, err := ParseProviderRef(s)
+		got, err := core.ParseProviderRef(s)
 		if err != nil || got != want {
 			t.Errorf("ParseProviderRef(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
 	for _, s := range []string{"ASas3356", "asAS3356", "AsAs3356", "ASAS3356", "AS", "as", "ASx", "A3356", ""} {
-		if got, err := ParseProviderRef(s); err == nil {
+		if got, err := core.ParseProviderRef(s); err == nil {
 			t.Errorf("ParseProviderRef(%q) = %v, want error", s, got)
 		}
 	}
 	// IXP notation is untouched.
-	if got, err := ParseProviderRef("ixp:4"); err != nil || got != (ProviderRef{Kind: ProviderIXP, IXPID: 4}) {
+	if got, err := core.ParseProviderRef("ixp:4"); err != nil || got != (ProviderRef{Kind: ProviderIXP, IXPID: 4}) {
 		t.Errorf("ParseProviderRef(ixp:4) = %v, %v", got, err)
 	}
 }

@@ -165,9 +165,6 @@ func NewPath(asns ...ASN) Path { return bgp.NewPath(asns...) }
 // MakeCommunity packs an (asn, value) pair into an RFC 1997 community.
 func MakeCommunity(asn uint16, value uint16) Community { return bgp.MakeCommunity(asn, value) }
 
-// ParseCommunity parses the canonical "high:low" community notation.
-func ParseCommunity(s string) (Community, error) { return bgp.ParseCommunity(s) }
-
 // Group merges per-prefix events with inter-event gaps of at most
 // timeout into periods — the paper's 5-minute aggregation that turns
 // the ON/OFF probing practice into operator-level blackholing periods.

@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -20,9 +21,9 @@ import (
 	"time"
 )
 
-// federationFixture is one detector run persisted three ways at once:
+// federationFixture is one detector run persisted four ways at once:
 // a single store holding everything, and the same events sharded under
-// both split plans. All sinks subscribe to the same run, so every
+// each of the three split plans. All sinks subscribe to the same run, so every
 // store sees the same *Event pointers with the same engine-stamped
 // Seq — the property the byte-identity claim rests on.
 type federationFixture struct {
@@ -53,6 +54,7 @@ func newFederationFixture(t *testing.T) *federationFixture {
 	plans := map[string]ShardPlan{
 		"time-partition": TimeShardPlan{Width: 24 * time.Hour, N: 3},
 		"prefix-split":   PrefixShardPlan{Bit: 8, N: 3},
+		"prefix:16:3":    PrefixShardPlan{Bit: 16, N: 3},
 	}
 	det := p.NewDetector()
 	waits := []func() error{det.SinkToStore(f.single)}
@@ -78,6 +80,18 @@ func newFederationFixture(t *testing.T) *federationFixture {
 	}
 	if len(res.Events) < 20 {
 		t.Fatalf("replay produced only %d events; fixture too thin", len(res.Events))
+	}
+	// Every plan but prefix-split spreads the replay: the generator hands
+	// out IPv4 space under 24.0.0.0/8, so prefix-split files (almost) all
+	// of it on one shard, and keeps Bit 8 for nestedFixture alone.
+	for name, plan := range plans {
+		counts := make([]int, 3)
+		for _, ev := range res.Events {
+			counts[plan.Shard(ev)]++
+		}
+		if name != "prefix-split" && slices.Min(counts)*4*len(counts) < len(res.Events) {
+			t.Fatalf("fixture: plan %s files the replay's events %v, a shard below a quarter of the mean", name, counts)
+		}
 	}
 	f.events = res.Events
 	f.appendNested(t, plans)
@@ -314,7 +328,7 @@ func TestFederationByteIdentical(t *testing.T) {
 
 			// Stats totals: events and the global time span always agree;
 			// distinct-prefix sums are exact only when prefixes cannot
-			// straddle shards (the prefix-split plan).
+			// straddle shards (the prefix plans).
 			sstats := f.single.Stats()
 			_, rs := get(t, router.URL, "/stats")
 			var rstats BackendStats
@@ -328,7 +342,7 @@ func TestFederationByteIdentical(t *testing.T) {
 				t.Errorf("stats span: single [%v, %v] router [%v, %v]",
 					sstats.MinStart, sstats.MaxEnd, rstats.MinStart, rstats.MaxEnd)
 			}
-			if plan == "prefix-split" && rstats.Prefixes != sstats.Prefixes {
+			if plan != "time-partition" && rstats.Prefixes != sstats.Prefixes {
 				t.Errorf("stats prefixes: single %d router %d", sstats.Prefixes, rstats.Prefixes)
 			}
 			if rstats.Shards == nil || rstats.Shards.Version != ShardsInfoVersion ||

@@ -491,12 +491,13 @@ const defaultJSONLimit = 10000
 // Whichever, the records are the backend's bytes: nothing on this path
 // encodes by reflection.
 func (h *handler) events(w http.ResponseWriter, r *http.Request) {
-	q, err := parseQuery(r)
+	v := r.URL.Query()
+	q, err := ParseQuery(v)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	format := r.URL.Query().Get("format")
+	format := v.Get("format")
 	if format == "ndjson" || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
 		h.streamRecordLines(r.Context(), w, q)
 		return
@@ -656,7 +657,7 @@ var nl = []byte{'\n'}
 // histograms. A store streams through the annotator — no result set is
 // materialized; a federation sums its shards' histograms.
 func (h *handler) legitimacy(w http.ResponseWriter, r *http.Request) {
-	q, err := parseQuery(r)
+	q, err := ParseQuery(r.URL.Query())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -629,7 +629,7 @@ func TestFederationPlacementContradictions(t *testing.T) {
 // reopening in each mode, both compactions, replication.
 func TestStampedStoreKeepsItsSlice(t *testing.T) {
 	f := newFederationFixture(t)
-	for name, spec := range map[string]string{"prefix-split": "prefix:8:3", "time-partition": "time:24h0m0s:3"} {
+	for name, spec := range map[string]string{"prefix-split": "prefix:8:3", "prefix:16:3": "prefix:16:3", "time-partition": "time:24h0m0s:3"} {
 		for i, st := range f.shards[name] {
 			if got, want := st.Stats().Identity, fmt.Sprintf("%s %d", spec, i); got != want {
 				t.Errorf("%s shard %d: identity %q after SinkToShards, want %q", name, i, got, want)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"net/http"
 	"net/netip"
 	"net/url"
 	"slices"
@@ -19,6 +18,7 @@ import (
 	"unicode/utf8"
 
 	"bgpblackholing/internal/analysis"
+	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/core"
 	"bgpblackholing/internal/store"
 )
@@ -632,15 +632,6 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(append(append(dst, '"'), s...), '"')
 }
 
-// ParseProviderRef parses the canonical provider notation: "AS3356"
-// (the AS prefix is case-insensitive: "as3356", "As3356", "aS3356"),
-// a bare ASN like "3356", or "ixp:4". The alert rule syntax shares the
-// same parser (internal/core), so query filters and alert rules never
-// disagree on what names a provider.
-func ParseProviderRef(s string) (ProviderRef, error) {
-	return core.ParseProviderRef(s)
-}
-
 // ParseCompactionPolicy parses a compaction policy spec, the format
 // cmd/bhserve's -compact-policy flag and bhquery's admin verbs use:
 //
@@ -769,150 +760,108 @@ func parseDaysOrDuration(s string) (time.Duration, error) {
 	return time.ParseDuration(s)
 }
 
-// ParsePrefixMode parses a prefix match mode name, in any case: "exact",
-// "lpm", "covered" or "covering" — what PrefixMode.String prints, and
-// (covering aside) the names alert rules use.
-func ParsePrefixMode(s string) (PrefixMode, error) {
-	return store.ParsePrefixMode(s)
+// ---------------------------------------------------------------------
+// The Query ⇄ URL codec: ParseQuery reads the /events parameter set,
+// queryParams writes it, both by walking queryFields.
+
+// queryFields has a row per /events filter parameter, one for each Query
+// field: the parameter's name, the reader that sets the field from its
+// text, and the printer that renders the field back, "" when it is unset.
+// ParseQuery(queryParams(q)) == q holds row by row — a router forwards
+// exactly the query it was asked. Times print with their sub-second part:
+// a filter boundary must not move on its way to a remote shard.
+var queryFields = []struct {
+	name  string
+	read  func(q *Query, s string) error
+	print func(q *Query) string
+}{
+	{"from", func(q *Query, s string) (err error) { q.From, err = time.Parse(time.RFC3339, s); return err },
+		func(q *Query) string { return timeText(q.From) }},
+	{"to", func(q *Query, s string) (err error) { q.To, err = time.Parse(time.RFC3339, s); return err },
+		func(q *Query) string { return timeText(q.To) }},
+	{"prefix", func(q *Query, s string) (err error) { q.Prefix, err = store.ParsePrefix(s); return err },
+		func(q *Query) string { return textIf(q.Prefix.IsValid(), q.Prefix) }},
+	{"mode", func(q *Query, s string) (err error) { q.Mode, err = store.ParsePrefixMode(s); return err },
+		func(q *Query) string { return textIf(q.Mode != PrefixExact, q.Mode) }},
+	{"origin", func(q *Query, s string) error {
+		asn, err := strconv.ParseUint(s, 10, 32)
+		q.OriginASN = ASN(asn)
+		return err
+	}, func(q *Query) string { return textIf(q.OriginASN != 0, q.OriginASN) }},
+	{"provider", func(q *Query, s string) error {
+		pr, err := core.ParseProviderRef(s)
+		q.Provider = &pr
+		return err
+	}, func(q *Query) string { return textIf(q.Provider != nil, q.Provider) }},
+	{"community", func(q *Query, s string) (err error) { q.Community, err = bgp.ParseCommunity(s); return err },
+		func(q *Query) string { return textIf(q.Community != 0, q.Community) }},
+	{"min_duration", func(q *Query, s string) (err error) { q.MinDuration, err = durationBound(s); return err },
+		func(q *Query) string { return textIf(q.MinDuration > 0, q.MinDuration) }},
+	{"max_duration", func(q *Query, s string) (err error) { q.MaxDuration, err = durationBound(s); return err },
+		func(q *Query) string { return textIf(q.MaxDuration > 0, q.MaxDuration) }},
+	{"limit", func(q *Query, s string) (err error) {
+		if q.Limit, err = strconv.Atoi(s); err != nil || q.Limit < 0 {
+			return fmt.Errorf("bad value %q", s)
+		}
+		return nil
+	}, func(q *Query) string { return textIf(q.Limit > 0, q.Limit) }},
+	{"enrich", func(q *Query, s string) (err error) {
+		if q.Enrich, err = strconv.ParseBool(s); err != nil {
+			return fmt.Errorf("bad value %q", s)
+		}
+		return nil
+	}, func(q *Query) string { return textIf(q.Enrich, 1) }},
 }
 
-// ---------------------------------------------------------------------
-// The Query ⇄ URL codec: parseQuery reads the /events parameter set,
-// queryParams writes it, and parseQuery(queryParams(q)) == q — a router
-// forwards exactly the query it was asked.
-
-// parseQuery builds a Query from request parameters.
-func parseQuery(r *http.Request) (Query, error) {
+// ParseQuery reads a Query from the /events filter parameters (from, to,
+// prefix, mode, origin, provider, community, min_duration, max_duration,
+// limit, enrich) and ignores any other; an empty one is unset. Its error
+// names the parameter. It is the one reader of a Query from text: the
+// HTTP API's and bhquery's.
+func ParseQuery(v url.Values) (Query, error) {
 	var q Query
-	v := r.URL.Query()
-	timeParam := func(name string, dst *time.Time) error {
-		s := v.Get(name)
-		if s == "" {
-			return nil
+	for _, f := range queryFields {
+		if s := v.Get(f.name); s != "" {
+			if err := f.read(&q, s); err != nil {
+				return Query{}, fmt.Errorf("%s: %v", f.name, err)
+			}
 		}
-		t, err := time.Parse(time.RFC3339, s)
-		if err != nil {
-			return fmt.Errorf("%s: %v", name, err)
-		}
-		*dst = t
-		return nil
-	}
-	if err := timeParam("from", &q.From); err != nil {
-		return q, err
-	}
-	if err := timeParam("to", &q.To); err != nil {
-		return q, err
-	}
-	if s := v.Get("prefix"); s != "" {
-		p, err := store.ParsePrefix(s)
-		if err != nil {
-			return q, fmt.Errorf("prefix: %v", err)
-		}
-		q.Prefix = p
-	}
-	if s := v.Get("mode"); s != "" {
-		m, err := ParsePrefixMode(s)
-		if err != nil {
-			return q, err
-		}
-		q.Mode = m
-	}
-	if s := v.Get("origin"); s != "" {
-		asn, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			return q, fmt.Errorf("origin: %v", err)
-		}
-		q.OriginASN = ASN(asn)
-	}
-	if s := v.Get("provider"); s != "" {
-		pr, err := ParseProviderRef(s)
-		if err != nil {
-			return q, err
-		}
-		q.Provider = &pr
-	}
-	if s := v.Get("community"); s != "" {
-		c, err := ParseCommunity(s)
-		if err != nil {
-			return q, err
-		}
-		q.Community = c
-	}
-	durationParam := func(name string, dst *time.Duration) error {
-		s := v.Get(name)
-		if s == "" {
-			return nil
-		}
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("%s: %v", name, err)
-		}
-		if d < 0 {
-			return fmt.Errorf("%s: negative duration %q", name, s)
-		}
-		*dst = d
-		return nil
-	}
-	if err := durationParam("min_duration", &q.MinDuration); err != nil {
-		return q, err
-	}
-	if err := durationParam("max_duration", &q.MaxDuration); err != nil {
-		return q, err
-	}
-	if s := v.Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return q, fmt.Errorf("limit: bad value %q", s)
-		}
-		q.Limit = n
-	}
-	if s := v.Get("enrich"); s != "" {
-		on, err := strconv.ParseBool(s)
-		if err != nil {
-			return q, fmt.Errorf("enrich: bad value %q", s)
-		}
-		q.Enrich = on
 	}
 	return q, nil
 }
 
-// queryParams renders a Query as the /events parameter set. Times keep
-// their sub-second part: a filter boundary must not move on its way to
-// a remote shard.
+// queryParams renders a Query as the /events parameter set.
 func queryParams(q Query) url.Values {
 	params := url.Values{}
-	if !q.From.IsZero() {
-		params.Set("from", q.From.Format(time.RFC3339Nano))
-	}
-	if !q.To.IsZero() {
-		params.Set("to", q.To.Format(time.RFC3339Nano))
-	}
-	if q.Prefix.IsValid() {
-		params.Set("prefix", q.Prefix.String())
-	}
-	if q.Mode != PrefixExact {
-		params.Set("mode", q.Mode.String())
-	}
-	if q.OriginASN != 0 {
-		params.Set("origin", strconv.FormatUint(uint64(q.OriginASN), 10))
-	}
-	if q.Provider != nil {
-		params.Set("provider", q.Provider.String())
-	}
-	if q.Community != 0 {
-		params.Set("community", q.Community.String())
-	}
-	if q.MinDuration > 0 {
-		params.Set("min_duration", q.MinDuration.String())
-	}
-	if q.MaxDuration > 0 {
-		params.Set("max_duration", q.MaxDuration.String())
-	}
-	if q.Limit > 0 {
-		params.Set("limit", strconv.Itoa(q.Limit))
-	}
-	if q.Enrich {
-		params.Set("enrich", "1")
+	for _, f := range queryFields {
+		if s := f.print(&q); s != "" {
+			params.Set(f.name, s)
+		}
 	}
 	return params
+}
+
+// textIf is a printer's text: v's, when its field is set.
+func textIf[T any](set bool, v T) string {
+	if !set {
+		return ""
+	}
+	return fmt.Sprint(v)
+}
+
+// timeText prints a time bound, "" for the zero time.
+func timeText(t time.Time) string {
+	if t.IsZero() {
+		return ""
+	}
+	return t.Format(time.RFC3339Nano)
+}
+
+// durationBound reads a duration bound, which may not be negative.
+func durationBound(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration %q", s)
+	}
+	return d, err
 }

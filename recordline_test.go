@@ -600,7 +600,7 @@ func TestEventsEnvelopeMatchesEncodingJSON(t *testing.T) {
 		ann := f.p.Annotator()
 		for _, combo := range f.queryCombos(t) { // an empty match, limit cuts and enriched records among them
 			path := "/events?" + combo
-			q, err := parseQuery(httptest.NewRequest(http.MethodGet, path, nil))
+			q, err := ParseQuery(httptest.NewRequest(http.MethodGet, path, nil).URL.Query())
 			if err != nil {
 				t.Fatal(err)
 			}

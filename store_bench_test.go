@@ -201,7 +201,7 @@ func BenchmarkQueryEnriched(b *testing.B) {
 // federation costs three indexed lookups plus a merge, never a scan.
 func BenchmarkFederatedQueryLPM(b *testing.B) {
 	events := storeBenchEvents(b)
-	plan := PrefixShardPlan{Bit: 8, N: 3}
+	plan := PrefixShardPlan{Bit: 16, N: 3}
 	stores := make([]*Store, plan.Shards())
 	for i := range stores {
 		st, err := OpenStore(b.TempDir())
@@ -411,14 +411,14 @@ func BenchmarkCompactTiered(b *testing.B) {
 
 // routerBenchFixture serves the bench window twice over loopback HTTP:
 // from one cold-opened store, and from three cold-opened shard stores
-// (split by prefix:8:3, and stamped so) behind a router handler over
+// (split by prefix:16:3, and stamped so) behind a router handler over
 // RemoteBackends that has read their identities — the bhserve ×3 +
 // bhroute deployment in one process. It returns the two base URLs and
 // one keep-alive client.
 func routerBenchFixture(b *testing.B) (single, router string, client *http.Client) {
 	b.Helper()
 	events := storeBenchEvents(b)
-	plan := PrefixShardPlan{Bit: 8, N: 3}
+	plan := PrefixShardPlan{Bit: 16, N: 3}
 	serve := func(shard int) string { // -1: the single store
 		dir := b.TempDir()
 		st, err := OpenStoreWith(dir, StoreOptions{MaxSegmentBytes: 16 << 10})
