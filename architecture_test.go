@@ -916,6 +916,39 @@ func (s *Store) Query(f Filter) (n int) {
 	return n
 }`),
 }, {
+	name: "one-aggregate-scan",
+	law:  "The store's aggregates walk it one way: in the root package only `Store.scan` ranges over a store walk to aggregate, and `internal/analysis` declares no function over an `iter.Seq` of events.",
+	checks: []archCheck{
+		onlyIn("a QuerySeq walk", archInDir(""), callOf(".QuerySeq"), "Store.scan", "Store.QuerySeq", "StoreBackend.RecordLines"),
+		onlyIn("an All walk", archInDir(""), callOf(".All"), "Store.stamp"),
+		onlyIn("a function over an event sequence", archInDir("internal/analysis"), func(at *archSite, n ast.Node) bool {
+			ft, ok := n.(*ast.FuncType)
+			return ok && slices.ContainsFunc(ft.Params.List, func(p *ast.Field) bool {
+				seq, ok := p.Type.(*ast.IndexExpr)
+				if !ok || !pkgRef("iter", "Seq")(at, seq.X) {
+					return false
+				}
+				ev, ok := seq.Index.(*ast.StarExpr)
+				return ok && pkgRef(modulePath+"/internal/core", "Event")(at, ev.X)
+			})
+		}),
+	},
+	breaks: archFixture(
+		"query.go", `package bgpblackholing
+import ("iter"; "slices"; "bgpblackholing/internal/store")
+type Store struct{ s *store.Store }
+type StoreBackend struct{ st *Store }
+func (st *Store) scan(observe func(*Event)) { for ev := range st.s.QuerySeq() { observe(ev) } }
+func (st *Store) QuerySeq() iter.Seq[*Event] { return st.s.QuerySeq() }
+func (b *StoreBackend) RecordLines() { b.st.s.QuerySeq() }
+func (st *Store) stamp() { st.s.All() }
+func (st *Store) Figure8() []*Event { return slices.Collect(st.s.All()) }
+func (b *StoreBackend) LegitimacySummary() (n int) { for range b.st.s.QuerySeq() { n++ }; return n }`,
+		"internal/analysis/figures.go", `package analysis
+import ("iter"; "bgpblackholing/internal/core")
+func Figure8(events []*core.Event) int { return len(events) }
+func Figure8Seq(events iter.Seq[*core.Event]) (n int) { for range events { n++ }; return n }`),
+}, {
 	name: "one-query-codec",
 	law:  "Text becomes a `Query` only in `ParseQuery`: no other non-test function sets a `Query` field from a parse of its own, except `FederatedStore.gather`, which narrows an LPM query to the prefix of the longest match's record key.",
 	checks: []archCheck{

@@ -417,8 +417,8 @@ func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days in
 		sets := analysis.NewFigure4Sets(start, v.Providers, v.Prefixes, v.DayProviders, v.DayUsers, v.DayPrefixes)
 		return &sets, nil
 	}
-	u, err := b.st.figure4Scan(ctx, start, days)
-	if err != nil {
+	u := analysis.NewFigure4Union(start, days)
+	if err := b.st.scan(ctx, Query{}, u.Observe); err != nil {
 		return nil, err
 	}
 	sets := u.Sets()
@@ -434,14 +434,8 @@ func (b *StoreBackend) LegitimacySummary(ctx context.Context, q Query) (*Legitim
 	}
 	began := time.Now()
 	sum := newLegitimacySummary()
-	done := ctx.Done()
 	b.st.observeQuery(false, streamed)
-	for ev := range b.st.s.QuerySeq(q.filter()) {
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
-		}
+	err := b.st.scan(ctx, q, func(ev *Event) {
 		a := ann.Annotate(ev)
 		sum.Total++
 		sum.Legitimacy[a.Legitimacy]++
@@ -454,6 +448,9 @@ func (b *StoreBackend) LegitimacySummary(ctx context.Context, q Query) (*Legitim
 		for _, reason := range a.Reasons {
 			sum.Reasons[reason]++
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	sum.ElapsedUS = time.Since(began).Microseconds()
 	return sum, nil

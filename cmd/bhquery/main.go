@@ -402,7 +402,10 @@ func runFigure8(stdout io.Writer, c *config) error {
 		return err
 	}
 	defer st.Close()
-	ungrouped, grouped := st.Figure8(c.groupTO)
+	ungrouped, grouped, err := st.Figure8(context.Background(), c.groupTO)
+	if err != nil {
+		return err
+	}
 	_, err = fmt.Fprintf(stdout, "figure8: %d events group into %d periods at timeout %v\n",
 		len(ungrouped), len(grouped), c.groupTO)
 	return err

@@ -1160,8 +1160,9 @@ func TestFederationOneShardIsIdentity(t *testing.T) {
 // TestFederationRecordsCancelled: every call that walks a store honours
 // its context as the Backend contract says — a cancelled call returns
 // ctx.Err() — whether it materializes, streams, scans for Figure 4 or
-// sums through the annotator, on a store and on a federation over it.
-// The same calls under a live context answer.
+// sums through the annotator, on a store and on a federation over it,
+// and the store-only Figure 8 and Tables 3–4 on the store. The same
+// calls under a live context answer.
 func TestFederationRecordsCancelled(t *testing.T) {
 	st := storeFixture(t)
 	st.SetAnnotator(fixtureAnnotator())
@@ -1203,5 +1204,23 @@ func TestFederationRecordsCancelled(t *testing.T) {
 	}
 	if rs, err := be.Records(context.Background(), Query{}); err != nil || len(rs.Records) != 3 {
 		t.Errorf("StoreBackend.Records: %v, %v; want the fixture's 3 records", rs, err)
+	}
+
+	p := smallPipeline(t)
+	storeOnly := []struct {
+		name string
+		call func(context.Context) error
+	}{
+		{"Store.Figure8", func(ctx context.Context) error { _, _, err := st.Figure8(ctx, DefaultGroupTimeout); return err }},
+		{"Pipeline.Table3FromStore", func(ctx context.Context) error { _, err := p.Table3FromStore(ctx, st); return err }},
+		{"Pipeline.Table4FromStore", func(ctx context.Context) error { _, err := p.Table4FromStore(ctx, st); return err }},
+	}
+	for _, c := range storeOnly {
+		if err := c.call(cancelled); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: %v; want context.Canceled", c.name, err)
+		}
+		if err := c.call(context.Background()); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func checkFigure4MatchesScan(t *testing.T, st *Store, stage string) {
 	}
 	for wi, w := range windows {
 		got := st.Figure4(w.start, w.days)
-		want := analysis.Figure4Seq(st.s.All(), w.start, w.days)
+		want := analysis.Figure4(slices.Collect(st.s.All()), w.start, w.days)
 		if len(got) != len(want) {
 			t.Fatalf("%s window %d: %d points, want %d", stage, wi, len(got), len(want))
 		}

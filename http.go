@@ -840,7 +840,10 @@ func (h *handler) figure8(w http.ResponseWriter, r *http.Request) {
 		}
 		timeout = d
 	}
-	ungrouped, grouped := h.store.st.Figure8(timeout)
+	ungrouped, grouped, err := h.store.st.Figure8(r.Context(), timeout)
+	if err != nil {
+		return // only a cancelled walk fails: the client went away
+	}
 	toSecs := func(ds []time.Duration) []float64 {
 		out := make([]float64, len(ds))
 		for i, d := range ds {
@@ -859,14 +862,19 @@ func (h *handler) figure8(w http.ResponseWriter, r *http.Request) {
 
 // fromWorld serves one of the paper's visibility tables, which a store
 // answers only with the pipeline's world: 503 without one, for it needs
-// the world's deployment or topology.
-func fromWorld[T any](needs string, table func(*Pipeline, *Store) T) func(*handler, http.ResponseWriter, *http.Request) {
+// the world's deployment or topology. It writes nothing once the client
+// has gone.
+func fromWorld[T any](needs string, table func(*Pipeline, context.Context, *Store) (T, error)) func(*handler, http.ResponseWriter, *http.Request) {
 	return func(h *handler, w http.ResponseWriter, r *http.Request) {
 		if h.store.p == nil {
 			httpError(w, http.StatusServiceUnavailable, "%s needs the pipeline's %s; run the server with a world", r.URL.Path[1:], needs)
 			return
 		}
-		writeJSON(w, table(h.store.p, h.store.st))
+		rows, err := table(h.store.p, r.Context(), h.store.st)
+		if err != nil {
+			return // only a cancelled walk fails: the client went away
+		}
+		writeJSON(w, rows)
 	}
 }
 

@@ -235,6 +235,21 @@ func TestStoreHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestStoreOnlyRoutesCancelled: a store-only route whose client has gone
+// stops its walk and writes no body.
+func TestStoreOnlyRoutesCancelled(t *testing.T) {
+	h := NewStoreHandler(storeFixture(t), smallPipeline(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, path := range []string{"/figure8", "/table3", "/table4"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequestWithContext(ctx, http.MethodGet, path, nil))
+		if rec.Body.Len() != 0 {
+			t.Errorf("GET %s with a cancelled context: %d, %d-byte body; want no body", path, rec.Code, rec.Body.Len())
+		}
+	}
+}
+
 func TestStoreHTTPTablesWithPipeline(t *testing.T) {
 	p, err := NewPipeline(SmallOptions())
 	if err != nil {

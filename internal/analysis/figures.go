@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"iter"
 	"net/netip"
-	"slices"
 	"sort"
 	"time"
 
@@ -119,20 +117,10 @@ type DailyPoint struct {
 
 // Figure4 computes the daily active providers, users and blackholed
 // prefixes over the timeline: an event contributes to every day its
-// span overlaps.
+// span overlaps, observed into a Figure4Union (partial.go).
 func Figure4(events []*core.Event, start time.Time, days int) []DailyPoint {
-	return Figure4Seq(slices.Values(events), start, days)
-}
-
-// Figure4Seq is Figure4 over an event sequence, in one pass without the
-// event slice, so a persisted store can stream straight into it: every
-// event is observed into a Figure4Union (partial.go).
-func Figure4Seq(events iter.Seq[*core.Event], start time.Time, days int) []DailyPoint {
-	if days <= 0 {
-		return nil
-	}
 	u := NewFigure4Union(start, days)
-	for ev := range events {
+	for _, ev := range events {
 		u.Observe(ev)
 	}
 	return u.Finalize()
@@ -291,13 +279,6 @@ func Figure7c(events []*core.Event) *Histogram {
 		}
 	}
 	return NewHistogram(samples)
-}
-
-// Figure8Seq is Figure8 over an event sequence — the store-backed
-// variant. Grouping inherently needs the full event set, so the
-// sequence is collected once internally.
-func Figure8Seq(events iter.Seq[*core.Event], timeout time.Duration) (ungrouped, grouped []time.Duration) {
-	return Figure8(slices.Collect(events), timeout)
 }
 
 // Figure8 computes the two duration distributions of Figure 8a: raw

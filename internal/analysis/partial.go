@@ -18,9 +18,10 @@ import (
 // Mergeable aggregates. The figures count *distinct* providers, users and
 // prefixes, so their state keeps the sets (bounded by the distinct-entity
 // count, not the event count): states computed per shard union into the
-// whole's, and only Finalize counts. Figure 4 federates, through
-// Figure4Union, its one accumulator. The Figure 8 and Table 3/4 partials
-// obey the same law, Finalize(Observe(events)) ==
+// whole's, and only Finalize counts. Figure 4 federates through
+// Figure4Union; it and the Table 3/4 partials are also the one loop of
+// their aggregate, over a slice or the store's scan. The Figure 8 and
+// Table 3/4 partials obey the same law, Finalize(Observe(events)) ==
 // Finalize(Merge(Observe(shard1), …)) for any partition of the events, but
 // only their tests merge them: a router answers those routes 501.
 

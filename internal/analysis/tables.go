@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"iter"
-	"slices"
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/collector"
@@ -170,16 +168,8 @@ type Table3Row struct {
 // its collectors — when deploy is non-nil; otherwise it falls back to
 // the per-event DirectProviders evidence.
 func Table3(events []*core.Event, deploy *collector.Deployment) []Table3Row {
-	return Table3Seq(slices.Values(events), deploy)
-}
-
-// Table3Seq is Table3 over an event sequence — the store-backed
-// variant: a persisted longitudinal store streams straight into it
-// without materializing the event slice. It is the single-pass form
-// of the mergeable Table3Partial (partial.go).
-func Table3Seq(events iter.Seq[*core.Event], deploy *collector.Deployment) []Table3Row {
 	p := NewTable3Partial(deploy)
-	for ev := range events {
+	for _, ev := range events {
 		p.Observe(ev)
 	}
 	return p.Finalize()
@@ -214,15 +204,8 @@ type Table4Row struct {
 // providers form their own class). When deploy is non-nil the
 // direct-feed column uses the static deployment sessions.
 func Table4(events []*core.Event, topo *topology.Topology, deploy *collector.Deployment) []Table4Row {
-	return Table4Seq(slices.Values(events), topo, deploy)
-}
-
-// Table4Seq is Table4 over an event sequence — the store-backed
-// variant. It is the single-pass form of the mergeable Table4Partial
-// (partial.go).
-func Table4Seq(events iter.Seq[*core.Event], topo *topology.Topology, deploy *collector.Deployment) []Table4Row {
 	p := NewTable4Partial(topo, deploy)
-	for ev := range events {
+	for _, ev := range events {
 		p.Observe(ev)
 	}
 	return p.Finalize()

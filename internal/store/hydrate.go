@@ -212,7 +212,7 @@ func (s *Store) hydrateSegLocked(sf *segFile) {
 // dayAgg is one day's slice of the materialized aggregate view: a
 // refcount per distinct provider, user and victim prefix over the live
 // events overlapping that day. The distinct-set sizes are exactly what
-// analysis.Figure4Seq computes per day, so len() answers /figure4 in O(1)
+// analysis.Figure4Union counts per day, so len() answers /figure4 in O(1)
 // per day. Figure 4 tells providers apart by their String form; named
 // providers are keyed here by the value that form spells (dayProvider),
 // and printed when a view is asked for.
@@ -293,7 +293,7 @@ type DayCount struct {
 
 // DailyCounts answers `days` consecutive UTC days starting at start
 // from the materialized view, in O(days) — the same numbers a full
-// scan through analysis.Figure4Seq produces, provided start is aligned
+// scan into analysis.Figure4Union produces, provided start is aligned
 // to a UTC midnight (that alignment is what makes scan day-bucketing
 // coincide with calendar-day overlap). ok is false when start is not
 // day-aligned or days is not positive; callers fall back to the scan

@@ -367,47 +367,58 @@ func (st *Store) figure4(ctx context.Context, start time.Time, days int) ([]Dail
 		}
 		return out, nil
 	}
-	u, err := st.figure4Scan(ctx, start, days)
-	if err != nil {
+	u := analysis.NewFigure4Union(start, days)
+	if err := st.scan(ctx, Query{}, u.Observe); err != nil {
 		return nil, err
 	}
 	return u.Finalize(), nil
 }
 
-// figure4Scan is Figure 4's one scan, for a start no per-day view
-// answers — the counted series and the shard sets alike: every stored
-// event observed into a union over the window, in one pass that stops
-// with ctx.Err() once ctx is cancelled.
-func (st *Store) figure4Scan(ctx context.Context, start time.Time, days int) (*analysis.Figure4Union, error) {
-	u := analysis.NewFigure4Union(start, days)
+// scan is the store's one aggregate walk: observe sees every event
+// matching q, in append order, and the walk stops with ctx.Err() once
+// ctx is cancelled. It counts no query; its callers do.
+func (st *Store) scan(ctx context.Context, q Query, observe func(*Event)) error {
 	done := ctx.Done()
-	for ev := range st.s.All() {
+	for ev := range st.s.QuerySeq(q.filter()) {
 		select {
 		case <-done:
-			return nil, ctx.Err()
+			return ctx.Err()
 		default:
 		}
-		u.Observe(ev)
+		observe(ev)
 	}
-	return u, nil
+	return nil
 }
 
 // Figure8 computes the raw and grouped duration distributions from the
-// store.
-func (st *Store) Figure8(timeout time.Duration) (ungrouped, grouped []time.Duration) {
-	return analysis.Figure8Seq(st.s.All(), timeout)
+// store, under ctx.
+func (st *Store) Figure8(ctx context.Context, timeout time.Duration) (ungrouped, grouped []time.Duration, err error) {
+	var events []*Event
+	if err := st.scan(ctx, Query{}, func(ev *Event) { events = append(events, ev) }); err != nil {
+		return nil, nil, err
+	}
+	ungrouped, grouped = analysis.Figure8(events, timeout)
+	return ungrouped, grouped, nil
 }
 
 // Table3FromStore computes the blackhole visibility overview (Table 3)
-// from persisted events.
-func (p *Pipeline) Table3FromStore(st *Store) []Table3Row {
-	return analysis.Table3Seq(st.s.All(), p.Deploy)
+// from persisted events, under ctx.
+func (p *Pipeline) Table3FromStore(ctx context.Context, st *Store) ([]Table3Row, error) {
+	t := analysis.NewTable3Partial(p.Deploy)
+	if err := st.scan(ctx, Query{}, t.Observe); err != nil {
+		return nil, err
+	}
+	return t.Finalize(), nil
 }
 
 // Table4FromStore computes visibility by provider type (Table 4) from
-// persisted events.
-func (p *Pipeline) Table4FromStore(st *Store) []Table4Row {
-	return analysis.Table4Seq(st.s.All(), p.Topo, p.Deploy)
+// persisted events, under ctx.
+func (p *Pipeline) Table4FromStore(ctx context.Context, st *Store) ([]Table4Row, error) {
+	t := analysis.NewTable4Partial(p.Topo, p.Deploy)
+	if err := st.scan(ctx, Query{}, t.Observe); err != nil {
+		return nil, err
+	}
+	return t.Finalize(), nil
 }
 
 // ---------------------------------------------------------------------

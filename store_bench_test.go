@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -342,7 +343,7 @@ func BenchmarkFigure4Scan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		series := analysis.Figure4Seq(st.s.All(), coldBench.start, coldBench.days)
+		series := analysis.Figure4(slices.Collect(st.s.All()), coldBench.start, coldBench.days)
 		if len(series) != coldBench.days {
 			b.Fatal("short series")
 		}
@@ -361,7 +362,7 @@ func BenchmarkFigure4Materialized(b *testing.B) {
 	}
 	defer st.Close()
 	warm := st.Figure4(coldBench.start, coldBench.days)
-	want := analysis.Figure4Seq(st.s.All(), coldBench.start, coldBench.days)
+	want := analysis.Figure4(slices.Collect(st.s.All()), coldBench.start, coldBench.days)
 	for d := range want {
 		if warm[d] != want[d] {
 			b.Fatalf("day %d: materialized %+v != scan %+v", d, warm[d], want[d])

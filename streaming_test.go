@@ -140,15 +140,33 @@ func TestSubscribeDeliversIncrementally(t *testing.T) {
 		inRun bool
 	}
 	collected := make(chan []rcv, 1)
+	received := make(chan struct{}) // closed at the subscriber's first event
 	go func() {
 		var got []rcv
 		for ev := range sub {
-			got = append(got, rcv{ev, running.Load()})
+			if got = append(got, rcv{ev, running.Load()}); len(got) == 1 {
+				close(received)
+			}
 		}
 		collected <- got
 	}()
 
-	res, err := det.Run(context.Background(), p.Replay(845, 850))
+	// Once the engine has closed an event, the source's next element
+	// waits for the subscriber to receive one, so the run is still in
+	// flight when it does however the goroutines are scheduled.
+	waited := false
+	src := MapSource(p.Replay(845, 850), func(e *Elem) *Elem {
+		if !waited && det.Metrics().EventsClosed > 0 {
+			waited = true
+			select {
+			case <-received:
+			case <-time.After(10 * time.Second):
+				t.Error("the subscriber received no event within 10s of the first close")
+			}
+		}
+		return e
+	})
+	res, err := det.Run(context.Background(), src)
 	running.Store(false)
 	if err != nil {
 		t.Fatal(err)
