@@ -734,6 +734,26 @@ import "math/rand"
 func Materialize(seed int64) float64 { return rand.New(rand.NewSource(seed)).Float64() }
 func reseed(r *rand.Rand, seed int64) { r.Seed(seed) }`),
 }, {
+	name: "one-window-materialiser",
+	law:  "A window is materialised one way: in non-test code only `ReplaySource.start` calls `workload.Materialize`, and outside `internal/collector` only `Intent.Announcement` names a `collector.Announcement`.",
+	checks: []archCheck{
+		onlyIn("a Materialize call", archNonTest, pkgRef(modulePath+"/internal/workload", "Materialize"), "ReplaySource.start"),
+		onlyIn("an Announcement spelled", archOutsideDir("internal/collector"), pkgRef(modulePath+"/internal/collector", "Announcement"), "Intent.Announcement"),
+	},
+	breaks: archFixture(
+		"internal/workload/workload.go", `package workload
+import "bgpblackholing/internal/collector"
+type Intent struct{ User uint32 }
+func (in *Intent) Announcement() collector.Announcement { return collector.Announcement{User: in.User} }
+func Materialize(d *collector.Deployment, intents []Intent) { for _, in := range intents { d.Propagate(collector.Announcement{User: in.User}) } }`,
+		"source.go", `package bgpblackholing
+import "bgpblackholing/internal/workload"
+type ReplaySource struct{}
+func (r *ReplaySource) start() { workload.Materialize(nil, nil) }`,
+		"archive.go", `package bgpblackholing
+import "bgpblackholing/internal/workload"
+func WriteMRTArchives(intents []workload.Intent) { workload.Materialize(nil, intents) }`),
+}, {
 	name:  "one-identity-ledger",
 	gates: "one identity ledger gate",
 	law:   "`RemoteBackend` keeps no shard identity: none of its fields is named for one or typed `shardIdentity` or `placement`.",

@@ -3,15 +3,15 @@ package bgpblackholing
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"sort"
-	"time"
+	"slices"
 
 	"bgpblackholing/internal/collector"
 	"bgpblackholing/internal/mrt"
 	"bgpblackholing/internal/store"
 	"bgpblackholing/internal/stream"
-	"bgpblackholing/internal/workload"
 )
 
 // ArchiveSummary describes one WriteMRTArchives run.
@@ -32,8 +32,10 @@ type ArchiveSummary struct {
 // window and are still active at its start additionally seed
 // <collector>.dump.mrt TABLE_DUMP_V2 snapshots (§4.2 initialisation),
 // the dictionary is dumped as dictionary.json (LoadDictionary reads it
-// back), and world.txt summarises the world for humans. Identical
-// pipelines and windows produce byte-identical archives; bhdetect — or
+// back), and world.txt summarises the world for humans. The window
+// comes from the replay's day-sharded workers (Replay), and identical
+// pipelines and windows produce byte-identical archives for every
+// Options.Workers; bhdetect — or
 // any MRTSource + Detector combination — can then re-infer the events
 // from the archives alone. Every file is committed durably through
 // store.CommitFile, so a crash leaves each one as it was or complete,
@@ -51,46 +53,29 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 	for _, c := range p.Deploy.Collectors {
 		colByName[c.Name] = c
 	}
+	src := p.Replay(fromDay, toDay)
+	defer src.Close()
 
 	// Table dumps: blackholings that started before the window and are
 	// still active at its start seed the archives as TABLE_DUMP_V2
 	// snapshots (§4.2 initialisation).
-	windowStart := workload.TimelineStart.Add(time.Duration(fromDay) * 24 * time.Hour)
 	dumpObs := map[string][]collector.Observation{}
-	for day := fromDay - 45; day < fromDay; day++ {
-		if day < 0 {
-			continue
-		}
+	for day := max(0, fromDay-45); day < fromDay; day++ {
 		for _, in := range p.Scenario.IntentsForDay(day) {
 			if !in.Prefix.IsValid() || len(in.Pattern) != 1 {
 				continue
 			}
-			if !in.Start.Add(in.Pattern[0].On).After(windowStart) {
+			if !in.Start.Add(in.Pattern[0].On).After(src.windowStart) {
 				continue // ended before the window
 			}
-			ann := collector.Announcement{
-				Time:            in.Start,
-				User:            in.User,
-				Prefix:          in.Prefix,
-				Communities:     in.Communities(p.Topo),
-				NoExport:        in.NoExport,
-				TargetProviders: in.Providers,
-				TargetIXPs:      in.IXPs,
-				Bundled:         in.Bundled,
-			}
-			for _, o := range p.Deploy.Propagate(ann).Observations {
+			for _, o := range p.Deploy.Propagate(in.Announcement(p.Topo)).Observations {
 				dumpObs[o.Collector.Name] = append(dumpObs[o.Collector.Name], o)
 			}
 		}
 	}
-	var dumpNames []string
-	for name := range dumpObs {
-		dumpNames = append(dumpNames, name)
-	}
-	sort.Strings(dumpNames)
-	for _, name := range dumpNames {
+	for _, name := range slices.Sorted(maps.Keys(dumpObs)) {
 		err := store.CommitFile(dir, name+".dump.mrt", true, func(w *bufio.Writer) error {
-			return collector.WriteTableDump(w, colByName[name], dumpObs[name], windowStart)
+			return collector.WriteTableDump(w, colByName[name], dumpObs[name], src.windowStart)
 		})
 		if err != nil {
 			return nil, err
@@ -98,26 +83,26 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 		sum.Dumps++
 	}
 
-	// Collect observations per collector across the window.
-	perCollector := map[string][]collector.Observation{}
-	for day := fromDay; day < toDay; day++ {
-		intents := p.Scenario.IntentsForDay(day)
-		obs, _ := workload.Materialize(p.Deploy, p.Topo, intents, p.Opts.Seed)
-		for _, o := range obs {
-			perCollector[o.Collector.Name] = append(perCollector[o.Collector.Name], o)
-			sum.Updates++
+	// The window's updates per collector, from the replay's day-sharded
+	// workers.
+	perCollector := map[string][]*Elem{}
+	for {
+		el, err := src.Next()
+		if err == io.EOF {
+			break
 		}
+		if err != nil {
+			return nil, err
+		}
+		perCollector[el.Collector] = append(perCollector[el.Collector], el)
+		sum.Updates++
 	}
-
-	var names []string
-	for name := range perCollector {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(perCollector)) {
 		col := colByName[name]
-		// Time-order within the archive.
-		elems := stream.SortedElems(perCollector[name])
+		// A replay is time-ordered only within each day's batch: a day
+		// carries its intents' later withdrawals and re-announcements.
+		elems := perCollector[name]
+		stream.SortByTime(elems)
 		err := store.CommitFile(dir, name+".mrt", true, func(fw *bufio.Writer) error {
 			w := mrt.NewWriter(fw)
 			for _, el := range elems {
@@ -131,7 +116,7 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 			return nil, err
 		}
 	}
-	sum.Collectors = len(names)
+	sum.Collectors = len(perCollector)
 
 	// Dictionary dump: bhdetect (and humans) can load this instead of
 	// re-deriving the corpus.
@@ -142,18 +127,14 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 		return nil, err
 	}
 
-	// World summary for humans.
+	// World summary for humans. A bufio.Writer's first error sticks, and
+	// CommitFile's Flush reports it.
 	err = store.CommitFile(dir, "world.txt", true, func(w *bufio.Writer) error {
-		if _, err := fmt.Fprintf(w, "seed=%d scale=%.3f window=[%d,%d)\n", p.Opts.Seed, p.Opts.TopoScale, fromDay, toDay); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "ASes: %d  IXPs: %d  blackholing providers: %d  blackholing IXPs: %d\n",
-			len(p.Topo.Order), len(p.Topo.IXPs),
-			len(p.Topo.BlackholingProviders()), len(p.Topo.BlackholingIXPs())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "collectors: %d  archived updates: %d\n", sum.Collectors, sum.Updates)
-		return err
+		fmt.Fprintf(w, "seed=%d scale=%.3f window=[%d,%d)\n", p.Opts.Seed, p.Opts.TopoScale, fromDay, toDay)
+		fmt.Fprintf(w, "ASes: %d  IXPs: %d  blackholing providers: %d  blackholing IXPs: %d\n",
+			len(p.Topo.Order), len(p.Topo.IXPs), len(p.Topo.BlackholingProviders()), len(p.Topo.BlackholingIXPs()))
+		fmt.Fprintf(w, "collectors: %d  archived updates: %d\n", sum.Collectors, sum.Updates)
+		return nil
 	})
 	if err != nil {
 		return nil, err

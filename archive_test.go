@@ -75,32 +75,37 @@ func TestMRTSourceTailsAPipe(t *testing.T) {
 // WriteMRTArchives output is pinned byte for byte: the digest below was
 // taken before archives went through a buffered writer and a reused
 // record scratch, and covers every file name and every byte written.
+// The window comes from the replay's day-sharded workers, so the digest
+// holds for every worker count (0 is one per CPU).
 func TestWriteMRTArchivesDigestPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("archives a ten-day window")
 	}
 	const want = "4bd52a5cdcbc147e9b2782a736087bea508690ad31d85ecc16de213a09b121c4"
 	p := smallPipeline(t)
-	dir := t.TempDir()
-	if _, err := p.WriteMRTArchives(dir, 800, 810); err != nil {
-		t.Fatal(err)
-	}
-	names, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	for _, name := range names {
-		data, err := os.ReadFile(name)
+	for _, workers := range []int{0, 1, 4} {
+		p.Opts.Workers = workers
+		dir := t.TempDir()
+		if _, err := p.WriteMRTArchives(dir, 800, 810); err != nil {
+			t.Fatal(err)
+		}
+		names, err := filepath.Glob(filepath.Join(dir, "*"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "%s %d\n", filepath.Base(name), len(data))
-		h.Write(data)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Fatalf("archive digest %s, want %s (%d files)", got, want, len(names))
+		sort.Strings(names)
+		h := sha256.New()
+		for _, name := range names {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%s %d\n", filepath.Base(name), len(data))
+			h.Write(data)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Fatalf("workers %d: archive digest %s, want %s (%d files)", workers, got, want, len(names))
+		}
 	}
 }
 

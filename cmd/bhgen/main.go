@@ -9,8 +9,9 @@
 //	bhgen -out /tmp/archives -scale 0.15 -from 800 -to 805 [-seed 42]
 //
 // The output directory receives one <collector>.mrt file per collector
-// that observed anything, plus a world.txt summary. Identical flags
-// produce byte-identical archives.
+// that observed anything, plus a world.txt summary. The replay's
+// day-sharded workers, one per CPU, materialise the window, and
+// identical flags produce byte-identical archives for any worker count.
 package main
 
 import (

@@ -390,24 +390,37 @@ func (c *config) query() (bgpblackholing.Query, error) {
 // cannot merge from counted answers, so it needs the store itself or
 // the one server holding it.
 func runFigure8(stdout io.Writer, c *config) error {
+	var n struct {
+		Ungrouped int `json:"ungrouped_events"`
+		Grouped   int `json:"grouped_periods"`
+	}
 	if c.server != "" {
 		servers := splitServers(c.server)
 		if len(servers) != 1 {
 			return fmt.Errorf("-figure8 needs a single -server; durations cannot merge from counted answers")
 		}
-		return pipeGET(stdout, c, fmt.Sprintf("%s/figure8?timeout=%s", servers[0], url.QueryEscape(c.groupTO.String())))
+		resp, err := serverGET(c, fmt.Sprintf("%s/figure8?timeout=%s", servers[0], url.QueryEscape(c.groupTO.String())), nil)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&n); err != nil {
+			return fmt.Errorf("figure8 answer: %v", err)
+		}
+	} else {
+		st, err := bgpblackholing.OpenStoreReadOnly(c.storeDir)
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		ungrouped, grouped, err := st.Figure8(context.Background(), c.groupTO)
+		if err != nil {
+			return err
+		}
+		n.Ungrouped, n.Grouped = len(ungrouped), len(grouped)
 	}
-	st, err := bgpblackholing.OpenStoreReadOnly(c.storeDir)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	ungrouped, grouped, err := st.Figure8(context.Background(), c.groupTO)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(stdout, "figure8: %d events group into %d periods at timeout %v\n",
-		len(ungrouped), len(grouped), c.groupTO)
+	_, err := fmt.Fprintf(stdout, "figure8: %d events group into %d periods at timeout %v\n",
+		n.Ungrouped, n.Grouped, c.groupTO)
 	return err
 }
 

@@ -300,6 +300,25 @@ func TestThreeModesByteIdentical(t *testing.T) {
 	}
 	g.check("figure4", figStore)
 
+	// -figure8 prints the one summary line from the store and from the
+	// server holding it; a server list cannot merge durations.
+	f8 := f.modes(config{figure8: true})
+	f8Store, _, err := runCLI(f8["store"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(f8Store, "figure8: ") || strings.Count(f8Store, "\n") != 1 {
+		t.Errorf("figure8 -store printed %q, want one summary line", f8Store)
+	}
+	f8Server, _, err := runCLI(f8["server"])
+	if err != nil {
+		t.Fatalf("figure8 -server: %v", err)
+	}
+	differ(t, "figure8", "store", "server", f8Store, f8Server)
+	if _, _, err := runCLI(f8["servers"]); err == nil || !strings.Contains(err.Error(), "single -server") {
+		t.Errorf("figure8 over a server list: err %v, want the single-server refusal", err)
+	}
+
 	// -stats agrees on the event count.
 	var counts []int
 	for mode, mc := range f.modes(config{stats: true}) {

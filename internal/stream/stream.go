@@ -60,7 +60,8 @@ func (s *elemTimeSorter) Swap(i, j int) {
 	s.elems[i], s.elems[j] = s.elems[j], s.elems[i]
 }
 
-func sortElemsByTime(elems []*Elem) {
+// SortByTime orders elems by update time in place, stable on ties.
+func SortByTime(elems []*Elem) {
 	keys := make([]int64, len(elems))
 	for i, e := range elems {
 		keys[i] = e.Update.Time.UnixNano()
@@ -78,7 +79,7 @@ func SortedElems(obs []collector.Observation) []*Elem {
 		backing[i] = Elem{Collector: o.Collector.Name, Platform: o.Collector.Platform, Update: o.Update}
 		elems[i] = &backing[i]
 	}
-	sortElemsByTime(elems)
+	SortByTime(elems)
 	return elems
 }
 
@@ -91,7 +92,7 @@ func FromObservations(obs []collector.Observation) Stream {
 // FromElems builds a stream from elements, sorting them by time.
 func FromElems(elems []*Elem) Stream {
 	out := append([]*Elem(nil), elems...)
-	sortElemsByTime(out)
+	SortByTime(out)
 	return &sliceStream{elems: out}
 }
 

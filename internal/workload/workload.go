@@ -75,6 +75,21 @@ func (in *Intent) Communities(topo *topology.Topology) []bgp.Community {
 	return out
 }
 
+// Announcement is the route the intent's user sends for its first ON
+// phase: the one flood Materialize restamps, and a table dump's seed.
+func (in *Intent) Announcement(topo *topology.Topology) collector.Announcement {
+	return collector.Announcement{
+		Time:            in.Start,
+		User:            in.User,
+		Prefix:          in.Prefix,
+		Communities:     in.Communities(topo),
+		NoExport:        in.NoExport,
+		TargetProviders: in.Providers,
+		TargetIXPs:      in.IXPs,
+		Bundled:         in.Bundled,
+	}
+}
+
 // Spike is a DDoS-driven surge in blackholing activity.
 type Spike struct {
 	Name string
@@ -602,16 +617,7 @@ func Materialize(d *collector.Deployment, topo *topology.Topology, intents []Int
 		}
 		coin := newCoins(seed ^ int64(idx)*0x5851F42D4C957F2D)
 		t := in.Start
-		res := d.Propagate(collector.Announcement{
-			Time:            t,
-			User:            in.User,
-			Prefix:          in.Prefix,
-			Communities:     in.Communities(topo),
-			NoExport:        in.NoExport,
-			TargetProviders: in.Providers,
-			TargetIXPs:      in.IXPs,
-			Bundled:         in.Bundled,
-		})
+		res := d.Propagate(in.Announcement(topo))
 		obs = slices.Grow(obs, 2*len(in.Pattern)*len(res.Observations))
 		for i, ph := range in.Pattern {
 			results = append(results, res)

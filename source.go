@@ -16,13 +16,15 @@ import (
 	"bgpblackholing/internal/workload"
 )
 
-// Source produces timestamped BGP observations in non-decreasing time
-// order, ending with io.EOF. It is the single feed abstraction the
-// Detector consumes: the batch longitudinal replay (ReplaySource), a
-// near-real-time feed of TCP BGP sessions (LiveSource) and RFC 6396
-// MRT archives (MRTSource) all implement it, and callers can supply
-// their own implementations — any type with a
-// Next() (*Elem, error) method qualifies.
+// Source produces timestamped BGP observations, ending with io.EOF. It
+// is the single feed abstraction the Detector consumes: the batch
+// longitudinal replay (ReplaySource), a near-real-time feed of TCP BGP
+// sessions (LiveSource) and RFC 6396 MRT archives (MRTSource) all
+// implement it, and callers can supply their own implementations — any
+// type with a Next() (*Elem, error) method qualifies. A replay is
+// time-ordered only within each day's batch, which carries its intents'
+// later withdrawals and re-announcements; the detector infers the same
+// events from it sorted by time (TestReplayOrderDoesNotChangeInference).
 type Source interface {
 	// Next returns the next element, or nil, io.EOF at end of feed.
 	Next() (*Elem, error)
@@ -167,18 +169,13 @@ func (r *ReplaySource) start() {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > nDays {
-		workers = nDays
-	}
+	workers = min(workers, nDays)
 	r.batches = make([]dayBatch, nDays)
 	r.ready = make([]chan struct{}, nDays)
 	for i := range r.ready {
 		r.ready[i] = make(chan struct{})
 	}
-	inFlight := 2 * workers
-	if inFlight > nDays {
-		inFlight = nDays
-	}
+	inFlight := min(2*workers, nDays)
 	r.tickets = make(chan struct{}, inFlight)
 	for i := 0; i < inFlight; i++ {
 		r.tickets <- struct{}{}
@@ -381,11 +378,11 @@ func (m *MRTSource) Close() error {
 // ---------------------------------------------------------------------
 // Source combinators.
 
-// MergeSources k-way merges time-ordered sources into one time-ordered
-// Source (on equal timestamps the lowest-numbered source wins) —
-// exactly how the paper's pipeline merges per-collector archives into
-// a single BGPStream feed. Cancellation wiring passes through to every
-// child source.
+// MergeSources k-way merges sources into one Source, time-ordered if
+// they are (a replay is not; see Source) and lowest-numbered first on
+// equal timestamps — exactly how the paper's pipeline merges
+// per-collector archives into a single BGPStream feed. Cancellation
+// wiring passes through to every child source.
 func MergeSources(srcs ...Source) Source {
 	ss := make([]stream.Stream, len(srcs))
 	for i, s := range srcs {

@@ -6,10 +6,12 @@ package bgpblackholing
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/netip"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -545,4 +547,65 @@ func TestMRTSourceRoundTrip(t *testing.T) {
 	if res.Metrics.UpdatesProcessed == 0 {
 		t.Fatal("no updates consumed from the archives")
 	}
+}
+
+// A replay is time-ordered only within each day's batch (see Source):
+// a day carries its intents' later withdrawals and re-announcements, so
+// the feed steps back in time at day boundaries. The detector must infer
+// the same events from it as from the same elements sorted by time;
+// only the closing order, and so each record's seq, may differ. An
+// engine change that makes the order matter fails here.
+func TestReplayOrderDoesNotChangeInference(t *testing.T) {
+	p := smallPipeline(t)
+	src := p.Replay(800, 810)
+	defer src.Close()
+	var elems []*Elem
+	for {
+		el, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		elems = append(elems, el)
+	}
+	back := 0
+	for i := 1; i < len(elems); i++ {
+		if elems[i].Update.Time.Before(elems[i-1].Update.Time) {
+			back++
+		}
+	}
+	if back == 0 {
+		t.Fatalf("the replay of %d elements never steps back in time; Source's doc says it does", len(elems))
+	}
+	sorted := slices.Clone(elems)
+	slices.SortStableFunc(sorted, func(a, b *Elem) int { return a.Update.Time.Compare(b.Update.Time) })
+
+	records := func(feed []*Elem) []string {
+		res, err := p.NewDetector().Run(context.Background(), (*sliceSource)(&feed), WithFlushAt(src.windowEnd))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(res.Events))
+		for i, ev := range res.Events {
+			rec := NewEventRecord(ev)
+			rec.Seq = 0
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = string(b)
+		}
+		slices.Sort(out)
+		return out
+	}
+	asReplayed, asSorted := records(elems), records(sorted)
+	if len(asReplayed) == 0 {
+		t.Fatal("the window closed no events")
+	}
+	if !slices.Equal(asReplayed, asSorted) {
+		t.Fatalf("%d events from the replay's order, %d from time order, and they differ beyond seq", len(asReplayed), len(asSorted))
+	}
+	t.Logf("%d elements step back in time %d times; %d events either way", len(elems), back, len(asReplayed))
 }
