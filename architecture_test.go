@@ -257,27 +257,33 @@ func markerLoop(_ *archSite, n ast.Node) bool {
 	return false
 }
 
-// waitGroupWait matches x.Wait() on a sync.WaitGroup, or on a value whose
-// type the spelling does not tell.
-func waitGroupWait(at *archSite, n ast.Node) bool {
-	call, ok := n.(*ast.CallExpr)
-	if !ok {
-		return false
+// stdMethodCall matches x.method(…) on a value of the standard type
+// importPath.typ — spelled so, or one of the package's variables vars —
+// or on a value whose type the spelling does not tell.
+func stdMethodCall(importPath, typ, method string, vars ...string) archShape {
+	return func(at *archSite, n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != method {
+			return false
+		}
+		if pkgRef(importPath, vars...)(at, sel.X) {
+			return true
+		}
+		t := at.typeOf(sel.X)
+		if t.expr == nil {
+			return !t.std
+		}
+		x, ok := bareType(t.expr).(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := x.X.(*ast.Ident)
+		return ok && t.file.imports[pkg.Name] == importPath && x.Sel.Name == typ
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Wait" {
-		return false
-	}
-	t := at.typeOf(sel.X)
-	if t.expr == nil {
-		return !t.std
-	}
-	x, ok := bareType(t.expr).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	pkg, ok := x.X.(*ast.Ident)
-	return ok && t.file.imports[pkg.Name] == "sync" && x.Sel.Name == "WaitGroup"
 }
 
 // mounts matches a route mounted on a mux: x.Handle(…) or x.HandleFunc(…).
@@ -764,11 +770,36 @@ func WriteMRTArchives(intents []workload.Intent) { workload.Materialize(nil, int
 type shardIdentity struct{ spec string }
 type RemoteBackend struct{ name string; shard *shardIdentity }`),
 }, {
+	name: "one-query-client",
+	law:  "The query API has one client: in non-test code outside `internal/alert`, only `RemoteBackend.send` calls `(*http.Client).Do`; only `attempt` and `Healthz` call `send`; and only `roundTrip` calls `attempt`.",
+	checks: []archCheck{
+		onlyIn("an HTTP request sent", archOutsideDir("internal/alert"), stdMethodCall("net/http", "Client", "Do", "DefaultClient"), "RemoteBackend.send"),
+		onlyIn("a send call", archNonTest, callOf(".send"), "RemoteBackend.attempt", "RemoteBackend.Healthz"),
+		onlyIn("an attempt call", archNonTest, callOf(".attempt"), "RemoteBackend.roundTrip"),
+	},
+	breaks: archFixture(
+		"remote.go", `package bgpblackholing
+import "net/http"
+type RemoteBackend struct{ urls []string }
+func (b *RemoteBackend) send(req *http.Request) (*http.Response, error) { return http.DefaultClient.Do(req) }
+func (b *RemoteBackend) attempt(req *http.Request) (*http.Response, error) { return b.send(req) }
+func (b *RemoteBackend) Healthz(req *http.Request) { b.send(req) }
+func (b *RemoteBackend) roundTrip(req *http.Request) { b.attempt(req) }
+func (b *RemoteBackend) hedged(req *http.Request) { go b.attempt(req) }
+func (b *RemoteBackend) Stats(req *http.Request) { b.send(req) }`,
+		"cmd/bhquery/main.go", `package main
+import "net/http"
+func serverGET(c *http.Client, req *http.Request) (*http.Response, error) { return c.Do(req) }`,
+		"internal/alert/webhook.go", `package alert
+import "net/http"
+type Webhook struct{ client *http.Client }
+func (w *Webhook) post(req *http.Request) { w.client.Do(req) }`),
+}, {
 	name:  "one-fan-out-one-merge",
 	gates: "one fan-out, one merge gate",
 	law:   "In `federate.go` only `FederatedStore.fanOut` waits on a `sync.WaitGroup`, and only `FederatedStore.merge` calls `stream.NewHeap`.",
 	checks: []archCheck{
-		onlyIn("a WaitGroup wait", archInFile("federate.go"), waitGroupWait, "FederatedStore.fanOut"),
+		onlyIn("a WaitGroup wait", archInFile("federate.go"), stdMethodCall("sync", "WaitGroup", "Wait"), "FederatedStore.fanOut"),
 		onlyIn("a stream.NewHeap", archNonTest, pkgRef(modulePath+"/internal/stream", "NewHeap"), "FederatedStore.merge"),
 	},
 	breaks: archFixture("federate.go", `package bgpblackholing

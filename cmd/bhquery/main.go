@@ -50,7 +50,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"net/url"
 	"os"
 	"strconv"
@@ -153,22 +152,29 @@ func run(stdout, stderr io.Writer, c *config) error {
 		if c.server != "" {
 			return fmt.Errorf("admin verbs need direct store access; use -store, not -server")
 		}
-		return runAdmin(c)
+		return runAdmin(stdout, c)
 	}
-	if c.watch {
-		if c.server == "" {
-			return fmt.Errorf("-watch needs -server")
+	figure8 := c.figure8 && !c.stats && !c.figure4 // -stats and -figure4 win, as they always have
+	var rb *bgpblackholing.RemoteBackend
+	if c.watch || c.metrics || figure8 && c.server != "" {
+		var err error
+		if rb, err = oneServer(c); err != nil {
+			return err
 		}
-		return runWatch(c)
 	}
-	if c.metrics {
-		if c.server == "" {
-			return fmt.Errorf("-metrics needs -server")
+	switch {
+	case c.watch:
+		return runWatch(c, rb)
+	case c.metrics:
+		resp, err := rb.Get(context.Background(), "/metrics", nil, nil)
+		if err != nil {
+			return err
 		}
-		return pipeGET(stdout, c, strings.TrimRight(c.server, "/")+"/metrics")
-	}
-	if c.figure8 && !c.stats && !c.figure4 { // -stats and -figure4 win, as they always have
-		return runFigure8(stdout, c)
+		defer resp.Body.Close()
+		_, err = io.Copy(stdout, resp.Body)
+		return err
+	case figure8:
+		return runFigure8(stdout, c, rb)
 	}
 	be, err := openBackend(c)
 	if err != nil {
@@ -192,9 +198,9 @@ func splitServers(s string) []string {
 // ---------------------------------------------------------------------
 // Admin verbs: tombstone a prefix's history, force a compaction pass.
 
-func runAdmin(c *config) error {
+func runAdmin(stdout io.Writer, c *config) error {
 	if c.deletePrefix != "" || c.compact != "" {
-		if err := runWriteAdmin(c); err != nil {
+		if err := runWriteAdmin(stdout, c); err != nil {
 			return err
 		}
 	}
@@ -206,14 +212,14 @@ func runAdmin(c *config) error {
 		if err != nil {
 			return fmt.Errorf("-replicate-to: %w", err)
 		}
-		fmt.Printf("bhquery: replicated %s -> %s: %d files copied (%d bytes), %d unchanged, %d retired\n",
+		fmt.Fprintf(stdout, "bhquery: replicated %s -> %s: %d files copied (%d bytes), %d unchanged, %d retired\n",
 			c.storeDir, c.replicateTo, len(rep.Copied), rep.Bytes, rep.Skipped, len(rep.Deleted))
 	}
 	return nil
 }
 
 // runWriteAdmin handles the verbs that open the store read-write.
-func runWriteAdmin(c *config) error {
+func runWriteAdmin(stdout io.Writer, c *config) error {
 	st, err := bgpblackholing.OpenStore(c.storeDir)
 	if err != nil {
 		return err
@@ -243,7 +249,7 @@ func runWriteAdmin(c *config) error {
 		if !upTo.IsZero() {
 			bound = "events ending at/before " + upTo.UTC().Format(time.RFC3339)
 		}
-		fmt.Printf("bhquery: erased %d events under %s (%s); bytes leave the disk at the partition's next compaction\n", n, p, bound)
+		fmt.Fprintf(stdout, "bhquery: erased %d events under %s (%s); bytes leave the disk at the partition's next compaction\n", n, p, bound)
 	}
 
 	if c.compact != "" {
@@ -255,7 +261,7 @@ func runWriteAdmin(c *config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("bhquery: compacted %d -> %d segments across %d partitions: %d duplicates dropped, %d dead records erased, merged %v, skipped %v\n",
+		fmt.Fprintf(stdout, "bhquery: compacted %d -> %d segments across %d partitions: %d duplicates dropped, %d dead records erased, merged %v, skipped %v\n",
 			stats.SegmentsBefore, stats.SegmentsAfter, stats.Partitions,
 			stats.Dropped, stats.Erased, stats.Merged, stats.Skipped)
 	}
@@ -386,20 +392,26 @@ func (c *config) query() (bgpblackholing.Query, error) {
 	})
 }
 
+// oneServer is the client of the one -server that -watch, -metrics and
+// -figure8 read: their answers do not merge across servers.
+func oneServer(c *config) (*bgpblackholing.RemoteBackend, error) {
+	servers := splitServers(c.server)
+	if len(servers) != 1 {
+		return nil, fmt.Errorf("-watch, -metrics and -figure8 need a single -server; their answers do not merge across servers")
+	}
+	return bgpblackholing.NewRemoteBackend(servers, bgpblackholing.RemoteOptions{AuthToken: c.authToken})
+}
+
 // runFigure8 prints the duration distribution summary. Durations
 // cannot merge from counted answers, so it needs the store itself or
-// the one server holding it.
-func runFigure8(stdout io.Writer, c *config) error {
+// the one server holding it, rb.
+func runFigure8(stdout io.Writer, c *config, rb *bgpblackholing.RemoteBackend) error {
 	var n struct {
 		Ungrouped int `json:"ungrouped_events"`
 		Grouped   int `json:"grouped_periods"`
 	}
-	if c.server != "" {
-		servers := splitServers(c.server)
-		if len(servers) != 1 {
-			return fmt.Errorf("-figure8 needs a single -server; durations cannot merge from counted answers")
-		}
-		resp, err := serverGET(c, fmt.Sprintf("%s/figure8?timeout=%s", servers[0], url.QueryEscape(c.groupTO.String())), nil)
+	if rb != nil {
+		resp, err := rb.Get(context.Background(), "/figure8", url.Values{"timeout": {c.groupTO.String()}}, nil)
 		if err != nil {
 			return err
 		}
@@ -428,43 +440,6 @@ func warnShardsFailed(stderr io.Writer, failed int) {
 	if failed > 0 {
 		fmt.Fprintf(stderr, "bhquery: warning: %d server(s) failed to answer; results are partial\n", failed)
 	}
-}
-
-// serverGET issues a GET with the configured bearer token and any
-// extra headers; non-2xx responses become errors with the server's
-// message.
-func serverGET(c *config, u string, headers map[string]string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.authToken != "" {
-		req.Header.Set("Authorization", "Bearer "+c.authToken)
-	}
-	for k, v := range headers {
-		req.Header.Set(k, v)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return nil, fmt.Errorf("server: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	return resp, nil
-}
-
-// pipeGET streams a response body straight through.
-func pipeGET(stdout io.Writer, c *config, u string) error {
-	resp, err := serverGET(c, u, nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, err = io.Copy(stdout, resp.Body)
-	return err
 }
 
 // ---------------------------------------------------------------------

@@ -5,13 +5,19 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -457,5 +463,145 @@ func TestQueryFlagsReadAsEvents(t *testing.T) {
 		if refused := resp.StatusCode == http.StatusBadRequest; refused != (row.want == nil) {
 			t.Errorf("GET /events?%s: status %d, but bhquery %s refused=%v", row.params, resp.StatusCode, name, row.want == nil)
 		}
+	}
+}
+
+// TestOneServerFlagsRefuseAList: -watch, -metrics and -figure8 each read
+// a route of one server, whose answer does not merge across servers.
+// Given a server list, each returns the single-server refusal without
+// dialing any of them.
+func TestOneServerFlagsRefuseAList(t *testing.T) {
+	var dialed atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dialed.Add(1)
+		http.Error(w, "unavailable", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	for name, c := range map[string]config{"-watch": {watch: true}, "-metrics": {metrics: true}, "-figure8": {figure8: true}} {
+		c.server, c.format, c.groupTO = srv.URL+","+srv.URL, "table", time.Minute
+		done := make(chan error, 1)
+		go func() { _, _, err := runCLI(c); done <- err }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "single -server") {
+				t.Errorf("%s over a server list: err %v, want the single-server refusal", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s over a server list: still running after 5s, want the single-server refusal", name)
+		}
+	}
+	if n := dialed.Load(); n != 0 {
+		t.Errorf("the refused runs dialed the servers %d times, want 0", n)
+	}
+}
+
+// TestServerRoutesCarryTheToken: -metrics sends -auth-token and copies
+// the exposition through; without the token -metrics fails with the
+// server's 401, and -watch stops on it instead of reconnecting.
+func TestServerRoutesCarryTheToken(t *testing.T) {
+	dir := t.TempDir()
+	st, err := bgpblackholing.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := httptest.NewServer(bgpblackholing.NewStoreHandlerWith(st, nil, bgpblackholing.HandlerOptions{
+		AuthToken: "s3cret", Telemetry: bgpblackholing.NewTelemetry(),
+	}))
+	defer srv.Close()
+
+	out, _, err := runCLI(config{server: srv.URL, metrics: true, authToken: "s3cret"})
+	if err != nil || !strings.Contains(out, "# TYPE ") {
+		t.Errorf("-metrics with the token: err %v, output %.200q; want the exposition", err, out)
+	}
+	for name, c := range map[string]config{"-metrics": {metrics: true}, "-watch": {watch: true, format: "table"}} {
+		c.server = srv.URL
+		done := make(chan error, 1)
+		go func() { _, _, err := runCLI(c); done <- err }()
+		select {
+		case err := <-done:
+			var re *bgpblackholing.RemoteError
+			if !errors.As(err, &re) || re.Status != http.StatusUnauthorized {
+				t.Errorf("%s without the token: err %v, want the server's 401", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s without the token: still running after 5s, want it to stop on the 401", name)
+		}
+	}
+}
+
+// TestAdminVerbs drives the admin verbs on a copy of the fixture's store.
+// Each prints its summary line to the writer run is given and does what
+// the line says: an erased prefix is gone from the reopened store, a
+// bounded erasure keeps the prefix's later events, compaction keeps every
+// live event, and the replica opens read-only with the store's Len.
+func TestAdminVerbs(t *testing.T) {
+	f := newCLIFixture(t)
+	dir, replica := t.TempDir(), filepath.Join(t.TempDir(), "replica")
+	if err := os.CopyFS(dir, os.DirFS(f.storeDir)); err != nil {
+		t.Fatal(err)
+	}
+	under := func(dir string, p netip.Prefix) ([]*bgpblackholing.Event, int) {
+		t.Helper()
+		st, err := bgpblackholing.OpenStoreReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		return st.Query(bgpblackholing.Query{Prefix: p, Mode: bgpblackholing.PrefixCovered}).Events, st.Len()
+	}
+	admin := func(c config, want string) {
+		t.Helper()
+		c.storeDir = dir
+		out, _, err := runCLI(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !regexp.MustCompile(want).MatchString(out) {
+			t.Errorf("printed %q, want a line matching %s", out, want)
+		}
+	}
+
+	// The whole history of the sample's prefix.
+	whole := netip.MustParsePrefix(f.sample.Prefix)
+	gone, before := under(dir, whole)
+	admin(config{deletePrefix: whole.String()}, fmt.Sprintf(`^bhquery: erased %d events under %s \(its whole history\); bytes leave the disk at the partition's next compaction\n$`,
+		len(gone), regexp.QuoteMeta(whole.String())))
+
+	// The events of another prefix ending at or before its first end.
+	all, _ := under(dir, netip.MustParsePrefix("0.0.0.0/0"))
+	var bounded netip.Prefix
+	var upTo time.Time
+	var erased, kept int
+	for _, ev := range all {
+		evs, _ := under(dir, ev.Prefix)
+		first := slices.MinFunc(evs, func(a, b *bgpblackholing.Event) int { return a.End.Compare(b.End) }).End.Truncate(time.Second)
+		erased = len(slices.DeleteFunc(slices.Clone(evs), func(e *bgpblackholing.Event) bool { return e.End.After(first) }))
+		if kept = len(evs) - erased; kept > 0 {
+			bounded, upTo = ev.Prefix, first
+			break
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no prefix in the fixture has events ending at two times")
+	}
+	admin(config{deletePrefix: bounded.String(), deleteUpTo: upTo.UTC().Format(time.RFC3339)},
+		fmt.Sprintf(`^bhquery: erased %d events under %s \(events ending at/before %s\); `,
+			erased, regexp.QuoteMeta(bounded.String()), upTo.UTC().Format(time.RFC3339)))
+
+	admin(config{compact: "tiered"}, fmt.Sprintf(`^bhquery: compacted \d+ -> \d+ segments across \d+ partitions: 0 duplicates dropped, %d dead records erased, merged \[[\d ]*\], skipped \[[\d ]*\]\n$`,
+		len(gone)+erased))
+	left, after := under(dir, whole)
+	if len(left) != 0 || after != before-len(gone)-erased {
+		t.Errorf("reopened after erasure and compaction: %d events under %s and %d in all; want 0 and %d", len(left), whole, after, before-len(gone)-erased)
+	}
+	if evs, _ := under(dir, bounded); len(evs) != kept {
+		t.Errorf("reopened: %d events under %s, want the %d ending after %s", len(evs), bounded, kept, upTo)
+	}
+
+	admin(config{replicateTo: replica}, fmt.Sprintf(`^bhquery: replicated %s -> %s: \d+ files copied \(\d+ bytes\), 0 unchanged, 0 retired\n$`,
+		regexp.QuoteMeta(dir), regexp.QuoteMeta(replica)))
+	if _, n := under(replica, netip.Prefix{}); n != after {
+		t.Errorf("the replica opens with %d events, want the store's %d", n, after)
 	}
 }

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/url"
 	"os"
 	"os/signal"
@@ -21,21 +24,13 @@ import (
 // -format ndjson for the raw records). On a dropped connection it
 // reconnects with the last seen alert id in Last-Event-ID, so nothing
 // within the server's replay ring is missed. Ctrl-C exits.
-func runWatch(c *config) error {
+func runWatch(c *config, rb *bgpblackholing.RemoteBackend) error {
 	switch c.format {
 	case "table", "ndjson":
 	default:
 		return fmt.Errorf("-watch supports -format table or ndjson, not %q", c.format)
 	}
-	base := strings.TrimSuffix(c.server, "/")
-	params := url.Values{}
-	for _, r := range c.watchRules {
-		params.Add("rule", r)
-	}
-	u := base + "/watch"
-	if len(params) > 0 {
-		u += "?" + params.Encode()
-	}
+	params := url.Values{"rule": c.watchRules}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -44,13 +39,13 @@ func runWatch(c *config) error {
 	printedHeader := false
 	backoff := time.Second
 	for {
-		err := watchOnce(c, u, &lastID, c.format, &printedHeader, stop)
+		err := watchOnce(rb, params, &lastID, c.format, &printedHeader, stop)
 		if err == nil {
 			return nil // interrupted
 		}
 		// Auth and bad-request failures won't heal on retry.
-		if strings.Contains(err.Error(), "401") || strings.Contains(err.Error(), "404 ") ||
-			strings.Contains(err.Error(), "400 ") {
+		var re *bgpblackholing.RemoteError
+		if errors.As(err, &re) && (re.Status == 400 || re.Status == 401 || re.Status == 404) {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "bhquery: watch: %v; reconnecting in %v (last id %d)\n", err, backoff, lastID)
@@ -65,12 +60,12 @@ func runWatch(c *config) error {
 
 // watchOnce runs one SSE connection until it drops (error) or the user
 // interrupts (nil).
-func watchOnce(c *config, u string, lastID *uint64, format string, printedHeader *bool, stop <-chan os.Signal) error {
-	headers := map[string]string{"Accept": "text/event-stream"}
+func watchOnce(rb *bgpblackholing.RemoteBackend, params url.Values, lastID *uint64, format string, printedHeader *bool, stop <-chan os.Signal) error {
+	header := http.Header{"Accept": {"text/event-stream"}}
 	if *lastID > 0 {
-		headers["Last-Event-ID"] = strconv.FormatUint(*lastID, 10)
+		header.Set("Last-Event-ID", strconv.FormatUint(*lastID, 10))
 	}
-	resp, err := serverGET(c, u, headers)
+	resp, err := rb.Get(context.Background(), "/watch", params, header)
 	if err != nil {
 		return err
 	}

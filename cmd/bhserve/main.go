@@ -76,33 +76,8 @@ type config struct {
 
 func main() {
 	var cfg config
-	var asn uint
-	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:1790", "listen address for BGP sessions")
-	flag.Float64Var(&cfg.scale, "scale", 0.15, "world scale (dictionary + topology)")
-	flag.Int64Var(&cfg.seed, "seed", 42, "deterministic seed")
-	flag.UintVar(&asn, "asn", 64900, "local AS number")
-	flag.StringVar(&cfg.storeDir, "store", "", "persist events to this store directory")
-	flag.StringVar(&cfg.httpAddr, "http", "", "serve the store's query API on this address (requires -store)")
-	flag.StringVar(&cfg.ingest, "ingest", "", "replay days FROM:TO into the store at startup (requires -store)")
-	flag.StringVar(&cfg.policy, "compact-policy", "merge-all", "store compaction policy: merge-all, or tiered[,partition=30d,ratio=4,min-run=4]")
-	flag.StringVar(&cfg.syncPolicy, "sync-policy", "close", "store durability: close, always, or group[,every=N,interval=D]")
-	flag.Bool("cold-open", true, "deprecated: no effect (every store open is cold)")
-	flag.BoolVar(&cfg.mmap, "mmap", true, "memory-map sealed segments instead of reading them into the heap (unix only; ignored elsewhere)")
-	flag.StringVar(&cfg.authToken, "auth-token", "", "require this bearer token on the query API (default open)")
-	flag.Float64Var(&cfg.rateLimit, "rate-limit", 0, "per-client query API requests/second (0 = unlimited)")
-	flag.IntVar(&cfg.liveBuffer, "live-buffer", 0, "bound the live feed's pending-element buffer, dropping oldest past it (0 = unbounded)")
-	flag.IntVar(&cfg.subQueue, "sub-queue", 0, "bound each event subscriber's queue, dropping oldest past it (0 = unbounded)")
-	flag.StringVar(&cfg.workload, "workload", "", "scenario preset for the world and -ingest replay: default or flash-crowd")
-	flag.StringVar(&cfg.rulesFile, "rules-file", "", "load alert rules from this file (one per line, 'name=x prefix=...' syntax)")
-	flag.Func("webhook", "POST matching alerts to this URL (repeatable)", func(v string) error {
-		cfg.webhooks = append(cfg.webhooks, v)
-		return nil
-	})
-	flag.StringVar(&cfg.logFormat, "log-format", "text", "log output format: text or json")
-	flag.StringVar(&cfg.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
-	flag.BoolVar(&cfg.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ on the query API (requires -http; auth-protected when -auth-token is set)")
+	flags(flag.CommandLine, &cfg)
 	flag.Parse()
-	cfg.asn = uint32(asn)
 	if err := setupLogger(cfg.logFormat, cfg.logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "bhserve:", err)
 		os.Exit(2)
@@ -111,6 +86,41 @@ func main() {
 		slog.Error("bhserve failed", "err", err)
 		os.Exit(1)
 	}
+}
+
+// flags defines bhserve's flags on fs, each setting its field of c.
+func flags(fs *flag.FlagSet, c *config) {
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:1790", "listen address for BGP sessions")
+	fs.Float64Var(&c.scale, "scale", 0.15, "world scale (dictionary + topology)")
+	fs.Int64Var(&c.seed, "seed", 42, "deterministic seed")
+	c.asn = 64900
+	fs.Func("asn", "local AS number, 1 to 4294967295 (default 64900)", func(v string) error {
+		n, err := strconv.ParseUint(v, 10, 32)
+		if c.asn = uint32(n); err == nil && n == 0 {
+			return fmt.Errorf("AS 0 is reserved (RFC 7607)")
+		}
+		return err
+	})
+	fs.StringVar(&c.storeDir, "store", "", "persist events to this store directory")
+	fs.StringVar(&c.httpAddr, "http", "", "serve the store's query API on this address (requires -store)")
+	fs.StringVar(&c.ingest, "ingest", "", "replay days FROM:TO into the store at startup (requires -store)")
+	fs.StringVar(&c.policy, "compact-policy", "merge-all", "store compaction policy: merge-all, or tiered[,partition=30d,ratio=4,min-run=4]")
+	fs.StringVar(&c.syncPolicy, "sync-policy", "close", "store durability: close, always, or group[,every=N,interval=D]")
+	fs.Bool("cold-open", true, "deprecated: no effect (every store open is cold)")
+	fs.BoolVar(&c.mmap, "mmap", true, "memory-map sealed segments instead of reading them into the heap (unix only; ignored elsewhere)")
+	fs.StringVar(&c.authToken, "auth-token", "", "require this bearer token on the query API (default open)")
+	fs.Float64Var(&c.rateLimit, "rate-limit", 0, "per-client query API requests/second (0 = unlimited)")
+	fs.IntVar(&c.liveBuffer, "live-buffer", 0, "bound the live feed's pending-element buffer, dropping oldest past it (0 = unbounded)")
+	fs.IntVar(&c.subQueue, "sub-queue", 0, "bound each event subscriber's queue, dropping oldest past it (0 = unbounded)")
+	fs.StringVar(&c.workload, "workload", "", "scenario preset for the world and -ingest replay: default or flash-crowd")
+	fs.StringVar(&c.rulesFile, "rules-file", "", "load alert rules from this file (one per line, 'name=x prefix=...' syntax)")
+	fs.Func("webhook", "POST matching alerts to this URL (repeatable)", func(v string) error {
+		c.webhooks = append(c.webhooks, v)
+		return nil
+	})
+	fs.StringVar(&c.logFormat, "log-format", "text", "log output format: text or json")
+	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
+	fs.BoolVar(&c.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/ on the query API (requires -http; auth-protected when -auth-token is set)")
 }
 
 // setupLogger installs the process-wide slog default per -log-format

@@ -845,13 +845,80 @@ func TestFederationHedgeCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = rb.hedged(context.Background(), "/events", url.Values{"prefix": {"not-a-prefix"}})
+	_, err = rb.roundTrip(context.Background(), "/events", url.Values{"prefix": {"not-a-prefix"}}, nil, false)
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Status != http.StatusBadRequest {
 		t.Fatalf("a bad request through a hedged backend: %v, want the shard's 400", err)
 	}
 	if n, h := replicaAsked.Load(), rb.hedges.Load(); n != 0 || h != 0 {
 		t.Errorf("a 400 from the primary reached the replica %d times and counted %d hedges; want 0, 0", n, h)
+	}
+}
+
+// TestFederationReplicaAnswersForDeadPrimary: a shard whose primary is
+// down is answered by its replica, with and without a hedge delay — a
+// set, a stream, an aggregate and the health probe alike, each the bytes
+// a router over the replica alone serves — and failing over is not
+// hedging. A 4xx from a live primary is the caller's error, and never
+// reaches the replica, for a set or a stream.
+func TestFederationReplicaAnswersForDeadPrimary(t *testing.T) {
+	shard := NewStoreHandler(storeFixture(t), nil)
+	var replicaAsked atomic.Int32
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		replicaAsked.Add(1)
+		shard.ServeHTTP(w, r)
+	}))
+	defer replica.Close()
+	down := httptest.NewServer(nil)
+	down.Close()
+	route := func(urls []string, hedge time.Duration) (*RemoteBackend, string) {
+		rb, err := NewRemoteBackend(urls, RemoteOptions{Name: "edge-a", HedgeDelay: hedge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		router := httptest.NewServer(NewRouterHandler(NewFederatedStore(rb), RouterOptions{}))
+		t.Cleanup(router.Close)
+		return rb, router.URL
+	}
+	_, alone := route([]string{replica.URL}, 0)
+	// A refused dial fails in microseconds: a hedge delay of a second
+	// never fires unless the failover waits for it.
+	for _, hedge := range []time.Duration{0, time.Second} {
+		rb, router := route([]string{down.URL, replica.URL}, hedge)
+		for _, path := range []string{"/events", "/events?format=ndjson", "/figure4?start=2015-03-01T00:00:00Z&days=3", "/healthz"} {
+			wantResp, want := get(t, alone, path)
+			gotResp, got := get(t, router, path)
+			want, got = elapsedUS.ReplaceAll(want, []byte(`"elapsed_us": 0`)), elapsedUS.ReplaceAll(got, []byte(`"elapsed_us": 0`))
+			if gotResp.StatusCode != http.StatusOK || wantResp.StatusCode != http.StatusOK || !bytes.Equal(got, want) ||
+				gotResp.Header.Get(shardsFailedKey) != wantResp.Header.Get(shardsFailedKey) {
+				t.Errorf("hedge %v, GET %s with the primary down: %d %s %q\nwant the replica's %d %s %q",
+					hedge, path, gotResp.StatusCode, gotResp.Header.Get(shardsFailedKey), got, wantResp.StatusCode, wantResp.Header.Get(shardsFailedKey), want)
+			}
+		}
+		if h := rb.hedges.Load(); h != 0 {
+			t.Errorf("hedge %v: failing over a dead primary counted %d hedges, want 0", hedge, h)
+		}
+	}
+
+	locked := httptest.NewServer(NewStoreHandlerWith(storeFixture(t), nil, HandlerOptions{AuthToken: "s3cret"}))
+	defer locked.Close()
+	replicaAsked.Store(0)
+	for _, hedge := range []time.Duration{0, 10 * time.Millisecond} {
+		rb, err := NewRemoteBackend([]string{locked.URL, replica.URL}, RemoteOptions{HedgeDelay: hedge})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, setErr := rb.Records(context.Background(), Query{})
+		_, streamErr := rb.RecordLines(context.Background(), Query{})
+		for shape, err := range map[string]error{"set": setErr, "stream": streamErr} {
+			var re *RemoteError
+			if !errors.As(err, &re) || re.Status != http.StatusUnauthorized {
+				t.Errorf("hedge %v, a %s refused by the primary: %v, want its 401", hedge, shape, err)
+			}
+		}
+	}
+	if n := replicaAsked.Load(); n != 0 {
+		t.Errorf("the primary's 401 reached the replica %d times, want 0", n)
 	}
 }
 

@@ -94,6 +94,28 @@ func TestClassifyProviderOnPath(t *testing.T) {
 	}
 }
 
+// TestClassifyLargeCommunity: an update tagged only with a documented
+// RFC 8092 large community is a blackholing announcement (§4.1). The
+// provider is the AS whose document lists the community, the user is
+// the hop before it, and the event's community is the large one's global
+// and first local field as a standard community.
+func TestClassifyLargeCommunity(t *testing.T) {
+	topo, _ := testWorld()
+	lc := bgp.LargeCommunity{Global: 64512, Local1: 666, Local2: 0}
+	dict := dictionary.FromCorpus([]irr.Document{{Source: irr.SourceIRR, ASN: 64512, IXPID: -1,
+		Text: "aut-num: AS64512\nremarks: 64512:666:0 blackhole (large community format)\n"}})
+	if dict.LookupLarge(lc) == nil || len(dict.Entries()) != 0 {
+		t.Fatalf("the corpus documents %d large and %d standard entries, want the large %v alone", len(dict.LargeEntries()), len(dict.Entries()), lc)
+	}
+	u := announce("22.0.1.1", 64512, 0, "31.0.0.1/32", []bgp.ASN{64512, 200})
+	u.LargeCommunities = []bgp.LargeCommunity{lc}
+	det := NewEngine(dict, topo).Classify(u)
+	want := ProviderInference{Provider: ProviderRef{Kind: ProviderAS, ASN: 64512}, User: 200, Community: bgp.MakeCommunity(64512, 666), ASDistance: 1}
+	if det == nil || len(det.Providers) != 1 || det.Providers[0] != want {
+		t.Fatalf("an update tagged %v: %+v, want the one inference %+v", lc, det, want)
+	}
+}
+
 func TestClassifyBundledNoPath(t *testing.T) {
 	topo, dict := testWorld()
 	e := NewEngine(dict, topo)

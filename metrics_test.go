@@ -7,6 +7,8 @@ package bgpblackholing
 // invariants scrapers rely on.
 
 import (
+	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -382,6 +384,47 @@ func TestMetricsExposition(t *testing.T) {
 		if d := exp3.get(t, c) - exp2.get(t, c); d != 1 {
 			t.Errorf("%s moved by %v over one plain and one enriched request, want 1", c, d)
 		}
+	}
+}
+
+// TestTelemetryMiddlewareFlushes: the middleware's status writer forwards
+// Flush, so the streaming routes stream through it. An NDJSON /events
+// answer is flushed to the writer it was given, and /watch's
+// ": connected" frame reaches a real client while the handler still
+// runs — it runs until the client hangs up.
+func TestTelemetryMiddlewareFlushes(t *testing.T) {
+	rule, err := ParseRule("name=a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, err := NewAlertHub([]AlertRule{rule}, AlertHubConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	h := NewStoreHandlerWith(storeFixture(t), nil, HandlerOptions{Hub: hub, Telemetry: NewTelemetry()})
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/events?format=ndjson", nil))
+	if rec.Code != http.StatusOK || !rec.Flushed || strings.Count(rec.Body.String(), "\n") != 3 {
+		t.Errorf("/events?format=ndjson through the middleware: status %d, flushed %v, body %q; want 200, flushed, 3 lines", rec.Code, rec.Flushed, rec.Body)
+	}
+
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/watch", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("GET /watch through the middleware: %v; want its headers while the stream is open", err)
+	}
+	defer resp.Body.Close()
+	if line, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil || line != ": connected\n" {
+		t.Errorf("GET /watch through the middleware: first line %q (%v), want \": connected\"", line, err)
 	}
 }
 

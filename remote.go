@@ -19,9 +19,11 @@ import (
 	"unicode/utf8"
 )
 
-// RemoteBackend speaks the bhserve HTTP wire format as a Backend: the
-// merged rows of the routes table (http.go), each through one reader. It
-// is how a bhroute router — or a federated bhquery — reaches a shard.
+// RemoteBackend is the one client of the query API (http.go): a Backend
+// over the merged rows of its routes table, each through one reader,
+// and Get for the routes no Backend method reads. It is how a bhroute
+// router reaches a shard and how bhquery reaches a server. Every request
+// is built and sent by send and walks the URLs in roundTrip.
 //
 // A backend may know several URLs for the same shard: the primary
 // (the read-write server) plus replicas (read-only opens of shipped
@@ -112,21 +114,31 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("remote status %d: %s", e.Status, e.Msg)
 }
 
-// attempt runs one GET against one base URL. On non-2xx the body's
-// {"error": ...} is folded into a *RemoteError.
-func (b *RemoteBackend) attempt(ctx context.Context, base, path string, params url.Values) (*http.Response, error) {
+// send builds and sends one GET of path to the query API at base: the
+// only place a request to a shard or a server is made, with its
+// parameters, the caller's extra headers and the bearer token.
+func (b *RemoteBackend) send(ctx context.Context, base, path string, params url.Values, header http.Header) (*http.Response, error) {
 	u := base + path
-	if len(params) > 0 {
-		u += "?" + params.Encode()
+	if q := params.Encode(); q != "" {
+		u += "?" + q
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err
 	}
+	for k, v := range header {
+		req.Header[k] = v
+	}
 	if b.token != "" {
 		req.Header.Set("Authorization", "Bearer "+b.token)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	return http.DefaultClient.Do(req)
+}
+
+// attempt runs one GET against one base URL. On non-2xx the body's
+// {"error": ...} is folded into a *RemoteError.
+func (b *RemoteBackend) attempt(ctx context.Context, base, path string, params url.Values, header http.Header) (*http.Response, error) {
+	resp, err := b.send(ctx, base, path, params, header)
 	if err != nil {
 		return nil, err
 	}
@@ -144,105 +156,101 @@ func (b *RemoteBackend) attempt(ctx context.Context, base, path string, params u
 	return resp, nil
 }
 
-// failover walks the URL set in order and returns the first answer. A
-// 4xx ends the walk: it is the caller's error, and every replica would
-// answer the same.
-func (b *RemoteBackend) failover(ctx context.Context, path string, params url.Values) (*http.Response, error) {
-	var resp *http.Response
-	var err error
-	for _, u := range b.urls {
-		if resp, err = b.attempt(ctx, u, path, params); err == nil {
-			return resp, nil
-		}
-		if callerError(err) {
-			break
-		}
-	}
-	return nil, err
-}
-
 // callerError reports whether err is a shard's 4xx answer.
 func callerError(err error) bool {
 	var re *RemoteError
 	return errors.As(err, &re) && re.Status/100 == 4
 }
 
-// hedged races the URL set for a buffered request: the primary starts
-// immediately; every HedgeDelay without an answer the next replica
-// joins (counted in b.hedges). The first success wins and the losers
-// are cancelled; a 4xx ends the race as it ends failover's walk. With no
-// hedge delay (or a single URL) it degrades to sequential failover.
-func (b *RemoteBackend) hedged(ctx context.Context, path string, params url.Values) (*http.Response, error) {
-	ctx, cancel := context.WithTimeout(ctx, b.timeout)
-	if len(b.urls) == 1 || b.hedge <= 0 {
-		resp, err := b.failover(ctx, path, params)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		// The response body must outlive this call; cancel only when
-		// the caller is done reading it.
-		resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-		return resp, nil
+// roundTrip is the one walk over the shard's URLs: the first 2xx answer
+// wins, and a 4xx ends the walk, since every replica would answer the
+// same. A buffered read runs under the backend's timeout and, with a
+// hedge delay, races: every HedgeDelay without an answer the next
+// replica joins (counted in b.hedges), and the losers are cancelled.
+// Otherwise the next URL is tried only after a failure — and a stream,
+// which gets no timeout and no hedge, fails over only before its first
+// byte. A shard with one URL is asked on the caller's goroutine.
+func (b *RemoteBackend) roundTrip(ctx context.Context, path string, params url.Values, header http.Header, stream bool) (*http.Response, error) {
+	var cancel context.CancelFunc // nil for a lone stream: nothing to bound
+	switch {
+	case !stream:
+		ctx, cancel = context.WithTimeout(ctx, b.timeout)
+	case len(b.urls) > 1:
+		ctx, cancel = context.WithCancel(ctx)
 	}
-
+	if len(b.urls) == 1 {
+		resp, err := b.attempt(ctx, b.urls[0], path, params, header)
+		return hold(resp, err, cancel)
+	}
+	var hedge <-chan time.Time // nil, and never ready, without a hedge delay
+	if !stream && b.hedge > 0 {
+		hedge = time.After(b.hedge)
+	}
 	type outcome struct {
 		resp *http.Response
 		err  error
 	}
 	results := make(chan outcome, len(b.urls))
-	launched := 0
+	launched, pending := 0, 0
 	launch := func() {
 		u := b.urls[launched]
-		launched++
+		launched, pending = launched+1, pending+1
 		go func() {
-			r, err := b.attempt(ctx, u, path, params)
+			r, err := b.attempt(ctx, u, path, params, header)
 			results <- outcome{r, err}
 		}()
 	}
 	launch()
-	timer := time.NewTimer(b.hedge)
-	defer timer.Stop()
-	var lastErr error
-	for pending := 1; pending > 0 || launched < len(b.urls); {
+	var err error
+walk:
+	for pending > 0 {
 		select {
 		case out := <-results:
 			pending--
 			if out.err == nil {
-				out.resp.Body = &cancelOnClose{ReadCloser: out.resp.Body, cancel: cancel}
 				// Close losing hedge responses in the background.
 				go func(pending int) {
-					for i := 0; i < pending; i++ {
+					for range pending {
 						if late := <-results; late.resp != nil {
 							late.resp.Body.Close()
 						}
 					}
 				}(pending)
-				return out.resp, nil
+				return hold(out.resp, nil, cancel)
 			}
-			lastErr = out.err
-			if callerError(out.err) {
-				cancel()
-				return nil, out.err
+			if err = out.err; callerError(err) {
+				break walk
 			}
 			if pending == 0 && launched < len(b.urls) {
 				launch()
-				pending++
 			}
-		case <-timer.C:
+		case <-hedge:
 			if launched < len(b.urls) {
 				b.hedges.Add(1)
 				launch()
-				pending++
-				timer.Reset(b.hedge)
+				hedge = time.After(b.hedge)
 			}
 		case <-ctx.Done():
-			cancel()
-			return nil, ctx.Err()
+			err = ctx.Err()
+			break walk
 		}
 	}
 	cancel()
-	return nil, lastErr
+	return nil, err
+}
+
+// hold ties cancel, when there is one, to the answer: called when the
+// attempt failed, and when the body the caller reads is closed — the
+// body outlives roundTrip, so its context must too.
+func hold(resp *http.Response, err error, cancel context.CancelFunc) (*http.Response, error) {
+	switch {
+	case cancel == nil:
+	case err != nil:
+		cancel()
+	default:
+		resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
+	}
+	return resp, err
 }
 
 // cancelOnClose ties a context cancel to the response body's lifetime.
@@ -257,11 +265,11 @@ func (c *cancelOnClose) Close() error {
 	return err
 }
 
-// getJSON runs a hedged GET and decodes the answer into v, returning its
+// getJSON runs a buffered GET and decodes the answer into v, returning its
 // X-Shards-Failed. The answer is read whole (readAnswer) and must be one
 // JSON value and white space: anything else is the shard's failure.
 func (b *RemoteBackend) getJSON(ctx context.Context, path string, params url.Values, v any) (failed int, err error) {
-	resp, err := b.hedged(ctx, path, params)
+	resp, err := b.roundTrip(ctx, path, params, nil, false)
 	if err != nil {
 		return 0, err
 	}
@@ -317,7 +325,7 @@ func (b *RemoteBackend) Records(ctx context.Context, q Query) (*RecordSet, error
 		limit = maxRemoteLimit
 		params.Set("limit", strconv.Itoa(limit))
 	}
-	resp, err := b.hedged(ctx, "/events", params)
+	resp, err := b.roundTrip(ctx, "/events", params, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +420,7 @@ func (b *RemoteBackend) scanLines(body io.Reader) (next func() (RecordLine, erro
 func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	params := queryParams(q)
 	params.Set("format", "ndjson")
-	resp, err := b.failover(ctx, "/events", params)
+	resp, err := b.roundTrip(ctx, "/events", params, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -672,7 +680,7 @@ const maxShardSets = 64 << 20
 func (b *RemoteBackend) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
 	params := figure4Params(start, days)
 	params.Set("shape", "sets")
-	resp, err := b.hedged(ctx, "/figure4", params)
+	resp, err := b.roundTrip(ctx, "/figure4", params, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -840,18 +848,15 @@ func (b *RemoteBackend) Stats(ctx context.Context) (*BackendStats, error) {
 
 // Healthz implements Backend over GET /healthz. A reachable-but-
 // degraded shard answers 503 with a JSON body; both that and a plain
-// 200 parse here. An unreachable shard is "down".
+// 200 parse here, so it walks the URLs itself rather than through
+// roundTrip, for which a 503 is a failure. An unreachable shard is
+// "down".
 func (b *RemoteBackend) Healthz(ctx context.Context) *ShardHealth {
 	ctx, cancel := context.WithTimeout(ctx, b.timeout)
 	defer cancel()
 	var lastErr error
 	for _, u := range b.urls {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u+"/healthz", nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := b.send(ctx, u, "/healthz", nil, nil)
 		if err != nil {
 			lastErr = err
 			continue
@@ -877,4 +882,13 @@ func (b *RemoteBackend) Healthz(ctx context.Context) *ShardHealth {
 		h.Err = lastErr.Error()
 	}
 	return h
+}
+
+// Get asks the shard for path — a route no Backend method reads, such
+// as /figure8, /metrics or /watch — with the extra header, and returns
+// the answer for the caller to read and close. It runs as a stream: no
+// timeout, and failover only before the first byte. A non-2xx answer is
+// a *RemoteError.
+func (b *RemoteBackend) Get(ctx context.Context, path string, params url.Values, header http.Header) (*http.Response, error) {
+	return b.roundTrip(ctx, path, params, header, true)
 }
