@@ -8,6 +8,7 @@ package bgpblackholing
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
@@ -58,6 +59,64 @@ func TestAlertRuleModeFromFacade(t *testing.T) {
 		if got := strings.Join(fired[rule], " "); got != want {
 			t.Errorf("rule %s fired on %q, want %q", rule, got, want)
 		}
+	}
+}
+
+// TestRulesRefuseMisspeltField: a /rules JSON body that spells a field
+// the wire form does not know — the compact key "prefix" for "prefixes"
+// — is a 400 naming the field, not a rule with that dimension left
+// unconstrained that fires on every event. Spelt right, the same body
+// adds a rule that fires only inside its prefix.
+func TestRulesRefuseMisspeltField(t *testing.T) {
+	hub, err := NewAlertHub(nil, AlertHubConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := httptest.NewServer(NewStoreHandlerWith(st, nil, HandlerOptions{Hub: hub}))
+	defer srv.Close()
+	post := func(body string) (int, map[string]any) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/rules", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var answer map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&answer); err != nil {
+			t.Fatalf("POST /rules %s: the answer is no JSON object: %v", body, err)
+		}
+		return resp.StatusCode, answer
+	}
+	fires := func(prefix string) bool {
+		ev := stallEvent(0)
+		ev.Prefix = mustPrefix(prefix)
+		before := hub.Stats().Alerts
+		hub.Publish(ev)
+		return hub.Stats().Alerts > before
+	}
+
+	code, answer := post(`{"name":"dc","prefix":["10.0.0.0/8"],"mode":"covered"}`)
+	if msg, _ := answer["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, `"prefix"`) {
+		t.Errorf("misspelt rule answered %d %v, want 400 with an error naming \"prefix\"", code, answer)
+	}
+	if n := len(hub.Rules()); n != 0 {
+		t.Errorf("the refused rule left %d rules in the hub", n)
+	}
+	if fires("192.0.2.1/32") {
+		t.Fatal("192.0.2.1/32 fired an alert after the misspelt rule was refused")
+	}
+
+	if code, answer = post(`{"name":"dc","prefixes":["10.0.0.0/8"],"mode":"covered"}`); code != http.StatusOK {
+		t.Fatalf("the rule spelt right answered %d %v", code, answer)
+	}
+	if fires("192.0.2.1/32") || !fires("10.1.2.3/32") {
+		t.Fatal("the rule spelt right does not fire exactly inside 10.0.0.0/8")
 	}
 }
 

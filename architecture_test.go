@@ -887,6 +887,26 @@ func (r *RedialSource) dial(addr string) { bgpd.Establish(nil); net.SplitHostPor
 		"internal/store/query.go", `package store; type PrefixMode uint8; const ( PrefixExact PrefixMode = iota; PrefixCovered )`,
 		"internal/alert/rule.go", `package alert; type Mode int; const ( ModeExact Mode = iota; ModeLPM; ModeCovered )`),
 }, {
+	name: "one-rule-reader",
+	law:  "A rule is read in one place: in non-test code of `internal/alert`, only `ruleJSON.rule` calls `store.ParsePrefix`, `store.ParsePrefixMode`, `core.ParseProviderRef`, `bgp.ParseCommunity` or `time.ParseDuration`, so the compact syntax and the `/rules` JSON are two spellings of one wire form.",
+	checks: []archCheck{
+		onlyIn("a rule value parsed", archInDir("internal/alert"), func(at *archSite, n ast.Node) bool {
+			return pkgRef(modulePath+"/internal/store", "ParsePrefix", "ParsePrefixMode")(at, n) ||
+				pkgRef(modulePath+"/internal/core", "ParseProviderRef")(at, n) ||
+				pkgRef(modulePath+"/internal/bgp", "ParseCommunity")(at, n) || pkgRef("time", "ParseDuration")(at, n)
+		}, "ruleJSON.rule"),
+	},
+	breaks: archFixture("internal/alert/rule.go", `package alert
+import ("time"; "bgpblackholing/internal/bgp"; "bgpblackholing/internal/core"; "bgpblackholing/internal/store")
+type Rule struct{ Name string }
+type ruleJSON struct{ Prefix, Mode, Provider, Community, MinDuration string }
+func (w ruleJSON) rule() {
+	store.ParsePrefix(w.Prefix); store.ParsePrefixMode(w.Mode); core.ParseProviderRef(w.Provider)
+	bgp.ParseCommunity(w.Community); time.ParseDuration(w.MinDuration)
+}
+func ParseRule(s string) (Rule, error) { _, err := time.ParseDuration(s); return Rule{}, err }
+func (r *Rule) UnmarshalJSON(data []byte) error { _, err := bgp.ParseCommunity(string(data)); return err }`),
+}, {
 	name:   "one-open-mode",
 	gates:  "one open mode",
 	law:    "Outside its declaration, `ColdOpen` is used as no selector and no literal key: the sidecar alone chooses how a sealed segment opens.",

@@ -164,7 +164,7 @@ func run(stdout, stderr io.Writer, c *config) error {
 	}
 	switch {
 	case c.watch:
-		return runWatch(c, rb)
+		return runWatch(stdout, stderr, c, rb)
 	case c.metrics:
 		resp, err := rb.Get(context.Background(), "/metrics", nil, nil)
 		if err != nil {

@@ -24,7 +24,7 @@ import (
 // -format ndjson for the raw records). On a dropped connection it
 // reconnects with the last seen alert id in Last-Event-ID, so nothing
 // within the server's replay ring is missed. Ctrl-C exits.
-func runWatch(c *config, rb *bgpblackholing.RemoteBackend) error {
+func runWatch(stdout, stderr io.Writer, c *config, rb *bgpblackholing.RemoteBackend) error {
 	switch c.format {
 	case "table", "ndjson":
 	default:
@@ -35,11 +35,10 @@ func runWatch(c *config, rb *bgpblackholing.RemoteBackend) error {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
-	var lastID uint64
-	printedHeader := false
+	w := &watcher{stdout: stdout, stderr: stderr, format: c.format}
 	backoff := time.Second
 	for {
-		err := watchOnce(rb, params, &lastID, c.format, &printedHeader, stop)
+		err := w.watchOnce(rb, params, stop)
 		if err == nil {
 			return nil // interrupted
 		}
@@ -48,7 +47,7 @@ func runWatch(c *config, rb *bgpblackholing.RemoteBackend) error {
 		if errors.As(err, &re) && (re.Status == 400 || re.Status == 401 || re.Status == 404) {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "bhquery: watch: %v; reconnecting in %v (last id %d)\n", err, backoff, lastID)
+		fmt.Fprintf(stderr, "bhquery: watch: %v; reconnecting in %v (last id %d)\n", err, backoff, w.lastID)
 		select {
 		case <-stop:
 			return nil
@@ -58,12 +57,21 @@ func runWatch(c *config, rb *bgpblackholing.RemoteBackend) error {
 	}
 }
 
+// watcher is one -watch session; lastID is the last alert printed, which
+// a reconnect resumes after.
+type watcher struct {
+	stdout, stderr io.Writer
+	format         string
+	printedHeader  bool
+	lastID         uint64
+}
+
 // watchOnce runs one SSE connection until it drops (error) or the user
 // interrupts (nil).
-func watchOnce(rb *bgpblackholing.RemoteBackend, params url.Values, lastID *uint64, format string, printedHeader *bool, stop <-chan os.Signal) error {
+func (w *watcher) watchOnce(rb *bgpblackholing.RemoteBackend, params url.Values, stop <-chan os.Signal) error {
 	header := http.Header{"Accept": {"text/event-stream"}}
-	if *lastID > 0 {
-		header.Set("Last-Event-ID", strconv.FormatUint(*lastID, 10))
+	if w.lastID > 0 {
+		header.Set("Last-Event-ID", strconv.FormatUint(w.lastID, 10))
 	}
 	resp, err := rb.Get(context.Background(), "/watch", params, header)
 	if err != nil {
@@ -94,8 +102,8 @@ func watchOnce(rb *bgpblackholing.RemoteBackend, params url.Values, lastID *uint
 		switch {
 		case line == "":
 			if data.Len() > 0 {
-				if err := printAlert(format, printedHeader, data.String()); err == nil && id > 0 {
-					*lastID = id
+				if err := w.printAlert(data.String()); err == nil && id > 0 {
+					w.lastID = id
 				}
 			}
 			id, data = 0, strings.Builder{}
@@ -120,20 +128,20 @@ func watchOnce(rb *bgpblackholing.RemoteBackend, params url.Values, lastID *uint
 }
 
 // printAlert renders one alert record.
-func printAlert(format string, printedHeader *bool, data string) error {
-	if format == "ndjson" {
-		fmt.Println(data)
+func (w *watcher) printAlert(data string) error {
+	if w.format == "ndjson" {
+		fmt.Fprintln(w.stdout, data)
 		return nil
 	}
 	var rec bgpblackholing.AlertRecord
 	if err := json.Unmarshal([]byte(data), &rec); err != nil {
-		fmt.Fprintf(os.Stderr, "bhquery: watch: bad alert payload: %v\n", err)
+		fmt.Fprintf(w.stderr, "bhquery: watch: bad alert payload: %v\n", err)
 		return err
 	}
-	if !*printedHeader {
-		fmt.Printf("%-6s %-16s %-20s %-20s %-12s %-28s %-6s %s\n",
+	if !w.printedHeader {
+		fmt.Fprintf(w.stdout, "%-6s %-16s %-20s %-20s %-12s %-28s %-6s %s\n",
 			"ID", "RULE", "PREFIX", "START", "DURATION", "PROVIDERS", "USERS", "LEGITIMACY")
-		*printedHeader = true
+		w.printedHeader = true
 	}
 	ev := rec.Event
 	dur := (time.Duration(ev.DurationSeconds) * time.Second).String()
@@ -145,7 +153,7 @@ func printAlert(format string, printedHeader *bool, data string) error {
 	if legit == "" {
 		legit = "-"
 	}
-	fmt.Printf("%-6d %-16s %-20s %-20s %-12s %-28s %-6d %s\n",
+	fmt.Fprintf(w.stdout, "%-6d %-16s %-20s %-20s %-12s %-28s %-6d %s\n",
 		rec.ID, rec.Rule, ev.Prefix, ev.Start.Format("2006-01-02T15:04:05Z"), dur,
 		provs, len(ev.Users), legit)
 	return nil

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -57,5 +60,45 @@ func TestReportWriteError(t *testing.T) {
 	boom := errors.New("disk full")
 	if err := run(failingWriter{boom}, 0.05, 0.1, 42, false, ""); !errors.Is(err, boom) {
 		t.Fatalf("run returned %v, want the writer's error", err)
+	}
+}
+
+// TestReportCSV: -csv writes the five figure series files, each under its
+// header, and events.csv holds one row per event the report inferred.
+func TestReportCSV(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "csv")
+	var out bytes.Buffer
+	if err := run(&out, 0.05, 0.1, 42, true, dir); err != nil {
+		t.Fatal(err)
+	}
+	var events int
+	_, inferred, _ := strings.Cut(out.String(), "inferred ")
+	if _, err := fmt.Sscanf(inferred, "%d blackholing events", &events); err != nil || events == 0 {
+		t.Fatalf("the report names no event count: %v", err)
+	}
+	for name, header := range map[string]string{
+		"figure4_daily.csv":                "day,providers,users,prefixes",
+		"figure8_durations.csv":            "kind,seconds",
+		"figure7b_providers_per_event.csv": "providers,count,fraction",
+		"figure7c_as_distance.csv":         "distance,count,fraction",
+		"events.csv":                       "prefix,start,end,duration_sec,n_providers,n_users,detections,start_unknown",
+	} {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		rows, err := csv.NewReader(f).ReadAll()
+		f.Close()
+		if err != nil || len(rows) < 2 || strings.Join(rows[0], ",") != header {
+			t.Errorf("%s: %d rows, %v; want the header %q and data", name, len(rows), err, header)
+			continue
+		}
+		if name == "events.csv" && len(rows)-1 != events {
+			t.Errorf("events.csv holds %d rows, the report inferred %d events", len(rows)-1, events)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 5 {
+		t.Errorf("-csv wrote %d files (%v), want 5", len(entries), err)
 	}
 }

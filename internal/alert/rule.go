@@ -15,6 +15,7 @@
 package alert
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/netip"
@@ -79,6 +80,9 @@ func (r *Rule) Validate() error {
 			return fmt.Errorf("rule %s: invalid prefix", r.Name)
 		}
 	}
+	if slices.Contains(r.Origins, 0) {
+		return fmt.Errorf("rule %s: origin AS 0 is reserved (RFC 7607) and never an event's origin", r.Name)
+	}
 	if r.MinDuration < 0 {
 		return fmt.Errorf("rule %s: negative min-duration %v", r.Name, r.MinDuration)
 	}
@@ -127,10 +131,10 @@ func comparePrefix(a, b netip.Prefix) int {
 //
 // Keys: name (required), prefix, mode, origin, provider, community,
 // min-duration, verdict. A bare address in prefix means its host
-// prefix. The result is normalized: ParseRule(r.String()) is identity
-// on the rendered form.
+// prefix. The syntax is a second spelling of the wire form, read by the
+// same reader: ParseRule(r.String()) is identity on the rendered form.
 func ParseRule(s string) (Rule, error) {
-	var r Rule
+	var w ruleJSON
 	seen := map[string]bool{}
 	for _, tok := range strings.Fields(s) {
 		key, val, ok := strings.Cut(tok, "=")
@@ -141,61 +145,35 @@ func ParseRule(s string) (Rule, error) {
 			return Rule{}, fmt.Errorf("duplicate rule key %q", key)
 		}
 		seen[key] = true
-		var err error
+		list := strings.Split(val, ",")
 		switch key {
 		case "name":
-			r.Name = val
+			w.Name = val
 		case "prefix":
-			for _, f := range strings.Split(val, ",") {
-				p, perr := store.ParsePrefix(f)
-				if perr != nil {
-					return Rule{}, fmt.Errorf("prefix: %v", perr)
-				}
-				r.Prefixes = append(r.Prefixes, p)
-			}
+			w.Prefixes = list
 		case "mode":
-			if r.Mode, err = store.ParsePrefixMode(val); err != nil {
-				return Rule{}, err
-			}
+			w.Mode = val
 		case "origin":
-			for _, f := range strings.Split(val, ",") {
-				n, perr := strconv.ParseUint(f, 10, 32)
-				if perr != nil {
+			for _, f := range list {
+				n, err := strconv.ParseUint(f, 10, 32)
+				if err != nil {
 					return Rule{}, fmt.Errorf("origin: bad ASN %q", f)
 				}
-				r.Origins = append(r.Origins, bgp.ASN(n))
+				w.Origins = append(w.Origins, bgp.ASN(n))
 			}
 		case "provider":
-			for _, f := range strings.Split(val, ",") {
-				pr, perr := core.ParseProviderRef(f)
-				if perr != nil {
-					return Rule{}, perr
-				}
-				r.Providers = append(r.Providers, pr)
-			}
+			w.Providers = list
 		case "community":
-			for _, f := range strings.Split(val, ",") {
-				c, perr := bgp.ParseCommunity(f)
-				if perr != nil {
-					return Rule{}, perr
-				}
-				r.Communities = append(r.Communities, c)
-			}
+			w.Communities = list
 		case "min-duration":
-			if r.MinDuration, err = time.ParseDuration(val); err != nil {
-				return Rule{}, fmt.Errorf("min-duration: %v", err)
-			}
+			w.MinDuration = val
 		case "verdict":
-			r.Verdicts = append(r.Verdicts, strings.Split(val, ",")...)
+			w.Verdicts = list
 		default:
 			return Rule{}, fmt.Errorf("unknown rule key %q", key)
 		}
 	}
-	r.normalize()
-	if err := r.Validate(); err != nil {
-		return Rule{}, err
-	}
-	return r, nil
+	return w.rule()
 }
 
 // String renders the rule in the canonical compact syntax: the exact
@@ -230,32 +208,29 @@ func (r Rule) String() string {
 	return string(b)
 }
 
-// ruleJSON is the wire form of a Rule: every field in its canonical
-// string notation, so /rules payloads and -rules-file entries read the
-// way operators write queries.
+// ruleJSON is the wire form of a Rule, which both spellings fill: every
+// value in its canonical notation, so /rules payloads and -rules-file
+// entries read the way operators write queries.
 type ruleJSON struct {
-	Name        string   `json:"name"`
-	Prefixes    []string `json:"prefixes,omitempty"`
-	Mode        string   `json:"mode,omitempty"`
-	Origins     []uint32 `json:"origins,omitempty"`
-	Providers   []string `json:"providers,omitempty"`
-	Communities []string `json:"communities,omitempty"`
-	MinDuration string   `json:"min_duration,omitempty"`
-	Verdicts    []string `json:"verdicts,omitempty"`
+	Name        string    `json:"name"`
+	Prefixes    []string  `json:"prefixes,omitempty"`
+	Mode        string    `json:"mode,omitempty"`
+	Origins     []bgp.ASN `json:"origins,omitempty"`
+	Providers   []string  `json:"providers,omitempty"`
+	Communities []string  `json:"communities,omitempty"`
+	MinDuration string    `json:"min_duration,omitempty"`
+	Verdicts    []string  `json:"verdicts,omitempty"`
 }
 
 // wire is the rule in its wire form, which String and MarshalJSON both
 // render.
 func (r Rule) wire() ruleJSON {
-	w := ruleJSON{Name: r.Name, Verdicts: r.Verdicts}
+	w := ruleJSON{Name: r.Name, Origins: r.Origins, Verdicts: r.Verdicts}
 	for _, p := range r.Prefixes {
 		w.Prefixes = append(w.Prefixes, p.String())
 	}
 	if len(r.Prefixes) > 0 {
 		w.Mode = r.Mode.String()
-	}
-	for _, a := range r.Origins {
-		w.Origins = append(w.Origins, uint32(a))
 	}
 	for _, p := range r.Providers {
 		w.Providers = append(w.Providers, p.String())
@@ -269,51 +244,60 @@ func (r Rule) wire() ruleJSON {
 	return w
 }
 
+// rule reads the wire form: it parses every value, normalizes and
+// validates. It is the only code that turns text into a Rule.
+func (w ruleJSON) rule() (r Rule, err error) {
+	r = Rule{Name: w.Name, Origins: w.Origins, Verdicts: w.Verdicts}
+	if r.Prefixes, err = parseEach(w.Prefixes, store.ParsePrefix); err != nil {
+		return Rule{}, fmt.Errorf("prefix: %v", err)
+	}
+	if r.Mode, err = store.ParsePrefixMode(w.Mode); err != nil {
+		return Rule{}, err
+	}
+	if r.Providers, err = parseEach(w.Providers, core.ParseProviderRef); err != nil {
+		return Rule{}, err
+	}
+	if r.Communities, err = parseEach(w.Communities, bgp.ParseCommunity); err != nil {
+		return Rule{}, err
+	}
+	if w.MinDuration != "" {
+		if r.MinDuration, err = time.ParseDuration(w.MinDuration); err != nil {
+			return Rule{}, fmt.Errorf("min-duration: %v", err)
+		}
+	}
+	r.normalize()
+	if err = r.Validate(); err != nil {
+		return Rule{}, err
+	}
+	return r, nil
+}
+
+// parseEach parses every value of a list dimension.
+func parseEach[T any](vals []string, parse func(string) (T, error)) (out []T, err error) {
+	for _, v := range vals {
+		x, err := parse(v)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, x)
+	}
+	return out, nil
+}
+
 // MarshalJSON renders the rule in its wire form.
 func (r Rule) MarshalJSON() ([]byte, error) { return json.Marshal(r.wire()) }
 
-// UnmarshalJSON parses the wire form, normalizes and validates.
+// UnmarshalJSON reads the wire form; a field it does not know is an
+// error, not a dimension left unconstrained.
 func (r *Rule) UnmarshalJSON(data []byte) error {
 	var w ruleJSON
-	if err := json.Unmarshal(data, &w); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
 		return err
 	}
-	out := Rule{Name: w.Name, Verdicts: w.Verdicts}
-	var err error
-	for _, s := range w.Prefixes {
-		p, perr := store.ParsePrefix(s)
-		if perr != nil {
-			return perr
-		}
-		out.Prefixes = append(out.Prefixes, p)
-	}
-	if out.Mode, err = store.ParsePrefixMode(w.Mode); err != nil {
-		return err
-	}
-	for _, n := range w.Origins {
-		out.Origins = append(out.Origins, bgp.ASN(n))
-	}
-	for _, s := range w.Providers {
-		pr, perr := core.ParseProviderRef(s)
-		if perr != nil {
-			return perr
-		}
-		out.Providers = append(out.Providers, pr)
-	}
-	for _, s := range w.Communities {
-		c, perr := bgp.ParseCommunity(s)
-		if perr != nil {
-			return perr
-		}
-		out.Communities = append(out.Communities, c)
-	}
-	if w.MinDuration != "" {
-		if out.MinDuration, err = time.ParseDuration(w.MinDuration); err != nil {
-			return fmt.Errorf("min_duration: %v", err)
-		}
-	}
-	out.normalize()
-	if err := out.Validate(); err != nil {
+	out, err := w.rule()
+	if err != nil {
 		return err
 	}
 	*r = out

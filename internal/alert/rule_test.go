@@ -144,6 +144,24 @@ func TestRuleJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRuleRefusesASZero: AS 0 is no event's origin (RFC 7607), so a rule
+// that names it is refused in the compact syntax, in JSON and by Compile,
+// where it could only ever match AS 0.
+func TestRuleRefusesASZero(t *testing.T) {
+	for _, spec := range []string{"name=z origin=0", "name=z origin=65001,0"} {
+		if _, err := ParseRule(spec); err == nil || !strings.Contains(err.Error(), "AS 0") {
+			t.Errorf("ParseRule(%q) = %v, want AS 0 refused", spec, err)
+		}
+	}
+	var r Rule
+	if err := json.Unmarshal([]byte(`{"name":"z","origins":[65001,0]}`), &r); err == nil || !strings.Contains(err.Error(), "AS 0") {
+		t.Errorf("JSON origins [65001,0]: %v, want AS 0 refused", err)
+	}
+	if _, err := Compile([]Rule{{Name: "z", Origins: []bgp.ASN{0}}}); err == nil || !strings.Contains(err.Error(), "AS 0") {
+		t.Errorf("Compile of origin AS 0: %v, want it refused", err)
+	}
+}
+
 // testEvent builds a closed event for match tests.
 func testEvent(prefix string, dur time.Duration, users []uint32, provs []core.ProviderRef, comms []string) *core.Event {
 	start := time.Date(2016, 9, 20, 12, 0, 0, 0, time.UTC)

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"sort"
-	"sync"
 
 	"bgpblackholing/internal/bgp"
 )
@@ -83,25 +82,19 @@ func (rt *RoutingTable) Path(src bgp.ASN) []bgp.ASN {
 	return path
 }
 
-// routing caches per-destination tables.
-type routingCache struct {
-	mu     sync.Mutex
-	tables map[bgp.ASN]*RoutingTable
-}
-
-var routingCaches sync.Map // *Topology -> *routingCache
-
-// RoutesTo computes (and caches) the routing table toward dst.
+// RoutesTo computes (and caches) the routing table toward dst. Safe for
+// concurrent use; the cache lives and dies with the topology.
 func (t *Topology) RoutesTo(dst bgp.ASN) *RoutingTable {
-	ci, _ := routingCaches.LoadOrStore(t, &routingCache{tables: map[bgp.ASN]*RoutingTable{}})
-	cache := ci.(*routingCache)
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	if tbl, ok := cache.tables[dst]; ok {
+	t.routesMu.Lock()
+	defer t.routesMu.Unlock()
+	if tbl, ok := t.routes[dst]; ok {
 		return tbl
 	}
+	if t.routes == nil {
+		t.routes = map[bgp.ASN]*RoutingTable{}
+	}
 	tbl := t.computeRoutes(dst)
-	cache.tables[dst] = tbl
+	t.routes[dst] = tbl
 	return tbl
 }
 

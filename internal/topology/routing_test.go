@@ -1,7 +1,11 @@
 package topology
 
 import (
+	"runtime"
+	"sync"
 	"testing"
+	"time"
+	"weak"
 
 	"bgpblackholing/internal/bgp"
 )
@@ -158,5 +162,39 @@ func TestRoutingUnknownDestination(t *testing.T) {
 	rt := topo.RoutesTo(424242)
 	if rt.Reachable() != 0 {
 		t.Fatal("unknown destination should be unreachable")
+	}
+}
+
+// TestRoutingCacheDiesWithTopology: the routing tables a topology caches
+// are its own, so a topology that has computed routes is collected once
+// nothing else holds it; concurrent lookups share one table.
+func TestRoutingCacheDiesWithTopology(t *testing.T) {
+	var gone weak.Pointer[Topology]
+	func() {
+		topo := smallWorld(t)
+		gone = weak.Make(topo)
+		src, dst := topo.Order[len(topo.Order)-1], topo.Order[0]
+		topo.CustomerCone(dst)
+		if topo.PathBetween(src, dst) == nil {
+			t.Fatalf("no path from AS%d to AS%d", src, dst)
+		}
+		var wg sync.WaitGroup
+		tables := make([]*RoutingTable, 4)
+		for i := range tables {
+			wg.Add(1)
+			go func() { defer wg.Done(); tables[i] = topo.RoutesTo(dst) }()
+		}
+		wg.Wait()
+		for _, tbl := range tables {
+			if tbl != tables[0] {
+				t.Fatal("concurrent RoutesTo built two tables for one destination")
+			}
+		}
+	}()
+	for deadline := time.Now().Add(2 * time.Second); gone.Value() != nil && time.Now().Before(deadline); {
+		runtime.GC()
+	}
+	if gone.Value() != nil {
+		t.Fatal("a topology that computed a route is still reachable")
 	}
 }

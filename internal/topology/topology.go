@@ -240,6 +240,9 @@ type Topology struct {
 
 	conesMu sync.Mutex
 	cones   map[bgp.ASN]map[bgp.ASN]bool
+	// routesMu guards routes, RoutesTo's per-destination tables.
+	routesMu sync.Mutex
+	routes   map[bgp.ASN]*RoutingTable
 
 	// indexOnce lazily builds the dense AS index used by hot paths
 	// (propagation visited sets) in place of per-call hash maps.
