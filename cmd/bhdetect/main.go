@@ -60,6 +60,9 @@ func platformOf(name string) bgpblackholing.Platform {
 
 // run detects the events in the archives under in and writes them to w.
 func run(w io.Writer, in string, scale float64, seed int64, format string) error {
+	if formats[format] == nil {
+		return fmt.Errorf("unknown format %q", format)
+	}
 	events, err := detect(in, scale, seed)
 	if err != nil {
 		return err
@@ -153,17 +156,12 @@ func detect(in string, scale float64, seed int64) ([]*bgpblackholing.Event, erro
 // returns the first write or flush error, so a closed or full stdout
 // fails the run instead of truncating the report.
 func writeEvents(w io.Writer, format string, events []*bgpblackholing.Event) error {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	var err error
-	switch format {
-	case "json":
-		err = writeJSON(bw, events)
-	case "csv":
-		err = writeCSV(bw, events)
-	default:
+	write := formats[format]
+	if write == nil {
 		return fmt.Errorf("unknown format %q", format)
 	}
-	if err != nil {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	if err := write(bw, events); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -172,6 +170,9 @@ func writeEvents(w io.Writer, format string, events []*bgpblackholing.Event) err
 	fmt.Fprintf(os.Stderr, "bhdetect: %d events\n", len(events))
 	return nil
 }
+
+// formats are the output formats, each by the function that writes it.
+var formats = map[string]func(io.Writer, []*bgpblackholing.Event) error{"csv": writeCSV, "json": writeJSON}
 
 // writeJSON writes each event's record line — json.Marshal of its
 // EventRecord, the read path's one event schema — and a newline.

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +53,19 @@ func TestDetectGolden(t *testing.T) {
 			}
 			t.Fatalf("seed %d: %d lines, want %d", seed, len(gl), len(wl))
 		}
+	}
+}
+
+// An unknown -format is refused before anything is opened: run reports
+// the format, not the missing archive directory it would replay first.
+func TestRunRefusesFormatBeforeReplay(t *testing.T) {
+	var out bytes.Buffer
+	err := run(&out, filepath.Join(t.TempDir(), "missing"), 0.1, 42, "xml")
+	if err == nil || !strings.Contains(err.Error(), `unknown format "xml"`) {
+		t.Fatalf("run with format xml: err = %v, want the unknown-format error", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("run wrote %q before refusing the format", out.String())
 	}
 }
 

@@ -392,27 +392,31 @@ func (f *FederatedStore) merge(streams []*RecordStream, limit int) *RecordStream
 		}
 		return a.head.Key.Less(b.head.Key)
 	})
-	// advance pushes a shard's next record, or drops the shard from the
-	// merge at its end or its failure; only a failure is returned.
-	advance := func(c lineCursor) error {
+	// advance moves c to its shard's next record. At the shard's end
+	// (io.EOF) or failure it closes the stream, counting a failure.
+	advance := func(c *lineCursor) error {
 		rl, err := c.src.Next()
-		if err == nil {
-			c.head = rl
-			h.Push(c)
-			return nil
+		if err != nil {
+			c.src.Close()
+			if !errors.Is(err, io.EOF) {
+				f.counters[c.idx].failures.Add(1)
+			}
+			return err
 		}
-		c.src.Close()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		f.counters[c.idx].failures.Add(1)
-		return err
+		c.head = rl
+		return nil
 	}
 	// Prime every stream: the merge needs each shard's head to pick a
 	// global minimum.
 	failed := 0
 	for i, s := range streams {
-		if s != nil && advance(lineCursor{idx: i, src: s}) != nil {
+		if s == nil {
+			continue
+		}
+		c := lineCursor{idx: i, src: s}
+		if err := advance(&c); err == nil {
+			h.Push(c)
+		} else if !errors.Is(err, io.EOF) {
 			failed++
 		}
 	}
@@ -421,28 +425,34 @@ func (f *FederatedStore) merge(streams []*RecordStream, limit int) *RecordStream
 	if limit > 0 {
 		remaining = limit
 	}
-	// A popped cursor's head may be borrowed from its shard's stream, so
-	// the shard may only advance once the caller is done with the line: at
-	// the start of the following call, not before returning.
-	var popped lineCursor
+	// The line last returned is the heap's minimum's head, which may be
+	// borrowed from its shard's stream, so the shard may only advance once
+	// the caller is done with the line: at the start of the following
+	// call, not before returning. It then refills in place, one sift.
+	returned := false
 	return &RecordStream{
 		ShardsFailed: failed,
 		next: func() (RecordLine, error) {
 			if remaining <= 0 {
 				return RecordLine{}, io.EOF
 			}
-			if popped.src != nil {
+			if returned {
 				// Headers are sent: a failure now shows in the shard's
 				// counter, not in this response.
-				_ = advance(popped)
-				popped = lineCursor{}
+				returned = false
+				c := h.Min()
+				if advance(&c) == nil {
+					h.ReplaceMin(c)
+				} else {
+					h.Pop()
+				}
 			}
 			if h.Len() == 0 {
 				return RecordLine{}, io.EOF
 			}
-			popped = h.Pop()
+			returned = true
 			remaining--
-			return popped.head, nil
+			return h.Min().head, nil
 		},
 		close: func() {
 			for _, s := range streams {

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
-// FuzzUnmarshalUpdate asserts the UPDATE decoder never panics, that
-// anything it accepts encodes without panicking, and that the encoding
-// is a fixed point: it decodes, and encodes again to the same bytes (run
-// with `go test -fuzz=FuzzUnmarshalUpdate ./internal/bgp` for a real
-// fuzzing session; the seed corpus runs under plain `go test`).
+// FuzzUnmarshalUpdate asserts the UPDATE decoder never panics, that a
+// decode carved from a Slab earlier inputs have carved from equals the
+// plain decode (nil lists included), that anything it accepts encodes
+// without panicking, and that the encoding is a fixed point: it decodes,
+// and encodes again to the same bytes (run with `go test
+// -fuzz=FuzzUnmarshalUpdate ./internal/bgp` for a real fuzzing session;
+// the seed corpus runs under plain `go test`).
 func FuzzUnmarshalUpdate(f *testing.F) {
 	seed := &Update{
 		Announced:        []netip.Prefix{netip.MustParsePrefix("192.88.99.1/32")},
@@ -33,11 +36,22 @@ func FuzzUnmarshalUpdate(f *testing.F) {
 	f.Add(mut)
 	f.Add([]byte{})
 	f.Add(crossFamilyNextHop(f))
+	// An empty COMMUNITIES attribute, and an AS_PATH of one empty segment.
+	f.Add(mustMarshal(f, []byte{0x40, 1, 1, 0, 0xC0, 8, 0}, 24, 192, 0, 2))
+	f.Add(mustMarshal(f, []byte{0x40, 1, 1, 0, 0x40, 2, 2, 2, 0}, 24, 192, 0, 2))
 
+	var slab Slab // shared across inputs, so carving starts mid-chunk
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := UnmarshalUpdate(data)
+		var carved Update
+		if serr := slab.UnmarshalUpdate(&carved, data); (serr == nil) != (err == nil) {
+			t.Fatalf("slab decode err %v, plain decode err %v", serr, err)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if !reflect.DeepEqual(&carved, u) {
+			t.Fatalf("slab decode %#v differs from plain decode %#v", carved, *u)
 		}
 		// Accepted updates must re-encode (unless they exceed the size
 		// limit after normalisation, which Marshal reports as an error,
@@ -74,6 +88,17 @@ func crossFamilyNextHop(tb testing.TB) []byte {
 	wire = append(wire, 24, 192, 0, 2)
 	binary.BigEndian.PutUint16(wire[16:18], uint16(len(wire)))
 	return wire
+}
+
+// mustMarshal frames an UPDATE of no withdrawals, the path attributes
+// attrs and the NLRI bytes nlri.
+func mustMarshal(tb testing.TB, attrs []byte, nlri ...byte) []byte {
+	body := binary.BigEndian.AppendUint16([]byte{0, 0}, uint16(len(attrs)))
+	msg, err := AppendMessage(nil, TypeUpdate, append(append(body, attrs...), nlri...))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return msg
 }
 
 // FuzzUnmarshalPathAttributes covers the standalone attribute decoder

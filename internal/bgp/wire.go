@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"unsafe"
 )
 
 // RFC 4271 message framing.
@@ -134,18 +135,57 @@ func MarshalUpdate(u *Update) ([]byte, error) {
 // is not part of the wire format and is left zero.
 func UnmarshalUpdate(msg []byte) (*Update, error) {
 	u := &Update{}
-	if err := UnmarshalUpdateInto(u, msg); err != nil {
+	if err := (*Slab)(nil).UnmarshalUpdate(u, msg); err != nil {
 		return nil, err
 	}
 	return u, nil
 }
 
-// UnmarshalUpdateInto is UnmarshalUpdate decoding into caller-owned
-// storage, so an archive reader can carry the update inside a larger
-// per-record allocation. *u is overwritten; every field is copied out of
-// msg, so msg may be reused once the call returns. On error *u holds a
+// UnmarshalUpdateBody decodes an UPDATE whose header the caller has
+// already read and checked — a session that framed the message off its
+// connection — into u, from the body after the header.
+func UnmarshalUpdateBody(u *Update, body []byte) error {
+	return (*Slab)(nil).unmarshalBody(u, body)
+}
+
+// Slab is the storage the UPDATE decoder carves its slices from: prefix
+// lists, standard communities and the AS path's segments and ASNs each
+// come out of a chunk of slabChunkBytes shared with other decodes. Each
+// carved slice is capacity-limited to its length and handed out once, so
+// a decoded update may be retained and appended to like one decoded
+// alone; it keeps its chunks alive. The zero value is ready to use. A nil
+// *Slab allocates each slice on its own: the package-level decoders call
+// the one decoder on nil. A Slab is not safe for concurrent use.
+type Slab struct {
+	prefixes    []netip.Prefix
+	communities []Community
+	segments    []Segment
+	asns        []ASN
+}
+
+const slabChunkBytes = 4 << 10
+
+// carve returns dst grown to hold n more elements: carved from the chunk
+// field picks when dst is empty and s is not nil, else by slices.Grow.
+// Either way the result is nil exactly when dst is nil and n is 0.
+func carve[T any](s *Slab, field func(*Slab) *[]T, dst []T, n int) []T {
+	if s == nil || len(dst) > 0 || n == 0 {
+		return slices.Grow(dst, n)
+	}
+	chunk := field(s)
+	if len(*chunk) < n {
+		*chunk = make([]T, max(n, slabChunkBytes/int(unsafe.Sizeof(*new(T)))))
+	}
+	out := (*chunk)[:0:n]
+	*chunk = (*chunk)[n:]
+	return out
+}
+
+// UnmarshalUpdate is the package-level UnmarshalUpdate decoding into u,
+// carving u's slices from s. *u is overwritten; every field is copied out
+// of msg, so msg may be reused once the call returns. On error *u holds a
 // partial decode and must be discarded.
-func UnmarshalUpdateInto(u *Update, msg []byte) error {
+func (s *Slab) UnmarshalUpdate(u *Update, msg []byte) error {
 	typ, total, err := ParseHeader(msg)
 	if err != nil {
 		return err
@@ -156,13 +196,10 @@ func UnmarshalUpdateInto(u *Update, msg []byte) error {
 	if typ != TypeUpdate {
 		return ErrNotUpdate
 	}
-	return UnmarshalUpdateBody(u, msg[HeaderLen:])
+	return s.unmarshalBody(u, msg[HeaderLen:])
 }
 
-// UnmarshalUpdateBody is UnmarshalUpdateInto for an UPDATE whose header
-// the caller has already read and checked — a session that framed the
-// message off its connection — decoding the body after it.
-func UnmarshalUpdateBody(u *Update, body []byte) error {
+func (s *Slab) unmarshalBody(u *Update, body []byte) error {
 	*u = Update{}
 	// Withdrawn routes.
 	if len(body) < 2 {
@@ -174,7 +211,7 @@ func UnmarshalUpdateBody(u *Update, body []byte) error {
 		return ErrShortMessage
 	}
 	var err error
-	if u.Withdrawn, err = parsePrefixes(nil, body[:wlen], false); err != nil {
+	if u.Withdrawn, err = s.parsePrefixes(nil, body[:wlen], false); err != nil {
 		return err
 	}
 	body = body[wlen:]
@@ -190,12 +227,12 @@ func UnmarshalUpdateBody(u *Update, body []byte) error {
 	}
 	attrs := body[:alen]
 	body = body[alen:]
-	if err := parseAttributes(u, attrs); err != nil {
+	if err := s.parseAttributes(u, attrs); err != nil {
 		return err
 	}
 
 	// NLRI.
-	u.Announced, err = parsePrefixes(u.Announced, body, false)
+	u.Announced, err = s.parsePrefixes(u.Announced, body, false)
 	return err
 }
 
@@ -213,7 +250,7 @@ func MarshalPathAttributes(u *Update) []byte {
 // carried MP NLRI).
 func UnmarshalPathAttributes(attrs []byte) (*Update, error) {
 	u := &Update{}
-	if err := parseAttributes(u, attrs); err != nil {
+	if err := (*Slab)(nil).parseAttributes(u, attrs); err != nil {
 		return nil, err
 	}
 	return u, nil
@@ -303,7 +340,7 @@ func appendAttrHeader(dst []byte, flags, code byte, n int) []byte {
 // parseASPath validates and sizes the attribute in a first pass, then
 // decodes into one segment slice and one ASN array shared by all
 // segments (each segment's slice is capacity-limited to its own ASNs).
-func parseASPath(b []byte) (Path, error) {
+func (s *Slab) parseASPath(b []byte) (Path, error) {
 	nseg, nasn := 0, 0
 	for rest := b; len(rest) > 0; nseg++ {
 		if len(rest) < 2 {
@@ -322,8 +359,8 @@ func parseASPath(b []byte) (Path, error) {
 	if nseg == 0 {
 		return Path{}, nil
 	}
-	p := Path{Segments: make([]Segment, 0, nseg)}
-	asns := make([]ASN, nasn)
+	p := Path{Segments: carve(s, func(s *Slab) *[]Segment { return &s.segments }, nil, nseg)}
+	asns := carve(s, func(s *Slab) *[]ASN { return &s.asns }, nil, nasn)[:nasn]
 	for len(b) > 0 {
 		st, n := SegmentType(b[0]), int(b[1])
 		b = b[2:]
@@ -338,7 +375,7 @@ func parseASPath(b []byte) (Path, error) {
 	return p, nil
 }
 
-func parseAttributes(u *Update, attrs []byte) error {
+func (s *Slab) parseAttributes(u *Update, attrs []byte) error {
 	for len(attrs) > 0 {
 		if len(attrs) < 3 {
 			return ErrBadAttributes
@@ -368,7 +405,7 @@ func parseAttributes(u *Update, attrs []byte) error {
 			}
 			u.Origin = Origin(val[0])
 		case attrASPath:
-			p, err := parseASPath(val)
+			p, err := s.parseASPath(val)
 			if err != nil {
 				return err
 			}
@@ -382,7 +419,7 @@ func parseAttributes(u *Update, attrs []byte) error {
 			if vlen%4 != 0 {
 				return fmt.Errorf("%w: COMMUNITIES length %d", ErrBadAttributes, vlen)
 			}
-			u.Communities = slices.Grow(u.Communities, vlen/4)
+			u.Communities = carve(s, func(s *Slab) *[]Community { return &s.communities }, u.Communities, vlen/4)
 			for i := 0; i < vlen; i += 4 {
 				u.Communities = append(u.Communities, Community(binary.BigEndian.Uint32(val[i:])))
 			}
@@ -405,11 +442,11 @@ func parseAttributes(u *Update, attrs []byte) error {
 				})
 			}
 		case attrMPReachNLRI:
-			if err := parseMPReach(u, val); err != nil {
+			if err := s.parseMPReach(u, val); err != nil {
 				return err
 			}
 		case attrMPUnreachNLRI:
-			if err := parseMPUnreach(u, val); err != nil {
+			if err := s.parseMPUnreach(u, val); err != nil {
 				return err
 			}
 		default:
@@ -419,7 +456,7 @@ func parseAttributes(u *Update, attrs []byte) error {
 	return nil
 }
 
-func parseMPReach(u *Update, val []byte) (err error) {
+func (s *Slab) parseMPReach(u *Update, val []byte) (err error) {
 	if len(val) < 5 {
 		return ErrBadAttributes
 	}
@@ -440,11 +477,11 @@ func parseMPReach(u *Update, val []byte) (err error) {
 	if v6 && nhLen >= 16 {
 		u.NextHop = netip.AddrFrom16([16]byte(nh[:16]))
 	}
-	u.Announced, err = parsePrefixes(u.Announced, rest, v6)
+	u.Announced, err = s.parsePrefixes(u.Announced, rest, v6)
 	return err
 }
 
-func parseMPUnreach(u *Update, val []byte) (err error) {
+func (s *Slab) parseMPUnreach(u *Update, val []byte) (err error) {
 	if len(val) < 3 {
 		return ErrBadAttributes
 	}
@@ -453,7 +490,7 @@ func parseMPUnreach(u *Update, val []byte) (err error) {
 	if safi != safiUnicast {
 		return nil
 	}
-	u.Withdrawn, err = parsePrefixes(u.Withdrawn, val[3:], afi == afiIPv6)
+	u.Withdrawn, err = s.parsePrefixes(u.Withdrawn, val[3:], afi == afiIPv6)
 	return err
 }
 
@@ -545,7 +582,7 @@ func appendPrefixes(dst []byte, ps []netip.Prefix, v6 bool) []byte {
 // before anything is allocated. v6 selects the address family for fields
 // (MP attributes) where it is not implicit. An empty field returns dst
 // unchanged, so a list nothing was appended to stays nil.
-func parsePrefixes(dst []netip.Prefix, b []byte, v6 bool) ([]netip.Prefix, error) {
+func (s *Slab) parsePrefixes(dst []netip.Prefix, b []byte, v6 bool) ([]netip.Prefix, error) {
 	n := 0
 	for rest := b; len(rest) > 0; n++ {
 		size, err := prefixSize(rest, v6)
@@ -554,7 +591,7 @@ func parsePrefixes(dst []netip.Prefix, b []byte, v6 bool) ([]netip.Prefix, error
 		}
 		rest = rest[size:]
 	}
-	dst = slices.Grow(dst, n)
+	dst = carve(s, func(s *Slab) *[]netip.Prefix { return &s.prefixes }, dst, n)
 	for len(b) > 0 {
 		var p netip.Prefix
 		p, b, _ = ParsePrefix(b, v6) // the pass above validated every prefix

@@ -253,7 +253,8 @@ func (e *Engine) Metrics() Metrics { return e.metrics.snapshot() }
 
 type prefixState struct {
 	event *Event
-	// activePeers is ascending, like the event's own sets.
+	// activePeers is unordered: the engine asks only whether a peer is in
+	// it and whether it is empty, so a peer leaves by swap-delete.
 	activePeers []netip.Addr
 }
 
@@ -490,11 +491,13 @@ func (e *Engine) startOrRefresh(u *bgp.Update, det *Detection, prefix netip.Pref
 	st := e.perPrefix[prefix]
 	if st == nil {
 		e.metrics.eventsOpened.Add(1)
-		st = &prefixState{event: &Event{Prefix: prefix, Start: u.Time, End: u.Time, StartUnknown: fromDump}}
+		st = &prefixState{event: &Event{Prefix: prefix, Start: u.Time, End: u.Time, StartUnknown: fromDump}, activePeers: make([]netip.Addr, 0, 4)}
 		e.perPrefix[prefix] = st
 	}
 	ev := st.event
-	st.activePeers = insert(st.activePeers, u.PeerIP, netip.Addr.Compare)
+	if !slices.Contains(st.activePeers, u.PeerIP) {
+		st.activePeers = append(st.activePeers, u.PeerIP)
+	}
 	if u.Time.After(ev.End) {
 		ev.End = u.Time
 	}
@@ -549,7 +552,8 @@ func (e *Engine) endPeer(prefix netip.Prefix, peer netip.Addr, t time.Time) bool
 	if i < 0 {
 		return false
 	}
-	st.activePeers = slices.Delete(st.activePeers, i, i+1)
+	st.activePeers[i] = st.activePeers[len(st.activePeers)-1]
+	st.activePeers = st.activePeers[:len(st.activePeers)-1]
 	if t.After(st.event.End) {
 		st.event.End = t
 	}

@@ -235,15 +235,17 @@ func (w *Writer) WriteRIB(r *RIB) error {
 // caller receives fully populated peer metadata.
 //
 // The Reader reads ahead by up to one window and parses each record in
-// place from that buffer; the decoders copy every field out, so no
-// returned record aliases it. A read returns as soon as the next record
-// is complete — it never waits to fill the window — so a Reader can tail
-// a pipe or a growing file.
+// place from that buffer; the decoders copy every field out (a BGP4MP
+// update's lists into the Reader's bgp.Slab), so no returned record
+// aliases it. A read returns as soon as the next record is complete — it
+// never waits to fill the window — so a Reader can tail a pipe or a
+// growing file.
 type Reader struct {
 	br    *bufio.Reader
 	peers *PeerIndexTable
 	// big holds a record larger than the window, reused.
-	big []byte
+	big  []byte
+	slab bgp.Slab
 }
 
 // NewReader returns a Reader decoding from r.
@@ -254,8 +256,8 @@ func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReaderSize(r, 
 func (r *Reader) Next() (Record, error) { return r.NextInto(nil, nil) }
 
 // NextInto is Next with caller-owned storage for a BGP4MP record, so
-// the caller can carry the message and its update inside a larger
-// allocation: such a record is decoded into *m and *u (m.Update == u)
+// the caller can reuse the message and keep the update in storage it
+// manages: such a record is decoded into *m and *u (m.Update == u)
 // and m is returned. Any other record leaves them untouched; after an
 // error they may hold a partial decode. With nil m and u the Reader
 // allocates the pair itself.
@@ -295,7 +297,7 @@ func (r *Reader) NextInto(m *BGP4MPMessage, u *bgp.Update) (Record, error) {
 		var rec Record
 		switch {
 		case typ == TypeBGP4MP && subtype == SubtypeBGP4MPMessageAS4:
-			rec, err = parseBGP4MP(ts, body, m, u)
+			rec, err = r.parseBGP4MP(ts, body, m, u)
 		case typ == TypeTableDumpV2 && subtype == SubtypePeerIndexTable:
 			var pit *PeerIndexTable
 			if pit, err = parsePeerIndexTable(ts, body); err == nil {
@@ -365,7 +367,7 @@ func (r *Reader) ResolveRIB(rib *RIB) ([]bgp.RIBEntry, error) {
 
 // parseBGP4MP decodes into *m and *u, or into one allocation holding
 // both when they are nil.
-func parseBGP4MP(ts time.Time, body []byte, m *BGP4MPMessage, u *bgp.Update) (*BGP4MPMessage, error) {
+func (r *Reader) parseBGP4MP(ts time.Time, body []byte, m *BGP4MPMessage, u *bgp.Update) (*BGP4MPMessage, error) {
 	if len(body) < 12 {
 		return nil, ErrTruncated
 	}
@@ -399,7 +401,7 @@ func parseBGP4MP(ts time.Time, body []byte, m *BGP4MPMessage, u *bgp.Update) (*B
 	default:
 		return nil, fmt.Errorf("mrt: BGP4MP AFI %d unsupported", afi)
 	}
-	if err := bgp.UnmarshalUpdateInto(u, body); err != nil {
+	if err := r.slab.UnmarshalUpdate(u, body); err != nil {
 		return nil, fmt.Errorf("mrt: inner BGP message: %w", err)
 	}
 	u.Time = ts

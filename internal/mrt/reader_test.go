@@ -150,8 +150,8 @@ func TestNextAllocsPerBGP4MP(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 5 {
-		t.Fatalf("Next allocates %.1f times per BGP4MP record, want <= 5", allocs)
+	if allocs > 1 {
+		t.Fatalf("Next allocates %.1f times per BGP4MP record, want <= 1", allocs)
 	}
 }
 

@@ -4,8 +4,9 @@ package stream
 // caller-supplied strict less function. It backs the k-way merges in
 // this package (time-ordered update streams) and in the federated
 // query layer (global-order event record streams): both need the same
-// pop-min / push-refill loop, and the generic form keeps the two merge
-// cores literally the same code.
+// refill loop — read the minimum, replace it with its source's next
+// element in one sift, pop it only when the source ends — and the
+// generic form keeps the two merge cores literally the same code.
 //
 // The zero value is not usable; construct with NewHeap. Heap is not
 // safe for concurrent use.
@@ -22,19 +23,20 @@ func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
 // Len reports the number of elements on the heap.
 func (h *Heap[T]) Len() int { return len(h.items) }
 
-// Grow reserves capacity for at least n elements.
-func (h *Heap[T]) Grow(n int) {
-	if cap(h.items) < n {
-		items := make([]T, len(h.items), n)
-		copy(items, h.items)
-		h.items = items
-	}
-}
-
 // Push adds x to the heap.
 func (h *Heap[T]) Push(x T) {
 	h.items = append(h.items, x)
 	h.siftUp(len(h.items) - 1)
+}
+
+// Min returns the minimum element. It must not be called on an empty heap.
+func (h *Heap[T]) Min() T { return h.items[0] }
+
+// ReplaceMin replaces the minimum element with x in one sift, where Pop
+// then Push take two. It must not be called on an empty heap.
+func (h *Heap[T]) ReplaceMin(x T) {
+	h.items[0] = x
+	h.siftDown(0)
 }
 
 // Pop removes and returns the minimum element. It must not be called

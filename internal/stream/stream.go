@@ -105,7 +105,7 @@ type mergeStream struct {
 	heap   *Heap[mergeEntry]
 	primed bool
 	// err is a deferred source error: a refill failure is surfaced on
-	// the Next call after the already-popped element is delivered.
+	// the Next call after the element it follows is delivered.
 	err error
 }
 
@@ -126,28 +126,18 @@ func Merge(srcs ...Stream) Stream {
 	})}
 }
 
-// pull reads the next element of source i onto the heap.
-func (m *mergeStream) pull(i int) error {
+// read returns source i's next element as a heap entry.
+func (m *mergeStream) read(i int) (mergeEntry, error) {
 	e, err := m.srcs[i].Next()
-	if errors.Is(err, io.EOF) {
-		return nil
-	}
 	if err != nil {
-		return err
+		return mergeEntry{}, err
 	}
-	m.heap.Push(mergeEntry{key: e.Update.Time.UnixNano(), src: i, elem: e})
-	return nil
+	return mergeEntry{key: e.Update.Time.UnixNano(), src: i, elem: e}, nil
 }
 
 func (m *mergeStream) Next() (*Elem, error) {
-	if m.err != nil {
-		err := m.err
-		m.err = nil
-		return nil, err
-	}
 	if !m.primed {
 		m.primed = true
-		m.heap.Grow(len(m.srcs))
 		// Prime every source even if one errors, so a caller that
 		// continues past the error still merges the healthy sources;
 		// the first priming error surfaces immediately.
@@ -155,23 +145,34 @@ func (m *mergeStream) Next() (*Elem, error) {
 			if src == nil {
 				continue
 			}
-			if err := m.pull(i); err != nil && m.err == nil {
+			x, err := m.read(i)
+			if err == nil {
+				m.heap.Push(x)
+			} else if !errors.Is(err, io.EOF) && m.err == nil {
 				m.err = err
 			}
 		}
-		if m.err != nil {
-			err := m.err
-			m.err = nil
-			return nil, err
-		}
+	}
+	if m.err != nil {
+		err := m.err
+		m.err = nil
+		return nil, err
 	}
 	if m.heap.Len() == 0 {
 		return nil, io.EOF
 	}
-	root := m.heap.Pop()
-	// A refill failure must not swallow the element already popped:
-	// deliver it now and surface the error on the following call.
-	m.err = m.pull(root.src)
+	// Refill the root's source in place; it leaves the heap at its end or
+	// failure, which is surfaced on the call after the element it follows.
+	root := m.heap.Min()
+	x, err := m.read(root.src)
+	if err == nil {
+		m.heap.ReplaceMin(x)
+		return root.elem, nil
+	}
+	m.heap.Pop()
+	if !errors.Is(err, io.EOF) {
+		m.err = err
+	}
 	return root.elem, nil
 }
 
@@ -240,17 +241,20 @@ type mrtStream struct {
 	name     string
 	platform collector.Platform
 	pending  []*Elem
-	// slot is the storage the next BGP4MP record decodes into; it is
-	// handed to the consumer with the element and replaced.
-	slot *mrtElem
+	// msg is the one header every BGP4MP record decodes into; no Elem
+	// points at it.
+	msg mrt.BGP4MPMessage
+	// slots is the rest of the current chunk; the next record decodes
+	// into the first.
+	slots []mrtElem
 }
 
-// mrtElem carries one archived update in a single allocation: the
-// element, the record's message header and the update it points to. Each
-// is handed out once and never reused, so consumers may retain the Elem.
+// mrtElem is an archived update's element and the update it points to,
+// allocated 32 to a chunk. Each is handed out once, so consumers may
+// retain the Elem; it keeps its chunk alive, and the bgp.Slab chunks its
+// update was carved from.
 type mrtElem struct {
 	elem Elem
-	msg  mrt.BGP4MPMessage
 	upd  bgp.Update
 }
 
@@ -261,18 +265,18 @@ func (m *mrtStream) Next() (*Elem, error) {
 			m.pending = m.pending[1:]
 			return e, nil
 		}
-		if m.slot == nil {
-			m.slot = new(mrtElem)
+		if len(m.slots) == 0 {
+			m.slots = make([]mrtElem, 32)
 		}
-		rec, err := m.r.NextInto(&m.slot.msg, &m.slot.upd)
+		s := &m.slots[0]
+		rec, err := m.r.NextInto(&m.msg, &s.upd)
 		if err != nil {
 			return nil, err
 		}
 		switch rec := rec.(type) {
 		case *mrt.BGP4MPMessage:
-			s := m.slot
-			m.slot = nil
-			s.elem = Elem{Collector: m.name, Platform: m.platform, Update: rec.Update}
+			m.slots = m.slots[1:]
+			s.elem = Elem{Collector: m.name, Platform: m.platform, Update: &s.upd}
 			return &s.elem, nil
 		case *mrt.RIB:
 			entries, err := m.r.ResolveRIB(rec)
