@@ -16,6 +16,7 @@ import (
 
 	"bgpblackholing/internal/analysis"
 	"bgpblackholing/internal/core"
+	"bgpblackholing/internal/store"
 )
 
 // checkFigure4MatchesScan asserts the materialized daily aggregates
@@ -104,7 +105,7 @@ func TestFigure4MaterializedMatchesScan(t *testing.T) {
 	}
 	checkFigure4MatchesScan(t, st, "ingested")
 
-	// Tombstone a prefix that actually has events: dayRemove must keep
+	// Tombstone a prefix that actually has events: unindexing must keep
 	// the refcounted aggregates in step with the live set.
 	victim := res.Events[len(res.Events)/2].Prefix
 	n, err := st.DeletePrefix(victim, time.Time{})
@@ -115,6 +116,61 @@ func TestFigure4MaterializedMatchesScan(t *testing.T) {
 		t.Fatalf("DeletePrefix(%s) removed nothing", victim)
 	}
 	checkFigure4MatchesScan(t, st, "tombstoned")
+
+	// Tombstone a second prefix up to its last end, then append its
+	// events again ending past that: the prefix drops to refcount zero on
+	// every day and comes back under the id the store gave it first.
+	var again *Event
+	for _, ev := range res.Events {
+		if ev.Prefix != victim {
+			again = ev
+			break
+		}
+	}
+	var upTo time.Time
+	var returning []*Event
+	for _, ev := range res.Events {
+		if ev.Prefix == again.Prefix {
+			returning = append(returning, ev)
+			if ev.End.After(upTo) {
+				upTo = ev.End
+			}
+		}
+	}
+	if n, err := st.DeletePrefix(again.Prefix, upTo); err != nil || n == 0 {
+		t.Fatalf("DeletePrefix(%s, %v) = %d, %v; want events erased", again.Prefix, upTo, n, err)
+	}
+	if q := st.Query(Query{Prefix: again.Prefix, Mode: PrefixExact}); q.Total != 0 {
+		t.Fatalf("after DeletePrefix(%s): %d events live, want none", again.Prefix, q.Total)
+	}
+	last := res.Events[len(res.Events)-1].Seq
+	for i, ev := range returning {
+		back := *ev
+		back.Seq, back.End = last+1+uint64(i), upTo.Add(time.Hour)
+		if err := st.Append(&back); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q := st.Query(Query{Prefix: again.Prefix, Mode: PrefixExact}); q.Total != len(returning) {
+		t.Fatalf("re-appended %d events of %s, %d live", len(returning), again.Prefix, q.Total)
+	}
+	checkFigure4MatchesScan(t, st, "re-appended")
+
+	// Tombstone every prefix live on one day: the day leaves the view.
+	day := res.Events[len(res.Events)/3].Start.UTC().Truncate(24 * time.Hour)
+	live := st.Query(Query{From: day, To: day.Add(24*time.Hour - time.Nanosecond)})
+	if live.Total == 0 {
+		t.Fatalf("day %v: no live events", day)
+	}
+	for _, ev := range live.Events {
+		if _, err := st.DeletePrefix(ev.Prefix, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if counts, ok := st.s.DailyCounts(day, 1); !ok || counts[0] != (store.DayCount{}) {
+		t.Fatalf("day %v after tombstoning its every prefix: %+v (ok %v), want empty", day, counts, ok)
+	}
+	checkFigure4MatchesScan(t, st, "day-emptied")
 
 	if _, err := st.Compact(CompactionPolicy{MergeAll: true}); err != nil {
 		t.Fatal(err)

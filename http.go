@@ -540,8 +540,9 @@ const (
 	eventsReturnedHeader = "X-Events-Returned"
 )
 
-// answerPool recycles the buffer a buffered answer is written into: an
-// /events set or envelope, a shape=sets body, a writeJSON document.
+// answerPool recycles the buffer an answer is written into: an /events
+// set or envelope, a shape=sets body, a writeJSON document, and an
+// NDJSON stream's lines between writes (at most 64 KiB plus one line).
 var answerPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendEnvelope appends the JSON /events envelope around rs's lines,
@@ -607,13 +608,14 @@ func setShardIdentity(w http.ResponseWriter, id string) {
 	}
 }
 
-// streamRecordLines writes one event record per line, flushing
-// periodically. The lines drain Backend.RecordLines incrementally —
-// "streaming, uncapped" is literal: nothing is materialized ahead of
-// the wire, however many events match. The stream is opened (and, for
-// a federation, every shard primed) before the first byte, so the
-// X-Shards-Failed header can still be set; a shard dying mid-stream
-// after that shows up in counters, not in this response.
+// streamRecordLines writes one event record per line. The lines drain
+// Backend.RecordLines incrementally — "streaming, uncapped" is literal:
+// beyond 64 KiB plus a line, nothing is held ahead of the wire, however
+// many events match. Lines go out in 64 KiB writes, and 256 lines held
+// are written and flushed. The stream is opened (and, for a federation,
+// every shard primed) before the first byte, so the X-Shards-Failed
+// header can still be set; a shard dying mid-stream after that shows up
+// in counters, not in this response.
 func (h *handler) streamRecordLines(ctx context.Context, w http.ResponseWriter, q Query) {
 	rs, err := h.be.RecordLines(ctx, q)
 	if err != nil {
@@ -628,24 +630,28 @@ func (h *handler) streamRecordLines(ctx context.Context, w http.ResponseWriter, 
 	setShardIdentity(w, rs.shard)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	i := 0
+	buf := answerPool.Get().(*[]byte)
+	defer answerPool.Put(buf)
+	*buf = (*buf)[:0]
+	held := 0 // lines in *buf
 	for {
 		rl, err := rs.Next()
 		if err != nil {
 			break // io.EOF, client cancellation, or a dead source
 		}
-		if _, err := w.Write(rl.Line); err != nil {
+		*buf = append(append(*buf, rl.Line...), nl...)
+		if held++; held < 256 && len(*buf) < 64<<10 {
+			continue
+		}
+		if _, err := w.Write(*buf); err != nil {
 			return // client went away
 		}
-		if _, err := w.Write(nl); err != nil {
-			return
-		}
-		if flusher != nil && i%256 == 255 {
+		if held == 256 && flusher != nil {
 			flusher.Flush()
 		}
-		i++
+		*buf, held = (*buf)[:0], 0
 	}
-	if flusher != nil {
+	if _, err := w.Write(*buf); err == nil && flusher != nil {
 		flusher.Flush()
 	}
 }

@@ -2,8 +2,6 @@ package mrt
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"net/netip"
 	"testing"
 	"time"
@@ -11,8 +9,9 @@ import (
 	"bgpblackholing/internal/bgp"
 )
 
-// FuzzReader asserts the MRT decoder never panics on arbitrary input
-// and always terminates (EOF or error).
+// FuzzReader asserts the MRT decoder never panics on arbitrary input,
+// always terminates (EOF or error), and never returns a nil record
+// without an error.
 func FuzzReader(f *testing.F) {
 	// Seed with a real archive containing all record types.
 	var buf bytes.Buffer
@@ -61,10 +60,10 @@ func FuzzReader(f *testing.F) {
 		for i := 0; i < 1000; i++ { // bounded: the reader must not loop forever
 			rec, err := r.Next()
 			if err != nil {
-				if !errors.Is(err, io.EOF) && err == nil {
-					t.Fatal("nil error with no record")
-				}
 				return
+			}
+			if rec == nil {
+				t.Fatal("Next returned neither a record nor an error")
 			}
 			if rib, ok := rec.(*RIB); ok {
 				_, _ = r.ResolveRIB(rib)

@@ -2,11 +2,10 @@ package store
 
 import (
 	"fmt"
-	"net/netip"
+	"math"
 	"slices"
 	"time"
 
-	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/core"
 )
 
@@ -81,7 +80,7 @@ func (s *Store) indexAt(ev *core.Event, ord int32) {
 	if ev.End.After(s.maxEnd) {
 		s.maxEnd = ev.End
 	}
-	s.dayAdd(ev)
+	s.dayCount(ev, 1)
 }
 
 // segTouches mirrors candidates' index precedence over a lazy
@@ -209,17 +208,39 @@ func (s *Store) hydrateSegLocked(sf *segFile) {
 	s.inst.Hydrations.Inc()
 }
 
-// dayAgg is one day's slice of the materialized aggregate view: a
-// refcount per distinct provider, user and victim prefix over the live
-// events overlapping that day. The distinct-set sizes are exactly what
+// dayAgg is one day's slice of the materialized aggregate view: the
+// distinct providers, users and victim prefixes over the live events
+// overlapping that day, each with the number of those events that name
+// it, in ascending id order. The set sizes are exactly what
 // analysis.Figure4Union counts per day, so len() answers /figure4 in O(1)
-// per day. Figure 4 tells providers apart by their String form; named
-// providers are keyed here by the value that form spells (dayProvider),
-// and printed when a view is asked for.
+// per day. Users are their AS numbers; providers and prefixes are ids of
+// the store's intern tables (Store.provs, Store.pfxs), which print each
+// name once, when it is first indexed.
 type dayAgg struct {
-	providers map[core.ProviderRef]int
-	users     map[bgp.ASN]int
-	prefixes  map[netip.Prefix]int
+	providers, users, prefixes []member
+}
+
+// member is one id of a day's set and its refcount.
+type member struct{ id, refs uint32 }
+
+// intern gives each distinct key the store ever indexed a dense id and
+// its name, printed once. It only grows: a key whose last event goes
+// keeps its id, and gets it back when an event names it again.
+type intern[K interface {
+	comparable
+	String() string
+}] struct {
+	ids   map[K]uint32
+	names []string
+}
+
+func (t *intern[K]) id(k K) uint32 {
+	id, ok := t.ids[k]
+	if !ok {
+		id = uint32(len(t.names))
+		t.ids[k], t.names = id, append(t.names, k.String())
+	}
+	return id
 }
 
 // dayProvider is pr without what ProviderRef.String does not print: two
@@ -231,57 +252,59 @@ func dayProvider(pr core.ProviderRef) core.ProviderRef {
 	return core.ProviderRef{Kind: core.ProviderAS, ASN: pr.ASN}
 }
 
-// dayAdd credits ev to every day its span overlaps. Caller holds the
-// write lock (index/indexAt path).
-func (s *Store) dayAdd(ev *core.Event) {
+// dayCount credits ev (delta 1, the index path) to every day its span
+// overlaps, or takes it back (delta -1, unindex): a member goes at
+// refcount zero, and a day with none left leaves s.days. Caller holds
+// the write lock.
+func (s *Store) dayCount(ev *core.Event, delta int) {
+	pfx, provs := s.pfxs.id(ev.Prefix), make([]uint32, 0, 4)
+	for _, pr := range ev.Providers {
+		provs = append(provs, s.provs.id(dayProvider(pr)))
+	}
 	for d := unixDay(ev.Start); d <= unixDay(ev.End); d++ {
 		a := s.days[d]
 		if a == nil {
-			a = &dayAgg{
-				providers: map[core.ProviderRef]int{},
-				users:     map[bgp.ASN]int{},
-				prefixes:  map[netip.Prefix]int{},
-			}
+			a = &dayAgg{}
 			s.days[d] = a
 		}
-		for _, pr := range ev.Providers {
-			a.providers[dayProvider(pr)]++
+		for _, id := range provs {
+			a.providers = count(a.providers, id, delta)
 		}
 		for _, u := range ev.Users {
-			a.users[u]++
+			a.users = count(a.users, uint32(u), delta)
 		}
-		a.prefixes[ev.Prefix]++
-	}
-}
-
-// dayRemove is dayAdd's inverse (unindex path).
-func (s *Store) dayRemove(ev *core.Event) {
-	for d := unixDay(ev.Start); d <= unixDay(ev.End); d++ {
-		a := s.days[d]
-		if a == nil {
-			continue
-		}
-		for _, pr := range ev.Providers {
-			decEntry(a.providers, dayProvider(pr))
-		}
-		for _, u := range ev.Users {
-			decEntry(a.users, u)
-		}
-		decEntry(a.prefixes, ev.Prefix)
+		a.prefixes = count(a.prefixes, pfx, delta)
 		if len(a.providers)+len(a.users)+len(a.prefixes) == 0 {
 			delete(s.days, d)
 		}
 	}
 }
 
-// decEntry decrements a refcount, deleting the key at zero so len()
-// stays the distinct-element count.
-func decEntry[K comparable](m map[K]int, k K) {
-	if n := m[k] - 1; n <= 0 {
-		delete(m, k)
-	} else {
-		m[k] = n
+// count adds delta to id's refcount in ms, inserting id at one and
+// dropping it at zero. An id interned after every other one in ms, what
+// an append mostly brings, takes one compare.
+func count(ms []member, id uint32, delta int) []member {
+	i, j := 0, len(ms)
+	if j > 0 && ms[j-1].id < id {
+		i = j
 	}
+	for i < j { // the first member not below id
+		if h := int(uint(i+j) >> 1); ms[h].id < id {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	switch found := i < len(ms) && ms[i].id == id; {
+	case !found && delta > 0:
+		return slices.Insert(ms, i, member{id, 1})
+	case !found:
+		return ms
+	case int(ms[i].refs)+delta == 0:
+		return slices.Delete(ms, i, i+1)
+	}
+	ms[i].refs = uint32(int(ms[i].refs) + delta)
+	return ms
 }
 
 // DayCount is one day of the materialized aggregate view: the distinct
@@ -347,8 +370,8 @@ type DaySets struct {
 // per day the distinct providers, users and victim prefixes of the live
 // events overlapping it — once put in order (analysis.NewFigure4Sets),
 // exactly analysis.Figure4Union.Sets over a scan of the store, read
-// from the view in O(members) with no event touched, and no provider or
-// prefix printed more than once. It is what a federation asks of each shard,
+// from the view in O(members) with no event touched and no name
+// printed. It is what a federation asks of each shard,
 // since sets union where counts cannot. ok is false under DailyCounts'
 // conditions, and the caller scans.
 func (s *Store) DailySets(start time.Time, days int) (DaySets, bool) {
@@ -361,66 +384,63 @@ func (s *Store) DailySets(start time.Time, days int) (DaySets, bool) {
 		DayUsers:     make([][]uint32, days),
 		DayPrefixes:  make([][]uint32, days),
 	}
-	providers, prefixes := nameTable[core.ProviderRef]{}, nameTable[netip.Prefix]{}
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var members int // every day's lists slice one allocation
+	provs, pfxs := window{lo: math.MaxUint32}, window{lo: math.MaxUint32}
 	for d := range days {
 		if a := s.days[d0+int64(d)]; a != nil {
 			members += len(a.providers) + len(a.users) + len(a.prefixes)
+			provs.cover(a.providers)
+			pfxs.cover(a.prefixes)
 		}
 	}
 	flat := make([]uint32, 0, members)
+	provs.ids = make([]uint32, max(provs.hi, provs.lo)-provs.lo) // lo > hi: no member
+	pfxs.ids = make([]uint32, max(pfxs.hi, pfxs.lo)-pfxs.lo)
 	for d := range days {
 		a := s.days[d0+int64(d)]
 		if a == nil {
 			a = &dayAgg{}
 		}
 		from := len(flat)
-		for pr := range a.providers {
-			flat = append(flat, providers.id(pr))
-		}
+		flat = provs.renumber(flat, a.providers, &out.Providers, s.provs.names)
 		out.DayProviders[d], from = flat[from:len(flat):len(flat)], len(flat)
-		for u := range a.users {
-			flat = append(flat, uint32(u))
+		for _, m := range a.users {
+			flat = append(flat, m.id)
 		}
 		out.DayUsers[d], from = flat[from:len(flat):len(flat)], len(flat)
-		for p := range a.prefixes {
-			flat = append(flat, prefixes.id(p))
-		}
+		flat = pfxs.renumber(flat, a.prefixes, &out.Prefixes, s.pfxs.names)
 		out.DayPrefixes[d] = flat[from:len(flat):len(flat)]
 	}
-	s.mu.RUnlock()
-	// Printed outside the lock: appends need not wait for it.
-	out.Providers, out.Prefixes = providers.names(), prefixes.names()
 	return out, true
 }
 
-// nameTable gives each distinct member of a window an id, first seen
-// first, and names them all once at the end.
-type nameTable[K interface {
-	comparable
-	String() string
-}] struct {
-	ids  map[K]uint32
-	keys []K
+// window renumbers one intern table's store ids into a DailySets
+// window's own, through a dense slice over only the ids [lo, hi) its
+// days hold: ids are interned in order, so a short window spans few.
+type window struct {
+	lo, hi uint32
+	ids    []uint32 // a store id's window id plus one, at id-lo: zero until named
 }
 
-func (t *nameTable[K]) id(k K) uint32 {
-	id, ok := t.ids[k]
-	if !ok {
-		if t.ids == nil {
-			t.ids = map[K]uint32{}
+// cover widens the span to ms's ids, ascending: the first and last bound it.
+func (w *window) cover(ms []member) {
+	if len(ms) > 0 {
+		w.lo, w.hi = min(w.lo, ms[0].id), max(w.hi, ms[len(ms)-1].id+1)
+	}
+}
+
+// renumber appends the window ids of ms to flat, naming a store id in
+// the window's table the first time the window meets it.
+func (w *window) renumber(flat []uint32, ms []member, names *[]string, all []string) []uint32 {
+	for _, m := range ms {
+		i := m.id - w.lo
+		if w.ids[i] == 0 {
+			*names = append(*names, all[m.id])
+			w.ids[i] = uint32(len(*names))
 		}
-		id = uint32(len(t.keys))
-		t.ids[k], t.keys = id, append(t.keys, k)
+		flat = append(flat, w.ids[i]-1)
 	}
-	return id
-}
-
-func (t *nameTable[K]) names() []string {
-	names := make([]string, len(t.keys))
-	for i, k := range t.keys {
-		names[i] = k.String()
-	}
-	return names
+	return flat
 }

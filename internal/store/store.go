@@ -263,8 +263,11 @@ type Store struct {
 	// days is the materialized per-day aggregate view behind
 	// DailyCounts: refcounted distinct providers / users / prefixes per
 	// unix day, maintained by index/unindex so /figure4-style dashboard
-	// queries answer in O(days) instead of O(events).
+	// queries answer in O(days) instead of O(events). provs and pfxs
+	// number its providers and prefixes.
 	days     map[int64]*dayAgg
+	provs    intern[core.ProviderRef]
+	pfxs     intern[netip.Prefix]
 	minStart time.Time
 	maxEnd   time.Time
 
@@ -366,6 +369,8 @@ func open(dir string, opts Options) (*Store, error) {
 		byCommunity: map[bgp.Community][]int32{},
 		byDay:       map[int64][]int32{},
 		days:        map[int64]*dayAgg{},
+		provs:       intern[core.ProviderRef]{ids: map[core.ProviderRef]uint32{}},
+		pfxs:        intern[netip.Prefix]{ids: map[netip.Prefix]uint32{}},
 	}}
 	// Scan backings (possibly mmap'd views) outlive the passes: records
 	// alias them until build has decoded or copied every one.
@@ -796,7 +801,7 @@ func (s *Store) unindex(ord int32) uint64 {
 	s.slots[ord].ev = nil
 	s.live--
 	s.postings(ev, func(l []int32) []int32 { return removeOrd(l, ord) })
-	s.dayRemove(ev)
+	s.dayCount(ev, -1)
 	return s.slots[ord].seg
 }
 

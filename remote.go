@@ -98,9 +98,22 @@ func (b *RemoteBackend) Name() string { return b.name }
 // URL returns the shard's primary endpoint.
 func (b *RemoteBackend) URL() string { return b.urls[0] }
 
-// Close implements Backend. Requests go through http.DefaultClient;
-// nothing to release.
+// Close implements Backend. Requests go through queryClient, whose idle
+// connections every backend shares; nothing to release.
 func (b *RemoteBackend) Close() error { return nil }
+
+// idleConnsPerHost is how many idle connections queryClient keeps to one
+// host: under 16 concurrent clients, net/http's default of two made a
+// router dial most shard requests afresh (TestRouterReusesShardConnections).
+const idleConnsPerHost = 16
+
+// queryClient sends every request of the query API (send), through
+// http.DefaultTransport's settings with idleConnsPerHost per host.
+var queryClient = &http.Client{Transport: func() http.RoundTripper {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = idleConnsPerHost
+	return t
+}()}
 
 // RemoteError is a non-2xx answer from a shard, preserving the status
 // so a router can distinguish a shard's 400 (caller error — propagate)
@@ -132,7 +145,7 @@ func (b *RemoteBackend) send(ctx context.Context, base, path string, params url.
 	if b.token != "" {
 		req.Header.Set("Authorization", "Bearer "+b.token)
 	}
-	return http.DefaultClient.Do(req)
+	return queryClient.Do(req)
 }
 
 // attempt runs one GET against one base URL. On non-2xx the body's
