@@ -428,6 +428,23 @@ func parsesIntoQuery(at *archSite, n ast.Node) bool {
 	return false
 }
 
+// startsRelease matches a call of a release or Release method, except
+// one inside such a method that passes on the element it was given.
+func startsRelease(at *archSite, n ast.Node) bool {
+	if !callOf(".release")(at, n) && !callOf(".Release")(at, n) {
+		return false
+	}
+	if at.fn == nil || at.fn.decl.Recv == nil || !strings.EqualFold(at.fn.decl.Name.Name, "release") {
+		return true
+	}
+	params, args := at.fn.decl.Type.Params.List, n.(*ast.CallExpr).Args
+	if len(args) != 1 || len(params) != 1 || len(params[0].Names) != 1 {
+		return true
+	}
+	arg, ok := ast.Unparen(args[0]).(*ast.Ident)
+	return !ok || arg.Name != params[0].Names[0].Name
+}
+
 // noMapIn finds the map types reachable from the fields of the named
 // module types (dir.T), through every module type those hold and every
 // type argument they are instantiated with.
@@ -1043,6 +1060,22 @@ func query(limit string) (bgpblackholing.Query, error) {
 	q.Limit = n
 	return q, err
 }`),
+}, {
+	name: "one-element-release",
+	law:  "An element goes back one way: in non-test code only `Detector.Run` starts a release, and a `release` or `Release` method calls one only to pass on the element it was given.",
+	checks: []archCheck{
+		onlyIn("a release started", archNonTest, startsRelease, "Detector.Run"),
+	},
+	breaks: archFixture(
+		"detector.go", `package bgpblackholing
+type Elem struct{}
+type releaser interface{ release(*Elem) }
+type Detector struct{}
+func (d *Detector) Run(src releaser, el *Elem) { src.release(el) }
+func (d *Detector) SeedFromRIBDump(src releaser, el *Elem) { src.release(el) }`,
+		"source.go", `package bgpblackholing
+type mapSource struct{ src releaser; dropped *Elem }
+func (m *mapSource) release(e *Elem) { m.src.release(e); m.src.release(m.dropped) }`),
 }, {
 	name:   "facade",
 	gates:  "Facade gate",

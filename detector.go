@@ -35,7 +35,7 @@ type Detector struct {
 
 	mu      sync.Mutex
 	subs    []*eventQueue
-	running bool
+	running atomic.Bool // a Run or a seed drives the engine
 }
 
 // SlowConsumerPolicy decides what a bounded subscriber queue does when
@@ -116,10 +116,15 @@ func (d *Detector) ActiveCount() int { return d.engine.ActiveCount() }
 // SeedFromRIBDump seeds the detector from an MRT TABLE_DUMP_V2 archive
 // (§4.2 "Initialization Based on BGP Table Dump"): blackholed prefixes
 // found in the dump start events whose true start time is unknown. Call
-// it before Run. A truncated archive tail ends the dump silently, as
-// collector dumps commonly do; any other read or parse failure is
-// returned, since it would leave the initialization silently partial.
+// it before Run; during one it returns ErrDetectorBusy. A truncated
+// archive tail ends the dump silently, as collector dumps commonly do;
+// any other read or parse failure is returned, since it would leave the
+// initialization silently partial.
 func (d *Detector) SeedFromRIBDump(r io.Reader, collectorName string, platform Platform) error {
+	if !d.running.CompareAndSwap(false, true) {
+		return ErrDetectorBusy
+	}
+	defer d.running.Store(false)
 	reader := mrt.NewReader(r)
 	for {
 		rec, err := reader.Next()
@@ -163,8 +168,8 @@ func WithoutFlush() RunOption {
 	return func(c *runConfig) { c.noFlush = true }
 }
 
-// ErrDetectorBusy is returned by Run when another Run is already active
-// on the same Detector.
+// ErrDetectorBusy is returned by Run and SeedFromRIBDump when a Run or
+// a seed is already active on the same Detector.
 var ErrDetectorBusy = errors.New("bgpblackholing: detector already running")
 
 // Run drains the source through the inference engine until io.EOF,
@@ -184,19 +189,14 @@ var ErrDetectorBusy = errors.New("bgpblackholing: detector already running")
 // populates the result's window metadata and last-week propagation
 // results, and defaults the flush time to the window end. A replay
 // inside MergeSources contributes elements only.
+//
+// Run hands each MRTSource element back (see MRTSource) once the engine
+// and the Figure 2 collector, which keep none of it, are done with it.
 func (d *Detector) Run(ctx context.Context, src Source, opts ...RunOption) (*RunResult, error) {
-	d.mu.Lock()
-	if d.running {
-		d.mu.Unlock()
+	if !d.running.CompareAndSwap(false, true) {
 		return nil, ErrDetectorBusy
 	}
-	d.running = true
-	d.mu.Unlock()
-	defer func() {
-		d.mu.Lock()
-		d.running = false
-		d.mu.Unlock()
-	}()
+	defer d.running.Store(false)
 
 	var cfg runConfig
 	for _, o := range opts {
@@ -225,6 +225,7 @@ func (d *Detector) Run(ctx context.Context, src Source, opts ...RunOption) (*Run
 	}
 	defer d.closeSubs()
 
+	rel, _ := src.(releaser)
 	var runErr error
 	done := ctx.Done()
 	for n := 0; ; n++ {
@@ -254,6 +255,9 @@ func (d *Detector) Run(ctx context.Context, src Source, opts ...RunOption) (*Run
 		}
 		d.engine.Process(el)
 		d.inferCol.Observe(el.Update)
+		if rel != nil {
+			rel.release(el)
+		}
 	}
 
 	if runErr == nil && !cfg.noFlush {

@@ -10,11 +10,12 @@ import (
 
 // FuzzUnmarshalUpdate asserts the UPDATE decoder never panics, that a
 // decode carved from a Slab earlier inputs have carved from equals the
-// plain decode (nil lists included), that anything it accepts encodes
-// without panicking, and that the encoding is a fixed point: it decodes,
-// and encodes again to the same bytes (run with `go test
-// -fuzz=FuzzUnmarshalUpdate ./internal/bgp` for a real fuzzing session;
-// the seed corpus runs under plain `go test`).
+// plain decode (nil lists included), and so does a decode into an update
+// that last held another seed's decode, whose lists it fills again; that
+// anything it accepts encodes without panicking, and that the encoding
+// is a fixed point: it decodes, and encodes again to the same bytes (run
+// with `go test -fuzz=FuzzUnmarshalUpdate ./internal/bgp` for a real
+// fuzzing session; the seed corpus runs under plain `go test`).
 func FuzzUnmarshalUpdate(f *testing.F) {
 	seed := &Update{
 		Announced:        []netip.Prefix{netip.MustParsePrefix("192.88.99.1/32")},
@@ -43,15 +44,24 @@ func FuzzUnmarshalUpdate(f *testing.F) {
 	var slab Slab // shared across inputs, so carving starts mid-chunk
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := UnmarshalUpdate(data)
-		var carved Update
+		var carved, recycled Update
 		if serr := slab.UnmarshalUpdate(&carved, data); (serr == nil) != (err == nil) {
 			t.Fatalf("slab decode err %v, plain decode err %v", serr, err)
+		}
+		if serr := slab.UnmarshalUpdate(&recycled, wire); serr != nil {
+			t.Fatal(serr)
+		}
+		if rerr := slab.UnmarshalUpdate(&recycled, data); (rerr == nil) != (err == nil) {
+			t.Fatalf("recycled decode err %v, plain decode err %v", rerr, err)
 		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
 		if !reflect.DeepEqual(&carved, u) {
 			t.Fatalf("slab decode %#v differs from plain decode %#v", carved, *u)
+		}
+		if !reflect.DeepEqual(&recycled, u) {
+			t.Fatalf("decode into a recycled update %#v differs from plain decode %#v", recycled, *u)
 		}
 		// Accepted updates must re-encode (unless they exceed the size
 		// limit after normalisation, which Marshal reports as an error,

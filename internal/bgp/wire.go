@@ -143,7 +143,8 @@ func UnmarshalUpdate(msg []byte) (*Update, error) {
 
 // UnmarshalUpdateBody decodes an UPDATE whose header the caller has
 // already read and checked — a session that framed the message off its
-// connection — into u, from the body after the header.
+// connection — into u, from the body after the header, reusing u's
+// lists as Slab.UnmarshalUpdate does.
 func UnmarshalUpdateBody(u *Update, body []byte) error {
 	return (*Slab)(nil).unmarshalBody(u, body)
 }
@@ -165,10 +166,14 @@ type Slab struct {
 
 const slabChunkBytes = 4 << 10
 
-// carve returns dst grown to hold n more elements: carved from the chunk
-// field picks when dst is empty and s is not nil, else by slices.Grow.
-// Either way the result is nil exactly when dst is nil and n is 0.
-func carve[T any](s *Slab, field func(*Slab) *[]T, dst []T, n int) []T {
+// carve returns dst grown to hold n more elements: an empty dst takes
+// spare when it has room, else is carved from the chunk field picks when
+// s is not nil; else by slices.Grow. Either way the result is nil
+// exactly when dst is nil and n is 0.
+func carve[T any](s *Slab, field func(*Slab) *[]T, spare, dst []T, n int) []T {
+	if len(dst) == 0 && n > 0 && cap(spare) >= n {
+		return spare[:0]
+	}
 	if s == nil || len(dst) > 0 || n == 0 {
 		return slices.Grow(dst, n)
 	}
@@ -182,9 +187,10 @@ func carve[T any](s *Slab, field func(*Slab) *[]T, dst []T, n int) []T {
 }
 
 // UnmarshalUpdate is the package-level UnmarshalUpdate decoding into u,
-// carving u's slices from s. *u is overwritten; every field is copied out
-// of msg, so msg may be reused once the call returns. On error *u holds a
-// partial decode and must be discarded.
+// carving u's slices from s. *u is overwritten, its prefix, community and
+// AS-path lists decoded into where they have room, so they must be u's
+// alone. Every field is copied out of msg, so msg may be reused once the
+// call returns. On error *u holds a partial decode and must be discarded.
 func (s *Slab) UnmarshalUpdate(u *Update, msg []byte) error {
 	typ, total, err := ParseHeader(msg)
 	if err != nil {
@@ -200,6 +206,7 @@ func (s *Slab) UnmarshalUpdate(u *Update, msg []byte) error {
 }
 
 func (s *Slab) unmarshalBody(u *Update, body []byte) error {
+	spare := *u // the lists to decode into again
 	*u = Update{}
 	// Withdrawn routes.
 	if len(body) < 2 {
@@ -211,7 +218,7 @@ func (s *Slab) unmarshalBody(u *Update, body []byte) error {
 		return ErrShortMessage
 	}
 	var err error
-	if u.Withdrawn, err = s.parsePrefixes(nil, body[:wlen], false); err != nil {
+	if u.Withdrawn, err = s.parsePrefixes(spare.Withdrawn, nil, body[:wlen], false); err != nil {
 		return err
 	}
 	body = body[wlen:]
@@ -227,12 +234,12 @@ func (s *Slab) unmarshalBody(u *Update, body []byte) error {
 	}
 	attrs := body[:alen]
 	body = body[alen:]
-	if err := s.parseAttributes(u, attrs); err != nil {
+	if err := s.parseAttributes(u, &spare, attrs); err != nil {
 		return err
 	}
 
 	// NLRI.
-	u.Announced, err = s.parsePrefixes(u.Announced, body, false)
+	u.Announced, err = s.parsePrefixes(spare.Announced, u.Announced, body, false)
 	return err
 }
 
@@ -250,7 +257,7 @@ func MarshalPathAttributes(u *Update) []byte {
 // carried MP NLRI).
 func UnmarshalPathAttributes(attrs []byte) (*Update, error) {
 	u := &Update{}
-	if err := (*Slab)(nil).parseAttributes(u, attrs); err != nil {
+	if err := (*Slab)(nil).parseAttributes(u, &Update{}, attrs); err != nil {
 		return nil, err
 	}
 	return u, nil
@@ -339,8 +346,9 @@ func appendAttrHeader(dst []byte, flags, code byte, n int) []byte {
 
 // parseASPath validates and sizes the attribute in a first pass, then
 // decodes into one segment slice and one ASN array shared by all
-// segments (each segment's slice is capacity-limited to its own ASNs).
-func (s *Slab) parseASPath(b []byte) (Path, error) {
+// segments, spare's if they have room; each segment's slice is
+// capacity-limited to its own ASNs, the last one's to the array's end.
+func (s *Slab) parseASPath(spare Path, b []byte) (Path, error) {
 	nseg, nasn := 0, 0
 	for rest := b; len(rest) > 0; nseg++ {
 		if len(rest) < 2 {
@@ -359,12 +367,19 @@ func (s *Slab) parseASPath(b []byte) (Path, error) {
 	if nseg == 0 {
 		return Path{}, nil
 	}
-	p := Path{Segments: carve(s, func(s *Slab) *[]Segment { return &s.segments }, nil, nseg)}
-	asns := carve(s, func(s *Slab) *[]ASN { return &s.asns }, nil, nasn)[:nasn]
+	var spareASNs []ASN // spare's array starts with its first segment
+	if len(spare.Segments) > 0 {
+		spareASNs = spare.Segments[0].ASNs
+	}
+	p := Path{Segments: carve(s, func(s *Slab) *[]Segment { return &s.segments }, spare.Segments, nil, nseg)}
+	asns := carve(s, func(s *Slab) *[]ASN { return &s.asns }, spareASNs, nil, nasn)[:nasn]
 	for len(b) > 0 {
 		st, n := SegmentType(b[0]), int(b[1])
 		b = b[2:]
 		seg := asns[:n:n]
+		if len(p.Segments) == nseg-1 {
+			seg = asns[:n]
+		}
 		asns = asns[n:]
 		for i := range seg {
 			seg[i] = ASN(binary.BigEndian.Uint32(b[4*i:]))
@@ -375,7 +390,7 @@ func (s *Slab) parseASPath(b []byte) (Path, error) {
 	return p, nil
 }
 
-func (s *Slab) parseAttributes(u *Update, attrs []byte) error {
+func (s *Slab) parseAttributes(u, spare *Update, attrs []byte) error {
 	for len(attrs) > 0 {
 		if len(attrs) < 3 {
 			return ErrBadAttributes
@@ -405,7 +420,7 @@ func (s *Slab) parseAttributes(u *Update, attrs []byte) error {
 			}
 			u.Origin = Origin(val[0])
 		case attrASPath:
-			p, err := s.parseASPath(val)
+			p, err := s.parseASPath(spare.Path, val)
 			if err != nil {
 				return err
 			}
@@ -419,7 +434,7 @@ func (s *Slab) parseAttributes(u *Update, attrs []byte) error {
 			if vlen%4 != 0 {
 				return fmt.Errorf("%w: COMMUNITIES length %d", ErrBadAttributes, vlen)
 			}
-			u.Communities = carve(s, func(s *Slab) *[]Community { return &s.communities }, u.Communities, vlen/4)
+			u.Communities = carve(s, func(s *Slab) *[]Community { return &s.communities }, spare.Communities, u.Communities, vlen/4)
 			for i := 0; i < vlen; i += 4 {
 				u.Communities = append(u.Communities, Community(binary.BigEndian.Uint32(val[i:])))
 			}
@@ -442,11 +457,11 @@ func (s *Slab) parseAttributes(u *Update, attrs []byte) error {
 				})
 			}
 		case attrMPReachNLRI:
-			if err := s.parseMPReach(u, val); err != nil {
+			if err := s.parseMPReach(u, spare, val); err != nil {
 				return err
 			}
 		case attrMPUnreachNLRI:
-			if err := s.parseMPUnreach(u, val); err != nil {
+			if err := s.parseMPUnreach(u, spare, val); err != nil {
 				return err
 			}
 		default:
@@ -456,7 +471,7 @@ func (s *Slab) parseAttributes(u *Update, attrs []byte) error {
 	return nil
 }
 
-func (s *Slab) parseMPReach(u *Update, val []byte) (err error) {
+func (s *Slab) parseMPReach(u, spare *Update, val []byte) (err error) {
 	if len(val) < 5 {
 		return ErrBadAttributes
 	}
@@ -477,11 +492,11 @@ func (s *Slab) parseMPReach(u *Update, val []byte) (err error) {
 	if v6 && nhLen >= 16 {
 		u.NextHop = netip.AddrFrom16([16]byte(nh[:16]))
 	}
-	u.Announced, err = s.parsePrefixes(u.Announced, rest, v6)
+	u.Announced, err = s.parsePrefixes(spare.Announced, u.Announced, rest, v6)
 	return err
 }
 
-func (s *Slab) parseMPUnreach(u *Update, val []byte) (err error) {
+func (s *Slab) parseMPUnreach(u, spare *Update, val []byte) (err error) {
 	if len(val) < 3 {
 		return ErrBadAttributes
 	}
@@ -490,7 +505,7 @@ func (s *Slab) parseMPUnreach(u *Update, val []byte) (err error) {
 	if safi != safiUnicast {
 		return nil
 	}
-	u.Withdrawn, err = s.parsePrefixes(u.Withdrawn, val[3:], afi == afiIPv6)
+	u.Withdrawn, err = s.parsePrefixes(spare.Withdrawn, u.Withdrawn, val[3:], afi == afiIPv6)
 	return err
 }
 
@@ -578,11 +593,12 @@ func appendPrefixes(dst []byte, ps []netip.Prefix, v6 bool) []byte {
 }
 
 // parsePrefixes decodes a field of NLRI-encoded prefixes and appends them
-// to dst, which grows at most once: the field is validated and counted
-// before anything is allocated. v6 selects the address family for fields
-// (MP attributes) where it is not implicit. An empty field returns dst
-// unchanged, so a list nothing was appended to stays nil.
-func (s *Slab) parsePrefixes(dst []netip.Prefix, b []byte, v6 bool) ([]netip.Prefix, error) {
+// to dst (an empty one to spare, if it has room), which grows at most
+// once: the field is validated and counted before anything is allocated.
+// v6 selects the address family for fields (MP attributes) where it is
+// not implicit. An empty field returns dst unchanged, so a list nothing
+// was appended to stays nil.
+func (s *Slab) parsePrefixes(spare, dst []netip.Prefix, b []byte, v6 bool) ([]netip.Prefix, error) {
 	n := 0
 	for rest := b; len(rest) > 0; n++ {
 		size, err := prefixSize(rest, v6)
@@ -591,7 +607,7 @@ func (s *Slab) parsePrefixes(dst []netip.Prefix, b []byte, v6 bool) ([]netip.Pre
 		}
 		rest = rest[size:]
 	}
-	dst = carve(s, func(s *Slab) *[]netip.Prefix { return &s.prefixes }, dst, n)
+	dst = carve(s, func(s *Slab) *[]netip.Prefix { return &s.prefixes }, spare, dst, n)
 	for len(b) > 0 {
 		var p netip.Prefix
 		p, b, _ = ParsePrefix(b, v6) // the pass above validated every prefix

@@ -152,13 +152,13 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 func TestParsePrefixesRejectsBadLength(t *testing.T) {
-	if _, err := (*Slab)(nil).parsePrefixes(nil, []byte{33, 1, 2, 3, 4, 5}, false); err == nil {
+	if _, err := (*Slab)(nil).parsePrefixes(nil, nil, []byte{33, 1, 2, 3, 4, 5}, false); err == nil {
 		t.Fatal("want error for /33 IPv4")
 	}
-	if _, err := (*Slab)(nil).parsePrefixes(nil, []byte{129}, true); err == nil {
+	if _, err := (*Slab)(nil).parsePrefixes(nil, nil, []byte{129}, true); err == nil {
 		t.Fatal("want error for /129 IPv6")
 	}
-	if _, err := (*Slab)(nil).parsePrefixes(nil, []byte{24, 1}, false); err == nil {
+	if _, err := (*Slab)(nil).parsePrefixes(nil, nil, []byte{24, 1}, false); err == nil {
 		t.Fatal("want error for truncated prefix bytes")
 	}
 }

@@ -1,16 +1,14 @@
 // Package stream provides a BGPStream-like abstraction (§3, [54]): a
 // time-ordered stream of BGP updates merged across many collectors, with
-// composable filters and replay from MRT archives. The inference engine
-// consumes one merged stream exactly as the paper's pipeline consumes
-// BGPStream elements.
+// replay from MRT archives; the root package's FilterSource and MapSource
+// filter it. The inference engine consumes one merged stream exactly as
+// the paper's pipeline consumes BGPStream elements.
 package stream
 
 import (
 	"errors"
 	"io"
-	"net/netip"
 	"sort"
-	"time"
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/collector"
@@ -28,6 +26,13 @@ type Elem struct {
 type Stream interface {
 	// Next returns the next element, or nil, io.EOF at end of stream.
 	Next() (*Elem, error)
+}
+
+// releaser is a stream that takes back an element its Next returned, to
+// overwrite on a later Next. The method is exported only so the root
+// package's sources can join the chain Detector.Run starts.
+type releaser interface {
+	Release(*Elem)
 }
 
 // sliceStream replays a pre-sorted slice.
@@ -101,9 +106,11 @@ func FromElems(elems []*Elem) Stream {
 // source-index tie-break preserves the historical ordering: on equal
 // timestamps the lowest-numbered source wins.
 type mergeStream struct {
-	srcs   []Stream
-	heap   *Heap[mergeEntry]
-	primed bool
+	srcs    []Stream
+	heap    *Heap[mergeEntry]
+	primed  bool
+	last    *Elem // what Next last returned, from srcs[lastSrc]
+	lastSrc int
 	// err is a deferred source error: a refill failure is surfaced on
 	// the Next call after the element it follows is delivered.
 	err error
@@ -116,7 +123,8 @@ type mergeEntry struct {
 }
 
 // Merge combines streams into one time-ordered stream. Children must
-// themselves be time-ordered.
+// themselves be time-ordered. Release hands back to its child the
+// element Next last returned.
 func Merge(srcs ...Stream) Stream {
 	return &mergeStream{srcs: srcs, heap: NewHeap(func(a, b mergeEntry) bool {
 		if a.key != b.key {
@@ -164,6 +172,7 @@ func (m *mergeStream) Next() (*Elem, error) {
 	// Refill the root's source in place; it leaves the heap at its end or
 	// failure, which is surfaced on the call after the element it follows.
 	root := m.heap.Min()
+	m.last, m.lastSrc = root.elem, root.src
 	x, err := m.read(root.src)
 	if err == nil {
 		m.heap.ReplaceMin(x)
@@ -176,62 +185,17 @@ func (m *mergeStream) Next() (*Elem, error) {
 	return root.elem, nil
 }
 
-// filterStream drops elements not matching the predicate.
-type filterStream struct {
-	src  Stream
-	pred func(*Elem) bool
-}
-
-func (f *filterStream) Next() (*Elem, error) {
-	for {
-		e, err := f.src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if f.pred(e) {
-			return e, nil
-		}
+func (m *mergeStream) Release(e *Elem) {
+	if r, ok := m.srcs[m.lastSrc].(releaser); ok && e == m.last {
+		m.last = nil
+		r.Release(e)
 	}
-}
-
-// Filter wraps a stream with a predicate.
-func Filter(src Stream, pred func(*Elem) bool) Stream {
-	return &filterStream{src: src, pred: pred}
-}
-
-// ByPlatform keeps only elements from one platform.
-func ByPlatform(src Stream, p collector.Platform) Stream {
-	return Filter(src, func(e *Elem) bool { return e.Platform == p })
-}
-
-// ByTimeWindow keeps elements with from <= t < to.
-func ByTimeWindow(src Stream, from, to time.Time) Stream {
-	return Filter(src, func(e *Elem) bool {
-		t := e.Update.Time
-		return !t.Before(from) && t.Before(to)
-	})
-}
-
-// ByPrefix keeps elements announcing or withdrawing prefixes covered by p.
-func ByPrefix(src Stream, p netip.Prefix) Stream {
-	return Filter(src, func(e *Elem) bool {
-		for _, x := range e.Update.Announced {
-			if p.Overlaps(x) {
-				return true
-			}
-		}
-		for _, x := range e.Update.Withdrawn {
-			if p.Overlaps(x) {
-				return true
-			}
-		}
-		return false
-	})
 }
 
 // FromMRT replays a single MRT archive as a stream. RIB records are
 // expanded into one announcement per entry (stamped with the record
-// time); BGP4MP records yield their inner update.
+// time); BGP4MP records yield their inner update. Release takes back
+// one of the last two to decode into again.
 func FromMRT(r *mrt.Reader, collectorName string, platform collector.Platform) Stream {
 	return &mrtStream{r: r, name: collectorName, platform: platform}
 }
@@ -244,15 +208,19 @@ type mrtStream struct {
 	// msg is the one header every BGP4MP record decodes into; no Elem
 	// points at it.
 	msg mrt.BGP4MPMessage
-	// slots is the rest of the current chunk; the next record decodes
-	// into the first.
-	slots []mrtElem
+	// free is what the next record decodes into, last first: a new
+	// chunk's elements and, up to a chunk's length, those Release took back.
+	free []*Elem
+	out  [2]*Elem // the last two Next handed out, newest first
 }
 
+const mrtChunk = 32 // mrtElems allocated at once
+
 // mrtElem is an archived update's element and the update it points to,
-// allocated 32 to a chunk. Each is handed out once, so consumers may
-// retain the Elem; it keeps its chunk alive, and the bgp.Slab chunks its
-// update was carved from.
+// allocated mrtChunk at a time. One is handed out again only after
+// Release, so a consumer may retain any element it does not hand back;
+// that keeps its chunk alive, and the bgp.Slab chunks its update was
+// carved from.
 type mrtElem struct {
 	elem Elem
 	upd  bgp.Update
@@ -263,21 +231,27 @@ func (m *mrtStream) Next() (*Elem, error) {
 		if len(m.pending) > 0 {
 			e := m.pending[0]
 			m.pending = m.pending[1:]
+			m.out = [2]*Elem{e, m.out[0]}
 			return e, nil
 		}
-		if len(m.slots) == 0 {
-			m.slots = make([]mrtElem, 32)
+		if len(m.free) == 0 {
+			chunk := make([]mrtElem, mrtChunk)
+			for i := range chunk {
+				chunk[i].elem.Update = &chunk[i].upd
+				m.free = append(m.free, &chunk[i].elem)
+			}
 		}
-		s := &m.slots[0]
-		rec, err := m.r.NextInto(&m.msg, &s.upd)
+		e := m.free[len(m.free)-1]
+		rec, err := m.r.NextInto(&m.msg, e.Update)
 		if err != nil {
 			return nil, err
 		}
 		switch rec := rec.(type) {
 		case *mrt.BGP4MPMessage:
-			m.slots = m.slots[1:]
-			s.elem = Elem{Collector: m.name, Platform: m.platform, Update: &s.upd}
-			return &s.elem, nil
+			m.free = m.free[:len(m.free)-1]
+			e.Collector, e.Platform = m.name, m.platform
+			m.out = [2]*Elem{e, m.out[0]}
+			return e, nil
 		case *mrt.RIB:
 			entries, err := m.r.ResolveRIB(rec)
 			if err != nil {
@@ -289,6 +263,19 @@ func (m *mrtStream) Next() (*Elem, error) {
 			}
 		case *mrt.PeerIndexTable:
 			// Consumed by the reader for RIB resolution.
+		}
+	}
+}
+
+// Release takes back one of the two elements Next handed out last, once
+// each, to decode a later record into. Any other element, and any past a
+// chunk's worth of free ones (a table dump's entries), it leaves alone.
+func (m *mrtStream) Release(e *Elem) {
+	for i, o := range m.out {
+		if o == e && e != nil && len(m.free) < mrtChunk {
+			m.out[i] = nil
+			m.free = append(m.free, e)
+			return
 		}
 	}
 }

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/netip"
 	"runtime/debug"
 	"testing"
@@ -67,51 +69,6 @@ func TestMergeInterleavesStreams(t *testing.T) {
 		if got[i].Collector != w {
 			t.Fatalf("pos %d = %s, want %s", i, got[i].Collector, w)
 		}
-	}
-}
-
-func TestFilters(t *testing.T) {
-	elems := []*Elem{
-		elem("ris", collector.PlatformRIS, 1*time.Second, "31.0.0.1/32"),
-		elem("rv", collector.PlatformRV, 2*time.Second, "32.0.0.1/32"),
-		elem("ris", collector.PlatformRIS, 10*time.Minute, "31.0.0.2/32"),
-	}
-	got, err := Collect(ByPlatform(FromElems(elems), collector.PlatformRIS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("ByPlatform len = %d", len(got))
-	}
-
-	got, err = Collect(ByTimeWindow(FromElems(elems), t0, t0.Add(time.Minute)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("ByTimeWindow len = %d", len(got))
-	}
-
-	got, err = Collect(ByPrefix(FromElems(elems), netip.MustParsePrefix("31.0.0.0/16")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("ByPrefix len = %d", len(got))
-	}
-}
-
-func TestByPrefixMatchesWithdrawals(t *testing.T) {
-	w := &Elem{Collector: "x", Update: &bgp.Update{
-		Time:      t0,
-		Withdrawn: []netip.Prefix{netip.MustParsePrefix("31.0.0.1/32")},
-	}}
-	got, err := Collect(ByPrefix(FromElems([]*Elem{w}), netip.MustParsePrefix("31.0.0.0/16")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatal("withdrawal not matched")
 	}
 }
 
@@ -182,11 +139,11 @@ func TestMergeEmptyStreams(t *testing.T) {
 	}
 }
 
-// Every element of an archive replay is handed out once from storage
-// shared only in chunks (its Elem and Update, and the slices the decoder
-// carves), so a consumer may retain elements, and append to their lists,
-// while reading on; and the replay stays within the per-record
-// allocation ceiling.
+// Every element of an archive replay that nobody hands back is handed out
+// once from storage shared only in chunks (its Elem and Update, and the
+// slices the decoder carves), so a consumer may retain elements, and
+// append to their lists, while reading on; and the replay stays within
+// the per-record allocation ceiling.
 func TestFromMRTElemsAreRetainableAndLean(t *testing.T) {
 	const n = 400
 	var buf bytes.Buffer
@@ -250,5 +207,113 @@ func TestFromMRTElemsAreRetainableAndLean(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("FromMRT allocates %.1f times per update, want <= 1", allocs)
+	}
+}
+
+// A consumer that hands back every element, as Detector.Run does, leaves
+// an archive replay holding at most a chunk of free elements, even over
+// a table dump whose every entry is an element of its own; an element the
+// replay did not just hand out, or one handed back twice, is not taken
+// back; and the updates after the dump decode correctly into the
+// recycled entries.
+func TestFromMRTReleaseIsBounded(t *testing.T) {
+	const peers, prefixes, updates = 40, 25, 100
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	pit := &mrt.PeerIndexTable{Time: t0, CollectorID: netip.MustParseAddr("22.0.0.1")}
+	for i := 0; i < peers; i++ {
+		ip := netip.AddrFrom4([4]byte{22, 0, 1, byte(i)})
+		pit.Peers = append(pit.Peers, mrt.Peer{BGPID: ip, IP: ip, AS: bgp.ASN(100 + i)})
+	}
+	if err := w.WritePeerIndexTable(pit); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < prefixes; j++ {
+		rib := &mrt.RIB{Time: t0, Sequence: uint32(j), Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{31, 0, 0, byte(j)}), 32)}
+		for i := 0; i < peers; i++ {
+			rib.Entries = append(rib.Entries, mrt.RIBEntry{PeerIndex: uint16(i), OriginatedTime: t0, Attrs: &bgp.Update{
+				Path:        bgp.NewPath(bgp.ASN(100+i), 200, 300),
+				NextHop:     netip.MustParseAddr("22.0.1.2"),
+				Communities: []bgp.Community{bgp.MakeCommunity(uint16(i), 666), bgp.CommunityNoExport},
+			}})
+		}
+		if err := w.WriteRIB(rib); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dump := bytes.Clone(buf.Bytes())
+	buf.Reset()
+	for i := 0; i < updates; i++ {
+		u := &bgp.Update{
+			Time:        t0.Add(time.Duration(i+1) * time.Second),
+			PeerIP:      netip.MustParseAddr("22.0.1.1"),
+			PeerAS:      bgp.ASN(100 + i),
+			Announced:   []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{32, 0, 0, byte(i)}), 32)},
+			Path:        bgp.NewPath(bgp.ASN(100 + i)),
+			NextHop:     netip.MustParseAddr("22.0.1.2"),
+			Communities: []bgp.Community{bgp.MakeCommunity(uint16(i), 666)},
+		}
+		if err := w.WriteUpdate(u, netip.MustParseAddr("22.0.0.1"), 64900); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ups := buf.Bytes()
+
+	stranger := &Elem{Update: &bgp.Update{}}
+	s := FromMRT(mrt.NewReader(bytes.NewReader(ups)), "rrc00", collector.PlatformRIS).(*mrtStream)
+	var got []*Elem
+	for range 3 {
+		e, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, e)
+	}
+	free := len(s.free)
+	for _, e := range []*Elem{got[1], got[1], got[0], stranger} {
+		s.Release(e)
+	}
+	if len(s.free) != free+1 || s.free[free] != got[1] {
+		t.Fatalf("handing back the second of three elements twice, the first and a stranger freed %d, want the second alone", len(s.free)-free)
+	}
+
+	s = FromMRT(mrt.NewReader(io.MultiReader(bytes.NewReader(dump), bytes.NewReader(ups))), "rrc00", collector.PlatformRIS).(*mrtStream)
+	for n := 0; ; n++ {
+		e, err := s.Next()
+		if errors.Is(err, io.EOF) {
+			if n != peers*prefixes+updates {
+				t.Fatalf("replayed %d elements, want %d", n, peers*prefixes+updates)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := e.Update
+		if n < peers*prefixes {
+			i, j := n%peers, n/peers
+			if u.PeerAS != bgp.ASN(100+i) || u.Announced[0].Addr().As4()[3] != byte(j) || len(u.Communities) != 2 ||
+				u.Communities[0] != bgp.MakeCommunity(uint16(i), 666) || len(u.Path.Segments[0].ASNs) != 3 {
+				t.Fatalf("dump entry %d = %+v", n, u)
+			}
+		} else if i := n - peers*prefixes; e.Collector != "rrc00" || u.PeerAS != bgp.ASN(100+i) || len(u.Announced) != 1 ||
+			u.Announced[0].Addr().As4()[3] != byte(i) || len(u.Communities) != 1 || u.Communities[0] != bgp.MakeCommunity(uint16(i), 666) ||
+			len(u.Path.Segments) != 1 || len(u.Path.Segments[0].ASNs) != 1 || u.Path.Segments[0].ASNs[0] != bgp.ASN(100+i) {
+			t.Fatalf("update %d decoded into a recycled element = %+v", i, u)
+		}
+		s.Release(e)
+		s.Release(e)
+		s.Release(stranger)
+		if len(s.free) > mrtChunk {
+			t.Fatalf("after %d elements the replay holds %d free ones, want <= %d", n+1, len(s.free), mrtChunk)
+		}
+		seen := make(map[*Elem]bool, len(s.free))
+		for _, f := range s.free {
+			if seen[f] || f == stranger {
+				t.Fatalf("after %d elements the free list holds an element twice, or one it never handed out", n+1)
+			}
+			seen[f] = true
+		}
 	}
 }

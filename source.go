@@ -21,10 +21,12 @@ import (
 // longitudinal replay (ReplaySource), a near-real-time feed of TCP BGP
 // sessions (LiveSource) and RFC 6396 MRT archives (MRTSource) all
 // implement it, and callers can supply their own implementations — any
-// type with a Next() (*Elem, error) method qualifies. A replay is
-// time-ordered only within each day's batch, which carries its intents'
-// later withdrawals and re-announcements; the detector infers the same
-// events from it sorted by time (TestReplayOrderDoesNotChangeInference).
+// type with a Next() (*Elem, error) method qualifies. Elements are the
+// consumer's to keep, except an MRTSource's that Detector.Run hands back
+// (see MRTSource). A replay is time-ordered only within each day's
+// batch, which carries its intents' later withdrawals and
+// re-announcements; the detector infers the same events from it sorted
+// by time (TestReplayOrderDoesNotChangeInference).
 type Source interface {
 	// Next returns the next element, or nil, io.EOF at end of feed.
 	Next() (*Elem, error)
@@ -35,6 +37,12 @@ type Source interface {
 // the run's context and a channel closed when Run returns.
 type runAware interface {
 	attach(ctx context.Context, runDone <-chan struct{})
+}
+
+// releaser is a built-in pull source that takes back an element its
+// Next returned once Detector.Run is done with it (see MRTSource).
+type releaser interface {
+	release(*Elem)
 }
 
 // unwrappable lets Run discover a ReplaySource behind the package's
@@ -343,7 +351,11 @@ func attachLive(ctx context.Context, runDone <-chan struct{}, live *stream.Live)
 // their inner update, RIB records are expanded into one announcement
 // per entry (stamped with the record time). Combine several archives
 // with MergeSources. Close releases the underlying file when the
-// source was opened with OpenMRTSource.
+// source was opened with OpenMRTSource. Detector.Run hands each element
+// back, to decode a later record into, when it reads the source bare or
+// as a direct child of MergeSources, maybe behind MapSource or
+// FilterSource; so a type embedding *MRTSource must return only elements
+// with storage of their own. Other readers may keep the elements.
 type MRTSource struct {
 	s stream.Stream
 	c io.Closer
@@ -367,6 +379,8 @@ func OpenMRTSource(path, collectorName string, platform Platform) (*MRTSource, e
 // Next returns the archive's next update.
 func (m *MRTSource) Next() (*Elem, error) { return m.s.Next() }
 
+func (m *MRTSource) release(e *Elem) { m.s.(interface{ Release(*Elem) }).Release(e) }
+
 // Close releases the underlying file, if any.
 func (m *MRTSource) Close() error {
 	if m.c == nil {
@@ -382,11 +396,15 @@ func (m *MRTSource) Close() error {
 // they are (a replay is not; see Source) and lowest-numbered first on
 // equal timestamps — exactly how the paper's pipeline merges
 // per-collector archives into a single BGPStream feed. Cancellation
-// wiring passes through to every child source.
+// wiring passes through to every child source, a handed-back element to
+// the MRTSource child it came from (a combinator child keeps its own).
 func MergeSources(srcs ...Source) Source {
 	ss := make([]stream.Stream, len(srcs))
 	for i, s := range srcs {
 		ss[i] = s
+		if ms, ok := s.(*MRTSource); ok {
+			ss[i] = ms.s
+		}
 	}
 	return &mergedSource{s: stream.Merge(ss...), srcs: srcs}
 }
@@ -398,6 +416,8 @@ type mergedSource struct {
 
 func (m *mergedSource) Next() (*Elem, error) { return m.s.Next() }
 
+func (m *mergedSource) release(e *Elem) { m.s.(interface{ Release(*Elem) }).Release(e) }
+
 func (m *mergedSource) attach(ctx context.Context, runDone <-chan struct{}) {
 	for _, s := range m.srcs {
 		if ra, ok := s.(runAware); ok {
@@ -406,8 +426,9 @@ func (m *mergedSource) attach(ctx context.Context, runDone <-chan struct{}) {
 	}
 }
 
-// FilterSource keeps only the elements matching pred. Cancellation
-// wiring passes through to the underlying source.
+// FilterSource keeps only the elements matching pred, which must not
+// keep one (see MapSource). Cancellation wiring and handed-back elements
+// pass through to the underlying source.
 func FilterSource(src Source, pred func(*Elem) bool) Source {
 	return MapSource(src, func(e *Elem) *Elem {
 		if pred(e) {
@@ -419,7 +440,9 @@ func FilterSource(src Source, pred func(*Elem) bool) Source {
 
 // MapSource rewrites each element with f before delivery. Returning nil
 // drops the element. Cancellation wiring passes through to the
-// underlying source.
+// underlying source, and so does a handed-back element (see MRTSource)
+// that f returned as given, to be decoded into again: f must not keep
+// it or put shared storage (a template Path, say) into it.
 func MapSource(src Source, f func(*Elem) *Elem) Source {
 	return &mapSource{src: src, f: f}
 }
@@ -427,6 +450,7 @@ func MapSource(src Source, f func(*Elem) *Elem) Source {
 type mapSource struct {
 	src Source
 	f   func(*Elem) *Elem
+	in  *Elem // what src last gave Next
 }
 
 func (m *mapSource) Next() (*Elem, error) {
@@ -435,9 +459,17 @@ func (m *mapSource) Next() (*Elem, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e = m.f(e); e != nil {
-			return e, nil
+		if out := m.f(e); out != nil {
+			m.in = e
+			return out, nil
 		}
+	}
+}
+
+func (m *mapSource) release(e *Elem) {
+	if r, ok := m.src.(releaser); ok && e == m.in {
+		m.in = nil
+		r.release(e)
 	}
 }
 

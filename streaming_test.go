@@ -5,11 +5,13 @@ package bgpblackholing
 // leak-free, and closed events must reach subscribers incrementally.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/netip"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -503,6 +505,64 @@ func TestRunBusy(t *testing.T) {
 	live.Close()
 	if err := <-finished; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A seed drives the same single-goroutine engine as Run, so it takes
+// Run's guard: against a Run parked on a live feed it must return
+// ErrDetectorBusy without reading the dump or touching the engine.
+func TestSeedFromRIBDumpBusy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("archives a window for its table dumps")
+	}
+	p := smallPipeline(t)
+	dir := t.TempDir()
+	if _, err := p.WriteMRTArchives(dir, 840, 850); err != nil {
+		t.Fatal(err)
+	}
+	dumps, err := filepath.Glob(filepath.Join(dir, "*.dump.mrt"))
+	if err != nil || len(dumps) == 0 {
+		t.Fatalf("no table dumps (%v)", err)
+	}
+	var dump []byte
+	var name string
+	for _, path := range dumps {
+		if data, err := os.ReadFile(path); err == nil && len(data) > len(dump) {
+			dump, name = data, strings.TrimSuffix(filepath.Base(path), ".dump.mrt")
+		}
+	}
+	// The dump does seed an idle detector.
+	idle := p.NewDetector()
+	if err := idle.SeedFromRIBDump(bytes.NewReader(dump), name, PlatformRIS); err != nil || idle.ActiveCount() == 0 {
+		t.Fatalf("seeding an idle detector: err %v, %d active", err, idle.ActiveCount())
+	}
+
+	det := p.NewDetector()
+	live := NewLiveSource()
+	finished := make(chan *RunResult, 1)
+	go func() {
+		res, err := det.Run(context.Background(), live, WithFlushAt(TimelineStart.AddDate(0, 0, 851)))
+		if err != nil {
+			t.Error(err)
+		}
+		finished <- res
+	}()
+	// Run is active once it has processed an update.
+	live.PublishUpdate(&Update{Time: TimelineStart, PeerIP: netip.MustParseAddr("22.0.1.1"), PeerAS: 65001,
+		Announced: []netip.Prefix{netip.MustParsePrefix("31.0.0.0/24")}}, name, PlatformRIS)
+	for det.Metrics().UpdatesProcessed == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	r := bytes.NewReader(dump)
+	if err := det.SeedFromRIBDump(r, name, PlatformRIS); !errors.Is(err, ErrDetectorBusy) {
+		t.Fatalf("seed during a Run = %v, want ErrDetectorBusy", err)
+	}
+	if r.Len() != len(dump) {
+		t.Fatalf("the refused seed read %d bytes of the dump", len(dump)-r.Len())
+	}
+	live.Close()
+	if res := <-finished; res == nil || len(res.Events) != 0 || det.ActiveCount() != 0 {
+		t.Fatalf("the refused seed reached the engine: %+v, %d active", res, det.ActiveCount())
 	}
 }
 
