@@ -11,7 +11,6 @@ import (
 	"bgpblackholing/internal/collector"
 	"bgpblackholing/internal/mrt"
 	"bgpblackholing/internal/store"
-	"bgpblackholing/internal/stream"
 )
 
 // ArchiveSummary describes one WriteMRTArchives run.
@@ -33,13 +32,12 @@ type ArchiveSummary struct {
 // <collector>.dump.mrt TABLE_DUMP_V2 snapshots (§4.2 initialisation),
 // the dictionary is dumped as dictionary.json (LoadDictionary reads it
 // back), and world.txt summarises the world for humans. The window
-// comes from the replay's day-sharded workers (Replay), and identical
-// pipelines and windows produce byte-identical archives for every
-// Options.Workers; bhdetect — or
-// any MRTSource + Detector combination — can then re-infer the events
-// from the archives alone. Every file is committed durably through
-// store.CommitFile, so a crash leaves each one as it was or complete,
-// never torn.
+// comes from the replay (Replay), so each archive is in its time order
+// and identical pipelines and windows produce byte-identical archives
+// for every Options.Workers; bhdetect — or any MRTSource + Detector
+// combination — can then re-infer the events from the archives alone.
+// Every file is committed durably through store.CommitFile, so a crash
+// leaves each one as it was or complete, never torn.
 func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSummary, error) {
 	if toDay <= fromDay {
 		return nil, fmt.Errorf("empty window [%d,%d)", fromDay, toDay)
@@ -99,13 +97,9 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 	}
 	for _, name := range slices.Sorted(maps.Keys(perCollector)) {
 		col := colByName[name]
-		// A replay is time-ordered only within each day's batch: a day
-		// carries its intents' later withdrawals and re-announcements.
-		elems := perCollector[name]
-		stream.SortByTime(elems)
 		err := store.CommitFile(dir, name+".mrt", true, func(fw *bufio.Writer) error {
 			w := mrt.NewWriter(fw)
-			for _, el := range elems {
+			for _, el := range perCollector[name] {
 				if err := w.WriteUpdate(el.Update, col.IP, col.ASN); err != nil {
 					return fmt.Errorf("write %s: %w", name, err)
 				}

@@ -337,7 +337,7 @@ func runQuery(ctx context.Context, stdout, stderr io.Writer, c *config, be bgpbl
 			return err
 		}
 		warnShardsFailed(stderr, res.ShardsFailed)
-		_, err = fmt.Fprint(stdout, bgpblackholing.FormatFigure4(res.Series, max(1, c.every)))
+		_, err = fmt.Fprint(stdout, bgpblackholing.FormatFigure4(res.Series, c.every))
 		return err
 	}
 

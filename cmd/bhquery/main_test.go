@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -28,7 +29,9 @@ import (
 // committed digests were generated by the code at bbeabf9 (the commit
 // before bhquery became a Backend client), so they pin the rewrite to
 // the bytes the three hand-written modes printed; regenerate them only
-// for a deliberate change of output.
+// for a deliberate change of output. The all.*, lpm.{json,ndjson} and
+// origin.{json,ndjson} digests were re-recorded when the replay became
+// time-ordered: the same records, in another closing order (seq).
 var update = flag.Bool("update", false, "rewrite testdata/golden.sha256")
 
 const goldenPath = "testdata/golden.sha256"
@@ -115,15 +118,21 @@ func newCLIFixture(t *testing.T) *cliFixture {
 	if len(all) < 100 {
 		t.Fatalf("fixture holds only %d events", len(all))
 	}
-	for _, rec := range all[len(all)/2:] {
+	// The sample is the median event with an inferred user by start and
+	// prefix, a key the detector's closing order (seq) cannot move.
+	var withUser []*bgpblackholing.EventRecord
+	for _, rec := range all {
 		if len(rec.Users) > 0 {
-			f.sample = rec
-			break
+			withUser = append(withUser, rec)
 		}
 	}
-	if f.sample == nil {
-		t.Fatal("no event with an inferred user in the fixture's second half")
+	if len(withUser) == 0 {
+		t.Fatal("no event with an inferred user in the fixture")
 	}
+	slices.SortFunc(withUser, func(a, b *bgpblackholing.EventRecord) int {
+		return cmp.Or(a.Start.Compare(b.Start), strings.Compare(a.Prefix, b.Prefix))
+	})
+	f.sample = withUser[len(withUser)/2]
 	return f
 }
 

@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -83,6 +84,9 @@ func main() {
 }
 
 func run(cfg config) error {
+	if !(cfg.rateLimit >= 0) || math.IsInf(cfg.rateLimit, 1) {
+		return fmt.Errorf("-rate-limit %v: want a finite rate ≥ 0 (0 = unlimited)", cfg.rateLimit)
+	}
 	shards, err := loadShards(cfg)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -72,6 +73,17 @@ func TestNewServerDoesNotCutLongStreams(t *testing.T) {
 	}
 	if took := time.Since(began); took < lines*gap {
 		t.Fatalf("stream finished in %v; it should have trickled for %v", took, lines*gap)
+	}
+}
+
+// TestRunRefusesUnboundedByMistake: 0 is how -rate-limit says "none"; a
+// negative or non-finite rate is refused by name, not read as no limit
+// (or, for +Inf, as a bucket that refills at once).
+func TestRunRefusesUnboundedByMistake(t *testing.T) {
+	for _, rate := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := run(config{rateLimit: rate}); err == nil || !strings.HasPrefix(err.Error(), "-rate-limit ") {
+			t.Errorf("-rate-limit %v: %v; want it refused", rate, err)
+		}
 	}
 }
 

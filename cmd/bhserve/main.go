@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/netip"
@@ -154,11 +155,17 @@ func setupLogger(format, level string) error {
 }
 
 func run(cfg config) error {
-	if cfg.storeDir == "" && (cfg.httpAddr != "" || cfg.ingest != "") {
+	switch {
+	case cfg.storeDir == "" && (cfg.httpAddr != "" || cfg.ingest != ""):
 		return fmt.Errorf("-http and -ingest require -store")
-	}
-	if cfg.pprof && cfg.httpAddr == "" {
+	case cfg.pprof && cfg.httpAddr == "":
 		return fmt.Errorf("-pprof requires -http")
+	case !(cfg.rateLimit >= 0) || math.IsInf(cfg.rateLimit, 1):
+		return fmt.Errorf("-rate-limit %v: want a finite rate ≥ 0 (0 = unlimited)", cfg.rateLimit)
+	case cfg.liveBuffer < 0:
+		return fmt.Errorf("-live-buffer %d: want ≥ 0 (0 = unbounded)", cfg.liveBuffer)
+	case cfg.subQueue < 0:
+		return fmt.Errorf("-sub-queue %d: want ≥ 0 (0 = unbounded)", cfg.subQueue)
 	}
 	pol, err := bgpblackholing.ParseCompactionPolicy(cfg.policy)
 	if err != nil {

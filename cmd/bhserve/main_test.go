@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -44,6 +45,31 @@ func TestASNFlag(t *testing.T) {
 			t.Errorf("-asn %q: AS %d, error %v; want AS %d", tc.arg, c.asn, err, tc.want)
 		case tc.refused != "" && (err == nil || !strings.Contains(err.Error(), tc.refused)):
 			t.Errorf("-asn %q: AS %d, error %v; want it refused (%s)", tc.arg, c.asn, err, tc.refused)
+		}
+	}
+}
+
+// TestRunRefusesUnboundedByMistake: 0 is how a limit says "none"; a
+// negative or non-finite -rate-limit, -live-buffer or -sub-queue is
+// refused by name, not read as no limit (or, for +Inf, as a bucket that
+// refills at once).
+func TestRunRefusesUnboundedByMistake(t *testing.T) {
+	for i, tc := range []struct {
+		flag string
+		cfg  config
+	}{
+		{"-rate-limit", config{rateLimit: -1}},
+		{"-rate-limit", config{rateLimit: math.NaN()}},
+		{"-rate-limit", config{rateLimit: math.Inf(1)}},
+		{"-rate-limit", config{rateLimit: math.Inf(-1)}},
+		{"-live-buffer", config{liveBuffer: -1}},
+		{"-sub-queue", config{subQueue: -1}},
+	} {
+		// A run that let the value through stops at the policy instead
+		// of serving.
+		tc.cfg.policy = "?"
+		if err := run(tc.cfg); err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("case %d: %v; want %s refused", i, err, tc.flag)
 		}
 	}
 }

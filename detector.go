@@ -213,7 +213,7 @@ func (d *Detector) Run(ctx context.Context, src Source, opts ...RunOption) (*Run
 		}
 		// Background churn once per window so the Figure 2 statistics see
 		// ordinary TE communities alongside blackhole communities.
-		for _, o := range rs.ordinary() {
+		for _, o := range rs.p.Deploy.OrdinaryUpdates(rs.windowStart, 5000) {
 			d.inferCol.Observe(o.Update)
 		}
 	}

@@ -171,8 +171,15 @@ func TestFigure4DailyCounts(t *testing.T) {
 	if series[1].Providers != 2 || series[1].Users != 2 {
 		t.Fatalf("day1 = %+v", series[1])
 	}
-	if out := FormatFigure4(series, 1); !strings.Contains(out, "#Prefixes") {
-		t.Fatal("format")
+	daily := FormatFigure4(series, 1)
+	if !strings.Contains(daily, "#Prefixes") || strings.Count(daily, "\n") != len(series)+2 {
+		t.Fatalf("format:\n%s", daily)
+	}
+	// A step below one samples every day, as bhquery's -every 0 asks.
+	for _, every := range []int{0, -1} {
+		if out := FormatFigure4(series, every); out != daily {
+			t.Fatalf("every=%d:\n%s\nwant the every-day table:\n%s", every, out, daily)
+		}
 	}
 }
 

@@ -345,11 +345,11 @@ func Figure9ab(ms []dataplane.PathMeasurement) Figure9Sample {
 	return out
 }
 
-// FormatFigure4 renders a sampled view of the longitudinal series.
+// FormatFigure4 renders the longitudinal series, a row every max(every, 1) days.
 func FormatFigure4(series []DailyPoint, every int) string {
 	header := []string{"Day", "#Providers", "#Users", "#Prefixes"}
 	var cells [][]string
-	for i := 0; i < len(series); i += every {
+	for i := 0; i < len(series); i += max(every, 1) {
 		p := series[i]
 		cells = append(cells, []string{
 			p.Day.Format("2006-01-02"),

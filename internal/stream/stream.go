@@ -65,8 +65,8 @@ func (s *elemTimeSorter) Swap(i, j int) {
 	s.elems[i], s.elems[j] = s.elems[j], s.elems[i]
 }
 
-// SortByTime orders elems by update time in place, stable on ties.
-func SortByTime(elems []*Elem) {
+// sortByTime orders elems by update time in place, stable on ties.
+func sortByTime(elems []*Elem) {
 	keys := make([]int64, len(elems))
 	for i, e := range elems {
 		keys[i] = e.Update.Time.UnixNano()
@@ -84,7 +84,7 @@ func SortedElems(obs []collector.Observation) []*Elem {
 		backing[i] = Elem{Collector: o.Collector.Name, Platform: o.Collector.Platform, Update: o.Update}
 		elems[i] = &backing[i]
 	}
-	SortByTime(elems)
+	sortByTime(elems)
 	return elems
 }
 
@@ -97,7 +97,7 @@ func FromObservations(obs []collector.Observation) Stream {
 // FromElems builds a stream from elements, sorting them by time.
 func FromElems(elems []*Elem) Stream {
 	out := append([]*Elem(nil), elems...)
-	SortByTime(out)
+	sortByTime(out)
 	return &sliceStream{elems: out}
 }
 

@@ -64,7 +64,7 @@ func Figure4(events []*Event, start time.Time, days int) []DailyPoint {
 	return analysis.Figure4(events, start, days)
 }
 
-// FormatFigure4 renders the series sampled every `every` days.
+// FormatFigure4 renders the series, a row every max(every, 1) days.
 func FormatFigure4(series []DailyPoint, every int) string {
 	return analysis.FormatFigure4(series, every)
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,10 +24,7 @@ import (
 // implement it, and callers can supply their own implementations — any
 // type with a Next() (*Elem, error) method qualifies. Elements are the
 // consumer's to keep, except an MRTSource's that Detector.Run hands back
-// (see MRTSource). A replay is time-ordered only within each day's
-// batch, which carries its intents' later withdrawals and
-// re-announcements; the detector infers the same events from it sorted
-// by time (TestReplayOrderDoesNotChangeInference).
+// (see MRTSource).
 type Source interface {
 	// Next returns the next element, or nil, io.EOF at end of feed.
 	Next() (*Elem, error)
@@ -86,8 +84,9 @@ type dayBatch struct {
 
 // ReplaySource materializes a window of the pipeline's longitudinal
 // scenario as a Source: each day's intents are generated and propagated
-// to the collectors, and the per-day observation batches are delivered
-// in strict day order. Materialization and propagation — the dominant
+// to the collectors, and the per-day observation batches are merged into
+// one feed in time order, equal times in replay order (day, then place
+// in the day's batch). Materialization and propagation — the dominant
 // cost — are day-sharded across Options.Workers goroutines feeding the
 // consumer through a ticket-bounded pipeline, so elements stream out
 // identically for every worker count at a given Seed.
@@ -100,17 +99,15 @@ type ReplaySource struct {
 	fromDay, toDay int
 	windowStart    time.Time
 	windowEnd      time.Time
-	ctx            context.Context
-	started        bool
 	stop           chan struct{}
 	stopOnce       sync.Once
 	wg             sync.WaitGroup
-	batches        []dayBatch
-	ready          []chan struct{}
+	days           []chan dayBatch // one per day, sent once by its worker
 	tickets        chan struct{}
 	cur            []*stream.Elem
 	pos            int
 	day            int
+	next           []*stream.Elem // held for a later day: at or after the next day's start
 	results        []*collector.Result
 	intents        []workload.Intent
 }
@@ -124,22 +121,12 @@ func (p *Pipeline) Replay(fromDay, toDay int) *ReplaySource {
 		toDay:       toDay,
 		windowStart: workload.TimelineStart.Add(time.Duration(fromDay) * 24 * time.Hour),
 		windowEnd:   workload.TimelineStart.Add(time.Duration(toDay) * 24 * time.Hour),
-		ctx:         context.Background(),
 		stop:        make(chan struct{}),
 	}
 }
 
-// ordinary returns the window's background churn, observed by the
-// dictionary-inference collector before the replay so the Figure 2
-// statistics see ordinary TE communities alongside blackhole ones.
-func (r *ReplaySource) ordinary() []collector.Observation {
-	return r.p.Deploy.OrdinaryUpdates(r.windowStart, 5000)
-}
-
-// attach wires run-scoped cancellation: the workers observe the run
-// context, and the source shuts down when the run returns.
+// attach shuts the source down when the run is canceled or returns.
 func (r *ReplaySource) attach(ctx context.Context, runDone <-chan struct{}) {
-	r.ctx = ctx
 	go func() {
 		select {
 		case <-ctx.Done():
@@ -168,20 +155,15 @@ func (r *ReplaySource) Close() error {
 // memory and guarantees the merge cursor's day is always being worked
 // on.
 func (r *ReplaySource) start() {
-	r.started = true
-	nDays := r.toDay - r.fromDay
-	if nDays <= 0 {
-		return
-	}
+	nDays := max(r.toDay-r.fromDay, 0)
+	r.days = make([]chan dayBatch, nDays)
 	workers := r.p.Opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, nDays)
-	r.batches = make([]dayBatch, nDays)
-	r.ready = make([]chan struct{}, nDays)
-	for i := range r.ready {
-		r.ready[i] = make(chan struct{})
+	for i := range r.days {
+		r.days[i] = make(chan dayBatch, 1)
 	}
 	inFlight := min(2*workers, nDays)
 	r.tickets = make(chan struct{}, inFlight)
@@ -201,7 +183,6 @@ func (r *ReplaySource) start() {
 		return b
 	}
 	var cursor atomic.Int64
-	done := r.ctx.Done()
 	for w := 0; w < workers; w++ {
 		r.wg.Add(1)
 		go func() {
@@ -211,57 +192,77 @@ func (r *ReplaySource) start() {
 				case <-r.tickets:
 				case <-r.stop:
 					return
-				case <-done:
-					return
 				}
 				i := int(cursor.Add(1)) - 1
 				if i >= nDays {
 					return
 				}
-				r.batches[i] = fill(i)
-				close(r.ready[i])
+				r.days[i] <- fill(i)
 			}
 		}()
 	}
 }
 
 // Next returns the window's observations one element at a time, in the
-// same global order for every worker count.
+// same global order for every worker count. Every intent starts inside
+// its own day, so no batch holds an element before its day's start, but
+// its later withdrawals and re-announcements may lie past the next
+// day's start. Next copies that tail of each batch once into storage of
+// its own, so it does not pin the day's batch, and holds it: each day,
+// the held elements merge into the day's batch, and those before the
+// next day's start go out with it.
 func (r *ReplaySource) Next() (*Elem, error) {
-	if !r.started {
+	if r.days == nil {
 		r.start()
 	}
 	for r.pos >= len(r.cur) {
-		nDays := r.toDay - r.fromDay
-		if r.day >= nDays {
+		if r.day >= len(r.days) {
 			r.halt()
 			return nil, io.EOF
 		}
+		var b dayBatch
 		select {
-		case <-r.ready[r.day]:
+		case b = <-r.days[r.day]:
 		case <-r.stop:
-			return nil, r.abortErr()
-		case <-r.ctx.Done():
-			return nil, r.ctx.Err()
+			return nil, ErrSourceClosed
 		}
-		b := r.batches[r.day]
-		r.batches[r.day] = dayBatch{} // release the day's memory promptly
 		r.results = append(r.results, b.results...)
 		r.intents = append(r.intents, b.intents...)
-		r.cur, r.pos = b.elems, 0
 		r.day++
 		r.tickets <- struct{}{}
+		cut, due := len(b.elems), len(r.next)
+		if r.day < len(r.days) {
+			dayEnd := r.windowStart.Add(time.Duration(r.day) * 24 * time.Hour)
+			before := func(es []*stream.Elem) int {
+				return sort.Search(len(es), func(i int) bool { return !es[i].Update.Time.Before(dayEnd) })
+			}
+			cut, due = before(b.elems), before(r.next)
+		}
+		own := make([]stream.Elem, len(b.elems)-cut)
+		for i := range own {
+			own[i] = *b.elems[cut+i]
+			b.elems[cut+i] = &own[i]
+		}
+		all := mergeByTime(r.next, b.elems)
+		r.cur, r.next, r.pos = all[:cut+due], all[cut+due:], 0
 	}
 	el := r.cur[r.pos]
 	r.pos++
 	return el, nil
 }
 
-func (r *ReplaySource) abortErr() error {
-	if err := r.ctx.Err(); err != nil {
-		return err
+// mergeByTime merges two time-sorted slices, a's elements first on equal
+// times.
+func mergeByTime(a, b []*stream.Elem) []*stream.Elem {
+	out := make([]*stream.Elem, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].Update.Time.Before(a[0].Update.Time) {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
 	}
-	return ErrSourceClosed
+	return append(append(out, a...), b...)
 }
 
 // takeResults hands the retained last-week propagation results and
@@ -392,12 +393,12 @@ func (m *MRTSource) Close() error {
 // ---------------------------------------------------------------------
 // Source combinators.
 
-// MergeSources k-way merges sources into one Source, time-ordered if
-// they are (a replay is not; see Source) and lowest-numbered first on
-// equal timestamps — exactly how the paper's pipeline merges
-// per-collector archives into a single BGPStream feed. Cancellation
-// wiring passes through to every child source, a handed-back element to
-// the MRTSource child it came from (a combinator child keeps its own).
+// MergeSources k-way merges time-ordered sources into one Source,
+// lowest-numbered first on equal timestamps — exactly how the paper's
+// pipeline merges per-collector archives into a single BGPStream feed.
+// Cancellation wiring passes through to every child source, a
+// handed-back element to the MRTSource child it came from (a combinator
+// child keeps its own).
 func MergeSources(srcs ...Source) Source {
 	ss := make([]stream.Stream, len(srcs))
 	for i, s := range srcs {

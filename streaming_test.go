@@ -7,18 +7,19 @@ package bgpblackholing
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
-	"slices"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"bgpblackholing/internal/faultfs"
 )
@@ -609,63 +610,113 @@ func TestMRTSourceRoundTrip(t *testing.T) {
 	}
 }
 
-// A replay is time-ordered only within each day's batch (see Source):
-// a day carries its intents' later withdrawals and re-announcements, so
-// the feed steps back in time at day boundaries. The detector must infer
-// the same events from it as from the same elements sorted by time;
-// only the closing order, and so each record's seq, may differ. An
-// engine change that makes the order matter fails here.
-func TestReplayOrderDoesNotChangeInference(t *testing.T) {
-	p := smallPipeline(t)
-	src := p.Replay(800, 810)
+// TestHeldElementsDoNotPinTheirDay: the elements a replay holds for a
+// later day are copies, so once the replay has moved past a day, that
+// day's batch is garbage even while its later withdrawals and
+// re-announcements are still held.
+func TestHeldElementsDoNotPinTheirDay(t *testing.T) {
+	src := smallPipeline(t).Replay(800, 810)
 	defer src.Close()
-	var elems []*Elem
-	for {
-		el, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		elems = append(elems, el)
-	}
-	back := 0
-	for i := 1; i < len(elems); i++ {
-		if elems[i].Update.Time.Before(elems[i-1].Update.Time) {
-			back++
-		}
-	}
-	if back == 0 {
-		t.Fatalf("the replay of %d elements never steps back in time; Source's doc says it does", len(elems))
-	}
-	sorted := slices.Clone(elems)
-	slices.SortStableFunc(sorted, func(a, b *Elem) int { return a.Update.Time.Compare(b.Update.Time) })
-
-	records := func(feed []*Elem) []string {
-		res, err := p.NewDetector().Run(context.Background(), (*sliceSource)(&feed), WithFlushAt(src.windowEnd))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]string, len(res.Events))
-		for i, ev := range res.Events {
-			rec := NewEventRecord(ev)
-			rec.Seq = 0
-			b, err := json.Marshal(rec)
+	var first weak.Pointer[Elem]
+	func() {
+		// Every strong reference this test takes lives in this frame.
+		dayAfterNext := src.windowStart.Add(48 * time.Hour)
+		for n := 0; ; n++ {
+			el, err := src.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[i] = string(b)
+			if n == 0 {
+				first = weak.Make(el)
+			}
+			if !el.Update.Time.Before(dayAfterNext) {
+				return
+			}
 		}
-		slices.Sort(out)
-		return out
+	}()
+	if len(src.next) == 0 {
+		t.Fatal("the replay holds nothing for a later day")
 	}
-	asReplayed, asSorted := records(elems), records(sorted)
-	if len(asReplayed) == 0 {
-		t.Fatal("the window closed no events")
+	for deadline := time.Now().Add(2 * time.Second); first.Value() != nil && time.Now().Before(deadline); {
+		runtime.GC()
 	}
-	if !slices.Equal(asReplayed, asSorted) {
-		t.Fatalf("%d events from the replay's order, %d from time order, and they differ beyond seq", len(asReplayed), len(asSorted))
+	if first.Value() != nil {
+		t.Errorf("day 800's batch is still reachable with %d elements held", len(src.next))
 	}
-	t.Logf("%d elements step back in time %d times; %d events either way", len(elems), back, len(asReplayed))
+}
+
+// TestReplayOrderDoesNotChangeInference is the law every pull Source
+// keeps: time never steps back. A replay's day batch carries its
+// intents' later withdrawals and re-announcements, which the replay
+// merges into the days they fall on, for every worker count; an
+// archive, a merge of a window's archives (table dumps included) and
+// the combinators over it keep that order. A LiveSource yields what is
+// pushed, so it is outside the law.
+func TestReplayOrderDoesNotChangeInference(t *testing.T) {
+	drain := func(name string, src Source) (held int) {
+		t.Helper()
+		n := 0
+		var last time.Time
+		for ; ; n++ {
+			el, err := src.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if el.Update.Time.Before(last) {
+				t.Fatalf("%s: element %d at %v steps back from %v", name, n, el.Update.Time, last)
+			}
+			last = el.Update.Time
+			if rs, ok := src.(*ReplaySource); ok {
+				held = max(held, len(rs.next))
+			}
+		}
+		if n == 0 {
+			t.Fatalf("%s: no elements", name)
+		}
+		return held
+	}
+	for _, workers := range []int{1, 4} {
+		opts := SmallOptions()
+		opts.Workers = workers
+		p, err := NewPipeline(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range [][2]int{{800, 810}, {640, 850}} {
+			name := fmt.Sprintf("Replay(%d, %d), %d workers", w[0], w[1], workers)
+			src := p.Replay(w[0], w[1])
+			t.Logf("%s: at most %d elements held across a day boundary", name, drain(name, src))
+			src.Close()
+		}
+	}
+
+	dir := t.TempDir()
+	if _, err := smallPipeline(t).WriteMRTArchives(dir, 800, 810); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.mrt"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("archives %v: %v", paths, err)
+	}
+	archives := func() []Source {
+		srcs := make([]Source, len(paths))
+		for i, path := range paths {
+			src, err := OpenMRTSource(path, strings.TrimSuffix(filepath.Base(path), ".mrt"), PlatformRIS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { src.Close() })
+			srcs[i] = src
+		}
+		return srcs
+	}
+	for i, src := range archives() {
+		drain(filepath.Base(paths[i]), src)
+	}
+	drain("MergeSources", MergeSources(archives()...))
+	drain("MapSource", MapSource(MergeSources(archives()...), func(e *Elem) *Elem { return e }))
+	drain("FilterSource", FilterSource(MergeSources(archives()...), func(e *Elem) bool { return e.Update.IsWithdrawal() }))
 }
