@@ -828,9 +828,9 @@ func (f *FederatedStore) figure4() { var shards sync.WaitGroup; shards.Wait(); s
 }, {
 	name:  "one-shard-reader",
 	gates: "one shard reader gate",
-	law:   "`RemoteBackend.Records`, `RemoteBackend.RecordLines`, `RemoteBackend.scanLines`, `RemoteBackend.Figure4Sets` and `parseFigure4Sets` reach no `encoding/json` symbol, except through `RemoteBackend.attempt`, which decodes a non-2xx answer's error body, and `lineKey.set`, which leaves an escaped or non-ASCII key to the library.",
+	law:   "`RemoteBackend.RecordLines`, `RemoteBackend.scanLines`, `RemoteBackend.Figure4Sets` and `parseFigure4Sets` reach no `encoding/json` symbol, except through `RemoteBackend.attempt`, which decodes a non-2xx answer's error body, and `lineKey.set`, which leaves an escaped or non-ASCII key to the library.",
 	checks: []archCheck{reachesNo("encoding/json",
-		[]string{".RemoteBackend.Records", ".RemoteBackend.RecordLines", ".RemoteBackend.scanLines", ".RemoteBackend.Figure4Sets", ".parseFigure4Sets"},
+		[]string{".RemoteBackend.RecordLines", ".RemoteBackend.scanLines", ".RemoteBackend.Figure4Sets", ".parseFigure4Sets"},
 		map[string]string{
 			".RemoteBackend.attempt": `decodes a non-2xx answer's {"error": …} body`,
 			".lineKey.set":           "unquotes an escaped or non-ASCII key through the library, as json.Unmarshal would; FuzzRecordLineKey holds it to that",
@@ -840,13 +840,37 @@ import ("encoding/json"; "io")
 type RemoteBackend struct{}
 type lineKey struct{}
 func (b *RemoteBackend) attempt() error { return json.Unmarshal(nil, nil) }
-func (b *RemoteBackend) Records(r io.Reader) { b.attempt(); b.readSet(r) }
+func (b *RemoteBackend) RecordLines(r io.Reader) { b.attempt(); b.readSet(r); b.scanLines() }
 func (b *RemoteBackend) readSet(r io.Reader) { json.NewDecoder(r) }
-func (b *RemoteBackend) RecordLines() { b.scanLines() }
 func (b *RemoteBackend) scanLines() { var k lineKey; k.set() }
 func (k *lineKey) set() { json.Valid(nil) }
 func (b *RemoteBackend) Figure4Sets() { parseFigure4Sets() }
 func parseFigure4Sets() {}`),
+}, {
+	name: "one-record-read",
+	law:  "A backend reads events one way, `RecordLines`: `appendEventLine` is called only by `StoreBackend.RecordLines` and `EncodeAlertRecord`, `RemoteBackend.scanLines` only by `RemoteBackend.RecordLines`, and a `Records` method calls nothing but `collectRecords`.",
+	checks: []archCheck{
+		onlyIn("an appendEventLine call", archNonTest, callOf("appendEventLine"), "StoreBackend.RecordLines", "EncodeAlertRecord"),
+		onlyIn("a scanLines call", archNonTest, callOf(".scanLines"), "RemoteBackend.RecordLines"),
+		onlyIn("a call other than collectRecords", func(f *goFile, fn string) bool {
+			return !f.test && f.dir == "" && strings.HasSuffix(fn, ".Records")
+		}, func(_ *archSite, n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			return ok && !callOf("collectRecords")(nil, call)
+		}),
+	},
+	breaks: archFixture("backend.go", `package bgpblackholing
+type RecordSet struct{ Records [][]byte }
+type StoreBackend struct{}
+type RemoteBackend struct{}
+func appendEventLine(dst []byte) []byte { return dst }
+func EncodeAlertRecord() []byte { return appendEventLine(nil) }
+func collectRecords() *RecordSet { return nil }
+func (b *StoreBackend) RecordLines() []byte { return appendEventLine(nil) }
+func (b *StoreBackend) Records() *RecordSet { return &RecordSet{Records: [][]byte{appendEventLine(nil)}} }
+func (b *RemoteBackend) scanLines() {}
+func (b *RemoteBackend) RecordLines() { b.scanLines() }
+func (b *RemoteBackend) Records() *RecordSet { b.scanLines(); return collectRecords() }`),
 }, {
 	name: "one-json-layout",
 	law:  "No non-test file of the root package calls `json.Indent`, `json.MarshalIndent` or `(*json.Encoder).SetIndent`: its answers are laid out by `indentValue`, called only by itself, `appendIndented` and `appendEnvelope`.",

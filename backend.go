@@ -1,6 +1,7 @@
 package bgpblackholing
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -20,6 +21,12 @@ import (
 //	StoreBackend    the local store (this file)
 //	RemoteBackend   a bhserve/bhroute peer over HTTP (remote.go)
 //	FederatedStore  N backends merged in global event order (federate.go)
+//
+// Events are read one way, RecordLines, and the query decides how: with a
+// limit it is a counted read, whose stream knows its total and scanned
+// counts when it opens; without, an uncounted, lazy one. Each type's
+// Records drains a counted read into a RecordSet for the benchmark
+// harness, which calls it.
 //
 // One HTTP handler (newHandler, http.go) serves whichever Backend it is
 // given, each route as its row of routes says.
@@ -71,28 +78,21 @@ func (k RecordKey) Less(o RecordKey) bool {
 	return k.Prefix < o.Prefix
 }
 
-// RecordSet is a materialized query answer in wire form.
+// RecordSet is a counted read held whole: what the Records methods
+// collect from RecordLines.
 type RecordSet struct {
 	// Records are the matches in global event order (empty, never nil,
 	// when nothing matches), each the encoded record — annotated when
-	// the query asked for enrichment — plus its merge key. The lines
-	// belong to the set: they slice the buffer it was encoded or read
-	// into and stay valid as long as the set is referenced.
+	// the query asked for enrichment — plus its merge key.
 	Records []RecordLine
 	// Total counts all matches ignoring Limit; Scanned counts candidate
 	// events examined. Across a federation both are sums over shards.
 	Total   int
 	Scanned int
-	// Elapsed is the whole call's wall-clock time.
-	Elapsed time.Duration
 	// ShardsFailed counts backends that could not answer, at any depth of
 	// nested routers (federated queries only; the records are the
 	// surviving shards' merge).
 	ShardsFailed int
-
-	// shard is the shard identity of the one store that answered, "" for
-	// an unstamped store or a federation.
-	shard string
 }
 
 // RecordLine is one encoded record plus its merge key: the only form a
@@ -102,29 +102,36 @@ type RecordSet struct {
 // through verbatim, so a federated response is byte-identical to a
 // single store's.
 //
-// A RecordSet's lines are owned for the set's life. A RecordStream's are
-// borrowed: Line points into the stream's own buffer and is valid only
-// until that stream's next Next or Close. Write it out (the HTTP handler
-// and bhquery do) or copy it before advancing. Key is owned and may be
-// kept either way.
+// A RecordStream's lines are borrowed: Line points into the stream's own
+// buffer and is valid only until that stream's next Next or Close. Write
+// it out (the HTTP handler and bhquery do) or copy it before advancing
+// (a RecordSet's lines are copies). Key is owned and may be kept either
+// way.
 type RecordLine struct {
 	Key  RecordKey
 	Line []byte
 }
 
-// RecordStream is an open, incremental record stream. ShardsFailed is
-// known at open time (streams are opened eagerly), so an HTTP handler
-// can set response headers before the first body byte.
+// RecordStream is an open, incremental record stream: a Backend's one
+// event read. Its head — ShardsFailed, and a counted read's counts — is
+// known at open time, so an HTTP handler can set response headers before
+// the first body byte.
 type RecordStream struct {
 	// ShardsFailed counts backends that failed to open or prime their
 	// stream. A shard that dies mid-stream after delivering records
 	// cannot be reflected here; it ends that shard's contribution.
 	ShardsFailed int
 
-	shard string // as RecordSet.shard
-	next  func() (RecordLine, error)
-	close func()
+	total, scanned int    // a counted read's head (Counts)
+	shard          string // the identity of the one store that answered, "" for an unstamped one or a federation
+	next           func() (RecordLine, error)
+	close          func()
 }
+
+// Counts returns a counted read's head: the matches ignoring the limit
+// and the candidates examined, summed over a federation's shards. An
+// uncounted read, a query without a limit, reports 0, 0.
+func (s *RecordStream) Counts() (total, scanned int) { return s.total, s.scanned }
 
 // Next returns the next record line, or io.EOF at the end. It
 // invalidates the Line of every RecordLine the stream returned before:
@@ -137,6 +144,31 @@ func (s *RecordStream) Close() {
 		s.close()
 		s.close = nil
 	}
+}
+
+// maxRemoteLimit is the limit collectRecords asks with for a q without
+// one: a set is a counted read, and those have a limit.
+const maxRemoteLimit = 1 << 30
+
+// collectRecords is every backend's Records: be's counted read of q
+// drained into a set.
+func collectRecords(ctx context.Context, be Backend, q Query) (*RecordSet, error) {
+	if q.Limit <= 0 {
+		q.Limit = maxRemoteLimit
+	}
+	s, err := be.RecordLines(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	rs := &RecordSet{Records: []RecordLine{}, Total: s.total, Scanned: s.scanned, ShardsFailed: s.ShardsFailed}
+	for rl, err := s.Next(); err != io.EOF; rl, err = s.Next() {
+		if err != nil {
+			return nil, err
+		}
+		rs.Records = append(rs.Records, RecordLine{Key: rl.Key, Line: bytes.Clone(rl.Line)})
+	}
+	return rs, nil
 }
 
 // Figure4Result is a Backend's Figure 4 answer plus partial-result
@@ -229,13 +261,11 @@ type ShardHealth struct {
 type Backend interface {
 	// Name identifies the backend in stats, health and error messages.
 	Name() string
-	// Records answers a query as a materialized record set. Limits are
-	// the caller's concern: pass q.Limit explicitly (HTTP handlers
-	// default JSON responses to 10000 before calling).
-	Records(ctx context.Context, q Query) (*RecordSet, error)
 	// RecordLines answers a query as an incremental NDJSON stream in
 	// global event order, opened eagerly so failure accounting is known
-	// before the first byte. The caller must Close the stream, and may
+	// before the first byte. A query with a limit is a counted read,
+	// whose stream carries its total and scanned counts (Counts); one
+	// without streams uncounted. The caller must Close the stream, and may
 	// use each RecordLine.Line only until it asks for the next.
 	RecordLines(ctx context.Context, q Query) (*RecordStream, error)
 	// Figure4 computes the daily longitudinal series over [start,
@@ -295,106 +325,63 @@ func (b *StoreBackend) annotator() *Annotator {
 	return b.st.Annotator()
 }
 
-// enricher returns the annotator q's records pass through: nil unless q
-// asks for enrichment, errNoAnnotator when it asks and there is none.
-func (b *StoreBackend) enricher(q Query) (*Annotator, error) {
-	if !q.Enrich {
-		return nil, nil
-	}
-	if ann := b.annotator(); ann != nil {
-		return ann, nil
-	}
-	return nil, errNoAnnotator
-}
-
-// ownLines points each of a set's lines at its bytes in buf, the one
-// buffer they were appended to in order. Until then a Line is good for
-// its length only: buf moved whenever it grew.
-func ownLines(buf []byte, lines []RecordLine) []RecordLine {
-	off := 0
-	for i := range lines {
-		end := off + len(lines[i].Line)
-		lines[i].Line = buf[off:end:end]
-		off = end
-	}
-	return lines
-}
-
-// Records implements Backend over the store's index query, encoding
-// every match into the set's one buffer. The observed latency covers
-// select + project + annotate + encode.
+// Records is RecordLines' counted read held whole (collectRecords).
 func (b *StoreBackend) Records(ctx context.Context, q Query) (*RecordSet, error) {
-	began := time.Now()
-	ann, err := b.enricher(q)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res := b.st.s.Query(q.filter())
-	lines := make([]RecordLine, len(res.Events))
-	var buf []byte
-	for i, ev := range res.Events {
-		if i%256 == 255 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		start := len(buf)
-		if buf, lines[i].Key, err = appendEventLine(buf, ev, ann.Annotate(ev)); err != nil {
-			return nil, err
-		}
-		lines[i].Line = buf[start:]
-	}
-	elapsed := time.Since(began)
-	b.st.observeQuery(q.Enrich, elapsed)
-	return &RecordSet{
-		Records: ownLines(buf, lines),
-		Total:   res.Total,
-		Scanned: res.Scanned,
-		Elapsed: elapsed,
-		shard:   b.st.s.Identity(),
-	}, nil
+	return collectRecords(ctx, b, q)
 }
 
-// RecordLines implements Backend over the store's streaming query:
-// each event is encoded into the stream's one reused buffer as it is
-// asked for.
+// RecordLines implements Backend over the store's read walk: a counted
+// read takes Store.Query's matches and counts, an uncounted one pulls
+// QuerySeq's, and each event is encoded into one reused buffer as it is
+// asked for. A counted read's latency is observed when it closes.
 func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
-	ann, err := b.enricher(q)
-	if err != nil {
-		return nil, err
+	began := time.Now()
+	var ann *Annotator // nil unless q asks for enrichment
+	if q.Enrich {
+		if ann = b.annotator(); ann == nil {
+			return nil, errNoAnnotator
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b.st.observeQuery(q.Enrich, streamed)
-	next, stop := iter.Pull(b.st.s.QuerySeq(q.filter()))
+	s := &RecordStream{shard: b.st.s.Identity()}
+	var pull func() (*Event, bool)
+	if q.Limit > 0 {
+		res := b.st.s.Query(q.filter())
+		s.total, s.scanned = res.Total, res.Scanned
+		pull = func() (ev *Event, ok bool) {
+			if ok = len(res.Events) > 0; ok {
+				ev, res.Events = res.Events[0], res.Events[1:]
+			}
+			return ev, ok
+		}
+		s.close = func() { b.st.observeQuery(q.Enrich, time.Since(began)) }
+	} else {
+		b.st.observeQuery(q.Enrich, streamed)
+		pull, s.close = iter.Pull(b.st.s.QuerySeq(q.filter()))
+	}
 	done := ctx.Done()
 	var buf []byte
-	return &RecordStream{
-		shard: b.st.s.Identity(),
-		next: func() (RecordLine, error) {
-			select {
-			case <-done:
-				return RecordLine{}, ctx.Err()
-			default:
-			}
-			ev, ok := next()
-			if !ok {
-				return RecordLine{}, io.EOF
-			}
-			var rl RecordLine
-			var err error
-			if buf, rl.Key, err = appendEventLine(buf[:0], ev, ann.Annotate(ev)); err != nil {
-				return RecordLine{}, err
-			}
-			rl.Line = buf
-			return rl, nil
-		},
-		close: stop,
-	}, nil
+	s.next = func() (RecordLine, error) {
+		select {
+		case <-done:
+			return RecordLine{}, ctx.Err()
+		default:
+		}
+		ev, ok := pull()
+		if !ok {
+			return RecordLine{}, io.EOF
+		}
+		var rl RecordLine
+		var err error
+		if buf, rl.Key, err = appendEventLine(buf[:0], ev, ann.Annotate(ev)); err != nil {
+			return RecordLine{}, err
+		}
+		rl.Line = buf
+		return rl, nil
+	}
+	return s, nil
 }
 
 // Figure4 implements Backend over the store's (possibly materialized)

@@ -345,39 +345,39 @@ func runQuery(ctx context.Context, stdout, stderr io.Writer, c *config, be bgpbl
 	if err != nil {
 		return err
 	}
+	if c.format != "ndjson" && q.Limit <= 0 {
+		q.Limit = 1 << 30 // every match, counted
+	}
+	began := time.Now()
+	stream, err := be.RecordLines(ctx, q)
+	if err != nil {
+		return err
+	}
+	defer stream.Close()
+	warnShardsFailed(stderr, stream.ShardsFailed)
 	if c.format == "ndjson" {
-		stream, err := be.RecordLines(ctx, q)
-		if err != nil {
-			return err
-		}
-		defer stream.Close()
-		warnShardsFailed(stderr, stream.ShardsFailed)
 		w := bufio.NewWriter(stdout)
-		for {
-			rl, err := stream.Next()
-			if err != nil {
-				break
-			}
+		for rl, err := stream.Next(); err == nil; rl, err = stream.Next() {
 			w.Write(rl.Line)
 			w.WriteByte('\n')
 		}
 		return w.Flush()
 	}
-	rs, err := be.Records(ctx, q)
-	if err != nil {
-		return err
-	}
-	warnShardsFailed(stderr, rs.ShardsFailed)
-	fmt.Fprintf(stderr, "bhquery: %d matches (%d returned), %d candidates scanned, %s\n",
-		rs.Total, len(rs.Records), rs.Scanned, rs.Elapsed)
 	// A backend answers in encoded lines; the renderers read fields.
-	records := make([]*bgpblackholing.EventRecord, len(rs.Records))
-	for i, rl := range rs.Records {
-		records[i] = new(bgpblackholing.EventRecord)
-		if err := json.Unmarshal(rl.Line, records[i]); err != nil {
-			return fmt.Errorf("record %d: %v", i, err)
+	records := []*bgpblackholing.EventRecord{}
+	for rl, err := stream.Next(); err != io.EOF; rl, err = stream.Next() {
+		if err != nil {
+			return err
 		}
+		rec := new(bgpblackholing.EventRecord)
+		if err := json.Unmarshal(rl.Line, rec); err != nil {
+			return fmt.Errorf("record %d: %v", len(records), err)
+		}
+		records = append(records, rec)
 	}
+	total, scanned := stream.Counts()
+	fmt.Fprintf(stderr, "bhquery: %d matches (%d returned), %d candidates scanned, %s\n",
+		total, len(records), scanned, time.Since(began))
 	return render(stdout, c.format, c.enrich, records)
 }
 

@@ -166,6 +166,8 @@ func run(cfg config) error {
 		return fmt.Errorf("-live-buffer %d: want ≥ 0 (0 = unbounded)", cfg.liveBuffer)
 	case cfg.subQueue < 0:
 		return fmt.Errorf("-sub-queue %d: want ≥ 0 (0 = unbounded)", cfg.subQueue)
+	case cfg.asn == 0:
+		return fmt.Errorf("-asn 0: AS 0 is reserved (RFC 7607)")
 	}
 	pol, err := bgpblackholing.ParseCompactionPolicy(cfg.policy)
 	if err != nil {

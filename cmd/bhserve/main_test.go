@@ -52,7 +52,8 @@ func TestASNFlag(t *testing.T) {
 // TestRunRefusesUnboundedByMistake: 0 is how a limit says "none"; a
 // negative or non-finite -rate-limit, -live-buffer or -sub-queue is
 // refused by name, not read as no limit (or, for +Inf, as a bucket that
-// refills at once).
+// refills at once). A config built in code is held to the -asn flag's
+// rule too: AS 0 is reserved (RFC 7607).
 func TestRunRefusesUnboundedByMistake(t *testing.T) {
 	for i, tc := range []struct {
 		flag string
@@ -64,6 +65,7 @@ func TestRunRefusesUnboundedByMistake(t *testing.T) {
 		{"-rate-limit", config{rateLimit: math.Inf(-1)}},
 		{"-live-buffer", config{liveBuffer: -1}},
 		{"-sub-queue", config{subQueue: -1}},
+		{"-asn", config{}},
 	} {
 		// A run that let the value through stops at the policy instead
 		// of serving.

@@ -21,12 +21,15 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"bgpblackholing"
 )
@@ -63,7 +66,12 @@ func main() {
 		log.Fatalf("replay days [%d,%d) closed no events; widen the window", day, day+7)
 	}
 	fmt.Printf("ingested %d events from replay days [%d,%d) into %s\n\n",
-		len(res.Events), day, day+7, dir)
+		len(res.Events), day, day+7, filepath.Base(dir))
+	// The subject is the median event by (start, end, prefix), a key the
+	// order events close in cannot move.
+	subject := slices.SortedFunc(slices.Values(res.Events), func(a, b *bgpblackholing.Event) int {
+		return cmp.Or(a.Start.Compare(b.Start), a.End.Compare(b.End), strings.Compare(a.Prefix.String(), b.Prefix.String()))
+	})[len(res.Events)/2]
 
 	// Query-many: reopen read-only, as a looking-glass frontend would.
 	glass, err := bgpblackholing.OpenStoreReadOnly(dir)
@@ -81,14 +89,14 @@ func main() {
 
 	// 1. Point lookup: was this address blackholed? (LPM, enriched with
 	// the legitimacy verdict per hit.)
-	victim := res.Events[len(res.Events)/2].Prefix.Addr()
+	victim := subject.Prefix.Addr()
 	qr := glass.Query(bgpblackholing.Query{
 		Prefix: netip.PrefixFrom(victim, victim.BitLen()),
 		Mode:   bgpblackholing.PrefixLPM,
 		Enrich: true,
 	})
-	fmt.Printf("LPM lookup %s: %d events (scanned %d candidates in %s)\n",
-		victim, qr.Total, qr.Scanned, qr.Elapsed)
+	fmt.Printf("LPM lookup %s: %d events (scanned %d candidates)\n", victim, qr.Total, qr.Scanned)
+	fmt.Fprintf(os.Stderr, "LPM lookup in %s\n", qr.Elapsed) // timings vary: stdout stays reproducible
 	for i, ev := range qr.Events {
 		ann := qr.Annotations[i]
 		fmt.Printf("  %s  %s – %s  via %v  rpki=%s legitimacy=%s\n", ev.Prefix,
@@ -103,18 +111,19 @@ func main() {
 	// victim's /8 (covered-prefix query over the trie).
 	slash8 := netip.PrefixFrom(victim, 8)
 	qr = glass.Query(bgpblackholing.Query{Prefix: slash8, Mode: bgpblackholing.PrefixCovered})
-	fmt.Printf("\ncovered sweep %s: %d events on more-specifics (%s)\n",
-		slash8.Masked(), qr.Total, qr.Elapsed)
+	fmt.Printf("\ncovered sweep %s: %d events on more-specifics\n", slash8.Masked(), qr.Total)
+	fmt.Fprintf(os.Stderr, "covered sweep in %s\n", qr.Elapsed)
 
 	// 3. Per-origin history: the blackholing user's full record.
 	var user bgpblackholing.ASN
-	for _, u := range res.Events[len(res.Events)/2].Users {
+	for _, u := range subject.Users {
 		user = u
 		break
 	}
 	if user != 0 {
 		qr = glass.Query(bgpblackholing.Query{OriginASN: user})
-		fmt.Printf("per-origin history AS%d: %d events (%s)\n", user, qr.Total, qr.Elapsed)
+		fmt.Printf("per-origin history AS%d: %d events\n", user, qr.Total)
+		fmt.Fprintf(os.Stderr, "per-origin history in %s\n", qr.Elapsed)
 	}
 
 	// The §5.2 portal case: a provider null-routes a prefix with no BGP

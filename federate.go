@@ -34,7 +34,7 @@ import (
 //
 // A failed shard degrades the answer instead of failing it: the merge
 // continues over the surviving shards and the failure is counted
-// (RecordSet.ShardsFailed, the X-Shards-Failed response header, the
+// (RecordStream.ShardsFailed, the X-Shards-Failed response header, the
 // stats shards block) — with the shards a nested router reports missing,
 // so every merged answer counts losses at any depth. Only when every
 // shard fails does a call error.
@@ -43,8 +43,8 @@ import (
 // shard of which plan they are, and advertise it in their stats and with
 // every events answer. Every Stats call reads the fleet's identities, and
 // so does, while there is no plan, every events query all shards answer;
-// once all shards advertise the same prefix plan, one index each, Records
-// and RecordLines ask only the shard a prefix query's matches can live on
+// once all shards advertise the same prefix plan, one index each, an
+// events read asks only the shard a prefix query's matches can live on
 // (PrefixShardPlan.owner is the rule). Nothing is configured: a fleet
 // with an unstamped shard or a nested router, or a time plan, fans every
 // query out everywhere, as before; identities that contradict each other
@@ -168,7 +168,7 @@ func inProcess(b Backend) bool {
 	return ok
 }
 
-// gather opens q's answers on the shards q can live on — one stream per
+// gather opens q's reads on the shards q can live on — one stream per
 // asked shard, nil for the rest — and counts the asked shards that
 // failed. A query the learned plan places asks its owner alone. An LPM
 // answer is final only if the owner matched a prefix at least as long as
@@ -188,10 +188,10 @@ func inProcess(b Backend) bool {
 // nothing learned — not yet, or dropped — a fan-out that every shard
 // answers is where the federation learns again: each answer carries its
 // store's identity, as Stats does.
-func (f *FederatedStore) gather(q Query, open func(i int, b Backend, q Query) (*RecordStream, error)) (streams []*RecordStream, failed int, err error) {
+func (f *FederatedStore) gather(ctx context.Context, q Query) (streams []*RecordStream, failed int, err error) {
 	lpm := q.Prefix.IsValid() && q.Mode == PrefixLPM
 	if lpm && q != (Query{Prefix: q.Prefix, Mode: PrefixLPM, Limit: q.Limit, Enrich: q.Enrich}) {
-		found, failed, err := f.gather(Query{Prefix: q.Prefix, Mode: PrefixLPM, Limit: 1}, open)
+		found, failed, err := f.gather(ctx, Query{Prefix: q.Prefix, Mode: PrefixLPM, Limit: 1})
 		if err != nil {
 			return nil, failed, err
 		}
@@ -208,14 +208,14 @@ func (f *FederatedStore) gather(q Query, open func(i int, b Backend, q Query) (*
 			return make([]*RecordStream, len(f.backends)), failed, nil // no prefix covers q's: no event matches
 		}
 		q.Prefix, q.Mode = longest, PrefixExact
-		streams, again, err := f.gather(q, open)
+		streams, again, err := f.gather(ctx, q)
 		return streams, max(failed, again), err
 	}
 
 	streams = make([]*RecordStream, len(f.backends))
 	owner, pl := -1, f.placed.Load()
 	fn := func(i int, b Backend) error {
-		s, err := open(i, b, q)
+		s, err := b.RecordLines(ctx, q)
 		if err == nil && pl != nil && s.shard != pl.ids[i] {
 			s.Close()
 			f.placed.CompareAndSwap(pl, nil) // learned from another fleet
@@ -306,50 +306,9 @@ func keepLongest(streams []*RecordStream) {
 	}
 }
 
-// Records implements Backend: gather the asked shards' sets with the
-// limit pushed down, merge them as streams over their lines, and sum the
-// accounting (shards partition the events, so totals add). The merged
-// lines stay the shard sets' own.
+// Records is RecordLines' counted read held whole (collectRecords).
 func (f *FederatedStore) Records(ctx context.Context, q Query) (*RecordSet, error) {
-	began := time.Now()
-	sets := make([]*RecordSet, len(f.backends))
-	streams, failed, err := f.gather(q, func(i int, b Backend, q Query) (*RecordStream, error) {
-		rs, err := b.Records(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		sets[i] = rs
-		lines := rs.Records
-		return &RecordStream{ShardsFailed: rs.ShardsFailed, shard: rs.shard, next: func() (RecordLine, error) {
-			if len(lines) == 0 {
-				return RecordLine{}, io.EOF
-			}
-			rl := lines[0]
-			lines = lines[1:]
-			return rl, nil
-		}}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := &RecordSet{Records: []RecordLine{}, ShardsFailed: failed} // an empty match is [], never null
-	for i, s := range streams {
-		if s != nil {
-			out.Total += sets[i].Total
-			out.Scanned += sets[i].Scanned
-		}
-	}
-	merged := f.merge(streams, q.Limit)
-	for {
-		rl, err := merged.Next()
-		if err != nil {
-			break // io.EOF: a set's lines cannot fail
-		}
-		out.Records = append(out.Records, rl)
-	}
-	out.Elapsed = time.Since(began)
-	return out, nil
+	return collectRecords(ctx, f, q)
 }
 
 // lineCursor is one shard's stream position in the merge.
@@ -360,13 +319,12 @@ type lineCursor struct {
 }
 
 // RecordLines implements Backend: open every asked shard's stream
-// eagerly (so ShardsFailed is known before the first body byte), then
-// merge, passing each shard's serialized bytes through verbatim —
-// borrowed, not copied: a returned Line is the shard stream's own buffer.
+// eagerly (so ShardsFailed, and a counted read's head, are known before
+// the first body byte), then merge, passing each shard's serialized
+// bytes through verbatim — borrowed, not copied: a returned Line is the
+// shard stream's own buffer.
 func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
-	streams, failed, err := f.gather(q, func(_ int, b Backend, q Query) (*RecordStream, error) {
-		return b.RecordLines(ctx, q)
-	})
+	streams, failed, err := f.gather(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -383,8 +341,9 @@ func (f *FederatedStore) RecordLines(ctx context.Context, q Query) (*RecordStrea
 // read error, an oversize or malformed line) ends its contribution and is
 // counted while the merge continues over the rest: in ShardsFailed when
 // it cannot produce its first record, which the response headers can
-// still report, and in the shard's failure counter either way. Closing
-// the merged stream closes every shard's.
+// still report, and in the shard's failure counter either way. The
+// merged head sums the shards' counts; closing the merged stream closes
+// every shard's.
 func (f *FederatedStore) merge(streams []*RecordStream, limit int) *RecordStream {
 	h := stream.NewHeap(func(a, b lineCursor) bool {
 		if a.head.Key == b.head.Key {
@@ -408,16 +367,17 @@ func (f *FederatedStore) merge(streams []*RecordStream, limit int) *RecordStream
 	}
 	// Prime every stream: the merge needs each shard's head to pick a
 	// global minimum.
-	failed := 0
+	out := &RecordStream{}
 	for i, s := range streams {
 		if s == nil {
 			continue
 		}
+		out.total, out.scanned = out.total+s.total, out.scanned+s.scanned // shards partition the events: totals add
 		c := lineCursor{idx: i, src: s}
 		if err := advance(&c); err == nil {
 			h.Push(c)
 		} else if !errors.Is(err, io.EOF) {
-			failed++
+			out.ShardsFailed++
 		}
 	}
 
@@ -430,38 +390,36 @@ func (f *FederatedStore) merge(streams []*RecordStream, limit int) *RecordStream
 	// the caller is done with the line: at the start of the following
 	// call, not before returning. It then refills in place, one sift.
 	returned := false
-	return &RecordStream{
-		ShardsFailed: failed,
-		next: func() (RecordLine, error) {
-			if remaining <= 0 {
-				return RecordLine{}, io.EOF
+	out.next = func() (RecordLine, error) {
+		if remaining <= 0 {
+			return RecordLine{}, io.EOF
+		}
+		if returned {
+			// Headers are sent: a failure now shows in the shard's
+			// counter, not in this response.
+			returned = false
+			c := h.Min()
+			if advance(&c) == nil {
+				h.ReplaceMin(c)
+			} else {
+				h.Pop()
 			}
-			if returned {
-				// Headers are sent: a failure now shows in the shard's
-				// counter, not in this response.
-				returned = false
-				c := h.Min()
-				if advance(&c) == nil {
-					h.ReplaceMin(c)
-				} else {
-					h.Pop()
-				}
-			}
-			if h.Len() == 0 {
-				return RecordLine{}, io.EOF
-			}
-			returned = true
-			remaining--
-			return h.Min().head, nil
-		},
-		close: func() {
-			for _, s := range streams {
-				if s != nil {
-					s.Close()
-				}
-			}
-		},
+		}
+		if h.Len() == 0 {
+			return RecordLine{}, io.EOF
+		}
+		returned = true
+		remaining--
+		return h.Min().head, nil
 	}
+	out.close = func() {
+		for _, s := range streams {
+			if s != nil {
+				s.Close()
+			}
+		}
+	}
+	return out
 }
 
 // Figure4 implements Backend: the union of the shards' per-day entity

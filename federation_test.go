@@ -1016,9 +1016,9 @@ func TestRemoteHostileShard(t *testing.T) {
 		{"garbage after ten good lines", append(join(bad[:10]), "{\"prefix\":\"10.0.0.0/8\",\"seq\":}\n"...), 0, 10, true, true, nil},
 		{"body cut mid-record", append(join(bad[:10]), bad[10][:len(bad[10])/2]...), 0, 10, true, true, nil},
 		{"blank keep-alive lines", bytes.ReplaceAll(join(bad), nl, []byte("\n\n\n")), 0, len(bad), false, false, nil},
-		// A stream is re-cut by the merge; a set that ignores the limit it
-		// was sent could be of any size.
-		{"over the asked limit", join(bad), 5, len(bad), false, true, nil},
+		// A limited read is counted, streamed or not: a set that ignores
+		// the limit it was sent could be of any size.
+		{"over the asked limit", join(bad), 5, 0, true, true, nil},
 		// A set's own failures: its stream is good to the last line.
 		{"no accounting", join(bad), 0, len(bad), false, true, func(w http.ResponseWriter, body []byte, _ int) {
 			w.Write(body)
@@ -1050,8 +1050,8 @@ func TestRemoteHostileShard(t *testing.T) {
 			for _, line := range recordsOf(body) {
 				rs.Records = append(rs.Records, RecordLine{Line: line})
 			}
-			envelope, _ := appendEnvelope(nil, rs)
-			w.Write(envelope)
+			envelope, start, _, _ := appendEnvelope(nil, setStream(rs), false, time.Now())
+			w.Write(envelope[start:])
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -1239,7 +1239,7 @@ func TestFederationRecordsCancelled(t *testing.T) {
 		name string
 		call func(context.Context, Backend) error
 	}{
-		{"Records", func(ctx context.Context, b Backend) error { _, err := b.Records(ctx, Query{}); return err }},
+		{"Records", func(ctx context.Context, b Backend) error { _, err := collectRecords(ctx, b, Query{}); return err }},
 		{"RecordLines", func(ctx context.Context, b Backend) error {
 			rs, err := b.RecordLines(ctx, Query{})
 			if err != nil {

@@ -483,13 +483,15 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 // pass an explicit limit to raise the JSON cap.
 const defaultJSONLimit = 10000
 
-// events answers /events in its three shapes: NDJSON (by parameter or
-// Accept header) streams Backend.RecordLines uncapped; JSON writes the
-// envelope around Backend.Records' lines, and format=lines writes those
-// lines bare, the envelope's numbers in headers — the set as a machine
-// reads it, a router above all: no indenting here, no parsing there.
-// Whichever, the records are the backend's bytes: nothing on this path
-// encodes by reflection.
+// events answers /events in its three shapes from Backend.RecordLines:
+// NDJSON (by parameter or Accept header) streams it uncapped; JSON writes
+// the envelope around its lines, and format=lines writes those lines
+// bare, the envelope's numbers in headers — the answer as a machine reads
+// it, a router above all: no indenting here, no parsing there. Both are
+// counted reads, capped at defaultJSONLimit unless the query says
+// otherwise, and held until the last line, so a failure is still an
+// error status. Whichever, the records are the backend's bytes: nothing
+// on this path encodes by reflection.
 func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 	v := r.URL.Query()
 	q, err := ParseQuery(v)
@@ -498,37 +500,48 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := v.Get("format")
-	if format == "ndjson" || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
-		h.streamRecordLines(r.Context(), w, q)
+	switch {
+	case format != "" && format != "json" && format != "ndjson" && format != "lines":
+		httpError(w, http.StatusBadRequest, "format: bad value %q (want json, ndjson or lines)", format)
 		return
-	}
-	if q.Limit <= 0 {
+	case strings.Contains(r.Header.Get("Accept"), "application/x-ndjson"):
+		format = "ndjson"
+	case format != "ndjson" && q.Limit <= 0:
 		q.Limit = defaultJSONLimit
 	}
-	rs, err := h.be.Records(r.Context(), q)
+	ctx, began := r.Context(), time.Now()
+	rs, err := h.be.RecordLines(ctx, q)
 	if err != nil {
-		backendError(w, err)
+		if ctx.Err() == nil { // else the client went away: nothing to write
+			backendError(w, err)
+		}
 		return
 	}
+	defer rs.Close()
 	buf := answerPool.Get().(*[]byte)
 	defer answerPool.Put(buf)
-	hdr, ctype := w.Header(), "application/json"
-	if format == "lines" {
-		*buf, ctype = (*buf)[:0], "application/x-ndjson"
-		for _, rl := range rs.Records {
-			*buf = append(append(*buf, rl.Line...), '\n')
-		}
-		hdr.Set(eventsTotalHeader, strconv.Itoa(rs.Total))
-		hdr.Set(eventsScannedHeader, strconv.Itoa(rs.Scanned))
-		hdr.Set(eventsReturnedHeader, strconv.Itoa(len(rs.Records)))
-	} else if *buf, err = appendEnvelope((*buf)[:0], rs); err != nil {
-		backendError(w, err) // a backend's line was not JSON
+	shardsFailedHeader(w, rs.ShardsFailed)
+	if rs.shard != "" {
+		w.Header().Set(shardIdentityHeader, rs.shard)
+	}
+	if format == "ndjson" {
+		streamRecordLines(w, rs, buf)
 		return
 	}
-	shardsFailedHeader(w, rs.ShardsFailed)
-	setShardIdentity(w, rs.shard)
+	var start, returned int
+	if *buf, start, returned, err = appendEnvelope((*buf)[:0], rs, format == "lines", began); err != nil {
+		backendError(w, err) // the read failed, or a backend's line was not JSON
+		return
+	}
+	hdr, ctype := w.Header(), "application/json"
+	if format == "lines" {
+		ctype = "application/x-ndjson"
+		hdr.Set(eventsTotalHeader, strconv.Itoa(rs.total))
+		hdr.Set(eventsScannedHeader, strconv.Itoa(rs.scanned))
+		hdr.Set(eventsReturnedHeader, strconv.Itoa(returned))
+	}
 	hdr.Set("Content-Type", ctype)
-	w.Write(*buf)
+	w.Write((*buf)[start:])
 }
 
 // The accounting of a format=lines answer: the envelope's "total",
@@ -540,38 +553,62 @@ const (
 	eventsReturnedHeader = "X-Events-Returned"
 )
 
-// answerPool recycles the buffer an answer is written into: an /events
-// set or envelope, a shape=sets body, a writeJSON document, and an
-// NDJSON stream's lines between writes (at most 64 KiB plus one line).
+// answerPool recycles the buffer an answer is written into or read into:
+// an /events envelope or lines, a shard's counted /events body, a
+// shape=sets body, a writeJSON document, and an NDJSON stream's lines
+// between writes (at most 64 KiB plus one line).
 var answerPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// appendEnvelope appends the JSON /events envelope around rs's lines,
+// envelopeHead is room for an envelope's head, elapsed_us at its longest.
+const envelopeHead = len("{\n  \"elapsed_us\": -9223372036854775808,\n  \"events\": [")
+
+// appendEnvelope appends the JSON /events envelope around s's lines,
 // laid out and newline-terminated: what json.Encoder with SetIndent
 // writes for a map[string]any of these five members (a map's keys sort)
 // whose "events" are the records themselves, since a line is
 // json.Marshal of its record, laid out by indentValue where the encoder
 // would — the envelope law, which TestEventsEnvelopeMatchesEncodingJSON
-// holds. A line that is not one JSON value is an error.
-func appendEnvelope(dst []byte, rs *RecordSet) ([]byte, error) {
-	dst = strconv.AppendInt(append(dst, "{\n  \"elapsed_us\": "...), rs.Elapsed.Microseconds(), 10)
-	dst = append(dst, ",\n  \"events\": ["...)
-	for i, rl := range rs.Records {
-		if i > 0 {
-			dst = append(dst, ',')
+// holds. Its first member, elapsed_us, is the time from began to the
+// last line: the head is written last, right-aligned into room reserved
+// before the events, so the answer is dst[start:]. bare writes the lines
+// alone, one per line: the format=lines answer. A read that fails, or a
+// line that is not one JSON value, is an error.
+func appendEnvelope(dst []byte, s *RecordStream, bare bool, began time.Time) (_ []byte, start, returned int, err error) {
+	room := len(dst)
+	dst = append(dst, make([]byte, envelopeHead)...)
+	for rl, err := s.Next(); err != io.EOF; rl, err = s.Next() {
+		switch {
+		case err != nil:
+			return dst, 0, 0, err
+		case bare:
+			dst = append(append(dst, rl.Line...), '\n')
+		default:
+			if returned > 0 {
+				dst = append(dst, ',')
+			}
+			var end int
+			dst, end = indentValue(append(dst, "\n    "...), rl.Line, skipSpace(rl.Line, 0), 2)
+			if end < 0 || skipSpace(rl.Line, end) != len(rl.Line) {
+				return dst, 0, 0, fmt.Errorf("record %d is not a JSON value", returned)
+			}
 		}
-		var end int
-		dst, end = indentValue(append(dst, "\n    "...), rl.Line, skipSpace(rl.Line, 0), 2)
-		if end < 0 || skipSpace(rl.Line, end) != len(rl.Line) {
-			return dst, fmt.Errorf("record %d is not a JSON value", i)
-		}
+		returned++
 	}
-	if len(rs.Records) > 0 {
+	if bare {
+		return dst, room + envelopeHead, returned, nil
+	}
+	var h [envelopeHead]byte
+	head := strconv.AppendInt(append(h[:0], "{\n  \"elapsed_us\": "...), time.Since(began).Microseconds(), 10)
+	head = append(head, ",\n  \"events\": ["...)
+	start = room + envelopeHead - len(head)
+	copy(dst[start:], head)
+	if returned > 0 {
 		dst = append(dst, "\n  "...)
 	}
-	dst = strconv.AppendInt(append(dst, "],\n  \"returned\": "...), int64(len(rs.Records)), 10)
-	dst = strconv.AppendInt(append(dst, ",\n  \"scanned\": "...), int64(rs.Scanned), 10)
-	dst = strconv.AppendInt(append(dst, ",\n  \"total\": "...), int64(rs.Total), 10)
-	return append(dst, "\n}\n"...), nil
+	dst = strconv.AppendInt(append(dst, "],\n  \"returned\": "...), int64(returned), 10)
+	dst = strconv.AppendInt(append(dst, ",\n  \"scanned\": "...), int64(s.scanned), 10)
+	dst = strconv.AppendInt(append(dst, ",\n  \"total\": "...), int64(s.total), 10)
+	return append(dst, "\n}\n"...), start, returned, nil
 }
 
 // backendError maps a Backend failure onto an HTTP response: the
@@ -602,36 +639,14 @@ const shardsFailedKey = "X-Shards-Failed"
 // (FederatedStore.gather). Unstamped stores and routers never set it.
 const shardIdentityHeader = "X-Shard-Identity"
 
-func setShardIdentity(w http.ResponseWriter, id string) {
-	if id != "" {
-		w.Header().Set(shardIdentityHeader, id)
-	}
-}
-
-// streamRecordLines writes one event record per line. The lines drain
-// Backend.RecordLines incrementally — "streaming, uncapped" is literal:
-// beyond 64 KiB plus a line, nothing is held ahead of the wire, however
-// many events match. Lines go out in 64 KiB writes, and 256 lines held
-// are written and flushed. The stream is opened (and, for a federation,
-// every shard primed) before the first byte, so the X-Shards-Failed
-// header can still be set; a shard dying mid-stream after that shows up
-// in counters, not in this response.
-func (h *handler) streamRecordLines(ctx context.Context, w http.ResponseWriter, q Query) {
-	rs, err := h.be.RecordLines(ctx, q)
-	if err != nil {
-		if ctx.Err() != nil {
-			return // client went away; nothing to write
-		}
-		backendError(w, err)
-		return
-	}
-	defer rs.Close()
-	shardsFailedHeader(w, rs.ShardsFailed)
-	setShardIdentity(w, rs.shard)
+// streamRecordLines writes rs one record per line, through buf, as it
+// drains — "streaming, uncapped" is literal: beyond 64 KiB plus a line,
+// nothing is held ahead of the wire, however many events match. Lines go
+// out in 64 KiB writes, and 256 lines held are written and flushed. A
+// shard dying mid-stream shows up in counters, not in this response.
+func streamRecordLines(w http.ResponseWriter, rs *RecordStream, buf *[]byte) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	buf := answerPool.Get().(*[]byte)
-	defer answerPool.Put(buf)
 	*buf = (*buf)[:0]
 	held := 0 // lines in *buf
 	for {

@@ -186,7 +186,8 @@ func TestStoreHTTPAPI(t *testing.T) {
 	// series; a start far before it trips the day cap, and a window
 	// whose last day is past 9999-12-31, which no JSON time names, is
 	// refused. A series that does not encode all the same is a 500 with
-	// its error, never an empty 200.
+	// its error, never an empty 200. An /events format the API does not
+	// write is refused too, not answered as JSON.
 	var empty []DailyPoint
 	getJSON(t, srv.URL+"/figure4?start=2030-01-01T00:00:00Z", &empty)
 	if len(empty) != 0 {
@@ -202,6 +203,8 @@ func TestStoreHTTPAPI(t *testing.T) {
 		{srv.Config.Handler, "/figure4?start=9999-12-01T00:00:00Z&days=100", http.StatusBadRequest},
 		{srv.Config.Handler, "/figure4?days=36600&start=9950-01-01T00:00:00Z", http.StatusBadRequest},
 		{unencodable, "/figure4?start=2015-03-01T00:00:00Z&days=2", http.StatusInternalServerError},
+		{srv.Config.Handler, "/events?format=csv", http.StatusBadRequest},
+		{srv.Config.Handler, "/events?format=ndjosn", http.StatusBadRequest},
 	} {
 		w := httptest.NewRecorder()
 		c.h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, c.path, nil))

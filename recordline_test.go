@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -525,14 +526,29 @@ func TestScanLineKeyNesting(t *testing.T) {
 	}
 }
 
-// fixedBackend answers every Records call with one prepared set; the
+// fixedBackend answers every events read with one prepared set; the
 // rest of Backend is never asked.
 type fixedBackend struct {
 	Backend
 	set *RecordSet
 }
 
-func (b fixedBackend) Records(context.Context, Query) (*RecordSet, error) { return b.set, nil }
+func (b fixedBackend) RecordLines(context.Context, Query) (*RecordStream, error) {
+	return setStream(b.set), nil
+}
+
+// setStream is a counted stream over a set's lines, with its head.
+func setStream(rs *RecordSet) *RecordStream {
+	lines := rs.Records
+	return &RecordStream{ShardsFailed: rs.ShardsFailed, total: rs.Total, scanned: rs.Scanned, next: func() (RecordLine, error) {
+		if len(lines) == 0 {
+			return RecordLine{}, io.EOF
+		}
+		rl := lines[0]
+		lines = lines[1:]
+		return rl, nil
+	}}
+}
 
 var elapsedUS = regexp.MustCompile(`"elapsed_us": \d+`)
 
@@ -706,7 +722,7 @@ func TestRecordSetCrossesTheHop(t *testing.T) {
 		want := &RecordSet{Records: lines[:n], Total: n + 5, Scanned: n + 9}
 		oneHop := remoteOf(fixedBackend{set: want})
 		for hops, be := range map[string]Backend{"one hop": oneHop, "two hops": remoteOf(oneHop)} {
-			got, err := be.Records(context.Background(), Query{Limit: n})
+			got, err := collectRecords(context.Background(), be, Query{Limit: n})
 			if err != nil {
 				t.Fatalf("%d records, %s: %v", n, hops, err)
 			}

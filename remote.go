@@ -316,71 +316,9 @@ func (b *RemoteBackend) readAnswer(r io.Reader, limit int64) (string, error) {
 	return body.String(), nil
 }
 
-// maxRemoteLimit is the explicit limit a remote Records call sends
-// when the caller wants everything: shard handlers cap unlimited JSON
-// queries at their own default, which would silently truncate a
-// federated merge.
-const maxRemoteLimit = 1 << 30
-
-// Records implements Backend over GET /events?format=lines: the shard's
-// set as the lines it already is, its accounting in headers, read by the
-// loop that reads a stream. Beyond a stream's bounds a set has two of its
-// own — more lines than the limit asked for, or another count than the
-// shard said it returned (a body cut short, accounting missing or no
-// number), fail it whole: a federation counts that against the shard and
-// serves the others' merge.
+// Records is RecordLines' counted read held whole (collectRecords).
 func (b *RemoteBackend) Records(ctx context.Context, q Query) (*RecordSet, error) {
-	began := time.Now()
-	params := queryParams(q)
-	params.Set("format", "lines")
-	limit := q.Limit
-	if limit <= 0 {
-		limit = maxRemoteLimit
-		params.Set("limit", strconv.Itoa(limit))
-	}
-	resp, err := b.roundTrip(ctx, "/events", params, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	rs, returned := &RecordSet{shard: resp.Header.Get(shardIdentityHeader)}, 0
-	for _, h := range [...]struct {
-		name string
-		n    *int
-	}{{eventsTotalHeader, &rs.Total}, {eventsScannedHeader, &rs.Scanned}, {eventsReturnedHeader, &returned}} {
-		v, err := strconv.ParseUint(resp.Header.Get(h.name), 10, 63)
-		if err != nil {
-			return nil, fmt.Errorf("shard %s: bad /events answer: %s %q", b.name, h.name, resp.Header.Get(h.name))
-		}
-		*h.n = int(v)
-	}
-	if rs.ShardsFailed, err = b.nestedFailures(resp.Header); err != nil {
-		return nil, err
-	}
-	next, done := b.scanLines(resp.Body)
-	defer done()
-	lines := []RecordLine{} // an empty match is [], never null
-	var buf []byte
-	for {
-		rl, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(lines) == limit {
-			return nil, fmt.Errorf("shard %s: bad /events answer: more than the %d records asked for", b.name, limit)
-		}
-		buf = append(buf, rl.Line...)
-		lines = append(lines, rl) // rl.Line is good for its length only, until ownLines
-	}
-	if len(lines) != returned {
-		return nil, fmt.Errorf("shard %s: bad /events answer: %d records where %s says %d", b.name, len(lines), eventsReturnedHeader, returned)
-	}
-	rs.Records = ownLines(buf, lines)
-	rs.Elapsed = time.Since(began)
-	return rs, nil
+	return collectRecords(ctx, b, q)
 }
 
 // maxShardLine caps one record read from a shard. A record is a few
@@ -394,9 +332,9 @@ const maxShardLine = 1 << 20
 // KiB does not pay for that with an allocation sixty times its size.
 var scanBufs = sync.Pool{New: func() any { return new([64 << 10]byte) }}
 
-// scanLines is the one reader of a shard's /events body, streamed or
-// set: a record a line, keyed by scanLineKey as it passes — nothing is
-// decoded into a record. Lines are read through one reused buffer
+// scanLines is the one reader of a shard's /events body, counted or
+// uncounted: a record a line, keyed by scanLineKey as it passes — nothing
+// is decoded into a record. Lines are read through one reused buffer
 // (RecordLine.Line is borrowed until the following next) that never grows
 // past maxShardLine; an oversize line, one that is no record, or a read
 // error is the error next returns from then on. done releases the buffer:
@@ -425,25 +363,76 @@ func (b *RemoteBackend) scanLines(body io.Reader) (next func() (RecordLine, erro
 	return next, func() { scanBufs.Put(buf) }
 }
 
-// RecordLines implements Backend over GET /events?format=ndjson.
-// Failover walks the URL set sequentially and only before the first
-// body byte; once a stream is live its shard is committed. A line that
-// scanLines refuses ends the stream with an error the federation counts
-// as this shard's failure.
+// RecordLines implements Backend over GET /events. A counted read asks
+// format=lines, a buffered request like any other, its head in headers.
+// Its body is read whole and keyed before the first line is given out:
+// more lines than the limit asked for, or another count than
+// X-Events-Returned (a body cut short, accounting missing or no number),
+// fail it whole, and a federation counts that against the shard and
+// serves the others' merge. An uncounted read asks format=ndjson and
+// streams: failover walks the URL set only before the first body byte,
+// and a line scanLines refuses ends the stream with an error the
+// federation counts as this shard's failure.
 func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
+	counted := q.Limit > 0
 	params := queryParams(q)
 	params.Set("format", "ndjson")
-	resp, err := b.roundTrip(ctx, "/events", params, nil, true)
+	if counted {
+		params.Set("format", "lines")
+	}
+	resp, err := b.roundTrip(ctx, "/events", params, nil, !counted)
 	if err != nil {
 		return nil, err
 	}
-	failed, err := b.nestedFailures(resp.Header)
-	if err != nil {
+	s := &RecordStream{shard: resp.Header.Get(shardIdentityHeader)}
+	if s.ShardsFailed, err = b.nestedFailures(resp.Header); err != nil {
 		resp.Body.Close()
 		return nil, err
 	}
 	next, done := b.scanLines(resp.Body)
-	return &RecordStream{ShardsFailed: failed, shard: resp.Header.Get(shardIdentityHeader), next: next, close: func() { resp.Body.Close(); done() }}, nil
+	if !counted {
+		s.next, s.close = next, func() { resp.Body.Close(); done() }
+		return s, nil
+	}
+	defer resp.Body.Close()
+	defer done()
+	returned := 0
+	for _, h := range [...]struct {
+		name string
+		n    *int
+	}{{eventsTotalHeader, &s.total}, {eventsScannedHeader, &s.scanned}, {eventsReturnedHeader, &returned}} {
+		v, err := strconv.ParseUint(resp.Header.Get(h.name), 10, 63)
+		if err != nil {
+			return nil, fmt.Errorf("shard %s: bad /events answer: %s %q", b.name, h.name, resp.Header.Get(h.name))
+		}
+		*h.n = int(v)
+	}
+	body := answerPool.Get().(*[]byte) // back to the pool on Close; after a failure, left to the GC
+	lines, keys := (*body)[:0], []RecordKey(nil)
+	for rl, err := next(); err != io.EOF; rl, err = next() {
+		if err == nil && len(keys) == q.Limit {
+			err = fmt.Errorf("shard %s: bad /events answer: more than the %d records asked for", b.name, q.Limit)
+		}
+		if err != nil {
+			return nil, err
+		}
+		lines, keys = append(append(lines, rl.Line...), '\n'), append(keys, rl.Key)
+	}
+	if len(keys) != returned {
+		return nil, fmt.Errorf("shard %s: bad /events answer: %d records where %s says %d", b.name, len(keys), eventsReturnedHeader, returned)
+	}
+	*body = lines // newline-terminated, as the shard sent them
+	s.next = func() (RecordLine, error) {
+		if len(keys) == 0 {
+			return RecordLine{}, io.EOF
+		}
+		end := bytes.IndexByte(lines, '\n')
+		rl := RecordLine{Key: keys[0], Line: lines[:end:end]}
+		lines, keys = lines[end+1:], keys[1:]
+		return rl, nil
+	}
+	s.close = func() { answerPool.Put(body) }
+	return s, nil
 }
 
 // nestedFailures reads an answer's X-Shards-Failed: the shards a router

@@ -64,10 +64,10 @@ var routeChecks = map[string]routeCheck{
 		},
 	},
 	"GET /events": {
-		shapes: []string{"", "format=ndjson"},
+		shapes: []string{"", "format=ndjson", "format=lines"},
 		same: func(store, routed []byte) bool {
 			if !bytes.HasPrefix(store, []byte("{\n")) {
-				return bytes.Equal(store, routed) // NDJSON
+				return bytes.Equal(store, routed) // NDJSON, or the lines bare
 			}
 			// elapsed and scanned are timing- and shard-local
 			var s, r struct {
