@@ -180,9 +180,9 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 type RunResult struct {
 	// Events are the closed prefix-level blackholing events.
 	Events []*core.Event
-	// InferStats carries the per-community prefix-length statistics fed
-	// during the run (Figure 2 raw material) and the inferred
-	// undocumented communities.
+	// InferStats carries a replay run's per-community prefix-length
+	// statistics (Figure 2 raw material) and the inferred undocumented
+	// communities; nil for any other source.
 	InferStats *dictionary.InferenceResult
 	// Metrics snapshots the engine counters at the end of the run.
 	Metrics Metrics

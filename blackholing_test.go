@@ -115,11 +115,12 @@ func TestMostBlackholedPrefixesAreHostRoutes(t *testing.T) {
 func TestBundlingContributesNoPathInferences(t *testing.T) {
 	p := smallPipeline(t)
 	res := replay(t, p, 795, 805)
+	// Figure 7c's quantity: each (event, provider) pair's best distance.
 	noPath, total := 0, 0
 	for _, ev := range res.Events {
-		for _, d := range ev.ASDistances {
+		for _, pd := range ev.ProviderDistances {
 			total++
-			if d == core.NoPath {
+			if pd.Val == core.NoPath {
 				noPath++
 			}
 		}

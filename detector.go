@@ -21,12 +21,12 @@ import (
 // with context cancellation and incremental event delivery: events
 // stream to Subscribe / Stream subscribers the moment they close,
 // instead of appearing only after the final flush. One Detector holds
-// one engine's state; sequential Run calls accumulate (a live deployment
-// can alternate replay catch-up and live feeds), but only one Run may be
-// active at a time.
+// one engine's state; sequential Run calls accumulate its events (a live
+// deployment can alternate replay catch-up and live feeds), not a replay's
+// Figure 2 statistics. Only one Run may be active at a time.
 type Detector struct {
-	engine   *core.Engine
-	inferCol *dictionary.Collector
+	engine *core.Engine
+	dict   *Dictionary
 
 	queueBound int
 	slowPolicy SlowConsumerPolicy
@@ -83,10 +83,7 @@ func WithSubscriberQueueBound(n int, policy SlowConsumerPolicy) DetectorOption {
 // with the topology standing in for the paper's PeeringDB lookups (IXP
 // route-server ASNs and peering LANs).
 func NewDetector(dict *Dictionary, topo *Topology, opts ...DetectorOption) *Detector {
-	d := &Detector{
-		engine:   core.NewEngine(dict, topo),
-		inferCol: dictionary.NewCollector(dict),
-	}
+	d := &Detector{engine: core.NewEngine(dict, topo), dict: dict}
 	for _, o := range opts {
 		o(d)
 	}
@@ -173,7 +170,7 @@ func WithoutFlush() RunOption {
 var ErrDetectorBusy = errors.New("bgpblackholing: detector already running")
 
 // Run drains the source through the inference engine until io.EOF,
-// then closes still-open events and returns the accumulated result.
+// then closes still-open events and returns the detector's events so far.
 // Closed events are delivered incrementally to Subscribe / Stream
 // subscribers while Run is in flight; the subscriptions end when Run
 // returns.
@@ -186,12 +183,12 @@ var ErrDetectorBusy = errors.New("bgpblackholing: detector already running")
 // event closed before the cancellation and the Metrics counted so far.
 //
 // A ReplaySource — bare or wrapped in MapSource/FilterSource — also
-// populates the result's window metadata and last-week propagation
-// results, and defaults the flush time to the window end. A replay
-// inside MergeSources contributes elements only.
+// populates the result's window metadata, last-week propagation results
+// and Figure 2 statistics, and defaults the flush time to the window
+// end. A replay inside MergeSources contributes elements only.
 //
-// Run hands each MRTSource element back (see MRTSource) once the engine
-// and the Figure 2 collector, which keep none of it, are done with it.
+// Run hands each MRTSource element back (see MRTSource) once the engine,
+// which keeps none of it, is done with it.
 func (d *Detector) Run(ctx context.Context, src Source, opts ...RunOption) (*RunResult, error) {
 	if !d.running.CompareAndSwap(false, true) {
 		return nil, ErrDetectorBusy
@@ -204,17 +201,18 @@ func (d *Detector) Run(ctx context.Context, src Source, opts ...RunOption) (*Run
 	}
 
 	res := &RunResult{}
+	var inferCol *dictionary.Collector // a replay's own Figure 2 statistics
 	rs := replayOf(src)
-	isReplay := rs != nil
-	if isReplay {
+	if rs != nil {
 		res.WindowStart, res.WindowEnd = rs.windowStart, rs.windowEnd
 		if cfg.flushAt.IsZero() {
 			cfg.flushAt = rs.windowEnd
 		}
 		// Background churn once per window so the Figure 2 statistics see
 		// ordinary TE communities alongside blackhole communities.
+		inferCol = dictionary.NewCollector(d.dict)
 		for _, o := range rs.p.Deploy.OrdinaryUpdates(rs.windowStart, 5000) {
-			d.inferCol.Observe(o.Update)
+			inferCol.Observe(o.Update)
 		}
 	}
 
@@ -254,7 +252,9 @@ func (d *Detector) Run(ctx context.Context, src Source, opts ...RunOption) (*Run
 			break
 		}
 		d.engine.Process(el)
-		d.inferCol.Observe(el.Update)
+		if inferCol != nil {
+			inferCol.Observe(el.Update)
+		}
 		if rel != nil {
 			rel.release(el)
 		}
@@ -267,12 +267,12 @@ func (d *Detector) Run(ctx context.Context, src Source, opts ...RunOption) (*Run
 		}
 		d.engine.Flush(flushAt)
 	}
-	if isReplay {
+	if rs != nil {
 		rs.Close()
 		res.LastDayResults, res.LastDayIntents = rs.takeResults()
+		res.InferStats = inferCol.Infer()
 	}
 	res.Events = d.engine.Events()
-	res.InferStats = d.inferCol.Infer()
 	res.Metrics = d.engine.Metrics()
 	return res, runErr
 }

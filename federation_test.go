@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -1159,6 +1160,54 @@ func TestRemoteHostileShard(t *testing.T) {
 			})
 		}
 		srv.Close()
+	}
+}
+
+// TestRemoteCountedReadIsBounded: a counted read holds at most
+// maxShardSets bytes of a shard's body. A shard answering 65 valid
+// records of just under 1 MiB each — no more than the limit asked for,
+// each line under maxShardLine — fails whole, and a router counts it in
+// X-Shards-Failed while it serves the other shard's answer.
+func TestRemoteCountedReadIsBounded(t *testing.T) {
+	const n = 65
+	line := []byte(`{"prefix":"10.0.0.0/8","start":"2016-01-01T00:00:00Z","end":"2016-01-01T01:00:00Z","seq":1,"note":"`)
+	line = append(append(line, bytes.Repeat([]byte("x"), maxShardLine-len(line)-16)...), "\"}\n"...)
+	shard := func(records int) *RemoteBackend {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			for _, name := range []string{eventsTotalHeader, eventsScannedHeader, eventsReturnedHeader} {
+				w.Header().Set(name, strconv.Itoa(records))
+			}
+			for range records {
+				if _, err := w.Write(line); err != nil {
+					return
+				}
+			}
+		}))
+		t.Cleanup(srv.Close)
+		rb, err := NewRemoteBackend([]string{srv.URL}, RemoteOptions{Name: fmt.Sprintf("%d-records", records)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rb
+	}
+	huge := shard(n)
+	if rs, err := huge.RecordLines(context.Background(), Query{Limit: n}); err == nil {
+		rs.Close()
+		t.Fatalf("a counted read took a %d-byte body whole", n*len(line))
+	} else if !strings.Contains(err.Error(), fmt.Sprintf("over %d bytes", maxShardSets)) {
+		t.Fatalf("the counted read failed with %v, want the byte bound", err)
+	}
+
+	router := httptest.NewServer(NewRouterHandler(NewFederatedStore(shard(0), huge), RouterOptions{}))
+	defer router.Close()
+	resp, err := http.Get(router.URL + "/events?format=lines&limit=" + strconv.Itoa(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Shards-Failed") != "1" {
+		t.Fatalf("router answered %d with X-Shards-Failed=%q, want 200 and 1", resp.StatusCode, resp.Header.Get("X-Shards-Failed"))
 	}
 }
 

@@ -556,8 +556,21 @@ const (
 // answerPool recycles the buffer an answer is written into or read into:
 // an /events envelope or lines, a shard's counted /events body, a
 // shape=sets body, a writeJSON document, and an NDJSON stream's lines
-// between writes (at most 64 KiB plus one line).
-var answerPool = sync.Pool{New: func() any { return new([]byte) }}
+// between writes (at most 64 KiB plus one line). Its Put drops a buffer
+// grown past maxPooledAnswer — above that high-water mark with a line of
+// up to maxShardLine, and above an ordinary answer — so one huge answer
+// is not kept for the next small one (golang/go#23199).
+var answerPool = bufferPool{sync.Pool{New: func() any { return new([]byte) }}}
+
+const maxPooledAnswer = 4 << 20
+
+type bufferPool struct{ sync.Pool }
+
+func (p *bufferPool) Put(b *[]byte) {
+	if cap(*b) <= maxPooledAnswer {
+		p.Pool.Put(b)
+	}
+}
 
 // envelopeHead is room for an envelope's head, elapsed_us at its longest.
 const envelopeHead = len("{\n  \"elapsed_us\": -9223372036854775808,\n  \"events\": [")

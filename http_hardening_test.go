@@ -1,8 +1,8 @@
 package bgpblackholing
 
 // HTTP hardening tests: bearer-token auth, the per-client token-bucket
-// rate limit, cancellation-aware streaming drains, and the /stats
-// detector section.
+// rate limit, cancellation-aware streaming drains, the /stats detector
+// section, and the answer pool's size bound.
 
 import (
 	"context"
@@ -231,5 +231,17 @@ func TestHTTPStatsDetectorSection(t *testing.T) {
 	}
 	if b := stats.Detector.Subscribers[0].Bound; b != 2 {
 		t.Errorf("subscriber bound = %d, want 2", b)
+	}
+}
+
+// TestAnswerPoolDropsHugeBuffers: a buffer one huge answer grew past
+// maxPooledAnswer goes to the GC, never back to the next answer.
+func TestAnswerPoolDropsHugeBuffers(t *testing.T) {
+	huge := make([]byte, 0, maxPooledAnswer+1)
+	answerPool.Put(&huge)
+	for range 4 {
+		if b := answerPool.Get().(*[]byte); cap(*b) > maxPooledAnswer {
+			t.Fatalf("the pool gave back a %d-byte buffer", cap(*b))
+		}
 	}
 }

@@ -121,10 +121,6 @@ type Event struct {
 	Platforms []collector.Platform
 	// Peers records the observing BGP peers.
 	Peers []netip.Addr
-	// ASDistances records one collector-to-provider distance per
-	// provider inference (NoPath for bundling-only inferences), in
-	// arrival order.
-	ASDistances []int
 	// ProviderDistances records, per provider, the best (smallest)
 	// distance at which any collector peer saw the provider on the AS
 	// path during the event; NoPath when the provider was only ever
@@ -520,7 +516,6 @@ func (e *Engine) startOrRefresh(u *bgp.Update, det *Detection, prefix netip.Pref
 			*provUsers = insert(*provUsers, inf.User, asn)
 		}
 		ev.Communities = insert(ev.Communities, inf.Community, cmp.Compare[bgp.Community])
-		ev.ASDistances = append(ev.ASDistances, inf.ASDistance)
 		if best, known := entry(&ev.ProviderDistances, inf.Provider, ProviderRefCompare); !known || betterDistance(inf.ASDistance, *best) {
 			*best = inf.ASDistance
 		}

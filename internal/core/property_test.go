@@ -31,8 +31,9 @@ type peerLedger struct {
 }
 
 // content is the naive record of what one event has seen: every set a
-// map, nothing kept in any order but the arrival-order distances. It
-// shares no code with the engine's sorted slices.
+// map, nothing kept in any order, and the distances as Best, the
+// smallest per provider (Figure 7c's ProviderDistances). It shares no
+// code with the engine's sorted slices.
 type content struct {
 	Providers, Direct   map[ProviderRef]bool
 	Users               map[bgp.ASN]bool
@@ -44,7 +45,6 @@ type content struct {
 	UsersByPlatform     map[collector.Platform]map[bgp.ASN]bool
 	ProviderUsers       map[ProviderRef]map[bgp.ASN]bool
 	Detections          int
-	Distances           []int
 	DirectFeed          bool
 }
 
@@ -86,7 +86,6 @@ func (c *content) observe(det *Detection, platform collector.Platform) {
 			put(c.ProviderUsers, inf.Provider, inf.User)
 		}
 		c.Communities[inf.Community] = true
-		c.Distances = append(c.Distances, inf.ASDistance)
 		// The best distance is the smallest on-path one, NoPath only when
 		// the provider was never on a path.
 		if best, seen := c.Best[inf.Provider]; !seen || best == NoPath || inf.ASDistance != NoPath && inf.ASDistance < best {
@@ -129,7 +128,7 @@ func asKeyed[K, M comparable](field string, s []Keyed[K, []M], key func(a, b K) 
 
 // contentOf reads a closed event back into the naive form.
 func contentOf(ev *Event) (*content, error) {
-	c := &content{Best: map[ProviderRef]int{}, Detections: ev.Detections, Distances: ev.ASDistances, DirectFeed: ev.DirectFeed}
+	c := &content{Best: map[ProviderRef]int{}, Detections: ev.Detections, DirectFeed: ev.DirectFeed}
 	asn, platform := cmp.Compare[bgp.ASN], cmp.Compare[collector.Platform]
 	keys := make([]ProviderRef, len(ev.ProviderDistances))
 	for i, pd := range ev.ProviderDistances {

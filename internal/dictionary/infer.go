@@ -1,9 +1,9 @@
 package dictionary
 
 import (
+	"maps"
 	"net/netip"
 	"slices"
-	"sort"
 
 	"bgpblackholing/internal/bgp"
 )
@@ -149,21 +149,13 @@ const exclusivityThreshold = 0.95
 // nor documented for another purpose.
 func (c *Collector) Infer() *InferenceResult {
 	res := &InferenceResult{Stats: c.stats}
-	var cands []bgp.Community
-	for comm := range c.stats {
-		cands = append(cands, comm)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	for _, comm := range cands {
+	for _, comm := range slices.Sorted(maps.Keys(c.stats)) {
 		s := c.stats[comm]
 		if s.Total < minOccurrences {
 			continue
 		}
-		if c.dict.Lookup(comm) != nil {
-			continue // already documented
-		}
-		if c.dict.IsNonBlackhole(comm) {
-			continue // documented for another purpose
+		if c.dict.Lookup(comm) != nil || c.dict.IsNonBlackhole(comm) {
+			continue // documented, as blackhole or for another purpose
 		}
 		if !s.CoOccurredWithKnown {
 			continue

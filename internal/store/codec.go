@@ -25,15 +25,13 @@ import (
 	"bgpblackholing/internal/core"
 )
 
-// codecVersion is the record payload format version; bump on any layout
-// change. Decoding rejects unknown versions rather than guessing.
-// Version 2 prepends the event's global closing sequence number
-// (core.Event.Seq); version 1 is the pre-seq layout, still written for
-// unstamped events so hand-built stores and old goldens stay
-// byte-stable, and still decoded (Seq = 0).
+// The event payload versions; decoding rejects any other rather than
+// guess. Version 3 is the one written. Versions 1 (no seq) and 2 are what
+// earlier builds wrote, read with their distance list dropped.
 const (
-	codecVersion    = 1
-	codecVersionSeq = 2
+	codecV1      = 1
+	codecV2      = 2
+	codecVersion = 3
 )
 
 // EncodeEvent appends the canonical binary encoding of ev to buf and
@@ -42,12 +40,8 @@ const (
 // linear copy; times are UTC nanoseconds, identical events encode to
 // identical bytes (the round-trip tests compare raw encodings).
 func EncodeEvent(buf []byte, ev *core.Event) []byte {
-	if ev.Seq != 0 {
-		buf = append(buf, codecVersionSeq)
-		buf = binary.AppendUvarint(buf, ev.Seq)
-	} else {
-		buf = append(buf, codecVersion)
-	}
+	buf = append(buf, codecVersion)
+	buf = binary.AppendUvarint(buf, ev.Seq)
 	buf = appendPrefix(buf, ev.Prefix)
 	buf = binary.AppendVarint(buf, ev.Start.UTC().UnixNano())
 	buf = binary.AppendVarint(buf, ev.End.UTC().UnixNano())
@@ -69,7 +63,6 @@ func EncodeEvent(buf []byte, ev *core.Event) []byte {
 	buf = communities.put(buf, ev.Communities)
 	buf = platforms.put(buf, ev.Platforms)
 	buf = peers.put(buf, ev.Peers)
-	buf = distances.put(buf, ev.ASDistances)
 	buf = providerDistances.put(buf, ev.ProviderDistances)
 	buf = providers.put(buf, ev.DirectProviders)
 	buf = providersByPlatform.put(buf, ev.ProvidersByPlatform)
@@ -83,11 +76,11 @@ func EncodeEvent(buf []byte, ev *core.Event) []byte {
 func DecodeEvent(data []byte) (*core.Event, error) {
 	d := &decoder{buf: data}
 	v := d.byte()
-	if v != codecVersion && v != codecVersionSeq {
+	if v < codecV1 || v > codecVersion {
 		return nil, fmt.Errorf("store: unsupported event encoding version %d", v)
 	}
 	ev := &core.Event{}
-	if v == codecVersionSeq {
+	if v != codecV1 {
 		ev.Seq = d.uvarint()
 	}
 	ev.Prefix = d.prefix()
@@ -104,7 +97,9 @@ func DecodeEvent(data []byte) (*core.Event, error) {
 	ev.Communities = communities.get(d)
 	ev.Platforms = platforms.get(d)
 	ev.Peers = peers.get(d)
-	ev.ASDistances = distances.get(d)
+	if v != codecVersion {
+		distances.get(d) // an earlier layout's distance list
+	}
 	ev.ProviderDistances = providerDistances.get(d)
 	ev.DirectProviders = providers.get(d)
 	ev.ProvidersByPlatform = providersByPlatform.get(d)

@@ -37,8 +37,9 @@ func TestFormatDocMatchesCode(t *testing.T) {
 		got[m[2]] = byte(v)
 	}
 	want := map[string]byte{
+		"event-v1":  codecV1,
+		"event-v2":  codecV2,
 		"event":     codecVersion,
-		"event-v2":  codecVersionSeq,
 		"tombstone": kindTombstone,
 		"marker-v2": kindMarkerV2,
 		// Retired: the doc keeps the row so the byte is never reused,
@@ -110,7 +111,7 @@ func TestFormatDocMatchesCode(t *testing.T) {
 	if tmp := "seg-" + identityName + ".tmp-*"; !strings.Contains(flat, "`"+tmp+"`") || !strings.Contains(tmp, ".tmp") {
 		t.Errorf("FORMAT.md does not name the identity's temporary file %s", tmp)
 	}
-	if codecVersion != 0x01 || codecVersionSeq != 0x02 || sumVersion != 0x01 {
-		t.Errorf("version bytes moved (codec 0x%02X/0x%02X, sum 0x%02X); FORMAT.md documents 0x01/0x02 and 0x01", codecVersion, codecVersionSeq, sumVersion)
+	if codecV1 != 0x01 || codecV2 != 0x02 || codecVersion != 0x03 || sumVersion != 0x01 {
+		t.Errorf("version bytes moved (codec 0x%02X/0x%02X/0x%02X, sum 0x%02X); FORMAT.md documents 0x01/0x02/0x03 and 0x01", codecV1, codecV2, codecVersion, sumVersion)
 	}
 }

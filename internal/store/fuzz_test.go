@@ -25,6 +25,9 @@ func FuzzDecodeEvent(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{codecVersion})
+	v1, v2, _ := legacyPayloads() // the read-only layouts, a distance list each
+	f.Add(v1)
+	f.Add(v2)
 	f.Add([]byte{0xFF}) // the retired marker-v1 tag: rejected
 	f.Add(appendMarkerV2(nil, []uint64{1, 2, 3}))
 	f.Add(encodeTombstone(nil, Tombstone{Prefix: netip.MustParsePrefix("10.0.0.0/8"), UpTo: testEpoch}))

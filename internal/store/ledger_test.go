@@ -303,18 +303,20 @@ func ledgerSequence(t *testing.T, seed int64) (wounded, raced int) {
 }
 
 // storeDirectoryGolden is the SHA-256 of every file goldenScript leaves,
-// recorded from a run at the commit before the segment ledger had one
-// owner (f03ac59): the refactor moved no byte of any segment or sidecar.
+// recorded when events started to be written as the 0x03 layout, once
+// the directory the 0x01 writer left and this one had decoded to the
+// same records, file by file, every event field equal but the dropped
+// distance list.
 var storeDirectoryGolden = map[string]string{
-	"seg-00000002.log": "082440db10ccd11ece8ed72acc5b200d4fce13198d2b5cb6626f670a6beb3b37",
-	"seg-00000002.sum": "12641fdeb007a226e08fd8274d2ddd0071396b112820cd4eef800a42050d55c8",
-	"seg-00000004.log": "997a743acde8397245a0577d1eeb86b9a113b13989c81c149a60afb608b6dad9",
-	"seg-00000004.sum": "ba0bbe25817d488c26c7de3a8da9f1ed1efdd2dd2f680161bed4a49e55952649",
-	"seg-00000008.log": "593db6e6747aaf67f51b40be0a6976fc8cfa426d6891aca0e05360d30ab07ad3",
-	"seg-00000008.sum": "e0a11c9131e1a07110addc4b40d3f8faa09e2c5ba2277bba838b621715cf797f",
-	"seg-00000009.log": "52b6658b9b42bd28a7164f89bb53dce71f389e124f54d959c32ffdd2cc59e22d",
-	"seg-00000009.sum": "3e778f653c648f2049550e0a49bef8acf20c54c2f4617bf0afe8b5d2813135f8",
-	"seg-00000010.log": "89914d13043a5edd7174d9f4cdb39e16f312d5ce55eb8b38a122b0d9d463bf1f",
+	"seg-00000002.log": "c4fd94fad55759957c72d8153f189d8b0060b754e67be5874d7627bcd6fce826",
+	"seg-00000002.sum": "628f9ddf7aa3c88bf3c95406729b619a8d36beb3d7424fd745e66ec641a06663",
+	"seg-00000004.log": "ed014ccbbe9e19302005fef41504c6d7b4cce3167d92800c309adf44675d35df",
+	"seg-00000004.sum": "39c21be8c22c55f96a638282df7ac9118d43b2079bcbe8a307594f9cc4034f11",
+	"seg-00000008.log": "cfe7fd3f10afc14445a0bb232ddb33aa96561f0e0a3867e2ac78ff86c6af85de",
+	"seg-00000008.sum": "252b2e97727d043a54cbf56538bcff99c7b5e7481f4b2bff5e6e20cc74d8108b",
+	"seg-00000009.log": "e642427258c2224e04dbd4ad2d849779f89af83fbebd0a9e9764d89136482a6f",
+	"seg-00000009.sum": "591f2319e5278e30c5cad75dc20622f9c4c5708c38e84ee9a6d9ae7c3cd92a0c",
+	"seg-00000010.log": "eb1641405c40a4174c86b86fd0925047b269cbf6339d040fcb9ae3ee5ca1c43f",
 }
 
 // goldenScript exercises every writer of a segment or sidecar byte:

@@ -28,7 +28,7 @@ import (
 var segMagic = []byte("BHSTSEG\x01")
 
 // Record kinds. Every record payload is dispatched on its first byte:
-// event payloads start with a codec version (1 or 2), everything else uses
+// event payloads start with a codec version (1 to 3), everything else uses
 // high-byte tags that can never collide with a codec version.
 const (
 	kindMarkerV2  = 0xFE // explicit list of superseded segment seqs

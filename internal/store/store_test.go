@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"os"
@@ -37,7 +38,6 @@ func makeEvent(i int) *core.Event {
 		Communities:  []bgp.Community{comm},
 		Platforms:    []collector.Platform{collector.PlatformRIS, collector.PlatformPCH},
 		Peers:        []netip.Addr{peer},
-		ASDistances:  []int{1, core.NoPath, i % 4},
 		ProviderDistances: []core.Keyed[core.ProviderRef, int]{
 			{Key: pr, Val: 1}, {Key: xr, Val: core.NoPath},
 		},
@@ -93,6 +93,79 @@ func TestCodecRoundTrip(t *testing.T) {
 			dec.Detections != ev.Detections || len(dec.Providers) != len(ev.Providers) ||
 			len(dec.Users) != len(ev.Users) || len(dec.Peers) != len(ev.Peers) {
 			t.Fatalf("event %d: decoded fields diverge: %+v vs %+v", i, dec, ev)
+		}
+	}
+}
+
+// legacyPayloads is one event written by hand in the layouts earlier
+// builds wrote: 0x01 (no seq) and 0x02 (seq 7), each carrying the
+// per-inference distance list [1, NoPath, 2] between the peers and the
+// provider distances. want is what either reads as, Seq aside.
+func legacyPayloads() (v1, v2 []byte, want *core.Event) {
+	start, end := testEpoch, testEpoch.Add(time.Hour)
+	body := []byte{4, 10, 0, 0, 0, 24} // 10.0.0.0/24
+	body = binary.AppendVarint(body, start.UnixNano())
+	body = binary.AppendVarint(body, end.UnixNano())
+	body = append(body,
+		2,            // flags: direct-feed
+		3,            // detections
+		1, 0, 100, 0, // providers: AS100
+		1, 0xd8, 0x36, // users: AS7000
+		1, 0x9a, 0x85, 0x90, 0x03, // communities: 100:666
+		1, 0, // platforms: RIS
+		1, 4, 192, 0, 2, 1, // peers: 192.0.2.1
+		3, 2, 1, 4, // as-distances: 1, NoPath, 2
+		1, 0, 100, 0, 2, // provider-distances: AS100 → 1
+		1, 0, 100, 0, // direct-providers: AS100
+		1, 0, 1, 0, 100, 0, // providers-by-platform: RIS → AS100
+		1, 0, 1, 0xd8, 0x36, // users-by-platform: RIS → AS7000
+		1, 0, 100, 0, 1, 0xd8, 0x36, // provider-users: AS100 → AS7000
+	)
+	as100 := core.ProviderRef{Kind: core.ProviderAS, ASN: 100}
+	want = &core.Event{
+		Prefix: netip.MustParsePrefix("10.0.0.0/24"), Start: start, End: end,
+		Providers: []core.ProviderRef{as100}, Users: []bgp.ASN{7000},
+		Communities:         []bgp.Community{bgp.MakeCommunity(100, 666)},
+		Platforms:           []collector.Platform{collector.PlatformRIS},
+		Peers:               []netip.Addr{netip.MustParseAddr("192.0.2.1")},
+		ProviderDistances:   []core.Keyed[core.ProviderRef, int]{{Key: as100, Val: 1}},
+		DirectProviders:     []core.ProviderRef{as100},
+		ProvidersByPlatform: []core.Keyed[collector.Platform, []core.ProviderRef]{{Key: collector.PlatformRIS, Val: []core.ProviderRef{as100}}},
+		UsersByPlatform:     []core.Keyed[collector.Platform, []bgp.ASN]{{Key: collector.PlatformRIS, Val: []bgp.ASN{7000}}},
+		ProviderUsers:       []core.Keyed[core.ProviderRef, []bgp.ASN]{{Key: as100, Val: []bgp.ASN{7000}}},
+		Detections:          3,
+		DirectFeed:          true,
+	}
+	return append([]byte{codecV1}, body...), append([]byte{codecV2, 7}, body...), want
+}
+
+// TestCodecReadsLegacyLayouts: a 0x01 or 0x02 record decodes to the
+// event it holds with its distance list dropped, and that event is its
+// own 0x03 round trip, every field equal.
+func TestCodecReadsLegacyLayouts(t *testing.T) {
+	v1, v2, want := legacyPayloads()
+	for _, c := range []struct {
+		payload []byte
+		seq     uint64
+	}{{v1, 0}, {v2, 7}} {
+		ev, err := DecodeEvent(c.payload)
+		if err != nil {
+			t.Fatalf("0x%02X: %v", c.payload[0], err)
+		}
+		want.Seq = c.seq
+		if !reflect.DeepEqual(ev, want) {
+			t.Fatalf("0x%02X decodes to\n  %+v\nwant\n  %+v", c.payload[0], ev, want)
+		}
+		enc := EncodeEvent(nil, ev)
+		if enc[0] != codecVersion {
+			t.Fatalf("0x%02X re-encodes as version 0x%02X, want 0x%02X", c.payload[0], enc[0], codecVersion)
+		}
+		re, err := DecodeEvent(enc)
+		if err != nil || !reflect.DeepEqual(re, ev) {
+			t.Fatalf("0x%02X: the 0x03 round trip gives %+v (%v), want %+v", c.payload[0], re, err, ev)
+		}
+		if len(enc) != len(v2)-4 {
+			t.Fatalf("0x%02X: the 0x03 record is %d bytes, want the 0x02 one (%d) less its 4-byte distance list", c.payload[0], len(enc), len(v2))
 		}
 	}
 }

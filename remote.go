@@ -366,13 +366,13 @@ func (b *RemoteBackend) scanLines(body io.Reader) (next func() (RecordLine, erro
 // RecordLines implements Backend over GET /events. A counted read asks
 // format=lines, a buffered request like any other, its head in headers.
 // Its body is read whole and keyed before the first line is given out:
-// more lines than the limit asked for, or another count than
-// X-Events-Returned (a body cut short, accounting missing or no number),
-// fail it whole, and a federation counts that against the shard and
-// serves the others' merge. An uncounted read asks format=ndjson and
-// streams: failover walks the URL set only before the first body byte,
-// and a line scanLines refuses ends the stream with an error the
-// federation counts as this shard's failure.
+// more lines than the limit asked for, maxShardSets bytes of them, or
+// another count than X-Events-Returned (a body cut short, accounting
+// missing or no number), fail it whole, and a federation counts that
+// against the shard and serves the others' merge. An uncounted read asks
+// format=ndjson and streams: failover walks the URL set only before the
+// first body byte, and a line scanLines refuses ends the stream with an
+// error the federation counts as this shard's failure.
 func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream, error) {
 	counted := q.Limit > 0
 	params := queryParams(q)
@@ -412,6 +412,8 @@ func (b *RemoteBackend) RecordLines(ctx context.Context, q Query) (*RecordStream
 	for rl, err := next(); err != io.EOF; rl, err = next() {
 		if err == nil && len(keys) == q.Limit {
 			err = fmt.Errorf("shard %s: bad /events answer: more than the %d records asked for", b.name, q.Limit)
+		} else if err == nil && len(lines)+len(rl.Line) >= maxShardSets {
+			err = fmt.Errorf("shard %s: answer over %d bytes", b.name, maxShardSets)
 		}
 		if err != nil {
 			return nil, err
@@ -674,8 +676,8 @@ func (b *RemoteBackend) Figure4(ctx context.Context, start time.Time, days int) 
 	return &Figure4Result{Series: series, ShardsFailed: failed}, nil
 }
 
-// maxShardSets caps a shape=sets body, which is read whole: a window of
-// years over a shard of millions of prefixes stays well under it.
+// maxShardSets caps every shard answer read whole: a window of years over
+// a shard of millions of prefixes stays well under it.
 const maxShardSets = 64 << 20
 
 // Figure4Sets implements Backend over GET /figure4?shape=sets.

@@ -13,6 +13,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -261,6 +262,40 @@ func TestLiveSourceEOFAfterDrain(t *testing.T) {
 	}
 	if res.Metrics.UpdatesProcessed+res.Metrics.UpdatesCleaned == 0 {
 		t.Fatal("run consumed nothing")
+	}
+}
+
+// TestInferStatsAreTheReplayRunsOwn: the Figure 2 statistics belong to
+// a replay run. A live run has none, and a detector that has run before
+// returns for each replay the statistics a fresh detector would.
+func TestInferStatsAreTheReplayRunsOwn(t *testing.T) {
+	p := smallPipeline(t)
+	det := p.NewDetector()
+	live := NewLiveSource()
+	for _, o := range p.Deploy.OrdinaryUpdates(TimelineStart, 40) {
+		live.PublishUpdate(o.Update, o.Collector.Name, o.Collector.Platform)
+	}
+	live.Close()
+	res, err := det.Run(context.Background(), live, WithFlushAt(TimelineStart.AddDate(0, 0, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.InferStats != nil {
+		t.Fatalf("a live run returned Figure 2 statistics over %d communities", len(res.InferStats.Stats))
+	}
+	for _, days := range [][2]int{{845, 847}, {847, 850}} {
+		res, err := det.Run(context.Background(), p.Replay(days[0], days[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := replay(t, p, days[0], days[1]).InferStats
+		if len(want.Stats) == 0 {
+			t.Fatalf("days %v: a fresh detector profiled no community", days)
+		}
+		if !reflect.DeepEqual(res.InferStats, want) {
+			t.Fatalf("days %v: the detector's %d profiled and %d inferred communities, a fresh one's %d and %d",
+				days, len(res.InferStats.Stats), len(res.InferStats.Inferred), len(want.Stats), len(want.Inferred))
+		}
 	}
 }
 
