@@ -2,13 +2,17 @@ package bgpblackholing
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
+	"net/netip"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"bgpblackholing/internal/collector"
+	"bgpblackholing/internal/dictionary"
 	"bgpblackholing/internal/mrt"
 	"bgpblackholing/internal/store"
 )
@@ -18,8 +22,6 @@ type ArchiveSummary struct {
 	// Collectors is the number of update archives written (one per
 	// collector that observed anything in the window).
 	Collectors int
-	// Dumps is the number of TABLE_DUMP_V2 seed archives written.
-	Dumps int
 	// Updates is the total number of archived updates.
 	Updates int
 }
@@ -30,12 +32,12 @@ type ArchiveSummary struct {
 // Route Views and PCH publish. Blackholings that started before the
 // window and are still active at its start additionally seed
 // <collector>.dump.mrt TABLE_DUMP_V2 snapshots (§4.2 initialisation),
-// the dictionary is dumped as dictionary.json (LoadDictionary reads it
-// back), and world.txt summarises the world for humans. The window
-// comes from the replay (Replay), so each archive is in its time order
-// and identical pipelines and windows produce byte-identical archives
-// for every Options.Workers; bhdetect — or any MRTSource + Detector
-// combination — can then re-infer the events from the archives alone.
+// dictionary.json and ixps.json hold the dictionary and the IXP table
+// (LoadArchiveWorld reads both), and world.txt summarises the world for
+// humans. The window comes from the replay (Replay), so each archive is
+// in its time order and identical pipelines and windows produce
+// byte-identical archives for every Options.Workers; bhdetect — or any
+// MRTSource + Detector combination — re-infers the events from dir alone.
 // Every file is committed durably through store.CommitFile, so a crash
 // leaves each one as it was or complete, never torn.
 func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSummary, error) {
@@ -78,7 +80,6 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 		if err != nil {
 			return nil, err
 		}
-		sum.Dumps++
 	}
 
 	// The window's updates per collector, from the replay's day-sharded
@@ -112,26 +113,81 @@ func (p *Pipeline) WriteMRTArchives(dir string, fromDay, toDay int) (*ArchiveSum
 	}
 	sum.Collectors = len(perCollector)
 
-	// Dictionary dump: bhdetect (and humans) can load this instead of
-	// re-deriving the corpus.
-	err := store.CommitFile(dir, "dictionary.json", true, func(w *bufio.Writer) error {
-		return p.Dict.Save(w)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// World summary for humans. A bufio.Writer's first error sticks, and
-	// CommitFile's Flush reports it.
-	err = store.CommitFile(dir, "world.txt", true, func(w *bufio.Writer) error {
-		fmt.Fprintf(w, "seed=%d scale=%.3f window=[%d,%d)\n", p.Opts.Seed, p.Opts.TopoScale, fromDay, toDay)
-		fmt.Fprintf(w, "ASes: %d  IXPs: %d  blackholing providers: %d  blackholing IXPs: %d\n",
-			len(p.Topo.Order), len(p.Topo.IXPs), len(p.Topo.BlackholingProviders()), len(p.Topo.BlackholingIXPs()))
-		fmt.Fprintf(w, "collectors: %d  archived updates: %d\n", sum.Collectors, sum.Updates)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	// Beside the archives: what their inference reads (LoadArchiveWorld),
+	// and a world summary for humans. A bufio.Writer's first error
+	// sticks, and CommitFile's Flush reports it.
+	for _, f := range []struct {
+		name  string
+		write func(*bufio.Writer) error
+	}{
+		{"dictionary.json", func(w *bufio.Writer) error { return p.Dict.Save(w) }},
+		{"ixps.json", func(w *bufio.Writer) error { return saveIXPs(w, p.Topo.IXPs) }},
+		{"world.txt", func(w *bufio.Writer) error {
+			fmt.Fprintf(w, "seed=%d scale=%.3f window=[%d,%d)\n", p.Opts.Seed, p.Opts.TopoScale, fromDay, toDay)
+			fmt.Fprintf(w, "ASes: %d  IXPs: %d  blackholing providers: %d  blackholing IXPs: %d\n",
+				len(p.Topo.Order), len(p.Topo.IXPs), len(p.Topo.BlackholingProviders()), len(p.Topo.BlackholingIXPs()))
+			fmt.Fprintf(w, "collectors: %d  archived updates: %d\n", sum.Collectors, sum.Updates)
+			return nil
+		}},
+	} {
+		if err := store.CommitFile(dir, f.name, true, f.write); err != nil {
+			return nil, err
+		}
 	}
 	return sum, nil
+}
+
+// ixpRecord is one row of ixps.json: what the inference reads of an IXP.
+type ixpRecord struct {
+	ID             int          `json:"id"`
+	RouteServerASN ASN          `json:"route_server_asn"`
+	PeeringLAN     netip.Prefix `json:"peering_lan"`
+}
+
+// saveIXPs writes ixps.json: one ixpRecord per IXP, in id order.
+func saveIXPs(w io.Writer, ixps []*IXP) error {
+	recs := make([]ixpRecord, len(ixps))
+	for i, x := range ixps {
+		recs[i] = ixpRecord{x.ID, x.RouteServerASN, x.PeeringLAN}
+	}
+	return json.NewEncoder(w).Encode(recs)
+}
+
+// LoadArchiveWorld reads what the inference needs beside an archive
+// directory's MRT files: the dictionary (dictionary.json) and a Topology
+// holding only the IXP table (ixps.json). The engine indexes that table
+// by id, so it refuses ids other than 0…n−1 in order, a null entry, an
+// invalid peering LAN and a dictionary naming an IXP the table lacks.
+func LoadArchiveWorld(dir string) (*Dictionary, *Topology, error) {
+	f, err := os.Open(filepath.Join(dir, "dictionary.json"))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	dict, err := dictionary.Load(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", f.Name(), err)
+	}
+	var recs []*ixpRecord
+	name := filepath.Join(dir, "ixps.json")
+	b, err := os.ReadFile(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := json.Unmarshal(b, &recs); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", name, err)
+	}
+	topo := &Topology{IXPs: make([]*IXP, len(recs))}
+	for i, r := range recs {
+		if r == nil || r.ID != i || !r.PeeringLAN.IsValid() {
+			return nil, nil, fmt.Errorf("%s: entry %d is %+v, want IXP %d with a valid peering LAN", name, i, r, i)
+		}
+		topo.IXPs[i] = &IXP{ID: i, RouteServerASN: r.RouteServerASN, PeeringLAN: r.PeeringLAN}
+	}
+	for _, e := range dict.Entries() {
+		if i := slices.IndexFunc(e.IXPs, func(id int) bool { return id < 0 || id >= len(recs) }); i >= 0 {
+			return nil, nil, fmt.Errorf("%s: has no IXP %d, which dictionary.json names for %s", name, e.IXPs[i], e.Community)
+		}
+	}
+	return dict, topo, nil
 }

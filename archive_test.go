@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"bgpblackholing/internal/bgp"
+	"bgpblackholing/internal/dictionary"
 	"bgpblackholing/internal/mrt"
 	"bgpblackholing/internal/store"
 )
@@ -72,16 +73,17 @@ func TestMRTSourceTailsAPipe(t *testing.T) {
 	}
 }
 
-// WriteMRTArchives output is pinned byte for byte: the digest below was
-// taken before archives went through a buffered writer and a reused
-// record scratch, and covers every file name and every byte written.
-// The window comes from the replay's day-sharded workers, so the digest
-// holds for every worker count (0 is one per CPU).
+// WriteMRTArchives output is pinned byte for byte, covering every file
+// name and every byte written. The 28 files other than ixps.json still
+// hash to 4bd52a5c…, the digest taken before archives went through a
+// buffered writer and a reused record scratch; ixps.json joined them
+// later. The window comes from the replay's day-sharded workers, so the
+// digest holds for every worker count (0 is one per CPU).
 func TestWriteMRTArchivesDigestPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("archives a ten-day window")
 	}
-	const want = "4bd52a5cdcbc147e9b2782a736087bea508690ad31d85ecc16de213a09b121c4"
+	const want = "f6dc8e80e41cb0799b34d71db1b8d203fcb6a5779d5e05a499329a031ffb11f6"
 	p := smallPipeline(t)
 	for _, workers := range []int{0, 1, 4} {
 		p.Opts.Workers = workers
@@ -202,4 +204,147 @@ func TestWriteMRTArchivesCrashBeforeCommit(t *testing.T) {
 	if left, _ := filepath.Glob(filepath.Join(blocked, "*.tmp-*")); len(left) != 0 {
 		t.Errorf("a failed commit left %v", left)
 	}
+}
+
+// LoadArchiveWorld gives back what WriteMRTArchives wrote: the pipeline's
+// dictionary, and its IXP table with the three facts the engine reads.
+func TestLoadArchiveWorldReadsTheWriter(t *testing.T) {
+	p := smallPipeline(t)
+	dir := t.TempDir()
+	if _, err := p.WriteMRTArchives(dir, 800, 801); err != nil {
+		t.Fatal(err)
+	}
+	dict, topo, err := LoadArchiveWorld(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := p.Dict.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := dict.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("the loaded dictionary saves different bytes")
+	}
+	if len(topo.IXPs) != len(p.Topo.IXPs) || len(topo.IXPs) == 0 {
+		t.Fatalf("%d IXPs, want %d", len(topo.IXPs), len(p.Topo.IXPs))
+	}
+	for i, x := range topo.IXPs {
+		w := p.Topo.IXPs[i]
+		if x.ID != w.ID || x.RouteServerASN != w.RouteServerASN || x.PeeringLAN != w.PeeringLAN {
+			t.Errorf("IXP %d: %+v, want id %d, route server %v, LAN %v", i, x, w.ID, w.RouteServerASN, w.PeeringLAN)
+		}
+	}
+}
+
+// archiveWorldDict is a dictionary.json that names IXP 2.
+const archiveWorldDict = `{"version":1,"entries":[{"community":"59002:666","ixps":[2],"doc":"Web"}]}`
+
+// ixpRows joins IXP records into an ixps.json array.
+func ixpRows(rows ...string) string { return "[" + strings.Join(rows, ",") + "]" }
+
+func ixpRow(id int, lan string) string {
+	return fmt.Sprintf(`{"id":%d,"route_server_asn":%d,"peering_lan":%q}`, id, 59000+id, lan)
+}
+
+// writeArchiveWorld writes dictionary.json and ixps.json into a fresh
+// directory; an empty text leaves its file out.
+func writeArchiveWorld(t testing.TB, dict, ixps string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, text := range map[string]string{"dictionary.json": dict, "ixps.json": ixps} {
+		if text == "" {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// Each refusal is an error that names its file, never a table the engine
+// would index past or dereference.
+func TestLoadArchiveWorldRefuses(t *testing.T) {
+	good := []string{ixpRow(0, "23.0.0.0/22"), ixpRow(1, "23.1.0.0/22"), ixpRow(2, "23.2.0.0/22")}
+	if _, topo, err := LoadArchiveWorld(writeArchiveWorld(t, archiveWorldDict, ixpRows(good...))); err != nil || len(topo.IXPs) != 3 {
+		t.Fatalf("the well-formed table: %v", err)
+	}
+	for _, tc := range []struct {
+		name, dict, ixps, file string
+	}{
+		{"no dictionary.json", "", ixpRows(good...), "dictionary.json"},
+		{"no ixps.json", archiveWorldDict, "", "ixps.json"},
+		{"broken dictionary", `{"version":1,`, ixpRows(good...), "dictionary.json"},
+		{"broken table", archiveWorldDict, `[{"id":0,`, "ixps.json"},
+		{"ids out of order", archiveWorldDict, ixpRows(good[1], good[0], good[2]), "ixps.json"},
+		{"ids from 1", archiveWorldDict, ixpRows(ixpRow(1, "23.1.0.0/22"), ixpRow(2, "23.2.0.0/22"), ixpRow(3, "23.3.0.0/22")), "ixps.json"},
+		{"null entry", archiveWorldDict, ixpRows(good[0], "null", good[2]), "ixps.json"},
+		{"no LAN", archiveWorldDict, ixpRows(good[0], ixpRow(1, ""), good[2]), "ixps.json"},
+		{"bad LAN", archiveWorldDict, ixpRows(good[0], ixpRow(1, "23.1.0.0/99"), good[2]), "ixps.json"},
+		{"dictionary names a missing IXP", archiveWorldDict, ixpRows(good[:2]...), "ixps.json"},
+		{"dictionary names a negative IXP", `{"version":1,"entries":[{"community":"1:666","ixps":[-1]}]}`, ixpRows(good...), "ixps.json"},
+	} {
+		_, _, err := LoadArchiveWorld(writeArchiveWorld(t, tc.dict, tc.ixps))
+		if err == nil || !strings.Contains(err.Error(), tc.file) {
+			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.file)
+		}
+	}
+}
+
+// FuzzLoadArchiveWorld: over any ixps.json beside a dictionary that names
+// IXP 2, LoadArchiveWorld never panics, refuses with an error naming
+// ixps.json, and accepts only a table indexed by id that holds IXP 2 and
+// valid LANs; what it accepts, saveIXPs writes back as a fixed point.
+func FuzzLoadArchiveWorld(f *testing.F) {
+	if _, err := dictionary.Load(strings.NewReader(archiveWorldDict)); err != nil {
+		f.Fatal(err)
+	}
+	good := []string{ixpRow(0, "23.0.0.0/22"), ixpRow(1, "23.1.0.0/22"), ixpRow(2, "23.2.0.0/22")}
+	f.Add(ixpRows(good...))
+	f.Add(ixpRows(good[1], good[0], good[2]))
+	f.Add(ixpRows(good[0], "null", good[2]))
+	f.Add(ixpRows(good[0], ixpRow(1, ""), good[2]))
+	f.Add(ixpRows(good[:2]...))
+	f.Add(ixpRows(good[0], good[1], ixpRow(2, "23.2.0.1/22"), ixpRow(3, "2001:db8::/32")))
+	f.Add(`null`)
+	f.Add(`{broken`)
+	load := func(t *testing.T, ixps string) (*Topology, error) {
+		_, topo, err := LoadArchiveWorld(writeArchiveWorld(t, archiveWorldDict, ixps))
+		return topo, err
+	}
+	save := func(t *testing.T, topo *Topology) string {
+		var b bytes.Buffer
+		if err := saveIXPs(&b, topo.IXPs); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		topo, err := load(t, in)
+		if err != nil {
+			if !strings.Contains(err.Error(), "ixps.json") {
+				t.Fatalf("refusal does not name ixps.json: %v", err)
+			}
+			return
+		}
+		if len(topo.IXPs) < 3 {
+			t.Fatalf("accepted %d IXPs beside a dictionary that names IXP 2", len(topo.IXPs))
+		}
+		for i, x := range topo.IXPs {
+			if x == nil || x.ID != i || !x.PeeringLAN.IsValid() {
+				t.Fatalf("accepted entry %d as %+v", i, x)
+			}
+		}
+		a := save(t, topo)
+		again, err := load(t, a)
+		if err != nil {
+			t.Fatalf("refuses what saveIXPs wrote: %v\n%s", err, a)
+		}
+		if b := save(t, again); a != b {
+			t.Fatalf("saveIXPs(load(saveIXPs(load(x)))) differs:\n%s\nvs\n%s", a, b)
+		}
+	})
 }

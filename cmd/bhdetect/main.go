@@ -1,18 +1,14 @@
 // Command bhdetect runs the paper's blackholing inference (§4.2) over a
-// directory of MRT archives produced by bhgen (or any archives using
-// the same synthetic world): it rebuilds the blackhole communities
-// dictionary from the world's documentation corpus, replays the merged
-// update stream through the inference engine, and emits the detected
-// blackholing events as CSV or JSON. The JSON form is one record line per
-// event: the bytes a store serves for it on /events?format=ndjson.
+// directory of MRT archives produced by bhgen: it reads the blackhole
+// communities dictionary and the IXP table published beside the archives
+// (dictionary.json, ixps.json), replays the merged update stream through
+// the inference engine, and emits the detected blackholing events as CSV
+// or JSON. The JSON form is one record line per event: the bytes a store
+// serves for it on /events?format=ndjson.
 //
 // Usage:
 //
-//	bhdetect -in /tmp/archives -scale 0.15 -seed 42 [-format csv|json]
-//
-// The -scale and -seed flags must match the bhgen invocation so that
-// the same world (topology + dictionary) is reconstructed; a real
-// deployment would load a dictionary file instead.
+//	bhdetect -in /tmp/archives [-format csv|json]
 package main
 
 import (
@@ -32,14 +28,13 @@ import (
 )
 
 func main() {
-	var (
-		in     = flag.String("in", "archives", "directory of .mrt archives")
-		scale  = flag.Float64("scale", 0.15, "world scale used by bhgen")
-		seed   = flag.Int64("seed", 42, "seed used by bhgen")
-		format = flag.String("format", "csv", "output format: csv or json")
-	)
+	in := flag.String("in", "archives", "directory of .mrt archives")
+	format := flag.String("format", "csv", "output format: csv or json")
+	// The archives describe their own world; these stay for old scripts.
+	flag.Float64("scale", 0, "ignored")
+	flag.Int64("seed", 0, "ignored")
 	flag.Parse()
-	if err := run(os.Stdout, *in, *scale, *seed, *format); err != nil {
+	if err := run(os.Stdout, *in, *format); err != nil {
 		fmt.Fprintln(os.Stderr, "bhdetect:", err)
 		os.Exit(1)
 	}
@@ -59,11 +54,11 @@ func platformOf(name string) bgpblackholing.Platform {
 }
 
 // run detects the events in the archives under in and writes them to w.
-func run(w io.Writer, in string, scale float64, seed int64, format string) error {
+func run(w io.Writer, in, format string) error {
 	if formats[format] == nil {
 		return fmt.Errorf("unknown format %q", format)
 	}
-	events, err := detect(in, scale, seed)
+	events, err := detect(in)
 	if err != nil {
 		return err
 	}
@@ -71,30 +66,12 @@ func run(w io.Writer, in string, scale float64, seed int64, format string) error
 }
 
 // detect replays the archives under in through a detector over the world
-// bhgen built with scale and seed, and returns the events it closed.
-func detect(in string, scale float64, seed int64) ([]*bgpblackholing.Event, error) {
-	opts := bgpblackholing.Options{
-		Seed: seed, TopoScale: scale, CollectorScale: scale,
-		EventScale: scale * 2, Days: 850,
-	}
-	p, err := bgpblackholing.NewPipeline(opts)
+// published beside them, and returns the events it closed.
+func detect(in string) ([]*bgpblackholing.Event, error) {
+	dict, topo, err := bgpblackholing.LoadArchiveWorld(in)
 	if err != nil {
 		return nil, err
 	}
-	// Prefer the dictionary archived next to the MRT files (bhgen dumps
-	// it); the world regeneration then only provides the topology for
-	// IXP route-server and peering-LAN lookups.
-	dict := p.Dict
-	if f, err := os.Open(filepath.Join(in, "dictionary.json")); err == nil {
-		loaded, lerr := bgpblackholing.LoadDictionary(f)
-		f.Close()
-		if lerr != nil {
-			return nil, fmt.Errorf("load dictionary.json: %w", lerr)
-		}
-		dict = loaded
-		fmt.Fprintf(os.Stderr, "bhdetect: loaded dictionary.json (%d entries)\n", len(dict.Entries()))
-	}
-
 	matches, err := filepath.Glob(filepath.Join(in, "*.mrt"))
 	if err != nil {
 		return nil, err
@@ -104,44 +81,29 @@ func detect(in string, scale float64, seed int64) ([]*bgpblackholing.Event, erro
 	}
 	sort.Strings(matches)
 
-	det := bgpblackholing.NewDetector(dict, p.Topo)
-
-	// Pass 1: table dumps seed the engine (§4.2 initialisation; events
-	// found here have unknown start times).
-	for _, m := range matches {
-		if !strings.HasSuffix(m, ".dump.mrt") {
-			continue
-		}
-		name := strings.TrimSuffix(filepath.Base(m), ".dump.mrt")
-		f, err := os.Open(m)
-		if err != nil {
-			return nil, err
-		}
-		err = det.SeedFromRIBDump(f, name, platformOf(name))
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("seed %s: %w", m, err)
-		}
-	}
-
-	// Pass 2: the update archives, merged in time order.
+	// Table dumps seed the engine (§4.2 initialisation, start times
+	// unknown); the update archives then replay merged in time order.
+	det := bgpblackholing.NewDetector(dict, topo)
 	var srcs []bgpblackholing.Source
-	var toClose []*bgpblackholing.MRTSource
-	defer func() {
-		for _, s := range toClose {
-			s.Close()
-		}
-	}()
 	for _, m := range matches {
-		if strings.HasSuffix(m, ".dump.mrt") {
+		name, dump := strings.CutSuffix(strings.TrimSuffix(filepath.Base(m), ".mrt"), ".dump")
+		if dump {
+			f, err := os.Open(m)
+			if err != nil {
+				return nil, err
+			}
+			err = det.SeedFromRIBDump(f, name, platformOf(name))
+			f.Close()
+			if err != nil {
+				return nil, fmt.Errorf("seed %s: %w", m, err)
+			}
 			continue
 		}
-		name := strings.TrimSuffix(filepath.Base(m), ".mrt")
 		src, err := bgpblackholing.OpenMRTSource(m, name, platformOf(name))
 		if err != nil {
 			return nil, err
 		}
-		toClose = append(toClose, src)
+		defer src.Close()
 		srcs = append(srcs, src)
 	}
 	res, err := det.Run(context.Background(), bgpblackholing.MergeSources(srcs...),
@@ -174,15 +136,12 @@ func writeEvents(w io.Writer, format string, events []*bgpblackholing.Event) err
 // formats are the output formats, each by the function that writes it.
 var formats = map[string]func(io.Writer, []*bgpblackholing.Event) error{"csv": writeCSV, "json": writeJSON}
 
-// writeJSON writes each event's record line — json.Marshal of its
+// writeJSON writes each event's record line — the JSON of its
 // EventRecord, the read path's one event schema — and a newline.
 func writeJSON(w io.Writer, events []*bgpblackholing.Event) error {
+	enc := json.NewEncoder(w)
 	for _, ev := range events {
-		line, err := json.Marshal(bgpblackholing.NewEventRecord(ev))
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
+		if err := enc.Encode(bgpblackholing.NewEventRecord(ev)); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -37,7 +38,7 @@ func archives(t *testing.T, seed int64) string {
 func TestDetectGolden(t *testing.T) {
 	for _, seed := range []int64{11, 42} {
 		var out bytes.Buffer
-		if err := run(&out, archives(t, seed), 0.1, seed, "csv"); err != nil {
+		if err := run(&out, archives(t, seed), "csv"); err != nil {
 			t.Fatal(err)
 		}
 		want, err := os.ReadFile(fmt.Sprintf("testdata/detect.seed%d.golden", seed))
@@ -60,7 +61,7 @@ func TestDetectGolden(t *testing.T) {
 // the format, not the missing archive directory it would replay first.
 func TestRunRefusesFormatBeforeReplay(t *testing.T) {
 	var out bytes.Buffer
-	err := run(&out, filepath.Join(t.TempDir(), "missing"), 0.1, 42, "xml")
+	err := run(&out, filepath.Join(t.TempDir(), "missing"), "xml")
 	if err == nil || !strings.Contains(err.Error(), `unknown format "xml"`) {
 		t.Fatalf("run with format xml: err = %v, want the unknown-format error", err)
 	}
@@ -69,11 +70,51 @@ func TestRunRefusesFormatBeforeReplay(t *testing.T) {
 	}
 }
 
+// The archive directory is the whole input: without its IXP table, or
+// with a dictionary that names an IXP the table lacks, run fails with an
+// error naming the file instead of inferring fewer events.
+func TestRunRefusesAnIncompleteWorld(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(dir string) error
+	}{
+		{"no ixps.json", func(dir string) error { return os.Remove(filepath.Join(dir, "ixps.json")) }},
+		{"the table keeps only IXP 0", func(dir string) error {
+			b, err := os.ReadFile(filepath.Join(dir, "ixps.json"))
+			if err != nil {
+				return err
+			}
+			var ixps []json.RawMessage
+			if err := json.Unmarshal(b, &ixps); err != nil {
+				return err
+			}
+			b, err = json.Marshal(ixps[:1])
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(filepath.Join(dir, "ixps.json"), b, 0o644)
+		}},
+	} {
+		dir := archives(t, 42)
+		if err := tc.damage(dir); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err := run(&out, dir, "csv")
+		if err == nil || !strings.Contains(err.Error(), "ixps.json") {
+			t.Errorf("%s: err = %v, want an error naming ixps.json", tc.name, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: run wrote %d bytes", tc.name, out.Len())
+		}
+	}
+}
+
 // -format json writes the read path's record lines: a store holding the
 // run's events serves the same bytes on /events?format=ndjson.
 func TestJSONIsTheStoresRecordLines(t *testing.T) {
 	dir := archives(t, 11)
-	events, err := detect(dir, 0.1, 11)
+	events, err := detect(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

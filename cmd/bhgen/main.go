@@ -9,14 +9,18 @@
 //	bhgen -out /tmp/archives -scale 0.15 -from 800 -to 805 [-seed 42]
 //
 // The output directory receives one <collector>.mrt file per collector
-// that observed anything, plus a world.txt summary. The replay's
-// day-sharded workers, one per CPU, materialise the window, and
+// that observed anything in the window, a <collector>.dump.mrt table dump
+// per collector that saw a blackholing still active at its start, the
+// blackhole communities dictionary (dictionary.json), the IXP table
+// (ixps.json), and a world.txt summary: everything bhdetect reads. The
+// replay's day-sharded workers, one per CPU, materialise the window, and
 // identical flags produce byte-identical archives for any worker count.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"bgpblackholing"
@@ -37,10 +41,21 @@ func main() {
 	}
 }
 
+// days is the length of the world's timeline; a window lies inside it.
+const days = 850
+
 func run(out string, scale float64, seed int64, from, to int) error {
+	switch {
+	case !(scale > 0) || math.IsInf(scale, 1):
+		return fmt.Errorf("-scale %v: want a finite world scale > 0", scale)
+	case from < 0 || from >= days:
+		return fmt.Errorf("-from %d: want a day in [0, %d)", from, days)
+	case to <= from || to > days:
+		return fmt.Errorf("-to %d: want a day in (%d, %d]", to, from, days)
+	}
 	opts := bgpblackholing.Options{
 		Seed: seed, TopoScale: scale, CollectorScale: scale,
-		EventScale: scale * 2, Days: 850,
+		EventScale: scale * 2, Days: days,
 	}
 	p, err := bgpblackholing.NewPipeline(opts)
 	if err != nil {

@@ -1,7 +1,6 @@
 package bgpblackholing
 
 import (
-	"io"
 	"time"
 
 	"bgpblackholing/internal/bgp"
@@ -171,10 +170,6 @@ func MakeCommunity(asn uint16, value uint16) Community { return bgp.MakeCommunit
 func Group(events []*Event, timeout time.Duration) []*Period {
 	return core.Group(events, timeout)
 }
-
-// LoadDictionary reads a dictionary saved with Dictionary.Save (bhgen
-// archives one next to its MRT files).
-func LoadDictionary(r io.Reader) (*Dictionary, error) { return dictionary.Load(r) }
 
 // Kinds lists the AS kinds in canonical order.
 func Kinds() []Kind { return topology.Kinds() }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/topology"
@@ -79,16 +81,7 @@ func (d *Dictionary) Save(w io.Writer) error {
 		})
 	}
 	// Deterministic order for the non-blackhole dictionary.
-	var nbh []bgp.Community
-	for c := range d.nonBlackhole {
-		nbh = append(nbh, c)
-	}
-	for i := 1; i < len(nbh); i++ {
-		for j := i; j > 0 && nbh[j] < nbh[j-1]; j-- {
-			nbh[j], nbh[j-1] = nbh[j-1], nbh[j]
-		}
-	}
-	for _, c := range nbh {
+	for _, c := range slices.Sorted(maps.Keys(d.nonBlackhole)) {
 		ff.NonBlackhole = append(ff.NonBlackhole, nonBHJSON{
 			Community: c.String(),
 			ASes:      d.nonBlackhole[c],
