@@ -20,7 +20,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -72,21 +74,22 @@ func detect(in string) ([]*bgpblackholing.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	matches, err := filepath.Glob(filepath.Join(in, "*.mrt"))
+	archives, err := os.ReadDir(in) // in name order
 	if err != nil {
 		return nil, err
 	}
-	if len(matches) == 0 {
+	archives = slices.DeleteFunc(archives, func(a os.DirEntry) bool { return !strings.HasSuffix(a.Name(), ".mrt") })
+	if len(archives) == 0 {
 		return nil, fmt.Errorf("no .mrt archives in %s", in)
 	}
-	sort.Strings(matches)
 
 	// Table dumps seed the engine (§4.2 initialisation, start times
 	// unknown); the update archives then replay merged in time order.
 	det := bgpblackholing.NewDetector(dict, topo)
 	var srcs []bgpblackholing.Source
-	for _, m := range matches {
-		name, dump := strings.CutSuffix(strings.TrimSuffix(filepath.Base(m), ".mrt"), ".dump")
+	for _, a := range archives {
+		m := filepath.Join(in, a.Name())
+		name, dump := strings.CutSuffix(strings.TrimSuffix(a.Name(), ".mrt"), ".dump")
 		if dump {
 			f, err := os.Open(m)
 			if err != nil {
@@ -148,29 +151,44 @@ func writeJSON(w io.Writer, events []*bgpblackholing.Event) error {
 	return nil
 }
 
+// writeCSV lays the report out in one buffer, handed to w 32 KiB or more at a time.
 func writeCSV(w io.Writer, events []*bgpblackholing.Event) error {
-	if _, err := fmt.Fprintln(w, "prefix,start,end,duration_sec,providers,users,communities,platforms,detections"); err != nil {
-		return err
-	}
+	b := append(make([]byte, 0, 64<<10), "prefix,start,end,duration_sec,providers,users,communities,platforms,detections\n"...)
+	var names []string
 	for _, ev := range events {
-		_, err := fmt.Fprintf(w, "%s,%s,%s,%.0f,%s,%s,%s,%s,%d\n",
-			ev.Prefix, ev.Start.UTC().Format(time.RFC3339), ev.End.UTC().Format(time.RFC3339), ev.Duration().Seconds(),
-			joined(ev.Providers, ""), joined(ev.Users, "AS"), joined(ev.Communities, ""), joined(ev.Platforms, ""),
-			ev.Detections)
-		if err != nil {
-			return err
+		b = append(ev.Prefix.AppendTo(b), ',')
+		b = append(ev.Start.UTC().AppendFormat(b, time.RFC3339), ',')
+		b = append(ev.End.UTC().AppendFormat(b, time.RFC3339), ',')
+		b = append(strconv.AppendFloat(b, ev.Duration().Seconds(), 'f', 0, 64), ',')
+		b, names = appendSet(b, names, ev.Providers, "")
+		b, names = appendSet(b, names, ev.Users, "AS")
+		b, names = appendSet(b, names, ev.Communities, "")
+		b, names = appendSet(b, names, ev.Platforms, "")
+		b = append(strconv.AppendInt(b, int64(ev.Detections), 10), '\n')
+		if len(b) >= 32<<10 {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
 		}
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
 
-// joined names a set's members, each behind prefix, in string order —
-// the order the report has always listed them in — separated by ';'.
-func joined[T fmt.Stringer](set []T, prefix string) string {
-	names := make([]string, len(set))
-	for i, m := range set {
-		names[i] = prefix + m.String()
+// appendSet appends a set's members, each behind prefix, in string order
+// (the report's order ever since), then ','; names is reused scratch.
+func appendSet[T fmt.Stringer](b []byte, names []string, set []T, prefix string) ([]byte, []string) {
+	names = names[:0]
+	for _, m := range set {
+		names = append(names, m.String())
 	}
-	sort.Strings(names)
-	return strings.Join(names, ";")
+	sort.Strings(names) // one prefix on every name leaves the order as it is
+	for i, name := range names {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = append(append(b, prefix...), name...)
+	}
+	return append(b, ','), names
 }

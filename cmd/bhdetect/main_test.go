@@ -57,6 +57,27 @@ func TestDetectGolden(t *testing.T) {
 	}
 }
 
+// The archive directory's name is a name, not a pattern: a copy of the
+// archives under a name glob reads as a character class gives the same
+// CSV.
+func TestDetectReadsADirectoryNamedLikeAPattern(t *testing.T) {
+	dir := archives(t, 11)
+	copied := filepath.Join(t.TempDir(), "gl[1]")
+	if err := os.CopyFS(copied, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := run(&want, dir, "csv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&got, copied, "csv"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) || want.Len() == 0 {
+		t.Fatalf("%s: %d CSV bytes, the original directory %d", copied, got.Len(), want.Len())
+	}
+}
+
 // An unknown -format is refused before anything is opened: run reports
 // the format, not the missing archive directory it would replay first.
 func TestRunRefusesFormatBeforeReplay(t *testing.T) {

@@ -92,10 +92,10 @@ type Detection struct {
 // in the canonical order of its member type (ProviderRefCompare; numeric
 // ASN, community and platform; netip.Addr.Compare), keyed evidence a
 // list of Keyed entries strictly ascending by key, and an empty set is
-// nil. That is the one form an event has from the moment it opens to
-// the disk and the wire: the engine inserts in order, the store's
-// decoder refuses anything else, and Check is what a boundary handed an
-// event from outside runs.
+// nil. That is the one form an event has from the moment it closes to
+// the disk and the wire: the engine files each set in order (Peers once,
+// at close), the store's decoder refuses anything else, and Check is
+// what a boundary handed an event from outside runs.
 type Event struct {
 	Prefix netip.Prefix
 	Start  time.Time
@@ -220,6 +220,9 @@ type Engine struct {
 	// still see the prefix blackholed. The last peer out (or Flush)
 	// closes the event and deletes the entry.
 	perPrefix map[netip.Prefix]*prefixState
+	// peerIDs numbers peer sessions as first seen; peerAddrs inverts it.
+	peerIDs   map[netip.Addr]uint32
+	peerAddrs []netip.Addr
 	closed    []*Event
 	// seq numbers closed events across the engine's whole lifetime —
 	// sequential Run calls keep counting, so one detector lineage has
@@ -249,9 +252,18 @@ func (e *Engine) Metrics() Metrics { return e.metrics.snapshot() }
 
 type prefixState struct {
 	event *Event
-	// activePeers is unordered: the engine asks only whether a peer is in
-	// it and whether it is empty, so a peer leaves by swap-delete.
-	activePeers []netip.Addr
+	// peers marks each peer the event has had, unordered and once, as
+	// still seeing the prefix blackholed or not; active counts the former.
+	peers  []peerMark
+	active int
+	// platform and infs are the inputs the event last absorbed.
+	platform collector.Platform
+	infs     []ProviderInference
+}
+
+type peerMark struct {
+	id     uint32
+	active bool
 }
 
 // NewEngine returns an engine inferring against the documented
@@ -262,6 +274,7 @@ func NewEngine(dict *dictionary.Dictionary, topo *topology.Topology) *Engine {
 		dict:      dict,
 		topo:      topo,
 		perPrefix: map[netip.Prefix]*prefixState{},
+		peerIDs:   map[netip.Addr]uint32{},
 	}
 }
 
@@ -487,12 +500,22 @@ func (e *Engine) startOrRefresh(u *bgp.Update, det *Detection, prefix netip.Pref
 	st := e.perPrefix[prefix]
 	if st == nil {
 		e.metrics.eventsOpened.Add(1)
-		st = &prefixState{event: &Event{Prefix: prefix, Start: u.Time, End: u.Time, StartUnknown: fromDump}, activePeers: make([]netip.Addr, 0, 4)}
+		st = &prefixState{event: &Event{Prefix: prefix, Start: u.Time, End: u.Time, StartUnknown: fromDump}, peers: make([]peerMark, 0, 4)}
 		e.perPrefix[prefix] = st
 	}
 	ev := st.event
-	if !slices.Contains(st.activePeers, u.PeerIP) {
-		st.activePeers = append(st.activePeers, u.PeerIP)
+	id, known := e.peerIDs[u.PeerIP]
+	if !known {
+		id = uint32(len(e.peerAddrs))
+		e.peerIDs[u.PeerIP], e.peerAddrs = id, append(e.peerAddrs, u.PeerIP)
+	}
+	if !slices.Contains(st.peers, peerMark{id, true}) {
+		if i := slices.Index(st.peers, peerMark{id, false}); i >= 0 {
+			st.peers[i].active = true
+		} else {
+			st.peers = append(st.peers, peerMark{id, true})
+		}
+		st.active++
 	}
 	if u.Time.After(ev.End) {
 		ev.End = u.Time
@@ -501,12 +524,28 @@ func (e *Engine) startOrRefresh(u *bgp.Update, det *Detection, prefix netip.Pref
 		ev.SawNoExport = true
 	}
 	ev.Detections++
+	// A refresh that repeats the last inputs adds no member and no better
+	// distance. Only the direct-feed check below turns on the peer's AS.
+	if platform != st.platform || !slices.Equal(det.Providers, st.infs) {
+		st.platform, st.infs = platform, append(st.infs[:0], det.Providers...)
+		absorb(ev, platform, det.Providers)
+	}
+	for _, inf := range det.Providers {
+		if inf.Provider.Kind == ProviderAS && inf.Provider.ASN == u.PeerAS ||
+			inf.Provider.Kind == ProviderIXP && inf.ASDistance == 0 {
+			ev.DirectFeed = true
+			ev.DirectProviders = insert(ev.DirectProviders, inf.Provider, ProviderRefCompare)
+		}
+	}
+}
+
+// absorb files a detection's platform and inferences in the event's sets.
+func absorb(ev *Event, platform collector.Platform, infs []ProviderInference) {
 	asn, platforms := cmp.Compare[bgp.ASN], cmp.Compare[collector.Platform]
 	ev.Platforms = insert(ev.Platforms, platform, platforms)
-	ev.Peers = insert(ev.Peers, u.PeerIP, netip.Addr.Compare)
 	platProviders, _ := entry(&ev.ProvidersByPlatform, platform, platforms)
 	platUsers, _ := entry(&ev.UsersByPlatform, platform, platforms)
-	for _, inf := range det.Providers {
+	for _, inf := range infs {
 		ev.Providers = insert(ev.Providers, inf.Provider, ProviderRefCompare)
 		*platProviders = insert(*platProviders, inf.Provider, ProviderRefCompare)
 		if inf.User != 0 {
@@ -518,11 +557,6 @@ func (e *Engine) startOrRefresh(u *bgp.Update, det *Detection, prefix netip.Pref
 		ev.Communities = insert(ev.Communities, inf.Community, cmp.Compare[bgp.Community])
 		if best, known := entry(&ev.ProviderDistances, inf.Provider, ProviderRefCompare); !known || betterDistance(inf.ASDistance, *best) {
 			*best = inf.ASDistance
-		}
-		if inf.Provider.Kind == ProviderAS && inf.Provider.ASN == u.PeerAS ||
-			inf.Provider.Kind == ProviderIXP && inf.ASDistance == 0 {
-			ev.DirectFeed = true
-			ev.DirectProviders = insert(ev.DirectProviders, inf.Provider, ProviderRefCompare)
 		}
 	}
 }
@@ -543,19 +577,20 @@ func (e *Engine) endPeer(prefix netip.Prefix, peer netip.Addr, t time.Time) bool
 	if st == nil {
 		return false
 	}
-	i := slices.Index(st.activePeers, peer)
-	if i < 0 {
+	id, known := e.peerIDs[peer]
+	i := slices.Index(st.peers, peerMark{id, true})
+	if !known || i < 0 {
 		return false
 	}
-	st.activePeers[i] = st.activePeers[len(st.activePeers)-1]
-	st.activePeers = st.activePeers[:len(st.activePeers)-1]
+	st.peers[i].active = false
+	st.active--
 	if t.After(st.event.End) {
 		st.event.End = t
 	}
-	if len(st.activePeers) == 0 {
+	if st.active == 0 {
 		// All peers agree the blackholing is over: close the event.
 		delete(e.perPrefix, prefix)
-		e.closeEvent(st.event)
+		e.closeEvent(st)
 	}
 	return true
 }
@@ -568,19 +603,25 @@ func (e *Engine) Flush(t time.Time) {
 	}
 	sortByString(keys)
 	for _, p := range keys {
-		ev := e.perPrefix[p].event
+		st := e.perPrefix[p]
 		delete(e.perPrefix, p)
-		if t.After(ev.End) {
-			ev.End = t
+		if t.After(st.event.End) {
+			st.event.End = t
 		}
-		e.closeEvent(ev)
+		e.closeEvent(st)
 	}
 }
 
-// closeEvent records a closed event and notifies the OnEventClose hook.
-// The closing sequence number is stamped before the hook fires, so
-// every sink — stores, shard routers, alert hubs — sees the same Seq.
-func (e *Engine) closeEvent(ev *Event) {
+// closeEvent writes the event's Peers and Seq, then notifies the
+// OnEventClose hook — so every sink (stores, shard routers, alert hubs)
+// sees the same Seq — and records the event.
+func (e *Engine) closeEvent(st *prefixState) {
+	ev := st.event
+	ev.Peers = make([]netip.Addr, len(st.peers))
+	for i, p := range st.peers {
+		ev.Peers[i] = e.peerAddrs[p.id]
+	}
+	slices.SortFunc(ev.Peers, netip.Addr.Compare)
 	e.seq++
 	ev.Seq = e.seq
 	if e.OnEventClose != nil {

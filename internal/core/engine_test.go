@@ -484,3 +484,60 @@ func TestClosedPrefixesLeaveTheEngine(t *testing.T) {
 		t.Fatalf("%d prefixes still held after every event closed", len(e.perPrefix))
 	}
 }
+
+// TestPeersAreSortedOnceAtClose holds what the engine writes when an
+// event closes: its Peers ascending and once each, whatever order the
+// peers arrived in and however often one left and came back while others
+// held the event open, and a close only when the last active peer is
+// gone. A peer that came back on another platform with the same
+// inferences still adds that platform.
+func TestPeersAreSortedOnceAtClose(t *testing.T) {
+	topo, dict := testWorld()
+	e := NewEngine(dict, topo)
+	bh := bgp.MakeCommunity(100, 666)
+	const p = "31.0.0.1/32"
+	path := []bgp.ASN{300, 100, 200}
+	peers := []string{"22.0.9.1", "22.0.5.1", "22.0.1.1", "10.0.0.1"} // descending
+	for i, ip := range peers {
+		e.ProcessUpdate(announce(ip, 300, time.Duration(i)*time.Minute, p, path, bh), "rrc00", collector.PlatformRIS)
+	}
+	open := func(step string) {
+		t.Helper()
+		if e.ActiveCount() != 1 || len(e.Events()) != 0 {
+			t.Fatalf("%s: %d active, %d closed; want the event still open", step, e.ActiveCount(), len(e.Events()))
+		}
+	}
+	for k := range 2 {
+		at := time.Duration(10+2*k) * time.Minute
+		e.ProcessUpdate(withdraw("22.0.5.1", 300, at, p), "rrc00", collector.PlatformRIS)
+		open("22.0.5.1 withdrew")
+		e.ProcessUpdate(announce("22.0.5.1", 300, at+time.Minute, p, path, bh), "route-views0", collector.PlatformRV)
+		open("22.0.5.1 came back")
+	}
+	for _, ip := range peers[:3] {
+		e.ProcessUpdate(withdraw(ip, 300, 20*time.Minute, p), "rrc00", collector.PlatformRIS)
+		open(ip + " withdrew")
+	}
+	// A peer that already left ends nothing a second time.
+	e.ProcessUpdate(withdraw("22.0.9.1", 300, 21*time.Minute, p), "rrc00", collector.PlatformRIS)
+	open("22.0.9.1 withdrew again")
+	if got := e.Metrics().ExplicitEnds; got != 5 {
+		t.Fatalf("%d explicit ends, want 5", got)
+	}
+	e.Flush(t0.Add(time.Hour))
+	evs := e.Events()
+	if len(evs) != 1 || e.ActiveCount() != 0 {
+		t.Fatalf("%d events, %d active after Flush; want 1 closed, 0 active", len(evs), e.ActiveCount())
+	}
+	ev := evs[0]
+	want := []netip.Addr{netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("22.0.1.1"), netip.MustParseAddr("22.0.5.1"), netip.MustParseAddr("22.0.9.1")}
+	if !slices.Equal(ev.Peers, want) {
+		t.Fatalf("Peers = %v, want %v", ev.Peers, want)
+	}
+	if !slices.Equal(ev.Platforms, []collector.Platform{collector.PlatformRIS, collector.PlatformRV}) {
+		t.Fatalf("Platforms = %v, want RIS and RV", ev.Platforms)
+	}
+	if err := ev.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

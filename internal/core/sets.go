@@ -32,8 +32,8 @@ func Find[K comparable, V any](list []Keyed[K, V], k K) V {
 }
 
 // insert files v in the strictly ascending set s. Sets are tiny (a
-// handful of members; an event's peers, the largest, peak in the low
-// hundreds) and most detections refresh an event that has its member
+// handful of members; an event's peers, the largest, are sorted at close
+// instead) and most detections refresh an event that has its member
 // already, so a hit is found by looking — no call through compare — and
 // only a miss pays the binary search and the shift. A first member gets
 // room for the few that usually follow.
@@ -135,7 +135,7 @@ func sortByString(prefixes []netip.Prefix) {
 
 // SetOf returns members in the form an Event keeps a set: ascending under
 // compare, each once. It is how an event built by hand gets its sets
-// right; the engine inserts in order as it goes.
+// right; the engine inserts in order, and sorts the peers at close.
 func SetOf[T comparable](compare func(a, b T) int, members ...T) []T {
 	var s []T
 	for _, m := range members {
