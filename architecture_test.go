@@ -848,9 +848,9 @@ func (b *RemoteBackend) Figure4Sets() { parseFigure4Sets() }
 func parseFigure4Sets() {}`),
 }, {
 	name: "one-record-read",
-	law:  "A backend reads events one way, `RecordLines`: `appendEventLine` is called only by `StoreBackend.RecordLines` and `EncodeAlertRecord`, `RemoteBackend.scanLines` only by `RemoteBackend.RecordLines`, and a `Records` method calls nothing but `collectRecords`.",
+	law:  "A backend reads events one way, `RecordLines`: `appendEventLine` is called only by `StoreBackend.RecordLines`, `EncodeAlertRecord` and `AppendRecordLine`, `RemoteBackend.scanLines` only by `RemoteBackend.RecordLines`, and a `Records` method calls nothing but `collectRecords`.",
 	checks: []archCheck{
-		onlyIn("an appendEventLine call", archNonTest, callOf("appendEventLine"), "StoreBackend.RecordLines", "EncodeAlertRecord"),
+		onlyIn("an appendEventLine call", archNonTest, callOf("appendEventLine"), "StoreBackend.RecordLines", "EncodeAlertRecord", "AppendRecordLine"),
 		onlyIn("a scanLines call", archNonTest, callOf(".scanLines"), "RemoteBackend.RecordLines"),
 		onlyIn("a call other than collectRecords", func(f *goFile, fn string) bool {
 			return !f.test && f.dir == "" && strings.HasSuffix(fn, ".Records")
@@ -865,6 +865,7 @@ type StoreBackend struct{}
 type RemoteBackend struct{}
 func appendEventLine(dst []byte) []byte { return dst }
 func EncodeAlertRecord() []byte { return appendEventLine(nil) }
+func AppendRecordLine(dst []byte) []byte { return appendEventLine(dst) }
 func collectRecords() *RecordSet { return nil }
 func (b *StoreBackend) RecordLines() []byte { return appendEventLine(nil) }
 func (b *StoreBackend) Records() *RecordSet { return &RecordSet{Records: [][]byte{appendEventLine(nil)}} }
@@ -981,6 +982,22 @@ func mountTables(mux *http.ServeMux, h *handler, be Backend) {
 		mux.Handle("GET /figure8", http.HandlerFunc(h.figure8))
 	}
 }`),
+}, {
+	name: "one-metrics-wiring",
+	law:  "A handler registers the `/metrics` families of what it serves: in non-test root code only `newHandler` calls `observeStore`, `observeFederation`, `observeDetector`, `observeHub` or `observeRedial`.",
+	checks: []archCheck{
+		onlyIn("a part wired to /metrics", archInDir(""), func(at *archSite, n ast.Node) bool {
+			return slices.ContainsFunc([]string{".observeStore", ".observeFederation", ".observeDetector", ".observeHub", ".observeRedial"},
+				func(helper string) bool { return callOf(helper)(at, n) })
+		}, "newHandler"),
+	},
+	breaks: archFixture("http.go", `package bgpblackholing
+type Telemetry struct{}
+type Detector struct{}
+type HandlerOptions struct{ Telemetry *Telemetry; Detector *Detector }
+func (t *Telemetry) observeDetector(d *Detector) {}
+func newHandler(opts HandlerOptions) { opts.Telemetry.observeDetector(opts.Detector) }
+func (d *Detector) Serve(t *Telemetry) { t.observeDetector(d); newHandler(HandlerOptions{t, d}) }`),
 }, {
 	name: "one-figure4-accumulator",
 	law:  "Figure 4's day rule `floorDays` is called only by `Figure4Union.Observe`, and `NewFigure4Sets` only by `Figure4Union.Sets` and `StoreBackend.Figure4Sets`.",

@@ -12,9 +12,7 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -57,7 +55,7 @@ func platformOf(name string) bgpblackholing.Platform {
 
 // run detects the events in the archives under in and writes them to w.
 func run(w io.Writer, in, format string) error {
-	if formats[format] == nil {
+	if _, ok := formats[format]; !ok {
 		return fmt.Errorf("unknown format %q", format)
 	}
 	events, err := detect(in)
@@ -117,54 +115,21 @@ func detect(in string) ([]*bgpblackholing.Event, error) {
 	return res.Events, nil
 }
 
-// writeEvents renders the events to w through one buffered writer and
-// returns the first write or flush error, so a closed or full stdout
-// fails the run instead of truncating the report.
+// writeEvents lays the events out in one buffer, a row each in the
+// format's layout, and hands it to w 32 KiB or more at a time. It returns
+// the first encode or write error, so a closed or full stdout fails the
+// run instead of truncating the report.
 func writeEvents(w io.Writer, format string, events []*bgpblackholing.Event) error {
-	write := formats[format]
-	if write == nil {
+	f, ok := formats[format]
+	if !ok {
 		return fmt.Errorf("unknown format %q", format)
 	}
-	bw := bufio.NewWriterSize(w, 64<<10)
-	if err := write(bw, events); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bhdetect: %d events\n", len(events))
-	return nil
-}
-
-// formats are the output formats, each by the function that writes it.
-var formats = map[string]func(io.Writer, []*bgpblackholing.Event) error{"csv": writeCSV, "json": writeJSON}
-
-// writeJSON writes each event's record line — the JSON of its
-// EventRecord, the read path's one event schema — and a newline.
-func writeJSON(w io.Writer, events []*bgpblackholing.Event) error {
-	enc := json.NewEncoder(w)
+	b := append(make([]byte, 0, 64<<10), f.header...)
 	for _, ev := range events {
-		if err := enc.Encode(bgpblackholing.NewEventRecord(ev)); err != nil {
+		var err error
+		if b, err = f.row(b, ev); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// writeCSV lays the report out in one buffer, handed to w 32 KiB or more at a time.
-func writeCSV(w io.Writer, events []*bgpblackholing.Event) error {
-	b := append(make([]byte, 0, 64<<10), "prefix,start,end,duration_sec,providers,users,communities,platforms,detections\n"...)
-	var names []string
-	for _, ev := range events {
-		b = append(ev.Prefix.AppendTo(b), ',')
-		b = append(ev.Start.UTC().AppendFormat(b, time.RFC3339), ',')
-		b = append(ev.End.UTC().AppendFormat(b, time.RFC3339), ',')
-		b = append(strconv.AppendFloat(b, ev.Duration().Seconds(), 'f', 0, 64), ',')
-		b, names = appendSet(b, names, ev.Providers, "")
-		b, names = appendSet(b, names, ev.Users, "AS")
-		b, names = appendSet(b, names, ev.Communities, "")
-		b, names = appendSet(b, names, ev.Platforms, "")
-		b = append(strconv.AppendInt(b, int64(ev.Detections), 10), '\n')
 		if len(b) >= 32<<10 {
 			if _, err := w.Write(b); err != nil {
 				return err
@@ -172,14 +137,45 @@ func writeCSV(w io.Writer, events []*bgpblackholing.Event) error {
 			b = b[:0]
 		}
 	}
-	_, err := w.Write(b)
-	return err
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "bhdetect: %d events\n", len(events))
+	return nil
+}
+
+// formats are the output formats, each a header and the appender of one
+// event's row, newline included.
+var formats = map[string]struct {
+	header string
+	row    func(b []byte, ev *bgpblackholing.Event) ([]byte, error)
+}{
+	"csv": {"prefix,start,end,duration_sec,providers,users,communities,platforms,detections\n", appendCSVRow},
+	"json": {"", func(b []byte, ev *bgpblackholing.Event) ([]byte, error) {
+		b, err := bgpblackholing.AppendRecordLine(b, ev) // the line a store serves for ev
+		return append(b, '\n'), err
+	}},
+}
+
+// appendCSVRow appends the event's CSV row.
+func appendCSVRow(b []byte, ev *bgpblackholing.Event) ([]byte, error) {
+	b = append(ev.Prefix.AppendTo(b), ',')
+	b = append(ev.Start.UTC().AppendFormat(b, time.RFC3339), ',')
+	b = append(ev.End.UTC().AppendFormat(b, time.RFC3339), ',')
+	b = append(strconv.AppendFloat(b, ev.Duration().Seconds(), 'f', 0, 64), ',')
+	b = appendSet(b, ev.Providers, "")
+	b = appendSet(b, ev.Users, "AS")
+	b = appendSet(b, ev.Communities, "")
+	b = appendSet(b, ev.Platforms, "")
+	return append(strconv.AppendInt(b, int64(ev.Detections), 10), '\n'), nil
 }
 
 // appendSet appends a set's members, each behind prefix, in string order
-// (the report's order ever since), then ','; names is reused scratch.
-func appendSet[T fmt.Stringer](b []byte, names []string, set []T, prefix string) ([]byte, []string) {
-	names = names[:0]
+// (the report's order ever since), then ','. The names are sorted in a
+// stack array, so a set of up to 16 members allocates only its strings.
+func appendSet[T fmt.Stringer](b []byte, set []T, prefix string) []byte {
+	var scratch [16]string
+	names := scratch[:0]
 	for _, m := range set {
 		names = append(names, m.String())
 	}
@@ -190,5 +186,5 @@ func appendSet[T fmt.Stringer](b []byte, names []string, set []T, prefix string)
 		}
 		b = append(append(b, prefix...), name...)
 	}
-	return append(b, ','), names
+	return append(b, ',')
 }

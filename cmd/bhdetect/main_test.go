@@ -221,20 +221,29 @@ func TestWriteEventsReturnsSinkErrors(t *testing.T) {
 	}
 }
 
-// Buffering changes how the report reaches stdout, not its bytes.
+// Buffering changes how the report reaches stdout, not its bytes: in
+// every format the report is the header and each event's row, appended
+// on its own.
 func TestWriteEventsMatchesUnbufferedOutput(t *testing.T) {
 	events := testEvents(2000)
-	var direct, buffered bytes.Buffer
-	if err := writeCSV(&direct, events); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeEvents(&buffered, "csv", events); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct.Bytes(), buffered.Bytes()) {
-		t.Fatal("buffered CSV differs from direct CSV")
-	}
-	if got := strings.Count(buffered.String(), "\n"); got != len(events)+1 {
-		t.Fatalf("%d lines, want header + %d events", got, len(events))
+	for format, f := range formats {
+		direct := []byte(f.header)
+		for _, ev := range events {
+			line, err := f.row(nil, ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct = append(direct, line...)
+		}
+		var buffered bytes.Buffer
+		if err := writeEvents(&buffered, format, events); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(direct, buffered.Bytes()) {
+			t.Fatalf("%s: buffered report differs from its rows", format)
+		}
+		if got, want := strings.Count(buffered.String(), "\n"), len(events)+strings.Count(f.header, "\n"); got != want {
+			t.Fatalf("%s: %d lines, want %d (header + %d events)", format, got, want, len(events))
+		}
 	}
 }

@@ -191,9 +191,9 @@ func run(cfg config) error {
 		return err
 	}
 
-	// One Telemetry per process: the store's write-path instruments,
-	// the detector / hub snapshots and the HTTP middleware all feed the
-	// registry GET /metrics renders.
+	// One Telemetry per process: the store takes its write-path
+	// instruments at open, and the HTTP handler registers the store,
+	// detector and hub it serves in the registry GET /metrics renders.
 	tel := bgpblackholing.NewTelemetry()
 
 	// The store outlives individual runs; sealed segments compact in
@@ -210,7 +210,6 @@ func run(cfg config) error {
 			return err
 		}
 		defer st.Close()
-		tel.ObserveStore(st)
 		slog.Info("store opened", "dir", cfg.storeDir, "events", st.Len(), "sync_policy", cfg.syncPolicy)
 	}
 
@@ -228,7 +227,6 @@ func run(cfg config) error {
 		detOpts = append(detOpts, bgpblackholing.WithSubscriberQueueBound(cfg.subQueue, bgpblackholing.DropOldest))
 	}
 	det := p.NewDetector(detOpts...)
-	tel.ObserveDetector(det)
 
 	// The alerting hub exists whenever it has a surface to serve: an
 	// HTTP API (/watch, /rules), an initial rule set, or webhooks.
@@ -254,7 +252,6 @@ func run(cfg config) error {
 				return fmt.Errorf("-webhook: %w", err)
 			}
 		}
-		tel.ObserveHub(hub)
 		slog.Info("alerting hub ready", "rules", len(rules), "webhooks", len(cfg.webhooks))
 	}
 
@@ -266,9 +263,7 @@ func run(cfg config) error {
 		}
 		// The handler carries the world's annotator (ROA registry +
 		// IRR/web dictionary), so /events?enrich=1 and /legitimacy can
-		// answer "was this blackholing legitimate" per event. Attach it
-		// to the store too, for programmatic Query.Enrich callers.
-		st.SetAnnotator(p.Annotator())
+		// answer "was this blackholing legitimate" per event.
 		srv = newServer(bgpblackholing.NewStoreHandlerWith(st, p, bgpblackholing.HandlerOptions{
 			AuthToken: cfg.authToken,
 			RateLimit: cfg.rateLimit,
@@ -370,6 +365,9 @@ func run(cfg config) error {
 	}
 	if m.SubscriberDrops > 0 || m.SubscriberEvictions > 0 {
 		slog.Warn("slow subscribers", "dropped", m.SubscriberDrops, "evicted", m.SubscriberEvictions)
+	}
+	if m.UnresolvedIXPRefs > 0 {
+		slog.Warn("IXP inferences dropped: the dictionary names IXPs the topology lacks", "dropped", m.UnresolvedIXPRefs)
 	}
 	if hub != nil {
 		hs := hub.Stats()

@@ -64,7 +64,7 @@ type FederatedStore struct {
 }
 
 // shardCounters are the router's lifetime per-shard counters, exposed
-// via /stats and Telemetry.ObserveFederation. The fourth per-shard
+// via /stats and a router handler's /metrics. The fourth per-shard
 // counter, hedges, is kept by the RemoteBackend that launches them.
 type shardCounters struct {
 	requests atomic.Uint64

@@ -108,9 +108,9 @@ type HandlerOptions struct {
 	// Defaults to 15s.
 	WatchHeartbeat time.Duration
 	// Telemetry, when non-nil, serves GET /metrics (Prometheus text
-	// exposition) and wraps every route in the request middleware
-	// (per-route counter with status-class label, in-flight gauge,
-	// duration histogram).
+	// exposition) over the families of every part handed here and wraps
+	// every route in the request middleware (per-route counter with
+	// status-class label, in-flight gauge, duration histogram).
 	Telemetry *Telemetry
 	// Pprof mounts net/http/pprof under /debug/pprof/. Like every
 	// route except /healthz it sits behind AuthToken when one is set.
@@ -156,6 +156,24 @@ func newHandler(be Backend, opts HandlerOptions) http.Handler {
 	if h.heartbeat <= 0 {
 		h.heartbeat = 15 * time.Second
 	}
+	// Every part served registers its /metrics families here, once.
+	if t := opts.Telemetry; t != nil {
+		if h.store != nil {
+			t.observeStore(h.store.st)
+		}
+		if fed, ok := be.(*FederatedStore); ok {
+			t.observeFederation(fed)
+		}
+		if h.det != nil {
+			t.observeDetector(h.det)
+		}
+		if h.hub != nil {
+			t.observeHub(h.hub)
+		}
+		for _, src := range h.redials {
+			t.observeRedial(src)
+		}
+	}
 	mux := http.NewServeMux()
 	// handle wraps each route in the telemetry middleware at
 	// registration time, so the route label is the static mux pattern —
@@ -183,7 +201,7 @@ func newHandler(be Backend, opts HandlerOptions) http.Handler {
 		handle("DELETE /rules/{name}", http.HandlerFunc(h.rulesDelete))
 	}
 	if opts.Telemetry != nil {
-		handle("GET /metrics", opts.Telemetry.MetricsHandler())
+		handle("GET /metrics", opts.Telemetry.reg.Handler())
 	}
 	if opts.Pprof {
 		// Index serves /debug/pprof/{heap,goroutine,...} lookups itself;

@@ -181,6 +181,9 @@ type Metrics struct {
 	// SubscriberEvictions counts subscribers forcibly unsubscribed for
 	// falling a full queue bound behind (evict policy).
 	SubscriberEvictions uint64
+	// UnresolvedIXPRefs counts IXP inferences dropped because the
+	// dictionary names an IXP the topology lacks.
+	UnresolvedIXPRefs uint64
 }
 
 // engineCounters is the atomic backing for Metrics. The engine itself
@@ -189,24 +192,26 @@ type Metrics struct {
 // processing — so every counter is an atomic and Metrics() is a
 // consistent-enough snapshot without a lock on the hot path.
 type engineCounters struct {
-	updatesProcessed atomic.Uint64
-	updatesCleaned   atomic.Uint64
-	detections       atomic.Uint64
-	explicitEnds     atomic.Uint64
-	implicitEnds     atomic.Uint64
-	eventsOpened     atomic.Uint64
-	eventsClosed     atomic.Uint64
+	updatesProcessed  atomic.Uint64
+	updatesCleaned    atomic.Uint64
+	detections        atomic.Uint64
+	explicitEnds      atomic.Uint64
+	implicitEnds      atomic.Uint64
+	eventsOpened      atomic.Uint64
+	eventsClosed      atomic.Uint64
+	unresolvedIXPRefs atomic.Uint64
 }
 
 func (c *engineCounters) snapshot() Metrics {
 	return Metrics{
-		UpdatesProcessed: c.updatesProcessed.Load(),
-		UpdatesCleaned:   c.updatesCleaned.Load(),
-		Detections:       c.detections.Load(),
-		ExplicitEnds:     c.explicitEnds.Load(),
-		ImplicitEnds:     c.implicitEnds.Load(),
-		EventsOpened:     c.eventsOpened.Load(),
-		EventsClosed:     c.eventsClosed.Load(),
+		UpdatesProcessed:  c.updatesProcessed.Load(),
+		UpdatesCleaned:    c.updatesCleaned.Load(),
+		Detections:        c.detections.Load(),
+		ExplicitEnds:      c.explicitEnds.Load(),
+		ImplicitEnds:      c.implicitEnds.Load(),
+		EventsOpened:      c.eventsOpened.Load(),
+		EventsClosed:      c.eventsClosed.Load(),
+		UnresolvedIXPRefs: c.unresolvedIXPRefs.Load(),
 	}
 }
 
@@ -284,16 +289,10 @@ func NewEngine(dict *dictionary.Dictionary, topo *topology.Topology) *Engine {
 // single-goroutine: it shares the engine's internal scratch buffers
 // (the returned Detection owns its memory and stays valid).
 func (e *Engine) Classify(u *bgp.Update) *Detection {
-	infs := e.classify(u)
-	if len(infs) == 0 {
-		return nil
+	if infs := e.classify(u); len(infs) > 0 {
+		return &Detection{Time: u.Time, PeerIP: u.PeerIP, PeerAS: u.PeerAS, Providers: slices.Clone(infs)}
 	}
-	return &Detection{
-		Time:      u.Time,
-		PeerIP:    u.PeerIP,
-		PeerAS:    u.PeerAS,
-		Providers: append([]ProviderInference(nil), infs...),
-	}
+	return nil
 }
 
 // ProviderRefCompare is the canonical total order over provider
@@ -359,6 +358,7 @@ func (e *Engine) classify(u *bgp.Update) []ProviderInference {
 
 	addIXP := func(xid int, c bgp.Community) {
 		if e.topo == nil || xid < 0 || xid >= len(e.topo.IXPs) {
+			e.metrics.unresolvedIXPRefs.Add(1)
 			return
 		}
 		x := e.topo.IXPs[xid]
@@ -441,21 +441,21 @@ func (e *Engine) classify(u *bgp.Update) []ProviderInference {
 func (e *Engine) InitFromRIB(entries []bgp.RIBEntry, dumpTime time.Time, collectorName string, platform collector.Platform) {
 	for i := range entries {
 		u := entries[i].ToUpdate(dumpTime)
-		e.process(u, collectorName, platform, true)
+		e.process(u, platform, true)
 	}
 }
 
 // Process consumes one stream element, updating event state.
 func (e *Engine) Process(el *stream.Elem) {
-	e.process(el.Update, el.Collector, el.Platform, false)
+	e.process(el.Update, el.Platform, false)
 }
 
 // ProcessUpdate consumes a raw update with explicit collection context.
 func (e *Engine) ProcessUpdate(u *bgp.Update, collectorName string, platform collector.Platform) {
-	e.process(u, collectorName, platform, false)
+	e.process(u, platform, false)
 }
 
-func (e *Engine) process(u *bgp.Update, collectorName string, platform collector.Platform, fromDump bool) {
+func (e *Engine) process(u *bgp.Update, platform collector.Platform, fromDump bool) {
 	// §3 data cleaning: bogon and coarse-prefix removal.
 	u = bogon.CleanUpdate(u)
 	if u == nil {
@@ -475,14 +475,8 @@ func (e *Engine) process(u *bgp.Update, collectorName string, platform collector
 	}
 
 	infs := e.classify(u)
-	var det *Detection
-	var detVal Detection
-	if len(infs) > 0 {
-		detVal = Detection{Time: u.Time, PeerIP: u.PeerIP, PeerAS: u.PeerAS, Providers: infs}
-		det = &detVal
-	}
 	for _, p := range u.Announced {
-		if det == nil {
+		if len(infs) == 0 {
 			// Announcement without blackhole communities: implicit
 			// withdrawal if this peer previously saw the prefix
 			// blackholed (§4.2).
@@ -492,11 +486,12 @@ func (e *Engine) process(u *bgp.Update, collectorName string, platform collector
 			continue
 		}
 		e.metrics.detections.Add(1)
-		e.startOrRefresh(u, det, p, collectorName, platform, fromDump)
+		e.startOrRefresh(u, infs, p, platform, fromDump)
 	}
 }
 
-func (e *Engine) startOrRefresh(u *bgp.Update, det *Detection, prefix netip.Prefix, collectorName string, platform collector.Platform, fromDump bool) {
+// startOrRefresh files prefix's announcement; infs is classify's scratch.
+func (e *Engine) startOrRefresh(u *bgp.Update, infs []ProviderInference, prefix netip.Prefix, platform collector.Platform, fromDump bool) {
 	st := e.perPrefix[prefix]
 	if st == nil {
 		e.metrics.eventsOpened.Add(1)
@@ -526,11 +521,11 @@ func (e *Engine) startOrRefresh(u *bgp.Update, det *Detection, prefix netip.Pref
 	ev.Detections++
 	// A refresh that repeats the last inputs adds no member and no better
 	// distance. Only the direct-feed check below turns on the peer's AS.
-	if platform != st.platform || !slices.Equal(det.Providers, st.infs) {
-		st.platform, st.infs = platform, append(st.infs[:0], det.Providers...)
-		absorb(ev, platform, det.Providers)
+	if platform != st.platform || !slices.Equal(infs, st.infs) {
+		st.platform, st.infs = platform, append(st.infs[:0], infs...)
+		absorb(ev, platform, infs)
 	}
-	for _, inf := range det.Providers {
+	for _, inf := range infs {
 		if inf.Provider.Kind == ProviderAS && inf.Provider.ASN == u.PeerAS ||
 			inf.Provider.Kind == ProviderIXP && inf.ASDistance == 0 {
 			ev.DirectFeed = true

@@ -143,7 +143,7 @@ func (e *exposition) checkHistogram(t *testing.T, name, labels string) (count fl
 
 // telemetryServer wires a fully-observed stack: instrumented store,
 // detector, alert hub, an idle redial source, pprof, and the /metrics
-// route.
+// route — each part handed to the handler once.
 func telemetryServer(t *testing.T) (*Telemetry, *Store, *httptest.Server) {
 	t.Helper()
 	tel := NewTelemetry()
@@ -155,21 +155,17 @@ func telemetryServer(t *testing.T) (*Telemetry, *Store, *httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	tel.ObserveStore(st)
 
 	p := smallPipeline(t)
 	det := p.NewDetector()
-	tel.ObserveDetector(det)
 
 	hub, err := NewAlertHub(nil, AlertHubConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(hub.Close)
-	tel.ObserveHub(hub)
 
 	src := NewRedialSource("192.0.2.1:179", RedialConfig{})
-	tel.ObserveRedial(src)
 
 	srv := httptest.NewServer(NewStoreHandlerWith(st, nil, HandlerOptions{
 		Detector:      det,
@@ -185,7 +181,7 @@ func telemetryServer(t *testing.T) (*Telemetry, *Store, *httptest.Server) {
 // TestInstrumentedAppendAllocParity is the deterministic form of the
 // "instrumented append within 1.15x of bare" wall: the telemetry seam
 // is pre-resolved pointers and atomics, so an Append with
-// StoreOptions.Instruments and Telemetry.ObserveStore attached must
+// StoreOptions.Instruments and the handler's query observer attached must
 // not allocate more than a bare one. Timing is the harness's business
 // (obs.instrumented_append_ratio).
 func TestInstrumentedAppendAllocParity(t *testing.T) {
@@ -210,7 +206,7 @@ func TestInstrumentedAppendAllocParity(t *testing.T) {
 	}
 	bare := allocsPerAppend(StoreOptions{}, func(*Store) {})
 	tel := NewTelemetry()
-	instrumented := allocsPerAppend(StoreOptions{Instruments: tel.StoreInstruments()}, tel.ObserveStore)
+	instrumented := allocsPerAppend(StoreOptions{Instruments: tel.StoreInstruments()}, tel.observeStore)
 	t.Logf("allocs per Append: bare %.0f, instrumented %.0f", bare, instrumented)
 	if instrumented > bare {
 		t.Fatalf("instrumented Append allocates %.0f per event, bare %.0f: telemetry reached the append hot path", instrumented, bare)
@@ -558,4 +554,108 @@ func TestStatsEngineSection(t *testing.T) {
 	if stats.Detector.Engine == nil {
 		t.Fatal("stats detector section missing engine snapshot")
 	}
+}
+
+// TestMetricsSeeWhatStatsSees: a handler registers the /metrics families
+// of every part it is handed, so a caller hands each part to
+// HandlerOptions once. Each /stats section has its bh_* family on
+// /metrics with the same number — for a store handler handed a store, a
+// detector, a hub and a redial source, and for a router over three
+// shards.
+func TestMetricsSeeWhatStatsSees(t *testing.T) {
+	same := func(t *testing.T, exp *exposition, sample string, stats uint64) {
+		t.Helper()
+		if stats == 0 {
+			t.Errorf("%s: /stats reads 0, so the comparison shows nothing", sample)
+		}
+		switch got, ok := exp.samples[sample]; {
+		case !ok:
+			t.Errorf("%s: %d on /stats, missing from /metrics", sample, stats)
+		case got != float64(stats):
+			t.Errorf("%s = %v on /metrics, %d on /stats", sample, got, stats)
+		}
+	}
+
+	t.Run("store", func(t *testing.T) {
+		tel := NewTelemetry()
+		st, err := OpenStoreWith(t.TempDir(), StoreOptions{Instruments: tel.StoreInstruments()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		rule, err := ParseRule("name=every")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hub, err := NewAlertHub([]AlertRule{rule}, AlertHubConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(hub.Close)
+		p := smallPipeline(t)
+		det := p.NewDetector()
+		waitStore, waitHub := det.SinkToStore(st), det.SinkToHub(hub)
+		if _, err := det.Run(context.Background(), p.Replay(845, 850)); err != nil {
+			t.Fatal(err)
+		}
+		if err := waitStore(); err != nil {
+			t.Fatal(err)
+		}
+		waitHub()
+
+		// A source whose one retry is refused has dialled twice.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		src := NewRedialSource(addr, RedialConfig{
+			Session:        BGPConfig{ASN: 64900, BGPID: netip.MustParseAddr("10.0.0.9"), DialTimeout: time.Second},
+			InitialBackoff: time.Millisecond,
+			Jitter:         -1,
+			MaxRetries:     1,
+			OnTransition:   func(ConnTransition) {},
+		})
+		if _, err := src.Next(); err == nil {
+			t.Fatal("expected a terminal error from the exhausted source")
+		}
+
+		srv := httptest.NewServer(NewStoreHandlerWith(st, p, HandlerOptions{
+			Detector: det, Hub: hub, RedialSources: []*RedialSource{src}, Telemetry: tel,
+		}))
+		t.Cleanup(srv.Close)
+		var stats struct {
+			Events   int
+			Detector struct {
+				Engine *Metrics       `json:"engine"`
+				Alerts *AlertHubStats `json:"alerts"`
+				Redial []RedialStats  `json:"redial"`
+			} `json:"detector"`
+		}
+		getJSON(t, srv.URL+"/stats", &stats)
+		if stats.Detector.Engine == nil || stats.Detector.Alerts == nil || len(stats.Detector.Redial) != 1 {
+			t.Fatalf("/stats detector section %+v: want engine, alerts and one redial entry", stats.Detector)
+		}
+		exp := scrape(t, srv)
+		same(t, exp, "bh_store_events", uint64(stats.Events))
+		same(t, exp, "bh_engine_events_closed_total", stats.Detector.Engine.EventsClosed)
+		same(t, exp, "bh_alert_published_total", stats.Detector.Alerts.Published)
+		same(t, exp, `bh_redial_dials_total{source="`+addr+`"}`, stats.Detector.Redial[0].Dials)
+	})
+
+	t.Run("router", func(t *testing.T) {
+		shards := make([]*Store, 3)
+		for i := range shards {
+			shards[i] = storeFixture(t)
+		}
+		srv := httptest.NewServer(NewRouterHandler(NewFederatedStore(localFleet(shards)...), RouterOptions{Telemetry: NewTelemetry()}))
+		t.Cleanup(srv.Close)
+		var stats BackendStats
+		getJSON(t, srv.URL+"/stats", &stats)
+		if stats.Shards == nil {
+			t.Fatal("/stats has no shards block")
+		}
+		same(t, scrape(t, srv), "bh_federation_shards", uint64(len(stats.Shards.Shards)))
+	})
 }

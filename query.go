@@ -42,7 +42,7 @@ type Store struct {
 	// ann, when set, powers Query.Enrich legitimacy annotation; atomic
 	// because SetAnnotator may race concurrent queries.
 	ann atomic.Pointer[Annotator]
-	// qobs, when set by Telemetry.ObserveStore, receives query-path
+	// qobs, when set by a handler's observeStore, receives query-path
 	// telemetry; atomic for the same reason as ann.
 	qobs atomic.Pointer[queryObs]
 	// shard is the identity the store is stamped with (stamp), nil when
@@ -293,7 +293,7 @@ func (q Query) filter() store.Filter {
 // latency to observe.
 const streamed time.Duration = -1
 
-// observeQuery reports one answered query to the telemetry ObserveStore
+// observeQuery reports one answered query to the telemetry observeStore
 // installed, if any.
 func (st *Store) observeQuery(enriched bool, elapsed time.Duration) {
 	qo := st.qobs.Load()
@@ -450,7 +450,7 @@ type EventRecord struct {
 	Seq uint64 `json:"seq,omitempty"`
 
 	// Legitimacy enrichment (query-time, opt-in): absent unless the
-	// record was built with an annotation (NewEventRecordEnriched /
+	// record was built with an annotation (newEventRecordEnriched /
 	// enrich=1), so un-enriched responses are byte-identical to the
 	// pre-enrichment wire format.
 	RPKI              []OriginValidity `json:"rpki,omitempty"`
@@ -493,10 +493,10 @@ func wireStrings[T fmt.Stringer](set []T) []string {
 	return out
 }
 
-// NewEventRecordEnriched projects an event with its legitimacy
+// newEventRecordEnriched projects an event with its legitimacy
 // annotation attached: the rpki, community_doc, legitimacy and
 // legitimacy_reasons fields appear on the wire.
-func NewEventRecordEnriched(ev *Event, ann Annotation) EventRecord {
+func newEventRecordEnriched(ev *Event, ann Annotation) EventRecord {
 	r := NewEventRecord(ev)
 	r.RPKI = ann.RPKI
 	r.CommunityDoc = ann.Communities
@@ -505,11 +505,18 @@ func NewEventRecordEnriched(ev *Event, ann Annotation) EventRecord {
 	return r
 }
 
+// AppendRecordLine appends ev's record line — the bytes a store serves
+// for it on /events?format=ndjson, without the newline — to dst.
+func AppendRecordLine(dst []byte, ev *Event) ([]byte, error) {
+	dst, _, err := appendEventLine(dst, ev, Annotation{})
+	return dst, err
+}
+
 // appendEventLine is the one project → encode step of the read path: it
 // appends ev's record line (no trailing newline) to dst, with ann's
 // fields when ann is not the zero Annotation, and returns the line's
 // merge key. The line is byte for byte json.Marshal(
-// NewEventRecordEnriched(ev, ann)) — field order, the omitempty rules,
+// newEventRecordEnriched(ev, ann)) — field order, the omitempty rules,
 // number formats — written straight from the event: no record, no
 // reflection, and one allocation, the key's prefix. What json.Marshal
 // formats specially or refuses (a year outside [0,9999], a duration
@@ -532,7 +539,7 @@ func appendEventLine(dst []byte, ev *Event, ann Annotation) ([]byte, RecordKey, 
 	}
 	secs := ev.Duration().Seconds()
 	if abs := math.Abs(secs); err != nil || !(abs == 0 || abs >= 1e-6 && abs < 1e21) {
-		b, err = json.Marshal(NewEventRecordEnriched(ev, ann))
+		b, err = json.Marshal(newEventRecordEnriched(ev, ann))
 		return append(dst[:mark], b...), key, err
 	}
 	dst = strconv.AppendFloat(append(b, `","duration_seconds":`...), secs, 'f', -1, 64)

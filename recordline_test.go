@@ -53,7 +53,7 @@ func keyOf(rec *EventRecord) RecordKey {
 // handed to the library: the same bytes and merge key, or the same error.
 func sameAsMarshal(t *testing.T, ev *Event, ann Annotation) {
 	t.Helper()
-	rec := NewEventRecordEnriched(ev, ann)
+	rec := newEventRecordEnriched(ev, ann)
 	want, wantErr := json.Marshal(rec)
 	got, key, gotErr := appendEventLine([]byte("kept:"), ev, ann)
 	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
@@ -68,7 +68,7 @@ func sameAsMarshal(t *testing.T, ev *Event, ann Annotation) {
 }
 
 // TestRecordLineMatchesJSON holds appendEventLine to json.Marshal of
-// NewEventRecordEnriched byte for byte: over real events plain and
+// newEventRecordEnriched byte for byte: over real events plain and
 // enriched, over a seeded set of events and annotations built to hit
 // every list size, order, escape, float format, omitempty edge and
 // refused value, and — by reflection — over the struct shapes it has
@@ -130,7 +130,7 @@ func TestAlertRecordMatchesJSON(t *testing.T) {
 		t.Helper()
 		rec := AlertRecord{ID: a.ID, Rule: a.Rule, Event: NewEventRecord(a.Event)}
 		if a.Ann != nil {
-			rec.Event = NewEventRecordEnriched(a.Event, *a.Ann)
+			rec.Event = newEventRecordEnriched(a.Event, *a.Ann)
 		}
 		want, wantErr := json.Marshal(rec)
 		got, gotErr := EncodeAlertRecord(a)
@@ -628,7 +628,7 @@ func TestEventsEnvelopeMatchesEncodingJSON(t *testing.T) {
 			for i, ev := range res.Events {
 				rec := NewEventRecord(ev)
 				if q.Enrich {
-					rec = NewEventRecordEnriched(ev, ann.Annotate(ev))
+					rec = newEventRecordEnriched(ev, ann.Annotate(ev))
 				}
 				records[i] = &rec
 			}

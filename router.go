@@ -4,8 +4,8 @@ import "net/http"
 
 // RouterOptions configures NewRouterHandler. A router is the same
 // handler as a store server, so it takes the same options; bhroute sets
-// AuthToken, RateLimit and Telemetry (which also gets the per-shard
-// federation counters — ObserveFederation is called for you).
+// AuthToken, RateLimit and Telemetry (whose /metrics then carries the
+// per-shard federation counters).
 type RouterOptions = HandlerOptions
 
 // NewRouterHandler serves a federated query tier over HTTP: the same read
@@ -24,16 +24,13 @@ type RouterOptions = HandlerOptions
 // serving (bhroute does, and logs fed.Placement), or the first /stats or
 // /events request that reaches every shard does it.
 func NewRouterHandler(fed *FederatedStore, opts RouterOptions) http.Handler {
-	if opts.Telemetry != nil {
-		opts.Telemetry.ObserveFederation(fed)
-	}
 	return newHandler(fed, opts)
 }
 
-// ObserveFederation registers per-shard federation counters, labeled by
+// observeFederation registers per-shard federation counters, labeled by
 // shard name — lifetime requests, failures, hedges and queries the plan
 // placed elsewhere — and the shard-count gauge.
-func (t *Telemetry) ObserveFederation(fed *FederatedStore) {
+func (t *Telemetry) observeFederation(fed *FederatedStore) {
 	r := t.reg
 	names := []string{"shard"}
 	for i, b := range fed.backends {

@@ -88,7 +88,7 @@ func BenchmarkStoreIngestInstrumented(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	tel.ObserveStore(st)
+	tel.observeStore(st)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

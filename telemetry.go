@@ -1,18 +1,19 @@
 package bgpblackholing
 
 // Telemetry — the one place the pipeline's stages report numbers. It
-// owns an internal/obs registry, pre-registers the bh_* metric
-// families, and hands each subsystem its pre-resolved handles: the
-// store gets an Instruments struct, the root Store a query observer,
-// the detector / alert hub / redial sources scrape-time snapshot
-// functions over the atomic counters they already keep. /metrics and
-// /stats therefore read the same underlying numbers — one source of
-// truth, two encodings.
+// owns an internal/obs registry and hands each part its pre-resolved
+// handles: the store gets an Instruments struct at open; the handler
+// serving a part registers its families — the root Store's query
+// observer and shape gauges, scrape-time snapshots of the counters the
+// detector, alert hub, redial sources and federation keep. A part
+// handed to HandlerOptions reaches /stats and /metrics through that one
+// wiring: one source of truth, two encodings.
 
 import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"time"
 
@@ -21,14 +22,13 @@ import (
 )
 
 // Telemetry is the process-wide metrics hub backing GET /metrics.
-// Create one per process with NewTelemetry, wire subsystems in with
-// the Observe* methods and StoreInstruments, and mount
-// MetricsHandler (NewStoreHandlerWith does this when
-// HandlerOptions.Telemetry is set). All methods are safe for
-// concurrent use; Observe* registrations are idempotent.
+// Create one per process with NewTelemetry, pass StoreInstruments to
+// the store at open, and hand it with every other part to
+// HandlerOptions: NewStoreHandlerWith and NewRouterHandler register the
+// families of what they serve and mount /metrics. All methods are safe
+// for concurrent use; registrations are idempotent.
 type Telemetry struct {
-	reg   *obs.Registry
-	start time.Time
+	reg *obs.Registry
 
 	// HTTP middleware families, pre-registered so per-request work is
 	// three atomic ops and one map-free histogram observe.
@@ -43,7 +43,7 @@ type Telemetry struct {
 // NewTelemetry builds a registry with the process-level families
 // (build_info, uptime, HTTP request metrics) registered.
 func NewTelemetry() *Telemetry {
-	t := &Telemetry{reg: obs.NewRegistry(), start: time.Now()}
+	t, start := &Telemetry{reg: obs.NewRegistry()}, time.Now()
 	version := "(devel)"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		version = bi.Main.Version
@@ -54,7 +54,7 @@ func NewTelemetry() *Telemetry {
 		func() float64 { return 1 })
 	t.reg.GaugeFunc("bh_uptime_seconds",
 		"Seconds since this Telemetry (in practice: the process) started.",
-		func() float64 { return time.Since(t.start).Seconds() })
+		func() float64 { return time.Since(start).Seconds() })
 	t.httpRequests = t.reg.CounterVec("bh_http_requests_total",
 		"HTTP requests served, by route pattern and status class.",
 		"route", "class")
@@ -65,10 +65,6 @@ func NewTelemetry() *Telemetry {
 		nil, "route")
 	return t
 }
-
-// MetricsHandler returns the GET /metrics handler rendering the
-// Prometheus text exposition format.
-func (t *Telemetry) MetricsHandler() http.Handler { return t.reg.Handler() }
 
 // StoreInstruments returns the write-path instrumentation handles for
 // StoreOptions.Instruments. The bh_store_* families register on first
@@ -114,18 +110,18 @@ func (t *Telemetry) StoreInstruments() *store.Instruments {
 }
 
 // queryObs holds the root Store's query-path handles; installed
-// atomically by ObserveStore so SetAnnotator-style wiring after the
-// store is live stays race-free.
+// atomically by observeStore, since a handler is built over a store
+// that is already live.
 type queryObs struct {
 	total, enrichedTotal     *obs.Counter
 	seconds, enrichedSeconds *obs.Histogram
 }
 
-// ObserveStore wires a root Store into the registry: query and
+// observeStore wires a root Store into the registry: query and
 // enriched-query latency histograms on the store's Query path, plus
 // scrape-time gauges over its shape (events, prefixes, segments,
 // bytes, tombstones, unsynced records).
-func (t *Telemetry) ObserveStore(st *Store) {
+func (t *Telemetry) observeStore(st *Store) {
 	r := t.reg
 	st.qobs.Store(&queryObs{
 		total:           r.Counter("bh_query_total", "Index-backed queries answered (plain)."),
@@ -133,55 +129,52 @@ func (t *Telemetry) ObserveStore(st *Store) {
 		seconds:         r.Histogram("bh_query_seconds", "Plain query latency.", nil),
 		enrichedSeconds: r.Histogram("bh_query_enriched_seconds", "Enriched query latency.", nil),
 	})
-	stats := func() StoreStats { return st.Stats() }
-	r.GaugeFunc("bh_store_events", "Live events in the store.", func() float64 { return float64(stats().Events) })
-	r.GaugeFunc("bh_store_prefixes", "Distinct prefixes indexed.", func() float64 { return float64(stats().Prefixes) })
-	r.GaugeFunc("bh_store_segments", "Segments on disk (sealed + active).", func() float64 { return float64(stats().Segments) })
-	r.GaugeFunc("bh_store_bytes", "Bytes on disk across segments.", func() float64 { return float64(stats().Bytes) })
-	r.GaugeFunc("bh_store_tombstones", "DeletePrefix tombstones in force.", func() float64 { return float64(stats().Tombstones) })
-	r.GaugeFunc("bh_store_pending_erasure", "Dead records awaiting physical erasure.", func() float64 { return float64(stats().PendingErasure) })
-	r.GaugeFunc("bh_store_unsynced_records", "Appended records not yet fsynced.", func() float64 { return float64(stats().Unsynced) })
-	r.GaugeFunc("bh_store_segments_cold", "Sealed segments not yet decoded (cold open).", func() float64 { return float64(stats().SegmentsCold) })
-	r.GaugeFunc("bh_store_segments_hydrated", "Sealed segments decoded on demand since open.", func() float64 { return float64(stats().SegmentsHydrated) })
-	r.GaugeFunc("bh_store_mapped_bytes", "Segment bytes currently mmap'd for scans.", func() float64 { return float64(stats().MappedBytes) })
+	r.GaugeFunc("bh_store_events", "Live events in the store.", func() float64 { return float64(st.Stats().Events) })
+	r.GaugeFunc("bh_store_prefixes", "Distinct prefixes indexed.", func() float64 { return float64(st.Stats().Prefixes) })
+	r.GaugeFunc("bh_store_segments", "Segments on disk (sealed + active).", func() float64 { return float64(st.Stats().Segments) })
+	r.GaugeFunc("bh_store_bytes", "Bytes on disk across segments.", func() float64 { return float64(st.Stats().Bytes) })
+	r.GaugeFunc("bh_store_tombstones", "DeletePrefix tombstones in force.", func() float64 { return float64(st.Stats().Tombstones) })
+	r.GaugeFunc("bh_store_pending_erasure", "Dead records awaiting physical erasure.", func() float64 { return float64(st.Stats().PendingErasure) })
+	r.GaugeFunc("bh_store_unsynced_records", "Appended records not yet fsynced.", func() float64 { return float64(st.Stats().Unsynced) })
+	r.GaugeFunc("bh_store_segments_cold", "Sealed segments not yet decoded (cold open).", func() float64 { return float64(st.Stats().SegmentsCold) })
+	r.GaugeFunc("bh_store_segments_hydrated", "Sealed segments decoded on demand since open.", func() float64 { return float64(st.Stats().SegmentsHydrated) })
+	r.GaugeFunc("bh_store_mapped_bytes", "Segment bytes currently mmap'd for scans.", func() float64 { return float64(st.Stats().MappedBytes) })
 }
 
-// ObserveDetector exposes the engine's counters (updates, detections,
-// event opens/closes, subscriber drop/evict) as scrape-time snapshots
-// of Detector.Metrics — the same numbers /stats reports.
-func (t *Telemetry) ObserveDetector(d *Detector) {
+// observeDetector exposes the engine's counters as scrape-time
+// snapshots of Detector.Metrics — the same numbers /stats reports.
+func (t *Telemetry) observeDetector(d *Detector) {
 	r := t.reg
-	m := func() Metrics { return d.Metrics() }
-	r.CounterFunc("bh_engine_updates_total", "Updates processed post-cleaning.", func() uint64 { return m().UpdatesProcessed })
-	r.CounterFunc("bh_engine_updates_cleaned_total", "Updates removed by §3 data cleaning.", func() uint64 { return m().UpdatesCleaned })
-	r.CounterFunc("bh_engine_detections_total", "Classified blackholing announcements.", func() uint64 { return m().Detections })
-	r.CounterFunc("bh_engine_explicit_ends_total", "Per-peer endings from withdrawals.", func() uint64 { return m().ExplicitEnds })
-	r.CounterFunc("bh_engine_implicit_ends_total", "Per-peer endings from untagged re-announcements.", func() uint64 { return m().ImplicitEnds })
-	r.CounterFunc("bh_engine_events_opened_total", "Prefix-level events started.", func() uint64 { return m().EventsOpened })
-	r.CounterFunc("bh_engine_events_closed_total", "Prefix-level events closed.", func() uint64 { return m().EventsClosed })
+	r.CounterFunc("bh_engine_updates_total", "Updates processed post-cleaning.", func() uint64 { return d.Metrics().UpdatesProcessed })
+	r.CounterFunc("bh_engine_updates_cleaned_total", "Updates removed by §3 data cleaning.", func() uint64 { return d.Metrics().UpdatesCleaned })
+	r.CounterFunc("bh_engine_detections_total", "Classified blackholing announcements.", func() uint64 { return d.Metrics().Detections })
+	r.CounterFunc("bh_engine_explicit_ends_total", "Per-peer endings from withdrawals.", func() uint64 { return d.Metrics().ExplicitEnds })
+	r.CounterFunc("bh_engine_implicit_ends_total", "Per-peer endings from untagged re-announcements.", func() uint64 { return d.Metrics().ImplicitEnds })
+	r.CounterFunc("bh_engine_events_opened_total", "Prefix-level events started.", func() uint64 { return d.Metrics().EventsOpened })
+	r.CounterFunc("bh_engine_events_closed_total", "Prefix-level events closed.", func() uint64 { return d.Metrics().EventsClosed })
 	r.GaugeFunc("bh_engine_active_events", "Events currently open (opened − closed).",
-		func() float64 { mm := m(); return float64(mm.EventsOpened) - float64(mm.EventsClosed) })
-	r.CounterFunc("bh_engine_subscriber_drops_total", "Events dropped at bounded subscriber queues.", func() uint64 { return m().SubscriberDrops })
-	r.CounterFunc("bh_engine_subscriber_evictions_total", "Subscribers evicted for falling behind.", func() uint64 { return m().SubscriberEvictions })
+		func() float64 { m := d.Metrics(); return float64(m.EventsOpened) - float64(m.EventsClosed) })
+	r.CounterFunc("bh_engine_subscriber_drops_total", "Events dropped at bounded subscriber queues.", func() uint64 { return d.Metrics().SubscriberDrops })
+	r.CounterFunc("bh_engine_subscriber_evictions_total", "Subscribers evicted for falling behind.", func() uint64 { return d.Metrics().SubscriberEvictions })
 	r.GaugeFunc("bh_engine_subscribers", "Live event subscribers.", func() float64 { return float64(len(d.SubscriberStats())) })
+	r.CounterFunc("bh_engine_unresolved_ixp_refs_total", "IXP inferences dropped: the dictionary names an IXP the topology lacks.", func() uint64 { return d.Metrics().UnresolvedIXPRefs })
 }
 
-// ObserveHub exposes the alert hub's counters and wires its publish
+// observeHub exposes the alert hub's counters and wires its publish
 // latency histogram. Webhook deliveries/retries/dead-letters aggregate
 // across endpoints.
-func (t *Telemetry) ObserveHub(h *AlertHub) {
+func (t *Telemetry) observeHub(h *AlertHub) {
 	r := t.reg
-	s := func() AlertHubStats { return h.Stats() }
-	r.CounterFunc("bh_alert_published_total", "Closed events evaluated against the rule set.", func() uint64 { return s().Published })
-	r.CounterFunc("bh_alert_matches_total", "Rule firings (alerts emitted).", func() uint64 { return s().Alerts })
-	r.CounterFunc("bh_alert_watcher_drops_total", "Alerts dropped at slow SSE watchers.", func() uint64 { return s().WatcherDrops })
-	r.CounterFunc("bh_alert_encode_errors_total", "Alert payload encode failures.", func() uint64 { return s().EncodeErrors })
-	r.GaugeFunc("bh_alert_rules", "Compiled alert rules.", func() float64 { return float64(s().Rules) })
-	r.GaugeFunc("bh_alert_watchers", "Connected SSE watchers.", func() float64 { return float64(s().Watchers) })
+	r.CounterFunc("bh_alert_published_total", "Closed events evaluated against the rule set.", func() uint64 { return h.Stats().Published })
+	r.CounterFunc("bh_alert_matches_total", "Rule firings (alerts emitted).", func() uint64 { return h.Stats().Alerts })
+	r.CounterFunc("bh_alert_watcher_drops_total", "Alerts dropped at slow SSE watchers.", func() uint64 { return h.Stats().WatcherDrops })
+	r.CounterFunc("bh_alert_encode_errors_total", "Alert payload encode failures.", func() uint64 { return h.Stats().EncodeErrors })
+	r.GaugeFunc("bh_alert_rules", "Compiled alert rules.", func() float64 { return float64(h.Stats().Rules) })
+	r.GaugeFunc("bh_alert_watchers", "Connected SSE watchers.", func() float64 { return float64(h.Stats().Watchers) })
 	webhookSum := func(pick func(WebhookStats) uint64) func() uint64 {
 		return func() uint64 {
 			var n uint64
-			for _, w := range s().Webhooks {
+			for _, w := range h.Stats().Webhooks {
 				n += pick(w)
 			}
 			return n
@@ -191,23 +184,21 @@ func (t *Telemetry) ObserveHub(h *AlertHub) {
 	r.CounterFunc("bh_alert_webhook_retries_total", "Webhook delivery re-attempts.", webhookSum(func(w WebhookStats) uint64 { return w.Retries }))
 	r.CounterFunc("bh_alert_webhook_dead_letters_total", "Webhook alerts abandoned after max attempts.", webhookSum(func(w WebhookStats) uint64 { return w.DeadLetters }))
 	r.CounterFunc("bh_alert_webhook_dropped_total", "Webhook alerts discarded on queue overflow.", webhookSum(func(w WebhookStats) uint64 { return w.Dropped }))
-	pub := r.Histogram("bh_alert_publish_seconds", "Alert-hub Publish latency (match + fan-out).", nil)
-	h.SetPublishObserver(pub.Observe)
+	h.SetPublishObserver(r.Histogram("bh_alert_publish_seconds", "Alert-hub Publish latency (match + fan-out).", nil).Observe)
 }
 
-// ObserveRedial exposes one redial source's session-lifecycle counters
-// as a labeled bh_redial_* family (source = collector address).
-// Observe each source once; multiple sources get distinct label sets.
-func (t *Telemetry) ObserveRedial(src *RedialSource) {
+// observeRedial exposes one redial source's session-lifecycle counters
+// as a labeled bh_redial_* family (source = collector address);
+// multiple sources get distinct label sets.
+func (t *Telemetry) observeRedial(src *RedialSource) {
 	r := t.reg
 	names, values := []string{"source"}, []string{src.Addr()}
-	s := func() RedialStats { return src.Stats() }
-	r.CounterFuncLabeled("bh_redial_dials_total", "Connect+handshake attempts.", names, values, func() uint64 { return s().Dials })
-	r.CounterFuncLabeled("bh_redial_establishes_total", "Sessions established.", names, values, func() uint64 { return s().Establishes })
-	r.CounterFuncLabeled("bh_redial_reseeds_total", "RIB-dump reseeds after re-established sessions.", names, values, func() uint64 { return s().Reseeds })
-	r.CounterFuncLabeled("bh_redial_reseed_failures_total", "Reseeds that failed (session continued).", names, values, func() uint64 { return s().ReseedFailures })
-	r.CounterFuncLabeled("bh_redial_backoffs_total", "Backoff waits after failed dials or lost sessions.", names, values, func() uint64 { return s().Backoffs })
-	r.GaugeFuncLabeled("bh_redial_gave_up", "1 once the retry budget is exhausted.", names, values, func() float64 { return float64(s().GaveUp) })
+	r.CounterFuncLabeled("bh_redial_dials_total", "Connect+handshake attempts.", names, values, func() uint64 { return src.Stats().Dials })
+	r.CounterFuncLabeled("bh_redial_establishes_total", "Sessions established.", names, values, func() uint64 { return src.Stats().Establishes })
+	r.CounterFuncLabeled("bh_redial_reseeds_total", "RIB-dump reseeds after re-established sessions.", names, values, func() uint64 { return src.Stats().Reseeds })
+	r.CounterFuncLabeled("bh_redial_reseed_failures_total", "Reseeds that failed (session continued).", names, values, func() uint64 { return src.Stats().ReseedFailures })
+	r.CounterFuncLabeled("bh_redial_backoffs_total", "Backoff waits after failed dials or lost sessions.", names, values, func() uint64 { return src.Stats().Backoffs })
+	r.GaugeFuncLabeled("bh_redial_gave_up", "1 once the retry budget is exhausted.", names, values, func() float64 { return float64(src.Stats().GaveUp) })
 }
 
 // instrument wraps an HTTP handler with the request middleware:
@@ -218,13 +209,9 @@ func (t *Telemetry) ObserveRedial(src *RedialSource) {
 func (t *Telemetry) instrument(route string, h http.Handler) http.Handler {
 	hist := t.httpSeconds.With(route)
 	// Status classes are a closed set: resolve the children once.
-	classes := [6]*obs.Counter{
-		nil,
-		t.httpRequests.With(route, "1xx"),
-		t.httpRequests.With(route, "2xx"),
-		t.httpRequests.With(route, "3xx"),
-		t.httpRequests.With(route, "4xx"),
-		t.httpRequests.With(route, "5xx"),
+	var classes [6]*obs.Counter // by status/100; 0 is no class
+	for cls := 1; cls < len(classes); cls++ {
+		classes[cls] = t.httpRequests.With(route, strconv.Itoa(cls)+"xx")
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t.httpInFlight.Inc()
