@@ -413,30 +413,18 @@ func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days in
 }
 
 // LegitimacySummary implements Backend: a streaming aggregation through
-// the annotator; no result set is materialized.
+// the annotator's Tally; no result set or annotation is materialized.
 func (b *StoreBackend) LegitimacySummary(ctx context.Context, q Query) (*LegitimacySummary, error) {
 	ann := b.annotator()
 	if ann == nil {
 		return nil, errNoAnnotator
 	}
 	began := time.Now()
-	sum := newLegitimacySummary()
 	b.st.observeQuery(false, streamed)
-	err := b.st.scan(ctx, q, func(ev *Event) {
-		a := ann.Annotate(ev)
-		sum.Total++
-		sum.Legitimacy[a.Legitimacy]++
-		if len(a.RPKI) > 0 {
-			sum.RPKI[a.RPKISummary()]++
-		}
-		for _, cd := range a.Communities {
-			sum.CommunityDoc[cd.Doc]++
-		}
-		for _, reason := range a.Reasons {
-			sum.Reasons[reason]++
-		}
-	})
-	if err != nil {
+	sum := newLegitimacySummary()
+	var err error
+	scan := func(observe func(*Event)) error { return b.st.scan(ctx, q, observe) }
+	if sum.Total, err = ann.Tally(scan, sum.Legitimacy, sum.RPKI, sum.CommunityDoc, sum.Reasons); err != nil {
 		return nil, err
 	}
 	sum.ElapsedUS = time.Since(began).Microseconds()

@@ -9,7 +9,9 @@ package bgpblackholing
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +22,7 @@ import (
 
 	"bgpblackholing/internal/core"
 	"bgpblackholing/internal/dictionary"
+	"bgpblackholing/internal/rpki"
 )
 
 // fixtureAnnotator documents 3356:9999 (private, max /32) and caps
@@ -365,5 +368,259 @@ func TestQuerySeqFacade(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("limit: yielded %d, want 1", n)
+	}
+}
+
+// legitimacyOracle is the /legitimacy summary counted the way it was
+// before the tally: each event annotated whole — the verdict rules and
+// the valid-wins fold spelt out again here, strings and all — and the
+// strings counted.
+func legitimacyOracle(reg *RPKIRegistry, dict *dictionary.Dictionary, events []*Event) *LegitimacySummary {
+	sum := newLegitimacySummary()
+	for _, ev := range events {
+		var states, docs, reasons []string
+		invalid, undocumented, overLen := 0, 0, 0
+		if reg != nil {
+			for _, origin := range ev.Users {
+				st := reg.Validate(ev.Prefix, origin)
+				states = append(states, st.String())
+				if st == rpki.Invalid {
+					invalid++
+					reasons = append(reasons, fmt.Sprintf("rpki-invalid at origin AS%d", origin))
+				}
+			}
+		}
+		if dict != nil {
+			for _, c := range ev.Communities {
+				doc := "undocumented"
+				if e := dict.Lookup(c); e != nil {
+					if d := strings.ToLower(e.Doc.String()); d != "none" {
+						doc = d
+					}
+					capLen := e.MaxPrefixLen
+					if !ev.Prefix.Addr().Is4() && capLen <= 32 {
+						capLen = 0
+					}
+					if capLen > 0 && ev.Prefix.Bits() > capLen {
+						overLen++
+						reasons = append(reasons, fmt.Sprintf("prefix /%d exceeds documented max /%d for community %s",
+							ev.Prefix.Bits(), capLen, c))
+					}
+				}
+				if doc == "undocumented" {
+					undocumented++
+					reasons = append(reasons, fmt.Sprintf("undocumented community %s", c))
+				}
+				docs = append(docs, doc)
+			}
+		}
+		verdict := VerdictLegitimate
+		switch {
+		case len(states) > 0 && invalid == len(states), len(docs) > 0 && undocumented == len(docs):
+			verdict = VerdictIllegitimate
+		case invalid > 0 || undocumented > 0 || overLen > 0:
+			verdict = VerdictQuestionable
+		}
+		sum.Total++
+		sum.Legitimacy[verdict]++
+		if len(states) > 0 {
+			folded := "not-found"
+			for _, s := range states {
+				if s == "valid" {
+					folded = s
+					break
+				}
+				if s == "invalid" {
+					folded = s
+				}
+			}
+			sum.RPKI[folded]++
+		}
+		for _, d := range docs {
+			sum.CommunityDoc[d]++
+		}
+		for _, r := range reasons {
+			sum.Reasons[r]++
+		}
+	}
+	return sum
+}
+
+// legitimacyBranches is a world and n events that take every branch of
+// the legitimacy rules: no users, no communities, mixed and all-invalid
+// origins, no covering ROA, an undocumented community alone and beside
+// a documented one, an over-length v4 prefix, a v6 prefix under a ≤ /32
+// cap (exempt) and one over a /48 cap.
+func legitimacyBranches(n int) (*RPKIRegistry, *dictionary.Dictionary, []*Event) {
+	reg := &RPKIRegistry{}
+	reg.Add(ROA{Prefix: netip.MustParsePrefix("10.1.0.0/16"), MaxLength: 32, ASN: 65001})
+	reg.Add(ROA{Prefix: netip.MustParsePrefix("10.2.0.0/16"), MaxLength: 16, ASN: 65002})
+	reg.Add(ROA{Prefix: netip.MustParsePrefix("2001:db8::/32"), MaxLength: 128, ASN: 65001})
+	dict := dictionary.New()
+	dict.AddPrivate(MakeCommunity(3356, 9999), 3356, 32)
+	dict.AddPrivate(MakeCommunity(174, 666), 174, 24)
+	dict.AddPrivate(MakeCommunity(2914, 666), 2914, 48)
+	documented, capped24, capped48, unknown := MakeCommunity(3356, 9999), MakeCommunity(174, 666), MakeCommunity(2914, 666), MakeCommunity(9, 9)
+	templates := []struct {
+		prefix string
+		users  []ASN
+		comms  []Community
+	}{
+		{"10.1.2.3/32", nil, []Community{documented}},                            // no users
+		{"10.1.2.4/32", []ASN{65001}, nil},                                       // no communities
+		{"10.1.2.5/32", []ASN{65001, 65002}, []Community{documented}},            // mixed origins
+		{"10.2.0.9/32", []ASN{65002, 65003}, []Community{documented}},            // all origins invalid
+		{"192.0.2.1/32", []ASN{65009}, []Community{documented}},                  // no covering ROA
+		{"10.1.2.6/32", []ASN{65001}, []Community{unknown}},                      // undocumented alone
+		{"10.1.2.7/32", []ASN{65001}, []Community{unknown, documented}},          // undocumented beside documented
+		{"10.1.2.8/32", []ASN{65001}, []Community{capped24}},                     // over-length v4
+		{"10.1.2.0/24", []ASN{65001}, []Community{capped24}},                     // at the cap
+		{"2001:db8::1/128", []ASN{65001}, []Community{documented}},               // v6 under a /32 cap
+		{"2001:db8::2/128", []ASN{65001, 65002}, []Community{unknown, capped48}}, // v6 over a /48 cap
+	}
+	base := time.Date(2015, 3, 1, 12, 0, 0, 0, time.UTC)
+	events := make([]*Event, n)
+	for i := range events {
+		tpl := templates[i%len(templates)]
+		start := base.Add(time.Duration(i) * time.Minute)
+		events[i] = &Event{
+			Prefix:      netip.MustParsePrefix(tpl.prefix),
+			Start:       start,
+			End:         start.Add(time.Hour),
+			Providers:   []ProviderRef{{Kind: ProviderAS, ASN: 3356}},
+			Users:       tpl.users,
+			Communities: tpl.comms,
+			Platforms:   []Platform{PlatformRIS},
+			Peers:       []netip.Addr{netip.MustParseAddr("192.0.2.1")},
+			Detections:  2,
+		}
+	}
+	return reg, dict, events
+}
+
+// TestLegitimacyTallyMatchesAnnotate holds a store's and a three-shard
+// federation's /legitimacy summary to the oracle's, byte for byte with
+// elapsed_us masked: over a replayed fixture, and over hand-built events
+// that take every branch in each of the four worlds a registry and a
+// dictionary, either of them nil, make.
+func TestLegitimacyTallyMatchesAnnotate(t *testing.T) {
+	ctx := context.Background()
+	masked := func(s *LegitimacySummary) []byte {
+		c := *s
+		c.ElapsedUS = 0
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	compare := func(t *testing.T, want *LegitimacySummary, q Query, backends map[string]Backend) {
+		t.Helper()
+		for name, be := range backends {
+			got, err := be.LegitimacySummary(ctx, q)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !got.consistent() {
+				t.Errorf("%s: inconsistent counts", name)
+			}
+			if g, w := masked(got), masked(want); !bytes.Equal(g, w) {
+				t.Errorf("%s %+v:\n got %s\nwant %s", name, q, g, w)
+			}
+		}
+	}
+
+	t.Run("replayed", func(t *testing.T) {
+		f := newFederationFixture(t)
+		var shards []Backend
+		for i, st := range f.shards["time-partition"] {
+			shards = append(shards, NewStoreBackend(st, f.p).WithName(fmt.Sprint("shard-", i)))
+		}
+		backends := map[string]Backend{"store": NewStoreBackend(f.single, f.p), "federation": NewFederatedStore(shards...)}
+		for _, q := range []Query{{}, {Prefix: netip.MustParsePrefix("24.0.0.0/8"), Mode: PrefixCovered}} {
+			want := legitimacyOracle(f.p.RPKIRegistry(), f.p.Dict, f.single.Query(q).Events)
+			if want.Total == 0 || len(want.Legitimacy) < 2 || len(want.Reasons) == 0 {
+				t.Fatalf("fixture too thin for %+v: %s", q, masked(want))
+			}
+			compare(t, want, q, backends)
+		}
+	})
+
+	reg, dict, events := legitimacyBranches(33)
+	single := storeFixtureOf(t, events)
+	var stores [3]*Store
+	for i := range stores {
+		var third []*Event
+		for j := i; j < len(events); j += len(stores) {
+			third = append(third, events[j])
+		}
+		stores[i] = storeFixtureOf(t, third)
+	}
+	for _, w := range []struct {
+		name string
+		reg  *RPKIRegistry
+		dict *dictionary.Dictionary
+	}{{"registry and dictionary", reg, dict}, {"nil registry", nil, dict}, {"nil dictionary", reg, nil}, {"neither", nil, nil}} {
+		t.Run(w.name, func(t *testing.T) {
+			ann := NewAnnotator(w.reg, w.dict)
+			single.SetAnnotator(ann)
+			shards := make([]Backend, len(stores))
+			for i, st := range stores {
+				st.SetAnnotator(ann)
+				shards[i] = NewStoreBackend(st, nil)
+			}
+			compare(t, legitimacyOracle(w.reg, w.dict, events), Query{},
+				map[string]Backend{"store": NewStoreBackend(single, nil), "federation": NewFederatedStore(shards...)})
+		})
+	}
+}
+
+// storeFixtureOf opens a store holding events.
+func storeFixtureOf(t testing.TB, events []*Event) *Store {
+	t.Helper()
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if err := st.Append(events...); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestLegitimacySummaryAllocsDoNotGrow: a store's summary allocates
+// per distinct reason rendered, not per event — its bound is the same
+// at N and 4N events.
+func TestLegitimacySummaryAllocsDoNotGrow(t *testing.T) {
+	const (
+		// The store's read walk (6); the summary and its four maps (5);
+		// Tally's closure, what it captures and its reason map (7); the
+		// judgement's scratch slices growing to the largest event (8).
+		fixedAllocs = 26
+		// Rendering a reason: the sentence, the community's string and
+		// its boxed argument, and its share of the maps' growth.
+		allocsPerReason = 4
+	)
+	perReason := allocsPerReason
+	if raceEnabled() {
+		perReason += 3 // fmt's pooled printer and its buffer, which the race detector's pools drop at random
+	}
+	reg, dict, _ := legitimacyBranches(0)
+	ann := NewAnnotator(reg, dict)
+	for _, n := range []int{250, 1000} {
+		_, _, events := legitimacyBranches(n)
+		st := storeFixtureOf(t, events)
+		st.SetAnnotator(ann)
+		b := NewStoreBackend(st, nil)
+		sum, err := b.LegitimacySummary(context.Background(), Query{})
+		if err != nil || sum.Total != n {
+			t.Fatalf("%d events: %+v, %v", n, sum, err)
+		}
+		allocs := testing.AllocsPerRun(5, func() { b.LegitimacySummary(context.Background(), Query{}) })
+		if bound := fixedAllocs + perReason*len(sum.Reasons); allocs > float64(bound) {
+			t.Errorf("%d events, %d distinct reasons: %.0f allocations per summary, want at most %d", n, len(sum.Reasons), allocs, bound)
+		}
+		t.Logf("%d events, %d distinct reasons: %.0f allocations", n, len(sum.Reasons), allocs)
 	}
 }

@@ -1163,6 +1163,76 @@ func TestRemoteHostileShard(t *testing.T) {
 	}
 }
 
+// TestHostileShardCountsAreRefused: a shard whose /legitimacy or /stats
+// body holds counts no backend answers is that shard's failure, one row
+// per fault. Beside a down shard and an honest store, a router must
+// count two shards failed: a shards_failed of -1 accepted as sent would
+// cancel the down shard and serve the partial answer as complete.
+func TestHostileShardCountsAreRefused(t *testing.T) {
+	honest := storeFixture(t)
+	honest.SetAnnotator(fixtureAnnotator())
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+	const hist = `"rpki":{},"community_doc":{},"reasons":{},"elapsed_us":1`
+	for _, c := range []struct{ name, path, body string }{
+		{"negative shards_failed", "/legitimacy", `{"total":0,"legitimacy":{},` + hist + `,"shards_failed":-1}`},
+		{"negative total", "/legitimacy", `{"total":-1,"legitimacy":{"legitimate":-1},` + hist + `}`},
+		{"negative verdict count", "/legitimacy", `{"total":0,"legitimacy":{"legitimate":1,"questionable":-1},` + hist + `}`},
+		{"negative histogram count", "/legitimacy", `{"total":1,"legitimacy":{"legitimate":1},"rpki":{"valid":-1},"community_doc":{},"reasons":{},"elapsed_us":1}`},
+		{"unknown verdict", "/legitimacy", `{"total":1,"legitimacy":{"fine":1},` + hist + `}`},
+		{"verdicts short of the total", "/legitimacy", `{"total":2,"legitimacy":{"legitimate":1},` + hist + `}`},
+		{"verdicts wrapping to the total", "/legitimacy",
+			`{"total":0,"legitimacy":{"legitimate":9223372036854775807,"questionable":9223372036854775807,"illegitimate":2},` + hist + `}`},
+		{"negative shards.failed", "/stats", `{"events":0,"shards":{"version":1,"failed":-1,"shards":[]}}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != c.path {
+					http.NotFound(w, r)
+					return
+				}
+				w.Header().Set("Content-Type", "application/json")
+				io.WriteString(w, c.body)
+			}))
+			defer hostile.Close()
+			var shards []Backend
+			for i, u := range []string{down.URL, hostile.URL} {
+				rb, err := NewRemoteBackend([]string{u}, RemoteOptions{Name: fmt.Sprint("shard-", i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				shards = append(shards, rb)
+			}
+			router := httptest.NewServer(NewRouterHandler(NewFederatedStore(append(shards, NewStoreBackend(honest, nil))...), RouterOptions{}))
+			defer router.Close()
+			resp, err := http.Get(router.URL + c.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var answer struct {
+				Total        int `json:"total"`
+				ShardsFailed int `json:"shards_failed"`
+				Shards       struct {
+					Failed int `json:"failed"`
+				} `json:"shards"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&answer); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, %v", resp.StatusCode, err)
+			}
+			if c.path == "/stats" {
+				if answer.Shards.Failed != 2 {
+					t.Errorf("shards.failed = %d, want 2", answer.Shards.Failed)
+				}
+				return
+			}
+			if h := resp.Header.Get(shardsFailedKey); answer.ShardsFailed != 2 || h != "2" || answer.Total != 3 {
+				t.Errorf("shards_failed = %d, %s %q, total %d; want 2, 2 and the honest store's 3", answer.ShardsFailed, shardsFailedKey, h, answer.Total)
+			}
+		})
+	}
+}
+
 // TestRemoteCountedReadIsBounded: a counted read holds at most
 // maxShardSets bytes of a shard's body. A shard answering 65 valid
 // records of just under 1 MiB each — no more than the limit asked for,

@@ -704,10 +704,10 @@ func streamRecordLines(w http.ResponseWriter, rs *RecordStream, buf *[]byte) {
 
 var nl = []byte{'\n'}
 
-// legitimacy aggregates the legitimacy view over every event matching
-// the filter params: verdict, folded RPKI-state and community-doc
-// histograms. A store streams through the annotator — no result set is
-// materialized; a federation sums its shards' histograms.
+// legitimacy aggregates the legitimacy view of every event matching the
+// filter params into verdict, folded RPKI-state and community-doc
+// histograms: a store judges and counts each event (Annotator.Tally),
+// rendering each distinct reason once; a federation sums its shards'.
 func (h *handler) legitimacy(w http.ResponseWriter, r *http.Request) {
 	q, err := ParseQuery(r.URL.Query())
 	if err != nil {

@@ -8,13 +8,15 @@
 // communities the provider never documented, or prefixes more specific
 // than the provider's documented acceptance policy.
 //
-// Annotation is pure lookup over in-memory structures — the indexed ROA
-// registry and the dictionary maps — so it is cheap enough to run per
-// returned event on the query path.
+// Judging an event is pure lookup in the indexed ROA registry and the
+// dictionary maps, and spells no string but constants: per-origin states,
+// per-community docs and length checks, typed reasons, the verdict.
+// Annotate renders one judgement; Tally renders each distinct reason once.
 package enrich
 
 import (
 	"fmt"
+	"slices"
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/core"
@@ -138,19 +140,57 @@ func (a *Annotator) Annotate(ev *core.Event) Annotation {
 	if a == nil {
 		return ann
 	}
-	var reasons []string
+	var scratch [4]reason
+	reasons := a.judge(ev, &ann, scratch[:0])
+	for i := range ann.Communities {
+		ann.Communities[i].Community = ev.Communities[i].String()
+	}
+	if len(reasons) > 0 {
+		ann.Reasons = make([]string, len(reasons))
+		for i, r := range reasons {
+			ann.Reasons[i] = r.String()
+		}
+	}
+	return ann
+}
+
+// reason is one signal that pulled a verdict below legitimate.
+type reason struct {
+	kind      byte // 'r' rpki-invalid origin, 'l' over-length, 'u' undocumented community
+	origin    bgp.ASN
+	community bgp.Community
+	bits, cap int
+}
+
+func (r reason) String() string {
+	switch r.kind {
+	case 'r':
+		return fmt.Sprintf("rpki-invalid at origin AS%d", r.origin)
+	case 'l':
+		return fmt.Sprintf("prefix /%d exceeds documented max /%d for community %s", r.bits, r.cap, r.community)
+	}
+	return fmt.Sprintf("undocumented community %s", r.community)
+}
+
+// judge is the one copy of the legitimacy rules. It refills ann, reusing
+// its slices, with what Annotate returns except each community's
+// Community and the Reasons, and appends the reasons, typed, to reasons.
+func (a *Annotator) judge(ev *core.Event, ann *Annotation, reasons []reason) []reason {
+	ann.RPKI, ann.Communities = ann.RPKI[:0], ann.Communities[:0]
 
 	// (a) RFC 6811 validity of the victim prefix at each inferred
 	// origin, through the registry's indexed covering lookup.
 	invalid := 0
-	if a.rpki != nil && len(ev.Users) > 0 {
-		ann.RPKI = make([]OriginValidity, len(ev.Users))
-		for i, origin := range ev.Users {
+	if a.rpki != nil {
+		if cap(ann.RPKI) < len(ev.Users) {
+			ann.RPKI = make([]OriginValidity, 0, len(ev.Users))
+		}
+		for _, origin := range ev.Users {
 			st := a.rpki.Validate(ev.Prefix, origin)
-			ann.RPKI[i] = OriginValidity{Origin: origin, State: st.String()}
+			ann.RPKI = append(ann.RPKI, OriginValidity{Origin: origin, State: st.String()})
 			if st == rpki.Invalid {
 				invalid++
-				reasons = append(reasons, fmt.Sprintf("rpki-invalid at origin AS%d", origin))
+				reasons = append(reasons, reason{kind: 'r', origin: origin})
 			}
 		}
 	}
@@ -158,10 +198,12 @@ func (a *Annotator) Annotate(ev *core.Event) Annotation {
 	// (b) Documentation status of each matched community, and whether
 	// the victim prefix respects the documented acceptance length.
 	undocumented, overLen := 0, 0
-	if a.dict != nil && len(ev.Communities) > 0 {
-		ann.Communities = make([]CommunityDoc, len(ev.Communities))
-		for i, c := range ev.Communities {
-			cd := CommunityDoc{Community: c.String(), Doc: DocUndocumented, WithinMaxLen: true}
+	if a.dict != nil {
+		if cap(ann.Communities) < len(ev.Communities) {
+			ann.Communities = make([]CommunityDoc, 0, len(ev.Communities))
+		}
+		for _, c := range ev.Communities {
+			cd := CommunityDoc{Doc: DocUndocumented, WithinMaxLen: true}
 			if e := a.dict.Lookup(c); e != nil {
 				cd.Doc = docString(e.Doc)
 				cd.MaxPrefixLen = e.MaxPrefixLen
@@ -175,15 +217,14 @@ func (a *Annotator) Annotate(ev *core.Event) Annotation {
 				if capLen > 0 && ev.Prefix.Bits() > capLen {
 					cd.WithinMaxLen = false
 					overLen++
-					reasons = append(reasons, fmt.Sprintf("prefix /%d exceeds documented max /%d for community %s",
-						ev.Prefix.Bits(), capLen, c))
+					reasons = append(reasons, reason{kind: 'l', community: c, bits: ev.Prefix.Bits(), cap: capLen})
 				}
 			}
 			if cd.Doc == DocUndocumented {
 				undocumented++
-				reasons = append(reasons, fmt.Sprintf("undocumented community %s", c))
+				reasons = append(reasons, reason{kind: 'u', community: c})
 			}
-			ann.Communities[i] = cd
+			ann.Communities = append(ann.Communities, cd)
 		}
 	}
 
@@ -198,19 +239,58 @@ func (a *Annotator) Annotate(ev *core.Event) Annotation {
 	default:
 		ann.Legitimacy = VerdictLegitimate
 	}
-	ann.Reasons = reasons
-	return ann
+	return reasons
+}
+
+// tallied names what Tally counts in fixed arrays: verdicts, folded RPKI
+// states and documentation statuses (indexed by topology.DocSource).
+var tallied = [3][]string{
+	{VerdictLegitimate, VerdictQuestionable, VerdictIllegitimate},
+	{rpki.Valid.String(), rpki.Invalid.String(), rpki.NotFound.String()},
+	{topology.DocNone: DocUndocumented, topology.DocIRR: DocIRR, topology.DocWeb: DocWeb, topology.DocPrivate: DocPrivate},
 }
 
 // docString renders a topology documentation source for the wire.
 func docString(d topology.DocSource) string {
-	switch d {
-	case topology.DocIRR:
-		return DocIRR
-	case topology.DocWeb:
-		return DocWeb
-	case topology.DocPrivate:
-		return DocPrivate
+	if d < 0 || int(d) >= len(tallied[2]) {
+		d = topology.DocNone
 	}
-	return DocUndocumented
+	return tallied[2][d]
+}
+
+// Tally counts the judgements of the events scan observes into the
+// /legitimacy histograms, keys counted only, and returns how many there
+// were. Verdicts, folded RPKI states and documentation statuses count in
+// fixed arrays, reasons by value; one judgement's slices serve every
+// event, and each distinct reason is rendered once, at the end.
+func (a *Annotator) Tally(scan func(observe func(*core.Event)) error, legitimacy, rpkiStates, communityDoc, reasons map[string]int) (total int, err error) {
+	var ann Annotation
+	var judged []reason
+	var counts [len(tallied)][4]int // as tallied names them
+	counted := map[reason]int{}
+	err = scan(func(ev *core.Event) {
+		judged = a.judge(ev, &ann, judged[:0])
+		total++
+		counts[0][slices.Index(tallied[0], ann.Legitimacy)]++
+		if len(ann.RPKI) > 0 {
+			counts[1][slices.Index(tallied[1], ann.RPKISummary())]++
+		}
+		for _, cd := range ann.Communities {
+			counts[2][slices.Index(tallied[2], cd.Doc)]++
+		}
+		for _, r := range judged {
+			counted[r]++
+		}
+	})
+	for h, hist := range [...]map[string]int{legitimacy, rpkiStates, communityDoc} {
+		for i, name := range tallied[h] {
+			if n := counts[h][i]; n > 0 {
+				hist[name] += n
+			}
+		}
+	}
+	for r, n := range counted {
+		reasons[r.String()] += n
+	}
+	return total, err
 }

@@ -109,19 +109,23 @@ func compareROA(a, b ROA) int {
 	return a.Prefix.Bits() - b.Prefix.Bits()
 }
 
-// ensureIndex (re)builds the sorted index if Add invalidated it.
-func (r *Registry) ensureIndex() {
+// rlockIndexed takes the read lock with the index built: a lookup's one
+// lock, unless Add invalidated the index, rebuilt under the write lock.
+func (r *Registry) rlockIndexed() {
 	r.mu.RLock()
-	ok := r.indexed
-	r.mu.RUnlock()
-	if ok {
-		return
+	for !r.indexed {
+		r.mu.RUnlock()
+		r.mu.Lock()
+		if !r.indexed {
+			r.buildIndex()
+		}
+		r.mu.Unlock()
+		r.mu.RLock()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.indexed {
-		return
-	}
+}
+
+// buildIndex rebuilds the sorted index. Caller holds the write lock.
+func (r *Registry) buildIndex() {
 	r.sorted = r.sorted[:0]
 	for _, roa := range r.roas {
 		// An invalid (zero) prefix can cover nothing; indexing it would
@@ -187,8 +191,7 @@ func (r *Registry) CoveringROAs(p netip.Prefix) []ROA {
 	if !p.IsValid() {
 		return nil
 	}
-	r.ensureIndex()
-	r.mu.RLock()
+	r.rlockIndexed()
 	defer r.mu.RUnlock()
 	var out []ROA
 	r.coveringWalk(p, func(roa ROA) bool {
@@ -207,8 +210,7 @@ func (r *Registry) Validate(p netip.Prefix, origin bgp.ASN) State {
 	if !p.IsValid() {
 		return NotFound
 	}
-	r.ensureIndex()
-	r.mu.RLock()
+	r.rlockIndexed()
 	defer r.mu.RUnlock()
 	state := NotFound
 	r.coveringWalk(p, func(roa ROA) bool {

@@ -836,16 +836,43 @@ func (b *RemoteBackend) LegitimacySummary(ctx context.Context, q Query) (*Legiti
 	if _, err := b.getJSON(ctx, "/legitimacy", queryParams(q), sum); err != nil { // the body counts the shards failed too
 		return nil, err
 	}
+	if !sum.consistent() {
+		return nil, fmt.Errorf("shard %s: bad /legitimacy answer: inconsistent counts", b.name)
+	}
 	return sum, nil
+}
+
+// consistent reports what every tier's summary holds: no count is
+// negative, and the counts of the three verdicts sum to the total. A
+// shards_failed of -1 taken as sent would cancel a lost sibling.
+func (s *LegitimacySummary) consistent() bool {
+	left := s.Total
+	for v, n := range s.Legitimacy {
+		if n < 0 || n > left || v != VerdictLegitimate && v != VerdictQuestionable && v != VerdictIllegitimate {
+			return false
+		}
+		left -= n
+	}
+	for _, hist := range []map[string]int{s.RPKI, s.CommunityDoc, s.Reasons} {
+		for _, n := range hist {
+			if n < 0 {
+				return false
+			}
+		}
+	}
+	return left == 0 && s.ShardsFailed >= 0
 }
 
 // Stats implements Backend over GET /stats. Extra sections a shard
 // serves (the detector block) are ignored; a shard that is itself a
-// federation forwards its shards block.
+// federation forwards its shards block, whose failed count is not negative.
 func (b *RemoteBackend) Stats(ctx context.Context) (*BackendStats, error) {
 	var stats BackendStats
 	if _, err := b.getJSON(ctx, "/stats", nil, &stats); err != nil { // the shards block counts the shards failed
 		return nil, err
+	}
+	if stats.Shards != nil && stats.Shards.Failed < 0 {
+		return nil, fmt.Errorf("shard %s: bad /stats answer: shards.failed %d", b.name, stats.Shards.Failed)
 	}
 	return &stats, nil
 }
