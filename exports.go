@@ -75,8 +75,8 @@ type (
 // Legitimacy enrichment types (see NewAnnotator, Pipeline.Annotator,
 // Query.Enrich and the /legitimacy HTTP endpoint).
 type (
-	// RPKIRegistry is the ROA registry: origin validation answers from
-	// an indexed covering-ROA lookup (RFC 6811 semantics).
+	// RPKIRegistry is the ROA registry: RFC 6811 origin validation reads
+	// one immutable index, one map probe per distinct ROA prefix length.
 	RPKIRegistry = rpki.Registry
 	// ROA is one Route Origin Authorization.
 	ROA = rpki.ROA

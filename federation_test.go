@@ -1184,6 +1184,9 @@ func TestHostileShardCountsAreRefused(t *testing.T) {
 		{"verdicts wrapping to the total", "/legitimacy",
 			`{"total":0,"legitimacy":{"legitimate":9223372036854775807,"questionable":9223372036854775807,"illegitimate":2},` + hist + `}`},
 		{"negative shards.failed", "/stats", `{"events":0,"shards":{"version":1,"failed":-1,"shards":[]}}`},
+		{"negative events and prefixes", "/stats", `{"Events":-3,"Prefixes":-3}`},
+		{"negative bytes", "/stats", `{"Events":1,"Bytes":-4096}`},
+		{"negative hydrated events", "/stats", `{"HydratedEvents":-1}`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

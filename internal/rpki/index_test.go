@@ -3,6 +3,8 @@ package rpki
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
+	"sync"
 	"testing"
 
 	"bgpblackholing/internal/bgp"
@@ -112,6 +114,86 @@ func TestIndexInvalidatedByAdd(t *testing.T) {
 	}
 	if got := len(reg.CoveringROAs(p)); got != 2 {
 		t.Fatalf("post-add CoveringROAs = %d entries, want 2", got)
+	}
+}
+
+// TestValidateDuringAdd races one writer's Adds against three readers.
+// A reader reads Len before and after each Validate or CoveringROAs; the
+// answer must be the linear scan's over adds[:k] for some k between the
+// two readings, that is, the answer of one registry state it could have
+// seen. Run it under -race: readers share the published index with the
+// writer.
+func TestValidateDuringAdd(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	adds := make([]ROA, 300)
+	for i := range adds {
+		adds[i] = randomROA(r)
+	}
+	// scanAt is validateScan over the first k adds.
+	scanAt := func(k int, p netip.Prefix, origin bgp.ASN) State {
+		snap := &Registry{}
+		snap.idx.Store(&index{roas: adds[:k]})
+		return snap.validateScan(p, origin)
+	}
+	// coveringAt is every ROA of the first k adds that covers p, masked,
+	// in (address, length) order; ROAs of one prefix keep their order.
+	coveringAt := func(k int, p netip.Prefix) []ROA {
+		var out []ROA
+		for _, roa := range adds[:k] {
+			if roa.Covers(p) {
+				out = append(out, ROA{Prefix: roa.Prefix.Masked(), MaxLength: roa.MaxLength, ASN: roa.ASN})
+			}
+		}
+		slices.SortStableFunc(out, func(a, b ROA) int { return a.Prefix.Bits() - b.Prefix.Bits() })
+		return out
+	}
+
+	reg := &Registry{}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := int64(0); w < 3; w++ {
+		wg.Add(1)
+		go func(r *rand.Rand) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				p, origin := randomQuery(r), bgp.ASN(1+r.Intn(10))
+				lo := reg.Len()
+				got := reg.Validate(p, origin)
+				hi := reg.Len()
+				ok := false
+				for k := lo; k <= hi && !ok; k++ {
+					ok = scanAt(k, p, origin) == got
+				}
+				if !ok {
+					t.Errorf("Validate(%s, AS%d) = %v during Adds %d..%d: no registry state gives it", p, origin, got, lo, hi)
+					return
+				}
+				lo = reg.Len()
+				cov := reg.CoveringROAs(p)
+				hi = reg.Len()
+				ok = false
+				for k := lo; k <= hi && !ok; k++ {
+					ok = slices.Equal(cov, coveringAt(k, p))
+				}
+				if !ok {
+					t.Errorf("CoveringROAs(%s) = %v during Adds %d..%d: no registry state gives it", p, cov, lo, hi)
+					return
+				}
+			}
+		}(rand.New(rand.NewSource(100 + w)))
+	}
+	for _, roa := range adds {
+		reg.Add(roa)
+	}
+	close(done)
+	wg.Wait()
+	if reg.Len() != len(adds) {
+		t.Fatalf("Len = %d after %d Adds", reg.Len(), len(adds))
 	}
 }
 

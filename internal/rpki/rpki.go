@@ -15,8 +15,10 @@ package rpki
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/topology"
@@ -56,181 +58,135 @@ func (r ROA) Covers(p netip.Prefix) bool {
 		r.Prefix.Bits() <= p.Bits() && r.Prefix.Contains(p.Addr())
 }
 
-// Registry is a validated ROA set. Validation answers from an index —
-// ROAs sorted by (address, length) plus the set of distinct prefix
-// lengths present — built lazily on first lookup and invalidated by
-// Add, so a query-time caller never pays a linear scan per event. All
-// methods are safe for concurrent use.
+// Registry is a validated ROA set. Reads answer from one immutable
+// index, loaded without a lock; Add serialises writers and publishes a
+// fresh index. The zero Registry is empty and ready to use. All methods
+// are safe for concurrent use.
 type Registry struct {
-	mu   sync.RWMutex
-	roas []ROA
+	mu  sync.Mutex // serialises Add
+	idx atomic.Pointer[index]
+}
 
-	// Index state: sorted is roas ordered by (addr, bits); lens4/lens6
-	// are the distinct prefix lengths present per family, ascending. A
-	// covering lookup for p probes, for each indexed length l <= p.Bits(),
-	// the exact entry (p masked to l, l) by binary search — O(L log n)
-	// with L bounded by 33/129 and in practice a handful.
-	indexed      bool
-	sorted       []ROA
+// index is one published view of a registry: the ROAs as added, and per
+// family the distinct prefix lengths, ascending, plus the ROAs keyed by
+// masked prefix. A covering lookup for p probes the map once per length
+// no longer than p, so ascending lengths yield (address, length) order.
+type index struct {
+	roas         []ROA
 	lens4, lens6 []int
+	byPrefix     map[netip.Prefix][]ROA
+}
+
+// noROAs is the index of a registry nothing was added to.
+var noROAs index
+
+// newIndex indexes roas, which it keeps and never writes.
+func newIndex(roas []ROA) *index {
+	ix := &index{roas: roas, byPrefix: make(map[netip.Prefix][]ROA, len(roas))}
+	var seen4, seen6 [129]bool
+	for _, roa := range roas {
+		// An invalid (zero) prefix covers nothing (Covers is false), so
+		// the index leaves it out.
+		if !roa.Prefix.IsValid() {
+			continue
+		}
+		q := roa.Prefix.Masked()
+		ix.byPrefix[q] = append(ix.byPrefix[q], ROA{Prefix: q, MaxLength: roa.MaxLength, ASN: roa.ASN})
+		if q.Addr().Is4() {
+			seen4[q.Bits()] = true
+		} else {
+			seen6[q.Bits()] = true
+		}
+	}
+	for l := 0; l <= 128; l++ {
+		if seen4[l] {
+			ix.lens4 = append(ix.lens4, l)
+		}
+		if seen6[l] {
+			ix.lens6 = append(ix.lens6, l)
+		}
+	}
+	return ix
+}
+
+// lensUpTo returns the lengths of p's family no longer than p.
+func (ix *index) lensUpTo(p netip.Prefix) []int {
+	lens := ix.lens6
+	if p.Addr().Is4() {
+		lens = ix.lens4
+	}
+	n := 0
+	for n < len(lens) && lens[n] <= p.Bits() {
+		n++
+	}
+	return lens[:n]
+}
+
+// load returns the published index.
+func (r *Registry) load() *index {
+	if ix := r.idx.Load(); ix != nil {
+		return ix
+	}
+	return &noROAs
 }
 
 // Add registers a ROA.
 func (r *Registry) Add(roa ROA) {
 	r.mu.Lock()
-	r.roas = append(r.roas, roa)
-	r.indexed = false
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	// Clip makes append copy: the published ROAs are never written.
+	r.idx.Store(newIndex(append(slices.Clip(r.load().roas), roa)))
 }
 
 // Len returns the ROA count.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.roas)
-}
+func (r *Registry) Len() int { return len(r.load().roas) }
 
 // ROAs returns a snapshot of the registered ROAs.
-func (r *Registry) ROAs() []ROA {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]ROA, len(r.roas))
-	copy(out, r.roas)
-	return out
-}
+func (r *Registry) ROAs() []ROA { return slices.Clone(r.load().roas) }
 
-// compareROA orders ROAs by masked address, then prefix length.
-// netip.Addr.Compare sorts IPv4 before IPv6, so the families never
-// interleave.
-func compareROA(a, b ROA) int {
-	if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
-		return c
-	}
-	return a.Prefix.Bits() - b.Prefix.Bits()
-}
-
-// rlockIndexed takes the read lock with the index built: a lookup's one
-// lock, unless Add invalidated the index, rebuilt under the write lock.
-func (r *Registry) rlockIndexed() {
-	r.mu.RLock()
-	for !r.indexed {
-		r.mu.RUnlock()
-		r.mu.Lock()
-		if !r.indexed {
-			r.buildIndex()
-		}
-		r.mu.Unlock()
-		r.mu.RLock()
-	}
-}
-
-// buildIndex rebuilds the sorted index. Caller holds the write lock.
-func (r *Registry) buildIndex() {
-	r.sorted = r.sorted[:0]
-	for _, roa := range r.roas {
-		// An invalid (zero) prefix can cover nothing; indexing it would
-		// index Bits() == -1. The old linear scan ignored such ROAs
-		// (Covers returned false), so the index does too.
-		if !roa.Prefix.IsValid() {
-			continue
-		}
-		r.sorted = append(r.sorted, ROA{Prefix: roa.Prefix.Masked(), MaxLength: roa.MaxLength, ASN: roa.ASN})
-	}
-	sort.Slice(r.sorted, func(i, j int) bool { return compareROA(r.sorted[i], r.sorted[j]) < 0 })
-	r.lens4, r.lens6 = r.lens4[:0], r.lens6[:0]
-	seen4, seen6 := [129]bool{}, [129]bool{}
-	for _, roa := range r.sorted {
-		if roa.Prefix.Addr().Is4() {
-			seen4[roa.Prefix.Bits()] = true
-		} else {
-			seen6[roa.Prefix.Bits()] = true
-		}
-	}
-	for l := 0; l <= 128; l++ {
-		if seen4[l] {
-			r.lens4 = append(r.lens4, l)
-		}
-		if seen6[l] {
-			r.lens6 = append(r.lens6, l)
-		}
-	}
-	r.indexed = true
-}
-
-// coveringWalk visits every indexed ROA whose prefix covers p, in
-// (address, length) order, without allocating: one binary search per
-// distinct ROA prefix length no longer than p. Returning false stops
-// the walk. Caller holds the read lock with the index built.
-func (r *Registry) coveringWalk(p netip.Prefix, visit func(ROA) bool) {
-	lens := r.lens4
-	if !p.Addr().Is4() {
-		lens = r.lens6
-	}
-	for _, l := range lens {
-		if l > p.Bits() {
-			return
-		}
-		q, err := p.Addr().Prefix(l)
-		if err != nil {
-			continue
-		}
-		probe := ROA{Prefix: q}
-		i := sort.Search(len(r.sorted), func(i int) bool { return compareROA(r.sorted[i], probe) >= 0 })
-		for ; i < len(r.sorted) && r.sorted[i].Prefix == q; i++ {
-			if !visit(r.sorted[i]) {
-				return
-			}
-		}
-	}
-}
-
-// CoveringROAs returns every ROA whose prefix covers p, in (address,
-// length) order. The lookup is indexed: one binary search per distinct
-// ROA prefix length no longer than p, never a scan of the registry.
+// CoveringROAs returns every ROA covering p, masked, in (address,
+// length) order and, for one prefix, as added: one map probe per
+// distinct ROA prefix length no longer than p, never a registry scan.
 func (r *Registry) CoveringROAs(p netip.Prefix) []ROA {
 	if !p.IsValid() {
 		return nil
 	}
-	r.rlockIndexed()
-	defer r.mu.RUnlock()
+	ix := r.load()
 	var out []ROA
-	r.coveringWalk(p, func(roa ROA) bool {
-		out = append(out, roa)
-		return true
-	})
+	for _, l := range ix.lensUpTo(p) {
+		q, _ := p.Addr().Prefix(l)
+		out = append(out, ix.byPrefix[q]...)
+	}
 	return out
 }
 
 // Validate classifies an announcement of prefix p with origin AS o.
 // Per RFC 6811: Valid if any covering ROA matches origin and length;
 // Invalid if covering ROAs exist but none matches; NotFound otherwise.
-// The covering set comes from the registry index (see coveringWalk) —
-// the hot query-time path neither scans the registry nor allocates.
+// It walks the index as CoveringROAs does, without allocating.
 func (r *Registry) Validate(p netip.Prefix, origin bgp.ASN) State {
 	if !p.IsValid() {
 		return NotFound
 	}
-	r.rlockIndexed()
-	defer r.mu.RUnlock()
+	ix := r.load()
 	state := NotFound
-	r.coveringWalk(p, func(roa ROA) bool {
-		state = Invalid
-		if roa.ASN == origin && p.Bits() <= roa.MaxLength {
-			state = Valid
-			return false
+	for _, l := range ix.lensUpTo(p) {
+		q, _ := p.Addr().Prefix(l)
+		for _, roa := range ix.byPrefix[q] {
+			if roa.ASN == origin && p.Bits() <= roa.MaxLength {
+				return Valid
+			}
+			state = Invalid
 		}
-		return true
-	})
+	}
 	return state
 }
 
-// validateScan is the pre-index O(n) reference implementation, kept as
-// the property-test oracle for the indexed Validate/CoveringROAs path.
+// validateScan is the O(n) reference implementation, kept as the
+// property-test oracle of the Validate/CoveringROAs index walk.
 func (r *Registry) validateScan(p netip.Prefix, origin bgp.ASN) State {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	covered := false
-	for _, roa := range r.roas {
+	for _, roa := range r.load().roas {
 		if !roa.Covers(p) {
 			continue
 		}
@@ -273,7 +229,7 @@ func DefaultBuildConfig() BuildConfig {
 // Build synthesises the registry for a topology.
 func Build(topo *topology.Topology, cfg BuildConfig) *Registry {
 	r := rand.New(rand.NewSource(cfg.Seed))
-	reg := &Registry{}
+	var roas []ROA
 	for _, asn := range topo.Order {
 		if r.Float64() >= cfg.Coverage {
 			continue
@@ -288,16 +244,18 @@ func Build(topo *topology.Topology, cfg BuildConfig) *Registry {
 					maxLen = 128
 				}
 			}
-			reg.Add(ROA{Prefix: p, MaxLength: maxLen, ASN: asn})
+			roas = append(roas, ROA{Prefix: p, MaxLength: maxLen, ASN: asn})
 		}
 	}
-	sort.Slice(reg.roas, func(i, j int) bool {
-		a, b := reg.roas[i], reg.roas[j]
+	sort.Slice(roas, func(i, j int) bool {
+		a, b := roas[i], roas[j]
 		if a.Prefix.Addr() != b.Prefix.Addr() {
 			return a.Prefix.Addr().Less(b.Prefix.Addr())
 		}
 		return a.Prefix.Bits() < b.Prefix.Bits()
 	})
+	reg := &Registry{}
+	reg.idx.Store(newIndex(roas))
 	return reg
 }
 

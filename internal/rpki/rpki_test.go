@@ -85,8 +85,9 @@ func TestBuildDeterministic(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatal("non-deterministic registry size")
 	}
-	for i := range a.roas {
-		if a.roas[i] != b.roas[i] {
+	bROAs := b.ROAs()
+	for i, roa := range a.ROAs() {
+		if roa != bROAs[i] {
 			t.Fatal("non-deterministic ROA")
 		}
 	}

@@ -865,14 +865,18 @@ func (s *LegitimacySummary) consistent() bool {
 
 // Stats implements Backend over GET /stats. Extra sections a shard
 // serves (the detector block) are ignored; a shard that is itself a
-// federation forwards its shards block, whose failed count is not negative.
+// federation forwards its shards block. No count is negative: a router
+// sums them, and one shard's must not cancel another's.
 func (b *RemoteBackend) Stats(ctx context.Context) (*BackendStats, error) {
 	var stats BackendStats
 	if _, err := b.getJSON(ctx, "/stats", nil, &stats); err != nil { // the shards block counts the shards failed
 		return nil, err
 	}
-	if stats.Shards != nil && stats.Shards.Failed < 0 {
-		return nil, fmt.Errorf("shard %s: bad /stats answer: shards.failed %d", b.name, stats.Shards.Failed)
+	s := &stats.StoreStats
+	if min(s.Events, s.Prefixes, s.Segments, s.Tombstones, s.PendingErasure, s.RecoveredTails, s.Unsynced,
+		s.SegmentsCold, s.SegmentsHydrated, s.OpenDecodedEvents, s.HydratedEvents) < 0 ||
+		min(s.Bytes, s.MappedBytes) < 0 || stats.Shards != nil && stats.Shards.Failed < 0 {
+		return nil, fmt.Errorf("shard %s: bad /stats answer: a negative count", b.name)
 	}
 	return &stats, nil
 }

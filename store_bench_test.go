@@ -159,11 +159,11 @@ func BenchmarkStoreQueryLPM(b *testing.B) {
 
 // BenchmarkQueryEnriched answers the same LPM point queries as
 // BenchmarkStoreQueryLPM, but with Query.Enrich on — every hit pays
-// annotation (indexed covering-ROA validation per inferred origin,
-// dictionary lookups per community, verdict). The acceptance wall: this
-// must stay within 3× BenchmarkStoreQueryLPM ns/op, which requires the
-// registry's indexed CoveringROAs path (a linear ROA scan per origin
-// would blow straight through it).
+// annotation (RFC 6811 validation per inferred origin, dictionary
+// lookups per community, verdict). The acceptance wall: this must stay
+// within 3× BenchmarkStoreQueryLPM ns/op, which requires Validate's
+// index walk, one map probe per distinct ROA prefix length (a linear
+// ROA scan per origin would blow straight through it).
 func BenchmarkQueryEnriched(b *testing.B) {
 	events := storeBenchEvents(b)
 	st, err := OpenStore(b.TempDir())
