@@ -601,6 +601,141 @@ func appendEventLine(dst []byte, ev *Event, ann Annotation) ([]byte, RecordKey, 
 	return append(dst, '}'), key, nil
 }
 
+// layoutKey reads the key of a line laid out as appendEventLine writes
+// it with no enrichment: member names in the writer's order, plain
+// strings, JSON numbers, RFC 3339 UTC times, no space, nothing after the
+// close. Such a line is valid JSON naming each key field once, so its key
+// is scanLineKey's. On any other byte it gives up, and the line is the
+// general scan's: an enriched line is, at once, for it alone ends with a
+// list or a string.
+func layoutKey(b []byte) (key RecordKey, ok bool) {
+	if n := len(b); n < 2 || b[n-2] == ']' || b[n-2] == '"' {
+		return RecordKey{}, false
+	}
+	r := layout{b: b, ok: true}
+	prefix := r.str(`{"prefix":`)
+	key.Start = r.stamp(`,"start":`)
+	key.End = r.stamp(`,"end":`)
+	r.num(`,"duration_seconds":`)
+	r.opt(`,"start_unknown":true`)
+	r.list(`,"providers":[`, 's')
+	r.list(`,"users":[`, 'n')
+	r.list(`,"communities":[`, 's')
+	r.list(`,"platforms":[`, 's')
+	r.num(`,"peers":`)
+	r.num(`,"detections":`)
+	r.opt(`,"direct_feed":true`)
+	r.opt(`,"saw_no_export":true`)
+	if r.opt(`,"seq":`) { // what both ParseUint and JSON read: 0, or up to 19 digits and no leading zero
+		end := skipDigits(b, r.i)
+		r.ok = r.ok && end > r.i && end-r.i <= 19 && (b[r.i] != '0' || end == r.i+1)
+		key.Seq, r.i = digits(b[r.i:end]), end
+	}
+	if !r.lit("}") || r.i != len(b) {
+		return RecordKey{}, false
+	}
+	key.Prefix = string(prefix)
+	return key, true
+}
+
+// layout is layoutKey's cursor: each read moves i past what it matched,
+// or clears ok, after which every read is a no-op. A value's read takes
+// the literal before it: the member's name, or "" for a list element.
+type layout struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// lit reads s, which the line must have next, and reports r.ok.
+func (r *layout) lit(s string) bool {
+	r.ok = r.opt(s)
+	return r.ok
+}
+
+// opt reads s if the line has it next, and reports whether it did.
+func (r *layout) opt(s string) bool {
+	if b := r.b[r.i:]; !r.ok || len(b) < len(s) || string(b[:len(s)]) != s {
+		return false
+	}
+	r.i += len(s)
+	return true
+}
+
+// str reads name and a plain string (skipString's), and returns the
+// bytes between its quotes.
+func (r *layout) str(name string) (s []byte) {
+	end, plain := skipString(r.b, r.i+len(name))
+	if r.ok = r.lit(name) && plain; r.ok {
+		s, r.i = r.b[r.i+1:end-1], end
+	}
+	return s
+}
+
+// num reads name and a JSON number.
+func (r *layout) num(name string) {
+	end := -1
+	if r.lit(name) && r.i < len(r.b) && (r.b[r.i] == '-' || '0' <= r.b[r.i] && r.b[r.i] <= '9') {
+		end = skipScalar(r.b, r.i)
+	}
+	r.i, r.ok = max(end, r.i), end >= 0
+}
+
+// list reads an optional member whose opener is open: a non-empty list
+// of plain strings ('s') or of numbers ('n').
+func (r *layout) list(open string, kind byte) {
+	for more := r.opt(open); more; more = !r.opt("]") && r.lit(",") {
+		if kind == 'n' {
+			r.num("")
+		} else {
+			r.str("")
+		}
+	}
+}
+
+// stamp reads name and a time written as "YYYY-MM-DDTHH:MM:SS[.F]Z",
+// its fields in time.Parse's ranges and F read to the nanosecond as
+// time.Parse reads it, and returns its UnixNano: the instant
+// Time.UnmarshalJSON reads.
+func (r *layout) stamp(name string) int64 {
+	s := r.b[min(r.i+len(name), len(r.b)):]
+	z, ns := 20, uint64(0) // z: the index of the 'Z'
+	if len(s) > 21 && s[20] == '.' {
+		// a fraction, of which time.Parse reads nine digits
+		z = skipDigits(s, 21)
+		ns = digits(s[21:min(z, 30)])
+		for k := z; k < 30; k++ {
+			ns *= 10
+		}
+	}
+	if !r.lit(name) || z == 21 || len(s) < z+2 || s[0] != '"' || s[5] != '-' || s[8] != '-' || s[11] != 'T' ||
+		s[14] != ':' || s[17] != ':' || s[z] != 'Z' || s[z+1] != '"' {
+		r.ok = false
+		return 0
+	}
+	y, mo, d := digits(s[1:5]), digits(s[6:8]), digits(s[9:11])
+	h, mi, sec := digits(s[12:14]), digits(s[15:17]), digits(s[18:20])
+	t := time.Date(int(y), time.Month(mo), int(d), int(h), int(mi), int(sec), int(ns), time.UTC)
+	if _, m, day := t.Date(); y > 9999 || h > 23 || mi > 59 || sec > 59 || m != time.Month(mo) || day != int(d) {
+		r.ok = false
+		return 0
+	}
+	r.i += z + 2
+	return t.UnixNano()
+}
+
+// digits is the decimal value of s, or a value past every field's range
+// if s holds a non-digit.
+func digits(s []byte) (v uint64) {
+	for _, c := range s {
+		if c -= '0'; c > 9 {
+			return 1 << 16
+		}
+		v = v*10 + uint64(c)
+	}
+	return v
+}
+
 // appendSortedStrings appends an omitempty string-list field — open is
 // its `,"name":[` opener — listing set's members in the byte order of
 // their text, where the event holds them in numeric order ("AS10" sorts

@@ -14,6 +14,7 @@ import (
 	"net/netip"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -410,7 +411,7 @@ func oracleLineKey(line []byte) (RecordKey, error) {
 
 // lineKeySeeds are lines of every kind scanLineKey must read or refuse
 // exactly as encoding/json does.
-var lineKeySeeds = []string{
+var lineKeySeeds = append([]string{
 	// real shapes: plain, enriched, IPv6, seq-less legacy
 	`{"prefix":"10.1.2.3/32","start":"2015-03-01T12:00:00Z","end":"2015-03-01T15:00:00Z","duration_seconds":10800,"providers":["AS3356"],"users":[65001],"communities":["3356:9999"],"platforms":["RIS"],"peers":1,"detections":2,"seq":17}`,
 	`{"prefix":"10.1.2.3/32","start":"2015-03-01T12:00:00.5Z","end":"2015-03-01T15:00:00.123456789+02:00","duration_seconds":1e-7,"start_unknown":true,"peers":1,"detections":2,"seq":18446744073709551615,"rpki":[{"origin":65001,"state":"valid"}],"community_doc":[{"community":"3356:9999","doc":"irr","max_prefix_len":32,"within_max_len":true}],"legitimacy":"legitimate","legitimacy_reasons":["a","b"]}`,
@@ -441,6 +442,45 @@ var lineKeySeeds = []string{
 	`{"seq":01}`, `{"seq":1.}`, `{"seq":.5}`, `{"seq":1e}`, `{"seq":+1}`, `{"seq":-}`, `{"a":tru}`, `{"a":nul}`, `{"a":nulll}`, `{"a":truefalse}`, `nullnull`,
 	`{"a":"unterminated}`, `{"a":"bad \x escape"}`, `{"a":"bad \u12g4"}`, `{"a":"short \u12"}`, "{\"a\":\"raw\ncontrol\"}", "{\"a\":\"tab\tinside\"}", `{"a":"trailing backslash\`,
 	`{"a":[1,2,]}`, `{"a":[1 2]}`, `{"a":[}`, `{"a":{]}`, `[1,2`, `{"a":{"b":{"c":[[[]]]}}}`, `{"a":[[[[`,
+}, layoutEdgeLines()...)
+
+// canonicalLine is a line as appendEventLine writes it, its start, end,
+// seq and tail put in from the arguments.
+func canonicalLine(start, end, seq, tail string) string {
+	return `{"prefix":"10.1.2.3/32","start":"` + start + `","end":"` + end + `","duration_seconds":10800,"providers":["AS3356"],` +
+		`"users":[65001],"communities":["3356:9999"],"platforms":["RIS"],"peers":1,"detections":2,"seq":` + seq + tail + "}"
+}
+
+// layoutEdgeLines are the edges of layoutKey's layout: stamps at the
+// leap day, month lengths, the year range and the clock's, fractions of
+// a second at their width limits, seq numbers
+// at the width and leading-zero limits, and canonical lines spoilt by
+// one member or byte.
+func layoutEdgeLines() (lines []string) {
+	const t = "2015-03-01T12:00:00Z"
+	for _, stamp := range []string{"2016-02-29T00:00:00Z", "2015-02-29T00:00:00Z", "2100-02-29T00:00:00Z", "2000-02-29T00:00:00Z",
+		"2015-04-31T00:00:00Z", "2015-04-30T00:00:00Z", "1969-12-31T23:59:59Z", "1970-01-01T00:00:00Z", "2200-12-31T23:59:59Z",
+		"2201-01-01T00:00:00Z", "2015-03-01T23:59:59Z", "2015-03-01T24:00:00Z", "2015-03-01T12:60:00Z", "2015-03-01T12:00:60Z",
+		"2015-13-01T00:00:00Z", "2015-00-01T00:00:00Z", "2015-03-00T00:00:00Z", "2015-03-01t12:00:00Z", "2015-03-01T12:00:00z", "2O15-03-01T12:00:00Z",
+		"0000-01-01T00:00:00Z", "9999-12-31T23:59:59.999999999Z", "2015-03-01T12:00:00.5Z", "2015-03-01T12:00:00.50Z", "2015-03-01T12:00:00.000000001Z",
+		"2015-03-01T12:00:00.123456789Z", "2015-03-01T12:00:00.1234567891Z", "2015-03-01T12:00:00.99999999999999999999Z", "2015-03-01T12:00:00.Z", "2015-03-01T12:00:00.5", "2015-03-01T12:00:00.5x"} {
+		lines = append(lines, canonicalLine(stamp, t, "1", ""), canonicalLine(t, stamp, "1", ""))
+	}
+	for _, seq := range []string{"0", "01", "00", "1234567890123456789", "9999999999999999999", "12345678901234567890", "18446744073709551616", "-1", "1.0", "1e2"} {
+		lines = append(lines, canonicalLine(t, t, seq, ""))
+	}
+	canonical := canonicalLine(t, t, "17", "")
+	return append(lines,
+		canonicalLine(t, t, "17", `,"Seq":5`), canonicalLine(t, t, "17", `,"PREFIX":"x"`), canonicalLine(t, t, "17", `,"seq":5`),
+		canonical+" ", canonical+"x", canonical+"}", " "+canonical, canonical[:len(canonical)-1],
+		strings.Replace(canonical, `"AS3356"`, `"AS\u0033356"`, 1), strings.Replace(canonical, `.3/32"`, `.3\/32"`, 1), strings.Replace(canonical, `:10800,`, `:-10800,`, 1),
+		strings.Replace(canonical, `:10800,`, `:1.08e4,`, 1), strings.Replace(canonical, `:10800,`, `:010800,`, 1),
+		strings.Replace(canonical, `"users":[65001]`, `"users":[]`, 1), strings.Replace(canonical, `"peers":1`, `"peers":"1"`, 1),
+		canonicalLine(t, t, "17", `,"rpki":[{"origin":65001,"state":"valid"}],"community_doc":[{"community":"3356:666","doc":"irr",`+
+			`"max_prefix_len":32,"within_max_len":true},{"community":"3356:9999","doc":"none","within_max_len":false}],`+
+			`"legitimacy":"questionable","legitimacy_reasons":["a","b"]`),
+		canonicalLine(t, t, "17", `,"community_doc":[{"community":"3356:666","doc":"irr","within_max_len":null}]`),
+		canonicalLine(t, t, "17", `,"rpki":[{"origin":65001,"state":"valid"},]`))
 }
 
 // FuzzRecordLineKey is the differential test for scanLineKey against
@@ -460,6 +500,108 @@ func FuzzRecordLineKey(f *testing.F) {
 			t.Fatalf("scanLineKey %+v, json.Unmarshal %+v\nline %q", got, want, line)
 		}
 	})
+}
+
+// TestLayoutKeyReadsEveryWrittenLine holds the writer and the layout
+// reader together: every line appendEventLine writes without enrichment
+// — the fixture's events, and hand-built ones switching each optional
+// member on and off — must be read by layoutKey itself, with the key
+// json.Unmarshal reads and appendEventLine returned. A member the writer
+// learns fails here rather than sending every line to the general scan.
+// So must a live detector's, stamped to the nanosecond. An enriched line,
+// or one with an escaped string, is the scan's, and still keyed as
+// json.Unmarshal keys it.
+func TestLayoutKeyReadsEveryWrittenLine(t *testing.T) {
+	check := func(ev *Event, ann Annotation, layout bool) {
+		t.Helper()
+		line, key, err := appendEventLine(nil, ev, ann)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracleLineKey(line)
+		if err != nil || want != key {
+			t.Fatalf("oracle key %+v, %v; appendEventLine's %+v\nline %s", want, err, key, line)
+		}
+		if got, ok := layoutKey(line); ok != layout || ok && got != want {
+			t.Fatalf("layoutKey %+v, read %v, want %+v read %v\nline %s", got, ok, want, layout, line)
+		}
+		if got, err := scanLineKey(line); err != nil || got != want {
+			t.Fatalf("scanLineKey %+v, %v; want %+v\nline %s", got, err, want, line)
+		}
+	}
+	p, events := lineFixtureEvents(t)
+	ann := p.Annotator()
+	plain := func(a Annotation) bool {
+		return len(a.RPKI) == 0 && len(a.Communities) == 0 && a.Legitimacy == "" && len(a.Reasons) == 0
+	}
+	for _, ev := range events {
+		check(ev, Annotation{}, true)
+		a := ann.Annotate(ev)
+		check(ev, a, plain(a))
+	}
+
+	start := time.Date(2016, 2, 29, 23, 0, 0, 0, time.UTC)
+	full := Annotation{
+		RPKI: []OriginValidity{{Origin: 65001, State: "valid"}, {Origin: 65002, State: "not-found"}},
+		Communities: []CommunityDoc{{Community: "3356:666", Doc: "irr", MaxPrefixLen: 32, WithinMaxLen: true},
+			{Community: "3356:9999", Doc: "undocumented", WithinMaxLen: false}},
+		Legitimacy: "questionable",
+		Reasons:    []string{"rpki-invalid", "community-undocumented"},
+	}
+	anns := []Annotation{{}, full, {RPKI: full.RPKI}, {Communities: full.Communities[1:]}, {Legitimacy: "legitimate"}, {Reasons: full.Reasons[:1]}}
+	for mask := 0; mask < 1<<9; mask++ {
+		on := func(bit int) bool { return mask&(1<<bit) != 0 }
+		ev := &Event{
+			Prefix: netip.MustParsePrefix("10.1.2.0/24"), Start: start, End: start.Add(90 * time.Minute),
+			StartUnknown: on(0), DirectFeed: on(1), SawNoExport: on(2),
+			Peers: make([]netip.Addr, 2), Detections: 3, Seq: 17,
+		}
+		if !on(3) {
+			ev.Providers = []ProviderRef{{Kind: ProviderAS, ASN: 3356}, {Kind: ProviderIXP, IXPID: 0}}
+		}
+		if !on(4) {
+			ev.Users = []ASN{9, 65001}
+		}
+		if !on(5) {
+			ev.Communities = []Community{MakeCommunity(3356, 666)}
+		}
+		if !on(6) {
+			ev.Platforms = []Platform{PlatformRIS, PlatformCDN}
+		}
+		if on(7) {
+			ev.Seq = 0
+		}
+		if on(8) {
+			ev.Prefix = netip.MustParsePrefix("2001:db8::/48")
+		}
+		for _, a := range anns {
+			check(ev, a, plain(a))
+		}
+	}
+
+	ev := &Event{Prefix: netip.MustParsePrefix("10.1.2.0/24"), Start: start, End: start.Add(time.Hour), Seq: 1}
+	check(ev, Annotation{Legitimacy: `needs "escaping"`}, false)
+	check(ev, Annotation{Communities: []CommunityDoc{{Community: "3356:666", Doc: "a<b"}}}, false)
+	for _, frac := range []time.Duration{time.Millisecond, 500 * time.Millisecond, time.Nanosecond, time.Second - time.Nanosecond, 123456789} {
+		ev.End = start.Add(time.Hour + frac)
+		check(ev, Annotation{}, true)
+		check(ev, full, false)
+	}
+	now := time.Now().UTC() // what a live feed stamps an update with
+	check(&Event{Prefix: netip.MustParsePrefix("10.1.2.0/24"), Start: now, End: now.Add(1234567 * time.Microsecond), Seq: 9}, Annotation{}, true)
+}
+
+// TestScanLineKeyAllocations is the wall under BenchmarkScanLineKey:
+// keying a canonical line, plain or enriched, allocates once, the
+// prefix's string.
+func TestScanLineKeyAllocations(t *testing.T) {
+	for _, line := range []string{lineKeySeeds[0], canonicalLine("2015-03-01T12:00:00Z", "2015-03-01T15:00:00Z", "17",
+		`,"rpki":[{"origin":65001,"state":"valid"}],"legitimacy":"legitimate"`)} {
+		b := []byte(line)
+		if n := testing.AllocsPerRun(100, func() { scanLineKey(b) }); n != 1 {
+			t.Errorf("scanLineKey costs %.0f allocations, want 1\nline %s", n, line)
+		}
+	}
 }
 
 // FuzzIndentJSON is the differential test for appendIndented against

@@ -462,8 +462,13 @@ func (b *RemoteBackend) nestedFailures(h http.Header) (int, error) {
 // does, and yields the same four values (FuzzRecordLineKey holds it to
 // that): the whole line must be valid JSON, an object or null; keys
 // match case-folded, the last duplicate wins, a null value leaves its
-// field alone and any other mistyped value is an error.
+// field alone and any other mistyped value is an error. A line as
+// appendEventLine writes it without enrichment is read by layoutKey
+// (query.go) instead.
 func scanLineKey(line []byte) (RecordKey, error) {
+	if key, ok := layoutKey(line); ok {
+		return key, nil
+	}
 	var k lineKey
 	i := skipSpace(line, 0)
 	end := k.skipValue(line, i, 0)

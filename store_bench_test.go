@@ -504,6 +504,41 @@ func BenchmarkRouterWindowNDJSON(b *testing.B) {
 	benchRouterVsSingle(b, "/events?format=ndjson")
 }
 
+// BenchmarkScanLineKey keys the bench window's record lines, plain and
+// enriched, as a router keys a shard's lines: ns/op is one pass over the
+// window, ns/line the layer's cost per record.
+func BenchmarkScanLineKey(b *testing.B) {
+	events := storeBenchEvents(b)
+	ann := storeBench.pipeline.Annotator()
+	for _, kind := range []string{"plain", "enriched"} {
+		var lines [][]byte
+		size := 0
+		for _, ev := range events {
+			var a Annotation
+			if kind == "enriched" {
+				a = ann.Annotate(ev)
+			}
+			line, _, err := appendEventLine(nil, ev, a)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lines, size = append(lines, line), size+len(line)
+		}
+		b.Run(kind, func(b *testing.B) {
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, line := range lines {
+					if _, err := scanLineKey(line); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/line")
+		})
+	}
+}
+
 // BenchmarkRouterPoint asks who blackholes one address: the router sends
 // the query to the one shard its prefix is filed on, so what is left of
 // the hop is one loopback round trip, the lines read and the envelope
