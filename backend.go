@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"iter"
 	"time"
@@ -33,8 +34,8 @@ import (
 
 // Figure4Sets is the mergeable wire form of the Figure 4 daily series:
 // per-day distinct-entity sets instead of counts — each entity named
-// once, each day listing indices — so a router can union shards before
-// counting (analysis.Figure4Union).
+// once, with its active days as spans — so a router can union shards
+// before counting (analysis.Figure4Union).
 type Figure4Sets = analysis.Figure4Sets
 
 // RecordKey is the canonical global ordering of event records across
@@ -269,10 +270,12 @@ type Backend interface {
 	// use each RecordLine.Line only until it asks for the next.
 	RecordLines(ctx context.Context, q Query) (*RecordStream, error)
 	// Figure4 computes the daily longitudinal series over [start,
-	// start+days).
+	// start+days): a zero start is the first event's UTC day, and a zero
+	// days runs to the last event's.
 	Figure4(ctx context.Context, start time.Time, days int) (*Figure4Result, error)
-	// Figure4Sets returns the mergeable per-day entity sets over the
-	// same window — what a federation requests from each shard.
+	// Figure4Sets returns the mergeable per-day entity sets over the same
+	// window, what a federation asks each shard for. Left to pick either,
+	// a backend answers over the part of the window its events span.
 	Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error)
 	// LegitimacySummary aggregates the legitimacy view over matches.
 	LegitimacySummary(ctx context.Context, q Query) (*LegitimacySummary, error)
@@ -387,7 +390,12 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 // Figure4 implements Backend over the store's (possibly materialized)
 // daily series.
 func (b *StoreBackend) Figure4(ctx context.Context, start time.Time, days int) (*Figure4Result, error) {
-	series, err := b.st.figure4(ctx, start, days)
+	stats := b.st.Stats()
+	start, days, err := figure4Window(start, days, stats.MinStart, stats.MaxEnd, false)
+	series := []DailyPoint{}
+	if err == nil && days > 0 {
+		series, err = b.st.figure4(ctx, start, days)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -400,6 +408,14 @@ func (b *StoreBackend) Figure4(ctx context.Context, start time.Time, days int) (
 // with a one-pass scan into a Figure4Union. Both produce the same sets.
 func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
 	b.st.observeQuery(false, streamed)
+	stats := b.st.Stats()
+	start, days, err := figure4Window(start, days, stats.MinStart, stats.MaxEnd, true)
+	if err != nil {
+		return nil, err
+	}
+	if days == 0 {
+		return &Figure4Sets{}, nil // no event: no window
+	}
 	if v, ok := b.st.s.DailySets(start, days); ok {
 		sets := analysis.NewFigure4Sets(start, v.Providers, v.Prefixes, v.DayProviders, v.DayUsers, v.DayPrefixes)
 		return &sets, nil
@@ -410,6 +426,50 @@ func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days in
 	}
 	sets := u.Sets()
 	return &sets, nil
+}
+
+// maxFigure4Days caps a /figure4 window: a start far back would explode it.
+const maxFigure4Days = 36600
+
+// errFigure4Window is a window refused for its length or its end, a 400.
+type errFigure4Window string
+
+func (e errFigure4Window) Error() string { return string(e) }
+
+// figure4Window resolves a /figure4 window over events from first to last
+// (zero when none) — a zero start is the first event's UTC day, a zero days
+// runs to the last event's, days 0 back is no window — and checks it. A
+// sets request leaving either out gets what of it the events span, as is.
+func figure4Window(start time.Time, days int, first, last time.Time, sets bool) (time.Time, int, error) {
+	const day = 24 * time.Hour
+	if sets && (start.IsZero() || days == 0) {
+		lo := first.UTC().Truncate(day)
+		if !start.IsZero() { // the window's day that holds the first event, or its first day
+			lo = start.AddDate(0, 0, int(max(first.Unix()-start.Unix(), 0)/(24*60*60)))
+		}
+		if first.IsZero() || last.Before(lo) {
+			return time.Time{}, 0, nil
+		}
+		if n := int(last.Sub(lo)/day) + 1; days == 0 || n < days {
+			days = n
+		}
+		return lo, days, nil
+	}
+	if start.IsZero() {
+		start = first.UTC().Truncate(day)
+	}
+	if days == 0 {
+		days = int(last.Sub(start).Hours()/24) + 1
+	}
+	switch {
+	case start.IsZero() || days <= 0:
+		return time.Time{}, 0, nil
+	case days > maxFigure4Days:
+		return time.Time{}, 0, errFigure4Window(fmt.Sprintf("series of %d days exceeds the %d-day cap; pass an explicit start and days", days, maxFigure4Days))
+	case start.AddDate(0, 0, days-1).Year() > 9999: // a day JSON's time spelling cannot name
+		return time.Time{}, 0, errFigure4Window(fmt.Sprintf("a series of %d days from %s ends past 9999-12-31", days, start.Format(time.DateOnly)))
+	}
+	return start, days, nil
 }
 
 // LegitimacySummary implements Backend: a streaming aggregation through

@@ -330,9 +330,7 @@ func runQuery(ctx context.Context, stdout, stderr io.Writer, c *config, be bgpbl
 			fmt.Fprintln(stdout, "(empty store)")
 			return nil
 		}
-		start := stats.MinStart.UTC().Truncate(24 * time.Hour)
-		days := int(stats.MaxEnd.Sub(start).Hours()/24) + 1
-		res, err := be.Figure4(ctx, start, days)
+		res, err := be.Figure4(ctx, time.Time{}, 0) // the store's whole span
 		if err != nil {
 			return err
 		}

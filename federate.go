@@ -425,7 +425,7 @@ func (f *FederatedStore) merge(streams []*RecordStream, limit int) *RecordStream
 // Figure4 implements Backend: the union of the shards' per-day entity
 // sets over the window, counted; ShardsFailed counts the shards missing.
 func (f *FederatedStore) Figure4(ctx context.Context, start time.Time, days int) (*Figure4Result, error) {
-	sets, failed, err := f.figure4Union(ctx, start, days)
+	sets, failed, err := f.figure4Union(ctx, start, days, false)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +435,7 @@ func (f *FederatedStore) Figure4(ctx context.Context, start time.Time, days int)
 // Figure4Sets implements Backend, letting a federation itself act as
 // one shard of a larger federation: the sets carry the shards it lost.
 func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
-	merged, failed, err := f.figure4Union(ctx, start, days)
+	merged, failed, err := f.figure4Union(ctx, start, days, true)
 	if err != nil {
 		return nil, err
 	}
@@ -444,8 +444,12 @@ func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days 
 	return &sets, nil
 }
 
-// figure4Union unions the shards' sets, counting the failed and those missed.
-func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int) (*analysis.Figure4Union, int, error) {
+// figure4Union unions the shards' sets, counting the failed and those
+// missed, in one round trip: a window left open is resolved from theirs.
+func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int, sets bool) (*analysis.Figure4Union, int, error) {
+	if _, _, err := figure4Window(start, days, time.Time{}, time.Time{}, sets); err != nil { // a window named whole, before any shard is asked for it
+		return nil, 0, err
+	}
 	shardSets := make([]*Figure4Sets, len(f.backends))
 	_, failed, err := f.fanOut(f.all, func(i int, b Backend) error {
 		s, err := b.Figure4Sets(ctx, start, days)
@@ -453,6 +457,20 @@ func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days
 		return err
 	})
 	if err != nil {
+		return nil, failed, err
+	}
+	var first, last time.Time // the shards' windows span the events
+	for _, s := range shardSets {
+		if s != nil && s.Days > 0 {
+			if first.IsZero() || s.Start.Before(first) {
+				first = s.Start
+			}
+			if end := s.Start.AddDate(0, 0, s.Days-1); end.After(last) {
+				last = end
+			}
+		}
+	}
+	if start, days, err = figure4Window(start, days, first, last, sets); err != nil {
 		return nil, failed, err
 	}
 	merged := analysis.NewFigure4Union(start, days)

@@ -5,12 +5,14 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,26 +258,44 @@ func TestFigure4SetsColdStore(t *testing.T) {
 }
 
 // TestFederationFigure4Bytes: /figure4 through a router — flat, and over
-// two routers over the shards — is the single store's bytes, whatever the
-// window: the whole span, days=, an aligned and an unaligned start=,
-// every=, one with leading empty days, and one no event falls in. One of
-// the four shards holds nothing. In process — the handler truncates, so
-// nowhere else — an unaligned start takes every store through the scan
-// instead of the view.
+// two routers over the shards — is the single store's bytes and status,
+// whatever the window: the whole span, days=, an aligned and an unaligned
+// start=, every=, one with leading empty days, one no event falls in, the
+// sets, and windows refused for their length or their end. It holds over
+// a prefix fleet, one of whose four shards holds nothing, and over a time
+// fleet, whose shards begin on different days. A window the client leaves
+// open is picked by each shard from its own events, in the one round trip
+// that brings its sets: the shards receive no /stats. In process — the
+// handler truncates, so nowhere else — an unaligned start takes every
+// store through the scan instead of the view.
 func TestFederationFigure4Bytes(t *testing.T) {
 	p := smallPipeline(t)
-	plan := PrefixShardPlan{Bit: 24, N: 4}
+	all := replay(t, p, 800, 812).Events
+	prefixPlan := PrefixShardPlan{Bit: 24, N: 4}
 	var events []*Event
-	for _, ev := range replay(t, p, 800, 812).Events {
-		if plan.Shard(ev) != 3 {
+	for _, ev := range all {
+		if prefixPlan.Shard(ev) != 3 {
 			events = append(events, ev)
 		}
 	}
-	single, shards := shardedFleet(t, plan, events)
+	// Every shard of a time fleet has events from the replay's first day:
+	// shard i keeps those that start 2i days or more after it.
+	timePlan, first := TimeShardPlan{Width: 48 * time.Hour, N: 3}, all[0].Start.UTC().Truncate(24*time.Hour)
+	var late []*Event
+	for _, ev := range all {
+		if !ev.Start.Before(first.AddDate(0, 0, 2*timePlan.Shard(ev))) {
+			late = append(late, ev)
+		}
+	}
+	var stats atomic.Int64 // the /stats requests the shards received
+	fleets := map[string]struct {
+		plan   ShardPlan
+		events []*Event
+	}{"prefix": {prefixPlan, events}, "time": {timePlan, late}}
+	single, shards := shardedFleet(t, prefixPlan, events)
 	if shards[3].Len() != 0 || shards[0].Len() == 0 || shards[1].Len() == 0 || shards[2].Len() == 0 {
 		t.Fatalf("fixture: shards hold %d, %d, %d, %d events; want the last alone empty", shards[0].Len(), shards[1].Len(), shards[2].Len(), shards[3].Len())
 	}
-	remote, _ := remoteFleet(t, shards)
 	tier := func(backends ...Backend) Backend {
 		srv := httptest.NewServer(NewRouterHandler(NewFederatedStore(backends...), RouterOptions{}))
 		t.Cleanup(srv.Close)
@@ -285,43 +305,86 @@ func TestFederationFigure4Bytes(t *testing.T) {
 		}
 		return rb
 	}
-	routers := map[string]http.Handler{
-		"one tier":  NewRouterHandler(NewFederatedStore(remote...), RouterOptions{}),
-		"two tiers": NewRouterHandler(NewFederatedStore(tier(remote[0], remote[1]), tier(remote[2], remote[3])), RouterOptions{}),
-	}
-	want := NewStoreHandler(single, nil)
-	serve := func(h http.Handler, path string) string {
+	serve := func(h http.Handler, path string) (int, string) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != http.StatusOK || rec.Header().Get("X-Shards-Failed") != "" {
-			t.Fatalf("GET %s: status %d, X-Shards-Failed %q", path, rec.Code, rec.Header().Get("X-Shards-Failed"))
+		if rec.Header().Get("X-Shards-Failed") != "" {
+			t.Fatalf("GET %s: X-Shards-Failed %q", path, rec.Header().Get("X-Shards-Failed"))
 		}
-		return rec.Body.String()
+		return rec.Code, rec.Body.String()
 	}
-	base := single.Stats().MinStart.UTC().Truncate(24 * time.Hour)
-	at := func(t time.Time) string { return t.Format(time.RFC3339) }
-	for _, path := range []string{
-		"/figure4",
-		"/figure4?days=3",
-		"/figure4?every=7",
-		"/figure4?start=" + at(base.AddDate(0, 0, 2)) + "&days=5",
-		"/figure4?start=" + at(base.AddDate(0, 0, 2).Add(7*time.Hour+30*time.Minute)) + "&days=5",
-		"/figure4?start=" + at(base.AddDate(0, 0, -3)) + "&every=2",
-		"/figure4?start=" + at(base.AddDate(1, 0, 0)) + "&days=4",
-		"/figure4?start=" + at(base.AddDate(-1, 0, 0)) + "&days=2",
-	} {
-		body := serve(want, path)
-		if !strings.Contains(body, `"Day"`) {
-			t.Fatalf("GET %s: the single store answers no series: %s", path, body)
+	for fleet, f := range fleets {
+		single, shards := single, shards
+		if fleet != "prefix" {
+			single, shards = shardedFleet(t, f.plan, f.events)
+			firsts := map[time.Time]bool{}
+			for _, st := range shards {
+				firsts[st.Stats().MinStart.UTC().Truncate(24*time.Hour)] = true
+			}
+			if len(firsts) < 2 {
+				t.Fatalf("%s fixture: every shard begins on the same day", fleet)
+			}
 		}
-		for name, router := range routers {
-			if got := serve(router, path); got != body {
-				t.Errorf("GET %s through %s differs from the single store's\n got %.400s\nwant %.400s", path, name, got, body)
+		remote := make([]Backend, len(shards))
+		for i, st := range shards {
+			h := NewStoreHandler(st, nil)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/stats" {
+					stats.Add(1)
+				}
+				h.ServeHTTP(w, r)
+			}))
+			t.Cleanup(srv.Close)
+			rb, err := NewRemoteBackend([]string{srv.URL}, RemoteOptions{Name: fmt.Sprintf("shard-%d", i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote[i] = rb
+		}
+		half := len(remote) / 2
+		routers := map[string]http.Handler{
+			"one tier":  NewRouterHandler(NewFederatedStore(remote...), RouterOptions{}),
+			"two tiers": NewRouterHandler(NewFederatedStore(tier(remote[:half]...), tier(remote[half:]...)), RouterOptions{}),
+		}
+		want := NewStoreHandler(single, nil)
+		base := single.Stats().MinStart.UTC().Truncate(24 * time.Hour)
+		at := func(t time.Time) string { return t.Format(time.RFC3339) }
+		for _, row := range []struct {
+			path   string
+			status int
+		}{
+			{"/figure4", http.StatusOK},
+			{"/figure4?days=3", http.StatusOK},
+			{"/figure4?every=7", http.StatusOK},
+			{"/figure4?start=" + at(base.AddDate(0, 0, 2)) + "&days=5", http.StatusOK},
+			{"/figure4?start=" + at(base.AddDate(0, 0, 2).Add(7*time.Hour+30*time.Minute)) + "&days=5", http.StatusOK},
+			{"/figure4?start=" + at(base.AddDate(0, 0, -3)) + "&every=2", http.StatusOK},
+			{"/figure4?start=" + at(base.AddDate(0, 0, 5)), http.StatusOK},
+			{"/figure4?start=" + at(base.AddDate(1, 0, 0)) + "&days=4", http.StatusOK},
+			{"/figure4?start=" + at(base.AddDate(-1, 0, 0)) + "&days=2", http.StatusOK},
+			{"/figure4?shape=sets", http.StatusOK},
+			{"/figure4?shape=sets&days=4", http.StatusOK},
+			{"/figure4?shape=sets&start=" + at(base.AddDate(0, 0, 3)), http.StatusOK},
+			{"/figure4?days=36601", http.StatusBadRequest},
+			{"/figure4?start=" + at(base.AddDate(-120, 0, 0)), http.StatusBadRequest},
+			{"/figure4?start=9999-12-01T00:00:00Z&days=100", http.StatusBadRequest},
+		} {
+			status, body := serve(want, row.path)
+			if status != row.status || status == http.StatusOK && !strings.Contains(body, `"Day"`) && !strings.Contains(body, `"start"`) {
+				t.Fatalf("%s GET %s: the single store answers %d %s", fleet, row.path, status, body)
+			}
+			for name, router := range routers {
+				if gotStatus, got := serve(router, row.path); gotStatus != status || got != body {
+					t.Errorf("%s GET %s through %s differs from the single store's\n got %d %.400s\nwant %d %.400s", fleet, row.path, name, gotStatus, got, status, body)
+				}
 			}
 		}
 	}
+	if n := stats.Load(); n != 0 {
+		t.Errorf("the routed /figure4s sent the shards %d /stats requests, want none", n)
+	}
 
-	unaligned := base.AddDate(0, 0, 1).Add(7 * time.Hour)
+	unaligned := single.Stats().MinStart.UTC().Truncate(24*time.Hour).AddDate(0, 0, 1).Add(7 * time.Hour)
 	ctx := context.Background()
 	for name, fed := range map[string]*FederatedStore{
 		"stores": NewFederatedStore(localFleet(shards)...),
@@ -335,14 +398,44 @@ func TestFederationFigure4Bytes(t *testing.T) {
 		if want := single.Figure4(unaligned, 6); !reflect.DeepEqual(got.Series, want) {
 			t.Errorf("%s: Figure4 from %v:\n got %+v\nwant %+v", name, unaligned, got.Series, want)
 		}
+		// Left to run to the last event, each store's days keep the start's hour.
+		got, err = fed.Figure4(ctx, unaligned, 0)
+		want, _ := NewStoreBackend(single, nil).Figure4(ctx, unaligned, 0)
+		if err != nil || got.ShardsFailed != 0 || len(want.Series) < 2 || !reflect.DeepEqual(got.Series, want.Series) {
+			t.Errorf("%s: Figure4 from %v to the end: %v\n got %+v\nwant %+v", name, unaligned, err, got, want)
+		}
+	}
+}
+
+// TestDailySeriesIsWriteJSONs: the counted series' writer writes, byte
+// for byte, what writeJSON writes for the same points, and fails where it
+// fails.
+func TestDailySeriesIsWriteJSONs(t *testing.T) {
+	day := time.Date(2016, 2, 28, 0, 0, 0, 0, time.UTC)
+	for _, series := range [][]DailyPoint{
+		{},
+		{{Day: day, Providers: 3, Users: 1, Prefixes: 12}},
+		{{Day: day}, {Day: day.AddDate(0, 0, 1), Providers: 1 << 40}, {Day: day.Add(7*time.Hour + 5), Users: -1}},
+		{{Day: day.In(time.FixedZone("UTC+3", 3*3600)), Prefixes: 2}},
+		{{Day: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)}},
+	} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, series)
+		got, err := appendDailySeries(nil, series, 1)
+		if (err != nil) != (rec.Code != http.StatusOK) || err == nil && string(got) != rec.Body.String() {
+			t.Errorf("%+v: appendDailySeries wrote %q (%v), writeJSON %d %q", series, got, err, rec.Code, rec.Body)
+		}
 	}
 }
 
 // FuzzFigure4Sets holds the shape=sets reader to its writer, and the
 // bitset union to per-day maps. Whatever the bytes, parseFigure4Sets
 // takes them only if they are exactly what appendFigure4Sets writes for
-// the sets it returns — the window and the lost-shard count of the head
-// included; and what it takes, unioned with three seeded shards' sets,
+// the sets it returns, as a union of their members makes them — the
+// window and the lost-shard count of the head included — over the window
+// asked, or, where open leaves the start (bit 0) or the days (bit 1) to
+// the shard, one of whole days inside it; and
+// what it takes, unioned at its day offset with three seeded shards' sets,
 // counts what the naive union of their members counts — as the seeded
 // shards alone count what one scan of all their events does.
 func FuzzFigure4Sets(f *testing.F) {
@@ -362,7 +455,7 @@ func FuzzFigure4Sets(f *testing.F) {
 		}
 		sets := p.Sets()
 		body := appendFigure4Sets(nil, &sets)
-		read, err := parseFigure4Sets(string(body), start, days)
+		read, err := parseFigure4Sets(body, start, days)
 		if err != nil {
 			f.Fatalf("the reader refuses what the writer wrote: %v\n%s", err, body)
 		}
@@ -370,12 +463,19 @@ func FuzzFigure4Sets(f *testing.F) {
 			f.Fatalf("the writer's bytes are not encoding/json's:\n got %s\nwant %s", body, oracle)
 		}
 		seeded = append(seeded, read)
-		f.Add(body)
-		f.Add(body[:len(body)/2])                                                               // truncated
-		f.Add(bytes.Replace(body, []byte(`"days":4`), []byte(`"days":5`), 1))                   // another window
-		f.Add(bytes.Replace(body, []byte(`T00:00:00Z`), []byte(`T01:00:00Z`), 1))               // another start
-		f.Add(bytes.Replace(body, []byte(`],"day_users"`), []byte(`,[]],"day_users"`), 1))      // a day too many
-		f.Add(bytes.Replace(body, []byte(`"shards_failed":0`), []byte(`"shards_failed":3`), 1)) // a router that lost 3
+		for open := range uint8(4) {
+			f.Add(body, open)
+		}
+		f.Add(body[:len(body)/2], uint8(0))                                                                                         // truncated
+		f.Add(bytes.Replace(body, []byte(`"days":4`), []byte(`"days":5`), 1), uint8(0))                                             // another window
+		f.Add(bytes.Replace(body, []byte(`"days":4`), []byte(`"days":5`), 1), uint8(1))                                             // longer than asked
+		f.Add(bytes.Replace(body, []byte(`T00:00:00Z`), []byte(`T01:00:00Z`), 1), uint8(0))                                         // another start
+		f.Add(bytes.Replace(body, []byte(`T00:00:00Z`), []byte(`T01:00:00Z`), 1), uint8(3))                                         // not a midnight
+		f.Add(bytes.Replace(body, []byte(`2016-01-01`), []byte(`2015-12-31`), 1), uint8(2))                                         // before the start asked
+		f.Add(bytes.Replace(body, []byte(`],"user_days"`), []byte(`,[0,0]],"user_days"`), 1), uint8(0))                             // a member too many
+		f.Add(bytes.Replace(body, []byte(`"shards_failed":0`), []byte(`"shards_failed":3`), 1), uint8(0))                           // a router that lost 3
+		f.Add(bytes.Replace(body, []byte(`"days":4`), []byte(`"days":2`), 1), uint8(1))                                             // a span past a shorter window
+		f.Add(bytes.Replace(body, []byte(`2016-01-01T00:00:00Z","days":4`), []byte(`2016-01-02T00:00:00Z","days":9`), 1), uint8(2)) // a later, longer window
 	}
 	union := analysis.NewFigure4Union(start, days)
 	for _, s := range seeded {
@@ -387,45 +487,78 @@ func FuzzFigure4Sets(f *testing.F) {
 		f.Fatalf("the union of the seeded shards' sets counts %+v, one scan of their events %+v", got, want)
 	}
 	const window = `{"start":"2016-01-01T00:00:00Z","days":4,`
-	const empty = `,"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n"
+	const empty = `,"providers":[],"users":[],"prefixes":[],"provider_days":[],"user_days":[],"prefix_days":[]}` + "\n"
 	for _, count := range []string{
 		`"shards_failed":2147483647`,
 		// counts the writer has no spelling for, or nestedFailures' bound refuses
 		`"shards_failed":2147483648`, `"shards_failed":01`, `"shards_failed":-1`, `"shards_failed":+1`,
 		`"shards_failed":"1"`, `"shards_failed":null`, `"shards_failed": 1`, `"shards_failed":1.0`, `"shards_failed":`, ``,
 	} {
-		f.Add([]byte(window + count + empty))
+		f.Add([]byte(window+count+empty), uint8(0))
 	}
-	const head = window + `"shards_failed":0,`
+	// A shard with no event, asked to pick a window, and the same head asked for one.
+	f.Add([]byte(`{"start":"0001-01-01T00:00:00Z","days":0,"shards_failed":0`+empty), uint8(3))
+	f.Add([]byte(`{"start":"0001-01-01T00:00:00Z","days":0,"shards_failed":0`+empty), uint8(0))
+	f.Add([]byte(`{"start":"0001-01-01T00:00:00Z","days":1,"shards_failed":0`+empty), uint8(3))
+	f.Add([]byte(`{"start":"2016-01-02T00:00:00Z","days":0,"shards_failed":0`+empty), uint8(3))
+	const head = window + `"shards_failed":0`
+	const none = `,"providers":[],"users":[],"prefixes":[]`
 	for _, rest := range []string{
-		`"providers":["AS1","AS2"],"prefixes":["10.0.0.0/8"],"day_providers":[[0,1],[],[1],[]],"day_users":[[65001],[],[],[0,4294967295]],"day_prefixes":[[0],[],[],[0]]}` + "\n",
-		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		// an index past its table, unsorted, twice; a table unsorted, twice
-		`"providers":["AS1","AS2"],"prefixes":[],"day_providers":[[0,2],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[0],[],[],[]]}` + "\n",
-		`"providers":["AS1","AS2"],"prefixes":[],"day_providers":[[1,0],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers":["AS1","AS2"],"prefixes":[],"day_providers":[[1,1],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers":["AS2","AS1"],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers":["AS1","AS1"],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
+		`,"providers":["AS1","AS2"],"users":[0,65001,4294967295],"prefixes":["10.0.0.0/8"],"provider_days":[[0,0],[0,0,2,2]],"user_days":[[3,3],[0,0],[3,3]],"prefix_days":[[0,0,3,3]]}` + "\n",
+		none + `,"provider_days":[],"user_days":[],"prefix_days":[]}` + "\n",
+		// a list for a member the table lacks, and a member with no list
+		`,"providers":["AS1","AS2"],"users":[],"prefixes":[],"provider_days":[[0,0],[1,1],[2,2]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1","AS2"],"users":[],"prefixes":[],"provider_days":[[0,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		none + `,"provider_days":[],"user_days":[],"prefix_days":[[0,0]]}` + "\n",
+		// spans overlapping, touching, reversed, unsorted, twice, past the window, odd, none
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[0,2,1,3]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[0,1,2,3]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[2,1]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[2,2,0,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[0,0,0,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[2,4]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[4,4]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[0,1,3]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[0]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[]],"user_days":[],"prefix_days":[]}` + "\n",
+		// a list that opens with another byte, or follows with no comma
+		`,"providers":["AS1","AS2"],"users":[],"prefixes":[],"provider_days":[[0,0],x0,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1","AS2"],"users":[],"prefixes":[],"provider_days":[[0,0][0,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		// a table unsorted, twice: names and users
+		`,"providers":["AS2","AS1"],"users":[],"prefixes":[],"provider_days":[[0,0],[0,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1","AS1"],"users":[],"prefixes":[],"provider_days":[[0,0],[0,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":[],"users":[65002,65001],"prefixes":[],"provider_days":[],"user_days":[[0,0],[0,0]],"prefix_days":[]}` + "\n",
+		`,"providers":[],"users":[65001,65001],"prefixes":[],"provider_days":[],"user_days":[[0,0],[0,0]],"prefix_days":[]}` + "\n",
 		// spellings the writer has none of
-		`"providers":["AS\u0031"],"prefixes":[],"day_providers":[[0],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers":["caf` + "\xc3\xa9" + `"],"prefixes":[],"day_providers":[[0],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers": ["AS1"],"prefixes":[],"day_providers":[[0],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers":["AS1"],"prefixes":[],"day_providers":[[00],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[4294967296],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[-1],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers":[],"prefixes":[],"day_providers":[[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
-		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}`,
-		`"providers":[],"prefixes":[],"day_providers":[[],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n\n",
-		`"providers":null,"prefixes":null,"day_providers":null,"day_users":null,"day_prefixes":null}` + "\n",
+		`,"providers":["AS\u0031"],"users":[],"prefixes":[],"provider_days":[[0,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["caf` + "\xc3\xa9" + `"],"users":[],"prefixes":[],"provider_days":[[0,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers": ["AS1"],"users":[],"prefixes":[],"provider_days":[[0,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[00,0]],"user_days":[],"prefix_days":[]}` + "\n",
+		`,"providers":["AS1"],"users":[],"prefixes":[],"provider_days":[[0, 0]],"user_days":[],"prefix_days":[]}` + "\n",
+		none + `,"users":[4294967296],"provider_days":[],"user_days":[[0,0]],"prefix_days":[]}` + "\n",
+		`,"providers":[],"users":[4294967296],"prefixes":[],"provider_days":[],"user_days":[[0,0]],"prefix_days":[]}` + "\n",
+		`,"providers":[],"users":[-1],"prefixes":[],"provider_days":[],"user_days":[[0,0]],"prefix_days":[]}` + "\n",
+		`,"providers":[],"users":[07],"prefixes":[],"provider_days":[],"user_days":[[0,0]],"prefix_days":[]}` + "\n",
+		none + `,"provider_days":[],"user_days":[],"prefix_days":[]}`,
+		none + `,"provider_days":[],"user_days":[],"prefix_days":[]}` + "\n\n",
+		`,"providers":null,"users":null,"prefixes":null,"provider_days":null,"user_days":null,"prefix_days":null}` + "\n",
+		// the spelling before spans: lists per day
+		`,"providers":["AS1"],"prefixes":[],"day_providers":[[0],[],[],[]],"day_users":[[],[],[],[]],"day_prefixes":[[],[],[],[]]}` + "\n",
 	} {
-		f.Add([]byte(head + rest))
+		f.Add([]byte(head+rest), uint8(0))
 	}
-	f.Add([]byte(`[]`))
-	f.Add([]byte{})
+	f.Add([]byte(`[]`), uint8(0))
+	f.Add([]byte{}, uint8(3))
 
-	f.Fuzz(func(t *testing.T, body []byte) {
-		sets, err := parseFigure4Sets(string(body), start, days)
+	f.Fuzz(func(t *testing.T, body []byte, open uint8) {
+		askStart, askDays := start, days
+		if open&1 != 0 {
+			askStart = time.Time{}
+		}
+		if open&2 != 0 {
+			askDays = 0
+		}
+		sets, err := parseFigure4Sets(body, askStart, askDays)
 		if err != nil {
 			if sets != nil {
 				t.Fatalf("refused with %v, and returned %+v", err, sets)
@@ -435,24 +568,50 @@ func FuzzFigure4Sets(f *testing.F) {
 		if again := appendFigure4Sets(nil, sets); !bytes.Equal(again, body) {
 			t.Fatalf("the reader took what the writer does not write:\n took %q\nwrites %q", body, again)
 		}
-		all := append([]*Figure4Sets{sets}, seeded...)
-		union := analysis.NewFigure4Union(start, days)
-		want := make([]DailyPoint, days)
-		for d := range want {
-			providers, users, prefixes := map[string]bool{}, map[uint32]bool{}, map[string]bool{}
-			for _, s := range all {
-				for _, i := range s.DayProviders[d] {
-					providers[s.Providers[i]] = true
-				}
-				for _, u := range s.DayUsers[d] {
-					users[u] = true
-				}
-				for _, i := range s.DayPrefixes[d] {
-					prefixes[s.Prefixes[i]] = true
+		// Nor sets the union would spell otherwise: members twice, spans
+		// that touch, overlap or pass the window.
+		alone := analysis.NewFigure4Union(sets.Start, sets.Days)
+		if err := alone.Add(sets); err != nil {
+			t.Fatal(err)
+		}
+		made := alone.Sets()
+		made.ShardsFailed = sets.ShardsFailed
+		if again := appendFigure4Sets(nil, &made); !bytes.Equal(again, body) {
+			t.Fatalf("the reader took sets the union spells otherwise:\n took %q\n made %q", body, again)
+		}
+		providers, users, prefixes := make([]map[string]bool, days), make([]map[uint32]bool, days), make([]map[string]bool, days)
+		for d := range days {
+			providers[d], users[d], prefixes[d] = map[string]bool{}, map[uint32]bool{}, map[string]bool{}
+		}
+		// Each member's spans, laid onto [start, start+days), fill the maps.
+		fill := func(spans []uint32, at int, add func(d int)) {
+			for j := 0; j < len(spans); j += 2 {
+				for d := max(int(spans[j])+at, 0); d <= min(int(spans[j+1])+at, days-1); d++ {
+					add(d)
 				}
 			}
-			want[d] = DailyPoint{Day: start.AddDate(0, 0, d), Providers: len(providers), Users: len(users), Prefixes: len(prefixes)}
 		}
+		all := append([]*Figure4Sets{sets}, seeded...)
+		for n, s := range all {
+			at := 0 // where the sets' day 0 falls
+			if n == 0 && sets.Days > 0 {
+				at = int((s.Start.Unix() - start.Unix()) / (24 * 60 * 60))
+			}
+			for i, name := range s.Providers {
+				fill(s.ProviderDays[i], at, func(d int) { providers[d][name] = true })
+			}
+			for i, asn := range s.Users {
+				fill(s.UserDays[i], at, func(d int) { users[d][asn] = true })
+			}
+			for i, name := range s.Prefixes {
+				fill(s.PrefixDays[i], at, func(d int) { prefixes[d][name] = true })
+			}
+		}
+		want := make([]DailyPoint, days)
+		for d := range want {
+			want[d] = DailyPoint{Day: start.AddDate(0, 0, d), Providers: len(providers[d]), Users: len(users[d]), Prefixes: len(prefixes[d])}
+		}
+		union := analysis.NewFigure4Union(start, days)
 		for _, s := range all {
 			if err := union.Add(s); err != nil {
 				t.Fatal(err)
@@ -465,7 +624,7 @@ func FuzzFigure4Sets(f *testing.F) {
 		// wire, with the shards it lost, and count the same.
 		out := union.Sets()
 		out.ShardsFailed = sets.ShardsFailed
-		tier, err := parseFigure4Sets(string(appendFigure4Sets(nil, &out)), start, days)
+		tier, err := parseFigure4Sets(appendFigure4Sets(nil, &out), start, days)
 		if err != nil {
 			t.Fatalf("the union's sets do not read back: %v", err)
 		}

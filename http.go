@@ -646,11 +646,13 @@ func appendEnvelope(dst []byte, s *RecordStream, bare bool, began time.Time) (_ 
 // no-annotator sentinel keeps its historical 503, anything else —
 // which for a federated backend means every shard failed — is a 502.
 func backendError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errNoAnnotator) {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+	status, window := http.StatusBadGateway, errFigure4Window("")
+	if errors.As(err, &window) {
+		status = http.StatusBadRequest
+	} else if errors.Is(err, errNoAnnotator) {
+		status = http.StatusServiceUnavailable
 	}
-	httpError(w, http.StatusBadGateway, "%v", err)
+	httpError(w, status, "%v", err)
 }
 
 // shardsFailedHeader sets X-Shards-Failed on a partial answer, still a
@@ -730,106 +732,81 @@ func (h *handler) legitimacy(w http.ResponseWriter, r *http.Request) {
 // figure4 answers /figure4. shape=sets serves the mergeable per-day
 // entity sets instead of the counted series — the form one federation
 // tier ships to the next so distinct-entity counts stay exact across
-// shards.
+// shards. A start or days not given is the backend's to pick.
 func (h *handler) figure4(w http.ResponseWriter, r *http.Request) {
 	be, ctx := h.be, r.Context()
 	get := r.URL.Query().Get
-	sets := get("shape") == "sets"
-	every := 0 // 0 = not asked for
-	if s := get("every"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			httpError(w, http.StatusBadRequest, "every: bad value %q", s)
-			return
+	every, days := 0, 0 // 0 = not asked for
+	for _, p := range []struct {
+		name string
+		n    *int
+	}{{"every", &every}, {"days", &days}} {
+		if s := get(p.name); s != "" {
+			n, err := strconv.Atoi(s)
+			if err != nil || n <= 0 {
+				httpError(w, http.StatusBadRequest, "%s: bad value %q", p.name, s)
+				return
+			}
+			*p.n = n
 		}
-		every = n
 	}
-	stats, err := be.Stats(ctx)
-	if err != nil {
-		backendError(w, err)
-		return
-	}
-	start := stats.MinStart
+	var start time.Time
 	if s := get("start"); s != "" {
 		t, err := time.Parse(time.RFC3339, s)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "start: %v", err)
 			return
 		}
-		start = t
+		start = t.UTC().Truncate(24 * time.Hour)
 	}
-	// The sets shape has one reader, RemoteBackend.Figure4Sets — a
-	// machine — so it is written compact, and in the one spelling that
-	// reader takes.
-	writeSets := func(fs *Figure4Sets) {
-		buf := answerPool.Get().(*[]byte)
-		defer answerPool.Put(buf)
-		*buf = appendFigure4Sets((*buf)[:0], fs)
-		shardsFailedHeader(w, fs.ShardsFailed)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(*buf)
+	sets, fs, res := get("shape") == "sets", &Figure4Sets{}, &Figure4Result{}
+	var err error
+	switch {
+	case start.IsZero() && get("start") != "":
+		// time.Time's zero, which a backend takes for no start: no event's day
+	case sets:
+		fs, err = be.Figure4Sets(ctx, start, days)
+	default:
+		res, err = be.Figure4(ctx, start, days)
 	}
-	// empty answers a window no event can fall in, in the asked shape.
-	empty := func() {
-		if sets {
-			writeSets(&Figure4Sets{})
-		} else {
-			writeJSON(w, []DailyPoint{})
-		}
-	}
-	if start.IsZero() {
-		empty()
-		return
-	}
-	start = start.UTC().Truncate(24 * time.Hour)
-	days := int(stats.MaxEnd.Sub(start).Hours()/24) + 1
-	if s := get("days"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			httpError(w, http.StatusBadRequest, "days: bad value %q", s)
-			return
-		}
-		days = n
-	}
-	// A start past the store's span yields nothing; a start far before
-	// it would make the daily series explode — both are caller errors.
-	const maxFigure4Days = 36600
-	if days <= 0 {
-		empty()
-		return
-	}
-	if days > maxFigure4Days {
-		httpError(w, http.StatusBadRequest, "series of %d days exceeds the %d-day cap; pass an explicit start and days", days, maxFigure4Days)
-		return
-	}
-	if start.AddDate(0, 0, days-1).Year() > 9999 { // a day JSON's time spelling cannot name
-		httpError(w, http.StatusBadRequest, "a series of %d days from %s ends past 9999-12-31", days, start.Format(time.DateOnly))
-		return
-	}
-	if sets {
-		fs, err := be.Figure4Sets(ctx, start, days)
-		if err != nil {
-			backendError(w, err)
-			return
-		}
-		writeSets(fs)
-		return
-	}
-	res, err := be.Figure4(ctx, start, days)
 	if err != nil {
 		backendError(w, err)
 		return
 	}
-	series := res.Series
-	if every > 0 {
-		var sampled []DailyPoint
-		for i := 0; i < len(series); i += every {
-			sampled = append(sampled, series[i])
-		}
-		series = sampled
+	buf := answerPool.Get().(*[]byte)
+	defer answerPool.Put(buf)
+	if sets { // its one reader is a machine's (RemoteBackend.Figure4Sets): compact, in the one spelling it takes
+		*buf, res.ShardsFailed = appendFigure4Sets((*buf)[:0], fs), fs.ShardsFailed
+	} else if *buf, err = appendDailySeries((*buf)[:0], res.Series, max(every, 1)); err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding the answer: %v", err)
+		return
 	}
 	shardsFailedHeader(w, res.ShardsFailed)
-	writeJSON(w, series)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(*buf)
+}
+
+// appendDailySeries appends every every-th point of series as writeJSON
+// writes them, with no reflection, and fails where json.Marshal does.
+func appendDailySeries(dst []byte, series []DailyPoint, every int) ([]byte, error) {
+	dst = append(dst, '[')
+	for i := 0; i < len(series); i += every {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		p, err := &series[i], error(nil)
+		if dst, err = p.Day.AppendText(append(dst, "\n  {\n    \"Day\": \""...)); err != nil {
+			return dst, err
+		}
+		dst = strconv.AppendInt(append(dst, "\",\n    \"Providers\": "...), int64(p.Providers), 10)
+		dst = strconv.AppendInt(append(dst, ",\n    \"Users\": "...), int64(p.Users), 10)
+		dst = strconv.AppendInt(append(dst, ",\n    \"Prefixes\": "...), int64(p.Prefixes), 10)
+		dst = append(dst, "\n  }"...)
+	}
+	if len(series) > 0 {
+		dst = append(dst, '\n')
+	}
+	return append(dst, "]\n"...), nil
 }
 
 // appendFigure4Sets appends the shape=sets body: fs as compact JSON and a
@@ -837,38 +814,44 @@ func (h *handler) figure4(w http.ResponseWriter, r *http.Request) {
 // a JSON string escapes). parseFigure4Sets is its inverse, and takes
 // nothing else.
 func appendFigure4Sets(dst []byte, fs *Figure4Sets) []byte {
-	names := func(key string, table []string) {
-		dst = append(dst, key...)
+	numbers := func(open string, ns []uint32) {
+		dst = append(dst, open...)
+		for i, n := range ns {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendUint(dst, uint64(n), 10)
+		}
+		dst = append(dst, ']')
+	}
+	names := func(open string, table []string) {
+		dst = append(dst, open...)
 		for i, name := range table {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
 			dst = append(append(append(dst, '"'), name...), '"')
 		}
+		dst = append(dst, ']')
 	}
-	days := func(key string, lists [][]uint32) {
-		dst = append(dst, key...)
-		for d, day := range lists {
-			if d > 0 {
+	spans := func(open string, lists [][]uint32) {
+		dst = append(dst, open...)
+		for i, list := range lists {
+			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(dst, '[')
-			for i, n := range day {
-				if i > 0 {
-					dst = append(dst, ',')
-				}
-				dst = strconv.AppendUint(dst, uint64(n), 10)
-			}
-			dst = append(dst, ']')
+			numbers("[", list)
 		}
+		dst = append(dst, ']')
 	}
 	dst = strconv.AppendInt(appendFigure4Window(dst, fs.Start, fs.Days), int64(fs.ShardsFailed), 10)
 	names(`,"providers":[`, fs.Providers)
-	names(`],"prefixes":[`, fs.Prefixes)
-	days(`],"day_providers":[`, fs.DayProviders)
-	days(`],"day_users":[`, fs.DayUsers)
-	days(`],"day_prefixes":[`, fs.DayPrefixes)
-	return append(dst, "]}\n"...)
+	numbers(`,"users":[`, fs.Users)
+	names(`,"prefixes":[`, fs.Prefixes)
+	spans(`,"provider_days":[`, fs.ProviderDays)
+	spans(`,"user_days":[`, fs.UserDays)
+	spans(`,"prefix_days":[`, fs.PrefixDays)
+	return append(dst, "}\n"...)
 }
 
 // appendFigure4Window appends the head of a shape=sets body, which says

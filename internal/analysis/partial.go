@@ -32,48 +32,41 @@ import (
 // shard's /figure4?shape=sets endpoint returns so the router can union
 // shards before counting. (Counts alone — the []DailyPoint shape — cannot
 // merge: the same provider active on two shards must not count twice.)
-// Each distinct provider and prefix of the window is named once, in a
-// table; a day lists its members as indices into the tables, so a name
-// active on two hundred days crosses the wire once.
+// Each distinct provider, user and prefix of the window is named once, in
+// a table, with its active days as spans: two numbers for a run of days.
 type Figure4Sets struct {
 	Start time.Time `json:"start"`
 	Days  int       `json:"days"`
 	// ShardsFailed counts the shards a federation's sets miss, at any depth.
 	ShardsFailed int `json:"shards_failed"`
-	// Providers and Prefixes are the tables: every member of any day,
-	// once, ascending.
+	// Providers, Users (AS numbers) and Prefixes are the tables: every
+	// member of any day, once, ascending.
 	Providers []string `json:"providers"`
+	Users     []uint32 `json:"users"`
 	Prefixes  []string `json:"prefixes"`
-	// DayProviders[d] and DayPrefixes[d] are day d's members as ascending
-	// indices into the tables, DayUsers[d] its users as ascending AS
-	// numbers. Each holds Days lists, none nil.
-	DayProviders [][]uint32 `json:"day_providers"`
-	DayUsers     [][]uint32 `json:"day_users"`
-	DayPrefixes  [][]uint32 `json:"day_prefixes"`
+	// ProviderDays[i] is Providers[i]'s days: [first, last] pairs, first ≤
+	// last < Days, ascending, neither overlapping nor touching; one or more.
+	ProviderDays [][]uint32 `json:"provider_days"`
+	UserDays     [][]uint32 `json:"user_days"`
+	PrefixDays   [][]uint32 `json:"prefix_days"`
 }
 
-// NewFigure4Sets puts per-day members collected in any order into the
-// wire form's one spelling: providers and prefixes name each member once
-// in any order, dayProviders and dayPrefixes index them, and all three
-// day slices hold one list per day of the window. The tables are sorted
-// in place, the indices rewritten to match, and every day's list sorted.
+// NewFigure4Sets puts per-day members, as indices into providers and
+// prefixes or AS numbers, one list per day of the window and no member
+// twice in one, into the wire form's one spelling, sorting in place.
 func NewFigure4Sets(start time.Time, providers, prefixes []string, dayProviders, dayUsers, dayPrefixes [][]uint32) Figure4Sets {
-	rankTable(providers, dayProviders)
-	rankTable(prefixes, dayPrefixes)
-	for _, day := range dayUsers {
-		slices.Sort(day)
-	}
+	users, userRank := userTable(dayUsers)
 	return Figure4Sets{
 		Start: start, Days: len(dayUsers),
-		Providers: providers, Prefixes: prefixes,
-		DayProviders: dayProviders, DayUsers: dayUsers, DayPrefixes: dayPrefixes,
+		Providers: providers, Users: users, Prefixes: prefixes,
+		ProviderDays: daySpans(dayProviders, rankTable(providers)),
+		UserDays:     daySpans(dayUsers, userRank),
+		PrefixDays:   daySpans(dayPrefixes, rankTable(prefixes)),
 	}
 }
 
-// rankTable sorts names and rewrites each day's ids — indices into names
-// as it was, no id twice in a day — into ascending indices into names as
-// it now is.
-func rankTable(names []string, days [][]uint32) {
+// rankTable sorts names and returns each id's rank: where names[id] went.
+func rankTable(names []string) []uint32 {
 	order := make([]uint32, len(names)) // order[rank] is the id that sorts there
 	for id := range order {
 		order[id] = uint32(id)
@@ -84,18 +77,63 @@ func rankTable(names []string, days [][]uint32) {
 		rank[id], sorted[r] = uint32(r), names[id]
 	}
 	copy(names, sorted)
-	// A day's ranks go through a bitset and come out ascending: a pass over
-	// the day and one over the table's width, where sorting it cost more
-	// than everything else here.
-	seen := make([]uint64, (len(names)+63)/64)
+	return rank
+}
+
+// userTable returns the days' AS numbers once each, ascending, rewrites
+// them as ids in the order met, and returns each id's rank.
+func userTable(days [][]uint32) (users, rank []uint32) {
+	ids := map[uint32]uint32{}
 	for _, day := range days {
-		for _, id := range day {
-			r := rank[id]
-			seen[r>>6] |= 1 << (r & 63)
+		for i, asn := range day {
+			id, ok := ids[asn]
+			if !ok {
+				id, ids[asn], users = uint32(len(users)), uint32(len(users)), append(users, asn)
+			}
+			day[i] = id
 		}
-		appendBits(day[:0], seen) // as many as the day had: it fills the same memory
-		clear(seen)
 	}
+	rank = make([]uint32, len(users))
+	sorted := slices.Sorted(slices.Values(users))
+	for id, asn := range users {
+		r, _ := slices.BinarySearch(sorted, asn)
+		rank[id] = uint32(r)
+	}
+	return sorted, rank
+}
+
+// daySpans turns per-day lists of ids into each id's days as spans, listed
+// by rank, in one allocation: a pass counts the runs, a second writes.
+func daySpans(days [][]uint32, rank []uint32) [][]uint32 {
+	n := len(rank)
+	from, last := make([]uint32, n+1), make([]uint32, n) // last[i]: i's last active day, plus two
+	for d, day := range days {
+		for _, i := range day {
+			if last[i] != uint32(d)+1 {
+				from[i+1] += 2
+			}
+			last[i] = uint32(d) + 2
+		}
+	}
+	for i := range n {
+		from[i+1] += from[i] // i's spans are flat[from[i]:from[i+1]]
+	}
+	flat, at := make([]uint32, from[n]), slices.Clone(from[:n]) // last is past each id's first day
+	for d, day := range days {
+		for _, i := range day {
+			if p := at[i]; last[i] == uint32(d)+1 {
+				flat[p-1]++
+			} else {
+				flat[p], flat[p+1], at[i] = uint32(d), uint32(d), p+2
+			}
+			last[i] = uint32(d) + 2
+		}
+	}
+	out := make([][]uint32, n)
+	for i, r := range rank {
+		out[r] = flat[from[i]:from[i+1]:from[i+1]]
+	}
+	return out
 }
 
 // appendBits appends the indices of the bits set in words, ascending.
@@ -110,11 +148,10 @@ func appendBits(dst []uint32, words []uint64) []uint32 {
 
 // Figure4Union is Figure 4's accumulator: per day of the window
 // [start, start+days), the distinct providers, users and prefixes. It
-// takes events (Observe) and shards' wire forms (Add) alike, and unions
-// only over one window: a router computes the window first, then asks
-// every shard for it. Each dimension gives every distinct member one id,
-// the first time an event or a shard names it, and keeps a bitset of ids
-// per day; Finalize counts bits.
+// takes events (Observe) and shards' wire forms (Add) alike. Each
+// dimension gives every distinct member one id, the first time an event
+// or a shard names it, and keeps a bitset of ids per day; Finalize counts
+// bits.
 type Figure4Union struct {
 	Start time.Time
 	Days  int
@@ -147,23 +184,19 @@ func (u *Figure4Union) Observe(ev *core.Event) {
 	u.prefixes.mark(d0, d1, u.prefixes.id(ev.Prefix.String()))
 }
 
-// Add unions one shard's sets into u. The windows must match exactly. The
-// sets are trusted to be well formed — every index inside its table — as
-// NewFigure4Sets makes them and a router's reader checks them.
+// Add unions sets over any window a whole number of days from u's into
+// u's days, dropping the days outside u's window. The sets are trusted to
+// be well formed, as NewFigure4Sets makes them and a router reads them.
 func (u *Figure4Union) Add(s *Figure4Sets) error {
-	if !s.Start.Equal(u.Start) || s.Days != u.Days {
-		return fmt.Errorf("analysis: figure4 window mismatch: %v/%dd vs %v/%dd", u.Start, u.Days, s.Start, s.Days)
+	// In seconds, not a Duration, which saturates past 292 years.
+	off := s.Start.Unix() - u.Start.Unix()
+	if s.Days > 0 && (off%(24*60*60) != 0 || s.Start.Nanosecond() != u.Start.Nanosecond()) { // no days: no member
+		return fmt.Errorf("analysis: figure4 sets from %v are not whole days from %v", s.Start, u.Start)
 	}
-	if len(s.DayProviders) != u.Days || len(s.DayUsers) != u.Days || len(s.DayPrefixes) != u.Days {
-		return fmt.Errorf("analysis: figure4 sets list %d/%d/%d days, want %d", len(s.DayProviders), len(s.DayUsers), len(s.DayPrefixes), u.Days)
-	}
-	u.providers.addTable(s.Providers, s.DayProviders)
-	u.prefixes.addTable(s.Prefixes, s.DayPrefixes)
-	for d, day := range s.DayUsers {
-		for _, asn := range day {
-			u.users.mark(d, d, u.users.id(asn))
-		}
-	}
+	shift := int(off / (24 * 60 * 60))
+	u.providers.add(s.Providers, s.ProviderDays, shift)
+	u.users.add(s.Users, s.UserDays, shift)
+	u.prefixes.add(s.Prefixes, s.PrefixDays, shift)
 	return nil
 }
 
@@ -267,28 +300,37 @@ func (s *daySets[K]) mark(lo, hi int, id uint32) {
 	}
 }
 
-// addTable unions one shard's days, lists of indices into names, in.
-func (s *daySets[K]) addTable(names []K, days [][]uint32) {
+// add unions one table of sets in at day offset shift, laying the
+// bitsets out once, wide enough for every member to be new.
+func (s *daySets[K]) add(names []K, spans [][]uint32, shift int) {
 	if s.ids == nil {
 		s.ids = make(map[K]uint32, len(names)) // the first shard's table is most of the union's
 	}
-	global := make([]uint32, len(names))
+	s.keys = slices.Grow(s.keys, len(names))
+	clip := func(sp []uint32, j int) (lo, hi int) {
+		return max(int(sp[j])+shift, 0), min(int(sp[j+1])+shift, s.days-1)
+	}
+	lo, hi := s.days, -1
+	for _, sp := range spans {
+		a, _ := clip(sp, 0)
+		_, b := clip(sp, len(sp)-2)
+		lo, hi = min(lo, a), max(hi, b)
+	}
+	if lo > hi {
+		return
+	}
+	s.reserve(lo, hi, (len(s.keys)+len(names)+63)/64)
 	for i, k := range names {
-		global[i] = s.id(k)
-	}
-	lo, hi := slices.IndexFunc(days, func(day []uint32) bool { return len(day) > 0 }), len(days)-1
-	if lo < 0 {
-		return // no day has a member
-	}
-	for len(days[hi]) == 0 {
-		hi--
-	}
-	s.reserve(lo, hi, (len(s.keys)+63)/64)
-	for d := lo; d <= hi; d++ {
-		row := s.row(d)
-		for _, i := range days[d] {
-			id := global[i]
-			row[id>>6] |= 1 << (id & 63)
+		id := -1 // named on the member's first day in the window
+		for j := 0; j < len(spans[i]); j += 2 {
+			if a, b := clip(spans[i], j); a <= b {
+				if id < 0 {
+					id = int(s.id(k))
+				}
+				for d := a; d <= b; d++ {
+					s.bits[(d-s.first)*s.width+id>>6] |= 1 << (id & 63)
+				}
+			}
 		}
 	}
 }

@@ -92,13 +92,13 @@ func partitions(events []*core.Event) map[string][][]*core.Event {
 // figure4Oracle is Figure 4 by its definition, with no floorDays and no id
 // table: day d counts the members of the events that start before
 // start+(d+1)·24h and end at or after start+d·24h. The wire form's tables
-// are every member of some day, ascending, and a day's indices are found
-// in them by search.
+// are every member of some day, ascending, and a member's spans are its
+// runs of days, found by walking the window.
 func figure4Oracle(events []*core.Event, start time.Time, days int) ([]DailyPoint, Figure4Sets) {
 	days = max(days, 0)
 	var series []DailyPoint
 	provs, users, prefs := make([]map[string]bool, days), make([]map[uint32]bool, days), make([]map[string]bool, days)
-	allProvs, allPrefs := map[string]bool{}, map[string]bool{}
+	allProvs, allUsers, allPrefs := map[string]bool{}, map[uint32]bool{}, map[string]bool{}
 	for d := range days {
 		from := start.Add(time.Duration(d) * 24 * time.Hour)
 		provs[d], users[d], prefs[d] = map[string]bool{}, map[uint32]bool{}, map[string]bool{}
@@ -108,28 +108,37 @@ func figure4Oracle(events []*core.Event, start time.Time, days int) ([]DailyPoin
 					provs[d][pr.String()], allProvs[pr.String()] = true, true
 				}
 				for _, u := range ev.Users {
-					users[d][uint32(u)] = true
+					users[d][uint32(u)], allUsers[uint32(u)] = true, true
 				}
 				prefs[d][ev.Prefix.String()], allPrefs[ev.Prefix.String()] = true, true
 			}
 		}
 		series = append(series, DailyPoint{Day: from, Providers: len(provs[d]), Users: len(users[d]), Prefixes: len(prefs[d])})
 	}
-	sets := Figure4Sets{Start: start, Days: days, Providers: slices.Sorted(maps.Keys(allProvs)), Prefixes: slices.Sorted(maps.Keys(allPrefs))}
-	index := func(table []string, day map[string]bool) []uint32 {
-		out := []uint32{}
-		for name := range day {
-			i, _ := slices.BinarySearch(table, name)
-			out = append(out, uint32(i))
+	sets := Figure4Sets{Start: start, Days: days, Providers: slices.Sorted(maps.Keys(allProvs)),
+		Users: slices.Sorted(maps.Keys(allUsers)), Prefixes: slices.Sorted(maps.Keys(allPrefs))}
+	spans := func(active func(d int) bool) []uint32 {
+		var out []uint32
+		for d := range days {
+			switch {
+			case !active(d):
+			case len(out) > 0 && int(out[len(out)-1]) == d-1:
+				out[len(out)-1]++
+			default:
+				out = append(out, uint32(d), uint32(d))
+			}
 		}
-		slices.Sort(out)
 		return out
 	}
-	sets.DayProviders, sets.DayUsers, sets.DayPrefixes = make([][]uint32, days), make([][]uint32, days), make([][]uint32, days)
-	for d := range days {
-		sets.DayProviders[d] = index(sets.Providers, provs[d])
-		sets.DayUsers[d] = append([]uint32{}, slices.Sorted(maps.Keys(users[d]))...)
-		sets.DayPrefixes[d] = index(sets.Prefixes, prefs[d])
+	sets.ProviderDays, sets.UserDays, sets.PrefixDays = make([][]uint32, len(sets.Providers)), make([][]uint32, len(sets.Users)), make([][]uint32, len(sets.Prefixes))
+	for i, name := range sets.Providers {
+		sets.ProviderDays[i] = spans(func(d int) bool { return provs[d][name] })
+	}
+	for i, asn := range sets.Users {
+		sets.UserDays[i] = spans(func(d int) bool { return users[d][asn] })
+	}
+	for i, name := range sets.Prefixes {
+		sets.PrefixDays[i] = spans(func(d int) bool { return prefs[d][name] })
 	}
 	return series, sets
 }
@@ -200,9 +209,28 @@ func TestFigure4PartialMerge(t *testing.T) {
 			check(name, split)
 		}
 	}
-	sets := NewFigure4Union(t0, 10).Sets()
+	// Sets over other windows of whole days lie at their day offsets: two
+	// that cover the window between them union to it. Sets from part of a
+	// day away have no offset.
+	wantSeries, oracle := figure4Oracle(events, t0, 9)
+	wantSets, _ := json.Marshal(oracle)
+	split := NewFigure4Union(t0, 9)
+	for _, w := range [][2]int{{-2, 5}, {3, 10}} {
+		p := NewFigure4Union(t0.Add(time.Duration(w[0])*day), w[1])
+		for _, ev := range events {
+			p.Observe(ev)
+		}
+		sets := p.Sets()
+		if err := split.Add(&sets); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := json.Marshal(split.Sets()); !reflect.DeepEqual(split.Finalize(), wantSeries) || !bytes.Equal(got, wantSets) {
+		t.Errorf("two windows' sets union to\n%+v\n%s\nwant\n%+v\n%s", split.Finalize(), got, wantSeries, wantSets)
+	}
+	sets := NewFigure4Union(t0.Add(time.Hour), 10).Sets()
 	if err := NewFigure4Union(t0, 9).Add(&sets); err == nil {
-		t.Error("adding sets over another window should fail")
+		t.Error("adding sets from part of a day away should fail")
 	}
 }
 
@@ -213,24 +241,17 @@ func TestFigure4UnionSparseDays(t *testing.T) {
 	start, days := time.Date(1917, 1, 1, 0, 0, 0, 0, time.UTC), 36600
 	occupied := []int{35000, 35001, 35004}
 	const members, budget = 20000, 4 << 20
-	sets := Figure4Sets{Start: start, Days: days, Prefixes: make([]string, members),
-		DayProviders: make([][]uint32, days), DayUsers: make([][]uint32, days), DayPrefixes: make([][]uint32, days)}
-	all := make([]uint32, members)
+	sets := Figure4Sets{Start: start, Days: days, Prefixes: make([]string, members), PrefixDays: make([][]uint32, members)}
+	spans := []uint32{35000, 35001, 35004, 35004}                   // every prefix's days
 	events, observed := make([]*core.Event, members), map[int]int{} // observed[d] is how many events fall on day d
 	for i := range members {
 		sets.Prefixes[i] = fmt.Sprintf("10.%d.%d.0/24", i>>8, i&255)
-		all[i] = uint32(i)
+		sets.PrefixDays[i] = spans
 		observed[occupied[i%3]]++
 		at := start.Add(time.Duration(occupied[i%3])*24*time.Hour + time.Hour)
 		events[i] = &core.Event{Prefix: netip.MustParsePrefix(sets.Prefixes[i]), Start: at, End: at.Add(time.Hour)}
 	}
 	slices.Sort(sets.Prefixes)
-	for d := range days {
-		sets.DayProviders[d], sets.DayUsers[d], sets.DayPrefixes[d] = []uint32{}, []uint32{}, []uint32{}
-	}
-	for _, d := range occupied {
-		sets.DayPrefixes[d] = all
-	}
 	added := NewFigure4Union(start, days)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -356,8 +356,8 @@ func (s *Store) hydrateDays(start time.Time, days int) bool {
 	return true
 }
 
-// DaySets is DailySets' answer, in the element types of
-// analysis.Figure4Sets: Providers and Prefixes name each distinct member
+// DaySets is DailySets' answer, what analysis.NewFigure4Sets takes:
+// Providers and Prefixes name each distinct member
 // of the window once, in no particular order, and a day lists its members
 // as indices into them (its users as AS numbers), in no particular order
 // either.

@@ -294,26 +294,27 @@ func (b *RemoteBackend) getJSON(ctx context.Context, path string, params url.Val
 	if err != nil {
 		return 0, err
 	}
-	if err = json.Unmarshal([]byte(body), v); err != nil {
+	defer answerPool.Put(body)
+	if err = json.Unmarshal(*body, v); err != nil {
 		return 0, fmt.Errorf("shard %s: bad %s answer: %w", b.name, path, err)
 	}
 	return failed, nil
 }
 
-// readAnswer reads a shard's answer whole, through a pooled buffer: more
-// than limit bytes is the shard's failure.
-func (b *RemoteBackend) readAnswer(r io.Reader, limit int64) (string, error) {
-	var body strings.Builder
-	buf := scanBufs.Get().(*[64 << 10]byte)
-	_, err := io.CopyBuffer(&body, io.LimitReader(r, limit+1), buf[:])
-	scanBufs.Put(buf)
+// readAnswer reads a shard's answer whole into a buffer of answerPool,
+// the caller's to put back: more than limit bytes is the shard's failure.
+func (b *RemoteBackend) readAnswer(r io.Reader, limit int64) (*[]byte, error) {
+	buf := answerPool.Get().(*[]byte)
+	body := bytes.NewBuffer((*buf)[:0])
+	_, err := body.ReadFrom(io.LimitReader(r, limit+1))
+	if *buf = body.Bytes(); err == nil && int64(len(*buf)) > limit {
+		err = fmt.Errorf("answer over %d bytes", limit)
+	}
 	if err != nil {
-		return "", fmt.Errorf("shard %s: %w", b.name, err)
+		answerPool.Put(buf)
+		return nil, fmt.Errorf("shard %s: %w", b.name, err)
 	}
-	if int64(body.Len()) > limit {
-		return "", fmt.Errorf("shard %s: answer over %d bytes", b.name, limit)
-	}
-	return body.String(), nil
+	return buf, nil
 }
 
 // Records is RecordLines' counted read held whole (collectRecords).
@@ -666,9 +667,17 @@ func (k *lineKey) set(name []byte, plain bool, tok []byte) bool {
 	return k.err == nil
 }
 
-// figure4Params renders a Figure 4 window as the /figure4 parameter set.
+// figure4Params renders a Figure 4 window as the /figure4 parameter set,
+// leaving a zero start or days for the shard to pick.
 func figure4Params(start time.Time, days int) url.Values {
-	return url.Values{"start": {start.UTC().Format(time.RFC3339)}, "days": {strconv.Itoa(days)}}
+	params := url.Values{"start": {start.UTC().Format(time.RFC3339)}, "days": {strconv.Itoa(days)}}
+	if start.IsZero() {
+		params.Del("start")
+	}
+	if days <= 0 {
+		params.Del("days")
+	}
+	return params
 }
 
 // Figure4 implements Backend over GET /figure4.
@@ -694,145 +703,132 @@ func (b *RemoteBackend) Figure4Sets(ctx context.Context, start time.Time, days i
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := b.readAnswer(resp.Body, maxShardSets) // the sets' names are substrings of it
+	body, err := b.readAnswer(resp.Body, maxShardSets)
 	if err != nil {
 		return nil, err
 	}
-	sets, err := parseFigure4Sets(body, start, days)
+	defer answerPool.Put(body)
+	sets, err := parseFigure4Sets(*body, start, days)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: bad /figure4 answer: %w", b.name, err)
 	}
 	return sets, nil
 }
 
-// parseFigure4Sets reads a shape=sets body for the window asked. It is
-// appendFigure4Sets' inverse and nothing more lenient: the body must be,
-// byte for byte, what that writer emits for the sets this returns — no
-// white space, no escape, tables and lists strictly ascending, every
-// index inside its table, the window the one asked for. What a shard
-// sends is merged into every other shard's answer, so a body that is
-// anything else is the shard's failure, not a puzzle to solve.
-func parseFigure4Sets(body string, start time.Time, days int) (*Figure4Sets, error) {
-	rest, ok := strings.CutPrefix(body, string(appendFigure4Window(nil, start, days)))
-	if !ok {
-		return nil, fmt.Errorf("not the sets of %d days from %s", days, start.UTC().Format(time.RFC3339))
+// parseFigure4Sets reads a shape=sets body for the window asked or, where
+// a zero start or days leaves it to the shard, whole UTC days inside it.
+// It is appendFigure4Sets' inverse and nothing more lenient: tables
+// strictly ascending, each member's days spans inside the window, apart
+// and ascending. A shard's answer is merged into every other's, so any
+// other body is the shard's failure, not a puzzle to solve. The names are
+// substrings of one string made here: body is free once this returns.
+func parseFigure4Sets(body []byte, start time.Time, days int) (*Figure4Sets, error) {
+	fs := &Figure4Sets{}
+	rest, _ := bytes.CutPrefix(body, []byte(`{"start":"`))
+	if q := bytes.IndexByte(rest, '"'); q >= 0 { // the window, read loosely, then held to its one spelling
+		fs.Start, _ = time.Parse(time.RFC3339, string(rest[:q]))
+		n, _ := readNumber(rest, q+len(`","days":`), 1<<31)
+		fs.Days = int(n)
 	}
-	// Every number is followed by a comma or closes one of the 3×days
-	// lists: the lists slice one allocation.
-	// The shards the sets miss, spelled as strconv does, nestedFailures' bound.
-	digits := len(rest) - len(strings.TrimLeft(rest, "0123456789"))
-	failed, err := strconv.ParseUint(rest[:digits], 10, 31)
-	if err != nil || digits > 1 && rest[0] == '0' {
-		return nil, fmt.Errorf("want a count of failed shards at %.20q", rest)
+	head := appendFigure4Window(nil, fs.Start, fs.Days)
+	failed, i := readNumber(body, len(head), 1<<31) // nestedFailures' bound
+	picked := start.IsZero() || days == 0
+	if !bytes.HasPrefix(body, head) || i == len(head) || !picked && (!fs.Start.Equal(start) || fs.Days != days) ||
+		picked && (!fs.Start.Truncate(24*time.Hour).Equal(fs.Start) || (fs.Days == 0) != fs.Start.IsZero() ||
+			fs.Days > 0 && fs.Start.Before(start) || days > 0 && fs.Days > days) {
+		return nil, fmt.Errorf("want the sets of %d days from %s, or of whole days inside them, at %.50q", days, start.UTC().Format(time.RFC3339), body)
 	}
-	rest = rest[digits:]
-	p := setsScanner{rest: rest, nums: make([]uint32, 0, strings.Count(rest, ",")+3*days)}
-	fs := &Figure4Sets{Start: start, Days: days, ShardsFailed: int(failed)}
-	fs.Providers = p.names(`,"providers":[`)
-	fs.Prefixes = p.names(`],"prefixes":[`)
-	fs.DayProviders = p.days(`],"day_providers":[`, days, uint64(len(fs.Providers)))
-	fs.DayUsers = p.days(`],"day_users":[`, days, 1<<32)
-	fs.DayPrefixes = p.days(`],"day_prefixes":[`, days, uint64(len(fs.Prefixes)))
-	p.literal("]}\n")
-	if p.err == nil && p.rest != "" {
-		p.fail("the end")
+	fs.ShardsFailed = int(failed)
+	// The tables end where the spans begin: no name holds a quote.
+	tables, j := string(body[i:i+max(bytes.Index(body[i:], []byte(`,"provider_days":[`)), 0)]), 0
+	fs.Providers, j = readTable(tables, j, `,"providers":[`, readName)
+	fs.Users, j = readTable(tables, j, `,"users":[`, func(s string, i int) (uint32, int) { asn, end := readNumber(s, i, 1<<32); return uint32(asn), end })
+	if fs.Prefixes, j = readTable(tables, j, `,"prefixes":[`, readName); j != len(tables) {
+		return nil, fmt.Errorf("want the tables of providers, users and prefixes at %.20q", body[i:])
 	}
-	if p.err != nil {
-		return nil, p.err
+	i += j
+	flat := make([]uint32, 0, bytes.Count(body[i:], []byte{','})+1) // every span's numbers, for a body as written
+	fs.ProviderDays, flat, j = readSpans(body, i, `,"provider_days":[`, len(fs.Providers), fs.Days, flat)
+	fs.UserDays, flat, j = readSpans(body, j, `,"user_days":[`, len(fs.Users), fs.Days, flat)
+	if fs.PrefixDays, _, j = readSpans(body, j, `,"prefix_days":[`, len(fs.Prefixes), fs.Days, flat); j < 0 || string(body[j:]) != "}\n" {
+		return nil, fmt.Errorf("want each member's days as spans inside the window, and the end, at %.20q", body[i:])
 	}
 	return fs, nil
 }
 
-// setsScanner consumes a shape=sets body from the front. The first thing
-// that is not what the writer writes there is err, and ends the scan.
-type setsScanner struct {
-	rest string
-	nums []uint32 // every list's numbers, in the order read
-	err  error
+// readNumber reads the number at b[i:] spelled as strconv spells it, below
+// limit: it returns the number and where it ends, or i if there is none.
+func readNumber[T string | []byte](b T, i int, limit uint64) (v uint64, end int) {
+	for end = i; end < len(b) && '0' <= b[end] && b[end] <= '9' && v < limit; end++ {
+		v = v*10 + uint64(b[end]-'0')
+	}
+	if end == i || end > i+1 && b[i] == '0' || v >= limit {
+		return 0, i
+	}
+	return v, end
 }
 
-func (p *setsScanner) fail(want string) {
-	if p.err == nil {
-		p.err = fmt.Errorf("want %s at %.20q", want, p.rest)
+// readTable reads key and the table after it, through its bracket: items
+// strictly ascending. It returns where the table ends, or -1.
+func readTable[T cmp.Ordered](s string, i int, key string, item func(s string, i int) (T, int)) (table []T, end int) {
+	if i < 0 || !strings.HasPrefix(s[i:], key) {
+		return nil, -1
 	}
+	for i += len(key); i < len(s) && s[i] != ']'; {
+		at := i + min(len(table), 1) // past the comma between members
+		v, end := item(s, at)
+		if end == at || len(table) > 0 && (s[i] != ',' || v <= table[len(table)-1]) {
+			return nil, -1
+		}
+		table, i = append(table, v), end
+	}
+	if i == len(s) {
+		return nil, -1
+	}
+	return table, i + 1
 }
 
-// literal consumes lit and reports whether the scan goes on.
-func (p *setsScanner) literal(lit string) bool {
-	rest, ok := strings.CutPrefix(p.rest, lit)
-	if !ok {
-		p.fail(strconv.Quote(lit))
+// readName reads a quoted name of plain ASCII at s[i:]: the name and
+// where it ends, or i if there is none.
+func readName(s string, i int) (string, int) {
+	if i == len(s) || s[i] != '"' {
+		return "", i
 	}
-	if p.err != nil {
-		return false
+	for j := i + 1; j < len(s) && ' ' <= s[j] && s[j] <= '~' && s[j] != '\\'; j++ {
+		if s[j] == '"' {
+			return s[i+1 : j], j + 1
+		}
 	}
-	p.rest = rest
-	return true
+	return "", i
 }
 
-// names consumes open and the table after it, up to its closing bracket:
-// quoted names of printable ASCII, strictly ascending.
-func (p *setsScanner) names(open string) (names []string) {
-	if !p.literal(open) {
-		return nil
+// readSpans reads key and n members' day lists, appending their numbers
+// to flat, as parseFigure4Sets says. It returns where they end, or -1.
+func readSpans(b []byte, i int, key string, n, days int, flat []uint32) ([][]uint32, []uint32, int) {
+	if i < 0 || !bytes.HasPrefix(b[i:], []byte(key)) {
+		return nil, flat, -1
 	}
-	for !strings.HasPrefix(p.rest, "]") {
-		if len(names) > 0 && !p.literal(",") || !p.literal(`"`) {
-			return nil
+	i += len(key)
+	lists := make([][]uint32, n)
+	for m := range lists {
+		if i += min(m, 1); i >= len(b) || b[i] != '[' || m > 0 && b[i-1] != ',' { // a comma between lists
+			return nil, flat, -1
 		}
-		end := 0
-		for end < len(p.rest) && p.rest[end] != '"' {
-			if c := p.rest[end]; c < ' ' || c > '~' || c == '\\' {
-				p.fail("a name of plain ASCII")
-				return nil
+		from, next := len(flat), uint64(0)             // next: the first day the next span may start on
+		for sep := byte('['); sep != ']'; sep = b[i] { // b[i] is the bracket or comma before a span
+			first, j := readNumber(b, i+1, uint64(days))
+			last, k := readNumber(b, j+1, uint64(days))
+			if j == i+1 || k == j+1 || b[j] != ',' || k == len(b) || b[k] != ',' && b[k] != ']' || first < next || last < first {
+				return nil, flat, -1
 			}
-			end++
+			flat, next, i = append(flat, uint32(first), uint32(last)), last+2, k
 		}
-		name := p.rest[:end]
-		if len(names) > 0 && name <= names[len(names)-1] {
-			p.fail("a name after " + strconv.Quote(names[len(names)-1]))
-			return nil
-		}
-		names, p.rest = append(names, name), p.rest[end:]
-		if !p.literal(`"`) {
-			return nil
-		}
+		lists[m], i = flat[from:len(flat):len(flat)], i+1
 	}
-	return names
-}
-
-// days consumes open and the n lists after it, up to the closing bracket
-// of the last: numbers spelled as strconv spells them, below limit and
-// strictly ascending within a list.
-func (p *setsScanner) days(open string, n int, limit uint64) [][]uint32 {
-	if !p.literal(open) {
-		return nil
+	if i == len(b) || b[i] != ']' {
+		return nil, flat, -1
 	}
-	days := make([][]uint32, n)
-	for d := range days {
-		if d > 0 && !p.literal(",") || !p.literal("[") {
-			return nil
-		}
-		from := len(p.nums)
-		for !strings.HasPrefix(p.rest, "]") {
-			if len(p.nums) > from && !p.literal(",") {
-				return nil
-			}
-			i, v := 0, uint64(0)
-			for i < len(p.rest) && '0' <= p.rest[i] && p.rest[i] <= '9' && v < limit {
-				v = v*10 + uint64(p.rest[i]-'0')
-				i++
-			}
-			if i == 0 || i > 1 && p.rest[0] == '0' || v >= limit || len(p.nums) > from && uint32(v) <= p.nums[len(p.nums)-1] {
-				p.fail(fmt.Sprintf("an ascending number below %d", limit))
-				return nil
-			}
-			p.nums, p.rest = append(p.nums, uint32(v)), p.rest[i:]
-		}
-		p.rest = p.rest[1:] // the list's closing bracket
-		days[d] = p.nums[from:len(p.nums):len(p.nums)]
-	}
-	return days
+	return lists, flat, i + 1
 }
 
 // LegitimacySummary implements Backend over GET /legitimacy.
@@ -905,7 +901,8 @@ func (b *RemoteBackend) Healthz(ctx context.Context) *ShardHealth {
 		body, err := b.readAnswer(resp.Body, 1<<20)
 		resp.Body.Close()
 		if err == nil {
-			err = json.Unmarshal([]byte(body), h)
+			err = json.Unmarshal(*body, h)
+			answerPool.Put(body)
 		}
 		if err != nil {
 			lastErr = err

@@ -414,12 +414,13 @@ func BenchmarkCompactTiered(b *testing.B) {
 // from one cold-opened store, and from three cold-opened shard stores
 // (split by prefix:16:3, and stamped so) behind a router handler over
 // RemoteBackends that has read their identities — the bhserve ×3 +
-// bhroute deployment in one process. It returns the two base URLs and
-// one keep-alive client.
-func routerBenchFixture(b *testing.B) (single, router string, client *http.Client) {
+// bhroute deployment in one process. It returns the two base URLs, one
+// keep-alive client and the count of the bytes the shards have sent.
+func routerBenchFixture(b *testing.B) (single, router string, client *http.Client, shards *writeCounter) {
 	b.Helper()
 	events := storeBenchEvents(b)
 	plan := PrefixShardPlan{Bit: 16, N: 3}
+	shards = &writeCounter{}
 	serve := func(shard int) string { // -1: the single store
 		dir := b.TempDir()
 		st, err := OpenStoreWith(dir, StoreOptions{MaxSegmentBytes: 16 << 10})
@@ -442,7 +443,11 @@ func routerBenchFixture(b *testing.B) (single, router string, client *http.Clien
 		if st, err = OpenStoreWith(dir, StoreOptions{ReadOnly: true, Mmap: true}); err != nil {
 			b.Fatal(err)
 		}
-		srv := httptest.NewServer(NewStoreHandler(st, storeBench.pipeline))
+		h := NewStoreHandler(st, storeBench.pipeline)
+		if shard >= 0 {
+			h = shards.wrap(h)
+		}
+		srv := httptest.NewServer(h)
 		b.Cleanup(func() { srv.Close(); st.Close() })
 		return srv.URL
 	}
@@ -461,20 +466,21 @@ func routerBenchFixture(b *testing.B) (single, router string, client *http.Clien
 	}
 	srv := httptest.NewServer(NewRouterHandler(fed, RouterOptions{}))
 	b.Cleanup(srv.Close)
-	return single, srv.URL, &http.Client{}
+	return single, srv.URL, &http.Client{}, shards
 }
 
 // benchRouterVsSingle times one GET path against the router and, as a
 // sub-benchmark, against the single store, so the hop's overhead ratio
 // is one division; both must answer the same bytes (a JSON envelope's
-// elapsed_us and scanned aside). bytes/op is the response body.
+// elapsed_us and scanned aside). bytes/op is the response body, and
+// shard_bytes/op the bodies the router's shards sent for it.
 func benchRouterVsSingle(b *testing.B, path string) {
-	single, router, client := routerBenchFixture(b)
+	single, router, client, shards := routerBenchFixture(b)
 	var want []byte
 	for _, side := range []struct{ name, base string }{{"single", single}, {"router", router}} {
 		b.Run(side.name, func(b *testing.B) {
 			b.ReportAllocs()
-			n := 0
+			n, sent := 0, shards.bytes.Load()
 			for i := 0; i < b.N; i++ {
 				resp, err := client.Get(side.base + path)
 				if err != nil {
@@ -493,6 +499,9 @@ func benchRouterVsSingle(b *testing.B, path string) {
 				n = len(body)
 			}
 			b.ReportMetric(float64(n), "bytes/op")
+			if side.name == "router" {
+				b.ReportMetric(float64(shards.bytes.Load()-sent)/float64(b.N), "shard_bytes/op")
+			}
 		})
 	}
 }
@@ -560,9 +569,9 @@ func BenchmarkRouterCovered(b *testing.B) {
 }
 
 // BenchmarkRouterFigure4 asks for the daily series: the single store
-// answers from its per-day counts, the router unions its shards' per-day
-// sets (/figure4?shape=sets: each name once, the days as indices) in
-// bitsets and counts.
+// answers from its per-day counts, the router unions its shards' sets
+// (/figure4?shape=sets: each name once, with its days as spans) in
+// bitsets and counts. shard_bytes/op is the sets' size on the wire.
 func BenchmarkRouterFigure4(b *testing.B) {
 	benchRouterVsSingle(b, "/figure4")
 }

@@ -16,10 +16,10 @@ import (
 	"testing"
 )
 
-// writeCounter counts the writes and flushes a handler makes to its
-// ResponseWriter, forwarding both.
+// writeCounter counts the writes, the bytes written and the flushes a
+// handler makes to its ResponseWriter, forwarding them.
 type writeCounter struct {
-	writes, flushes atomic.Int64
+	writes, bytes, flushes atomic.Int64
 }
 
 func (c *writeCounter) wrap(h http.Handler) http.Handler {
@@ -35,6 +35,7 @@ type countedWriter struct {
 
 func (w *countedWriter) Write(p []byte) (int, error) {
 	w.c.writes.Add(1)
+	w.c.bytes.Add(int64(len(p)))
 	return w.ResponseWriter.Write(p)
 }
 
