@@ -2,6 +2,7 @@ package bgpblackholing
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -391,7 +392,7 @@ func (b *StoreBackend) RecordLines(ctx context.Context, q Query) (*RecordStream,
 // daily series.
 func (b *StoreBackend) Figure4(ctx context.Context, start time.Time, days int) (*Figure4Result, error) {
 	stats := b.st.Stats()
-	start, days, err := figure4Window(start, days, stats.MinStart, stats.MaxEnd, false)
+	start, days, err := figure4Window(start, days, stats.MinStart, stats.MaxEnd)
 	series := []DailyPoint{}
 	if err == nil && days > 0 {
 		series, err = b.st.figure4(ctx, start, days)
@@ -409,7 +410,7 @@ func (b *StoreBackend) Figure4(ctx context.Context, start time.Time, days int) (
 func (b *StoreBackend) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
 	b.st.observeQuery(false, streamed)
 	stats := b.st.Stats()
-	start, days, err := figure4Window(start, days, stats.MinStart, stats.MaxEnd, true)
+	start, days, err := setsWindow(start, days, stats.MinStart, stats.MaxEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -438,25 +439,10 @@ func (e errFigure4Window) Error() string { return string(e) }
 
 // figure4Window resolves a /figure4 window over events from first to last
 // (zero when none) — a zero start is the first event's UTC day, a zero days
-// runs to the last event's, days 0 back is no window — and checks it. A
-// sets request leaving either out gets what of it the events span, as is.
-func figure4Window(start time.Time, days int, first, last time.Time, sets bool) (time.Time, int, error) {
-	const day = 24 * time.Hour
-	if sets && (start.IsZero() || days == 0) {
-		lo := first.UTC().Truncate(day)
-		if !start.IsZero() { // the window's day that holds the first event, or its first day
-			lo = start.AddDate(0, 0, int(max(first.Unix()-start.Unix(), 0)/(24*60*60)))
-		}
-		if first.IsZero() || last.Before(lo) {
-			return time.Time{}, 0, nil
-		}
-		if n := int(last.Sub(lo)/day) + 1; days == 0 || n < days {
-			days = n
-		}
-		return lo, days, nil
-	}
+// runs to the last event's, days 0 back is no window — and checks it.
+func figure4Window(start time.Time, days int, first, last time.Time) (time.Time, int, error) {
 	if start.IsZero() {
-		start = first.UTC().Truncate(day)
+		start = first.UTC().Truncate(24 * time.Hour)
 	}
 	if days == 0 {
 		days = int(last.Sub(start).Hours()/24) + 1
@@ -470,6 +456,22 @@ func figure4Window(start time.Time, days int, first, last time.Time, sets bool) 
 		return time.Time{}, 0, errFigure4Window(fmt.Sprintf("a series of %d days from %s ends past 9999-12-31", days, start.Format(time.DateOnly)))
 	}
 	return start, days, nil
+}
+
+// setsWindow is a backend's sets window: a named one as figure4Window
+// checks it, one left open cut, unchecked, to its days from the first
+// event's to the last's. The router checks the window it puts together
+// from the shards'; a shard refusing its part would count as one lost.
+func setsWindow(start time.Time, days int, first, last time.Time) (time.Time, int, error) {
+	if !start.IsZero() && days > 0 || first.IsZero() {
+		return figure4Window(start, days, first, last)
+	}
+	// The window's day that holds the first event, or its first day: a zero start is a UTC midnight.
+	lo := start.AddDate(0, 0, int(max(first.Unix()-start.Unix(), 0)/(24*60*60)))
+	if n := int(last.Sub(lo)/(24*time.Hour)) + 1; n > 0 { // as figure4Window counts: a last the day before lo still gives lo
+		return lo, min(n, cmp.Or(days, n)), nil
+	}
+	return time.Time{}, 0, nil
 }
 
 // LegitimacySummary implements Backend: a streaming aggregation through

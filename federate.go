@@ -425,7 +425,7 @@ func (f *FederatedStore) merge(streams []*RecordStream, limit int) *RecordStream
 // Figure4 implements Backend: the union of the shards' per-day entity
 // sets over the window, counted; ShardsFailed counts the shards missing.
 func (f *FederatedStore) Figure4(ctx context.Context, start time.Time, days int) (*Figure4Result, error) {
-	sets, failed, err := f.figure4Union(ctx, start, days, false)
+	sets, failed, err := f.figure4Union(ctx, start, days, figure4Window)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +435,7 @@ func (f *FederatedStore) Figure4(ctx context.Context, start time.Time, days int)
 // Figure4Sets implements Backend, letting a federation itself act as
 // one shard of a larger federation: the sets carry the shards it lost.
 func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days int) (*Figure4Sets, error) {
-	merged, failed, err := f.figure4Union(ctx, start, days, true)
+	merged, failed, err := f.figure4Union(ctx, start, days, setsWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -445,9 +445,9 @@ func (f *FederatedStore) Figure4Sets(ctx context.Context, start time.Time, days 
 }
 
 // figure4Union unions the shards' sets, counting the failed and those
-// missed, in one round trip: a window left open is resolved from theirs.
-func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int, sets bool) (*analysis.Figure4Union, int, error) {
-	if _, _, err := figure4Window(start, days, time.Time{}, time.Time{}, sets); err != nil { // a window named whole, before any shard is asked for it
+// missed, in one round trip: window resolves a window left open from theirs.
+func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days int, window func(time.Time, int, time.Time, time.Time) (time.Time, int, error)) (*analysis.Figure4Union, int, error) {
+	if _, _, err := window(start, days, time.Time{}, time.Time{}); err != nil { // a window named whole, before any shard is asked for it
 		return nil, 0, err
 	}
 	shardSets := make([]*Figure4Sets, len(f.backends))
@@ -470,7 +470,7 @@ func (f *FederatedStore) figure4Union(ctx context.Context, start time.Time, days
 			}
 		}
 	}
-	if start, days, err = figure4Window(start, days, first, last, sets); err != nil {
+	if start, days, err = window(start, days, first, last); err != nil {
 		return nil, failed, err
 	}
 	merged := analysis.NewFigure4Union(start, days)

@@ -347,7 +347,7 @@ func TestFederationFigure4Bytes(t *testing.T) {
 			"two tiers": NewRouterHandler(NewFederatedStore(tier(remote[:half]...), tier(remote[half:]...)), RouterOptions{}),
 		}
 		want := NewStoreHandler(single, nil)
-		base := single.Stats().MinStart.UTC().Truncate(24 * time.Hour)
+		base, lastDay := single.Stats().MinStart.UTC().Truncate(24*time.Hour), single.Stats().MaxEnd.UTC().Truncate(24*time.Hour)
 		at := func(t time.Time) string { return t.Format(time.RFC3339) }
 		for _, row := range []struct {
 			path   string
@@ -360,6 +360,7 @@ func TestFederationFigure4Bytes(t *testing.T) {
 			{"/figure4?start=" + at(base.AddDate(0, 0, 2).Add(7*time.Hour+30*time.Minute)) + "&days=5", http.StatusOK},
 			{"/figure4?start=" + at(base.AddDate(0, 0, -3)) + "&every=2", http.StatusOK},
 			{"/figure4?start=" + at(base.AddDate(0, 0, 5)), http.StatusOK},
+			{"/figure4?start=" + at(lastDay.AddDate(0, 0, 1)), http.StatusOK}, // one day, the last event's the day before
 			{"/figure4?start=" + at(base.AddDate(1, 0, 0)) + "&days=4", http.StatusOK},
 			{"/figure4?start=" + at(base.AddDate(-1, 0, 0)) + "&days=2", http.StatusOK},
 			{"/figure4?shape=sets", http.StatusOK},
