@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"errors"
 	"io"
+	"maps"
 	"net/netip"
 	"slices"
 	"sort"
@@ -94,7 +95,8 @@ type Detection struct {
 // list of Keyed entries strictly ascending by key, and an empty set is
 // nil. That is the one form an event has from the moment it closes to
 // the disk and the wire: the engine files each set in order (Peers once,
-// at close), the store's decoder refuses anything else, and Check is
+// at close) in memory shared with other events, capped so an append
+// reallocates; the store's decoder refuses anything else, and Check is
 // what a boundary handed an event from outside runs.
 type Event struct {
 	Prefix netip.Prefix
@@ -225,9 +227,12 @@ type Engine struct {
 	// still see the prefix blackholed. The last peer out (or Flush)
 	// closes the event and deletes the entry.
 	perPrefix map[netip.Prefix]*prefixState
-	// peerIDs numbers peer sessions as first seen; peerAddrs inverts it.
+	// peerIDs numbers peer sessions as first seen; peerAddrs inverts it,
+	// byAddr lists the ids in address order and peerRanks inverts that.
 	peerIDs   map[netip.Addr]uint32
 	peerAddrs []netip.Addr
+	byAddr    []uint32
+	peerRanks []uint32
 	closed    []*Event
 	// seq numbers closed events across the engine's whole lifetime —
 	// sequential Run calls keep counting, so one detector lineage has
@@ -244,11 +249,13 @@ type Engine struct {
 	OnEventClose func(*Event)
 
 	metrics engineCounters
+	chunks  chunks // what events' sets and open prefixes' marks are carved from (sets.go)
 
-	// Per-update classification scratch, reused across process calls so
+	// Per-update classification scratch and closeEvent's ranks, reused so
 	// the hot path stays allocation-free (an Engine is single-goroutine).
-	scratchInfs []ProviderInference
-	scratchFlat []bgp.ASN
+	scratchInfs  []ProviderInference
+	scratchFlat  []bgp.ASN
+	scratchRanks []uint32
 }
 
 // Metrics returns a snapshot of the engine's counters. Safe to call
@@ -256,7 +263,7 @@ type Engine struct {
 func (e *Engine) Metrics() Metrics { return e.metrics.snapshot() }
 
 type prefixState struct {
-	event *Event
+	event Event // one allocation with its state
 	// peers marks each peer the event has had, unordered and once, as
 	// still seeing the prefix blackholed or not; active counts the former.
 	peers  []peerMark
@@ -269,6 +276,17 @@ type prefixState struct {
 type peerMark struct {
 	id     uint32
 	active bool
+}
+
+// peerID returns addr's number, filing a new peer in byAddr.
+func (e *Engine) peerID(addr netip.Addr) uint32 {
+	id, known := e.peerIDs[addr]
+	if !known {
+		r, _ := slices.BinarySearchFunc(e.byAddr, addr, func(id uint32, a netip.Addr) int { return e.peerAddrs[id].Compare(a) })
+		id = uint32(len(e.peerAddrs))
+		e.peerIDs[addr], e.peerAddrs, e.byAddr = id, append(e.peerAddrs, addr), slices.Insert(e.byAddr, r, id)
+	}
+	return id
 }
 
 // NewEngine returns an engine inferring against the documented
@@ -426,13 +444,7 @@ func (e *Engine) classify(u *bgp.Update) []ProviderInference {
 			infs[j], infs[j-1] = infs[j-1], infs[j]
 		}
 	}
-	dedup := infs[:0]
-	for i, inf := range infs {
-		if i == 0 || inf.Provider != infs[i-1].Provider {
-			dedup = append(dedup, inf)
-		}
-	}
-	return dedup
+	return slices.CompactFunc(infs, func(a, b ProviderInference) bool { return a.Provider == b.Provider })
 }
 
 // InitFromRIB seeds the engine from a table dump (§4.2 "Initialization
@@ -474,7 +486,12 @@ func (e *Engine) process(u *bgp.Update, platform collector.Platform, fromDump bo
 		return
 	}
 
+	// The peer is looked up once, and only for an update that marks events.
 	infs := e.classify(u)
+	var id uint32
+	if len(infs) > 0 {
+		id = e.peerID(u.PeerIP)
+	}
 	for _, p := range u.Announced {
 		if len(infs) == 0 {
 			// Announcement without blackhole communities: implicit
@@ -486,30 +503,25 @@ func (e *Engine) process(u *bgp.Update, platform collector.Platform, fromDump bo
 			continue
 		}
 		e.metrics.detections.Add(1)
-		e.startOrRefresh(u, infs, p, platform, fromDump)
+		e.startOrRefresh(u, infs, p, id, platform, fromDump)
 	}
 }
 
 // startOrRefresh files prefix's announcement; infs is classify's scratch.
-func (e *Engine) startOrRefresh(u *bgp.Update, infs []ProviderInference, prefix netip.Prefix, platform collector.Platform, fromDump bool) {
+func (e *Engine) startOrRefresh(u *bgp.Update, infs []ProviderInference, prefix netip.Prefix, id uint32, platform collector.Platform, fromDump bool) {
 	st := e.perPrefix[prefix]
 	if st == nil {
 		e.metrics.eventsOpened.Add(1)
-		st = &prefixState{event: &Event{Prefix: prefix, Start: u.Time, End: u.Time, StartUnknown: fromDump}, peers: make([]peerMark, 0, 4)}
+		st = &prefixState{event: Event{Prefix: prefix, Start: u.Time, End: u.Time, StartUnknown: fromDump}}
 		e.perPrefix[prefix] = st
 	}
-	ev := st.event
-	id, known := e.peerIDs[u.PeerIP]
-	if !known {
-		id = uint32(len(e.peerAddrs))
-		e.peerIDs[u.PeerIP], e.peerAddrs = id, append(e.peerAddrs, u.PeerIP)
+	ev := &st.event
+	i := slices.IndexFunc(st.peers, func(m peerMark) bool { return m.id == id })
+	if i < 0 {
+		i, st.peers = len(st.peers), insertAt(&e.chunks.marks, st.peers, len(st.peers), peerMark{id: id})
 	}
-	if !slices.Contains(st.peers, peerMark{id, true}) {
-		if i := slices.Index(st.peers, peerMark{id, false}); i >= 0 {
-			st.peers[i].active = true
-		} else {
-			st.peers = append(st.peers, peerMark{id, true})
-		}
+	if !st.peers[i].active {
+		st.peers[i].active = true
 		st.active++
 	}
 	if u.Time.After(ev.End) {
@@ -523,34 +535,34 @@ func (e *Engine) startOrRefresh(u *bgp.Update, infs []ProviderInference, prefix 
 	// distance. Only the direct-feed check below turns on the peer's AS.
 	if platform != st.platform || !slices.Equal(infs, st.infs) {
 		st.platform, st.infs = platform, append(st.infs[:0], infs...)
-		absorb(ev, platform, infs)
+		e.chunks.absorb(ev, platform, infs)
 	}
 	for _, inf := range infs {
 		if inf.Provider.Kind == ProviderAS && inf.Provider.ASN == u.PeerAS ||
 			inf.Provider.Kind == ProviderIXP && inf.ASDistance == 0 {
 			ev.DirectFeed = true
-			ev.DirectProviders = insert(ev.DirectProviders, inf.Provider, ProviderRefCompare)
+			insert(&e.chunks.providers, &ev.DirectProviders, inf.Provider, ProviderRefCompare)
 		}
 	}
 }
 
 // absorb files a detection's platform and inferences in the event's sets.
-func absorb(ev *Event, platform collector.Platform, infs []ProviderInference) {
+func (c *chunks) absorb(ev *Event, platform collector.Platform, infs []ProviderInference) {
 	asn, platforms := cmp.Compare[bgp.ASN], cmp.Compare[collector.Platform]
-	ev.Platforms = insert(ev.Platforms, platform, platforms)
-	platProviders, _ := entry(&ev.ProvidersByPlatform, platform, platforms)
-	platUsers, _ := entry(&ev.UsersByPlatform, platform, platforms)
+	insert(&c.platforms, &ev.Platforms, platform, platforms)
+	platProviders, _ := entry(&c.platProviders, &ev.ProvidersByPlatform, platform, platforms)
+	platUsers, _ := entry(&c.platUsers, &ev.UsersByPlatform, platform, platforms)
 	for _, inf := range infs {
-		ev.Providers = insert(ev.Providers, inf.Provider, ProviderRefCompare)
-		*platProviders = insert(*platProviders, inf.Provider, ProviderRefCompare)
+		insert(&c.providers, &ev.Providers, inf.Provider, ProviderRefCompare)
+		insert(&c.providers, platProviders, inf.Provider, ProviderRefCompare)
 		if inf.User != 0 {
-			ev.Users = insert(ev.Users, inf.User, asn)
-			*platUsers = insert(*platUsers, inf.User, asn)
-			provUsers, _ := entry(&ev.ProviderUsers, inf.Provider, ProviderRefCompare)
-			*provUsers = insert(*provUsers, inf.User, asn)
+			insert(&c.asns, &ev.Users, inf.User, asn)
+			insert(&c.asns, platUsers, inf.User, asn)
+			provUsers, _ := entry(&c.provUsers, &ev.ProviderUsers, inf.Provider, ProviderRefCompare)
+			insert(&c.asns, provUsers, inf.User, asn)
 		}
-		ev.Communities = insert(ev.Communities, inf.Community, cmp.Compare[bgp.Community])
-		if best, known := entry(&ev.ProviderDistances, inf.Provider, ProviderRefCompare); !known || betterDistance(inf.ASDistance, *best) {
+		insert(&c.communities, &ev.Communities, inf.Community, cmp.Compare[bgp.Community])
+		if best, known := entry(&c.distances, &ev.ProviderDistances, inf.Provider, ProviderRefCompare); !known || betterDistance(inf.ASDistance, *best) {
 			*best = inf.ASDistance
 		}
 	}
@@ -566,15 +578,14 @@ func betterDistance(cand, cur int) bool {
 }
 
 // endPeer ends one peer's view of a blackholed prefix, reporting whether
-// the peer was actually tracking it.
+// the peer was actually tracking it, found by address in the peer table.
 func (e *Engine) endPeer(prefix netip.Prefix, peer netip.Addr, t time.Time) bool {
 	st := e.perPrefix[prefix]
 	if st == nil {
 		return false
 	}
-	id, known := e.peerIDs[peer]
-	i := slices.Index(st.peers, peerMark{id, true})
-	if !known || i < 0 {
+	i := slices.IndexFunc(st.peers, func(m peerMark) bool { return m.active && e.peerAddrs[m.id] == peer })
+	if i < 0 {
 		return false
 	}
 	st.peers[i].active = false
@@ -592,10 +603,7 @@ func (e *Engine) endPeer(prefix netip.Prefix, peer netip.Addr, t time.Time) bool
 
 // Flush closes every still-active event at time t (end of monitoring).
 func (e *Engine) Flush(t time.Time) {
-	keys := make([]netip.Prefix, 0, len(e.perPrefix))
-	for p := range e.perPrefix {
-		keys = append(keys, p)
-	}
+	keys := slices.AppendSeq(make([]netip.Prefix, 0, len(e.perPrefix)), maps.Keys(e.perPrefix))
 	sortByString(keys)
 	for _, p := range keys {
 		st := e.perPrefix[p]
@@ -611,12 +619,23 @@ func (e *Engine) Flush(t time.Time) {
 // OnEventClose hook — so every sink (stores, shard routers, alert hubs)
 // sees the same Seq — and records the event.
 func (e *Engine) closeEvent(st *prefixState) {
-	ev := st.event
-	ev.Peers = make([]netip.Addr, len(st.peers))
-	for i, p := range st.peers {
-		ev.Peers[i] = e.peerAddrs[p.id]
+	ev := &st.event
+	if len(e.peerRanks) < len(e.byAddr) { // a new peer: rank by address again
+		e.peerRanks = slices.Grow(e.peerRanks, len(e.byAddr))[:len(e.byAddr)]
+		for r, id := range e.byAddr {
+			e.peerRanks[id] = uint32(r)
+		}
 	}
-	slices.SortFunc(ev.Peers, netip.Addr.Compare)
+	ranks := e.scratchRanks[:0]
+	for _, p := range st.peers {
+		ranks = append(ranks, e.peerRanks[p.id])
+	}
+	slices.Sort(ranks)
+	ev.Peers = carve(&e.chunks.addrs, len(ranks))
+	for _, r := range ranks {
+		ev.Peers = append(ev.Peers, e.peerAddrs[e.byAddr[r]])
+	}
+	e.scratchRanks, st.peers, st.infs = ranks, nil, nil // the event keeps neither
 	e.seq++
 	ev.Seq = e.seq
 	if e.OnEventClose != nil {
@@ -646,10 +665,7 @@ func (e *Engine) Run(s stream.Stream) error {
 // ownership of it freely. The *Event values themselves are shared — the
 // engine never mutates an event after closing it.
 func (e *Engine) Events() []*Event {
-	if len(e.closed) == 0 {
-		return nil
-	}
-	return append(make([]*Event, 0, len(e.closed)), e.closed...)
+	return slices.Clone(e.closed)
 }
 
 // ActiveCount reports how many prefixes are currently blackholed.
@@ -679,10 +695,7 @@ func Group(events []*Event, timeout time.Duration) []*Period {
 	for _, ev := range events {
 		byPrefix[ev.Prefix] = append(byPrefix[ev.Prefix], ev)
 	}
-	var prefixes []netip.Prefix
-	for p := range byPrefix {
-		prefixes = append(prefixes, p)
-	}
+	prefixes := slices.Collect(maps.Keys(byPrefix))
 	sortByString(prefixes)
 
 	var out []*Period

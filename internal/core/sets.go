@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"bgpblackholing/internal/bgp"
 	"bgpblackholing/internal/collector"
@@ -31,37 +32,67 @@ func Find[K comparable, V any](list []Keyed[K, V], k K) V {
 	return zero
 }
 
-// insert files v in the strictly ascending set s. Sets are tiny (a
-// handful of members; an event's peers, the largest, are sorted at close
-// instead) and most detections refresh an event that has its member
-// already, so a hit is found by looking — no call through compare — and
-// only a miss pays the binary search and the shift. A first member gets
-// room for the few that usually follow.
-func insert[T comparable](s []T, v T, compare func(a, b T) int) []T {
-	if slices.Contains(s, v) {
-		return s
+// chunks is the memory an engine carves its events' sets, keyed lists
+// and peer marks from, a chunk of about 4 KiB per member type. A chunk
+// lives while any event carved from it lives.
+type chunks struct {
+	providers     []ProviderRef
+	asns          []bgp.ASN
+	communities   []bgp.Community
+	platforms     []collector.Platform
+	addrs         []netip.Addr
+	distances     []Keyed[ProviderRef, int]
+	platProviders []Keyed[collector.Platform, []ProviderRef]
+	platUsers     []Keyed[collector.Platform, []bgp.ASN]
+	provUsers     []Keyed[ProviderRef, []bgp.ASN]
+	marks         []peerMark
+}
+
+// carve cuts an empty region of n elements from the chunk *c, replacing
+// a chunk too short. The region is capped ([:0:n]): an append past it
+// reallocates and never writes into the next region.
+func carve[T any](c *[]T, n int) (r []T) {
+	if len(*c) < n {
+		*c = make([]T, max(n, 4<<10/int(unsafe.Sizeof(*new(T)))))
 	}
-	i, _ := slices.BinarySearchFunc(s, v, compare)
-	if s == nil {
-		s = make([]T, 0, 4)
+	r, *c = (*c)[:0:n], (*c)[n:]
+	return r
+}
+
+// insertAt puts v at s[i], moving a full s to a region of *c twice its
+// size, two at first: an outgrown region stays as long as its chunk.
+func insertAt[T any](c *[]T, s []T, i int, v T) []T {
+	if len(s) == cap(s) {
+		s = append(carve(c, max(2, 2*len(s))), s...)
 	}
-	return slices.Insert(s, i, v)
+	s = append(s[:i+1], s[i:]...)
+	s[i] = v
+	return s
+}
+
+// insert files v in the strictly ascending set *s, growing it in c. Sets
+// are tiny and most refreshes find their member already, so a hit is
+// found by looking — no call through compare, no write — and only a
+// miss pays the binary search and the shift.
+func insert[T comparable](c *[]T, s *[]T, v T, compare func(a, b T) int) {
+	if slices.Contains(*s, v) {
+		return
+	}
+	i, _ := slices.BinarySearchFunc(*s, v, compare)
+	*s = insertAt(c, *s, i, v)
 }
 
 // entry returns the value filed under k in the ascending list *s, filing
 // a zero one first when k is new (found false), the way insert files a
 // member. The pointer is good until *s is next inserted into.
-func entry[K comparable, V any](s *[]Keyed[K, V], k K, compare func(a, b K) int) (val *V, found bool) {
+func entry[K comparable, V any](c *[]Keyed[K, V], s *[]Keyed[K, V], k K, compare func(a, b K) int) (val *V, found bool) {
 	for i := range *s {
 		if (*s)[i].Key == k {
 			return &(*s)[i].Val, true
 		}
 	}
 	i, _ := slices.BinarySearchFunc(*s, k, func(e Keyed[K, V], k K) int { return compare(e.Key, k) })
-	if *s == nil {
-		*s = make([]Keyed[K, V], 0, 4)
-	}
-	*s = slices.Insert(*s, i, Keyed[K, V]{Key: k})
+	*s = insertAt(c, *s, i, Keyed[K, V]{Key: k})
 	return &(*s)[i].Val, false
 }
 
@@ -134,12 +165,8 @@ func sortByString(prefixes []netip.Prefix) {
 }
 
 // SetOf returns members in the form an Event keeps a set: ascending under
-// compare, each once. It is how an event built by hand gets its sets
-// right; the engine inserts in order, and sorts the peers at close.
+// compare, each once, nil when empty. An event built by hand gets its
+// sets right with it; the engine inserts in order, and sorts the peers.
 func SetOf[T comparable](compare func(a, b T) int, members ...T) []T {
-	var s []T
-	for _, m := range members {
-		s = insert(s, m, compare)
-	}
-	return s
+	return slices.Compact(slices.SortedFunc(slices.Values(members), compare))
 }
