@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -163,28 +162,30 @@ func appendCSVRow(b []byte, ev *bgpblackholing.Event) ([]byte, error) {
 	b = append(ev.Start.UTC().AppendFormat(b, time.RFC3339), ',')
 	b = append(ev.End.UTC().AppendFormat(b, time.RFC3339), ',')
 	b = append(strconv.AppendFloat(b, ev.Duration().Seconds(), 'f', 0, 64), ',')
-	b = appendSet(b, ev.Providers, "")
-	b = appendSet(b, ev.Users, "AS")
-	b = appendSet(b, ev.Communities, "")
-	b = appendSet(b, ev.Platforms, "")
+	b = appendSet(b, ev.Providers, bgpblackholing.ProviderRef.TextLess, "")
+	b = appendSet(b, ev.Users, bgpblackholing.ASN.TextLess, "AS")
+	b = appendSet(b, ev.Communities, bgpblackholing.Community.TextLess, "")
+	b = appendSet(b, ev.Platforms, bgpblackholing.Platform.TextLess, "")
 	return append(strconv.AppendInt(b, int64(ev.Detections), 10), '\n'), nil
 }
 
-// appendSet appends a set's members, each behind prefix, in string order
-// (the report's order ever since), then ','. The names are sorted in a
-// stack array, so a set of up to 16 members allocates only its strings.
-func appendSet[T fmt.Stringer](b []byte, set []T, prefix string) []byte {
-	var scratch [16]string
-	names := scratch[:0]
-	for _, m := range set {
-		names = append(names, m.String())
+// appendSet appends a set's members, each behind prefix, in the order of
+// their text (the report's order ever since; one prefix on every name
+// leaves it as it is), then ','. The members are ordered by less, their
+// type's TextLess, on a stack copy of up to 16 and each is rendered once.
+func appendSet[T interface{ AppendTo([]byte) []byte }](b []byte, set []T, less func(T, T) bool, prefix string) []byte {
+	var scratch [16]T
+	sorted := append(scratch[:0], set...)
+	for i := 1; i < len(sorted); i++ { // an insertion sort: the sets are a handful long
+		for j := i; j > 0 && less(sorted[j], sorted[j-1]); j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
 	}
-	sort.Strings(names) // one prefix on every name leaves the order as it is
-	for i, name := range names {
+	for i, m := range sorted {
 		if i > 0 {
 			b = append(b, ';')
 		}
-		b = append(append(b, prefix...), name...)
+		b = m.AppendTo(append(b, prefix...))
 	}
 	return append(b, ',')
 }

@@ -12,6 +12,7 @@ package bgp
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -24,6 +25,44 @@ type ASN uint32
 
 // String renders the ASN in the canonical "asplain" notation.
 func (a ASN) String() string { return strconv.FormatUint(uint64(a), 10) }
+
+// AppendTo appends the ASN in the canonical "asplain" notation to b.
+func (a ASN) AppendTo(b []byte) []byte { return strconv.AppendUint(b, uint64(a), 10) }
+
+// TextLess reports whether a's notation sorts before o's byte by byte
+// ("10" before "9"), without rendering either.
+func (a ASN) TextLess(o ASN) bool { return decimalLess(uint32(a), uint32(o), false) }
+
+// decimalLess reports whether x's decimal rendering sorts before y's byte
+// by byte, with a ':' after each when colon is set. The shorter is scaled
+// to the longer's digit count; if its digits begin the longer's, it sorts
+// first, unless a ':' follows it, which sorts after every digit.
+func decimalLess(x, y uint32, colon bool) bool {
+	a, b := uint64(x), uint64(y)
+	switch nx, ny := decimalWidth(x), decimalWidth(y); {
+	case nx < ny:
+		if a *= pow10[ny-nx]; b-a < pow10[ny-nx] {
+			return !colon
+		}
+	case nx > ny:
+		if b *= pow10[nx-ny]; a-b < pow10[nx-ny] {
+			return colon
+		}
+	}
+	return a < b
+}
+
+var pow10 = [...]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+
+// decimalWidth is x's digit count: log10 from the bit length, corrected.
+func decimalWidth(x uint32) int {
+	x |= 1                          // 0 is one digit wide; no power of ten from 10 up is odd
+	w := bits.Len32(x) * 1233 >> 12 // 1233/4096 ≈ log10 2
+	if uint64(x) >= pow10[w] {
+		w++
+	}
+	return w
+}
 
 // Is16Bit reports whether the ASN fits the original 2-octet AS number space.
 func (a ASN) Is16Bit() bool { return a <= 0xFFFF }
@@ -73,6 +112,16 @@ func (c Community) Low() uint16 { return uint16(c & 0xFFFF) }
 func (c Community) AppendTo(b []byte) []byte {
 	b = strconv.AppendUint(b, uint64(c.High()), 10)
 	return strconv.AppendUint(append(b, ':'), uint64(c.Low()), 10)
+}
+
+// TextLess reports whether c's "high:low" notation sorts before o's byte
+// by byte, without rendering either. A high half whose digits begin a
+// longer one's sorts after it ("14142:1" before "14:1"): ':' > '9'.
+func (c Community) TextLess(o Community) bool {
+	if c.High() == o.High() {
+		return decimalLess(uint32(c.Low()), uint32(o.Low()), false)
+	}
+	return decimalLess(uint32(c.High()), uint32(o.High()), true)
 }
 
 // String renders the community in the canonical "high:low" notation.

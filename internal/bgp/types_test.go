@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -163,5 +164,34 @@ func TestHostRouteAndSpecificity(t *testing.T) {
 	}
 	if PrefixLessSpecificThan(netip.MustParsePrefix("10.0.0.0/8"), 8) {
 		t.Fatal("/8 is not less specific than /8")
+	}
+}
+
+// TestTextLessIsTheRenderingsOrder holds ASN.TextLess and
+// Community.TextLess to a byte comparison of the two renderings: over
+// every pair of edge values — each width's limits, numbers whose digits
+// begin one another's, the type's extremes — and a seeded draw of pairs.
+func TestTextLessIsTheRenderingsOrder(t *testing.T) {
+	edges := []uint32{0, 1, 2, 9, 10, 11, 14, 19, 99, 100, 101, 140, 141, 666, 999, 1000, 1414, 9999, 10000, 14142, 65535,
+		99999, 100000, 999999999, 1000000000, 1000000001, 4294967294, 4294967295}
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < 2000; i++ {
+		edges = append(edges, r.Uint32()>>r.Intn(32))
+	}
+	for _, x := range edges {
+		for _, y := range edges[:60] {
+			if got, want := ASN(x).TextLess(ASN(y)), ASN(x).String() < ASN(y).String(); got != want {
+				t.Fatalf("ASN(%d).TextLess(%d) = %v, want %v", x, y, got, want)
+			}
+			if got, want := ASN(y).TextLess(ASN(x)), ASN(y).String() < ASN(x).String(); got != want {
+				t.Fatalf("ASN(%d).TextLess(%d) = %v, want %v", y, x, got, want)
+			}
+			for _, c := range [][2]Community{{Community(x), Community(y)}, {Community(x), Community(x>>16<<16 | y&0xFFFF)},
+				{Community(x & 0xFFFF0000), Community(y)}, {Community(x<<16 | y&0xFFFF), Community(y<<16 | x&0xFFFF)}} {
+				if got, want := c[0].TextLess(c[1]), c[0].String() < c[1].String(); got != want {
+					t.Fatalf("%s.TextLess(%s) = %v, want %v", c[0], c[1], got, want)
+				}
+			}
+		}
 	}
 }

@@ -50,6 +50,15 @@ func (p Platform) String() string {
 // AppendTo appends the platform's name to b.
 func (p Platform) AppendTo(b []byte) []byte { return append(b, p.String()...) }
 
+// TextLess reports whether p's name sorts before o's byte by byte: the
+// four platforms by rank, CDN < PCH < RIS < RV, any other by its name.
+func (p Platform) TextLess(o Platform) bool {
+	if rank := [...]int8{PlatformRIS: 2, PlatformRV: 3, PlatformPCH: 1, PlatformCDN: 0}; uint(p) < 4 && uint(o) < 4 {
+		return rank[p] < rank[o]
+	}
+	return p.String() < o.String()
+}
+
 // Platforms lists all platforms in table order.
 func Platforms() []Platform {
 	return []Platform{PlatformRIS, PlatformRV, PlatformPCH, PlatformCDN}

@@ -51,7 +51,21 @@ func (p ProviderRef) AppendTo(b []byte) []byte {
 	if p.Kind == ProviderIXP {
 		return strconv.AppendInt(append(b, "ixp:"...), int64(p.IXPID), 10)
 	}
-	return strconv.AppendUint(append(b, "AS"...), uint64(p.ASN), 10)
+	return p.ASN.AppendTo(append(b, "AS"...))
+}
+
+// TextLess reports whether p's notation sorts before o's byte by byte:
+// "AS…" before "ixp:…", then by number, as ASN.TextLess orders ASNs.
+func (p ProviderRef) TextLess(o ProviderRef) bool {
+	switch pi, oi := p.Kind == ProviderIXP, o.Kind == ProviderIXP; {
+	case pi != oi:
+		return oi
+	case !pi:
+		return p.ASN.TextLess(o.ASN)
+	case uint64(p.IXPID) < 1<<32 && uint64(o.IXPID) < 1<<32:
+		return bgp.ASN(p.IXPID).TextLess(bgp.ASN(o.IXPID))
+	}
+	return p.String() < o.String() // a negative IXP id, or one past 32 bits
 }
 
 // String renders the provider in its canonical notation.

@@ -1,7 +1,6 @@
 package bgpblackholing
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -533,20 +532,24 @@ func appendEventLine(dst []byte, ev *Event, ann Annotation) ([]byte, RecordKey, 
 		dst = append(dst[:at], "invalid Prefix"...) // Prefix.String's word for the zero Prefix too, where AppendTo has none
 	}
 	key := RecordKey{End: ev.End.UnixNano(), Seq: ev.Seq, Start: ev.Start.UnixNano(), Prefix: string(dst[at:])}
-	b, err := ev.Start.UTC().AppendText(append(dst, `","start":"`...))
+	b, err := appendStamp(append(dst, `","start":"`...), ev.Start)
 	if err == nil {
-		b, err = ev.End.UTC().AppendText(append(b, `","end":"`...))
+		b, err = appendStamp(append(b, `","end":"`...), ev.End)
 	}
-	secs := ev.Duration().Seconds()
-	if abs := math.Abs(secs); err != nil || !(abs == 0 || abs >= 1e-6 && abs < 1e21) {
+	span := ev.Duration()
+	if abs := math.Abs(span.Seconds()); err != nil || !(abs == 0 || abs >= 1e-6 && abs < 1e21) {
 		b, err = json.Marshal(newEventRecordEnriched(ev, ann))
 		return append(dst[:mark], b...), key, err
 	}
-	dst = strconv.AppendFloat(append(b, `","duration_seconds":`...), secs, 'f', -1, 64)
+	if dst = append(b, `","duration_seconds":`...); span%time.Second == 0 {
+		dst = strconv.AppendInt(dst, int64(span/time.Second), 10) // what AppendFloat writes for a whole number below 2^53
+	} else {
+		dst = strconv.AppendFloat(dst, span.Seconds(), 'f', -1, 64)
+	}
 	if ev.StartUnknown {
 		dst = append(dst, `,"start_unknown":true`...)
 	}
-	dst = appendSortedStrings(dst, `,"providers":[`, ev.Providers)
+	dst = appendSortedStrings(dst, `,"providers":[`, ev.Providers, ProviderRef.TextLess)
 	if len(ev.Users) > 0 {
 		dst = append(dst, `,"users":[`...)
 		for _, u := range ev.Users {
@@ -554,8 +557,8 @@ func appendEventLine(dst []byte, ev *Event, ann Annotation) ([]byte, RecordKey, 
 		}
 		dst[len(dst)-1] = ']' // over the last element's comma
 	}
-	dst = appendSortedStrings(dst, `,"communities":[`, ev.Communities)
-	dst = appendSortedStrings(dst, `,"platforms":[`, ev.Platforms)
+	dst = appendSortedStrings(dst, `,"communities":[`, ev.Communities, Community.TextLess)
+	dst = appendSortedStrings(dst, `,"platforms":[`, ev.Platforms, Platform.TextLess)
 	dst = strconv.AppendInt(append(dst, `,"peers":`...), int64(len(ev.Peers)), 10)
 	dst = strconv.AppendInt(append(dst, `,"detections":`...), int64(ev.Detections), 10)
 	if ev.DirectFeed {
@@ -694,7 +697,8 @@ func (r *layout) list(open string, kind byte) {
 }
 
 // stamp reads name and a time written as "YYYY-MM-DDTHH:MM:SS[.F]Z",
-// its fields in time.Parse's ranges and F read to the nanosecond as
+// its fields in time.Parse's ranges — the day within its month's length,
+// the leap day in leap years only — and F read to the nanosecond as
 // time.Parse reads it, and returns its UnixNano: the instant
 // Time.UnmarshalJSON reads.
 func (r *layout) stamp(name string) int64 {
@@ -715,13 +719,24 @@ func (r *layout) stamp(name string) int64 {
 	}
 	y, mo, d := digits(s[1:5]), digits(s[6:8]), digits(s[9:11])
 	h, mi, sec := digits(s[12:14]), digits(s[15:17]), digits(s[18:20])
-	t := time.Date(int(y), time.Month(mo), int(d), int(h), int(mi), int(sec), int(ns), time.UTC)
-	if _, m, day := t.Date(); y > 9999 || h > 23 || mi > 59 || sec > 59 || m != time.Month(mo) || day != int(d) {
+	if y > 9999 || mo-1 > 11 || d == 0 || d > monthDays(y, mo) || h > 23 || mi > 59 || sec > 59 {
 		r.ok = false
 		return 0
 	}
 	r.i += z + 2
-	return t.UnixNano()
+	// days from civil, on 400-year eras counted from -0400-03-01 so that
+	// every year here is past the first; 865565 days later is 1970-01-01
+	yy, m := int64(y)+399+int64(mo+9)/12, int64(mo+9)%12 // m: months since March
+	days := yy/400*146097 + yy%400*365 + yy%400/4 - yy%400/100 + (153*m+2)/5 + int64(d) - 1 - 865565
+	return (days*86400+int64(h*3600+mi*60+sec))*1e9 + int64(ns) // wraps as Time.UnixNano does
+}
+
+// monthDays is the length of month mo (1–12) of year y.
+func monthDays(y, mo uint64) uint64 {
+	if mo == 2 && y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+		return 29
+	}
+	return uint64([12]uint8{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}[mo-1])
 }
 
 // digits is the decimal value of s, or a value past every field's range
@@ -738,36 +753,48 @@ func digits(s []byte) (v uint64) {
 
 // appendSortedStrings appends an omitempty string-list field — open is
 // its `,"name":[` opener — listing set's members in the byte order of
-// their text, where the event holds them in numeric order ("AS10" sorts
-// before "AS9": the wire kept the order its first writer gave it, the
-// disk kept the codec's). The members are rendered past the end of dst,
-// their spans sorted, the list written beyond them and moved down over
-// them: the caller's buffer is the only scratch. They are the system's
-// own renderings of numbers and platform names — nothing JSON escapes.
-func appendSortedStrings[T interface{ AppendTo([]byte) []byte }](dst []byte, open string, set []T) []byte {
+// their text ("AS10" before "AS9"), which less, the type's TextLess,
+// tells from the values: the event holds them in numeric order. They are
+// the system's own renderings of numbers and platform names — nothing
+// JSON escapes.
+func appendSortedStrings[T interface{ AppendTo([]byte) []byte }](dst []byte, open string, set []T, less func(T, T) bool) []byte {
 	if len(set) == 0 {
 		return dst
 	}
-	dst = append(dst, open...)
-	var buf [32][2]int
-	spans, text := buf[:0], dst
-	for _, m := range set {
-		from := len(text)
-		text = m.AppendTo(text)
-		spans = append(spans, [2]int{from, len(text)})
-	}
-	member := func(i int) []byte { return text[spans[i][0]:spans[i][1]] }
-	for i := 1; i < len(spans); i++ { // an insertion sort: the lists are a handful long
-		for j := i; j > 0 && bytes.Compare(member(j), member(j-1)) < 0; j-- {
-			spans[j], spans[j-1] = spans[j-1], spans[j]
+	var buf [32]T
+	sorted := append(buf[:0], set...)
+	for i := 1; i < len(sorted); i++ { // an insertion sort: the lists are a handful long
+		for j := i; j > 0 && less(sorted[j], sorted[j-1]); j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
 	}
-	list := len(text)
-	for i := range spans {
-		text = append(append(append(text, '"'), member(i)...), '"', ',')
+	dst = append(dst, open...)
+	for _, m := range sorted {
+		dst = append(m.AppendTo(append(dst, '"')), '"', ',')
 	}
-	text[len(text)-1] = ']'
-	return text[:len(dst)+copy(text[len(dst):], text[list:])]
+	dst[len(dst)-1] = ']'
+	return dst
+}
+
+// appendStamp appends t as Time.AppendText writes it in UTC, and its
+// error. A whole second from 1970 to 9999 is written from Unix() by
+// civil-from-days arithmetic (H. Hinnant's, on 400-year eras counted
+// from 0000-03-01); any other instant is the library's.
+func appendStamp(dst []byte, t time.Time) ([]byte, error) {
+	secs := t.Unix()
+	if t.Nanosecond() != 0 || secs < 0 || secs > 253402300799 { // 9999-12-31T23:59:59Z
+		return t.UTC().AppendText(dst)
+	}
+	day, hms := secs/86400+719468, secs%86400 // days since 0000-03-01, seconds into the day
+	era, doe := day/146097, day%146097
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
+	doy := doe - (365*yoe + yoe/4 - yoe/100)
+	mp := (5*doy + 2) / 153 // months since March
+	d, m, y := doy-(153*mp+2)/5+1, (mp+2)%12+1, era*400+yoe+(mp+2)/12
+	return append(dst, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+		byte('0'+m/10), byte('0'+m%10), '-', byte('0'+d/10), byte('0'+d%10), 'T',
+		byte('0'+hms/36000), byte('0'+hms/3600%10), ':', byte('0'+hms/600%6), byte('0'+hms/60%10), ':',
+		byte('0'+hms/10%6), byte('0'+hms%10), 'Z'), nil
 }
 
 // appendJSONString appends s as a JSON string. Every string the system

@@ -163,8 +163,9 @@ func TestAlertRecordMatchesJSON(t *testing.T) {
 // TestEventLineAndEncodeAllocations are the deterministic walls under
 // what the benchmark shows: a plain line written into a reused buffer
 // costs one allocation, the merge key's prefix string, and an event
-// encoded into a reused buffer costs none — whatever the sizes of the
-// sets, since neither sorts, hashes or collects them.
+// encoded into a reused buffer costs none — for sets of up to 32
+// members, which the line orders on a stack copy; neither hashes or
+// collects them.
 func TestEventLineAndEncodeAllocations(t *testing.T) {
 	_, events := lineFixtureEvents(t)
 	var buf []byte
@@ -500,6 +501,96 @@ func FuzzRecordLineKey(f *testing.F) {
 			t.Fatalf("scanLineKey %+v, json.Unmarshal %+v\nline %q", got, want, line)
 		}
 	})
+}
+
+// FuzzEventLine is the differential test for appendEventLine against
+// json.Marshal of newEventRecordEnriched: an event and an annotation
+// built from the fuzz arguments must be written byte for byte as the
+// library writes the projection, or refused with its error, and every
+// plain line must be read by layoutKey to keyOf's key. sets is a run of
+// five-byte members, a kind byte and a big-endian value (see eventLineSet);
+// the seeds put side by side the ASNs, IXP ids and community halves whose
+// digits begin one another's, platforms known and not, and stamps and
+// durations at the edges of the writer's arithmetic.
+func FuzzEventLine(f *testing.F) {
+	member := func(kind byte, v int64) []byte {
+		return []byte{kind, byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
+	}
+	var sets []byte
+	for _, asn := range []int64{1, 10, 100, 19, 2} {
+		sets = append(append(append(sets, member(0, asn)...), member(2, asn)...), member(2, asn*1000)...)
+	}
+	for _, id := range []int64{0, 5, 10, -1} {
+		sets = append(sets, member(1, id)...)
+	}
+	for _, c := range []int64{1<<16 | 7, 14<<16 | 2, 14142<<16 | 9, 65535<<16 | 666, 14<<16 | 10, 1<<16 | 65535} {
+		sets = append(sets, member(3, c)...)
+	}
+	for _, pl := range []int64{0, 1, 2, 3, -1, 4, 7} {
+		sets = append(sets, member(4, pl)...)
+	}
+	stamps := []int64{-62135596800, -1, 0, 1456704000, 1456790399, 253402300799} // 0001-01-01, 1969-12-31T23:59:59, 1970, 2016-02-29 and its last second, 9999-12-31T23:59:59
+	spans := []int64{0, int64(time.Hour), 1500 * int64(time.Millisecond), -int64(time.Second), -1}
+	for i, start := range stamps {
+		for j, span := range spans {
+			f.Add(start, int64((i+j)%3*250000000), span, uint64(0x0a010200_18), uint64(i*j), byte(i+j), sets[:(i+j)%4*len(sets)/3], "")
+		}
+	}
+	f.Add(int64(1456704000), int64(1), int64(999), uint64(0x0a010203_40), uint64(17), byte(0xff), sets, `needs "escaping" <&>`)
+	f.Fuzz(func(t *testing.T, start, nanos, span int64, prefix, seq uint64, flags byte, sets []byte, text string) {
+		ev := &Event{
+			Prefix:       netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(prefix >> 24), byte(prefix >> 16), byte(prefix >> 8), byte(prefix)}), int(prefix>>32%40)),
+			Start:        time.Unix(start, nanos),
+			StartUnknown: flags&1 != 0,
+			Peers:        make([]netip.Addr, flags>>6),
+			Detections:   int(int16(prefix >> 48)),
+			DirectFeed:   flags&2 != 0,
+			SawNoExport:  flags&4 != 0,
+			Seq:          seq,
+		}
+		if flags&8 != 0 {
+			ev.Start = ev.Start.In(time.FixedZone("", -5400))
+		}
+		ev.End = ev.Start.Add(time.Duration(span))
+		eventLineSet(ev, sets)
+		var ann Annotation
+		if flags&16 != 0 {
+			ann = Annotation{RPKI: []OriginValidity{{Origin: ASN(seq), State: text}}, Legitimacy: text, Reasons: []string{text},
+				Communities: []CommunityDoc{{Community: text, Doc: text, MaxPrefixLen: int(flags >> 5), WithinMaxLen: flags&32 != 0}}}
+		}
+		sameAsMarshal(t, ev, ann)
+		if line, key, err := appendEventLine(nil, ev, ann); err == nil && flags&16 == 0 {
+			if got, ok := layoutKey(line); !ok || got != key {
+				t.Fatalf("layoutKey %+v, read %v; the writer's key %+v\nline %s", got, ok, key, line)
+			}
+		}
+	})
+}
+
+// eventLineSet fills ev's sets from b, five bytes a member: a kind byte
+// (mod 5: an AS provider, an IXP provider, a user, a community, a
+// platform) and a big-endian 32-bit value, signed for an IXP id and a
+// platform. Each set is ordered and deduplicated as the engine keeps it.
+func eventLineSet(ev *Event, b []byte) {
+	for ; len(b) >= 5; b = b[5:] {
+		v := uint32(b[1])<<24 | uint32(b[2])<<16 | uint32(b[3])<<8 | uint32(b[4])
+		switch b[0] % 5 {
+		case 0:
+			ev.Providers = append(ev.Providers, ProviderRef{Kind: ProviderAS, ASN: ASN(v)})
+		case 1:
+			ev.Providers = append(ev.Providers, ProviderRef{Kind: ProviderIXP, IXPID: int(int32(v))})
+		case 2:
+			ev.Users = append(ev.Users, ASN(v))
+		case 3:
+			ev.Communities = append(ev.Communities, Community(v))
+		case 4:
+			ev.Platforms = append(ev.Platforms, Platform(int32(v)))
+		}
+	}
+	ev.Providers = core.SetOf(core.ProviderRefCompare, ev.Providers...)
+	ev.Users = core.SetOf(cmp.Compare[ASN], ev.Users...)
+	ev.Communities = core.SetOf(cmp.Compare[Community], ev.Communities...)
+	ev.Platforms = core.SetOf(cmp.Compare[Platform], ev.Platforms...)
 }
 
 // TestLayoutKeyReadsEveryWrittenLine holds the writer and the layout
